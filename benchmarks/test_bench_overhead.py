@@ -71,8 +71,8 @@ class _CountingConnection:
 def test_bench_batch_dispatch(benchmark):
     """Batched dispatch micro-bench: broadcasting N statements as one
     batch costs exactly one native round trip on the connection, where
-    the per-statement loop pays N — counted, not timed, so a loaded CI
-    runner cannot flake it."""
+    statement-at-a-time dispatch pays N (each a batch of one) — counted,
+    not timed, so a loaded CI runner cannot flake it."""
     BATCH = 16
     connection = _CountingConnection()
     backend = Backend("b1", lambda: connection)
@@ -93,14 +93,13 @@ def test_bench_batch_dispatch(benchmark):
     assert batched.per_statement(0).result == (["ok"], [[1]], 1)
 
     for sql, params in statements:
-        broadcaster.broadcast([backend], sql, params)
-    assert connection.calls == BATCH  # one round trip per statement
-    assert connection.batch_calls == 1  # unchanged
+        assert broadcaster.broadcast([backend], sql, params).result == (["ok"], [[1]], 1)
+    # One backend round trip per scalar statement, on top of the batch's one.
+    assert connection.calls + connection.batch_calls == 1 + BATCH
     stats = broadcaster.stats()
-    assert stats["batch_broadcasts"] == 1
-    assert stats["batched_statements"] == BATCH
     # Each broadcast (batched or not) counts as one fan-out round.
     assert stats["broadcasts"] == 1 + BATCH
+    assert stats["batched_statements"] == 2 * BATCH
     broadcaster.close()
 
 

@@ -143,25 +143,29 @@ class Backend:
 
     # -- statement execution ---------------------------------------------------------
 
+    def _on_connection(self, run: Callable[..., Any], *args: Any) -> Any:
+        """Call ``run(connection, *args)`` on the cached connection.
+
+        Calls normally serialise on the per-backend lock: the one
+        cached connection is not thread-safe, and DB-API level 1 only
+        promises threads may share the *module*. A connection that
+        declares ``threadsafety >= 2`` (threads may share connections —
+        a replica that processes disjoint-row statements concurrently)
+        runs outside the lock, so key-level lock scopes can actually
+        overlap on one replica instead of re-serialising here."""
+        with self._lock:
+            connection = self._ensure_connection()
+            if getattr(connection, "threadsafety", 1) < 2:
+                return run(connection, *args)
+        return run(connection, *args)
+
     def execute(self, sql: str, params: Optional[Dict[str, Any]] = None, track: bool = True):
         """Run one statement on the replica, returning (columns, rows, rowcount).
 
         ``track=False`` leaves ``statements_executed`` untouched — for
         controller-internal catalog probes (primary-key resolution) that
-        are not client work and would skew the observability counter.
-
-        Statements normally serialise on the per-backend lock: the one
-        cached connection is not thread-safe, and DB-API level 1 only
-        promises threads may share the *module*. A connection that
-        declares ``threadsafety >= 2`` (threads may share connections —
-        a replica that processes disjoint-row statements concurrently)
-        executes outside the lock, so key-level lock scopes can actually
-        overlap on one replica instead of re-serialising here."""
-        with self._lock:
-            connection = self._ensure_connection()
-            if getattr(connection, "threadsafety", 1) < 2:
-                return self._run_statement(connection, sql, params, track)
-        return self._run_statement(connection, sql, params, track)
+        are not client work and would skew the observability counter."""
+        return self._on_connection(self._run_statement, sql, params, track)
 
     def _run_statement(
         self, connection: Any, sql: str, params: Optional[Dict[str, Any]], track: bool
@@ -209,11 +213,7 @@ class Backend:
         per-statement loop that still pays the lock only once."""
         if not statements:
             return []
-        with self._lock:
-            connection = self._ensure_connection()
-            if getattr(connection, "threadsafety", 1) < 2:
-                return self._run_batch(connection, statements, track)
-        return self._run_batch(connection, statements, track)
+        return self._on_connection(self._run_batch, statements, track)
 
     def _run_batch(
         self,

@@ -22,7 +22,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.cluster.backend import Backend
+from repro.cluster.backend import Backend, STATEMENT_FAULTS
+from repro.obs import NULL_TRACE
 
 QueryResult = Tuple[List[str], List[Any], int]
 
@@ -31,7 +32,7 @@ QueryResult = Tuple[List[str], List[Any], int]
 class BackendOutcome:
     """Result of one statement on one backend. ``error`` is usually a
     :class:`DriverError`, but any exception the backend raised is
-    captured here — see :meth:`WriteBroadcaster._run_one`."""
+    captured here — see :meth:`WriteBroadcaster._run_batch_one`."""
 
     backend: Backend
     result: Optional[QueryResult] = None
@@ -82,7 +83,6 @@ class BatchBroadcastOutcome:
     re-slices statement-major so the scheduler can account each
     statement exactly as if it had been broadcast alone."""
 
-    backends: List[Backend] = field(default_factory=list)
     statement_count: int = 0
     outcomes: List[List[BackendOutcome]] = field(default_factory=list)
 
@@ -91,7 +91,8 @@ class BatchBroadcastOutcome:
 
 
 class WriteBroadcaster:
-    """Executes one statement on many backends, optionally in parallel."""
+    """Executes an ordered batch of statements — a lone statement is a
+    batch of one — on many backends, optionally in parallel."""
 
     #: Auto-sizing floor: the pool never shrinks below the historical
     #: default, so small clusters keep their headroom for concurrent
@@ -113,7 +114,6 @@ class WriteBroadcaster:
         # runs disjoint-table broadcasts through here concurrently.
         self.broadcasts = 0
         self.statements_dispatched = 0
-        self.batch_broadcasts = 0
         self.batched_statements = 0
         self._in_flight = 0
 
@@ -145,47 +145,25 @@ class WriteBroadcaster:
         backends: List[Backend],
         sql: str,
         params: Optional[Dict[str, Any]] = None,
-        trace=None,
+        trace=NULL_TRACE,
     ) -> BroadcastOutcome:
-        """``trace`` (an optional :class:`repro.obs.Trace`) receives one
-        ``replica:<name>`` child span per backend under the caller's
-        ``execute`` span; None (the default) times nothing."""
-        with self._lock:
-            self.broadcasts += 1
-            self.statements_dispatched += len(backends)
-            self._in_flight += 1
-        try:
-            executor = (
-                self._get_executor(len(backends))
-                if self.parallel and len(backends) > 1
-                else None
-            )
-            if executor is None:
-                return BroadcastOutcome(
-                    [self._run_one(backend, sql, params, trace) for backend in backends]
-                )
-            futures = [
-                executor.submit(self._run_one, backend, sql, params, trace)
-                for backend in backends
-            ]
-            return BroadcastOutcome([future.result() for future in futures])
-        finally:
-            with self._lock:
-                self._in_flight -= 1
+        """One statement on every target backend: a batch of one."""
+        return self.broadcast_batch(backends, [(sql, params)], trace).per_statement(0)
 
     def broadcast_batch(
         self,
         backends: List[Backend],
         statements: List[Tuple[str, Optional[Dict[str, Any]]]],
-        trace=None,
+        trace=NULL_TRACE,
     ) -> BatchBroadcastOutcome:
         """Execute an ordered batch of statements on every target backend
         — **one task per replica carrying the whole batch**, so the
         round-trip cost of N coalesced writes equals that of one.
-        ``trace`` (the batch leader's) gets per-replica child spans."""
+        ``trace`` (the round leader's :class:`repro.obs.Trace`) receives
+        one ``replica:<name>`` child span per backend under the caller's
+        ``execute`` span."""
         with self._lock:
             self.broadcasts += 1  # one fan-out round trip, however many statements
-            self.batch_broadcasts += 1
             self.statements_dispatched += len(backends) * len(statements)
             self.batched_statements += len(statements)
             self._in_flight += 1
@@ -205,11 +183,7 @@ class WriteBroadcaster:
                     for backend in backends
                 ]
                 per_backend = [future.result() for future in futures]
-            return BatchBroadcastOutcome(
-                backends=list(backends),
-                statement_count=len(statements),
-                outcomes=per_backend,
-            )
+            return BatchBroadcastOutcome(statement_count=len(statements), outcomes=per_backend)
         finally:
             with self._lock:
                 self._in_flight -= 1
@@ -223,81 +197,52 @@ class WriteBroadcaster:
                 "auto_sized": self._configured_max_workers is None,
                 "broadcasts": self.broadcasts,
                 "statements_dispatched": self.statements_dispatched,
-                "batch_broadcasts": self.batch_broadcasts,
+                # Every fan-out is a batch round (of one, for a lone
+                # statement): same count, key kept for dashboards.
+                "batch_broadcasts": self.broadcasts,
                 "batched_statements": self.batched_statements,
                 "in_flight": self._in_flight,
             }
 
     @staticmethod
-    def _run_one(
-        backend: Backend,
-        sql: str,
-        params: Optional[Dict[str, Any]],
-        trace=None,
-    ) -> BackendOutcome:
-        backend.begin_request()
-        started = time.monotonic() if trace is not None else 0.0
-        outcome: Optional[BackendOutcome] = None
-        try:
-            result = backend.execute(sql, params)
-        except Exception as exc:  # noqa: BLE001 - aggregated per backend
-            # Catch *everything*, not just DriverError: an unexpected
-            # exception (driver bug, broken connection object) used to
-            # re-raise out of future.result() in broadcast(), dropping
-            # every sibling outcome — the scheduler never saw which
-            # backends had already applied the write, so the failing
-            # backend was never marked FAILED and silently diverged.
-            # A non-DriverError is a replica fault by definition (it is
-            # not one of STATEMENT_FAULTS), so the scheduler fails the
-            # backend exactly as for a dead connection.
-            outcome = BackendOutcome(backend=backend, error=exc)
-            return outcome
-        finally:
-            backend.finish_request()
-            if trace is not None:
-                # The span name carries the backend; the error attr only
-                # appears on failure so the common-case record stays a
-                # bare [name, start, duration] on the wire.
-                if outcome is None:
-                    trace.record(
-                        f"replica:{backend.name}", started, time.monotonic(),
-                        parent="execute",
-                    )
-                else:
-                    trace.record(
-                        f"replica:{backend.name}", started, time.monotonic(),
-                        parent="execute", error=True,
-                    )
-        return BackendOutcome(backend=backend, result=result)
-
-    @staticmethod
     def _run_batch_one(
         backend: Backend,
         statements: List[Tuple[str, Optional[Dict[str, Any]]]],
-        trace=None,
+        trace=NULL_TRACE,
     ) -> List[BackendOutcome]:
         backend.begin_request()
-        started = time.monotonic() if trace is not None else 0.0
+        started = time.monotonic()
         try:
             pairs = backend.execute_batch(statements)
         except Exception as exc:  # noqa: BLE001 - aggregated per backend
-            # execute_batch captures per-statement faults itself; anything
-            # escaping it is a replica-level fault poisoning the whole
-            # batch on this backend (same rationale as _run_one).
-            return [BackendOutcome(backend=backend, error=exc) for _ in statements]
+            # Catch *everything*, not just DriverError: execute_batch
+            # captures per-statement faults itself, so anything escaping
+            # it (driver bug, broken connection object) is a replica-level
+            # fault poisoning the whole batch on this backend. Letting it
+            # re-raise out of future.result() would drop every sibling
+            # outcome — the scheduler would never see which backends had
+            # already applied the write, so the failing backend would
+            # never be marked FAILED and would silently diverge. A
+            # non-DriverError is a replica fault by definition (it is not
+            # one of STATEMENT_FAULTS), so the scheduler fails the backend
+            # exactly as for a dead connection.
+            pairs = [(None, exc)] * len(statements)
         finally:
             backend.finish_request()
-            if trace is not None:
-                trace.record(
-                    f"replica:{backend.name}",
-                    started,
-                    time.monotonic(),
-                    parent="execute",
-                )
-        return [
-            BackendOutcome(backend=backend, result=result, error=error)
-            for result, error in pairs
-        ]
+        outcomes = []
+        # The span name carries the backend; the error attr only appears
+        # when the replica itself failed (it raised, or some position
+        # failed with a non-statement fault), so the common-case record
+        # stays a bare [name, start, duration] on the wire.
+        attrs: Dict[str, Any] = {}
+        for result, error in pairs:
+            outcomes.append(BackendOutcome(backend, result, error))
+            if error is not None and not isinstance(error, STATEMENT_FAULTS):
+                attrs = {"error": True}
+        trace.record(
+            f"replica:{backend.name}", started, time.monotonic(), parent="execute", **attrs
+        )
+        return outcomes
 
     def close(self) -> None:
         with self._lock:

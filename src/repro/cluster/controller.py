@@ -30,7 +30,6 @@ from repro.cluster.backend import Backend
 from repro.cluster.broadcaster import WriteBroadcaster
 from repro.cluster.classifier import classify, normalize_table_name
 from repro.cluster.loadbalancer import create_policy
-from repro.cluster.locks import LockManager
 from repro.cluster.placement import PlacementMap, create_placement
 from repro.cluster.querycache import QueryCache
 from repro.cluster.recovery import (
@@ -64,7 +63,7 @@ from repro.cluster.wire import (
     make_result,
     make_session_open_ok,
 )
-from repro.obs import MetricsRegistry, SlowQueryLog, Trace, render_json, render_prometheus
+from repro.obs import NULL_TRACE, MetricsRegistry, SlowQueryLog, Trace, render_json, render_prometheus
 from repro.core.constants import DEFAULT_LEASE_TIME_MS, ExpirationPolicy, RenewPolicy
 from repro.core.package import DriverPackage
 from repro.core.registry import DriverPermission
@@ -89,8 +88,6 @@ class ControllerConfig:
     read_policy: str = "round_robin"
     #: Extra keyword arguments for the policy (e.g. weighted's ``weights``).
     policy_options: Dict[str, Any] = field(default_factory=dict)
-    #: Broadcast writes to all backends concurrently.
-    parallel_writes: bool = True
     #: Thread-pool width of the parallel write broadcaster. None (the
     #: default) auto-scales with the broadcast fan-out, so clusters with
     #: more than 8 replicas are not serialised by a fixed pool. The pool
@@ -115,15 +112,11 @@ class ControllerConfig:
     #: group, and no statement is acknowledged before its entry is
     #: durable. Off restores the per-append fsync path byte for byte.
     group_commit: bool = True
-    #: Extra window (milliseconds) a group-commit leader waits to gather
-    #: more writers before its fsync. 0 (default) piggybacks only on
-    #: natural concurrency and adds no latency.
-    group_commit_window_ms: float = 0.0
     #: Coalesce concurrent auto-commit writers with matching replica
     #: sets into one broadcast round trip + one batch log append (the
     #: execution-side mirror of group commit — see WriteBatcher in
-    #: docs/scheduling.md). Off keeps the per-statement broadcast path
-    #: byte-identical to previous releases.
+    #: docs/scheduling.md). Off only means "never queue with siblings":
+    #: every write round carries one statement — the E18 baseline.
     write_batching: bool = True
     #: Extra window (milliseconds) a write-batch leader waits to gather
     #: more writers before its round. 0 (default) batches only what
@@ -139,19 +132,12 @@ class ControllerConfig:
     #: total queueing when the worker pool saturates — clients back off
     #: and retry instead of queueing unboundedly). None (default) = off.
     max_in_flight_statements: Optional[int] = None
-    #: Conflict-aware write scheduling: writes acquire table-level locks
-    #: from the classifier's table sets, so statements touching disjoint
-    #: tables execute and broadcast in parallel (see docs/scheduling.md).
-    #: False restores the single global write lock (every broadcast
-    #: totally ordered) — the E15 benchmark's baseline.
-    conflict_aware_locking: bool = True
-    #: Key-level lock scopes on top of conflict-aware locking: a
+    #: Key-level lock scopes on top of conflict-aware table locking: a
     #: single-row INSERT/UPDATE/DELETE whose primary-key value is fully
     #: resolved locks just (table, key), so writers on disjoint rows of
     #: the same table run in parallel. Anything not provably single-row
     #: (range predicates, multi-row inserts, positional params, PK
-    #: reassignment, DDL) falls back to a table lock. No effect while
-    #: conflict_aware_locking is False.
+    #: reassignment, DDL) falls back to a table lock.
     key_level_locking: bool = True
     #: Cache SELECT results with table-based invalidation. Off by default:
     #: with several controllers in a group, writes routed through a peer do
@@ -339,11 +325,7 @@ class Controller:
         #: Serialises election attempts (non-blocking: a write that finds
         #: an election already running just reports not_primary).
         self._election_lock = threading.Lock()
-        self.group_commit = (
-            GroupCommit(self.recovery_log, window_s=config.group_commit_window_ms / 1000.0)
-            if group_commit_active
-            else None
-        )
+        self.group_commit = GroupCommit(self.recovery_log) if group_commit_active else None
         self.scheduler = RequestScheduler(
             backends or [],
             self.recovery_log,
@@ -353,11 +335,8 @@ class Controller:
                 if config.query_cache_enabled
                 else None
             ),
-            broadcaster=WriteBroadcaster(
-                parallel=config.parallel_writes, max_workers=config.write_concurrency
-            ),
+            broadcaster=WriteBroadcaster(max_workers=config.write_concurrency),
             placement=create_placement(config.placement),
-            lock_manager=LockManager(conflict_aware=config.conflict_aware_locking),
             key_level_locking=config.key_level_locking,
             group_commit=self.group_commit,
             write_batching=config.write_batching,
@@ -634,8 +613,8 @@ class Controller:
 
     # -- tracing ---------------------------------------------------------------
 
-    def _start_trace(self, message: Optional[Dict[str, Any]] = None) -> Optional[Trace]:
-        """A Trace for one statement, or None when tracing is off.
+    def _start_trace(self, message: Optional[Dict[str, Any]] = None) -> Any:
+        """A Trace for one statement, or ``NULL_TRACE`` when tracing is off.
 
         Honours the client's ``trace_id`` when the EXECUTE carried one
         (so driver- and server-side records correlate) and marks the
@@ -643,18 +622,18 @@ class Controller:
         server-initiated traces feed only the histogram/slow log and
         leave the reply frame untouched."""
         if not self.config.tracing:
-            return None
+            return NULL_TRACE
         trace_id = message.get("trace_id") if message is not None else None
         if not isinstance(trace_id, str) or not trace_id:
             trace_id = None
         return Trace(trace_id=trace_id, wire_requested=trace_id is not None)
 
-    def _finish_trace(
-        self, trace: Optional[Trace], sql: str, reply: Dict[str, Any]
-    ) -> Dict[str, Any]:
+    def _finish_trace(self, trace: Any, sql: str, reply: Dict[str, Any]) -> Dict[str, Any]:
         """Seal a statement's trace: histogram + slow-query log, and the
-        span list onto the reply frame iff the client asked for it."""
-        if trace is None:
+        span list onto the reply frame iff the client asked for it. The
+        one place that tests for ``NULL_TRACE``: there is nothing to seal
+        or export when tracing is off."""
+        if trace is NULL_TRACE:
             return reply
         total = trace.finish()
         self._traced_statements.inc()
@@ -1229,7 +1208,7 @@ class Controller:
         session: SessionContext,
         sql: str,
         params: Dict[str, Any],
-        trace: Optional[Trace] = None,
+        trace: Any = NULL_TRACE,
     ) -> Dict[str, Any]:
         """Run one statement for a session and build the reply frame.
 
@@ -1239,12 +1218,9 @@ class Controller:
         per-session FIFO), so SessionContext needs no lock. The
         controller-wide counters are shared across workers and bump
         under ``_lock``."""
-        if trace is None:
+        with trace.span("classify"):
             statement = classify(sql)
-        else:
-            with trace.span("classify"):
-                statement = classify(sql)
-            trace.annotate(command=statement.command, session=session.session_id)
+        trace.annotate(command=statement.command, session=session.session_id)
         if self.ha_store is not None and not (statement.is_read and not session.in_transaction):
             # HA: only the primary accepts writes (reads outside a
             # transaction are served by any node). The retryable
@@ -1480,10 +1456,9 @@ class Controller:
         # the worker that dequeues the item — exactly the time the
         # statement sat in the session FIFO behind its predecessors.
         trace = self._start_trace(message)
-        if trace is not None:
-            # No session attr: _execute_for_session annotates the trace
-            # with the session id, so the wire span stays a bare record.
-            trace.begin("queue")
+        # No session attr: _execute_for_session annotates the trace with
+        # the session id, so the wire span stays a bare record.
+        trace.begin("queue")
         if not self._mux_enqueue(state, msession, (request_id, sql, params, holds_slot, trace)):
             # The session closed between the lookup and the enqueue (its
             # close rode the FIFO); the admitted slot must not leak.
@@ -1528,8 +1503,7 @@ class Controller:
                 self._finish_mux_session(state, msession)
             else:
                 request_id, sql, params, holds_slot, trace = item
-                if trace is not None:
-                    trace.end("queue")
+                trace.end("queue")
                 try:
                     reply = self._execute_for_session(msession.context, sql, params, trace)
                 except Exception as exc:  # noqa: BLE001 - a worker must never die silently

@@ -41,9 +41,9 @@ itself to release would deadlock (a recovery path re-entering the
 scheduler did exactly that before this rule existed).
 
 ``conflict_aware=False`` turns every acquisition into the exclusive
-mode, restoring the single-global-lock behaviour byte for byte — the
-concurrency benchmark (E15) compares the modes, and operators can fall
-back via ``ControllerConfig.conflict_aware_locking``. Key granularity
+mode, restoring the single-global-lock behaviour byte for byte — a
+historical baseline the concurrency benchmark (E15) builds from this
+primitive; the controller always runs conflict-aware. Key granularity
 has its own switch one layer up (``ControllerConfig.key_level_locking``):
 the scheduler simply stops producing key scopes, and every write is a
 table scope again.

@@ -21,7 +21,6 @@ after that index. Unlike the original in-memory list, this log:
 from __future__ import annotations
 
 import threading
-import time
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.cluster.recovery.checkpoints import Checkpoint, CheckpointRegistry
@@ -262,8 +261,7 @@ class GroupCommit:
     is batched. A writer that appended index ``i`` calls
     :meth:`wait_durable(i)` after releasing its lock scope and before
     replying to the client. The first waiter becomes the group's leader:
-    it (optionally) sleeps ``window_s`` to gather stragglers, then
-    issues one ``flush()`` — a single fsync covering every entry
+    it issues one ``flush()`` — a single fsync covering every entry
     appended so far, its own and every follower's. Writers that arrive
     while a flush is in flight wait and are covered by the *next*
     leader's fsync, so under load the fsync rate approaches one per
@@ -276,9 +274,8 @@ class GroupCommit:
     fsync does not pay twice.
     """
 
-    def __init__(self, log: RecoveryLog, window_s: float = 0.0) -> None:
+    def __init__(self, log: RecoveryLog) -> None:
         self._log = log
-        self._window_s = max(0.0, window_s)
         self._cond = threading.Condition()
         #: Highest index known durable (covered by a finished fsync).
         self._flushed_through = 0
@@ -305,8 +302,6 @@ class GroupCommit:
         head = index
         flushed = False
         try:
-            if self._window_s > 0:
-                time.sleep(self._window_s)
             head = max(head, self._log.last_index)
             self._log.flush()
             flushed = True
@@ -325,7 +320,6 @@ class GroupCommit:
     def stats(self) -> Dict[str, Any]:
         with self._cond:
             return {
-                "window_s": self._window_s,
                 "groups": self.groups,
                 "synced_appends": self.synced_appends,
                 "flushed_through": self._flushed_through,

@@ -82,6 +82,7 @@ from repro.cluster.recovery import (
 )
 from repro.cluster.recovery.logstore import LogEntry
 from repro.errors import DriverError
+from repro.obs import NULL_TRACE
 
 __all__ = [
     "RequestScheduler",
@@ -157,7 +158,8 @@ def _canonical_key(value: Any, data_type: str) -> Any:
 
 
 class _BatchItem:
-    """One writer's statement while it sits in a WriteBatcher queue."""
+    """One statement of a write round: what to run, under which scope,
+    and — once the round ran — what came of it."""
 
     __slots__ = (
         "sql",
@@ -165,9 +167,13 @@ class _BatchItem:
         "statement",
         "spec",
         "targets",
+        "in_transaction",
+        "session_id",
+        "logged",
         "done",
         "result",
         "outcome",
+        "entry",
         "durable_index",
         "error",
         "trace",
@@ -181,23 +187,37 @@ class _BatchItem:
         statement: ClassifiedStatement,
         spec: Any,
         targets: List[Backend],
-        trace: Any = None,
+        trace: Any = NULL_TRACE,
+        in_transaction: bool = False,
+        session_id: Optional[str] = None,
     ) -> None:
         self.sql = sql
         self.params = params
         self.statement = statement
         self.spec = spec
         self.targets = targets
+        self.in_transaction = in_transaction
+        self.session_id = session_id
+        #: Anything reaching a write round that is not a genuine read is
+        #: replicated; only genuine writes are logged for resync —
+        #: transaction control and in-transaction reads are not.
+        self.logged = not statement.is_read and not statement.is_transaction_control
         self.done = False
         self.result: Optional[Tuple[List[str], List[Any], int]] = None
         self.outcome: Any = None
+        #: This statement's own recovery-log entry, once appended.
+        self.entry: Optional[LogEntry] = None
+        #: Highest log index this statement appended (its own entry, or
+        #: the tail of a COMMIT's buffer flush) for the group-commit
+        #: durability wait; None when nothing was appended.
         self.durable_index: Optional[int] = None
         self.error: Optional[Exception] = None
-        #: Optional repro.obs Trace of this writer's statement. The round
-        #: leader's trace receives the execute/log_append spans; riders
-        #: record a batch_wait span attributed via ``batch_meta``.
+        #: This writer's statement trace (``NULL_TRACE`` when tracing is
+        #: off). The round leader's trace receives the
+        #: execute/log_append spans; riders record a batch_wait span
+        #: attributed via ``batch_meta``.
         self.trace = trace
-        #: Set by the round: ``(leader_trace_id, batch_size)``.
+        #: Set by the batcher's leader: ``(leader_trace_id, batch_size)``.
         self.batch_meta: Optional[Tuple[Optional[str], int]] = None
 
 
@@ -238,18 +258,11 @@ class WriteBatcher:
         self.batched_statements = 0
         self.max_batch_size = 0
 
-    def run(
-        self,
-        sql: str,
-        params: Optional[Dict[str, Any]],
-        statement: ClassifiedStatement,
-        spec: Any,
-        targets: List[Backend],
-        trace: Any = None,
-    ) -> Tuple[Optional[Tuple[List[str], List[Any], int]], Any, Optional[int]]:
-        """Queue one statement and return its
-        ``(result, outcome, durable_index)`` once a round executed it —
-        either by leading a round or by riding a sibling leader's.
+    def run(self, item: _BatchItem) -> None:
+        """Queue one statement and return once a round executed it —
+        either by leading a round or by riding a sibling leader's —
+        with its ``result``/``outcome``/``durable_index`` filled in;
+        raises the round's error if it failed.
 
         Loops until this item's round actually ran: when more than
         ``max_batch`` writers queue behind one leader, the overflow —
@@ -257,14 +270,13 @@ class WriteBatcher:
         queued for a follow-up round, so election must retry rather than
         assume one round covered the electing writer.
 
-        With ``trace`` set, a writer that rode a sibling's round records
-        a ``batch_wait`` span attributed to the leader's trace id and the
+        A writer that rode a sibling's round records a ``batch_wait``
+        span on its trace attributed to the leader's trace id and the
         round's batch size; a writer that led gets the round's
         ``execute``/``log_append`` spans instead (recorded by the round
         itself)."""
-        item = _BatchItem(sql, params, statement, spec, targets, trace=trace)
-        key = tuple(sorted(backend.name for backend in targets))
-        queued_at = time.monotonic() if trace is not None else 0.0
+        key = tuple(sorted(backend.name for backend in item.targets))
+        queued_at = time.monotonic()
         led = False
         with self._cond:
             self._queues.setdefault(key, []).append(item)
@@ -279,9 +291,9 @@ class WriteBatcher:
             self._lead(key, item)
             if item.done:
                 break
-        if trace is not None and not led:
-            leader_trace_id, batch_size = item.batch_meta or (None, 0)
-            trace.record(
+        if not led:
+            leader_trace_id, batch_size = item.batch_meta
+            item.trace.record(
                 "batch_wait",
                 queued_at,
                 time.monotonic(),
@@ -290,9 +302,8 @@ class WriteBatcher:
             )
         if item.error is not None:
             raise item.error
-        return item.result, item.outcome, item.durable_index
 
-    def _lead(self, key: Tuple[str, ...], leader: Optional[_BatchItem] = None) -> None:
+    def _lead(self, key: Tuple[str, ...], leader: _BatchItem) -> None:
         batch: List[_BatchItem] = []
         try:
             if self._window_s > 0.0:
@@ -302,12 +313,9 @@ class WriteBatcher:
                 # ``batch_wait`` span (role=leader) so the sleep doesn't
                 # read as unattributed latency — riders record theirs in
                 # :meth:`run`.
-                leader_trace = leader.trace if leader is not None else None
-                if leader_trace is not None:
-                    leader_trace.begin("batch_wait", role="leader")
+                leader.trace.begin("batch_wait", role="leader")
                 time.sleep(self._window_s)
-                if leader_trace is not None:
-                    leader_trace.end("batch_wait")
+                leader.trace.end("batch_wait")
             with self._cond:
                 queued = self._queues.pop(key, [])
                 if len(queued) > self._max_batch:
@@ -317,8 +325,10 @@ class WriteBatcher:
                 self.rounds += 1
                 self.batched_statements += len(batch)
                 self.max_batch_size = max(self.max_batch_size, len(batch))
+            for item in batch:
+                item.batch_meta = (leader.trace.trace_id, len(batch))
             try:
-                self._scheduler._execute_batch_round(batch, leader)
+                self._scheduler._run_round(batch, leader.trace)
             except Exception as exc:  # noqa: BLE001 - delivered per writer
                 for item in batch:
                     if item.error is None:
@@ -443,7 +453,8 @@ class RequestScheduler:
         # Write-path batching, the execution-side mirror of group commit:
         # eligible concurrent auto-commit writers coalesce into one
         # broadcast round trip + one batch log append (see WriteBatcher).
-        # Off (None) keeps the per-statement path byte-identical.
+        # Off (None) never queues with siblings: every round carries one
+        # statement (see _run_round).
         self._write_batcher = (
             WriteBatcher(self, window_s=write_batch_window_s) if write_batching else None
         )
@@ -1029,7 +1040,7 @@ class RequestScheduler:
         params: Optional[Dict[str, Any]] = None,
         in_transaction: bool = False,
         session_id: Optional[str] = None,
-        trace: Any = None,
+        trace: Any = NULL_TRACE,
     ) -> Tuple[List[str], List[Any], int]:
         """Execute one statement with replication semantics.
 
@@ -1038,10 +1049,11 @@ class RequestScheduler:
         owner, so a refused disable/enable can tell the operator *which*
         session to chase instead of just "a transaction is open".
 
-        ``trace`` (optional :class:`repro.obs.Trace`) receives stage
-        spans — cache/lock/execute/batch_wait/log_append/fsync_wait —
-        as the statement moves through the pipeline; None (the default,
-        and the only value on the untraced hot path) times nothing."""
+        ``trace`` (a :class:`repro.obs.Trace`) receives stage spans —
+        cache/lock/execute/batch_wait/log_append/fsync_wait — as the
+        statement moves through the pipeline; ``NULL_TRACE`` (the
+        default, and the only value on the untraced hot path) times
+        nothing."""
         enabled = self.enabled_backends()
         if not enabled:
             raise SchedulerError("no enabled backend available")
@@ -1049,7 +1061,7 @@ class RequestScheduler:
         if statement.is_read and not in_transaction:
             return self._execute_read(enabled, sql, params, statement, trace)
         return self._execute_broadcast(
-            enabled, sql, params, statement, in_transaction, session_id=session_id, trace=trace
+            sql, params, statement, in_transaction, session_id=session_id, trace=trace
         )
 
     def _read_candidate_filter(
@@ -1082,17 +1094,14 @@ class RequestScheduler:
         sql: str,
         params: Optional[Dict[str, Any]],
         statement: ClassifiedStatement,
-        trace: Any = None,
+        trace: Any = NULL_TRACE,
     ) -> Tuple[List[str], List[Any], int]:
         cache = self._cache
         use_cache = cache is not None and statement.cacheable
         if use_cache:
-            if trace is None:
+            with trace.span("cache") as cache_span:
                 cached = cache.get(sql, params)
-            else:
-                with trace.span("cache") as cache_span:
-                    cached = cache.get(sql, params)
-                    cache_span.set(hit=cached is not None)
+                cache_span.set(hit=cached is not None)
             if cached is not None:
                 return cached
             stamp = cache.stamp()
@@ -1108,14 +1117,12 @@ class RequestScheduler:
             enabled, candidate_filter=self._read_candidate_filter(enabled, statement)
         )
         backend.begin_request()
-        if trace is not None:
-            trace.begin("execute", backend=backend.name)
+        trace.begin("execute", backend=backend.name)
         try:
             result = backend.execute(sql, params)
         finally:
             backend.finish_request()
-            if trace is not None:
-                trace.end("execute")
+            trace.end("execute")
         if use_cache:
             cache.put(sql, params, statement.read_tables, result, stamp=stamp)
         return result
@@ -1189,18 +1196,13 @@ class RequestScheduler:
 
     def _execute_broadcast(
         self,
-        enabled: List[Backend],
         sql: str,
         params: Optional[Dict[str, Any]],
         statement: ClassifiedStatement,
         in_transaction: bool = False,
         session_id: Optional[str] = None,
-        trace: Any = None,
+        trace: Any = NULL_TRACE,
     ) -> Tuple[List[str], List[Any], int]:
-        # Anything reaching this path that is not a genuine read is
-        # replicated; only genuine writes are logged for resync —
-        # transaction control and in-transaction reads are not.
-        log_it = not statement.is_read and not statement.is_transaction_control
         # Conflict-aware scope: a key-level lock for a provably
         # single-row DML, table locks covering everything the statement
         # touches (disjoint statements run in parallel), or the exclusive
@@ -1212,12 +1214,10 @@ class RequestScheduler:
             # table), and that probe is part of the cost of taking the
             # right lock — leaving it outside would show up as a mystery
             # gap between classify and lock in the trace.
-            if trace is not None:
-                trace.begin("lock")
+            trace.begin("lock")
             spec = self._lock_scope_spec(statement, params)
             with self._locks.scope(spec):
-                if trace is not None:
-                    trace.end("lock", kind=_scope_kind(spec))
+                trace.end("lock", kind=_scope_kind(spec))
                 if isinstance(spec, LockScope) and (
                     self._lock_scope_spec(statement, params) != spec
                 ):
@@ -1229,141 +1229,60 @@ class RequestScheduler:
                     # row identity — release and re-acquire the right
                     # scope.
                     continue
-                if self._batch_eligible(statement, in_transaction, log_it):
+                # Re-snapshot the membership under the lock: a backend
+                # enabled by a resync that this write waited out must be
+                # included, or it silently misses the write with no
+                # resync left to replay it.
+                enabled = self.enabled_backends()
+                if not enabled:
+                    raise SchedulerError("no enabled backend available")
+                # Placement narrows the fan-out to the hosting backends
+                # (all of them under full replication / transaction
+                # control / unknown table sets).
+                targets = self._write_targets(enabled, statement)
+                item = _BatchItem(
+                    sql, params, statement, spec, targets, trace, in_transaction, session_id
+                )
+                if self._batch_eligible(statement, in_transaction):
                     # Safe to decide here: while this scope is held no
                     # BEGIN/disable/resync/placement swap can run (all
                     # take the exclusive mode), so the eligibility and
                     # target snapshot cannot go stale before the round.
-                    enabled = self.enabled_backends()
-                    if not enabled:
-                        raise SchedulerError("no enabled backend available")
-                    targets = self._write_targets(enabled, statement)
-                    result, outcome, durable_index = self._write_batcher.run(
-                        sql, params, statement, spec, targets, trace=trace
-                    )
+                    self._write_batcher.run(item)
                 else:
-                    result, outcome, durable_index = self._broadcast_under_scope(
-                        sql, params, statement, spec, in_transaction, session_id, log_it,
-                        trace=trace,
-                    )
+                    # A round of one, on this thread, under the scope it
+                    # already holds: no queue or condition-variable hop.
+                    self._run_round([item], trace)
             break
-        if result is None:
+        if item.result is None:
             raise SchedulerError(
-                f"statement failed on every backend: {'; '.join(outcome.failure_messages())}"
+                "statement failed on every backend: "
+                + "; ".join(item.outcome.failure_messages())
             )
-        if durable_index is not None and self._group_commit is not None:
+        if item.durable_index is not None and self._group_commit is not None:
             # Outside every lock: concurrent writers pile into one fsync
             # group here instead of serialising their fsyncs under
             # _state_lock, which is the whole point of group commit.
-            if trace is None:
-                self._group_commit.wait_durable(durable_index)
-            else:
-                with trace.span("fsync_wait", durable_index=durable_index):
-                    self._group_commit.wait_durable(durable_index)
-        return result
+            with trace.span("fsync_wait", durable_index=item.durable_index):
+                self._group_commit.wait_durable(item.durable_index)
+        return item.result
 
-    def _broadcast_under_scope(
-        self,
-        sql: str,
-        params: Optional[Dict[str, Any]],
-        statement: ClassifiedStatement,
-        spec: Any,
-        in_transaction: bool,
-        session_id: Optional[str],
-        log_it: bool,
-        trace: Any = None,
-    ) -> Tuple[Optional[Tuple[List[str], List[Any], int]], Any, Optional[int]]:
-        """Execute one broadcast while the caller holds its lock scope.
-
-        Returns ``(result, outcome, durable_index)`` — the last log index
-        this statement appended (directly or via a COMMIT's buffer
-        flush), which the caller hands to the group-commit coordinator
-        once the scope is released; None when nothing was appended."""
-        # Re-snapshot the membership under the lock: a backend enabled
-        # by a resync that this write waited out must be included, or
-        # it silently misses the write with no resync left to replay it.
-        enabled = self.enabled_backends()
-        if not enabled:
-            raise SchedulerError("no enabled backend available")
-        # Placement narrows the fan-out to the hosting backends (all
-        # of them under full replication / transaction control /
-        # unknown table sets).
-        targets = self._write_targets(enabled, statement)
-        if log_it and self._cache is not None:
-            # Invalidate before execution as well: entries cached
-            # against the pre-write state must not survive the write.
-            # Safe under concurrent writers: this writer holds its
-            # tables' locks, so only it can invalidate them here.
-            self._cache.invalidate_tables(statement.write_tables)
-        if trace is None:
-            outcome = self._broadcaster.broadcast(targets, sql, params)
-        else:
-            # No backend-list attr: the per-replica child spans already
-            # name every backend this execute fanned out to.
-            with trace.span("execute"):
-                outcome = self._broadcaster.broadcast(targets, sql, params, trace=trace)
-        # A statement fault on *every* backend blames the statement —
-        # the replicas agree and stay healthy. A fault on a strict
-        # subset while others accepted the write is divergence: the
-        # minority is missing a committed write and must leave the
-        # read rotation until resynced. Replica faults (connection
-        # died) always mark the backend failed.
-        any_succeeded = bool(outcome.succeeded)
-        for failure in outcome.failed:
-            if any_succeeded or not isinstance(failure.error, STATEMENT_FAULTS):
-                failure.backend.mark_failed()
-        result = outcome.result
-        if trace is not None:
-            trace.begin("log_append", logged=log_it and any_succeeded)
-        durable_index = self._account_broadcast_locked_scope(
-            sql,
-            params,
-            statement,
-            outcome,
-            in_transaction,
-            session_id,
-            log_it,
-            any_succeeded,
-            result,
-            held_keys=spec.keys if isinstance(spec, LockScope) else frozenset(),
-        )
-        if trace is not None:
-            trace.end("log_append")
-        if statement.command == "DROP" and any_succeeded:
-            # Keep the map bounded under table churn; a recreated
-            # table gets a fresh assignment.
-            self._placement.unpin(statement.write_tables)
-        if statement.command in _SCHEMA_COMMANDS:
-            # The DDL may have changed (or removed) a table's primary
-            # key; forget it while still holding the DDL's lock scope so
-            # key writers re-resolve behind us, never alongside us.
-            self._invalidate_pk_cache(statement.write_tables or None)
-        elif log_it and statement.lock_tables is None:
-            # An unknown-shape write ran under the exclusive mode and
-            # could have changed any schema.
-            self._invalidate_pk_cache(None)
-        if log_it and self._cache is not None:
-            # Invalidate again now that every backend applied the write:
-            # evicts results a concurrent read cached from a backend the
-            # broadcast had not reached yet, and bumps the floor so any
-            # still-in-flight read cannot store a pre-write result.
-            self._cache.invalidate_tables(statement.write_tables)
-        return result, outcome, durable_index
-
-    def _batch_eligible(
-        self, statement: ClassifiedStatement, in_transaction: bool, log_it: bool
-    ) -> bool:
-        """Whether this statement may ride a WriteBatcher round.
+    def _batch_eligible(self, statement: ClassifiedStatement, in_transaction: bool) -> bool:
+        """Whether this statement may queue with siblings in a
+        WriteBatcher round (otherwise it runs a round of one directly).
 
         Only plain logged auto-commit DML qualifies: transaction control
-        and in-transaction statements carry per-session state, DDL runs
-        placement/PK-cache side effects the batch round does not
-        replicate, and an unknown table set means an exclusive scope —
-        which cannot coexist with the sibling scopes a batch implies.
+        and in-transaction statements carry per-session state the round
+        accounts only for a sole item; DDL and referenced-table writes
+        are rare, gain nothing from coalescing, and move placement
+        (pin/colocate/unpin) that a queued sibling may already have
+        resolved its targets against; and an unknown table set means an
+        exclusive scope — which cannot coexist with the sibling scopes a
+        batch implies.
         Checked *after* scope acquisition, so the ``_open_transactions``
         read is stable: BEGIN takes the exclusive mode, which drains
         every held scope first."""
-        if self._write_batcher is None or in_transaction or not log_it:
+        if self._write_batcher is None or in_transaction:
             return False
         if statement.command not in _KEYABLE_COMMANDS:
             return False
@@ -1374,243 +1293,211 @@ class RequestScheduler:
         with self._state_lock:
             return self._open_transactions == 0
 
-    def _execute_batch_round(
-        self, items: List[_BatchItem], leader: Optional[_BatchItem] = None
-    ) -> None:
-        """Execute one coalesced batch of auto-commit writes: one
-        broadcast round trip carrying every statement, one batch log
-        append, per-statement accounting identical to the scalar path.
+    def _run_round(self, items: List[_BatchItem], leader_trace: Any = NULL_TRACE) -> None:
+        """Execute one write round — the one replication rule: every
+        statement is applied in one order on all hosting replicas and
+        logged once for resync. One broadcast round trip carries every
+        statement and one ``_state_lock`` section accounts them all; it
+        fills each item's ``result``/``outcome``/``durable_index``.
 
-        Called by the WriteBatcher leader. Every item's writer still
-        holds its own lock scope (pairwise disjoint), all items resolved
-        the same target replica set, and eligibility excluded DDL /
-        transaction control / tx-buffered writes — so none of the scalar
-        path's DROP-unpin, PK-invalidate or tx-buffer branches apply.
+        Called with N items by the WriteBatcher leader, and with one item
+        directly by every statement that may not queue with siblings.
+        Every item's writer holds its own lock scope (pairwise disjoint)
+        and all items resolved the same target replica set. A round of
+        several items holds only plain auto-commit DML (see
+        :meth:`_batch_eligible`); transaction control is always the sole
+        item of an exclusive-scope round.
 
         Trace attribution: the round's ``execute``/``log_append`` spans
         land on the *leader's* trace (the leading thread genuinely
-        spends that time inside its own statement); every item gets
-        ``batch_meta`` so riders can attribute their ``batch_wait``."""
-        if not items:
-            return
-        leader_trace = leader.trace if leader is not None else None
-        for item in items:
-            item.batch_meta = (
-                leader_trace.trace_id if leader_trace is not None else None,
-                len(items),
-            )
+        spends that time inside its own statement)."""
         targets = items[0].targets
         cache = self._cache
         if cache is not None:
-            # Pre-invalidate, as in the scalar path: entries cached
-            # against the pre-write state must not survive the write.
+            # Invalidate before execution as well: entries cached against
+            # the pre-write state must not survive the write. Safe under
+            # concurrent writers: each writer holds its tables' locks, so
+            # only its round can invalidate them here.
             for item in items:
-                cache.invalidate_tables(item.statement.write_tables)
-        if leader_trace is None:
+                if item.logged:
+                    cache.invalidate_tables(item.statement.write_tables)
+        # No backend-list attr: the per-replica child spans already name
+        # every backend this execute fanned out to.
+        with leader_trace.span("execute", batch_size=len(items)):
             batch = self._broadcaster.broadcast_batch(
-                targets, [(item.sql, item.params) for item in items]
+                targets, [(item.sql, item.params) for item in items], trace=leader_trace
             )
-        else:
-            with leader_trace.span("execute", batch_size=len(items)):
-                batch = self._broadcaster.broadcast_batch(
-                    targets,
-                    [(item.sql, item.params) for item in items],
-                    trace=leader_trace,
-                )
-        per_statement = [batch.per_statement(i) for i in range(len(items))]
-        for outcome in per_statement:
-            # Same divergence rule as the scalar path, per statement: a
-            # statement fault everywhere blames the statement; a strict
-            # subset (or any replica fault) fails the backend.
-            any_succeeded = bool(outcome.succeeded)
+        for index, item in enumerate(items):
+            item.outcome = outcome = batch.per_statement(index)
+            # The first success's result: None means no replica accepted it.
+            item.result = outcome.result
+            # A statement fault on *every* backend blames the statement —
+            # the replicas agree and stay healthy. A fault on a strict
+            # subset while others accepted the write is divergence: the
+            # minority is missing a committed write and must leave the
+            # read rotation until resynced. Replica faults (connection
+            # died) always mark the backend failed.
+            any_succeeded = item.result is not None
             for failure in outcome.failed:
                 if any_succeeded or not isinstance(failure.error, STATEMENT_FAULTS):
                     failure.backend.mark_failed()
-        if leader_trace is not None:
-            leader_trace.begin("log_append", batch_size=len(items))
+        leader_trace.begin("log_append", batch_size=len(items))
+        # Shared accounting serialises under _state_lock: two
+        # disjoint-scope rounds run their broadcasts in parallel but
+        # append + advance atomically, one after the other.
         with self._state_lock:
-            appended: List[Optional[LogEntry]] = [None] * len(items)
-            to_append = [
-                index
-                for index, outcome in enumerate(per_statement)
-                if outcome.succeeded
-            ]
-            if to_append:
-                entries = self._recovery_log.append_batch(
-                    (
-                        items[index].sql,
-                        items[index].params,
-                        items[index].statement.write_tables,
+            # Logged only after at least one replica accepted it: a
+            # statement every backend rejected must not sit in the log
+            # and poison future resyncs.
+            to_log = [item for item in items if item.logged and item.result is not None]
+            if to_log and self._open_transactions > 0:
+                # Deferred until COMMIT (discarded on ROLLBACK) so the
+                # log only ever holds committed writes. The engine has
+                # one transaction cluster-wide on the shared backend
+                # connections, so while *any* transaction is open even
+                # an autocommit write executes — and rolls back —
+                # inside it; defer those too. Keyed on the scheduler's
+                # own accounting, not the caller's in_transaction flag:
+                # the flag can go stale (e.g. another session closed
+                # the transaction), and a write the engine autocommits
+                # must be logged immediately, never left in the buffer.
+                # The counter cannot change while any writer holds a
+                # table/key scope — BEGIN/COMMIT/ROLLBACK take the
+                # exclusive mode, which waits for every scope to drain —
+                # so the buffered-vs-direct decision is stable for the
+                # scope holders.
+                for item in to_log:
+                    write_tables = item.statement.write_tables
+                    self._tx_buffer.append(
+                        (
+                            item.sql,
+                            dict(item.params or {}),
+                            frozenset(write_tables),
+                            item.spec.keys if isinstance(item.spec, LockScope) else frozenset(),
+                        )
                     )
-                    for index in to_append
+                    if write_tables:
+                        self._tx_dirty_tables.update(write_tables)
+                    else:
+                        self._tx_dirty_all = True
+            elif to_log:
+                entries = self._recovery_log.append_batch(
+                    (item.sql, item.params, item.statement.write_tables) for item in to_log
                 )
-                for index, entry in zip(to_append, entries):
-                    appended[index] = entry
+                for item, entry in zip(to_log, entries):
+                    item.entry = entry
+                    item.durable_index = entry.index
+            if items[0].statement.is_transaction_control:
+                self._account_transaction_control_locked(items[0])
             last_index = self._recovery_log.last_index
             # Every advancement before any clamp: a backend that applied
             # statement 1 but failed statement 3 must *end* clamped below
             # entry 3 — the reverse order could leave its checkpoint past
             # an entry it missed.
-            for index, outcome in enumerate(per_statement):
-                entry = appended[index]
-                for success in outcome.succeeded:
-                    success.backend.advance_checkpoint(
-                        last_index, entry.table_seqs if entry is not None else None
-                    )
-            for index, outcome in enumerate(per_statement):
-                entry = appended[index]
-                if entry is None:
-                    continue
-                for failure in outcome.failed:
-                    failure.backend.limit_checkpoint(entry.index - 1)
-        if leader_trace is not None:
-            leader_trace.end("log_append")
-        if cache is not None:
             for item in items:
-                cache.invalidate_tables(item.statement.write_tables)
-        for index, item in enumerate(items):
-            item.outcome = per_statement[index]
-            item.result = per_statement[index].result
-            entry = appended[index]
-            item.durable_index = entry.index if entry is not None else None
+                table_seqs = item.entry.table_seqs if item.entry is not None else None
+                for success in item.outcome.succeeded:
+                    # advance_checkpoint refuses on non-ENABLED backends:
+                    # a concurrent disjoint writer may have marked this
+                    # backend FAILED for a write it missed, and advancing
+                    # past that write would make the next resync silently
+                    # skip it.
+                    success.backend.advance_checkpoint(last_index, table_seqs)
+            for item in items:
+                if item.entry is not None:
+                    for failure in item.outcome.failed:
+                        # Even if a concurrent disjoint write already
+                        # advanced this backend's checkpoint past our
+                        # entry, the entry it just missed must stay inside
+                        # its replay range.
+                        failure.backend.limit_checkpoint(item.entry.index - 1)
+        leader_trace.end("log_append")
+        for item in items:
+            statement = item.statement
+            if statement.command == "DROP" and item.result is not None:
+                # Keep the map bounded under table churn; a recreated
+                # table gets a fresh assignment.
+                self._placement.unpin(statement.write_tables)
+            if statement.command in _SCHEMA_COMMANDS:
+                # The DDL may have changed (or removed) a table's primary
+                # key; forget it while still holding the DDL's lock scope so
+                # key writers re-resolve behind us, never alongside us.
+                self._invalidate_pk_cache(statement.write_tables or None)
+            elif item.logged and statement.lock_tables is None:
+                # An unknown-shape write ran under the exclusive mode and
+                # could have changed any schema.
+                self._invalidate_pk_cache(None)
+            if item.logged and cache is not None:
+                # Invalidate again now that every backend applied the write:
+                # evicts results a concurrent read cached from a backend the
+                # broadcast had not reached yet, and bumps the floor so any
+                # still-in-flight read cannot store a pre-write result.
+                cache.invalidate_tables(statement.write_tables)
 
-    def _account_broadcast_locked_scope(
-        self,
-        sql: str,
-        params: Optional[Dict[str, Any]],
-        statement: ClassifiedStatement,
-        outcome: Any,
-        in_transaction: bool,
-        session_id: Optional[str],
-        log_it: bool,
-        any_succeeded: bool,
-        result: Optional[Tuple[List[str], List[Any], int]],
-        held_keys: FrozenSet[Tuple[str, Any]] = frozenset(),
-    ) -> Optional[int]:
-        """Log append, transaction accounting and checkpoint advancement
-        for one broadcast. Caller holds the statement's lock scope; this
-        method serialises the shared accounting under ``_state_lock``
-        (two disjoint-table writers run their broadcasts in parallel but
-        append + advance atomically, one after the other).
-
-        The transaction counter cannot change while any writer holds
-        table locks — BEGIN/COMMIT/ROLLBACK take the exclusive mode,
-        which waits for every table scope to drain — so the buffered-vs-
-        direct append decision made here is stable for the lock holder.
-
-        Returns the highest log index this statement appended (its own
-        entry, or the tail of a COMMIT's buffer flush) for group-commit
-        durability waits; None when nothing was appended.
-        """
-        with self._state_lock:
-            appended: Optional[LogEntry] = None
-            durable_index: Optional[int] = None
-            if log_it and any_succeeded:
-                # Logged only after at least one replica accepted it: a
-                # statement every backend rejected must not sit in the log
-                # and poison future resyncs.
-                if self._open_transactions > 0:
-                    # Deferred until COMMIT (discarded on ROLLBACK) so the
-                    # log only ever holds committed writes. The engine has
-                    # one transaction cluster-wide on the shared backend
-                    # connections, so while *any* transaction is open even
-                    # an autocommit write executes — and rolls back —
-                    # inside it; defer those too. Keyed on the scheduler's
-                    # own accounting, not the caller's in_transaction flag:
-                    # the flag can go stale (e.g. another session closed
-                    # the transaction), and a write the engine autocommits
-                    # must be logged immediately, never left in the buffer.
-                    self._tx_buffer.append(
-                        (sql, dict(params or {}), frozenset(statement.write_tables), held_keys)
-                    )
-                    if statement.write_tables:
-                        self._tx_dirty_tables.update(statement.write_tables)
-                    else:
-                        self._tx_dirty_all = True
-                else:
-                    appended = self._recovery_log.append(
-                        sql, params, write_tables=statement.write_tables
-                    )
-                    durable_index = appended.index
-            if statement.is_transaction_control:
-                if statement.command in ("BEGIN", "START"):
-                    # Count every BEGIN the engine accepted — the engine
-                    # rejects nested BEGINs, so acceptance *is* the ground
-                    # truth that a transaction opened (the caller's
-                    # in_transaction flag can be stale). One rejected by
-                    # every backend opened nothing and counting it would
-                    # pin the dirty set.
-                    if result is not None:
-                        self._open_transactions += 1
-                        if self._tx_owner is None:
-                            self._tx_owner = session_id
-                elif statement.command in ("COMMIT", "ROLLBACK") and (
-                    in_transaction or self._open_transactions > 0
-                ):
-                    # Keyed on the scheduler's own accounting as well as the
-                    # caller's flag: on the shared backend connections a
-                    # COMMIT closes the open transaction no matter which
-                    # session sends it, and a caller that doesn't thread
-                    # in_transaction must not pin the counter forever.
-                    #
-                    # A close rejected as bad SQL anywhere (e.g. an
-                    # unsupported COMMIT variant) changed nothing on that
-                    # still-ENABLED replica: the transaction remains open
-                    # there, so keep the buffer and the accounting.
-                    statement_rejected = result is None and any(
-                        isinstance(failure.error, STATEMENT_FAULTS)
-                        for failure in outcome.failed
-                    )
-                    if not statement_rejected:
-                        flushed: List[LogEntry] = []
-                        if statement.command == "COMMIT" and result is not None:
-                            # One batch append for the whole transaction:
-                            # a durable store pays one flush+fsync for all
-                            # of it instead of one per buffered write.
-                            flushed = self._recovery_log.append_batch(
-                                (buffered_sql, buffered_params, buffered_tables)
-                                for buffered_sql, buffered_params, buffered_tables, _ in self._tx_buffer
-                            )
-                        if flushed:
-                            durable_index = flushed[-1].index
-                        # ROLLBACK — or a close no backend could run (those
-                        # replicas are FAILED and their aborted server
-                        # sessions rolled the transaction back) — discards
-                        # the buffer; either way the accounting must not
-                        # stay pinned.
-                        self._tx_buffer = []
-                        self._open_transactions = max(0, self._open_transactions - 1)
-                        if self._open_transactions == 0:
-                            self._tx_owner = None
-                        self._flush_tx_dirty_locked()
-                        # The still-enabled replicas ran the whole
-                        # transaction; record the flushed entries' table
-                        # sequences as applied there so a later replay
-                        # can deduplicate them. Per entry, not merged:
-                        # applied-sequence tracking is exact membership
-                        # (a per-table max would shadow entries a replica
-                        # missed — see Backend.has_applied_seqs).
-                        for entry in flushed:
-                            for success in outcome.succeeded:
-                                success.backend.advance_checkpoint(
-                                    entry.index, entry.table_seqs
-                                )
-            last_index = self._recovery_log.last_index
+    def _account_transaction_control_locked(self, item: _BatchItem) -> None:
+        """BEGIN/COMMIT/ROLLBACK accounting for the sole item of an
+        exclusive-scope round. Caller holds ``_state_lock``; sets
+        ``item.durable_index`` to the tail of a COMMIT's buffer flush."""
+        statement, outcome = item.statement, item.outcome
+        accepted = item.result is not None
+        if statement.command in ("BEGIN", "START"):
+            # Count every BEGIN the engine accepted — the engine
+            # rejects nested BEGINs, so acceptance *is* the ground
+            # truth that a transaction opened (the caller's
+            # in_transaction flag can be stale). One rejected by
+            # every backend opened nothing and counting it would
+            # pin the dirty set.
+            if accepted:
+                self._open_transactions += 1
+                if self._tx_owner is None:
+                    self._tx_owner = item.session_id
+            return
+        # A close counts when either the caller's flag or the scheduler's
+        # own accounting says a transaction is open: on the shared backend
+        # connections a COMMIT closes the open transaction no matter which
+        # session sends it, and a caller that doesn't thread
+        # in_transaction must not pin the counter forever.
+        if statement.command not in ("COMMIT", "ROLLBACK") or not (
+            item.in_transaction or self._open_transactions > 0
+        ):
+            return
+        # A close rejected as bad SQL anywhere (e.g. an unsupported
+        # COMMIT variant) changed nothing on that still-ENABLED
+        # replica: the transaction remains open there, so keep the
+        # buffer and the accounting.
+        if not accepted and any(
+            isinstance(failure.error, STATEMENT_FAULTS) for failure in outcome.failed
+        ):
+            return
+        flushed: List[LogEntry] = []
+        if statement.command == "COMMIT" and accepted:
+            # One batch append for the whole transaction: a durable
+            # store pays one flush+fsync for all of it instead of one
+            # per buffered write.
+            flushed = self._recovery_log.append_batch(
+                (buffered_sql, buffered_params, buffered_tables)
+                for buffered_sql, buffered_params, buffered_tables, _ in self._tx_buffer
+            )
+        if flushed:
+            item.durable_index = flushed[-1].index
+        # ROLLBACK — or a close no backend could run (those replicas
+        # are FAILED and their aborted server sessions rolled the
+        # transaction back) — discards the buffer; either way the
+        # accounting must not stay pinned.
+        self._tx_buffer = []
+        self._open_transactions = max(0, self._open_transactions - 1)
+        if self._open_transactions == 0:
+            self._tx_owner = None
+        self._flush_tx_dirty_locked()
+        # The still-enabled replicas ran the whole transaction; record
+        # the flushed entries' table sequences as applied there so a
+        # later replay can deduplicate them. Per entry, not merged:
+        # applied-sequence tracking is exact membership (a per-table
+        # max would shadow entries a replica missed — see
+        # Backend.has_applied_seqs).
+        for entry in flushed:
             for success in outcome.succeeded:
-                # advance_checkpoint refuses on non-ENABLED backends: a
-                # concurrent disjoint writer may have marked this backend
-                # FAILED for a write it missed, and advancing past that
-                # write would make the next resync silently skip it.
-                success.backend.advance_checkpoint(
-                    last_index, appended.table_seqs if appended is not None else None
-                )
-            if appended is not None:
-                for failure in outcome.failed:
-                    # Even if a concurrent disjoint write already advanced
-                    # this backend's checkpoint past our entry, the entry
-                    # it just missed must stay inside its replay range.
-                    failure.backend.limit_checkpoint(appended.index - 1)
-            return durable_index
+                success.backend.advance_checkpoint(entry.index, entry.table_seqs)
 
     def _flush_tx_dirty_locked(self) -> None:
         """Evict cache entries that may have observed uncommitted state.

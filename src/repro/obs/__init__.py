@@ -14,12 +14,13 @@ from repro.obs.export import (
 )
 from repro.obs.registry import Counter, Gauge, MetricsRegistry, StreamingHistogram
 from repro.obs.slowlog import SlowQueryLog, redact_sql
-from repro.obs.trace import Span, Trace
+from repro.obs.trace import NULL_TRACE, Span, Trace
 
 __all__ = [
     "Counter",
     "Gauge",
     "MetricsRegistry",
+    "NULL_TRACE",
     "SlowQueryLog",
     "Span",
     "StreamingHistogram",

@@ -10,10 +10,11 @@ compared against the driver-observed latency, exported over the wire
 
 Design constraints, in order:
 
-1. **Zero cost when off.** Nothing in this module is imported on the hot
-   path unless ``ControllerConfig.tracing`` is set; every producer guards
-   with ``if trace is not None``. With tracing off the statement path
-   allocates no trace objects at all (asserted by tests).
+1. **Zero cost when off.** With ``ControllerConfig.tracing`` unset every
+   producer is handed :data:`NULL_TRACE`, whose methods do and allocate
+   nothing — so producers call ``trace.span()/begin()/end()/record()``
+   unconditionally instead of forking on "is tracing on". The statement
+   path constructs no :class:`Trace` at all (asserted by tests).
 2. **Thread-safe appends.** Spans are recorded from the mux reader
    thread, the worker pool, the broadcaster pool and the write-batch
    leader; ``Trace`` serialises appends under one lock.
@@ -31,7 +32,7 @@ import time
 import uuid
 from typing import Any, Dict, List, Optional
 
-__all__ = ["Span", "Trace"]
+__all__ = ["NULL_TRACE", "Span", "Trace"]
 
 
 def _wire_str(value: str) -> str:
@@ -414,3 +415,39 @@ class _SpanContext:
             self._trace._spans.append(
                 (self._name, self._started, ended, self._parent, self._attrs or None)
             )
+
+
+class _NullTrace:
+    """The producer surface of :class:`Trace` with every method a no-op;
+    ``span()`` hands back the object itself as a context manager that
+    enters, ``set()``s and exits to no effect (never swallowing the
+    exception).
+
+    One shared instance, :data:`NULL_TRACE`, stands in for "tracing is
+    off" everywhere a trace is threaded through the statement path, so
+    the off case costs a method call per stage and no allocation or
+    lock. It has no view/wire surface on purpose: nothing may finish or
+    export it — ``Controller._finish_trace`` is the one place that
+    checks for it."""
+
+    __slots__ = ()
+
+    trace_id: Optional[str] = None
+
+    def begin(self, *args: Any, **attrs: Any) -> None:
+        pass
+
+    end = record = annotate = set = begin
+
+    def span(self, *args: Any, **attrs: Any) -> "_NullTrace":
+        return self
+
+    def __enter__(self) -> "_NullTrace":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        pass
+
+
+#: Built once at import — never a ``Trace()`` call.
+NULL_TRACE = _NullTrace()

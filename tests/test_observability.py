@@ -32,7 +32,11 @@ from repro.cluster.wire import (
     make_result,
 )
 from repro.netsim import InMemoryNetwork
+from repro.cluster.recovery import RecoveryLog
+from repro.cluster.scheduler import RequestScheduler, SchedulerError
+from repro.dbapi import OperationalError, ProgrammingError
 from repro.obs import (
+    NULL_TRACE,
     MetricsRegistry,
     SlowQueryLog,
     Span,
@@ -143,6 +147,17 @@ class TestTrace:
     def test_trace_id_honoured_and_generated(self):
         assert Trace(trace_id="abc").trace_id == "abc"
         assert Trace().trace_id != Trace().trace_id
+
+    def test_null_trace_accepts_every_producer_call_and_hides_no_exception(self):
+        NULL_TRACE.begin("queue")
+        NULL_TRACE.end("queue", kind="table")
+        NULL_TRACE.record("replica:db1", 1.0, 2.0, parent="execute", error=True)
+        NULL_TRACE.annotate(command="INSERT")
+        with NULL_TRACE.span("cache", hit=False) as span:
+            span.set(hit=True)
+        with pytest.raises(ValueError):
+            with NULL_TRACE.span("execute"):
+                raise ValueError("boom")
 
 
 # ---------------------------------------------------------------------------
@@ -442,16 +457,19 @@ class TestWireTracingFields:
 # ---------------------------------------------------------------------------
 
 
-def _slow_connection_factory(delay_s: float):
+def _slow_connection_factory(delay_s: float, update_error=None):
     """A fake DB-API connection whose every statement takes ``delay_s``,
     so backend execution dominates the traced statement and the
-    stage-sum-vs-driver-latency bracket is meaningful."""
+    stage-sum-vs-driver-latency bracket is meaningful. With
+    ``update_error`` every UPDATE raises it instead (a failing replica)."""
 
     class _Cursor:
         description = [("v", None, None, None, None, None, None)]
         rowcount = 1
 
         def execute(self, sql, params=None):
+            if update_error is not None and sql.startswith("UPDATE"):
+                raise update_error
             time.sleep(delay_s)
 
         def fetchall(self):
@@ -653,6 +671,54 @@ class TestEndToEnd:
         assert result["type"] == ClusterMessageType.RESULT
         assert set(result) == {"type", "columns", "rows", "rowcount"}
         channel.close()
+
+
+class TestReplicaSpanErrors:
+    """A replica that failed a write shows ``error=True`` on its
+    ``replica:<name>`` span — on the default (write-batching) path too,
+    which recorded nothing before the scalar and batched twins merged."""
+
+    @staticmethod
+    def _traced_update(db1_error, db2_error):
+        scheduler = RequestScheduler(
+            [
+                Backend("db1", _slow_connection_factory(0.0, db1_error)),
+                Backend("db2", _slow_connection_factory(0.0, db2_error)),
+            ],
+            RecoveryLog(),
+            write_batching=True,
+        )
+        trace = Trace()
+        try:
+            try:
+                scheduler.execute("UPDATE t SET v = 1 WHERE id = 1", trace=trace)
+            except SchedulerError:
+                pass
+            assert scheduler.stats()["write_batching"]["rounds"] == 1  # rode the batcher
+        finally:
+            scheduler.close()
+        return {
+            span.name: span.attrs for span in trace.spans() if span.name.startswith("replica:")
+        }
+
+    def test_replica_fault_flags_only_the_failing_replica(self):
+        assert self._traced_update(None, OperationalError("connection reset")) == {
+            "replica:db1": {},
+            "replica:db2": {"error": True},
+        }
+
+    def test_exception_escaping_the_backend_flags_the_replica(self):
+        assert self._traced_update(RuntimeError("driver bug"), None) == {
+            "replica:db1": {"error": True},
+            "replica:db2": {},
+        }
+
+    def test_statement_fault_blames_the_statement_not_the_replica(self):
+        bad_sql = ProgrammingError("no such column")
+        assert self._traced_update(bad_sql, bad_sql) == {
+            "replica:db1": {},
+            "replica:db2": {},
+        }
 
 
 class TestTracingOffIsFree:

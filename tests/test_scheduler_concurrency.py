@@ -18,7 +18,7 @@ def parallel_cluster():
     env = build_cluster(
         replicas=2,
         controllers=1,
-        controller_options={"parallel_writes": True, "query_cache_enabled": True},
+        controller_options={"query_cache_enabled": True},
     )
     yield env
     env.close()

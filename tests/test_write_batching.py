@@ -6,8 +6,9 @@ control under saturation, and pipelining inside transactions.
 The promises under test: a batch costs one per-backend round trip and
 returns one positional outcome per statement (statement faults captured
 in place, connection faults poisoning the remainder); coalesced writers
-get per-statement accounting identical to the scalar path; with
-``write_batching`` off the scalar path is untouched; a saturated
+get the per-statement accounting of a round of one; with
+``write_batching`` off every round carries one statement and ends in the
+same replica, log and checkpoint state; a saturated
 controller refuses new work with a retryable ``server_busy`` error but
 never refuses an open transaction's statements (that would deadlock it
 against its own lock holders); and pipelined statements inside a
@@ -18,13 +19,19 @@ import time
 
 import pytest
 
-from repro.cluster.backend import Backend
+import chaos
+from repro.cluster.backend import Backend, BackendState
 from repro.cluster.broadcaster import WriteBroadcaster
 from repro.cluster.classifier import classify
 from repro.cluster.driver import ClusterDriverRuntime
 from repro.cluster.locks import LockScope
 from repro.cluster.recovery import RecoveryLog
-from repro.cluster.scheduler import RequestScheduler, SchedulerError, WriteBatcher
+from repro.cluster.scheduler import (
+    RequestScheduler,
+    SchedulerError,
+    WriteBatcher,
+    _BatchItem,
+)
 from repro.dbapi import OperationalError, ProgrammingError
 from repro.errors import DriverError
 from repro.experiments.environments import build_cluster
@@ -203,7 +210,7 @@ class TestBroadcastBatch:
 
 
 class _FakeRoundScheduler:
-    """Stands in for RequestScheduler._execute_batch_round: records each
+    """Stands in for RequestScheduler._run_round: records each
     round's batch, optionally blocks the first round on ``gate`` (so
     riders can pile up behind the in-flight leader) or fails every
     round with ``fail``."""
@@ -214,7 +221,7 @@ class _FakeRoundScheduler:
         self.fail = fail
         self._first = True
 
-    def _execute_batch_round(self, items, leader=None):
+    def _run_round(self, items, leader_trace=None):
         self.batches.append([item.sql for item in items])
         if self.fail is not None:
             raise self.fail
@@ -229,14 +236,16 @@ class _FakeRoundScheduler:
 
 def _run_batcher_writers(batcher, targets, count, start_gate):
     """Lead one round with writer 0, queue ``count - 1`` riders behind
-    it, then open ``start_gate`` and return every writer's result."""
+    it, then open ``start_gate`` and return every writer's item."""
     statement = classify("UPDATE wb_unit SET v = 1 WHERE id = 1")
     results = [None] * count
     errors = [None] * count
 
     def writer(index):
+        item = _BatchItem(f"U{index}", None, statement, None, targets)
         try:
-            results[index] = batcher.run(f"U{index}", None, statement, None, targets)
+            batcher.run(item)
+            results[index] = item
         except Exception as exc:  # noqa: BLE001 - asserted by the caller
             errors[index] = exc
 
@@ -273,7 +282,7 @@ class TestWriteBatcher:
         results, errors = _run_batcher_writers(batcher, targets, 5, gate)
         assert errors == [None] * 5
         assert all(
-            result is not None and result[1] == "applied" for result in results
+            item is not None and item.outcome == "applied" for item in results
         )
         # One gated round for the leader, one coalesced round for the
         # four riders that queued while it was in flight.
@@ -304,7 +313,7 @@ class TestWriteBatcher:
 
         def writer(index):
             try:
-                batcher.run(f"U{index}", None, statement, None, targets)
+                batcher.run(_BatchItem(f"U{index}", None, statement, None, targets))
             except DriverError as exc:
                 errors.append(exc)
 
@@ -324,7 +333,7 @@ def batched_cluster():
     env = build_cluster(
         replicas=2,
         controllers=1,
-        controller_options={"write_batching": True, "parallel_writes": True},
+        controller_options={"write_batching": True},
     )
     yield env
     env.close()
@@ -443,9 +452,13 @@ class TestSchedulerBatching:
             for index in range(writers):
                 assert session.execute(f"SELECT v FROM wbt_rs{index}").rows == [(writes - 1,)]
 
-    def test_batching_off_is_the_scalar_path(self):
+    def test_batching_off_is_one_statement_per_round(self):
         broadcaster = WriteBroadcaster(parallel=False)
-        backends = [Backend("b1", _Recorder), Backend("b2", _Recorder)]
+        connections = [_NativeBatch(), _NativeBatch()]
+        backends = [
+            Backend("b1", lambda: connections[0]),
+            Backend("b2", lambda: connections[1]),
+        ]
         scheduler = RequestScheduler(
             backends, RecoveryLog(), broadcaster=broadcaster
         )  # write_batching defaults to False at this layer
@@ -454,9 +467,10 @@ class TestSchedulerBatching:
             scheduler.execute("INSERT INTO t (id) VALUES (1)")
             scheduler.execute("UPDATE t SET v = 2 WHERE id = 1")
             stats = broadcaster.stats()
-            assert stats["batch_broadcasts"] == 0
-            assert stats["batched_statements"] == 0
-            assert stats["broadcasts"] == 2  # one scalar fan-out each
+            assert stats["broadcasts"] == 2  # one fan-out per statement
+            assert stats["batched_statements"] == 2  # ... carrying one statement
+            # ... and one backend round trip per statement per replica.
+            assert [connection.batch_calls for connection in connections] == [2, 2]
         finally:
             broadcaster.close()
 
@@ -471,6 +485,96 @@ class TestSchedulerBatching:
             assert scheduler.stats()["write_batching"] is None
         finally:
             env.close()
+
+
+def _run_equivalence_script(write_batching, failing_replica):
+    """Drive one fixed script through a two-replica cluster's scheduler
+    and return everything the replication rule is responsible for."""
+    env = build_cluster(
+        replicas=2, controllers=1, controller_options={"write_batching": write_batching}
+    )
+    try:
+        controller = env.controllers[0]
+        scheduler = controller.scheduler
+
+        def run(sql, params=None, in_transaction=False):
+            return scheduler.execute(
+                sql, params, in_transaction=in_transaction, session_id="eq-session"
+            )
+
+        run("CREATE TABLE eq_t (id INTEGER PRIMARY KEY, v INTEGER)")
+        run("CREATE TABLE eq_gone (id INTEGER PRIMARY KEY)")
+        run("INSERT INTO eq_t (id, v) VALUES (1, 10)")
+        run("INSERT INTO eq_t (id, v) VALUES ($id, $v)", {"id": 2, "v": 20})
+        run("UPDATE eq_t SET v = 11 WHERE id = 1")
+        run("DELETE FROM eq_t WHERE id = 2")
+        run("BEGIN")
+        run("INSERT INTO eq_t (id, v) VALUES (3, 30)", in_transaction=True)
+        run("UPDATE eq_t SET v = 12 WHERE id = 1", in_transaction=True)
+        assert run("SELECT v FROM eq_t WHERE id = 1", in_transaction=True)[1] == [(12,)]
+        run("COMMIT", in_transaction=True)
+        run("BEGIN")
+        run("UPDATE eq_t SET v = 99 WHERE id = 1", in_transaction=True)
+        run("ROLLBACK", in_transaction=True)
+        # Rejected by every replica: blames the statement, logs nothing.
+        with pytest.raises(SchedulerError, match="every backend"):
+            run("INSERT INTO eq_t (id, v) VALUES (1, 0)")
+        # One replica dies: the next write marks it FAILED mid-script.
+        chaos.fail_backend(env, controller, failing_replica)
+        run("UPDATE eq_t SET v = 13 WHERE id = 1")
+        run("INSERT INTO eq_t (id, v) VALUES (4, 40)")
+        run("DROP TABLE eq_gone")
+        return {
+            "rows": [
+                sorted(
+                    engine.open_session(env.database_name)
+                    .execute("SELECT id, v FROM eq_t")
+                    .rows
+                )
+                for engine in env.replica_engines
+            ],
+            "log": [
+                (entry.index, entry.sql, entry.params, entry.write_tables, entry.table_seqs)
+                for entry in controller.recovery_log.entries_after(0)
+            ],
+            "backends": [
+                (backend.name, backend.state, backend.checkpoint_index)
+                for backend in controller.backends()
+            ],
+            "open_transactions": scheduler.open_transactions,
+            "batcher_rounds": (scheduler.stats()["write_batching"] or {}).get("rounds"),
+        }
+    finally:
+        env.close()
+
+
+class TestCrossModeEquivalence:
+    @pytest.mark.parametrize("failing_replica", [0, 1])
+    def test_batching_on_and_off_end_in_the_same_state(self, failing_replica):
+        """``write_batching`` only decides whether a statement may queue
+        with siblings: the same script must leave identical replicas,
+        recovery log, backend states and checkpoints either way."""
+        batched = _run_equivalence_script(True, failing_replica)
+        unbatched = _run_equivalence_script(False, failing_replica)
+        # The two runs really took different routes into the round...
+        assert batched.pop("batcher_rounds") > 0
+        assert unbatched.pop("batcher_rounds") is None
+        # ... and ended in the same place.
+        assert batched == unbatched
+        # Not vacuously: the survivor holds the final rows, the failed
+        # replica froze where it died, and its checkpoint keeps every
+        # write it missed inside the replay range.
+        survivor, failed = 1 - failing_replica, failing_replica
+        assert batched["rows"][survivor] == [(1, 13), (3, 30), (4, 40)]
+        assert batched["rows"][failed] == [(1, 12), (3, 30)]
+        assert [sql.split()[0] for _, sql, _, _, _ in batched["log"]] == [
+            "CREATE", "CREATE", "INSERT", "INSERT", "UPDATE", "DELETE",
+            "INSERT", "UPDATE", "UPDATE", "INSERT", "DROP",
+        ]
+        states = {name: (state, checkpoint) for name, state, checkpoint in batched["backends"]}
+        assert states[f"db{survivor + 1}"] == (BackendState.ENABLED, 11)
+        assert states[f"db{failed + 1}"] == (BackendState.FAILED, 8)
+        assert batched["open_transactions"] == 0
 
 
 class TestBatchedResync:
