@@ -49,6 +49,7 @@ from repro.cluster.wire import (
     CLUSTER_PROTOCOL_VERSION,
     ERROR_NOT_PRIMARY,
     ERROR_SERVER_BUSY,
+    MIN_CLIENT_PROTOCOL_VERSION,
     MULTIPLEX_MIN_VERSION,
     TRACE_MIN_VERSION,
     ClusterMessageType,
@@ -82,8 +83,6 @@ class ControllerConfig:
     controller_id: str = field(default_factory=lambda: f"controller-{uuid.uuid4().hex[:6]}")
     virtual_database: str = "vdb"
     protocol_version: int = CLUSTER_PROTOCOL_VERSION
-    #: Oldest driver protocol version this controller still accepts.
-    min_client_protocol_version: int = 1
     #: Read load-balancing policy (see repro.cluster.loadbalancer).
     read_policy: str = "round_robin"
     #: Extra keyword arguments for the policy (e.g. weighted's ``weights``).
@@ -97,31 +96,15 @@ class ControllerConfig:
     #: half of each broadcast (watch
     #: stats()["scheduler"]["broadcast"]["in_flight"]).
     write_concurrency: Optional[int] = None
-    #: Serve protocol-v3 clients over multiplexed channels: one physical
-    #: channel carries many logical sessions (correlated by
-    #: session_id/request_id), statements run on a fixed worker pool and
-    #: controller thread count stays O(channels), not O(sessions). Off —
-    #: or with a v2 client — every channel is a dedicated per-connection
-    #: session exactly as before (see docs/wire.md).
-    multiplexing: bool = True
-    #: Statement-execution workers shared by all multiplexed sessions.
+    #: Statement-execution workers shared by all multiplexed sessions
+    #: (a v3 client that asks for a trunk is granted one — docs/wire.md).
     worker_pool_size: int = 16
-    #: Batch recovery-log fsyncs across concurrent writers (group
-    #: commit). Only effective on a durable log (log_dir + log_fsync):
-    #: the store's per-append fsync is replaced by one fsync per commit
-    #: group, and no statement is acknowledged before its entry is
-    #: durable. Off restores the per-append fsync path byte for byte.
-    group_commit: bool = True
     #: Coalesce concurrent auto-commit writers with matching replica
     #: sets into one broadcast round trip + one batch log append (the
     #: execution-side mirror of group commit — see WriteBatcher in
     #: docs/scheduling.md). Off only means "never queue with siblings":
     #: every write round carries one statement — the E18 baseline.
     write_batching: bool = True
-    #: Extra window (milliseconds) a write-batch leader waits to gather
-    #: more writers before its round. 0 (default) batches only what
-    #: queued while the previous round was in flight.
-    write_batch_window_ms: float = 0.0
     #: Admission control: statements a single multiplexed session may
     #: have queued before further EXECUTEs get a retryable
     #: ``server_busy`` ERROR (bounds per-session memory under runaway
@@ -132,13 +115,6 @@ class ControllerConfig:
     #: total queueing when the worker pool saturates — clients back off
     #: and retry instead of queueing unboundedly). None (default) = off.
     max_in_flight_statements: Optional[int] = None
-    #: Key-level lock scopes on top of conflict-aware table locking: a
-    #: single-row INSERT/UPDATE/DELETE whose primary-key value is fully
-    #: resolved locks just (table, key), so writers on disjoint rows of
-    #: the same table run in parallel. Anything not provably single-row
-    #: (range predicates, multi-row inserts, positional params, PK
-    #: reassignment, DDL) falls back to a table lock.
-    key_level_locking: bool = True
     #: Cache SELECT results with table-based invalidation. Off by default:
     #: with several controllers in a group, writes routed through a peer do
     #: not invalidate this controller's cache.
@@ -154,7 +130,9 @@ class ControllerConfig:
     #: persisted checkpoint registry. None keeps the log in memory. Each
     #: controller needs its own directory: it replays *its* write order.
     log_dir: Optional[str] = None
-    #: fsync every appended log entry (durability over latency).
+    #: Make every acknowledged write durable in ``log_dir`` before its
+    #: reply: one fsync per commit group (concurrent writers share it),
+    #: never one per append.
     log_fsync: bool = False
     #: Entries per log segment before rolling a new file.
     log_segment_entries: int = 256
@@ -232,9 +210,9 @@ class SessionContext:
 _CLOSE_SESSION = object()
 
 
-class _MuxSession:
-    """One logical session on a multiplexed channel: its context plus a
-    FIFO of pending statements. ``scheduled`` is True while a worker-pool
+class _Session:
+    """One logical session on a client channel: its context plus a FIFO
+    of pending statements. ``scheduled`` is True while a worker-pool
     task owns the queue; statements of one session never run concurrently
     (per-session order is preserved) while different sessions' statements
     interleave freely across the pool."""
@@ -248,16 +226,36 @@ class _MuxSession:
         self.closed = False
 
 
-class _MuxChannelState:
-    """Server-side state of one multiplexed physical channel."""
+class _ChannelState:
+    """Server-side state of one client channel.
+
+    A *trunk* (multiplexing granted) carries many sessions, opened by
+    SESSION_OPEN and correlated by ``session_id``/``request_id``. A
+    *dedicated* channel is a trunk with exactly one session, ``implicit``,
+    opened by the handshake: its frames carry no correlation, and since
+    EXECUTE/RESULT alternate strictly its reader thread runs each
+    statement itself instead of queueing it for the worker pool."""
 
     def __init__(self, channel: Channel) -> None:
         self.channel = channel
         #: Serialises concurrent workers' replies onto the one channel.
         self.send_lock = threading.Lock()
-        #: Guards ``sessions`` and every _MuxSession's queue/flags.
+        #: Guards ``sessions`` and every _Session's queue/flags.
         self.lock = threading.Lock()
-        self.sessions: Dict[str, _MuxSession] = {}
+        self.sessions: Dict[str, _Session] = {}
+        #: The handshake-opened session of a dedicated channel; None on a trunk.
+        self.implicit: Optional[_Session] = None
+
+
+def _correlated(
+    reply: Dict[str, Any], session_id: Optional[str], request_id: Optional[int]
+) -> Dict[str, Any]:
+    """Stamp a trunk reply with the correlation of the frame it answers;
+    a dedicated channel's replies (no ``session_id``) stay bare."""
+    if session_id is not None:
+        reply["session_id"] = session_id
+        reply["request_id"] = request_id
+    return reply
 
 
 class Controller:
@@ -276,25 +274,19 @@ class Controller:
         self.address = address
         self.clock = clock
         ha_enabled = bool(config.ha_peers)
-        # HA piggybacks on the group-commit coordinator: wait_durable's
-        # flush is where the majority-ack replication round runs (one
-        # round per fsync group, not per entry), so HA keeps a
-        # coordinator even over a volatile store — the memory store's
-        # flush is a no-op fsync, but the round still happens.
-        group_commit_active = (
-            config.log_dir is not None and config.log_fsync and config.group_commit
-        ) or ha_enabled
+        # A group-commit coordinator exists iff there is something to
+        # wait for after an append: a durable fsynced log, or HA — whose
+        # majority-ack replication round runs in wait_durable's flush
+        # (one round per fsync group, not per entry) even over a volatile
+        # store, where the flush itself is a no-op.
+        group_commit_active = (config.log_dir is not None and config.log_fsync) or ha_enabled
         if config.log_dir is not None:
             os.makedirs(config.log_dir, exist_ok=True)
-            store = FileLogStore(
-                config.log_dir,
-                segment_max_entries=config.log_segment_entries,
-                # Under group commit the fsync moves from each append to
-                # the group coordinator's flush — durability is preserved
-                # (no reply before wait_durable returns) at a fraction of
-                # the fsync count.
-                fsync_on_append=config.log_fsync and not group_commit_active,
-            )
+            # The store never fsyncs per append (its default): the fsync
+            # rides the group coordinator's flush — durability is
+            # preserved (no reply before wait_durable returns) at a
+            # fraction of the fsync count.
+            store = FileLogStore(config.log_dir, segment_max_entries=config.log_segment_entries)
             checkpoints = CheckpointRegistry(os.path.join(config.log_dir, "checkpoints.json"))
         else:
             store = MemoryLogStore()
@@ -337,10 +329,8 @@ class Controller:
             ),
             broadcaster=WriteBroadcaster(max_workers=config.write_concurrency),
             placement=create_placement(config.placement),
-            key_level_locking=config.key_level_locking,
             group_commit=self.group_commit,
             write_batching=config.write_batching,
-            write_batch_window_s=config.write_batch_window_ms / 1000.0,
         )
         self.failure_detector = FailureDetector(
             self.scheduler,
@@ -356,11 +346,11 @@ class Controller:
         self.last_heartbeat_error: Optional[str] = None
         self._sessions: Dict[str, SessionContext] = {}
         self._extensions: Dict[str, ExtensionHandler] = {}
-        # Multiplexed front end: a fixed statement-worker pool shared by
-        # every logical session, and the live mux channel states (each
-        # owns one reader thread — the ChannelServer handler).
+        # Front end: a fixed statement-worker pool shared by every
+        # trunk's logical sessions, and the live client channel states
+        # (each owns one reader thread — the ChannelServer handler).
         self._worker_pool: Optional[ThreadPoolExecutor] = None
-        self._mux_channels: set = set()
+        self._channels: set = set()
         self._channel_server: Optional[ChannelServer] = None
         self._peers: List[Address] = []
         self._lock = threading.Lock()
@@ -404,7 +394,7 @@ class Controller:
         if self._channel_server is not None:
             return self
         self.scheduler.broadcaster.reopen()
-        if self.config.multiplexing and self._worker_pool is None:
+        if self._worker_pool is None:
             # Threads spawn lazily on demand, so an idle pool costs
             # nothing; its size is the fixed ceiling on statement
             # concurrency no matter how many logical sessions are open.
@@ -441,7 +431,7 @@ class Controller:
             self._channel_server = None
         if self._worker_pool is not None:
             # In-flight statements finish on their worker; new submits
-            # are refused (the mux paths tolerate that during shutdown).
+            # are refused (_submit tolerates that during shutdown).
             self._worker_pool.shutdown(wait=False)
             self._worker_pool = None
         self.scheduler.close()
@@ -505,23 +495,16 @@ class Controller:
         with self._lock:
             self._in_flight_statements = max(0, self._in_flight_statements - count)
 
-    def _busy_reply(
-        self, detail: str, session_id: Optional[str] = None, request_id: Optional[int] = None
-    ) -> Dict[str, Any]:
+    def _busy_reply(self, detail: str) -> Dict[str, Any]:
         """A retryable ``server_busy`` ERROR frame: the statement never
         reached a backend, so the driver may retry it with backoff."""
         with self._lock:
             self.server_busy_rejections += 1
-        reply = make_error(
+        return make_error(
             ERROR_SERVER_BUSY,
             f"controller {self.config.controller_id} is saturated ({detail}); "
             "retry with backoff",
         )
-        if session_id is not None:
-            reply["session_id"] = session_id
-        if request_id is not None:
-            reply["request_id"] = request_id
-        return reply
 
     def _controller_stats(self) -> Dict[str, Any]:
         with self._lock:
@@ -534,13 +517,12 @@ class Controller:
 
     def _front_end_stats(self) -> Dict[str, Any]:
         with self._lock:
-            mux_channels = len(self._mux_channels)
+            mux_channels = sum(1 for state in self._channels if state.implicit is None)
             in_flight = self._in_flight_statements
             in_flight_peak = self._in_flight_peak
             busy_rejections = self.server_busy_rejections
         pool = self._worker_pool
         return {
-            "multiplexing": self.config.multiplexing,
             "worker_pool_size": self.config.worker_pool_size,
             "worker_threads": len(getattr(pool, "_threads", ()) or ()) if pool else 0,
             "mux_channels": mux_channels,
@@ -1130,12 +1112,12 @@ class Controller:
 
     def _serve_client(self, channel: Channel, connect: Dict[str, Any]) -> None:
         client_version = connect.get("protocol_version")
-        if not isinstance(client_version, int) or client_version < self.config.min_client_protocol_version:
+        if not isinstance(client_version, int) or client_version < MIN_CLIENT_PROTOCOL_VERSION:
             channel.send(
                 make_error(
                     "protocol_mismatch",
                     f"driver protocol version {client_version!r} too old for controller "
-                    f"{self.config.controller_id} (minimum {self.config.min_client_protocol_version})",
+                    f"{self.config.controller_id} (minimum {MIN_CLIENT_PROTOCOL_VERSION})",
                 )
             )
             return
@@ -1150,58 +1132,41 @@ class Controller:
             )
             return
         grant_multiplexing = bool(
-            connect.get("multiplex")
-            and self.config.multiplexing
-            and client_version >= MULTIPLEX_MIN_VERSION
-            and self._worker_pool is not None
+            connect.get("multiplex") and client_version >= MULTIPLEX_MIN_VERSION
         )
         grant_tracing = bool(
             connect.get("trace")
             and self.config.tracing
             and client_version >= TRACE_MIN_VERSION
         )
-        if grant_multiplexing:
-            # No base session: logical sessions arrive via SESSION_OPEN.
-            # The handshake's session_id names the channel for tracing.
-            channel.send(
-                make_connect_ok(
-                    self.config.controller_id,
-                    client_version,
-                    uuid.uuid4().hex,
-                    multiplexing=True,
-                    tracing=grant_tracing,
-                )
-            )
-            self._serve_mux_channel(channel)
-            return
+        # On a trunk the handshake's session_id only names the channel
+        # (logical sessions arrive via SESSION_OPEN); on a dedicated
+        # channel it is the one implicit session, open from here on.
         session_id = uuid.uuid4().hex
-        session = SessionContext(session_id=session_id)
-        with self._lock:
-            self._sessions[session_id] = session
+        state = _ChannelState(channel)
         try:
+            if not grant_multiplexing:
+                state.implicit = self._open_session(state, session_id)
+            with self._lock:
+                self._channels.add(state)
             channel.send(
                 make_connect_ok(
                     self.config.controller_id,
                     client_version,
                     session_id,
+                    multiplexing=grant_multiplexing,
                     tracing=grant_tracing,
                 )
             )
-            self._serve_session(channel, session)
+            self._read_channel(state)
         finally:
             with self._lock:
-                self._sessions.pop(session_id, None)
-            if session.in_transaction:
-                # The client vanished mid-transaction. Roll it back so the
-                # backends' shared server sessions are released and the
-                # scheduler's open-transaction accounting (which gates the
-                # query-cache dirty-table flush) is not pinned forever.
-                try:
-                    self.scheduler.execute(
-                        "ROLLBACK", in_transaction=True, session_id=session.session_id
-                    )
-                except (SchedulerError, DriverError):
-                    pass
+                self._channels.discard(state)
+            # The channel died (or closed): every session on it ends.
+            with state.lock:
+                leftovers = list(state.sessions.values())
+            for session in leftovers:
+                self._finish_session(state, session)
 
     def _execute_for_session(
         self,
@@ -1212,12 +1177,11 @@ class Controller:
     ) -> Dict[str, Any]:
         """Run one statement for a session and build the reply frame.
 
-        Shared by the dedicated (v2) loop and the multiplexed workers;
-        the caller guarantees one session's statements never run
-        concurrently (the v2 loop is sequential, the mux path drains a
-        per-session FIFO), so SessionContext needs no lock. The
-        controller-wide counters are shared across workers and bump
-        under ``_lock``."""
+        The front end guarantees one session's statements never run
+        concurrently (a trunk drains a per-session FIFO, a dedicated
+        channel's reader runs them in sequence), so SessionContext needs
+        no lock. The controller-wide counters are shared across workers
+        and bump under ``_lock``."""
         with trace.span("classify"):
             statement = classify(sql)
         trace.annotate(command=statement.command, session=session.session_id)
@@ -1264,98 +1228,37 @@ class Controller:
             self.statements_served += 1
         return make_result(columns, rows, rowcount)
 
-    def _serve_session(self, channel: Channel, session: SessionContext) -> None:
+    # -- the session front end (docs/wire.md) -----------------------------------
+
+    def _read_channel(self, state: _ChannelState) -> None:
+        """Reader loop of one client channel: the only thread that
+        receives from it. On a trunk, statements are dispatched to the
+        shared worker pool through per-session FIFOs and this thread
+        never blocks on the scheduler, so one slow statement cannot stall
+        the channel's other sessions; on a dedicated channel it runs
+        them itself (see :meth:`_on_execute`)."""
+        trunk = state.implicit is None
         while True:
             try:
-                message = channel.recv(timeout=None)
+                message = state.channel.recv(timeout=None)
             except TransportError:
                 return
             message_type = message.get("type")
-            if message_type == ClusterMessageType.CLOSE:
+            if message_type == ClusterMessageType.EXECUTE:
+                self._on_execute(state, message)
+            elif message_type == ClusterMessageType.CLOSE:
                 return
-            if message_type == ClusterMessageType.PING:
-                channel.send({"type": ClusterMessageType.PONG})
-                continue
-            if message_type != ClusterMessageType.EXECUTE:
-                channel.send(make_error("bad_message", f"unexpected message {message_type!r}"))
-                continue
-            sql = str(message.get("sql", ""))
-            params = dict(message.get("params") or {})
-            # A dedicated session has no queue (EXECUTE/RESULT alternate
-            # strictly), so only the controller-wide bound applies here.
-            # An open transaction bypasses admission: its work was
-            # admitted at BEGIN, it may hold lock scopes other admitted
-            # statements are blocked on, and refusing its COMMIT while
-            # those blocked statements fill every slot would deadlock
-            # the controller against itself.
-            in_transaction = session.in_transaction
-            if not in_transaction and not self._admit_statement():
-                reply = self._busy_reply(
-                    f"max_in_flight_statements={self.config.max_in_flight_statements}"
-                )
+            elif message_type == ClusterMessageType.PING:
+                if not self._send(state, {"type": ClusterMessageType.PONG}):
+                    return
+            elif trunk and message_type == ClusterMessageType.SESSION_OPEN:
+                self._on_session_open(state, message)
+            elif trunk and message_type == ClusterMessageType.SESSION_CLOSE:
+                self._on_session_close(state, message)
             else:
-                # Rejected statements never ran, so they are not traced;
-                # everything that reaches the scheduler is.
-                trace = self._start_trace(message)
-                try:
-                    reply = self._execute_for_session(session, sql, params, trace)
-                finally:
-                    if not in_transaction:
-                        self._release_statement()
-                reply = self._finish_trace(trace, sql, reply)
-            try:
-                channel.send(reply)
-            except TransportError:
-                return
+                self._send(state, make_error("bad_message", f"unexpected message {message_type!r}"))
 
-    # -- multiplexed front end (protocol v3, docs/wire.md) ---------------------
-
-    def _serve_mux_channel(self, channel: Channel) -> None:
-        """Reader loop of one multiplexed channel: the only thread that
-        receives from it. Statements are dispatched to the shared worker
-        pool through per-session FIFOs; this thread never blocks on the
-        scheduler, so one slow statement cannot stall the channel's
-        other sessions."""
-        state = _MuxChannelState(channel)
-        with self._lock:
-            self._mux_channels.add(state)
-        try:
-            while True:
-                try:
-                    message = channel.recv(timeout=None)
-                except TransportError:
-                    return
-                message_type = str(message.get("type", ""))
-                if message_type == ClusterMessageType.CLOSE:
-                    return
-                if message_type == ClusterMessageType.PING:
-                    if not self._mux_send(state, {"type": ClusterMessageType.PONG}):
-                        return
-                    continue
-                if message_type == ClusterMessageType.SESSION_OPEN:
-                    self._mux_open_session(state, message)
-                    continue
-                if message_type == ClusterMessageType.SESSION_CLOSE:
-                    self._mux_close_session(state, message)
-                    continue
-                if message_type == ClusterMessageType.EXECUTE:
-                    self._mux_execute(state, message)
-                    continue
-                self._mux_send(
-                    state, make_error("bad_message", f"unexpected message {message_type!r}")
-                )
-        finally:
-            with self._lock:
-                self._mux_channels.discard(state)
-            # The channel died (or closed): every logical session on it
-            # ends, mirroring the dedicated path's abandoned-transaction
-            # rollback.
-            with state.lock:
-                leftovers = list(state.sessions.values())
-            for msession in leftovers:
-                self._finish_mux_session(state, msession)
-
-    def _mux_send(self, state: _MuxChannelState, message: Dict[str, Any]) -> bool:
+    def _send(self, state: _ChannelState, message: Dict[str, Any]) -> bool:
         with state.send_lock:
             try:
                 state.channel.send(message)
@@ -1365,74 +1268,90 @@ class Controller:
                 # channel on its next recv and tears the sessions down.
                 return False
 
-    def _mux_open_session(self, state: _MuxChannelState, message: Dict[str, Any]) -> None:
+    def _open_session(self, state: _ChannelState, session_id: str) -> Optional[_Session]:
+        """Register a new session on the channel; None if the id is taken."""
+        session = _Session(SessionContext(session_id=session_id))
+        with state.lock:
+            if session_id in state.sessions:
+                return None
+            state.sessions[session_id] = session
+        with self._lock:
+            self._sessions[session_id] = session.context
+        return session
+
+    def _on_session_open(self, state: _ChannelState, message: Dict[str, Any]) -> None:
         try:
             session_id, request_id = correlate(message)
         except ClusterWireError as exc:
-            self._mux_send(state, make_error("bad_correlation", str(exc)))
+            self._send(state, make_error("bad_correlation", str(exc)))
             return
-        session = SessionContext(session_id=session_id)
-        msession = _MuxSession(session)
-        with state.lock:
-            if session_id in state.sessions:
-                reply = make_error("session_exists", f"session {session_id!r} already open")
-                reply["session_id"] = session_id
-                reply["request_id"] = request_id
-                self._mux_send(state, reply)
-                return
-            state.sessions[session_id] = msession
-        with self._lock:
-            self._sessions[session_id] = session
-        self._mux_send(state, make_session_open_ok(session_id, request_id))
+        if self._open_session(state, session_id) is None:
+            reply = make_error("session_exists", f"session {session_id!r} already open")
+            self._send(state, _correlated(reply, session_id, request_id))
+            return
+        self._send(state, make_session_open_ok(session_id, request_id))
 
-    def _mux_close_session(self, state: _MuxChannelState, message: Dict[str, Any]) -> None:
+    def _on_session_close(self, state: _ChannelState, message: Dict[str, Any]) -> None:
         try:
             session_id, _ = correlate(message, require_request_id=False)
         except ClusterWireError as exc:
-            self._mux_send(state, make_error("bad_correlation", str(exc)))
+            self._send(state, make_error("bad_correlation", str(exc)))
             return
         with state.lock:
-            msession = state.sessions.get(session_id)
-        if msession is None:
+            session = state.sessions.get(session_id)
+        if session is None:
             return  # idempotent: already closed (or never opened)
         # Through the session FIFO, so the close orders after every
         # pipelined statement the client already fired.
-        self._mux_enqueue(state, msession, _CLOSE_SESSION)
+        self._enqueue(state, session, _CLOSE_SESSION)
 
-    def _mux_execute(self, state: _MuxChannelState, message: Dict[str, Any]) -> None:
-        try:
-            session_id, request_id = correlate(message)
-        except ClusterWireError as exc:
-            # Reply promptly instead of dispatching garbage to a worker
-            # (an unmatchable reply would hang the client's request
-            # forever and the worker's effort would be wasted).
-            self._mux_send(state, make_error("bad_correlation", str(exc)))
-            return
-        with state.lock:
-            msession = state.sessions.get(session_id)
-        if msession is None or msession.closed:
-            reply = make_error("unknown_session", f"no open session {session_id!r} on this channel")
-            reply["session_id"] = session_id
-            reply["request_id"] = request_id
-            self._mux_send(state, reply)
-            return
+    def _on_execute(self, state: _ChannelState, message: Dict[str, Any]) -> None:
+        """Admit one EXECUTE frame on the channel's reader thread:
+        correlate → validate → queue-depth bound → in-flight bound →
+        trace, then queue it for the worker pool — or, on a dedicated
+        channel, run it right here: EXECUTE/RESULT alternate strictly
+        there, so the reader *is* the session's worker and a hop to the
+        pool would buy nothing. Every refusal is answered promptly from
+        this thread (an unanswered or unmatchable frame would hang the
+        client's request forever) and never reaches a worker."""
+        session = state.implicit
+        session_id = request_id = None
+
+        def refuse(reply: Dict[str, Any]) -> None:
+            self._send(state, _correlated(reply, session_id, request_id))
+
+        if session is None:
+            try:
+                session_id, request_id = correlate(message)
+            except ClusterWireError as exc:
+                self._send(state, make_error("bad_correlation", str(exc)))
+                return
+            with state.lock:
+                session = state.sessions.get(session_id)
+            if session is None or session.closed:
+                refuse(make_error("unknown_session", f"no open session {session_id!r} on this channel"))
+                return
         sql = str(message.get("sql", ""))
-        params = dict(message.get("params") or {})
-        # Admission control. The depth check-then-enqueue is race-free:
-        # this reader thread is the session queue's only producer, and
-        # workers only ever shrink it.
+        params = message.get("params")
+        if params is None:
+            params = {}
+        elif not isinstance(params, dict):
+            refuse(
+                make_error(
+                    "bad_message", f"EXECUTE params must be a mapping, got {type(params).__name__}"
+                )
+            )
+            return
+        # The depth check-then-enqueue is race-free: this reader thread
+        # is the session queue's only producer, and workers only ever
+        # shrink it. (A dedicated session's queue is always empty.)
         depth_limit = self.config.max_session_queue_depth
         if depth_limit is not None:
             with state.lock:
-                depth = len(msession.queue)
+                depth = len(session.queue)
             if depth >= depth_limit:
-                self._mux_send(
-                    state,
-                    self._busy_reply(
-                        f"session queue depth at max_session_queue_depth={depth_limit}",
-                        session_id,
-                        request_id,
-                    ),
+                refuse(
+                    self._busy_reply(f"session queue depth at max_session_queue_depth={depth_limit}")
                 )
                 return
         # An open transaction bypasses the in-flight bound: its work was
@@ -1441,119 +1360,120 @@ class Controller:
         # blocked statements fill every slot would deadlock the
         # controller against itself. (The depth bound above still
         # applies — it caps per-session memory, not concurrency.)
-        holds_slot = not msession.context.in_transaction
+        holds_slot = not session.context.in_transaction
         if holds_slot and not self._admit_statement():
-            self._mux_send(
-                state,
-                self._busy_reply(
-                    f"max_in_flight_statements={self.config.max_in_flight_statements}",
-                    session_id,
-                    request_id,
-                ),
+            refuse(
+                self._busy_reply(f"max_in_flight_statements={self.config.max_in_flight_statements}")
             )
+            return
+        # Rejected statements never ran, so they are not traced;
+        # everything that reaches the scheduler is.
+        trace = self._start_trace(message)
+        item = (sql, params, trace, holds_slot, session_id, request_id)
+        if state.implicit is not None:
+            self._run_statement(state, session, item)
             return
         # The queue-wait span opens on this reader thread and closes on
         # the worker that dequeues the item — exactly the time the
         # statement sat in the session FIFO behind its predecessors.
-        trace = self._start_trace(message)
         # No session attr: _execute_for_session annotates the trace with
         # the session id, so the wire span stays a bare record.
         trace.begin("queue")
-        if not self._mux_enqueue(state, msession, (request_id, sql, params, holds_slot, trace)):
+        if not self._enqueue(state, session, item) and holds_slot:
             # The session closed between the lookup and the enqueue (its
             # close rode the FIFO); the admitted slot must not leak.
+            self._release_statement()
+
+    def _run_statement(self, state: _ChannelState, session: _Session, item: Any) -> None:
+        """Execute one admitted statement and send its reply."""
+        sql, params, trace, holds_slot, session_id, request_id = item
+        try:
+            reply = self._execute_for_session(session.context, sql, params, trace)
+        except Exception as exc:  # noqa: BLE001 - a serving thread must never die silently
+            reply = make_error("internal_error", str(exc))
+        finally:
+            # The statement's admission slot frees whether it
+            # succeeded, failed, or raised.
             if holds_slot:
                 self._release_statement()
+        reply = self._finish_trace(trace, sql, reply)
+        self._send(state, _correlated(reply, session_id, request_id))
 
-    def _mux_enqueue(self, state: _MuxChannelState, msession: _MuxSession, item: Any) -> bool:
+    def _enqueue(self, state: _ChannelState, session: _Session, item: Any) -> bool:
         with state.lock:
-            if msession.closed:
+            if session.closed:
                 return False
-            msession.queue.append(item)
-            if msession.scheduled:
+            session.queue.append(item)
+            if session.scheduled:
                 return True
-            msession.scheduled = True
-        self._mux_submit(state, msession)
+            session.scheduled = True
+        self._submit(state, session)
         return True
 
-    def _mux_submit(self, state: _MuxChannelState, msession: _MuxSession) -> None:
+    def _submit(self, state: _ChannelState, session: _Session) -> None:
         pool = self._worker_pool
         try:
             if pool is None:
                 raise RuntimeError("controller stopped")
-            pool.submit(self._drain_mux_session, state, msession)
+            pool.submit(self._drain_session, state, session)
         except RuntimeError:
             # Shutting down: drop the work, the channel is about to die.
             with state.lock:
-                msession.scheduled = False
+                session.scheduled = False
 
-    def _drain_mux_session(self, state: _MuxChannelState, msession: _MuxSession) -> None:
+    def _drain_session(self, state: _ChannelState, session: _Session) -> None:
         """Run ONE queued item of one session, then yield the worker.
 
         One item per pool task keeps the pool fair under pipelining: a
         session with 100 queued statements interleaves with its channel
         peers instead of monopolising a worker until drained."""
         with state.lock:
-            if not msession.queue:
-                msession.scheduled = False
+            if not session.queue:
+                session.scheduled = False
                 return
-            item = msession.queue.popleft()
+            item = session.queue.popleft()
         try:
             if item is _CLOSE_SESSION:
-                self._finish_mux_session(state, msession)
+                self._finish_session(state, session)
             else:
-                request_id, sql, params, holds_slot, trace = item
-                trace.end("queue")
-                try:
-                    reply = self._execute_for_session(msession.context, sql, params, trace)
-                except Exception as exc:  # noqa: BLE001 - a worker must never die silently
-                    reply = make_error("internal_error", str(exc))
-                finally:
-                    # The statement's admission slot frees whether it
-                    # succeeded, failed, or raised.
-                    if holds_slot:
-                        self._release_statement()
-                reply = self._finish_trace(trace, sql, reply)
-                reply["session_id"] = msession.context.session_id
-                reply["request_id"] = request_id
-                self._mux_send(state, reply)
+                item[2].end("queue")
+                self._run_statement(state, session, item)
         finally:
             with state.lock:
-                if msession.queue and not msession.closed:
+                if session.queue and not session.closed:
                     # Keep ``scheduled`` held by the next task.
                     resubmit = True
                 else:
-                    msession.scheduled = False
+                    session.scheduled = False
                     resubmit = False
             if resubmit:
-                self._mux_submit(state, msession)
+                self._submit(state, session)
 
-    def _finish_mux_session(self, state: _MuxChannelState, msession: _MuxSession) -> None:
+    def _finish_session(self, state: _ChannelState, session: _Session) -> None:
         with state.lock:
-            if msession.closed:
+            if session.closed:
                 return
-            msession.closed = True
-            state.sessions.pop(msession.context.session_id, None)
+            session.closed = True
+            state.sessions.pop(session.context.session_id, None)
             # Statements still queued behind the close (or behind a dead
             # channel) will never run; their admission slots must free.
             # (In-transaction statements never held one — see
-            # ``holds_slot`` in :meth:`_mux_execute`.)
+            # ``holds_slot`` in :meth:`_on_execute`.)
             abandoned = sum(
-                1
-                for item in msession.queue
-                if item is not _CLOSE_SESSION and item[3]
+                1 for item in session.queue if item is not _CLOSE_SESSION and item[3]
             )
-            msession.queue.clear()
+            session.queue.clear()
         self._release_statement(abandoned)
         with self._lock:
-            self._sessions.pop(msession.context.session_id, None)
-        if msession.context.in_transaction:
-            # Same contract as a dedicated session's disconnect: an
-            # abandoned transaction must not pin the scheduler's
-            # accounting or the backends' shared server sessions.
+            self._sessions.pop(session.context.session_id, None)
+        if session.context.in_transaction:
+            # The client vanished mid-transaction. Roll it back so the
+            # backends' shared server sessions are released and the
+            # scheduler's open-transaction accounting (which gates the
+            # query-cache dirty-table flush) is not pinned forever.
             try:
                 self.scheduler.execute(
-                    "ROLLBACK", in_transaction=True, session_id=msession.context.session_id
+                    "ROLLBACK", in_transaction=True, session_id=session.context.session_id
                 )
             except (SchedulerError, DriverError):
                 pass

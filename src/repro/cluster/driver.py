@@ -359,9 +359,9 @@ class ClusterConnection(Connection):
             max(0.0, float(options.get("busy_backoff_cap_ms", 50.0))) / 1000.0
         )
         # Multiplexing is attempted by default on a v3 driver; the
-        # handshake downgrades transparently against a v2 controller (or
-        # one configured with multiplexing off) — absence of the
-        # ``multiplexing`` grant in CONNECT_OK means a dedicated channel.
+        # handshake downgrades transparently against a v2 controller —
+        # absence of the ``multiplexing`` grant in CONNECT_OK means a
+        # dedicated channel.
         self._want_mux = driver.protocol_version >= MULTIPLEX_MIN_VERSION and _option_enabled(
             options.get("multiplexing"), default=True
         )
@@ -503,10 +503,10 @@ class ClusterConnection(Connection):
                     self._driver._register_mux_link(link)
                     self._attach_mux(link, session_id, host)
                     return
-                # Dedicated mode: the controller did not grant multiplexing
-                # (older protocol, or configured off) — the handshaked
-                # channel serves this connection alone, exactly the v2
-                # behaviour.
+                # Dedicated mode: no multiplexing grant (older protocol
+                # on either side, or this connection opted out) — the
+                # handshaked channel serves this connection alone,
+                # exactly the v2 behaviour.
                 self._channel = channel
                 self._controller_id = str(reply.get("controller_id", host))
                 self._current_host = host

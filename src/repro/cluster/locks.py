@@ -44,9 +44,10 @@ scheduler did exactly that before this rule existed).
 mode, restoring the single-global-lock behaviour byte for byte — a
 historical baseline the concurrency benchmark (E15) builds from this
 primitive; the controller always runs conflict-aware. Key granularity
-has its own switch one layer up (``ControllerConfig.key_level_locking``):
-the scheduler simply stops producing key scopes, and every write is a
-table scope again.
+has the same kind of baseline switch one layer up
+(``RequestScheduler(key_level_locking=False)``, E16's table-lock
+baseline): the scheduler simply stops producing key scopes, and every
+write is a table scope again.
 """
 
 from __future__ import annotations

@@ -233,8 +233,8 @@ class WriteBatcher:
     every writer in the group, and (under group commit) one fsync.
     Writers arriving while a round is in flight queue up for the next
     leader, so batching *emerges from broadcast latency* exactly as
-    group-commit batching emerges from fsync latency; ``window_s`` adds
-    an optional fixed collection window on top.
+    group-commit batching emerges from fsync latency — there is no
+    collection window to tune.
 
     Every queued writer still holds its own lock scope for the whole
     round (the scopes are pairwise disjoint, or they could not be
@@ -246,9 +246,8 @@ class WriteBatcher:
     lock scopes, and an exclusive acquirer (BEGIN, resync, DDL with an
     unknown table set) simply waits for the round's scopes to drain."""
 
-    def __init__(self, scheduler: "RequestScheduler", window_s: float = 0.0, max_batch: int = 64) -> None:
+    def __init__(self, scheduler: "RequestScheduler", max_batch: int = 64) -> None:
         self._scheduler = scheduler
-        self._window_s = max(0.0, window_s)
         self._max_batch = max(1, max_batch)
         self._cond = threading.Condition()
         self._queues: Dict[Tuple[str, ...], List[_BatchItem]] = {}
@@ -306,16 +305,8 @@ class WriteBatcher:
     def _lead(self, key: Tuple[str, ...], leader: _BatchItem) -> None:
         batch: List[_BatchItem] = []
         try:
-            if self._window_s > 0.0:
-                # Optional fixed collection window; with the default 0 the
-                # batch is whatever queued while the previous round was in
-                # flight. The leader's trace gets the window as a
-                # ``batch_wait`` span (role=leader) so the sleep doesn't
-                # read as unattributed latency — riders record theirs in
-                # :meth:`run`.
-                leader.trace.begin("batch_wait", role="leader")
-                time.sleep(self._window_s)
-                leader.trace.end("batch_wait")
+            # The batch is whatever queued while the previous round was
+            # in flight.
             with self._cond:
                 queued = self._queues.pop(key, [])
                 if len(queued) > self._max_batch:
@@ -349,7 +340,6 @@ class WriteBatcher:
                 "batched_statements": batched,
                 "max_batch_size": self.max_batch_size,
                 "avg_batch_size": round(batched / rounds, 2) if rounds else 0.0,
-                "window_s": self._window_s,
                 "max_batch": self._max_batch,
             }
 
@@ -371,7 +361,6 @@ class RequestScheduler:
         primary_keys: Optional[Dict[str, Tuple[str, str]]] = None,
         group_commit: Optional[GroupCommit] = None,
         write_batching: bool = False,
-        write_batch_window_s: float = 0.0,
     ) -> None:
         self._backends = list(backends)
         self._recovery_log = recovery_log
@@ -455,9 +444,7 @@ class RequestScheduler:
         # broadcast round trip + one batch log append (see WriteBatcher).
         # Off (None) never queues with siblings: every round carries one
         # statement (see _run_round).
-        self._write_batcher = (
-            WriteBatcher(self, window_s=write_batch_window_s) if write_batching else None
-        )
+        self._write_batcher = WriteBatcher(self) if write_batching else None
         # True while a resync replay or dump restore holds the write lock:
         # the controller answers write traffic with ``controller_recovering``
         # so failover-capable drivers retry on a sibling instead of

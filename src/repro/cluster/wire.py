@@ -23,9 +23,11 @@ Version history:
   SESSION_OPEN_OK / SESSION_CLOSE manage logical sessions on an
   already-handshaked channel. Multiplexing is negotiated: the CONNECT
   carries ``multiplex=True``, and the controller grants it with
-  ``multiplexing=True`` in the CONNECT_OK only when it is configured on
-  and the negotiated version is >= 3; without the grant the channel
-  stays a dedicated v2-style session. See docs/wire.md.
+  ``multiplexing=True`` in the CONNECT_OK when the negotiated version
+  is >= 3; a client that does not ask — or a v2 peer on either side —
+  gets no grant and the channel stays a dedicated v2-style session,
+  which the controller serves as a trunk with one implicit session.
+  See docs/wire.md.
 - **v3 tracing extension** — per-statement tracing rides the same
   negotiation style: CONNECT may carry ``trace=True``, the controller
   grants with ``tracing=True`` in the CONNECT_OK only when
@@ -46,6 +48,9 @@ from repro.errors import DriverError
 
 #: Protocol version spoken by the current controller/driver generation.
 CLUSTER_PROTOCOL_VERSION = 3
+
+#: Oldest driver protocol version a controller still accepts.
+MIN_CLIENT_PROTOCOL_VERSION = 1
 
 #: First protocol version supporting session multiplexing / pipelining.
 MULTIPLEX_MIN_VERSION = 3

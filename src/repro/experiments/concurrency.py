@@ -50,11 +50,12 @@ collapse — and zero lost writes.
 
 from __future__ import annotations
 
-import shutil
+import contextlib
 import tempfile
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from types import SimpleNamespace
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.cluster.backend import Backend
 from repro.cluster.broadcaster import WriteBroadcaster
@@ -68,38 +69,58 @@ from repro.experiments.harness import ExperimentResult
 from repro.experiments.partial_replication import cluster_checksums
 
 
-class _LatencyConnection:
-    """Synthetic backend connection charging a fixed latency per statement.
+class _SimConnection:
+    """Synthetic backend connection charging one fixed latency per *call*
+    — per statement through ``cursor.execute``, per batch through the
+    native ``execute_batch`` — so N coalesced statements cost one network
+    round trip, exactly the economics write batching exploits.
 
-    Declares DB-API ``threadsafety`` level 2 (threads may share the
-    connection): it models a real DBMS replica, which processes
+    ``threadsafety`` is the DB-API level it declares. 2 (threads may
+    share the connection) models a real DBMS replica, which processes
     disjoint-row statements concurrently — without it the per-backend
-    connection lock would re-serialise everything the scheduler's
-    key-level scopes just parallelised."""
+    connection lock would re-serialise everything the scheduler's lock
+    scopes just parallelised. 1 makes that lock serialise concurrent
+    round trips, as it would against a real single connection.
+    ``counters``, when given, is shared with the experiment so round
+    trips survive reconnects."""
 
-    threadsafety = 2
-
-    def __init__(self, latency_s: float) -> None:
+    def __init__(
+        self, latency_s: float, counters: Optional[Dict[str, int]] = None, threadsafety: int = 2
+    ) -> None:
         self._latency_s = latency_s
+        self._counters = counters if counters is not None else {}
+        self.threadsafety = threadsafety
         self.closed = False
         self.driver_info = {"name": "latency-sim"}
 
-    def cursor(self) -> "_LatencyCursor":
-        return _LatencyCursor(self._latency_s)
+    def _charge(self, statements: int) -> None:
+        self._counters["round_trips"] = self._counters.get("round_trips", 0) + 1
+        self._counters["statements"] = self._counters.get("statements", 0) + statements
+        if self._latency_s > 0:
+            time.sleep(self._latency_s)
+
+    def cursor(self) -> "_SimCursor":
+        return _SimCursor(self)
+
+    def execute_batch(
+        self, pairs: List[Tuple[str, Dict[str, Any]]]
+    ) -> List[Tuple[List[str], List[Any], int]]:
+        self._charge(len(pairs))
+        return [(["ok"], [[1]], 1) for _ in pairs]
 
     def close(self) -> None:
         self.closed = True
 
 
-class _LatencyCursor:
+class _SimCursor:
     description = [("ok", None, None, None, None, None, None)]
     rowcount = 1
 
-    def __init__(self, latency_s: float) -> None:
-        self._latency_s = latency_s
+    def __init__(self, connection: _SimConnection) -> None:
+        self._connection = connection
 
     def execute(self, sql: str, params: Optional[Dict[str, Any]] = None) -> None:
-        time.sleep(self._latency_s)
+        self._connection._charge(1)
 
     def fetchall(self) -> List[Tuple[Any, ...]]:
         return [(1,)]
@@ -108,35 +129,25 @@ class _LatencyCursor:
         pass
 
 
-def _run_writers(
-    scheduler: RequestScheduler,
-    writers: int,
-    writes_per_writer: int,
-    table_for: Any,
-    key_for: Any = None,
-) -> Tuple[float, List[Exception]]:
-    """``writers`` threads, writer *i* updating row ``key_for(i)`` (its
-    own index by default) of ``table_for(i)``; returns (wall_seconds,
-    errors)."""
+def _run_threads(count: int, iterations: int, operation: Any, name: str = "writer") -> float:
+    """``count`` threads released together, thread *i* calling
+    ``operation(i, n)`` for n in ``range(iterations)``; returns the wall
+    seconds from the release to the last join, or raises the first
+    error a thread hit."""
     errors: List[Exception] = []
-    barrier = threading.Barrier(writers + 1)
+    barrier = threading.Barrier(count + 1)
 
-    def body(writer_index: int) -> None:
-        table = table_for(writer_index)
-        row_key = writer_index if key_for is None else key_for(writer_index)
+    def body(index: int) -> None:
         barrier.wait()
         try:
-            for write_index in range(writes_per_writer):
-                scheduler.execute(
-                    f"UPDATE {table} SET v = $v WHERE id = $i",
-                    {"v": write_index, "i": row_key},
-                )
-        except Exception as exc:  # noqa: BLE001 - surfaced via the errors list
+            for iteration in range(iterations):
+                operation(index, iteration)
+        except Exception as exc:  # noqa: BLE001 - re-raised on the caller's thread
             errors.append(exc)
 
     threads = [
-        threading.Thread(target=body, args=(index,), name=f"writer-{index}")
-        for index in range(writers)
+        threading.Thread(target=body, args=(index,), name=f"{name}-{index}")
+        for index in range(count)
     ]
     for thread in threads:
         thread.start()
@@ -144,7 +155,97 @@ def _run_writers(
     started = time.perf_counter()
     for thread in threads:
         thread.join()
-    return time.perf_counter() - started, errors
+    wall = time.perf_counter() - started
+    if errors:
+        raise errors[0]
+    return wall
+
+
+def _run_writers(
+    scheduler: RequestScheduler, targets: List[Tuple[str, int]], writes_per_writer: int
+) -> float:
+    """One writer per ``(table, row id)`` target, each updating its row
+    ``writes_per_writer`` times; returns wall seconds."""
+
+    def write(writer_index: int, write_index: int) -> None:
+        table, row_id = targets[writer_index]
+        scheduler.execute(
+            f"UPDATE {table} SET v = $v WHERE id = $i", {"v": write_index, "i": row_id}
+        )
+
+    return _run_threads(len(targets), writes_per_writer, write)
+
+
+def _lock_cells(scheduler: RequestScheduler, first: str, second: str) -> Dict[str, Any]:
+    """Acquisition counts of two lock granularities plus their summed waits."""
+    stats = scheduler.lock_manager.stats()
+    return {
+        f"{first}_acquisitions": stats[f"{first}_acquisitions"],
+        f"{second}_acquisitions": stats[f"{second}_acquisitions"],
+        "lock_waits": stats[f"{first}_waits"] + stats[f"{second}_waits"],
+    }
+
+
+def _compare_modes(
+    experiment_id: str,
+    title: str,
+    writers: int,
+    writes_per_writer: int,
+    cost: Dict[str, float],
+    modes: List[str],
+    setup: Any,
+) -> Tuple[ExperimentResult, float]:
+    """The throughput-experiment skeleton: for each mode, build a stub
+    scheduler, time the writers against it and add one row; then record
+    ``speedup_x`` = wall of ``modes[0]`` (the baseline) over wall of
+    ``modes[1]``. Returns the result and that speedup.
+
+    ``cost`` is the injected-latency parameter the experiment charges.
+    ``setup(mode, stack)`` returns ``(scheduler, targets, cells)`` —
+    one ``(table, row id)`` per writer — and may register teardown on
+    ``stack`` (run after the scheduler closes); ``cells(timing, wall)``
+    builds the mode's row around the ``writes``/``wall_s``/
+    ``writes_per_s`` cells in ``timing``."""
+    result = ExperimentResult(
+        experiment_id=experiment_id,
+        title=title,
+        parameters={"writers": writers, "writes_per_writer": writes_per_writer, **cost},
+    )
+    writes = writers * writes_per_writer
+    timings: Dict[str, float] = {}
+    for mode in modes:
+        with contextlib.ExitStack() as stack:
+            scheduler, targets, cells = setup(mode, stack)
+            stack.callback(scheduler.close)
+            wall = _run_writers(scheduler, targets, writes_per_writer)
+            timing = {
+                "writes": writes,
+                "wall_s": round(wall, 4),
+                "writes_per_s": round(writes / wall, 1) if wall > 0 else "n/a",
+            }
+            result.add_row(mode=mode, **cells(timing, wall))
+            timings[mode] = wall
+    speedup = timings[modes[0]] / timings[modes[1]] if timings.get(modes[1]) else 0.0
+    result.parameters["speedup_x"] = round(speedup, 2)
+    return result, speedup
+
+
+def _lock_granularity_cells(
+    scheduler: RequestScheduler, writers: int, first: str, second: str
+) -> Any:
+    """The E15/E16 row: per-write cost plus the two lock granularities
+    the experiment contrasts."""
+
+    def cells(timing: Dict[str, Any], wall: float) -> Dict[str, Any]:
+        return {
+            "writers": writers,
+            **timing,
+            "per_write_ms": round(wall / timing["writes"] * 1000, 3),
+            **_lock_cells(scheduler, first, second),
+            "log_entries": scheduler.stats()["recovery_log_entries"],
+        }
+
+    return cells
 
 
 def run_experiment(
@@ -158,65 +259,41 @@ def run_experiment(
     one-per-backend (pure partitioning), so the only serialisation point
     is the scheduler's own write ordering.
     """
-    result = ExperimentResult(
-        experiment_id="E15",
-        title="Conflict-aware parallel write scheduling vs the global write lock",
-        parameters={
-            "writers": writers,
-            "writes_per_writer": writes_per_writer,
-            "latency_ms": latency_ms,
-        },
-    )
     latency_s = latency_ms / 1000.0
     placement_spec = "explicit:" + ",".join(
         f"w{index}=sim{index + 1}" for index in range(writers)
     )
-    timings: Dict[str, float] = {}
-    modes = [
-        ("global-lock", False, True),
-        ("conflict-aware", True, True),
-        ("conflict-aware/conflicting", True, False),
-    ]
-    for mode, conflict_aware, disjoint in modes:
-        backends = [
-            Backend(f"sim{index + 1}", lambda: _LatencyConnection(latency_s))
-            for index in range(writers)
-        ]
+    # mode -> (conflict-aware lock manager, disjoint tables)
+    modes = {
+        "global-lock": (False, True),
+        "conflict-aware": (True, True),
+        "conflict-aware/conflicting": (True, False),
+    }
+
+    def setup(mode: str, stack: contextlib.ExitStack) -> Tuple[Any, ...]:
+        conflict_aware, disjoint = modes[mode]
         scheduler = RequestScheduler(
-            backends,
+            [
+                Backend(f"sim{index + 1}", lambda: _SimConnection(latency_s))
+                for index in range(writers)
+            ],
             RecoveryLog(),
             broadcaster=WriteBroadcaster(parallel=True, max_workers=writers),
             placement=create_placement(placement_spec),
             lock_manager=LockManager(conflict_aware=conflict_aware),
         )
-        try:
-            table_for = (lambda i: f"w{i}") if disjoint else (lambda i: "w0")
-            wall, errors = _run_writers(scheduler, writers, writes_per_writer, table_for)
-            if errors:
-                raise errors[0]
-            writes = writers * writes_per_writer
-            lock_stats = scheduler.lock_manager.stats()
-            result.add_row(
-                mode=mode,
-                writers=writers,
-                writes=writes,
-                wall_s=round(wall, 4),
-                writes_per_s=round(writes / wall, 1) if wall > 0 else "n/a",
-                per_write_ms=round(wall / writes * 1000, 3),
-                table_acquisitions=lock_stats["table_acquisitions"],
-                exclusive_acquisitions=lock_stats["exclusive_acquisitions"],
-                lock_waits=lock_stats["table_waits"] + lock_stats["exclusive_waits"],
-                log_entries=scheduler.stats()["recovery_log_entries"],
-            )
-            timings[mode] = wall
-        finally:
-            scheduler.close()
-    speedup = (
-        timings["global-lock"] / timings["conflict-aware"]
-        if timings.get("conflict-aware")
-        else 0.0
+        targets = [(f"w{index}" if disjoint else "w0", index) for index in range(writers)]
+        return scheduler, targets, _lock_granularity_cells(scheduler, writers, "table", "exclusive")
+
+    result, speedup = _compare_modes(
+        "E15",
+        "Conflict-aware parallel write scheduling vs the global write lock",
+        writers,
+        writes_per_writer,
+        {"latency_ms": latency_ms},
+        list(modes),
+        setup,
     )
-    result.parameters["speedup_x"] = round(speedup, 2)
     result.add_note(
         f"{writers} disjoint-table writers are {speedup:.1f}x faster under "
         f"conflict-aware table locks than under the single global write lock "
@@ -245,61 +322,35 @@ def run_key_experiment(
     The schedulers get the table's primary key via the ``primary_keys``
     override: the latency-injected backends expose no catalog to probe.
     """
-    result = ExperimentResult(
-        experiment_id="E16",
-        title="Key-level locking: same-table disjoint-key writers vs table locks",
-        parameters={
-            "writers": writers,
-            "writes_per_writer": writes_per_writer,
-            "latency_ms": latency_ms,
-        },
-    )
     latency_s = latency_ms / 1000.0
-    timings: Dict[str, float] = {}
-    modes = [
-        ("table-locks", False, True),
-        ("key-level", True, True),
-        ("key-level/conflicting", True, False),
-    ]
-    for mode, key_level, disjoint in modes:
-        backends = [Backend("sim1", lambda: _LatencyConnection(latency_s))]
+    # mode -> (key-level scopes, disjoint rows)
+    modes = {
+        "table-locks": (False, True),
+        "key-level": (True, True),
+        "key-level/conflicting": (True, False),
+    }
+
+    def setup(mode: str, stack: contextlib.ExitStack) -> Tuple[Any, ...]:
+        key_level, disjoint = modes[mode]
         scheduler = RequestScheduler(
-            backends,
+            [Backend("sim1", lambda: _SimConnection(latency_s))],
             RecoveryLog(),
             broadcaster=WriteBroadcaster(parallel=True, max_workers=writers),
             key_level_locking=key_level,
             primary_keys={"hot": ("id", "INTEGER")},
         )
-        try:
-            key_for = None if disjoint else (lambda i: 0)
-            wall, errors = _run_writers(
-                scheduler, writers, writes_per_writer, lambda i: "hot", key_for
-            )
-            if errors:
-                raise errors[0]
-            writes = writers * writes_per_writer
-            lock_stats = scheduler.lock_manager.stats()
-            result.add_row(
-                mode=mode,
-                writers=writers,
-                writes=writes,
-                wall_s=round(wall, 4),
-                writes_per_s=round(writes / wall, 1) if wall > 0 else "n/a",
-                per_write_ms=round(wall / writes * 1000, 3),
-                key_acquisitions=lock_stats["key_acquisitions"],
-                table_acquisitions=lock_stats["table_acquisitions"],
-                lock_waits=lock_stats["key_waits"] + lock_stats["table_waits"],
-                log_entries=scheduler.stats()["recovery_log_entries"],
-            )
-            timings[mode] = wall
-        finally:
-            scheduler.close()
-    speedup = (
-        timings["table-locks"] / timings["key-level"]
-        if timings.get("key-level")
-        else 0.0
+        targets = [("hot", index if disjoint else 0) for index in range(writers)]
+        return scheduler, targets, _lock_granularity_cells(scheduler, writers, "key", "table")
+
+    result, speedup = _compare_modes(
+        "E16",
+        "Key-level locking: same-table disjoint-key writers vs table locks",
+        writers,
+        writes_per_writer,
+        {"latency_ms": latency_ms},
+        list(modes),
+        setup,
     )
-    result.parameters["speedup_x"] = round(speedup, 2)
     result.add_note(
         f"{writers} writers on disjoint rows of ONE table are {speedup:.1f}x "
         f"faster under (table, key) locks than under whole-table locks "
@@ -310,6 +361,121 @@ def run_key_experiment(
         "parallelise provably disjoint rows"
     )
     return result
+
+
+def _create_table(scheduler: RequestScheduler, table: str, rows: int, initial_v: int) -> None:
+    """``table (id PRIMARY KEY, v)`` holding rows ``0..rows-1``, all at ``initial_v``."""
+    scheduler.execute(f"CREATE TABLE {table} (id INTEGER NOT NULL PRIMARY KEY, v INTEGER)")
+    for row in range(rows):
+        scheduler.execute(
+            f"INSERT INTO {table} (id, v) VALUES ($i, $v)", {"i": row, "v": initial_v}
+        )
+
+
+def _replicas_converged(checksums: Dict[str, Dict[str, Any]]) -> bool:
+    """Every hosting replica of every table holds identical rows."""
+    return all(len(set(copies.values())) == 1 for copies in checksums.values())
+
+
+def _final_rows_ok(env: Any, table: str, rows: int, final_v: int) -> bool:
+    """No lost updates: each of ``table``'s rows is written by exactly one
+    writer, in order, so its last write must have won on every replica."""
+    expected = [(row, final_v) for row in range(rows)]
+    return all(
+        sorted(engine.open_session(env.database_name).execute(f"SELECT id, v FROM {table}").rows)
+        == expected
+        for engine in env.replica_engines
+    )
+
+
+@contextlib.contextmanager
+def _resync_race(
+    experiment_id: str,
+    title: str,
+    backends: int,
+    controller_options: Optional[Dict[str, Any]],
+    tables: List[str],
+    rows_per_table: int,
+    initial_v: int,
+    writers: int,
+    writes_per_writer: int,
+) -> Iterator[SimpleNamespace]:
+    """The divergence-experiment skeleton: on a real cluster, create
+    ``tables`` (``rows_per_table`` rows each), then run the writers —
+    writer *i* on row *i* of ``tables[i % len(tables)]`` — while a
+    second thread cycles ``db1`` through disable/resync: the resync
+    takes the exclusive lock, draining and blocking the scoped writers
+    (and any batch round they ride), then hands the write path back;
+    racing it is the point. Yields the experiment's result plus what
+    every such experiment checks — the entries logged during the race,
+    whether each table's log sequences are strictly increasing, the
+    replica checksums — with the cluster still up for further probes."""
+    result = ExperimentResult(
+        experiment_id=experiment_id,
+        title=title,
+        parameters={
+            "backends": backends,
+            "writers": writers,
+            "writes_per_writer": writes_per_writer,
+        },
+    )
+    cluster = build_cluster(replicas=backends, controllers=1, controller_options=controller_options)
+    with contextlib.closing(cluster) as env:
+        controller = env.controllers[0]
+        scheduler = controller.scheduler
+        for table in tables:
+            _create_table(scheduler, table, rows_per_table, initial_v)
+        base_index = controller.recovery_log.last_index
+
+        resync_errors: List[Exception] = []
+        stop = threading.Event()
+
+        def resync_cycler() -> None:
+            try:
+                while not stop.is_set():
+                    controller.disable_backend("db1")
+                    time.sleep(0.002)
+                    controller.enable_backend("db1")
+                    time.sleep(0.002)
+            except Exception as exc:  # noqa: BLE001
+                resync_errors.append(exc)
+
+        cycler = threading.Thread(target=resync_cycler, name="resync-cycler")
+        cycler.start()
+        try:
+            wall = _run_writers(
+                scheduler,
+                [(tables[index % len(tables)], index) for index in range(writers)],
+                writes_per_writer,
+            )
+        finally:
+            stop.set()
+            cycler.join(timeout=30.0)
+        if resync_errors:
+            raise resync_errors[0]
+
+        entries = controller.recovery_log.entries_after(base_index)
+        per_table_seqs: Dict[str, List[int]] = {}
+        for entry in entries:
+            for table, seq in entry.table_seqs.items():
+                per_table_seqs.setdefault(table, []).append(seq)
+        checksums = cluster_checksums(env)
+        yield SimpleNamespace(
+            result=result,
+            env=env,
+            controller=controller,
+            scheduler=scheduler,
+            # The cells every divergence row starts from.
+            writes=writers * writes_per_writer,
+            logged=len(entries),
+            wall_s=round(wall, 4),
+            replicas_converged=_replicas_converged(checksums),
+            per_table_order_ok=all(
+                seqs == sorted(seqs) and len(seqs) == len(set(seqs))
+                for seqs in per_table_seqs.values()
+            ),
+            checksums=checksums,
+        )
 
 
 def run_key_divergence_experiment(
@@ -323,95 +489,34 @@ def run_key_divergence_experiment(
     key-parallel broadcasts may *execute* in different orders on
     different replicas, which is only sound because disjoint single-row
     statements commute; this measures that end to end."""
-    result = ExperimentResult(
-        experiment_id="E16b",
-        title="Replica convergence under same-table disjoint-key writers racing a resync",
-        parameters={
-            "backends": backends,
-            "writers": writers,
-            "writes_per_writer": writes_per_writer,
-        },
-    )
-    env = build_cluster(replicas=backends, controllers=1)
-    try:
-        controller = env.controllers[0]
-        scheduler = controller.scheduler
-        scheduler.execute(
-            "CREATE TABLE hot (id INTEGER NOT NULL PRIMARY KEY, v INTEGER)"
-        )
-        for row in range(writers):
-            scheduler.execute(
-                "INSERT INTO hot (id, v) VALUES ($i, $v)", {"i": row, "v": -1}
-            )
-        base_index = controller.recovery_log.last_index
-
-        resync_errors: List[Exception] = []
-        stop = threading.Event()
-
-        def resync_cycler() -> None:
-            try:
-                while not stop.is_set():
-                    controller.disable_backend("db1")
-                    time.sleep(0.002)
-                    controller.enable_backend("db1")
-                    time.sleep(0.002)
-            except Exception as exc:  # noqa: BLE001
-                resync_errors.append(exc)
-
-        cycler = threading.Thread(target=resync_cycler, name="resync-cycler")
-        cycler.start()
-        wall, errors = _run_writers(
-            scheduler, writers, writes_per_writer, lambda i: "hot"
-        )
-        stop.set()
-        cycler.join(timeout=30.0)
-        if errors:
-            raise errors[0]
-        if resync_errors:
-            raise resync_errors[0]
-
-        entries = controller.recovery_log.entries_after(base_index)
-        hot_seqs = [
-            seq
-            for entry in entries
-            for table, seq in entry.table_seqs.items()
-            if table == "hot"
-        ]
-        per_table_order_ok = hot_seqs == sorted(hot_seqs) and len(hot_seqs) == len(
-            set(hot_seqs)
-        )
-        checksums = cluster_checksums(env)
-        converged = all(
-            len(set(copies.values())) == 1 for copies in checksums.values()
-        )
-        # No lost updates: every writer's row ends at its final value on
-        # every replica (each row is written by exactly one writer, in
-        # order, so the last write must win everywhere).
-        rows_ok = True
-        for engine in env.replica_engines:
-            session = engine.open_session(env.database_name)
-            rows = sorted(session.execute("SELECT id, v FROM hot").rows)
-            if rows != [(i, writes_per_writer - 1) for i in range(writers)]:
-                rows_ok = False
-        lock_stats = scheduler.lock_manager.stats()
-        result.add_row(
-            writes=writers * writes_per_writer,
-            logged=len(entries),
-            wall_s=round(wall, 4),
-            replicas_converged=converged,
-            final_rows_ok=rows_ok,
-            per_table_order_ok=per_table_order_ok,
+    with _resync_race(
+        "E16b",
+        "Replica convergence under same-table disjoint-key writers racing a resync",
+        backends,
+        None,
+        ["hot"],
+        writers,
+        -1,
+        writers,
+        writes_per_writer,
+    ) as race:
+        lock_stats = race.scheduler.lock_manager.stats()
+        race.result.add_row(
+            writes=race.writes,
+            logged=race.logged,
+            wall_s=race.wall_s,
+            replicas_converged=race.replicas_converged,
+            final_rows_ok=_final_rows_ok(race.env, "hot", writers, writes_per_writer - 1),
+            per_table_order_ok=race.per_table_order_ok,
             key_acquisitions=lock_stats["key_acquisitions"],
             exclusive_acquisitions=lock_stats["exclusive_acquisitions"],
         )
-        result.add_note(
-            "every replica holds identical final rows after disjoint-key "
-            "writers on one table raced repeated disable/resync cycles; "
-            "the recovery log's per-table sequences stay strictly increasing"
-        )
-    finally:
-        env.close()
-    return result
+    race.result.add_note(
+        "every replica holds identical final rows after disjoint-key "
+        "writers on one table raced repeated disable/resync cycles; "
+        "the recovery log's per-table sequences stay strictly increasing"
+    )
+    return race.result
 
 
 def run_divergence_experiment(
@@ -422,102 +527,36 @@ def run_divergence_experiment(
 ) -> ExperimentResult:
     """Disjoint writers race a resync on a real hash-2 cluster; verify
     no lost updates, converged replicas, and per-table log order."""
-    result = ExperimentResult(
-        experiment_id="E15b",
-        title="Replica convergence under concurrent disjoint writers racing a resync",
-        parameters={
-            "backends": backends,
-            "writers": writers,
-            "writes_per_writer": writes_per_writer,
-        },
+    with _resync_race(
+        "E15b",
+        "Replica convergence under concurrent disjoint writers racing a resync",
+        backends,
+        {"placement": "hash:2"},
+        [f"conc_w{index}" for index in range(writers)],
+        rows_per_table,
+        0,
+        writers,
+        writes_per_writer,
+    ) as race:
+        placement = race.controller.placement
+        race.result.add_row(
+            writes=race.writes,
+            logged=race.logged,
+            wall_s=race.wall_s,
+            replicas_converged=race.replicas_converged,
+            per_table_order_ok=race.per_table_order_ok,
+            hosts_match_placement=all(
+                set(copies) == set(placement.hosts(table))
+                for table, copies in race.checksums.items()
+            ),
+            **_lock_cells(race.scheduler, "table", "exclusive"),
+        )
+    race.result.add_note(
+        "every hosting replica of every table holds identical rows after "
+        "disjoint writers raced repeated disable/resync cycles, and the "
+        "recovery log's per-table sequences are strictly increasing"
     )
-    env = build_cluster(
-        replicas=backends, controllers=1, controller_options={"placement": "hash:2"}
-    )
-    try:
-        controller = env.controllers[0]
-        scheduler = controller.scheduler
-        for writer_index in range(writers):
-            scheduler.execute(
-                f"CREATE TABLE conc_w{writer_index} "
-                "(id INTEGER NOT NULL PRIMARY KEY, v INTEGER)"
-            )
-            for row in range(rows_per_table):
-                scheduler.execute(
-                    f"INSERT INTO conc_w{writer_index} (id, v) VALUES ($i, $v)",
-                    {"i": row, "v": 0},
-                )
-        base_index = controller.recovery_log.last_index
-
-        resync_errors: List[Exception] = []
-        stop = threading.Event()
-
-        def resync_cycler() -> None:
-            # Disable/enable a backend while the writers hammer away: the
-            # resync takes the exclusive lock, draining and blocking the
-            # table-scope writers, then hands the write path back.
-            try:
-                while not stop.is_set():
-                    controller.disable_backend("db1")
-                    time.sleep(0.002)
-                    controller.enable_backend("db1")
-                    time.sleep(0.002)
-            except Exception as exc:  # noqa: BLE001
-                resync_errors.append(exc)
-
-        cycler = threading.Thread(target=resync_cycler, name="resync-cycler")
-        cycler.start()
-        wall, errors = _run_writers(
-            scheduler,
-            writers,
-            writes_per_writer,
-            lambda i: f"conc_w{i}",
-        )
-        stop.set()
-        cycler.join(timeout=30.0)
-        if errors:
-            raise errors[0]
-        if resync_errors:
-            raise resync_errors[0]
-
-        entries = controller.recovery_log.entries_after(base_index)
-        per_table_seqs: Dict[str, List[int]] = {}
-        for entry in entries:
-            for table, seq in entry.table_seqs.items():
-                per_table_seqs.setdefault(table, []).append(seq)
-        per_table_order_ok = all(
-            seqs == sorted(seqs) and len(seqs) == len(set(seqs))
-            for seqs in per_table_seqs.values()
-        )
-        checksums = cluster_checksums(env)
-        converged = all(
-            len(set(copies.values())) == 1 for copies in checksums.values()
-        )
-        placement = controller.placement
-        hosts_match = all(
-            set(copies) == set(placement.hosts(table))
-            for table, copies in checksums.items()
-        )
-        lock_stats = scheduler.lock_manager.stats()
-        result.add_row(
-            writes=writers * writes_per_writer,
-            logged=len(entries),
-            wall_s=round(wall, 4),
-            replicas_converged=converged,
-            per_table_order_ok=per_table_order_ok,
-            hosts_match_placement=hosts_match,
-            table_acquisitions=lock_stats["table_acquisitions"],
-            exclusive_acquisitions=lock_stats["exclusive_acquisitions"],
-            lock_waits=lock_stats["table_waits"] + lock_stats["exclusive_waits"],
-        )
-        result.add_note(
-            "every hosting replica of every table holds identical rows after "
-            "disjoint writers raced repeated disable/resync cycles, and the "
-            "recovery log's per-table sequences are strictly increasing"
-        )
-    finally:
-        env.close()
-    return result
+    return race.result
 
 
 def _percentile(samples: List[float], fraction: float) -> float:
@@ -561,78 +600,63 @@ def run_session_scaling_experiment(
         },
     )
 
-    def open_many(driver: ClusterDriverRuntime, url: str, network: Any, count: int, **options: Any) -> List[Any]:
-        connections: List[Any] = [None] * count
-        errors: List[Exception] = []
+    @contextlib.contextmanager
+    def open_sessions(
+        name: str, count: int, controller_options: Optional[Dict[str, Any]], **options: Any
+    ) -> Iterator[SimpleNamespace]:
+        """A fresh 2-replica cluster with ``count`` driver connections
+        opened from ``openers`` threads, and the thread growth they cost."""
+        cluster = build_cluster(replicas=2, controllers=1, controller_options=controller_options)
+        with contextlib.closing(cluster) as env:
+            controller = env.controllers[0]
+            _create_table(controller.scheduler, "scale_t", 2, 1)  # the probes read row 1
+            driver = ClusterDriverRuntime(name=name)
+            connections: List[Any] = [None] * count
 
-        def opener(start: int) -> None:
-            try:
-                for index in range(start, count, openers):
-                    connections[index] = driver.connect(url, network=network, **options)
-            except Exception as exc:  # noqa: BLE001 - surfaced below
-                errors.append(exc)
+            def open_one(opener: int, step: int) -> None:
+                index = step * openers + opener
+                if index < count:
+                    connections[index] = driver.connect(
+                        env.client_url(), network=env.network, **options
+                    )
 
-        threads = [threading.Thread(target=opener, args=(i,)) for i in range(openers)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
-        return connections
+            threads_before = threading.active_count()
+            open_wall = _run_threads(openers, -(-count // openers), open_one, name="opener")
+            yield SimpleNamespace(
+                controller=controller,
+                driver=driver,
+                connections=connections,
+                open_wall=open_wall,
+                thread_delta=threading.active_count() - threads_before,
+            )
+            for connection in connections:
+                connection.close()
 
-    # -- multiplexed mode ------------------------------------------------------
-    env = build_cluster(
-        replicas=2,
-        controllers=1,
-        controller_options={"worker_pool_size": worker_pool_size},
-    )
-    try:
-        controller = env.controllers[0]
-        controller.scheduler.execute(
-            "CREATE TABLE scale_t (id INTEGER NOT NULL PRIMARY KEY, v INTEGER)"
-        )
-        controller.scheduler.execute("INSERT INTO scale_t (id, v) VALUES (1, 1)")
-        driver = ClusterDriverRuntime(name="mux-scale")
-        threads_before = threading.active_count()
-        opened_started = time.perf_counter()
-        connections = open_many(
-            driver,
-            env.client_url(),
-            env.network,
-            sessions,
-            mux_channels_per_host=channels,
-        )
-        open_wall = time.perf_counter() - opened_started
-        mux_thread_delta = threading.active_count() - threads_before
+    with open_sessions(
+        "mux-scale",
+        sessions,
+        {"worker_pool_size": worker_pool_size},
+        mux_channels_per_host=channels,
+    ) as mux:
+        connections = mux.connections
         assert all(connection.multiplexed for connection in connections)
 
-        # Latency probe across a sample of the open sessions.
+        # Latency probe across a sample of the open sessions
+        # (list.append is atomic, so the probes share one list).
         latencies: List[float] = []
-        latency_lock = threading.Lock()
         sample_stride = max(1, sessions // (probe_sessions * statements_per_probe))
 
-        def probe(probe_index: int) -> None:
-            local: List[float] = []
-            for step in range(statements_per_probe):
-                connection = connections[
-                    ((probe_index * statements_per_probe + step) * sample_stride) % sessions
-                ]
-                cursor = connection.cursor()
-                started = time.perf_counter()
-                cursor.execute("SELECT v FROM scale_t WHERE id = 1")
-                cursor.fetchall()
-                local.append((time.perf_counter() - started) * 1000.0)
-            with latency_lock:
-                latencies.extend(local)
+        def probe(probe_index: int, step: int) -> None:
+            connection = connections[
+                ((probe_index * statements_per_probe + step) * sample_stride) % sessions
+            ]
+            cursor = connection.cursor()
+            started = time.perf_counter()
+            cursor.execute("SELECT v FROM scale_t WHERE id = 1")
+            cursor.fetchall()
+            latencies.append((time.perf_counter() - started) * 1000.0)
 
-        probe_threads = [
-            threading.Thread(target=probe, args=(index,)) for index in range(probe_sessions)
-        ]
-        for thread in probe_threads:
-            thread.start()
-        for thread in probe_threads:
-            thread.join()
+        _run_threads(probe_sessions, statements_per_probe, probe, name="probe")
 
         # Pipelining: one session fires a burst without per-statement
         # round-trip waits; all replies come back in order.
@@ -645,59 +669,36 @@ def run_session_scaling_experiment(
 
         # Sampled after the probe load so the lazily-spawned worker pool
         # threads are visible — they stay bounded by worker_pool_size.
-        front_end = controller.stats()["front_end"]
+        front_end = mux.controller.stats()["front_end"]
         result.add_row(
             mode="multiplexed",
             sessions=sessions,
-            physical_channels=driver.mux_channel_count(),
-            thread_delta=mux_thread_delta,
-            threads_per_session=round(mux_thread_delta / sessions, 4),
-            open_wall_s=round(open_wall, 3),
+            physical_channels=mux.driver.mux_channel_count(),
+            thread_delta=mux.thread_delta,
+            threads_per_session=round(mux.thread_delta / sessions, 4),
+            open_wall_s=round(mux.open_wall, 3),
             controller_worker_threads=front_end["worker_threads"],
             controller_reader_threads=front_end["reader_threads"],
-            active_sessions=controller.stats()["active_sessions"],
+            active_sessions=mux.controller.stats()["active_sessions"],
             probe_p50_ms=round(_percentile(latencies, 0.50), 3),
             probe_p99_ms=round(_percentile(latencies, 0.99), 3),
             pipeline_ok=pipeline_ok,
         )
-        for connection in connections:
-            connection.close()
-    finally:
-        env.close()
 
-    # -- thread-per-connection baseline ---------------------------------------
-    env = build_cluster(replicas=2, controllers=1)
-    try:
-        controller = env.controllers[0]
-        controller.scheduler.execute(
-            "CREATE TABLE scale_t (id INTEGER NOT NULL PRIMARY KEY, v INTEGER)"
-        )
-        controller.scheduler.execute("INSERT INTO scale_t (id, v) VALUES (1, 1)")
-        driver = ClusterDriverRuntime(name="dedicated-scale")
-        threads_before = threading.active_count()
-        connections = open_many(
-            driver,
-            env.client_url(),
-            env.network,
-            baseline_sessions,
-            multiplexing=False,
-        )
-        baseline_thread_delta = threading.active_count() - threads_before
-        assert not any(connection.multiplexed for connection in connections)
-        threads_per_session = baseline_thread_delta / baseline_sessions
+    # The thread-per-connection baseline: the same driver, opting out of
+    # multiplexing per connection.
+    with open_sessions("dedicated-scale", baseline_sessions, None, multiplexing=False) as dedicated:
+        assert not any(connection.multiplexed for connection in dedicated.connections)
+        threads_per_session = dedicated.thread_delta / baseline_sessions
         result.add_row(
             mode="thread-per-connection",
             sessions=baseline_sessions,
             physical_channels=baseline_sessions,
-            thread_delta=baseline_thread_delta,
+            thread_delta=dedicated.thread_delta,
             threads_per_session=round(threads_per_session, 4),
             projected_threads_at_target=int(threads_per_session * sessions),
-            active_sessions=controller.stats()["active_sessions"],
+            active_sessions=dedicated.controller.stats()["active_sessions"],
         )
-        for connection in connections:
-            connection.close()
-    finally:
-        env.close()
 
     result.add_note(
         f"{sessions} logical sessions ride {channels} multiplexed channels with a "
@@ -706,62 +707,6 @@ def run_session_scaling_experiment(
         f"(~{int(threads_per_session * sessions)} at {sessions} sessions)"
     )
     return result
-
-
-class _RoundTripConnection:
-    """Synthetic backend connection charging one fixed latency per *call*
-    — per statement through ``cursor.execute``, per batch through the
-    native ``execute_batch`` — so N coalesced statements cost one network
-    round trip, exactly the economics write batching exploits.
-
-    Declares DB-API ``threadsafety`` level 1 (threads may not share the
-    connection): the per-backend connection lock serialises concurrent
-    per-statement round trips, as it would against a real single
-    connection. ``counters`` is shared with the experiment so round
-    trips survive reconnects."""
-
-    threadsafety = 1
-
-    def __init__(self, latency_s: float, counters: Dict[str, int]) -> None:
-        self._latency_s = latency_s
-        self._counters = counters
-        self.closed = False
-        self.driver_info = {"name": "roundtrip-sim"}
-
-    def _charge(self, statements: int) -> None:
-        self._counters["round_trips"] = self._counters.get("round_trips", 0) + 1
-        self._counters["statements"] = self._counters.get("statements", 0) + statements
-        if self._latency_s > 0:
-            time.sleep(self._latency_s)
-
-    def cursor(self) -> "_RoundTripCursor":
-        return _RoundTripCursor(self)
-
-    def execute_batch(
-        self, pairs: List[Tuple[str, Dict[str, Any]]]
-    ) -> List[Tuple[List[str], List[Any], int]]:
-        self._charge(len(pairs))
-        return [(["ok"], [[1]], 1) for _ in pairs]
-
-    def close(self) -> None:
-        self.closed = True
-
-
-class _RoundTripCursor:
-    description = [("ok", None, None, None, None, None, None)]
-    rowcount = 1
-
-    def __init__(self, connection: _RoundTripConnection) -> None:
-        self._connection = connection
-
-    def execute(self, sql: str, params: Optional[Dict[str, Any]] = None) -> None:
-        self._connection._charge(1)
-
-    def fetchall(self) -> List[Tuple[Any, ...]]:
-        return [(1,)]
-
-    def close(self) -> None:
-        pass
 
 
 def run_write_batching_experiment(
@@ -773,50 +718,32 @@ def run_write_batching_experiment(
 
     Concurrent disjoint-table auto-commit writers against one backend
     whose connection charges a fixed latency per round trip (see
-    :class:`_RoundTripConnection`). Per-statement dispatch pays one round
+    :class:`_SimConnection`). Per-statement dispatch pays one round
     trip per write, serialised on the connection; with write batching the
     WriteBatcher coalesces whatever queued while the previous round was
     in flight into one ``execute_batch`` round trip — batching emerges
     from the round-trip latency itself, exactly as group-commit batching
     emerges from fsync latency."""
-    result = ExperimentResult(
-        experiment_id="E18",
-        title="Cross-session write batching: one round trip per batch, not per statement",
-        parameters={
-            "writers": writers,
-            "writes_per_writer": writes_per_writer,
-            "round_trip_ms": round_trip_ms,
-        },
-    )
     latency_s = round_trip_ms / 1000.0
-    timings: Dict[str, float] = {}
-    for mode, batching in (("per-statement", False), ("batched", True)):
+
+    def setup(mode: str, stack: contextlib.ExitStack) -> Tuple[Any, ...]:
         counters: Dict[str, int] = {}
-        backends = [Backend("sim1", lambda: _RoundTripConnection(latency_s, counters))]
         scheduler = RequestScheduler(
-            backends,
+            [Backend("sim1", lambda: _SimConnection(latency_s, counters, threadsafety=1))],
             RecoveryLog(),
             broadcaster=WriteBroadcaster(parallel=True, max_workers=writers),
             lock_manager=LockManager(conflict_aware=True),
-            write_batching=batching,
+            write_batching=mode == "batched",
         )
-        try:
-            wall, errors = _run_writers(
-                scheduler, writers, writes_per_writer, lambda i: f"wb_w{i}"
-            )
-            if errors:
-                raise errors[0]
-            writes = writers * writes_per_writer
+
+        def cells(timing: Dict[str, Any], wall: float) -> Dict[str, Any]:
             # The PK probe per table costs one round trip too; count only
             # the write statements when reporting coalescing.
             round_trips = counters.get("round_trips", 0)
-            row: Dict[str, Any] = {
-                "mode": mode,
-                "writes": writes,
-                "wall_s": round(wall, 4),
-                "writes_per_s": round(writes / wall, 1) if wall > 0 else "n/a",
+            row = {
+                **timing,
                 "round_trips": round_trips,
-                "writes_per_round_trip": round(writes / round_trips, 2)
+                "writes_per_round_trip": round(timing["writes"] / round_trips, 2)
                 if round_trips
                 else "n/a",
                 "log_entries": scheduler.stats()["recovery_log_entries"],
@@ -826,14 +753,19 @@ def run_write_batching_experiment(
                 row["batch_rounds"] = batch_stats["rounds"]
                 row["avg_batch_size"] = batch_stats["avg_batch_size"]
                 row["max_batch_size"] = batch_stats["max_batch_size"]
-            result.add_row(**row)
-            timings[mode] = wall
-        finally:
-            scheduler.close()
-    speedup = (
-        timings["per-statement"] / timings["batched"] if timings.get("batched") else 0.0
+            return row
+
+        return scheduler, [(f"wb_w{index}", index) for index in range(writers)], cells
+
+    result, speedup = _compare_modes(
+        "E18",
+        "Cross-session write batching: one round trip per batch, not per statement",
+        writers,
+        writes_per_writer,
+        {"round_trip_ms": round_trip_ms},
+        ["per-statement", "batched"],
+        setup,
     )
-    result.parameters["speedup_x"] = round(speedup, 2)
     result.add_note(
         f"{writers} disjoint auto-commit writers are {speedup:.1f}x faster when "
         f"concurrent writes coalesce into batched round trips "
@@ -854,95 +786,34 @@ def run_batched_divergence_experiment(
     cluster (the E15b harness with write batching explicitly on); every
     write must survive into the log, every replica must converge, and
     per-table log order must stay strictly increasing."""
-    result = ExperimentResult(
-        experiment_id="E18b",
-        title="Replica convergence under batched writers racing a resync",
-        parameters={
-            "backends": backends,
-            "writers": writers,
-            "writes_per_writer": writes_per_writer,
-        },
-    )
-    env = build_cluster(
-        replicas=backends,
-        controllers=1,
-        controller_options={"placement": "hash:2", "write_batching": True},
-    )
-    try:
-        controller = env.controllers[0]
-        scheduler = controller.scheduler
-        for writer_index in range(writers):
-            scheduler.execute(
-                f"CREATE TABLE batched_w{writer_index} "
-                "(id INTEGER NOT NULL PRIMARY KEY, v INTEGER)"
-            )
-            for row in range(rows_per_table):
-                scheduler.execute(
-                    f"INSERT INTO batched_w{writer_index} (id, v) VALUES ($i, $v)",
-                    {"i": row, "v": 0},
-                )
-        base_index = controller.recovery_log.last_index
-
-        resync_errors: List[Exception] = []
-        stop = threading.Event()
-
-        def resync_cycler() -> None:
-            # The resync takes the exclusive lock, draining in-flight
-            # batch rounds (their writers hold lock scopes for the whole
-            # round) before replaying — racing it is the point.
-            try:
-                while not stop.is_set():
-                    controller.disable_backend("db1")
-                    time.sleep(0.002)
-                    controller.enable_backend("db1")
-                    time.sleep(0.002)
-            except Exception as exc:  # noqa: BLE001
-                resync_errors.append(exc)
-
-        cycler = threading.Thread(target=resync_cycler, name="resync-cycler")
-        cycler.start()
-        wall, errors = _run_writers(
-            scheduler, writers, writes_per_writer, lambda i: f"batched_w{i}"
-        )
-        stop.set()
-        cycler.join(timeout=30.0)
-        if errors:
-            raise errors[0]
-        if resync_errors:
-            raise resync_errors[0]
-
-        entries = controller.recovery_log.entries_after(base_index)
-        per_table_seqs: Dict[str, List[int]] = {}
-        for entry in entries:
-            for table, seq in entry.table_seqs.items():
-                per_table_seqs.setdefault(table, []).append(seq)
-        per_table_order_ok = all(
-            seqs == sorted(seqs) and len(seqs) == len(set(seqs))
-            for seqs in per_table_seqs.values()
-        )
-        checksums = cluster_checksums(env)
-        converged = all(
-            len(set(copies.values())) == 1 for copies in checksums.values()
-        )
-        batch_stats = scheduler.stats()["write_batching"]
-        result.add_row(
-            writes=writers * writes_per_writer,
-            logged=len(entries),
-            all_writes_logged=len(entries) == writers * writes_per_writer,
-            wall_s=round(wall, 4),
-            replicas_converged=converged,
-            per_table_order_ok=per_table_order_ok,
+    with _resync_race(
+        "E18b",
+        "Replica convergence under batched writers racing a resync",
+        backends,
+        {"placement": "hash:2", "write_batching": True},
+        [f"batched_w{index}" for index in range(writers)],
+        rows_per_table,
+        0,
+        writers,
+        writes_per_writer,
+    ) as race:
+        batch_stats = race.scheduler.stats()["write_batching"]
+        race.result.add_row(
+            writes=race.writes,
+            logged=race.logged,
+            all_writes_logged=race.logged == race.writes,
+            wall_s=race.wall_s,
+            replicas_converged=race.replicas_converged,
+            per_table_order_ok=race.per_table_order_ok,
             batch_rounds=batch_stats["rounds"] if batch_stats else 0,
             batched_statements=batch_stats["batched_statements"] if batch_stats else 0,
         )
-        result.add_note(
-            "every hosting replica holds identical rows after batched disjoint "
-            "writers raced repeated disable/resync cycles; no write was lost to "
-            "a batch round and per-table log sequences stay strictly increasing"
-        )
-    finally:
-        env.close()
-    return result
+    race.result.add_note(
+        "every hosting replica holds identical rows after batched disjoint "
+        "writers raced repeated disable/resync cycles; no write was lost to "
+        "a batch round and per-table log sequences stay strictly increasing"
+    )
+    return race.result
 
 
 def run_admission_experiment(
@@ -967,7 +838,7 @@ def run_admission_experiment(
             "max_in_flight_statements": max_in_flight,
         },
     )
-    env = build_cluster(
+    cluster = build_cluster(
         replicas=2,
         controllers=1,
         controller_options={
@@ -977,16 +848,9 @@ def run_admission_experiment(
             "write_batching": True,
         },
     )
-    try:
+    with contextlib.closing(cluster) as env:
         controller = env.controllers[0]
-        scheduler = controller.scheduler
-        scheduler.execute(
-            "CREATE TABLE adm (id INTEGER NOT NULL PRIMARY KEY, v INTEGER)"
-        )
-        for row in range(clients):
-            scheduler.execute(
-                "INSERT INTO adm (id, v) VALUES ($i, $v)", {"i": row, "v": -1}
-            )
+        _create_table(controller.scheduler, "adm", clients, -1)
         base_index = controller.recovery_log.last_index
         driver = ClusterDriverRuntime(name="admission-herd")
         connections = [
@@ -999,55 +863,22 @@ def run_admission_experiment(
             )
             for _ in range(clients)
         ]
-        latencies: List[float] = []
-        latency_lock = threading.Lock()
-        errors: List[Exception] = []
-        barrier = threading.Barrier(clients + 1)
+        cursors = [connection.cursor() for connection in connections]
+        latencies: List[float] = []  # shared: list.append is atomic
 
-        def client_body(client_index: int) -> None:
-            connection = connections[client_index]
-            cursor = connection.cursor()
-            local: List[float] = []
-            barrier.wait()
-            try:
-                for write_index in range(writes_per_client):
-                    started = time.perf_counter()
-                    cursor.execute(
-                        "UPDATE adm SET v = $v WHERE id = $i",
-                        {"v": write_index, "i": client_index},
-                    )
-                    local.append((time.perf_counter() - started) * 1000.0)
-            except Exception as exc:  # noqa: BLE001 - surfaced below
-                errors.append(exc)
-            with latency_lock:
-                latencies.extend(local)
+        def client_write(client_index: int, write_index: int) -> None:
+            started = time.perf_counter()
+            cursors[client_index].execute(
+                "UPDATE adm SET v = $v WHERE id = $i", {"v": write_index, "i": client_index}
+            )
+            latencies.append((time.perf_counter() - started) * 1000.0)
 
-        threads = [
-            threading.Thread(target=client_body, args=(index,), name=f"client-{index}")
-            for index in range(clients)
-        ]
-        for thread in threads:
-            thread.start()
-        barrier.wait()
-        started = time.perf_counter()
-        for thread in threads:
-            thread.join()
-        wall = time.perf_counter() - started
-        if errors:
-            raise errors[0]
+        wall = _run_threads(clients, writes_per_client, client_write, name="client")
 
         writes = clients * writes_per_client
         logged = len(controller.recovery_log.entries_after(base_index))
-        checksums = cluster_checksums(env)
-        converged = all(
-            len(set(copies.values())) == 1 for copies in checksums.values()
-        )
-        rows_ok = True
-        for engine in env.replica_engines:
-            session = engine.open_session(env.database_name)
-            rows = sorted(session.execute("SELECT id, v FROM adm").rows)
-            if rows != [(i, writes_per_client - 1) for i in range(clients)]:
-                rows_ok = False
+        converged = _replicas_converged(cluster_checksums(env))
+        rows_ok = _final_rows_ok(env, "adm", clients, writes_per_client - 1)
         front_end = controller.stats()["front_end"]
         retries = sum(connection.stats()["server_busy_retries"] for connection in connections)
         backoff_s = sum(
@@ -1075,8 +906,6 @@ def run_admission_experiment(
             "in-flight peak respects the bound, and every write survives — "
             "bounded degradation instead of collapse"
         )
-    finally:
-        env.close()
     return result
 
 
@@ -1119,67 +948,48 @@ def run_group_commit_experiment(
     guarantee (no reply before its entry is synced), a fraction of the
     fsyncs.
     """
-    result = ExperimentResult(
-        experiment_id="E17b",
-        title="Group commit: batched recovery-log fsyncs under concurrent writers",
-        parameters={
-            "writers": writers,
-            "writes_per_writer": writes_per_writer,
-            "fsync_latency_ms": fsync_latency_ms,
-        },
-    )
-    timings: Dict[str, float] = {}
-    for mode in ("fsync-per-statement", "group-commit"):
-        log_dir = tempfile.mkdtemp(prefix="e17b-log-")
+    def setup(mode: str, stack: contextlib.ExitStack) -> Tuple[Any, ...]:
         grouped = mode == "group-commit"
         store = _RotationalFsyncStore(
-            log_dir,
+            stack.enter_context(tempfile.TemporaryDirectory(prefix="e17b-log-")),
             fsync_on_append=not grouped,
             fsync_latency_s=fsync_latency_ms / 1000.0,
         )
         log = RecoveryLog(store)
+        stack.callback(log.close)
         group_commit = GroupCommit(log) if grouped else None
-        backends = [Backend("sim1", lambda: _LatencyConnection(0.0))]
         scheduler = RequestScheduler(
-            backends,
+            [Backend("sim1", lambda: _SimConnection(0.0))],
             log,
             broadcaster=WriteBroadcaster(parallel=False),
             lock_manager=LockManager(conflict_aware=True),
             group_commit=group_commit,
         )
-        try:
-            wall, errors = _run_writers(
-                scheduler, writers, writes_per_writer, lambda i: f"gc_w{i}"
-            )
-            if errors:
-                raise errors[0]
-            writes = writers * writes_per_writer
+
+        def cells(timing: Dict[str, Any], wall: float) -> Dict[str, Any]:
             store_stats = store.stats()
-            row: Dict[str, Any] = {
-                "mode": mode,
-                "writes": writes,
-                "wall_s": round(wall, 4),
-                "writes_per_s": round(writes / wall, 1) if wall > 0 else "n/a",
-                "fsyncs": store_stats["fsyncs"],
-                "writes_per_fsync": round(writes / store_stats["fsyncs"], 2)
-                if store_stats["fsyncs"]
-                else "n/a",
+            fsyncs = store_stats["fsyncs"]
+            row = {
+                **timing,
+                "fsyncs": fsyncs,
+                "writes_per_fsync": round(timing["writes"] / fsyncs, 2) if fsyncs else "n/a",
                 "log_entries": store_stats["last_index"],
             }
             if group_commit is not None:
                 row["fsync_groups"] = group_commit.stats()["groups"]
-            result.add_row(**row)
-            timings[mode] = wall
-        finally:
-            scheduler.close()
-            log.close()
-            shutil.rmtree(log_dir, ignore_errors=True)
-    speedup = (
-        timings["fsync-per-statement"] / timings["group-commit"]
-        if timings.get("group-commit")
-        else 0.0
+            return row
+
+        return scheduler, [(f"gc_w{index}", index) for index in range(writers)], cells
+
+    result, speedup = _compare_modes(
+        "E17b",
+        "Group commit: batched recovery-log fsyncs under concurrent writers",
+        writers,
+        writes_per_writer,
+        {"fsync_latency_ms": fsync_latency_ms},
+        ["fsync-per-statement", "group-commit"],
+        setup,
     )
-    result.parameters["speedup_x"] = round(speedup, 2)
     result.add_note(
         f"{writers} concurrent auto-commit writers are {speedup:.1f}x faster when "
         "durability is batched into group fsyncs, with every reply still held "

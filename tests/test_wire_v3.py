@@ -1,9 +1,9 @@
 """Protocol v3: multiplexed sessions, pipelining, correlation rules and
 the negotiation edges (docs/wire.md).
 
-The promises under test: a v3 driver against a v2 (or multiplexing-off)
-controller silently downgrades to one-channel-per-connection; a v2
-driver against a v3 controller is served exactly as before; malformed
+The promises under test: a v3 driver against a v2 controller silently
+downgrades to one-channel-per-connection; a v2 driver against a v3
+controller is served exactly as before; malformed
 ``session_id``/``request_id`` frames are answered with an error instead
 of hanging a pool worker; logical sessions multiplexed over one channel
 are accounted exactly; pipelined statements come back in order; group
@@ -13,6 +13,7 @@ commit and the front-end thread bounds hold.
 import threading
 import time
 
+import chaos
 import pytest
 
 from repro.cluster import Controller, ControllerConfig
@@ -30,7 +31,7 @@ from repro.cluster.wire import (
     make_result,
     make_session_open,
 )
-from repro.dbapi import ProgrammingError
+from repro.dbapi import OperationalError, ProgrammingError
 from repro.errors import TransportError
 from repro.netsim import InMemoryNetwork
 from repro.netsim.transport import ChannelServer
@@ -119,24 +120,6 @@ class TestNegotiationEdges:
         cursor.execute("SELECT COUNT(*) FROM v3v2_t")
         assert cursor.fetchone() == (0,)
         connection.close()
-
-    def test_multiplexing_off_controller_downgrades_silently(self):
-        from repro.experiments.environments import build_cluster
-
-        env = build_cluster(
-            replicas=1, controllers=1, controller_options={"multiplexing": False}
-        )
-        try:
-            driver = ClusterDriverRuntime(name="mux-off-driver")
-            connection = driver.connect(env.client_url(), network=env.network)
-            assert not connection.multiplexed
-            cursor = connection.cursor()
-            cursor.execute("CREATE TABLE off_t (id INTEGER PRIMARY KEY)")
-            cursor.execute("SELECT COUNT(*) FROM off_t")
-            assert cursor.fetchone() == (0,)
-            connection.close()
-        finally:
-            env.close()
 
     def test_v2_driver_v3_controller_served_dedicated(self, cluster_env):
         env = cluster_env
@@ -245,6 +228,109 @@ class TestMalformedCorrelation:
         assert cursor.fetchone() == (1,)
         connection.close()
         channel.close()
+
+
+def _dedicated_handshake(env, controller):
+    """Raw handshake that does not ask for multiplexing; returns the
+    channel, whose one implicit session is open."""
+    channel = env.network.connect(controller.address, timeout=2.0)
+    channel.send(make_connect("vdb", None, None, CLUSTER_PROTOCOL_VERSION))
+    reply = channel.recv(timeout=5.0)
+    assert reply["type"] == ClusterMessageType.CONNECT_OK
+    assert "multiplexing" not in reply
+    return channel
+
+
+class _RawClient:
+    """Hand-rolled frames on either kind of channel. On a trunk
+    ``open``/``execute`` name a logical session; on a dedicated channel
+    the names are ignored — the handshake opened the only session."""
+
+    def __init__(self, env, controller, trunk):
+        self.trunk = trunk
+        handshake = _mux_handshake if trunk else _dedicated_handshake
+        self.channel = handshake(env, controller)
+        self.request_id = 0
+
+    def open(self, session_id):
+        if self.trunk:
+            self.request_id += 1
+            self.channel.send(make_session_open(session_id, self.request_id))
+            assert self.channel.recv(timeout=5.0)["type"] == ClusterMessageType.SESSION_OPEN_OK
+
+    def execute(self, session_id, sql, **fields):
+        message = make_execute(sql)
+        if self.trunk:
+            self.request_id += 1
+            message["session_id"] = session_id
+            message["request_id"] = self.request_id
+        message.update(fields)
+        self.channel.send(message)
+        return self.channel.recv(timeout=5.0)
+
+
+@pytest.mark.parametrize("trunk", [True, False], ids=["trunk", "dedicated"])
+class TestMalformedExecute:
+    @pytest.mark.parametrize("params", ["oops", [1, 2], 7], ids=["str", "list", "int"])
+    def test_non_mapping_params_answered_and_channel_survives(self, cluster_env, trunk, params):
+        # Outside input: the frame is refused on the reader thread with a
+        # (correlated) bad_message — it must not kill the reader, the
+        # channel, or any sibling session riding the same trunk.
+        env = cluster_env
+        controller = env.controllers[0]
+        client = _RawClient(env, controller, trunk)
+        client.open("victim")
+        client.open("sibling")
+        sessions_before = controller.stats()["active_sessions"]
+        assert sessions_before == (2 if trunk else 1)
+        reply = client.execute("victim", "SELECT 1", params=params)
+        assert reply["type"] == ClusterMessageType.ERROR
+        assert reply["code"] == "bad_message"
+        if trunk:
+            assert (reply["session_id"], reply["request_id"]) == ("victim", client.request_id)
+        else:
+            assert "session_id" not in reply and "request_id" not in reply
+        reply = client.execute("sibling", "SELECT 1")
+        assert reply["type"] == ClusterMessageType.RESULT
+        assert reply["rows"] == [[1]]
+        assert controller.stats()["active_sessions"] == sessions_before
+        client.channel.close()
+
+    def test_unexpected_exception_answers_internal_error_and_frees_the_slot(
+        self, trunk, monkeypatch
+    ):
+        from repro.experiments.environments import build_cluster
+
+        env = build_cluster(
+            replicas=1, controllers=1, controller_options={"max_in_flight_statements": 1}
+        )
+        try:
+            controller = env.controllers[0]
+            real_execute = controller.scheduler.execute
+            raised = []
+
+            def execute_raising_once(*args, **kwargs):
+                if not raised:
+                    raised.append(True)
+                    raise RuntimeError("scheduler bug")
+                return real_execute(*args, **kwargs)
+
+            monkeypatch.setattr(controller.scheduler, "execute", execute_raising_once)
+            client = _RawClient(env, controller, trunk)
+            client.open("s")
+            reply = client.execute("s", "SELECT 1")
+            assert reply["type"] == ClusterMessageType.ERROR
+            assert reply["code"] == "internal_error"
+            assert "scheduler bug" in reply["message"]
+            assert controller.stats()["front_end"]["in_flight_statements"] == 0
+            # The session keeps serving — and under a bound of one, only
+            # because the failed statement's slot was released.
+            reply = client.execute("s", "SELECT 1")
+            assert reply["type"] == ClusterMessageType.RESULT
+            assert reply["rows"] == [[1]]
+            client.channel.close()
+        finally:
+            env.close()
 
 
 class TestMultiplexedSessions:
@@ -411,6 +497,157 @@ class TestMuxFailover:
             connection.close()
 
 
+def _run_front_end_script(multiplexing):
+    """One client script through the driver with ``multiplexing`` on or
+    off; returns what it observed. The controller has one front end, so
+    apart from the trunk-only queue span both runs must observe the same."""
+    from repro.experiments.environments import build_cluster
+    from repro.obs import Trace
+
+    env = build_cluster(
+        replicas=2,
+        controllers=1,
+        controller_options={"tracing": True, "max_in_flight_statements": 1},
+    )
+    try:
+        controller = env.controllers[0]
+        runtime = ClusterDriverRuntime(name=f"front-end-{multiplexing}")
+
+        def connect():
+            connection = runtime.connect(
+                env.client_url(),
+                network=env.network,
+                multiplexing=multiplexing,
+                trace="true",
+                busy_retries=0,
+            )
+            assert connection.multiplexed is multiplexing
+            return connection
+
+        def in_background(action):
+            errors, done = [], threading.Event()
+
+            def body():
+                try:
+                    action()
+                except Exception as exc:  # noqa: BLE001 - returned to the script
+                    errors.append(exc)
+                finally:
+                    done.set()
+
+            thread = threading.Thread(target=body)
+            thread.start()
+            return thread, done, errors
+
+        seen = {}
+        # Autocommit write + read, the write traced.
+        main = connect()
+        cursor = main.cursor()
+        cursor.execute("CREATE TABLE fe_t (id INTEGER PRIMARY KEY, v INTEGER)")
+        cursor.execute("INSERT INTO fe_t (id, v) VALUES (1, 10)")
+        seen["write_stages"] = {
+            span.name
+            for span in Trace.spans_from_wire(main.last_trace["spans"])
+            if span.parent is None
+        }
+        cursor.execute("SELECT v FROM fe_t WHERE id = 1")
+        seen["read"] = cursor.fetchall()
+
+        # A connection dropped mid-transaction is rolled back and forgotten.
+        doomed = connect()
+        doomed.begin()
+        doomed.cursor().execute("UPDATE fe_t SET v = 99 WHERE id = 1")
+        assert controller.stats()["active_sessions"] == 2
+        assert controller.scheduler.open_transactions == 1
+        doomed.close()
+        assert chaos.wait_until(lambda: controller.stats()["active_sessions"] == 1)
+        assert chaos.wait_until(lambda: controller.scheduler.open_transactions == 0)
+        cursor.execute("SELECT v FROM fe_t WHERE id = 1")
+        seen["after_abandon"] = cursor.fetchall()
+
+        # Saturation: a sibling parked on the write path holds the only
+        # in-flight slot; new work is refused, the open transaction's
+        # COMMIT is admitted past the bound.
+        main.begin()
+        cursor.execute("UPDATE fe_t SET v = 11 WHERE id = 1")
+        blocked, probe = connect(), connect()
+        exclusive = controller.scheduler._locks.exclusive()
+        exclusive.__enter__()
+        try:
+            blocked_thread, blocked_done, blocked_errors = in_background(
+                lambda: blocked.cursor().execute("INSERT INTO fe_t (id, v) VALUES (2, 20)")
+            )
+            assert chaos.wait_until(
+                lambda: controller.stats()["front_end"]["in_flight_statements"] == 1
+            )
+            with pytest.raises(OperationalError, match="server_busy"):
+                probe.cursor().execute("SELECT 1")
+            commit_thread, commit_done, commit_errors = in_background(main.commit)
+            # Admitted, so it parks behind the exclusive lock (ahead of
+            # the sibling: exclusive waiters go first); a refusal
+            # (busy_retries=0) would have come straight back instead.
+            assert chaos.wait_until(
+                lambda: controller.scheduler.lock_manager.stats()["exclusive_waiters"] == 1
+            )
+            assert not commit_done.is_set()
+        finally:
+            exclusive.__exit__(None, None, None)
+        assert blocked_done.wait(timeout=10.0) and commit_done.wait(timeout=10.0)
+        blocked_thread.join(timeout=5.0)
+        commit_thread.join(timeout=5.0)
+        assert blocked_errors == [] and commit_errors == []
+        for connection in (main, blocked, probe):
+            connection.close()
+        assert chaos.wait_until(lambda: controller.stats()["active_sessions"] == 0)
+
+        seen["rows"] = [
+            sorted(engine.open_session(env.database_name).execute("SELECT id, v FROM fe_t").rows)
+            for engine in env.replica_engines
+        ]
+        seen["log"] = [
+            (entry.sql, entry.params, entry.write_tables)
+            for entry in controller.recovery_log.entries_after(0)
+        ]
+        stats = controller.stats()
+        seen["statements_served"] = stats["statements_served"]
+        seen["failed_statements"] = stats["failed_statements"]
+        seen["server_busy_rejections"] = stats["front_end"]["server_busy_rejections"]
+        seen["in_flight_statements"] = stats["front_end"]["in_flight_statements"]
+        return seen
+    finally:
+        env.close()
+
+
+class TestFrontEndEquivalence:
+    @pytest.fixture(scope="class")
+    def runs(self):
+        return {multiplexing: _run_front_end_script(multiplexing) for multiplexing in (True, False)}
+
+    @pytest.mark.parametrize("multiplexing", [True, False], ids=["trunk", "dedicated"])
+    def test_script_outcome(self, runs, multiplexing):
+        seen = runs[multiplexing]
+        assert seen["read"] == [(10,)]
+        assert seen["after_abandon"] == [(10,)]
+        assert seen["rows"] == [[(1, 11), (2, 20)]] * 2
+        assert seen["server_busy_rejections"] == 1
+        assert seen["in_flight_statements"] == 0
+        assert {"classify", "lock", "execute", "log_append"} <= seen["write_stages"]
+        # Only a trunk queues a statement for the worker pool; a dedicated
+        # channel's reader runs it in place.
+        assert ("queue" in seen["write_stages"]) is multiplexing
+
+    def test_both_kinds_of_channel_observe_the_same(self, runs):
+        trunk, dedicated = dict(runs[True]), dict(runs[False])
+        assert trunk.pop("write_stages") - dedicated.pop("write_stages") == {"queue"}
+        assert [sql for sql, _, _ in trunk["log"]] == [
+            "CREATE TABLE fe_t (id INTEGER PRIMARY KEY, v INTEGER)",
+            "INSERT INTO fe_t (id, v) VALUES (1, 10)",
+            "UPDATE fe_t SET v = 11 WHERE id = 1",
+            "INSERT INTO fe_t (id, v) VALUES (2, 20)",
+        ]
+        assert trunk == dedicated
+
+
 class TestChannelServerFrontEnd:
     def test_dead_handler_threads_are_reaped(self):
         net = InMemoryNetwork()
@@ -572,14 +809,11 @@ class TestGroupCommitUnit:
         assert coordinator.stats()["flushed_through"] >= entry.index
         log.close()
 
-    def test_controller_group_commit_gated_by_config(self, tmp_path):
+    def test_controller_group_commit_gated_by_log_durability(self, tmp_path):
         network = InMemoryNetwork()
         durable = Controller(
             ControllerConfig(
-                controller_id="gc-on",
-                log_dir=str(tmp_path / "gc-on"),
-                log_fsync=True,
-                group_commit=True,
+                controller_id="gc-on", log_dir=str(tmp_path / "gc-on"), log_fsync=True
             ),
             network,
             "gc-on:25322",
@@ -588,21 +822,17 @@ class TestGroupCommitUnit:
         assert durable.group_commit is not None
         # The store must not double-pay: fsync rides the group flush.
         assert durable.recovery_log.store.fsync_on_append is False
-        plain = Controller(
-            ControllerConfig(
-                controller_id="gc-off",
-                log_dir=str(tmp_path / "gc-off"),
-                log_fsync=True,
-                group_commit=False,
-            ),
+        unsynced = Controller(
+            ControllerConfig(controller_id="gc-nosync", log_dir=str(tmp_path / "gc-nosync")),
             network,
-            "gc-off:25322",
+            "gc-nosync:25322",
             backends=[],
         )
-        assert plain.group_commit is None
-        assert plain.recovery_log.store.fsync_on_append is True
+        # No fsync asked for -> no durability wait to group.
+        assert unsynced.group_commit is None
+        assert unsynced.recovery_log.store.fsync_on_append is False
         memory_only = Controller(
-            ControllerConfig(controller_id="gc-mem", group_commit=True),
+            ControllerConfig(controller_id="gc-mem", log_fsync=True),
             network,
             "gc-mem:25322",
             backends=[],
