@@ -3,14 +3,13 @@
 A write must reach every backend hosting the tables it touches — all of
 them under RAIDb-1, the placement map's hosting subset under RAIDb-0/2
 (the scheduler computes the target list; this layer executes on whatever
-it is handed). The original scheduler executed them one backend after
-another, so the wall-clock cost of a write grew linearly with the
-replica count. The broadcaster runs the statement on all target backends
-concurrently on a shared thread pool and aggregates the per-backend
+it is handed). The broadcaster runs the statement on all target backends
+concurrently on a shared thread pool, so a write's wall-clock cost does
+not grow with the replica count, and aggregates the per-backend
 outcomes; the scheduler then decides what a partial failure means (mark
 the backend failed, keep the first success).
 
-``parallel=False`` preserves the sequential behaviour — the benchmarks
+``parallel=False`` runs the targets one after another — the benchmarks
 compare both modes on latency-injected backends.
 """
 

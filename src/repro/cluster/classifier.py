@@ -131,10 +131,11 @@ class ClassifiedStatement:
     def tables(self) -> FrozenSet[str]:
         return self.read_tables | self.write_tables
 
-    @property
+    @functools.cached_property
     def lock_tables(self) -> Optional[FrozenSet[str]]:
         """Table set a broadcast of this statement must lock, or ``None``
-        when only the exclusive global lock is safe.
+        when only the exclusive global lock is safe. Computed once per
+        statement object, so it rides :func:`classify`'s memo.
 
         A genuine write locks everything it touches: its write tables
         (two writers of one table must serialise), its read tables (an
@@ -146,8 +147,8 @@ class ClassifiedStatement:
         every backend, mutates the scheduler's transaction accounting),
         for unknown statements, and for any statement whose table set
         could not be extracted: not knowing what a statement conflicts
-        with means conflicting with everything, so today's total order is
-        the worst case, never violated."""
+        with means conflicting with everything, so total order is the
+        worst case, never violated."""
         if self.is_transaction_control or self.kind is StatementKind.UNKNOWN:
             return None
         scope = self.read_tables | self.write_tables | self.referenced_tables

@@ -39,11 +39,10 @@ from repro.cluster.wire import (
     make_session_close,
     make_session_open,
 )
-from repro.dbapi.api import Connection, Cursor
 from repro.dbapi.exceptions import InterfaceError, OperationalError, ProgrammingError
-from repro.dbapi.urls import ConnectionUrl, parse_url
+from repro.dbapi.runtime import DriverRuntime, ResultCursor, WireConnection
+from repro.dbapi.urls import ConnectionUrl
 from repro.errors import TransportError
-from repro.netsim.registry import DEFAULT_NETWORK_NAME, get_network
 from repro.netsim.transport import Channel, Network
 
 _FALSEY_OPTION_VALUES = {False, 0, "0", "false", "False", "off", "no"}
@@ -260,61 +259,11 @@ class MultiplexedChannel:
         self._channel.close()
 
 
-class ClusterCursor(Cursor):
-    """Cursor over the controller EXECUTE/RESULT exchange."""
-
-    def __init__(self, connection: "ClusterConnection") -> None:
-        self._connection = connection
-        self._rows: List[Tuple[Any, ...]] = []
-        self._index = 0
-        self._columns: List[str] = []
-        self._rowcount = -1
-        self._closed = False
-
-    @property
-    def description(self) -> Optional[List[Tuple]]:
-        if not self._columns:
-            return None
-        return [(name, None, None, None, None, None, None) for name in self._columns]
-
-    @property
-    def rowcount(self) -> int:
-        return self._rowcount
-
-    def execute(self, sql: str, params: Optional[Dict[str, Any]] = None) -> "ClusterCursor":
-        if self._closed:
-            raise InterfaceError("cursor is closed")
-        result = self._connection._execute(sql, params or {})
-        self._columns = list(result.get("columns", []))
-        self._rows = [tuple(row) for row in result.get("rows", [])]
-        self._index = 0
-        self._rowcount = int(result.get("rowcount", -1))
-        return self
-
-    def fetchone(self) -> Optional[Tuple[Any, ...]]:
-        if self._index >= len(self._rows):
-            return None
-        row = self._rows[self._index]
-        self._index += 1
-        return row
-
-    def fetchmany(self, size: Optional[int] = None) -> List[Tuple[Any, ...]]:
-        count = size if size is not None else self.arraysize
-        rows = self._rows[self._index : self._index + count]
-        self._index += len(rows)
-        return rows
-
-    def fetchall(self) -> List[Tuple[Any, ...]]:
-        rows = self._rows[self._index :]
-        self._index = len(self._rows)
-        return rows
-
-    def close(self) -> None:
-        self._closed = True
-        self._rows = []
+#: Name kept for the cluster driver's cursor.
+ClusterCursor = ResultCursor
 
 
-class ClusterConnection(Connection):
+class ClusterConnection(WireConnection):
     """A failover-capable connection to a controller group."""
 
     def __init__(
@@ -326,7 +275,7 @@ class ClusterConnection(Connection):
         password: Optional[str],
         options: Dict[str, Any],
     ) -> None:
-        self._driver = driver
+        super().__init__(driver)
         self._network = network
         self._url = url
         self._user = user
@@ -336,10 +285,6 @@ class ClusterConnection(Connection):
         self._mux_link: Optional[MultiplexedChannel] = None
         self._session_id: Optional[str] = None
         self._controller_id: Optional[str] = None
-        self._closed = False
-        self._in_transaction = False
-        self._lock = threading.Lock()
-        self.statements_executed = 0
         self.failovers = 0
         #: Controller HA: the primary address the last ``not_primary``
         #: bounce carried (tried first on the next reconnect), and
@@ -712,43 +657,12 @@ class ClusterConnection(Connection):
                     ) from exc
             return results
 
-    # -- DB-API -------------------------------------------------------------------------
-
-    def cursor(self) -> ClusterCursor:
-        if self._closed:
-            raise InterfaceError("connection is closed")
-        return ClusterCursor(self)
-
-    def begin(self) -> None:
-        self._execute("BEGIN", {})
-        self._in_transaction = True
-
-    def commit(self) -> None:
-        if not self._in_transaction:
-            return
-        self._execute("COMMIT", {})
-        self._in_transaction = False
-
-    def rollback(self) -> None:
-        if not self._in_transaction:
-            return
-        self._execute("ROLLBACK", {})
-        self._in_transaction = False
-
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
         self._detach()
         self._driver._forget_connection(self)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def in_transaction(self) -> bool:
-        return self._in_transaction
 
     @property
     def multiplexed(self) -> bool:
@@ -782,12 +696,8 @@ class ClusterConnection(Connection):
             "traced_statements": self.traced_statements,
         }
 
-    @property
-    def driver_info(self) -> Dict[str, Any]:
-        return self._driver.info()
 
-
-class ClusterDriverRuntime:
+class ClusterDriverRuntime(DriverRuntime):
     """Parameterised Sequoia-like driver runtime."""
 
     api_name = "SEQUOIA"
@@ -800,14 +710,10 @@ class ClusterDriverRuntime:
         preconfigured_url: Optional[str] = None,
         default_options: Optional[Dict[str, Any]] = None,
     ) -> None:
-        self.name = name
-        self.driver_version = tuple(driver_version)
-        self.protocol_version = protocol_version
-        self.preconfigured_url = preconfigured_url
-        self.default_options = dict(default_options or {})
-        self._connections: List[ClusterConnection] = []
+        super().__init__(
+            name, driver_version, protocol_version, None, preconfigured_url, default_options
+        )
         self._round_robin = 0
-        self._lock = threading.Lock()
         #: Shared multiplexed channels, keyed
         #: ``(id(network), host, database, user)`` — sessions for the same
         #: virtual database and credentials share a physical channel.
@@ -903,16 +809,6 @@ class ClusterDriverRuntime:
         with self._lock:
             return sum(len(links) for links in self._mux_links.values())
 
-    def info(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "api_name": self.api_name,
-            "driver_version": tuple(self.driver_version),
-            "protocol_version": self.protocol_version,
-            "extensions": [],
-            "preconfigured_url": self.preconfigured_url,
-        }
-
     def _next_start_index(self, host_count: int) -> int:
         """Round-robin start index for load balancing new connections."""
         if host_count <= 0:
@@ -921,34 +817,15 @@ class ClusterDriverRuntime:
             self._round_robin = (self._round_robin + 1) % host_count
             return self._round_robin
 
-    def connect(
+    def _open(
         self,
-        url: str,
-        user: Optional[str] = None,
-        password: Optional[str] = None,
-        network: Optional[Network] = None,
-        **options: Any,
+        network: Network,
+        url: ConnectionUrl,
+        user: Optional[str],
+        password: Optional[str],
+        options: Dict[str, Any],
     ) -> ClusterConnection:
-        merged: Dict[str, Any] = dict(self.default_options)
-        merged.update(options)
-        effective_url = self.preconfigured_url or url
-        parsed = parse_url(effective_url)
-        if network is None:
-            network_name = merged.get("network", parsed.options.get("network", DEFAULT_NETWORK_NAME))
-            network = get_network(str(network_name))
-        connection = ClusterConnection(self, network, parsed, user, password, merged)
-        with self._lock:
-            self._connections.append(connection)
-        return connection
-
-    def _forget_connection(self, connection: ClusterConnection) -> None:
-        with self._lock:
-            if connection in self._connections:
-                self._connections.remove(connection)
-
-    def open_connections(self) -> List[ClusterConnection]:
-        with self._lock:
-            return [conn for conn in self._connections if not conn.closed]
+        return ClusterConnection(self, network, url, user, password, options)
 
 
 #: Module-level conventional Sequoia driver (legacy installation path).

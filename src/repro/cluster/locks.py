@@ -1,24 +1,22 @@
 """Conflict-aware locking for the scheduler's write path.
 
-The original write path serialised every broadcast behind one global
-``threading.Lock``, so a hash-partitioned RAIDb-0/2 cluster gained write
-capacity on paper but executed one write at a time in practice. This
-module provides the :class:`LockManager` that replaces it. Lock
-granularity is a three-step ladder — each step covers strictly less than
-the one above it, and every acquisition falls back *up* the ladder
-whenever the narrower scope cannot be proven safe:
+The :class:`LockManager` orders cluster writes. Every acquisition's
+footprint is one :class:`LockScope` value, at one of three
+granularities — each covers strictly less than the one above it, and a
+caller that cannot prove the narrower footprint safe asks for the wider
+one:
 
-1. :meth:`LockManager.exclusive` — the global mode. It waits for every
-   in-flight scope to drain and blocks all new ones, which is exactly
-   the old global-lock behaviour. Everything that relies on total order
-   keeps it: transaction control, statements with an unknown/unparseable
-   table set, resync replays, dump-based cold starts, snapshot dumps and
-   placement swaps. The worst case is today's safety — never weaker.
+1. **exclusive** — the empty scope, :data:`EXCLUSIVE`
+   (:meth:`LockManager.exclusive`). It waits for every in-flight scope
+   to drain and blocks all new ones: total order. Everything that
+   relies on total order takes it: transaction control, statements with
+   an unknown/unparseable table set, resync replays, dump-based cold
+   starts, snapshot dumps and placement swaps.
 2. **table locks** — a write acquires locks on a known, non-empty table
    set, so statements touching disjoint tables execute and broadcast in
    parallel while conflicting statements serialise in acquisition order.
 3. **key locks** — a single-row write whose primary-key value is fully
-   resolved (the scheduler consults the schema catalog) locks just
+   resolved (see :mod:`repro.cluster.lockscope`) locks just
    ``(table, key)``, so writers on *disjoint rows of the same table*
    overlap too. A key lock conflicts with a table lock on its table in
    **both directions**: a table-scope holder blocks every key on that
@@ -27,9 +25,7 @@ whenever the narrower scope cannot be proven safe:
 Every acquisition is *all-or-nothing under one condition variable*, so
 there is no incremental lock ordering and therefore no deadlock between
 writers (a writer never holds part of its scope while waiting for the
-rest). Scopes are described by :class:`LockScope` — a set of whole
-tables plus a set of ``(table, key)`` pairs — and acquired through
-:meth:`LockManager.scope`.
+rest).
 
 Exclusive acquisition has priority over new table/key acquisitions: once
 an exclusive caller is waiting, fresh scopes queue behind it, so a
@@ -37,17 +33,7 @@ resync cannot be starved by a steady stream of writers. Exclusive
 acquisition is reentrant per thread, and a thread already holding the
 exclusive mode acquires any narrower scope as a **no-op**: exclusive
 self-ownership already covers every table and key, and waiting for
-itself to release would deadlock (a recovery path re-entering the
-scheduler did exactly that before this rule existed).
-
-``conflict_aware=False`` turns every acquisition into the exclusive
-mode, restoring the single-global-lock behaviour byte for byte — a
-historical baseline the concurrency benchmark (E15) builds from this
-primitive; the controller always runs conflict-aware. Key granularity
-has the same kind of baseline switch one layer up
-(``RequestScheduler(key_level_locking=False)``, E16's table-lock
-baseline): the scheduler simply stops producing key scopes, and every
-write is a table scope again.
+itself to release would deadlock.
 """
 
 from __future__ import annotations
@@ -56,14 +42,14 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterable, Iterator, Optional, Set, Tuple, Union
+from typing import Any, Dict, FrozenSet, Iterable, Iterator, Optional, Set, Tuple
 
 
 @dataclass(frozen=True)
 class LockScope:
     """One acquisition's footprint: whole tables plus ``(table, key)``
-    pairs. Empty scopes are the sentinel for "already covered" (an
-    exclusive self-owner's narrower acquisition) and release as no-ops."""
+    pairs. The empty scope is the exclusive mode (:data:`EXCLUSIVE`) —
+    an unknown footprint conflicts with everything."""
 
     tables: FrozenSet[str] = frozenset()
     keys: FrozenSet[Tuple[str, Any]] = frozenset()
@@ -72,27 +58,25 @@ class LockScope:
     def empty(self) -> bool:
         return not self.tables and not self.keys
 
-    def describe(self) -> str:
-        parts = [f"table:{name}" for name in sorted(self.tables)]
-        parts += [f"key:{table}[{key!r}]" for table, key in sorted(self.keys, key=repr)]
-        return ", ".join(parts) or "nothing"
+    @property
+    def kind(self) -> str:
+        """``exclusive``, ``table`` or ``key`` — the granularity name
+        traces attribute a lock wait to."""
+        if self.tables:
+            return "table"
+        return "key" if self.keys else "exclusive"
 
 
-#: The no-op scope handed back when the caller already holds exclusive.
-_COVERED = LockScope()
-
-#: What ``scope()`` accepts: None/empty → exclusive, an iterable of table
-#: names → table locks, a LockScope → exactly that footprint.
-ScopeSpec = Union[None, Iterable[str], LockScope]
+#: The empty scope: the exclusive mode. Also what :meth:`acquire_scope`
+#: reports as held when the caller's own exclusive hold already covers
+#: the scope it asked for (it releases as a no-op).
+EXCLUSIVE = LockScope()
 
 
 class LockManager:
     """Table- and key-level write locks with an exclusive global mode."""
 
-    def __init__(self, conflict_aware: bool = True) -> None:
-        #: When False, every acquisition takes the exclusive mode — the
-        #: pre-lock-manager behaviour (one global write lock).
-        self.conflict_aware = conflict_aware
+    def __init__(self) -> None:
         self._cond = threading.Condition()
         #: Tables currently locked whole by some in-flight statement.
         self._held_tables: Set[str] = set()
@@ -147,10 +131,10 @@ class LockManager:
         hold them all (all-or-nothing). Returns the scope actually held —
         pass it to :meth:`release_scope`.
 
-        A thread that already owns the exclusive mode gets the empty
-        scope back immediately: its exclusive hold covers any table or
-        key, and waiting for ``_exclusive_owner`` to clear would be
-        waiting for itself (the self-deadlock this excusal fixes).
+        A thread that already owns the exclusive mode gets
+        :data:`EXCLUSIVE` back immediately: its exclusive hold covers
+        any table or key, and waiting for ``_exclusive_owner`` to clear
+        would be waiting for itself.
 
         Must not be called with an empty scope — an unknown footprint
         means the caller cannot know what it conflicts with and must
@@ -161,7 +145,7 @@ class LockManager:
         with self._cond:
             if self._exclusive_owner == me:
                 self.covered_by_exclusive += 1
-                return _COVERED
+                return EXCLUSIVE
             waited = False
             started = 0.0
             try:
@@ -280,16 +264,10 @@ class LockManager:
             self.release_tables(held)
 
     @contextmanager
-    def scope(self, spec: ScopeSpec) -> Iterator[None]:
-        """The scheduler's one entry point: a :class:`LockScope` (or a
-        plain table set) for a known non-empty footprint, the exclusive
-        mode for ``None``/empty (and always when ``conflict_aware`` is
-        off)."""
-        if isinstance(spec, LockScope):
-            scope = spec
-        else:
-            scope = LockScope(tables=frozenset(spec) if spec is not None else frozenset())
-        if not self.conflict_aware or scope.empty:
+    def scope(self, scope: LockScope) -> Iterator[None]:
+        """The scheduler's one entry point: hold exactly ``scope`` —
+        the exclusive mode when it is empty."""
+        if scope.empty:
             with self.exclusive():
                 yield
         else:
@@ -304,7 +282,6 @@ class LockManager:
     def stats(self) -> Dict[str, Any]:
         with self._cond:
             return {
-                "conflict_aware": self.conflict_aware,
                 "tables_held": len(self._held_tables),
                 "keys_held": sum(len(keys) for keys in self._held_keys.values()),
                 "key_tables_held": len(self._held_keys),

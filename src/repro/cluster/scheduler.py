@@ -14,8 +14,7 @@ The scheduler is a thin orchestrator over five pluggable layers:
 5. :mod:`repro.cluster.querycache` — an optional SELECT-result cache
    invalidated by the tables each write touches.
 
-Under the default ``full`` placement (RAIDb-1) semantics are unchanged
-from the original single-class scheduler: reads go to one enabled
+Under the default ``full`` placement (RAIDb-1) reads go to one enabled
 backend, writes (and any statement inside an explicit transaction) go to
 all of them. Under a partial placement (RAIDb-0/2) reads go to a backend
 hosting *all* of the statement's read tables (only a full replica can
@@ -32,16 +31,13 @@ Genuine writes are appended to the recovery log for backend resync
 write that fails on one hosting backend marks that backend FAILED while
 the statement still succeeds if any hosting replica accepted it.
 
-Write ordering is **conflict-aware** (:mod:`repro.cluster.locks`): a
-write acquires table-level locks covering every table it touches, so
-statements on disjoint tables execute and broadcast in parallel — the
-capacity a partial placement promises — while conflicting statements
-serialise in acquisition order. A single-row INSERT/UPDATE/DELETE whose
-primary-key value is fully resolved (schema consulted through the
-``information_schema.columns`` catalog) narrows further to a **key-level
-lock** ``(table, key)``, so writers on disjoint rows of one table
-overlap too; range predicates, multi-row statements, unresolvable
-parameters, PK reassignments and DDL all fall back to the table level.
+Write ordering is **conflict-aware** (:mod:`repro.cluster.locks`): each
+broadcast holds the one :class:`LockScope` the
+:class:`~repro.cluster.lockscope.ScopeResolver` gives it — the rows it
+provably touches, else the tables it touches, else the exclusive mode —
+so statements on disjoint tables, and single-row writers on disjoint
+rows of one table, execute and broadcast in parallel while conflicting
+statements serialise in acquisition order.
 Execution and log append happen under the same locks, so log-index
 order equals execution order *per table* for table scopes — and for key
 scopes the overlapped statements address disjoint rows, so they commute
@@ -50,8 +46,8 @@ log records per-table sequence numbers so replay can verify (and
 backends can deduplicate, by exact sequence membership) per-table
 order. Transaction control, statements with an unknown/unparseable
 table set, resync replays, cold starts, snapshot dumps and placement
-swaps all take the exclusive global mode — today's total-order
-behaviour is the worst case, never violated.
+swaps all take the exclusive global mode — total order is the worst
+case, never violated.
 """
 
 from __future__ import annotations
@@ -71,6 +67,7 @@ from repro.cluster.classifier import (
 )
 from repro.cluster.loadbalancer import ReadPolicy, RoundRobinPolicy
 from repro.cluster.locks import LockManager, LockScope
+from repro.cluster.lockscope import KEYABLE_COMMANDS, ScopeResolver
 from repro.cluster.placement import NoHostingBackendError, PlacementMap, create_placement
 from repro.cluster.querycache import QueryCache
 from repro.cluster.recovery import (
@@ -100,61 +97,9 @@ class SchedulerError(DriverError):
     """No backend available to execute the request."""
 
 
-#: Statements eligible for a key-level lock scope, and the DDL commands
-#: that can change a table's primary key (they invalidate the PK cache).
-_KEYABLE_COMMANDS = ("INSERT", "UPDATE", "DELETE")
+#: DDL commands: they can change what a table's rows are keyed by, so
+#: they invalidate the scope resolver.
 _SCHEMA_COMMANDS = ("CREATE", "DROP", "ALTER")
-
-#: Sentinel for "no usable canonical key" (fall back to a table lock).
-_NO_KEY = object()
-
-
-def _scope_kind(spec: Any) -> str:
-    """Human name of a lock-scope spec for trace/log attribution."""
-    if spec is None:
-        return "exclusive"
-    if isinstance(spec, LockScope):
-        return "key"
-    return "table"
-
-
-def _canonical_key(value: Any, data_type: str) -> Any:
-    """Reduce one resolved predicate value to the canonical key the lock
-    manager compares, honouring the engine's comparison coercions (see
-    ``sqlengine.expressions._compare``): an INTEGER primary key matches
-    ``id = 7``, ``id = 7.0`` and ``id = '7'`` against the same row, so
-    all three must collide on the same lock key. Returns ``_NO_KEY``
-    when the value cannot be proven to address one key — bools coerce
-    *the column* instead of the value (``id = TRUE`` matches every
-    nonzero id), NULL never matches, and exotic types fall back."""
-    if value is None or isinstance(value, bool):
-        return _NO_KEY
-    data_type = (data_type or "").upper()
-    if data_type in ("INTEGER", "BIGINT"):
-        if isinstance(value, int):
-            return value
-        if isinstance(value, float):
-            return int(value) if value.is_integer() else _NO_KEY
-        if isinstance(value, str):
-            # The engine compares str(row_value) == value: only the exact
-            # decimal spelling matches a row ('07' matches nothing).
-            try:
-                parsed = int(value.strip())
-            except ValueError:
-                return _NO_KEY
-            return parsed if str(parsed) == value.strip() else _NO_KEY
-        return _NO_KEY
-    if data_type == "VARCHAR":
-        if isinstance(value, str):
-            return value
-        if isinstance(value, (int, float)):
-            # The engine stringifies the number side of a str/number
-            # comparison, so 7 addresses the same row as '7'.
-            return str(value)
-        return _NO_KEY
-    # DOUBLE/TIMESTAMP/BLOB/BOOLEAN keys: equality semantics are too
-    # subtle to prove key identity — table lock.
-    return _NO_KEY
 
 
 class _BatchItem:
@@ -165,7 +110,7 @@ class _BatchItem:
         "sql",
         "params",
         "statement",
-        "spec",
+        "scope",
         "targets",
         "in_transaction",
         "session_id",
@@ -185,7 +130,7 @@ class _BatchItem:
         sql: str,
         params: Optional[Dict[str, Any]],
         statement: ClassifiedStatement,
-        spec: Any,
+        scope: LockScope,
         targets: List[Backend],
         trace: Any = NULL_TRACE,
         in_transaction: bool = False,
@@ -194,7 +139,7 @@ class _BatchItem:
         self.sql = sql
         self.params = params
         self.statement = statement
-        self.spec = spec
+        self.scope = scope
         self.targets = targets
         self.in_transaction = in_transaction
         self.session_id = session_id
@@ -357,7 +302,6 @@ class RequestScheduler:
         broadcaster: Optional[WriteBroadcaster] = None,
         placement: Optional[PlacementMap] = None,
         lock_manager: Optional[LockManager] = None,
-        key_level_locking: bool = True,
         primary_keys: Optional[Dict[str, Tuple[str, str]]] = None,
         group_commit: Optional[GroupCommit] = None,
         write_batching: bool = False,
@@ -371,32 +315,16 @@ class RequestScheduler:
         for backend in self._backends:
             self._placement.add_backend(backend.name)
         self._lock = threading.Lock()
-        # Conflict-aware write ordering: each broadcast holds table-level
-        # locks covering the tables it touches (disjoint writes run in
-        # parallel), or the manager's exclusive mode when only total
-        # order is safe — transaction control, unknown table sets,
-        # resync/cold-start/dump/placement swaps. Execution and log
-        # append happen under the same locks, so log order equals
-        # execution order per table.
+        # Conflict-aware write ordering: each broadcast holds the lock
+        # scope ``_scopes`` resolves for it — rows, tables, or the
+        # exclusive mode when only total order is safe (transaction
+        # control, unknown table sets; resync/cold-start/dump/placement
+        # swaps take it directly). Execution and log append happen under
+        # the same locks, so log order equals execution order per table.
+        # ``primary_keys`` seeds the resolver for backends that expose
+        # no schema catalog (experiments).
         self._locks = lock_manager or LockManager()
-        # Key-level lock scopes: a single-row DML whose primary-key value
-        # is fully resolved locks (table, key) instead of the whole
-        # table, so disjoint-row writers on one table run in parallel.
-        # Off → every write takes (at least) a table lock as before.
-        self._key_level_locking = key_level_locking
-        # table → (pk_column, declared data_type, 1-based ordinal) or
-        # None when the table has no single-column PK (or is unknown).
-        # Resolved lazily from information_schema.columns and invalidated
-        # by DDL *inside the DDL's own lock scope*, which is what makes
-        # the key writers' revalidate-after-acquire loop sound.
-        # ``primary_keys`` pre-seeds entries (table → (column, type)) for
-        # environments whose backends expose no catalog (experiments).
-        self._pk_lock = threading.Lock()
-        self._pk_cache: Dict[str, Optional[Tuple[str, str, Optional[int]]]] = {}
-        self._pk_overrides: Dict[str, Tuple[str, str, Optional[int]]] = {
-            normalize_table_name(table): (column.lower(), data_type, None)
-            for table, (column, data_type) in (primary_keys or {}).items()
-        }
+        self._scopes = ScopeResolver(self.enabled_backends, primary_keys)
         # Scheduler-internal accounting shared by concurrent writers
         # (transaction state, log append + checkpoint advancement).
         # Always acquired *after* the lock manager's scope and never
@@ -844,181 +772,6 @@ class RequestScheduler:
             self._backends.append(backend)
         self._placement.add_backend(backend.name)
 
-    # -- key-level lock scopes ----------------------------------------------------
-
-    def _primary_key(self, table: str) -> Optional[Tuple[str, str, Optional[int]]]:
-        """``(column, data_type, ordinal)`` of ``table``'s single-column
-        primary key, or None. Cached; DDL invalidates (see
-        :meth:`_invalidate_pk_cache`)."""
-        override = self._pk_overrides.get(table)
-        if override is not None:
-            return override
-        with self._pk_lock:
-            if table in self._pk_cache:
-                return self._pk_cache[table]
-        resolved = self._resolve_primary_key(table)
-        with self._pk_lock:
-            self._pk_cache[table] = resolved
-        return resolved
-
-    def _resolve_primary_key(self, table: str) -> Optional[Tuple[str, str, Optional[int]]]:
-        """Ask the schema catalog for ``table``'s primary key. Any
-        failure — no enabled backend, a backend without the catalog, a
-        composite or absent PK — resolves to None: the caller falls back
-        to a table lock, which is always safe."""
-        backend = next(iter(self.enabled_backends()), None)
-        if backend is None:
-            return None
-        try:
-            _, rows, _ = backend.execute(
-                "SELECT table_name, table_schema, column_name, ordinal_position, "
-                "data_type, is_primary_key FROM information_schema.columns",
-                None,
-                track=False,
-            )
-            pk_columns = []
-            for table_name, table_schema, column_name, ordinal, data_type, is_pk in rows:
-                qualified = (
-                    f"{table_schema}.{table_name}" if table_schema else str(table_name)
-                )
-                if normalize_table_name(qualified) != table:
-                    continue
-                if bool(is_pk):
-                    pk_columns.append(
-                        (str(column_name).lower(), str(data_type), int(ordinal))
-                    )
-        except Exception:
-            return None
-        if len(pk_columns) != 1:
-            # No PK or a composite PK: one lock key cannot stand for the
-            # row identity the engine enforces.
-            return None
-        return pk_columns[0]
-
-    def _invalidate_pk_cache(self, tables: Optional[Any]) -> None:
-        """Forget cached PKs for ``tables`` (or everything when the DDL's
-        table set is unknown). Called while the DDL still holds its lock
-        scope, which conflicts with every key lock on those tables — so
-        a key writer either finished before the DDL or re-resolves after
-        it (see the revalidation loop in :meth:`_execute_broadcast`)."""
-        with self._pk_lock:
-            if tables:
-                for table in tables:
-                    self._pk_cache.pop(table, None)
-            else:
-                self._pk_cache.clear()
-
-    @staticmethod
-    def _key_expr_for(
-        statement: ClassifiedStatement, pk_column: str, pk_ordinal: Optional[int]
-    ):
-        """The classifier-extracted expression giving the PK value this
-        statement addresses, or None when the statement cannot be proven
-        single-key (range/absent predicate, multi-row INSERT, PK
-        reassignment)."""
-        if statement.command == "INSERT":
-            if statement.insert_values is None:
-                return None
-            if statement.insert_columns is not None:
-                try:
-                    position = statement.insert_columns.index(pk_column)
-                except ValueError:
-                    # PK not in the column list: it takes a DEFAULT the
-                    # classifier cannot see.
-                    return None
-            elif pk_ordinal is not None:
-                position = pk_ordinal - 1
-            else:
-                return None
-            if position >= len(statement.insert_values):
-                return None
-            return statement.insert_values[position]
-        if statement.command == "UPDATE" and pk_column in statement.set_columns:
-            # Reassigning the PK moves the row to a second key; a single
-            # key lock would not cover the destination.
-            return None
-        for column, expr in statement.where_equalities:
-            if column == pk_column:
-                return expr
-        return None
-
-    def _lock_scope_spec(
-        self, statement: ClassifiedStatement, params: Optional[Dict[str, Any]]
-    ):
-        """What this statement's broadcast must lock: a key-level
-        :class:`LockScope` when the statement provably touches one row of
-        one table and its PK value resolves, the classifier's table set
-        otherwise, None (exclusive) when even the table set is unknown."""
-        tables = statement.lock_tables
-        if tables is None:
-            return None
-        if (
-            not self._key_level_locking
-            or statement.command not in _KEYABLE_COMMANDS
-            or len(statement.write_tables) != 1
-            or tables != statement.write_tables
-        ):
-            # Reads/REFERENCES alongside the write keep table locks: the
-            # key only covers the written row, not the observed tables.
-            return tables
-        table = next(iter(tables))
-        resolved = self._primary_key(table)
-        if resolved is None:
-            return tables
-        pk_column, data_type, ordinal = resolved
-        expr = self._key_expr_for(statement, pk_column, ordinal)
-        if expr is not None:
-            key = self._resolve_lock_key(expr, params, data_type)
-            if key is _NO_KEY:
-                return tables
-            return LockScope(keys=frozenset({(table, key)}))
-        exprs = self._key_exprs_from_in_list(statement, pk_column)
-        if exprs is None:
-            return tables
-        keys = set()
-        for element in exprs:
-            key = self._resolve_lock_key(element, params, data_type)
-            if key is _NO_KEY:
-                # One unresolvable element poisons the whole list: the
-                # statement may touch a row no listed key covers.
-                return tables
-            keys.add((table, key))
-        return LockScope(keys=frozenset(keys))
-
-    @staticmethod
-    def _resolve_lock_key(expr: Any, params: Optional[Dict[str, Any]], data_type: str) -> Any:
-        """Resolve one classifier KeyExpr to a canonical lock key, or
-        ``_NO_KEY`` when it cannot be proven to address one row."""
-        expr_kind, payload = expr
-        if expr_kind == "value":
-            value = payload
-        elif expr_kind == "param":
-            # Positional params ("?") can't be matched to a value here.
-            if payload == "?" or not params or payload not in params:
-                return _NO_KEY
-            value = params[payload]
-        else:  # opaque
-            return _NO_KEY
-        return _canonical_key(value, data_type)
-
-    @staticmethod
-    def _key_exprs_from_in_list(
-        statement: ClassifiedStatement, pk_column: str
-    ) -> Optional[Tuple[Any, ...]]:
-        """The ``pk IN (...)`` elements bounding an UPDATE/DELETE's touched
-        keys, or None. Sound because an AND-conjunct IN list means every
-        touched row's PK is among the listed values; a PK-reassigning
-        UPDATE moves rows to a key *outside* the list, so it never
-        qualifies (INSERT has no WHERE at all)."""
-        if statement.command not in ("UPDATE", "DELETE"):
-            return None
-        if statement.command == "UPDATE" and pk_column in statement.set_columns:
-            return None
-        for column, exprs in statement.where_in_lists:
-            if column == pk_column:
-                return exprs
-        return None
-
     # -- routing -----------------------------------------------------------------
 
     def execute(
@@ -1190,11 +943,6 @@ class RequestScheduler:
         session_id: Optional[str] = None,
         trace: Any = NULL_TRACE,
     ) -> Tuple[List[str], List[Any], int]:
-        # Conflict-aware scope: a key-level lock for a provably
-        # single-row DML, table locks covering everything the statement
-        # touches (disjoint statements run in parallel), or the exclusive
-        # global mode for transaction control / unknown table sets — see
-        # _lock_scope_spec and ClassifiedStatement.lock_tables.
         while True:
             # The lock span opens *before* scope resolution: resolving a
             # key scope may probe the schema catalog (first statement per
@@ -1202,19 +950,15 @@ class RequestScheduler:
             # right lock — leaving it outside would show up as a mystery
             # gap between classify and lock in the trace.
             trace.begin("lock")
-            spec = self._lock_scope_spec(statement, params)
-            with self._locks.scope(spec):
-                trace.end("lock", kind=_scope_kind(spec))
-                if isinstance(spec, LockScope) and (
-                    self._lock_scope_spec(statement, params) != spec
-                ):
-                    # The PK was resolved *before* acquiring, and a racing
-                    # DDL (which holds a conflicting table lock while it
-                    # invalidates the PK cache) may have changed it in
-                    # between. Recompute under the lock; a changed
-                    # footprint means our key no longer stands for the
-                    # row identity — release and re-acquire the right
-                    # scope.
+            scope, generation = self._scopes.resolve(statement, params)
+            with self._locks.scope(scope):
+                trace.end("lock", kind=scope.kind)
+                if scope.keys and self._scopes.generation != generation:
+                    # The key was resolved *before* acquiring, and a DDL
+                    # (which invalidates the resolver while holding a
+                    # conflicting table scope) completed in between: the
+                    # key may no longer stand for the row identity —
+                    # release and resolve again.
                     continue
                 # Re-snapshot the membership under the lock: a backend
                 # enabled by a resync that this write waited out must be
@@ -1228,7 +972,7 @@ class RequestScheduler:
                 # control / unknown table sets).
                 targets = self._write_targets(enabled, statement)
                 item = _BatchItem(
-                    sql, params, statement, spec, targets, trace, in_transaction, session_id
+                    sql, params, statement, scope, targets, trace, in_transaction, session_id
                 )
                 if self._batch_eligible(statement, in_transaction):
                     # Safe to decide here: while this scope is held no
@@ -1271,7 +1015,7 @@ class RequestScheduler:
         every held scope first."""
         if self._write_batcher is None or in_transaction:
             return False
-        if statement.command not in _KEYABLE_COMMANDS:
+        if statement.command not in KEYABLE_COMMANDS:
             return False
         if not statement.write_tables or statement.lock_tables is None:
             return False
@@ -1356,12 +1100,7 @@ class RequestScheduler:
                 for item in to_log:
                     write_tables = item.statement.write_tables
                     self._tx_buffer.append(
-                        (
-                            item.sql,
-                            dict(item.params or {}),
-                            frozenset(write_tables),
-                            item.spec.keys if isinstance(item.spec, LockScope) else frozenset(),
-                        )
+                        (item.sql, dict(item.params or {}), write_tables, item.scope.keys)
                     )
                     if write_tables:
                         self._tx_dirty_tables.update(write_tables)
@@ -1407,13 +1146,13 @@ class RequestScheduler:
                 self._placement.unpin(statement.write_tables)
             if statement.command in _SCHEMA_COMMANDS:
                 # The DDL may have changed (or removed) a table's primary
-                # key; forget it while still holding the DDL's lock scope so
-                # key writers re-resolve behind us, never alongside us.
-                self._invalidate_pk_cache(statement.write_tables or None)
+                # key; invalidate while still holding the DDL's lock scope
+                # so key writers re-resolve behind us, never alongside us.
+                self._scopes.invalidate(statement.write_tables or None)
             elif item.logged and statement.lock_tables is None:
                 # An unknown-shape write ran under the exclusive mode and
                 # could have changed any schema.
-                self._invalidate_pk_cache(None)
+                self._scopes.invalidate(None)
             if item.logged and cache is not None:
                 # Invalidate again now that every backend applied the write:
                 # evicts results a concurrent read cached from a backend the
@@ -1513,15 +1252,12 @@ class RequestScheduler:
 
     def stats(self) -> Dict[str, Any]:
         cache = self._cache
-        with self._pk_lock:
-            pk_cached = len(self._pk_cache)
         broadcast_stats = self._broadcaster.stats()
         return {
             "read_policy": self._policy.name,
             "placement": self._placement.stats(),
             "locks": self._locks.stats(),
-            "key_level_locking": self._key_level_locking,
-            "primary_keys_cached": pk_cached,
+            **self._scopes.stats(),
             "open_transactions": self.open_transactions,
             "parallel_writes": self._broadcaster.parallel,
             "broadcaster": broadcast_stats,

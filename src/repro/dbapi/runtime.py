@@ -7,7 +7,14 @@ extensions, optional pre-configured URL — to this runtime. That mirrors
 how a vendor's JDBC jar wraps a shared client library: the jar is what
 gets distributed and versioned, the library does the actual talking.
 
-The runtime implements:
+The module also holds what every driver runtime in the repro shares —
+the cluster driver (:mod:`repro.cluster.driver`) builds on the same
+three bases: :class:`ResultCursor` (a cursor over one buffered RESULT
+reply), :class:`WireConnection` (the DB-API transaction surface over a
+subclass's ``_execute``) and :class:`DriverRuntime` (identity, option
+merging, pre-configured URLs, connection tracking).
+
+The pydb runtime implements:
 
 - connection establishment with protocol-version negotiation and the
   authentication method appropriate to the bundled extensions
@@ -60,10 +67,11 @@ def _raise_for_error(message: Dict[str, Any]) -> None:
     raise exc_class(f"[{code}] {text}")
 
 
-class RuntimeCursor(Cursor):
-    """Cursor over the EXECUTE/RESULT exchange."""
+class ResultCursor(Cursor):
+    """Cursor over an EXECUTE/RESULT exchange: each ``execute`` buffers
+    the whole reply its connection's ``_execute`` returned."""
 
-    def __init__(self, connection: "RuntimeConnection") -> None:
+    def __init__(self, connection: "WireConnection") -> None:
         self._connection = connection
         self._rows: List[Tuple[Any, ...]] = []
         self._cursor_index = 0
@@ -81,7 +89,7 @@ class RuntimeCursor(Cursor):
     def rowcount(self) -> int:
         return self._rowcount
 
-    def execute(self, sql: str, params: Optional[Dict[str, Any]] = None) -> "RuntimeCursor":
+    def execute(self, sql: str, params: Optional[Dict[str, Any]] = None) -> "ResultCursor":
         if self._closed:
             raise InterfaceError("cursor is closed")
         result = self._connection._execute(sql, params or {})
@@ -114,20 +122,70 @@ class RuntimeCursor(Cursor):
         self._rows = []
 
 
-class RuntimeConnection(Connection):
-    """A live connection produced by :class:`RuntimeDriver`."""
+#: Name kept for the pydb driver's cursor.
+RuntimeCursor = ResultCursor
 
-    def __init__(self, driver: "RuntimeDriver", channel: Channel, url: ConnectionUrl, session_id: str) -> None:
+
+class WireConnection(Connection):
+    """The DB-API surface of a connection that talks an EXECUTE/RESULT
+    wire protocol. Subclasses implement ``_execute(sql, params)`` — one
+    statement in, the RESULT message out, errors raised — and
+    ``close()``; ``_lock`` is theirs to serialise the exchange with."""
+
+    def __init__(self, driver: "DriverRuntime") -> None:
         self._driver = driver
-        self._channel = channel
-        self._url = url
-        self._session_id = session_id
         self._closed = False
         self._in_transaction = False
         self._lock = threading.Lock()
         #: Number of statements executed on this connection (observability
         #: for experiments: proves traffic kept flowing across an upgrade).
         self.statements_executed = 0
+
+    def _execute(self, sql: str, params: Dict[str, Any]) -> Dict[str, Any]:
+        raise NotImplementedError
+
+    def cursor(self) -> ResultCursor:
+        if self._closed:
+            raise InterfaceError("connection is closed")
+        return ResultCursor(self)
+
+    def begin(self) -> None:
+        self._execute("BEGIN", {})
+        self._in_transaction = True
+
+    def commit(self) -> None:
+        if not self._in_transaction:
+            return
+        self._execute("COMMIT", {})
+        self._in_transaction = False
+
+    def rollback(self) -> None:
+        if not self._in_transaction:
+            return
+        self._execute("ROLLBACK", {})
+        self._in_transaction = False
+
+    @property
+    def closed(self) -> bool:
+        return self._closed
+
+    @property
+    def in_transaction(self) -> bool:
+        return self._in_transaction
+
+    @property
+    def driver_info(self) -> Dict[str, Any]:
+        return self._driver.info()
+
+
+class RuntimeConnection(WireConnection):
+    """A live connection produced by :class:`RuntimeDriver`."""
+
+    def __init__(self, driver: "RuntimeDriver", channel: Channel, url: ConnectionUrl, session_id: str) -> None:
+        super().__init__(driver)
+        self._channel = channel
+        self._url = url
+        self._session_id = session_id
 
     # -- internals ----------------------------------------------------------
 
@@ -148,29 +206,6 @@ class RuntimeConnection(Connection):
         self.statements_executed += 1
         return reply
 
-    # -- DB-API -------------------------------------------------------------
-
-    def cursor(self) -> RuntimeCursor:
-        if self._closed:
-            raise InterfaceError("connection is closed")
-        return RuntimeCursor(self)
-
-    def begin(self) -> None:
-        self._execute("BEGIN", {})
-        self._in_transaction = True
-
-    def commit(self) -> None:
-        if not self._in_transaction:
-            return
-        self._execute("COMMIT", {})
-        self._in_transaction = False
-
-    def rollback(self) -> None:
-        if not self._in_transaction:
-            return
-        self._execute("ROLLBACK", {})
-        self._in_transaction = False
-
     def close(self) -> None:
         if self._closed:
             return
@@ -189,24 +224,12 @@ class RuntimeConnection(Connection):
             self._driver._forget_connection(self)
 
     @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def in_transaction(self) -> bool:
-        return self._in_transaction
-
-    @property
     def session_id(self) -> str:
         return self._session_id
 
     @property
     def url(self) -> ConnectionUrl:
         return self._url
-
-    @property
-    def driver_info(self) -> Dict[str, Any]:
-        return self._driver.info()
 
     def ping(self) -> bool:
         """Check liveness of the server side of this connection."""
@@ -222,7 +245,95 @@ class RuntimeConnection(Connection):
         return reply.get("type") == MessageType.PONG
 
 
-class RuntimeDriver:
+class DriverRuntime:
+    """What a driver package binds: a name, versions, bundled
+    extensions, an optional pre-configured URL and default options —
+    plus the bookkeeping of the connections it opened. Subclasses
+    implement :meth:`_open`."""
+
+    api_name = ""
+
+    def __init__(
+        self,
+        name: str,
+        driver_version: Tuple[int, int, int],
+        protocol_version: int,
+        extensions: Optional[List[str]] = None,
+        preconfigured_url: Optional[str] = None,
+        default_options: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        self.name = name
+        self.driver_version = tuple(driver_version)
+        self.protocol_version = protocol_version
+        self.extensions = list(extensions or [])
+        self.preconfigured_url = preconfigured_url
+        self.default_options = dict(default_options or {})
+        self._connections: List[WireConnection] = []
+        self._lock = threading.Lock()
+
+    def info(self) -> Dict[str, Any]:
+        return {
+            "name": self.name,
+            "api_name": self.api_name,
+            "driver_version": tuple(self.driver_version),
+            "protocol_version": self.protocol_version,
+            "extensions": list(self.extensions),
+            "preconfigured_url": self.preconfigured_url,
+        }
+
+    def supports(self, feature: str) -> bool:
+        return feature in self.extensions
+
+    # -- connection management --------------------------------------------------
+
+    def connect(
+        self,
+        url: str,
+        user: Optional[str] = None,
+        password: Optional[str] = None,
+        network: Optional[Network] = None,
+        **options: Any,
+    ) -> WireConnection:
+        """Open a connection. Application options are merged over the
+        driver's pre-configured defaults (paper Section 3.1.1); a
+        pre-configured URL overrides the application's."""
+        merged: Dict[str, Any] = {**self.default_options, **options}
+        parsed = parse_url(self.preconfigured_url or url)
+        if network is None:
+            network_name = merged.get("network", parsed.options.get("network", DEFAULT_NETWORK_NAME))
+            network = get_network(str(network_name))
+        connection = self._open(network, parsed, user, password, merged)
+        with self._lock:
+            self._connections.append(connection)
+        return connection
+
+    def _open(
+        self,
+        network: Network,
+        url: ConnectionUrl,
+        user: Optional[str],
+        password: Optional[str],
+        options: Dict[str, Any],
+    ) -> WireConnection:
+        raise NotImplementedError
+
+    def _forget_connection(self, connection: WireConnection) -> None:
+        with self._lock:
+            if connection in self._connections:
+                self._connections.remove(connection)
+
+    def open_connections(self) -> List[WireConnection]:
+        """Currently open connections created by this driver instance."""
+        with self._lock:
+            return [conn for conn in self._connections if not conn.closed]
+
+    def close_all(self) -> None:
+        """Close every connection created by this driver instance."""
+        for connection in self.open_connections():
+            connection.close()
+
+
+class RuntimeDriver(DriverRuntime):
     """A parameterised DB-API driver over the database wire protocol."""
 
     api_name = "PYDB-API"
@@ -236,97 +347,46 @@ class RuntimeDriver:
         preconfigured_url: Optional[str] = None,
         default_options: Optional[Dict[str, Any]] = None,
     ) -> None:
-        self.name = name
-        self.driver_version = tuple(driver_version)
-        self.protocol_version = protocol_version
-        self.extensions = list(extensions or [])
-        self.preconfigured_url = preconfigured_url
-        self.default_options = dict(default_options or {})
-        self._connections: List[RuntimeConnection] = []
-        self._lock = threading.Lock()
+        super().__init__(
+            name, driver_version, protocol_version, extensions, preconfigured_url, default_options
+        )
 
-    # -- metadata ------------------------------------------------------------
-
-    def info(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "api_name": self.api_name,
-            "driver_version": tuple(self.driver_version),
-            "protocol_version": self.protocol_version,
-            "extensions": list(self.extensions),
-            "preconfigured_url": self.preconfigured_url,
-        }
-
-    # -- connection management --------------------------------------------------
-
-    def connect(
+    def _open(
         self,
-        url: str,
-        user: Optional[str] = None,
-        password: Optional[str] = None,
-        network: Optional[Network] = None,
-        **options: Any,
+        network: Network,
+        url: ConnectionUrl,
+        user: Optional[str],
+        password: Optional[str],
+        options: Dict[str, Any],
     ) -> RuntimeConnection:
-        """Open a connection. Application options are merged over the
-        driver's pre-configured defaults (paper Section 3.1.1)."""
-        merged_options: Dict[str, Any] = dict(self.default_options)
-        merged_options.update(options)
-        effective_url = self.preconfigured_url or url
-        parsed = parse_url(effective_url)
-        if network is None:
-            network_name = merged_options.get("network", parsed.options.get("network", DEFAULT_NETWORK_NAME))
-            network = get_network(str(network_name))
         try:
-            channel = network.connect(parsed.primary_host, timeout=5.0)
+            channel = network.connect(url.primary_host, timeout=5.0)
         except TransportError as exc:
-            raise OperationalError(f"cannot reach database at {parsed.primary_host}: {exc}") from exc
+            raise OperationalError(f"cannot reach database at {url.primary_host}: {exc}") from exc
         auth_method = "password"
         auth_token = None
-        if "kerberos" in self.extensions and merged_options.get("realm_secret"):
+        if "kerberos" in self.extensions and options.get("realm_secret"):
             auth_method = "token"
-            auth_token = compute_token(str(merged_options["realm_secret"]), user)
+            auth_token = compute_token(str(options["realm_secret"]), user)
         connect_message = make_connect(
-            database=parsed.database,
+            database=url.database,
             user=user,
             password=password,
             protocol_version=self.protocol_version,
             auth_method=auth_method,
             auth_token=auth_token,
-            options={key: str(value) for key, value in merged_options.items()},
+            options={key: str(value) for key, value in options.items()},
         )
         try:
             channel.send(connect_message)
             reply = channel.recv(timeout=10.0)
         except TransportError as exc:
             channel.close()
-            raise OperationalError(f"handshake with {parsed.primary_host} failed: {exc}") from exc
+            raise OperationalError(f"handshake with {url.primary_host} failed: {exc}") from exc
         if reply.get("type") == MessageType.ERROR:
             channel.close()
             _raise_for_error(reply)
         if reply.get("type") != MessageType.CONNECT_OK:
             channel.close()
             raise InterfaceError(f"unexpected handshake reply {reply.get('type')!r}")
-        connection = RuntimeConnection(self, channel, parsed, str(reply.get("session_id", "")))
-        with self._lock:
-            self._connections.append(connection)
-        return connection
-
-    def _forget_connection(self, connection: RuntimeConnection) -> None:
-        with self._lock:
-            if connection in self._connections:
-                self._connections.remove(connection)
-
-    def open_connections(self) -> List[RuntimeConnection]:
-        """Currently open connections created by this driver instance."""
-        with self._lock:
-            return [conn for conn in self._connections if not conn.closed]
-
-    def close_all(self) -> None:
-        """Close every connection created by this driver instance."""
-        for connection in self.open_connections():
-            connection.close()
-
-    # -- feature probes -----------------------------------------------------------
-
-    def supports(self, feature: str) -> bool:
-        return feature in self.extensions
+        return RuntimeConnection(self, channel, url, str(reply.get("session_id", "")))

@@ -1,10 +1,9 @@
 """E15 — conflict-aware parallel write scheduling (docs/scheduling.md).
 
 The paper's middleware earns its throughput by overlapping
-non-conflicting requests across replicas; until the lock-manager
-refactor the reproduction funnelled every cluster write through one
-global lock, so a hash-partitioned RAIDb-0/2 cluster gained capacity on
-paper but serialised in practice.
+non-conflicting requests across replicas; behind one global write lock
+a hash-partitioned RAIDb-0/2 cluster gains capacity on paper and
+serialises in practice.
 
 ``run_experiment`` measures exactly that: N writer threads, each
 hammering its *own* table, on a partitioned cluster of latency-injected
@@ -60,7 +59,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 from repro.cluster.backend import Backend
 from repro.cluster.broadcaster import WriteBroadcaster
 from repro.cluster.driver import ClusterDriverRuntime
-from repro.cluster.locks import LockManager
+from repro.cluster.locks import LockManager, LockScope
 from repro.cluster.placement import create_placement
 from repro.cluster.recovery import FileLogStore, GroupCommit, RecoveryLog
 from repro.cluster.scheduler import RequestScheduler
@@ -69,7 +68,7 @@ from repro.experiments.harness import ExperimentResult
 from repro.experiments.partial_replication import cluster_checksums
 
 
-class _SimConnection:
+class SimConnection:
     """Synthetic backend connection charging one fixed latency per *call*
     — per statement through ``cursor.execute``, per batch through the
     native ``execute_batch`` — so N coalesced statements cost one network
@@ -116,7 +115,7 @@ class _SimCursor:
     description = [("ok", None, None, None, None, None, None)]
     rowcount = 1
 
-    def __init__(self, connection: _SimConnection) -> None:
+    def __init__(self, connection: SimConnection) -> None:
         self._connection = connection
 
     def execute(self, sql: str, params: Optional[Dict[str, Any]] = None) -> None:
@@ -248,6 +247,13 @@ def _lock_granularity_cells(
     return cells
 
 
+class _GlobalLock(LockManager):
+    """E15's baseline: one global write lock, whatever the footprint."""
+
+    def scope(self, scope: LockScope) -> Any:
+        return self.exclusive()
+
+
 def run_experiment(
     writers: int = 4,
     writes_per_writer: int = 25,
@@ -263,24 +269,24 @@ def run_experiment(
     placement_spec = "explicit:" + ",".join(
         f"w{index}=sim{index + 1}" for index in range(writers)
     )
-    # mode -> (conflict-aware lock manager, disjoint tables)
+    # mode -> (lock manager, disjoint tables)
     modes = {
-        "global-lock": (False, True),
-        "conflict-aware": (True, True),
-        "conflict-aware/conflicting": (True, False),
+        "global-lock": (_GlobalLock, True),
+        "conflict-aware": (LockManager, True),
+        "conflict-aware/conflicting": (LockManager, False),
     }
 
     def setup(mode: str, stack: contextlib.ExitStack) -> Tuple[Any, ...]:
-        conflict_aware, disjoint = modes[mode]
+        lock_manager, disjoint = modes[mode]
         scheduler = RequestScheduler(
             [
-                Backend(f"sim{index + 1}", lambda: _SimConnection(latency_s))
+                Backend(f"sim{index + 1}", lambda: SimConnection(latency_s))
                 for index in range(writers)
             ],
             RecoveryLog(),
             broadcaster=WriteBroadcaster(parallel=True, max_workers=writers),
             placement=create_placement(placement_spec),
-            lock_manager=LockManager(conflict_aware=conflict_aware),
+            lock_manager=lock_manager(),
         )
         targets = [(f"w{index}" if disjoint else "w0", index) for index in range(writers)]
         return scheduler, targets, _lock_granularity_cells(scheduler, writers, "table", "exclusive")
@@ -319,25 +325,27 @@ def run_key_experiment(
     A third mode puts every writer on the *same* row to show conflicting
     keys still serialise at the table-lock baseline's pace.
 
-    The schedulers get the table's primary key via the ``primary_keys``
-    override: the latency-injected backends expose no catalog to probe.
+    The latency-injected backends expose no catalog to probe, so the
+    key-level schedulers get the table's primary key via the
+    ``primary_keys`` seed — and the baseline, given none, resolves no
+    key and takes the table lock for every write.
     """
     latency_s = latency_ms / 1000.0
-    # mode -> (key-level scopes, disjoint rows)
+    # mode -> (primary_keys seed, disjoint rows)
+    hot_key = {"hot": ("id", "INTEGER")}
     modes = {
-        "table-locks": (False, True),
-        "key-level": (True, True),
-        "key-level/conflicting": (True, False),
+        "table-locks": (None, True),
+        "key-level": (hot_key, True),
+        "key-level/conflicting": (hot_key, False),
     }
 
     def setup(mode: str, stack: contextlib.ExitStack) -> Tuple[Any, ...]:
-        key_level, disjoint = modes[mode]
+        primary_keys, disjoint = modes[mode]
         scheduler = RequestScheduler(
-            [Backend("sim1", lambda: _SimConnection(latency_s))],
+            [Backend("sim1", lambda: SimConnection(latency_s))],
             RecoveryLog(),
             broadcaster=WriteBroadcaster(parallel=True, max_workers=writers),
-            key_level_locking=key_level,
-            primary_keys={"hot": ("id", "INTEGER")},
+            primary_keys=primary_keys,
         )
         targets = [("hot", index if disjoint else 0) for index in range(writers)]
         return scheduler, targets, _lock_granularity_cells(scheduler, writers, "key", "table")
@@ -718,7 +726,7 @@ def run_write_batching_experiment(
 
     Concurrent disjoint-table auto-commit writers against one backend
     whose connection charges a fixed latency per round trip (see
-    :class:`_SimConnection`). Per-statement dispatch pays one round
+    :class:`SimConnection`). Per-statement dispatch pays one round
     trip per write, serialised on the connection; with write batching the
     WriteBatcher coalesces whatever queued while the previous round was
     in flight into one ``execute_batch`` round trip — batching emerges
@@ -729,10 +737,9 @@ def run_write_batching_experiment(
     def setup(mode: str, stack: contextlib.ExitStack) -> Tuple[Any, ...]:
         counters: Dict[str, int] = {}
         scheduler = RequestScheduler(
-            [Backend("sim1", lambda: _SimConnection(latency_s, counters, threadsafety=1))],
+            [Backend("sim1", lambda: SimConnection(latency_s, counters, threadsafety=1))],
             RecoveryLog(),
             broadcaster=WriteBroadcaster(parallel=True, max_workers=writers),
-            lock_manager=LockManager(conflict_aware=True),
             write_batching=mode == "batched",
         )
 
@@ -959,10 +966,9 @@ def run_group_commit_experiment(
         stack.callback(log.close)
         group_commit = GroupCommit(log) if grouped else None
         scheduler = RequestScheduler(
-            [Backend("sim1", lambda: _SimConnection(0.0))],
+            [Backend("sim1", lambda: SimConnection(0.0))],
             log,
             broadcaster=WriteBroadcaster(parallel=False),
-            lock_manager=LockManager(conflict_aware=True),
             group_commit=group_commit,
         )
 

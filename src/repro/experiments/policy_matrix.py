@@ -24,13 +24,14 @@ E11's three sub-studies:
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence
 
 from repro.cluster import Backend, ClusterDriverRuntime, RecoveryLog, RequestScheduler, WriteBroadcaster
 from repro.core import BootloaderConfig
 from repro.core.constants import ExpirationPolicy, RenewPolicy
 from repro.dbapi.driver_factory import build_pydb_driver
 from repro.errors import DrivolutionError
+from repro.experiments.concurrency import SimConnection
 from repro.experiments.environments import build_cluster, build_single_database
 from repro.experiments.harness import ExperimentResult
 from repro.workloads import ClientApplication, WorkloadSpec, percentile
@@ -400,49 +401,6 @@ def run_scheduling_policy_matrix(
     return result
 
 
-class _LatencyConnection:
-    """Synthetic backend connection that sleeps per statement.
-
-    Models a replica a fixed network+execution latency away, so the
-    broadcast comparison measures scheduling structure, not SQL speed.
-    """
-
-    def __init__(self, latency_s: float) -> None:
-        self._latency_s = latency_s
-        self.closed = False
-        self.driver_info = {"name": "latency-sim"}
-
-    def cursor(self) -> "_LatencyCursor":
-        return _LatencyCursor(self._latency_s)
-
-    def close(self) -> None:
-        self.closed = True
-
-
-class _LatencyCursor:
-    description = [("ok", None, None, None, None, None, None)]
-    rowcount = 1
-
-    def __init__(self, latency_s: float) -> None:
-        self._latency_s = latency_s
-
-    def execute(self, sql: str, params: Optional[Dict[str, Any]] = None) -> None:
-        time.sleep(self._latency_s)
-
-    def fetchall(self) -> List[Tuple[Any, ...]]:
-        return [(1,)]
-
-    def close(self) -> None:
-        pass
-
-
-def _latency_backends(count: int, latency_s: float) -> List[Backend]:
-    return [
-        Backend(f"sim{index + 1}", lambda: _LatencyConnection(latency_s))
-        for index in range(count)
-    ]
-
-
 def run_broadcast_comparison(
     backends: int = 4, writes: int = 25, latency_ms: float = 3.0
 ) -> ExperimentResult:
@@ -461,7 +419,10 @@ def run_broadcast_comparison(
     timings: Dict[str, float] = {}
     for parallel in (False, True):
         scheduler = RequestScheduler(
-            _latency_backends(backends, latency_s),
+            [
+                Backend(f"sim{index + 1}", lambda: SimConnection(latency_s, threadsafety=1))
+                for index in range(backends)
+            ],
             RecoveryLog(),
             broadcaster=WriteBroadcaster(parallel=parallel, max_workers=backends),
         )

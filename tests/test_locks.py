@@ -5,7 +5,7 @@ import threading
 import pytest
 
 import chaos
-from repro.cluster.locks import LockManager, LockScope
+from repro.cluster.locks import EXCLUSIVE, LockManager, LockScope
 
 
 def _spawn(target):
@@ -436,23 +436,17 @@ class TestExclusiveSelfDeadlock:
 class TestScope:
     def test_scope_with_tables_takes_table_locks(self):
         manager = LockManager()
-        with manager.scope({"a"}):
+        scope = LockScope(tables=frozenset({"a"}))
+        assert scope.kind == "table"
+        with manager.scope(scope):
             stats = manager.stats()
             assert stats["tables_held"] == 1
             assert stats["exclusive_held"] is False
 
-    def test_scope_with_none_or_empty_takes_exclusive(self):
+    def test_empty_scope_takes_exclusive(self):
         manager = LockManager()
-        for scope in (None, frozenset()):
-            with manager.scope(scope):
-                stats = manager.stats()
-                assert stats["exclusive_held"] is True
-                assert stats["tables_held"] == 0
-
-    def test_conflict_aware_off_forces_exclusive(self):
-        manager = LockManager(conflict_aware=False)
-        with manager.scope({"a"}):
+        assert EXCLUSIVE == LockScope() and EXCLUSIVE.kind == "exclusive"
+        with manager.scope(EXCLUSIVE):
             stats = manager.stats()
             assert stats["exclusive_held"] is True
             assert stats["tables_held"] == 0
-        assert manager.stats()["table_acquisitions"] == 0

@@ -1,0 +1,295 @@
+"""The scope resolver (docs/scheduling.md §4): which statements get a
+key scope, how values canonicalise, and the generation rule that keeps
+a key resolved before a DDL from being used — or cached — after it."""
+
+import sys
+import threading
+import time
+
+import pytest
+
+import chaos
+from repro.cluster.backend import Backend
+from repro.cluster.classifier import ClassifiedStatement, classify
+from repro.cluster.locks import EXCLUSIVE, LockManager, LockScope
+from repro.cluster.lockscope import _NO_KEY, ScopeResolver, _canonical_key
+from repro.cluster.recovery import RecoveryLog
+from repro.cluster.scheduler import RequestScheduler
+
+
+class _CatalogConnection:
+    """Backend connection whose only real answer is the
+    ``information_schema.columns`` probe, served from ``primary_keys``
+    (table → (pk column, type), mutable so a test can play a DDL). With
+    ``gate`` set, a probe reads its answer, signals ``probing`` and
+    blocks until the gate opens — a probe overtaken by a DDL."""
+
+    def __init__(self, primary_keys):
+        self.primary_keys = dict(primary_keys)
+        self.probes = 0
+        self.gate = None
+        self.probing = threading.Event()
+        self.closed = False
+        self.driver_info = {"name": "catalog-stub"}
+
+    def cursor(self):
+        return _CatalogCursor(self)
+
+    def close(self):
+        self.closed = True
+
+
+class _CatalogCursor:
+    description = [("v", None, None, None, None, None, None)]
+    rowcount = 1
+
+    def __init__(self, connection):
+        self._connection = connection
+        self._rows = [(1,)]
+
+    def execute(self, sql, params=None):
+        connection = self._connection
+        if "information_schema.columns" not in sql:
+            return
+        connection.probes += 1
+        self._rows = []
+        for table, (column, data_type) in connection.primary_keys.items():
+            # Two columns per table, the keyed one second.
+            self._rows.append((table, "", "pad", 1, "INTEGER", False))
+            self._rows.append((table, "", column, 2, data_type, True))
+        time.sleep(0)  # the answer is read; the round trip back takes a while
+        if connection.gate is not None:
+            connection.probing.set()
+            assert connection.gate.wait(timeout=5.0)
+
+    def fetchall(self):
+        return self._rows
+
+    def close(self):
+        pass
+
+
+def _resolver(primary_keys):
+    connection = _CatalogConnection(primary_keys)
+    backend = Backend("b1", lambda: connection)
+    return ScopeResolver(lambda: [backend]), connection
+
+
+_TABLE_T = LockScope(tables=frozenset({"t"}))
+
+
+class TestResolve:
+    def test_the_three_granularities(self):
+        resolver, _ = _resolver({"t": ("id", "INTEGER")})
+        scope, _ = resolver.resolve(classify("UPDATE t SET v = 1 WHERE id = 5"), None)
+        assert scope == LockScope(keys=frozenset({("t", 5)})) and scope.kind == "key"
+        scope, _ = resolver.resolve(classify("UPDATE t SET v = 1 WHERE v > 5"), None)
+        assert scope == _TABLE_T and scope.kind == "table"
+        scope, _ = resolver.resolve(classify("BEGIN"), None)
+        assert scope is EXCLUSIVE and scope.kind == "exclusive"
+
+    def test_catalog_is_probed_once_per_table(self):
+        resolver, connection = _resolver({"t": ("id", "INTEGER")})
+        for row in range(3):
+            resolver.resolve(classify("DELETE FROM t WHERE id = $i"), {"i": row})
+        assert connection.probes == 1
+        assert resolver.stats() == {"primary_keys_cached": 1}
+
+    def test_insert_without_column_list_uses_the_catalog_ordinal(self):
+        resolver, _ = _resolver({"t": ("id", "INTEGER")})
+        scope, _ = resolver.resolve(classify("INSERT INTO t VALUES ('x', 9)"), None)
+        assert scope == LockScope(keys=frozenset({("t", 9)}))
+
+    def test_seeded_key_is_never_probed_or_invalidated(self):
+        connection = _CatalogConnection({})
+        backend = Backend("b1", lambda: connection)
+        resolver = ScopeResolver(lambda: [backend], {"T": ("ID", "INTEGER")})
+        resolver.invalidate(None)
+        scope, generation = resolver.resolve(classify("DELETE FROM t WHERE id = 1"), None)
+        assert scope.kind == "key" and generation == 1
+        assert connection.probes == 0
+
+    def test_no_enabled_backend_or_no_catalog_means_the_table_scope(self):
+        statement = classify("DELETE FROM t WHERE id = 1")
+        assert ScopeResolver(lambda: []).resolve(statement, None)[0] == _TABLE_T
+        resolver, _ = _resolver({})  # the catalog does not list t
+        assert resolver.resolve(statement, None)[0] == _TABLE_T
+
+    def test_lock_tables_is_computed_once_per_sql_text(self, monkeypatch):
+        lock_tables = ClassifiedStatement.__dict__["lock_tables"]
+        compute, computed = lock_tables.func, []
+
+        def counting(statement):
+            computed.append(statement)
+            return compute(statement)
+
+        monkeypatch.setattr(lock_tables, "func", counting)
+        connection = _CatalogConnection({"lt_once": ("id", "INTEGER")})
+        scheduler = RequestScheduler([Backend("b1", lambda: connection)], RecoveryLog())
+        resolves = []
+        resolve = scheduler._scopes.resolve
+        monkeypatch.setattr(
+            scheduler._scopes,
+            "resolve",
+            lambda statement, params: resolves.append(1) or resolve(statement, params),
+        )
+        for row in range(5):
+            scheduler.execute("UPDATE lt_once SET v = 1 WHERE id = $i", {"i": row})
+        scheduler.close()
+        assert len(computed) == 1
+        # One resolution per acquisition: the post-acquire check is a
+        # generation compare, not a second resolve.
+        assert len(resolves) == 5
+        assert scheduler.stats()["locks"]["key_acquisitions"] == 5
+
+
+@pytest.mark.parametrize(
+    "value, data_type, expected",
+    [
+        (7, "INTEGER", 7),
+        (7.0, "INTEGER", 7),
+        (7.5, "INTEGER", _NO_KEY),
+        ("7", "INTEGER", 7),
+        (" 7 ", "INTEGER", 7),
+        ("07", "INTEGER", _NO_KEY),
+        ("seven", "INTEGER", _NO_KEY),
+        (7, "bigint", 7),
+        (7, "VARCHAR", "7"),
+        (7.0, "VARCHAR", "7.0"),
+        ("7", "VARCHAR", "7"),
+        ("07", "VARCHAR", "07"),
+        (7, "DOUBLE", _NO_KEY),
+        (7.0, "DOUBLE", _NO_KEY),
+        ("7", "DOUBLE", _NO_KEY),
+        (True, "INTEGER", _NO_KEY),
+        (True, "VARCHAR", _NO_KEY),
+        (None, "INTEGER", _NO_KEY),
+        (None, "VARCHAR", _NO_KEY),
+        (b"7", "INTEGER", _NO_KEY),
+        (7, "", _NO_KEY),
+    ],
+)
+def test_canonical_key(value, data_type, expected):
+    # Two spellings the engine compares equal must collide on one key;
+    # anything it would coerce differently must not claim a key at all.
+    key = _canonical_key(value, data_type)
+    assert key is expected if expected is _NO_KEY else key == expected
+    assert type(key) is type(expected)
+
+
+class TestGenerationRule:
+    def test_invalidate_bumps_the_generation_and_forgets_the_tables(self):
+        resolver, connection = _resolver({"t": ("id", "INTEGER"), "u": ("id", "INTEGER")})
+        for table in ("t", "u"):
+            resolver.resolve(classify(f"DELETE FROM {table} WHERE id = 1"), None)
+        resolver.invalidate({"t"})
+        assert resolver.generation == 1
+        assert resolver.stats() == {"primary_keys_cached": 1}
+        resolver.invalidate(None)
+        assert resolver.generation == 2
+        assert resolver.stats() == {"primary_keys_cached": 0}
+        assert connection.probes == 2
+
+    def test_probe_racing_an_invalidation_is_not_cached(self):
+        resolver, connection = _resolver({"t": ("id", "INTEGER")})
+        statement = classify("UPDATE t SET v = 1 WHERE id = 5")
+        connection.gate = threading.Event()
+        raced = []
+        prober = threading.Thread(
+            target=lambda: raced.append(resolver.resolve(statement, None))
+        )
+        prober.start()
+        assert connection.probing.wait(timeout=5.0)  # read PK `id`, now blocked
+        # The DDL: re-key t on `name`, invalidate inside its scope.
+        connection.primary_keys["t"] = ("name", "VARCHAR")
+        resolver.invalidate({"t"})
+        connection.gate.set()
+        prober.join(timeout=5.0)
+        assert not prober.is_alive()
+        # The overtaken probe's answer carries the generation it started
+        # at, so whoever acts on it fails the post-acquire compare...
+        assert raced == [(LockScope(keys=frozenset({("t", 5)})), 0)]
+        assert resolver.generation == 1
+        # ...and it was not stored: `id` is no longer the key, so
+        # `id = 5` pins no row and must take the table.
+        assert resolver.resolve(statement, None) == (_TABLE_T, 1)
+        scope, _ = resolver.resolve(classify("DELETE FROM t WHERE name = 'n'"), None)
+        assert scope == LockScope(keys=frozenset({("t", "n")}))
+
+    def test_ddl_between_resolve_and_acquire_re_resolves(self):
+        connection = _CatalogConnection({"t": ("id", "INTEGER")})
+        scheduler = RequestScheduler([Backend("b1", lambda: connection)], RecoveryLog())
+        locks = scheduler.lock_manager
+        # Stand in for a DDL on t: it holds the table while it runs.
+        ddl_scope = locks.acquire_scope(_TABLE_T)
+        writer = threading.Thread(
+            target=scheduler.execute, args=("UPDATE t SET v = 1 WHERE id = 5",)
+        )
+        writer.start()
+        # The writer resolved key:t[5] and queued behind the table scope.
+        assert chaos.wait_until(lambda: locks.stats()["scope_waiters"] == 1)
+        connection.primary_keys["t"] = ("name", "VARCHAR")
+        scheduler._scopes.invalidate({"t"})
+        locks.release_scope(ddl_scope)
+        writer.join(timeout=5.0)
+        assert not writer.is_alive()
+        stats = locks.stats()
+        # It acquired its stale key, saw the generation had moved, let
+        # go and ended under the table scope the new schema calls for.
+        assert stats["key_acquisitions"] == 1
+        assert stats["table_acquisitions"] == 2  # the stand-in DDL's + the writer's
+        assert stats["keys_held"] == stats["tables_held"] == 0
+        assert scheduler.stats()["recovery_log_entries"] == 1
+        scheduler.close()
+
+    def test_key_writers_racing_rekeying_ddl_never_hold_a_stale_key(self):
+        # More writers than cores and a short switch interval: DDLs flip
+        # t's key between `id` and `name` (under the table scope, as the
+        # write round does) while writers run the scheduler's
+        # resolve → acquire → compare loop. A writer that keeps a key
+        # scope past the compare must have the key the catalog holds —
+        # which cannot change while it holds a scope on t.
+        resolver, connection = _resolver({"t": ("id", "INTEGER")})
+        locks = LockManager()
+        statement = classify("UPDATE t SET v = 1 WHERE id = 5")
+        stop = threading.Event()
+        stale, held = [], []
+
+        def writer():
+            while not stop.is_set():
+                scope, generation = resolver.resolve(statement, None)
+                with locks.scope(scope):
+                    if scope.keys and resolver.generation != generation:
+                        continue
+                    if scope.keys and connection.primary_keys["t"][0] != "id":
+                        stale.append(scope)
+                    held.append(scope.kind)
+
+        def ddl():
+            keys = [("name", "VARCHAR"), ("id", "INTEGER")]
+            flips = 0
+            while not stop.is_set():
+                with locks.scope(_TABLE_T):
+                    connection.primary_keys["t"] = keys[flips % 2]
+                    resolver.invalidate({"t"})
+                flips += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=writer) for _ in range(8)]
+            threads.append(threading.Thread(target=ddl))
+            for thread in threads:
+                thread.start()
+            time.sleep(0.5)
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert stale == []
+        assert {"key", "table"} <= set(held)  # both sides of the flip were exercised
+        # Quiesced: the cache holds what the catalog holds.
+        keyed_on_id = connection.primary_keys["t"][0] == "id"
+        assert (resolver.resolve(statement, None)[0].kind == "key") == keyed_on_id

@@ -976,13 +976,6 @@ class TestKeyLevelLocking:
         assert self._lock_counts(scheduler) == (0, 1)
         scheduler.close()
 
-    def test_key_level_locking_off_takes_table_locks(self):
-        scheduler = self._scheduler(key_level_locking=False)
-        scheduler.execute("INSERT INTO t (id) VALUES (1)")
-        assert self._lock_counts(scheduler) == (0, 1)
-        assert scheduler.stats()["key_level_locking"] is False
-        scheduler.close()
-
     def test_string_pk_coerces_numbers_like_the_engine(self):
         # The engine compares VARCHAR columns against numbers via str();
         # the lock key must follow or two spellings of one row would get
@@ -1012,9 +1005,7 @@ class TestKeyLevelLocking:
     def test_stats_surface_key_fields(self):
         scheduler = self._scheduler()
         scheduler.execute("INSERT INTO t (id) VALUES (1)")
-        stats = scheduler.stats()
-        assert stats["key_level_locking"] is True
-        locks = stats["locks"]
+        locks = scheduler.stats()["locks"]
         for field in ("key_acquisitions", "key_waits", "keys_held", "covered_by_exclusive"):
             assert field in locks
         assert locks["keys_held"] == 0  # nothing in flight after return

@@ -16,6 +16,7 @@ transaction land strictly in order before the COMMIT."""
 
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.cluster.broadcaster import WriteBroadcaster
 from repro.cluster.classifier import classify
 from repro.cluster.driver import ClusterDriverRuntime
 from repro.cluster.locks import LockScope
+from repro.cluster.lockscope import ScopeResolver
 from repro.cluster.recovery import RecoveryLog
 from repro.cluster.scheduler import (
     RequestScheduler,
@@ -635,32 +637,32 @@ class TestInListKeyScopes:
             == ()
         )
 
-    def test_in_list_resolves_to_multi_key_scope(self, batched_cluster):
-        env = batched_cluster
-        scheduler = env.controllers[0].scheduler
-        scheduler.execute("CREATE TABLE ks_t (id INTEGER PRIMARY KEY, v INTEGER)")
-        spec = scheduler._lock_scope_spec(
+    @staticmethod
+    def _resolver(table):
+        rows = [(table, "", "id", 1, "INTEGER", True), (table, "", "v", 2, "INTEGER", False)]
+        catalog = SimpleNamespace(execute=lambda sql, params, track: ([], rows, len(rows)))
+        return ScopeResolver(lambda: [catalog])
+
+    def test_in_list_resolves_to_multi_key_scope(self):
+        resolver = self._resolver("ks_t")
+        scope, _ = resolver.resolve(
             classify("UPDATE ks_t SET v = 2 WHERE id IN (1, '2', 3.0)"), None
         )
         # The engine's comparison coercions collapse 1 / '2' / 3.0 onto
         # integer keys.
-        assert isinstance(spec, LockScope)
-        assert spec.keys == frozenset({("ks_t", 1), ("ks_t", 2), ("ks_t", 3)})
-        spec = scheduler._lock_scope_spec(
+        assert scope == LockScope(keys=frozenset({("ks_t", 1), ("ks_t", 2), ("ks_t", 3)}))
+        scope, _ = resolver.resolve(
             classify("DELETE FROM ks_t WHERE id IN ($a, $b)"), {"a": 4, "b": 5}
         )
-        assert spec.keys == frozenset({("ks_t", 4), ("ks_t", 5)})
+        assert scope == LockScope(keys=frozenset({("ks_t", 4), ("ks_t", 5)}))
 
-    def test_one_unresolvable_element_poisons_the_list(self, batched_cluster):
-        env = batched_cluster
-        scheduler = env.controllers[0].scheduler
-        scheduler.execute("CREATE TABLE ks_p (id INTEGER PRIMARY KEY, v INTEGER)")
+    def test_one_unresolvable_element_poisons_the_list(self):
         # $missing cannot be resolved: the statement may touch a row no
         # listed key covers, so the whole scope falls back to the table.
-        spec = scheduler._lock_scope_spec(
+        scope, _ = self._resolver("ks_p").resolve(
             classify("UPDATE ks_p SET v = 1 WHERE id IN (1, $missing)"), None
         )
-        assert spec == frozenset({"ks_p"})
+        assert scope == LockScope(tables=frozenset({"ks_p"}))
 
 
 @pytest.fixture
