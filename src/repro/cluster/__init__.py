@@ -97,7 +97,7 @@ from repro.cluster.controller import (
 from repro.cluster.driver import (
     ClusterConnection,
     ClusterDriverRuntime,
-    MultiplexedChannel,
+    ControllerLink,
     SequoiaDriver,
 )
 
@@ -150,6 +150,6 @@ __all__ = [
     "SessionContext",
     "ClusterDriverRuntime",
     "ClusterConnection",
-    "MultiplexedChannel",
+    "ControllerLink",
     "SequoiaDriver",
 ]

@@ -60,87 +60,106 @@ class _ServerBusy(Exception):
     Deliberately *not* an OperationalError: the generic failover path
     must never see it — a saturated controller is healthy, and failing
     over to a sibling would just move the herd. The retry loop in
-    :meth:`ClusterConnection._execute` converts it to backoff-and-retry
+    :meth:`ClusterConnection._execute_locked` converts it to backoff-and-retry
     on the same host, or to a plain OperationalError once the retry
     budget is spent."""
 
 
-class _MuxPending:
-    """One in-flight request on a multiplexed channel."""
+class _Pending:
+    """One request in flight on a link. ``answered`` is a lock held from
+    creation and released exactly once, by whoever takes the request
+    out of the link's pending table and stores its reply — a one-shot
+    event at a fraction of a :class:`threading.Event`'s cost."""
 
-    __slots__ = ("event", "reply")
+    __slots__ = ("key", "answered", "reply")
 
-    def __init__(self) -> None:
-        self.event = threading.Event()
+    def __init__(self, key: Tuple[str, int]) -> None:
+        self.key = key
+        self.answered = threading.Lock()
+        self.answered.acquire()
         self.reply: Optional[Dict[str, Any]] = None
 
 
-class MultiplexedChannel:
-    """One physical channel carrying many logical sessions (wire v3).
+class ControllerLink:
+    """One handshaked channel to a controller and the sessions it carries.
 
-    A background reader thread is the only receiver: it matches each
+    What the handshake granted decides its shape. A *shared* link
+    (multiplexing granted) carries many sessions, opened with
+    SESSION_OPEN: a reader thread is the only receiver and matches each
     reply to its waiter by ``(session_id, request_id)``, so any number
-    of connections (and any number of pipelined statements per
-    connection) can have requests in flight concurrently. Sending is
-    serialised by a lock; waiting costs no thread — the caller blocks on
-    its own :class:`threading.Event`.
+    of connections — and pipelined statements per connection — have
+    requests in flight at once; a waiter blocks on its own request's
+    ``answered`` lock. The runtime pools shared links per
+    ``(network, host, database, user)``.
 
-    Lifecycle: the driver runtime pools these per
-    ``(network, host, database, user)``; the physical channel closes
-    when its last logical session does (no idle pooling, so no leaked
-    reader threads once clients are gone).
+    A *private* link (no grant) carries the one implicit session the
+    CONNECT_OK named and is never pooled. Its frames carry no
+    correlation fields and replies arrive in request order, so it has
+    no reader thread: the waiting caller receives, and a reply answers
+    the oldest request in flight. The owning connection's exchange lock
+    makes that caller the only receiver.
+
+    Either way the physical channel closes when its last session does.
     """
 
     def __init__(
         self,
         channel: Channel,
         host: str,
-        controller_id: str,
         key: Tuple[Any, ...],
-        tracing: bool = False,
+        connect_ok: Dict[str, Any],
+        shared: bool,
     ) -> None:
-        self._channel = channel
-        self.host = host
-        self.controller_id = controller_id
-        #: Registry key, used by the runtime to evict/release the link.
+        self._transport = channel
+        #: Registry key, used by the runtime to release the link.
         self.key = key
-        #: Whether the controller granted tracing on this channel
-        #: (``tracing=True`` in the CONNECT_OK) — sessions that want
-        #: spans back may then send a ``trace_id`` per EXECUTE.
-        self.tracing = tracing
+        self.controller_id = str(connect_ok.get("controller_id", host))
+        #: Whether the controller granted tracing on this channel —
+        #: sessions that want spans back may then send a ``trace_id``
+        #: per EXECUTE.
+        self.tracing = bool(connect_ok.get("tracing"))
+        self.shared = shared
         self._send_lock = threading.Lock()
         self._lock = threading.Lock()
-        self._pending: Dict[Tuple[str, int], _MuxPending] = {}
+        #: Requests in flight, oldest first.
+        self._pending: Dict[Tuple[str, int], _Pending] = {}
         self._request_ids = itertools.count(1)
         self._sessions: set = set()
+        self._implicit = str(connect_ok.get("session_id", ""))
         self._dead = False
-        self._reader = threading.Thread(
-            target=self._read_loop, name=f"mux-reader-{host}", daemon=True
-        )
-        self._reader.start()
+        if shared:
+            threading.Thread(
+                target=self._read_loop, name=f"mux-reader-{host}", daemon=True
+            ).start()
 
-    # -- reader ------------------------------------------------------------------
+    # -- receiving -----------------------------------------------------------------
 
     def _read_loop(self) -> None:
-        while True:
-            try:
-                message = self._channel.recv(timeout=None)
-            except TransportError:
-                self._fail_all("controller channel lost")
-                return
-            if message.get("type") == ClusterMessageType.PONG:
-                continue
-            session_id = message.get("session_id")
-            request_id = message.get("request_id")
-            if not isinstance(session_id, str) or not isinstance(request_id, int):
-                # Uncorrelated frame (e.g. a ``bad_correlation`` error for
-                # garbage this driver never sends): no owner to wake.
-                continue
-            with self._lock:
-                pending = self._pending.pop((session_id, request_id), None)
-            if pending is not None:
-                pending.reply = message
-                pending.event.set()
+        while self._receive(None):
+            pass
+
+    def _receive(self, timeout: Optional[float]) -> bool:
+        """Take one frame off the channel and hand it to its waiter;
+        False once the channel is lost (every waiter was failed)."""
+        try:
+            message = self._transport.recv(timeout=timeout)
+        except TransportError as exc:
+            self._fail_all(f"controller channel lost: {exc}")
+            return False
+        if message.get("type") == ClusterMessageType.PONG:
+            return True
+        session_id, request_id = message.get("session_id"), message.get("request_id")
+        if self.shared and not (isinstance(session_id, str) and isinstance(request_id, int)):
+            # Uncorrelated frame (e.g. a ``bad_correlation`` error for
+            # garbage this driver never sends): no owner to wake.
+            return True
+        with self._lock:
+            key = (session_id, request_id) if self.shared else next(iter(self._pending), None)
+            pending = self._pending.pop(key, None)
+        if pending is not None:
+            pending.reply = message
+            pending.answered.release()
+        return True
 
     def _fail_all(self, reason: str) -> None:
         with self._lock:
@@ -153,22 +172,20 @@ class MultiplexedChannel:
                 "code": "connection_lost",
                 "message": reason,
             }
-            pending.event.set()
+            pending.answered.release()
 
     # -- requests ----------------------------------------------------------------
 
-    def _send_correlated(self, key: Tuple[str, int], message: Dict[str, Any]) -> _MuxPending:
-        pending = _MuxPending()
+    def _send(self, key: Tuple[str, int], message: Dict[str, Any]) -> _Pending:
+        pending = _Pending(key)
         with self._lock:
             if self._dead:
-                raise TransportError("multiplexed channel is closed")
+                raise TransportError("controller link is closed")
             self._pending[key] = pending
         try:
             with self._send_lock:
-                self._channel.send(message)
+                self._transport.send(message)
         except TransportError:
-            with self._lock:
-                self._pending.pop(key, None)
             self._fail_all("controller channel lost")
             raise
         return pending
@@ -179,65 +196,68 @@ class MultiplexedChannel:
         sql: str,
         params: Optional[Dict[str, Any]],
         trace_id: Optional[str] = None,
-    ) -> _MuxPending:
+    ) -> _Pending:
         """Fire one statement without waiting — the pipelining primitive."""
         request_id = next(self._request_ids)
-        return self._send_correlated(
+        correlation = (
+            {"session_id": session_id, "request_id": request_id} if self.shared else {}
+        )
+        return self._send(
             (session_id, request_id),
-            make_execute(
-                sql, params, session_id=session_id, request_id=request_id, trace_id=trace_id
-            ),
+            make_execute(sql, params, trace_id=trace_id, **correlation),
         )
 
-    @staticmethod
-    def wait(pending: _MuxPending, timeout: float = 30.0) -> Dict[str, Any]:
-        if not pending.event.wait(timeout):
-            raise TransportError("timed out waiting for multiplexed reply")
+    def wait(self, pending: _Pending, timeout: float = 30.0) -> Dict[str, Any]:
+        if self.shared:
+            if not pending.answered.acquire(timeout=timeout):
+                # One session's problem: its siblings' replies still
+                # arrive, so the link lives on.
+                with self._lock:
+                    self._pending.pop(pending.key, None)
+                raise TransportError("timed out waiting for reply")
+        else:
+            # Replies come in request order, one per frame received. A
+            # timeout leaves the stream desynchronised (the late reply
+            # would answer the next request), so it kills the link.
+            while pending.reply is None and self._receive(timeout):
+                pass
         reply = pending.reply or {}
         if reply.get("type") == ClusterMessageType.ERROR and reply.get("code") == "connection_lost":
             raise TransportError(str(reply.get("message")))
         return reply
 
-    def request(
-        self,
-        session_id: str,
-        sql: str,
-        params: Optional[Dict[str, Any]],
-        timeout: float = 30.0,
-        trace_id: Optional[str] = None,
-    ) -> Dict[str, Any]:
-        return self.wait(self.submit(session_id, sql, params, trace_id=trace_id), timeout=timeout)
-
-    # -- logical sessions ----------------------------------------------------------
+    # -- sessions ------------------------------------------------------------------
 
     def open_session(self) -> str:
-        session_id = uuid.uuid4().hex
-        request_id = next(self._request_ids)
-        pending = self._send_correlated(
-            (session_id, request_id), make_session_open(session_id, request_id)
-        )
-        reply = self.wait(pending, timeout=10.0)
-        if reply.get("type") != ClusterMessageType.SESSION_OPEN_OK:
-            raise TransportError(
-                f"session open failed: [{reply.get('code')}] {reply.get('message')}"
+        if not self.shared:
+            session_id = self._implicit
+        else:
+            session_id = uuid.uuid4().hex
+            request_id = next(self._request_ids)
+            pending = self._send(
+                (session_id, request_id), make_session_open(session_id, request_id)
             )
+            reply = self.wait(pending, timeout=10.0)
+            if reply.get("type") != ClusterMessageType.SESSION_OPEN_OK:
+                raise TransportError(
+                    f"session open failed: [{reply.get('code')}] {reply.get('message')}"
+                )
         with self._lock:
             self._sessions.add(session_id)
         return session_id
 
-    def close_session(self, session_id: str) -> int:
-        """Close one logical session; returns how many remain."""
+    def close_session(self, session_id: str) -> None:
         with self._lock:
             self._sessions.discard(session_id)
-            dead = self._dead
-            remaining = len(self._sessions)
-        if not dead:
+            announce = self.shared and not self._dead
+        # A private link's CLOSE (it follows at once: that was its last
+        # session) ends the implicit session.
+        if announce:
             try:
                 with self._send_lock:
-                    self._channel.send(make_session_close(session_id))
+                    self._transport.send(make_session_close(session_id))
             except TransportError:
                 self._fail_all("controller channel lost")
-        return remaining
 
     @property
     def session_count(self) -> int:
@@ -253,18 +273,21 @@ class MultiplexedChannel:
         self._fail_all("channel closed")
         try:
             with self._send_lock:
-                self._channel.send({"type": ClusterMessageType.CLOSE})
+                self._transport.send({"type": ClusterMessageType.CLOSE})
         except TransportError:
             pass
-        self._channel.close()
+        self._transport.close()
 
 
-#: Name kept for the cluster driver's cursor.
+#: The cluster driver's cursor type (perfbench's L0 ``ClusterCursor.execute``).
 ClusterCursor = ResultCursor
 
 
 class ClusterConnection(WireConnection):
-    """A failover-capable connection to a controller group."""
+    """A failover-capable connection to a controller group. It holds one
+    attachment at a time — a session on a :class:`ControllerLink` —
+    made by :meth:`_connect_to_any`, used by :meth:`_request` and given
+    up by :meth:`_detach`, whichever kind of link the handshake granted."""
 
     def __init__(
         self,
@@ -281,10 +304,11 @@ class ClusterConnection(WireConnection):
         self._user = user
         self._password = password
         self._options = options
-        self._channel: Optional[Channel] = None
-        self._mux_link: Optional[MultiplexedChannel] = None
+        #: The one attachment: a session on a link (None, None when detached).
+        self._link: Optional[ControllerLink] = None
         self._session_id: Optional[str] = None
         self._controller_id: Optional[str] = None
+        self._current_host: Optional[str] = None
         self.failovers = 0
         #: Controller HA: the primary address the last ``not_primary``
         #: bounce carried (tried first on the next reconnect), and
@@ -306,7 +330,7 @@ class ClusterConnection(WireConnection):
         # Multiplexing is attempted by default on a v3 driver; the
         # handshake downgrades transparently against a v2 controller —
         # absence of the ``multiplexing`` grant in CONNECT_OK means a
-        # dedicated channel.
+        # private link.
         self._want_mux = driver.protocol_version >= MULTIPLEX_MIN_VERSION and _option_enabled(
             options.get("multiplexing"), default=True
         )
@@ -333,37 +357,16 @@ class ClusterConnection(WireConnection):
     # -- connection establishment with failover -----------------------------------
 
     def _detach(self) -> None:
-        """Drop the current attachment (dedicated channel or logical
-        session), closing server-side state so nothing leaks. A failover
-        away from a *healthy* controller (e.g. one answering
-        controller_recovering) would otherwise pin its session for the
-        process lifetime."""
-        if self._channel is not None:
-            channel, self._channel = self._channel, None
-            try:
-                channel.send({"type": ClusterMessageType.CLOSE})
-            except TransportError:
-                pass
-            try:
-                channel.close()
-            except Exception:
-                pass
-        if self._mux_link is not None:
-            link, self._mux_link = self._mux_link, None
-            session_id, self._session_id = self._session_id, None
-            if session_id is not None:
-                try:
-                    link.close_session(session_id)
-                except Exception:
-                    pass
-            self._driver._release_mux_link(link)
-
-    def _attach_mux(self, link: MultiplexedChannel, session_id: str, host: str) -> None:
-        self._mux_link = link
-        self._session_id = session_id
-        self._controller_id = link.controller_id
-        self._current_host = host
-        self._tracing = self._want_trace and link.tracing
+        """Give up the session, closing server-side state so nothing
+        leaks: a failover away from a *healthy* controller (e.g. one
+        answering controller_recovering) would otherwise pin its session
+        for the process lifetime. The link goes with its last session,
+        or at once if its channel died."""
+        link, self._link = self._link, None
+        session_id, self._session_id = self._session_id, None
+        if link is not None:
+            link.close_session(session_id)
+            self._driver._release_link(link)
 
     def _connect_to_any(self, exclude: Optional[str] = None) -> None:
         self._detach()
@@ -379,156 +382,145 @@ class ClusterConnection(WireConnection):
             ordered = [hint] + [host for host in ordered if host != hint]
         last_error: Optional[Exception] = None
         for host in ordered:
-            key = (id(self._network), host, self._url.database, self._user)
-            forming = False
-            if self._want_mux:
-                # Piggyback on an already-established multiplexed channel
-                # to this controller before opening a new socket. A None
-                # checkout claims a forming slot against the per-host cap
-                # (released in the finally below, whatever the outcome).
-                link = self._driver._checkout_mux_link(key, self._mux_channels_per_host)
-                if link is not None:
-                    try:
-                        session_id = link.open_session()
-                    except TransportError as exc:
-                        last_error = exc
-                        self._driver._evict_mux_link(link)
-                        # fall through: fresh connect to the same host
-                    else:
-                        self._attach_mux(link, session_id, host)
-                        return
-                else:
-                    forming = True
             try:
-                try:
-                    channel = self._network.connect(host, timeout=5.0)
-                    channel.send(
-                        make_connect(
-                            virtual_database=self._url.database,
-                            user=self._user,
-                            password=self._password,
-                            protocol_version=self._driver.protocol_version,
-                            options={
-                                name: str(value) for name, value in self._options.items()
-                            },
-                            multiplex=self._want_mux,
-                            trace=self._want_trace,
-                        )
-                    )
-                    reply = channel.recv(timeout=10.0)
-                except TransportError as exc:
-                    last_error = exc
-                    continue
-                if reply.get("type") == ClusterMessageType.ERROR:
-                    last_error = OperationalError(
-                        f"[{reply.get('code')}] {reply.get('message')}"
-                    )
-                    channel.close()
-                    continue
-                if reply.get("type") != ClusterMessageType.CONNECT_OK:
-                    last_error = InterfaceError(
-                        f"unexpected handshake reply {reply.get('type')!r}"
-                    )
-                    channel.close()
-                    continue
-                if self._want_mux and reply.get("multiplexing"):
-                    link = MultiplexedChannel(
-                        channel,
-                        host,
-                        str(reply.get("controller_id", host)),
-                        key,
-                        tracing=bool(reply.get("tracing")),
-                    )
-                    try:
-                        session_id = link.open_session()
-                    except TransportError as exc:
-                        last_error = exc
-                        link.close()
-                        continue
-                    self._driver._register_mux_link(link)
-                    self._attach_mux(link, session_id, host)
-                    return
-                # Dedicated mode: no multiplexing grant (older protocol
-                # on either side, or this connection opted out) — the
-                # handshaked channel serves this connection alone,
-                # exactly the v2 behaviour.
-                self._channel = channel
-                self._controller_id = str(reply.get("controller_id", host))
-                self._current_host = host
-                self._tracing = self._want_trace and bool(reply.get("tracing"))
-                return
-            finally:
-                if forming:
-                    self._driver._mux_forming_done(key)
+                link, session_id = self._open_session_on(host)
+            except (TransportError, OperationalError, InterfaceError) as exc:
+                last_error = exc
+                continue
+            self._link = link
+            self._session_id = session_id
+            self._controller_id = link.controller_id
+            self._current_host = host
+            self._tracing = self._want_trace and link.tracing
+            return
         raise OperationalError(f"no controller reachable among {hosts!r}: {last_error}")
+
+    def _open_session_on(self, host: str) -> Tuple[ControllerLink, str]:
+        key = (id(self._network), host, self._url.database, self._user)
+        while self._want_mux:
+            # Ride an already-established shared link to this controller
+            # before opening a new socket. A None checkout claims a
+            # forming slot against the per-host cap (released in the
+            # finally below, whatever the outcome).
+            link = self._driver._checkout_link(key, self._mux_channels_per_host)
+            if link is None:
+                break
+            try:
+                return link, link.open_session()
+            except TransportError:
+                # Unusable for new sessions: closing it takes it out of
+                # the registry at the next checkout, which ends in a
+                # fresh connect to the same host.
+                link.close()
+        try:
+            link = self._handshake(host, key)
+            try:
+                session_id = link.open_session()
+            except TransportError:
+                link.close()
+                raise
+            if link.shared:
+                self._driver._register_link(link)
+            return link, session_id
+        finally:
+            if self._want_mux:
+                self._driver._forming_done(key)
+
+    def _handshake(self, host: str, key: Tuple[Any, ...]) -> ControllerLink:
+        channel = self._network.connect(host, timeout=5.0)
+        try:
+            channel.send(
+                make_connect(
+                    virtual_database=self._url.database,
+                    user=self._user,
+                    password=self._password,
+                    protocol_version=self._driver.protocol_version,
+                    options={name: str(value) for name, value in self._options.items()},
+                    multiplex=self._want_mux,
+                    trace=self._want_trace,
+                )
+            )
+            reply = channel.recv(timeout=10.0)
+            if reply.get("type") == ClusterMessageType.ERROR:
+                raise OperationalError(f"[{reply.get('code')}] {reply.get('message')}")
+            if reply.get("type") != ClusterMessageType.CONNECT_OK:
+                raise InterfaceError(f"unexpected handshake reply {reply.get('type')!r}")
+        except Exception:
+            channel.close()
+            raise
+        # What the controller granted — not what was asked — decides the
+        # link's shape: no grant (an older protocol on either side, or
+        # this connection opted out) means a private link.
+        shared = self._want_mux and bool(reply.get("multiplexing"))
+        return ControllerLink(channel, host, key, reply, shared)
 
     # -- statement execution ---------------------------------------------------------
 
-    def _execute(self, sql: str, params: Dict[str, Any]) -> Dict[str, Any]:
-        if self._closed:
-            raise InterfaceError("connection is closed")
-        with self._lock:
-            # One attempt per configured controller: a dead controller and
-            # a sibling busy replaying its recovery log (error code
-            # ``controller_recovering``) both push the statement to the
-            # next host. ``failovers`` counts *successful* reconnects —
-            # a reconnect that fails raises without bumping the counter.
-            attempts = max(2, len(self._url.hosts))
-            busy_left = self._busy_retries
-            # HA ``not_primary`` bounces are healthy redirections, not
-            # failures: they get their own bounded grace so a redirect
-            # (or a just-finished election) never exhausts the budget
-            # meant for actually-dead controllers.
-            bounce_grace = len(self._url.hosts)
-            attempt = 0
-            while attempt < attempts:
-                try:
-                    return self._execute_once(sql, params)
-                except _ServerBusy as exc:
-                    # Admission-control rejection: the controller refused
-                    # the statement *before* any backend saw it, so
-                    # retrying the same host is safe even mid-transaction
-                    # (the session — and the transaction it owns — is
-                    # alive and well; the controller is merely saturated).
-                    # Failing over would only move the herd, so the retry
-                    # stays put, with capped jittered exponential backoff.
-                    if busy_left <= 0:
-                        raise OperationalError(str(exc)) from exc
-                    used = self._busy_retries - busy_left
-                    busy_left -= 1
-                    delay = min(
-                        self._busy_backoff_cap_s, self._busy_backoff_s * (2**used)
-                    ) * (0.5 + random.random() * 0.5)
-                    self.server_busy_retries += 1
-                    self.busy_backoff_seconds += delay
-                    if delay > 0:
-                        time.sleep(delay)
-                except OperationalError:
-                    # Transparent failover: only safe outside a transaction
-                    # — mid-transaction the controller's session (and the
-                    # transaction it owns) is gone, so surface the error
-                    # rather than silently retrying against a sibling that
-                    # never saw the transaction's earlier statements.
-                    if self._in_transaction:
-                        self._closed = True
+    def _execute_locked(self, sql: str, params: Dict[str, Any]) -> Dict[str, Any]:
+        # One attempt per configured controller: a dead controller and
+        # a sibling busy replaying its recovery log (error code
+        # ``controller_recovering``) both push the statement to the
+        # next host. ``failovers`` counts *successful* reconnects —
+        # a reconnect that fails raises without bumping the counter.
+        attempts = max(2, len(self._url.hosts))
+        busy_left = self._busy_retries
+        # HA ``not_primary`` bounces are healthy redirections, not
+        # failures: they get their own bounded grace so a redirect
+        # (or a just-finished election) never exhausts the budget
+        # meant for actually-dead controllers.
+        bounce_grace = len(self._url.hosts)
+        attempt = 0
+        while attempt < attempts:
+            try:
+                return self._execute_once(sql, params)
+            except _ServerBusy as exc:
+                # Admission-control rejection: the controller refused
+                # the statement *before* any backend saw it, so
+                # retrying the same host is safe even mid-transaction
+                # (the session — and the transaction it owns — is
+                # alive and well; the controller is merely saturated).
+                # Failing over would only move the herd, so the retry
+                # stays put, with capped jittered exponential backoff.
+                if busy_left <= 0:
+                    raise OperationalError(str(exc)) from exc
+                used = self._busy_retries - busy_left
+                busy_left -= 1
+                delay = min(
+                    self._busy_backoff_cap_s, self._busy_backoff_s * (2**used)
+                ) * (0.5 + random.random() * 0.5)
+                self.server_busy_retries += 1
+                self.busy_backoff_seconds += delay
+                if delay > 0:
+                    time.sleep(delay)
+            except OperationalError:
+                # Transparent failover: only safe outside a transaction
+                # — mid-transaction, surface the error rather than
+                # silently retrying against a sibling that never saw the
+                # transaction's earlier statements. The connection ends
+                # here; detaching tells a controller that is still alive
+                # to roll the transaction back now, not whenever the
+                # application gets round to close(). A connection closed
+                # from another thread meanwhile is not re-attached either.
+                if self._in_transaction or self._closed:
+                    self._detach()
+                    self._closed = True
+                    raise
+                bounced, self._not_primary_bounce = self._not_primary_bounce, False
+                if bounced and bounce_grace > 0:
+                    bounce_grace -= 1
+                else:
+                    attempt += 1
+                    if attempt >= attempts:
                         raise
-                    bounced, self._not_primary_bounce = self._not_primary_bounce, False
-                    if bounced and bounce_grace > 0:
-                        bounce_grace -= 1
-                    else:
-                        attempt += 1
-                        if attempt >= attempts:
-                            raise
-                    self._connect_to_any(exclude=getattr(self, "_current_host", None))
-                    self.failovers += 1
-            raise OperationalError("unreachable")  # pragma: no cover
+                self._connect_to_any(exclude=self._current_host)
+                self.failovers += 1
+        raise OperationalError("unreachable")  # pragma: no cover
 
     def _execute_once(self, sql: str, params: Dict[str, Any]) -> Dict[str, Any]:
-        # On a tracing-granted channel every statement carries a fresh
+        # On a tracing-granted link every statement carries a fresh
         # trace_id; the reply's span list (plus the round-trip latency
         # observed right here) lands in ``last_trace``. Untraced
-        # connections skip all of it — no id, no timing, v2-identical
-        # frames.
+        # connections skip all of it — no id, no timing, no extra field.
         if self._tracing:
             self._trace_seq += 1
             trace_id = f"{self._trace_id_prefix}-{self._trace_seq:x}"
@@ -536,22 +528,7 @@ class ClusterConnection(WireConnection):
         else:
             trace_id = None
             started = 0.0
-        if self._mux_link is not None:
-            assert self._session_id is not None
-            try:
-                reply = self._mux_link.request(
-                    self._session_id, sql, params, timeout=30.0, trace_id=trace_id
-                )
-            except TransportError as exc:
-                self._driver._evict_mux_link(self._mux_link)
-                raise OperationalError(f"controller connection lost: {exc}") from exc
-        else:
-            assert self._channel is not None
-            try:
-                self._channel.send(make_execute(sql, params, trace_id=trace_id))
-                reply = self._channel.recv(timeout=30.0)
-            except TransportError as exc:
-                raise OperationalError(f"controller connection lost: {exc}") from exc
+        (reply,) = self._request([(sql, params)], 30.0, trace_id)
         if trace_id is not None:
             # Captured before interpretation so failed statements are
             # traceable too.
@@ -565,6 +542,28 @@ class ClusterConnection(WireConnection):
                 "spans": reply.get("trace") or [],
             }
         return self._interpret_reply(reply)
+
+    def _request(
+        self,
+        statements: List[Tuple[str, Dict[str, Any]]],
+        timeout: float,
+        trace_id: Optional[str] = None,
+    ) -> List[Dict[str, Any]]:
+        """Fire ``statements`` on the session and collect their replies in
+        order — one statement is a pipeline of one. Any transport failure
+        (channel lost, reply timed out) detaches: the session is closed
+        and the link released, which closes it if its channel died."""
+        link, session_id = self._link, self._session_id
+        try:
+            if link is None:
+                raise TransportError("not attached to a controller")
+            pendings = [
+                link.submit(session_id, sql, params, trace_id) for sql, params in statements
+            ]
+            return [link.wait(pending, timeout) for pending in pendings]
+        except TransportError as exc:
+            self._detach()
+            raise OperationalError(f"controller connection lost: {exc}") from exc
 
     def _interpret_reply(self, reply: Dict[str, Any]) -> Dict[str, Any]:
         if reply.get("type") == ClusterMessageType.ERROR:
@@ -599,23 +598,22 @@ class ClusterConnection(WireConnection):
         statements: Iterable[Union[str, Tuple[str, Optional[Dict[str, Any]]]]],
         timeout: float = 30.0,
     ) -> List[Dict[str, Any]]:
-        """Fire several statements back-to-back over the multiplexed
-        channel without waiting for each reply (one round-trip's worth of
-        latency overlaps the next statement's execution), then collect
-        every result in order.
+        """Fire several statements back-to-back without waiting for each
+        reply (one round-trip's worth of latency overlaps the next
+        statement's execution), then collect every result in order.
 
-        On a dedicated (non-multiplexed) connection the statements simply
-        run sequentially — same results, no overlap. Pipelining inside an
-        open transaction is supported over wire v3: a session's queued
-        statements execute strictly FIFO on the controller, so the fired
-        batch lands in order within the transaction, and the final COMMIT
-        (issued separately) flushes it. Transaction *control* cannot be
-        pipelined: a BEGIN/COMMIT in the middle of an
-        already-fired batch could not abort the statements behind it.
-        There is no transparent failover for a pipeline — by the time an
-        error surfaces, later statements may already have executed, so
-        the failure is raised as-is (results before the failing statement
-        are lost to the caller but were applied by the cluster)."""
+        A session's statements execute strictly FIFO on the controller
+        — queued on a shared link, read off the channel one by one on a
+        private one — so pipelining inside an open transaction is
+        supported: the fired batch lands in order within the
+        transaction, and the final COMMIT (issued separately) flushes
+        it. Transaction *control* cannot be pipelined: a BEGIN/COMMIT in
+        the middle of an already-fired batch could not abort the
+        statements behind it. There is no transparent failover for a
+        pipeline — by the time an error surfaces, later statements may
+        already have executed, so the failure is raised as-is (results
+        before the failing statement are lost to the caller but were
+        applied by the cluster)."""
         prepared: List[Tuple[str, Dict[str, Any]]] = []
         for statement in statements:
             if isinstance(statement, str):
@@ -626,23 +624,11 @@ class ClusterConnection(WireConnection):
             if head in ("BEGIN", "COMMIT", "ROLLBACK", "START", "END"):
                 raise ProgrammingError(f"cannot pipeline transaction control ({head})")
             prepared.append((sql, params))
-        if self._closed:
-            raise InterfaceError("connection is closed")
-        if not prepared:
-            return []
-        if self._mux_link is None:
-            return [self._execute(sql, params) for sql, params in prepared]
         with self._lock:
-            link, session_id = self._mux_link, self._session_id
-            assert link is not None and session_id is not None
-            try:
-                pendings = [link.submit(session_id, sql, params) for sql, params in prepared]
-                replies = [link.wait(pending, timeout=timeout) for pending in pendings]
-            except TransportError as exc:
-                self._driver._evict_mux_link(link)
-                raise OperationalError(f"controller connection lost: {exc}") from exc
+            if self._closed:
+                raise InterfaceError("connection is closed")
             results = []
-            for reply in replies:
+            for reply in self._request(prepared, timeout):
                 try:
                     results.append(self._interpret_reply(reply))
                 except _ServerBusy as exc:
@@ -657,21 +643,14 @@ class ClusterConnection(WireConnection):
                     ) from exc
             return results
 
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._detach()
-        self._driver._forget_connection(self)
-
     @property
     def multiplexed(self) -> bool:
         """Whether this connection rides a shared multiplexed channel."""
-        return self._mux_link is not None
+        return self._link is not None and self._link.shared
 
     @property
     def session_id(self) -> Optional[str]:
-        """Logical session id on a multiplexed channel (None when dedicated)."""
+        """The session this connection holds on its link (None when detached)."""
         return self._session_id
 
     @property
@@ -714,100 +693,87 @@ class ClusterDriverRuntime(DriverRuntime):
             name, driver_version, protocol_version, None, preconfigured_url, default_options
         )
         self._round_robin = 0
-        #: Shared multiplexed channels, keyed
-        #: ``(id(network), host, database, user)`` — sessions for the same
-        #: virtual database and credentials share a physical channel.
-        self._mux_links: Dict[Tuple[Any, ...], List[MultiplexedChannel]] = {}
+        #: Shared links, keyed ``(id(network), host, database, user)`` —
+        #: sessions for the same virtual database and credentials share
+        #: a physical channel. Private links are never registered.
+        self._links: Dict[Tuple[Any, ...], List[ControllerLink]] = {}
         #: Channel establishments in flight per key, counted against the
         #: per-host cap so a burst of concurrent connects does not
         #: stampede past ``mux_channels_per_host`` fresh channels.
-        self._mux_forming: Dict[Tuple[Any, ...], int] = {}
-        self._mux_cond = threading.Condition(self._lock)
+        self._forming: Dict[Tuple[Any, ...], int] = {}
+        self._links_cond = threading.Condition(self._lock)
 
-    # -- multiplexed channel registry ------------------------------------------------
+    # -- shared link registry --------------------------------------------------------
 
-    def _checkout_mux_link(
+    def _checkout_link(
         self, key: Tuple[Any, ...], channels_per_host: int
-    ) -> Optional[MultiplexedChannel]:
-        """An existing live channel for ``key``, or None to make the
+    ) -> Optional[ControllerLink]:
+        """An existing live shared link for ``key``, or None to make the
         caller establish a new one — the caller then owns a *forming*
-        slot and MUST report back via :meth:`_mux_forming_done`. Until
-        ``channels_per_host`` channels exist (counting in-flight
-        establishments), new sessions spread onto fresh channels; after
+        slot and MUST report back via :meth:`_forming_done`. Until
+        ``channels_per_host`` links exist (counting in-flight
+        establishments), new sessions spread onto fresh links; after
         that they pile onto the least-loaded live one. A caller that
         finds the cap reached but nothing live yet waits for a forming
-        channel instead of opening channel number cap+1."""
+        link instead of opening link number cap+1."""
         cap = max(1, channels_per_host)
-        with self._mux_cond:
+        with self._links_cond:
             while True:
-                links = self._mux_links.get(key, [])
+                links = self._links.get(key, [])
                 live = [link for link in links if not link.dead]
                 if len(live) != len(links):
                     if live:
-                        self._mux_links[key] = live
+                        self._links[key] = live
                     else:
-                        self._mux_links.pop(key, None)
-                forming = self._mux_forming.get(key, 0)
+                        self._links.pop(key, None)
+                forming = self._forming.get(key, 0)
                 if len(live) + forming < cap:
-                    self._mux_forming[key] = forming + 1
+                    self._forming[key] = forming + 1
                     return None
                 if live:
                     return min(live, key=lambda link: link.session_count)
-                # Cap's worth of channels are mid-handshake on other
+                # Cap's worth of links are mid-handshake on other
                 # threads: piggyback on the first to finish. The timeout
                 # claims a slot anyway if they all stall or fail.
-                if not self._mux_cond.wait(timeout=10.0):
-                    self._mux_forming[key] = self._mux_forming.get(key, 0) + 1
+                if not self._links_cond.wait(timeout=10.0):
+                    self._forming[key] = self._forming.get(key, 0) + 1
                     return None
 
-    def _mux_forming_done(self, key: Tuple[Any, ...]) -> None:
+    def _forming_done(self, key: Tuple[Any, ...]) -> None:
         """Release a forming slot claimed by a None checkout — called
-        whether the establishment registered a channel, downgraded to a
-        dedicated one, or failed."""
-        with self._mux_cond:
-            remaining = self._mux_forming.get(key, 0) - 1
+        whether the establishment registered a shared link, was granted
+        only a private one, or failed."""
+        with self._links_cond:
+            remaining = self._forming.get(key, 0) - 1
             if remaining > 0:
-                self._mux_forming[key] = remaining
+                self._forming[key] = remaining
             else:
-                self._mux_forming.pop(key, None)
-            self._mux_cond.notify_all()
+                self._forming.pop(key, None)
+            self._links_cond.notify_all()
 
-    def _register_mux_link(self, link: MultiplexedChannel) -> None:
-        with self._mux_cond:
-            self._mux_links.setdefault(link.key, []).append(link)
-            self._mux_cond.notify_all()
+    def _register_link(self, link: ControllerLink) -> None:
+        with self._links_cond:
+            self._links.setdefault(link.key, []).append(link)
+            self._links_cond.notify_all()
 
-    def _release_mux_link(self, link: MultiplexedChannel) -> None:
+    def _release_link(self, link: ControllerLink) -> None:
         """Called when a connection detaches: the physical channel closes
-        once its last logical session is gone, so idle channels never
-        outlive their clients (no leaked reader threads)."""
-        close_it = False
+        once its last session is gone — or at once if it died — so idle
+        links never outlive their clients (no leaked reader threads)."""
         with self._lock:
-            if link.session_count == 0 or link.dead:
-                links = self._mux_links.get(link.key)
-                if links and link in links:
-                    links.remove(link)
-                    if not links:
-                        del self._mux_links[link.key]
-                close_it = True
-        if close_it:
-            link.close()
-
-    def _evict_mux_link(self, link: MultiplexedChannel) -> None:
-        """Drop a dead channel from the registry so no new session tries
-        to ride it; pending requests were already failed by its reader."""
-        with self._lock:
-            links = self._mux_links.get(link.key)
+            if link.session_count > 0 and not link.dead:
+                return
+            links = self._links.get(link.key)
             if links and link in links:
                 links.remove(link)
                 if not links:
-                    del self._mux_links[link.key]
+                    del self._links[link.key]
         link.close()
 
     def mux_channel_count(self) -> int:
         """Live shared channels (observability for tests and benches)."""
         with self._lock:
-            return sum(len(links) for links in self._mux_links.values())
+            return sum(len(links) for links in self._links.values())
 
     def _next_start_index(self, host_count: int) -> int:
         """Round-robin start index for load balancing new connections."""

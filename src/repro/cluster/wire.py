@@ -24,20 +24,22 @@ Version history:
   already-handshaked channel. Multiplexing is negotiated: the CONNECT
   carries ``multiplex=True``, and the controller grants it with
   ``multiplexing=True`` in the CONNECT_OK when the negotiated version
-  is >= 3; a client that does not ask — or a v2 peer on either side —
-  gets no grant and the channel stays a dedicated v2-style session,
-  which the controller serves as a trunk with one implicit session.
-  See docs/wire.md.
+  is >= 3; a client that does not ask — or a v1/v2 peer on either
+  side — gets no grant and the channel carries the one implicit
+  session the CONNECT_OK named: a trunk with one session to the
+  controller, a private link to the driver. See docs/wire.md.
 - **v3 tracing extension** — per-statement tracing rides the same
   negotiation style: CONNECT may carry ``trace=True``, the controller
   grants with ``tracing=True`` in the CONNECT_OK only when
   ``ControllerConfig.tracing`` is on and the negotiated version is
   >= 3. On a granted channel EXECUTE may carry an optional
   ``trace_id``, and the matching RESULT/ERROR carries back ``trace``
-  (the server-side span list, see ``repro.obs.trace``). Every field is
-  conditional: untraced frames — and all frames to v2 or non-tracing
-  peers — stay byte-identical to the pre-tracing encoding. See
+  (the server-side span list, see ``repro.obs.trace``). See
   docs/observability.md.
+
+One rule keeps every version's frames readable by every other: an
+optional field is omitted when unset, so a frame that uses no newer
+feature is the frame an older peer expects.
 """
 
 from __future__ import annotations
@@ -49,7 +51,10 @@ from repro.errors import DriverError
 #: Protocol version spoken by the current controller/driver generation.
 CLUSTER_PROTOCOL_VERSION = 3
 
-#: Oldest driver protocol version a controller still accepts.
+#: Oldest driver protocol version a controller still accepts. The
+#: floor is v1 because ``driver_factory.build_sequoia_driver`` packages
+#: default to it: those are the drivers Drivolution delivers in Fig. 5,
+#: Fig. 6 and the rolling-upgrade example.
 MIN_CLIENT_PROTOCOL_VERSION = 1
 
 #: First protocol version supporting session multiplexing / pipelining.
@@ -134,9 +139,6 @@ def make_connect(
         "options": options or {},
     }
     if multiplex:
-        # Only emitted when requested: v2 controllers ignore unknown
-        # keys, but keeping the v2-era frame byte-identical when the
-        # feature is off costs nothing.
         message["multiplex"] = True
     if trace:
         message["trace"] = True
@@ -185,9 +187,7 @@ def make_result(columns: List[str], rows: List[Any], rowcount: int) -> Dict[str,
         # Only reshape rows that need it (tuples, generators, odd row
         # types); scheduler results already arrive as a list of lists and
         # re-copying every row dominated result encoding on large
-        # SELECTs (see benchmarks/test_bench_overhead.py). Anything not
-        # already in exact wire shape is copied, so the frame stays
-        # byte-identical to the v2 encoder's output.
+        # SELECTs (see benchmarks/test_bench_overhead.py).
         rows = [list(row) for row in rows]
     return {
         "type": ClusterMessageType.RESULT,
@@ -207,8 +207,8 @@ def attach_trace(message: Dict[str, Any], spans: Any) -> Dict[str, Any]:
     the frame codec; ``Trace.spans_from_wire`` accepts both).
 
     Deliberately separate from ``make_result``/``make_error`` so the
-    untraced reply path — the overwhelmingly common one — keeps its
-    exact frame shape and the ``make_result`` no-copy fast path."""
+    untraced reply path — the overwhelmingly common one — keeps the
+    ``make_result`` no-copy fast path."""
     if spans and spans != "[]":
         message["trace"] = spans
     return message

@@ -10,9 +10,11 @@ gets distributed and versioned, the library does the actual talking.
 The module also holds what every driver runtime in the repro shares —
 the cluster driver (:mod:`repro.cluster.driver`) builds on the same
 three bases: :class:`ResultCursor` (a cursor over one buffered RESULT
-reply), :class:`WireConnection` (the DB-API transaction surface over a
-subclass's ``_execute``) and :class:`DriverRuntime` (identity, option
-merging, pre-configured URLs, connection tracking).
+reply), :class:`WireConnection` (the DB-API transaction surface and
+the connection lifecycle — ``close()`` from any thread — over a
+subclass's ``_execute_locked`` and ``_detach``) and
+:class:`DriverRuntime` (identity, option merging, pre-configured URLs,
+connection tracking).
 
 The pydb runtime implements:
 
@@ -128,9 +130,12 @@ RuntimeCursor = ResultCursor
 
 class WireConnection(Connection):
     """The DB-API surface of a connection that talks an EXECUTE/RESULT
-    wire protocol. Subclasses implement ``_execute(sql, params)`` — one
-    statement in, the RESULT message out, errors raised — and
-    ``close()``; ``_lock`` is theirs to serialise the exchange with."""
+    wire protocol, and its lifecycle. Subclasses implement
+    ``_execute_locked(sql, params)`` — one statement in, the RESULT
+    message out, errors raised — and ``_detach()``, which releases the
+    server-side session and must tolerate being called twice. Both run
+    under ``_lock``, the exchange lock: one statement at a time, and
+    never concurrently with the detach."""
 
     def __init__(self, driver: "DriverRuntime") -> None:
         self._driver = driver
@@ -142,7 +147,26 @@ class WireConnection(Connection):
         self.statements_executed = 0
 
     def _execute(self, sql: str, params: Dict[str, Any]) -> Dict[str, Any]:
+        with self._lock:
+            if self._closed:
+                raise InterfaceError("connection is closed")
+            return self._execute_locked(sql, params)
+
+    def _execute_locked(self, sql: str, params: Dict[str, Any]) -> Dict[str, Any]:
         raise NotImplementedError
+
+    def _detach(self) -> None:
+        raise NotImplementedError
+
+    def close(self) -> None:
+        """Close from any thread (the bootloader closes connections the
+        application is still using): new statements are refused from
+        here, a statement in flight on another thread is answered
+        first, then the session is released."""
+        self._closed = True
+        with self._lock:
+            self._detach()
+        self._driver._forget_connection(self)
 
     def cursor(self) -> ResultCursor:
         if self._closed:
@@ -189,16 +213,16 @@ class RuntimeConnection(WireConnection):
 
     # -- internals ----------------------------------------------------------
 
-    def _execute(self, sql: str, params: Dict[str, Any]) -> Dict[str, Any]:
-        if self._closed:
-            raise InterfaceError("connection is closed")
-        with self._lock:
-            try:
-                self._channel.send(make_execute(sql, params=params))
-                reply = self._channel.recv(timeout=30.0)
-            except TransportError as exc:
-                self._closed = True
-                raise OperationalError(f"connection lost: {exc}") from exc
+    def _exchange(self, message: Dict[str, Any], timeout: float) -> Dict[str, Any]:
+        self._channel.send(message)
+        return self._channel.recv(timeout=timeout)
+
+    def _execute_locked(self, sql: str, params: Dict[str, Any]) -> Dict[str, Any]:
+        try:
+            reply = self._exchange(make_execute(sql, params=params), timeout=30.0)
+        except TransportError as exc:
+            self._closed = True
+            raise OperationalError(f"connection lost: {exc}") from exc
         if reply.get("type") == MessageType.ERROR:
             _raise_for_error(reply)
         if reply.get("type") != MessageType.RESULT:
@@ -206,22 +230,18 @@ class RuntimeConnection(WireConnection):
         self.statements_executed += 1
         return reply
 
-    def close(self) -> None:
-        if self._closed:
-            return
+    def _detach(self) -> None:
         try:
             if self._in_transaction:
-                try:
-                    self.rollback()
-                except Exception:
-                    pass
+                # Answered before the CLOSE goes out, so the transaction
+                # is rolled back by the time close() returns.
+                self._in_transaction = False
+                self._exchange(make_execute("ROLLBACK"), timeout=30.0)
             self._channel.send({"type": MessageType.CLOSE})
         except TransportError:
             pass
         finally:
-            self._closed = True
             self._channel.close()
-            self._driver._forget_connection(self)
 
     @property
     def session_id(self) -> str:
@@ -237,8 +257,7 @@ class RuntimeConnection(WireConnection):
             return False
         with self._lock:
             try:
-                self._channel.send({"type": MessageType.PING})
-                reply = self._channel.recv(timeout=5.0)
+                reply = self._exchange({"type": MessageType.PING}, timeout=5.0)
             except TransportError:
                 self._closed = True
                 return False

@@ -60,6 +60,47 @@ class TestTransparentFailover:
         assert connection.failovers == 0  # no silent retry happened
         assert connection.closed
 
+    @pytest.mark.parametrize("multiplexing", [True, False])
+    def test_mid_transaction_error_on_live_controller_releases_session(
+        self, cluster_env, multiplexing
+    ):
+        # The controller is alive, merely refusing the write: the error
+        # ends the connection, and with it the session and the open
+        # transaction the controller holds for it — not only once the
+        # application calls close(), and certainly not never.
+        env = cluster_env
+        driver = ClusterDriverRuntime(name="tx-live-driver")
+        setup = driver.connect(env.client_url(), network=env.network)
+        setup.cursor().execute("CREATE TABLE tx_live_t (id INTEGER PRIMARY KEY, v INTEGER)")
+        setup.cursor().execute("INSERT INTO tx_live_t (id, v) VALUES (1, 0)")
+        setup.close()
+        sessions_before = {
+            c.config.controller_id: c.stats()["active_sessions"] for c in env.controllers
+        }
+        connection = driver.connect(
+            env.client_url(), network=env.network, multiplexing=multiplexing
+        )
+        assert connection.multiplexed is multiplexing
+        controller = _controller_by_id(env, connection.controller_id)
+        cursor = connection.cursor()
+        connection.begin()
+        cursor.execute("UPDATE tx_live_t SET v = 1 WHERE id = 1")
+        assert controller.scheduler.stats()["open_transactions"] == 1
+        with chaos.resync_freeze(controller):
+            with pytest.raises(OperationalError, match="controller_recovering"):
+                cursor.execute("UPDATE tx_live_t SET v = 2 WHERE id = 1")
+        assert connection.failovers == 0
+        assert connection.closed
+        connection.close()
+        assert chaos.wait_until(
+            lambda: controller.scheduler.stats()["open_transactions"] == 0
+        ), "the controller still holds the failed connection's transaction"
+        assert chaos.wait_until(
+            lambda: controller.stats()["active_sessions"]
+            == sessions_before[controller.config.controller_id]
+        ), "the controller still holds the failed connection's session"
+        assert driver.mux_channel_count() == 0
+
     def test_all_controllers_dead_raises_without_counting_failovers(self, cluster_env):
         env = cluster_env
         driver = ClusterDriverRuntime(name="dead-driver")

@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+import chaos
 from repro.core import BootloaderConfig
 from repro.core.bootloader import BootloaderError
 from repro.dbapi.driver_factory import build_pydb_driver
@@ -95,15 +96,26 @@ class TestConcurrentClients:
         )[0].driver_id
         assert env.drivolution.leases.active_lease_count(new_driver_id) == len(bootloaders)
 
-    def test_concurrent_traffic_during_upgrade_on_cluster(self, cluster_env):
-        """Traffic keeps flowing while the cluster driver is upgraded."""
+    @pytest.mark.parametrize(
+        "old_protocol, new_protocol",
+        [(1, 1), (3, 3), (1, 3)],
+        ids=["private-links", "shared-links", "private-to-shared"],
+    )
+    def test_concurrent_traffic_during_upgrade_on_cluster(
+        self, cluster_env, old_protocol, new_protocol
+    ):
+        """Traffic keeps flowing while the cluster driver is upgraded —
+        on either kind of link, and across an upgrade that changes the
+        kind under an application that does not change at all."""
         from repro.core import Bootloader
         from repro.dbapi.driver_factory import build_sequoia_driver
         from repro.workloads import ClientApplication, WorkloadSpec
 
         env = cluster_env
         env.controllers[0].install_driver_cluster_wide(
-            build_sequoia_driver("seq-v1", driver_version=(1, 0, 0)),
+            build_sequoia_driver(
+                "seq-v1", driver_version=(1, 0, 0), protocol_version=old_protocol
+            ),
             database="vdb",
             lease_time_ms=1_000,
         )
@@ -120,16 +132,25 @@ class TestConcurrentClients:
         ]
         apps[0].ensure_schema()
         stop = threading.Event()
+        # The application records a ReproError as a failed request and
+        # carries on; anything else kills its thread, which a failure
+        # count of zero would never show.
+        crashes = []
 
         def traffic(app):
-            while not stop.is_set():
-                app.run_requests(1)
+            try:
+                while not stop.is_set():
+                    app.run_requests(1)
+            except Exception as exc:
+                crashes.append(exc)
 
         threads = [threading.Thread(target=traffic, args=(app,)) for app in apps]
         for thread in threads:
             thread.start()
         env.controllers[1].install_driver_cluster_wide(
-            build_sequoia_driver("seq-v2", driver_version=(2, 0, 0)),
+            build_sequoia_driver(
+                "seq-v2", driver_version=(2, 0, 0), protocol_version=new_protocol
+            ),
             database="vdb",
             lease_time_ms=1_000,
         )
@@ -146,8 +167,19 @@ class TestConcurrentClients:
         stop.set()
         for thread in threads:
             thread.join(timeout=5.0)
+            assert not thread.is_alive()
+        assert crashes == []
         assert {b.driver_info()["driver_name"] for b in bootloaders} == {"seq-v2"}
+        for app in apps:
+            app.run_requests(1)
         total_failed = sum(app.metrics.summary().failed for app in apps)
         assert total_failed == 0
+        live = [conn for b in bootloaders for conn in b.active_connections()]
+        assert len(live) == len(apps)
+        assert all(conn.inner.multiplexed is (new_protocol >= 3) for conn in live)
+        # Every connection the upgrade closed gave its session back.
+        assert chaos.wait_until(
+            lambda: sum(c.stats()["active_sessions"] for c in env.controllers) == len(live)
+        )
         for app in apps:
             app.close()

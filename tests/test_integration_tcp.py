@@ -87,3 +87,69 @@ class TestTcpEndToEnd:
         assert cursor.fetchone() == (1,)
         conventional.close()
         managed.close()
+
+    def test_concurrent_traffic_during_upgrade_over_tcp(self, tcp_env):
+        """The pydb twin of the cluster upgrade-under-traffic test, on
+        sockets: the bootloader closes connections other threads are
+        using, and closing a socket under a blocked ``recv`` (which the
+        in-memory transport cannot show) must not cost a request."""
+        import threading
+
+        from repro.workloads import ClientApplication, WorkloadSpec
+
+        clock, network, engine, _server, admin, address = tcp_env
+        url = f"pydb://{address}/appdb"
+        record = admin.install_driver(
+            build_pydb_driver("tcp-conc-1.0", driver_version=(1, 0, 0)),
+            database="appdb",
+            lease_time_ms=1_000,
+        )
+        bootloaders = [
+            Bootloader(BootloaderConfig(), network=network, clock=clock) for _ in range(3)
+        ]
+        apps = [
+            ClientApplication(
+                f"tcp-conc{i}", b.connect, url,
+                spec=WorkloadSpec(table="tcp_conc_events"), clock=clock,
+            )
+            for i, b in enumerate(bootloaders)
+        ]
+        apps[0].ensure_schema()
+        stop = threading.Event()
+        crashes = []
+
+        def traffic(app):
+            try:
+                while not stop.is_set():
+                    app.run_requests(1)
+            except Exception as exc:
+                crashes.append(exc)
+
+        threads = [threading.Thread(target=traffic, args=(app,)) for app in apps]
+        for thread in threads:
+            thread.start()
+        admin.push_upgrade(
+            build_pydb_driver("tcp-conc-2.0", driver_version=(2, 0, 0)),
+            old_record=record,
+            database="appdb",
+            lease_time_ms=1_000,
+        )
+        for _ in range(5):
+            clock.advance(2.0)
+            for bootloader in bootloaders:
+                bootloader.check_for_update()
+            if {b.driver_info()["driver_name"] for b in bootloaders} == {"tcp-conc-2.0"}:
+                break
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+        assert crashes == []
+        assert {b.driver_info()["driver_name"] for b in bootloaders} == {"tcp-conc-2.0"}
+        failures = [
+            request.error for app in apps for request in app.metrics.records() if not request.ok
+        ]
+        assert failures == []
+        assert sum(app.metrics.summary().succeeded for app in apps) > 0
+        for app in apps:
+            app.close()

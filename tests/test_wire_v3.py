@@ -497,6 +497,85 @@ class TestMuxFailover:
             connection.close()
 
 
+def _reader_threads():
+    return {t for t in threading.enumerate() if t.name.startswith("mux-reader")}
+
+
+class TestOneAttachment:
+    """The driver holds one attachment, a session on a link; what the
+    handshake granted decides whether the link is shared or private."""
+
+    @pytest.mark.parametrize(
+        "runtime_options, connect_options",
+        [({}, {"multiplexing": False}), ({"protocol_version": 1}, {})],
+        ids=["opt-out", "v1-driver"],
+    )
+    def test_private_link_starts_no_client_thread(
+        self, cluster_env, runtime_options, connect_options
+    ):
+        env = cluster_env
+        before = _reader_threads()
+        driver = ClusterDriverRuntime(name="private-driver", **runtime_options)
+        connection = driver.connect(env.client_url(), network=env.network, **connect_options)
+        assert not connection.multiplexed
+        assert connection.session_id
+        assert _reader_threads() == before
+        assert driver.mux_channel_count() == 0
+        cursor = connection.cursor()
+        cursor.execute("SELECT 1")
+        assert cursor.fetchone() == (1,)
+        connection.close()
+
+    def test_shared_link_starts_one_reader_per_physical_channel(self, cluster_env):
+        env = cluster_env
+        before = _reader_threads()
+        driver = ClusterDriverRuntime(name="shared-driver")
+        url = f"sequoia://{env.controllers[0].address}/vdb"
+        connections = [driver.connect(url, network=env.network) for _ in range(3)]
+        assert all(connection.multiplexed for connection in connections)
+        assert len(_reader_threads() - before) == driver.mux_channel_count() == 1
+        for connection in connections:
+            connection.close()
+
+    def test_reply_timeout_on_shared_link_is_one_sessions_problem(self, cluster_env):
+        env = cluster_env
+        controller = env.controllers[0]
+        driver = ClusterDriverRuntime(name="timeout-driver")
+        url = f"sequoia://{controller.address}/vdb"
+        a = driver.connect(url, network=env.network)
+        b = driver.connect(url, network=env.network)
+        assert driver.mux_channel_count() == 1
+        a.cursor().execute("CREATE TABLE slow_t (id INTEGER PRIMARY KEY)")
+        b_rowcounts = []
+        exclusive = controller.scheduler._locks.exclusive()
+        exclusive.__enter__()
+        try:
+            b_thread = threading.Thread(
+                target=lambda: b_rowcounts.append(
+                    b.cursor().execute("INSERT INTO slow_t (id) VALUES (2)").rowcount
+                )
+            )
+            b_thread.start()
+            with pytest.raises(OperationalError, match="timed out"):
+                a.execute_pipeline(["INSERT INTO slow_t (id) VALUES (1)"], timeout=0.3)
+        finally:
+            exclusive.__exit__(None, None, None)
+        b_thread.join(timeout=10.0)
+        assert not b_thread.is_alive()
+        # B's statement was answered on the link A gave up on: not
+        # failed over, not run twice.
+        assert b_rowcounts == [1]
+        assert b.failovers == 0
+        assert driver.mux_channel_count() == 1
+        # A let go of its session only, and reattaches on its next statement.
+        assert chaos.wait_until(lambda: controller.stats()["active_sessions"] == 1)
+        cursor = a.cursor()
+        cursor.execute("SELECT COUNT(*) FROM slow_t")
+        assert cursor.fetchone() == (2,)
+        a.close()
+        b.close()
+
+
 def _run_front_end_script(multiplexing):
     """One client script through the driver with ``multiplexing`` on or
     off; returns what it observed. The controller has one front end, so

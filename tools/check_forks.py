@@ -1,0 +1,139 @@
+#!/usr/bin/env python
+"""Fail when a retired fork, twin or knob grows back.
+
+Usage: python tools/check_forks.py
+
+Each simplification PR deleted a second copy of something — a ``trace is
+None`` branch, a twin session loop, a second lock-footprint spelling, a
+second driver attachment. Nothing in the type system stops the copy from
+being added again, so the names it went by are kept here, one row each:
+``(pattern, paths, message)`` plus how many matching lines are allowed
+(none, unless the row says otherwise). Adding a gate is adding a row.
+
+The last check is of a different kind but guards the same drift: every
+backticked ``ControllerConfig.<name>`` in README.md and docs/ must still
+be a field of the dataclass.
+
+Run by the CI docs job and by tests/test_check_forks.py, so a
+reintroduced fork fails locally and not only on push.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import os
+import re
+import sys
+from typing import Iterator, List, NamedTuple, Tuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class Gate(NamedTuple):
+    pattern: str
+    #: Files, or directories searched recursively for ``*.py``, relative
+    #: to the repository root.
+    paths: Tuple[str, ...]
+    message: str
+    allowed: int = 0
+
+
+GATES = [
+    Gate(
+        r"trace is (not )?None",
+        ("src/repro/cluster",),
+        "tracing fork reintroduced: call the trace unconditionally "
+        "(repro.obs.NULL_TRACE is the off case)",
+    ),
+    Gate(
+        r"_serve_session|_serve_mux_channel|_mux_execute|config\.multiplexing",
+        ("src/repro/cluster",),
+        "front-end fork reintroduced: both kinds of channel go through "
+        "Controller._on_execute (a dedicated channel is a trunk with one implicit session)",
+    ),
+    Gate(
+        r"_admit_statement\(\)",
+        ("src/repro/cluster/controller.py",),
+        "controller.py admits statements in more than one place",
+        allowed=1,
+    ),
+    Gate(
+        r"conflict_aware|key_level_locking|_scope_kind|ScopeSpec|isinstance\([^)]*LockScope\)",
+        ("src/repro/cluster",),
+        "lock-footprint fork reintroduced: a footprint is one LockScope, "
+        "resolved by lockscope.ScopeResolver",
+    ),
+    Gate(
+        r"information_schema|_pk_",
+        ("src/repro/cluster/scheduler.py",),
+        "scheduler.py must not know how a key is resolved (that is lockscope.py)",
+    ),
+    Gate(
+        r"_mux_link|_attach_mux|MultiplexedChannel|self\._channel\b",
+        ("src/repro/cluster/driver.py",),
+        "driver attachment fork reintroduced: a connection holds one session on one "
+        "ControllerLink (a dedicated connection is a private link with one implicit session)",
+    ),
+]
+
+
+def _python_files(path: str) -> Iterator[str]:
+    full = os.path.join(ROOT, path)
+    if os.path.isfile(full):
+        yield full
+        return
+    for directory, _, names in os.walk(full):
+        for name in sorted(names):
+            if name.endswith(".py"):
+                yield os.path.join(directory, name)
+
+
+def check_gate(gate: Gate) -> List[str]:
+    """The gate's failure report: empty when at most ``allowed`` lines match."""
+    pattern = re.compile(gate.pattern)
+    hits = []
+    for path in gate.paths:
+        for filename in _python_files(path):
+            with open(filename, "r", encoding="utf-8") as handle:
+                for line_number, line in enumerate(handle, start=1):
+                    if pattern.search(line):
+                        location = os.path.relpath(filename, ROOT)
+                        hits.append(f"{location}:{line_number}: {line.strip()}")
+    if len(hits) <= gate.allowed:
+        return []
+    return [f"{gate.message} ({len(hits)} matching lines, {gate.allowed} allowed)"] + hits
+
+
+def check_documented_config_fields() -> List[str]:
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from repro.cluster import ControllerConfig
+
+    fields = {field.name for field in dataclasses.fields(ControllerConfig)}
+    documents = [os.path.join(ROOT, "README.md")] + [
+        os.path.join(ROOT, "docs", name)
+        for name in sorted(os.listdir(os.path.join(ROOT, "docs")))
+        if name.endswith(".md")
+    ]
+    mentioned = set()
+    for document in documents:
+        with open(document, "r", encoding="utf-8") as handle:
+            mentioned.update(re.findall(r"`ControllerConfig\.([A-Za-z_]+)", handle.read()))
+    stale = sorted(mentioned - fields)
+    if not stale:
+        return []
+    return [f"docs mention ControllerConfig fields that do not exist: {stale}"]
+
+
+def main() -> int:
+    report: List[str] = []
+    for gate in GATES:
+        report.extend(check_gate(gate))
+    report.extend(check_documented_config_fields())
+    for line in report:
+        print(line)
+    print(f"checked {len(GATES)} fork gates and the documented ControllerConfig fields")
+    return 1 if report else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
