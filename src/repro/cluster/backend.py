@@ -62,6 +62,11 @@ class Backend:
         self._connection_factory = connection_factory
         self._connection: Optional[Any] = None
         self.state = BackendState.ENABLED
+        #: Who took this backend out of the rotation (``"admin"`` or
+        #: ``"detector"``); None while it is in. The failure detector
+        #: revives only what it disabled itself: operator intent outranks
+        #: liveness.
+        self.disabled_by: Optional[str] = None
         #: Index of the last recovery-log entry applied to this backend.
         self.checkpoint_index = 0
         #: Relative share of reads under the weighted load-balancing policy.
@@ -358,11 +363,13 @@ class Backend:
             if index < self.checkpoint_index:
                 self.checkpoint_index = index
 
-    def disable(self, checkpoint_index: int) -> None:
-        """Stop sending work to this backend, recording its checkpoint."""
+    def disable(self, checkpoint_index: int, by: str = "admin") -> None:
+        """Stop sending work to this backend, recording its checkpoint
+        and who took it out."""
         with self._lock:
             self.state = BackendState.DISABLED
             self.checkpoint_index = checkpoint_index
+            self.disabled_by = by
             self.close_connection()
 
     def mark_failed(self) -> None:
@@ -482,4 +489,5 @@ class Backend:
                 self.state = BackendState.FAILED
                 raise
             self.state = BackendState.ENABLED
+            self.disabled_by = None
             return replayed

@@ -75,6 +75,10 @@ from repro.netsim.transport import Address, Channel, ChannelServer, Network
 #: Extension handlers receive (channel, first_message), as for the database server.
 ExtensionHandler = Callable[[Channel, Dict[str, Any]], None]
 
+#: Seconds an election probe waits for a peer to accept and to answer
+#: HA_STATUS_OK.
+_HA_PROBE_TIMEOUT_S = 2.0
+
 
 @dataclass
 class ControllerConfig:
@@ -87,15 +91,6 @@ class ControllerConfig:
     read_policy: str = "round_robin"
     #: Extra keyword arguments for the policy (e.g. weighted's ``weights``).
     policy_options: Dict[str, Any] = field(default_factory=dict)
-    #: Thread-pool width of the parallel write broadcaster. None (the
-    #: default) auto-scales with the broadcast fan-out, so clusters with
-    #: more than 8 replicas are not serialised by a fixed pool. The pool
-    #: is shared by every concurrent broadcast, so under conflict-aware
-    #: locking an explicit value should be sized for replicas-per-write x
-    #: expected concurrent disjoint writers — a saturated pool queues
-    #: half of each broadcast (watch
-    #: stats()["scheduler"]["broadcast"]["in_flight"]).
-    write_concurrency: Optional[int] = None
     #: Statement-execution workers shared by all multiplexed sessions
     #: (a v3 client that asks for a trunk is granted one — docs/wire.md).
     worker_pool_size: int = 16
@@ -119,7 +114,6 @@ class ControllerConfig:
     #: with several controllers in a group, writes routed through a peer do
     #: not invalidate this controller's cache.
     query_cache_enabled: bool = False
-    query_cache_size: int = 256
     #: Table placement (RAIDb level) as a spec string — parseable from any
     #: string-carrying layer (URL options, config files): ``full``
     #: (RAIDb-1, the default), ``hash:N`` (RAIDb-2, each table on N
@@ -148,37 +142,19 @@ class ControllerConfig:
     #: Use 3 controllers: a 2-node cluster's majority is 2, so either
     #: node's death halts writes (deliberately — see docs/ha.md).
     ha_peers: List[Address] = field(default_factory=list)
-    #: Force this node's initial HA role. None (default) derives it
-    #: deterministically: the lexicographically smallest controller
-    #: address starts as primary.
-    ha_primary: Optional[bool] = None
-    #: Seconds a replication round waits for one follower's ack.
-    ha_ack_timeout_s: float = 5.0
-    #: Seconds an election probe waits for a peer's HA_STATUS_OK.
-    ha_probe_timeout_s: float = 2.0
-    #: Run the heartbeat failure detector from a background thread while
-    #: the controller is started. ``Controller.heartbeat()`` can always be
+    #: Seconds between heartbeat rounds of the failure detector's
+    #: background thread, which runs while the controller is started iff
+    #: an interval is set. ``Controller.heartbeat()`` can always be
     #: called manually (experiments drive it from a simulated clock).
-    failure_detector_enabled: bool = False
-    #: Seconds between background heartbeat rounds.
-    heartbeat_interval: float = 1.0
+    heartbeat_interval: Optional[float] = None
     #: Consecutive missed heartbeats before a backend is auto-disabled.
     heartbeat_misses: int = 2
-    #: Automatically resync auto-disabled/failed backends that answer
-    #: pings again (falls back to a dump-based cold start when the log
-    #: was compacted past their checkpoint).
-    auto_resync: bool = True
     #: Per-statement tracing (see docs/observability.md): every statement
     #: gets a Trace whose stage spans feed the latency histogram and the
     #: slow-query log, and v3 clients that negotiated tracing get the
     #: span list back on their RESULT/ERROR frames. Off (the default)
     #: keeps the statement path free of trace objects entirely.
     tracing: bool = False
-    #: Statements faster than this never enter the slow-query log
-    #: (its fast path is then a single float compare). 0 captures
-    #: everything the capacity bound allows. Only meaningful with
-    #: ``tracing`` on.
-    slow_query_threshold_ms: float = 0.0
     #: How many slowest-since-startup statements the slow-query log keeps.
     slow_query_capacity: int = 32
 
@@ -299,8 +275,6 @@ class Controller:
                 node_id=config.controller_id,
                 self_address=address,
                 peer_addresses=list(config.ha_peers),
-                initial_primary=config.ha_primary,
-                ack_timeout_s=config.ha_ack_timeout_s,
                 meta_path=(
                     os.path.join(config.log_dir, "ha.json")
                     if config.log_dir is not None
@@ -322,12 +296,8 @@ class Controller:
             backends or [],
             self.recovery_log,
             read_policy=create_policy(config.read_policy, **config.policy_options),
-            query_cache=(
-                QueryCache(max_entries=config.query_cache_size)
-                if config.query_cache_enabled
-                else None
-            ),
-            broadcaster=WriteBroadcaster(max_workers=config.write_concurrency),
+            query_cache=QueryCache() if config.query_cache_enabled else None,
+            broadcaster=WriteBroadcaster(),
             placement=create_placement(config.placement),
             group_commit=self.group_commit,
             write_batching=config.write_batching,
@@ -336,7 +306,6 @@ class Controller:
             self.scheduler,
             clock=clock,
             max_misses=config.heartbeat_misses,
-            auto_resync=config.auto_resync,
             dumper_factory=DatabaseDumper,
         )
         self._heartbeat_thread: Optional[threading.Thread] = None
@@ -370,10 +339,7 @@ class Controller:
         # collectors, so their shapes stay untouched). The slow-query
         # log and the latency histogram are only fed when tracing is on.
         self.metrics = MetricsRegistry()
-        self.slow_queries = SlowQueryLog(
-            capacity=config.slow_query_capacity,
-            threshold_ms=config.slow_query_threshold_ms,
-        )
+        self.slow_queries = SlowQueryLog(capacity=config.slow_query_capacity)
         self._statement_latency = self.metrics.histogram(
             "statement_latency_seconds", "End-to-end latency of traced statements"
         )
@@ -407,7 +373,7 @@ class Controller:
             listener, self._handle_channel, name=self.config.controller_id
         )
         self._channel_server.start()
-        if self.config.failure_detector_enabled and self.config.heartbeat_interval > 0:
+        if self.config.heartbeat_interval is not None and self.config.heartbeat_interval > 0:
             self._heartbeat_stop.clear()
             self._heartbeat_thread = threading.Thread(
                 target=self._heartbeat_loop,
@@ -637,9 +603,6 @@ class Controller:
 
     # -- backends ----------------------------------------------------------------
 
-    def add_backend(self, backend: Backend) -> None:
-        self.scheduler.add_backend(backend)
-
     def backends(self) -> List[Backend]:
         return self.scheduler.backends()
 
@@ -653,12 +616,11 @@ class Controller:
         """Disable a backend around a consistent checkpoint; returns the
         checkpoint index it will resync from.
 
-        Clears any failure-detector claim on the backend: an explicit
-        disable is operator intent, and the detector must not auto-resync
-        the backend behind the operator's back when it answers pings."""
-        checkpoint = self.scheduler.checkpoint_and_disable(self.backend(name))
-        self.failure_detector.forget(name)
-        return checkpoint
+        An explicit disable is operator intent (recorded on the backend
+        as ``disabled_by="admin"``, over any earlier detector disable):
+        the failure detector will not resync the backend behind the
+        operator's back when it answers pings."""
+        return self.scheduler.checkpoint_and_disable(self.backend(name))
 
     def enable_backend(self, name: str) -> int:
         """Re-enable a backend, replaying missed writes; returns how many
@@ -670,9 +632,7 @@ class Controller:
         resync falls back to a dump-based cold start from a healthy
         sibling. The query cache is flushed so no entry cached while the
         backend was out of rotation can be served stale."""
-        replayed = self.scheduler.resync_and_enable(self.backend(name), dumper=DatabaseDumper())
-        self.failure_detector.forget(name)
-        return replayed
+        return self.scheduler.resync_and_enable(self.backend(name), dumper=DatabaseDumper())
 
     # -- placement (RAIDb level) ------------------------------------------------
 
@@ -719,22 +679,23 @@ class Controller:
         The dump's rows are restored outside the write path (the backend
         is not in the rotation yet, so writes keep flowing), then the log
         tail after the dump's checkpoint is replayed and the backend
-        enabled atomically with the write path. Returns the number of
-        tail entries replayed. ``release_checkpoint=False`` keeps the
-        dump's pinned position for further backends started off the same
-        snapshot."""
+        registered and enabled atomically with the write path. Returns
+        the number of tail entries replayed. A refused join (e.g. a
+        transaction is open) leaves the backend unregistered and the
+        dump's checkpoint pinned: call again to retry.
+        ``release_checkpoint=False`` keeps the dump's pinned position for
+        further backends started off the same snapshot."""
         backend.initialize_from_dump(dump)
-        self.scheduler.add_backend(backend)
         replayed = self.scheduler.resync_and_enable(backend, dumper=DatabaseDumper())
         if release_checkpoint and dump.checkpoint_name:
             self.recovery_log.release_checkpoint(dump.checkpoint_name)
         return replayed
 
     def provision_backend(self, backend: Backend) -> int:
-        """One-call cold start: dump a healthy sibling into ``backend``
+        """One-call cold start: dump the healthy siblings into ``backend``
         and add it to the rotation, all atomically with the write path.
         Returns the number of restore statements executed."""
-        return self.scheduler.bootstrap_backend(backend, DatabaseDumper())
+        return self.scheduler.resync_and_enable(backend, dumper=DatabaseDumper(), cold=True)
 
     def compact_recovery_log(self) -> int:
         """Truncate log entries no live checkpoint still pins; returns
@@ -986,12 +947,12 @@ class Controller:
     def _probe_ha_peer(self, address: Address) -> Optional[Dict[str, Any]]:
         """One HA_STATUS round trip; None when the peer is unreachable."""
         try:
-            channel = self.network.connect(address, timeout=self.config.ha_probe_timeout_s)
+            channel = self.network.connect(address, timeout=_HA_PROBE_TIMEOUT_S)
         except TransportError:
             return None
         try:
             channel.send(make_ha_status(self.config.controller_id))
-            reply = channel.recv(timeout=self.config.ha_probe_timeout_s)
+            reply = channel.recv(timeout=_HA_PROBE_TIMEOUT_S)
         except TransportError:
             return None
         finally:

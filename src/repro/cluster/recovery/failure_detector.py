@@ -1,8 +1,8 @@
 """Heartbeat-driven backend failure detection and automatic resync.
 
-The write path already demotes a backend that fails a broadcast, but an
-*idle* dead replica — crashed between writes, or partitioned away — used
-to sit ENABLED and silently eat read traffic until something noticed.
+The write path demotes a backend that fails a broadcast, but an *idle*
+dead replica — crashed between writes, or partitioned away — fails
+nothing: left alone it would sit ENABLED and silently eat read traffic.
 The :class:`FailureDetector` pings every backend on each check:
 
 - an ENABLED backend that misses ``max_misses`` consecutive heartbeats
@@ -14,7 +14,9 @@ The :class:`FailureDetector` pings every backend on each check:
   re-enabled; when the log was compacted past its checkpoint the resync
   falls back to a dump-based cold start from a healthy sibling,
 - backends an administrator disabled are left alone: operator intent
-  outranks liveness.
+  outranks liveness. Who disabled a backend is recorded on the backend
+  itself (``Backend.disabled_by``); the detector keeps no claim of its
+  own.
 
 Checks are explicit (``check()``) so experiments drive them from a
 :class:`~repro.core.clock.SimulatedClock`; the controller can also run
@@ -24,7 +26,7 @@ them from a background thread at ``heartbeat_interval``.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Set
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 from repro.core.clock import Clock, wall_clock
 from repro.errors import DriverError
@@ -44,7 +46,6 @@ class FailureDetector:
         scheduler: "RequestScheduler",
         clock: Clock = wall_clock,
         max_misses: int = 2,
-        auto_resync: bool = True,
         dumper_factory: Optional[Callable[[], "DatabaseDumper"]] = None,
     ) -> None:
         if max_misses < 1:
@@ -52,11 +53,9 @@ class FailureDetector:
         self._scheduler = scheduler
         self._clock = clock
         self.max_misses = max_misses
-        self.auto_resync = auto_resync
         self._dumper_factory = dumper_factory
+        #: Consecutive missed heartbeats per backend in the rotation.
         self._misses: Dict[str, int] = {}
-        #: Backends *we* disabled — the only DISABLED ones we may revive.
-        self._auto_disabled: Set[str] = set()
         self._lock = threading.Lock()
         self.checks = 0
         self.failures_detected = 0
@@ -79,13 +78,14 @@ class FailureDetector:
                 # Mid-resync under the scheduler's write lock; pinging
                 # would block this round on the backend's own lock.
                 continue
-            if backend.state == BackendState.DISABLED and not self._is_auto_disabled(
-                backend.name
-            ):
+            if backend.state == BackendState.DISABLED and backend.disabled_by != "detector":
                 # Admin-disabled: we will never act on the result, and the
                 # probe would keep reopening the connection the disable
                 # deliberately closed (or pay a connect timeout each round
-                # against a host down for maintenance).
+                # against a host down for maintenance). Its miss streak
+                # ended when it left the rotation.
+                with self._lock:
+                    self._misses.pop(backend.name, None)
                 continue
             alive = backend.ping()
             if alive:
@@ -101,17 +101,16 @@ class FailureDetector:
                 if misses < self.max_misses:
                     pending.append(backend.name)
                     continue
-                self._scheduler.checkpoint_and_disable(backend)
+                self._scheduler.checkpoint_and_disable(backend, by="detector")
                 with self._lock:
-                    self._auto_disabled.add(backend.name)
                     self._misses.pop(backend.name, None)
                 self.failures_detected += 1
                 self.backends_disabled += 1
                 disabled.append(backend.name)
             elif backend.state == BackendState.FAILED or (
-                backend.state == BackendState.DISABLED and self._is_auto_disabled(backend.name)
+                backend.state == BackendState.DISABLED and backend.disabled_by == "detector"
             ):
-                if not alive or not self.auto_resync:
+                if not alive:
                     continue
                 dumper = self._dumper_factory() if self._dumper_factory else None
                 try:
@@ -121,8 +120,6 @@ class FailureDetector:
                     # failure... leave it for the next round.
                     pending.append(backend.name)
                     continue
-                with self._lock:
-                    self._auto_disabled.discard(backend.name)
                 self.backends_resynced += 1
                 resynced.append(backend.name)
         self.checks += 1
@@ -134,19 +131,15 @@ class FailureDetector:
             "pending": pending,
         }
 
-    def _is_auto_disabled(self, name: str) -> bool:
-        with self._lock:
-            return name in self._auto_disabled
-
-    def forget(self, name: str) -> None:
-        """Drop detector state for a backend (e.g. after an admin enable)."""
-        with self._lock:
-            self._auto_disabled.discard(name)
-            self._misses.pop(name, None)
-
     # -- observability --------------------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
+        # Out by this detector's hand and not back in yet.
+        auto_disabled = sorted(
+            backend.name
+            for backend in self._scheduler.backends()
+            if backend.disabled_by == "detector"
+        )
         with self._lock:
             return {
                 "checks": self.checks,
@@ -155,7 +148,6 @@ class FailureDetector:
                 "backends_resynced": self.backends_resynced,
                 "last_check_at": self.last_check_at,
                 "max_misses": self.max_misses,
-                "auto_resync": self.auto_resync,
-                "auto_disabled": sorted(self._auto_disabled),
+                "auto_disabled": auto_disabled,
                 "missing_heartbeats": dict(self._misses),
             }

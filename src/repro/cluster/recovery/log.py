@@ -74,7 +74,6 @@ class RecoveryLog:
         self,
         sql: str,
         params: Optional[Dict[str, Any]] = None,
-        transaction_id: Optional[str] = None,
         write_tables: Optional[Iterable[str]] = None,
     ) -> LogEntry:
         """Append one write; returns the entry with its assigned index.
@@ -86,7 +85,7 @@ class RecoveryLog:
         equal execution order *per table*."""
         with self._lock:
             entry = self._build_entry_locked(
-                self._store.last_index + 1, sql, params, transaction_id, write_tables
+                self._store.last_index + 1, sql, params, write_tables
             )
             self._store.append(entry)
             self._appends_since_compact += 1
@@ -108,7 +107,7 @@ class RecoveryLog:
             next_index = self._store.last_index + 1
             for sql, params, write_tables in specs:
                 entries.append(
-                    self._build_entry_locked(next_index, sql, params, None, write_tables)
+                    self._build_entry_locked(next_index, sql, params, write_tables)
                 )
                 next_index += 1
             self._store.append_many(entries)
@@ -121,7 +120,6 @@ class RecoveryLog:
         index: int,
         sql: str,
         params: Optional[Dict[str, Any]],
-        transaction_id: Optional[str],
         write_tables: Optional[Iterable[str]],
     ) -> LogEntry:
         tables = tuple(sorted(write_tables or ()))
@@ -133,7 +131,6 @@ class RecoveryLog:
             index=index,
             sql=sql,
             params=dict(params or {}),
-            transaction_id=transaction_id,
             write_tables=tables,
             table_seqs=seqs,
         )

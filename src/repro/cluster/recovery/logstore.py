@@ -48,7 +48,6 @@ class LogEntry:
     index: int
     sql: str
     params: Dict[str, Any] = field(default_factory=dict)
-    transaction_id: Optional[str] = None
     write_tables: Tuple[str, ...] = ()
     table_seqs: Dict[str, int] = field(default_factory=dict)
 
@@ -57,7 +56,6 @@ class LogEntry:
             "index": self.index,
             "sql": self.sql,
             "params": _encode_params(self.params),
-            "transaction_id": self.transaction_id,
             "write_tables": list(self.write_tables),
             "table_seqs": dict(self.table_seqs),
         }
@@ -68,7 +66,6 @@ class LogEntry:
             index=int(payload["index"]),
             sql=str(payload["sql"]),
             params=_decode_params(dict(payload.get("params") or {})),
-            transaction_id=payload.get("transaction_id"),
             write_tables=tuple(
                 str(table) for table in (payload.get("write_tables") or ())
             ),

@@ -63,6 +63,11 @@ _SLOW_FAILURE_S = 0.05
 _BACKOFF_BASE_S = 0.25
 _BACKOFF_CAP_S = 5.0
 
+#: Seconds a replication round waits for a peer to accept the channel,
+#: and for its ack.
+_CONNECT_TIMEOUT_S = 2.0
+_ACK_TIMEOUT_S = 5.0
+
 
 class ReplicationError(DriverError):
     """A replication round could not reach a majority, or this node was
@@ -77,29 +82,19 @@ class ReplicationError(DriverError):
 class _PeerLink:
     """One persistent replication channel to a follower peer.
 
-    The channel is lazily (re)connected; any transport failure closes it
-    so the next round starts fresh. ``acked_index`` is the highest log
-    index the peer confirmed holding — the cursor that keeps steady-state
-    rounds incremental. ``blocked`` is a fault-injection seam used by
-    ``tests/chaos.py`` to partition exactly this link (the in-memory
-    network's address-pair partitions cannot target outbound channels,
-    whose source addresses are anonymous)."""
+    The channel is lazily (re)connected, as coming from this node's own
+    address (``source``) so a network fault between the two controllers
+    severs it; any transport failure closes it so the next round starts
+    fresh. ``acked_index`` is the highest log index the peer confirmed
+    holding — the cursor that keeps steady-state rounds incremental."""
 
-    def __init__(
-        self,
-        address: str,
-        network: Any,
-        connect_timeout_s: float,
-        ack_timeout_s: float,
-    ) -> None:
+    def __init__(self, address: str, network: Any, source: str) -> None:
         self.address = address
         self._network = network
-        self._connect_timeout_s = connect_timeout_s
-        self._ack_timeout_s = ack_timeout_s
+        self._source = source
         self._channel: Optional[Any] = None
         self.acked_index = 0
         self.reachable = False
-        self.blocked = False
         #: The peer answered but cannot hold the shipped entries (its log
         #: head sits below the primary's compaction floor and it did not
         #: take the snapshot): it needs a reseed and is never counted as
@@ -116,20 +111,16 @@ class _PeerLink:
 
     def request(self, message: Dict[str, Any]) -> Dict[str, Any]:
         """Send one frame and wait for its reply; raises TransportError."""
-        if self.blocked:
-            raise TransportError(
-                f"replication link to {self.address} partitioned (chaos)"
-            )
         started = time.monotonic()
         try:
             channel = self._channel
             if channel is None:
                 channel = self._network.connect(
-                    self.address, timeout=self._connect_timeout_s
+                    self.address, timeout=_CONNECT_TIMEOUT_S, source=self._source
                 )
                 self._channel = channel
             channel.send(message)
-            reply = channel.recv(timeout=self._ack_timeout_s)
+            reply = channel.recv(timeout=_ACK_TIMEOUT_S)
         except TransportError:
             self.close()
             self._note_failure(time.monotonic() - started)
@@ -183,9 +174,6 @@ class ReplicatedLogStore(LogStore):
         node_id: str,
         self_address: str,
         peer_addresses: List[str],
-        initial_primary: Optional[bool] = None,
-        ack_timeout_s: float = 5.0,
-        connect_timeout_s: float = 2.0,
         meta_path: Optional[str] = None,
     ) -> None:
         self.inner = inner
@@ -193,7 +181,7 @@ class ReplicatedLogStore(LogStore):
         self.self_address = self_address
         self._meta_path = meta_path
         self._peers: Dict[str, _PeerLink] = {
-            address: _PeerLink(address, network, connect_timeout_s, ack_timeout_s)
+            address: _PeerLink(address, network, source=self_address)
             for address in peer_addresses
         }
         self.cluster_size = 1 + len(self._peers)
@@ -210,8 +198,6 @@ class ReplicatedLogStore(LogStore):
             # the persisted epoch and let election sort it out.
             self.epoch = restored
             self.role = ROLE_FOLLOWER
-        elif initial_primary is not None:
-            self.role = ROLE_PRIMARY if initial_primary else ROLE_FOLLOWER
         else:
             # Deterministic initial primary with zero configuration: the
             # lexicographically smallest controller address. Every peer
@@ -230,7 +216,7 @@ class ReplicatedLogStore(LogStore):
         #: REPLICATE application and election probes. Deliberately NOT
         #: held across log appends or fsyncs: status() answers election
         #: probes under this lock, and a probe stuck behind a flush would
-        #: blow past ha_probe_timeout_s and skew responder sets.
+        #: blow past the probe timeout and skew responder sets.
         self._state_lock = threading.Lock()
         self._checkpoint_snapshot: Optional[Callable[[], List[Dict[str, Any]]]] = None
         self._replicated_through = 0
@@ -684,7 +670,6 @@ class ReplicatedLogStore(LogStore):
                     address: {
                         "acked_index": peer.acked_index,
                         "reachable": peer.reachable,
-                        "blocked": peer.blocked,
                         "needs_reseed": peer.needs_reseed,
                     }
                     for address, peer in self._peers.items()

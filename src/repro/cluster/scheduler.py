@@ -421,12 +421,14 @@ class RequestScheduler:
     def _backend_checkpoint_name(backend: Backend) -> str:
         return f"backend:{backend.name}"
 
-    def checkpoint_and_disable(self, backend: Backend) -> int:
+    def checkpoint_and_disable(self, backend: Backend, by: str = "admin") -> int:
         """Disable a backend around a consistent checkpoint, atomically
         with respect to the write path: no broadcast is in flight while
         the checkpoint is recorded, so it reflects exactly the writes the
         backend has applied. The checkpoint is registered by name so log
-        compaction keeps the entries this backend still needs to replay."""
+        compaction keeps the entries this backend still needs to replay.
+        ``by`` (``"admin"`` or ``"detector"``) is recorded on the backend:
+        the failure detector revives only what it took out itself."""
         with self._locks.exclusive():
             if backend.enabled:
                 checkpoint = self._recovery_log.last_index
@@ -436,15 +438,19 @@ class RequestScheduler:
                 # current head would skip every write it missed since —
                 # the next resync would silently leave it diverged.
                 checkpoint = backend.checkpoint_index
-            backend.disable(checkpoint)
+            backend.disable(checkpoint, by)
             self._recovery_log.checkpoint(
                 self._backend_checkpoint_name(backend), checkpoint, overwrite=True
             )
             return checkpoint
 
-    def resync_and_enable(self, backend: Backend, dumper: Optional[DatabaseDumper] = None) -> int:
-        """Replay a disabled backend's missed writes and re-enable it,
-        atomically with respect to the write path.
+    def resync_and_enable(
+        self, backend: Backend, dumper: Optional[DatabaseDumper] = None, cold: bool = False
+    ) -> int:
+        """Bring ``backend`` up to the log head and enable it, atomically
+        with respect to the write path — the one way into the rotation,
+        for a member coming back and for a replica joining
+        (docs/recovery.md, "One way into the rotation").
 
         Holding the exclusive write lock for the whole
         snapshot+replay+enable means no write can land between the log
@@ -454,77 +460,82 @@ class RequestScheduler:
         transaction's remaining writes as autocommit, beyond ROLLBACK's
         reach.
 
-        When compaction already truncated entries this backend needs, a
-        ``dumper`` turns the replay into a dump-based cold start from a
-        healthy sibling; without one the caller gets a SchedulerError.
-        Returns how many log entries were replayed.
-        """
+        A backend this scheduler has never seen is a disabled member
+        that has applied nothing past its checkpoint: it is registered
+        here, and un-registered again if this first join fails. The
+        replay covers the log after the backend's checkpoint; ``cold`` —
+        or a log compacted past that checkpoint, which needs a
+        ``dumper`` or raises SchedulerError — instead restores a dump of
+        the healthy siblings taken here, at the log head. Returns how
+        many log entries were replayed — for a ``cold`` join, whose
+        replay is empty by construction, how many restore statements
+        ran."""
         with self._locks.exclusive():
             if self.open_transactions:
                 raise SchedulerError(
                     f"cannot enable backend {backend.name!r} while a transaction "
                     f"is open ({self._open_transaction_detail()}); retry after it ends"
                 )
+            newcomer = self._register_locked(backend)
             self._resyncing = True
             try:
+                entries = None  # stays None when only a dump can catch it up
                 try:
-                    entries = self._recovery_log.entries_after(backend.checkpoint_index)
+                    if not cold:
+                        entries = self._recovery_log.entries_after(backend.checkpoint_index)
                 except LogCompactedError as exc:
                     if dumper is None:
                         raise SchedulerError(
                             f"cannot resync backend {backend.name!r}: {exc}"
                         ) from exc
-                    replayed = self._cold_start_locked(backend, dumper)
-                else:
-                    replayed = backend.resync(
-                        entries, entry_filter=self._replay_filter(backend)
+                if entries is None:
+                    restored, replayed = self._cold_start_locked(
+                        backend, dumper or DatabaseDumper()
                     )
+                else:
+                    restored = 0
+                    replayed = backend.resync(entries, entry_filter=self._replay_filter(backend))
+            except Exception:
+                if newcomer:
+                    # It never joined: leaving it in the placement
+                    # universe would let future tables be pinned to a
+                    # ghost and become permanently unhostable.
+                    with self._lock:
+                        self._backends.remove(backend)
+                    self._placement.remove_backend(backend.name)
+                raise
             finally:
                 self._resyncing = False
             self._recovery_log.release_checkpoint(self._backend_checkpoint_name(backend))
             if self._cache is not None:
-                # The re-enabled backend immediately serves reads, and its
+                # The enabled backend immediately serves reads, and its
                 # rows were written by replay/restore — never observed by
                 # the cache's invalidation clock. Flush so no entry cached
                 # while it was out of rotation survives as stale.
                 self._cache.clear()
-            return replayed
+            return restored if cold else replayed
 
-    def bootstrap_backend(self, backend: Backend, dumper: Optional[DatabaseDumper] = None) -> int:
-        """Add a brand-new backend to the running cluster by cold-starting
-        it from a dump of a healthy sibling (no full-history replay).
-
-        Atomic with the write path: the dump, the restore and the ENABLED
-        flip happen under the write lock, so the new replica joins exactly
-        at the log head. Returns the number of restore statements run."""
-        dumper = dumper or DatabaseDumper()
-        with self._locks.exclusive():
-            if self.open_transactions:
+    def _register_locked(self, backend: Backend) -> bool:
+        """Make ``backend`` a member (backend list + placement universe)
+        unless it already is one; returns whether it was new."""
+        with self._lock:
+            holder = next((m for m in self._backends if m.name == backend.name), None)
+            if holder is backend:
+                return False
+            if holder is not None:
                 raise SchedulerError(
-                    f"cannot bootstrap backend {backend.name!r} while a transaction "
-                    f"is open ({self._open_transaction_detail()}); retry after it ends"
+                    f"a different backend is already registered as {backend.name!r}"
                 )
-            # Join the placement universe first: the cold start below asks
-            # the map which tables this backend hosts, and unpinned
-            # (fully replicated) tables must already count it as a host.
-            self._placement.add_backend(backend.name)
-            self._resyncing = True
-            try:
-                statements = self._cold_start_locked(backend, dumper, count_statements=True)
-            except Exception:
-                # The backend never joined: evict it from the placement
-                # universe, or future tables could be pinned to a ghost
-                # and become permanently unhostable.
-                self._placement.remove_backend(backend.name)
-                raise
-            finally:
-                self._resyncing = False
-            with self._lock:
-                if backend not in self._backends:
-                    self._backends.append(backend)
-            if self._cache is not None:
-                self._cache.clear()
-            return statements
+            if backend.enabled:
+                # Never in this rotation: it must serve no read before
+                # the replay below flips it.
+                backend.disable(backend.checkpoint_index)
+            self._backends.append(backend)
+        # The replay filter and the dump assembly ask the map which
+        # tables this backend hosts: unpinned (fully replicated) tables
+        # must already count it.
+        self._placement.add_backend(backend.name)
+        return True
 
     def _replay_filter(self, backend: Backend) -> Optional[Callable[[LogEntry], bool]]:
         """Per-entry replay predicate for ``backend`` under the current
@@ -550,19 +561,18 @@ class RequestScheduler:
 
         return entry_filter
 
-    def _cold_start_locked(
-        self, backend: Backend, dumper: DatabaseDumper, count_statements: bool = False
-    ) -> int:
-        """Dump healthy siblings into ``backend`` and enable it.
+    def _cold_start_locked(self, backend: Backend, dumper: DatabaseDumper) -> Tuple[int, int]:
+        """Dump healthy siblings into ``backend`` and enable it; returns
+        ``(restore_statements, replayed)``.
 
         Caller holds the write lock, so the dump is consistent and the
         tail replay after it is empty by construction — the machinery
         still runs so offline dumps (taken earlier, with writes landing
-        since) follow the exact same path. Under full replication any
-        single sibling carries everything; under a partial placement the
-        dump is assembled table by table from backends hosting each of
-        the tables the new replica will host, and the tail replay is
-        filtered the same way the write path would have routed it."""
+        since) follow the exact same path. The dump is assembled table
+        by table from backends hosting each of the tables the replica
+        will host (under full replication that is every table, from the
+        first sibling), and the tail replay is filtered the same way the
+        write path would have routed it."""
         sources = [
             candidate for candidate in self.enabled_backends() if candidate is not backend
         ]
@@ -570,46 +580,36 @@ class RequestScheduler:
             raise SchedulerError(
                 f"no healthy backend available to dump for cold-starting {backend.name!r}"
             )
-        checkpoint_index = self._recovery_log.last_index
-        wipe_filter = None
-        if self._placement.is_full:
-            dump = dumper.dump(
-                sources[0].execute,
-                checkpoint_index=checkpoint_index,
-                source=sources[0].name,
-            )
-        else:
-            dump, keep_local = self._partial_dump_locked(
-                backend, sources, dumper, checkpoint_index
-            )
-            if keep_local:
-                # Tables only this backend hosts exist nowhere else: no
-                # sibling can re-supply them, so the local copy is the
-                # authoritative one and must survive the restore's wipe.
-                # It is current — while the sole host was out of rotation
-                # every write to those tables was refused
-                # (NoHostingBackendError), so there is nothing to miss.
-                wipe_filter = (
-                    lambda qualified: normalize_table_name(qualified) not in keep_local
-                )
-        statements = backend.initialize_from_dump(dump, dumper, wipe_filter=wipe_filter)
+        dump, keep_local = self._assemble_dump_locked(
+            backend, sources, dumper, self._recovery_log.last_index
+        )
+        # Tables only this backend hosts exist nowhere else: no sibling
+        # can re-supply them, so the local copy is the authoritative one
+        # and must survive the restore's wipe. It is current — while the
+        # sole host was out of rotation every write to those tables was
+        # refused (NoHostingBackendError), so there is nothing to miss.
+        statements = backend.initialize_from_dump(
+            dump,
+            dumper,
+            wipe_filter=lambda qualified: normalize_table_name(qualified) not in keep_local,
+        )
         replayed = backend.resync(
             self._recovery_log.entries_after(backend.checkpoint_index),
             entry_filter=self._replay_filter(backend),
         )
         self.cold_starts += 1
-        return statements if count_statements else replayed
+        return statements, replayed
 
-    def _partial_dump_locked(
+    def _assemble_dump_locked(
         self,
         backend: Backend,
         sources: List[Backend],
         dumper: DatabaseDumper,
         checkpoint_index: int,
     ) -> Tuple[DatabaseDump, set]:
-        """Assemble a table-subset dump of the tables ``backend`` hosts,
-        pulling each table from an enabled backend hosting it (one
-        sibling rarely carries a partial replica's whole subset).
+        """Assemble a dump of the tables ``backend`` hosts, pulling each
+        table from an enabled backend hosting it (one sibling rarely
+        carries a partial replica's whole subset).
 
         Returns ``(dump, keep_local)``: tables the backend *solely* hosts
         cannot be dumped — the recovering backend's own copy is the only
@@ -766,11 +766,6 @@ class RequestScheduler:
 
     def enabled_backends(self) -> List[Backend]:
         return [backend for backend in self.backends() if backend.enabled]
-
-    def add_backend(self, backend: Backend) -> None:
-        with self._lock:
-            self._backends.append(backend)
-        self._placement.add_backend(backend.name)
 
     # -- routing -----------------------------------------------------------------
 

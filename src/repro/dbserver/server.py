@@ -21,11 +21,6 @@ class ServerConfig:
     min_protocol_version: int = PROTOCOL_VERSION - 1
     max_protocol_version: int = PROTOCOL_VERSION
     authenticators: Dict[str, Authenticator] = field(default_factory=dict)
-    #: When set, listeners serve sessions from a fixed worker pool of this
-    #: size instead of one thread per accepted channel (the massive-
-    #: concurrency front end; see docs/wire.md). None keeps the
-    #: thread-per-connection behaviour.
-    handler_workers: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not self.authenticators:
@@ -67,12 +62,7 @@ class DatabaseServer:
         if self._started:
             return self
         listener = self.network.listen(self.address)
-        server = ChannelServer(
-            listener,
-            self._handle_channel,
-            name=f"db-{self.config.name}",
-            workers=self.config.handler_workers,
-        )
+        server = ChannelServer(listener, self._handle_channel, name=f"db-{self.config.name}")
         server.start()
         self._servers.append(server)
         self._started = True
@@ -81,12 +71,7 @@ class DatabaseServer:
     def listen_also(self, address: Address) -> None:
         """Serve the same engine (and extensions) on an additional address."""
         listener = self.network.listen(address)
-        server = ChannelServer(
-            listener,
-            self._handle_channel,
-            name=f"db-{self.config.name}-alt",
-            workers=self.config.handler_workers,
-        )
+        server = ChannelServer(listener, self._handle_channel, name=f"db-{self.config.name}-alt")
         server.start()
         self._servers.append(server)
 

@@ -16,7 +16,7 @@ This experiment measures:
 from __future__ import annotations
 
 import time
-from statistics import mean
+from statistics import mean, median
 
 from repro.core import BootloaderConfig
 from repro.dbapi import legacy_driver
@@ -70,35 +70,37 @@ def run_experiment(statement_count: int = 200, connect_count: int = 20) -> Exper
             conventional_driver=round(mean(conventional) * 1000, 3),
         )
 
-        # Per-statement latency.
-        def statement_latencies(connection) -> list:
-            cursor = connection.cursor()
-            samples = []
-            for _ in range(statement_count):
+        # Per-statement latency: the two connections take turns, one
+        # statement each, so a scheduler stall or GC pause lands on both
+        # sides alike, and the medians are compared so one outlier among
+        # the wall-clock samples cannot decide the verdict.
+        conventional_connection = legacy_driver.connect(env.url, network=env.network)
+        cursors = (first_connection.cursor(), conventional_connection.cursor())
+        samples: tuple = ([], [])
+        for _ in range(statement_count):
+            for cursor, side in zip(cursors, samples):
                 started = time.perf_counter()
                 cursor.execute("SELECT v FROM overhead_events WHERE id = $id", {"id": 1})
                 cursor.fetchall()
-                samples.append(time.perf_counter() - started)
+                side.append(time.perf_counter() - started)
+        for cursor in cursors:
             cursor.close()
-            return samples
-
-        via_bootloader = statement_latencies(first_connection)
-        conventional_connection = legacy_driver.connect(env.url, network=env.network)
-        via_conventional = statement_latencies(conventional_connection)
+        via_bootloader, via_conventional = (median(side) for side in samples)
         result.add_row(
             metric="per-statement latency (ms)",
-            bootloader_first=round(mean(via_bootloader) * 1000, 4),
-            bootloader_subsequent=round(mean(via_bootloader) * 1000, 4),
-            conventional_driver=round(mean(via_conventional) * 1000, 4),
+            bootloader_first=round(via_bootloader * 1000, 4),
+            bootloader_subsequent=round(via_bootloader * 1000, 4),
+            conventional_driver=round(via_conventional * 1000, 4),
         )
         overhead_pct = (
-            100.0 * (mean(via_bootloader) - mean(via_conventional)) / mean(via_conventional)
-            if mean(via_conventional) > 0
+            100.0 * (via_bootloader - via_conventional) / via_conventional
+            if via_conventional > 0
             else 0.0
         )
         result.add_note(
             f"per-statement overhead of the Drivolution-delivered driver vs the conventional "
-            f"driver: {overhead_pct:.1f}% (calls pass straight through to the loaded driver)"
+            f"driver: {overhead_pct:.1f}% (medians of interleaved samples; calls pass "
+            f"straight through to the loaded driver)"
         )
         result.add_note(
             f"driver bytes downloaded on first connect: {bootloader.stats.bytes_downloaded}"

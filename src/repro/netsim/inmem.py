@@ -9,6 +9,9 @@ This is the default substrate for tests and experiments. It provides:
 - fault injection: kill an endpoint, partition two endpoints, add fixed
   latency, or drop a fraction of messages (deterministically, via a
   counter rather than a random source, so tests stay reproducible).
+  Faults match a channel by its two addresses: the listener's, and the
+  ``source`` the connecting side named (an anonymous ``client-N``
+  otherwise).
 
 Messages are round-tripped through the framing codec on every send so the
 in-memory network exercises exactly the same serialization constraints as
@@ -176,13 +179,20 @@ class InMemoryNetwork(Network):
             self._listeners[address] = listener
             return listener
 
-    def connect(self, address: Address, timeout: Optional[float] = None) -> Channel:
+    def connect(
+        self,
+        address: Address,
+        timeout: Optional[float] = None,
+        source: Optional[Address] = None,
+    ) -> Channel:
         if self._faults.is_dead(address):
             raise TransportError(f"endpoint unreachable: {address}")
+        if source is not None and self._faults.is_dead(source):
+            raise TransportError(f"endpoint unreachable: {source}")
         with self._lock:
             listener = self._listeners.get(address)
             self._client_counter += 1
-            client_address = f"client-{self._client_counter}"
+            client_address = source or f"client-{self._client_counter}"
         if listener is None or listener.closed:
             raise TransportError(f"connection refused: no listener at {address}")
         if self._faults.is_partitioned(client_address, address):

@@ -143,7 +143,12 @@ class TcpNetwork(Network):
     def listen(self, address: Address) -> Listener:
         return TcpListener(address)
 
-    def connect(self, address: Address, timeout: Optional[float] = None) -> Channel:
+    def connect(
+        self,
+        address: Address,
+        timeout: Optional[float] = None,
+        source: Optional[Address] = None,
+    ) -> Channel:
         host, port = _parse_address(address)
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.settimeout(timeout if timeout is not None else 5.0)

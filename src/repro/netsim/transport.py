@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import threading
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import TransportError
@@ -91,8 +90,19 @@ class Network(ABC):
         """Bind a listener to ``address``."""
 
     @abstractmethod
-    def connect(self, address: Address, timeout: Optional[float] = None) -> Channel:
-        """Open a channel to the listener bound at ``address``."""
+    def connect(
+        self,
+        address: Address,
+        timeout: Optional[float] = None,
+        source: Optional[Address] = None,
+    ) -> Channel:
+        """Open a channel to the listener bound at ``address``.
+
+        ``source`` names the address the connection comes *from* — a
+        server connecting out to a peer passes its own listener address
+        — so the in-memory network's endpoint faults (kill, partition)
+        apply to the channel; real TCP picks its own source and ignores
+        it."""
 
     def registered_addresses(self) -> List[Address]:
         """Addresses currently listening on this network.
@@ -107,19 +117,10 @@ class Network(ABC):
 class ChannelServer:
     """Accept loop that dispatches each incoming channel to a handler.
 
-    By default the handler is called as ``handler(channel)`` on a
-    dedicated thread per connection; it owns the channel and must close
-    it when done. This is the building block used by the database
-    server, the Sequoia controller and the Drivolution server.
-
-    ``workers`` caps the handler concurrency with a fixed thread pool
-    instead: at most ``workers`` handlers run at once and further
-    accepted channels queue until a worker frees up. Only suitable for
-    front ends whose handlers are short-lived or few (the controller's
-    multiplexed front end keeps one long-lived reader per *physical*
-    channel, so a small pool serves thousands of logical sessions);
-    long-lived per-client handlers (the v2 dedicated-session path) keep
-    the thread-per-connection default or idle clients starve the pool.
+    The handler is called as ``handler(channel)`` on a dedicated thread
+    per connection; it owns the channel and must close it when done.
+    This is the building block used by the database server, the Sequoia
+    controller and the Drivolution server.
     """
 
     def __init__(
@@ -127,13 +128,10 @@ class ChannelServer:
         listener: Listener,
         handler: Callable[[Channel], None],
         name: str = "server",
-        workers: Optional[int] = None,
     ):
         self._listener = listener
         self._handler = handler
         self._name = name
-        self._workers = workers
-        self._executor: Optional[ThreadPoolExecutor] = None
         self._threads: List[threading.Thread] = []
         self._accept_thread: Optional[threading.Thread] = None
         self._stopped = threading.Event()
@@ -170,21 +168,9 @@ class ChannelServer:
                 if self._listener.closed:
                     return
                 continue
-            if self._workers is not None:
-                executor = self._get_executor()
-                try:
-                    if executor is None:
-                        raise RuntimeError("server stopped")
-                    executor.submit(self._run_handler, channel)
-                except RuntimeError:
-                    # stop() shut the pool down between accept and submit.
-                    channel.close()
-                    return
-                continue
-            # Reap finished handler threads before tracking a new one: a
-            # long-lived listener used to append every per-connection
-            # thread here without ever removing it, so the list (and the
-            # dead Thread objects it pinned) grew without bound.
+            # Reap finished handler threads before tracking a new one, or
+            # a long-lived listener's list (and the dead Thread objects it
+            # pins) grows by one entry per connection ever accepted.
             self._threads = [thread for thread in self._threads if thread.is_alive()]
             thread = threading.Thread(
                 target=self._run_handler, args=(channel,), name=f"{self._name}-conn", daemon=True
@@ -192,21 +178,9 @@ class ChannelServer:
             self._threads.append(thread)
             thread.start()
 
-    def _get_executor(self) -> Optional[ThreadPoolExecutor]:
-        if self._stopped.is_set():
-            return None
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self._workers, thread_name_prefix=f"{self._name}-worker"
-            )
-        return self._executor
-
     def handler_thread_count(self) -> int:
         """Live handler threads (observability for leak tests and the
         session-scaling bench)."""
-        if self._workers is not None:
-            executor = self._executor
-            return len(getattr(executor, "_threads", ()) or ()) if executor else 0
         return sum(1 for thread in self._threads if thread.is_alive())
 
     def _run_handler(self, channel: Channel) -> None:
@@ -242,9 +216,3 @@ class ChannelServer:
                 channel.close()
             except Exception:  # pragma: no cover - defensive
                 pass
-        if self._executor is not None:
-            # Queued-but-unstarted handlers are abandoned; running ones
-            # finish on their own (mirrors the per-thread mode, where
-            # stop() never joins handler threads).
-            self._executor.shutdown(wait=False)
-            self._executor = None

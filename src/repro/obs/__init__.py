@@ -2,8 +2,8 @@
 capture, and exporters.
 
 See ``docs/observability.md`` for the span taxonomy and the knobs
-(``ControllerConfig.tracing``, ``slow_query_threshold_ms``,
-``slow_query_capacity``) that turn this machinery on.
+(``ControllerConfig.tracing``, ``slow_query_capacity``) that turn this
+machinery on.
 """
 
 from repro.obs.export import (

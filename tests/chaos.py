@@ -17,11 +17,11 @@ failing interleaving is reproducible with::
 
 On targeting the replication link specifically: the in-memory network's
 ``partition(a, b)`` matches channels by exact (local, remote) address
-pairs, and outbound connections originate from anonymous ``client-N``
-addresses — so an address-pair partition between two controller listener
-addresses severs *nothing*. Link faults therefore go through the
-primary's per-peer ``blocked`` flag (:func:`partitioned_replication_link`)
-or whole-endpoint kills, never ``network.partition``.
+pairs. A controller's replication links connect *as* the controller's
+own address (``network.connect(..., source=)``), so a partition between
+two controller listener addresses severs exactly those links
+(:func:`partitioned_replication_link`) and leaves client channels —
+which originate from anonymous ``client-N`` addresses — untouched.
 """
 
 from __future__ import annotations
@@ -107,15 +107,15 @@ def revive_backend(env: Any, replica_index: int) -> None:
 
 @contextlib.contextmanager
 def partitioned_replication_link(primary: Any, peer_address: str) -> Iterator[None]:
-    """Sever exactly the primary→peer replication link (both directions
-    of its request/ack exchange) while leaving every other channel —
-    including clients of both nodes — untouched."""
-    link = primary.ha_store.peer_link(peer_address)
-    link.blocked = True
+    """Partition the two controllers from each other at the network:
+    the replication links between them die (both directions of the
+    request/ack exchange) while every other channel — including clients
+    of both nodes — is untouched."""
+    primary.network.partition(primary.address, peer_address)
     try:
         yield
     finally:
-        link.blocked = False
+        primary.network.heal_partition(primary.address, peer_address)
 
 
 @contextlib.contextmanager

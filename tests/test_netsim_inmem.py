@@ -89,6 +89,44 @@ class TestFaultInjection:
         client.send({"x": 1})
         assert server.recv(timeout=1.0) == {"x": 1}
 
+    def test_partition_between_two_listeners_severs_a_source_named_link(self, net):
+        # A server connecting out to a peer names its own listener
+        # address as the source, so a partition between the two listener
+        # addresses severs the link (an anonymous client-N source would
+        # match no address pair).
+        net.listen("a:1")
+        b_listener = net.listen("b:1")
+        link = net.connect("b:1", source="a:1")
+        accepted = b_listener.accept(timeout=1.0)
+        assert (link.local_address, accepted.remote_address) == ("a:1", "a:1")
+        bystander = net.connect("b:1")
+        net.partition("a:1", "b:1")
+        with pytest.raises(TransportError):
+            link.send({"x": 1})
+        with pytest.raises(TransportError):
+            accepted.send({"x": 1})
+        with pytest.raises(TransportError):
+            net.connect("b:1", source="a:1")
+        bystander.send({"x": 1})  # other channels to b:1 are untouched
+        net.heal_partition("a:1", "b:1")
+        link.send({"x": 2})
+        assert accepted.recv(timeout=1.0) == {"x": 2}
+
+    def test_kill_endpoint_stops_links_sourced_from_it(self, net):
+        # A "crashed" node must not keep shipping frames over the
+        # channels it opened before it died.
+        net.listen("a:1")
+        b_listener = net.listen("b:1")
+        link = net.connect("b:1", source="a:1")
+        b_listener.accept(timeout=1.0)
+        net.kill_endpoint("a:1")
+        with pytest.raises(TransportError):
+            link.send({"x": 1})
+        with pytest.raises(TransportError):
+            net.connect("b:1", source="a:1")
+        net.revive_endpoint("a:1")
+        link.send({"x": 2})
+
     def test_drop_every_nth_message(self, net):
         listener = net.listen("svc:1")
         client = net.connect("svc:1")

@@ -141,6 +141,19 @@ class TestLogStores:
         assert not os.path.exists(stale)
         reopened.close()
 
+    def test_reader_tolerates_the_retired_transaction_id_key(self, tmp_path):
+        # Log lines written before LogEntry lost ``transaction_id`` carry
+        # a ``"transaction_id": null`` pair; new lines do not.
+        old_line = dict(LogEntry(index=1, sql="W1").to_wire(), transaction_id=None)
+        os.makedirs(tmp_path / "log")
+        with open(tmp_path / "log" / "segment-00000001.jsonl", "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(old_line) + "\n")
+        store = FileLogStore(str(tmp_path / "log"))
+        store.append(LogEntry(index=2, sql="W2"))
+        assert [entry.sql for entry in store.entries_after(0)] == ["W1", "W2"]
+        assert "transaction_id" not in LogEntry(index=2, sql="W2").to_wire()
+        store.close()
+
     def test_fsync_on_append(self, tmp_path):
         store = FileLogStore(str(tmp_path / "log"), fsync_on_append=True)
         store.append(LogEntry(index=1, sql="W1"))
@@ -353,6 +366,119 @@ class TestColdStart:
         assert rows == [(10,)]
 
 
+class TestOneWayIntoTheRotation:
+    """Every join goes through ``RequestScheduler.resync_and_enable``,
+    which is also the only code that registers a member."""
+
+    @pytest.mark.parametrize("entry_point", ["add_backend_from_dump", "provision_backend"])
+    def test_refused_first_join_leaves_no_ghost_and_the_retry_joins_once(
+        self, cluster_env, entry_point
+    ):
+        from repro.cluster import ClusterDriverRuntime
+
+        env = cluster_env
+        controller = env.controllers[0]
+        connection = ClusterDriverRuntime().connect(env.client_url(), network=env.network)
+        cursor = connection.cursor()
+        cursor.execute("CREATE TABLE j_t (id INTEGER PRIMARY KEY, v INTEGER)")
+        cursor.execute("INSERT INTO j_t (id, v) VALUES (1, 1)")
+        newcomer = env.new_replica()
+        if entry_point == "add_backend_from_dump":
+            dump = controller.dump_database()
+            cursor.execute("INSERT INTO j_t (id, v) VALUES (2, 1)")  # the tail
+            join = lambda: controller.add_backend_from_dump(newcomer, dump)  # noqa: E731
+        else:
+            join = lambda: controller.provision_backend(newcomer)  # noqa: E731
+
+        cursor.execute("BEGIN")
+        with pytest.raises(SchedulerError, match="retry after it ends"):
+            join()
+        assert newcomer not in controller.backends()
+        assert newcomer.name not in controller.placement.backend_names()
+        cursor.execute("COMMIT")
+
+        joined = join()  # retry, as the refusal said
+        assert [backend.name for backend in controller.backends()] == ["db1", "db2", "db3"]
+        assert controller.placement.backend_names() == ["db1", "db2", "db3"]
+        assert newcomer.enabled
+        cold_starts = controller.stats()["recovery"]["cold_starts"]
+        if entry_point == "add_backend_from_dump":
+            # The operator's dump was restored outside the path; the
+            # join replayed exactly the tail written after it.
+            assert joined == 1 and cold_starts == 0
+            assert dump.checkpoint_name not in controller.recovery_log.checkpoints
+        else:
+            assert joined >= 2 and cold_starts == 1  # restore statements: CREATE + rows
+        # Every later write is applied exactly once on every replica.
+        cursor.execute("UPDATE j_t SET v = v + 10 WHERE id = 1")
+        for engine in env.replica_engines:
+            assert _select_all(engine, env, "SELECT v FROM j_t WHERE id = 1") == [(11,)]
+        connection.close()
+
+    def test_joining_an_enabled_member_again_changes_no_membership(self, cluster_env):
+        env = cluster_env
+        controller = env.controllers[0]
+        controller.scheduler.execute("CREATE TABLE tw_t (id INTEGER PRIMARY KEY)")
+        controller.scheduler.execute("INSERT INTO tw_t (id) VALUES (1)")
+        newcomer = env.new_replica()
+        controller.provision_backend(newcomer)
+        controller.provision_backend(newcomer)
+        assert controller.scheduler.resync_and_enable(newcomer) == 0
+        assert [backend.name for backend in controller.backends()] == ["db1", "db2", "db3"]
+        assert controller.placement.backend_names() == ["db1", "db2", "db3"]
+        controller.scheduler.execute("INSERT INTO tw_t (id) VALUES (2)")
+        for engine in env.replica_engines:
+            assert _select_all(engine, env, "SELECT COUNT(*) FROM tw_t") == [(2,)]
+
+    def test_second_backend_object_under_a_taken_name_is_refused(self, cluster_env):
+        env = cluster_env
+        controller = env.controllers[0]
+        controller.scheduler.execute("CREATE TABLE nm_t (id INTEGER PRIMARY KEY)")
+        impostor = env.new_replica()
+        impostor.name = "db1"
+        with pytest.raises(SchedulerError, match="already registered"):
+            controller.provision_backend(impostor)
+        assert [backend.name for backend in controller.backends()] == ["db1", "db2"]
+        assert impostor not in controller.backends()
+
+    def test_cold_rejoin_of_a_disabled_member_releases_its_pin(self, cluster_env):
+        # Re-seeding a stale member is the same path with ``cold=True``:
+        # the checkpoint that pinned its replay range is released like
+        # after any other rejoin, so compaction is not blocked forever.
+        env = cluster_env
+        controller = env.controllers[0]
+        scheduler = controller.scheduler
+        scheduler.execute("CREATE TABLE cr_t (id INTEGER PRIMARY KEY)")
+        controller.disable_backend("db1")
+        scheduler.execute("INSERT INTO cr_t (id) VALUES (1)")
+        assert "backend:db1" in controller.recovery_log.checkpoints
+        controller.provision_backend(controller.backend("db1"))
+        assert controller.backend("db1").enabled
+        assert "backend:db1" not in controller.recovery_log.checkpoints
+        assert [backend.name for backend in controller.backends()] == ["db1", "db2"]
+        assert _select_all(env.replica_engines[0], env, "SELECT COUNT(*) FROM cr_t") == [(1,)]
+
+    def test_refused_rejoin_keeps_the_member(self, cluster_env):
+        # Only a never-enabled newcomer is un-registered by a refusal.
+        from repro.cluster import ClusterDriverRuntime
+
+        env = cluster_env
+        controller = env.controllers[0]
+        connection = ClusterDriverRuntime().connect(env.client_url(), network=env.network)
+        cursor = connection.cursor()
+        cursor.execute("CREATE TABLE rj_t (id INTEGER PRIMARY KEY)")
+        controller.disable_backend("db1")
+        cursor.execute("BEGIN")
+        with pytest.raises(SchedulerError, match="retry after it ends"):
+            controller.enable_backend("db1")
+        cursor.execute("COMMIT")
+        assert controller.backend("db1").state == BackendState.DISABLED
+        assert controller.placement.backend_names() == ["db1", "db2"]
+        controller.enable_backend("db1")
+        assert controller.backend("db1").enabled
+        connection.close()
+
+
 class TestDurableControllerRestart:
     def _make_controller(self, env, log_dir, backends=None):
         controller = Controller(
@@ -536,7 +662,6 @@ class TestFailureDetector:
             ControllerConfig(
                 controller_id="hb-ctrl",
                 virtual_database="vdb",
-                failure_detector_enabled=True,
                 heartbeat_interval=0.01,
             ),
             env.network,

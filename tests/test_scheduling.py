@@ -722,6 +722,50 @@ class TestSchedulerRouting:
         assert log.last_index == 2
         scheduler.close()
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known hole (docs/scheduling.md, 'one replica-side session'): every "
+        "Backend shares one connection across all client sessions, so another "
+        "session's acked auto-commit write runs inside the open transaction and is "
+        "lost to its ROLLBACK",
+    )
+    def test_acked_autocommit_write_survives_another_sessions_rollback(self):
+        # What *should* hold, on a real cluster: session B's write was
+        # acknowledged, so session A's ROLLBACK must not take it back and
+        # the recovery log must hold it. The test above pins what happens
+        # instead. Strict: remove the marker with the fix.
+        from repro.cluster import ClusterDriverRuntime
+        from repro.experiments.environments import build_cluster
+
+        env = build_cluster(replicas=2, controllers=1)
+        try:
+            controller = env.controllers[0]
+            runtime = ClusterDriverRuntime()
+            session_a = runtime.connect(env.client_url(), network=env.network)
+            session_b = runtime.connect(env.client_url(), network=env.network)
+            a, b = session_a.cursor(), session_b.cursor()
+            a.execute("CREATE TABLE hole_t (id INTEGER PRIMARY KEY, v INTEGER)")
+            a.execute("INSERT INTO hole_t (id, v) VALUES (1, 0)")
+            a.execute("INSERT INTO hole_t (id, v) VALUES (2, 0)")
+            logged_before = controller.recovery_log.last_index
+            a.execute("BEGIN")
+            a.execute("UPDATE hole_t SET v = 1 WHERE id = 1")
+            b.execute("UPDATE hole_t SET v = 2 WHERE id = 2")
+            assert b.rowcount == 1  # acknowledged
+            a.execute("ROLLBACK")
+            for engine in env.replica_engines:
+                rows = engine.open_session(env.database_name).execute(
+                    "SELECT id, v FROM hole_t ORDER BY id"
+                ).rows
+                assert rows == [(1, 0), (2, 2)]
+            assert [
+                entry.sql for entry in controller.recovery_log.entries_after(logged_before)
+            ] == ["UPDATE hole_t SET v = 2 WHERE id = 2"]
+            session_a.close()
+            session_b.close()
+        finally:
+            env.close()
+
     def test_rejected_commit_variant_keeps_transaction_buffer(self):
         from repro.dbapi.exceptions import ProgrammingError
 

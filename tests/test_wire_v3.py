@@ -749,29 +749,6 @@ class TestChannelServerFrontEnd:
         finally:
             server.stop()
 
-    def test_worker_pool_mode_bounds_threads(self):
-        net = InMemoryNetwork()
-        served = []
-
-        def handler(channel):
-            message = channel.recv(timeout=2.0)
-            served.append(message["n"])
-            channel.send({"ok": message["n"]})
-
-        server = ChannelServer(
-            net.listen("svc:1"), handler, name="pooled", workers=4
-        ).start()
-        try:
-            clients = [net.connect("svc:1") for _ in range(12)]
-            for index, client in enumerate(clients):
-                client.send({"n": index})
-            for index, client in enumerate(clients):
-                assert client.recv(timeout=5.0) == {"ok": index}
-            assert server.handler_thread_count() <= 4
-            assert sorted(served) == list(range(12))
-        finally:
-            server.stop()
-
 
 class TestBroadcasterAutoSizing:
     def test_pool_grows_to_fan_out(self):
