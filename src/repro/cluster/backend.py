@@ -140,12 +140,6 @@ class Backend:
                     pass
                 self._connection = None
 
-    def connection_driver_info(self) -> Dict[str, Any]:
-        """Driver metadata of the live backend connection (for experiments)."""
-        with self._lock:
-            connection = self._ensure_connection()
-            return dict(connection.driver_info)
-
     # -- statement execution ---------------------------------------------------------
 
     def _on_connection(self, run: Callable[..., Any], *args: Any) -> Any:

@@ -42,6 +42,7 @@ from repro.cluster.recovery import (
     MemoryLogStore,
     RecoveryLog,
     ReplicatedLogStore,
+    peer_request,
 )
 from repro.cluster.scheduler import RequestScheduler, SchedulerError
 from repro.core.clock import Clock, wall_clock
@@ -59,8 +60,6 @@ from repro.cluster.wire import (
     make_connect_ok,
     make_error,
     make_group,
-    make_ha_status,
-    make_ha_status_ok,
     make_result,
     make_session_open_ok,
 )
@@ -75,9 +74,17 @@ from repro.netsim.transport import Address, Channel, ChannelServer, Network
 #: Extension handlers receive (channel, first_message), as for the database server.
 ExtensionHandler = Callable[[Channel, Dict[str, Any]], None]
 
-#: Seconds an election probe waits for a peer to accept and to answer
-#: HA_STATUS_OK.
-_HA_PROBE_TIMEOUT_S = 2.0
+#: First frames that open a peer controller's channel (group operation,
+#: replication round, election probe) rather than a client's.
+_PEER_FRAMES = (
+    ClusterMessageType.GROUP,
+    ClusterMessageType.REPLICATE,
+    ClusterMessageType.HA_STATUS,
+)
+
+#: Seconds a group operation waits for a peer's ack (a peer still
+#: resyncing past it is skipped like an unreachable one).
+_GROUP_ACK_TIMEOUT_S = 5.0
 
 
 @dataclass
@@ -134,13 +141,14 @@ class ControllerConfig:
     #: truncates entries older than the oldest live named checkpoint.
     auto_compact_every: int = 0
     #: Controller HA (docs/ha.md): addresses of the *other* controllers
-    #: replicating this recovery log. Non-empty activates the
-    #: ReplicatedLogStore wrap — the primary's group-commit flush pushes
-    #: each fsync group to these peers and requires a strict cluster
-    #: majority (counting itself) before any write is acknowledged, and
-    #: followers refuse writes with a retryable ``not_primary`` ERROR.
-    #: Use 3 controllers: a 2-node cluster's majority is 2, so either
-    #: node's death halts writes (deliberately — see docs/ha.md).
+    #: replicating this recovery log. Every controller is an HA node;
+    #: this only sizes its group (empty = the group of one). The
+    #: primary's group-commit flush pushes each fsync group to these
+    #: peers and requires a strict cluster majority (counting itself)
+    #: before any write is acknowledged, and followers refuse writes
+    #: with a retryable ``not_primary`` ERROR. Use 3 controllers: a
+    #: 2-node cluster's majority is 2, so either node's death halts
+    #: writes (deliberately — see docs/ha.md).
     ha_peers: List[Address] = field(default_factory=list)
     #: Seconds between heartbeat rounds of the failure detector's
     #: background thread, which runs while the controller is started iff
@@ -249,13 +257,14 @@ class Controller:
         self.network = network
         self.address = address
         self.clock = clock
-        ha_enabled = bool(config.ha_peers)
         # A group-commit coordinator exists iff there is something to
-        # wait for after an append: a durable fsynced log, or HA — whose
-        # majority-ack replication round runs in wait_durable's flush
-        # (one round per fsync group, not per entry) even over a volatile
-        # store, where the flush itself is a no-op.
-        group_commit_active = (config.log_dir is not None and config.log_fsync) or ha_enabled
+        # wait for after an append: a durable fsynced log, or HA peers —
+        # whose majority-ack replication round runs in wait_durable's
+        # flush (one round per fsync group, not per entry) even over a
+        # volatile store, where the flush itself is a no-op.
+        group_commit_active = bool(
+            (config.log_dir is not None and config.log_fsync) or config.ha_peers
+        )
         if config.log_dir is not None:
             os.makedirs(config.log_dir, exist_ok=True)
             # The store never fsyncs per append (its default): the fsync
@@ -264,33 +273,27 @@ class Controller:
             # fraction of the fsync count.
             store = FileLogStore(config.log_dir, segment_max_entries=config.log_segment_entries)
             checkpoints = CheckpointRegistry(os.path.join(config.log_dir, "checkpoints.json"))
+            ha_meta_path = os.path.join(config.log_dir, "ha.json")
         else:
             store = MemoryLogStore()
             checkpoints = CheckpointRegistry()
-        self.ha_store: Optional[ReplicatedLogStore] = None
-        if ha_enabled:
-            self.ha_store = ReplicatedLogStore(
-                store,
-                network,
-                node_id=config.controller_id,
-                self_address=address,
-                peer_addresses=list(config.ha_peers),
-                meta_path=(
-                    os.path.join(config.log_dir, "ha.json")
-                    if config.log_dir is not None
-                    else None
-                ),
-            )
-            self.ha_store.set_checkpoint_snapshot_provider(checkpoints.snapshot)
-            store = self.ha_store
+            ha_meta_path = None
+        #: Every controller is an HA node (docs/ha.md); ``ha_peers`` only
+        #: sizes its group, and none makes it the group of one.
+        self.ha_store = ReplicatedLogStore(
+            store,
+            network,
+            node_id=config.controller_id,
+            self_address=address,
+            peer_addresses=list(config.ha_peers),
+            meta_path=ha_meta_path,
+        )
         self.recovery_log = RecoveryLog(
-            store=store,
+            store=self.ha_store,
             checkpoints=checkpoints,
             auto_compact_every=config.auto_compact_every,
         )
-        #: Serialises election attempts (non-blocking: a write that finds
-        #: an election already running just reports not_primary).
-        self._election_lock = threading.Lock()
+        self.ha_store.attach(checkpoints, self.recovery_log.observe_replicated)
         self.group_commit = GroupCommit(self.recovery_log) if group_commit_active else None
         self.scheduler = RequestScheduler(
             backends or [],
@@ -351,8 +354,7 @@ class Controller:
         self.metrics.register_collector("scheduler", self.scheduler.stats)
         self.metrics.register_collector("recovery", self._recovery_stats)
         self.metrics.register_collector("slow_queries", self.slow_queries.stats)
-        if self.ha_store is not None:
-            self.metrics.register_collector("ha", self.ha_store.ha_stats)
+        self.metrics.register_collector("ha", self.ha_store.ha_stats)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -540,9 +542,8 @@ class Controller:
             "scheduler": scheduler_stats,
             "recovery": self._recovery_stats(),
             "obs": self._obs_stats(),
+            "ha": self.ha_store.ha_stats(),
         }
-        if self.ha_store is not None:
-            stats["ha"] = self.ha_store.ha_stats()
         stats.update(self._controller_stats())
         return stats
 
@@ -816,25 +817,22 @@ class Controller:
         error is reported so callers can surface it."""
         acknowledged = 0
         refusals: List[str] = []
+        frame = make_group(operation, payload, origin=self.config.controller_id)
         for peer in self.peers():
             try:
-                channel = self.network.connect(peer, timeout=2.0)
+                reply = peer_request(
+                    self.network, self.address, peer, frame, _GROUP_ACK_TIMEOUT_S
+                )
             except TransportError:
                 continue
-            try:
-                channel.send(make_group(operation, payload, origin=self.config.controller_id))
-                reply = channel.recv(timeout=5.0)
-                if reply.get("type") == "seq_group_ack":
-                    acknowledged += 1
-                elif reply.get("type") == ClusterMessageType.ERROR:
-                    refusals.append(f"{peer}: {reply.get('message', 'unknown error')}")
-            except TransportError:
-                continue
-            finally:
-                channel.close()
+            if reply.get("type") == "seq_group_ack":
+                acknowledged += 1
+            elif reply.get("type") == ClusterMessageType.ERROR:
+                refusals.append(f"{peer}: {reply.get('message', 'unknown error')}")
         return acknowledged, refusals
 
-    def _handle_group_message(self, channel: Channel, message: Dict[str, Any]) -> None:
+    def _apply_group_operation(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        """Apply a peer's group operation here; returns the reply frame."""
         operation = str(message.get("operation", ""))
         payload = dict(message.get("payload") or {})
         try:
@@ -847,20 +845,15 @@ class Controller:
                     int(payload.get("renew_policy", int(RenewPolicy.UPGRADE))),
                     int(payload.get("expiration_policy", int(ExpirationPolicy.AFTER_COMMIT))),
                 )
-            elif operation == "revoke_driver":
-                if self.drivolution is not None:
-                    self.drivolution.registry.revoke_permissions_for_driver(int(payload["driver_id"]))
             elif operation == "disable_backend":
                 self.disable_backend(str(payload["backend"]))
             elif operation == "enable_backend":
                 self.enable_backend(str(payload["backend"]))
             else:
-                channel.send(make_error("bad_group_operation", f"unknown operation {operation!r}"))
-                return
+                return make_error("bad_group_operation", f"unknown operation {operation!r}")
         except ReproError as exc:
-            channel.send(make_error("group_operation_failed", str(exc)))
-            return
-        channel.send({"type": "seq_group_ack", "controller_id": self.config.controller_id})
+            return make_error("group_operation_failed", str(exc))
+        return {"type": "seq_group_ack", "controller_id": self.config.controller_id}
 
     # -- controller HA (docs/ha.md) ---------------------------------------------------------
 
@@ -875,10 +868,6 @@ class Controller:
         node's Backend views mark those per-table sequences applied —
         a post-promotion resync replays the tail idempotently instead of
         double-applying writes the databases already hold."""
-        if self.ha_store is None:
-            raise DriverError(
-                f"controller {self.config.controller_id} has no HA peers configured"
-            )
         epoch = self.ha_store.promote(floor_epoch)
         entries = self.recovery_log.entries_after(self.recovery_log.first_index - 1)
         for backend in self.scheduler.backends():
@@ -891,149 +880,13 @@ class Controller:
         self.ha_store.announce()
         return epoch
 
-    def _serve_replication_channel(self, channel: Channel, first: Dict[str, Any]) -> None:
-        """Serve a primary's persistent replication channel: apply each
-        REPLICATE frame, ack, repeat until the channel dies."""
-        message = first
-        while True:
-            if self.ha_store is None:
-                reply = make_error(
-                    "ha_disabled",
-                    f"controller {self.config.controller_id} has no HA peers configured",
-                )
-            else:
-                reply, applied = self.ha_store.apply_replicate(message)
-                if applied:
-                    # Replicated entries bypass RecoveryLog.append, so the
-                    # facade's per-table sequence counters must be advanced
-                    # here — otherwise a later promotion would hand out
-                    # colliding sequences.
-                    self.recovery_log.observe_replicated(applied)
-                snapshot = message.get("checkpoints")
-                if (
-                    snapshot is not None
-                    and reply.get("type") == ClusterMessageType.REPLICATE_OK
-                ):
-                    self.recovery_log.checkpoints.restore_snapshot(snapshot)
-            try:
-                channel.send(reply)
-                message = channel.recv(timeout=None)
-            except TransportError:
-                return
-            if message is None or message.get("type") != ClusterMessageType.REPLICATE:
-                return
-
-    def _handle_ha_status(self, channel: Channel) -> None:
-        """Answer one election probe."""
-        if self.ha_store is None:
-            reply: Dict[str, Any] = make_error(
-                "ha_disabled",
-                f"controller {self.config.controller_id} has no HA peers configured",
-            )
-        else:
-            status = self.ha_store.status()
-            reply = make_ha_status_ok(
-                status["node_id"],
-                status["address"],
-                status["epoch"],
-                status["role"],
-                status["last_index"],
-            )
-        try:
-            channel.send(reply)
-        except TransportError:
-            pass
-
-    def _probe_ha_peer(self, address: Address) -> Optional[Dict[str, Any]]:
-        """One HA_STATUS round trip; None when the peer is unreachable."""
-        try:
-            channel = self.network.connect(address, timeout=_HA_PROBE_TIMEOUT_S)
-        except TransportError:
-            return None
-        try:
-            channel.send(make_ha_status(self.config.controller_id))
-            reply = channel.recv(timeout=_HA_PROBE_TIMEOUT_S)
-        except TransportError:
-            return None
-        finally:
-            try:
-                channel.close()
-            except TransportError:
-                pass
-        if not isinstance(reply, dict) or reply.get("type") != ClusterMessageType.HA_STATUS_OK:
-            return None
-        return reply
-
-    def _maybe_promote(self) -> bool:
-        """Deterministic self-election, run when a write lands on a
-        follower: probe every peer, and promote only when (a) no
-        reachable peer claims the primaryship at our epoch or newer, and
-        (b) a strict cluster majority is reachable (self included) and
-        this node wins the (last_index, node_id) tie-break among the
-        responders. Every surviving follower computes the same winner
-        from the same probes, so at most one promotes. Returns whether
-        this node is primary afterwards."""
-        store = self.ha_store
-        if store is None:
-            return False
-        if not self._election_lock.acquire(blocking=False):
-            # An election is already running on another worker; this
-            # statement just bounces with not_primary and the driver
-            # retries — by then the election has settled.
-            return store.is_primary
-        try:
-            status = store.status()
-            if status["role"] == "primary":
-                return True
-            responders = [status]
-            live_primary: Optional[Dict[str, Any]] = None
-            for address in store.peer_addresses():
-                peer_status = self._probe_ha_peer(address)
-                if peer_status is None:
-                    continue
-                responders.append(
-                    {
-                        "node_id": str(peer_status["node_id"]),
-                        "address": str(peer_status["address"]),
-                        "epoch": int(peer_status["epoch"]),
-                        "role": str(peer_status["role"]),
-                        "last_index": int(peer_status["last_index"]),
-                    }
-                )
-                candidate = responders[-1]
-                if candidate["role"] == "primary" and candidate["epoch"] >= status["epoch"]:
-                    if live_primary is None or candidate["epoch"] > live_primary["epoch"]:
-                        live_primary = candidate
-            if live_primary is not None:
-                # The primary is alive (we were probed by a stale hint or
-                # a client raced a settled election): just point at it.
-                store.set_primary_hint(live_primary["address"])
-                return False
-            if len(responders) < store.required_acks:
-                # Can't prove a majority side of any partition; promoting
-                # here could split the brain. Stay a follower.
-                return False
-            winner = max(responders, key=lambda s: (s["last_index"], s["node_id"]))
-            if winner["node_id"] != status["node_id"]:
-                store.set_primary_hint(winner["address"])
-                return False
-            # Fold every epoch the probes reported into the promotion:
-            # the new epoch must land past values persisted anywhere in
-            # the responder set, not just past this node's own (which may
-            # lag if it missed announce frames).
-            self.promote(floor_epoch=max(r["epoch"] for r in responders))
-            return True
-        finally:
-            self._election_lock.release()
-
     def _ha_gate_write(self) -> Optional[Dict[str, Any]]:
         """Refuse a write on an HA follower with a retryable
         ``not_primary`` ERROR carrying the primary's address; runs the
         election first so a cluster whose primary just died heals on the
         very write that discovered it."""
         store = self.ha_store
-        assert store is not None
-        if store.is_primary or self._maybe_promote():
+        if store.is_primary or store.ensure_primary(self.promote):
             return None
         reply = make_error(
             ERROR_NOT_PRIMARY,
@@ -1057,19 +910,30 @@ class Controller:
             if message_type.startswith(prefix):
                 handler(channel, first)
                 return
-        if message_type == ClusterMessageType.GROUP:
-            self._handle_group_message(channel, first)
-            return
-        if message_type == ClusterMessageType.REPLICATE:
-            self._serve_replication_channel(channel, first)
-            return
-        if message_type == ClusterMessageType.HA_STATUS:
-            self._handle_ha_status(channel)
+        if message_type in _PEER_FRAMES:
+            self._serve_peer_channel(channel, first)
             return
         if message_type != ClusterMessageType.CONNECT:
             channel.send(make_error("bad_handshake", f"expected seq_connect, got {message_type!r}"))
             return
         self._serve_client(channel, first)
+
+    def _serve_peer_channel(self, channel: Channel, message: Dict[str, Any]) -> None:
+        """The one way a peer controller's frames come in: answer each
+        group operation, replication round or election probe, then wait
+        for the next, until the channel dies. (A replication link sends
+        every round on one channel; a probe or a group operation sends
+        one frame and closes.)"""
+        while message.get("type") in _PEER_FRAMES:
+            if message["type"] == ClusterMessageType.GROUP:
+                reply = self._apply_group_operation(message)
+            else:
+                reply = self.ha_store.answer(message)
+            try:
+                channel.send(reply)
+                message = channel.recv(timeout=None)
+            except TransportError:
+                return
 
     def _serve_client(self, channel: Channel, connect: Dict[str, Any]) -> None:
         client_version = connect.get("protocol_version")
@@ -1146,7 +1010,7 @@ class Controller:
         with trace.span("classify"):
             statement = classify(sql)
         trace.annotate(command=statement.command, session=session.session_id)
-        if self.ha_store is not None and not (statement.is_read and not session.in_transaction):
+        if not (statement.is_read and not session.in_transaction):
             # HA: only the primary accepts writes (reads outside a
             # transaction are served by any node). The retryable
             # not_primary bounce carries the primary's address, so the

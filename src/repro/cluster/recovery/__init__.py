@@ -23,8 +23,10 @@ package is the production-shaped version of that mechanism:
   auto-resyncs them when they come back,
 - :mod:`repro.cluster.recovery.replication` — controller HA:
   :class:`ReplicatedLogStore` wraps any store and replicates the log and
-  checkpoint registry to controller peers with a majority-ack rule and
-  an epoch scheme that fences deposed primaries.
+  checkpoint registry to controller peers with a majority-ack rule, an
+  epoch scheme that fences deposed primaries and the election that
+  replaces them; :class:`PeerLink` is how one controller reaches
+  another.
 
 See docs/recovery.md and docs/ha.md for the full walkthroughs.
 """
@@ -37,7 +39,12 @@ from repro.cluster.recovery.logstore import (
 )
 from repro.cluster.recovery.checkpoints import Checkpoint, CheckpointRegistry
 from repro.cluster.recovery.log import GroupCommit, LogCompactedError, RecoveryLog
-from repro.cluster.recovery.replication import ReplicatedLogStore, ReplicationError
+from repro.cluster.recovery.replication import (
+    PeerLink,
+    ReplicatedLogStore,
+    ReplicationError,
+    peer_request,
+)
 from repro.cluster.recovery.dumper import (
     ColumnDump,
     DatabaseDump,
@@ -56,6 +63,8 @@ __all__ = [
     "RecoveryLog",
     "GroupCommit",
     "LogCompactedError",
+    "PeerLink",
+    "peer_request",
     "ReplicatedLogStore",
     "ReplicationError",
     "ColumnDump",

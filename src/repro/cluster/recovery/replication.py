@@ -32,6 +32,13 @@ degenerate 2-node cluster has majority 2, so *either* node's death
 halts writes — deliberate: a 2-node cluster that kept accepting writes
 on one node could diverge under partition. Use 3 controllers for HA.
 
+The election that decides who promotes
+(:meth:`ReplicatedLogStore.ensure_primary`) lives here, next to the
+epoch rule it relies on, and so does the one way a frame leaves one
+controller for another (:class:`PeerLink`): replication rounds,
+election probes and the controller's group operations are all cut by
+the same network faults.
+
 See docs/ha.md for the protocol walk-through.
 """
 
@@ -45,11 +52,15 @@ from repro.errors import DriverError, TransportError
 
 from repro.cluster.wire import (
     ClusterMessageType,
+    ERROR_NOT_A_PEER,
     ERROR_STALE_EPOCH,
     make_error,
+    make_ha_status,
+    make_ha_status_ok,
     make_replicate,
     make_replicate_ok,
 )
+from repro.cluster.recovery.checkpoints import CheckpointRegistry
 from repro.cluster.recovery.logstore import LogEntry, LogStore, atomic_write_json
 
 ROLE_PRIMARY = "primary"
@@ -63,10 +74,11 @@ _SLOW_FAILURE_S = 0.05
 _BACKOFF_BASE_S = 0.25
 _BACKOFF_CAP_S = 5.0
 
-#: Seconds a replication round waits for a peer to accept the channel,
-#: and for its ack.
+#: Seconds a peer gets to accept a channel, to ack a replication round,
+#: and to answer an election probe.
 _CONNECT_TIMEOUT_S = 2.0
 _ACK_TIMEOUT_S = 5.0
+_PROBE_TIMEOUT_S = 2.0
 
 
 class ReplicationError(DriverError):
@@ -79,14 +91,18 @@ class ReplicationError(DriverError):
     replay dedup via per-table sequences keeps a retry safe."""
 
 
-class _PeerLink:
-    """One persistent replication channel to a follower peer.
+class PeerLink:
+    """One channel from this controller to a peer controller — the only
+    way a controller→controller frame leaves a node.
 
     The channel is lazily (re)connected, as coming from this node's own
     address (``source``) so a network fault between the two controllers
-    severs it; any transport failure closes it so the next round starts
-    fresh. ``acked_index`` is the highest log index the peer confirmed
-    holding — the cursor that keeps steady-state rounds incremental."""
+    — or at this node's own endpoint — severs it; any transport failure
+    closes it so the next request starts fresh. The replication store
+    keeps one link per peer open across rounds; ``acked_index`` is the
+    highest log index the peer confirmed holding — the cursor that keeps
+    steady-state rounds incremental. Election probes and group
+    operations use a link for one exchange (:func:`peer_request`)."""
 
     def __init__(self, address: str, network: Any, source: str) -> None:
         self.address = address
@@ -109,8 +125,11 @@ class _PeerLink:
     def in_backoff(self) -> bool:
         return time.monotonic() < self.retry_at
 
-    def request(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Send one frame and wait for its reply; raises TransportError."""
+    def request(
+        self, message: Dict[str, Any], timeout: float = _ACK_TIMEOUT_S
+    ) -> Dict[str, Any]:
+        """Send one frame and wait ``timeout`` seconds for its reply;
+        raises TransportError."""
         started = time.monotonic()
         try:
             channel = self._channel
@@ -120,7 +139,7 @@ class _PeerLink:
                 )
                 self._channel = channel
             channel.send(message)
-            reply = channel.recv(timeout=_ACK_TIMEOUT_S)
+            reply = channel.recv(timeout=timeout)
         except TransportError:
             self.close()
             self._note_failure(time.monotonic() - started)
@@ -128,7 +147,7 @@ class _PeerLink:
         if reply is None:
             self.close()
             self._note_failure(time.monotonic() - started)
-            raise TransportError(f"replication peer {self.address} closed the channel")
+            raise TransportError(f"peer {self.address} closed the channel")
         self.fail_streak = 0
         self.retry_at = 0.0
         return reply
@@ -149,6 +168,19 @@ class _PeerLink:
                 pass
 
 
+def peer_request(
+    network: Any, source: str, address: str, message: Dict[str, Any], timeout: float
+) -> Dict[str, Any]:
+    """One exchange with a peer on a channel of its own (election probes,
+    group operations): a slow one can never queue in front of a
+    replication ack. Raises TransportError."""
+    link = PeerLink(address, network, source)
+    try:
+        return link.request(message, timeout=timeout)
+    finally:
+        link.close()
+
+
 class ReplicatedLogStore(LogStore):
     """Wrap an inner :class:`LogStore` with majority-ack peer replication.
 
@@ -165,6 +197,10 @@ class ReplicatedLogStore(LogStore):
     inner store *before* acking — a majority ack therefore means a
     majority of controllers hold the entries at their own local
     durability level.
+
+    Every controller is a node of such a group; a standalone one is the
+    group of one: no links, always primary, its own majority, a
+    ``flush()`` that ships nothing.
     """
 
     def __init__(
@@ -177,11 +213,14 @@ class ReplicatedLogStore(LogStore):
         meta_path: Optional[str] = None,
     ) -> None:
         self.inner = inner
+        self._network = network
         self.node_id = node_id
         self.self_address = self_address
-        self._meta_path = meta_path
-        self._peers: Dict[str, _PeerLink] = {
-            address: _PeerLink(address, network, source=self_address)
+        #: A group of one has nobody to be deposed by: it persists no
+        #: epoch and always restarts as its own primary.
+        self._meta_path = meta_path if peer_addresses else None
+        self._peers: Dict[str, PeerLink] = {
+            address: PeerLink(address, network, source=self_address)
             for address in peer_addresses
         }
         self.cluster_size = 1 + len(self._peers)
@@ -218,7 +257,11 @@ class ReplicatedLogStore(LogStore):
         #: probes under this lock, and a probe stuck behind a flush would
         #: blow past the probe timeout and skew responder sets.
         self._state_lock = threading.Lock()
-        self._checkpoint_snapshot: Optional[Callable[[], List[Dict[str, Any]]]] = None
+        #: Serialises election attempts (non-blocking: a write that finds
+        #: an election already running just reports not_primary).
+        self._election_lock = threading.Lock()
+        self._checkpoints: Optional[CheckpointRegistry] = None
+        self._on_applied: Callable[[List[LogEntry]], None] = lambda entries: None
         self._replicated_through = 0
         self._announced_floor = 0
         self.rounds = 0
@@ -251,13 +294,20 @@ class ReplicatedLogStore(LogStore):
 
     # -- wiring --------------------------------------------------------------------
 
-    def set_checkpoint_snapshot_provider(
-        self, provider: Callable[[], List[Dict[str, Any]]]
+    def attach(
+        self,
+        checkpoints: CheckpointRegistry,
+        on_applied: Callable[[List[LogEntry]], None],
     ) -> None:
-        """Install the callable that captures the live checkpoint registry
-        for shipping alongside log entries (set after the registry exists;
-        the store is constructed first)."""
-        self._checkpoint_snapshot = provider
+        """Wire in the two things built on top of the store (which is
+        constructed first): the checkpoint registry, shipped whole with
+        every round and restored from every accepted frame, and the
+        callable told which entries a frame appended here
+        (``RecoveryLog.observe_replicated`` — replicated entries bypass
+        the facade, whose per-table sequence counters must still advance
+        or a later promotion would hand out colliding sequences)."""
+        self._checkpoints = checkpoints
+        self._on_applied = on_applied
 
     @property
     def is_primary(self) -> bool:
@@ -266,7 +316,7 @@ class ReplicatedLogStore(LogStore):
     def peer_addresses(self) -> List[str]:
         return list(self._peers)
 
-    def peer_link(self, address: str) -> _PeerLink:
+    def peer_link(self, address: str) -> PeerLink:
         return self._peers[address]
 
     # -- LogStore delegation -------------------------------------------------------
@@ -338,8 +388,10 @@ class ReplicatedLogStore(LogStore):
             floor = self.inner.truncated_through
             if not force and head <= self._replicated_through and floor <= self._announced_floor:
                 return True
+            # ``is not None``: an empty registry is falsy but still shipped
+            # (releases propagate as an empty snapshot).
             checkpoints = (
-                self._checkpoint_snapshot() if self._checkpoint_snapshot else None
+                self._checkpoints.snapshot() if self._checkpoints is not None else None
             )
             outcomes = self._ship_round(epoch, floor, checkpoints)
             acks = 1  # this node holds its own log
@@ -417,7 +469,7 @@ class ReplicatedLogStore(LogStore):
 
     def _contact_peers(
         self,
-        peers: List[_PeerLink],
+        peers: List[PeerLink],
         epoch: int,
         floor: int,
         checkpoints: Optional[List[Dict[str, Any]]],
@@ -430,7 +482,7 @@ class ReplicatedLogStore(LogStore):
         if not peers:
             return
 
-        def ship(target: _PeerLink) -> None:
+        def ship(target: PeerLink) -> None:
             results[target.address] = self._replicate_to_peer(
                 target, epoch, floor, checkpoints
             )
@@ -447,7 +499,7 @@ class ReplicatedLogStore(LogStore):
 
     def _replicate_to_peer(
         self,
-        peer: _PeerLink,
+        peer: PeerLink,
         epoch: int,
         floor: int,
         checkpoints: Optional[List[Dict[str, Any]]],
@@ -494,12 +546,41 @@ class ReplicatedLogStore(LogStore):
 
     # -- follower side -------------------------------------------------------------
 
+    def answer(self, frame: Dict[str, Any]) -> Dict[str, Any]:
+        """The reply to one HA frame a peer sent: an election probe gets
+        this node's status, a REPLICATE is applied (entries, per-table
+        sequence counters, checkpoint registry) and acked.
+
+        Only a configured peer may append: a REPLICATE naming any other
+        ``origin_address`` is refused with ``not_a_peer`` before it can
+        touch the log, the epoch or the role — for a group of one that is
+        every frame."""
+        if frame.get("type") == ClusterMessageType.HA_STATUS:
+            return make_ha_status_ok(**self.status())
+        origin = frame.get("origin_address")
+        if origin not in self.peer_addresses():
+            return make_error(
+                ERROR_NOT_A_PEER,
+                f"{self.node_id} replicates with {sorted(self._peers)}, not {origin!r}",
+            )
+        reply, applied = self.apply_replicate(frame)
+        if applied:
+            self._on_applied(applied)
+        snapshot = frame.get("checkpoints")
+        if (
+            snapshot is not None
+            and self._checkpoints is not None
+            and reply["type"] == ClusterMessageType.REPLICATE_OK
+        ):
+            self._checkpoints.restore_snapshot(snapshot)
+        return reply
+
     def apply_replicate(self, frame: Dict[str, Any]) -> "tuple[Dict[str, Any], List[LogEntry]]":
         """Apply one REPLICATE frame; returns ``(reply, applied_entries)``.
 
-        ``applied_entries`` is the suffix actually appended here (the
-        controller advances its per-table sequence counters and checkpoint
-        registry from it). The inner store is flushed before the ack so a
+        ``applied_entries`` is the suffix actually appended here
+        (:meth:`answer` advances the per-table sequence counters from
+        it). The inner store is flushed before the ack so a
         majority ack implies majority-local durability. Epoch/role
         transitions happen under ``_state_lock``; the append+fsync work
         runs outside it (serialised by ``_apply_lock``) so election
@@ -630,6 +711,70 @@ class ReplicatedLogStore(LogStore):
     def set_primary_hint(self, address: Optional[str]) -> None:
         with self._state_lock:
             self.primary_hint = address
+
+    def ensure_primary(self, promote: Callable[[int], int]) -> bool:
+        """Deterministic self-election, run when a write lands on a
+        follower: probe every peer, and promote only when (a) no
+        reachable peer claims the primaryship at our epoch or newer, and
+        (b) a strict cluster majority is reachable (self included) and
+        this node wins the (last_index, node_id) tie-break among the
+        responders. Every surviving follower computes the same winner
+        from the same probes, so at most one promotes. Probes leave as
+        this node's own address, so a partition or a dead endpoint hides
+        a peer from the election exactly as it hides it from a
+        replication round: a minority side never promotes, a majority
+        side always can. ``promote(floor_epoch)`` is the owner's
+        promotion (it ends in :meth:`promote` and :meth:`announce`).
+        Returns whether this node is primary afterwards."""
+        if not self._election_lock.acquire(blocking=False):
+            # An election is already running on another worker; this
+            # statement just bounces with not_primary and the driver
+            # retries — by then the election has settled.
+            return self.is_primary
+        try:
+            status = self.status()
+            if status["role"] == ROLE_PRIMARY:
+                return True
+            responders = [status]
+            for address in self._peers:
+                try:
+                    reply = peer_request(
+                        self._network,
+                        self.self_address,
+                        address,
+                        make_ha_status(self.node_id),
+                        _PROBE_TIMEOUT_S,
+                    )
+                except TransportError:
+                    continue
+                if reply.get("type") == ClusterMessageType.HA_STATUS_OK:
+                    responders.append(reply)
+            live_primaries = [
+                r
+                for r in responders
+                if r["role"] == ROLE_PRIMARY and r["epoch"] >= status["epoch"]
+            ]
+            if live_primaries:
+                # The primary is alive (we were probed by a stale hint or
+                # a client raced a settled election): just point at it.
+                self.set_primary_hint(max(live_primaries, key=lambda r: r["epoch"])["address"])
+                return False
+            if len(responders) < self.required_acks:
+                # Can't prove a majority side of any partition; promoting
+                # here could split the brain. Stay a follower.
+                return False
+            winner = max(responders, key=lambda r: (r["last_index"], r["node_id"]))
+            if winner["node_id"] != self.node_id:
+                self.set_primary_hint(winner["address"])
+                return False
+            # Fold every epoch the probes reported into the promotion:
+            # the new epoch must land past values persisted anywhere in
+            # the responder set, not just past this node's own (which may
+            # lag if it missed announce frames).
+            promote(max(r["epoch"] for r in responders))
+            return True
+        finally:
+            self._election_lock.release()
 
     def status(self) -> Dict[str, Any]:
         """Election-probe payload (HA_STATUS_OK body, sans type)."""

@@ -88,6 +88,12 @@ ERROR_NOT_PRIMARY = "not_primary"
 #: deposed node adopts it instead of re-announcing its stale one.
 ERROR_STALE_EPOCH = "stale_epoch"
 
+#: ERROR code a controller answers a REPLICATE frame with when the
+#: frame's ``origin_address`` is not one of its configured ``ha_peers``:
+#: only a member of the group may append to its log. Nothing was
+#: applied; the sender counts the peer as down.
+ERROR_NOT_A_PEER = "not_a_peer"
+
 #: Correlation field sanity bound: a request_id is a small positive
 #: integer assigned per channel; anything outside this range is a
 #: malformed frame, not a plausible 10k-pipelined client.

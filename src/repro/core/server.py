@@ -277,35 +277,23 @@ class DrivolutionServer:
                 return
 
     def _upgrade_to_secure(self, channel: Channel, first_message: Dict[str, Any]):
-        """Perform the server side of the secure handshake.
-
-        The first message (``secure_hello``) has already been read, so the
-        handshake is completed manually here rather than via
-        :meth:`SecureChannel.server_handshake`.
-        """
+        """Perform the server side of the secure handshake (the listener
+        already read its first frame) and receive the first request; a
+        client certificate this server's authority did not issue is
+        refused."""
         if self.certificate is None:
             channel.send(DrivolutionErrorMessage("no_certificate", "server has no certificate").to_wire())
             return None, None
-        import os
-
-        server_nonce = os.urandom(16)
-        channel.send(
-            {
-                "type": "secure_hello_ack",
-                "nonce": server_nonce,
-                "certificate": self.certificate.to_wire(),
-            }
-        )
-        from repro.netsim.secure import _derive_key
-
-        client_nonce = first_message.get("nonce", b"")
-        session_key = _derive_key(client_nonce, server_nonce, self.certificate.fingerprint)
-        secure = SecureChannel(channel, session_key, self.certificate)
         try:
-            first = secure.recv(timeout=30.0)
+            secure = SecureChannel.server_handshake(
+                channel,
+                self.certificate,
+                authority=self.certificate_authority,
+                hello=first_message,
+            )
+            return secure, secure.recv(timeout=30.0)
         except TransportError:
             return None, None
-        return secure, first
 
     # -- protocol dispatch ----------------------------------------------------------------
 

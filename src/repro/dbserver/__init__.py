@@ -18,7 +18,6 @@ points that matter for reproducing the paper are:
 from repro.dbserver.wire import (
     PROTOCOL_VERSION,
     MessageType,
-    WireError,
     make_error,
 )
 from repro.dbserver.auth import AuthenticationError, Authenticator, PasswordAuthenticator, TokenAuthenticator
@@ -27,7 +26,6 @@ from repro.dbserver.server import DatabaseServer, ServerConfig
 __all__ = [
     "PROTOCOL_VERSION",
     "MessageType",
-    "WireError",
     "make_error",
     "AuthenticationError",
     "Authenticator",

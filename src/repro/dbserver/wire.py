@@ -10,16 +10,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.errors import DriverError
-
 #: Current protocol version spoken by the reference server and the
 #: up-to-date driver generation. Older driver generations speak lower
 #: versions; the server accepts a configurable range.
 PROTOCOL_VERSION = 3
-
-
-class WireError(DriverError):
-    """Malformed or unexpected wire message."""
 
 
 class MessageType:
@@ -86,13 +80,3 @@ def make_result(columns: list, rows: list, rowcount: int) -> Dict[str, Any]:
 
 def make_error(code: str, message: str) -> Dict[str, Any]:
     return {"type": MessageType.ERROR, "code": code, "message": message}
-
-
-def expect_type(message: Dict[str, Any], expected: str) -> Dict[str, Any]:
-    """Validate that ``message`` has the expected type tag."""
-    received = message.get("type")
-    if received == MessageType.ERROR:
-        raise WireError(f"server error [{message.get('code')}]: {message.get('message')}")
-    if received != expected:
-        raise WireError(f"expected {expected!r} message, got {received!r}")
-    return message

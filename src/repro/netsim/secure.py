@@ -133,9 +133,14 @@ class SecureChannel(Channel):
         authority: Optional[CertificateAuthority] = None,
         require_client_certificate: bool = False,
         timeout: Optional[float] = 5.0,
+        hello: Optional[Dict[str, Any]] = None,
     ) -> "SecureChannel":
-        """Answer a client handshake, presenting ``certificate``."""
-        hello = inner.recv(timeout=timeout)
+        """Answer a client handshake, presenting ``certificate``.
+
+        ``hello`` is the client's first frame when the caller's listener
+        already read it to dispatch on; otherwise it is received here."""
+        if hello is None:
+            hello = inner.recv(timeout=timeout)
         if hello.get("type") != "secure_hello":
             raise SecureChannelError(f"unexpected handshake message: {hello.get('type')!r}")
         client_cert: Optional[Certificate] = None

@@ -129,18 +129,6 @@ class Span:
 
     @classmethod
     def from_wire(cls, message: Any) -> "Span":
-        if isinstance(message, dict):
-            # Legacy verbose shape, kept for forward compatibility with
-            # hand-built span payloads in tooling and tests.
-            start = float(message.get("start_ms", 0.0)) / 1000.0
-            duration = float(message.get("duration_ms", 0.0)) / 1000.0
-            return cls(
-                str(message.get("name", "?")),
-                start,
-                start + duration,
-                parent=message.get("parent"),
-                attrs=dict(message.get("attrs") or {}),
-            )
         name = str(message[0]) if message else "?"
         start = float(message[1]) / 1000.0 if len(message) > 1 else 0.0
         duration = float(message[2]) / 1000.0 if len(message) > 2 else 0.0
@@ -293,9 +281,6 @@ class Trace:
             for name, start, end, parent, attrs in records
         ]
 
-    def span_names(self) -> List[str]:
-        return [span.name for span in self.spans()]
-
     def find(self, name: str) -> Optional[Span]:
         for span in self.spans():
             if span.name == name:
@@ -385,7 +370,7 @@ class Trace:
     def spans_from_wire(messages: Any) -> List[Span]:
         """Spans from a reply frame's ``trace`` value: a pre-serialised
         JSON string (the controller's shape), or an already-parsed list
-        of compact records / legacy dicts."""
+        of compact records."""
         if isinstance(messages, str):
             messages = json.loads(messages) if messages else []
         return [Span.from_wire(message) for message in messages or []]

@@ -230,16 +230,6 @@ class Executor:
         params: Dict[str, Any],
         positional: Sequence[Any],
     ) -> List[Tuple[int, Row]]:
-        def sort_key(entry: Tuple[int, Row]):
-            _index, row = entry
-            context = self._context(row, params, positional)
-            keys = []
-            for order_item in statement.order_by:
-                value = order_item.expression.evaluate(context)
-                # Sort NULLs last regardless of direction, then by value.
-                keys.append((value is None, value if value is not None else 0))
-            return tuple(keys)
-
         ordered = matches
         # Stable sort per ORDER BY item, applied right-to-left so the
         # leftmost item has the highest priority and DESC flags apply per item.

@@ -15,13 +15,17 @@ failing interleaving is reproducible with::
 
     REPRO_CHAOS_SEED=<seed> python -m pytest tests/test_ha.py -k <test>
 
-On targeting the replication link specifically: the in-memory network's
+On controller-to-controller faults: the in-memory network's
 ``partition(a, b)`` matches channels by exact (local, remote) address
-pairs. A controller's replication links connect *as* the controller's
-own address (``network.connect(..., source=)``), so a partition between
-two controller listener addresses severs exactly those links
-(:func:`partitioned_replication_link`) and leaves client channels —
-which originate from anonymous ``client-N`` addresses — untouched.
+pairs, and everything one controller says to another — replication
+rounds, election probes, group operations — leaves through a
+``PeerLink`` opened *as* the controller's own address
+(``network.connect(..., source=)``). A partition between two controller
+listener addresses therefore severs everything the two say to each
+other (:func:`partitioned_replication_link`,
+:func:`isolated_controller`), a killed endpoint neither hears nor
+speaks, and client channels — which originate from anonymous
+``client-N`` addresses — are left alone.
 """
 
 from __future__ import annotations
@@ -87,9 +91,9 @@ def revive_controller(env: Any, controller: Any) -> None:
 def fail_backend(env: Any, controllers: Any, replica_index: int) -> None:
     """Kill one replica database server and drop every controller's
     pooled connection to it — the composition the recovery tests
-    previously spelled out inline (a killed endpoint alone leaves the
-    pooled connection working: in-memory channels only fail on the next
-    connect)."""
+    previously spelled out inline. (A pooled channel to a killed
+    endpoint already fails on its next send; dropping it makes every
+    controller observe the death as a refused connect.)"""
     env.network.kill_endpoint(env.replica_addresses[replica_index])
     if not isinstance(controllers, (list, tuple)):
         controllers = [controllers]
@@ -102,20 +106,35 @@ def revive_backend(env: Any, replica_index: int) -> None:
     env.network.revive_endpoint(env.replica_addresses[replica_index])
 
 
-# -- replication-link faults ---------------------------------------------------
+# -- controller-to-controller link faults ---------------------------------------
 
 
 @contextlib.contextmanager
 def partitioned_replication_link(primary: Any, peer_address: str) -> Iterator[None]:
     """Partition the two controllers from each other at the network:
-    the replication links between them die (both directions of the
-    request/ack exchange) while every other channel — including clients
-    of both nodes — is untouched."""
+    nothing either says to the other gets through — replication rounds
+    and their acks, election probes, group operations — while every
+    other channel, including clients of both nodes, is untouched."""
     primary.network.partition(primary.address, peer_address)
     try:
         yield
     finally:
         primary.network.heal_partition(primary.address, peer_address)
+
+
+@contextlib.contextmanager
+def isolated_controller(env: Any, controller: Any) -> Iterator[None]:
+    """Partition ``controller`` from every other controller (healed on
+    exit): it keeps running and keeps its clients, but is alone on its
+    side of the controller tier."""
+    others = [c.address for c in env.controllers if c is not controller]
+    for address in others:
+        env.network.partition(controller.address, address)
+    try:
+        yield
+    finally:
+        for address in others:
+            env.network.heal_partition(controller.address, address)
 
 
 @contextlib.contextmanager

@@ -316,3 +316,16 @@ class TestControllerGroupReplication:
         primary.enable_backend_cluster_wide("db1")
         for controller in cluster_env.controllers:
             assert controller.backend("db1").enabled
+
+    def test_partition_between_controllers_cuts_group_operations(self, cluster_env):
+        c1, c2 = cluster_env.controllers
+        with chaos.partitioned_replication_link(c1, c2.address):
+            c1.disable_backend_cluster_wide("db1")
+            assert not c1.backend("db1").enabled
+            assert c2.backend("db1").enabled  # unreachable peers are skipped
+        # Healed: the next cluster-wide call reaches it.
+        c1.disable_backend_cluster_wide("db1")
+        assert not c2.backend("db1").enabled
+        c1.enable_backend_cluster_wide("db1")
+        for controller in cluster_env.controllers:
+            assert controller.backend("db1").enabled

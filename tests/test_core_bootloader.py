@@ -291,6 +291,43 @@ class TestSecurityIntegration:
         connection.close()
         secure_server.stop()
 
+    def test_secure_server_refuses_a_client_certificate_it_did_not_issue(self, env):
+        from repro.core import DrivolutionServer, StandaloneServerBinding, messages
+        from repro.errors import TransportError
+        from repro.netsim.secure import SecureChannel
+
+        ca = CertificateAuthority(name="corp-ca")
+        secure_server = DrivolutionServer(
+            StandaloneServerBinding(clock=env.clock),
+            network=env.network,
+            address="drivolution-mtls:9000",
+            clock=env.clock,
+            certificate=ca.issue("drivolution-mtls"),
+            certificate_authority=ca,
+            require_secure_channel=True,
+        ).start()
+
+        def release_over(client_certificate):
+            channel = env.network.connect("drivolution-mtls:9000")
+            try:
+                secure = SecureChannel.client_handshake(
+                    channel, ca, client_certificate=client_certificate
+                )
+                return secure.request(messages.make_release("no-lease", "c"), timeout=5.0)
+            finally:
+                channel.close()
+
+        try:
+            rogue = CertificateAuthority(name="rogue-ca").issue("mallory")
+            with pytest.raises(TransportError):
+                release_over(rogue)
+            # A certificate the server's own authority issued, and the
+            # anonymous hello every in-tree bootloader sends, are served.
+            assert release_over(ca.issue("app-42"))["type"] == "drivolution_release_ack"
+            assert release_over(None)["type"] == "drivolution_release_ack"
+        finally:
+            secure_server.stop()
+
 
 class TestDiscovery:
     def test_discover_picks_an_answering_server(self, env):

@@ -29,6 +29,7 @@ from repro.cluster.wire import (
     ClusterMessageType,
     ERROR_NOT_PRIMARY,
     make_error,
+    make_ha_status,
     make_replicate,
     make_replicate_ok,
 )
@@ -239,6 +240,26 @@ class TestReplicatedLogStoreUnit:
         with pytest.raises(ReplicationError):
             b.replicate(force=True)
 
+    def test_answer_refuses_a_replicate_from_outside_the_group(self):
+        # A newer epoch from a configured peer would be adopted; from
+        # anyone else it must not touch the log, the epoch or the role.
+        a = _store(node="a", peers=("b:1", "c:1"))
+        frame = make_replicate("x", "x:1", 9, [_entry(1).to_wire()], 0)
+        reply = a.answer(frame)
+        assert reply["type"] == ClusterMessageType.ERROR
+        assert reply["code"] == "not_a_peer"
+        assert a.last_index == 0 and a.epoch == 1 and a.is_primary
+        assert a.epoch_adoptions == 0 and a.depositions == 0
+        # The same frame from a member of the group goes through.
+        frame["origin_address"] = "b:1"
+        assert a.answer(frame)["type"] == ClusterMessageType.REPLICATE_OK
+        assert a.last_index == 1 and a.epoch == 9 and not a.is_primary
+
+    def test_answer_reports_status_to_an_election_probe(self):
+        b = _store()
+        reply = b.answer(make_ha_status("a"))
+        assert reply == {"type": ClusterMessageType.HA_STATUS_OK, **b.status()}
+
 
 # -- cluster-level replication -------------------------------------------------
 
@@ -381,6 +402,37 @@ class TestControllerHAReplication:
         conn.close()
 
 
+class TestGroupOfOne:
+    def test_standalone_controller_is_its_own_primary_and_majority(self):
+        env = build_cluster(replicas=2, controllers=1)
+        try:
+            (controller,) = env.controllers
+            ha = controller.stats()["ha"]
+            assert ha["role"] == ROLE_PRIMARY
+            assert ha["cluster_size"] == 1 and ha["required_acks"] == 1
+            assert ha["peers"] == {}
+            conn = _connect(env)
+            cursor = conn.cursor()
+            cursor.execute("CREATE TABLE solo_t (id INTEGER PRIMARY KEY)")
+            cursor.execute("INSERT INTO solo_t (id) VALUES (1)")
+            cursor.execute("SELECT COUNT(*) FROM solo_t")
+            assert cursor.fetchone() == (1,)
+            conn.close()
+            head = controller.ha_store.last_index
+            # Nobody is its peer, so nobody may append to its log.
+            with env.network.connect(controller.address) as channel:
+                reply = channel.request(
+                    make_replicate("x", "x:1", 9, [_entry(head + 1).to_wire()], 0),
+                    timeout=5.0,
+                )
+            assert reply["type"] == ClusterMessageType.ERROR
+            assert reply["code"] == "not_a_peer"
+            assert controller.ha_store.last_index == head
+            assert controller.ha_store.is_primary and controller.ha_store.epoch == 1
+        finally:
+            env.close()
+
+
 # -- failover ------------------------------------------------------------------
 
 
@@ -441,6 +493,52 @@ class TestControllerHAFailover:
         cursor.execute("INSERT INTO st_t (id) VALUES (2)")
         assert conn.controller_id == c2.config.controller_id
         conn.close()
+
+    def test_majority_side_of_a_partition_elects_and_the_minority_rejoins(self, ha_env):
+        env = ha_env
+        c1, c2, c3 = env.controllers
+        setup = _connect(env)
+        cursor = setup.cursor()
+        cursor.execute("CREATE TABLE part_t (id INTEGER PRIMARY KEY)")
+        cursor.execute("INSERT INTO part_t (id) VALUES (1)")
+        setup.close()
+        conn = _connect(env, url=f"sequoia://{c2.address},{c3.address}/vdb")
+        cursor = conn.cursor()
+        with chaos.isolated_controller(env, c1):
+            # Two of three controllers still see each other: the write
+            # that finds no primary on their side elects one.
+            cursor.execute("INSERT INTO part_t (id) VALUES (2)")
+            assert _primary_of(env, [c2, c3]).ha_store.epoch == 2
+            assert {c2.ha_store.epoch, c3.ha_store.epoch} == {2}
+            # The cut-off primary heard nothing of it.
+            assert c1.ha_store.is_primary and c1.ha_store.epoch == 1
+        # Healed: the next round reaches c1, which adopts the epoch,
+        # steps down and is caught up.
+        cursor.execute("INSERT INTO part_t (id) VALUES (3)")
+        assert c1.ha_store.role == ROLE_FOLLOWER
+        assert c1.ha_store.epoch == 2 and c1.ha_store.depositions == 1
+        assert len({c.ha_store.last_index for c in env.controllers}) == 1
+        assert _chain(c1) == _chain(c2) == _chain(c3)
+        cursor.execute("SELECT COUNT(*) FROM part_t")
+        assert cursor.fetchone() == (3,)
+        conn.close()
+
+    def test_killed_endpoint_sends_no_group_operation(self, ha_env):
+        # c2 keeps running in-process, but its endpoint is dead: no
+        # frame of its escapes, so it can disable nothing elsewhere.
+        c1, c2, c3 = ha_env.controllers
+        ha_env.network.kill_endpoint(c2.address)
+        c2.disable_backend_cluster_wide("db1")
+        assert not c2.backend("db1").enabled
+        assert c1.backend("db1").enabled and c3.backend("db1").enabled
+
+    def test_killed_endpoint_cannot_elect_itself(self, ha_env):
+        # Its probes are refused at its own dead address: alone, it is
+        # no majority, whatever the other two are doing.
+        _, c2, _ = ha_env.controllers
+        ha_env.network.kill_endpoint(c2.address)
+        assert c2.ha_store.ensure_primary(c2.promote) is False
+        assert c2.ha_store.role == ROLE_FOLLOWER and c2.ha_store.epoch == 1
 
     def test_crash_between_append_and_ack_loses_nothing(self, ha_env):
         env = ha_env

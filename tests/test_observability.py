@@ -448,7 +448,7 @@ class TestWireTracingFields:
 
     def test_attach_trace_carries_span_dicts(self):
         reply = make_error("execution_failed", "boom")
-        spans = [{"name": "execute", "start_ms": 0.0, "duration_ms": 1.0}]
+        spans = [["execute", 0.0, 1.0]]
         assert attach_trace(reply, spans)["trace"] == spans
 
 

@@ -38,7 +38,7 @@ class Gate(NamedTuple):
     paths: Tuple[str, ...]
     message: str
     allowed: int = 0
-    #: Directories (relative to the root) skipped under ``paths``.
+    #: Files or directories (relative to the root) skipped under ``paths``.
     exclude: Tuple[str, ...] = ()
 
 
@@ -86,6 +86,21 @@ GATES = [
         "replication link is cut at the network (Network.connect(source=))",
     ),
     Gate(
+        r"ha_store is (not )?None|_maybe_promote|_probe_ha_peer|_handle_ha_status"
+        r"|_serve_replication_channel|set_checkpoint_snapshot_provider|ha_disabled",
+        ("src/repro/cluster",),
+        "controller-tier fork reintroduced: every controller is an HA node (a standalone one "
+        "is the group of one); the HA protocol lives in recovery/replication.py",
+    ),
+    Gate(
+        r"network\.connect\(",
+        ("src/repro/cluster",),
+        "a controller reaches a peer through PeerLink, as itself (source=its own address), "
+        "so network faults apply to every controller-to-controller frame",
+        allowed=1,
+        exclude=("src/repro/cluster/driver.py",),
+    ),
+    Gate(
         r"workers=|handler_workers",
         ("src/repro/netsim/transport.py", "src/repro/dbserver"),
         "ChannelServer pool mode reintroduced: a handler runs on its connection's own thread",
@@ -106,13 +121,12 @@ def _python_files(path: str, exclude: Tuple[str, ...] = ()) -> Iterator[str]:
     if os.path.isfile(full):
         yield full
         return
-    skipped = tuple(os.path.join(ROOT, directory) + os.sep for directory in exclude)
+    skipped = tuple(os.path.join(ROOT, entry) + os.sep for entry in exclude)
     for directory, _, names in os.walk(full):
-        if (directory + os.sep).startswith(skipped):
-            continue
         for name in sorted(names):
-            if name.endswith(".py"):
-                yield os.path.join(directory, name)
+            filename = os.path.join(directory, name)
+            if name.endswith(".py") and not (filename + os.sep).startswith(skipped):
+                yield filename
 
 
 def check_gate(gate: Gate) -> List[str]:
