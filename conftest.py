@@ -29,6 +29,10 @@ import pytest
 _TIMEOUT_S = float(os.environ.get("REPRO_TEST_TIMEOUT", "120"))
 
 
+def pytest_configure(config):
+    config.addinivalue_line("markers", "slow: long-running experiment reproductions")
+
+
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_protocol(item, nextitem):
     if _TIMEOUT_S > 0:

@@ -6,9 +6,9 @@ The subpackages follow the paper's structure:
   the database (Table 1) plus signing (Section 3.1).
 - :mod:`repro.core.schema` — the ``drivers``, ``driver_permission`` and
   ``leases`` information-schema tables (Tables 1 and 2).
-- :mod:`repro.core.messages` / :mod:`repro.core.protocol` — the
-  DHCP-inspired bootstrap protocol: ``DRIVOLUTION_REQUEST``, ``OFFER``,
-  ``ERROR``, ``DISCOVER`` and the FILE transfer messages (Tables 3 and 4).
+- :mod:`repro.core.messages` — the DHCP-inspired bootstrap protocol:
+  ``DRIVOLUTION_REQUEST``, ``OFFER``, ``ERROR``, ``DISCOVER`` and the FILE
+  transfer messages (Tables 3 and 4).
 - :mod:`repro.core.matchmaker` — driver match-making with the SQL of
   Sample code 1 and 2.
 - :mod:`repro.core.lease` — leases and renewal bookkeeping.
@@ -16,12 +16,12 @@ The subpackages follow the paper's structure:
 - :mod:`repro.core.server` — the Drivolution Server in its in-database,
   external and standalone deployments (Section 4).
 - :mod:`repro.core.loader` — dynamic loading of driver code blobs.
-- :mod:`repro.core.bootloader` — the client-side bootloader (Section 3.1.1)
-  with lease renewal, driver switching and the renew/expiration policies.
+- :mod:`repro.core.bootloader` — the client-side bootloader (Section 3.1.1):
+  one driver transition (``Bootloader._switch_driver``) for acquisition,
+  lease renewal, upgrade and revocation; broadcast discovery of replicated
+  Drivolution servers is ``Bootloader._discover``.
 - :mod:`repro.core.policies` — RENEW/UPGRADE/REVOKE and
   AFTER_CLOSE/AFTER_COMMIT/IMMEDIATE policy machinery (Section 3.3).
-- :mod:`repro.core.discovery` — broadcast discovery of replicated
-  Drivolution servers.
 - :mod:`repro.core.assembly` — on-demand driver assembly (Section 5.4.1).
 - :mod:`repro.core.license_server` — license management (Section 5.4.2).
 - :mod:`repro.core.admin` — DBA operations used by the case studies.
@@ -43,7 +43,7 @@ from repro.core.messages import (
 )
 from repro.core.lease import Lease, LeaseManager
 from repro.core.registry import DriverRegistry, DriverPermission
-from repro.core.matchmaker import Matchmaker, MatchRequest
+from repro.core.matchmaker import Matchmaker
 from repro.core.server import DrivolutionServer, InDatabaseServerBinding, StandaloneServerBinding, ExternalServerBinding
 from repro.core.loader import DriverLoader, LoadedDriver
 from repro.core.bootloader import Bootloader, BootloaderConfig
@@ -73,7 +73,6 @@ __all__ = [
     "DriverRegistry",
     "DriverPermission",
     "Matchmaker",
-    "MatchRequest",
     "DrivolutionServer",
     "InDatabaseServerBinding",
     "StandaloneServerBinding",

@@ -50,16 +50,12 @@ class DrivolutionAdmin:
         servers: Sequence[DrivolutionServer],
         signer: Optional[DriverSigner] = None,
         default_lease_time_ms: int = DEFAULT_LEASE_TIME_MS,
-        default_renew_policy: RenewPolicy = RenewPolicy.UPGRADE,
-        default_expiration_policy: ExpirationPolicy = ExpirationPolicy.AFTER_COMMIT,
     ) -> None:
         if not servers:
             raise DrivolutionError("admin needs at least one Drivolution server")
         self.servers = list(servers)
         self.signer = signer
         self.default_lease_time_ms = default_lease_time_ms
-        self.default_renew_policy = default_renew_policy
-        self.default_expiration_policy = default_expiration_policy
         #: Ordered log of administrative steps, used by the lifecycle
         #: experiments to count operations (paper Table 5).
         self.operation_log: List[str] = []
@@ -74,8 +70,8 @@ class DrivolutionAdmin:
         client_ip: Optional[str] = None,
         driver_options: Optional[Dict[str, Any]] = None,
         lease_time_ms: Optional[int] = None,
-        renew_policy: Optional[RenewPolicy] = None,
-        expiration_policy: Optional[ExpirationPolicy] = None,
+        renew_policy: RenewPolicy = RenewPolicy.UPGRADE,
+        expiration_policy: ExpirationPolicy = ExpirationPolicy.AFTER_COMMIT,
         start_date: Optional[float] = None,
         end_date: Optional[float] = None,
         notify: bool = True,
@@ -103,14 +99,8 @@ class DrivolutionAdmin:
                 lease_time_in_ms=(
                     lease_time_ms if lease_time_ms is not None else self.default_lease_time_ms
                 ),
-                renew_policy=(
-                    renew_policy if renew_policy is not None else self.default_renew_policy
-                ),
-                expiration_policy=(
-                    expiration_policy
-                    if expiration_policy is not None
-                    else self.default_expiration_policy
-                ),
+                renew_policy=renew_policy,
+                expiration_policy=expiration_policy,
             )
             record.permission_ids[server.server_id] = server.registry.grant_permission(permission)
         self.operation_log.append(f"install_driver:{package.name}")
@@ -141,38 +131,26 @@ class DrivolutionAdmin:
         self.operation_log.append(f"remove_driver:{sorted(driver_id_by_server.values())}")
 
     def push_upgrade(
-        self,
-        new_package: DriverPackage,
-        old_record: Optional[InstallRecord] = None,
-        database: Optional[str] = None,
-        lease_time_ms: Optional[int] = None,
-        renew_policy: RenewPolicy = RenewPolicy.UPGRADE,
-        expiration_policy: Optional[ExpirationPolicy] = None,
-        notify: bool = True,
+        self, new_package: DriverPackage, old_record: Optional[InstallRecord] = None, **install: Any
     ) -> InstallRecord:
         """Upgrade clients to ``new_package``: expire the old driver's
-        permissions and install the new driver in one administrative step.
+        permissions and install the new driver (``install`` is passed to
+        :meth:`install_driver`) in one administrative step.
 
         Used by the master/slave failover case study: ``new_package`` is the
         pre-configured DBslave driver and ``old_record`` the DBmaster one.
         """
         if old_record is not None:
             self.revoke_driver(old_record.driver_ids, notify=False)
-        return self.install_driver(
-            new_package,
-            database=database,
-            lease_time_ms=lease_time_ms,
-            renew_policy=renew_policy,
-            expiration_policy=expiration_policy,
-            notify=notify,
-        )
+        return self.install_driver(new_package, **install)
 
-    def rollback_upgrade(self, bad_record: InstallRecord, good_package: DriverPackage, **kwargs) -> InstallRecord:
+    def rollback_upgrade(
+        self, bad_record: InstallRecord, good_package: DriverPackage, **install: Any
+    ) -> InstallRecord:
         """Revert a faulty upgrade: expire the bad driver and re-offer the
         known-good package (paper Section 3.2: "the administrator can revert
         the driver in the Drivolution server")."""
-        self.revoke_driver(bad_record.driver_ids, notify=False)
-        record = self.install_driver(good_package, **kwargs)
+        record = self.push_upgrade(good_package, old_record=bad_record, **install)
         self.operation_log.append(f"rollback_to:{good_package.name}")
         return record
 

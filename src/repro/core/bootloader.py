@@ -7,15 +7,24 @@ machine. It substitutes the database driver: the application calls
 
 1. contacts a Drivolution server (explicitly configured, taken from the
    connection URL, or discovered by broadcast),
-2. downloads the driver the server offers, verifies its signature if
-   configured to, decodes it and loads it dynamically,
+2. downloads the driver the server offers, verifies its signature when a
+   signer is configured, decodes it and loads it dynamically,
 3. opens the actual database connection through the loaded driver, passing
    the application's connection options through (merged under the
    server-enforced ``driver_options``),
 4. keeps track of the lease and, when it expires — or immediately, when a
-   dedicated notification channel signals an update — renews it, upgrades
-   to a new driver version, or revokes the current driver, transitioning
-   existing connections according to the expiration policy.
+   dedicated notification channel signals an update — asks the server again.
+   Whatever the answer, it is applied by one transition,
+   :meth:`Bootloader._switch_driver`: the lease is adopted, a driver other
+   than the running one is loaded, connections not on the driver now
+   running are handled according to the expiration policy and the old
+   driver is unloaded. A first acquisition is that transition *from* no
+   driver (a renewal with no lease to present); a revocation is that
+   transition *to* no driver, and the next ``connect`` asks again.
+
+The security posture is what is configured: a ``certificate_authority``
+means every channel to a Drivolution server is a verified secure channel,
+a ``signer`` means an unsigned or mis-signed package is refused.
 
 The bootloader is generic: it knows nothing about any particular driver
 implementation, only about the Drivolution protocol and the DB-API shape
@@ -68,6 +77,9 @@ class BootloaderConfig:
     else has sensible defaults. ``drivolution_servers`` is the explicit
     server list used in legacy dual-URL deployments (Section 5.3.1); when
     empty, the bootloader contacts the host(s) of the connection URL.
+    A ``certificate_authority`` makes every channel to a Drivolution server
+    a secure one verified against it (and ``expected_server_subject``); a
+    ``signer`` makes a valid package signature mandatory.
     """
 
     api_name: str = "PYDB-API"
@@ -80,11 +92,9 @@ class BootloaderConfig:
     preferred_driver_version: Optional[Tuple[int, int, int]] = None
     requested_extensions: List[str] = field(default_factory=list)
     use_discovery: bool = False
-    secure: bool = False
     certificate_authority: Optional[CertificateAuthority] = None
     expected_server_subject: Optional[str] = None
     signer: Optional[DriverSigner] = None
-    require_signature: bool = False
     request_timeout: float = 10.0
 
 
@@ -209,17 +219,14 @@ class Bootloader:
         self.config = config or BootloaderConfig()
         self.network = network
         self.clock = clock
-        self.loader = loader or DriverLoader(
-            signer=self.config.signer, require_signature=self.config.require_signature
-        )
+        self.loader = loader or DriverLoader(signer=self.config.signer)
         self.stats = BootloaderStats()
         self._lock = threading.RLock()
         self._current: Optional[LoadedDriver] = None
-        self._previous: List[LoadedDriver] = []
         self._lease: Optional[DrivolutionOffer] = None
         self._recheck_time: Optional[float] = None
-        self._revoked = False
-        self._revocation_reason = ""
+        #: Why a loaded driver was taken away; None unless revoked.
+        self._revocation_reason: Optional[str] = None
         self._connections: List[ManagedConnection] = []
         self._last_transition: Optional[TransitionReport] = None
         self._server_used: Optional[Address] = None
@@ -240,30 +247,20 @@ class Bootloader:
     ) -> ManagedConnection:
         """Intercept the driver's ``connect`` call (Section 3.1.1).
 
-        On the first call (or whenever the lease has expired) the driver is
-        (re)negotiated with the Drivolution server; afterwards the call is
+        Without a driver (first call, or after a revocation) or with a
+        lapsed lease the server is asked first; afterwards the call is
         forwarded to the loaded driver.
         """
         self.stats.connect_calls += 1
         with self._lock:
-            if self._revoked:
+            if self._current is None or self.lease_expired():
+                self.check_for_update(url=url, user=user, password=password, force=True)
+            if self._current is None:
                 self.stats.blocked_connects += 1
                 raise BootloaderError(
                     "no suitable driver available: the previous driver was revoked "
-                    f"({self._revocation_reason or 'lease expired with no replacement'})"
+                    f"({self._revocation_reason})"
                 )
-            if self._current is None:
-                self._bootstrap(url, user=user, password=password)
-            elif self.lease_expired():
-                # Lazy renewal: an application call triggered the check.
-                self.check_for_update(url=url, user=user, password=password)
-                if self._revoked:
-                    self.stats.blocked_connects += 1
-                    raise BootloaderError(
-                        "no suitable driver available: the driver lease expired and "
-                        "no replacement was offered"
-                    )
-            assert self._current is not None
             driver = self._current
             merged: Dict[str, Any] = {}
             if self._lease is not None:
@@ -291,7 +288,7 @@ class Bootloader:
     @property
     def revoked(self) -> bool:
         with self._lock:
-            return self._revoked
+            return self._revocation_reason is not None
 
     @property
     def last_transition(self) -> Optional[TransitionReport]:
@@ -321,14 +318,7 @@ class Bootloader:
             if managed in self._connections:
                 self._connections.remove(managed)
 
-    # ------------------------------------------------------------------ bootstrap
-
-    def _bootstrap(self, url: str, user: Optional[str], password: Optional[str]) -> None:
-        """First driver acquisition: REQUEST → OFFER → FILE transfer → load."""
-        self._last_request_context = {"url": url, "user": user, "password": password}
-        servers = self._candidate_servers(url)
-        offer, package, server = self._negotiate(servers, url, user, password, current_lease=None)
-        self._install_offer(offer, package, server)
+    # ------------------------------------------------------------------ negotiation
 
     def _candidate_servers(self, url: str) -> List[Address]:
         """Where to look for a Drivolution server, in order of preference."""
@@ -343,9 +333,9 @@ class Bootloader:
         url: str,
         user: Optional[str],
         password: Optional[str],
-        current_lease: Optional[str],
     ) -> Tuple[DrivolutionOffer, Optional[DriverPackage], Address]:
-        """Run the bootstrap protocol against the first server that answers.
+        """Run the bootstrap protocol (REQUEST → OFFER → FILE transfer)
+        against the first server that answers, presenting the held lease.
 
         Returns the accepted offer, the downloaded package (None when the
         offer carries no file) and the server that served it.
@@ -364,7 +354,7 @@ class Bootloader:
             preferred_driver_version=self.config.preferred_driver_version,
             client_id=self.config.client_id,
             client_ip=self.config.client_ip,
-            current_lease_id=current_lease,
+            current_lease_id=self._lease.lease_id if self._lease else None,
             requested_extensions=list(self.config.requested_extensions),
         )
         if self.config.use_discovery:
@@ -397,33 +387,32 @@ class Bootloader:
         answered: List[Address] = []
         for address in candidates:
             try:
-                channel = self.network.connect(address, timeout=1.0)
+                with self._open_channel(address, timeout=1.0) as channel:
+                    reply = channel.request(discover.to_wire(), timeout=1.0)
             except TransportError:
                 continue
-            try:
-                channel.send(discover.to_wire())
-                reply = channel.recv(timeout=1.0)
-            except TransportError:
-                continue
-            finally:
-                channel.close()
             if reply.get("type") == messages.OFFER:
                 answered.append(address)
         return answered or list(fallback)
 
-    def _open_channel(self, server: Address) -> Channel:
-        channel = self.network.connect(server, timeout=self.config.request_timeout)
-        if self.config.secure:
-            if self.config.certificate_authority is None:
-                channel.close()
-                raise BootloaderError("secure mode requires a certificate authority")
-            channel = SecureChannel.client_handshake(
+    def _open_channel(self, server: Address, timeout: Optional[float] = None) -> Channel:
+        """The one way out to a Drivolution server: with a certificate
+        authority configured the channel is secure and the server's
+        certificate (and subject) verified before anything is sent."""
+        timeout = self.config.request_timeout if timeout is None else timeout
+        channel = self.network.connect(server, timeout=timeout)
+        if self.config.certificate_authority is None:
+            return channel
+        try:
+            return SecureChannel.client_handshake(
                 channel,
                 self.config.certificate_authority,
                 expected_subject=self.config.expected_server_subject,
-                timeout=self.config.request_timeout,
+                timeout=timeout,
             )
-        return channel
+        except TransportError:
+            channel.close()
+            raise
 
     def _negotiate_with(
         self, server: Address, request: DrivolutionRequest
@@ -454,22 +443,7 @@ class Bootloader:
         finally:
             channel.close()
 
-    def _install_offer(
-        self, offer: DrivolutionOffer, package: Optional[DriverPackage], server: Address
-    ) -> None:
-        """Load the offered driver (if any) and update lease bookkeeping."""
-        if package is not None:
-            loaded = self.loader.load(package, driver_id=offer.driver_id, lease_id=offer.lease_id)
-            if self._current is not None:
-                self._previous.append(self._current)
-            self._current = loaded
-        self._lease = offer
-        self._server_used = server
-        self._recheck_time = self.clock() + offer.lease_time_ms / 1000.0
-        self._revoked = False
-        self._revocation_reason = ""
-
-    # ------------------------------------------------------------------ renewal / upgrade
+    # ------------------------------------------------------------------ the one transition
 
     def check_for_update(
         self,
@@ -478,80 +452,105 @@ class Bootloader:
         password: Optional[str] = None,
         force: bool = False,
     ) -> str:
-        """Contact the server to renew the lease or fetch a new driver.
+        """Ask the server what to run and apply its answer (the client side
+        of the paper's Table 4).
 
-        Returns one of ``"renewed"``, ``"upgraded"``, ``"revoked"`` or
-        ``"not_due"`` (lease still valid and ``force`` not set). This is the
-        client side of the paper's Table 4.
+        Returns ``"not_due"`` (lease still valid and ``force`` not set),
+        ``"installed"`` (a driver acquired from no driver), ``"renewed"``
+        (same driver, new lease), ``"upgraded"`` (another driver),
+        ``"revoked"`` (the server refused: no driver until it offers one
+        again) or ``"server_unreachable"`` (no server answered: the current
+        driver is kept, Section 4.1.3). With no driver to keep, an
+        unreachable server raises, as does a refusal when there is no
+        driver to revoke.
         """
         with self._lock:
-            if self._current is None or self._lease is None:
-                return "not_due"
             if not force and not self.lease_expired():
                 return "not_due"
             self.stats.update_checks += 1
-            context = dict(self._last_request_context)
+            context = self._last_request_context
             url = url or context.get("url")
             user = user if user is not None else context.get("user")
             password = password if password is not None else context.get("password")
             if url is None:
-                raise BootloaderError("no connection context available for lease renewal")
+                raise BootloaderError("no connection context available to request a driver")
+            self._last_request_context = {"url": url, "user": user, "password": password}
             servers = self._candidate_servers(url)
             if self._server_used in servers:
                 # Prefer the server that granted the current lease.
                 servers = [self._server_used] + [item for item in servers if item != self._server_used]
-            current_policy = ExpirationPolicy.from_value(self._lease.expiration_policy)
+            reason = None
             try:
-                offer, package, server = self._negotiate(
-                    servers, url, user, password, current_lease=self._lease.lease_id
-                )
+                offer, package, server = self._negotiate(servers, url, user, password)
             except DrivolutionServerUnreachable:
-                # The server is merely unavailable: keep the current driver
-                # and retry at the next check (paper Section 4.1.3).
+                if self._current is None:
+                    raise
                 return "server_unreachable"
             except BootloaderError as exc:
-                # Explicit DRIVOLUTION_ERROR: revoke the current driver.
-                self._revoke(current_policy, reason=str(exc))
-                return "revoked"
+                # Explicit DRIVOLUTION_ERROR: the transition to no driver.
+                offer, package, server, reason = None, None, None, str(exc)
+            # The answer's expiration policy governs; a refusal carries
+            # none, so the lease being lost does.
+            governing = offer or self._lease
+            policy = ExpirationPolicy.from_value(governing.expiration_policy) if governing else None
+            if offer is not None and RenewPolicy.from_value(offer.renew_policy) == RenewPolicy.REVOKE:
+                offer, reason = None, "server revoked driver"
+            return self._switch_driver(offer, package, server, policy, reason)
 
-            renew_policy = RenewPolicy.from_value(offer.renew_policy)
-            if renew_policy == RenewPolicy.REVOKE:
-                self._revoke(ExpirationPolicy.from_value(offer.expiration_policy), reason="server revoked driver")
-                return "revoked"
-            if package is None or (
-                self._current.driver_id == offer.driver_id
-                and tuple(offer.driver_version) == tuple(self._current.package.driver_version)
-            ):
-                # Same driver: pure lease renewal.
-                self._lease = offer
-                self._recheck_time = self.clock() + offer.lease_time_ms / 1000.0
-                self.stats.lease_renewals += 1
-                return "renewed"
-            # New driver: upgrade.
-            old_driver = self._current
-            old_connections = [
-                conn for conn in self._connections if not conn.closed and conn.driver_generation == old_driver.generation
-            ]
-            self._install_offer(offer, package, server)
-            transition_policy = ExpirationPolicy.from_value(offer.expiration_policy)
-            self._last_transition = apply_expiration_policy(old_connections, transition_policy)
-            self.loader.unload(old_driver)
-            self.stats.upgrades += 1
-            return "upgraded"
+    def _switch_driver(
+        self,
+        offer: Optional[DrivolutionOffer],
+        package: Optional[DriverPackage],
+        server: Optional[Address],
+        policy: Optional[ExpirationPolicy],
+        reason: Optional[str] = None,
+    ) -> str:
+        """Move from the running driver (or none) to the one ``offer`` names.
 
-    def _revoke(self, policy: ExpirationPolicy, reason: str) -> None:
-        """Apply the REVOKE path: no replacement driver is available."""
-        connections = [conn for conn in self._connections if not conn.closed]
-        self._last_transition = apply_expiration_policy(connections, policy)
-        if self._current is not None:
-            self.loader.unload(self._current)
-            self._previous.append(self._current)
-        self._current = None
-        self._lease = None
-        self._recheck_time = None
-        self._revoked = True
-        self._revocation_reason = reason
-        self.stats.revocations += 1
+        ``offer=None`` is the transition to no driver and ``reason`` says
+        why. A driver other than the running one is loaded before anything
+        is mutated, so a failed load leaves driver, lease and connections
+        as they were. Returns the outcome :meth:`check_for_update` reports.
+        """
+        old = new = self._current
+        if offer is None:
+            if old is None and self._revocation_reason is None:
+                raise BootloaderError(reason)  # a first acquisition has nothing to revoke
+            new = None
+        elif package is not None and not (
+            old is not None
+            and old.driver_id == offer.driver_id
+            and tuple(offer.driver_version) == tuple(old.package.driver_version)
+        ):
+            new = self.loader.load(package, driver_id=offer.driver_id, lease_id=offer.lease_id)
+        elif old is None:
+            raise BootloaderError(f"offer for driver {offer.driver_id} carries no driver file")
+        self._current, self._lease, self._server_used = new, offer, server
+        self._recheck_time = self.clock() + offer.lease_time_ms / 1000.0 if offer else None
+        if new is not old:
+            self._last_transition = apply_expiration_policy(
+                [
+                    conn
+                    for conn in self._connections
+                    if not conn.closed and (new is None or conn.driver_generation != new.generation)
+                ],
+                policy,
+            )
+            if old is not None:
+                self.loader.unload(old)
+        if new is None:
+            if old is not None:
+                self._revocation_reason = reason
+                self.stats.revocations += 1
+            return "revoked"
+        self._revocation_reason = None
+        if new is old:
+            self.stats.lease_renewals += 1
+            return "renewed"
+        if old is None:
+            return "installed"
+        self.stats.upgrades += 1
+        return "upgraded"
 
     # ------------------------------------------------------------------ background renewal
 

@@ -9,9 +9,10 @@ requirement for switching a client from one version to another, and for
 per-driver extension bundles not conflicting with the application's own
 libraries).
 
-Security: when the loader is configured with a :class:`DriverSigner`, it
-verifies the package signature before executing anything, which is the
-"separate trusted wrapper in the bootloader [that] verifies signatures".
+Security: a loader configured with a :class:`DriverSigner` refuses any
+package that is unsigned or whose signature does not verify, before
+executing anything — the "separate trusted wrapper in the bootloader
+[that] verifies signatures".
 """
 
 from __future__ import annotations
@@ -74,13 +75,9 @@ class DriverLoader:
     def __init__(
         self,
         signer: Optional[DriverSigner] = None,
-        require_signature: bool = False,
         extra_globals: Optional[Dict[str, Any]] = None,
     ) -> None:
-        if require_signature and signer is None:
-            raise DriverLoadError("require_signature=True needs a signer")
         self._signer = signer
-        self._require_signature = require_signature
         self._extra_globals = dict(extra_globals or {})
         self._loaded: List[LoadedDriver] = []
         self._generation = 0
@@ -130,9 +127,7 @@ class DriverLoader:
         if self._signer is None:
             return
         if package.signature is None:
-            if self._require_signature:
-                raise DriverLoadError(f"driver {package.name!r} is unsigned")
-            return
+            raise DriverLoadError(f"driver {package.name!r} is unsigned")
         try:
             self._signer.require_valid(package)
         except PackageError as exc:

@@ -21,14 +21,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
-from repro.core.constants import (
-    DEFAULT_LEASE_TIME_MS,
-    ExpirationPolicy,
-    RenewPolicy,
-    TransferMethod,
-)
+from repro.core.constants import DEFAULT_LEASE_TIME_MS, ExpirationPolicy, RenewPolicy
 from repro.core.messages import DrivolutionRequest
 from repro.core.registry import DriverPermission, DriverRegistry
 from repro.errors import DrivolutionError
@@ -36,33 +31,6 @@ from repro.errors import DrivolutionError
 
 class NoMatchingDriver(DrivolutionError):
     """No driver satisfies the request (maps to DRIVOLUTION_ERROR)."""
-
-
-@dataclass
-class MatchRequest:
-    """Normalised match-making input derived from a protocol request."""
-
-    database: str
-    api_name: str
-    client_platform: str
-    user: Optional[str] = None
-    client_ip: Optional[str] = None
-    api_version: Optional[Tuple[int, int]] = None
-    preferred_driver_version: Optional[Tuple[int, int, int]] = None
-    preferred_binary_format: Optional[str] = None
-
-    @staticmethod
-    def from_protocol(request: DrivolutionRequest) -> "MatchRequest":
-        return MatchRequest(
-            database=request.database,
-            api_name=request.api_name,
-            client_platform=request.client_platform,
-            user=request.user,
-            client_ip=request.client_ip or None,
-            api_version=request.api_version,
-            preferred_driver_version=request.preferred_driver_version,
-            preferred_binary_format=request.preferred_binary_format,
-        )
 
 
 @dataclass
@@ -74,33 +42,28 @@ class MatchResult:
     lease_time_ms: int = DEFAULT_LEASE_TIME_MS
     renew_policy: RenewPolicy = RenewPolicy.RENEW
     expiration_policy: ExpirationPolicy = ExpirationPolicy.AFTER_COMMIT
-    transfer_method: TransferMethod = TransferMethod.ANY
     driver_options: Dict[str, Any] = field(default_factory=dict)
-    matched_permission: Optional[DriverPermission] = None
 
 
 class Matchmaker:
-    """Implements the server-side driver selection logic."""
+    """Implements the server-side driver selection logic.
+
+    ``clock`` is accepted and never read: time-dependent filtering
+    (permission date windows) happens in the registry's SQL.
+    """
 
     def __init__(
         self,
         registry: DriverRegistry,
         known_databases: Optional[Callable[[], List[str]]] = None,
         clock: Callable[[], float] = time.time,
-        default_lease_time_ms: int = DEFAULT_LEASE_TIME_MS,
-        default_renew_policy: RenewPolicy = RenewPolicy.RENEW,
-        default_expiration_policy: ExpirationPolicy = ExpirationPolicy.AFTER_COMMIT,
     ) -> None:
         self._registry = registry
         self._known_databases = known_databases
-        self._clock = clock
-        self._default_lease_time_ms = default_lease_time_ms
-        self._default_renew_policy = default_renew_policy
-        self._default_expiration_policy = default_expiration_policy
 
     # -- public --------------------------------------------------------------
 
-    def match(self, request: MatchRequest) -> MatchResult:
+    def match(self, request: DrivolutionRequest) -> MatchResult:
         """Pick the driver to offer, or raise :class:`NoMatchingDriver`."""
         if self._known_databases is not None:
             databases = {name.lower() for name in self._known_databases()}
@@ -108,7 +71,7 @@ class Matchmaker:
                 raise NoMatchingDriver(f"invalid database {request.database!r}")
 
         permissions = self._registry.query_permissions(
-            database=request.database, user=request.user, client_ip=request.client_ip
+            database=request.database, user=request.user, client_ip=request.client_ip or None
         )
         if permissions:
             return self._match_from_permissions(request, permissions)
@@ -127,7 +90,7 @@ class Matchmaker:
     # -- permission-driven selection (Sample code 2 first) -----------------------
 
     def _match_from_permissions(
-        self, request: MatchRequest, permissions: List[DriverPermission]
+        self, request: DrivolutionRequest, permissions: List[DriverPermission]
     ) -> MatchResult:
         candidate_rows = self._candidate_driver_rows(request)
         candidates_by_id = {int(row["driver_id"]): row for row in candidate_rows}
@@ -141,9 +104,7 @@ class Matchmaker:
                 lease_time_ms=permission.lease_time_in_ms,
                 renew_policy=permission.renew_policy,
                 expiration_policy=permission.expiration_policy,
-                transfer_method=permission.transfer_method,
                 driver_options=dict(permission.driver_options),
-                matched_permission=permission,
             )
         raise NoMatchingDriver(
             f"no driver for API {request.api_name!r} on platform {request.client_platform!r} "
@@ -152,22 +113,15 @@ class Matchmaker:
 
     # -- preference-driven selection (Sample code 1) --------------------------------
 
-    def _match_from_drivers(self, request: MatchRequest) -> MatchResult:
+    def _match_from_drivers(self, request: DrivolutionRequest) -> MatchResult:
         rows = self._candidate_driver_rows(request)
         if not rows:
             raise NoMatchingDriver(
                 f"no driver for API {request.api_name!r} on platform {request.client_platform!r}"
             )
-        row = rows[0]
-        return MatchResult(
-            driver_id=int(row["driver_id"]),
-            driver_row=row,
-            lease_time_ms=self._default_lease_time_ms,
-            renew_policy=self._default_renew_policy,
-            expiration_policy=self._default_expiration_policy,
-        )
+        return MatchResult(driver_id=int(rows[0]["driver_id"]), driver_row=rows[0])
 
-    def _candidate_driver_rows(self, request: MatchRequest) -> List[Dict[str, Any]]:
+    def _candidate_driver_rows(self, request: DrivolutionRequest) -> List[Dict[str, Any]]:
         """Preference query, then the fallback query without preferences."""
         rows = self._registry.query_drivers(
             api_name=request.api_name,

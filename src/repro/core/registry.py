@@ -126,6 +126,13 @@ class DriverRegistry:
         self._backend = backend
         self._clock = clock
 
+    def rebind(self, backend: SqlBackend) -> None:
+        """Continue over ``backend`` (an external server re-opened its
+        legacy connection): the registry object, its clock and every
+        reference held to it survive."""
+        self._backend = backend
+        self.install_schema()
+
     # -- schema ----------------------------------------------------------------
 
     def install_schema(self) -> None:
@@ -198,6 +205,15 @@ class DriverRegistry:
         return [(int(row["driver_id"]), self._row_to_package(row)) for row in rows]
 
     @staticmethod
+    def row_version(row: Dict[str, Any]) -> Tuple[int, int, int]:
+        """The driver version a ``drivers`` row carries."""
+        return (
+            int(row.get("driver_version_major") or 1),
+            int(row.get("driver_version_minor") or 0),
+            int(row.get("driver_version_micro") or 0),
+        )
+
+    @staticmethod
     def _row_to_package(row: Dict[str, Any]) -> DriverPackage:
         api_major = row.get("api_version_major")
         api_minor = row.get("api_version_minor")
@@ -209,11 +225,7 @@ class DriverRegistry:
             binary_format=str(row["binary_format"]),
             api_version=api_version,
             platform=row.get("platform"),
-            driver_version=(
-                int(row.get("driver_version_major") or 1),
-                int(row.get("driver_version_minor") or 0),
-                int(row.get("driver_version_micro") or 0),
-            ),
+            driver_version=DriverRegistry.row_version(row),
             signature=row.get("signature"),
         )
 

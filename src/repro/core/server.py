@@ -28,13 +28,12 @@ from __future__ import annotations
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core import messages
-from repro.core.constants import ExpirationPolicy, RenewPolicy, TransferMethod
 from repro.core.lease import LeaseManager
-from repro.core.matchmaker import Matchmaker, MatchRequest, NoMatchingDriver
+from repro.core.matchmaker import Matchmaker, NoMatchingDriver
 from repro.core.messages import (
     DrivolutionErrorMessage,
     DrivolutionOffer,
@@ -54,9 +53,6 @@ class ServerBinding:
     def __init__(self, registry: DriverRegistry, known_databases: Optional[Callable[[], List[str]]] = None):
         self.registry = registry
         self.known_databases = known_databases
-
-    def describe(self) -> str:
-        return type(self).__name__
 
 
 class InDatabaseServerBinding(ServerBinding):
@@ -121,8 +117,7 @@ class ExternalServerBinding(ServerBinding):
         except Exception:
             pass
         self.connection = self._connection_factory()
-        self.registry = DriverRegistry(ConnectionBackend(self.connection))
-        self.registry.install_schema()
+        self.registry.rebind(ConnectionBackend(self.connection))
 
 
 @dataclass
@@ -190,10 +185,6 @@ class DrivolutionServer:
         if self._channel_server is not None:
             self._channel_server.stop()
             self._channel_server = None
-
-    @property
-    def running(self) -> bool:
-        return self._channel_server is not None
 
     def attach_to_database_server(self, database_server) -> None:
         """Share the database's listener (in-database deployment on the
@@ -266,12 +257,7 @@ class DrivolutionServer:
         message: Optional[Dict[str, Any]] = first_message
         while message is not None:
             try:
-                keep_going = self._dispatch(channel, message)
-            except TransportError:
-                return
-            if not keep_going:
-                return
-            try:
+                self._dispatch(channel, message)
                 message = channel.recv(timeout=None)
             except TransportError:
                 return
@@ -297,27 +283,21 @@ class DrivolutionServer:
 
     # -- protocol dispatch ----------------------------------------------------------------
 
-    def _dispatch(self, channel: Channel, message: Dict[str, Any]) -> bool:
-        """Handle one message; returns False when the conversation is over."""
+    def _dispatch(self, channel: Channel, message: Dict[str, Any]) -> None:
+        """Answer one message."""
         message_type = message.get("type")
-        if message_type in (messages.REQUEST, messages.DISCOVER):
-            self._handle_request(channel, message)
-            return True
-        if message_type == messages.FILE_REQUEST:
-            self._handle_file_request(channel, message)
-            return True
-        if message_type == messages.RELEASE:
-            self._handle_release(channel, message)
-            return True
-        if message_type == messages.SUBSCRIBE:
-            self._handle_subscribe(channel, message)
-            return True
-        channel.send(
-            DrivolutionErrorMessage("bad_message", f"unexpected message {message_type!r}").to_wire()
-        )
-        return True
+        handler = self._handlers.get(message_type)
+        if handler is None:
+            channel.send(
+                DrivolutionErrorMessage("bad_message", f"unexpected message {message_type!r}").to_wire()
+            )
+            return
+        handler(self, channel, message)
 
     def _handle_request(self, channel: Channel, message: Dict[str, Any]) -> None:
+        """REQUEST and DISCOVER: a DISCOVER is a REQUEST that grants no
+        lease and ships no file — it describes what a unicast REQUEST
+        would be offered."""
         request = DrivolutionRequest.from_wire(message)
         is_discover = message.get("type") == messages.DISCOVER
         if is_discover:
@@ -325,83 +305,53 @@ class DrivolutionServer:
         else:
             self.stats.requests += 1
         try:
-            result = self.matchmaker.match(MatchRequest.from_protocol(request))
+            result = self.matchmaker.match(request)
         except NoMatchingDriver as exc:
             self.stats.errors += 1
             channel.send(DrivolutionErrorMessage("no_driver", str(exc)).to_wire())
             return
-
-        previous = None
-        if request.current_lease_id:
-            previous = self.leases.get(request.current_lease_id)
-
-        if is_discover:
-            # Discover answers describe what would be offered, without
-            # granting a lease yet (the client will send a unicast REQUEST).
-            offer = DrivolutionOffer(
-                lease_id="",
-                lease_time_ms=result.lease_time_ms,
+        lease_id, includes_file = "", False
+        if not is_discover:
+            previous = self.leases.get(request.current_lease_id) if request.current_lease_id else None
+            lease_id = self.leases.renew(
+                previous_lease_id=request.current_lease_id,
+                client_id=request.client_id or f"client-{uuid.uuid4().hex[:8]}",
                 driver_id=result.driver_id,
-                driver_location=f"driver:{result.driver_id}",
-                binary_format=str(result.driver_row.get("binary_format", "")),
-                renew_policy=int(result.renew_policy),
-                expiration_policy=int(result.expiration_policy),
-                driver_version=self._row_version(result.driver_row),
-                driver_options=result.driver_options,
-                includes_file=False,
-                server_id=self.server_id,
-            )
-            channel.send(offer.to_wire())
-            self.stats.offers += 1
-            return
-
-        lease = self.leases.renew(
-            previous_lease_id=request.current_lease_id,
-            client_id=request.client_id or f"client-{uuid.uuid4().hex[:8]}",
-            driver_id=result.driver_id,
-            lease_time_ms=result.lease_time_ms,
-            renew_policy=result.renew_policy,
-            expiration_policy=result.expiration_policy,
-            database=request.database,
-            user=request.user,
-        )
-        same_driver = previous is not None and previous.driver_id == result.driver_id
-        if same_driver:
-            self.stats.renewals += 1
+                lease_time_ms=result.lease_time_ms,
+                renew_policy=result.renew_policy,
+                expiration_policy=result.expiration_policy,
+                database=request.database,
+                user=request.user,
+            ).lease_id
+            includes_file = previous is None or previous.driver_id != result.driver_id
+            if not includes_file:
+                self.stats.renewals += 1
         offer = DrivolutionOffer(
-            lease_id=lease.lease_id,
+            lease_id=lease_id,
             lease_time_ms=result.lease_time_ms,
             driver_id=result.driver_id,
             driver_location=f"driver:{result.driver_id}",
             binary_format=str(result.driver_row.get("binary_format", "")),
             renew_policy=int(result.renew_policy),
             expiration_policy=int(result.expiration_policy),
-            driver_version=self._row_version(result.driver_row),
+            driver_version=DriverRegistry.row_version(result.driver_row),
             driver_options=result.driver_options,
-            includes_file=not same_driver,
+            includes_file=includes_file,
             server_id=self.server_id,
         )
         channel.send(offer.to_wire())
         self.stats.offers += 1
 
-    @staticmethod
-    def _row_version(row: Dict[str, Any]) -> tuple:
-        return (
-            int(row.get("driver_version_major") or 1),
-            int(row.get("driver_version_minor") or 0),
-            int(row.get("driver_version_micro") or 0),
-        )
-
     def _handle_file_request(self, channel: Channel, message: Dict[str, Any]) -> None:
         location = str(message.get("driver_location", ""))
-        if not location.startswith("driver:"):
+        scheme, _, driver_id = location.partition(":")
+        if scheme != "driver" or not driver_id.isdecimal():
             channel.send(
                 DrivolutionErrorMessage("bad_location", f"unknown driver location {location!r}").to_wire()
             )
             return
-        driver_id = int(location.split(":", 1)[1])
         try:
-            package = self.registry.get_driver(driver_id)
+            package = self.registry.get_driver(int(driver_id))
         except DrivolutionError as exc:
             self.stats.errors += 1
             channel.send(DrivolutionErrorMessage("no_driver", str(exc)).to_wire())
@@ -427,3 +377,11 @@ class DrivolutionServer:
         with self._lock:
             self._subscribers.append(subscriber)
         channel.send({"type": "drivolution_subscribe_ack", "server_id": self.server_id})
+
+    _handlers = {
+        messages.REQUEST: _handle_request,
+        messages.DISCOVER: _handle_request,
+        messages.FILE_REQUEST: _handle_file_request,
+        messages.RELEASE: _handle_release,
+        messages.SUBSCRIBE: _handle_subscribe,
+    }

@@ -94,8 +94,6 @@ def run_experiment(client_count: int = 3, requests_per_client: int = 10, lease_t
         # Legacy driver obsolescence: only the Drivolution server machine is
         # touched (it re-opens its database connection with a new factory).
         binding.reconnect()
-        drivolution.matchmaker._registry = binding.registry  # rebind after reconnect
-        drivolution.leases._registry = binding.registry
         result.add_row(
             phase="server-side legacy driver upgrade",
             drivers_stored_in_legacy_database=stored_drivers,

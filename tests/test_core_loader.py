@@ -1,5 +1,7 @@
 """Tests for dynamic driver loading."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import DriverLoader, DriverPackage, DriverSigner
@@ -75,13 +77,13 @@ class TestLoading:
 class TestSignatureEnforcement:
     def test_signed_package_accepted(self):
         signer = DriverSigner(b"secret")
-        loader = DriverLoader(signer=signer, require_signature=True)
+        loader = DriverLoader(signer=signer)
         package = DriverPackage.from_source("toy", "A", SIMPLE_SOURCE).signed_by(signer)
         assert loader.load(package).name == "toy"
 
     def test_unsigned_package_rejected_when_required(self):
         signer = DriverSigner(b"secret")
-        loader = DriverLoader(signer=signer, require_signature=True)
+        loader = DriverLoader(signer=signer)
         package = DriverPackage.from_source("toy", "A", SIMPLE_SOURCE)
         with pytest.raises(DriverLoadError, match="unsigned"):
             loader.load(package)
@@ -93,6 +95,25 @@ class TestSignatureEnforcement:
         with pytest.raises(DriverLoadError, match="signature"):
             loader.load(package)
 
-    def test_require_signature_without_signer_invalid(self):
-        with pytest.raises(DriverLoadError):
-            DriverLoader(require_signature=True)
+    def test_signature_stripped_off_tampered_code_rejected(self):
+        signer = DriverSigner(b"secret")
+        signed = DriverPackage.from_source("toy", "A", SIMPLE_SOURCE).signed_by(signer)
+        stripped = replace(signed.tampered(), signature=None)
+        with pytest.raises(DriverLoadError, match="unsigned"):
+            DriverLoader(signer=signer).load(stripped)
+
+    def test_bootloader_with_a_signer_refuses_a_stripped_package(self, single_db_env):
+        from repro.core import BootloaderConfig, DriverPermission
+
+        env = single_db_env
+        signer = DriverSigner(b"secret")
+        signed = build_pydb_driver("pydb-x", driver_version=(1, 0, 0)).signed_by(signer)
+        # The server (no signer of its own) serves what its table holds.
+        registry = env.drivolution.registry
+        driver_id = registry.install_driver(replace(signed.tampered(), signature=None))
+        registry.grant_permission(DriverPermission(driver_id=driver_id, database=env.database_name))
+        bootloader = env.new_bootloader(BootloaderConfig(signer=signer))
+        with pytest.raises(DriverLoadError, match="unsigned"):
+            bootloader.connect(env.url)
+        assert bootloader.current_driver is None
+        assert bootloader.loader.load_count == 0

@@ -7,7 +7,7 @@ from repro.core import (
     ExpirationPolicy,
     LeaseManager,
     Matchmaker,
-    MatchRequest,
+    DrivolutionRequest,
     RenewPolicy,
     install_drivolution_schema,
 )
@@ -128,13 +128,13 @@ class TestMatchmaker:
         registry.grant_permission(DriverPermission(driver_id=old_id, database="appdb"))
         registry.grant_permission(DriverPermission(driver_id=new_id, database="appdb"))
         matchmaker = Matchmaker(registry, clock=clock)
-        result = matchmaker.match(MatchRequest(database="appdb", api_name="PYDB-API", client_platform="cpython-any"))
+        result = matchmaker.match(DrivolutionRequest(database="appdb", api_name="PYDB-API", client_platform="cpython-any"))
         assert result.driver_id == new_id
 
     def test_no_driver_at_all(self, registry, clock):
         matchmaker = Matchmaker(registry, clock=clock)
         with pytest.raises(NoMatchingDriver):
-            matchmaker.match(MatchRequest(database="appdb", api_name="PYDB-API", client_platform="x"))
+            matchmaker.match(DrivolutionRequest(database="appdb", api_name="PYDB-API", client_platform="x"))
 
     def test_distribution_table_governs_when_present(self, registry, clock):
         driver_id = registry.install_driver(build_pydb_driver("d"))
@@ -143,13 +143,13 @@ class TestMatchmaker:
         # Another database is not covered by any permission: refused even
         # though the drivers table has a compatible driver.
         with pytest.raises(NoMatchingDriver):
-            matchmaker.match(MatchRequest(database="otherdb", api_name="PYDB-API", client_platform="x"))
+            matchmaker.match(DrivolutionRequest(database="otherdb", api_name="PYDB-API", client_platform="x"))
 
     def test_unknown_database_rejected(self, registry, clock):
         registry.install_driver(build_pydb_driver("d"))
         matchmaker = Matchmaker(registry, known_databases=lambda: ["appdb"], clock=clock)
         with pytest.raises(NoMatchingDriver, match="invalid database"):
-            matchmaker.match(MatchRequest(database="ghost", api_name="PYDB-API", client_platform="x"))
+            matchmaker.match(DrivolutionRequest(database="ghost", api_name="PYDB-API", client_platform="x"))
 
     def test_policies_come_from_permission(self, registry, clock):
         driver_id = registry.install_driver(build_pydb_driver("d"))
@@ -163,7 +163,7 @@ class TestMatchmaker:
             )
         )
         matchmaker = Matchmaker(registry, clock=clock)
-        result = matchmaker.match(MatchRequest(database="appdb", api_name="PYDB-API", client_platform="x"))
+        result = matchmaker.match(DrivolutionRequest(database="appdb", api_name="PYDB-API", client_platform="x"))
         assert result.lease_time_ms == 12_345
         assert result.renew_policy == RenewPolicy.UPGRADE
         assert result.expiration_policy == ExpirationPolicy.IMMEDIATE
@@ -175,7 +175,7 @@ class TestMatchmaker:
         registry.install_driver(build_pydb_driver("zipped", binary_format=BinaryFormat.PYSRC_ZLIB))
         matchmaker = Matchmaker(registry, clock=clock)
         result = matchmaker.match(
-            MatchRequest(
+            DrivolutionRequest(
                 database="appdb",
                 api_name="PYDB-API",
                 client_platform="x",

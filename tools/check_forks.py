@@ -13,8 +13,8 @@ A row with ``allowed`` set to today's count is a ratchet: the number may
 only go down.
 
 The last check is of a different kind but guards the same drift: every
-backticked ``ControllerConfig.<name>`` in README.md and docs/ must still
-be a field of the dataclass.
+backticked ``ControllerConfig.<name>`` or ``BootloaderConfig.<name>`` in
+README.md and docs/ must still be a field of the dataclass.
 
 Run by the CI docs job and by tests/test_check_forks.py, so a
 reintroduced fork fails locally and not only on push.
@@ -101,6 +101,20 @@ GATES = [
         exclude=("src/repro/cluster/driver.py",),
     ),
     Gate(
+        r"require_signature|config\.secure\b|_bootstrap\(|_install_offer|def _revoke\b"
+        r"|self\._revoked\b|MatchRequest",
+        ("src/repro/core",),
+        "one driver transition: Bootloader._switch_driver (a first acquisition is a renewal "
+        "with no lease, a revocation an upgrade to no driver); a CA means secure, a signer "
+        "means signed",
+    ),
+    Gate(
+        r"network\.connect\(",
+        ("src/repro/core/bootloader.py",),
+        "a bootloader reaches a Drivolution server through _open_channel",
+        allowed=1,
+    ),
+    Gate(
         r"workers=|handler_workers",
         ("src/repro/netsim/transport.py", "src/repro/dbserver"),
         "ChannelServer pool mode reintroduced: a handler runs on its connection's own thread",
@@ -148,21 +162,25 @@ def check_gate(gate: Gate) -> List[str]:
 def check_documented_config_fields() -> List[str]:
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from repro.cluster import ControllerConfig
+    from repro.core import BootloaderConfig
 
-    fields = {field.name for field in dataclasses.fields(ControllerConfig)}
     documents = [os.path.join(ROOT, "README.md")] + [
         os.path.join(ROOT, "docs", name)
         for name in sorted(os.listdir(os.path.join(ROOT, "docs")))
         if name.endswith(".md")
     ]
-    mentioned = set()
+    text = ""
     for document in documents:
         with open(document, "r", encoding="utf-8") as handle:
-            mentioned.update(re.findall(r"`ControllerConfig\.([A-Za-z_]+)", handle.read()))
-    stale = sorted(mentioned - fields)
-    if not stale:
-        return []
-    return [f"docs mention ControllerConfig fields that do not exist: {stale}"]
+            text += handle.read()
+    report = []
+    for config in (ControllerConfig, BootloaderConfig):
+        fields = {field.name for field in dataclasses.fields(config)}
+        mentioned = set(re.findall(rf"`{config.__name__}\.([A-Za-z_]+)", text))
+        stale = sorted(mentioned - fields)
+        if stale:
+            report.append(f"docs mention {config.__name__} fields that do not exist: {stale}")
+    return report
 
 
 def main() -> int:
@@ -172,7 +190,7 @@ def main() -> int:
     report.extend(check_documented_config_fields())
     for line in report:
         print(line)
-    print(f"checked {len(GATES)} fork gates and the documented ControllerConfig fields")
+    print(f"checked {len(GATES)} fork gates and the documented config fields")
     return 1 if report else 0
 
 
