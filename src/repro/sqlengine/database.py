@@ -69,8 +69,7 @@ class Database:
     def _refresh_tables_catalog(self) -> None:
         catalog = self._tables["information_schema.tables"]
         # Rebuild in place: simplest correct behaviour for a tiny catalog.
-        for index, _row in list(catalog.enumerate_rows()):
-            catalog.delete_at(index)
+        catalog.clear()
         for key in sorted(self._tables):
             if key in self._BUILTIN_CATALOGS:
                 continue
@@ -83,8 +82,7 @@ class Database:
         this is what the cluster's DatabaseDumper reads to snapshot a
         backend through plain SQL."""
         catalog = self._tables["information_schema.columns"]
-        for index, _row in list(catalog.enumerate_rows()):
-            catalog.delete_at(index)
+        catalog.clear()
         for key in sorted(self._tables):
             if key in self._BUILTIN_CATALOGS:
                 continue

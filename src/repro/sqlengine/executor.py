@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.sqlengine.errors import SqlExecutionError, TableNotFound
-from repro.sqlengine.expressions import EvalContext, Expression
+from repro.sqlengine.expressions import ColumnRef, EvalContext, KeyTerms
 from repro.sqlengine.statements import (
     Begin,
     Commit,
@@ -23,6 +24,13 @@ from repro.sqlengine.statements import (
 )
 from repro.sqlengine.storage import Row, Table
 from repro.sqlengine.transactions import Transaction, TransactionManager
+from repro.sqlengine.types import SqlType
+
+#: The Python type a key column of each SQL type stores. A key constant of
+#: exactly that type compares to the column by plain ``==``, which is what
+#: an index probe tests; any other pairing (``id = TRUE``, ``id = '5'``,
+#: ``id = 5.0``) goes through ``_compare``'s coercions, so it scans.
+_PROBE_TYPES = {SqlType.INTEGER: int, SqlType.BIGINT: int, SqlType.VARCHAR: str}
 
 
 @dataclass
@@ -155,8 +163,7 @@ class Executor:
                 column: expression.evaluate(shared_context)
                 for column, expression in zip(columns, row_exprs)
             }
-            table.insert(values)
-            index = len(table._rows) - 1
+            index = table.insert(values)
             transaction = self._transaction()
             if transaction is not None:
                 transaction.record_insert(table, index)
@@ -166,19 +173,71 @@ class Executor:
     def _matching_rows(
         self,
         table: Table,
-        where: Optional[Expression],
+        statement: Union[Select, Update, Delete],
         params: Dict[str, Any],
         positional: Sequence[Any],
     ) -> List[Tuple[int, Row]]:
-        matches: List[Tuple[int, Row]] = []
-        for index, row in table.enumerate_rows():
-            if where is None:
-                matches.append((index, row))
-                continue
-            context = self._context(row, params, positional)
-            if where.evaluate(context):
-                matches.append((index, row))
-        return matches
+        """The rows ``statement.where`` selects, in row order.
+
+        The one access-path decision: when the predicate pins the whole
+        primary key to constants the candidates come from the key index,
+        otherwise every row is one. Either way the *whole* predicate is
+        evaluated on each candidate, so the index only has to return a
+        superset of the matches and can never change a result.
+        """
+        where = statement.where
+        keys = self._probe_keys(table, statement.key_terms, params, positional)
+        candidates = table.enumerate_rows() if keys is None else table.rows_with_keys(keys)
+        if where is None:
+            return list(candidates)
+        return [
+            (index, row)
+            for index, row in candidates
+            if where.evaluate(self._context(row, params, positional))
+        ]
+
+    def _probe_keys(
+        self,
+        table: Table,
+        terms: KeyTerms,
+        params: Dict[str, Any],
+        positional: Sequence[Any],
+    ) -> Optional[List[Tuple[Any, ...]]]:
+        """The primary keys a matching row must have one of, or None to scan.
+
+        ``terms`` says which columns the predicate pins; whether those are
+        the key is asked of the table as it is now. When in doubt, scan: a
+        key column left unpinned, a constant that is not of the column's
+        stored type or cannot be evaluated, an ``IN`` list on a composite
+        key. A NULL constant equals nothing, so it contributes no key.
+        """
+        if not terms:
+            return None
+        key_columns = [column for column in table.schema.columns if column.primary_key]
+        if not key_columns:
+            return None
+        context = self._context({}, params, positional)
+        choices: List[List[Any]] = []
+        for column in key_columns:
+            constants = terms.get(column.name.lower())
+            stored_type = _PROBE_TYPES.get(column.sql_type)
+            if constants is None or stored_type is None:
+                return None
+            if len(constants) > 1 and len(key_columns) > 1:
+                return None
+            values = []
+            for constant in constants:
+                try:
+                    value = constant.evaluate(context)
+                except SqlExecutionError:
+                    return None  # a missing parameter: let the scan report it, if it gets that far
+                if value is None:
+                    continue
+                if type(value) is not stored_type:
+                    return None
+                values.append(value)
+            choices.append(values)
+        return list(itertools.product(*choices))
 
     def _execute_select(
         self, statement: Select, params: Dict[str, Any], positional: Sequence[Any]
@@ -196,7 +255,7 @@ class Executor:
             return ExecutionResult(columns=columns, rows=[tuple(values)], rowcount=1)
 
         table = self._require_table(statement.table.key())
-        matches = self._matching_rows(table, statement.where, params, positional)
+        matches = self._matching_rows(table, statement, params, positional)
 
         aggregates = [item for item in statement.items if item.aggregate]
         if aggregates:
@@ -294,8 +353,6 @@ class Executor:
                 columns.append(item.alias)
             else:
                 expression = item.expression
-                from repro.sqlengine.expressions import ColumnRef
-
                 if isinstance(expression, ColumnRef):
                     columns.append(expression.name)
                 else:
@@ -306,7 +363,7 @@ class Executor:
         self, statement: Update, params: Dict[str, Any], positional: Sequence[Any]
     ) -> ExecutionResult:
         table = self._require_table(statement.table.key())
-        matches = self._matching_rows(table, statement.where, params, positional)
+        matches = self._matching_rows(table, statement, params, positional)
         updated = 0
         for index, row in matches:
             context = self._context(row, params, positional)
@@ -325,7 +382,7 @@ class Executor:
         self, statement: Delete, params: Dict[str, Any], positional: Sequence[Any]
     ) -> ExecutionResult:
         table = self._require_table(statement.table.key())
-        matches = self._matching_rows(table, statement.where, params, positional)
+        matches = self._matching_rows(table, statement, params, positional)
         deleted = 0
         for index, _row in matches:
             before = table.delete_at(index)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.sqlengine.errors import ColumnNotFound, SqlExecutionError
 
@@ -25,22 +25,15 @@ class EvalContext:
     """Everything an expression needs to evaluate against one row.
 
     ``row`` maps lowercase column names to values. ``params`` holds the
-    statement parameters (named and positional). ``clock`` supplies
-    ``now()`` / ``current_date``.
+    named statement parameters, ``positional`` the values of the ``?``
+    placeholders in statement order. ``clock`` supplies ``now()`` /
+    ``current_date``.
     """
 
     row: Dict[str, Any]
     params: Dict[str, Any]
     positional: Sequence[Any] = ()
     clock: Callable[[], float] = time.time
-    _positional_cursor: int = 0
-
-    def next_positional(self) -> Any:
-        if self._positional_cursor >= len(self.positional):
-            raise SqlExecutionError("not enough positional parameters supplied")
-        value = self.positional[self._positional_cursor]
-        self._positional_cursor += 1
-        return value
 
 
 class Expression:
@@ -81,13 +74,21 @@ class ColumnRef(Expression):
 
 @dataclass
 class Parameter(Expression):
-    """A ``$name`` named parameter or ``?`` positional parameter."""
+    """A ``$name`` named parameter or ``?`` positional parameter.
+
+    A ``?`` carries its ``ordinal`` — its position among the statement's
+    ``?`` placeholders, numbered by the parser — so its value does not
+    depend on which clause, or which row, is evaluated first.
+    """
 
     name: str  # "?" means positional
+    ordinal: Optional[int] = None
 
     def evaluate(self, context: EvalContext) -> Any:
         if self.name == "?":
-            return context.next_positional()
+            if self.ordinal is None or self.ordinal >= len(context.positional):
+                raise SqlExecutionError("not enough positional parameters supplied")
+            return context.positional[self.ordinal]
         if self.name not in context.params:
             raise SqlExecutionError(f"missing statement parameter ${self.name}")
         return context.params[self.name]
@@ -249,6 +250,50 @@ class InOp(Expression):
         for choice in self.choices:
             refs.extend(choice.columns_referenced())
         return refs
+
+
+#: Lowercase column name -> the constant expressions a WHERE clause pins it
+#: to: one for ``column = c``, several for ``column IN (c, ...)``.
+KeyTerms = Dict[str, Tuple[Expression, ...]]
+
+
+def _conjuncts(expression: Expression) -> Iterator[Expression]:
+    if isinstance(expression, BinaryOp) and expression.op == "AND":
+        yield from _conjuncts(expression.left)
+        yield from _conjuncts(expression.right)
+    else:
+        yield expression
+
+
+def key_terms(where: Optional[Expression]) -> KeyTerms:
+    """The columns ``where`` pins to constants, read off its top-level ``AND``
+    conjuncts: ``column = c``, ``c = column`` and a non-negated
+    ``column IN (c, ...)``, every ``c`` a :class:`Literal` or
+    :class:`Parameter`.
+
+    A row can only match ``where`` if each listed column compares equal to
+    one of its constants, which is what lets the executor probe a key index
+    for candidates instead of visiting every row. Anything else — ``OR``,
+    ``NOT``, a function or a column on the other side — pins nothing. The
+    result names columns, not a table, so it is valid under any schema.
+    """
+    terms: KeyTerms = {}
+    if where is None:
+        return terms
+    for conjunct in _conjuncts(where):
+        column: Any = None
+        constants: Sequence[Expression] = ()
+        if isinstance(conjunct, BinaryOp) and conjunct.op == "=":
+            column, constants = conjunct.left, (conjunct.right,)
+            if not isinstance(column, ColumnRef):
+                column, constants = conjunct.right, (conjunct.left,)
+        elif isinstance(conjunct, InOp) and not conjunct.negated:
+            column, constants = conjunct.operand, conjunct.choices
+        if isinstance(column, ColumnRef) and all(
+            isinstance(constant, (Literal, Parameter)) for constant in constants
+        ):
+            terms.setdefault(column.name.lower(), tuple(constants))
+    return terms
 
 
 def like_match(value: str, pattern: str) -> bool:

@@ -19,6 +19,8 @@ Sample code 1 and 2 need (nested parentheses, LIKE, IS NULL, BETWEEN,
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from typing import List, Optional, Tuple
 
 from repro.sqlengine.errors import SqlParseError
@@ -34,6 +36,7 @@ from repro.sqlengine.expressions import (
     Literal,
     Parameter,
     UnaryOp,
+    key_terms,
 )
 from repro.sqlengine.schema import Column, ForeignKey, TableSchema
 from repro.sqlengine.statements import (
@@ -62,6 +65,7 @@ class _Parser:
         self._tokens = tokens
         self._sql = sql
         self._index = 0
+        self._positionals = 0
 
     # -- token helpers -----------------------------------------------------
 
@@ -295,7 +299,14 @@ class _Parser:
                 raise SqlParseError("LIMIT requires an integer literal")
             limit = token.value
         self._finish()
-        return Select(table=table, items=items, where=where, order_by=order_by, limit=limit)
+        return Select(
+            table=table,
+            items=items,
+            where=where,
+            key_terms=key_terms(where),
+            order_by=order_by,
+            limit=limit,
+        )
 
     def _parse_select_item(self) -> SelectItem:
         if self._accept_op("*"):
@@ -344,7 +355,9 @@ class _Parser:
         if self._accept_keyword("WHERE"):
             where = self._parse_expression()
         self._finish()
-        return Update(table=table, assignments=assignments, where=where)
+        return Update(
+            table=table, assignments=assignments, where=where, key_terms=key_terms(where)
+        )
 
     def _parse_delete(self) -> Delete:
         self._expect_keyword("DELETE")
@@ -354,7 +367,7 @@ class _Parser:
         if self._accept_keyword("WHERE"):
             where = self._parse_expression()
         self._finish()
-        return Delete(table=table, where=where)
+        return Delete(table=table, where=where, key_terms=key_terms(where))
 
     # -- expressions ---------------------------------------------------------
 
@@ -445,7 +458,10 @@ class _Parser:
             return Literal(token.value)
         if token.kind == "PARAM":
             self._index += 1
-            return Parameter(str(token.value))
+            if token.value != "?":
+                return Parameter(str(token.value))
+            self._positionals += 1
+            return Parameter("?", ordinal=self._positionals - 1)
         if token.kind == "OP" and token.value == "-":
             self._index += 1
             return UnaryOp("-", self._parse_primary())
@@ -491,10 +507,38 @@ class _Parser:
         raise SqlParseError(f"unexpected token {token.value!r} in expression")
 
 
+#: How many distinct SQL texts keep their parsed statement. Applications
+#: that bind parameters repeat a few dozen texts; one that inlines literals
+#: churns through the cache and pays the parse, as it did before there was one.
+STATEMENT_CACHE_SIZE = 512
+
+_cache: "OrderedDict[str, Statement]" = OrderedDict()
+_cache_lock = threading.Lock()
+
+
 def parse(sql: str) -> Statement:
-    """Parse one SQL statement into its AST."""
+    """Parse one SQL statement into its AST.
+
+    The statement of a text seen before comes from a least-recently-used
+    cache shared by every engine in the process, so callers must treat what
+    they get as read-only — the executor does. It cannot go stale: an AST
+    (and the ``key_terms`` of its ``where``) depends on the text alone, and
+    what a name in it means is resolved against the catalog on every
+    execution. ``CREATE TABLE`` is never cached, because the table adopts
+    the statement's :class:`TableSchema` and two engines must not share one.
+    """
+    with _cache_lock:
+        statement = _cache.get(sql)
+        if statement is not None:
+            _cache.move_to_end(sql)
+            return statement
     tokens = tokenize(sql)
     if not tokens:
         raise SqlParseError("empty statement")
-    parser = _Parser(tokens, sql)
-    return parser.parse_statement()
+    statement = _Parser(tokens, sql).parse_statement()
+    if not isinstance(statement, CreateTable):
+        with _cache_lock:
+            _cache[sql] = statement
+            if len(_cache) > STATEMENT_CACHE_SIZE:
+                _cache.popitem(last=False)
+    return statement

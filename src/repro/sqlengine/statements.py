@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.sqlengine.expressions import Expression
+from repro.sqlengine.expressions import Expression, KeyTerms
 from repro.sqlengine.schema import TableSchema
 
 
@@ -28,6 +28,12 @@ class TableName:
 @dataclass
 class Statement:
     """Base class for all parsed statements."""
+
+
+# ``Select`` / ``Update`` / ``Delete`` carry ``key_terms``: what their
+# ``where`` pins to constants (``expressions.key_terms``), set by the parser
+# when it builds the statement, so the statement cache holds it too. ``where``
+# is never replaced after construction; left empty, the executor scans.
 
 
 @dataclass
@@ -75,6 +81,7 @@ class Select(Statement):
     table: Optional[TableName]
     items: List[SelectItem] = field(default_factory=list)
     where: Optional[Expression] = None
+    key_terms: KeyTerms = field(default_factory=dict)
     order_by: List[OrderItem] = field(default_factory=list)
     limit: Optional[int] = None
 
@@ -84,12 +91,14 @@ class Update(Statement):
     table: TableName
     assignments: List[Tuple[str, Expression]] = field(default_factory=list)
     where: Optional[Expression] = None
+    key_terms: KeyTerms = field(default_factory=dict)
 
 
 @dataclass
 class Delete(Statement):
     table: TableName
     where: Optional[Expression] = None
+    key_terms: KeyTerms = field(default_factory=dict)
 
 
 @dataclass

@@ -34,7 +34,8 @@ class Table:
         return self.schema.name
 
     def __len__(self) -> int:
-        return len(self._rows)
+        """Number of live rows."""
+        return sum(1 for row in self._rows if row is not None)
 
     def rows(self) -> Iterable[Row]:
         """Iterate over live rows (deleted slots are skipped)."""
@@ -85,12 +86,39 @@ class Table:
     def has_value(self, column_name: str, value: Any) -> bool:
         """Whether any live row has ``column_name == value``."""
         key = self.schema.column(column_name).name
+        if self.schema.primary_key_columns == [key]:
+            # A dict probe is the same ``==`` test the scan below makes.
+            return bool(self.rows_with_keys([(value,)]))
         return any(row[key] == value for row in self.rows())
+
+    def rows_with_keys(self, keys: Iterable[Tuple[Any, ...]]) -> List[Tuple[int, Row]]:
+        """The live rows whose primary key is (``==``) one of ``keys``, as
+        :meth:`enumerate_rows` would yield them: ascending index, each once."""
+        index = self._pk_index
+        slots = sorted({index[key] for key in keys if key in index})
+        return [(slot, self._rows[slot]) for slot in slots]
+
+    def pk_index_consistent(self) -> bool:
+        """The index invariant: exactly the live rows, each under its key."""
+        if not self.schema.primary_key_columns:
+            return not self._pk_index
+        return self._pk_index == {
+            self.schema.primary_key_of(row): slot for slot, row in self.enumerate_rows()
+        }
 
     # -- mutations -----------------------------------------------------------
 
-    def insert(self, values: Dict[str, Any]) -> Row:
-        """Insert one row given a (partial) column->value mapping."""
+    def _unindex(self, index: int) -> None:
+        """Drop the key of the row now at ``index`` from the index."""
+        row = self._rows[index]
+        if row is not None:
+            pk = self.schema.primary_key_of(row)
+            if pk is not None and self._pk_index.get(pk) == index:
+                del self._pk_index[pk]
+
+    def insert(self, values: Dict[str, Any]) -> int:
+        """Insert one row given a (partial) column->value mapping; returns
+        the index it was stored at."""
         row = self.schema.coerce_row(values)
         self._check_not_null(row)
         self._check_primary_key(row)
@@ -100,7 +128,7 @@ class Table:
         pk = self.schema.primary_key_of(row)
         if pk is not None:
             self._pk_index[pk] = index
-        return dict(row)
+        return index
 
     def update_at(self, index: int, new_values: Dict[str, Any]) -> Tuple[Row, Row]:
         """Apply ``new_values`` to the row at ``index``; returns (old, new)."""
@@ -117,11 +145,11 @@ class Table:
         if new_pk != old_pk:
             self._check_primary_key(updated, ignore_index=index)
         self._check_foreign_keys(updated)
+        if new_pk != old_pk:
+            self._unindex(index)
+            if new_pk is not None:
+                self._pk_index[new_pk] = index
         self._rows[index] = updated
-        if old_pk is not None and old_pk in self._pk_index:
-            del self._pk_index[old_pk]
-        if new_pk is not None:
-            self._pk_index[new_pk] = index
         return dict(old), dict(updated)
 
     def delete_at(self, index: int) -> Row:
@@ -129,16 +157,21 @@ class Table:
         old = self._rows[index]
         if old is None:
             raise ConstraintViolation(f"row {index} of table {self.name!r} already deleted")
+        self._unindex(index)
         self._rows[index] = None  # type: ignore[call-overload]
-        pk = self.schema.primary_key_of(old)
-        if pk is not None and self._pk_index.get(pk) == index:
-            del self._pk_index[pk]
         return dict(old)
+
+    def clear(self) -> None:
+        """Remove every row and release the slots (no undo: catalog refresh)."""
+        self._rows.clear()
+        self._pk_index.clear()
 
     def restore_at(self, index: int, row: Row) -> None:
         """Undo helper: put ``row`` back at ``index`` (used by rollback)."""
         while len(self._rows) <= index:
             self._rows.append(None)  # type: ignore[arg-type]
+        # Undoing an UPDATE that changed the key: the slot still holds the new one.
+        self._unindex(index)
         self._rows[index] = dict(row)
         pk = self.schema.primary_key_of(row)
         if pk is not None:
@@ -146,11 +179,8 @@ class Table:
 
     def remove_at(self, index: int) -> None:
         """Undo helper: remove the row at ``index`` without constraint checks."""
-        if index < len(self._rows) and self._rows[index] is not None:
-            row = self._rows[index]
-            pk = self.schema.primary_key_of(row)
-            if pk is not None and self._pk_index.get(pk) == index:
-                del self._pk_index[pk]
+        if index < len(self._rows):
+            self._unindex(index)
             self._rows[index] = None  # type: ignore[call-overload]
 
     def enumerate_rows(self) -> Iterable[Tuple[int, Row]]:

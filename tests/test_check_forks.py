@@ -1,11 +1,21 @@
 """The fork gates (tools/check_forks.py) run with the tier-1 suite, so a
 twin that grows back fails locally and not only in the CI docs job."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _check_forks():
+    spec = importlib.util.spec_from_file_location(
+        "check_forks", os.path.join(ROOT, "tools", "check_forks.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_no_retired_fork_or_knob_has_grown_back():
@@ -16,3 +26,18 @@ def test_no_retired_fork_or_knob_has_grown_back():
         timeout=60,
     )
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_engine_gates_see_the_one_scan_site_and_the_one_parse_site():
+    """The two sqlengine ratchets are not vacuous: each pattern matches
+    exactly the site it allows, so a second one would exceed it."""
+    check_forks = _check_forks()
+    expected = {
+        "a second row-finding loop": "src/repro/sqlengine/executor.py",
+        "a second parse site": "src/repro/sqlengine/engine.py",
+    }
+    for prefix, location in expected.items():
+        (gate,) = [gate for gate in check_forks.GATES if gate.message.startswith(prefix)]
+        assert gate.allowed == 1
+        report = check_forks.check_gate(gate._replace(allowed=0))
+        assert len(report) == 2 and report[1].startswith(location + ":"), report

@@ -1,0 +1,227 @@
+"""The engine's access path and statement cache (docs/architecture.md,
+"Engine access path"): how many rows a statement visits, and that neither
+the key index nor the cache can serve something stale.
+
+These count work, never time. Equality of *results* between the index and
+the scan is the differential property in tests/test_sql_property.py.
+"""
+
+import sys
+import threading
+
+import pytest
+
+from repro.sqlengine import Engine, expressions, parser
+
+ROWS = 2000
+
+
+def _session(engine=None):
+    engine = engine or Engine()
+    engine.create_database("db")
+    return engine.open_session("db")
+
+
+@pytest.fixture(scope="module")
+def accounts():
+    session = _session()
+    session.execute("CREATE TABLE accounts (id INTEGER PRIMARY KEY, balance INTEGER)")
+    for row_id in range(ROWS):
+        session.execute(
+            "INSERT INTO accounts (id, balance) VALUES ($i, $b)", params={"i": row_id, "b": row_id % 7}
+        )
+    return session
+
+
+@pytest.fixture
+def visited(monkeypatch):
+    """Counts the rows a predicate on ``id`` / ``balance`` is evaluated on:
+    each of the predicates below reads its column once per row it sees."""
+    counts = {"id": 0, "balance": 0}
+    evaluate = expressions.ColumnRef.evaluate
+
+    def counting(self, context):
+        if self.name in counts:
+            counts[self.name] += 1
+        return evaluate(self, context)
+
+    monkeypatch.setattr(expressions.ColumnRef, "evaluate", counting)
+    return counts
+
+
+class TestRowsVisited:
+    def test_key_select_visits_one_row(self, accounts, visited):
+        rows = accounts.execute("SELECT id FROM accounts WHERE id = $i", params={"i": 1234}).rows
+        assert rows == [(1234,)]
+        assert visited["id"] == 2  # the predicate once, the projection once
+
+    def test_key_update_and_delete_visit_one_row(self, accounts, visited):
+        accounts.execute("BEGIN")
+        try:
+            updated = accounts.execute("UPDATE accounts SET balance = 9 WHERE id = ?", positional=[77])
+            assert (updated.rowcount, visited["id"]) == (1, 1)
+            deleted = accounts.execute("DELETE FROM accounts WHERE 78 = id")
+            assert (deleted.rowcount, visited["id"]) == (1, 2)
+        finally:
+            accounts.execute("ROLLBACK")
+
+    def test_in_list_visits_one_row_per_distinct_key(self, accounts, visited):
+        rows = accounts.execute(
+            "SELECT balance FROM accounts WHERE id IN (1500, 3, 3, 999999, $k)", params={"k": 40}
+        ).rows
+        assert rows == [(3 % 7,), (40 % 7,), (1500 % 7,)]
+        assert visited["id"] == 3
+
+    def test_extra_conjuncts_are_still_evaluated_on_the_candidate(self, accounts, visited):
+        sql = "SELECT id FROM accounts WHERE balance = $b AND id = 10"
+        assert accounts.execute(sql, params={"b": 10 % 7}).rows == [(10,)]
+        assert accounts.execute(sql, params={"b": 6}).rows == []
+        assert visited["balance"] == 2
+
+    def test_a_null_key_constant_visits_nothing(self, accounts, visited):
+        assert accounts.execute("SELECT id FROM accounts WHERE id = NULL").rows == []
+        assert accounts.execute("SELECT id FROM accounts WHERE id IN (NULL, $n)", params={"n": None}).rows == []
+        assert visited["id"] == 0
+
+    @pytest.mark.parametrize(
+        "where, params, expected",
+        [
+            ("id = TRUE", {}, ROWS - 1),  # a boolean compares by truth: every non-zero id
+            ("id = $s", {"s": "5"}, 1),  # a string compares as text
+            ("id = 5.0", {}, 1),
+            ("id = 5 OR id = 6", {}, 2),
+            ("NOT id = 5", {}, ROWS - 1),
+            ("id NOT IN (5)", {}, ROWS - 1),
+            ("id = balance", {}, 7),
+        ],
+    )
+    def test_doubtful_predicates_scan(self, accounts, visited, where, params, expected):
+        count = accounts.execute(f"SELECT COUNT(*) FROM accounts WHERE {where}", params=params).scalar()
+        assert count == expected
+        assert visited["id"] >= ROWS  # every row (the OR reads the column twice)
+
+    def test_non_key_predicate_scans(self, accounts, visited):
+        accounts.execute("SELECT id FROM accounts WHERE balance = 5")
+        assert visited["balance"] == ROWS
+
+    def test_missing_key_parameter_is_reported_by_the_scan(self, accounts):
+        with pytest.raises(Exception, match="missing statement parameter"):
+            accounts.execute("SELECT id FROM accounts WHERE id = $nope")
+
+    @pytest.mark.parametrize(
+        "conjunct, error",
+        [("nosuch = 1", "unknown column"), ("balance = $nope", "missing statement parameter")],
+    )
+    def test_a_failing_conjunct_fails_only_on_a_row_the_probe_visits(self, accounts, conjunct, error):
+        """The one difference from the scan a client can see (docs/architecture.md):
+        a conjunct that cannot be evaluated raises on the candidate row, and is
+        never reached when the probed key has no row. Without a key, as before,
+        the scan meets it on the first row."""
+        with pytest.raises(Exception, match=error):
+            accounts.execute(f"SELECT id FROM accounts WHERE {conjunct} AND id = 5")
+        assert accounts.execute(f"SELECT id FROM accounts WHERE {conjunct} AND id = 999999").rows == []
+        assert accounts.execute(f"DELETE FROM accounts WHERE id = 999999 AND {conjunct}").rowcount == 0
+        with pytest.raises(Exception, match=error):
+            accounts.execute(f"SELECT id FROM accounts WHERE {conjunct}")
+
+    def test_partly_bound_composite_key_scans_and_fully_bound_probes(self, visited):
+        session = _session()
+        session.execute("CREATE TABLE pairs (id INTEGER PRIMARY KEY, balance INTEGER PRIMARY KEY)")
+        for row_id in range(20):
+            session.execute("INSERT INTO pairs VALUES ($i, $b)", params={"i": row_id % 5, "b": row_id})
+        assert session.execute("SELECT balance FROM pairs WHERE id = 3").rowcount == 4
+        assert visited["id"] == 20
+        assert session.execute("SELECT balance FROM pairs WHERE id = 3 AND balance = 8").rows == [(8,)]
+        assert visited["id"] == 21
+
+    def test_foreign_key_check_probes_the_parent_key(self, monkeypatch):
+        session = _session()
+        session.execute("CREATE TABLE parent (id INTEGER PRIMARY KEY)")
+        session.execute("CREATE TABLE child (id INTEGER PRIMARY KEY, parent_id INTEGER REFERENCES parent(id))")
+        for row_id in range(50):
+            session.execute("INSERT INTO parent VALUES ($i)", params={"i": row_id})
+        parent = session._engine.database("db").lookup_table("parent")
+        monkeypatch.setattr(parent, "rows", lambda: pytest.fail("the parent table was scanned"))
+        session.execute("INSERT INTO child VALUES (1, 49)")
+        with pytest.raises(Exception, match="foreign key violation"):
+            session.execute("INSERT INTO child VALUES (2, 50)")
+
+
+class TestStatementCache:
+    def test_a_repeated_text_is_tokenized_once(self, accounts, monkeypatch):
+        calls = []
+        tokenize = parser.tokenize
+        monkeypatch.setattr(parser, "tokenize", lambda sql: calls.append(sql) or tokenize(sql))
+        sql = "SELECT balance FROM accounts WHERE id = $tokenized_once"
+        for row_id in (1, 2, 3):
+            assert accounts.execute(sql, params={"tokenized_once": row_id}).rows == [(row_id % 7,)]
+        assert calls == [sql]
+
+    def test_same_text_after_the_key_moved_to_another_column(self):
+        session = _session()
+        select = "SELECT a, b FROM moved WHERE a = 1"
+        session.execute("CREATE TABLE moved (a INTEGER PRIMARY KEY, b INTEGER)")
+        session.execute("INSERT INTO moved VALUES (1, 2), (2, 1)")
+        assert session.execute(select).rows == [(1, 2)]
+        session.execute("DROP TABLE moved")
+        session.execute("CREATE TABLE moved (a INTEGER, b INTEGER PRIMARY KEY)")
+        session.execute("INSERT INTO moved VALUES (1, 2), (1, 3), (2, 1)")
+        assert session.execute(select).rows == [(1, 2), (1, 3)]
+        assert session.execute("SELECT a, b FROM moved WHERE b = 1").rows == [(2, 1)]
+
+    def test_engines_running_the_same_ddl_text_share_no_schema(self):
+        ddl = "CREATE TABLE shared_text (id INTEGER PRIMARY KEY, v VARCHAR)"
+        tables = []
+        for _ in range(2):
+            engine = Engine()
+            _session(engine).execute(ddl)
+            tables.append(engine.database("db").lookup_table("shared_text"))
+        assert tables[0].schema is not tables[1].schema
+        assert tables[0].schema == tables[1].schema
+
+    def test_sessions_share_the_cache_while_it_churns(self):
+        """Eight sessions repeat one text while a ninth pushes more distinct
+        texts through the cache than it holds: every answer is the right
+        row, nothing raises, the cache stays within its bound."""
+        engine = Engine()
+        _session(engine).execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+        setup = engine.open_session("db")
+        for row_id in range(64):
+            setup.execute("INSERT INTO t VALUES ($i, $v)", params={"i": row_id, "v": row_id * 3})
+        failures = []
+
+        def hammer(worker):
+            session = engine.open_session("db")
+            try:
+                for step in range(400):
+                    row_id = (worker * 7 + step) % 64
+                    rows = session.execute("SELECT v FROM t WHERE id = $i", params={"i": row_id}).rows
+                    if rows != [(row_id * 3,)]:
+                        failures.append((worker, row_id, rows))
+            except Exception as error:  # noqa: BLE001 - reported by the assertion below
+                failures.append((worker, error))
+
+        def churn():
+            session = engine.open_session("db")
+            try:
+                for step in range(2 * parser.STATEMENT_CACHE_SIZE + 50):
+                    rows = session.execute(f"SELECT v FROM t WHERE id = {step % 64} AND {step} = {step}").rows
+                    if rows != [(step % 64 * 3,)]:
+                        failures.append(("churn", step, rows))
+            except Exception as error:  # noqa: BLE001
+                failures.append(("churn", error))
+
+        threads = [threading.Thread(target=hammer, args=(worker,)) for worker in range(8)]
+        threads.append(threading.Thread(target=churn))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert len(parser._cache) <= parser.STATEMENT_CACHE_SIZE

@@ -18,6 +18,10 @@ def db_session():
     return session
 
 
+def _table(session, name):
+    return session._engine.database(session.database_name).lookup_table(name)
+
+
 class TestInsertSelect:
     def test_insert_and_select_star(self, db_session):
         db_session.execute(
@@ -50,6 +54,28 @@ class TestInsertSelect:
             "SELECT api_name FROM drivers WHERE driver_id = ?", positional=[1]
         )
         assert result.rows == [("JDBC",)]
+
+    def test_positional_params_number_across_clauses_and_rows(self, db_session):
+        """Each ``?`` is one position in the statement, whichever clause or
+        row it is evaluated for."""
+        db_session.execute(
+            "INSERT INTO drivers (driver_id, api_name) VALUES (?, ?), (?, ?)",
+            positional=[1, "JDBC", 2, "ODBC"],
+        )
+        updated = db_session.execute(
+            "UPDATE drivers SET platform = ? WHERE driver_id = ?", positional=["linux", 1]
+        )
+        assert updated.rowcount == 1
+        rows = db_session.execute(
+            "SELECT api_name, ? FROM drivers WHERE platform = ? OR driver_id = ?",
+            positional=["tag", "linux", 2],
+        ).rows
+        assert rows == [("JDBC", "tag"), ("ODBC", "tag")]
+        with pytest.raises(SqlExecutionError):
+            db_session.execute(
+                "SELECT api_name FROM drivers WHERE platform = ? AND driver_id = ?",
+                positional=["linux"],
+            )
 
     def test_order_by_and_limit(self, db_session):
         for index in range(5):
@@ -161,6 +187,19 @@ class TestTransactions:
         result = db_session.execute("SELECT driver_id, platform FROM drivers ORDER BY driver_id")
         assert result.rows == [(1, None)]
 
+    def test_rolled_back_key_update_releases_the_new_key(self, db_session):
+        db_session.execute("INSERT INTO drivers (driver_id, api_name) VALUES (2, 'ODBC')")
+        db_session.begin()
+        db_session.execute("UPDATE drivers SET driver_id = 50 WHERE driver_id = 2")
+        db_session.rollback()
+        drivers = _table(db_session, "drivers")
+        assert drivers.pk_index_consistent()
+        assert db_session.execute("SELECT api_name FROM drivers WHERE driver_id = 50").rows == []
+        db_session.execute("INSERT INTO drivers (driver_id, api_name) VALUES (50, 'JDBC')")
+        rows = db_session.execute("SELECT driver_id, api_name FROM drivers").rows
+        assert rows == [(2, "ODBC"), (50, "JDBC")]
+        assert drivers.pk_index_consistent()
+
     def test_commit_persists(self, db_session):
         db_session.execute("BEGIN")
         db_session.execute("INSERT INTO drivers (driver_id, api_name) VALUES (1, 'A')")
@@ -198,6 +237,28 @@ class TestEngineCatalog:
             "SELECT table_name FROM information_schema.tables"
         ).rows
         assert ("drivers",) in rows
+
+    def test_reading_a_catalog_does_not_grow_it(self, db_session):
+        for _ in range(100):
+            rows = db_session.execute(
+                "SELECT column_name FROM information_schema.columns WHERE table_name = 'drivers'"
+            ).rows
+            db_session.execute("SELECT table_name FROM information_schema.tables")
+        assert len(rows) == 4
+        columns = _table(db_session, "information_schema.columns")
+        tables = _table(db_session, "information_schema.tables")
+        assert len(columns) == 4 and len(tables) == 1
+        # No dead slot is left behind either: a row's index is its rank.
+        assert [index for index, _row in columns.enumerate_rows()] == [0, 1, 2, 3]
+
+    def test_len_counts_live_rows(self, db_session):
+        for driver_id in (1, 2, 3):
+            db_session.execute(
+                "INSERT INTO drivers (driver_id, api_name) VALUES ($id, 'JDBC')",
+                params={"id": driver_id},
+            )
+        db_session.execute("DELETE FROM drivers WHERE driver_id = 2")
+        assert len(_table(db_session, "drivers")) == 2
 
     def test_engine_users(self):
         engine = Engine()

@@ -95,3 +95,184 @@ def test_order_by_matches_python_sort(names):
         )
     rows = session.execute("SELECT name FROM items ORDER BY name").rows
     assert [row[0] for row in rows] == sorted(names)
+
+
+# -- differential oracle: the index path returns exactly what the scan returns -----------------
+#
+# Random tables, rows and predicates; the engine's answer to SELECT, UPDATE
+# and DELETE must equal a reference that evaluates the same parsed WHERE on
+# every row of ``enumerate_rows()`` — what the executor did before it had an
+# index to ask. Constants cross types on purpose (``id = TRUE``, ``id = '05'``,
+# ``id = 5.0``): those are where a probe could disagree with ``_compare``.
+
+_SHAPES = {
+    "int_key": "CREATE TABLE t (id INTEGER PRIMARY KEY, name VARCHAR, score INTEGER)",
+    "text_key": "CREATE TABLE t (id VARCHAR PRIMARY KEY, name VARCHAR, score INTEGER)",
+    "two_column_key": "CREATE TABLE t (id INTEGER PRIMARY KEY, name VARCHAR PRIMARY KEY, score INTEGER)",
+    "no_key": "CREATE TABLE t (id INTEGER, name VARCHAR, score INTEGER)",
+}
+_small_ints = st.integers(min_value=-1, max_value=9)
+_texts = st.sampled_from(["5", "05", "1", "a", "b", "True", ""])
+_constants = st.one_of(
+    _small_ints, _texts, st.sampled_from([5.0, 2.5, 0.0]), st.booleans(), st.none()
+)
+_columns = st.sampled_from(["id", "id", "id", "name", "score"])
+_renderings = st.sampled_from(["literal", "named", "positional"])
+
+
+@st.composite
+def _tables(draw):
+    shape = draw(st.sampled_from(sorted(_SHAPES)))
+    ids = _texts if shape == "text_key" else st.integers(min_value=0, max_value=9)
+    names = _texts if shape == "two_column_key" else st.one_of(_texts, st.none())
+    rows = draw(st.lists(st.tuples(ids, names, st.one_of(_small_ints, st.none())), max_size=12))
+    key = {"int_key": lambda r: r[0], "text_key": lambda r: r[0], "two_column_key": lambda r: r[:2]}
+    if shape in key:
+        rows = list({key[shape](row): row for row in rows}.values())
+    return shape, rows
+
+
+def _typed(draw, shape, column):
+    """A constant of the column's own type, for BETWEEN (which raises on mixed types)."""
+    return draw(_texts if column == "name" or (column == "id" and shape == "text_key") else _small_ints)
+
+
+@st.composite
+def _predicates(draw, shape, depth=0):
+    """A predicate as nested tuples; ``_render`` turns it into SQL."""
+    kind = draw(
+        st.sampled_from(["eq", "eq", "eq", "in", "is_null", "between"] + ["and", "and", "or", "not"] * (depth < 3))
+    )
+    if kind in ("and", "or"):
+        return kind, draw(_predicates(shape, depth + 1)), draw(_predicates(shape, depth + 1))
+    if kind == "not":
+        return kind, draw(_predicates(shape, depth + 1))
+    column = draw(_columns)
+    if kind == "eq":
+        return kind, column, (draw(_constants), draw(_renderings)), draw(st.booleans())
+    if kind == "in":
+        choices = draw(st.lists(st.tuples(_constants, _renderings), min_size=1, max_size=4))
+        return kind, column, choices + choices[: draw(st.integers(0, 1))], draw(st.booleans())
+    if kind == "is_null":
+        return kind, column, draw(st.booleans())
+    low, high = _typed(draw, shape, column), _typed(draw, shape, column)
+    return kind, column, (low, "literal"), (high, draw(_renderings)), draw(st.booleans())
+
+
+class _Rendering:
+    """SQL text built left to right, collecting the parameters it refers to."""
+
+    def __init__(self):
+        self.params, self.positional = {}, []
+
+    def constant(self, constant):
+        value, how = constant
+        if how == "named":
+            name = f"p{len(self.params)}"
+            self.params[name] = value
+            return f"${name}"
+        if how == "positional":
+            self.positional.append(value)
+            return "?"
+        if value is None:
+            return "NULL"
+        if isinstance(value, bool):
+            return "TRUE" if value else "FALSE"
+        return "'" + value + "'" if isinstance(value, str) else repr(value)
+
+    def predicate(self, node):
+        kind = node[0]
+        if kind in ("and", "or"):
+            return f"({self.predicate(node[1])} {kind.upper()} {self.predicate(node[2])})"
+        if kind == "not":
+            return f"NOT ({self.predicate(node[1])})"
+        column = node[1]
+        if kind == "eq":
+            constant = self.constant(node[2])
+            return f"{constant} = {column}" if node[3] else f"{column} = {constant}"
+        if kind == "in":
+            choices = ", ".join(self.constant(choice) for choice in node[2])
+            return f"{column} {'NOT ' if node[3] else ''}IN ({choices})"
+        if kind == "is_null":
+            return f"{column} IS {'NOT ' if node[2] else ''}NULL"
+        low, high = self.constant(node[2]), self.constant(node[3])
+        return f"{column} {'NOT ' if node[4] else ''}BETWEEN {low} AND {high}"
+
+
+def _scan(table, sql, params, positional):
+    """The reference: the statement's own WHERE, evaluated on every live row."""
+    from repro.sqlengine.expressions import EvalContext
+    from repro.sqlengine.parser import parse
+
+    where = parse(sql).where
+    return [
+        (index, dict(row))
+        for index, row in table.enumerate_rows()
+        if where.evaluate(
+            EvalContext(row={k.lower(): v for k, v in row.items()}, params=params, positional=positional)
+        )
+    ]
+
+
+@st.composite
+def _scenarios(draw):
+    shape, rows = draw(_tables())
+    kinds = ["select", "update", "delete"] + ["move_key"] * (shape in ("int_key", "two_column_key"))
+    steps = draw(
+        st.lists(
+            st.tuples(st.sampled_from(kinds), _predicates(shape), st.booleans(), st.one_of(_small_ints, st.none())),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return shape, rows, steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scenarios())
+def test_index_path_equals_full_scan(scenario):
+    shape, rows, steps = scenario
+    engine = Engine()
+    engine.create_database("db")
+    session = engine.open_session("db")
+    session.execute(_SHAPES[shape])
+    for row_id, name, score in rows:
+        session.execute("INSERT INTO t VALUES (?, ?, ?)", positional=[row_id, name, score])
+    table = engine.database("db").lookup_table("t")
+
+    for kind, predicate, rolled_back, new_score in steps:
+        rendering = _Rendering()
+        if kind == "select":
+            head = "SELECT id, name, score FROM t"
+        elif kind == "update":
+            head = f"UPDATE t SET score = {rendering.constant((new_score, 'positional'))}"
+        elif kind == "move_key":
+            head = "UPDATE t SET id = id + 100"
+        else:
+            head = "DELETE FROM t"
+        sql = f"{head} WHERE {rendering.predicate(predicate)}"
+        params, positional = rendering.params, rendering.positional
+
+        before = [(index, dict(row)) for index, row in table.enumerate_rows()]
+        matches = _scan(table, sql, params, positional)
+        matched = {index for index, _row in matches}
+        if rolled_back:
+            session.execute("BEGIN")
+        result = session.execute(sql, params=params, positional=positional)
+        assert result.rowcount == len(matches), sql
+        if kind == "select":
+            assert result.rows == [tuple(row.values()) for _index, row in matches], sql
+            expected = before
+        elif kind == "delete":
+            expected = [(index, row) for index, row in before if index not in matched]
+        else:
+            change = (lambda row: {"score": new_score}) if kind == "update" else (lambda row: {"id": row["id"] + 100})
+            expected = [
+                (index, dict(row, **change(row)) if index in matched else row) for index, row in before
+            ]
+        assert list(table.enumerate_rows()) == expected, sql
+        assert table.pk_index_consistent(), sql
+        if rolled_back:
+            session.execute("ROLLBACK")
+            assert list(table.enumerate_rows()) == before, sql
+            assert table.pk_index_consistent(), sql

@@ -120,6 +120,20 @@ GATES = [
         "ChannelServer pool mode reintroduced: a handler runs on its connection's own thread",
     ),
     Gate(
+        r"enumerate_rows\(",
+        ("src/repro/sqlengine/executor.py",),
+        "a second row-finding loop: Executor._matching_rows is the one place that chooses "
+        "between the key index and the scan, and re-checks the predicate either way",
+        allowed=1,
+    ),
+    Gate(
+        r"(?<!def )\bparse\(",
+        ("src/repro/sqlengine",),
+        "a second parse site: Session.execute is the one caller of parse(), so every "
+        "statement goes through the statement cache",
+        allowed=1,
+    ),
+    Gate(
         r"recv\(timeout=None\)|_cond\.wait\(\)",
         ("src/repro",),
         "a new unbounded wait: give it a timeout or a cancel path "
