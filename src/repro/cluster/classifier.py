@@ -17,6 +17,16 @@ Statements the tokenizer cannot understand fall back to conservative
 prefix classification (treated as writes with an unknown table set, which
 invalidates the whole cache).
 
+The token scan answers only what can safely be *over*-approximated from
+any dialect: a spurious table name costs a wider lock or an extra
+invalidation, never a missed one. It reads names, never values. Which
+*rows* a write touches is a question about the grammar, and one module
+answers it — :func:`repro.sqlengine.parser.parse`: an INSERT / UPDATE /
+DELETE text the parser accepts whole carries its AST as
+:attr:`ClassifiedStatement.dml` for :mod:`repro.cluster.lockscope` to
+prove a key scope from; a text it rejects carries ``None`` and locks its
+tables.
+
 Table names are *canonicalised* by :func:`normalize_table_name`: quoted
 identifiers lose their quotes, everything is lowercased, and the default
 ``public`` schema qualifier is stripped — so ``"Users"``, ``users`` and
@@ -29,10 +39,12 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
-from typing import Any, FrozenSet, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, List, Optional, Tuple, Union
 
 from repro.sqlengine.errors import SqlParseError
+from repro.sqlengine.parser import parse
+from repro.sqlengine.statements import Delete, Insert, Update
 from repro.sqlengine.tokenizer import Token, tokenize
 
 
@@ -52,24 +64,15 @@ _WRITE_COMMANDS = {
 }
 #: Transaction-control commands: broadcast but never logged for resync.
 _TRANSACTION_COMMANDS = {"BEGIN", "COMMIT", "ROLLBACK", "START", "SAVEPOINT"}
-#: Keywords that end a DML WHERE clause at statement depth.
-_WHERE_TERMINATORS = {"ORDER", "GROUP", "HAVING", "LIMIT", "OFFSET", "RETURNING"}
+#: Row-level writes: the statements the parser is asked to read (see
+#: :attr:`ClassifiedStatement.dml`) and the write batcher may coalesce.
+DML_COMMANDS = ("INSERT", "UPDATE", "DELETE")
 #: Functions whose result changes between calls, so their SELECTs must
 #: not be served from the query cache. Called forms require a following
 #: ``(``; the CURRENT_* keywords also appear bare (the sqlengine parser
 #: accepts both spellings).
 _NONDETERMINISTIC_FUNCTIONS = {"NOW", "RANDOM", "RAND"}
 _NONDETERMINISTIC_KEYWORDS = {"CURRENT_TIMESTAMP", "CURRENT_DATE", "CURRENT_TIME"}
-
-
-#: One side of an extracted predicate/value, pre-parameter-resolution:
-#: ``("value", literal)`` for an inline literal (NULL → ``None``,
-#: TRUE/FALSE → bool), ``("param", name)`` for a named placeholder
-#: (positional ``?`` keeps the name ``"?"`` — never resolvable, so the
-#: scheduler falls back to a table lock), ``("opaque", None)`` for an
-#: expression the classifier refuses to evaluate (``DEFAULT``, ``v + 1``,
-#: a subquery…).
-KeyExpr = Tuple[str, Any]
 
 
 @dataclass(frozen=True)
@@ -88,32 +91,12 @@ class ClassifiedStatement:
     referenced_tables: FrozenSet[str] = frozenset()
     #: Whether the result may be stored in the query cache.
     cacheable: bool = False
-    #: Top-level AND-connected ``column = <scalar>`` conjuncts from a DML
-    #: WHERE clause, as ``(column, KeyExpr)`` pairs. Sound to use for
-    #: narrowing because every *conjunct* only shrinks the matched row
-    #: set — so if ``pk = v`` appears here, the statement touches at most
-    #: the row with that key no matter what the other conjuncts say.
-    #: Empty when there is no WHERE, when a top-level OR widens the set,
-    #: or when no conjunct is a simple equality.
-    where_equalities: Tuple[Tuple[str, KeyExpr], ...] = ()
-    #: Top-level AND-connected ``column IN (scalar, scalar, ...)``
-    #: conjuncts, as ``(column, (KeyExpr, ...))`` pairs. Same soundness
-    #: argument as :attr:`where_equalities`: an AND-conjunct only shrinks
-    #: the matched rows, so ``pk IN (a, b)`` bounds the statement to at
-    #: most the rows with those keys. ``NOT IN`` and ``IN (SELECT ...)``
-    #: never match (they don't bound the row set by listed keys).
-    where_in_lists: Tuple[Tuple[str, Tuple[KeyExpr, ...]], ...] = ()
-    #: Columns assigned by an UPDATE's SET list. An UPDATE that assigns
-    #: the primary key moves the row to a *second* key, so the scheduler
-    #: must fall back to a table lock when the PK is in here.
-    set_columns: FrozenSet[str] = frozenset()
-    #: INSERT column list (``None`` when the statement omits it — the
-    #: scheduler then maps values by catalog ordinal position).
-    insert_columns: Optional[Tuple[str, ...]] = None
-    #: The single VALUES row of an INSERT, positionally. ``None`` for
-    #: multi-row inserts, ``INSERT ... SELECT`` and anything else that
-    #: is not one literal row — those fall back to a table lock.
-    insert_values: Optional[Tuple[KeyExpr, ...]] = None
+    #: The parser's AST of an INSERT / UPDATE / DELETE text, or ``None``
+    #: when the parser does not accept the whole statement (``RETURNING``,
+    #: a subquery, ``CASE``, ``USING``, ``ON CONFLICT``…) — and always
+    #: ``None`` for reads, DDL and transaction control, which are never
+    #: parsed here. Shared with the engine's statement cache: read-only.
+    dml: Union[Insert, Update, Delete, None] = None
 
     @property
     def is_read(self) -> bool:
@@ -198,7 +181,17 @@ def _classify_cached(sql: str) -> ClassifiedStatement:
         return _classify_by_prefix(sql)
     if not tokens:
         return ClassifiedStatement(kind=StatementKind.READ)
-    return _classify_tokens(tokens)
+    return _classify_tokens(tokens, sql)
+
+
+def _parse_dml(sql: str) -> Union[Insert, Update, Delete, None]:
+    """The parser's reading of one INSERT / UPDATE / DELETE text, or
+    ``None`` when it has none: what it cannot parse whole it says nothing
+    about, and the statement locks its tables."""
+    try:
+        return parse(sql)
+    except (SqlParseError, RecursionError):
+        return None
 
 
 def _classify_by_prefix(sql: str) -> ClassifiedStatement:
@@ -299,277 +292,7 @@ def _read_table_name(tokens: List[Token], index: int) -> Tuple[Optional[str], in
     return normalize_table_name(name), index
 
 
-def _find_keyword(tokens: List[Token], start: int, keyword: str) -> int:
-    """Index of the first depth-0 occurrence of ``keyword`` at or after
-    ``start``, or -1. Occurrences inside parens (subqueries, expression
-    groups) belong to a nested scope and are skipped."""
-    depth = 0
-    for index in range(start, len(tokens)):
-        token = tokens[index]
-        if _is_op(token, "("):
-            depth += 1
-        elif _is_op(token, ")"):
-            depth -= 1
-        elif depth == 0 and _is_ident(token, keyword):
-            return index
-    return -1
-
-
-def _scalar_expr(tokens: List[Token], index: int) -> Tuple[Optional[KeyExpr], int]:
-    """Match one scalar at ``index``: a literal (with optional unary
-    minus), a parameter, or the NULL/TRUE/FALSE keywords. Returns
-    (KeyExpr, next_index), or (None, index) when the shape is anything
-    else."""
-    if index >= len(tokens):
-        return None, index
-    token = tokens[index]
-    if token.kind in ("NUMBER", "STRING"):
-        return ("value", token.value), index + 1
-    if token.kind == "PARAM":
-        return ("param", str(token.value)), index + 1
-    if _is_op(token, "-") and index + 1 < len(tokens) and tokens[index + 1].kind == "NUMBER":
-        return ("value", -tokens[index + 1].value), index + 2
-    if _is_ident(token, "NULL"):
-        return ("value", None), index + 1
-    if _is_ident(token, "TRUE"):
-        return ("value", True), index + 1
-    if _is_ident(token, "FALSE"):
-        return ("value", False), index + 1
-    return None, index
-
-
-def _read_column_name(tokens: List[Token], index: int) -> Tuple[Optional[str], int]:
-    """Read a possibly qualified column reference; returns the bare
-    column name (qualifier stripped, lowercased) and the next index."""
-    if index >= len(tokens) or tokens[index].kind != "IDENT":
-        return None, index
-    name = str(tokens[index].value)
-    index += 1
-    while (
-        _is_op(tokens[index] if index < len(tokens) else None, ".")
-        and index + 1 < len(tokens)
-        and tokens[index + 1].kind == "IDENT"
-    ):
-        name = str(tokens[index + 1].value)
-        index += 2
-    return name.strip('"').lower(), index
-
-
-def _strip_outer_parens(tokens: List[Token]) -> List[Token]:
-    while (
-        len(tokens) >= 2
-        and _is_op(tokens[0], "(")
-        and _skip_balanced(tokens, 0) == len(tokens)
-    ):
-        tokens = tokens[1:-1]
-    return tokens
-
-
-def _match_equality(conjunct: List[Token]) -> Optional[Tuple[str, KeyExpr]]:
-    """Match ``column = scalar`` (either side order) exactly — function
-    calls, casts and compound expressions fail the match and the conjunct
-    is simply ignored (it can only narrow the row set further)."""
-    conjunct = _strip_outer_parens(conjunct)
-    column, index = _read_column_name(conjunct, 0)
-    if column is not None and _is_op(conjunct[index] if index < len(conjunct) else None, "="):
-        expr, end = _scalar_expr(conjunct, index + 1)
-        if expr is not None and end == len(conjunct):
-            return column, expr
-    expr, index = _scalar_expr(conjunct, 0)
-    if expr is not None and _is_op(conjunct[index] if index < len(conjunct) else None, "="):
-        column, end = _read_column_name(conjunct, index + 1)
-        if column is not None and end == len(conjunct):
-            return column, expr
-    return None
-
-
-def _match_in_list(conjunct: List[Token]) -> Optional[Tuple[str, Tuple[KeyExpr, ...]]]:
-    """Match ``column IN (scalar, scalar, ...)`` exactly. Every element
-    must be one scalar — a subquery, expression or empty list fails the
-    match (the conjunct is then simply ignored, which is always safe:
-    ignoring an AND-conjunct can only widen the *assumed* row set, and
-    the caller falls back to a coarser lock). ``column NOT IN (...)``
-    cannot match: after the column name the next token is NOT, never the
-    IN keyword."""
-    conjunct = _strip_outer_parens(conjunct)
-    column, index = _read_column_name(conjunct, 0)
-    if column is None or not _is_ident(conjunct[index] if index < len(conjunct) else None, "IN"):
-        return None
-    index += 1
-    if not _is_op(conjunct[index] if index < len(conjunct) else None, "("):
-        return None
-    # The parenthesized list must be the conjunct's tail — trailing
-    # tokens mean this is some larger expression we don't understand.
-    if _skip_balanced(conjunct, index) != len(conjunct):
-        return None
-    elements: List[KeyExpr] = []
-    index += 1
-    end = len(conjunct) - 1  # the closing ")"
-    while index < end:
-        expr, index = _scalar_expr(conjunct, index)
-        if expr is None:
-            return None
-        elements.append(expr)
-        if index < end:
-            if not _is_op(conjunct[index], ","):
-                return None
-            index += 1
-            if index >= end:
-                return None  # trailing comma
-    if not elements:
-        return None
-    return column, tuple(elements)
-
-
-def _extract_where_predicates(
-    tokens: List[Token], start: int
-) -> Tuple[Tuple[Tuple[str, KeyExpr], ...], Tuple[Tuple[str, Tuple[KeyExpr, ...]], ...]]:
-    """Collect the simple equality and IN-list conjuncts of a DML WHERE
-    clause. A depth-0 OR abandons extraction entirely: a disjunction
-    *widens* the matched rows, so no single conjunct bounds the
-    statement any more."""
-    where = _find_keyword(tokens, start, "WHERE")
-    if where < 0:
-        return (), ()
-    region: List[Token] = []
-    depth = 0
-    for index in range(where + 1, len(tokens)):
-        token = tokens[index]
-        if _is_op(token, "("):
-            depth += 1
-        elif _is_op(token, ")"):
-            depth -= 1
-            if depth < 0:
-                break
-        elif (
-            depth == 0
-            and token.kind == "IDENT"
-            and not getattr(token, "quoted", False)
-            and str(token.value).upper() in _WHERE_TERMINATORS
-        ):
-            break
-        region.append(token)
-    conjuncts: List[List[Token]] = [[]]
-    depth = 0
-    for token in region:
-        if _is_op(token, "("):
-            depth += 1
-        elif _is_op(token, ")"):
-            depth -= 1
-        if depth == 0 and _is_ident(token, "OR"):
-            return (), ()
-        if depth == 0 and _is_ident(token, "AND"):
-            conjuncts.append([])
-        else:
-            conjuncts[-1].append(token)
-    equalities = []
-    in_lists = []
-    for conjunct in conjuncts:
-        matched = _match_equality(conjunct)
-        if matched is not None:
-            equalities.append(matched)
-            continue
-        in_matched = _match_in_list(conjunct)
-        if in_matched is not None:
-            in_lists.append(in_matched)
-    return tuple(equalities), tuple(in_lists)
-
-
-def _extract_set_columns(tokens: List[Token], start: int) -> FrozenSet[str]:
-    """Column names assigned by an UPDATE's SET list (depth-0 segment
-    heads between SET and WHERE/end)."""
-    set_index = _find_keyword(tokens, start, "SET")
-    if set_index < 0:
-        return frozenset()
-    columns: set = set()
-    depth = 0
-    expecting_column = True
-    index = set_index + 1
-    while index < len(tokens):
-        token = tokens[index]
-        if _is_op(token, "("):
-            depth += 1
-        elif _is_op(token, ")"):
-            depth -= 1
-            if depth < 0:
-                break
-        elif depth == 0 and _is_ident(token, "WHERE"):
-            break
-        elif depth == 0 and _is_op(token, ","):
-            expecting_column = True
-        elif depth == 0 and expecting_column and token.kind == "IDENT":
-            column, index = _read_column_name(tokens, index)
-            if column is not None:
-                columns.add(column)
-            expecting_column = False
-            continue
-        index += 1
-    return frozenset(columns)
-
-
-def _extract_insert_shape(
-    tokens: List[Token], start: int
-) -> Tuple[Optional[Tuple[str, ...]], Optional[Tuple[KeyExpr, ...]]]:
-    """The column list and single VALUES row of an INSERT. Multi-row
-    inserts and ``INSERT ... SELECT`` return ``(columns, None)`` — the
-    scheduler cannot reduce those to one key and takes a table lock."""
-    into = _find_keyword(tokens, start, "INTO")
-    if into < 0:
-        return None, None
-    _, index = _read_table_name(tokens, into + 1)
-    columns: Optional[Tuple[str, ...]] = None
-    if _is_op(tokens[index] if index < len(tokens) else None, "("):
-        names: List[str] = []
-        index += 1
-        while index < len(tokens) and not _is_op(tokens[index], ")"):
-            if tokens[index].kind == "IDENT":
-                names.append(str(tokens[index].value).strip('"').lower())
-            index += 1
-        index += 1  # past the ")"
-        columns = tuple(names)
-    values_index = _find_keyword(tokens, index, "VALUES")
-    if values_index < 0:
-        return columns, None
-    index = values_index + 1
-    if not _is_op(tokens[index] if index < len(tokens) else None, "("):
-        return columns, None
-    row_end = _skip_balanced(tokens, index)
-    # A second parenthesized row after a comma means multi-row.
-    if (
-        _is_op(tokens[row_end] if row_end < len(tokens) else None, ",")
-        or row_end < len(tokens)
-        and _is_op(tokens[row_end], "(")
-    ):
-        return columns, None
-    # Split the row's tokens at depth-1 commas; each element must be one
-    # scalar to stay evaluable, anything else is opaque.
-    elements: List[List[Token]] = [[]]
-    depth = 0
-    for position in range(index, row_end):
-        token = tokens[position]
-        if _is_op(token, "("):
-            depth += 1
-            if depth == 1:
-                continue
-        elif _is_op(token, ")"):
-            depth -= 1
-            if depth == 0:
-                continue
-        if depth == 1 and _is_op(token, ","):
-            elements.append([])
-        else:
-            elements[-1].append(token)
-    values: List[KeyExpr] = []
-    for element in elements:
-        expr, end = _scalar_expr(element, 0)
-        if expr is not None and end == len(element):
-            values.append(expr)
-        else:
-            values.append(("opaque", None))
-    return columns, tuple(values)
-
-
-def _classify_tokens(tokens: List[Token]) -> ClassifiedStatement:
+def _classify_tokens(tokens: List[Token], sql: str) -> ClassifiedStatement:
     command, cmd_index, cte_names, explain = _find_command(tokens)
     if not command:
         return ClassifiedStatement(kind=StatementKind.UNKNOWN)
@@ -622,7 +345,9 @@ def _classify_tokens(tokens: List[Token]) -> ClassifiedStatement:
                     read_tables.add(name)
             index = next_index
             continue
-        if keyword == "JOIN":
+        if keyword in ("JOIN", "USING"):
+            # DELETE FROM t USING u / MERGE INTO t USING u name a second
+            # table; JOIN u USING (col) names none (a paren follows).
             name, next_index = _read_table_name(tokens, index + 1)
             if name is not None:
                 read_tables.add(name)
@@ -675,18 +400,6 @@ def _classify_tokens(tokens: List[Token]) -> ClassifiedStatement:
         and not explain
         and command == "SELECT"
     )
-    where_equalities: Tuple[Tuple[str, KeyExpr], ...] = ()
-    where_in_lists: Tuple[Tuple[str, Tuple[KeyExpr, ...]], ...] = ()
-    set_columns: FrozenSet[str] = frozenset()
-    insert_columns: Optional[Tuple[str, ...]] = None
-    insert_values: Optional[Tuple[KeyExpr, ...]] = None
-    if kind is StatementKind.WRITE:
-        if command in ("UPDATE", "DELETE"):
-            where_equalities, where_in_lists = _extract_where_predicates(tokens, cmd_index)
-        if command == "UPDATE":
-            set_columns = _extract_set_columns(tokens, cmd_index)
-        if command == "INSERT":
-            insert_columns, insert_values = _extract_insert_shape(tokens, cmd_index)
     return ClassifiedStatement(
         kind=kind,
         command=command,
@@ -694,11 +407,7 @@ def _classify_tokens(tokens: List[Token]) -> ClassifiedStatement:
         write_tables=frozenset(write_tables),
         referenced_tables=frozenset(referenced_tables),
         cacheable=cacheable,
-        where_equalities=where_equalities,
-        where_in_lists=where_in_lists,
-        set_columns=set_columns,
-        insert_columns=insert_columns,
-        insert_values=insert_values,
+        dml=_parse_dml(sql) if kind is StatementKind.WRITE and command in DML_COMMANDS else None,
     )
 
 

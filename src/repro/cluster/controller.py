@@ -832,23 +832,35 @@ class Controller:
         return acknowledged, refusals
 
     def _apply_group_operation(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Apply a peer's group operation here; returns the reply frame."""
+        """Apply a peer's group operation here; returns the reply frame.
+        A frame that does not decode is refused (``bad_group_operation``)
+        like any other the peer may retry differently — raising here
+        would kill the channel's thread and read as "unreachable"."""
         operation = str(message.get("operation", ""))
-        payload = dict(message.get("payload") or {})
+        payload = message.get("payload") or {}
+        if not isinstance(payload, dict):
+            return make_error("bad_group_operation", "payload is not a mapping")
         try:
             if operation == "install_driver":
-                package = DriverPackage.from_wire(payload.get("package", {}))
-                self._install_driver_locally(
-                    package,
-                    payload.get("database"),
-                    int(payload.get("lease_time_ms", DEFAULT_LEASE_TIME_MS)),
-                    int(payload.get("renew_policy", int(RenewPolicy.UPGRADE))),
-                    int(payload.get("expiration_policy", int(ExpirationPolicy.AFTER_COMMIT))),
-                )
-            elif operation == "disable_backend":
-                self.disable_backend(str(payload["backend"]))
-            elif operation == "enable_backend":
-                self.enable_backend(str(payload["backend"]))
+                try:
+                    arguments = (
+                        DriverPackage.from_wire(payload.get("package", {})),
+                        payload.get("database"),
+                        int(payload.get("lease_time_ms", DEFAULT_LEASE_TIME_MS)),
+                        int(payload.get("renew_policy", int(RenewPolicy.UPGRADE))),
+                        int(payload.get("expiration_policy", int(ExpirationPolicy.AFTER_COMMIT))),
+                    )
+                except (AttributeError, TypeError, ValueError) as exc:
+                    return make_error("bad_group_operation", f"malformed install_driver: {exc}")
+                self._install_driver_locally(*arguments)
+            elif operation in ("disable_backend", "enable_backend"):
+                backend = payload.get("backend")
+                if not isinstance(backend, str):
+                    return make_error("bad_group_operation", f"{operation} names no backend")
+                if operation == "disable_backend":
+                    self.disable_backend(backend)
+                else:
+                    self.enable_backend(backend)
             else:
                 return make_error("bad_group_operation", f"unknown operation {operation!r}")
         except ReproError as exc:

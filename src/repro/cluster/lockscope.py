@@ -9,6 +9,17 @@ comes from the ``primary_keys`` seed or, lazily, from an enabled
 backend's ``information_schema.columns`` catalog; any failure to resolve
 one yields the table scope, which is always safe.
 
+**Keys come from the AST.** Which rows a text touches is read off
+``statement.dml`` — the :mod:`repro.sqlengine.parser` AST, whose
+``key_terms`` the engine's executor probes its index with — and off
+nothing else: two writers under disjoint key scopes are applied in
+different orders on different replicas, so a key scope has to be a
+proof, and a text the parser did not read whole (``dml is None``) proves
+nothing. :func:`_canonical_key` is deliberately not the executor's probe
+rule: a lock key must collide for every spelling that *can* match the
+row (``7``, ``7.0``, ``'7'``), an index probe only needs a superset and
+scans when in doubt.
+
 **The generation rule.** A key scope is resolved *before* its lock is
 taken, so :meth:`ScopeResolver.resolve` returns the resolver's
 *generation* with the scope, and :meth:`ScopeResolver.invalidate` —
@@ -25,14 +36,13 @@ after it.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.cluster.backend import Backend
 from repro.cluster.classifier import ClassifiedStatement, normalize_table_name
 from repro.cluster.locks import EXCLUSIVE, LockScope
-
-#: Statements eligible for a key-level lock scope.
-KEYABLE_COMMANDS = ("INSERT", "UPDATE", "DELETE")
+from repro.sqlengine.expressions import Expression, Literal, Parameter
+from repro.sqlengine.statements import Delete, Insert, Update
 
 #: Sentinel for "no usable canonical key" (fall back to a table lock).
 _NO_KEY = object()
@@ -81,70 +91,58 @@ def _canonical_key(value: Any, data_type: str) -> Any:
     return _NO_KEY
 
 
-def _resolve_lock_key(expr: Any, params: Optional[Dict[str, Any]], data_type: str) -> Any:
-    """Resolve one classifier KeyExpr to a canonical lock key, or
-    ``_NO_KEY`` when it cannot be proven to address one row."""
-    expr_kind, payload = expr
-    if expr_kind == "value":
-        value = payload
-    elif expr_kind == "param":
-        # Positional params ("?") can't be matched to a value here.
-        if payload == "?" or not params or payload not in params:
-            return _NO_KEY
-        value = params[payload]
-    else:  # opaque
+def _lock_key(constant: Expression, params: Optional[Dict[str, Any]], data_type: str) -> Any:
+    """Resolve one AST constant to a canonical lock key, or ``_NO_KEY``
+    when it cannot be proven to address one row: a positional ``?``, a
+    parameter the request did not bind, any expression that is not a
+    literal or a named parameter."""
+    if isinstance(constant, Literal):
+        value = constant.value
+    elif (
+        isinstance(constant, Parameter)
+        and constant.name != "?"
+        and params
+        and constant.name in params
+    ):
+        value = params[constant.name]
+    else:
         return _NO_KEY
     return _canonical_key(value, data_type)
 
 
-def _key_expr_for(statement: ClassifiedStatement, pk_column: str, pk_ordinal: Optional[int]):
-    """The classifier-extracted expression giving the PK value this
-    statement addresses, or None when the statement cannot be proven
-    single-key (range/absent predicate, multi-row INSERT, PK
-    reassignment)."""
-    if statement.command == "INSERT":
-        if statement.insert_values is None:
-            return None
-        if statement.insert_columns is not None:
-            try:
-                position = statement.insert_columns.index(pk_column)
-            except ValueError:
-                # PK not in the column list: it takes a DEFAULT the
-                # classifier cannot see.
-                return None
+def _key_constants(
+    dml: Union[Insert, Update, Delete], pk_column: str, pk_ordinal: Optional[int]
+) -> Sequence[Expression]:
+    """The expressions bounding the primary keys ``dml`` touches — every
+    row it inserts, changes or deletes has its key among their values —
+    or nothing when the AST proves no such bound.
+
+    For UPDATE/DELETE that is what ``key_terms`` says the WHERE pins the
+    key to (an AND-conjunct only shrinks the matched rows, so the other
+    conjuncts do not matter), unless the UPDATE assigns the key: the row
+    then moves to a second key no listed constant covers. For INSERT it
+    is the key's element of the one VALUES row, found by name or, without
+    a column list, by catalog ordinal; several rows are several keys."""
+    if isinstance(dml, Insert):
+        if len(dml.rows) != 1:
+            return ()
+        if dml.columns:
+            columns = [column.lower() for column in dml.columns]
+            # Absent, the key takes a DEFAULT nothing here can see; named
+            # twice, which value lands is the backend's business.
+            if columns.count(pk_column) != 1:
+                return ()
+            position = columns.index(pk_column)
         elif pk_ordinal is not None:
             position = pk_ordinal - 1
         else:
-            return None
-        if position >= len(statement.insert_values):
-            return None
-        return statement.insert_values[position]
-    if statement.command == "UPDATE" and pk_column in statement.set_columns:
-        # Reassigning the PK moves the row to a second key; a single
-        # key lock would not cover the destination.
-        return None
-    for column, expr in statement.where_equalities:
-        if column == pk_column:
-            return expr
-    return None
-
-
-def _key_exprs_from_in_list(
-    statement: ClassifiedStatement, pk_column: str
-) -> Optional[Tuple[Any, ...]]:
-    """The ``pk IN (...)`` elements bounding an UPDATE/DELETE's touched
-    keys, or None. Sound because an AND-conjunct IN list means every
-    touched row's PK is among the listed values; a PK-reassigning
-    UPDATE moves rows to a key *outside* the list, so it never
-    qualifies (INSERT has no WHERE at all)."""
-    if statement.command not in ("UPDATE", "DELETE"):
-        return None
-    if statement.command == "UPDATE" and pk_column in statement.set_columns:
-        return None
-    for column, exprs in statement.where_in_lists:
-        if column == pk_column:
-            return exprs
-    return None
+            return ()
+        return dml.rows[0][position : position + 1]
+    if isinstance(dml, Update) and any(
+        column.lower() == pk_column for column, _ in dml.assignments
+    ):
+        return ()
+    return dml.key_terms.get(pk_column, ())
 
 
 class ScopeResolver:
@@ -182,31 +180,27 @@ class ScopeResolver:
         if tables is None:
             return EXCLUSIVE, self.generation
         table_scope = LockScope(tables=tables)
-        if (
-            statement.command not in KEYABLE_COMMANDS
-            or len(statement.write_tables) != 1
-            or tables != statement.write_tables
-        ):
-            # Reads/REFERENCES alongside the write keep table locks: the
-            # key only covers the written row, not the observed tables.
+        dml = statement.dml
+        if dml is None or len(statement.write_tables) != 1 or tables != statement.write_tables:
+            # No reading of the text to prove a key from, or reads /
+            # REFERENCES alongside the write: the key only covers the
+            # written row, not the observed tables.
             return table_scope, self.generation
         table = next(iter(tables))
         primary_key, generation = self._primary_key(table)
         if primary_key is None:
             return table_scope, generation
         pk_column, data_type, ordinal = primary_key
-        expr = _key_expr_for(statement, pk_column, ordinal)
-        exprs = (expr,) if expr is not None else _key_exprs_from_in_list(statement, pk_column)
-        if exprs is None:
-            return table_scope, generation
         keys = set()
-        for element in exprs:
-            key = _resolve_lock_key(element, params, data_type)
+        for constant in _key_constants(dml, pk_column, ordinal):
+            key = _lock_key(constant, params, data_type)
             if key is _NO_KEY:
                 # One unresolvable element poisons the whole list: the
                 # statement may touch a row no listed key covers.
                 return table_scope, generation
             keys.add((table, key))
+        if not keys:
+            return table_scope, generation
         return LockScope(keys=frozenset(keys)), generation
 
     def invalidate(self, tables: Optional[Iterable[str]]) -> None:

@@ -59,6 +59,7 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 from repro.cluster.backend import Backend, STATEMENT_FAULTS
 from repro.cluster.broadcaster import WriteBroadcaster
 from repro.cluster.classifier import (
+    DML_COMMANDS,
     ClassifiedStatement,
     classify,
     is_transaction_control,
@@ -67,7 +68,7 @@ from repro.cluster.classifier import (
 )
 from repro.cluster.loadbalancer import ReadPolicy, RoundRobinPolicy
 from repro.cluster.locks import LockManager, LockScope
-from repro.cluster.lockscope import KEYABLE_COMMANDS, ScopeResolver
+from repro.cluster.lockscope import ScopeResolver
 from repro.cluster.placement import NoHostingBackendError, PlacementMap, create_placement
 from repro.cluster.querycache import QueryCache
 from repro.cluster.recovery import (
@@ -1010,7 +1011,7 @@ class RequestScheduler:
         every held scope first."""
         if self._write_batcher is None or in_transaction:
             return False
-        if statement.command not in KEYABLE_COMMANDS:
+        if statement.command not in DML_COMMANDS:
             return False
         if not statement.write_tables or statement.lock_tables is None:
             return False

@@ -41,3 +41,25 @@ def test_engine_gates_see_the_one_scan_site_and_the_one_parse_site():
         assert gate.allowed == 1
         report = check_forks.check_gate(gate._replace(allowed=0))
         assert len(report) == 2 and report[1].startswith(location + ":"), report
+
+
+def test_key_shape_gates_match_the_token_matcher_they_retired():
+    """The two lock-scope gates allow nothing, so what shows they are not
+    vacuous is that each pattern matches lines of the code it retired."""
+    check_forks = _check_forks()
+    retired = {
+        "a second reading of a write": [
+            "    where_equalities: Tuple[Tuple[str, KeyExpr], ...] = ()",
+            "def _match_in_list(conjunct: List[Token]):",
+            "        if statement.insert_values is None:",
+        ],
+        "the classifier reads names": [
+            '    if token.kind in ("NUMBER", "STRING"):',
+            '    if token.kind == "PARAM":',
+        ],
+    }
+    for prefix, lines in retired.items():
+        (gate,) = [gate for gate in check_forks.GATES if gate.message.startswith(prefix)]
+        assert gate.allowed == 0 and check_forks.check_gate(gate) == []
+        for line in lines:
+            assert check_forks.re.search(gate.pattern, line), line

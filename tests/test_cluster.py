@@ -6,8 +6,9 @@ import chaos
 from repro.cluster import Backend, is_write_statement
 from repro.errors import DriverError
 from repro.cluster.recovery import RecoveryLog
+from repro.cluster.recovery.replication import PeerLink
 from repro.cluster.scheduler import RequestScheduler, SchedulerError
-from repro.cluster.wire import CLUSTER_PROTOCOL_VERSION
+from repro.cluster.wire import CLUSTER_PROTOCOL_VERSION, ClusterMessageType, make_group
 from repro.cluster.driver import ClusterDriverRuntime
 from repro.dbapi import OperationalError, ProgrammingError
 from repro.dbapi import legacy_driver
@@ -316,6 +317,33 @@ class TestControllerGroupReplication:
         primary.enable_backend_cluster_wide("db1")
         for controller in cluster_env.controllers:
             assert controller.backend("db1").enabled
+
+    def test_malformed_group_frame_is_refused_and_the_channel_survives(self, cluster_env):
+        # A frame that does not decode must be answered, not raised on:
+        # a dead handler thread reads as "unreachable" to the sender, and
+        # an unreachable peer is skipped — the operation reports success.
+        c1, c2 = cluster_env.controllers
+        link = PeerLink(c2.address, cluster_env.network, c1.address)
+        try:
+            for payload in ({}, {"backend": 5}, {"backend": None}, "db1", 7, ["db1"]):
+                for operation in ("disable_backend", "enable_backend"):
+                    reply = link.request(make_group(operation, payload, origin="c1"), timeout=5.0)
+                    assert reply["type"] == ClusterMessageType.ERROR, (operation, payload)
+                    assert reply["code"] == "bad_group_operation", (operation, payload)
+            reply = link.request(
+                make_group("install_driver", {"package": "x", "lease_time_ms": "soon"}, origin="c1"),
+                timeout=5.0,
+            )
+            assert reply["code"] == "bad_group_operation"
+            assert c2.backend("db1").enabled
+            # Same channel, well-formed frame: still served.
+            reply = link.request(
+                make_group("disable_backend", {"backend": "db1"}, origin="c1"), timeout=5.0
+            )
+            assert reply["type"] == "seq_group_ack"
+            assert not c2.backend("db1").enabled
+        finally:
+            link.close()
 
     def test_partition_between_controllers_cuts_group_operations(self, cluster_env):
         c1, c2 = cluster_env.controllers

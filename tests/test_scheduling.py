@@ -1,6 +1,8 @@
 """Unit tests for the scheduling subsystem: classifier, load-balancing
 policies, query cache and write broadcaster."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cluster.backend import Backend, BackendState
@@ -18,6 +20,8 @@ from repro.cluster.loadbalancer import (
     available_policies,
     create_policy,
 )
+from repro.cluster.locks import LockScope
+from repro.cluster.lockscope import ScopeResolver
 from repro.cluster.querycache import QueryCache
 from repro.cluster.recovery import RecoveryLog
 from repro.cluster.scheduler import RequestScheduler, SchedulerError
@@ -192,78 +196,147 @@ class TestClassifier:
         )
         assert statement.read_tables == frozenset({"t1", "t2"})
 
-    # -- key-predicate extraction (feeds the scheduler's key-level locks) --
+    # -- what a write's text proves about the rows it touches -------------
+    #
+    # The classifier reads names; the parser reads the statement
+    # (``dml``); ScopeResolver.resolve turns that reading into a scope.
+    # Each case below is the scope one text ends up with.
 
     def test_update_literal_pk_equality_extracted(self):
-        statement = classify("UPDATE users SET name = 'x' WHERE id = 7")
-        assert statement.where_equalities == (("id", ("value", 7)),)
-        assert statement.set_columns == frozenset({"name"})
+        assert _scope("UPDATE users SET name = 'x' WHERE id = 7") == _keys("users", 7)
 
     def test_update_assigning_the_filtered_column_still_reports_both(self):
-        # The scheduler must see id in set_columns so it falls back to a
-        # table lock: the row moves from key 7 to key 9.
-        statement = classify("UPDATE users SET id = 9 WHERE id = 7")
-        assert statement.where_equalities == (("id", ("value", 7)),)
-        assert statement.set_columns == frozenset({"id"})
+        # The row moves from key 7 to key 9: one key cannot cover both.
+        assert _scope("UPDATE users SET id = 9 WHERE id = 7") == _table("users")
+        assert _scope('UPDATE users SET name = 1, "ID" = 9 WHERE id = 7') == _table("users")
 
     def test_delete_named_param_equality_extracted(self):
-        statement = classify("DELETE FROM t WHERE pk = $p AND ts < 5")
-        assert statement.where_equalities == (("pk", ("param", "p")),)
+        sql = "DELETE FROM t WHERE pk = $p AND ts < 5"
+        assert _scope(sql, {"p": 4}, pk="pk") == _keys("t", 4)
+        assert _scope(sql, {"q": 4}, pk="pk") == _table("t")  # $p is not bound
 
     def test_positional_param_is_never_resolvable(self):
-        # ? placeholders carry no name — the scheduler cannot look the
-        # value up in the params dict, so this stays ("param", "?").
-        statement = classify("UPDATE t SET v = 1 WHERE id = ?")
-        assert statement.where_equalities == (("id", ("param", "?")),)
+        # ? placeholders carry no name — the value cannot be looked up in
+        # the params dict, whatever it holds.
+        assert _scope("UPDATE t SET v = 1 WHERE id = ?", {"?": 1}) == _table("t")
 
     def test_top_level_or_abandons_extraction(self):
-        # a=1 OR b=2 bounds nothing: no conjunct narrows the row set.
-        assert classify("DELETE FROM t WHERE a = 1 OR b = 2").where_equalities == ()
+        # id=1 OR b=2 bounds nothing: no conjunct narrows the row set.
+        assert _scope("DELETE FROM t WHERE id = 1 OR b = 2") == _table("t")
 
     def test_parenthesized_or_inside_a_conjunct_is_fine(self):
-        # id = -5 AND (...) still bounds the rows to id = -5; negative
-        # literals must come through as values, not opaque expressions.
-        statement = classify("DELETE FROM t WHERE id = -5 AND (x = 1 OR y = 2)")
-        assert statement.where_equalities == (("id", ("value", -5)),)
+        # id = -5 AND (...) still bounds the rows to id = -5; a negative
+        # literal is a value, and redundant parens change nothing.
+        assert _scope("DELETE FROM t WHERE id = -5 AND (x = 1 OR y = 2)") == _keys("t", -5)
+        assert _scope("DELETE FROM t WHERE ((id = 4)) AND ((x = 1))") == _keys("t", 4)
 
     def test_range_predicate_extracts_nothing(self):
-        assert classify("UPDATE t SET v = 1 WHERE id > 3").where_equalities == ()
+        assert _scope("UPDATE t SET v = 1 WHERE id > 3") == _table("t")
 
     def test_qualified_and_quoted_columns_are_canonicalised(self):
-        statement = classify('UPDATE t SET v = 1 WHERE t."Id" = 3')
-        assert statement.where_equalities == (("id", ("value", 3)),)
+        assert _scope('UPDATE t SET v = 1 WHERE t."Id" = 3') == _keys("t", 3)
+        assert _scope("UPDATE t SET v = 1 WHERE 4 = t.id") == _keys("t", 4)
 
     def test_insert_shape_with_column_list(self):
-        statement = classify("INSERT INTO t (id, v) VALUES (3, 'x')")
-        assert statement.insert_columns == ("id", "v")
-        assert statement.insert_values == (("value", 3), ("value", "x"))
+        assert _scope("INSERT INTO t (id, v) VALUES (3, 'x')") == _keys("t", 3)
+        assert _scope("INSERT INTO t (v, \"ID\") VALUES ('x', $k)", {"k": "3"}) == _keys("t", 3)
+        # Absent, the key takes a default nobody can see from here; named
+        # twice, which value lands is the backend's business.
+        assert _scope("INSERT INTO t (v) VALUES ('x')") == _table("t")
+        assert _scope("INSERT INTO t (id, id) VALUES (1, 2)") == _table("t")
 
     def test_insert_shape_without_column_list(self):
         # No column list: values are positional, matched to the PK by its
-        # catalog ordinal.
-        statement = classify("INSERT INTO t VALUES (3, 'x')")
-        assert statement.insert_columns is None
-        assert statement.insert_values == (("value", 3), ("value", "x"))
+        # catalog ordinal — which a seeded key (no catalog) does not have.
+        assert _scope("INSERT INTO t VALUES (3, 'x')", ordinal=1) == _keys("t", 3)
+        assert _scope("INSERT INTO t VALUES ('x', 3)", ordinal=2) == _keys("t", 3)
+        assert _scope("INSERT INTO t VALUES (3)", ordinal=2) == _table("t")
+        assert _scope("INSERT INTO t VALUES (3, 'x')") == _table("t")
 
     def test_multi_row_insert_has_no_values(self):
-        # Two rows ⇒ two keys; the scheduler must take the table lock.
-        statement = classify("INSERT INTO t (id) VALUES (1), (2)")
-        assert statement.insert_columns == ("id",)
-        assert statement.insert_values is None
+        # Two rows ⇒ two keys; the write takes the table.
+        assert _scope("INSERT INTO t (id) VALUES (1), (2)") == _table("t")
 
     def test_insert_select_has_no_values(self):
-        assert classify("INSERT INTO a (id) SELECT id FROM b").insert_values is None
+        statement = classify("INSERT INTO a (id) SELECT id FROM b")
+        assert statement.dml is None
+        assert _scope("INSERT INTO a (id) SELECT id FROM b") == LockScope(
+            tables=frozenset({"a", "b"})
+        )
 
     def test_expression_values_are_opaque(self):
-        statement = classify("INSERT INTO t (id, v) VALUES (1 + 2, 'x')")
-        assert statement.insert_values is not None
-        assert statement.insert_values[0] == ("opaque", None)
+        # Only a literal or a named parameter is a key (the parser reads
+        # DEFAULT as a column reference).
+        assert _scope("INSERT INTO t (id, v) VALUES (1 + 2, 'x')") == _table("t")
+        assert _scope("INSERT INTO t (id, v) VALUES (DEFAULT, 'x')") == _table("t")
+        assert _scope("UPDATE t SET v = v + 1 WHERE id = 1 + 2") == _table("t")
+        # ...but an expression elsewhere in the row or the SET list is
+        # that row's own business.
+        assert _scope("INSERT INTO t (id, v) VALUES (1, 2 + 3)") == _keys("t", 1)
+        assert _scope("UPDATE t SET v = v + 1 WHERE id = 3") == _keys("t", 3)
 
     def test_where_terminators_end_the_region(self):
-        # The ORDER BY column equality-lookalike must not leak into the
-        # extracted predicates.
-        statement = classify("DELETE FROM t WHERE id = 4 ORDER BY ts LIMIT 1")
-        assert statement.where_equalities == (("id", ("value", 4)),)
+        # The parser has no ORDER BY / LIMIT / RETURNING on a write, so
+        # it reads none of the text and the write takes the table — the
+        # ORDER BY column can leak into nothing.
+        assert classify("DELETE FROM t WHERE id = 4 ORDER BY ts LIMIT 1").dml is None
+        assert _scope("DELETE FROM t WHERE id = 4 ORDER BY ts LIMIT 1") == _table("t")
+        assert _scope("DELETE FROM t WHERE id = 4 RETURNING v") == _table("t")
+
+    def test_spellings_the_grammar_proves_identical_share_a_scope(self):
+        # Parentheses do not exist in the AST and one trailing ';' ends
+        # the statement: the same rows, so the same key.
+        assert _scope("UPDATE t SET v = 1 WHERE id = 5;") == _keys("t", 5)
+        assert _scope("UPDATE t SET v = 1 WHERE (id) = (5)") == _keys("t", 5)
+        assert _scope("DELETE FROM t WHERE id IN ((1), (2))") == _keys("t", 1, 2)
+        assert _scope("INSERT INTO t (id, v) VALUES ((1), 'x')") == _keys("t", 1)
+        # A second statement after the ';' is not the same statement.
+        assert _scope("UPDATE t SET v = 1 WHERE id = 5; DELETE FROM t") == _table("t")
+
+    def test_using_names_a_second_table(self):
+        # A table the scan does not see is not locked, not colocated and
+        # not a cache dependency.
+        statement = classify("DELETE FROM t USING u WHERE t.k = u.k")
+        assert statement.write_tables == frozenset({"t"})
+        assert statement.read_tables == frozenset({"u"})
+        assert _scope("DELETE FROM t USING u WHERE t.k = u.k").tables == {"t", "u"}
+        merge = classify("MERGE INTO t USING public.u ON t.id = u.id WHEN MATCHED THEN DELETE")
+        assert (merge.write_tables, merge.read_tables) == (frozenset({"t"}), frozenset({"u"}))
+        # JOIN ... USING (column) names a column list, not a table.
+        assert classify("SELECT * FROM a JOIN b USING (id)").read_tables == {"a", "b"}
+
+    def test_only_row_level_writes_are_parsed(self):
+        # Reads, DDL and transaction control never reach the parser here;
+        # a text it rejects is a None, never an exception.
+        for sql in ("SELECT * FROM t WHERE id = 1", "CREATE TABLE t (id INTEGER)", "BEGIN",
+                    "EXPLAIN DELETE FROM t WHERE id = 1",
+                    "WITH c AS (SELECT 1) DELETE FROM t WHERE id = 1",
+                    "DELETE FROM t WHERE " + "(" * 3000 + "id = 1" + ")" * 3000):
+            assert classify(sql).dml is None, sql
+        assert type(classify("DELETE FROM t WHERE id = 1").dml).__name__ == "Delete"
+
+
+def _keys(table, *keys):
+    return LockScope(keys=frozenset((table, key) for key in keys))
+
+
+def _table(table):
+    return LockScope(tables=frozenset({table}))
+
+
+def _scope(sql, params=None, pk="id", data_type="INTEGER", ordinal=None):
+    """The scope ``sql`` resolves to when its write table is keyed on
+    ``pk``: seeded (no catalog ordinal) unless ``ordinal`` is given,
+    which is then what the catalog probe answers."""
+    statement = classify(sql)
+    (table,) = statement.write_tables
+    if ordinal is None:
+        resolver = ScopeResolver(lambda: [], {table: (pk, data_type)})
+    else:
+        rows = [(table, "", pk, ordinal, data_type, True)]
+        catalog = SimpleNamespace(execute=lambda sql, params, track: ([], rows, 1))
+        resolver = ScopeResolver(lambda: [catalog])
+    return resolver.resolve(statement, params)[0]
 
 
 class TestLoadBalancerPolicies:

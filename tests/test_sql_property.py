@@ -141,7 +141,7 @@ def _typed(draw, shape, column):
 def _predicates(draw, shape, depth=0):
     """A predicate as nested tuples; ``_render`` turns it into SQL."""
     kind = draw(
-        st.sampled_from(["eq", "eq", "eq", "in", "is_null", "between"] + ["and", "and", "or", "not"] * (depth < 3))
+        st.sampled_from(["eq", "eq", "eq", "in", "is_null", "between", "like"] + ["and", "and", "or", "not"] * (depth < 3))
     )
     if kind in ("and", "or"):
         return kind, draw(_predicates(shape, depth + 1)), draw(_predicates(shape, depth + 1))
@@ -155,6 +155,8 @@ def _predicates(draw, shape, depth=0):
         return kind, column, choices + choices[: draw(st.integers(0, 1))], draw(st.booleans())
     if kind == "is_null":
         return kind, column, draw(st.booleans())
+    if kind == "like":
+        return kind, column, (draw(st.sampled_from(["5", "_5", "%", "a%", ""])), draw(_renderings)), draw(st.booleans())
     low, high = _typed(draw, shape, column), _typed(draw, shape, column)
     return kind, column, (low, "literal"), (high, draw(_renderings)), draw(st.booleans())
 
@@ -195,6 +197,8 @@ class _Rendering:
             return f"{column} {'NOT ' if node[3] else ''}IN ({choices})"
         if kind == "is_null":
             return f"{column} IS {'NOT ' if node[2] else ''}NULL"
+        if kind == "like":
+            return f"{column} {'NOT ' if node[3] else ''}LIKE {self.constant(node[2])}"
         low, high = self.constant(node[2]), self.constant(node[3])
         return f"{column} {'NOT ' if node[4] else ''}BETWEEN {low} AND {high}"
 

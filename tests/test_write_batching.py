@@ -614,28 +614,35 @@ class TestBatchedResync:
 
 
 class TestInListKeyScopes:
+    def _scope(self, sql, params=None):
+        return self._resolver("t").resolve(classify(sql), params)[0]
+
     def test_classifier_extracts_in_list_keys(self):
-        statement = classify("UPDATE t SET v = 1 WHERE id IN (1, 2, 3)")
-        assert statement.where_in_lists == (
-            ("id", (("value", 1), ("value", 2), ("value", 3))),
-        )
+        scope = self._scope("UPDATE t SET v = 1 WHERE id IN (1, 2, 3)")
+        assert scope == LockScope(keys=frozenset({("t", 1), ("t", 2), ("t", 3)}))
 
     def test_classifier_extracts_params_and_delete(self):
-        statement = classify("DELETE FROM t WHERE id IN ($a, $b)")
-        assert statement.where_in_lists == (("id", (("param", "a"), ("param", "b"))),)
+        scope = self._scope("DELETE FROM t WHERE id IN ($a, $b)", {"a": 1, "b": 1})
+        assert scope == LockScope(keys=frozenset({("t", 1)}))
 
     def test_not_in_and_subqueries_and_or_never_match(self):
-        assert classify("UPDATE t SET v = 1 WHERE id NOT IN (1, 2)").where_in_lists == ()
-        assert (
-            classify("UPDATE t SET v = 1 WHERE id IN (SELECT id FROM u)").where_in_lists
-            == ()
+        table = LockScope(tables=frozenset({"t"}))
+        assert self._scope("UPDATE t SET v = 1 WHERE id NOT IN (1, 2)") == table
+        assert self._scope("UPDATE t SET v = 1 WHERE NOT (id IN (1, 2))") == table
+        assert self._scope("UPDATE t SET v = 1 WHERE id IN (SELECT id FROM u)") == LockScope(
+            tables=frozenset({"t", "u"})
         )
         # A top-level OR widens the matched rows: no conjunct bounds the
         # statement any more.
-        assert (
-            classify("UPDATE t SET v = 1 WHERE id IN (1, 2) OR v = 3").where_in_lists
-            == ()
-        )
+        assert self._scope("UPDATE t SET v = 1 WHERE id IN (1, 2) OR v = 3") == table
+        # A PK-reassigning UPDATE moves rows to a key outside the list.
+        assert self._scope("UPDATE t SET id = 9 WHERE id IN (1, 2)") == table
+
+    def test_first_conjunct_per_column_is_the_bound(self):
+        # key_terms keeps one conjunct per column; either is a sound
+        # bound, the intersection would only be a tighter one.
+        scope = self._scope("DELETE FROM t WHERE id IN (1, 2) AND id = 1")
+        assert scope == LockScope(keys=frozenset({("t", 1), ("t", 2)}))
 
     @staticmethod
     def _resolver(table):

@@ -134,6 +134,18 @@ GATES = [
         allowed=1,
     ),
     Gate(
+        r"where_equalities|where_in_lists|insert_values|KeyExpr|_match_equality|_match_in_list",
+        ("src/repro/cluster",),
+        "a second reading of a write: which rows a statement touches is read off the parser's "
+        "AST (ClassifiedStatement.dml, expressions.key_terms), never off the token stream",
+    ),
+    Gate(
+        r'"NUMBER"|"STRING"|"PARAM"',
+        ("src/repro/cluster/classifier.py",),
+        "the classifier reads names, never values: a literal or a parameter means something "
+        "only in the grammar, and the grammar is sqlengine/parser.py",
+    ),
+    Gate(
         r"recv\(timeout=None\)|_cond\.wait\(\)",
         ("src/repro",),
         "a new unbounded wait: give it a timeout or a cancel path "
