@@ -1155,7 +1155,7 @@ class Controller:
         session_id = request_id = None
 
         def refuse(reply: Dict[str, Any]) -> None:
-            self._send(state, _correlated(reply, session_id, request_id))
+            self._reply(state, session, reply, session_id, request_id)
 
         if session is None:
             try:
@@ -1233,7 +1233,24 @@ class Controller:
             # succeeded, failed, or raised.
             if holds_slot:
                 self._release_statement()
-        reply = self._finish_trace(trace, sql, reply)
+        self._reply(state, session, self._finish_trace(trace, sql, reply), session_id, request_id)
+
+    def _reply(
+        self,
+        state: _ChannelState,
+        session: Optional[_Session],
+        reply: Dict[str, Any],
+        session_id: Optional[str],
+        request_id: Optional[int],
+    ) -> None:
+        """The one place a session's RESULT/ERROR leaves the controller
+        — a statement's outcome and an admission refusal alike — so it
+        is where the reply says whether the session's transaction is
+        open *now* (``in_transaction``, omitted when false like every
+        optional field): the driver's flag is whatever this said last.
+        ``session`` is None only for an EXECUTE naming no open session."""
+        if session is not None and session.context.in_transaction:
+            reply["in_transaction"] = True
         self._send(state, _correlated(reply, session_id, request_id))
 
     def _enqueue(self, state: _ChannelState, session: _Session, item: Any) -> bool:

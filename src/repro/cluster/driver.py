@@ -27,6 +27,7 @@ import time
 import uuid
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
+from repro.cluster.classifier import is_transaction_control
 from repro.cluster.wire import (
     CLUSTER_PROTOCOL_VERSION,
     ERROR_NOT_PRIMARY,
@@ -499,8 +500,11 @@ class ClusterConnection(WireConnection):
                 # transaction's earlier statements. The connection ends
                 # here; detaching tells a controller that is still alive
                 # to roll the transaction back now, not whenever the
-                # application gets round to close(). A connection closed
-                # from another thread meanwhile is not re-attached either.
+                # application gets round to close(). "Mid-transaction" is
+                # what the controller said on the session's last reply,
+                # so it holds however the transaction was opened. A
+                # connection closed from another thread meanwhile is not
+                # re-attached either.
                 if self._in_transaction or self._closed:
                     self._detach()
                     self._closed = True
@@ -560,10 +564,13 @@ class ClusterConnection(WireConnection):
             pendings = [
                 link.submit(session_id, sql, params, trace_id) for sql, params in statements
             ]
-            return [link.wait(pending, timeout) for pending in pendings]
+            replies = [link.wait(pending, timeout) for pending in pendings]
         except TransportError as exc:
             self._detach()
             raise OperationalError(f"controller connection lost: {exc}") from exc
+        for reply in replies:
+            self._reply_received(reply)
+        return replies
 
     def _interpret_reply(self, reply: Dict[str, Any]) -> Dict[str, Any]:
         if reply.get("type") == ClusterMessageType.ERROR:
@@ -607,22 +614,22 @@ class ClusterConnection(WireConnection):
         private one — so pipelining inside an open transaction is
         supported: the fired batch lands in order within the
         transaction, and the final COMMIT (issued separately) flushes
-        it. Transaction *control* cannot be pipelined: a BEGIN/COMMIT in
-        the middle of an already-fired batch could not abort the
-        statements behind it. There is no transparent failover for a
-        pipeline — by the time an error surfaces, later statements may
-        already have executed, so the failure is raised as-is (results
-        before the failing statement are lost to the caller but were
-        applied by the cluster)."""
+        it. Transaction *control* — what the classifier calls one —
+        cannot be pipelined: a BEGIN/COMMIT in the middle of an
+        already-fired batch could not abort the statements behind it.
+        There is no transparent failover for a pipeline — by the time an
+        error surfaces, later statements may already have executed, so
+        the failure is raised as-is (results before the failing
+        statement are lost to the caller but were applied by the
+        cluster)."""
         prepared: List[Tuple[str, Dict[str, Any]]] = []
         for statement in statements:
             if isinstance(statement, str):
                 sql, params = statement, {}
             else:
                 sql, params = statement[0], dict(statement[1] or {})
-            head = sql.split(None, 1)[0].upper() if sql.strip() else ""
-            if head in ("BEGIN", "COMMIT", "ROLLBACK", "START", "END"):
-                raise ProgrammingError(f"cannot pipeline transaction control ({head})")
+            if is_transaction_control(sql):
+                raise ProgrammingError(f"cannot pipeline transaction control ({sql.strip()})")
             prepared.append((sql, params))
         with self._lock:
             if self._closed:

@@ -584,10 +584,22 @@ class ReplicatedLogStore(LogStore):
         majority ack implies majority-local durability. Epoch/role
         transitions happen under ``_state_lock``; the append+fsync work
         runs outside it (serialised by ``_apply_lock``) so election
-        probes answered by :meth:`status` never queue behind a flush."""
+        probes answered by :meth:`status` never queue behind a flush.
+
+        The whole frame is decoded before any of it is applied: one that
+        does not decode is refused (``bad_replicate``) with the log, the
+        epoch and the role untouched — raising would kill the peer
+        channel's thread, and the sender would read that as "peer down"."""
+        try:
+            frame_epoch = int(frame.get("epoch", 0))
+            floor = int(frame.get("truncated_through", 0))
+            entries = [LogEntry.from_wire(e) for e in frame.get("entries") or []]
+            for item in frame.get("checkpoints") or []:
+                str(item["name"]), int(item["index"])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            return make_error("bad_replicate", f"malformed REPLICATE frame: {exc!r}"), []
         with self._apply_lock:
             with self._state_lock:
-                frame_epoch = int(frame.get("epoch", 0))
                 if frame_epoch < self.epoch or (
                     frame_epoch == self.epoch and self.role == ROLE_PRIMARY
                 ):
@@ -608,8 +620,6 @@ class ReplicatedLogStore(LogStore):
                         self.depositions += 1
                     self._persist_meta_locked()
                 self.primary_hint = frame.get("origin_address") or self.primary_hint
-            entries = [LogEntry.from_wire(e) for e in frame.get("entries") or []]
-            floor = int(frame.get("truncated_through", 0))
             local_last = self.inner.last_index
             gap = False
             applied: List[LogEntry] = []

@@ -50,6 +50,7 @@ from repro.core.messages import (
 )
 from repro.core.package import DriverPackage, DriverSigner
 from repro.core.policies import TransitionReport, apply_expiration_policy
+from repro.dbapi.api import Cursor
 from repro.dbapi.urls import parse_url
 from repro.errors import DrivolutionError, TransportError
 from repro.netsim.secure import CertificateAuthority, SecureChannel
@@ -98,12 +99,51 @@ class BootloaderConfig:
     request_timeout: float = 10.0
 
 
+class ManagedCursor(Cursor):
+    """A driver cursor handed to the application: everything passes
+    through, and the end of every statement — whatever it was and
+    however it ended — is reported to the :class:`ManagedConnection`."""
+
+    def __init__(self, managed: "ManagedConnection", inner: Cursor) -> None:
+        self._managed = managed
+        self._inner = inner
+
+    @property
+    def description(self):
+        return self._inner.description
+
+    @property
+    def rowcount(self) -> int:
+        return self._inner.rowcount
+
+    def execute(self, sql: str, params: Optional[Dict[str, Any]] = None) -> "ManagedCursor":
+        try:
+            self._inner.execute(sql, params)
+        finally:
+            self._managed._statement_finished()
+        return self
+
+    def fetchone(self):
+        return self._inner.fetchone()
+
+    def fetchmany(self, size: Optional[int] = None):
+        return self._inner.fetchmany(self.arraysize if size is None else size)
+
+    def fetchall(self):
+        return self._inner.fetchall()
+
+    def close(self) -> None:
+        self._inner.close()
+
+
 class ManagedConnection:
     """A connection handed to the application, tracked by the bootloader.
 
     All calls pass through to the underlying driver connection; the wrapper
-    only observes transaction boundaries and close so the bootloader can
-    apply expiration policies.
+    only sees each statement finish, and close, so the bootloader can apply
+    expiration policies. Whether a transaction is open is the driver
+    connection's answer (``in_transaction`` — what the server said on the
+    last reply), never inferred from which of these methods was called.
     """
 
     _counter = 0
@@ -121,20 +161,29 @@ class ManagedConnection:
 
     # -- passthrough DB-API surface ------------------------------------------
 
-    def cursor(self):
-        return self._inner.cursor()
+    def cursor(self) -> ManagedCursor:
+        return ManagedCursor(self, self._inner.cursor())
 
     def begin(self) -> None:
         self._inner.begin()
 
     def commit(self) -> None:
-        self._inner.commit()
-        if self._close_after_commit:
-            self.close()
+        try:
+            self._inner.commit()
+        finally:
+            self._statement_finished()
 
     def rollback(self) -> None:
-        self._inner.rollback()
-        if self._close_after_commit:
+        try:
+            self._inner.rollback()
+        finally:
+            self._statement_finished()
+
+    def _statement_finished(self) -> None:
+        """AFTER_COMMIT: a connection told to close after its transaction
+        does so after the statement that ended it — a COMMIT or ROLLBACK
+        by method or by text alike."""
+        if self._close_after_commit and not self._inner.in_transaction:
             self.close()
 
     def close(self) -> None:

@@ -33,7 +33,17 @@ from repro.dbserver.wire import PROTOCOL_VERSION
 PYDB_API_NAME = "PYDB-API"
 SEQUOIA_API_NAME = "SEQUOIA"
 
-_PYDB_TEMPLATE = '''"""Auto-generated pydb driver package: {name} v{version_string}."""
+#: Per driver family: the import of its runtime as ``Runtime``, and the
+#: constructor line only that runtime takes.
+_RUNTIMES = {
+    PYDB_API_NAME: (
+        "from repro.dbapi.runtime import RuntimeDriver as Runtime",
+        "\n    extensions=list(EXTENSIONS),",
+    ),
+    SEQUOIA_API_NAME: ("from repro.cluster.driver import ClusterDriverRuntime as Runtime", ""),
+}
+
+_TEMPLATE = '''"""Auto-generated {api_name} driver package: {name} v{version_string}."""
 
 DRIVER_NAME = {name!r}
 DRIVER_VERSION = {driver_version!r}
@@ -44,15 +54,14 @@ PRECONFIGURED_URL = {preconfigured_url!r}
 DEFAULT_OPTIONS = {default_options!r}
 FEATURES = {{}}
 
-from repro.dbapi.runtime import RuntimeDriver
+{runtime_import}
 
-_runtime = RuntimeDriver(
+_runtime = Runtime(
     name=DRIVER_NAME,
     driver_version=DRIVER_VERSION,
     protocol_version=PROTOCOL_VERSION,
-    extensions=list(EXTENSIONS),
     preconfigured_url=PRECONFIGURED_URL,
-    default_options=dict(DEFAULT_OPTIONS),
+    default_options=dict(DEFAULT_OPTIONS),{runtime_keyword}
 )
 
 
@@ -66,37 +75,29 @@ def driver_runtime():
     return _runtime
 '''
 
-_SEQUOIA_TEMPLATE = '''"""Auto-generated Sequoia cluster driver package: {name} v{version_string}."""
 
-DRIVER_NAME = {name!r}
-DRIVER_VERSION = {driver_version!r}
-API_NAME = {api_name!r}
-PROTOCOL_VERSION = {protocol_version!r}
-EXTENSIONS = {extensions!r}
-PRECONFIGURED_URL = {preconfigured_url!r}
-DEFAULT_OPTIONS = {default_options!r}
-FEATURES = {{}}
-
-from repro.cluster.driver import ClusterDriverRuntime
-
-_runtime = ClusterDriverRuntime(
-    name=DRIVER_NAME,
-    driver_version=DRIVER_VERSION,
-    protocol_version=PROTOCOL_VERSION,
-    preconfigured_url=PRECONFIGURED_URL,
-    default_options=dict(DEFAULT_OPTIONS),
-)
-
-
-def connect(url, user=None, password=None, network=None, **options):
-    """DB-API entry point used by applications and the bootloader."""
-    return _runtime.connect(url, user=user, password=password, network=network, **options)
-
-
-def driver_runtime():
-    """Expose the runtime for tests and diagnostics."""
-    return _runtime
-'''
+def _render_source(
+    api_name: str,
+    name: str,
+    driver_version: Tuple[int, int, int],
+    protocol_version: int,
+    extensions: Iterable[str],
+    preconfigured_url: Optional[str],
+    default_options: Optional[Dict[str, Any]],
+) -> str:
+    runtime_import, runtime_keyword = _RUNTIMES[api_name]
+    return _TEMPLATE.format(
+        runtime_import=runtime_import,
+        runtime_keyword=runtime_keyword,
+        name=name,
+        version_string=".".join(str(part) for part in driver_version),
+        driver_version=tuple(driver_version),
+        api_name=api_name,
+        protocol_version=protocol_version,
+        extensions=list(extensions),
+        preconfigured_url=preconfigured_url,
+        default_options=dict(default_options or {}),
+    )
 
 
 def render_pydb_source(
@@ -108,15 +109,9 @@ def render_pydb_source(
     default_options: Optional[Dict[str, Any]] = None,
 ) -> str:
     """Render the Python source of a pydb driver package."""
-    return _PYDB_TEMPLATE.format(
-        name=name,
-        version_string=".".join(str(part) for part in driver_version),
-        driver_version=tuple(driver_version),
-        api_name=PYDB_API_NAME,
-        protocol_version=protocol_version,
-        extensions=list(extensions),
-        preconfigured_url=preconfigured_url,
-        default_options=dict(default_options or {}),
+    return _render_source(
+        PYDB_API_NAME, name, driver_version, protocol_version, extensions,
+        preconfigured_url, default_options,
     )
 
 
@@ -160,15 +155,9 @@ def render_sequoia_source(
     default_options: Optional[Dict[str, Any]] = None,
 ) -> str:
     """Render the Python source of a Sequoia cluster driver package."""
-    return _SEQUOIA_TEMPLATE.format(
-        name=name,
-        version_string=".".join(str(part) for part in driver_version),
-        driver_version=tuple(driver_version),
-        api_name=SEQUOIA_API_NAME,
-        protocol_version=protocol_version,
-        extensions=[],
-        preconfigured_url=preconfigured_url,
-        default_options=dict(default_options or {}),
+    return _render_source(
+        SEQUOIA_API_NAME, name, driver_version, protocol_version, (),
+        preconfigured_url, default_options,
     )
 
 

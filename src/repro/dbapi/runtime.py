@@ -10,8 +10,9 @@ gets distributed and versioned, the library does the actual talking.
 The module also holds what every driver runtime in the repro shares —
 the cluster driver (:mod:`repro.cluster.driver`) builds on the same
 three bases: :class:`ResultCursor` (a cursor over one buffered RESULT
-reply), :class:`WireConnection` (the DB-API transaction surface and
-the connection lifecycle — ``close()`` from any thread — over a
+reply), :class:`WireConnection` (the DB-API transaction surface, the
+transaction flag — what the session's owner said on the last reply —
+and the connection lifecycle — ``close()`` from any thread — over a
 subclass's ``_execute_locked`` and ``_detach``) and
 :class:`DriverRuntime` (identity, option merging, pre-configured URLs,
 connection tracking).
@@ -173,21 +174,25 @@ class WireConnection(Connection):
             raise InterfaceError("connection is closed")
         return ResultCursor(self)
 
+    def _reply_received(self, reply: Dict[str, Any]) -> None:
+        """Every statement's reply, RESULT or ERROR, passes here before
+        it is interpreted. The server that owns the session says on each
+        whether a transaction is open on it (``in_transaction``, omitted
+        when false): that — not which method the application called or
+        what its SQL looked like — is the flag, and this is its only
+        writer."""
+        self._in_transaction = bool(reply.get("in_transaction"))
+
     def begin(self) -> None:
         self._execute("BEGIN", {})
-        self._in_transaction = True
 
     def commit(self) -> None:
-        if not self._in_transaction:
-            return
-        self._execute("COMMIT", {})
-        self._in_transaction = False
+        if self._in_transaction:
+            self._execute("COMMIT", {})
 
     def rollback(self) -> None:
-        if not self._in_transaction:
-            return
-        self._execute("ROLLBACK", {})
-        self._in_transaction = False
+        if self._in_transaction:
+            self._execute("ROLLBACK", {})
 
     @property
     def closed(self) -> bool:
@@ -223,6 +228,7 @@ class RuntimeConnection(WireConnection):
         except TransportError as exc:
             self._closed = True
             raise OperationalError(f"connection lost: {exc}") from exc
+        self._reply_received(reply)
         if reply.get("type") == MessageType.ERROR:
             _raise_for_error(reply)
         if reply.get("type") != MessageType.RESULT:
@@ -235,8 +241,7 @@ class RuntimeConnection(WireConnection):
             if self._in_transaction:
                 # Answered before the CLOSE goes out, so the transaction
                 # is rolled back by the time close() returns.
-                self._in_transaction = False
-                self._exchange(make_execute("ROLLBACK"), timeout=30.0)
+                self._reply_received(self._exchange(make_execute("ROLLBACK"), timeout=30.0))
             self._channel.send({"type": MessageType.CLOSE})
         except TransportError:
             pass

@@ -138,21 +138,40 @@ class ServerSession:
             if message_type == MessageType.PING:
                 self._channel.send({"type": MessageType.PONG})
                 continue
-            if message_type != MessageType.EXECUTE:
-                self._channel.send(make_error("bad_message", f"unexpected message {message_type!r}"))
-                continue
-            sql = str(message.get("sql", ""))
-            params = message.get("params") or {}
-            positional = message.get("positional") or []
+            reply = self._answer(message)
+            # Every RESULT/ERROR says whether this session's transaction
+            # is open *now* — the engine's answer, however it was opened
+            # or ended; omitted when false, like every optional field
+            # (docs/wire.md).
+            if self.sql_session.in_transaction:
+                reply["in_transaction"] = True
             try:
-                result = self.sql_session.execute(sql, params=params, positional=positional)
-            except SqlEngineError as exc:
-                self._channel.send(make_error("sql_error", str(exc)))
-                continue
-            except ReproError as exc:  # pragma: no cover - defensive
-                self._channel.send(make_error("internal_error", str(exc)))
-                continue
-            try:
-                self._channel.send(make_result(result.columns, result.rows, result.rowcount))
+                self._channel.send(reply)
             except TransportError:
                 return
+
+    def _answer(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        """The RESULT or ERROR for one frame of the statement loop. An
+        ill-typed EXECUTE is refused like an unexpected frame: raising
+        would kill this session's thread and the client would see a
+        closed channel where it is owed an answer."""
+        message_type = message.get("type")
+        if message_type != MessageType.EXECUTE:
+            return make_error("bad_message", f"unexpected message {message_type!r}")
+        sql = message.get("sql", "")
+        params = message.get("params") or {}
+        positional = message.get("positional") or []
+        if not (
+            isinstance(sql, str) and isinstance(params, dict) and isinstance(positional, list)
+        ):
+            return make_error(
+                "bad_message",
+                "EXECUTE takes a string sql, a mapping params and a list positional",
+            )
+        try:
+            result = self.sql_session.execute(sql, params=params, positional=positional)
+        except SqlEngineError as exc:
+            return make_error("sql_error", str(exc))
+        except ReproError as exc:  # pragma: no cover - defensive
+            return make_error("internal_error", str(exc))
+        return make_result(result.columns, result.rows, result.rowcount)

@@ -63,3 +63,22 @@ def test_key_shape_gates_match_the_token_matcher_they_retired():
         assert gate.allowed == 0 and check_forks.check_gate(gate) == []
         for line in lines:
             assert check_forks.re.search(gate.pattern, line), line
+
+
+def test_transaction_flag_gates_match_the_client_side_guesses_they_retired():
+    """Same shape: both allow nothing, and each pattern matches the lines
+    that used to set the flag from an API call or sniff a keyword."""
+    check_forks = _check_forks()
+    retired = {
+        "a client-side guess at the transaction state": [
+            "        self._in_transaction = True",
+        ],
+        "the driver sniffs a statement's first word": [
+            '            head = sql.split(None, 1)[0].upper() if sql.strip() else ""',
+        ],
+    }
+    for prefix, lines in retired.items():
+        (gate,) = [gate for gate in check_forks.GATES if gate.message.startswith(prefix)]
+        assert gate.allowed == 0 and check_forks.check_gate(gate) == []
+        for line in lines:
+            assert check_forks.re.search(gate.pattern, line), line

@@ -6,7 +6,7 @@ from repro.dbapi import OperationalError, ProgrammingError
 from repro.dbapi.runtime import RuntimeDriver
 from repro.dbserver import DatabaseServer, PasswordAuthenticator, ServerConfig, TokenAuthenticator
 from repro.dbserver.auth import compute_token
-from repro.dbserver.wire import PROTOCOL_VERSION
+from repro.dbserver.wire import PROTOCOL_VERSION, MessageType, make_connect, make_execute
 from repro.netsim import InMemoryNetwork
 from repro.sqlengine import Engine
 
@@ -122,6 +122,30 @@ class TestStatementsAndErrors:
         cursor.execute("SELECT 1")
         assert cursor.fetchone() == (1,)
         connection.close()
+
+    def test_ill_typed_execute_is_refused_and_the_session_keeps_serving(self, setup):
+        # Raising out of the statement loop kills the session's thread:
+        # the client reads a closed channel where it is owed an ERROR.
+        network, _engine, _server = setup
+        with network.connect("srv:5432", timeout=5.0) as channel:
+            reply = channel.request(
+                make_connect("appdb", None, None, PROTOCOL_VERSION), timeout=5.0
+            )
+            assert reply["type"] == MessageType.CONNECT_OK
+            for fields in (
+                {"sql": "SELECT ?", "positional": 5},
+                {"sql": "SELECT 1", "params": [1]},
+                {"sql": "SELECT 1", "params": "x"},
+                {"sql": 7},
+                {"sql": ["SELECT 1"]},
+                {"sql": "SELECT ?", "positional": "ab"},
+            ):
+                reply = channel.request({"type": MessageType.EXECUTE, **fields}, timeout=5.0)
+                assert reply["type"] == MessageType.ERROR, fields
+                assert reply["code"] == "bad_message", fields
+            # Same channel, well-formed frame: still served.
+            reply = channel.request(make_execute("SELECT ?", positional=[5]), timeout=5.0)
+            assert reply["type"] == MessageType.RESULT and reply["rows"] == [[5]]
 
     def test_ping(self, setup):
         network, _engine, _server = setup

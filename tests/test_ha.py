@@ -401,6 +401,42 @@ class TestControllerHAReplication:
             assert follower.ha_store.last_index == head
         conn.close()
 
+    def test_malformed_replicate_is_refused_and_the_peer_channel_survives(self, ha_env):
+        # A frame that does not decode must be answered, not raised on: a
+        # dead peer-channel thread reads as "peer down" to the sender.
+        # Nothing of it may be applied — not the epoch it names either.
+        primary = _primary_of(ha_env)
+        follower = next(c for c in ha_env.controllers if c is not primary)
+        store = follower.ha_store
+        head, epoch = store.last_index, store.epoch
+        good = _entry(head + 1).to_wire()
+
+        def frame(**overrides):
+            message = make_replicate("p", primary.address, epoch + 5, [good], 0)
+            message.update(overrides)
+            return message
+
+        with ha_env.network.connect(follower.address, source=primary.address) as channel:
+            for malformed in (
+                frame(epoch="x"),
+                frame(entries=[{"bogus": 1}]),
+                frame(entries=[good, "x"]),
+                frame(entries=7),
+                frame(truncated_through=[]),
+                frame(checkpoints=[{"name": "cp"}]),
+            ):
+                reply = channel.request(malformed, timeout=5.0)
+                assert reply["type"] == ClusterMessageType.ERROR, malformed
+                assert reply["code"] == "bad_replicate", malformed
+                assert (store.last_index, store.epoch) == (head, epoch)
+                assert not store.is_primary and store.epoch_adoptions == 0
+            # Same channel, a well-formed round: still served.
+            reply = channel.request(
+                make_replicate("p", primary.address, epoch, [good], 0), timeout=5.0
+            )
+            assert reply["type"] == ClusterMessageType.REPLICATE_OK
+            assert store.last_index == head + 1
+
 
 class TestGroupOfOne:
     def test_standalone_controller_is_its_own_primary_and_majority(self):

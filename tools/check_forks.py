@@ -146,6 +146,18 @@ GATES = [
         "only in the grammar, and the grammar is sqlengine/parser.py",
     ),
     Gate(
+        r"self\._in_transaction = True",
+        ("src/repro",),
+        "a client-side guess at the transaction state: WireConnection._reply_received is the "
+        "flag's one writer and assigns what the session's owner said on a reply",
+    ),
+    Gate(
+        r"split\(None, 1\)\[0\]\.upper\(\)",
+        ("src/repro/cluster/driver.py",),
+        "the driver sniffs a statement's first word: what a statement is comes from "
+        "cluster/classifier.py (is_transaction_control)",
+    ),
+    Gate(
         r"recv\(timeout=None\)|_cond\.wait\(\)",
         ("src/repro",),
         "a new unbounded wait: give it a timeout or a cancel path "
