@@ -8,9 +8,9 @@ the request scheduler. It supports:
   the controller, never newer),
 - disabling a backend around a consistent checkpoint and re-enabling it
   with a resync from the recovery log,
-- hosting extensions on its listener — this is how the embedded
-  Drivolution server of the hybrid deployment (Figure 6) answers
-  bootloader requests on the controller's own address,
+- one table of who may send what on its listener (``Controller.routes``),
+  joined by an embedded Drivolution server's rows — this is how the hybrid
+  deployment (Figure 6) answers bootloader requests on its own address,
 - group communication with peer controllers, used to replicate Drivolution
   driver installations so that "all client applications can be upgraded no
   matter which server they are connected to".
@@ -24,7 +24,8 @@ import uuid
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.backend import Backend
 from repro.cluster.broadcaster import WriteBroadcaster
@@ -48,6 +49,7 @@ from repro.cluster.scheduler import RequestScheduler, SchedulerError
 from repro.core.clock import Clock, wall_clock
 from repro.cluster.wire import (
     CLUSTER_PROTOCOL_VERSION,
+    ERROR_NOT_A_PEER,
     ERROR_NOT_PRIMARY,
     ERROR_SERVER_BUSY,
     MIN_CLIENT_PROTOCOL_VERSION,
@@ -60,6 +62,7 @@ from repro.cluster.wire import (
     make_connect_ok,
     make_error,
     make_group,
+    make_ha_status_ok,
     make_result,
     make_session_open_ok,
 )
@@ -69,18 +72,11 @@ from repro.core.package import DriverPackage
 from repro.core.registry import DriverPermission
 from repro.core.server import DrivolutionServer
 from repro.errors import DriverError, ReproError, TransportError
+from repro.netsim.ingress import STOP, Route, Sender, refuse_with, serve
 from repro.netsim.transport import Address, Channel, ChannelServer, Network
 
-#: Extension handlers receive (channel, first_message), as for the database server.
-ExtensionHandler = Callable[[Channel, Dict[str, Any]], None]
-
-#: First frames that open a peer controller's channel (group operation,
-#: replication round, election probe) rather than a client's.
-_PEER_FRAMES = (
-    ClusterMessageType.GROUP,
-    ClusterMessageType.REPLICATE,
-    ClusterMessageType.HA_STATUS,
-)
+#: Refuses a frame with the cluster protocol's ERROR and nothing more.
+_refuse = refuse_with(make_error)
 
 #: Seconds a group operation waits for a peer's ack (a peer still
 #: resyncing past it is skipped like an unreachable one).
@@ -222,8 +218,6 @@ class _ChannelState:
 
     def __init__(self, channel: Channel) -> None:
         self.channel = channel
-        #: Serialises concurrent workers' replies onto the one channel.
-        self.send_lock = threading.Lock()
         #: Guards ``sessions`` and every _Session's queue/flags.
         self.lock = threading.Lock()
         self.sessions: Dict[str, _Session] = {}
@@ -317,7 +311,52 @@ class Controller:
         self.heartbeat_errors = 0
         self.last_heartbeat_error: Optional[str] = None
         self._sessions: Dict[str, SessionContext] = {}
-        self._extensions: Dict[str, ExtensionHandler] = {}
+        group_peer = Sender("group peer", lambda ch: ch.remote_address in self.peers(), ERROR_NOT_A_PEER)
+        ha_peer = Sender(
+            "HA peer", lambda ch: ch.remote_address in self.ha_store.peer_addresses(), ERROR_NOT_A_PEER
+        )
+        #: Who may send what on this listener (docs/wire.md "Who may send
+        #: what"); an embedded Drivolution server adds its rows.
+        self.routes: Dict[str, Route] = {
+            ClusterMessageType.CONNECT: Route(
+                self._serve_client,
+                {"virtual_database": str, "protocol_version": int},
+                {"user": str, "password": str, "options": dict, "multiplex": bool, "trace": bool},
+                code="bad_handshake",
+            ),
+            ClusterMessageType.GROUP: Route(
+                self._apply_group_operation,
+                {"operation": str, "payload": dict},
+                {"origin": str},
+                group_peer,
+                "bad_group_operation",
+            ),
+            ClusterMessageType.REPLICATE: Route(
+                lambda channel, frame: self.ha_store.answer(frame, channel.remote_address),
+                {"epoch": int, "entries": list, "truncated_through": int},
+                {"origin": str, "checkpoints": list},
+                ha_peer,
+                "bad_replicate",
+            ),
+            ClusterMessageType.HA_STATUS: Route(
+                lambda channel, frame: make_ha_status_ok(**self.ha_store.status()),
+                optional={"origin": str},
+                sender=ha_peer,
+            ),
+        }
+        #: What a CONNECTed channel takes; a trunk also opens and closes sessions.
+        self._session_routes: Dict[str, Route] = {
+            ClusterMessageType.EXECUTE: Route(
+                self._on_execute, {"sql": str}, {"params": dict, "trace_id": str}
+            ),
+            ClusterMessageType.CLOSE: Route(lambda state, frame: STOP),
+            ClusterMessageType.PING: Route(lambda state, frame: {"type": ClusterMessageType.PONG}),
+        }
+        self._trunk_routes: Dict[str, Route] = {
+            **self._session_routes,
+            ClusterMessageType.SESSION_OPEN: Route(self._on_session_open),
+            ClusterMessageType.SESSION_CLOSE: Route(self._on_session_close),
+        }
         # Front end: a fixed statement-worker pool shared by every
         # trunk's logical sessions, and the live client channel states
         # (each owns one reader thread — the ChannelServer handler).
@@ -372,7 +411,7 @@ class Controller:
             )
         listener = self.network.listen(self.address)
         self._channel_server = ChannelServer(
-            listener, self._handle_channel, name=self.config.controller_id
+            listener, partial(serve, routes=self.routes, refuse=_refuse), name=self.config.controller_id
         )
         self._channel_server.start()
         if self.config.heartbeat_interval is not None and self.config.heartbeat_interval > 0:
@@ -562,19 +601,17 @@ class Controller:
 
     # -- tracing ---------------------------------------------------------------
 
-    def _start_trace(self, message: Optional[Dict[str, Any]] = None) -> Any:
-        """A Trace for one statement, or ``NULL_TRACE`` when tracing is off.
+    def _start_trace(self, message: Dict[str, Any]) -> Any:
+        """A Trace for one EXECUTE, or ``NULL_TRACE`` when tracing is off.
 
         Honours the client's ``trace_id`` when the EXECUTE carried one
         (so driver- and server-side records correlate) and marks the
         trace ``wire_requested`` so the reply carries the spans back;
-        server-initiated traces feed only the histogram/slow log and
-        leave the reply frame untouched."""
+        otherwise the trace feeds only the histogram/slow log and leaves
+        the reply frame untouched."""
         if not self.config.tracing:
             return NULL_TRACE
-        trace_id = message.get("trace_id") if message is not None else None
-        if not isinstance(trace_id, str) or not trace_id:
-            trace_id = None
+        trace_id = message.get("trace_id") or None
         return Trace(trace_id=trace_id, wire_requested=trace_id is not None)
 
     def _finish_trace(self, trace: Any, sql: str, reply: Dict[str, Any]) -> Dict[str, Any]:
@@ -733,14 +770,12 @@ class Controller:
             )
         return replayed
 
-    # -- extensions (embedded Drivolution server) -------------------------------------
-
-    def register_extension(self, message_prefix: str, handler: ExtensionHandler) -> None:
-        self._extensions[message_prefix] = handler
+    # -- embedded Drivolution server -------------------------------------------------
 
     def embed_drivolution(self, server: DrivolutionServer) -> None:
-        """Embed a Drivolution server: its protocol is served on this
-        controller's address (Figure 6)."""
+        """Embed a Drivolution server: its rows join this listener's
+        table, so its protocol is served on this controller's address
+        (Figure 6)."""
         self.drivolution = server
         server.attach_to_database_server(self)
 
@@ -831,15 +866,12 @@ class Controller:
                 refusals.append(f"{peer}: {reply.get('message', 'unknown error')}")
         return acknowledged, refusals
 
-    def _apply_group_operation(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Apply a peer's group operation here; returns the reply frame.
-        A frame that does not decode is refused (``bad_group_operation``)
+    def _apply_group_operation(self, channel: Channel, message: Dict[str, Any]) -> Dict[str, Any]:
+        """Apply a group peer's operation here; returns the reply frame.
+        A payload that does not decode is refused (``bad_group_operation``)
         like any other the peer may retry differently — raising here
         would kill the channel's thread and read as "unreachable"."""
-        operation = str(message.get("operation", ""))
-        payload = message.get("payload") or {}
-        if not isinstance(payload, dict):
-            return make_error("bad_group_operation", "payload is not a mapping")
+        operation, payload = message["operation"], message["payload"]
         try:
             if operation == "install_driver":
                 try:
@@ -912,62 +944,25 @@ class Controller:
 
     # -- client connections -----------------------------------------------------------------
 
-    def _handle_channel(self, channel: Channel) -> None:
-        try:
-            first = channel.recv(timeout=30.0)
-        except TransportError:
-            return
-        message_type = str(first.get("type", ""))
-        for prefix, handler in self._extensions.items():
-            if message_type.startswith(prefix):
-                handler(channel, first)
-                return
-        if message_type in _PEER_FRAMES:
-            self._serve_peer_channel(channel, first)
-            return
-        if message_type != ClusterMessageType.CONNECT:
-            channel.send(make_error("bad_handshake", f"expected seq_connect, got {message_type!r}"))
-            return
-        self._serve_client(channel, first)
-
-    def _serve_peer_channel(self, channel: Channel, message: Dict[str, Any]) -> None:
-        """The one way a peer controller's frames come in: answer each
-        group operation, replication round or election probe, then wait
-        for the next, until the channel dies. (A replication link sends
-        every round on one channel; a probe or a group operation sends
-        one frame and closes.)"""
-        while message.get("type") in _PEER_FRAMES:
-            if message["type"] == ClusterMessageType.GROUP:
-                reply = self._apply_group_operation(message)
-            else:
-                reply = self.ha_store.answer(message)
-            try:
-                channel.send(reply)
-                message = channel.recv(timeout=None)
-            except TransportError:
-                return
-
-    def _serve_client(self, channel: Channel, connect: Dict[str, Any]) -> None:
-        client_version = connect.get("protocol_version")
-        if not isinstance(client_version, int) or client_version < MIN_CLIENT_PROTOCOL_VERSION:
-            channel.send(
-                make_error(
-                    "protocol_mismatch",
-                    f"driver protocol version {client_version!r} too old for controller "
-                    f"{self.config.controller_id} (minimum {MIN_CLIENT_PROTOCOL_VERSION})",
-                )
+    def _serve_client(self, channel: Channel, connect: Dict[str, Any]) -> Any:
+        """Answer a CONNECT: a refusal, or the CONNECT_OK and then the
+        session table until the channel closes."""
+        client_version = connect["protocol_version"]
+        if client_version < MIN_CLIENT_PROTOCOL_VERSION:
+            return make_error(
+                "protocol_mismatch",
+                f"driver protocol version {client_version!r} too old for controller "
+                f"{self.config.controller_id} (minimum {MIN_CLIENT_PROTOCOL_VERSION})",
             )
-            return
         if client_version > self.config.protocol_version:
             # Drivers are backward compatible: a newer driver downgrades to
             # the controller's version, so this still succeeds.
             client_version = self.config.protocol_version
-        virtual_database = str(connect.get("virtual_database", ""))
+        virtual_database = connect["virtual_database"]
         if virtual_database != self.config.virtual_database:
-            channel.send(
-                make_error("unknown_database", f"virtual database {virtual_database!r} not hosted here")
+            return make_error(
+                "unknown_database", f"virtual database {virtual_database!r} not hosted here"
             )
-            return
         grant_multiplexing = bool(
             connect.get("multiplex") and client_version >= MULTIPLEX_MIN_VERSION
         )
@@ -995,7 +990,12 @@ class Controller:
                     tracing=grant_tracing,
                 )
             )
-            self._read_channel(state)
+            # The only thread receiving from the channel. On a trunk it
+            # queues statements for the worker pool and never blocks on the
+            # scheduler, so one slow statement cannot stall sibling
+            # sessions; on a dedicated channel it runs them (_on_execute).
+            routes = self._trunk_routes if grant_multiplexing else self._session_routes
+            serve(channel, routes, self._refuse_in_session, context=state, greeted=True)
         finally:
             with self._lock:
                 self._channels.discard(state)
@@ -1004,6 +1004,7 @@ class Controller:
                 leftovers = list(state.sessions.values())
             for session in leftovers:
                 self._finish_session(state, session)
+        return STOP
 
     def _execute_for_session(
         self,
@@ -1067,43 +1068,30 @@ class Controller:
 
     # -- the session front end (docs/wire.md) -----------------------------------
 
-    def _read_channel(self, state: _ChannelState) -> None:
-        """Reader loop of one client channel: the only thread that
-        receives from it. On a trunk, statements are dispatched to the
-        shared worker pool through per-session FIFOs and this thread
-        never blocks on the scheduler, so one slow statement cannot stall
-        the channel's other sessions; on a dedicated channel it runs
-        them itself (see :meth:`_on_execute`)."""
-        trunk = state.implicit is None
-        while True:
+    def _refuse_in_session(
+        self, state: _ChannelState, message: Dict[str, Any], code: str, detail: str
+    ) -> None:
+        """Refuse a frame on a CONNECTed channel as a reply to the session
+        it names (:meth:`_reply`); bare when it names none."""
+        session, session_id, request_id = state.implicit, None, None
+        if session is None:
             try:
-                message = state.channel.recv(timeout=None)
-            except TransportError:
-                return
-            message_type = message.get("type")
-            if message_type == ClusterMessageType.EXECUTE:
-                self._on_execute(state, message)
-            elif message_type == ClusterMessageType.CLOSE:
-                return
-            elif message_type == ClusterMessageType.PING:
-                if not self._send(state, {"type": ClusterMessageType.PONG}):
-                    return
-            elif trunk and message_type == ClusterMessageType.SESSION_OPEN:
-                self._on_session_open(state, message)
-            elif trunk and message_type == ClusterMessageType.SESSION_CLOSE:
-                self._on_session_close(state, message)
+                session_id, request_id = correlate(message)
+            except ClusterWireError:
+                pass  # nothing to correlate with
             else:
-                self._send(state, make_error("bad_message", f"unexpected message {message_type!r}"))
+                with state.lock:
+                    session = state.sessions.get(session_id)
+        self._reply(state, session, make_error(code, detail), session_id, request_id)
 
     def _send(self, state: _ChannelState, message: Dict[str, Any]) -> bool:
-        with state.send_lock:
-            try:
-                state.channel.send(message)
-                return True
-            except TransportError:
-                # Reply undeliverable: the reader loop observes the dead
-                # channel on its next recv and tears the sessions down.
-                return False
+        try:
+            state.channel.send(message)  # workers reply concurrently: Channel.send is thread-safe
+            return True
+        except TransportError:
+            # Reply undeliverable: the reader loop observes the dead
+            # channel on its next recv and tears the sessions down.
+            return False
 
     def _open_session(self, state: _ChannelState, session_id: str) -> Optional[_Session]:
         """Register a new session on the channel; None if the id is taken."""
@@ -1143,9 +1131,10 @@ class Controller:
         self._enqueue(state, session, _CLOSE_SESSION)
 
     def _on_execute(self, state: _ChannelState, message: Dict[str, Any]) -> None:
-        """Admit one EXECUTE frame on the channel's reader thread:
-        correlate → validate → queue-depth bound → in-flight bound →
-        trace, then queue it for the worker pool — or, on a dedicated
+        """Admit one EXECUTE frame (its fields already typed by the
+        session table) on the channel's reader thread: correlate →
+        queue-depth bound → in-flight bound → trace, then queue it for
+        the worker pool — or, on a dedicated
         channel, run it right here: EXECUTE/RESULT alternate strictly
         there, so the reader *is* the session's worker and a hop to the
         pool would buy nothing. Every refusal is answered promptly from
@@ -1168,17 +1157,8 @@ class Controller:
             if session is None or session.closed:
                 refuse(make_error("unknown_session", f"no open session {session_id!r} on this channel"))
                 return
-        sql = str(message.get("sql", ""))
-        params = message.get("params")
-        if params is None:
-            params = {}
-        elif not isinstance(params, dict):
-            refuse(
-                make_error(
-                    "bad_message", f"EXECUTE params must be a mapping, got {type(params).__name__}"
-                )
-            )
-            return
+        sql = message["sql"]
+        params = message.get("params") or {}
         # The depth check-then-enqueue is race-free: this reader thread
         # is the session queue's only producer, and workers only ever
         # shrink it. (A dedicated session's queue is always empty.)

@@ -52,11 +52,9 @@ from repro.errors import DriverError, TransportError
 
 from repro.cluster.wire import (
     ClusterMessageType,
-    ERROR_NOT_A_PEER,
     ERROR_STALE_EPOCH,
     make_error,
     make_ha_status,
-    make_ha_status_ok,
     make_replicate,
     make_replicate_ok,
 )
@@ -515,7 +513,6 @@ class ReplicatedLogStore(LogStore):
             entries = [e.to_wire() for e in self.inner.entries_after(base)]
             frame = make_replicate(
                 origin=self.node_id,
-                origin_address=self.self_address,
                 epoch=epoch,
                 entries=entries,
                 truncated_through=floor,
@@ -546,24 +543,12 @@ class ReplicatedLogStore(LogStore):
 
     # -- follower side -------------------------------------------------------------
 
-    def answer(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        """The reply to one HA frame a peer sent: an election probe gets
-        this node's status, a REPLICATE is applied (entries, per-table
-        sequence counters, checkpoint registry) and acked.
-
-        Only a configured peer may append: a REPLICATE naming any other
-        ``origin_address`` is refused with ``not_a_peer`` before it can
-        touch the log, the epoch or the role — for a group of one that is
-        every frame."""
-        if frame.get("type") == ClusterMessageType.HA_STATUS:
-            return make_ha_status_ok(**self.status())
-        origin = frame.get("origin_address")
-        if origin not in self.peer_addresses():
-            return make_error(
-                ERROR_NOT_A_PEER,
-                f"{self.node_id} replicates with {sorted(self._peers)}, not {origin!r}",
-            )
-        reply, applied = self.apply_replicate(frame)
+    def answer(self, frame: Dict[str, Any], sender: str) -> Dict[str, Any]:
+        """The reply to one REPLICATE the peer at ``sender`` sent: applied
+        (entries, per-table sequence counters, checkpoint registry) and
+        acked. That the sender is a peer is the listener's to check, from
+        the transport (``Controller.routes``)."""
+        reply, applied = self.apply_replicate(frame, sender)
         if applied:
             self._on_applied(applied)
         snapshot = frame.get("checkpoints")
@@ -575,7 +560,9 @@ class ReplicatedLogStore(LogStore):
             self._checkpoints.restore_snapshot(snapshot)
         return reply
 
-    def apply_replicate(self, frame: Dict[str, Any]) -> "tuple[Dict[str, Any], List[LogEntry]]":
+    def apply_replicate(
+        self, frame: Dict[str, Any], sender: Optional[str] = None
+    ) -> "tuple[Dict[str, Any], List[LogEntry]]":
         """Apply one REPLICATE frame; returns ``(reply, applied_entries)``.
 
         ``applied_entries`` is the suffix actually appended here
@@ -585,15 +572,16 @@ class ReplicatedLogStore(LogStore):
         transitions happen under ``_state_lock``; the append+fsync work
         runs outside it (serialised by ``_apply_lock``) so election
         probes answered by :meth:`status` never queue behind a flush.
+        An accepted frame makes ``sender`` the primary hint.
 
-        The whole frame is decoded before any of it is applied: one that
+        The whole frame is decoded before any of it is applied (its
+        top-level fields arrive typed, ``Controller.routes``): one that
         does not decode is refused (``bad_replicate``) with the log, the
         epoch and the role untouched — raising would kill the peer
         channel's thread, and the sender would read that as "peer down"."""
+        frame_epoch, floor = frame["epoch"], frame["truncated_through"]
         try:
-            frame_epoch = int(frame.get("epoch", 0))
-            floor = int(frame.get("truncated_through", 0))
-            entries = [LogEntry.from_wire(e) for e in frame.get("entries") or []]
+            entries = [LogEntry.from_wire(e) for e in frame["entries"]]
             for item in frame.get("checkpoints") or []:
                 str(item["name"]), int(item["index"])
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -619,7 +607,7 @@ class ReplicatedLogStore(LogStore):
                         self.role = ROLE_FOLLOWER
                         self.depositions += 1
                     self._persist_meta_locked()
-                self.primary_hint = frame.get("origin_address") or self.primary_hint
+                self.primary_hint = sender or self.primary_hint
             local_last = self.inner.last_index
             gap = False
             applied: List[LogEntry] = []

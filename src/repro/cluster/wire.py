@@ -88,10 +88,11 @@ ERROR_NOT_PRIMARY = "not_primary"
 #: deposed node adopts it instead of re-announcing its stale one.
 ERROR_STALE_EPOCH = "stale_epoch"
 
-#: ERROR code a controller answers a REPLICATE frame with when the
-#: frame's ``origin_address`` is not one of its configured ``ha_peers``:
-#: only a member of the group may append to its log. Nothing was
-#: applied; the sender counts the peer as down.
+#: ERROR code a controller answers a peer-only frame with (REPLICATE and
+#: HA_STATUS from anywhere but its ``ha_peers``, GROUP from anywhere but
+#: its group peers) — where a frame comes from is the channel's remote
+#: address, never what the frame says. Nothing was applied; a sender
+#: counts the peer as down.
 ERROR_NOT_A_PEER = "not_a_peer"
 
 #: Correlation field sanity bound: a request_id is a small positive
@@ -286,7 +287,6 @@ def make_group(operation: str, payload: Dict[str, Any], origin: str) -> Dict[str
 
 def make_replicate(
     origin: str,
-    origin_address: str,
     epoch: int,
     entries: List[Dict[str, Any]],
     truncated_through: int,
@@ -305,7 +305,6 @@ def make_replicate(
     message = {
         "type": ClusterMessageType.REPLICATE,
         "origin": origin,
-        "origin_address": origin_address,
         "epoch": epoch,
         "entries": entries,
         "truncated_through": truncated_through,

@@ -53,6 +53,7 @@ from repro.core.policies import TransitionReport, apply_expiration_policy
 from repro.dbapi.api import Cursor
 from repro.dbapi.urls import parse_url
 from repro.errors import DrivolutionError, TransportError
+from repro.netsim.ingress import Route, serve
 from repro.netsim.secure import CertificateAuthority, SecureChannel
 from repro.netsim.transport import Address, Channel, Network
 
@@ -647,23 +648,27 @@ class Bootloader:
             channel.close()
             raise BootloaderError(f"subscription rejected: {ack!r}")
         self._notification_channel = channel
-
-        def listen() -> None:
-            while True:
-                try:
-                    message = channel.recv(timeout=None)
-                except TransportError:
-                    return
-                if message.get("type") == messages.UPDATE_AVAILABLE:
-                    try:
-                        self.check_for_update(force=True)
-                    except DrivolutionError:
-                        continue
-
+        # Refusals go unanswered: the server reads whatever a subscriber
+        # sends as a request, and would refuse the refusal in turn.
         self._notification_thread = threading.Thread(
-            target=listen, name="drivolution-notify", daemon=True
+            target=serve,
+            args=(channel, self._push_routes, lambda *refused: None),
+            kwargs={"context": self, "greeted": True},
+            name="drivolution-notify",
+            daemon=True,
         )
         self._notification_thread.start()
+
+    def _on_update_available(self, message: Dict[str, Any]) -> None:
+        try:
+            self.check_for_update(force=True)
+        except DrivolutionError:
+            pass  # the lease timer asks again
+
+    #: What the push channel takes (docs/wire.md "Who may send what").
+    _push_routes = {
+        messages.UPDATE_AVAILABLE: Route(_on_update_available, optional={"api_name": str, "database": str}),
+    }
 
     def unsubscribe(self) -> None:
         if self._notification_channel is not None:

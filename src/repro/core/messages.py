@@ -33,8 +33,7 @@ RELEASE = "drivolution_release"
 SUBSCRIBE = "drivolution_subscribe"
 UPDATE_AVAILABLE = "drivolution_update_available"
 
-#: Prefix shared by every Drivolution message type; the in-database server
-#: binding registers this prefix as a database-server extension.
+#: Prefix shared by every Drivolution message type.
 MESSAGE_PREFIX = "drivolution_"
 
 

@@ -7,9 +7,9 @@ for is determined by its *binding*:
 
 - :class:`InDatabaseServerBinding` — the server lives inside a DBMS
   (Section 4.1.2). Drivers are rows of that engine's information schema;
-  the server either shares the database's listener (registered as an
-  extension, so bootloader connections and database connections arrive on
-  the same port) or listens on a separate port.
+  the server either shares the database's listener (its rows join the
+  database server's table, so bootloader connections and database
+  connections arrive on the same port) or listens on a separate port.
 - :class:`ExternalServerBinding` — the server is an external process that
   queries a legacy database through a conventional driver (Section 4.1.3,
   Figure 2).
@@ -20,7 +20,8 @@ for is determined by its *binding*:
 The server also supports the paper's dedicated notification channel: a
 bootloader may SUBSCRIBE, and :meth:`DrivolutionServer.notify_update`
 (called by the admin after installing a driver) immediately pushes an
-update-available signal instead of waiting for lease expiry.
+update-available signal instead of waiting for lease expiry. A server
+with a ``certificate`` serves secure channels only (Section 3.1).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core import messages
@@ -39,13 +41,21 @@ from repro.core.messages import (
     DrivolutionOffer,
     DrivolutionRequest,
 )
-from repro.core.package import DriverPackage, DriverSigner
+from repro.core.package import DriverSigner
 from repro.core.registry import ConnectionBackend, DriverRegistry, SessionBackend
 from repro.errors import DrivolutionError, TransportError
+from repro.netsim.ingress import STOP, Route, Sender, refuse_with, serve
 from repro.netsim.secure import Certificate, CertificateAuthority, SecureChannel
 from repro.netsim.transport import Address, Channel, ChannelServer, Network
 from repro.sqlengine.engine import Engine
 
+
+def _error(code: str, detail: str) -> Dict[str, Any]:
+    return DrivolutionErrorMessage(code, detail).to_wire()
+
+
+#: Refuses a frame with a DRIVOLUTION_ERROR and nothing more.
+_refuse = refuse_with(_error)
 
 class ServerBinding:
     """How a Drivolution server reaches its driver store."""
@@ -147,7 +157,6 @@ class DrivolutionServer:
         signer: Optional[DriverSigner] = None,
         certificate: Optional[Certificate] = None,
         certificate_authority: Optional[CertificateAuthority] = None,
-        require_secure_channel: bool = False,
     ) -> None:
         self.binding = binding
         self.network = network
@@ -157,7 +166,6 @@ class DrivolutionServer:
         self.signer = signer
         self.certificate = certificate
         self.certificate_authority = certificate_authority
-        self.require_secure_channel = require_secure_channel
         self.stats = ServerStats()
         self.leases = LeaseManager(binding.registry, clock=clock)
         self.matchmaker = Matchmaker(
@@ -166,6 +174,56 @@ class DrivolutionServer:
         self._subscribers: List[Dict[str, Any]] = []
         self._channel_server: Optional[ChannelServer] = None
         self._lock = threading.Lock()
+        secure = None
+        if certificate is not None:
+            secure = Sender(
+                "secure channel", lambda ch: isinstance(ch, SecureChannel), "secure_channel_required"
+            )
+        request = Route(
+            self._handle_request,
+            {"database": str, "api_name": str, "client_platform": str},
+            {
+                "user": str,
+                "password": str,
+                "api_version": list,
+                "preferred_binary_format": str,
+                "preferred_driver_version": list,
+                "client_id": str,
+                "client_ip": str,
+                "current_lease_id": str,
+                "requested_extensions": list,
+            },
+            secure,
+            refuse=_refuse,
+        )
+        #: The protocol's requests (docs/wire.md "Who may send what").
+        self._requests: Dict[str, Route] = {
+            messages.REQUEST: request,
+            messages.DISCOVER: request,
+            messages.FILE_REQUEST: Route(
+                self._handle_file_request,
+                {"driver_location": str},
+                {"lease_id": str},
+                secure,
+                refuse=_refuse,
+            ),
+            messages.RELEASE: Route(
+                self._handle_release, {"lease_id": str}, {"client_id": str}, secure, refuse=_refuse
+            ),
+            messages.SUBSCRIBE: Route(
+                self._handle_subscribe,
+                optional={"client_id": str, "api_name": str, "database": str},
+                sender=secure,
+                refuse=_refuse,
+            ),
+        }
+        #: What a listener serving this protocol takes: the requests and,
+        #: with a certificate, the secure hello that leads to them.
+        self.routes: Dict[str, Route] = dict(self._requests)
+        if certificate is not None:
+            self.routes["secure_hello"] = Route(
+                self._secure_hello, optional={"nonce": bytes, "certificate": dict}, refuse=_refuse
+            )
 
     # -- deployment ------------------------------------------------------------
 
@@ -177,7 +235,9 @@ class DrivolutionServer:
         if self._channel_server is not None:
             return self
         listener = self.network.listen(self.address)
-        self._channel_server = ChannelServer(listener, self._serve_channel, name=self.server_id)
+        self._channel_server = ChannelServer(
+            listener, partial(serve, routes=self.routes, refuse=_refuse), name=self.server_id
+        )
         self._channel_server.start()
         return self
 
@@ -187,9 +247,10 @@ class DrivolutionServer:
             self._channel_server = None
 
     def attach_to_database_server(self, database_server) -> None:
-        """Share the database's listener (in-database deployment on the
-        same port): Drivolution traffic is dispatched by message prefix."""
-        database_server.register_extension(messages.MESSAGE_PREFIX, self.handle_connection)
+        """Share a host's listener — a database server's (in-database
+        deployment on the same port) or a controller's (Figure 6): this
+        protocol's rows join the host's table."""
+        database_server.routes.update(self.routes)
 
     # -- registry passthroughs used by the admin ----------------------------------
 
@@ -227,79 +288,27 @@ class DrivolutionServer:
         with self._lock:
             return len(self._subscribers)
 
-    # -- connection handling -----------------------------------------------------------
+    # -- the protocol ------------------------------------------------------------------
 
-    def _serve_channel(self, channel: Channel) -> None:
-        """Entry point for connections on the server's own listener."""
-        try:
-            first = channel.recv(timeout=30.0)
-        except TransportError:
-            return
-        self.handle_connection(channel, first)
-
-    def handle_connection(self, channel: Channel, first_message: Dict[str, Any]) -> None:
-        """Serve one bootloader connection starting with ``first_message``.
-
-        Also used as the database-server extension entry point.
-        """
-        if first_message.get("type") == "secure_hello":
-            channel, first_message = self._upgrade_to_secure(channel, first_message)
-            if channel is None:
-                return
-        elif self.require_secure_channel:
-            channel.send(
-                DrivolutionErrorMessage(
-                    "secure_channel_required",
-                    "this Drivolution server only serves drivers over secure channels",
-                ).to_wire()
-            )
-            return
-        message: Optional[Dict[str, Any]] = first_message
-        while message is not None:
-            try:
-                self._dispatch(channel, message)
-                message = channel.recv(timeout=None)
-            except TransportError:
-                return
-
-    def _upgrade_to_secure(self, channel: Channel, first_message: Dict[str, Any]):
-        """Perform the server side of the secure handshake (the listener
-        already read its first frame) and receive the first request; a
-        client certificate this server's authority did not issue is
-        refused."""
-        if self.certificate is None:
-            channel.send(DrivolutionErrorMessage("no_certificate", "server has no certificate").to_wire())
-            return None, None
+    def _secure_hello(self, channel: Channel, hello: Dict[str, Any]) -> Any:
+        """Answer the secure handshake, then serve the requests over the
+        secure channel until it closes. A client certificate this
+        server's authority did not issue ends the channel."""
         try:
             secure = SecureChannel.server_handshake(
-                channel,
-                self.certificate,
-                authority=self.certificate_authority,
-                hello=first_message,
+                channel, self.certificate, authority=self.certificate_authority, hello=hello
             )
-            return secure, secure.recv(timeout=30.0)
         except TransportError:
-            return None, None
+            return STOP
+        serve(secure, self._requests, _refuse)
+        return STOP
 
-    # -- protocol dispatch ----------------------------------------------------------------
-
-    def _dispatch(self, channel: Channel, message: Dict[str, Any]) -> None:
-        """Answer one message."""
-        message_type = message.get("type")
-        handler = self._handlers.get(message_type)
-        if handler is None:
-            channel.send(
-                DrivolutionErrorMessage("bad_message", f"unexpected message {message_type!r}").to_wire()
-            )
-            return
-        handler(self, channel, message)
-
-    def _handle_request(self, channel: Channel, message: Dict[str, Any]) -> None:
+    def _handle_request(self, channel: Channel, message: Dict[str, Any]) -> Dict[str, Any]:
         """REQUEST and DISCOVER: a DISCOVER is a REQUEST that grants no
         lease and ships no file — it describes what a unicast REQUEST
         would be offered."""
         request = DrivolutionRequest.from_wire(message)
-        is_discover = message.get("type") == messages.DISCOVER
+        is_discover = message["type"] == messages.DISCOVER
         if is_discover:
             self.stats.discovers += 1
         else:
@@ -308,8 +317,7 @@ class DrivolutionServer:
             result = self.matchmaker.match(request)
         except NoMatchingDriver as exc:
             self.stats.errors += 1
-            channel.send(DrivolutionErrorMessage("no_driver", str(exc)).to_wire())
-            return
+            return _error("no_driver", str(exc))
         lease_id, includes_file = "", False
         if not is_discover:
             previous = self.leases.get(request.current_lease_id) if request.current_lease_id else None
@@ -339,49 +347,36 @@ class DrivolutionServer:
             includes_file=includes_file,
             server_id=self.server_id,
         )
-        channel.send(offer.to_wire())
         self.stats.offers += 1
+        return offer.to_wire()
 
-    def _handle_file_request(self, channel: Channel, message: Dict[str, Any]) -> None:
-        location = str(message.get("driver_location", ""))
+    def _handle_file_request(self, channel: Channel, message: Dict[str, Any]) -> Dict[str, Any]:
+        location = message["driver_location"]
         scheme, _, driver_id = location.partition(":")
         if scheme != "driver" or not driver_id.isdecimal():
-            channel.send(
-                DrivolutionErrorMessage("bad_location", f"unknown driver location {location!r}").to_wire()
-            )
-            return
+            return _error("bad_location", f"unknown driver location {location!r}")
         try:
             package = self.registry.get_driver(int(driver_id))
         except DrivolutionError as exc:
             self.stats.errors += 1
-            channel.send(DrivolutionErrorMessage("no_driver", str(exc)).to_wire())
-            return
+            return _error("no_driver", str(exc))
         if self.signer is not None and package.signature is None:
             package = package.signed_by(self.signer)
-        channel.send(messages.make_file_data(package.to_wire()))
         self.stats.files_served += 1
         self.stats.bytes_served += package.size_bytes
+        return messages.make_file_data(package.to_wire())
 
-    def _handle_release(self, channel: Channel, message: Dict[str, Any]) -> None:
-        lease_id = str(message.get("lease_id", ""))
-        released = self.leases.release(lease_id)
-        channel.send({"type": "drivolution_release_ack", "released": released})
+    def _handle_release(self, channel: Channel, message: Dict[str, Any]) -> Dict[str, Any]:
+        released = self.leases.release(message["lease_id"])
+        return {"type": "drivolution_release_ack", "released": released}
 
-    def _handle_subscribe(self, channel: Channel, message: Dict[str, Any]) -> None:
+    def _handle_subscribe(self, channel: Channel, message: Dict[str, Any]) -> Dict[str, Any]:
         subscriber = {
             "channel": channel,
-            "client_id": str(message.get("client_id", "")),
-            "api_name": str(message.get("api_name", "")),
-            "database": str(message.get("database", "")),
+            "client_id": message.get("client_id") or "",
+            "api_name": message.get("api_name") or "",
+            "database": message.get("database") or "",
         }
         with self._lock:
             self._subscribers.append(subscriber)
-        channel.send({"type": "drivolution_subscribe_ack", "server_id": self.server_id})
-
-    _handlers = {
-        messages.REQUEST: _handle_request,
-        messages.DISCOVER: _handle_request,
-        messages.FILE_REQUEST: _handle_file_request,
-        messages.RELEASE: _handle_release,
-        messages.SUBSCRIBE: _handle_subscribe,
-    }
+        return {"type": "drivolution_subscribe_ack", "server_id": self.server_id}

@@ -10,7 +10,8 @@ points that matter for reproducing the paper are:
   Kerberos-like token method), so a driver lacking the method required by
   the database fails at authentication time (step 6 of the paper's
   lifecycle),
-- the server can host **extensions** on its listener — this is how the
+- what the server's listener takes is one table (``DatabaseServer.routes``)
+  that an attached Drivolution server adds its rows to — this is how the
   in-database Drivolution server answers bootloader requests on the same
   or a separate port (paper Section 4.1.2).
 """

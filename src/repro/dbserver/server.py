@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from functools import partial
+from typing import Any, Dict, List, Optional
 
 from repro.dbserver.auth import Authenticator, PasswordAuthenticator
-from repro.dbserver.session import ExtensionHandler, ServerSession
-from repro.dbserver.wire import PROTOCOL_VERSION
+from repro.dbserver.session import STATEMENTS, ServerSession, refuse_statement
+from repro.dbserver.wire import PROTOCOL_VERSION, MessageType, make_error
+from repro.netsim.ingress import STOP, Route, refuse_with, serve
 from repro.netsim.transport import Address, Channel, ChannelServer, Network
 from repro.sqlengine.engine import Engine
+
+#: Refuses a frame with the database protocol's ERROR and nothing more.
+_refuse = refuse_with(make_error)
 
 
 @dataclass
@@ -30,12 +35,12 @@ class ServerConfig:
 class DatabaseServer:
     """Hosts a :class:`~repro.sqlengine.engine.Engine` behind the wire protocol.
 
-    Extensions registered via :meth:`register_extension` take over
-    connections whose first message type starts with the extension's
-    prefix; this is how the in-database Drivolution server shares the
-    database's listener (paper Section 4.1.2). A second listener on a
-    different address can also be attached with :meth:`listen_also`, which
-    is the "different port than the database engine" deployment.
+    What the listener takes is one table, :attr:`routes`: a CONNECT opens
+    a session, and an attached Drivolution server adds its rows — this
+    is how the in-database Drivolution server shares the database's
+    listener (paper Section 4.1.2). A second listener on a different
+    address can also be attached with :meth:`listen_also`, which is the
+    "different port than the database engine" deployment.
     """
 
     def __init__(
@@ -49,7 +54,17 @@ class DatabaseServer:
         self.network = network
         self.address = address
         self.config = config or ServerConfig(name=engine.name)
-        self._extensions: Dict[str, ExtensionHandler] = {}
+        #: Who may send what on this listener (docs/wire.md "Who may send
+        #: what"); an attached Drivolution server adds its rows.
+        self.routes: Dict[str, Route] = {
+            MessageType.CONNECT: Route(
+                self._open_session,
+                {"database": str, "protocol_version": int},
+                {"user": str, "password": str, "auth_method": str, "auth_token": str, "options": dict},
+                code="bad_handshake",
+            ),
+        }
+        self._serve = partial(serve, routes=self.routes, refuse=_refuse)
         self._servers: List[ChannelServer] = []
         self._active_sessions: Dict[str, ServerSession] = {}
         self._lock = threading.Lock()
@@ -62,16 +77,16 @@ class DatabaseServer:
         if self._started:
             return self
         listener = self.network.listen(self.address)
-        server = ChannelServer(listener, self._handle_channel, name=f"db-{self.config.name}")
+        server = ChannelServer(listener, self._serve, name=f"db-{self.config.name}")
         server.start()
         self._servers.append(server)
         self._started = True
         return self
 
     def listen_also(self, address: Address) -> None:
-        """Serve the same engine (and extensions) on an additional address."""
+        """Serve the same engine (and the same table) on an additional address."""
         listener = self.network.listen(address)
-        server = ChannelServer(listener, self._handle_channel, name=f"db-{self.config.name}-alt")
+        server = ChannelServer(listener, self._serve, name=f"db-{self.config.name}-alt")
         server.start()
         self._servers.append(server)
 
@@ -86,12 +101,6 @@ class DatabaseServer:
     def running(self) -> bool:
         return self._started
 
-    # -- extensions --------------------------------------------------------------
-
-    def register_extension(self, message_prefix: str, handler: ExtensionHandler) -> None:
-        """Register a handler for connections opening with ``message_prefix`` messages."""
-        self._extensions[message_prefix] = handler
-
     # -- observability -------------------------------------------------------------
 
     def active_session_count(self) -> int:
@@ -104,24 +113,19 @@ class DatabaseServer:
 
     # -- internals -------------------------------------------------------------------
 
-    def _handle_channel(self, channel: Channel) -> None:
-        session = ServerSession(
-            server_name=self.config.name,
-            engine=self.engine,
-            channel=channel,
-            min_protocol_version=self.config.min_protocol_version,
-            max_protocol_version=self.config.max_protocol_version,
-            authenticators=self.config.authenticators,
-            extensions=self._extensions,
-            on_session_open=self._track_open,
-            on_session_close=self._track_close,
-        )
-        session.run()
-
-    def _track_open(self, session: ServerSession) -> None:
+    def _open_session(self, channel: Channel, connect: Dict[str, Any]) -> Any:
+        """Answer a CONNECT: a refusal, or the CONNECT_OK and then the
+        statement table until the channel closes."""
+        session = ServerSession(self.engine, self.config, channel)
+        refusal = session.handshake(connect)
+        if refusal is not None:
+            return refusal
         with self._lock:
             self._active_sessions[session.session_id] = session
-
-    def _track_close(self, session: ServerSession) -> None:
-        with self._lock:
-            self._active_sessions.pop(session.session_id, None)
+        try:
+            serve(channel, STATEMENTS, refuse_statement, context=session, greeted=True)
+        finally:
+            session.sql_session.close()
+            with self._lock:
+                self._active_sessions.pop(session.session_id, None)
+        return STOP

@@ -45,7 +45,10 @@ def _decode_value(value: Any) -> Any:
     """Inverse of :func:`_encode_value`."""
     if isinstance(value, dict):
         if set(value.keys()) == {_BYTES_TAG}:
-            return base64.b64decode(value[_BYTES_TAG])
+            try:
+                return base64.b64decode(value[_BYTES_TAG], validate=True)
+            except (TypeError, ValueError) as exc:
+                raise MessageCodecError(f"malformed bytes value: {exc}") from exc
         return {key: _decode_value(item) for key, item in value.items()}
     if isinstance(value, list):
         return [_decode_value(item) for item in value]

@@ -36,6 +36,10 @@ class TcpChannel(Channel):
 
     def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
+        try:
+            self._remote = "%s:%d" % sock.getpeername()[:2]
+        except OSError:  # the peer is already gone; its next recv says so
+            self._remote = ""
         self._send_lock = threading.Lock()
         self._recv_lock = threading.Lock()
         self._closed = False
@@ -43,6 +47,10 @@ class TcpChannel(Channel):
     @property
     def closed(self) -> bool:
         return self._closed
+
+    @property
+    def remote_address(self) -> Address:
+        return self._remote
 
     def _read_exactly(self, n: int) -> bytes:
         chunks = []

@@ -29,7 +29,7 @@ class Channel(ABC):
 
     @abstractmethod
     def send(self, message: Dict[str, Any]) -> None:
-        """Send one message dictionary to the peer."""
+        """Send one message dictionary to the peer; safe from several threads."""
 
     @abstractmethod
     def recv(self, timeout: Optional[float] = None) -> Dict[str, Any]:
@@ -47,6 +47,12 @@ class Channel(ABC):
     @abstractmethod
     def closed(self) -> bool:
         """Whether the channel has been closed by either side."""
+
+    @property
+    @abstractmethod
+    def remote_address(self) -> Address:
+        """Who is at the other end as the transport knows it: the in-memory
+        ``source=`` (else an anonymous ``client-N``), a TCP peer's host:port."""
 
     def request(self, message: Dict[str, Any], timeout: Optional[float] = None) -> Dict[str, Any]:
         """Convenience helper: send ``message`` and wait for one reply."""

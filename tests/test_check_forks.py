@@ -82,3 +82,37 @@ def test_transaction_flag_gates_match_the_client_side_guesses_they_retired():
         assert gate.allowed == 0 and check_forks.check_gate(gate) == []
         for line in lines:
             assert check_forks.re.search(gate.pattern, line), line
+
+
+def test_ingress_gates_match_the_dispatches_they_retired():
+    """The unbounded-wait ratchet now allows the ingress loop, the lock
+    manager's two waits and the scheduler's, and matches the per-listener
+    receive loops it retired; the dispatch gate allows nothing and
+    matches the prefix hooks, the peer-frame tuple and the self-reported
+    origin it retired."""
+    check_forks = _check_forks()
+    (wait,) = [gate for gate in check_forks.GATES if gate.message.startswith("a new unbounded wait")]
+    assert wait.allowed == 4
+    report = check_forks.check_gate(wait._replace(allowed=0))
+    sites = sorted(line.split(":", 1)[0] for line in report[1:])
+    assert sites == [
+        "src/repro/cluster/locks.py",
+        "src/repro/cluster/locks.py",
+        "src/repro/cluster/scheduler.py",
+        "src/repro/netsim/ingress.py",
+    ], report
+    for line in (
+        "                message = channel.recv(timeout=None)",
+        "                message = self._channel.recv(timeout=None)",
+        "                message = state.channel.recv(timeout=None)",
+    ):
+        assert check_forks.re.search(wait.pattern, line), line
+    (dispatch,) = [gate for gate in check_forks.GATES if gate.message.startswith("a listener dispatching")]
+    assert dispatch.allowed == 0 and check_forks.check_gate(dispatch) == []
+    for line in (
+        "    def register_extension(self, message_prefix: str, handler: ExtensionHandler) -> None:",
+        "        database_server.register_extension(messages.MESSAGE_PREFIX, self.handle_connection)",
+        "_PEER_FRAMES = (",
+        '        origin = frame.get("origin_address")',
+    ):
+        assert check_forks.re.search(dispatch.pattern, line), line

@@ -265,7 +265,6 @@ class TestSecurityIntegration:
             server_id="drivo-secure",
             certificate=certificate,
             certificate_authority=ca,
-            require_secure_channel=True,
         ).start()
         DrivolutionAdmin([secure_server]).install_driver(
             build_pydb_driver("pydb-secure", driver_version=(1, 0, 0)),
@@ -304,7 +303,6 @@ class TestSecurityIntegration:
             clock=env.clock,
             certificate=ca.issue("drivolution-mtls"),
             certificate_authority=ca,
-            require_secure_channel=True,
         ).start()
 
         def release_over(client_certificate):
@@ -620,7 +618,6 @@ def secure_server(env):
         server_id="drivo-secure",
         certificate=ca.issue("drivolution-secure"),
         certificate_authority=ca,
-        require_secure_channel=True,
     ).start()
     DrivolutionAdmin([server]).install_driver(
         build_pydb_driver("pydb-secure", driver_version=(1, 0, 0)),

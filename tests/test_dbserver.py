@@ -1,7 +1,8 @@
-"""Tests for the database server: handshake, auth, statements, extensions."""
+"""Tests for the database server: handshake, auth, statements, the shared listener."""
 
 import pytest
 
+from repro.core import DrivolutionServer, StandaloneServerBinding, messages
 from repro.dbapi import OperationalError, ProgrammingError
 from repro.dbapi.runtime import RuntimeDriver
 from repro.dbserver import DatabaseServer, PasswordAuthenticator, ServerConfig, TokenAuthenticator
@@ -172,18 +173,18 @@ class TestStatementsAndErrors:
         connection.close()
 
 
-class TestExtensions:
-    def test_extension_dispatch_by_prefix(self, setup):
+class TestSharedListener:
+    def test_drivolution_rows_are_served_on_the_database_listener(self, setup):
+        # An attached Drivolution server's frames are rows of the
+        # database listener's table, answered in Drivolution's protocol;
+        # a type of no row gets the database's own ERROR, and the channel
+        # keeps serving.
         network, _engine, server = setup
-        seen = []
-
-        def handler(channel, first_message):
-            seen.append(first_message)
-            channel.send({"type": "custom_ack"})
-
-        server.register_extension("custom_", handler)
-        channel = network.connect("srv:5432")
-        channel.send({"type": "custom_hello", "x": 1})
-        assert channel.recv(timeout=1.0) == {"type": "custom_ack"}
-        assert seen[0]["x"] == 1
-        channel.close()
+        DrivolutionServer(StandaloneServerBinding()).attach_to_database_server(server)
+        with network.connect("srv:5432") as channel:
+            reply = channel.request(messages.make_release("no-lease", "c"), timeout=5.0)
+            assert reply == {"type": "drivolution_release_ack", "released": False}
+            reply = channel.request({"type": "custom_hello", "x": 1}, timeout=5.0)
+            assert reply["type"] == MessageType.ERROR and reply["code"] == "bad_message"
+            reply = channel.request(make_connect("appdb", None, None, PROTOCOL_VERSION), timeout=5.0)
+            assert reply["type"] == MessageType.CONNECT_OK

@@ -110,9 +110,7 @@ class TestReplicatedLogStoreUnit:
 
     def test_apply_replicate_is_idempotent(self):
         b = _store()
-        frame = make_replicate(
-            "a", "a:1", 1, [_entry(1).to_wire(), _entry(2).to_wire()], 0
-        )
+        frame = make_replicate("a", 1, [_entry(1).to_wire(), _entry(2).to_wire()], 0)
         reply, applied = b.apply_replicate(frame)
         assert reply["type"] == ClusterMessageType.REPLICATE_OK
         assert reply["last_index"] == 2
@@ -123,7 +121,7 @@ class TestReplicatedLogStoreUnit:
 
     def test_gap_reported_for_backfill(self):
         b = _store()
-        frame = make_replicate("a", "a:1", 1, [_entry(5).to_wire()], 0)
+        frame = make_replicate("a", 1, [_entry(5).to_wire()], 0)
         reply, applied = b.apply_replicate(frame)
         assert reply["gap"] is True and applied == []
         assert reply["last_index"] == 0  # tells the primary where to resend from
@@ -135,8 +133,7 @@ class TestReplicatedLogStoreUnit:
         # instead of gapping forever.
         b = _store()
         frame = make_replicate(
-            "a", "a:1", 1, [_entry(6).to_wire(), _entry(7).to_wire()], 5,
-            checkpoints=[],
+            "a", 1, [_entry(6).to_wire(), _entry(7).to_wire()], 5, checkpoints=[]
         )
         reply, applied = b.apply_replicate(frame)
         assert reply["type"] == ClusterMessageType.REPLICATE_OK
@@ -150,9 +147,7 @@ class TestReplicatedLogStoreUnit:
         # entries start past floor+1: a true hole the snapshot does not
         # cover — must stay a gap, never a silent splice.
         b = _store()
-        frame = make_replicate(
-            "a", "a:1", 1, [_entry(7).to_wire()], 5, checkpoints=[]
-        )
+        frame = make_replicate("a", 1, [_entry(7).to_wire()], 5, checkpoints=[])
         reply, applied = b.apply_replicate(frame)
         assert reply["gap"] is True and applied == []
 
@@ -177,15 +172,13 @@ class TestReplicatedLogStoreUnit:
     def test_stale_epoch_refused_newer_epoch_adopted(self):
         b = _store()
         assert b.epoch == 1
-        reply, applied = b.apply_replicate(
-            make_replicate("c", "c:1", 3, [_entry(1).to_wire()], 0)
-        )
+        reply, applied = b.apply_replicate(make_replicate("c", 3, [_entry(1).to_wire()], 0), "c:1")
         assert reply["type"] == ClusterMessageType.REPLICATE_OK
         assert b.epoch == 3 and b.epoch_adoptions == 1
-        assert b.primary_hint == "c:1"
+        assert b.primary_hint == "c:1"  # where the accepted frame came from
         # The deposed primary's epoch-1 appends now bounce with our epoch.
         reply, applied = b.apply_replicate(
-            make_replicate("a", "a:1", 1, [_entry(2).to_wire()], 0)
+            make_replicate("a", 1, [_entry(2).to_wire()], 0)
         )
         assert reply["type"] == ClusterMessageType.ERROR
         assert reply["code"] == "stale_epoch" and reply["epoch"] == 3
@@ -195,7 +188,7 @@ class TestReplicatedLogStoreUnit:
         a = _store(node="a", peers=("b:1", "c:1"))
         assert a.is_primary
         reply, _ = a.apply_replicate(
-            make_replicate("b", "b:1", 1, [_entry(1).to_wire()], 0)
+            make_replicate("b", 1, [_entry(1).to_wire()], 0)
         )
         assert reply["code"] == "stale_epoch"  # same-epoch split-brain guard
 
@@ -217,11 +210,9 @@ class TestReplicatedLogStoreUnit:
 
     def test_divergent_overlap_is_refused_not_spliced(self):
         b = _store()
-        b.apply_replicate(make_replicate("a", "a:1", 1, [_entry(1).to_wire()], 0))
+        b.apply_replicate(make_replicate("a", 1, [_entry(1).to_wire()], 0))
         rewritten = _entry(1, sql="INSERT INTO t (id) VALUES (999)")
-        frame = make_replicate(
-            "a", "a:1", 2, [rewritten.to_wire(), _entry(2).to_wire()], 0
-        )
+        frame = make_replicate("a", 2, [rewritten.to_wire(), _entry(2).to_wire()], 0)
         reply, applied = b.apply_replicate(frame)
         assert reply["code"] == "diverged_log" and applied == []
         assert b.last_index == 1  # nothing was spliced over local history
@@ -229,8 +220,8 @@ class TestReplicatedLogStoreUnit:
     def test_compaction_floor_mirrors(self):
         b = _store()
         entries = [_entry(i).to_wire() for i in range(1, 5)]
-        b.apply_replicate(make_replicate("a", "a:1", 1, entries, 0))
-        reply, _ = b.apply_replicate(make_replicate("a", "a:1", 1, [], 3))
+        b.apply_replicate(make_replicate("a", 1, entries, 0))
+        reply, _ = b.apply_replicate(make_replicate("a", 1, [], 3))
         assert reply["type"] == ClusterMessageType.REPLICATE_OK
         assert b.truncated_through == 3
         assert [e.index for e in b.entries_after(0)] == [4]
@@ -240,25 +231,36 @@ class TestReplicatedLogStoreUnit:
         with pytest.raises(ReplicationError):
             b.replicate(force=True)
 
-    def test_answer_refuses_a_replicate_from_outside_the_group(self):
-        # A newer epoch from a configured peer would be adopted; from
-        # anyone else it must not touch the log, the epoch or the role.
-        a = _store(node="a", peers=("b:1", "c:1"))
-        frame = make_replicate("x", "x:1", 9, [_entry(1).to_wire()], 0)
-        reply = a.answer(frame)
+    def test_answer_refuses_a_replicate_from_outside_the_group(self, ha_env):
+        # A newer epoch from a configured peer is adopted; from anyone
+        # else it must not touch the log, the epoch or the role — whatever
+        # the frame claims: who sent it is the channel's source address.
+        primary = _primary_of(ha_env)
+        store = primary.ha_store
+        peer = store.peer_addresses()[0]
+        head = store.last_index
+        frame = make_replicate("x", 100, [_entry(head + 1).to_wire()], 0)
+        frame["origin_address"] = peer  # a claim, not an identity
+        with ha_env.network.connect(primary.address, source="x:1") as channel:
+            reply = channel.request(frame, timeout=5.0)
         assert reply["type"] == ClusterMessageType.ERROR
         assert reply["code"] == "not_a_peer"
-        assert a.last_index == 0 and a.epoch == 1 and a.is_primary
-        assert a.epoch_adoptions == 0 and a.depositions == 0
+        assert store.last_index == head and store.epoch == 1 and store.is_primary
+        assert store.epoch_adoptions == 0 and store.depositions == 0
         # The same frame from a member of the group goes through.
-        frame["origin_address"] = "b:1"
-        assert a.answer(frame)["type"] == ClusterMessageType.REPLICATE_OK
-        assert a.last_index == 1 and a.epoch == 9 and not a.is_primary
+        with ha_env.network.connect(primary.address, source=peer) as channel:
+            assert channel.request(frame, timeout=5.0)["type"] == ClusterMessageType.REPLICATE_OK
+        assert store.last_index == head + 1 and store.epoch == 100 and not store.is_primary
+        assert store.primary_hint == peer
 
-    def test_answer_reports_status_to_an_election_probe(self):
-        b = _store()
-        reply = b.answer(make_ha_status("a"))
-        assert reply == {"type": ClusterMessageType.HA_STATUS_OK, **b.status()}
+    def test_answer_reports_status_to_an_election_probe(self, ha_env):
+        # A peer's probe gets this node's status; anyone else's, nothing.
+        c1, c2, _ = ha_env.controllers
+        with ha_env.network.connect(c1.address, source=c2.address) as channel:
+            reply = channel.request(make_ha_status("b"), timeout=5.0)
+        assert reply == {"type": ClusterMessageType.HA_STATUS_OK, **c1.ha_store.status()}
+        with ha_env.network.connect(c1.address) as channel:
+            assert channel.request(make_ha_status("b"), timeout=5.0)["code"] == "not_a_peer"
 
 
 # -- cluster-level replication -------------------------------------------------
@@ -412,7 +414,7 @@ class TestControllerHAReplication:
         good = _entry(head + 1).to_wire()
 
         def frame(**overrides):
-            message = make_replicate("p", primary.address, epoch + 5, [good], 0)
+            message = make_replicate("p", epoch + 5, [good], 0)
             message.update(overrides)
             return message
 
@@ -432,7 +434,7 @@ class TestControllerHAReplication:
                 assert not store.is_primary and store.epoch_adoptions == 0
             # Same channel, a well-formed round: still served.
             reply = channel.request(
-                make_replicate("p", primary.address, epoch, [good], 0), timeout=5.0
+                make_replicate("p", epoch, [good], 0), timeout=5.0
             )
             assert reply["type"] == ClusterMessageType.REPLICATE_OK
             assert store.last_index == head + 1
@@ -458,7 +460,7 @@ class TestGroupOfOne:
             # Nobody is its peer, so nobody may append to its log.
             with env.network.connect(controller.address) as channel:
                 reply = channel.request(
-                    make_replicate("x", "x:1", 9, [_entry(head + 1).to_wire()], 0),
+                    make_replicate("x", 9, [_entry(head + 1).to_wire()], 0),
                     timeout=5.0,
                 )
             assert reply["type"] == ClusterMessageType.ERROR

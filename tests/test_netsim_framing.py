@@ -53,6 +53,13 @@ class TestEncodeDecode:
         with pytest.raises(MessageCodecError):
             decode_message("a string")
 
+    @pytest.mark.parametrize("tagged", [5, None, "not base64!", ["x"]])
+    def test_malformed_bytes_value_rejected(self, tagged):
+        # A sender controls the tag's value; a decode that raised anything
+        # but the codec's error would kill the receiving server's thread.
+        with pytest.raises(MessageCodecError):
+            decode_message(encode_message({"blob": {"__bytes_b64__": tagged}}))
+
 
 class TestFraming:
     def test_frame_roundtrip(self):
