@@ -218,6 +218,8 @@ class _ChannelState:
 
     def __init__(self, channel: Channel) -> None:
         self.channel = channel
+        #: Serialises concurrent workers' replies onto the one channel.
+        self.send_lock = threading.Lock()
         #: Guards ``sessions`` and every _Session's queue/flags.
         self.lock = threading.Lock()
         self.sessions: Dict[str, _Session] = {}
@@ -945,24 +947,28 @@ class Controller:
     # -- client connections -----------------------------------------------------------------
 
     def _serve_client(self, channel: Channel, connect: Dict[str, Any]) -> Any:
-        """Answer a CONNECT: a refusal, or the CONNECT_OK and then the
-        session table until the channel closes."""
+        """Answer a CONNECT: the CONNECT_OK and then the session table
+        until the channel closes, or a refusal that ends the channel."""
         client_version = connect["protocol_version"]
         if client_version < MIN_CLIENT_PROTOCOL_VERSION:
-            return make_error(
-                "protocol_mismatch",
-                f"driver protocol version {client_version!r} too old for controller "
-                f"{self.config.controller_id} (minimum {MIN_CLIENT_PROTOCOL_VERSION})",
+            channel.send(
+                make_error(
+                    "protocol_mismatch",
+                    f"driver protocol version {client_version!r} too old for controller "
+                    f"{self.config.controller_id} (minimum {MIN_CLIENT_PROTOCOL_VERSION})",
+                )
             )
+            return STOP
         if client_version > self.config.protocol_version:
             # Drivers are backward compatible: a newer driver downgrades to
             # the controller's version, so this still succeeds.
             client_version = self.config.protocol_version
         virtual_database = connect["virtual_database"]
         if virtual_database != self.config.virtual_database:
-            return make_error(
-                "unknown_database", f"virtual database {virtual_database!r} not hosted here"
+            channel.send(
+                make_error("unknown_database", f"virtual database {virtual_database!r} not hosted here")
             )
+            return STOP
         grant_multiplexing = bool(
             connect.get("multiplex") and client_version >= MULTIPLEX_MIN_VERSION
         )
@@ -1085,13 +1091,14 @@ class Controller:
         self._reply(state, session, make_error(code, detail), session_id, request_id)
 
     def _send(self, state: _ChannelState, message: Dict[str, Any]) -> bool:
-        try:
-            state.channel.send(message)  # workers reply concurrently: Channel.send is thread-safe
-            return True
-        except TransportError:
-            # Reply undeliverable: the reader loop observes the dead
-            # channel on its next recv and tears the sessions down.
-            return False
+        with state.send_lock:
+            try:
+                state.channel.send(message)
+                return True
+            except TransportError:
+                # Reply undeliverable: the reader loop observes the dead
+                # channel on its next recv and tears the sessions down.
+                return False
 
     def _open_session(self, state: _ChannelState, session_id: str) -> Optional[_Session]:
         """Register a new session on the channel; None if the id is taken."""
@@ -1134,12 +1141,12 @@ class Controller:
         """Admit one EXECUTE frame (its fields already typed by the
         session table) on the channel's reader thread: correlate →
         queue-depth bound → in-flight bound → trace, then queue it for
-        the worker pool — or, on a dedicated
-        channel, run it right here: EXECUTE/RESULT alternate strictly
-        there, so the reader *is* the session's worker and a hop to the
-        pool would buy nothing. Every refusal is answered promptly from
-        this thread (an unanswered or unmatchable frame would hang the
-        client's request forever) and never reaches a worker."""
+        the worker pool — or, on a dedicated channel, run it right here:
+        EXECUTE/RESULT alternate strictly there, so the reader *is* the
+        session's worker and a hop to the pool would buy nothing. Every
+        refusal is answered promptly from this thread (an unanswered or
+        unmatchable frame would hang the client's request forever) and
+        never reaches a worker."""
         session = state.implicit
         session_id = request_id = None
 

@@ -561,7 +561,7 @@ class ReplicatedLogStore(LogStore):
         return reply
 
     def apply_replicate(
-        self, frame: Dict[str, Any], sender: Optional[str] = None
+        self, frame: Dict[str, Any], sender: str
     ) -> "tuple[Dict[str, Any], List[LogEntry]]":
         """Apply one REPLICATE frame; returns ``(reply, applied_entries)``.
 
@@ -607,7 +607,7 @@ class ReplicatedLogStore(LogStore):
                         self.role = ROLE_FOLLOWER
                         self.depositions += 1
                     self._persist_meta_locked()
-                self.primary_hint = sender or self.primary_hint
+                self.primary_hint = sender
             local_last = self.inner.last_index
             gap = False
             applied: List[LogEntry] = []

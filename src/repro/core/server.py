@@ -57,6 +57,7 @@ def _error(code: str, detail: str) -> Dict[str, Any]:
 #: Refuses a frame with a DRIVOLUTION_ERROR and nothing more.
 _refuse = refuse_with(_error)
 
+
 class ServerBinding:
     """How a Drivolution server reaches its driver store."""
 
@@ -179,7 +180,9 @@ class DrivolutionServer:
             secure = Sender(
                 "secure channel", lambda ch: isinstance(ch, SecureChannel), "secure_channel_required"
             )
-        request = Route(
+        # Every row answers in this protocol, whichever listener hosts it.
+        row = partial(Route, sender=secure, refuse=_refuse)
+        request = row(
             self._handle_request,
             {"database": str, "api_name": str, "client_platform": str},
             {
@@ -193,28 +196,15 @@ class DrivolutionServer:
                 "current_lease_id": str,
                 "requested_extensions": list,
             },
-            secure,
-            refuse=_refuse,
         )
         #: The protocol's requests (docs/wire.md "Who may send what").
         self._requests: Dict[str, Route] = {
             messages.REQUEST: request,
             messages.DISCOVER: request,
-            messages.FILE_REQUEST: Route(
-                self._handle_file_request,
-                {"driver_location": str},
-                {"lease_id": str},
-                secure,
-                refuse=_refuse,
-            ),
-            messages.RELEASE: Route(
-                self._handle_release, {"lease_id": str}, {"client_id": str}, secure, refuse=_refuse
-            ),
-            messages.SUBSCRIBE: Route(
-                self._handle_subscribe,
-                optional={"client_id": str, "api_name": str, "database": str},
-                sender=secure,
-                refuse=_refuse,
+            messages.FILE_REQUEST: row(self._handle_file_request, {"driver_location": str}, {"lease_id": str}),
+            messages.RELEASE: row(self._handle_release, {"lease_id": str}, {"client_id": str}),
+            messages.SUBSCRIBE: row(
+                self._handle_subscribe, optional={"client_id": str, "api_name": str, "database": str}
             ),
         }
         #: What a listener serving this protocol takes: the requests and,

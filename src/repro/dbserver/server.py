@@ -114,15 +114,18 @@ class DatabaseServer:
     # -- internals -------------------------------------------------------------------
 
     def _open_session(self, channel: Channel, connect: Dict[str, Any]) -> Any:
-        """Answer a CONNECT: a refusal, or the CONNECT_OK and then the
-        statement table until the channel closes."""
-        session = ServerSession(self.engine, self.config, channel)
-        refusal = session.handshake(connect)
-        if refusal is not None:
-            return refusal
+        """Answer a CONNECT: the CONNECT_OK and then the statement table
+        until the channel closes, or a refusal that ends the channel (no
+        second password on the same connection)."""
+        session = ServerSession(self.engine, self.config)
+        reply = session.handshake(connect)
+        if session.sql_session is None:
+            channel.send(reply)
+            return STOP
         with self._lock:
             self._active_sessions[session.session_id] = session
         try:
+            channel.send(reply)
             serve(channel, STATEMENTS, refuse_statement, context=session, greeted=True)
         finally:
             session.sql_session.close()

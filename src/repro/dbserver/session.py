@@ -9,7 +9,6 @@ from repro.errors import ReproError
 from repro.dbserver.auth import AuthenticationError
 from repro.dbserver.wire import MessageType, make_connect_ok, make_error, make_result
 from repro.netsim.ingress import STOP, Route
-from repro.netsim.transport import Channel
 from repro.sqlengine.engine import Engine, Session
 from repro.sqlengine.errors import SqlEngineError
 
@@ -20,16 +19,16 @@ class ServerSession:
     (the :data:`STATEMENTS` table) on a
     :class:`repro.sqlengine.engine.Session`."""
 
-    def __init__(self, engine: Engine, config: Any, channel: Channel) -> None:
+    def __init__(self, engine: Engine, config: Any) -> None:
         self._engine = engine
         self._config = config
-        self._channel = channel
         self.session_id = uuid.uuid4().hex
         self.sql_session: Optional[Session] = None
 
-    def handshake(self, connect: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-        """Open the SQL session and send the CONNECT_OK; the refusal
-        instead when the CONNECT does not qualify."""
+    def handshake(self, connect: Dict[str, Any]) -> Dict[str, Any]:
+        """Open the SQL session and answer the CONNECT_OK; the refusal
+        instead, with no session opened, when the CONNECT does not
+        qualify."""
         config = self._config
         client_version = connect["protocol_version"]
         if not config.min_protocol_version <= client_version <= config.max_protocol_version:
@@ -53,10 +52,7 @@ class ServerSession:
         if self._engine.database(database_name) is None:
             return make_error("unknown_database", f"database {database_name!r} does not exist")
         self.sql_session = self._engine.open_session(database_name, user=connect.get("user"))
-        self._channel.send(
-            make_connect_ok(config.name, config.max_protocol_version, self.session_id)
-        )
-        return None
+        return make_connect_ok(config.name, config.max_protocol_version, self.session_id)
 
     def flagged(self, reply: Dict[str, Any]) -> Dict[str, Any]:
         """Every RESULT/ERROR says whether this session's transaction is

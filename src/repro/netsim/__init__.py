@@ -28,6 +28,7 @@ from repro.netsim.secure import (
     CertificateAuthority,
     SecureChannel,
     SecureChannelError,
+    secure_wrap,
 )
 
 __all__ = [
@@ -44,4 +45,5 @@ __all__ = [
     "CertificateAuthority",
     "SecureChannel",
     "SecureChannelError",
+    "secure_wrap",
 ]

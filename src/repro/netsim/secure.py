@@ -204,3 +204,26 @@ def _derive_key(client_nonce: bytes, server_nonce: bytes, fingerprint: str) -> b
         server_nonce = bytes(str(server_nonce), "utf-8")
     return hashlib.sha256(client_nonce + server_nonce + fingerprint.encode("utf-8")).digest()
 
+
+def secure_wrap(
+    channel: Channel,
+    role: str,
+    authority: CertificateAuthority,
+    certificate: Optional[Certificate] = None,
+    expected_subject: Optional[str] = None,
+) -> SecureChannel:
+    """Wrap ``channel`` as client or server in one call.
+
+    ``role`` is ``"client"`` or ``"server"``. Servers must pass their
+    ``certificate``; clients may pass ``expected_subject`` to pin the
+    server identity.
+    """
+    if role == "client":
+        return SecureChannel.client_handshake(
+            channel, authority, expected_subject=expected_subject
+        )
+    if role == "server":
+        if certificate is None:
+            raise SecureChannelError("server role requires a certificate")
+        return SecureChannel.server_handshake(channel, certificate, authority=authority)
+    raise ValueError(f"role must be 'client' or 'server', got {role!r}")

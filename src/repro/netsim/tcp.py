@@ -34,12 +34,9 @@ def _parse_address(address: Address) -> tuple:
 class TcpChannel(Channel):
     """Message channel over a connected TCP socket."""
 
-    def __init__(self, sock: socket.socket) -> None:
+    def __init__(self, sock: socket.socket, remote: Address) -> None:
         self._sock = sock
-        try:
-            self._remote = "%s:%d" % sock.getpeername()[:2]
-        except OSError:  # the peer is already gone; its next recv says so
-            self._remote = ""
+        self._remote = remote
         self._send_lock = threading.Lock()
         self._recv_lock = threading.Lock()
         self._closed = False
@@ -131,12 +128,12 @@ class TcpListener(Listener):
             raise TransportError(f"listener {self._address} is closed")
         self._sock.settimeout(timeout)
         try:
-            conn, _addr = self._sock.accept()
+            conn, peer = self._sock.accept()
         except socket.timeout:
             raise TransportError(f"accept timed out on {self._address}") from None
         except OSError as exc:
             raise TransportError(f"accept failed on {self._address}: {exc}") from exc
-        return TcpChannel(conn)
+        return TcpChannel(conn, "%s:%d" % peer[:2])
 
     def close(self) -> None:
         if self._closed:
@@ -166,4 +163,4 @@ class TcpNetwork(Network):
             sock.close()
             raise TransportError(f"cannot connect to {address}: {exc}") from exc
         sock.settimeout(None)
-        return TcpChannel(sock)
+        return TcpChannel(sock, address)

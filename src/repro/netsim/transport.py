@@ -29,7 +29,7 @@ class Channel(ABC):
 
     @abstractmethod
     def send(self, message: Dict[str, Any]) -> None:
-        """Send one message dictionary to the peer; safe from several threads."""
+        """Send one message dictionary to the peer."""
 
     @abstractmethod
     def recv(self, timeout: Optional[float] = None) -> Dict[str, Any]:

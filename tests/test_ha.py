@@ -111,18 +111,18 @@ class TestReplicatedLogStoreUnit:
     def test_apply_replicate_is_idempotent(self):
         b = _store()
         frame = make_replicate("a", 1, [_entry(1).to_wire(), _entry(2).to_wire()], 0)
-        reply, applied = b.apply_replicate(frame)
+        reply, applied = b.apply_replicate(frame, "a:1")
         assert reply["type"] == ClusterMessageType.REPLICATE_OK
         assert reply["last_index"] == 2
         assert [e.index for e in applied] == [1, 2]
         # Resending the same frame (primary retry) appends nothing.
-        reply, applied = b.apply_replicate(frame)
+        reply, applied = b.apply_replicate(frame, "a:1")
         assert reply["last_index"] == 2 and applied == []
 
     def test_gap_reported_for_backfill(self):
         b = _store()
         frame = make_replicate("a", 1, [_entry(5).to_wire()], 0)
-        reply, applied = b.apply_replicate(frame)
+        reply, applied = b.apply_replicate(frame, "a:1")
         assert reply["gap"] is True and applied == []
         assert reply["last_index"] == 0  # tells the primary where to resend from
 
@@ -135,7 +135,7 @@ class TestReplicatedLogStoreUnit:
         frame = make_replicate(
             "a", 1, [_entry(6).to_wire(), _entry(7).to_wire()], 5, checkpoints=[]
         )
-        reply, applied = b.apply_replicate(frame)
+        reply, applied = b.apply_replicate(frame, "a:1")
         assert reply["type"] == ClusterMessageType.REPLICATE_OK
         assert not reply.get("gap")
         assert reply["last_index"] == 7
@@ -148,7 +148,7 @@ class TestReplicatedLogStoreUnit:
         # cover — must stay a gap, never a silent splice.
         b = _store()
         frame = make_replicate("a", 1, [_entry(7).to_wire()], 5, checkpoints=[])
-        reply, applied = b.apply_replicate(frame)
+        reply, applied = b.apply_replicate(frame, "a:1")
         assert reply["gap"] is True and applied == []
 
     def test_behind_peer_is_never_counted_toward_quorum(self):
@@ -178,7 +178,7 @@ class TestReplicatedLogStoreUnit:
         assert b.primary_hint == "c:1"  # where the accepted frame came from
         # The deposed primary's epoch-1 appends now bounce with our epoch.
         reply, applied = b.apply_replicate(
-            make_replicate("a", 1, [_entry(2).to_wire()], 0)
+            make_replicate("a", 1, [_entry(2).to_wire()], 0), "a:1"
         )
         assert reply["type"] == ClusterMessageType.ERROR
         assert reply["code"] == "stale_epoch" and reply["epoch"] == 3
@@ -188,7 +188,7 @@ class TestReplicatedLogStoreUnit:
         a = _store(node="a", peers=("b:1", "c:1"))
         assert a.is_primary
         reply, _ = a.apply_replicate(
-            make_replicate("b", 1, [_entry(1).to_wire()], 0)
+            make_replicate("b", 1, [_entry(1).to_wire()], 0), "b:1"
         )
         assert reply["code"] == "stale_epoch"  # same-epoch split-brain guard
 
@@ -210,18 +210,18 @@ class TestReplicatedLogStoreUnit:
 
     def test_divergent_overlap_is_refused_not_spliced(self):
         b = _store()
-        b.apply_replicate(make_replicate("a", 1, [_entry(1).to_wire()], 0))
+        b.apply_replicate(make_replicate("a", 1, [_entry(1).to_wire()], 0), "a:1")
         rewritten = _entry(1, sql="INSERT INTO t (id) VALUES (999)")
         frame = make_replicate("a", 2, [rewritten.to_wire(), _entry(2).to_wire()], 0)
-        reply, applied = b.apply_replicate(frame)
+        reply, applied = b.apply_replicate(frame, "a:1")
         assert reply["code"] == "diverged_log" and applied == []
         assert b.last_index == 1  # nothing was spliced over local history
 
     def test_compaction_floor_mirrors(self):
         b = _store()
         entries = [_entry(i).to_wire() for i in range(1, 5)]
-        b.apply_replicate(make_replicate("a", 1, entries, 0))
-        reply, _ = b.apply_replicate(make_replicate("a", 1, [], 3))
+        b.apply_replicate(make_replicate("a", 1, entries, 0), "a:1")
+        reply, _ = b.apply_replicate(make_replicate("a", 1, [], 3), "a:1")
         assert reply["type"] == ClusterMessageType.REPLICATE_OK
         assert b.truncated_through == 3
         assert [e.index for e in b.entries_after(0)] == [4]

@@ -152,6 +152,35 @@ class TestBoolIsNoInt:
             server.stop()
 
 
+class TestRefusedConnectEndsTheChannel:
+    """A CONNECT turned down after it parsed (bad password, unknown
+    database) closes the channel: no second guess on one connection, no
+    unauthenticated client parked on an unbounded wait."""
+
+    def test_database_closes_after_auth_failed(self):
+        network = InMemoryNetwork()
+        engine = Engine(name="authsrv")
+        engine.create_database("appdb")
+        engine.create_user("alice", "secret")
+        server = DatabaseServer(engine, network, "authsrv:5432").start()
+        try:
+            with network.connect("authsrv:5432") as channel:
+                reply = channel.request(make_connect("appdb", "alice", "guess", PROTOCOL_VERSION), 5.0)
+                assert reply["type"] == MessageType.ERROR and reply["code"] == "auth_failed"
+                with pytest.raises(TransportError, match="closed"):
+                    channel.recv(timeout=5.0)
+        finally:
+            server.stop()
+
+    def test_controller_closes_after_unknown_database(self, group_env):
+        connect = make_seq_connect("no-such-vdb", None, None, CLUSTER_PROTOCOL_VERSION)
+        with group_env.network.connect(group_env.controllers[0].address) as channel:
+            reply = channel.request(connect, 5.0)
+            assert reply["type"] == ClusterMessageType.ERROR and reply["code"] == "unknown_database"
+            with pytest.raises(TransportError, match="closed"):
+                channel.recv(timeout=5.0)
+
+
 # -- the docs table is the code's table ---------------------------------------------
 
 

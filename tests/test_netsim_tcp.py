@@ -57,14 +57,20 @@ class TestTcpTransport:
     def test_channel_server_over_tcp(self, net):
         def handler(channel):
             message = channel.recv(timeout=5.0)
-            channel.send({"echo": message.get("value")})
+            channel.send({"echo": message.get("value"), "from": channel.remote_address})
 
         listener = net.listen("127.0.0.1:0")
         server = ChannelServer(listener, handler, name="tcp-echo").start()
         try:
             client = net.connect(listener.address, timeout=5.0)
             client.send({"value": "over tcp"})
-            assert client.recv(timeout=5.0) == {"echo": "over tcp"}
+            reply = client.recv(timeout=5.0)
+            assert reply["echo"] == "over tcp"
+            # Each side names the other as the transport sees it: the
+            # server, the client's ephemeral host:port (nobody's listener).
+            assert client.remote_address == listener.address
+            host, _, port = reply["from"].rpartition(":")
+            assert host == "127.0.0.1" and int(port) > 0 and reply["from"] != listener.address
         finally:
             server.stop()
 
