@@ -7,8 +7,8 @@ needed because driver packages travel as binary blobs
 (``FILE_DATA(binary_code)`` in the paper's Table 3).
 
 The codec encodes a message to a compact ``bytes`` representation and
-back. Bytes values are tagged and base64 encoded so the envelope itself
-remains JSON; a short magic prefix guards against framing bugs.
+back in one C ``json`` pass each way. Bytes values are tagged and base64
+encoded so the envelope stays JSON; a magic prefix catches framing bugs.
 """
 
 from __future__ import annotations
@@ -28,61 +28,59 @@ class MessageCodecError(TransportError):
     """A message could not be encoded or decoded."""
 
 
-def _encode_value(value: Any) -> Any:
-    """Recursively convert a message value into a JSON-compatible value."""
+def _tag_bytes(value: Any) -> Dict[str, str]:
+    """The encoder's ``default``: ``bytes`` becomes the tag; no other non-JSON value may travel."""
     if isinstance(value, bytes):
         return {_BYTES_TAG: base64.b64encode(value).decode("ascii")}
-    if isinstance(value, dict):
-        return {key: _encode_value(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode_value(item) for item in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
     raise MessageCodecError(f"unsupported message value type: {type(value)!r}")
 
 
-def _decode_value(value: Any) -> Any:
-    """Inverse of :func:`_encode_value`."""
-    if isinstance(value, dict):
-        if set(value.keys()) == {_BYTES_TAG}:
-            try:
-                return base64.b64decode(value[_BYTES_TAG], validate=True)
-            except (TypeError, ValueError) as exc:
-                raise MessageCodecError(f"malformed bytes value: {exc}") from exc
-        return {key: _decode_value(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_decode_value(item) for item in value]
-    return value
+def _untag_bytes(obj: Dict[str, Any]) -> Any:
+    """The decoder's ``object_hook``, innermost first: a dict whose one key is the tag is bytes."""
+    if len(obj) != 1 or _BYTES_TAG not in obj:
+        return obj
+    text = obj[_BYTES_TAG]
+    if type(text) is not str:  # a nested tag is bytes by now: only a str is base64 text
+        raise MessageCodecError(f"malformed bytes value: {type(text).__name__}, not a str")
+    try:
+        return base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise MessageCodecError(f"malformed bytes value: {exc}") from exc
+
+
+_ENCODER = json.JSONEncoder(separators=(",", ":"), default=_tag_bytes)
+_DECODER = json.JSONDecoder(object_hook=_untag_bytes)
 
 
 def encode_message(message: Dict[str, Any]) -> bytes:
     """Serialize a message dictionary to bytes.
 
-    Raises :class:`MessageCodecError` if the message is not a dict or
-    contains values that cannot be represented.
+    Raises :class:`MessageCodecError` if the message is not a dict, contains
+    values that cannot be represented, or nests too deeply to encode.
     """
     if not isinstance(message, dict):
         raise MessageCodecError(f"message must be a dict, got {type(message)!r}")
     try:
-        payload = json.dumps(_encode_value(message), separators=(",", ":"))
-    except (TypeError, ValueError) as exc:
+        payload = _ENCODER.encode(message)
+    except (TypeError, ValueError, RecursionError) as exc:
         raise MessageCodecError(f"cannot encode message: {exc}") from exc
     return _MAGIC + payload.encode("utf-8")
 
 
 def decode_message(data: bytes) -> Dict[str, Any]:
-    """Deserialize bytes produced by :func:`encode_message`."""
+    """Deserialize bytes produced by :func:`encode_message`; anything else,
+    a frame nested too deeply included, raises :class:`MessageCodecError`."""
     if not isinstance(data, (bytes, bytearray)):
         raise MessageCodecError(f"expected bytes, got {type(data)!r}")
     if not data.startswith(_MAGIC):
         raise MessageCodecError("bad magic prefix (corrupted or foreign frame)")
     try:
-        decoded = json.loads(data[len(_MAGIC):].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        decoded = _DECODER.decode(data[len(_MAGIC):].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise MessageCodecError(f"cannot decode message: {exc}") from exc
     if not isinstance(decoded, dict):
         raise MessageCodecError("decoded message is not a dict")
-    return _decode_value(decoded)
+    return decoded
 
 
 def frame(data: bytes) -> bytes:

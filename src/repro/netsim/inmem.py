@@ -41,13 +41,19 @@ class _Faults:
         self.drop_every_nth: int = 0
         self._send_counter = 0
 
-    def is_partitioned(self, a: Address, b: Address) -> bool:
-        with self.lock:
-            return (a, b) in self.partitions or (b, a) in self.partitions
-
     def is_dead(self, address: Address) -> bool:
         with self.lock:
             return address in self.dead_endpoints
+
+    def check_path(self, local: Address, remote: Address) -> None:
+        """Refuse a frame across a dead endpoint or a partition (one lock acquisition)."""
+        with self.lock:
+            dead = remote in self.dead_endpoints or local in self.dead_endpoints
+            cut = (local, remote) in self.partitions or (remote, local) in self.partitions
+        if dead:
+            raise TransportError(f"endpoint unreachable: {remote}")
+        if cut:
+            raise TransportError(f"network partition between {local} and {remote}")
 
     def should_drop(self) -> bool:
         with self.lock:
@@ -64,8 +70,8 @@ class InMemoryChannel(Channel):
         self,
         local: Address,
         remote: Address,
-        inbox: "queue.Queue[Optional[bytes]]",
-        outbox: "queue.Queue[Optional[bytes]]",
+        inbox: "queue.SimpleQueue[Optional[bytes]]",
+        outbox: "queue.SimpleQueue[Optional[bytes]]",
         faults: _Faults,
     ) -> None:
         self._local = local
@@ -73,7 +79,7 @@ class InMemoryChannel(Channel):
         self._inbox = inbox
         self._outbox = outbox
         self._faults = faults
-        self._closed = threading.Event()
+        self._closed = False
 
     @property
     def local_address(self) -> Address:
@@ -85,24 +91,21 @@ class InMemoryChannel(Channel):
 
     @property
     def closed(self) -> bool:
-        return self._closed.is_set()
+        return self._closed
 
     def send(self, message: Dict[str, Any]) -> None:
-        if self._closed.is_set():
+        if self._closed:
             raise TransportError(f"channel {self._local}->{self._remote} is closed")
-        if self._faults.is_dead(self._remote) or self._faults.is_dead(self._local):
-            raise TransportError(f"endpoint unreachable: {self._remote}")
-        if self._faults.is_partitioned(self._local, self._remote):
-            raise TransportError(f"network partition between {self._local} and {self._remote}")
+        self._faults.check_path(self._local, self._remote)
         data = encode_message(message)
-        if self._faults.should_drop():
+        if self._faults.drop_every_nth > 0 and self._faults.should_drop():
             return
         if self._faults.latency_seconds > 0:
             time.sleep(self._faults.latency_seconds)
         self._outbox.put(data)
 
     def recv(self, timeout: Optional[float] = None) -> Dict[str, Any]:
-        if self._closed.is_set():
+        if self._closed:
             raise TransportError(f"channel {self._local}->{self._remote} is closed")
         try:
             data = self._inbox.get(timeout=timeout)
@@ -110,17 +113,21 @@ class InMemoryChannel(Channel):
             raise TransportError(
                 f"timed out waiting for message from {self._remote}"
             ) from None
+        # A frame that arrives after this side closed is never handed on.
+        if self._closed:
+            raise TransportError(f"channel {self._local}->{self._remote} is closed")
         if data is None:
-            self._closed.set()
+            self._closed = True
             raise TransportError(f"peer {self._remote} closed the channel")
         return decode_message(data)
 
     def close(self) -> None:
-        if self._closed.is_set():
+        if self._closed:
             return
-        self._closed.set()
-        # Wake the peer's receiver with an end-of-stream marker.
+        self._closed = True
+        # End-of-stream wakes both receivers, as a TCP shutdown does.
         self._outbox.put(None)
+        self._inbox.put(None)
 
 
 class InMemoryListener(Listener):
@@ -129,7 +136,7 @@ class InMemoryListener(Listener):
     def __init__(self, network: "InMemoryNetwork", address: Address) -> None:
         self._network = network
         self._address = address
-        self._pending: "queue.Queue[InMemoryChannel]" = queue.Queue()
+        self._pending: "queue.SimpleQueue[InMemoryChannel]" = queue.SimpleQueue()
         self._closed = threading.Event()
 
     @property
@@ -185,20 +192,18 @@ class InMemoryNetwork(Network):
         timeout: Optional[float] = None,
         source: Optional[Address] = None,
     ) -> Channel:
-        if self._faults.is_dead(address):
-            raise TransportError(f"endpoint unreachable: {address}")
-        if source is not None and self._faults.is_dead(source):
-            raise TransportError(f"endpoint unreachable: {source}")
+        for endpoint in (address, source):
+            if self._faults.is_dead(endpoint):
+                raise TransportError(f"endpoint unreachable: {endpoint}")
         with self._lock:
             listener = self._listeners.get(address)
             self._client_counter += 1
             client_address = source or f"client-{self._client_counter}"
         if listener is None or listener.closed:
             raise TransportError(f"connection refused: no listener at {address}")
-        if self._faults.is_partitioned(client_address, address):
-            raise TransportError(f"network partition between {client_address} and {address}")
-        client_to_server: "queue.Queue[Optional[bytes]]" = queue.Queue()
-        server_to_client: "queue.Queue[Optional[bytes]]" = queue.Queue()
+        self._faults.check_path(client_address, address)
+        client_to_server: "queue.SimpleQueue[Optional[bytes]]" = queue.SimpleQueue()
+        server_to_client: "queue.SimpleQueue[Optional[bytes]]" = queue.SimpleQueue()
         client_side = InMemoryChannel(
             client_address, address, server_to_client, client_to_server, self._faults
         )

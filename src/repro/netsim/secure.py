@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from repro.errors import TransportError
+from repro.netsim.framing import decode_message, encode_message
 from repro.netsim.transport import Channel
 
 
@@ -174,15 +175,11 @@ class SecureChannel(Channel):
         return self._inner.remote_address
 
     def send(self, message: Dict[str, Any]) -> None:
-        from repro.netsim.framing import encode_message
-
         body = encode_message(message)
         mac = hmac.new(self._session_key, body, hashlib.sha256).hexdigest()
         self._inner.send({"type": "secure_data", "body": body, "mac": mac})
 
     def recv(self, timeout: Optional[float] = None) -> Dict[str, Any]:
-        from repro.netsim.framing import decode_message
-
         envelope = self._inner.recv(timeout=timeout)
         if envelope.get("type") != "secure_data":
             raise SecureChannelError(f"unexpected secure frame type: {envelope.get('type')!r}")

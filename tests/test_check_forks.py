@@ -116,3 +116,19 @@ def test_ingress_gates_match_the_dispatches_they_retired():
         '        origin = frame.get("origin_address")',
     ):
         assert check_forks.re.search(dispatch.pattern, line), line
+
+
+def test_frame_path_gate_matches_the_walks_and_queues_it_retired():
+    """The codec gate allows nothing and matches the Python walks around
+    json and the Condition-based queues of the in-memory hop it retired."""
+    check_forks = _check_forks()
+    (gate,) = [gate for gate in check_forks.GATES if gate.message.startswith("a frame is one C json pass")]
+    assert gate.allowed == 0 and check_forks.check_gate(gate) == []
+    for line in (
+        "def _encode_value(value: Any) -> Any:",
+        '        payload = json.dumps(_encode_value(message), separators=(",", ":"))',
+        "    return _decode_value(decoded)",
+        '        client_to_server: "queue.Queue[Optional[bytes]]" = queue.Queue()',
+        '        self._pending: "queue.Queue[InMemoryChannel]" = queue.Queue()',
+    ):
+        assert check_forks.re.search(gate.pattern, line), line

@@ -1,5 +1,9 @@
 """Unit tests for the message codec and framing."""
 
+import base64
+import json
+from decimal import Decimal
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +16,72 @@ from repro.netsim.framing import (
     frame,
     read_frame,
 )
+
+_TAG = "__bytes_b64__"
+
+
+# -- the reference oracle ---------------------------------------------------
+# The codec as it was before it became one C json pass each way: a Python
+# walk of the message before json.dumps and another after json.loads. The
+# one-pass codec must give the same bytes, equal decodes and
+# MessageCodecError for the same inputs (test_one_pass_codec_*).
+
+
+def _reference_encode_value(value):
+    if isinstance(value, bytes):
+        return {_TAG: base64.b64encode(value).decode("ascii")}
+    if isinstance(value, dict):
+        return {key: _reference_encode_value(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_reference_encode_value(item) for item in value]
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    raise MessageCodecError(f"unsupported message value type: {type(value)!r}")
+
+
+def _reference_decode_value(value):
+    if isinstance(value, dict):
+        if set(value.keys()) == {_TAG}:
+            try:
+                return base64.b64decode(value[_TAG], validate=True)
+            except (TypeError, ValueError) as exc:
+                raise MessageCodecError(f"malformed bytes value: {exc}") from exc
+        return {key: _reference_decode_value(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_reference_decode_value(item) for item in value]
+    return value
+
+
+def reference_encode(message):
+    if not isinstance(message, dict):
+        raise MessageCodecError(f"message must be a dict, got {type(message)!r}")
+    try:
+        payload = json.dumps(_reference_encode_value(message), separators=(",", ":"))
+    except (TypeError, ValueError) as exc:
+        raise MessageCodecError(f"cannot encode message: {exc}") from exc
+    return b"RPRO" + payload.encode("utf-8")
+
+
+def reference_decode(data):
+    if not data.startswith(b"RPRO"):
+        raise MessageCodecError("bad magic prefix (corrupted or foreign frame)")
+    try:
+        decoded = json.loads(data[4:].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise MessageCodecError(f"cannot decode message: {exc}") from exc
+    if not isinstance(decoded, dict):
+        raise MessageCodecError("decoded message is not a dict")
+    return _reference_decode_value(decoded)
+
+
+def _outcome(codec, value):
+    """``codec(value)`` as a comparable record: its result's repr (exact
+    types and order, which ``==`` would blur: ``1 == 1.0 == True``), or
+    the fact that it raised the codec's error."""
+    try:
+        return ("ok", repr(codec(value)))
+    except MessageCodecError:
+        return ("MessageCodecError", None)
 
 
 class TestEncodeDecode:
@@ -53,12 +123,31 @@ class TestEncodeDecode:
         with pytest.raises(MessageCodecError):
             decode_message("a string")
 
-    @pytest.mark.parametrize("tagged", [5, None, "not base64!", ["x"]])
+    @pytest.mark.parametrize("tagged", [5, None, "not base64!", ["x"], {_TAG: "AA=="}])
     def test_malformed_bytes_value_rejected(self, tagged):
         # A sender controls the tag's value; a decode that raised anything
         # but the codec's error would kill the receiving server's thread.
+        # Only a str is base64 text: a nested tag decodes to bytes first.
         with pytest.raises(MessageCodecError):
             decode_message(encode_message({"blob": {"__bytes_b64__": tagged}}))
+
+    def test_a_frame_that_is_one_bytes_value_is_no_message(self):
+        # A message is a dict. A frame whose whole body is the bytes tag
+        # decodes to bytes, which a listener would then ask for its "type".
+        with pytest.raises(MessageCodecError):
+            decode_message(b'RPRO{"__bytes_b64__":"AA=="}')
+
+    def test_nesting_too_deep_for_the_codec_is_a_codec_error(self):
+        # How deep a frame nests is the sender's choice; RecursionError is no
+        # TransportError, so it would escape every listener's recv handling.
+        depth = 5000
+        with pytest.raises(MessageCodecError):
+            decode_message(b'RPRO{"type":' + b"[" * depth + b"]" * depth + b"}")
+        nested = []
+        for _ in range(depth):
+            nested = [nested]
+        with pytest.raises(MessageCodecError):
+            encode_message({"type": nested})
 
 
 class TestFraming:
@@ -96,3 +185,111 @@ class TestFraming:
 def test_property_codec_roundtrip(message):
     """Any well-typed message survives an encode/decode round trip."""
     assert decode_message(encode_message(message)) == message
+
+
+# -- the one-pass codec against the reference ------------------------------
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+_json_keys = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from([_TAG, "_" + _TAG, "type"]),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=False),
+    st.integers().map(_Int),
+    st.text(max_size=4).map(_Str),
+)
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.text(max_size=12),
+    st.binary(max_size=24),
+    st.integers().map(_Int),
+    st.text(max_size=8).map(_Str),
+)
+
+
+def _messages(keys, leaves):
+    values = st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(keys, children, max_size=4),
+        ),
+        max_leaves=20,
+    )
+    return st.one_of(st.dictionaries(keys, values, max_size=5), values)
+
+
+# Half the examples hold only what a message may; the other half may also
+# hold keys and values the codec refuses.
+_any_messages = st.one_of(
+    _messages(_json_keys, _scalars),
+    _messages(
+        st.one_of(_json_keys, st.sampled_from([(1, 2), b"k"])),
+        st.one_of(_scalars, st.sampled_from([object(), bytearray(b"x"), {1}, 1j, Decimal("1.5")])),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_messages)
+def test_one_pass_codec_encodes_as_the_two_walk_codec(message):
+    """Same bytes (or both refuse), and the same decode of those bytes."""
+    expected = _outcome(reference_encode, message)
+    assert _outcome(encode_message, message) == expected
+    if expected[0] == "ok":
+        data = encode_message(message)
+        assert _outcome(decode_message, data) == _outcome(reference_decode, data)
+
+
+_tag_values = st.one_of(
+    st.binary(max_size=12).map(lambda raw: base64.b64encode(raw).decode("ascii")),
+    st.sampled_from(["", "AA==", "AA=", "A===", "not base64!", "YQ==\n", "é", "QQ"]),
+    st.text(max_size=8),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.booleans(),
+    st.none(),
+)
+_json = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(max_size=8)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(st.sampled_from([_TAG, "_" + _TAG, _TAG + "_", "a"]), children, max_size=3),
+        # Tag-shaped: the value is base64 text, anything else, or a nested tag.
+        st.builds(lambda value: {_TAG: value}, st.one_of(_tag_values, children)),
+    ),
+    max_leaves=15,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.dictionaries(st.text(max_size=4), _json, max_size=4), _json), st.booleans())
+def test_one_pass_codec_decodes_adversarial_text_as_the_two_walk_codec(document, escape_tag):
+    """Over JSON texts a peer could send: tag-shaped dicts, nested tags, the
+    tag key spelt with a JSON escape, and tag values that are not base64
+    text — equal decodes, or MessageCodecError from both."""
+    text = json.dumps(document, separators=(",", ":"))
+    if escape_tag:
+        text = text.replace('"' + _TAG, '"\\u005f' + _TAG[1:])
+    data = b"RPRO" + text.encode("utf-8")
+    expected = _outcome(reference_decode, data)
+    if expected[0] == "ok" and not expected[1].startswith("{"):
+        # The one intended difference: a body that is nothing but the tag
+        # decoded to bytes, not a message (test_a_frame_that_is_one_bytes_value_is_no_message).
+        assert set(json.loads(text)) == {_TAG}
+        expected = ("MessageCodecError", None)
+    assert _outcome(decode_message, data) == expected

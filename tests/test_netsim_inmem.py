@@ -1,11 +1,13 @@
 """Unit tests for the in-memory network."""
 
 import threading
+import time
 
 import pytest
 
 from repro.errors import TransportError
 from repro.netsim import InMemoryNetwork
+from repro.netsim.ingress import Route, refuse_with, serve
 from repro.netsim.transport import ChannelServer
 
 
@@ -40,6 +42,30 @@ class TestConnectAndSend:
         client.close()
         with pytest.raises(TransportError):
             server.recv(timeout=1.0)
+
+    def test_close_wakes_the_local_receiver_and_no_later_frame_is_served(self, net):
+        # ChannelServer.stop closes each accepted channel. As with a TCP
+        # shutdown, that must wake the handler idle in recv, so a frame the
+        # client sends before it reads the end-of-stream reaches no route.
+        applied = []
+        routes = {
+            "ping": Route(lambda context, frame: {"type": "pong"}),
+            "UPDATE": Route(lambda context, frame: applied.append(frame)),
+        }
+        refuse = refuse_with(lambda code, detail: {"type": "error", "code": code})
+        server = ChannelServer(net.listen("svc:1"), lambda ch: serve(ch, routes, refuse), name="svc")
+        server.start()
+        client = net.connect("svc:1")
+        assert client.request({"type": "ping"}, timeout=2.0) == {"type": "pong"}
+        server.stop()  # the handler now waits, greeted, with no timeout
+        deadline = time.monotonic() + 2.0
+        while server.handler_thread_count() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert server.handler_thread_count() == 0
+        client.send({"type": "UPDATE"})
+        with pytest.raises(TransportError):
+            client.recv(timeout=1.0)
+        assert applied == []
 
     def test_recv_timeout(self, net):
         listener = net.listen("svc:1")

@@ -1,11 +1,15 @@
 """Integration tests for the TCP transport (real sockets on localhost)."""
 
+import socket
 import threading
+import time
 
 import pytest
 
 from repro.errors import TransportError
 from repro.netsim import TcpNetwork
+from repro.netsim.framing import frame
+from repro.netsim.ingress import Route, refuse_with, serve
 from repro.netsim.transport import ChannelServer
 
 
@@ -73,6 +77,31 @@ class TestTcpTransport:
             assert host == "127.0.0.1" and int(port) > 0 and reply["from"] != listener.address
         finally:
             server.stop()
+
+    def test_frame_nested_too_deep_closes_the_channel_and_kills_no_thread(self, net, monkeypatch):
+        # A raw peer chooses how deep its frame nests. Too deep to decode is
+        # a codec error like any other: ingress.serve closes the channel and
+        # the handler ends, rather than dying of an uncaught RecursionError.
+        uncaught = []
+        monkeypatch.setattr(threading, "excepthook", uncaught.append)
+        routes = {"ping": Route(lambda context, frame: {"type": "pong"})}
+        refuse = refuse_with(lambda code, detail: {"type": "error", "code": code})
+        listener = net.listen("127.0.0.1:0")
+        server = ChannelServer(listener, lambda ch: serve(ch, routes, refuse), name="tcp-deep")
+        server.start()
+        try:
+            host, _, port = listener.address.rpartition(":")
+            with socket.create_connection((host, int(port)), timeout=5.0) as peer:
+                depth = 5000
+                peer.sendall(frame(b'RPRO{"type":' + b"[" * depth + b"]" * depth + b"}"))
+                assert peer.recv(1) == b""  # closed, not answered
+            deadline = time.monotonic() + 5.0
+            while server.handler_thread_count() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server.handler_thread_count() == 0
+        finally:
+            server.stop()
+        assert uncaught == []
 
     def test_peer_close_detected(self, net):
         listener = net.listen("127.0.0.1:0")

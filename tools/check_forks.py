@@ -176,6 +176,12 @@ GATES = [
         # driver package (paper Section 3.3); it dispatches no frame.
         exclude=("src/repro/core/assembly.py", "src/repro/dbapi/driver_factory.py"),
     ),
+    Gate(
+        r"_encode_value|_decode_value|queue\.Queue\(",
+        ("src/repro/netsim",),
+        "a frame is one C json pass each way; a hop is one SimpleQueue (framing's JSONEncoder "
+        "default and JSONDecoder object_hook carry bytes, with no Python walk around json)",
+    ),
 ]
 
 
