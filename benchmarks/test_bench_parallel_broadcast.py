@@ -2,7 +2,8 @@
 
 Four simulated replicas each charge a fixed per-statement latency, so a
 sequential broadcast pays the latency once per backend per write while
-the thread-pooled broadcaster pays it roughly once per write.
+the parallel broadcaster, which sends to every replica before it collects
+any reply, pays it roughly once per write.
 """
 
 from benchmarks.conftest import run_and_report

@@ -30,8 +30,9 @@ This package implements the pieces those case studies exercise:
 - :mod:`repro.cluster.loadbalancer` — pluggable read policies
   (round-robin, least-pending, weighted) over the placement's
   per-statement candidate set,
-- :mod:`repro.cluster.broadcaster` — thread-pooled parallel write
-  broadcast with per-backend failure aggregation,
+- :mod:`repro.cluster.broadcaster` — parallel write broadcast on the
+  calling thread (send to every replica, then collect) with
+  per-backend failure aggregation,
 - :mod:`repro.cluster.querycache` — SELECT-result cache invalidated by
   the tables each write touches,
 - :mod:`repro.cluster.scheduler` — the request scheduler orchestrating

@@ -39,6 +39,171 @@ STATEMENT_FAULTS = (ProgrammingError, IntegrityError, DataError, NotSupportedErr
 #: trips than statement-at-a-time replay on a long tail.
 _RESYNC_BATCH_SIZE = 128
 
+QueryResult = Tuple[List[str], List[Any], int]
+#: One statement's outcome on one replica, positionally: its result, or
+#: the exception it raised.
+Outcome = Tuple[Optional[QueryResult], Optional[Exception]]
+
+
+def _run_cursor(connection: Any, sql: str, params: Optional[Dict[str, Any]]) -> QueryResult:
+    """One statement through the plain DB-API cursor: the request of a
+    connection with no split form, run to completion."""
+    cursor = connection.cursor()
+    cursor.execute(sql, params or {})
+    columns = [item[0] for item in (cursor.description or [])]
+    rows = cursor.fetchall()
+    rowcount = cursor.rowcount
+    cursor.close()
+    return columns, rows, rowcount
+
+
+class ReplicaBatch:
+    """One backend's share of a round: an ordered batch of statements,
+    put on the wire one request at a time.
+
+    :meth:`send` issues the next request — one statement, or the whole
+    rest of the batch on a connection with a native ``execute_batch`` —
+    and :meth:`collect` waits for its reply, so a caller holding several
+    of these sends to every replica before it waits on any. What lets a
+    reply arrive while the caller sends elsewhere is the connection's
+    *split form*: ``send_execute(sql, params)`` or ``send_batch(pairs)``
+    puts the request on the wire and returns its collect, a
+    zero-argument callable that waits for the reply and returns what
+    ``cursor.execute`` + ``fetchall`` (or ``execute_batch``) would. A
+    connection without one runs the request inside :meth:`send`, which
+    then completes at once and leaves :meth:`collect` nothing to do.
+
+    A connection declaring ``threadsafety`` below 2 is held exclusively
+    — the backend's lock — from a request's send to its collect.
+    ``outcomes`` fills positionally: a statement fault is that
+    statement's outcome alone; anything else is a connection fault,
+    which drops the connection and fails every statement not yet
+    answered, none of which is then sent."""
+
+    def __init__(
+        self,
+        backend: "Backend",
+        statements: List[Tuple[str, Optional[Dict[str, Any]]]],
+        track: bool = True,
+        batched: bool = True,
+    ) -> None:
+        self.backend = backend
+        self._statements = statements
+        self._track = track
+        #: Whether a connection's native batch may carry the statements
+        #: (``Backend.execute`` keeps a lone statement on the statement form).
+        self._batched = batched
+        self.outcomes: List[Outcome] = []
+        self._connection: Any = None
+        self._native = False
+        #: How many statements the request being sent or awaited carries.
+        self._carried = 0
+        self._collect: Optional[Callable[[], Any]] = None
+        self._locked = False
+
+    @property
+    def done(self) -> bool:
+        return len(self.outcomes) == len(self._statements)
+
+    def send(self) -> None:
+        """Issue the next request (a no-op once every statement has its
+        outcome). Call :meth:`collect` before the next send."""
+        if self.done:
+            return
+        self.backend._lock.acquire()
+        self._locked = True
+        try:
+            self._issue()
+        except Exception as exc:  # noqa: BLE001 - the statements' outcome
+            self._fail(exc)
+        finally:
+            if self._collect is None:
+                self._release()
+
+    def _issue(self) -> None:
+        position = len(self.outcomes)
+        self._carried = len(self._statements) - position
+        self._connection = None
+        connection = self._connection = self.backend._ensure_connection()
+        if getattr(connection, "threadsafety", 1) >= 2:
+            # Threads may share this connection: no exclusivity to hold.
+            self._release()
+        self._native = self._batched and (
+            hasattr(connection, "send_batch") or hasattr(connection, "execute_batch")
+        )
+        if self._native:
+            pairs = [(sql, dict(params or {})) for sql, params in self._statements[position:]]
+            split = getattr(connection, "send_batch", None)
+            if split is None:
+                self._settle(connection.execute_batch, pairs)
+            else:
+                self._collect = split(pairs)
+            return
+        sql, params = self._statements[position]
+        self._carried = 1
+        split = getattr(connection, "send_execute", None)
+        if split is None:
+            self._settle(_run_cursor, connection, sql, params)
+        else:
+            self._collect = split(sql, params or {})
+
+    def collect(self) -> None:
+        """Wait for the request in flight, if any, and record its reply."""
+        collect, self._collect = self._collect, None
+        if collect is None:
+            return
+        try:
+            self._settle(collect)
+        finally:
+            self._release()
+
+    def _settle(self, reply: Callable[..., Any], *args: Any) -> None:
+        """Record what ``reply(*args)`` returns — or raises — for the
+        statements the request carried."""
+        try:
+            value = reply(*args)
+            answered = self._native_outcomes(value) if self._native else [(value, None)]
+        except Exception as exc:  # noqa: BLE001 - the statements' outcome
+            self._fail(exc)
+            return
+        self.outcomes += answered
+        if self._track:
+            succeeded = sum(error is None for _, error in answered)
+            if succeeded:
+                with self.backend._lock:
+                    self.backend.statements_executed += succeeded
+
+    def _native_outcomes(self, value: Any) -> List[Outcome]:
+        if not isinstance(value, list) or len(value) != self._carried:
+            raise DriverError(
+                f"native batch returned "
+                f"{len(value) if isinstance(value, list) else type(value).__name__}"
+                f" outcomes for {self._carried} statements"
+            )
+        answered: List[Outcome] = []
+        for item in value:
+            if isinstance(item, Exception):
+                answered.append((None, item))
+            else:
+                columns, rows, rowcount = item
+                answered.append(((columns, rows, rowcount), None))
+        return answered
+
+    def _fail(self, exc: Exception) -> None:
+        count = self._carried
+        if not isinstance(exc, STATEMENT_FAULTS):
+            # The connection (or the replica) failed: drop it so the next
+            # call reconnects, and send nothing more on it — order means
+            # later statements must not run past a dead connection.
+            self.backend._drop_connection(self._connection)
+            count = len(self._statements) - len(self.outcomes)
+        self.outcomes.extend([(None, exc)] * count)
+
+    def _release(self) -> None:
+        if self._locked:
+            self._locked = False
+            self.backend._lock.release()
+
 
 class BackendState(enum.Enum):
     ENABLED = "enabled"
@@ -140,23 +305,16 @@ class Backend:
                     pass
                 self._connection = None
 
-    # -- statement execution ---------------------------------------------------------
-
-    def _on_connection(self, run: Callable[..., Any], *args: Any) -> Any:
-        """Call ``run(connection, *args)`` on the cached connection.
-
-        Calls normally serialise on the per-backend lock: the one
-        cached connection is not thread-safe, and DB-API level 1 only
-        promises threads may share the *module*. A connection that
-        declares ``threadsafety >= 2`` (threads may share connections —
-        a replica that processes disjoint-row statements concurrently)
-        runs outside the lock, so key-level lock scopes can actually
-        overlap on one replica instead of re-serialising here."""
+    def _drop_connection(self, failed: Any) -> None:
+        """Close the cached connection after ``failed`` failed — unless
+        it is no longer the cached one: a failure reported after a
+        reconnect (a shared connection, closed and replaced while the
+        call was in flight) must not close its successor."""
         with self._lock:
-            connection = self._ensure_connection()
-            if getattr(connection, "threadsafety", 1) < 2:
-                return run(connection, *args)
-        return run(connection, *args)
+            if self._connection is failed:
+                self.close_connection()
+
+    # -- statement execution ---------------------------------------------------------
 
     def execute(self, sql: str, params: Optional[Dict[str, Any]] = None, track: bool = True):
         """Run one statement on the replica, returning (columns, rows, rowcount).
@@ -164,108 +322,46 @@ class Backend:
         ``track=False`` leaves ``statements_executed`` untouched — for
         controller-internal catalog probes (primary-key resolution) that
         are not client work and would skew the observability counter."""
-        return self._on_connection(self._run_statement, sql, params, track)
-
-    def _run_statement(
-        self, connection: Any, sql: str, params: Optional[Dict[str, Any]], track: bool
-    ):
-        cursor = connection.cursor()
-        try:
-            cursor.execute(sql, params or {})
-        except STATEMENT_FAULTS:
-            # The statement was bad; the connection is fine. Keep it.
-            raise
-        except DriverError:
-            # A failed statement may mean the connection (or replica) died;
-            # drop the cached connection so the next call reconnects.
-            self.close_connection()
-            raise
-        columns = [item[0] for item in (cursor.description or [])]
-        rows = cursor.fetchall()
-        rowcount = cursor.rowcount
-        cursor.close()
-        if track:
-            with self._lock:
-                self.statements_executed += 1
-        return columns, rows, rowcount
+        batch = ReplicaBatch(self, [(sql, params)], track, batched=False)
+        batch.send()
+        batch.collect()
+        ((result, error),) = batch.outcomes
+        if error is not None:
+            raise error
+        return result
 
     def execute_batch(
         self,
         statements: List[Tuple[str, Optional[Dict[str, Any]]]],
         track: bool = True,
-    ) -> List[Tuple[Optional[Tuple[List[str], List[Any], int]], Optional[Exception]]]:
-        """Run an ordered list of ``(sql, params)`` pairs in one round trip.
+    ) -> List[Outcome]:
+        """Run an ordered list of ``(sql, params)`` pairs: a round with
+        this backend as its one target, each request collected before
+        the next is sent.
 
-        The whole batch costs **one** per-backend lock acquisition (one
-        simulated round trip) instead of one per statement. Returns one
-        ``(result, error)`` pair per statement, positionally: ``result``
-        is the usual ``(columns, rows, rowcount)`` triple, ``error`` the
-        exception that statement raised (statement faults are captured
-        per position; a connection-level failure poisons the failing
-        statement *and everything after it* — order means later
-        statements must not run past a dead connection).
+        Returns one ``(result, error)`` pair per statement, positionally:
+        ``result`` is the usual ``(columns, rows, rowcount)`` triple,
+        ``error`` the exception that statement raised (statement faults
+        are captured per position; a connection-level failure poisons
+        the failing statement *and everything after it*).
 
         Connections that offer a native ``execute_batch(pairs)`` — the
-        wire-level batch — get the whole list at once and must return one
-        outcome per statement (a ``(columns, rows, rowcount)`` triple or
-        an Exception instance, in order). Everything else falls back to a
-        per-statement loop that still pays the lock only once."""
-        if not statements:
-            return []
-        return self._on_connection(self._run_batch, statements, track)
-
-    def _run_batch(
-        self,
-        connection: Any,
-        statements: List[Tuple[str, Optional[Dict[str, Any]]]],
-        track: bool,
-    ) -> List[Tuple[Optional[Tuple[List[str], List[Any], int]], Optional[Exception]]]:
-        native = getattr(connection, "execute_batch", None)
-        if callable(native):
-            try:
-                raw = native([(sql, dict(params or {})) for sql, params in statements])
-                if not isinstance(raw, list) or len(raw) != len(statements):
-                    raise DriverError(
-                        f"native batch returned "
-                        f"{len(raw) if isinstance(raw, list) else type(raw).__name__}"
-                        f" outcomes for {len(statements)} statements"
-                    )
-            except Exception as exc:
-                if not isinstance(exc, STATEMENT_FAULTS):
-                    # The batch call itself died: connection-level fault.
-                    self.close_connection()
-                return [(None, exc)] * len(statements)
-            outcomes: List[
-                Tuple[Optional[Tuple[List[str], List[Any], int]], Optional[Exception]]
-            ] = []
-            succeeded = 0
-            for item in raw:
-                if isinstance(item, Exception):
-                    outcomes.append((None, item))
-                else:
-                    columns, rows, rowcount = item
-                    outcomes.append(((columns, rows, rowcount), None))
-                    succeeded += 1
-            if track and succeeded:
-                with self._lock:
-                    self.statements_executed += succeeded
-            return outcomes
-        outcomes = []
-        for position, (sql, params) in enumerate(statements):
-            try:
-                outcomes.append((self._run_statement(connection, sql, params, track), None))
-            except STATEMENT_FAULTS as exc:
-                # That statement was bad; the connection — and the rest of
-                # the batch — are fine.
-                outcomes.append((None, exc))
-            except Exception as exc:
-                # _run_statement already dropped the cached connection on a
-                # DriverError; the remaining statements have nowhere to run
-                # and must not be skipped silently.
-                for _ in range(position, len(statements)):
-                    outcomes.append((None, exc))
-                break
-        return outcomes
+        wire-level batch — get the whole list as one request and must
+        return one outcome per statement (a ``(columns, rows, rowcount)``
+        triple or an Exception instance, in order); everything else gets
+        one request per statement. Calls serialise on the per-backend
+        lock while a request is outstanding: the one cached connection
+        is not thread-safe, and DB-API level 1 only promises threads may
+        share the *module*. A connection that declares
+        ``threadsafety >= 2`` (threads may share connections — a replica
+        that processes disjoint-row statements concurrently) runs
+        outside the lock, so key-level lock scopes can actually overlap
+        on one replica instead of re-serialising here."""
+        batch = ReplicaBatch(self, statements, track)
+        while not batch.done:
+            batch.send()
+            batch.collect()
+        return batch.outcomes
 
     def ping(self) -> bool:
         """Liveness probe: can the replica still answer?

@@ -402,7 +402,6 @@ class Controller:
     def start(self) -> "Controller":
         if self._channel_server is not None:
             return self
-        self.scheduler.broadcaster.reopen()
         if self._worker_pool is None:
             # Threads spawn lazily on demand, so an idle pool costs
             # nothing; its size is the fixed ceiling on statement

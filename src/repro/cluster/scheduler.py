@@ -9,8 +9,9 @@ The scheduler is a thin orchestrator over five pluggable layers:
 3. :mod:`repro.cluster.loadbalancer` — the read policy choosing one
    backend per read (round-robin, least-pending, weighted) among the
    placement's candidates,
-4. :mod:`repro.cluster.broadcaster` — thread-pooled parallel execution of
-   writes on the hosting backends with per-backend failure aggregation,
+4. :mod:`repro.cluster.broadcaster` — parallel execution of writes on
+   the hosting backends (every request sent before any reply is
+   awaited, on the calling thread) with per-backend failure aggregation,
 5. :mod:`repro.cluster.querycache` — an optional SELECT-result cache
    invalidated by the tables each write touches.
 
@@ -1248,7 +1249,6 @@ class RequestScheduler:
 
     def stats(self) -> Dict[str, Any]:
         cache = self._cache
-        broadcast_stats = self._broadcaster.stats()
         return {
             "read_policy": self._policy.name,
             "placement": self._placement.stats(),
@@ -1256,9 +1256,7 @@ class RequestScheduler:
             **self._scopes.stats(),
             "open_transactions": self.open_transactions,
             "parallel_writes": self._broadcaster.parallel,
-            "broadcaster": broadcast_stats,
-            # Alias: operators look for the pool size under "broadcast".
-            "broadcast": broadcast_stats,
+            "broadcaster": self._broadcaster.stats(),
             "group_commit": self._group_commit.stats() if self._group_commit else None,
             "write_batching": self._write_batcher.stats() if self._write_batcher else None,
             "query_cache": cache.stats() if cache is not None else None,

@@ -223,8 +223,19 @@ class RuntimeConnection(WireConnection):
         return self._channel.recv(timeout=timeout)
 
     def _execute_locked(self, sql: str, params: Dict[str, Any]) -> Dict[str, Any]:
+        self._send_execute_locked(sql, params)
+        return self._receive_result_locked()
+
+    def _send_execute_locked(self, sql: str, params: Dict[str, Any]) -> None:
         try:
-            reply = self._exchange(make_execute(sql, params=params), timeout=30.0)
+            self._channel.send(make_execute(sql, params=params))
+        except TransportError as exc:
+            self._closed = True
+            raise OperationalError(f"connection lost: {exc}") from exc
+
+    def _receive_result_locked(self) -> Dict[str, Any]:
+        try:
+            reply = self._channel.recv(timeout=30.0)
         except TransportError as exc:
             self._closed = True
             raise OperationalError(f"connection lost: {exc}") from exc
@@ -235,6 +246,36 @@ class RuntimeConnection(WireConnection):
             raise InterfaceError(f"unexpected reply {reply.get('type')!r}")
         self.statements_executed += 1
         return reply
+
+    def send_execute(self, sql: str, params: Optional[Dict[str, Any]] = None):
+        """The split form of one statement, for a caller that sends to
+        several connections before it waits on any: the EXECUTE goes on
+        the wire now, and the returned zero-argument callable — to be
+        called exactly once — waits for the reply and returns
+        ``(columns, rows, rowcount)``, raising as ``cursor.execute``
+        would. The exchange lock is held from here until that call
+        returns, so a ``close()`` from another thread still waits for
+        the reply in flight."""
+        self._lock.acquire()
+        try:
+            if self._closed:
+                raise InterfaceError("connection is closed")
+            self._send_execute_locked(sql, params or {})
+        except BaseException:
+            self._lock.release()
+            raise
+        return self._collect_result
+
+    def _collect_result(self) -> Tuple[List[str], List[Tuple[Any, ...]], int]:
+        try:
+            reply = self._receive_result_locked()
+        finally:
+            self._lock.release()
+        return (
+            list(reply.get("columns", [])),
+            [tuple(row) for row in reply.get("rows", [])],
+            int(reply.get("rowcount", -1)),
+        )
 
     def _detach(self) -> None:
         try:

@@ -50,6 +50,7 @@ collapse — and zero lost writes.
 from __future__ import annotations
 
 import contextlib
+import functools
 import tempfile
 import threading
 import time
@@ -69,10 +70,17 @@ from repro.experiments.partial_replication import cluster_checksums
 
 
 class SimConnection:
-    """Synthetic backend connection charging one fixed latency per *call*
-    — per statement through ``cursor.execute``, per batch through the
-    native ``execute_batch`` — so N coalesced statements cost one network
-    round trip, exactly the economics write batching exploits.
+    """Synthetic backend connection charging one fixed latency per
+    *request* — per statement through ``cursor.execute`` /
+    ``send_execute``, per batch through the native ``execute_batch`` /
+    ``send_batch`` — so N coalesced statements cost one network round
+    trip, exactly the economics write batching exploits.
+
+    The split forms (``send_execute``, ``send_batch``) note when the
+    request's reply is due and return its collect, which sleeps until
+    then: a caller that sends to several of these before collecting any
+    pays the latency once, as it would over a real network. The due time
+    lives in the returned collect, never on the connection.
 
     ``threadsafety`` is the DB-API level it declares. 2 (threads may
     share the connection) models a real DBMS replica, which processes
@@ -92,23 +100,37 @@ class SimConnection:
         self.closed = False
         self.driver_info = {"name": "latency-sim"}
 
-    def _charge(self, statements: int) -> None:
+    def _charge(self, statements: int) -> float:
+        """Count one round trip carrying ``statements``; returns when its
+        reply is due."""
         self._counters["round_trips"] = self._counters.get("round_trips", 0) + 1
         self._counters["statements"] = self._counters.get("statements", 0) + statements
-        if self._latency_s > 0:
-            time.sleep(self._latency_s)
+        return time.monotonic() + self._latency_s
 
     def cursor(self) -> "_SimCursor":
         return _SimCursor(self)
 
+    def send_execute(self, sql: str, params: Optional[Dict[str, Any]] = None) -> Any:
+        return functools.partial(_reply_when_due, self._charge(1), (["ok"], [(1,)], 1))
+
+    def send_batch(self, pairs: List[Tuple[str, Dict[str, Any]]]) -> Any:
+        outcomes = [(["ok"], [[1]], 1) for _ in pairs]
+        return functools.partial(_reply_when_due, self._charge(len(pairs)), outcomes)
+
     def execute_batch(
         self, pairs: List[Tuple[str, Dict[str, Any]]]
     ) -> List[Tuple[List[str], List[Any], int]]:
-        self._charge(len(pairs))
-        return [(["ok"], [[1]], 1) for _ in pairs]
+        return self.send_batch(pairs)()
 
     def close(self) -> None:
         self.closed = True
+
+
+def _reply_when_due(due: float, reply: Any) -> Any:
+    remaining = due - time.monotonic()
+    if remaining > 0:
+        time.sleep(remaining)
+    return reply
 
 
 class _SimCursor:
@@ -119,7 +141,7 @@ class _SimCursor:
         self._connection = connection
 
     def execute(self, sql: str, params: Optional[Dict[str, Any]] = None) -> None:
-        self._connection._charge(1)
+        self._connection.send_execute(sql, params)()
 
     def fetchall(self) -> List[Tuple[Any, ...]]:
         return [(1,)]
@@ -284,7 +306,7 @@ def run_experiment(
                 for index in range(writers)
             ],
             RecoveryLog(),
-            broadcaster=WriteBroadcaster(parallel=True, max_workers=writers),
+            broadcaster=WriteBroadcaster(parallel=True),
             placement=create_placement(placement_spec),
             lock_manager=lock_manager(),
         )
@@ -344,7 +366,7 @@ def run_key_experiment(
         scheduler = RequestScheduler(
             [Backend("sim1", lambda: SimConnection(latency_s))],
             RecoveryLog(),
-            broadcaster=WriteBroadcaster(parallel=True, max_workers=writers),
+            broadcaster=WriteBroadcaster(parallel=True),
             primary_keys=primary_keys,
         )
         targets = [("hot", index if disjoint else 0) for index in range(writers)]
@@ -739,7 +761,7 @@ def run_write_batching_experiment(
         scheduler = RequestScheduler(
             [Backend("sim1", lambda: SimConnection(latency_s, counters, threadsafety=1))],
             RecoveryLog(),
-            broadcaster=WriteBroadcaster(parallel=True, max_workers=writers),
+            broadcaster=WriteBroadcaster(parallel=True),
             write_batching=mode == "batched",
         )
 

@@ -408,7 +408,8 @@ def run_broadcast_comparison(
 
     Each of ``backends`` simulated replicas charges ``latency_ms`` per
     statement; sequential broadcast pays it ``backends`` times per write,
-    the thread-pooled broadcaster pays it roughly once.
+    the parallel broadcaster, which sends to every replica before
+    collecting any, pays it roughly once.
     """
     result = ExperimentResult(
         experiment_id="E13b",
@@ -424,7 +425,7 @@ def run_broadcast_comparison(
                 for index in range(backends)
             ],
             RecoveryLog(),
-            broadcaster=WriteBroadcaster(parallel=parallel, max_workers=backends),
+            broadcaster=WriteBroadcaster(parallel=parallel),
         )
         try:
             started = time.perf_counter()

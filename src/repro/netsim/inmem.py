@@ -247,7 +247,9 @@ class InMemoryNetwork(Network):
             self._faults.partitions.discard((b, a))
 
     def set_latency(self, seconds: float) -> None:
-        """Add a fixed delay to every message send."""
+        """Add a fixed delay to every message send, charged to the
+        sender: ``send`` sleeps before the frame is queued, so a caller
+        sending to several channels in turn pays it once per channel."""
         if seconds < 0:
             raise ValueError("latency must be non-negative")
         with self._faults.lock:

@@ -132,3 +132,26 @@ def test_frame_path_gate_matches_the_walks_and_queues_it_retired():
         '        self._pending: "queue.Queue[InMemoryChannel]" = queue.Queue()',
     ):
         assert check_forks.re.search(gate.pattern, line), line
+
+
+def test_broadcast_gates_match_the_pool_they_retired():
+    """Both rows allow nothing and match the broadcaster's thread pool,
+    its auto-sizing and the experiments that sized it."""
+    check_forks = _check_forks()
+    pool, callers = [
+        gate for gate in check_forks.GATES if gate.message.startswith("a round sends to every target")
+    ]
+    for gate in (pool, callers):
+        assert gate.allowed == 0 and check_forks.check_gate(gate) == []
+    for line in (
+        "from concurrent.futures import ThreadPoolExecutor",
+        "    def _get_executor(self, fan_out: int = 0) -> Optional[ThreadPoolExecutor]:",
+        "    def __init__(self, parallel: bool = True, max_workers: Optional[int] = None) -> None:",
+        '                "effective_max_workers": self._pool_size,',
+    ):
+        assert check_forks.re.search(pool.pattern, line), line
+    for line in (
+        "            broadcaster=WriteBroadcaster(parallel=True, max_workers=writers),",
+        "            broadcaster=WriteBroadcaster(parallel=parallel, max_workers=backends),",
+    ):
+        assert check_forks.re.search(callers.pattern, line), line

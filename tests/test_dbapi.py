@@ -1,8 +1,10 @@
 """Tests for the DB-API layer: URLs, runtime driver behaviour, cursors, pool."""
 
+import threading
+
 import pytest
 
-from repro.dbapi import ConnectionPool, InterfaceError, OperationalError, parse_url
+from repro.dbapi import ConnectionPool, InterfaceError, OperationalError, ProgrammingError, parse_url
 from repro.dbapi.runtime import RuntimeDriver
 from repro.dbserver import DatabaseServer, ServerConfig
 from repro.netsim import InMemoryNetwork
@@ -114,6 +116,26 @@ class TestRuntimeConnection:
         connection.close()
         with pytest.raises(InterfaceError):
             connection.cursor()
+
+    def test_split_execute_holds_the_exchange_until_collected(self, db):
+        """send_execute puts the statement on the wire and returns its
+        collect; a close() from another thread waits for that reply, and
+        a statement error surfaces at the collect without wedging the
+        connection."""
+        network, _engine = db
+        connection = RuntimeDriver().connect("pydb://dbapi:5432/appdb", network=network)
+        with pytest.raises(ProgrammingError):
+            connection.send_execute("SELECT * FROM missing")()
+        collect = connection.send_execute("INSERT INTO t (id, v) VALUES ($id, 'x')", {"id": 1})
+        closer = threading.Thread(target=connection.close)
+        closer.start()
+        closer.join(timeout=0.2)
+        assert closer.is_alive()
+        assert collect()[2] == 1
+        closer.join(timeout=5.0)
+        assert not closer.is_alive() and connection.closed
+        with pytest.raises(InterfaceError):
+            connection.send_execute("SELECT 1")
 
     def test_preconfigured_url_overrides_application_url(self, db):
         network, _engine = db

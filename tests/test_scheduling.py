@@ -541,21 +541,6 @@ class TestWriteBroadcaster:
         assert [o.backend.name for o in outcome.failed] == ["bad"]
         assert "replica down" in outcome.failure_messages()[0]
 
-    def test_broadcast_after_close_runs_sequentially_without_leaking(self):
-        backends = [_backend("a"), _backend("b")]
-        broadcaster = WriteBroadcaster(parallel=True)
-        broadcaster.close()
-        # An in-flight write after shutdown still completes, but must not
-        # resurrect the thread pool.
-        outcome = broadcaster.broadcast(backends, "INSERT INTO t VALUES (1)")
-        assert len(outcome.succeeded) == 2
-        assert broadcaster._executor is None
-        broadcaster.reopen()
-        outcome = broadcaster.broadcast(backends, "INSERT INTO t VALUES (2)")
-        assert len(outcome.succeeded) == 2
-        assert broadcaster._executor is not None
-        broadcaster.close()
-
     def test_unexpected_exception_is_an_outcome_not_a_crash(self):
         # Regression: _run_one only caught DriverError, so a RuntimeError
         # (driver bug, broken connection object) re-raised out of

@@ -17,7 +17,6 @@ import chaos
 import pytest
 
 from repro.cluster import Controller, ControllerConfig
-from repro.cluster.broadcaster import WriteBroadcaster
 from repro.cluster.driver import ClusterDriverRuntime
 from repro.cluster.wire import (
     CLUSTER_PROTOCOL_VERSION,
@@ -748,40 +747,6 @@ class TestChannelServerFrontEnd:
             assert server.handler_thread_count() <= 5
         finally:
             server.stop()
-
-
-class TestBroadcasterAutoSizing:
-    def test_pool_grows_to_fan_out(self):
-        broadcaster = WriteBroadcaster(parallel=True)
-        try:
-            stats = broadcaster.stats()
-            assert stats["auto_sized"] is True
-            assert stats["effective_max_workers"] == WriteBroadcaster.DEFAULT_MAX_WORKERS
-            executor = broadcaster._get_executor(fan_out=12)
-            assert executor is not None
-            assert broadcaster.stats()["effective_max_workers"] == 12
-            # Grow-only: a narrower broadcast does not shrink the pool.
-            broadcaster._get_executor(fan_out=3)
-            assert broadcaster.stats()["effective_max_workers"] == 12
-        finally:
-            broadcaster.close()
-
-    def test_explicit_cap_stays_fixed(self):
-        broadcaster = WriteBroadcaster(parallel=True, max_workers=2)
-        try:
-            broadcaster._get_executor(fan_out=16)
-            stats = broadcaster.stats()
-            assert stats["auto_sized"] is False
-            assert stats["max_workers"] == 2
-            assert stats["effective_max_workers"] == 2
-        finally:
-            broadcaster.close()
-
-    def test_scheduler_stats_surface_broadcast_pool(self, cluster_env):
-        stats = cluster_env.controllers[0].scheduler.stats()
-        assert "broadcast" in stats
-        assert stats["broadcast"]["effective_max_workers"] >= 1
-        assert stats["broadcast"] == stats["broadcaster"]
 
 
 class TestGroupCommitUnit:

@@ -139,6 +139,60 @@ class TestBackendBatchFallback:
         assert connection.closed
         assert [sql for sql, _ in connection.executed] == ["U1"]
 
+    def test_late_failure_does_not_close_the_replacement_connection(self):
+        """A shared connection (threadsafety 2) runs outside the backend
+        lock, so it can be closed and replaced while a statement is still
+        in flight on it; when that statement then fails, only the
+        connection it ran on may be dropped — not its successor."""
+        first, second = _Stalling(), _Stalling()
+        opened = iter([first, second])
+        backend = Backend("b1", lambda: next(opened))
+        errors = []
+
+        def stall():
+            try:
+                backend.execute("STALL")
+            except OperationalError as exc:
+                errors.append(exc)
+
+        worker = threading.Thread(target=stall)
+        worker.start()
+        assert first.entered.wait(timeout=5.0)
+        backend.close_connection()  # as mark_failed / disable would
+        backend.execute("U1")  # reconnects: the cached connection is now `second`
+        first.release.set()
+        worker.join(timeout=5.0)
+        assert not worker.is_alive() and len(errors) == 1
+        assert first.closed and not second.closed
+        backend.execute("U2")
+        assert [sql for sql, _ in second.executed] == ["U1", "U2"]
+
+
+class _Stalling(_Recorder):
+    """A shared connection whose ``STALL`` statement signals ``entered``,
+    waits for ``release`` and then fails as a dead connection would."""
+
+    threadsafety = 2
+
+    def __init__(self):
+        super().__init__()
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def cursor(self):
+        cursor = super().cursor()
+        run = cursor.execute
+
+        def execute(sql, params=None):
+            if sql == "STALL":
+                self.entered.set()
+                assert self.release.wait(timeout=5.0)
+                raise OperationalError("connection reset")
+            run(sql, params)
+
+        cursor.execute = execute
+        return cursor
+
 
 class TestBackendBatchNative:
     def test_one_native_round_trip_with_mixed_outcomes(self):

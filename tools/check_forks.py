@@ -42,6 +42,11 @@ class Gate(NamedTuple):
     exclude: Tuple[str, ...] = ()
 
 
+_ROUND_ON_THE_CALLER = (
+    "a round sends to every target before collecting any, on the calling thread; there is "
+    "no broadcast pool"
+)
+
 GATES = [
     Gate(
         r"trace is (not )?None",
@@ -182,6 +187,12 @@ GATES = [
         "a frame is one C json pass each way; a hop is one SimpleQueue (framing's JSONEncoder "
         "default and JSONDecoder object_hook carry bytes, with no Python walk around json)",
     ),
+    Gate(
+        r"ThreadPoolExecutor|_get_executor|max_workers|threading\.Thread\(",
+        ("src/repro/cluster/broadcaster.py",),
+        _ROUND_ON_THE_CALLER,
+    ),
+    Gate(r"max_workers=", ("src/repro/experiments",), _ROUND_ON_THE_CALLER),
 ]
 
 
