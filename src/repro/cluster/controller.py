@@ -41,9 +41,10 @@ from repro.cluster.recovery import (
     FileLogStore,
     GroupCommit,
     MemoryLogStore,
+    PeerLink,
     RecoveryLog,
     ReplicatedLogStore,
-    peer_request,
+    exchange,
 )
 from repro.cluster.scheduler import RequestScheduler, SchedulerError
 from repro.core.clock import Clock, wall_clock
@@ -77,10 +78,6 @@ from repro.netsim.transport import Address, Channel, ChannelServer, Network
 
 #: Refuses a frame with the cluster protocol's ERROR and nothing more.
 _refuse = refuse_with(make_error)
-
-#: Seconds a group operation waits for a peer's ack (a peer still
-#: resyncing past it is skipped like an unreachable one).
-_GROUP_ACK_TIMEOUT_S = 5.0
 
 
 @dataclass
@@ -846,20 +843,21 @@ class Controller:
         return driver_id
 
     def _broadcast_group(self, operation: str, payload: Dict[str, Any]) -> "Tuple[int, List[str]]":
-        """Send a group operation to every peer.
+        """Send a group operation to every peer in one exchange.
 
-        Returns ``(acknowledged, refusals)``: unreachable peers are
-        skipped (best effort), but a reachable peer that answered with an
-        error is reported so callers can surface it."""
+        Returns ``(acknowledged, refusals)``: unreachable peers (or ones
+        past the ack timeout) are skipped (best effort), but a reachable
+        peer that answered with an error is reported so callers can
+        surface it."""
+        frame = make_group(operation, payload, origin=self.config.controller_id)
+        replies = exchange(
+            [(PeerLink(peer, self.network, self.address), frame) for peer in self.peers()],
+            close=True,
+        )
         acknowledged = 0
         refusals: List[str] = []
-        frame = make_group(operation, payload, origin=self.config.controller_id)
-        for peer in self.peers():
-            try:
-                reply = peer_request(
-                    self.network, self.address, peer, frame, _GROUP_ACK_TIMEOUT_S
-                )
-            except TransportError:
+        for peer, reply in replies.items():
+            if isinstance(reply, TransportError):
                 continue
             if reply.get("type") == "seq_group_ack":
                 acknowledged += 1

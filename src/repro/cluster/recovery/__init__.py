@@ -25,8 +25,8 @@ package is the production-shaped version of that mechanism:
   :class:`ReplicatedLogStore` wraps any store and replicates the log and
   checkpoint registry to controller peers with a majority-ack rule, an
   epoch scheme that fences deposed primaries and the election that
-  replaces them; :class:`PeerLink` is how one controller reaches
-  another.
+  replaces them, as pure rules under a thin shell; :class:`PeerLink`
+  and :func:`exchange` are how one controller reaches the others.
 
 See docs/recovery.md and docs/ha.md for the full walkthroughs.
 """
@@ -43,7 +43,7 @@ from repro.cluster.recovery.replication import (
     PeerLink,
     ReplicatedLogStore,
     ReplicationError,
-    peer_request,
+    exchange,
 )
 from repro.cluster.recovery.dumper import (
     ColumnDump,
@@ -64,7 +64,7 @@ __all__ = [
     "GroupCommit",
     "LogCompactedError",
     "PeerLink",
-    "peer_request",
+    "exchange",
     "ReplicatedLogStore",
     "ReplicationError",
     "ColumnDump",

@@ -1,52 +1,40 @@
 """Controller HA: recovery-log replication across controller peers.
 
-The paper's middleware replicates the *backends*, but each controller's
-recovery log is local — if the controller dies, committed writes that
-only its log knew about are stranded even though the physical databases
-applied them. :class:`ReplicatedLogStore` closes that gap: it wraps any
+The paper replicates the *backends*; each controller's recovery log is
+local, so a dead controller strands the writes only its log knew about.
+:class:`ReplicatedLogStore` wraps any
 :class:`~repro.cluster.recovery.logstore.LogStore` and, when the
-group-commit leader flushes, pushes the fsync group's entries to every
-follower peer over the cluster wire protocol (REPLICATE/REPLICATE_OK
-frames) and requires a **majority of the controller cluster** to hold
-them before ``wait_durable`` resolves. One replication round covers the
-whole fsync group — the group-commit batching from PR 7 amortises the
-network round-trip exactly like it amortises the fsync.
+group-commit leader flushes, ships the fsync group's entries to the
+follower peers (REPLICATE/REPLICATE_OK) and requires a **majority of the
+controller cluster** to hold them before ``wait_durable`` resolves — one
+round per fsync group, amortised like the fsync. Entries arrive already
+indexed by the :class:`RecoveryLog` facade, so this is log shipping, not
+consensus; what keeps failover safe is the **epoch rule**: a follower
+refuses an older epoch and adopts a newer one, and promotion bumps the
+epoch past every one the new primary has seen, so a deposed primary
+meets refusals, misses its majority and demotes itself. Use ``2f+1``
+controllers to survive ``f`` deaths (a 2-node group halts on either).
 
-Total order is the recovery log's own: entries arrive at the primary
-already indexed (the :class:`RecoveryLog` facade serialises appends), so
-replication is a log-shipping protocol, not a consensus one. What keeps
-it safe across failover is the **epoch rule**:
-
-- every node tracks an integer ``epoch``; frames carry the sender's
-  epoch;
-- a follower refuses any REPLICATE whose epoch is *older* than its own
-  (reply: ``stale_epoch`` carrying the refuser's epoch), and adopts any
-  *newer* epoch (demoting itself if it thought it was primary);
-- promotion bumps the epoch past every value the promoting node has
-  seen, so a deposed primary that comes back cannot reach a majority —
-  every up-to-date peer refuses its stale epoch, its quorum fails, and
-  it demotes itself on the spot.
-
-With ``2f+1`` controllers the cluster tolerates ``f`` failures. The
-degenerate 2-node cluster has majority 2, so *either* node's death
-halts writes — deliberate: a 2-node cluster that kept accepting writes
-on one node could diverge under partition. Use 3 controllers for HA.
-
-The election that decides who promotes
-(:meth:`ReplicatedLogStore.ensure_primary`) lives here, next to the
-epoch rule it relies on, and so does the one way a frame leaves one
-controller for another (:class:`PeerLink`): replication rounds,
-election probes and the controller's group operations are all cut by
-the same network faults.
-
-See docs/ha.md for the protocol walk-through.
+The module has two halves. **The rules** (the epoch rule, where shipped
+entries go, the round tally, the election, promotion) are functions of
+plain values with no lock, clock, channel or thread, and
+``tests/ha_explorer.py`` drives them through every bounded interleaving
+of faults. **The shell** (:class:`PeerLink`, :func:`exchange`,
+:class:`ReplicatedLogStore`) holds sockets, locks, persistence and
+counters and asks the rules what to do. Replication rounds, election
+probes and the controller's group operations all reach the peers through
+:func:`exchange` — every peer sent to before any reply is collected, on
+the calling thread — so each costs the slowest peer and all are cut by
+the same network faults. See docs/ha.md.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import DriverError, TransportError
 
@@ -72,8 +60,8 @@ _SLOW_FAILURE_S = 0.05
 _BACKOFF_BASE_S = 0.25
 _BACKOFF_CAP_S = 5.0
 
-#: Seconds a peer gets to accept a channel, to ack a replication round,
-#: and to answer an election probe.
+#: Seconds a peer gets to accept a channel, to answer a replication
+#: round or a group operation, and to answer an election probe.
 _CONNECT_TIMEOUT_S = 2.0
 _ACK_TIMEOUT_S = 5.0
 _PROBE_TIMEOUT_S = 2.0
@@ -89,24 +77,172 @@ class ReplicationError(DriverError):
     replay dedup via per-table sequences keeps a retry safe."""
 
 
-class PeerLink:
-    """One channel from this controller to a peer controller — the only
-    way a controller→controller frame leaves a node.
+# -- the rules: plain values in, new values and a verdict out -------------------
 
-    The channel is lazily (re)connected, as coming from this node's own
-    address (``source``) so a network fault between the two controllers
-    — or at this node's own endpoint — severs it; any transport failure
-    closes it so the next request starts fresh. The replication store
-    keeps one link per peer open across rounds; ``acked_index`` is the
-    highest log index the peer confirmed holding — the cursor that keeps
-    steady-state rounds incremental. Election probes and group
-    operations use a link for one exchange (:func:`peer_request`)."""
+#: Verdicts of :func:`on_replicate`.
+REFUSE, ADOPT, ACCEPT = "refuse", "adopt", "accept"
+#: Verdicts of :func:`place_entries`.
+APPEND, INSTALL, GAP, DIVERGED = "append", "install", "gap", "diverged"
+#: What one peer's REPLICATE reply says (:func:`read_reply`); ``GAP``
+#: again when the peer's log ends below what was shipped.
+ACK, STALE, DOWN = "ack", "stale", "down"
+#: Verdicts of :func:`tally_round`.
+COMMITTED, NO_QUORUM, DEPOSED = "committed", "no_quorum", "deposed"
+#: Verdicts of :func:`elect`.
+FOLLOW, NO_MAJORITY, DEFER, PROMOTE = "follow", "no_majority", "defer", "promote"
+
+
+def start_state(
+    self_address: str, peer_addresses: Sequence[str], persisted_epoch: Optional[int]
+) -> Tuple[int, str, Optional[str]]:
+    """``(epoch, role, primary_hint)`` of a node that starts. One that
+    persisted an epoch was deposed or promoted in a previous life; its
+    pre-crash role is unknowable, so it is a follower at that epoch and
+    lets an election sort it out. Otherwise the initial primary is the
+    lexicographically smallest address — every peer computes the same
+    answer from the same peer list."""
+    if persisted_epoch is not None:
+        return persisted_epoch, ROLE_FOLLOWER, None
+    first = min([self_address, *peer_addresses])
+    if first == self_address:
+        return 1, ROLE_PRIMARY, None
+    return 1, ROLE_FOLLOWER, first
+
+
+def on_replicate(
+    epoch: int, role: str, hint: Optional[str], frame_epoch: int, sender: str
+) -> Tuple[str, int, str, Optional[str]]:
+    """The epoch rule for a REPLICATE from ``sender``:
+    ``(verdict, epoch, role, hint)``. An older epoch — or our own while
+    we believe we are primary, the same-epoch split-brain guard — is
+    refused; a newer one is adopted, demoting a primary; an accepted
+    frame makes the sender the primary hint."""
+    if frame_epoch < epoch or (frame_epoch == epoch and role == ROLE_PRIMARY):
+        return REFUSE, epoch, role, hint
+    if frame_epoch > epoch:
+        return ADOPT, frame_epoch, ROLE_FOLLOWER, sender
+    return ACCEPT, epoch, role, sender
+
+
+def place_entries(
+    entries: Sequence[LogEntry],
+    local_last: int,
+    floor: int,
+    snapshot: bool,
+    local: Dict[int, LogEntry],
+) -> Tuple[str, int]:
+    """Where a frame's entries go on a follower whose log ends at
+    ``local_last`` (``local``: its retained entries the frame overlaps):
+    ``(verdict, index)``. ``APPEND`` the entries past ``local_last`` (a
+    resent frame is idempotent); ``INSTALL`` — our whole log sits below
+    the primary's floor and the frame carries the ``snapshot`` plus every
+    entry past it: adopt the floor and append it all; ``GAP`` — the
+    entries start past our head, so the primary resends from it; or
+    ``DIVERGED`` at ``index``, where an overlapping entry differs (a
+    deposed primary kept writes no majority saw): never splice."""
+    if not entries:
+        return APPEND, 0
+    first = entries[0].index
+    if first > local_last + 1:
+        if snapshot and local_last <= floor and first == floor + 1:
+            return INSTALL, 0
+        return GAP, 0
+    for incoming in entries:
+        if incoming.index > local_last:
+            break
+        mine = local.get(incoming.index)  # None: below our compaction floor
+        if mine is not None and (mine.sql, mine.table_seqs) != (incoming.sql, incoming.table_seqs):
+            return DIVERGED, incoming.index
+    return APPEND, 0
+
+
+def read_reply(reply: Any) -> Tuple[str, int]:
+    """What one peer's answer to a REPLICATE says: ``(ACK, its head)``,
+    ``(GAP, its head)``, ``(STALE, its epoch)`` or ``(DOWN, 0)`` —
+    a transport error, or any other refusal."""
+    if not isinstance(reply, dict):
+        return DOWN, 0
+    if reply.get("type") == ClusterMessageType.REPLICATE_OK:
+        return (GAP if reply.get("gap") else ACK), int(reply.get("last_index", 0))
+    if reply.get("type") == ClusterMessageType.ERROR and reply.get("code") == ERROR_STALE_EPOCH:
+        return STALE, int(reply.get("epoch", 0))
+    return DOWN, 0
+
+
+def tally_round(
+    epoch: int, role: str, outcomes: Iterable[Tuple[str, int]], required_acks: int
+) -> Tuple[str, int, int, str]:
+    """Judge a round from each peer's final :func:`read_reply`:
+    ``(verdict, acks, epoch, role)``. Self and every ``ACK`` count; a peer
+    still at ``GAP`` after the backfill retry is *behind* and never
+    counts, or an acked write could be held by fewer nodes than promised.
+    Any ``STALE`` deposes us at the highest epoch refused with."""
+    acks, stale = 1, []
+    for outcome, value in outcomes:
+        if outcome == ACK:
+            acks += 1
+        elif outcome == STALE:
+            stale.append(value)
+    if stale:
+        return DEPOSED, acks, max(epoch, *stale), ROLE_FOLLOWER
+    return (COMMITTED if acks >= required_acks else NO_QUORUM), acks, epoch, role
+
+
+def elect(
+    status: Dict[str, Any], replies: Iterable[Any], required_acks: int
+) -> Tuple[str, Optional[str], int]:
+    """A follower's election from its ``status`` and its peers' probe
+    replies (anything but HA_STATUS_OK is no answer):
+    ``(verdict, primary_hint, floor_epoch)``. ``FOLLOW`` a responder that
+    is primary at our epoch or newer; ``NO_MAJORITY`` when fewer than a
+    strict majority answered, self included; ``DEFER`` to the responder
+    that wins on ``(last_index, node_id)``; else ``PROMOTE`` past the
+    highest epoch any responder reported. Every follower ranks the same
+    answers alike, so at most one promotes."""
+    responders = [status] + [
+        reply
+        for reply in replies
+        if isinstance(reply, dict) and reply.get("type") == ClusterMessageType.HA_STATUS_OK
+    ]
+    live = [r for r in responders if r["role"] == ROLE_PRIMARY and r["epoch"] >= status["epoch"]]
+    if live:
+        return FOLLOW, max(live, key=lambda r: r["epoch"])["address"], 0
+    if len(responders) < required_acks:
+        return NO_MAJORITY, None, 0
+    winner = max(responders, key=lambda r: (r["last_index"], r["node_id"]))
+    if winner["node_id"] != status["node_id"]:
+        return DEFER, winner["address"], 0
+    return PROMOTE, None, max(r["epoch"] for r in responders)
+
+
+def promotion(epoch: int, floor_epoch: int) -> Tuple[int, str, Optional[str]]:
+    """``(epoch, role, hint)`` after promoting: the epoch goes past our
+    own and past ``floor_epoch`` (the probes' highest), so a candidate
+    whose epoch lagged cannot promote behind one already persisted in the
+    cluster — and the bump is what fences the old primary."""
+    return max(epoch, floor_epoch) + 1, ROLE_PRIMARY, None
+
+
+# -- the shell: one way to reach a peer -------------------------------------------
+
+
+class PeerLink:
+    """One channel to a peer controller — the only way a
+    controller→controller frame leaves a node. :meth:`send` connects if
+    needed, as this node's own address (``source``), so a network fault
+    between the two (or at our endpoint) severs it; :meth:`collect` waits
+    for the reply. Any transport failure closes the channel: the next
+    frame starts fresh and a late reply never answers it. The replication
+    store keeps a link per peer across rounds (``acked_index``, the
+    highest index the peer reported, keeps rounds incremental); probes
+    and group operations use one-shot links, never queued behind an ack."""
 
     def __init__(self, address: str, network: Any, source: str) -> None:
         self.address = address
         self._network = network
         self._source = source
         self._channel: Optional[Any] = None
+        self._sent_at = 0.0
         self.acked_index = 0
         self.reachable = False
         #: The peer answered but cannot hold the shipped entries (its log
@@ -123,34 +259,40 @@ class PeerLink:
     def in_backoff(self) -> bool:
         return time.monotonic() < self.retry_at
 
-    def request(
-        self, message: Dict[str, Any], timeout: float = _ACK_TIMEOUT_S
-    ) -> Dict[str, Any]:
-        """Send one frame and wait ``timeout`` seconds for its reply;
+    def send(self, message: Dict[str, Any]) -> None:
+        """Send one frame, connecting first if no channel is open;
         raises TransportError."""
-        started = time.monotonic()
+        self._sent_at = time.monotonic()
         try:
-            channel = self._channel
-            if channel is None:
-                channel = self._network.connect(
+            if self._channel is None:
+                self._channel = self._network.connect(
                     self.address, timeout=_CONNECT_TIMEOUT_S, source=self._source
                 )
-                self._channel = channel
-            channel.send(message)
-            reply = channel.recv(timeout=timeout)
+            self._channel.send(message)
         except TransportError:
-            self.close()
-            self._note_failure(time.monotonic() - started)
+            self._fail()
             raise
-        if reply is None:
-            self.close()
-            self._note_failure(time.monotonic() - started)
-            raise TransportError(f"peer {self.address} closed the channel")
+
+    def collect(self, timeout: float = _ACK_TIMEOUT_S) -> Dict[str, Any]:
+        """Wait ``timeout`` seconds for the reply to the frame a
+        successful :meth:`send` sent; raises TransportError."""
+        try:
+            reply = self._channel.recv(timeout=timeout)
+        except TransportError:
+            self._fail()
+            raise
         self.fail_streak = 0
         self.retry_at = 0.0
         return reply
 
-    def _note_failure(self, elapsed: float) -> None:
+    def request(self, message: Dict[str, Any], timeout: float = _ACK_TIMEOUT_S) -> Dict[str, Any]:
+        """One frame and its reply; raises TransportError."""
+        self.send(message)
+        return self.collect(timeout)
+
+    def _fail(self) -> None:
+        self.close()
+        elapsed = time.monotonic() - self._sent_at
         if elapsed < _SLOW_FAILURE_S:
             return  # instant refusals are cheap to retry next round
         self.fail_streak += 1
@@ -166,39 +308,51 @@ class PeerLink:
                 pass
 
 
-def peer_request(
-    network: Any, source: str, address: str, message: Dict[str, Any], timeout: float
+def exchange(
+    sends: Sequence[Tuple[PeerLink, Dict[str, Any]]],
+    timeout: Optional[float] = None,
+    close: bool = False,
 ) -> Dict[str, Any]:
-    """One exchange with a peer on a channel of its own (election probes,
-    group operations): a slow one can never queue in front of a
-    replication ack. Raises TransportError."""
-    link = PeerLink(address, network, source)
+    """Send every link its frame, then collect every reply within what
+    remains of one ``timeout`` (default: the ack timeout), on the calling
+    thread: it costs the slowest peer, not the sum. Returns, per address
+    in send order, the reply or the :class:`TransportError`; ``close``
+    ends the links after (one-shot links). Connecting inside ``send``
+    loses no overlap: the in-memory connect never blocks, and controllers
+    do not peer over TCP (docs/ha.md)."""
+    deadline = time.monotonic() + (_ACK_TIMEOUT_S if timeout is None else timeout)
+    results: Dict[str, Any] = {}
     try:
-        return link.request(message, timeout=timeout)
+        for link, frame in sends:
+            try:
+                link.send(frame)
+            except TransportError as exc:
+                results[link.address] = exc
+        for link, _ in sends:
+            if link.address not in results:
+                try:
+                    results[link.address] = link.collect(max(0.0, deadline - time.monotonic()))
+                except TransportError as exc:
+                    results[link.address] = exc
     finally:
-        link.close()
+        if close:
+            for link, _ in sends:
+                link.close()
+    return {link.address: results[link.address] for link, _ in sends}
 
 
 class ReplicatedLogStore(LogStore):
     """Wrap an inner :class:`LogStore` with majority-ack peer replication.
 
-    On the **primary**, ``flush()`` first makes the fsync group durable
-    locally (``inner.flush()``), then runs one replication round: every
-    peer missing entries gets them in a single REPLICATE frame, and the
-    round succeeds only when acks + self reach ``required_acks`` (strict
-    cluster majority, counting this node). Failure raises
-    :class:`ReplicationError` up through ``wait_durable``.
-
-    On a **follower**, :meth:`apply_replicate` appends the shipped
-    entries idempotently (duplicates skipped, gaps reported for
-    backfill), mirrors the primary's compaction floor, and flushes the
-    inner store *before* acking — a majority ack therefore means a
-    majority of controllers hold the entries at their own local
-    durability level.
-
-    Every controller is a node of such a group; a standalone one is the
-    group of one: no links, always primary, its own majority, a
-    ``flush()`` that ships nothing.
+    On the **primary**, ``flush()`` makes the fsync group durable locally,
+    then runs one round: each peer gets what it misses in one REPLICATE,
+    and acks + self must reach ``required_acks`` (a strict majority) or
+    :class:`ReplicationError` rises through ``wait_durable``. On a
+    **follower**, :meth:`apply_replicate` appends idempotently, mirrors
+    the compaction floor and flushes *before* acking, so a majority ack
+    means a majority holds the entries at its own durability level. A
+    standalone controller is the group of one: no links, always primary,
+    its own majority, a ``flush()`` that ships nothing.
     """
 
     def __init__(
@@ -224,25 +378,12 @@ class ReplicatedLogStore(LogStore):
         self.cluster_size = 1 + len(self._peers)
         #: Strict majority of the controller cluster, counting this node.
         self.required_acks = self.cluster_size // 2 + 1
-        self.epoch = 1
-        #: Where the cluster thinks the primary is; followers hand this
-        #: to bounced drivers so failover goes straight to the right node.
-        self.primary_hint: Optional[str] = None
-        restored = self._load_meta()
-        if restored is not None:
-            # This node was deposed or promoted in a previous life; its
-            # pre-crash role is unknowable, so restart as a follower at
-            # the persisted epoch and let election sort it out.
-            self.epoch = restored
-            self.role = ROLE_FOLLOWER
-        else:
-            # Deterministic initial primary with zero configuration: the
-            # lexicographically smallest controller address. Every peer
-            # computes the same answer from the same peer list.
-            all_addresses = sorted([self_address, *peer_addresses])
-            self.role = ROLE_PRIMARY if all_addresses[0] == self_address else ROLE_FOLLOWER
-            if self.role == ROLE_FOLLOWER:
-                self.primary_hint = all_addresses[0]
+        #: ``primary_hint`` is where the cluster thinks the primary is;
+        #: followers hand it to bounced drivers so failover goes straight
+        #: to the right node.
+        self.epoch, self.role, self.primary_hint = start_state(
+            self_address, peer_addresses, self._load_meta()
+        )
         #: Serialises replication rounds (one group-commit leader at a
         #: time calls flush, but promote()/announce() may race it).
         self._round_lock = threading.Lock()
@@ -273,12 +414,7 @@ class ReplicatedLogStore(LogStore):
     # -- epoch persistence --------------------------------------------------------
 
     def _load_meta(self) -> Optional[int]:
-        if self._meta_path is None:
-            return None
-        import json
-        import os
-
-        if not os.path.exists(self._meta_path):
+        if self._meta_path is None or not os.path.exists(self._meta_path):
             return None
         try:
             with open(self._meta_path, "r", encoding="utf-8") as handle:
@@ -286,7 +422,19 @@ class ReplicatedLogStore(LogStore):
         except (ValueError, OSError):
             return None
 
-    def _persist_meta_locked(self) -> None:
+    def _settle_locked(self, epoch: int, role: str) -> None:
+        """Take the epoch and role a rule returned: count the transition
+        and persist the epoch (``ha.json``) when anything changed."""
+        if (epoch, role) == (self.epoch, self.role):
+            return
+        if epoch > self.epoch and role == ROLE_FOLLOWER:
+            self.epoch_adoptions += 1
+        if role != self.role:
+            if role == ROLE_PRIMARY:
+                self.promotions += 1
+            else:
+                self.depositions += 1
+        self.epoch, self.role = epoch, role
         if self._meta_path is not None:
             atomic_write_json(self._meta_path, {"epoch": self.epoch})
 
@@ -346,6 +494,9 @@ class ReplicatedLogStore(LogStore):
     def reset_to_floor(self, index: int) -> None:
         self.inner.reset_to_floor(index)
 
+    def stats(self) -> Dict[str, Any]:
+        return self.inner.stats()
+
     def close(self) -> None:
         for peer in self._peers.values():
             peer.close()
@@ -392,43 +543,17 @@ class ReplicatedLogStore(LogStore):
                 self._checkpoints.snapshot() if self._checkpoints is not None else None
             )
             outcomes = self._ship_round(epoch, floor, checkpoints)
-            acks = 1  # this node holds its own log
-            stale_epoch_seen = 0
-            for peer in self._peers.values():
-                outcome, stale_epoch, shipped = outcomes[peer.address]
-                self.entries_shipped += shipped
-                if outcome == "ack":
-                    peer.reachable = True
-                    peer.needs_reseed = False
-                    acks += 1
-                elif outcome == "behind":
-                    # Reachable, but its log head sits below our compaction
-                    # floor and the backfill retry could not fill it: the
-                    # peer does NOT hold the entries, so it must not count
-                    # toward the majority — otherwise an "acked" write
-                    # could be durable on fewer nodes than promised.
-                    peer.reachable = True
-                    peer.needs_reseed = True
-                elif outcome == "stale":
-                    peer.reachable = True
-                    stale_epoch_seen = max(stale_epoch_seen, stale_epoch)
-                else:
-                    peer.reachable = False
-            if stale_epoch_seen:
-                # A peer is ahead of us: we were deposed while we slept.
-                with self._state_lock:
-                    if stale_epoch_seen > self.epoch:
-                        self.epoch = stale_epoch_seen
-                        self.epoch_adoptions += 1
-                    if self.role == ROLE_PRIMARY:
-                        self.role = ROLE_FOLLOWER
-                        self.depositions += 1
-                    self._persist_meta_locked()
+            with self._state_lock:
+                verdict, acks, new_epoch, new_role = tally_round(
+                    self.epoch, self.role, outcomes.values(), self.required_acks
+                )
+                self._settle_locked(new_epoch, new_role)
+            if verdict == DEPOSED:
                 raise ReplicationError(
                     f"{self.node_id} was deposed: a peer is at epoch "
-                    f"{stale_epoch_seen}, refusing our stale appends"
+                    f"{new_epoch}, refusing our stale appends"
                 )
-            if acks >= self.required_acks:
+            if verdict == COMMITTED:
                 self.rounds += 1
                 self._replicated_through = head
                 self._announced_floor = floor
@@ -446,100 +571,58 @@ class ReplicatedLogStore(LogStore):
         epoch: int,
         floor: int,
         checkpoints: Optional[List[Dict[str, Any]]],
-    ) -> Dict[str, Tuple[str, int, int]]:
-        """Contact every peer for one round; returns per-address
-        ``(outcome, stale_epoch, entries_shipped)``.
+    ) -> Dict[str, Tuple[str, int]]:
+        """Each peer's final :func:`read_reply` for one round.
 
         Peers in reconnect backoff are skipped for free (counted "down")
         — unless the round cannot reach quorum without them, in which
         case they are tried anyway: backoff only ever trades latency,
         never availability."""
-        results: Dict[str, Tuple[str, int, int]] = {}
-        ready = [p for p in self._peers.values() if not p.in_backoff()]
         deferred = [p for p in self._peers.values() if p.in_backoff()]
-        for peer in deferred:
-            results[peer.address] = ("down", 0, 0)
-        self._contact_peers(ready, epoch, floor, checkpoints, results)
-        acks = sum(1 for outcome, _, _ in results.values() if outcome == "ack")
+        ready = [p for p in self._peers.values() if p not in deferred]
+        outcomes = {peer.address: (DOWN, 0) for peer in deferred}
+        outcomes.update(self._ship(ready, epoch, floor, checkpoints))
+        acks = sum(1 for outcome, _ in outcomes.values() if outcome == ACK)
         if deferred and 1 + acks < self.required_acks:
-            self._contact_peers(deferred, epoch, floor, checkpoints, results)
-        return results
+            outcomes.update(self._ship(deferred, epoch, floor, checkpoints))
+        return outcomes
 
-    def _contact_peers(
+    def _ship(
         self,
         peers: List[PeerLink],
         epoch: int,
         floor: int,
         checkpoints: Optional[List[Dict[str, Any]]],
-        results: Dict[str, Tuple[str, int, int]],
-    ) -> None:
-        """One REPLICATE exchange per peer, concurrently: the round costs
-        the *slowest* peer's latency, not the sum — one dead peer's
-        connect timeout no longer serialises in front of every live
-        peer's ack on every group-commit flush."""
-        if not peers:
-            return
-
-        def ship(target: PeerLink) -> None:
-            results[target.address] = self._replicate_to_peer(
-                target, epoch, floor, checkpoints
-            )
-
-        threads = [
-            threading.Thread(target=ship, args=(peer,), daemon=True)
-            for peer in peers[1:]
-        ]
-        for thread in threads:
-            thread.start()
-        ship(peers[0])
-        for thread in threads:
-            thread.join()
-
-    def _replicate_to_peer(
-        self,
-        peer: PeerLink,
-        epoch: int,
-        floor: int,
-        checkpoints: Optional[List[Dict[str, Any]]],
-    ) -> Tuple[str, int, int]:
-        """Ship the peer everything past its ack cursor; returns
-        ``(outcome, stale_epoch, entries_shipped)`` where outcome is
-        "ack", "behind" (reachable but unable to hold the entries — needs
-        a reseed, never counted toward quorum), "stale" (peer refused our
-        epoch) or "down"."""
-        shipped = 0
-        for attempt in range(2):  # one retry to backfill a reported gap
-            base = max(peer.acked_index, floor)
-            entries = [e.to_wire() for e in self.inner.entries_after(base)]
-            frame = make_replicate(
-                origin=self.node_id,
-                epoch=epoch,
-                entries=entries,
-                truncated_through=floor,
-                checkpoints=checkpoints,
-            )
-            try:
-                reply = peer.request(frame)
-            except TransportError:
-                return "down", 0, shipped
-            kind = reply.get("type")
-            if kind == ClusterMessageType.REPLICATE_OK:
-                shipped += len(entries)
-                peer.acked_index = int(reply.get("last_index", 0))
-                if not reply.get("gap"):
-                    return "ack", 0, shipped
-                if attempt == 0:
-                    # The peer is further behind than our cursor thought
-                    # (e.g. it restarted empty); resend from its real head.
-                    continue
-                # Still gapped after the backfill retry: the peer's head
-                # is below our compaction floor and the retained log
-                # cannot fill it (it refused or never got the snapshot).
-                return "behind", 0, shipped
-            if kind == ClusterMessageType.ERROR and reply.get("code") == ERROR_STALE_EPOCH:
-                return "stale", int(reply.get("epoch", epoch + 1)), shipped
-            return "down", 0, shipped
-        return "down", 0, shipped  # pragma: no cover
+    ) -> Dict[str, Tuple[str, int]]:
+        """At most two passes of :func:`exchange`: every peer gets
+        everything past its ack cursor, then each peer that answered
+        ``gap`` (it is further behind than its cursor said, e.g. it
+        restarted empty) gets it again from its real head."""
+        outcomes: Dict[str, Tuple[str, int]] = {}
+        for _ in range(2):
+            if not peers:
+                break
+            frames = {}
+            for peer in peers:
+                base = max(peer.acked_index, floor)
+                entries = [e.to_wire() for e in self.inner.entries_after(base)]
+                frames[peer.address] = make_replicate(
+                    origin=self.node_id,
+                    epoch=epoch,
+                    entries=entries,
+                    truncated_through=floor,
+                    checkpoints=checkpoints,
+                )
+            replies = exchange([(peer, frames[peer.address]) for peer in peers])
+            for peer in peers:
+                outcome, value = read_reply(replies[peer.address])
+                outcomes[peer.address] = (outcome, value)
+                peer.reachable = outcome != DOWN
+                if outcome in (ACK, GAP):
+                    self.entries_shipped += len(frames[peer.address]["entries"])
+                    peer.acked_index, peer.needs_reseed = value, outcome == GAP
+            peers = [peer for peer in peers if outcomes[peer.address][0] == GAP]
+        return outcomes
 
     # -- follower side -------------------------------------------------------------
 
@@ -563,22 +646,15 @@ class ReplicatedLogStore(LogStore):
     def apply_replicate(
         self, frame: Dict[str, Any], sender: str
     ) -> "tuple[Dict[str, Any], List[LogEntry]]":
-        """Apply one REPLICATE frame; returns ``(reply, applied_entries)``.
-
-        ``applied_entries`` is the suffix actually appended here
-        (:meth:`answer` advances the per-table sequence counters from
-        it). The inner store is flushed before the ack so a
-        majority ack implies majority-local durability. Epoch/role
-        transitions happen under ``_state_lock``; the append+fsync work
-        runs outside it (serialised by ``_apply_lock``) so election
-        probes answered by :meth:`status` never queue behind a flush.
-        An accepted frame makes ``sender`` the primary hint.
-
-        The whole frame is decoded before any of it is applied (its
-        top-level fields arrive typed, ``Controller.routes``): one that
-        does not decode is refused (``bad_replicate``) with the log, the
-        epoch and the role untouched — raising would kill the peer
-        channel's thread, and the sender would read that as "peer down"."""
+        """Apply one REPLICATE frame; returns ``(reply, applied_entries)``,
+        the suffix appended here (:meth:`answer` advances the per-table
+        sequence counters from it). The epoch rule runs under
+        ``_state_lock``; the append+fsync runs outside it (serialised by
+        ``_apply_lock``) so election probes never queue behind a flush.
+        The whole frame is decoded first (its top-level fields arrive
+        typed, ``Controller.routes``): one that does not decode is refused
+        (``bad_replicate``) with nothing touched — raising would kill the
+        peer channel's thread, which the sender reads as "peer down"."""
         frame_epoch, floor = frame["epoch"], frame["truncated_through"]
         try:
             entries = [LogEntry.from_wire(e) for e in frame["entries"]]
@@ -588,11 +664,11 @@ class ReplicatedLogStore(LogStore):
             return make_error("bad_replicate", f"malformed REPLICATE frame: {exc!r}"), []
         with self._apply_lock:
             with self._state_lock:
-                if frame_epoch < self.epoch or (
-                    frame_epoch == self.epoch and self.role == ROLE_PRIMARY
-                ):
-                    # Stale primary (or same-epoch split brain): refuse, and
-                    # tell it our epoch so it demotes itself.
+                verdict, epoch, role, hint = on_replicate(
+                    self.epoch, self.role, self.primary_hint, frame_epoch, sender
+                )
+                if verdict == REFUSE:
+                    # Tell the stale primary our epoch so it demotes itself.
                     reply = make_error(
                         ERROR_STALE_EPOCH,
                         f"{self.node_id} is at epoch {self.epoch}, "
@@ -600,102 +676,47 @@ class ReplicatedLogStore(LogStore):
                     )
                     reply["epoch"] = self.epoch
                     return reply, []
-                if frame_epoch > self.epoch:
-                    self.epoch = frame_epoch
-                    self.epoch_adoptions += 1
-                    if self.role == ROLE_PRIMARY:
-                        self.role = ROLE_FOLLOWER
-                        self.depositions += 1
-                    self._persist_meta_locked()
-                self.primary_hint = sender
+                self._settle_locked(epoch, role)
+                self.primary_hint = hint
             local_last = self.inner.last_index
-            gap = False
-            applied: List[LogEntry] = []
-            if entries:
-                if entries[0].index > local_last + 1:
-                    if (
-                        frame.get("checkpoints") is not None
-                        and local_last <= floor
-                        and entries[0].index == floor + 1
-                    ):
-                        # Snapshot install: our whole log sits below the
-                        # primary's compaction floor, and this frame carries
-                        # everything the primary itself retains — the
-                        # checkpoint-registry snapshot plus every entry past
-                        # the floor. Adopt the floor (our stale prefix is
-                        # superseded by the snapshot, the same blind spot
-                        # compaction already accepts) and splice the fresh
-                        # suffix, so a restarted-empty follower catches up
-                        # instead of gapping forever.
-                        self.inner.reset_to_floor(floor)
-                        for entry in entries:
-                            self.inner.append(entry)
-                            applied.append(entry)
-                        self.snapshot_installs += 1
-                    else:
-                        gap = True
-                else:
-                    divergence = self._check_overlap(entries, local_last)
-                    if divergence is not None:
-                        return divergence, []
-                    for entry in entries:
-                        if entry.index <= local_last:
-                            continue
-                        self.inner.append(entry)
-                        applied.append(entry)
+            local: Dict[int, LogEntry] = {}
+            if entries and entries[0].index <= local_last:
+                local = {e.index: e for e in self.inner.entries_after(entries[0].index - 1)}
+            placement, index = place_entries(
+                entries, local_last, floor, frame.get("checkpoints") is not None, local
+            )
+            if placement == DIVERGED:
+                return make_error(
+                    "diverged_log",
+                    f"{self.node_id} log diverges at index {index}; "
+                    "this node needs a reseed before rejoining",
+                ), []
+            if placement == INSTALL:
+                # Our stale prefix is superseded by the snapshot — the
+                # same blind spot compaction already accepts.
+                self.inner.reset_to_floor(floor)
+                self.snapshot_installs += 1
+            applied = [] if placement == GAP else [e for e in entries if e.index > local_last]
+            for entry in applied:
+                self.inner.append(entry)
             if floor > self.inner.truncated_through:
                 self.inner.truncate_through(floor)
             self.inner.flush()
             with self._state_lock:
                 reply = make_replicate_ok(
-                    self.node_id, self.epoch, self.inner.last_index, gap=gap
+                    self.node_id, self.epoch, self.inner.last_index, gap=placement == GAP
                 )
             return reply, applied
-
-    def _check_overlap(
-        self, entries: List[LogEntry], local_last: int
-    ) -> Optional[Dict[str, Any]]:
-        """Compare the overlapping prefix against our retained log; a
-        mismatch means histories diverged (a deposed primary kept writes
-        no majority saw) and this node must not silently splice them."""
-        overlap = [e for e in entries if e.index <= local_last]
-        if not overlap:
-            return None
-        local = {
-            e.index: e for e in self.inner.entries_after(overlap[0].index - 1)
-        }
-        for incoming in overlap:
-            mine = local.get(incoming.index)
-            if mine is None:
-                continue  # below our compaction floor; nothing to compare
-            if (mine.sql, mine.table_seqs) != (incoming.sql, incoming.table_seqs):
-                return make_error(
-                    "diverged_log",
-                    f"{self.node_id} log diverges at index {incoming.index}; "
-                    "this node needs a reseed before rejoining",
-                )
-        return None
 
     # -- promotion / election -----------------------------------------------------
 
     def promote(self, floor_epoch: int = 0) -> int:
-        """Take over as primary at a fresh epoch; returns the new epoch.
-
-        The epoch bump past everything this node has seen is what fences
-        the old primary: its next round meets ``stale_epoch`` refusals at
-        every up-to-date peer and cannot reach a majority.
-        ``floor_epoch`` is the highest epoch observed elsewhere (election
-        probe responses) — the bump goes past it as well as our own, so a
-        candidate whose local epoch lagged (missed announce frames)
-        cannot promote *behind* an epoch already persisted in the
-        cluster."""
+        """Take over as primary at a fresh epoch (:func:`promotion`);
+        returns the new epoch. ``floor_epoch`` is the highest epoch the
+        election probes reported."""
         with self._state_lock:
-            if self.role != ROLE_PRIMARY:
-                self.role = ROLE_PRIMARY
-                self.promotions += 1
-            self.epoch = max(self.epoch, floor_epoch) + 1
-            self.primary_hint = None
-            self._persist_meta_locked()
+            epoch, role, self.primary_hint = promotion(self.epoch, floor_epoch)
+            self._settle_locked(epoch, role)
             return self.epoch
 
     def announce(self) -> bool:
@@ -711,19 +732,13 @@ class ReplicatedLogStore(LogStore):
             self.primary_hint = address
 
     def ensure_primary(self, promote: Callable[[int], int]) -> bool:
-        """Deterministic self-election, run when a write lands on a
-        follower: probe every peer, and promote only when (a) no
-        reachable peer claims the primaryship at our epoch or newer, and
-        (b) a strict cluster majority is reachable (self included) and
-        this node wins the (last_index, node_id) tie-break among the
-        responders. Every surviving follower computes the same winner
-        from the same probes, so at most one promotes. Probes leave as
-        this node's own address, so a partition or a dead endpoint hides
-        a peer from the election exactly as it hides it from a
-        replication round: a minority side never promotes, a majority
-        side always can. ``promote(floor_epoch)`` is the owner's
-        promotion (it ends in :meth:`promote` and :meth:`announce`).
-        Returns whether this node is primary afterwards."""
+        """The election (:func:`elect`) a write on a follower runs: every
+        peer is probed in one :func:`exchange`, so it costs the slowest
+        answer. Probes leave as this node's address, so a fault hides a
+        peer from the election as from a round: a minority side never
+        promotes, a majority side always can. ``promote(floor_epoch)`` is
+        the owner's promotion (ending in :meth:`promote` and
+        :meth:`announce`). Returns whether this node is primary after."""
         if not self._election_lock.acquire(blocking=False):
             # An election is already running on another worker; this
             # statement just bounces with not_primary and the driver
@@ -733,44 +748,19 @@ class ReplicatedLogStore(LogStore):
             status = self.status()
             if status["role"] == ROLE_PRIMARY:
                 return True
-            responders = [status]
-            for address in self._peers:
-                try:
-                    reply = peer_request(
-                        self._network,
-                        self.self_address,
-                        address,
-                        make_ha_status(self.node_id),
-                        _PROBE_TIMEOUT_S,
-                    )
-                except TransportError:
-                    continue
-                if reply.get("type") == ClusterMessageType.HA_STATUS_OK:
-                    responders.append(reply)
-            live_primaries = [
-                r
-                for r in responders
-                if r["role"] == ROLE_PRIMARY and r["epoch"] >= status["epoch"]
-            ]
-            if live_primaries:
-                # The primary is alive (we were probed by a stale hint or
-                # a client raced a settled election): just point at it.
-                self.set_primary_hint(max(live_primaries, key=lambda r: r["epoch"])["address"])
-                return False
-            if len(responders) < self.required_acks:
-                # Can't prove a majority side of any partition; promoting
-                # here could split the brain. Stay a follower.
-                return False
-            winner = max(responders, key=lambda r: (r["last_index"], r["node_id"]))
-            if winner["node_id"] != self.node_id:
-                self.set_primary_hint(winner["address"])
-                return False
-            # Fold every epoch the probes reported into the promotion:
-            # the new epoch must land past values persisted anywhere in
-            # the responder set, not just past this node's own (which may
-            # lag if it missed announce frames).
-            promote(max(r["epoch"] for r in responders))
-            return True
+            probe = make_ha_status(self.node_id)
+            replies = exchange(
+                [(PeerLink(a, self._network, self.self_address), probe) for a in self._peers],
+                _PROBE_TIMEOUT_S,
+                close=True,
+            )
+            verdict, hint, floor_epoch = elect(status, replies.values(), self.required_acks)
+            if verdict == PROMOTE:
+                promote(floor_epoch)
+                return True
+            if hint is not None:
+                self.set_primary_hint(hint)
+            return False
         finally:
             self._election_lock.release()
 
@@ -786,11 +776,6 @@ class ReplicatedLogStore(LogStore):
             }
 
     # -- stats ---------------------------------------------------------------------
-
-    def stats(self) -> Dict[str, Any]:
-        base = self.inner.stats()
-        base["replication"] = self.ha_stats()
-        return base
 
     def ha_stats(self) -> Dict[str, Any]:
         with self._state_lock:

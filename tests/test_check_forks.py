@@ -155,3 +155,26 @@ def test_broadcast_gates_match_the_pool_they_retired():
         "            broadcaster=WriteBroadcaster(parallel=parallel, max_workers=backends),",
     ):
         assert check_forks.re.search(callers.pattern, line), line
+
+
+def test_exchange_gates_match_the_fan_outs_they_retired():
+    """The thread and peer_request rows allow nothing and match the
+    per-round replication threads and the one-exchange helper they
+    retired; the recv row allows the one receive, in PeerLink.collect."""
+    check_forks = _check_forks()
+    threads, helper, recv = [
+        gate for gate in check_forks.GATES if gate.message.startswith("a controller reaches its peers")
+    ]
+    for gate in (threads, helper):
+        assert gate.allowed == 0 and check_forks.check_gate(gate) == []
+    assert check_forks.re.search(threads.pattern, "            threading.Thread(target=ship, args=(peer,), daemon=True)")
+    for line in (
+        "def peer_request(",
+        "                    reply = peer_request(",
+        "    peer_request,",
+    ):
+        assert check_forks.re.search(helper.pattern, line), line
+    assert recv.allowed == 1
+    report = check_forks.check_gate(recv._replace(allowed=0))
+    assert len(report) == 2 and "self._channel.recv(timeout=timeout)" in report[1], report
+    assert check_forks.re.search(recv.pattern, "            reply = channel.recv(timeout=timeout)")

@@ -13,18 +13,23 @@ replay the exact interleaving.
 """
 
 import threading
+import time
 
 import pytest
 
 import chaos
 from repro.cluster.driver import ClusterDriverRuntime
+from repro.cluster.recovery import replication
 from repro.cluster.recovery.logstore import LogEntry, MemoryLogStore
 from repro.cluster.recovery.replication import (
     ROLE_FOLLOWER,
     ROLE_PRIMARY,
+    PeerLink,
     ReplicatedLogStore,
     ReplicationError,
 )
+from repro.errors import TransportError
+from repro.netsim.inmem import InMemoryNetwork
 from repro.cluster.wire import (
     ClusterMessageType,
     ERROR_NOT_PRIMARY,
@@ -158,14 +163,15 @@ class TestReplicatedLogStoreUnit:
         a = _store(node="a", peers=("b:1",))
         a.append(_entry(1))
         link = a.peer_link("b:1")
-        link.request = lambda frame: make_replicate_ok("b", 1, 0, gap=True)
+        link.send = lambda frame: None
+        link.collect = lambda timeout: make_replicate_ok("b", 1, 0, gap=True)
         with pytest.raises(ReplicationError):
             a.replicate(force=True)
         assert a.quorum_failures == 1
         assert link.needs_reseed
         assert a.ha_stats()["peers"]["b:1"]["needs_reseed"] is True
         # Once the peer takes the entries, the reseed flag clears.
-        link.request = lambda frame: make_replicate_ok("b", 1, 1)
+        link.collect = lambda timeout: make_replicate_ok("b", 1, 1)
         assert a.replicate(force=True) is True
         assert not link.needs_reseed
 
@@ -613,6 +619,216 @@ class TestControllerHAFailover:
         survivors = [c for c in env.controllers if c is not primary]
         assert _primary_of(env, survivors) in survivors
         conn.close()
+
+
+# -- one exchange: every peer is sent to before any reply is collected ---------
+
+
+@pytest.fixture
+def exchange_log(monkeypatch):
+    """Replace the wire under every PeerLink: ``send`` and ``collect`` are
+    recorded, and each frame is answered as an obliging peer would."""
+    log = []
+
+    def send(link, frame):
+        log.append(("send", link.address))
+        link._fake_frame = frame
+
+    def collect(link, timeout=None):
+        log.append(("collect", link.address))
+        frame = link._fake_frame
+        if frame["type"] == ClusterMessageType.REPLICATE:
+            return make_replicate_ok("peer", frame["epoch"], len(frame["entries"]))
+        if frame["type"] == ClusterMessageType.HA_STATUS:
+            status = {"node_id": "peer", "address": link.address, "epoch": 1, "role": ROLE_FOLLOWER}
+            return {"type": ClusterMessageType.HA_STATUS_OK, **status, "last_index": 0}
+        return {"type": "seq_group_ack"}
+
+    monkeypatch.setattr(replication.PeerLink, "send", send, raising=False)
+    monkeypatch.setattr(replication.PeerLink, "collect", collect, raising=False)
+    return log
+
+
+@pytest.fixture
+def release_hung_peers():
+    """An event the hung peers of a test wait on; set when it ends."""
+    gate = threading.Event()
+    yield gate
+    gate.set()
+
+
+def _hang_until(gate, result):
+    def hung(*args):
+        gate.wait(timeout=30.0)
+        return result
+
+    return hung
+
+
+class TestPeerExchange:
+    def test_a_round_sends_to_every_peer_before_collecting(self, exchange_log):
+        a = _store(node="a", peers=("b:1", "c:1"))
+        a.append(_entry(1))
+        assert a.replicate(force=True)
+        assert exchange_log == [("send", "b:1"), ("send", "c:1"), ("collect", "b:1"), ("collect", "c:1")]
+
+    def test_an_election_probes_every_peer_before_collecting(self, exchange_log):
+        z = _store(node="z", peers=("b:1", "c:1"))
+        assert z.ensure_primary(z.promote)  # ties on last_index go to "z"
+        assert exchange_log[:4] == [("send", "b:1"), ("send", "c:1"), ("collect", "b:1"), ("collect", "c:1")]
+
+    def test_a_group_operation_reaches_every_peer_before_collecting(self, ha_env, exchange_log):
+        c1, c2, c3 = ha_env.controllers
+        assert c1._broadcast_group("disable_backend", {"backend": "db1"}) == (2, [])
+        assert exchange_log == [
+            ("send", c2.address), ("send", c3.address), ("collect", c2.address), ("collect", c3.address),
+        ]
+
+    def test_an_election_with_two_hung_peers_costs_one_probe_timeout(
+        self, ha_env, monkeypatch, release_hung_peers
+    ):
+        c1, c2, c3 = ha_env.controllers
+        monkeypatch.setattr(replication, "_PROBE_TIMEOUT_S", 0.5)
+        for hung in (c1, c3):  # they take the probe and never answer
+            status = hung.ha_store.status()
+            monkeypatch.setattr(hung.ha_store, "status", _hang_until(release_hung_peers, status))
+        started = time.monotonic()
+        assert c2.ha_store.ensure_primary(c2.promote) is False
+        assert time.monotonic() - started < 0.9  # not 2 x 0.5
+
+    def test_a_round_with_one_hung_peer_costs_at_most_one_ack_timeout(
+        self, ha_env, monkeypatch, release_hung_peers
+    ):
+        c1, _, c3 = ha_env.controllers
+        monkeypatch.setattr(replication, "_ACK_TIMEOUT_S", 0.5)
+        late = make_error("late", "answered after the round gave up")
+        monkeypatch.setattr(c3.ha_store, "answer", _hang_until(release_hung_peers, late))
+        c1.recovery_log.append("INSERT INTO t (id) VALUES (1)", write_tables=("t",))
+        started = time.monotonic()
+        assert c1.ha_store.replicate() is True  # self + c2
+        assert time.monotonic() - started < 0.9
+        assert not c1.ha_store.ha_stats()["peers"][c3.address]["reachable"]
+
+    def test_a_collect_that_timed_out_closes_its_link(self, release_hung_peers):
+        # A late reply must never be read as the answer to the next frame.
+        network = InMemoryNetwork()
+        listener = network.listen("p:1")
+
+        def serve():
+            for _ in range(2):
+                channel = listener.accept(timeout=5.0)
+                frame = channel.recv(timeout=5.0)
+                if frame["n"] == 1:
+                    release_hung_peers.wait(timeout=5.0)
+                channel.send({"type": "answer", "n": frame["n"]})
+
+        server = threading.Thread(target=serve, daemon=True)
+        server.start()
+        link = PeerLink("p:1", network, "q:1")
+        link.send({"type": "ask", "n": 1})
+        with pytest.raises(TransportError):
+            link.collect(0.1)
+        release_hung_peers.set()
+        assert link.request({"type": "ask", "n": 2}, timeout=5.0) == {"type": "answer", "n": 2}
+        link.close()
+        server.join(timeout=5.0)
+
+    def test_a_group_operation_across_a_partition_reaches_nobody(self, ha_env):
+        c1, c2, c3 = ha_env.controllers
+        with chaos.isolated_controller(ha_env, c1):
+            assert c1._broadcast_group("disable_backend", {"backend": "db1"}) == (0, [])
+        assert c2.backend("db1").enabled and c3.backend("db1").enabled
+
+
+# -- known hole: the election ranks by last_index alone ------------------------
+
+_RANKING_BUG = (
+    "the election ranks by last_index alone: a deposed primary's unacked suffix "
+    "outranks an acked write (ROADMAP item 6(f): per-entry epochs, Raft's lastLogTerm)"
+)
+
+
+def _write_through(env, controller, table, value):
+    """One INSERT through a driver that knows only ``controller``; returns
+    its SQL when the write was acked, else None."""
+    sql = f"INSERT INTO {table} (id) VALUES ({value})"
+    conn = _connect(env, url=f"sequoia://{controller.address}/vdb", name=f"ha-{table}-{value}")
+    try:
+        conn.cursor().execute(sql)
+        return sql
+    except (OperationalError, ProgrammingError):
+        return None
+    finally:
+        conn.close()
+
+
+def _primaries_lacking(controllers, acked):
+    """Each primary among ``controllers``, with the acked writes missing
+    from its log."""
+    lacking = {}
+    for controller in controllers:
+        if controller.ha_store.is_primary:
+            logged = {entry.sql for entry in controller.ha_store.entries_after(0)}
+            lacking[controller.config.controller_id] = [sql for sql in acked if sql not in logged]
+    return lacking
+
+
+class TestAckedWriteSurvivesElection:
+    @pytest.mark.xfail(strict=True, reason=_RANKING_BUG)
+    def test_new_primary_holds_an_acked_write_that_a_deposed_suffix_outranks(self, ha_env):
+        env = ha_env
+        c1, c2, c3 = env.controllers
+        setup = _connect(env)
+        setup.cursor().execute("CREATE TABLE rk_t (id INTEGER PRIMARY KEY)")
+        setup.close()
+        assert c3.promote() == 2
+        with chaos.isolated_controller(env, c3):
+            # Alone, c3 logs the write and cannot replicate it.
+            assert _write_through(env, c3, "rk_t", 1) is None
+            # c1 and c2 elect c2 at epoch 3, which acks a write at the
+            # same index.
+            conn = _connect(env, url=f"sequoia://{c1.address},{c2.address}/vdb")
+            conn.cursor().execute("INSERT INTO rk_t (id) VALUES (2)")
+            conn.close()
+            acked = ["INSERT INTO rk_t (id) VALUES (2)"]
+            assert c2.ha_store.is_primary and c2.ha_store.epoch == 3
+            chaos.crash_controller(env, c2)
+        # c3 appends once more and is deposed; then it wins the election
+        # on last_index, without the acked write.
+        assert _write_through(env, c3, "rk_t", 3) is None
+        _write_through(env, c3, "rk_t", 4)
+        lacking = _primaries_lacking([c1, c3], acked)
+        assert lacking and not any(lacking.values()), lacking
+
+    @pytest.mark.xfail(strict=True, reason=_RANKING_BUG)
+    def test_the_explorers_shortest_counterexample_replays_on_a_cluster(self, ha_env):
+        """tests/ha_explorer.py's shortest I2 trace, event for event."""
+        env = ha_env
+        by_name = dict(zip(("c1", "c2", "c3"), env.controllers))
+        setup = _connect(env)
+        setup.cursor().execute("CREATE TABLE ex_t (id INTEGER PRIMARY KEY)")
+        setup.close()
+        acked, crashed = [], []
+        trace = ["isolate c1", "write c1", "write c3", "crash c3", "heal", "write c1", "write c1"]
+        for step, event in enumerate(trace):
+            kind, *name = event.split()
+            node = by_name[name[0]] if name else None
+            if kind == "isolate":
+                for other in env.controllers:
+                    if other is not node:
+                        env.network.partition(node.address, other.address)
+            elif kind == "heal":
+                for a in env.controllers:
+                    for b in env.controllers:
+                        env.network.heal_partition(a.address, b.address)
+            elif kind == "crash":
+                crashed.append(node)
+                chaos.crash_controller(env, node)
+            else:
+                sql = _write_through(env, node, "ex_t", step)
+                acked += [sql] if sql else []
+        lacking = _primaries_lacking([c for c in env.controllers if c not in crashed], acked)
+        assert lacking and not any(lacking.values()), lacking
 
 
 # -- seeded convergence property (replay with REPRO_CHAOS_SEED=<seed>) ---------

@@ -47,6 +47,11 @@ _ROUND_ON_THE_CALLER = (
     "no broadcast pool"
 )
 
+_ONE_EXCHANGE = (
+    "a controller reaches its peers through one split-phase exchange on the calling thread "
+    "(replication.exchange: PeerLink.send to every peer, then PeerLink.collect, the one recv)"
+)
+
 GATES = [
     Gate(
         r"trace is (not )?None",
@@ -193,6 +198,9 @@ GATES = [
         _ROUND_ON_THE_CALLER,
     ),
     Gate(r"max_workers=", ("src/repro/experiments",), _ROUND_ON_THE_CALLER),
+    Gate(r"threading\.Thread\(", ("src/repro/cluster/recovery",), _ONE_EXCHANGE),
+    Gate(r"peer_request", ("src/repro",), _ONE_EXCHANGE),
+    Gate(r"\.recv\(", ("src/repro/cluster/recovery/replication.py",), _ONE_EXCHANGE, allowed=1),
 ]
 
 
