@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import os
 import threading
+import traceback
 import uuid
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Dict, List, Optional, Tuple
+from queue import SimpleQueue
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.backend import Backend
 from repro.cluster.broadcaster import WriteBroadcaster
@@ -107,7 +108,7 @@ class ControllerConfig:
     max_session_queue_depth: Optional[int] = 256
     #: Admission control: statements queued-or-executing across the
     #: whole controller before EXECUTEs get ``server_busy`` (bounds
-    #: total queueing when the worker pool saturates — clients back off
+    #: total queueing when the statement workers saturate — clients back off
     #: and retry instead of queueing unboundedly). None (default) = off.
     max_in_flight_statements: Optional[int] = None
     #: Cache SELECT results with table-based invalidation. Off by default:
@@ -189,10 +190,11 @@ _CLOSE_SESSION = object()
 
 class _Session:
     """One logical session on a client channel: its context plus a FIFO
-    of pending statements. ``scheduled`` is True while a worker-pool
-    task owns the queue; statements of one session never run concurrently
-    (per-session order is preserved) while different sessions' statements
-    interleave freely across the pool."""
+    of pending statements. ``scheduled`` is True while the session is on
+    the run queue or a worker is running one of its items; statements of
+    one session never run concurrently (per-session order is preserved)
+    while different sessions' statements interleave freely across the
+    workers."""
 
     __slots__ = ("context", "queue", "scheduled", "closed")
 
@@ -211,7 +213,7 @@ class _ChannelState:
     *dedicated* channel is a trunk with exactly one session, ``implicit``,
     opened by the handshake: its frames carry no correlation, and since
     EXECUTE/RESULT alternate strictly its reader thread runs each
-    statement itself instead of queueing it for the worker pool."""
+    statement itself instead of queueing it for the run queue."""
 
     def __init__(self, channel: Channel) -> None:
         self.channel = channel
@@ -222,6 +224,100 @@ class _ChannelState:
         self.sessions: Dict[str, _Session] = {}
         #: The handshake-opened session of a dedicated channel; None on a trunk.
         self.implicit: Optional[_Session] = None
+
+
+class _RunQueue:
+    """The trunk sessions that have work, and the threads that run it.
+
+    One ``SimpleQueue`` holds ``(state, session)`` entries. A worker takes
+    one, runs ONE queued item of that session, then puts the session back
+    at the tail if it has more — a session with 100 pipelined statements
+    interleaves with its channel peers instead of holding a worker until
+    drained — and otherwise clears ``scheduled``. A statement costs one
+    entry tuple, one C queue hop and two uncontended lock passes.
+
+    Workers start on demand: an entry that finds no idle worker starts
+    one, up to ``size``, so an idle controller has no worker threads and
+    the ceiling holds however many sessions are open. ``_idle`` counts
+    workers with no entry to take; a worker that puts its own session
+    back takes an entry itself and stays counted busy."""
+
+    def __init__(self, run: Callable[[_ChannelState, _Session, Any], None], size: int, name: str) -> None:
+        self._run = run
+        self._size = max(1, size)
+        self._name = name
+        self._ready: SimpleQueue = SimpleQueue()
+        #: Guards the fields below and orders every put before close()'s
+        #: stop entries, so nothing is queued behind them.
+        self._lock = threading.Lock()
+        self._idle = 0
+        self._threads: List[threading.Thread] = []
+        self.closed = False
+
+    def put(self, state: _ChannelState, session: _Session, requeue: bool = False) -> bool:
+        """Queue a session that has work (``requeue``: from the worker
+        that ran its last item). Once closed the work is dropped — the
+        channel is about to die — and ``scheduled`` reset; False then."""
+        worker = None
+        with self._lock:
+            closed = self.closed
+            if not closed:
+                self._ready.put((state, session))
+                if requeue:
+                    return True
+                if self._idle:
+                    self._idle -= 1
+                elif len(self._threads) < self._size:
+                    worker = threading.Thread(
+                        target=self._work, name=f"{self._name}-mux_{len(self._threads)}", daemon=True
+                    )
+                    self._threads.append(worker)
+        if closed:
+            with state.lock:
+                session.scheduled = False
+            return False
+        if worker is not None:
+            worker.start()
+        return True
+
+    def _work(self) -> None:
+        while True:
+            entry = self._ready.get()
+            if entry is None:
+                return
+            if not self._step(*entry):
+                with self._lock:
+                    self._idle += 1
+
+    def _step(self, state: _ChannelState, session: _Session) -> bool:
+        """Run one item of ``session``; True if it went back on the queue."""
+        with state.lock:
+            if not session.queue:
+                # The channel's teardown emptied the FIFO while it waited.
+                session.scheduled = False
+                return False
+            item = session.queue.popleft()
+        try:
+            self._run(state, session, item)
+        except Exception:  # noqa: BLE001 - a worker must outlive any one item
+            traceback.print_exc()
+        with state.lock:
+            more = bool(session.queue) and not session.closed
+            if not more:
+                session.scheduled = False
+        return more and self.put(state, session, requeue=True)
+
+    def close(self) -> None:
+        """Take no more work. Each worker exits after the entries already
+        queued: in-flight statements finish."""
+        with self._lock:
+            self.closed = True
+            for _ in self._threads:
+                self._ready.put(None)
+
+    def worker_threads(self) -> int:
+        with self._lock:
+            return sum(1 for thread in self._threads if thread.is_alive())
 
 
 def _correlated(
@@ -356,10 +452,10 @@ class Controller:
             ClusterMessageType.SESSION_OPEN: Route(self._on_session_open),
             ClusterMessageType.SESSION_CLOSE: Route(self._on_session_close),
         }
-        # Front end: a fixed statement-worker pool shared by every
-        # trunk's logical sessions, and the live client channel states
-        # (each owns one reader thread — the ChannelServer handler).
-        self._worker_pool: Optional[ThreadPoolExecutor] = None
+        # Front end: one run queue of ready sessions shared by every
+        # trunk, and the live client channel states (each owns one
+        # reader thread — the ChannelServer handler).
+        self._run_queue = _RunQueue(self._run_item, config.worker_pool_size, config.controller_id)
         self._channels: set = set()
         self._channel_server: Optional[ChannelServer] = None
         self._peers: List[Address] = []
@@ -399,13 +495,10 @@ class Controller:
     def start(self) -> "Controller":
         if self._channel_server is not None:
             return self
-        if self._worker_pool is None:
-            # Threads spawn lazily on demand, so an idle pool costs
-            # nothing; its size is the fixed ceiling on statement
-            # concurrency no matter how many logical sessions are open.
-            self._worker_pool = ThreadPoolExecutor(
-                max_workers=max(1, self.config.worker_pool_size),
-                thread_name_prefix=f"{self.config.controller_id}-mux",
+        if self._run_queue.closed:
+            # A restart: the stopped queue's workers finish what it holds.
+            self._run_queue = _RunQueue(
+                self._run_item, self.config.worker_pool_size, self.config.controller_id
             )
         listener = self.network.listen(self.address)
         self._channel_server = ChannelServer(
@@ -434,11 +527,7 @@ class Controller:
         if self._channel_server is not None:
             self._channel_server.stop()
             self._channel_server = None
-        if self._worker_pool is not None:
-            # In-flight statements finish on their worker; new submits
-            # are refused (_submit tolerates that during shutdown).
-            self._worker_pool.shutdown(wait=False)
-            self._worker_pool = None
+        self._run_queue.close()
         self.scheduler.close()
         # Make the durable log safe against the process dying right after
         # (a controller restarted on the same log_dir resumes at this
@@ -526,10 +615,9 @@ class Controller:
             in_flight = self._in_flight_statements
             in_flight_peak = self._in_flight_peak
             busy_rejections = self.server_busy_rejections
-        pool = self._worker_pool
         return {
             "worker_pool_size": self.config.worker_pool_size,
-            "worker_threads": len(getattr(pool, "_threads", ()) or ()) if pool else 0,
+            "worker_threads": self._run_queue.worker_threads(),
             "mux_channels": mux_channels,
             "reader_threads": (
                 self._channel_server.handler_thread_count()
@@ -994,7 +1082,7 @@ class Controller:
                 )
             )
             # The only thread receiving from the channel. On a trunk it
-            # queues statements for the worker pool and never blocks on the
+            # queues statements for the run queue and never blocks on the
             # scheduler, so one slow statement cannot stall sibling
             # sessions; on a dedicated channel it runs them (_on_execute).
             routes = self._trunk_routes if grant_multiplexing else self._session_routes
@@ -1138,9 +1226,9 @@ class Controller:
         """Admit one EXECUTE frame (its fields already typed by the
         session table) on the channel's reader thread: correlate →
         queue-depth bound → in-flight bound → trace, then queue it for
-        the worker pool — or, on a dedicated channel, run it right here:
+        the run queue — or, on a dedicated channel, run it right here:
         EXECUTE/RESULT alternate strictly there, so the reader *is* the
-        session's worker and a hop to the pool would buy nothing. Every
+        session's worker and a hop to a worker would buy nothing. Every
         refusal is answered promptly from this thread (an unanswered or
         unmatchable frame would hang the client's request forever) and
         never reaches a worker."""
@@ -1245,47 +1333,16 @@ class Controller:
             if session.scheduled:
                 return True
             session.scheduled = True
-        self._submit(state, session)
+        self._run_queue.put(state, session)
         return True
 
-    def _submit(self, state: _ChannelState, session: _Session) -> None:
-        pool = self._worker_pool
-        try:
-            if pool is None:
-                raise RuntimeError("controller stopped")
-            pool.submit(self._drain_session, state, session)
-        except RuntimeError:
-            # Shutting down: drop the work, the channel is about to die.
-            with state.lock:
-                session.scheduled = False
-
-    def _drain_session(self, state: _ChannelState, session: _Session) -> None:
-        """Run ONE queued item of one session, then yield the worker.
-
-        One item per pool task keeps the pool fair under pipelining: a
-        session with 100 queued statements interleaves with its channel
-        peers instead of monopolising a worker until drained."""
-        with state.lock:
-            if not session.queue:
-                session.scheduled = False
-                return
-            item = session.queue.popleft()
-        try:
-            if item is _CLOSE_SESSION:
-                self._finish_session(state, session)
-            else:
-                item[2].end("queue")
-                self._run_statement(state, session, item)
-        finally:
-            with state.lock:
-                if session.queue and not session.closed:
-                    # Keep ``scheduled`` held by the next task.
-                    resubmit = True
-                else:
-                    session.scheduled = False
-                    resubmit = False
-            if resubmit:
-                self._submit(state, session)
+    def _run_item(self, state: _ChannelState, session: _Session, item: Any) -> None:
+        """One trunk session's queued item, on a run-queue worker."""
+        if item is _CLOSE_SESSION:
+            self._finish_session(state, session)
+        else:
+            item[2].end("queue")
+            self._run_statement(state, session, item)
 
     def _finish_session(self, state: _ChannelState, session: _Session) -> None:
         with state.lock:

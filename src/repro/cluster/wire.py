@@ -66,7 +66,7 @@ MULTIPLEX_MIN_VERSION = 3
 TRACE_MIN_VERSION = 3
 
 #: ERROR code for admission-control rejections: the controller's
-#: worker pool is saturated past its configured bounds and the EXECUTE
+#: statement workers are saturated past its configured bounds and the EXECUTE
 #: was refused *before* reaching a backend, so the statement never ran
 #: and the driver may safely retry it — with backoff — even inside a
 #: transaction. Unknown to v2-era drivers, which surface it as a plain

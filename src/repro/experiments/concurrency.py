@@ -31,7 +31,8 @@ real cluster racing resyncs.
 ``run_session_scaling_experiment`` (E17) measures the massive-concurrency
 front end (docs/wire.md): thousands of logical sessions multiplexed over
 a handful of physical channels, with controller thread count bounded by
-the fixed worker pool instead of growing one thread per connection.
+the run queue's fixed worker ceiling instead of growing one thread per
+connection.
 ``run_group_commit_experiment`` is its durability half: concurrent
 auto-commit writers on a real fsyncing ``FileLogStore``, per-statement
 fsync vs one fsync per commit group.
@@ -41,8 +42,8 @@ batching (docs/scheduling.md): concurrent disjoint auto-commit writers
 on round-trip-charged backends, one broadcast round trip per statement
 vs one per coalesced batch. ``run_batched_divergence_experiment`` is its
 safety half (batched writes racing disable/resync cycles must still
-converge), and ``run_admission_experiment`` drives a small worker pool
-past its configured in-flight bound to show saturation degrades into
+converge), and ``run_admission_experiment`` drives a few statement workers
+past their configured in-flight bound to show saturation degrades into
 retryable ``server_busy`` rejections with bounded client latency — not
 collapse — and zero lost writes.
 """
@@ -697,8 +698,8 @@ def run_session_scaling_experiment(
             reply["rows"] == [[1]] for reply in pipeline_replies
         )
 
-        # Sampled after the probe load so the lazily-spawned worker pool
-        # threads are visible — they stay bounded by worker_pool_size.
+        # Sampled after the probe load so the lazily started run-queue
+        # workers are visible — they stay bounded by worker_pool_size.
         front_end = mux.controller.stats()["front_end"]
         result.add_row(
             mode="multiplexed",

@@ -16,7 +16,7 @@ Design constraints, in order:
    unconditionally instead of forking on "is tracing on". The statement
    path constructs no :class:`Trace` at all (asserted by tests).
 2. **Thread-safe appends.** Spans are recorded from the mux reader
-   thread, the worker pool, the broadcaster pool and the write-batch
+   thread, the controller's run-queue workers and the write-batch
    leader; ``Trace`` serialises appends under one lock.
 3. **Flat storage, tree views.** Spans carry a ``parent`` *name* rather
    than object references, so a trace serialises to a flat list of

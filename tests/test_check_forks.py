@@ -157,6 +157,19 @@ def test_broadcast_gates_match_the_pool_they_retired():
         assert check_forks.re.search(callers.pattern, line), line
 
 
+def test_run_queue_gate_matches_the_executor_it_retired():
+    """The row allows nothing and matches the controller's statement
+    pool it retired."""
+    check_forks = _check_forks()
+    (gate,) = [gate for gate in check_forks.GATES if gate.message.startswith("a trunk statement")]
+    assert gate.allowed == 0 and check_forks.check_gate(gate) == []
+    for line in (
+        "from concurrent.futures import ThreadPoolExecutor",
+        "            self._worker_pool = ThreadPoolExecutor(",
+    ):
+        assert check_forks.re.search(gate.pattern, line), line
+
+
 def test_exchange_gates_match_the_fan_outs_they_retired():
     """The thread and peer_request rows allow nothing and match the
     per-round replication threads and the one-exchange helper they

@@ -198,6 +198,12 @@ GATES = [
         _ROUND_ON_THE_CALLER,
     ),
     Gate(r"max_workers=", ("src/repro/experiments",), _ROUND_ON_THE_CALLER),
+    Gate(
+        r"ThreadPoolExecutor|concurrent\.futures",
+        ("src/repro",),
+        "a trunk statement reaches a worker through the controller's run queue: one "
+        "SimpleQueue of ready sessions, no executor and no Future per statement",
+    ),
     Gate(r"threading\.Thread\(", ("src/repro/cluster/recovery",), _ONE_EXCHANGE),
     Gate(r"peer_request", ("src/repro",), _ONE_EXCHANGE),
     Gate(r"\.recv\(", ("src/repro/cluster/recovery/replication.py",), _ONE_EXCHANGE, allowed=1),
