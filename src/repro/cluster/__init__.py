@@ -89,12 +89,7 @@ from repro.cluster.broadcaster import BroadcastOutcome, WriteBroadcaster
 from repro.cluster.locks import LockManager
 from repro.cluster.querycache import QueryCache
 from repro.cluster.scheduler import RequestScheduler, SchedulerError, is_write_statement
-from repro.cluster.controller import (
-    Controller,
-    ControllerConfig,
-    ControllerGroup,
-    SessionContext,
-)
+from repro.cluster.controller import Controller, ControllerConfig, ControllerGroup
 from repro.cluster.driver import (
     ClusterConnection,
     ClusterDriverRuntime,
@@ -148,7 +143,6 @@ __all__ = [
     "Controller",
     "ControllerConfig",
     "ControllerGroup",
-    "SessionContext",
     "ClusterDriverRuntime",
     "ClusterConnection",
     "ControllerLink",

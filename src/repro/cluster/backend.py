@@ -314,6 +314,14 @@ class Backend:
             if self._connection is failed:
                 self.close_connection()
 
+    @property
+    def in_transaction(self) -> bool:
+        """Whether a transaction is open on the replica's connection, as
+        the replica said on its last reply (the DB-API contract of
+        ``Connection.in_transaction``); False once the connection is
+        dropped, since closing it rolls its server session back."""
+        return bool(getattr(self._connection, "in_transaction", False))
+
     # -- statement execution ---------------------------------------------------------
 
     def execute(self, sql: str, params: Optional[Dict[str, Any]] = None, track: bool = True):

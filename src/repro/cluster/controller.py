@@ -161,45 +161,25 @@ class ControllerConfig:
     slow_query_capacity: int = 32
 
 
-@dataclass
-class SessionContext:
-    """Per-client-session state, one per connected driver session.
-
-    Replaces the transaction bookkeeping that previously lived as a local
-    variable (and keyword sniffing) inside the client-serving loop.
-    """
-
-    session_id: str
-    in_transaction: bool = False
-    statements: int = 0
-    failed: int = 0
-
-    def observe(self, command: str, is_transaction_control: bool) -> None:
-        """Update the transaction state after a statement executed."""
-        if not is_transaction_control:
-            return
-        if command in ("BEGIN", "START"):
-            self.in_transaction = True
-        elif command in ("COMMIT", "ROLLBACK"):
-            self.in_transaction = False
-
-
 #: Queue sentinel ordering a session's close after its pending executes.
 _CLOSE_SESSION = object()
 
 
 class _Session:
-    """One logical session on a client channel: its context plus a FIFO
-    of pending statements. ``scheduled`` is True while the session is on
-    the run queue or a worker is running one of its items; statements of
-    one session never run concurrently (per-session order is preserved)
-    while different sessions' statements interleave freely across the
-    workers."""
+    """One logical session on a client channel: its id and counters plus
+    a FIFO of pending statements. ``scheduled`` is True while the session
+    is on the run queue or a worker is running one of its items;
+    statements of one session never run concurrently (per-session order
+    is preserved) while different sessions' statements interleave freely
+    across the workers. Whether its transaction is open is not kept here:
+    it is ``scheduler.transaction_owner == session_id``."""
 
-    __slots__ = ("context", "queue", "scheduled", "closed")
+    __slots__ = ("session_id", "statements", "failed", "queue", "scheduled", "closed")
 
-    def __init__(self, context: SessionContext) -> None:
-        self.context = context
+    def __init__(self, session_id: str) -> None:
+        self.session_id = session_id
+        self.statements = 0
+        self.failed = 0
         self.queue: deque = deque()
         self.scheduled = False
         self.closed = False
@@ -405,7 +385,7 @@ class Controller:
         #: Background detection rounds that raised (kept alive regardless).
         self.heartbeat_errors = 0
         self.last_heartbeat_error: Optional[str] = None
-        self._sessions: Dict[str, SessionContext] = {}
+        self._sessions: Dict[str, _Session] = {}
         group_peer = Sender("group peer", lambda ch: ch.remote_address in self.peers(), ERROR_NOT_A_PEER)
         ha_peer = Sender(
             "HA peer", lambda ch: ch.remote_address in self.ha_store.peer_addresses(), ERROR_NOT_A_PEER
@@ -1099,7 +1079,7 @@ class Controller:
 
     def _execute_for_session(
         self,
-        session: SessionContext,
+        session: _Session,
         sql: str,
         params: Dict[str, Any],
         trace: Any = NULL_TRACE,
@@ -1108,25 +1088,24 @@ class Controller:
 
         The front end guarantees one session's statements never run
         concurrently (a trunk drains a per-session FIFO, a dedicated
-        channel's reader runs them in sequence), so SessionContext needs
-        no lock. The controller-wide counters are shared across workers
-        and bump under ``_lock``."""
+        channel's reader runs them in sequence), so the session's
+        counters need no lock. The controller-wide counters are shared
+        across workers and bump under ``_lock``."""
         with trace.span("classify"):
             statement = classify(sql)
         trace.annotate(command=statement.command, session=session.session_id)
-        if not (statement.is_read and not session.in_transaction):
-            # HA: only the primary accepts writes (reads outside a
-            # transaction are served by any node). The retryable
+        in_transaction = self.scheduler.transaction_owner == session.session_id
+        # Reads outside the session's transaction are served by any
+        # node from one replica; everything else takes the write path.
+        writes = not statement.is_read or in_transaction
+        if writes:
+            # HA: only the primary accepts writes. The retryable
             # not_primary bounce carries the primary's address, so the
             # driver's failover lands on the right sibling first try.
             refusal = self._ha_gate_write()
             if refusal is not None:
                 return refusal
-        if (
-            self.scheduler.resync_in_progress
-            and self.peers()
-            and not (statement.is_read and not session.in_transaction)
-        ):
+        if writes and self.scheduler.resync_in_progress and self.peers():
             # A resync replay holds the write path, possibly for a long
             # log tail. Instead of queueing the write behind it, tell
             # the driver — it retries transparently against a sibling
@@ -1140,18 +1119,13 @@ class Controller:
             )
         try:
             columns, rows, rowcount = self.scheduler.execute(
-                sql,
-                params,
-                in_transaction=session.in_transaction,
-                session_id=session.session_id,
-                trace=trace,
+                sql, params, in_transaction=in_transaction, session_id=session.session_id, trace=trace
             )
         except (SchedulerError, DriverError) as exc:
             session.failed += 1
             with self._lock:
                 self.failed_statements += 1
             return make_error("execution_failed", str(exc))
-        session.observe(statement.command, statement.is_transaction_control)
         session.statements += 1
         with self._lock:
             self.statements_served += 1
@@ -1187,13 +1161,13 @@ class Controller:
 
     def _open_session(self, state: _ChannelState, session_id: str) -> Optional[_Session]:
         """Register a new session on the channel; None if the id is taken."""
-        session = _Session(SessionContext(session_id=session_id))
+        session = _Session(session_id)
         with state.lock:
             if session_id in state.sessions:
                 return None
             state.sessions[session_id] = session
         with self._lock:
-            self._sessions[session_id] = session.context
+            self._sessions[session_id] = session
         return session
 
     def _on_session_open(self, state: _ChannelState, message: Dict[str, Any]) -> None:
@@ -1269,7 +1243,7 @@ class Controller:
         # blocked statements fill every slot would deadlock the
         # controller against itself. (The depth bound above still
         # applies — it caps per-session memory, not concurrency.)
-        holds_slot = not session.context.in_transaction
+        holds_slot = self.scheduler.transaction_owner != session.session_id
         if holds_slot and not self._admit_statement():
             refuse(
                 self._busy_reply(f"max_in_flight_statements={self.config.max_in_flight_statements}")
@@ -1297,7 +1271,7 @@ class Controller:
         """Execute one admitted statement and send its reply."""
         sql, params, trace, holds_slot, session_id, request_id = item
         try:
-            reply = self._execute_for_session(session.context, sql, params, trace)
+            reply = self._execute_for_session(session, sql, params, trace)
         except Exception as exc:  # noqa: BLE001 - a serving thread must never die silently
             reply = make_error("internal_error", str(exc))
         finally:
@@ -1319,9 +1293,11 @@ class Controller:
         — a statement's outcome and an admission refusal alike — so it
         is where the reply says whether the session's transaction is
         open *now* (``in_transaction``, omitted when false like every
-        optional field): the driver's flag is whatever this said last.
-        ``session`` is None only for an EXECUTE naming no open session."""
-        if session is not None and session.context.in_transaction:
+        optional field): the driver's flag is whatever this said last,
+        and this says what the scheduler's record says — open on the
+        replicas, and this session's. ``session`` is None only for an
+        EXECUTE naming no open session."""
+        if session is not None and self.scheduler.transaction_owner == session.session_id:
             reply["in_transaction"] = True
         self._send(state, _correlated(reply, session_id, request_id))
 
@@ -1349,7 +1325,7 @@ class Controller:
             if session.closed:
                 return
             session.closed = True
-            state.sessions.pop(session.context.session_id, None)
+            state.sessions.pop(session.session_id, None)
             # Statements still queued behind the close (or behind a dead
             # channel) will never run; their admission slots must free.
             # (In-transaction statements never held one — see
@@ -1360,16 +1336,15 @@ class Controller:
             session.queue.clear()
         self._release_statement(abandoned)
         with self._lock:
-            self._sessions.pop(session.context.session_id, None)
-        if session.context.in_transaction:
+            self._sessions.pop(session.session_id, None)
+        if self.scheduler.transaction_owner == session.session_id:
             # The client vanished mid-transaction. Roll it back so the
-            # backends' shared server sessions are released and the
-            # scheduler's open-transaction accounting (which gates the
-            # query-cache dirty-table flush) is not pinned forever.
+            # replicas' shared server sessions are released and the
+            # scheduler's record is not pinned forever — only if it is
+            # still this session's (abort re-checks under the exclusive
+            # mode): another session may have ended it and opened its own.
             try:
-                self.scheduler.execute(
-                    "ROLLBACK", in_transaction=True, session_id=session.context.session_id
-                )
+                self.scheduler.abort(session.session_id)
             except (SchedulerError, DriverError):
                 pass
 

@@ -42,7 +42,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterable, Iterator, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterator, Optional, Set, Tuple
 
 
 @dataclass(frozen=True)
@@ -193,21 +193,6 @@ class LockManager:
             self._active_scope_ops -= 1
             self._cond.notify_all()
 
-    def acquire_tables(self, tables: Iterable[str]) -> FrozenSet[str]:
-        """Table-only convenience over :meth:`acquire_scope`; returns the
-        frozen table set actually held (empty when exclusive
-        self-ownership already covered it)."""
-        wanted = frozenset(tables)
-        if not wanted:
-            raise ValueError("empty table set: acquire exclusive() instead")
-        return self.acquire_scope(LockScope(tables=wanted)).tables
-
-    def release_tables(self, tables: FrozenSet[str]) -> None:
-        release = frozenset(tables)
-        if not release:
-            return
-        self.release_scope(LockScope(tables=release))
-
     # -- exclusive scope ---------------------------------------------------------
 
     def acquire_exclusive(self) -> None:
@@ -254,14 +239,6 @@ class LockManager:
             yield
         finally:
             self.release_exclusive()
-
-    @contextmanager
-    def tables(self, tables: Iterable[str]) -> Iterator[None]:
-        held = self.acquire_tables(tables)
-        try:
-            yield
-        finally:
-            self.release_tables(held)
 
     @contextmanager
     def scope(self, scope: LockScope) -> Iterator[None]:

@@ -265,10 +265,11 @@ class GroupCommit:
     group instead of one per statement, and no reply ever returns before
     its entry is durable.
 
-    The coordinator is only installed when the log is durable
-    (``log_dir`` + ``log_fsync``) and group commit is enabled; the store
-    is then opened with ``fsync_on_append=False`` so the per-append
-    fsync does not pay twice.
+    The controller installs one whenever there is something to wait for
+    after an append: a durable log (``log_dir`` + ``log_fsync``), whose
+    flush is the fsync, or HA peers, whose majority-ack replication round
+    runs in the flush even over a volatile store. There is no switch. The
+    store never fsyncs per append, so the fsync is not paid twice.
     """
 
     def __init__(self, log: RecoveryLog) -> None:

@@ -104,6 +104,28 @@ class SchedulerError(DriverError):
 _SCHEMA_COMMANDS = ("CREATE", "DROP", "ALTER")
 
 
+class _Transaction:
+    """The transaction open on the replicas' connections: whose it is,
+    and the writes deferred from the recovery log until it commits — a
+    rolled-back write must never be replayed into a recovering backend,
+    and a backend that failed mid-transaction must replay all of it.
+
+    Each buffered write is ``(sql, params, write_tables, lock_keys)``:
+    ``lock_keys`` are the ``(table, key)`` pairs its key scope held
+    (empty under a table scope), kept so the disable/enable refusal can
+    name the rows the transaction pinned, not just its tables. The
+    tables are also what leaves the query cache when it ends: a
+    concurrent auto-commit read may have cached its uncommitted state."""
+
+    __slots__ = ("owner", "buffer")
+
+    def __init__(self, owner: Optional[str]) -> None:
+        self.owner = owner
+        self.buffer: List[
+            Tuple[str, Dict[str, Any], FrozenSet[str], FrozenSet[Tuple[str, Any]]]
+        ] = []
+
+
 class _BatchItem:
     """One statement of a write round: what to run, under which scope,
     and — once the round ran — what came of it."""
@@ -114,7 +136,6 @@ class _BatchItem:
         "statement",
         "scope",
         "targets",
-        "in_transaction",
         "session_id",
         "logged",
         "done",
@@ -135,7 +156,6 @@ class _BatchItem:
         scope: LockScope,
         targets: List[Backend],
         trace: Any = NULL_TRACE,
-        in_transaction: bool = False,
         session_id: Optional[str] = None,
     ) -> None:
         self.sql = sql
@@ -143,7 +163,6 @@ class _BatchItem:
         self.statement = statement
         self.scope = scope
         self.targets = targets
-        self.in_transaction = in_transaction
         self.session_id = session_id
         #: Anything reaching a write round that is not a genuine read is
         #: replicated; only genuine writes are logged for resync —
@@ -332,37 +351,15 @@ class RequestScheduler:
         # Always acquired *after* the lock manager's scope and never
         # held across a broadcast, so it cannot deadlock against it.
         self._state_lock = threading.Lock()
-        # Tables written inside open transactions (guarded by
-        # _state_lock). A concurrent autocommit read can cache the
-        # uncommitted state, and a later ROLLBACK would leave that entry
-        # stale forever — so every COMMIT/ROLLBACK flushes these from the
-        # cache. The set is only cleared once *no* transaction remains
-        # open: the scheduler cannot tell whose transaction just ended,
-        # so it over-invalidates rather than let one session's COMMIT
-        # erase another session's tracking.
-        self._tx_dirty_tables: set = set()
-        self._tx_dirty_all = False
-        self._open_transactions = 0
-        #: Session that opened the currently-open transaction (best
-        #: effort — callers that don't thread a session id leave None).
-        #: Surfaced in the disable/enable refusal message so an operator
-        #: can find the offending client instead of guessing.
-        self._tx_owner: Optional[str] = None
-        # Writes executed inside the open transaction, deferred from the
-        # recovery log until COMMIT: a rolled-back write must never be
-        # replayed into a recovering backend, and a backend that failed
-        # mid-transaction must replay the whole transaction at resync.
-        # A single buffer is sound because the engine admits one open
-        # transaction at a time (a second BEGIN is rejected); if backends
-        # ever gain per-session connections this needs keying by session.
-        # Each element is (sql, params, write_tables, lock_keys) —
-        # lock_keys being the (table, key) pairs the statement's key
-        # scope held (empty under a table scope), kept for operator
-        # triage: the disable/enable refusal can say which rows the open
-        # transaction pinned, not just which tables.
-        self._tx_buffer: List[
-            Tuple[str, Dict[str, Any], FrozenSet[str], FrozenSet[Tuple[str, Any]]]
-        ] = []
+        # The one transaction the replicas' shared connections can hold
+        # (a second BEGIN is rejected), recorded when a transaction-control
+        # round opens it and cleared when one closes it — the replicas
+        # say whether it is open, this says whose it is. Changes only
+        # under the exclusive mode (transaction control takes it), so a
+        # table/key-scope holder reads it without _state_lock. Per-session
+        # replica connections would key it by session (docs/scheduling.md,
+        # "Known hole").
+        self._transaction: Optional[_Transaction] = None
         # Group commit (docs/wire.md): when set, appends go to the store
         # without their own fsync and each writer calls
         # group_commit.wait_durable(index) *after* releasing its lock
@@ -386,9 +383,15 @@ class RequestScheduler:
 
     @property
     def open_transactions(self) -> int:
-        """Transactions currently open somewhere on the cluster."""
-        with self._state_lock:
-            return self._open_transactions
+        """Transactions open on the replicas: 0 or 1."""
+        return 0 if self._transaction is None else 1
+
+    @property
+    def transaction_owner(self) -> Optional[str]:
+        """The session whose transaction is open on the replicas (None
+        when none is, or when its BEGIN named no session)."""
+        transaction = self._transaction
+        return None if transaction is None else transaction.owner
 
     @property
     def lock_manager(self) -> LockManager:
@@ -396,16 +399,12 @@ class RequestScheduler:
 
     def _open_transaction_detail(self) -> str:
         """Who holds the open transaction and what it wrote so far —
-        the operator-triage detail for disable/enable refusals."""
-        with self._state_lock:
-            owner = self._tx_owner or "unknown"
-            tables = sorted({
-                table for _, _, write_tables, _ in self._tx_buffer for table in write_tables
-            })
-            keys = sorted(
-                {pair for _, _, _, lock_keys in self._tx_buffer for pair in lock_keys},
-                key=repr,
-            )
+        the operator-triage detail for disable/enable refusals. Called
+        under the exclusive mode, so the record cannot change."""
+        transaction = self._transaction
+        owner = transaction.owner or "unknown"
+        tables = sorted({table for _, _, write_tables, _ in transaction.buffer for table in write_tables})
+        keys = sorted({pair for _, _, _, lock_keys in transaction.buffer for pair in lock_keys}, key=repr)
         described = ", ".join(tables) if tables else "none recorded yet"
         if keys:
             described += (
@@ -781,10 +780,16 @@ class RequestScheduler:
     ) -> Tuple[List[str], List[Any], int]:
         """Execute one statement with replication semantics.
 
-        ``session_id`` (optional) names the client session for
-        observability: a BEGIN records it as the open transaction's
-        owner, so a refused disable/enable can tell the operator *which*
-        session to chase instead of just "a transaction is open".
+        ``in_transaction`` only routes a read: True sends it through the
+        broadcast path, where it sees the open transaction's uncommitted
+        state, instead of to one replica or the cache. Whether a
+        transaction is open is what the replicas say, never this flag.
+
+        ``session_id`` (optional) names the client session: a BEGIN that
+        opens a transaction records it as the owner
+        (:attr:`transaction_owner`), which the controller reads as that
+        session's flag and a refused disable/enable names for the
+        operator.
 
         ``trace`` (a :class:`repro.obs.Trace`) receives stage spans —
         cache/lock/execute/batch_wait/log_append/fsync_wait — as the
@@ -797,9 +802,7 @@ class RequestScheduler:
         statement = classify(sql)
         if statement.is_read and not in_transaction:
             return self._execute_read(enabled, sql, params, statement, trace)
-        return self._execute_broadcast(
-            sql, params, statement, in_transaction, session_id=session_id, trace=trace
-        )
+        return self._execute_broadcast(sql, params, statement, session_id, trace)
 
     def _read_candidate_filter(
         self, enabled: List[Backend], statement: ClassifiedStatement
@@ -936,7 +939,6 @@ class RequestScheduler:
         sql: str,
         params: Optional[Dict[str, Any]],
         statement: ClassifiedStatement,
-        in_transaction: bool = False,
         session_id: Optional[str] = None,
         trace: Any = NULL_TRACE,
     ) -> Tuple[List[str], List[Any], int]:
@@ -968,10 +970,8 @@ class RequestScheduler:
                 # (all of them under full replication / transaction
                 # control / unknown table sets).
                 targets = self._write_targets(enabled, statement)
-                item = _BatchItem(
-                    sql, params, statement, scope, targets, trace, in_transaction, session_id
-                )
-                if self._batch_eligible(statement, in_transaction):
+                item = _BatchItem(sql, params, statement, scope, targets, trace, session_id)
+                if self._batch_eligible(statement):
                     # Safe to decide here: while this scope is held no
                     # BEGIN/disable/resync/placement swap can run (all
                     # take the exclusive mode), so the eligibility and
@@ -995,31 +995,28 @@ class RequestScheduler:
                 self._group_commit.wait_durable(item.durable_index)
         return item.result
 
-    def _batch_eligible(self, statement: ClassifiedStatement, in_transaction: bool) -> bool:
+    def _batch_eligible(self, statement: ClassifiedStatement) -> bool:
         """Whether this statement may queue with siblings in a
         WriteBatcher round (otherwise it runs a round of one directly).
 
-        Only plain logged auto-commit DML qualifies: transaction control
-        and in-transaction statements carry per-session state the round
-        accounts only for a sole item; DDL and referenced-table writes
-        are rare, gain nothing from coalescing, and move placement
-        (pin/colocate/unpin) that a queued sibling may already have
-        resolved its targets against; and an unknown table set means an
-        exclusive scope — which cannot coexist with the sibling scopes a
-        batch implies.
-        Checked *after* scope acquisition, so the ``_open_transactions``
-        read is stable: BEGIN takes the exclusive mode, which drains
-        every held scope first."""
-        if self._write_batcher is None or in_transaction:
+        Only plain logged DML with no transaction open qualifies:
+        transaction control and writes deferred into the open
+        transaction are accounted only for a sole item; DDL and
+        referenced-table writes are rare, gain nothing from coalescing,
+        and move placement (pin/colocate/unpin) that a queued sibling
+        may already have resolved its targets against; and an unknown
+        table set means an exclusive scope — which cannot coexist with
+        the sibling scopes a batch implies.
+        Checked *after* scope acquisition, so the ``_transaction`` read
+        is stable: transaction control takes the exclusive mode, which
+        drains every held scope first."""
+        if self._write_batcher is None or self._transaction is not None:
             return False
         if statement.command not in DML_COMMANDS:
             return False
         if not statement.write_tables or statement.lock_tables is None:
             return False
-        if statement.referenced_tables:
-            return False
-        with self._state_lock:
-            return self._open_transactions == 0
+        return not statement.referenced_tables
 
     def _run_round(self, items: List[_BatchItem], leader_trace: Any = NULL_TRACE) -> None:
         """Execute one write round — the one replication rule: every
@@ -1078,31 +1075,17 @@ class RequestScheduler:
             # statement every backend rejected must not sit in the log
             # and poison future resyncs.
             to_log = [item for item in items if item.logged and item.result is not None]
-            if to_log and self._open_transactions > 0:
+            transaction = self._transaction
+            if to_log and transaction is not None:
                 # Deferred until COMMIT (discarded on ROLLBACK) so the
-                # log only ever holds committed writes. The engine has
-                # one transaction cluster-wide on the shared backend
-                # connections, so while *any* transaction is open even
-                # an autocommit write executes — and rolls back —
-                # inside it; defer those too. Keyed on the scheduler's
-                # own accounting, not the caller's in_transaction flag:
-                # the flag can go stale (e.g. another session closed
-                # the transaction), and a write the engine autocommits
-                # must be logged immediately, never left in the buffer.
-                # The counter cannot change while any writer holds a
-                # table/key scope — BEGIN/COMMIT/ROLLBACK take the
-                # exclusive mode, which waits for every scope to drain —
-                # so the buffered-vs-direct decision is stable for the
-                # scope holders.
-                for item in to_log:
-                    write_tables = item.statement.write_tables
-                    self._tx_buffer.append(
-                        (item.sql, dict(item.params or {}), write_tables, item.scope.keys)
-                    )
-                    if write_tables:
-                        self._tx_dirty_tables.update(write_tables)
-                    else:
-                        self._tx_dirty_all = True
+                # log only ever holds committed writes. The replicas'
+                # connections are shared, so while a transaction is open
+                # even another session's auto-commit write runs — and
+                # rolls back — inside it.
+                transaction.buffer.extend(
+                    (item.sql, dict(item.params or {}), item.statement.write_tables, item.scope.keys)
+                    for item in to_log
+                )
             elif to_log:
                 entries = self._recovery_log.append_batch(
                     (item.sql, item.params, item.statement.write_tables) for item in to_log
@@ -1158,60 +1141,44 @@ class RequestScheduler:
                 cache.invalidate_tables(statement.write_tables)
 
     def _account_transaction_control_locked(self, item: _BatchItem) -> None:
-        """BEGIN/COMMIT/ROLLBACK accounting for the sole item of an
-        exclusive-scope round. Caller holds ``_state_lock``; sets
-        ``item.durable_index`` to the tail of a COMMIT's buffer flush."""
-        statement, outcome = item.statement, item.outcome
-        accepted = item.result is not None
-        if statement.command in ("BEGIN", "START"):
-            # Count every BEGIN the engine accepted — the engine
-            # rejects nested BEGINs, so acceptance *is* the ground
-            # truth that a transaction opened (the caller's
-            # in_transaction flag can be stale). One rejected by
-            # every backend opened nothing and counting it would
-            # pin the dirty set.
-            if accepted:
-                self._open_transactions += 1
-                if self._tx_owner is None:
-                    self._tx_owner = item.session_id
+        """Bring the transaction record in step with the replicas after a
+        transaction-control round (the sole item of an exclusive-scope
+        round). Caller holds ``_state_lock``; sets ``item.durable_index``
+        to the tail of a COMMIT's buffer flush.
+
+        The replicas' connections say whether a transaction is open now,
+        the record whether one was before. Closed → open records the
+        sender as the owner. Open → closed ends the record whoever sent
+        the close (the connections are shared): a COMMIT some replica
+        accepted logs the buffer, anything else — a ROLLBACK, or a close
+        on replicas that all failed, whose server sessions rolled back —
+        discards it. No change (a nested BEGIN, a COMMIT variant the
+        engine rejects) changes nothing."""
+        transaction = self._transaction
+        now_open = any(backend.in_transaction for backend in item.targets)
+        if transaction is None:
+            if now_open:
+                self._transaction = _Transaction(item.session_id)
             return
-        # A close counts when either the caller's flag or the scheduler's
-        # own accounting says a transaction is open: on the shared backend
-        # connections a COMMIT closes the open transaction no matter which
-        # session sends it, and a caller that doesn't thread
-        # in_transaction must not pin the counter forever.
-        if statement.command not in ("COMMIT", "ROLLBACK") or not (
-            item.in_transaction or self._open_transactions > 0
-        ):
+        if now_open:
             return
-        # A close rejected as bad SQL anywhere (e.g. an unsupported
-        # COMMIT variant) changed nothing on that still-ENABLED
-        # replica: the transaction remains open there, so keep the
-        # buffer and the accounting.
-        if not accepted and any(
-            isinstance(failure.error, STATEMENT_FAULTS) for failure in outcome.failed
-        ):
-            return
+        self._transaction = None
         flushed: List[LogEntry] = []
-        if statement.command == "COMMIT" and accepted:
+        if item.statement.command == "COMMIT" and item.result is not None:
             # One batch append for the whole transaction: a durable
             # store pays one flush+fsync for all of it instead of one
             # per buffered write.
             flushed = self._recovery_log.append_batch(
-                (buffered_sql, buffered_params, buffered_tables)
-                for buffered_sql, buffered_params, buffered_tables, _ in self._tx_buffer
+                (sql, params, tables) for sql, params, tables, _ in transaction.buffer
             )
         if flushed:
             item.durable_index = flushed[-1].index
-        # ROLLBACK — or a close no backend could run (those replicas
-        # are FAILED and their aborted server sessions rolled the
-        # transaction back) — discards the buffer; either way the
-        # accounting must not stay pinned.
-        self._tx_buffer = []
-        self._open_transactions = max(0, self._open_transactions - 1)
-        if self._open_transactions == 0:
-            self._tx_owner = None
-        self._flush_tx_dirty_locked()
+        if self._cache is not None and transaction.buffer:
+            # A concurrent auto-commit read may have cached what the
+            # transaction wrote; a write with an unknown table set
+            # flushes everything.
+            written = [tables for _, _, tables, _ in transaction.buffer]
+            self._cache.invalidate_tables(frozenset().union(*written) if all(written) else ())
         # The still-enabled replicas ran the whole transaction; record
         # the flushed entries' table sequences as applied there so a
         # later replay can deduplicate them. Per entry, not merged:
@@ -1219,28 +1186,17 @@ class RequestScheduler:
         # max would shadow entries a replica missed — see
         # Backend.has_applied_seqs).
         for entry in flushed:
-            for success in outcome.succeeded:
+            for success in item.outcome.succeeded:
                 success.backend.advance_checkpoint(entry.index, entry.table_seqs)
 
-    def _flush_tx_dirty_locked(self) -> None:
-        """Evict cache entries that may have observed uncommitted state.
-
-        Runs on every COMMIT/ROLLBACK (the scheduler does not track which
-        session's transaction just ended, so it over-invalidates rather
-        than serve data from a rolled-back transaction forever). The dirty
-        set survives until no transaction remains open, so an unrelated
-        session's commit cannot erase the tracking of one still in flight.
-        Caller holds ``_state_lock`` (and the exclusive lock scope —
-        transaction control never runs under mere table locks).
-        """
-        if self._cache is not None:
-            if self._tx_dirty_all:
-                self._cache.invalidate_tables(())
-            elif self._tx_dirty_tables:
-                self._cache.invalidate_tables(self._tx_dirty_tables)
-        if self._open_transactions == 0:
-            self._tx_dirty_all = False
-            self._tx_dirty_tables = set()
+    def abort(self, session_id: str) -> None:
+        """Roll back the open transaction if ``session_id`` owns it — for
+        a session that vanished mid-transaction. Owner and ROLLBACK are
+        one step under the exclusive mode, so a transaction another
+        session opened meanwhile is never touched."""
+        with self._locks.exclusive():
+            if self.transaction_owner == session_id:
+                self.execute("ROLLBACK", session_id=session_id)
 
     # -- lifecycle / observability ------------------------------------------------
 

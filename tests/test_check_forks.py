@@ -84,6 +84,28 @@ def test_transaction_flag_gates_match_the_client_side_guesses_they_retired():
             assert check_forks.re.search(gate.pattern, line), line
 
 
+def test_controller_transaction_gate_matches_the_answers_it_retired():
+    """The row allows nothing and matches the controller's per-session
+    guess, the scheduler's BEGIN/COMMIT counter and the fields beside it."""
+    check_forks = _check_forks()
+    (gate,) = [
+        gate for gate in check_forks.GATES
+        if gate.message.startswith('a second answer to "is a transaction open?"')
+    ]
+    assert gate.allowed == 0 and check_forks.check_gate(gate) == []
+    for line in (
+        "class SessionContext:",
+        "    def observe(self, command: str, is_transaction_control: bool) -> None:",
+        "                self._open_transactions += 1",
+        "        self._open_transactions = max(0, self._open_transactions - 1)",
+        "                if self._tx_owner is None:",
+        "                        self._tx_dirty_tables.update(write_tables)",
+        "        self._tx_dirty_all = False",
+        "    def _flush_tx_dirty_locked(self) -> None:",
+    ):
+        assert check_forks.re.search(gate.pattern, line), line
+
+
 def test_ingress_gates_match_the_dispatches_they_retired():
     """The unbounded-wait ratchet now allows the ingress loop, the lock
     manager's two waits and the scheduler's, and matches the per-listener

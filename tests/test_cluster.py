@@ -202,10 +202,10 @@ class TestControllerSessions:
         assert {b["name"] for b in stats["scheduler"]["backends"]} == {"db1", "db2"}
         connection.begin()
         cursor.execute("INSERT INTO sess_t (id) VALUES (1)")
-        sessions = list(controller._sessions.values())
-        assert len(sessions) == 1 and sessions[0].in_transaction
+        assert list(controller._sessions) == [connection.session_id]
+        assert controller.scheduler.transaction_owner == connection.session_id
         connection.commit()
-        assert not sessions[0].in_transaction
+        assert controller.scheduler.transaction_owner is None
         connection.close()
 
     def test_disconnect_mid_transaction_rolls_back(self, cluster_env):
@@ -223,7 +223,7 @@ class TestControllerSessions:
         # row is gone, the scheduler's transaction accounting is released,
         # and a new session can open a transaction of its own.
         assert chaos.wait_until(
-            lambda: controller.scheduler._open_transactions == 0
+            lambda: controller.scheduler.open_transactions == 0
         ), "abandoned transaction was never rolled back"
         cursor = setup.cursor()
         cursor.execute("SELECT COUNT(*) FROM dc_t")

@@ -8,6 +8,11 @@ import chaos
 from repro.cluster.locks import EXCLUSIVE, LockManager, LockScope
 
 
+def _tables(*tables):
+    """The scope of a write that locks whole tables."""
+    return LockScope(tables=frozenset(tables))
+
+
 def _spawn(target):
     thread = threading.Thread(target=target)
     thread.start()
@@ -31,7 +36,7 @@ class TestTableScope:
         inside = threading.Barrier(2, timeout=5.0)
 
         def worker(table):
-            with manager.tables({table}):
+            with manager.scope(_tables(table)):
                 inside.wait()  # both workers hold their lock at once
 
         workers = [_spawn(lambda t=t: worker(t)) for t in ("a", "b")]
@@ -48,14 +53,14 @@ class TestTableScope:
         release = threading.Event()
 
         def first():
-            with manager.tables({"a", "b"}):
+            with manager.scope(_tables("a", "b")):
                 held.set()
                 release.wait(timeout=5.0)
                 order.append("first")
 
         def second():
             held.wait(timeout=5.0)
-            with manager.tables({"b", "c"}):
+            with manager.scope(_tables("b", "c")):
                 order.append("second")
 
         threads = [_spawn(first), _spawn(second)]
@@ -69,16 +74,18 @@ class TestTableScope:
         assert manager.stats()["table_waits"] == 1
 
     def test_empty_table_set_is_refused(self):
+        # No tables is the empty scope: an unknown footprint, which must
+        # take exclusive() rather than lock nothing.
         with pytest.raises(ValueError):
-            LockManager().acquire_tables(())
+            LockManager().acquire_scope(_tables())
 
     def test_locks_released_on_error(self):
         manager = LockManager()
         with pytest.raises(RuntimeError):
-            with manager.tables({"a"}):
+            with manager.scope(_tables("a")):
                 raise RuntimeError("boom")
         # The scope is free again.
-        with manager.tables({"a"}):
+        with manager.scope(_tables("a")):
             pass
         assert manager.stats()["tables_held"] == 0
 
@@ -91,7 +98,7 @@ class TestExclusiveScope:
         order = []
 
         def table_worker():
-            with manager.tables({"a"}):
+            with manager.scope(_tables("a")):
                 table_held.set()
                 release_table.wait(timeout=5.0)
                 order.append("table")
@@ -120,7 +127,7 @@ class TestExclusiveScope:
         order = []
 
         def first_table():
-            with manager.tables({"a"}):
+            with manager.scope(_tables("a")):
                 first_held.set()
                 release_first.wait(timeout=5.0)
 
@@ -129,7 +136,7 @@ class TestExclusiveScope:
                 order.append("exclusive")
 
         def late_table():
-            with manager.tables({"b"}):
+            with manager.scope(_tables("b")):
                 order.append("late-table")
 
         t1 = _spawn(first_table)
@@ -231,7 +238,7 @@ class TestKeyScope:
 
         def table_taker():
             held.wait(timeout=5.0)
-            with manager.tables({"t"}):
+            with manager.scope(_tables("t")):
                 order.append("table")
 
         threads = [_spawn(key_holder), _spawn(table_taker)]
@@ -251,7 +258,7 @@ class TestKeyScope:
         release = threading.Event()
 
         def table_holder():
-            with manager.tables({"t"}):
+            with manager.scope(_tables("t")):
                 held.set()
                 release.wait(timeout=5.0)
                 order.append("table")
@@ -276,7 +283,7 @@ class TestKeyScope:
         inside = threading.Barrier(2, timeout=5.0)
 
         def table_worker():
-            with manager.tables({"a"}):
+            with manager.scope(_tables("a")):
                 inside.wait()
 
         def key_worker():
@@ -362,7 +369,7 @@ class TestExclusiveSelfDeadlock:
 
         def body():
             with manager.exclusive():
-                with manager.tables({"a", "b"}):
+                with manager.scope(_tables("a", "b")):
                     # Nothing extra is held: exclusive covers it all.
                     assert manager.stats()["tables_held"] == 0
                 assert manager.stats()["exclusive_held"] is True
@@ -384,17 +391,17 @@ class TestExclusiveSelfDeadlock:
         self._assert_completes(body)
         assert manager.stats()["covered_by_exclusive"] == 1
 
-    def test_acquire_tables_under_own_exclusive_returns_empty_hold(self):
+    def test_acquire_scope_under_own_exclusive_holds_nothing(self):
         manager = LockManager()
 
         def body():
             manager.acquire_exclusive()
             try:
-                held = manager.acquire_tables({"a"})
+                held = manager.acquire_scope(_tables("a"))
                 # The empty hold releases as a no-op — the later
-                # release_tables must not underflow any counter.
-                assert held == frozenset()
-                manager.release_tables(held)
+                # release_scope must not underflow any counter.
+                assert held == EXCLUSIVE
+                manager.release_scope(held)
             finally:
                 manager.release_exclusive()
 
@@ -413,14 +420,14 @@ class TestExclusiveSelfDeadlock:
 
         def owner():
             with manager.exclusive():
-                with manager.tables({"a"}):  # self: no-op, no deadlock
+                with manager.scope(_tables("a")):  # self: no-op, no deadlock
                     in_exclusive.set()
                     release.wait(timeout=5.0)
                     order.append("owner")
 
         def outsider():
             in_exclusive.wait(timeout=5.0)
-            with manager.tables({"a"}):
+            with manager.scope(_tables("a")):
                 order.append("outsider")
 
         threads = [_spawn(owner), _spawn(outsider)]

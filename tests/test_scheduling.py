@@ -36,6 +36,12 @@ class _FakeCursor:
         if self._connection.fail_with is not None:
             raise self._connection.fail_with
         self._connection.executed.append((sql, dict(params or {})))
+        # The engine's flag, as a real replica reports it on each reply.
+        command = sql.split(None, 1)[0].upper()
+        if command in ("BEGIN", "START"):
+            self._connection.in_transaction = True
+        elif command in ("COMMIT", "ROLLBACK"):
+            self._connection.in_transaction = False
 
     @property
     def description(self):
@@ -51,13 +57,17 @@ class _FakeCursor:
 
 
 class _FakeConnection:
-    """In-memory backend connection recording executed statements."""
+    """In-memory backend connection recording executed statements. Like a
+    real one it says whether a transaction is open on it: BEGIN opens one,
+    COMMIT/ROLLBACK close it unless ``fail_with`` raises, and closing
+    the connection rolls it back."""
 
     def __init__(self, read_value=1):
         self.executed = []
         self.read_value = read_value
         self.fail_with = None
         self.closed = False
+        self.in_transaction = False
         self.driver_info = {"name": "fake"}
 
     def cursor(self):
@@ -65,6 +75,7 @@ class _FakeConnection:
 
     def close(self):
         self.closed = True
+        self.in_transaction = False
 
 
 def _backend(name, read_value=1, weight=1.0):
@@ -681,19 +692,25 @@ class TestSchedulerRouting:
         cache = QueryCache()
         scheduler = self._scheduler([backend], query_cache=cache)
         # Session A opens a transaction and writes t.
-        scheduler.execute("BEGIN")
-        scheduler.execute("INSERT INTO t (id) VALUES (1)", in_transaction=True)
-        # Session B runs a complete unrelated transaction meanwhile.
-        scheduler.execute("BEGIN")
-        scheduler.execute("INSERT INTO other (id) VALUES (1)", in_transaction=True)
-        scheduler.execute("COMMIT", in_transaction=True)
+        scheduler.execute("BEGIN", session_id="A")
+        scheduler.execute("INSERT INTO t (id) VALUES (1)", in_transaction=True, session_id="A")
+        # Session B's BEGIN changes nothing (the replica has one
+        # transaction open already) and B's write joins A's transaction.
+        scheduler.execute("BEGIN", session_id="B")
+        assert scheduler.transaction_owner == "A"
+        scheduler.execute("INSERT INTO other (id) VALUES (1)", session_id="B")
         # An autocommit read caches t's (still uncommitted) state.
         scheduler.execute("SELECT COUNT(*) FROM t")
         assert cache.get("SELECT COUNT(*) FROM t", {}) is not None
-        # A's ROLLBACK must still evict it: B's COMMIT may not have
-        # cleared the dirty tracking while A's transaction was open.
-        scheduler.execute("ROLLBACK", in_transaction=True)
+        # B's COMMIT ends the one transaction, A's write included: every
+        # table it wrote leaves the cache, not only B's.
+        scheduler.execute("COMMIT", session_id="B")
+        assert scheduler.transaction_owner is None and not backend.in_transaction
         assert cache.get("SELECT COUNT(*) FROM t", {}) is None
+        # A's ROLLBACK finds nothing open: what is cached now is committed.
+        scheduler.execute("SELECT COUNT(*) FROM t")
+        scheduler.execute("ROLLBACK", in_transaction=True, session_id="A")
+        assert cache.get("SELECT COUNT(*) FROM t", {}) is not None
         scheduler.close()
 
     def test_in_transaction_reads_bypass_cache_and_broadcast(self):
@@ -838,25 +855,26 @@ class TestSchedulerRouting:
         with pytest.raises(SchedulerError):
             scheduler.execute("COMMIT WORK", in_transaction=True)
         backend.test_connection.fail_with = None
-        assert scheduler._open_transactions == 1
+        assert scheduler.open_transactions == 1
         assert log.last_index == 0
         scheduler.execute("COMMIT", in_transaction=True)
         assert log.last_index == 1
-        assert scheduler._open_transactions == 0
+        assert scheduler.open_transactions == 0
         scheduler.close()
 
     def test_stale_in_transaction_flag_does_not_trap_writes_in_buffer(self):
         # Another session's rogue COMMIT closed the transaction; the
         # owner's in_transaction flag is now stale. Its next write is
         # autocommitted by the engine, so it must reach the log
-        # immediately — the scheduler's own accounting wins over the flag.
+        # immediately — the replicas' answer wins over the flag.
         backend = _backend("b1")
         log = RecoveryLog()
         scheduler = RequestScheduler([backend], log)
-        scheduler.execute("BEGIN")
-        scheduler.execute("COMMIT")  # rogue session, no in_transaction flag
-        assert scheduler._open_transactions == 0
-        scheduler.execute("INSERT INTO t (id) VALUES (1)", in_transaction=True)
+        scheduler.execute("BEGIN", session_id="A")
+        assert scheduler.transaction_owner == "A"
+        scheduler.execute("COMMIT", session_id="rogue")  # no in_transaction flag
+        assert scheduler.open_transactions == 0 and scheduler.transaction_owner is None
+        scheduler.execute("INSERT INTO t (id) VALUES (1)", in_transaction=True, session_id="A")
         assert log.last_index == 1
         scheduler.close()
 
@@ -869,7 +887,7 @@ class TestSchedulerRouting:
         scheduler = RequestScheduler([backend], log)
         scheduler.execute("BEGIN")
         scheduler.execute("COMMIT")
-        assert scheduler._open_transactions == 0
+        assert scheduler.open_transactions == 0
         scheduler.execute("INSERT INTO t (id) VALUES (1)")
         assert log.last_index == 1
         scheduler.close()
@@ -882,15 +900,15 @@ class TestSchedulerRouting:
         backend = _backend("b1")
         log = RecoveryLog()
         scheduler = RequestScheduler([backend], log)
-        scheduler.execute("BEGIN")
-        scheduler.execute("COMMIT")  # rogue session
-        scheduler.execute("BEGIN", in_transaction=True)  # stale flag
-        assert scheduler._open_transactions == 1
+        scheduler.execute("BEGIN", session_id="A")
+        scheduler.execute("COMMIT", session_id="rogue")
+        scheduler.execute("BEGIN", in_transaction=True, session_id="A")  # stale flag
+        assert scheduler.open_transactions == 1 and scheduler.transaction_owner == "A"
         scheduler.execute("INSERT INTO t (id) VALUES (1)", in_transaction=True)
         assert log.last_index == 0  # buffered, not logged
         scheduler.execute("ROLLBACK", in_transaction=True)
         assert log.last_index == 0
-        assert scheduler._open_transactions == 0
+        assert scheduler.open_transactions == 0
         scheduler.close()
 
     def test_mixed_fault_commit_keeps_buffer_until_a_replica_commits(self):
@@ -910,14 +928,14 @@ class TestSchedulerRouting:
             scheduler.execute("COMMIT", in_transaction=True)
         assert alive.enabled
         assert dying.state is BackendState.FAILED
-        assert scheduler._open_transactions == 1
+        assert scheduler.open_transactions == 1
         assert log.last_index == 0
         # The retried COMMIT succeeds on the live replica: the buffered
         # write finally reaches the log, ready for the failed replica's
         # resync.
         alive.test_connection.fail_with = None
         scheduler.execute("COMMIT", in_transaction=True)
-        assert scheduler._open_transactions == 0
+        assert scheduler.open_transactions == 0
         assert log.last_index == 1
         scheduler.close()
 

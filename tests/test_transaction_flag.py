@@ -1,22 +1,30 @@
 """One answer to "is a transaction open on this session?".
 
-The server that owns a session — the database server's ``ServerSession``
-for ``pydb://``, the controller's ``SessionContext`` for ``sequoia://`` —
-says so on every RESULT/ERROR (``in_transaction``, omitted when false),
-and ``connection.in_transaction`` is whatever the last reply said. So a
+The server that owns a session says so on every RESULT/ERROR
+(``in_transaction``, omitted when false), and ``connection.in_transaction``
+is whatever the last reply said. For ``pydb://`` the owner is the
+database server's ``ServerSession``. For ``sequoia://`` it is the
+controller, and its answer has two parts: the replicas' connections say
+whether a transaction is open (``Backend.in_transaction``), and the
+scheduler's one record says whose it is (``transaction_owner``). So a
 legacy application cannot tell the middleware from one database by *how
 it spells BEGIN*: by method or by text, the failover guard, the
-ROLLBACK-before-CLOSE and the expiration policies see the same flag.
+ROLLBACK-before-CLOSE and the expiration policies see the same flag —
+and no flag outlives the transaction it names.
 
 The oracle: random sequences of transaction control (by text and by
 method), good DML, failing statements and pipelines over the three
-connection kinds; after every step the driver's flag equals the owner's
-answer, and at the end every database holds exactly what a model that
-applies only committed steps holds. The directed cases are the three
-ways a text-opened transaction used to be invisible to the client side.
+connection kinds, with a second session that sends COMMIT/ROLLBACK by
+text; after every step the driver's flag equals the owner's answer, and
+at the end every database holds exactly what a model that applies only
+committed steps holds. The directed cases are the three ways a
+text-opened transaction used to be invisible to the client side, and
+the two ways a second session's COMMIT used to leave the first one's
+flag stale on the controller.
 """
 
 import itertools
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -72,8 +80,13 @@ class _Setting:
                 if session.session_id == connection.session_id
             ]
             return session.sql_session.in_transaction
-        (controller,) = self.env.controllers
-        return controller._sessions[connection.session_id].in_transaction
+        # The replicas' connections report a transaction, and it is this
+        # session's.
+        scheduler = self.env.controllers[0].scheduler
+        return (
+            any(backend.in_transaction for backend in scheduler.enabled_backends())
+            and scheduler.transaction_owner == connection.session_id
+        )
 
     def settled(self):
         """No session's transaction is still open anywhere (a cluster
@@ -107,11 +120,13 @@ def setting(request):
 class _Script:
     """Runs steps against a connection and a model of what they mean:
     ``committed`` rows, and ``pending`` — the transaction's view of the
-    table — while one is open."""
+    table — while one is open. ``other`` is a second session on the same
+    database."""
 
-    def __init__(self, setting, connection, table):
+    def __init__(self, setting, connection, table, other):
         self.setting = setting
         self.connection = connection
+        self.other = other
         self.cursor = connection.cursor()
         self.table = table
         self.committed = {}
@@ -162,6 +177,23 @@ class _Script:
             if verb == "COMMIT":
                 self.committed = self.pending
             self.pending = None
+
+    def other_ends(self, verb):
+        """The second session sends ``verb`` by text. A cluster's
+        replicas share one connection per replica, so it ends whatever
+        transaction is open there, this session's included (the hole
+        docs/scheduling.md names); a database server keeps its sessions
+        apart and refuses it, since nothing is open on the second one."""
+        shared = self.setting.kind != "pydb"
+        ends_ours = shared and self.open
+        assert self.attempt(self.other.cursor().execute, verb) == ends_ours
+        assert not self.other.in_transaction
+        if ends_ours:
+            if verb == "COMMIT":
+                self.committed = self.pending
+            self.pending = None
+        # This session's flag is what its next reply says.
+        assert self.attempt(self.cursor.execute, "SELECT 1")
 
     def good_insert(self):
         row_id = next(self.next_id)
@@ -216,6 +248,8 @@ STEPS = {
     "commit()": lambda script: script.end("COMMIT", by_text=False),
     "text ROLLBACK": lambda script: script.end("ROLLBACK", by_text=True),
     "rollback()": lambda script: script.end("ROLLBACK", by_text=False),
+    "other session's COMMIT": lambda script: script.other_ends("COMMIT"),
+    "other session's ROLLBACK": lambda script: script.other_ends("ROLLBACK"),
     "insert": _Script.good_insert,
     "update": _Script.good_update,
     "duplicate key": _Script.duplicate_key,
@@ -229,12 +263,12 @@ STEPS = {
 @given(st.lists(st.sampled_from(sorted(STEPS)), max_size=24))
 def test_the_flag_is_the_owners_answer_and_only_committed_steps_persist(setting, steps):
     table = f"flag_{setting.kind}_{next(_table_numbers)}"
-    connection = setting.connect()
+    connection, other = setting.connect(), setting.connect()
     try:
         connection.cursor().execute(
             f"CREATE TABLE {table} (id INTEGER NOT NULL PRIMARY KEY, v INTEGER)"
         )
-        script = _Script(setting, connection, table)
+        script = _Script(setting, connection, table, other)
         script.check_flag("start")
         for step in steps:
             STEPS[step](script)
@@ -242,6 +276,7 @@ def test_the_flag_is_the_owners_answer_and_only_committed_steps_persist(setting,
     finally:
         # Whatever is still open is rolled back by the close.
         connection.close()
+        other.close()
     assert setting.settled()
     assert setting.rows(table) == [script.committed] * len(setting.engines)
 
@@ -409,6 +444,93 @@ def test_commit_by_method_commits_a_transaction_opened_by_text(kind):
         connection.close()
         assert setting.settled()
         assert setting.rows("mixed") == [{1: 0}] * len(setting.engines)
+    finally:
+        setting.env.close()
+
+
+# -- a second session's COMMIT on the controller ------------------------------------
+
+
+def _teardown_finished(controller):
+    """A predicate ``finished(session_id)``: the controller has torn the
+    session down, its teardown ROLLBACK included if it sends one. A
+    session leaves ``controller._sessions`` inside its teardown, so once
+    it is gone and no teardown is running, its own has returned."""
+    running = [0]
+    lock = threading.Lock()
+    finish = controller._finish_session
+
+    def counted(state, session):
+        with lock:
+            running[0] += 1
+        try:
+            finish(state, session)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    controller._finish_session = counted
+
+    def finished(session_id):
+        with lock:
+            return session_id not in controller._sessions and not running[0]
+
+    return finished
+
+
+@pytest.mark.parametrize("kind", ("dedicated", "multiplexed"))
+def test_another_sessions_commit_leaves_no_stale_flag(kind):
+    setting = _Setting(kind)
+    try:
+        a, b = setting.connect(), setting.connect()
+        cursor = a.cursor()
+        cursor.execute("CREATE TABLE rogue (id INTEGER PRIMARY KEY, v INTEGER)")
+        cursor.execute("BEGIN")
+        cursor.execute("INSERT INTO rogue (id, v) VALUES (1, 0)")
+        # The replicas share one connection each: B's COMMIT ends A's
+        # transaction there, and A's next reply must say so.
+        b.cursor().execute("COMMIT")
+        cursor.execute("SELECT 1")
+        assert not a.in_transaction and not b.in_transaction
+        scheduler = setting.env.controllers[0].scheduler
+        assert scheduler.transaction_owner is None
+        assert not any(backend.in_transaction for backend in scheduler.backends())
+        # Nothing is open, so commit() has nothing to send and A is free
+        # to open a transaction again.
+        a.commit()
+        a.begin()
+        assert a.in_transaction and scheduler.transaction_owner == a.session_id
+        a.rollback()
+        assert setting.rows("rogue") == [{1: 0}] * len(setting.engines)
+        a.close()
+        b.close()
+    finally:
+        setting.env.close()
+
+
+@pytest.mark.parametrize("kind", ("dedicated", "multiplexed"))
+def test_a_closing_non_owner_never_rolls_back_another_sessions_transaction(kind):
+    setting = _Setting(kind)
+    controller = setting.env.controllers[0]
+    finished = _teardown_finished(controller)
+    try:
+        a, b, c = setting.connect(), setting.connect(), setting.connect()
+        cursor = c.cursor()
+        cursor.execute("CREATE TABLE later (id INTEGER PRIMARY KEY, v INTEGER)")
+        a.cursor().execute("BEGIN")
+        b.cursor().execute("COMMIT")  # ends A's transaction
+        cursor.execute("BEGIN")
+        cursor.execute("INSERT INTO later (id, v) VALUES (1, 0)")
+        session_a = a.session_id
+        a.close()
+        assert chaos.wait_until(lambda: finished(session_a))
+        # A owned nothing when it left, so its teardown sent no ROLLBACK
+        # and C's transaction is whole.
+        cursor.execute("COMMIT")
+        assert not c.in_transaction
+        assert setting.rows("later") == [{1: 0}] * len(setting.engines)
+        b.close()
+        c.close()
     finally:
         setting.env.close()
 

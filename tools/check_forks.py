@@ -162,6 +162,13 @@ GATES = [
         "flag's one writer and assigns what the session's owner said on a reply",
     ),
     Gate(
+        r"_open_transactions|_tx_owner|_tx_dirty|SessionContext|def observe\(",
+        ("src/repro/cluster",),
+        "a second answer to \"is a transaction open?\" on the controller: the replicas' "
+        "connections say whether one is (Backend.in_transaction), the scheduler's one "
+        "_Transaction record says whose it is (RequestScheduler.transaction_owner)",
+    ),
+    Gate(
         r"split\(None, 1\)\[0\]\.upper\(\)",
         ("src/repro/cluster/driver.py",),
         "the driver sniffs a statement's first word: what a statement is comes from "
