@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import threading
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Container, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster.recovery.dumper import DatabaseDump, DatabaseDumper
 from repro.cluster.recovery.logstore import LogEntry
@@ -205,6 +205,74 @@ class ReplicaBatch:
             self.backend._lock.release()
 
 
+# -- the replay rule: plain values in, a verdict out ---------------------------
+
+#: Verdicts of :func:`replay_step`.
+REGRESSED, BEHIND, APPLIED, UNHOSTED, APPLY = "regressed", "behind", "applied", "unhosted", "apply"
+
+
+class AppliedSeqs:
+    """Exactly which per-table sequence numbers (``LogEntry.table_seqs``)
+    a backend applied: ``(table, seq) in applied``. Exact, not a maximum:
+    under key-level locks a replica can apply N+1 while missing N. A
+    floor per table collapses the contiguous prefix, so memory is
+    bounded by the number of gaps."""
+
+    __slots__ = ("_floor", "_sparse")
+
+    def __init__(self) -> None:
+        self._floor: Dict[str, int] = {}
+        self._sparse: Dict[str, Set[int]] = {}
+
+    def add(self, table_seqs: Dict[str, int]) -> None:
+        for table, seq in table_seqs.items():
+            floor = self._floor.get(table, 0)
+            if seq <= floor:
+                continue
+            sparse = self._sparse.setdefault(table, set())
+            sparse.add(seq)
+            while floor + 1 in sparse:
+                floor += 1
+                sparse.discard(floor)
+            self._floor[table] = floor
+            if not sparse:
+                del self._sparse[table]
+
+    def __contains__(self, pair: Tuple[str, int]) -> bool:
+        table, seq = pair
+        return seq <= self._floor.get(table, 0) or seq in self._sparse.get(table, ())
+
+
+def replay_step(
+    entry: LogEntry,
+    checkpoint: int,
+    applied: Container[Tuple[str, int]],
+    floor: Dict[str, int],
+    entry_filter: Optional[Callable[[LogEntry], bool]] = None,
+) -> Tuple[str, Dict[str, int]]:
+    """What a replay does with one log entry: ``(verdict, floor)``, where
+    ``floor`` holds each table's last sequence this replay saw.
+    ``REGRESSED`` when a sequence does not follow the floor (the log is
+    ordered backwards for that table). Otherwise skip it at or below the
+    ``checkpoint`` (``BEHIND``), when every sequence is in ``applied``
+    (``APPLIED``: a concurrent round can clamp a checkpoint below a write
+    this replica did apply, and a second run of it fails), or when
+    ``entry_filter`` says no table of it is hosted (``UNHOSTED``); else
+    ``APPLY`` it."""
+    seqs = entry.table_seqs
+    if any(seq <= floor.get(table, 0) for table, seq in seqs.items()):
+        return REGRESSED, floor
+    if seqs:
+        floor = {**floor, **seqs}
+    if entry.index <= checkpoint:
+        return BEHIND, floor
+    if seqs and all(pair in applied for pair in seqs.items()):
+        return APPLIED, floor
+    if entry_filter is not None and not entry_filter(entry):
+        return UNHOSTED, floor
+    return APPLY, floor
+
+
 class BackendState(enum.Enum):
     ENABLED = "enabled"
     DISABLED = "disabled"
@@ -237,23 +305,9 @@ class Backend:
         #: Relative share of reads under the weighted load-balancing policy.
         self.weight = weight
         self._lock = threading.RLock()
-        #: Exactly which per-table sequence numbers were applied here
-        #: (see LogEntry.table_seqs), as a low-water-mark floor plus a
-        #: sparse set of sequences above it. Under conflict-aware locking
-        #: a backend's checkpoint_index can race past an entry it missed
-        #: (a write that failed here while a concurrent write succeeded);
-        #: the failing writer then rolls the checkpoint back with
-        #: :meth:`limit_checkpoint`, and these sequences let the wider
-        #: replay *skip* entries this replica already applied instead of
-        #: double-applying them. Membership must be **exact**, not a
-        #: per-table maximum: with key-level locks two writers hit the
-        #: same table concurrently, so this replica can apply sequence
-        #: N+1 while missing N — a max would make the replay skip the
-        #: missed entry and lose the update. The floor collapses the
-        #: contiguous prefix (the common case — sequences arrive in
-        #: order), so memory stays bounded by the number of gaps.
-        self._applied_seq_floor: Dict[str, int] = {}
-        self._applied_seq_sparse: Dict[str, Set[int]] = {}
+        #: Which per-table sequences were applied here: a replay wider
+        #: than the checkpoint skips them (:func:`replay_step`).
+        self.applied_seqs = AppliedSeqs()
         #: Statements executed against this backend (observability).
         self.statements_executed = 0
         #: When the failure detector last saw this backend answer a ping.
@@ -344,27 +398,14 @@ class Backend:
         track: bool = True,
     ) -> List[Outcome]:
         """Run an ordered list of ``(sql, params)`` pairs: a round with
-        this backend as its one target, each request collected before
-        the next is sent.
-
-        Returns one ``(result, error)`` pair per statement, positionally:
-        ``result`` is the usual ``(columns, rows, rowcount)`` triple,
-        ``error`` the exception that statement raised (statement faults
-        are captured per position; a connection-level failure poisons
-        the failing statement *and everything after it*).
-
-        Connections that offer a native ``execute_batch(pairs)`` — the
-        wire-level batch — get the whole list as one request and must
-        return one outcome per statement (a ``(columns, rows, rowcount)``
-        triple or an Exception instance, in order); everything else gets
-        one request per statement. Calls serialise on the per-backend
-        lock while a request is outstanding: the one cached connection
-        is not thread-safe, and DB-API level 1 only promises threads may
-        share the *module*. A connection that declares
-        ``threadsafety >= 2`` (threads may share connections — a replica
-        that processes disjoint-row statements concurrently) runs
-        outside the lock, so key-level lock scopes can actually overlap
-        on one replica instead of re-serialising here."""
+        this backend as its one target (:class:`ReplicaBatch`). Returns
+        one ``(result, error)`` pair per statement, positionally; a
+        connection fault fails the statement *and everything after it*.
+        A connection with a native ``execute_batch(pairs)`` gets the whole
+        list as one request and must return one ``(columns, rows,
+        rowcount)`` triple or Exception per statement. Requests serialise
+        on the backend's lock unless the connection declares
+        ``threadsafety >= 2``, so key scopes can overlap on one replica."""
         batch = ReplicaBatch(self, statements, track)
         while not batch.done:
             batch.send()
@@ -402,61 +443,23 @@ class Backend:
     def enabled(self) -> bool:
         return self.state == BackendState.ENABLED
 
-    def _record_applied_seq_locked(self, table: str, seq: int) -> None:
-        floor = self._applied_seq_floor.get(table, 0)
-        if seq <= floor:
-            return
-        sparse = self._applied_seq_sparse.setdefault(table, set())
-        sparse.add(seq)
-        # Collapse the contiguous prefix into the floor.
-        while floor + 1 in sparse:
-            floor += 1
-            sparse.discard(floor)
-        if floor:
-            self._applied_seq_floor[table] = floor
-        if not sparse:
-            self._applied_seq_sparse.pop(table, None)
-
-    def _seq_applied_locked(self, table: str, seq: int) -> bool:
-        if seq <= self._applied_seq_floor.get(table, 0):
-            return True
-        return seq in self._applied_seq_sparse.get(table, ())
-
-    def has_applied_seqs(self, table_seqs: Dict[str, int]) -> bool:
-        """Whether every per-table sequence of one log entry was already
-        applied here — **exact** membership, so an entry this replica
-        missed is never shadowed by a later same-table entry it applied."""
-        if not table_seqs:
-            return False
+    def advance_checkpoint(
+        self, index: Optional[int], table_seqs: Sequence[Dict[str, int]] = ()
+    ) -> None:
+        """Record ``table_seqs`` (one dict per log entry) as applied here,
+        and move the checkpoint forward to ``index`` unless it is None.
+        Whether a backend may advance is the round's rule
+        (``scheduler.checkpoint_moves``); a successful execution is ground
+        truth in any state, so the sequences are recorded either way."""
         with self._lock:
-            return all(
-                self._seq_applied_locked(table, seq) for table, seq in table_seqs.items()
-            )
-
-    def advance_checkpoint(self, index: int, table_seqs: Optional[Dict[str, int]] = None) -> None:
-        """Record that this backend applied the log through ``index``.
-
-        Only moves forward, and only while ENABLED: a backend that a
-        concurrent writer just marked FAILED stopped applying writes at
-        its failure, and advancing its checkpoint past an entry it
-        missed would make the next resync silently skip that entry.
-        ``table_seqs`` additionally records the entry's per-table
-        sequences as applied — recorded regardless of state, because a
-        successful execution is ground truth even on a replica that a
-        concurrent writer just failed, and it is exactly what lets the
-        wider replay skip the statement instead of double-applying it."""
-        with self._lock:
-            if table_seqs:
-                for table, seq in table_seqs.items():
-                    self._record_applied_seq_locked(table, seq)
-            if self.state is BackendState.ENABLED and index > self.checkpoint_index:
+            for seqs in table_seqs:
+                self.applied_seqs.add(seqs)
+            if index is not None and index > self.checkpoint_index:
                 self.checkpoint_index = index
 
     def limit_checkpoint(self, index: int) -> None:
-        """Clamp the checkpoint down to ``index`` — called by a writer
-        whose broadcast failed here, so the failed entry stays inside the
-        next resync's replay range even if a concurrent disjoint write
-        advanced the checkpoint past it in the meantime."""
+        """Clamp the checkpoint down to ``index``, so an entry this
+        backend missed stays in the next resync's replay range."""
         with self._lock:
             if index < self.checkpoint_index:
                 self.checkpoint_index = index
@@ -504,8 +507,7 @@ class Backend:
             # sequence recorded before the wipe is about rows that no
             # longer exist, and keeping it would make the tail replay
             # skip entries the restored state actually needs.
-            self._applied_seq_floor = {}
-            self._applied_seq_sparse = {}
+            self.applied_seqs = AppliedSeqs()
             self.state = BackendState.DISABLED
             return statements
 
@@ -514,25 +516,17 @@ class Backend:
         entries: List[LogEntry],
         entry_filter: Optional[Callable[[LogEntry], bool]] = None,
     ) -> int:
-        """Replay missed writes and re-enable the backend.
-
-        ``entry_filter`` (partial replication) decides per entry whether
-        this replica must apply it; filtered-out entries still advance
-        the checkpoint — the replica is *consistent* with them by virtue
-        of not hosting the tables they touch. Entries whose every
-        per-table sequence this replica already applied are skipped too
-        (the conflict-aware write path can roll a checkpoint back past a
-        write this replica *did* apply — see :meth:`limit_checkpoint` —
-        and replaying it twice would fail on non-idempotent statements).
-        The replay also verifies per-table sequences never regress: log
-        index order must preserve per-table order, or the replica would
-        end up with writes applied backwards. Returns the number of log
-        entries actually executed.
+        """Replay missed writes and re-enable the backend: each entry's
+        fate is :func:`replay_step`'s. ``entry_filter`` (partial
+        replication) says whether this replica hosts an entry's tables;
+        a skipped entry still advances the checkpoint — the replica is
+        consistent with it by not hosting its tables, or by having
+        applied it already. Returns the number of log entries executed.
         """
         with self._lock:
             self.state = BackendState.RECOVERING
             replayed = 0
-            replay_floor: Dict[str, int] = {}
+            floor: Dict[str, int] = {}
             # Replayable entries accumulate and are applied through
             # execute_batch in chunks: a long tail replay costs one
             # round trip per chunk instead of one per entry. A chunk is
@@ -550,34 +544,25 @@ class Backend:
                     if error is not None:
                         raise error
                     replayed += 1
-                    for table, seq in entry.table_seqs.items():
-                        self._record_applied_seq_locked(table, seq)
+                    self.applied_seqs.add(entry.table_seqs)
                     self.checkpoint_index = entry.index
                 pending.clear()
 
             try:
                 for entry in entries:
-                    for table, seq in entry.table_seqs.items():
-                        if seq <= replay_floor.get(table, 0):
-                            raise DriverError(
-                                f"recovery log violates per-table order: table "
-                                f"{table!r} sequence {seq} at index {entry.index} "
-                                f"does not follow {replay_floor[table]}"
-                            )
-                        replay_floor[table] = seq
-                    if entry.index <= self.checkpoint_index:
-                        continue
-                    already_applied = bool(entry.table_seqs) and all(
-                        self._seq_applied_locked(table, seq)
-                        for table, seq in entry.table_seqs.items()
+                    verdict, floor = replay_step(
+                        entry, self.checkpoint_index, self.applied_seqs, floor, entry_filter
                     )
-                    if not already_applied and (
-                        entry_filter is None or entry_filter(entry)
-                    ):
+                    if verdict == REGRESSED:
+                        raise DriverError(
+                            f"recovery log violates per-table order: sequences "
+                            f"{entry.table_seqs} at index {entry.index} do not follow {floor}"
+                        )
+                    if verdict == APPLY:
                         pending.append(entry)
                         if len(pending) >= _RESYNC_BATCH_SIZE:
                             flush()
-                    else:
+                    elif verdict != BEHIND:
                         flush()
                         self.checkpoint_index = entry.index
                 flush()

@@ -985,7 +985,7 @@ class Controller:
             if backend.enabled:
                 for entry in entries:
                     if entry.table_seqs:
-                        backend.advance_checkpoint(entry.index, entry.table_seqs)
+                        backend.advance_checkpoint(entry.index, (entry.table_seqs,))
         # Push the new epoch out so surviving peers adopt it (and the
         # deposed primary, if reachable, demotes itself immediately).
         self.ha_store.announce()

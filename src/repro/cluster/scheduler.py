@@ -1,64 +1,37 @@
 """Request scheduling: the controller's routing hot path.
 
-The scheduler is a thin orchestrator over five pluggable layers:
+The scheduler orchestrates :mod:`~repro.cluster.classifier` (what a
+statement is, reads and writes), :mod:`~repro.cluster.placement` (which
+backends host which tables, RAIDb-0/1/2), :mod:`~repro.cluster.loadbalancer`
+(one backend per read), :mod:`~repro.cluster.broadcaster` (a write round
+on the hosting backends) and :mod:`~repro.cluster.querycache` (an
+optional SELECT-result cache invalidated by the tables writes touch).
 
-1. :mod:`repro.cluster.classifier` — token-level statement classification
-   (read/write/transaction-control) and read/written table extraction,
-2. :mod:`repro.cluster.placement` — the table-placement map (RAIDb-0/1/2)
-   deciding which backends host which tables,
-3. :mod:`repro.cluster.loadbalancer` — the read policy choosing one
-   backend per read (round-robin, least-pending, weighted) among the
-   placement's candidates,
-4. :mod:`repro.cluster.broadcaster` — parallel execution of writes on
-   the hosting backends (every request sent before any reply is
-   awaited, on the calling thread) with per-backend failure aggregation,
-5. :mod:`repro.cluster.querycache` — an optional SELECT-result cache
-   invalidated by the tables each write touches.
+A read goes to one enabled backend hosting all its tables (only a full
+replica serves a cross-partition join). A write, and any statement in a
+transaction, goes to every enabled backend hosting a table it writes;
+transaction control and statements with an unknown table set go to every
+enabled backend. Each write holds the one :class:`LockScope` the
+:class:`~repro.cluster.lockscope.ScopeResolver` gives it — its rows, else
+its tables, else the exclusive mode — so disjoint writes run in parallel
+and conflicting ones serialise; execution and log append happen under
+the same scope, so per-table log order is execution order, and per-table
+sequence numbers let replay verify it and deduplicate.
 
-Under the default ``full`` placement (RAIDb-1) reads go to one enabled
-backend, writes (and any statement inside an explicit transaction) go to
-all of them. Under a partial placement (RAIDb-0/2) reads go to a backend
-hosting *all* of the statement's read tables (only a full replica can
-serve a cross-partition join — :class:`NoHostingBackendError` when none
-exists), writes fan out to only the backends hosting the written tables,
-and transaction control still broadcasts everywhere so the transaction
-lifecycle stays global while each statement executes partition-local.
-Statements whose table set is unknown (unparseable SQL) bypass placement
-entirely: they broadcast to every enabled backend and flush the whole
-query cache, exactly as under RAIDb-1.
-
-Genuine writes are appended to the recovery log for backend resync
-(replay is filtered per backend by each entry's written tables), and a
-write that fails on one hosting backend marks that backend FAILED while
-the statement still succeeds if any hosting replica accepted it.
-
-Write ordering is **conflict-aware** (:mod:`repro.cluster.locks`): each
-broadcast holds the one :class:`LockScope` the
-:class:`~repro.cluster.lockscope.ScopeResolver` gives it — the rows it
-provably touches, else the tables it touches, else the exclusive mode —
-so statements on disjoint tables, and single-row writers on disjoint
-rows of one table, execute and broadcast in parallel while conflicting
-statements serialise in acquisition order.
-Execution and log append happen under the same locks, so log-index
-order equals execution order *per table* for table scopes — and for key
-scopes the overlapped statements address disjoint rows, so they commute
-and every replica converges regardless of interleaving; the recovery
-log records per-table sequence numbers so replay can verify (and
-backends can deduplicate, by exact sequence membership) per-table
-order. Transaction control, statements with an unknown/unparseable
-table set, resync replays, cold starts, snapshot dumps and placement
-swaps all take the exclusive global mode — total order is the worst
-case, never violated.
+The write round's decisions are the rule functions below, plain values
+in and a verdict out; :class:`RequestScheduler` is their shell, and
+``tests/write_explorer.py`` drives them through every short sequence of
+events (docs/scheduling.md §5).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Callable, Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.cluster.backend import Backend, STATEMENT_FAULTS
-from repro.cluster.broadcaster import WriteBroadcaster
+from repro.cluster.backend import STATEMENT_FAULTS, Backend, QueryResult
+from repro.cluster.broadcaster import BackendOutcome, WriteBroadcaster
 from repro.cluster.classifier import (
     DML_COMMANDS,
     ClassifiedStatement,
@@ -104,26 +77,114 @@ class SchedulerError(DriverError):
 _SCHEMA_COMMANDS = ("CREATE", "DROP", "ALTER")
 
 
+# -- the rules: plain values in, a verdict out ----------------------------------
+
+#: Verdicts of :func:`transaction_step`.
+OPEN, FLUSH, DISCARD, KEEP = "open", "flush", "discard", "keep"
+#: Verdicts of :func:`write_fate`.
+LOG, DEFER, DROP = "log", "defer", "drop"
+#: Kinds of move :func:`checkpoint_moves` returns.
+ADVANCE, CLAMP = "advance", "clamp"
+
+
+def round_verdict(replies: Sequence[BackendOutcome]) -> Tuple[Optional[QueryResult], List[Any]]:
+    """One statement's round from each target's reply (``backend``,
+    ``result``, ``error``): ``(accepted, leaving)``, the first success's
+    result (None if none) and the targets that leave the rotation. A
+    statement fault on every target blames the statement. A fault where
+    others accepted is divergence, and a connection fault loses the
+    replica's session: those targets leave until a resync."""
+    accepted, faulted = None, []
+    for reply in replies:
+        if reply.error is not None:
+            faulted.append(reply)
+        elif accepted is None:
+            accepted = reply.result
+    if accepted is None:
+        faulted = [reply for reply in faulted if not isinstance(reply.error, STATEMENT_FAULTS)]
+    return accepted, [reply.backend for reply in faulted]
+
+
+def transaction_step(
+    open_before: bool, open_now: bool, command: Optional[str], accepted: bool
+) -> str:
+    """The transaction record's step wherever the replicas' connections
+    may have changed (after every round, in a disable, before a resync):
+    ``OPEN`` when some member replica now reports a transaction and the
+    record is closed; when the record is open and none does, ``FLUSH``
+    it into the log if an accepted COMMIT (``command``, None outside a
+    round) closed it, else ``DISCARD`` it — a ROLLBACK, or connections
+    that dropped and rolled back; else ``KEEP``."""
+    if open_before == open_now:
+        return KEEP
+    if open_now:
+        return OPEN
+    return FLUSH if command == "COMMIT" and accepted else DISCARD
+
+
+def write_fate(accepted: bool, ran_in_transaction: bool, still_open: bool) -> str:
+    """Where a write goes once its round settled: ``DROP`` one no replica
+    accepted (it would poison every later resync), ``LOG`` an auto-commit
+    one, ``DEFER`` one that ran in a transaction into its buffer while it
+    is open — a rolled-back write must never be replayed — and ``DROP``
+    it once that transaction ended without it."""
+    if not accepted:
+        return DROP
+    if not ran_in_transaction:
+        return LOG
+    return DEFER if still_open else DROP
+
+
+def checkpoint_moves(
+    items: Sequence[Tuple[Sequence[BackendOutcome], Sequence[LogEntry]]],
+    last_index: int,
+    enabled: Collection[Any],
+) -> List[Tuple[str, Any, Optional[int], Tuple[Dict[str, int], ...]]]:
+    """``(kind, target, index, table_seqs)`` moves after a round whose
+    ``items`` are, per statement, its targets' replies and the log
+    entries it carried. Each accepting target ``ADVANCE``s: it records
+    the entries' table sequences, and moves to ``last_index`` only if
+    ``enabled`` — one a concurrent round failed stopped at a write it
+    missed, which a resync must not skip. Then each target that missed a
+    statement carrying entries is ``CLAMP``ed below the first: every
+    advance before any clamp, so accepting statement 1 but missing 3
+    ends below entry 3."""
+    moves = []
+    for replies, entries in items:
+        seqs = tuple([entry.table_seqs for entry in entries])
+        moves += [
+            (ADVANCE, r.backend, last_index if r.backend in enabled else None, seqs)
+            for r in replies
+            if r.error is None
+        ]
+    return moves + [
+        (CLAMP, r.backend, entries[0].index - 1, ())
+        for replies, entries in items
+        if entries
+        for r in replies
+        if r.error is not None
+    ]
+
+
+# -- the shell ---------------------------------------------------------------------
+
+#: One write as the recovery log takes it: ``(sql, params, write_tables,
+#: lock_keys)``.
+_Row = Tuple[str, Optional[Dict[str, Any]], FrozenSet[str], FrozenSet[Tuple[str, Any]]]
+
+
 class _Transaction:
     """The transaction open on the replicas' connections: whose it is,
-    and the writes deferred from the recovery log until it commits — a
-    rolled-back write must never be replayed into a recovering backend,
-    and a backend that failed mid-transaction must replay all of it.
-
-    Each buffered write is ``(sql, params, write_tables, lock_keys)``:
-    ``lock_keys`` are the ``(table, key)`` pairs its key scope held
-    (empty under a table scope), kept so the disable/enable refusal can
-    name the rows the transaction pinned, not just its tables. The
-    tables are also what leaves the query cache when it ends: a
-    concurrent auto-commit read may have cached its uncommitted state."""
+    and the writes deferred from the recovery log until it commits. A
+    buffered write's ``lock_keys`` (its key scope's ``(table, key)``
+    pairs) let the disable/enable refusal name the rows it pinned; its
+    tables leave the query cache when the transaction ends."""
 
     __slots__ = ("owner", "buffer")
 
     def __init__(self, owner: Optional[str]) -> None:
         self.owner = owner
-        self.buffer: List[
-            Tuple[str, Dict[str, Any], FrozenSet[str], FrozenSet[Tuple[str, Any]]]
-        ] = []
+        self.buffer: List[_Row] = []
 
 
 class _BatchItem:
@@ -141,7 +202,7 @@ class _BatchItem:
         "done",
         "result",
         "outcome",
-        "entry",
+        "entries",
         "durable_index",
         "error",
         "trace",
@@ -171,10 +232,10 @@ class _BatchItem:
         self.done = False
         self.result: Optional[Tuple[List[str], List[Any], int]] = None
         self.outcome: Any = None
-        #: This statement's own recovery-log entry, once appended.
-        self.entry: Optional[LogEntry] = None
-        #: Highest log index this statement appended (its own entry, or
-        #: the tail of a COMMIT's buffer flush) for the group-commit
+        #: The recovery-log entries this statement caused: an auto-commit
+        #: write's own, a flushing COMMIT's whole buffer, else none.
+        self.entries: List[LogEntry] = []
+        #: Highest log index among ``entries``, for the group-commit
         #: durability wait; None when nothing was appended.
         self.durable_index: Optional[int] = None
         self.error: Optional[Exception] = None
@@ -192,25 +253,18 @@ class WriteBatcher:
     trip — the execution-side mirror of :class:`GroupCommit`.
 
     Writers whose placement-resolved replica sets match queue under one
-    *group key* (the sorted target names); the first writer to find the
-    group leaderless elects itself leader, drains the queue and runs the
-    whole batch through ``WriteBroadcaster.broadcast_batch`` +
-    ``RecoveryLog.append_batch`` — one fan-out and one log append cover
-    every writer in the group, and (under group commit) one fsync.
-    Writers arriving while a round is in flight queue up for the next
-    leader, so batching *emerges from broadcast latency* exactly as
-    group-commit batching emerges from fsync latency — there is no
-    collection window to tune.
+    *group key* (the sorted target names); the first to find the group
+    leaderless leads: it drains the queue and runs the batch as one
+    round — one fan-out, one log append and (under group commit) one
+    fsync for every writer. Writers arriving meanwhile queue for the
+    next leader, so batching *emerges from broadcast latency* as
+    group commit's does from fsync latency: no window to tune.
 
-    Every queued writer still holds its own lock scope for the whole
-    round (the scopes are pairwise disjoint, or they could not be
-    concurrent), so the append order within a batch is an execution
-    order no conflicting statement can interleave — per-table log order
-    is preserved by construction: two same-table statements can share a
-    round only under disjoint key scopes, and the batch applies them in
-    append order on every replica. Deadlock-free: the leader acquires no
-    lock scopes, and an exclusive acquirer (BEGIN, resync, DDL with an
-    unknown table set) simply waits for the round's scopes to drain."""
+    Each queued writer holds its own lock scope for the whole round
+    (pairwise disjoint, or they could not be concurrent), so the batch's
+    order is an execution order nothing conflicting can interleave.
+    Deadlock-free: the leader acquires no scopes, and an exclusive
+    acquirer simply waits for the round's scopes to drain."""
 
     def __init__(self, scheduler: "RequestScheduler", max_batch: int = 64) -> None:
         self._scheduler = scheduler
@@ -336,46 +390,32 @@ class RequestScheduler:
         for backend in self._backends:
             self._placement.add_backend(backend.name)
         self._lock = threading.Lock()
-        # Conflict-aware write ordering: each broadcast holds the lock
-        # scope ``_scopes`` resolves for it — rows, tables, or the
-        # exclusive mode when only total order is safe (transaction
-        # control, unknown table sets; resync/cold-start/dump/placement
-        # swaps take it directly). Execution and log append happen under
-        # the same locks, so log order equals execution order per table.
-        # ``primary_keys`` seeds the resolver for backends that expose
-        # no schema catalog (experiments).
+        # Each broadcast holds the lock scope ``_scopes`` resolves for it;
+        # resync, cold start, dumps and placement swaps take the exclusive
+        # mode directly. ``primary_keys`` seeds the resolver for backends
+        # that expose no schema catalog (experiments).
         self._locks = lock_manager or LockManager()
         self._scopes = ScopeResolver(self.enabled_backends, primary_keys)
-        # Scheduler-internal accounting shared by concurrent writers
-        # (transaction state, log append + checkpoint advancement).
-        # Always acquired *after* the lock manager's scope and never
-        # held across a broadcast, so it cannot deadlock against it.
+        # A round's accounting (settle, log append, checkpoint moves):
+        # taken *after* a lock scope and never held across a broadcast.
         self._state_lock = threading.Lock()
         # The one transaction the replicas' shared connections can hold
-        # (a second BEGIN is rejected), recorded when a transaction-control
-        # round opens it and cleared when one closes it — the replicas
-        # say whether it is open, this says whose it is. Changes only
-        # under the exclusive mode (transaction control takes it), so a
-        # table/key-scope holder reads it without _state_lock. Per-session
-        # replica connections would key it by session (docs/scheduling.md,
-        # "Known hole").
+        # (a second BEGIN is rejected): the replicas say whether it is
+        # open, this says whose it is. Settled (_settle_locked) after
+        # every round, in every disable and before every resync. It opens
+        # only under the exclusive mode (BEGIN takes it), so a
+        # table/key-scope holder reads it without _state_lock and can see
+        # it end, never begin. Per-session replica connections would key
+        # it by session (docs/scheduling.md, "Known hole").
         self._transaction: Optional[_Transaction] = None
-        # Group commit (docs/wire.md): when set, appends go to the store
-        # without their own fsync and each writer calls
-        # group_commit.wait_durable(index) *after* releasing its lock
-        # scope — one fsync covers every writer in the group, and no
-        # reply returns before its entry is durable.
+        # Group commit (docs/wire.md): appends skip their own fsync and
+        # each writer waits for durability *after* releasing its scope,
+        # so one fsync covers every writer in the group.
         self._group_commit = group_commit
-        # Write-path batching, the execution-side mirror of group commit:
-        # eligible concurrent auto-commit writers coalesce into one
-        # broadcast round trip + one batch log append (see WriteBatcher).
-        # Off (None) never queues with siblings: every round carries one
-        # statement (see _run_round).
+        # None: every round carries one statement (see WriteBatcher).
         self._write_batcher = WriteBatcher(self) if write_batching else None
         # True while a resync replay or dump restore holds the write lock:
-        # the controller answers write traffic with ``controller_recovering``
-        # so failover-capable drivers retry on a sibling instead of
-        # queueing behind the replay.
+        # writes are answered ``controller_recovering`` meanwhile.
         self._resyncing = False
         self.cold_starts = 0
 
@@ -443,6 +483,9 @@ class RequestScheduler:
             self._recovery_log.checkpoint(
                 self._backend_checkpoint_name(backend), checkpoint, overwrite=True
             )
+            # Closing its connection rolled back its share of an open
+            # transaction — all of it, if it was the last replica in it.
+            self._settle()
             return checkpoint
 
     def resync_and_enable(
@@ -453,25 +496,21 @@ class RequestScheduler:
         for a member coming back and for a replica joining
         (docs/recovery.md, "One way into the rotation").
 
-        Holding the exclusive write lock for the whole
-        snapshot+replay+enable means no write can land between the log
-        snapshot and the ENABLED flip (it would be applied to the other
-        replicas only and never replayed), and no transaction can open
-        mid-resync — a backend joining mid-transaction would apply the
-        transaction's remaining writes as autocommit, beyond ROLLBACK's
-        reach.
+        Under the exclusive mode no write lands between the log snapshot
+        and the ENABLED flip, and no transaction opens mid-resync (a
+        joining replica would apply its writes as autocommit, beyond
+        ROLLBACK's reach); one already open refuses the join.
 
-        A backend this scheduler has never seen is a disabled member
-        that has applied nothing past its checkpoint: it is registered
-        here, and un-registered again if this first join fails. The
-        replay covers the log after the backend's checkpoint; ``cold`` —
-        or a log compacted past that checkpoint, which needs a
-        ``dumper`` or raises SchedulerError — instead restores a dump of
-        the healthy siblings taken here, at the log head. Returns how
-        many log entries were replayed — for a ``cold`` join, whose
-        replay is empty by construction, how many restore statements
-        ran."""
+        A backend this scheduler has never seen is registered here, and
+        un-registered again if this first join fails. ``cold`` — or a
+        log compacted past the checkpoint, which needs a ``dumper`` —
+        restores a dump of the healthy siblings instead of replaying.
+        Returns how many log entries were replayed, or for a ``cold``
+        join how many restore statements ran."""
         with self._locks.exclusive():
+            # A transaction whose connections all dropped is over, even
+            # if no round ran since to notice.
+            self._settle()
             if self.open_transactions:
                 raise SchedulerError(
                     f"cannot enable backend {backend.name!r} while a transaction "
@@ -539,26 +578,18 @@ class RequestScheduler:
         return True
 
     def _replay_filter(self, backend: Backend) -> Optional[Callable[[LogEntry], bool]]:
-        """Per-entry replay predicate for ``backend`` under the current
-        placement (None under full replication — replay everything).
-
-        An entry is replayed when the backend hosts any of the tables it
-        writes; entries with an *unknown* table set (unparseable SQL) are
-        conservatively replayed everywhere, mirroring how the write path
-        broadcast them everywhere in the first place. Skipped entries
-        still advance the backend's checkpoint (see Backend.resync)."""
+        """Whether ``backend`` hosts a log entry, for ``replay_step``: any
+        table it writes, or an *unknown* table set, which the write path
+        broadcast everywhere. None under full replication."""
         placement = self._placement
         if placement.is_full:
             return None
 
         def entry_filter(entry: LogEntry) -> bool:
-            # Entries carry their write tables since the per-table
-            # ordering model; re-classify only legacy entries that
-            # predate it (e.g. an old durable log directory).
+            # Only entries from a log older than per-table sequences
+            # lack their write tables.
             tables = entry.write_tables or classify(entry.sql).write_tables
-            if not tables:
-                return True
-            return any(placement.backend_hosts(backend.name, table) for table in tables)
+            return not tables or any(placement.backend_hosts(backend.name, table) for table in tables)
 
         return entry_filter
 
@@ -1000,15 +1031,15 @@ class RequestScheduler:
         WriteBatcher round (otherwise it runs a round of one directly).
 
         Only plain logged DML with no transaction open qualifies:
-        transaction control and writes deferred into the open
-        transaction are accounted only for a sole item; DDL and
+        transaction control and writes inside a transaction run as a
+        sole item; DDL and
         referenced-table writes are rare, gain nothing from coalescing,
         and move placement (pin/colocate/unpin) that a queued sibling
         may already have resolved its targets against; and an unknown
         table set means an exclusive scope — which cannot coexist with
         the sibling scopes a batch implies.
-        Checked *after* scope acquisition, so the ``_transaction`` read
-        is stable: transaction control takes the exclusive mode, which
+        Checked *after* scope acquisition, so no transaction can open
+        before the round runs: BEGIN takes the exclusive mode, which
         drains every held scope first."""
         if self._write_batcher is None or self._transaction is not None:
             return False
@@ -1031,13 +1062,17 @@ class RequestScheduler:
         and all items resolved the same target replica set. A round of
         several items holds only plain auto-commit DML (see
         :meth:`_batch_eligible`); transaction control is always the sole
-        item of an exclusive-scope round.
+        item of an exclusive-scope round. A COMMIT is a round like any
+        other: the entries it carries are the transaction's buffer.
 
         Trace attribution: the round's ``execute``/``log_append`` spans
         land on the *leader's* trace (the leading thread genuinely
         spends that time inside its own statement)."""
-        targets = items[0].targets
+        head, targets = items[0], items[0].targets
         cache = self._cache
+        # What the statements run inside: the record cannot open while
+        # their scopes are held, only end.
+        within = self._transaction
         if cache is not None:
             # Invalidate before execution as well: entries cached against
             # the pre-write state must not survive the write. Safe under
@@ -1054,69 +1089,47 @@ class RequestScheduler:
             )
         for index, item in enumerate(items):
             item.outcome = outcome = batch.per_statement(index)
-            # The first success's result: None means no replica accepted it.
-            item.result = outcome.result
-            # A statement fault on *every* backend blames the statement —
-            # the replicas agree and stay healthy. A fault on a strict
-            # subset while others accepted the write is divergence: the
-            # minority is missing a committed write and must leave the
-            # read rotation until resynced. Replica faults (connection
-            # died) always mark the backend failed.
-            any_succeeded = item.result is not None
-            for failure in outcome.failed:
-                if any_succeeded or not isinstance(failure.error, STATEMENT_FAULTS):
-                    failure.backend.mark_failed()
+            item.result, leaving = round_verdict(outcome.outcomes)
+            for backend in leaving:
+                backend.mark_failed()
         leader_trace.begin("log_append", batch_size=len(items))
         # Shared accounting serialises under _state_lock: two
         # disjoint-scope rounds run their broadcasts in parallel but
-        # append + advance atomically, one after the other.
+        # settle, append and move checkpoints one after the other.
         with self._state_lock:
-            # Logged only after at least one replica accepted it: a
-            # statement every backend rejected must not sit in the log
-            # and poison future resyncs.
-            to_log = [item for item in items if item.logged and item.result is not None]
-            transaction = self._transaction
-            if to_log and transaction is not None:
-                # Deferred until COMMIT (discarded on ROLLBACK) so the
-                # log only ever holds committed writes. The replicas'
-                # connections are shared, so while a transaction is open
-                # even another session's auto-commit write runs — and
-                # rolls back — inside it.
-                transaction.buffer.extend(
-                    (item.sql, dict(item.params or {}), item.statement.write_tables, item.scope.keys)
-                    for item in to_log
-                )
-            elif to_log:
-                entries = self._recovery_log.append_batch(
-                    (item.sql, item.params, item.statement.write_tables) for item in to_log
-                )
-                for item, entry in zip(to_log, entries):
-                    item.entry = entry
+            step, ended = self._settle_locked(
+                head.statement.command, head.result is not None, head.session_id
+            )
+            rows: List[_Row] = []
+            owners: List[_BatchItem] = []
+            for item in items:
+                accepted, still_open = item.result is not None, within is self._transaction
+                fate = write_fate(accepted, within is not None, still_open) if item.logged else DROP
+                params = dict(item.params or {}) if fate == DEFER else item.params
+                row = (item.sql, params, item.statement.write_tables, item.scope.keys)
+                if fate == DEFER:
+                    # The replicas' connections are shared, so while a
+                    # transaction is open even another session's
+                    # auto-commit write runs — and rolls back — inside it.
+                    within.buffer.append(row)
+                carried = ended.buffer if step == FLUSH and item is head else [row] if fate == LOG else []
+                rows += carried
+                owners += [item] * len(carried)
+            if rows:
+                # One append for the whole round, a COMMIT's buffer
+                # included: a durable store pays one flush+fsync for it.
+                for item, entry in zip(owners, self._recovery_log.append_batch(row[:3] for row in rows)):
+                    item.entries.append(entry)
                     item.durable_index = entry.index
-            if items[0].statement.is_transaction_control:
-                self._account_transaction_control_locked(items[0])
-            last_index = self._recovery_log.last_index
-            # Every advancement before any clamp: a backend that applied
-            # statement 1 but failed statement 3 must *end* clamped below
-            # entry 3 — the reverse order could leave its checkpoint past
-            # an entry it missed.
-            for item in items:
-                table_seqs = item.entry.table_seqs if item.entry is not None else None
-                for success in item.outcome.succeeded:
-                    # advance_checkpoint refuses on non-ENABLED backends:
-                    # a concurrent disjoint writer may have marked this
-                    # backend FAILED for a write it missed, and advancing
-                    # past that write would make the next resync silently
-                    # skip it.
-                    success.backend.advance_checkpoint(last_index, table_seqs)
-            for item in items:
-                if item.entry is not None:
-                    for failure in item.outcome.failed:
-                        # Even if a concurrent disjoint write already
-                        # advanced this backend's checkpoint past our
-                        # entry, the entry it just missed must stay inside
-                        # its replay range.
-                        failure.backend.limit_checkpoint(item.entry.index - 1)
+            accounts = [(item.outcome.outcomes, item.entries) for item in items]
+            enabled = [backend for backend in targets if backend.enabled]
+            for kind, backend, index, table_seqs in checkpoint_moves(
+                accounts, self._recovery_log.last_index, enabled
+            ):
+                if kind == CLAMP:
+                    backend.limit_checkpoint(index)
+                else:
+                    backend.advance_checkpoint(index, table_seqs)
         leader_trace.end("log_append")
         for item in items:
             statement = item.statement
@@ -1139,55 +1152,40 @@ class RequestScheduler:
                 # broadcast had not reached yet, and bumps the floor so any
                 # still-in-flight read cannot store a pre-write result.
                 cache.invalidate_tables(statement.write_tables)
+        self._forget_cached(ended)
 
-    def _account_transaction_control_locked(self, item: _BatchItem) -> None:
-        """Bring the transaction record in step with the replicas after a
-        transaction-control round (the sole item of an exclusive-scope
-        round). Caller holds ``_state_lock``; sets ``item.durable_index``
-        to the tail of a COMMIT's buffer flush.
-
-        The replicas' connections say whether a transaction is open now,
-        the record whether one was before. Closed → open records the
-        sender as the owner. Open → closed ends the record whoever sent
-        the close (the connections are shared): a COMMIT some replica
-        accepted logs the buffer, anything else — a ROLLBACK, or a close
-        on replicas that all failed, whose server sessions rolled back —
-        discards it. No change (a nested BEGIN, a COMMIT variant the
-        engine rejects) changes nothing."""
+    def _settle_locked(
+        self, command: Optional[str] = None, accepted: bool = False, session_id: Optional[str] = None
+    ) -> Tuple[str, Optional[_Transaction]]:
+        """Bring the transaction record in step with the replicas, by
+        :func:`transaction_step` on what every member's connection says —
+        not only a round's targets, which under partial placement are a
+        subset. Caller holds ``_state_lock``; returns the step and the
+        record it ended, if any. Membership changes only under the
+        exclusive mode, so a round reads the member list unlocked."""
         transaction = self._transaction
-        now_open = any(backend.in_transaction for backend in item.targets)
-        if transaction is None:
-            if now_open:
-                self._transaction = _Transaction(item.session_id)
-            return
-        if now_open:
-            return
-        self._transaction = None
-        flushed: List[LogEntry] = []
-        if item.statement.command == "COMMIT" and item.result is not None:
-            # One batch append for the whole transaction: a durable
-            # store pays one flush+fsync for all of it instead of one
-            # per buffered write.
-            flushed = self._recovery_log.append_batch(
-                (sql, params, tables) for sql, params, tables, _ in transaction.buffer
-            )
-        if flushed:
-            item.durable_index = flushed[-1].index
-        if self._cache is not None and transaction.buffer:
-            # A concurrent auto-commit read may have cached what the
-            # transaction wrote; a write with an unknown table set
-            # flushes everything.
-            written = [tables for _, _, tables, _ in transaction.buffer]
+        open_now = any([backend.in_transaction for backend in self._backends])
+        step = transaction_step(transaction is not None, open_now, command, accepted)
+        if step == OPEN:
+            self._transaction = _Transaction(session_id)
+        elif step in (FLUSH, DISCARD):
+            self._transaction = None
+            return step, transaction
+        return step, None
+
+    def _settle(self) -> None:
+        """:meth:`_settle_locked` outside a round."""
+        with self._state_lock:
+            _, ended = self._settle_locked()
+        self._forget_cached(ended)
+
+    def _forget_cached(self, ended: Optional[_Transaction]) -> None:
+        """A concurrent auto-commit read may have cached what an ended
+        transaction wrote; a write with an unknown table set flushes
+        everything."""
+        if self._cache is not None and ended is not None and ended.buffer:
+            written = [tables for _, _, tables, _ in ended.buffer]
             self._cache.invalidate_tables(frozenset().union(*written) if all(written) else ())
-        # The still-enabled replicas ran the whole transaction; record
-        # the flushed entries' table sequences as applied there so a
-        # later replay can deduplicate them. Per entry, not merged:
-        # applied-sequence tracking is exact membership (a per-table
-        # max would shadow entries a replica missed — see
-        # Backend.has_applied_seqs).
-        for entry in flushed:
-            for success in item.outcome.succeeded:
-                success.backend.advance_checkpoint(entry.index, entry.table_seqs)
 
     def abort(self, session_id: str) -> None:
         """Roll back the open transaction if ``session_id`` owns it — for

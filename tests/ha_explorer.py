@@ -1,7 +1,8 @@
 """Small-scope exhaustive explorer for the controller-HA rules.
 
-Breadth-first search, with state hashing, over every sequence of up to
-``depth`` events on a three-controller group. The decisions are the rule
+Breadth-first search, with state hashing (``tests/explorer.py``), over
+every sequence of up to ``depth`` events on a three-controller group.
+The decisions are the rule
 functions of :mod:`repro.cluster.recovery.replication` — the same ones
 :class:`ReplicatedLogStore` calls — imported, never restated. What this
 module adds is what the store's shell adds around them: who can reach
@@ -43,9 +44,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import time
 from typing import Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
+import explorer
+from explorer import Result
 from repro.cluster.recovery import replication
 from repro.cluster.recovery.logstore import LogEntry
 from repro.cluster.recovery.replication import (
@@ -95,14 +97,6 @@ class State(NamedTuple):
     writes: int
 
 
-class Result(NamedTuple):
-    states: int
-    depth: int
-    elapsed: float
-    #: Shortest trace per violated invariant ("I1", "I2").
-    counterexamples: Dict[str, List[str]]
-
-
 @functools.lru_cache(maxsize=None)
 def _entry(index: int, value: int) -> LogEntry:
     return LogEntry(index=index, sql=f"INSERT INTO t VALUES ({value})")
@@ -112,20 +106,17 @@ def _others(n: int) -> Tuple[int, ...]:
     return tuple(m for m in NODES if m != n)
 
 
-def _name(event: Event) -> str:
-    return " ".join([event[0], *(NODE_IDS[n] for n in event[1:])])
-
-
 class Model:
     """One step of the three-node group, decided by the rule functions
     (``overrides`` replaces some of them by name)."""
 
     def __init__(self, lost_announce: bool = False, **overrides: Callable[..., Any]) -> None:
         self.lost_announce = lost_announce
-        unknown = set(overrides) - set(RULES)
-        if unknown:
-            raise ValueError(f"no such rule: {sorted(unknown)}")
-        self.rule = {name: overrides.get(name, getattr(replication, name)) for name in RULES}
+        self.rule = explorer.bind_rules((replication,), RULES, overrides)
+
+    @staticmethod
+    def name(event: Event) -> str:
+        return " ".join([event[0], *(NODE_IDS[n] for n in event[1:])])
 
     def initial(self) -> State:
         nodes = []
@@ -300,43 +291,9 @@ def explore(
     lost_announce: bool = False,
     **overrides: Callable[..., Any],
 ) -> Result:
-    """Every state reachable in ``depth`` events, breadth first; the
-    first trace found per violated invariant is a shortest one. With
-    ``stop_at`` the search ends at the first violation of that
-    invariant; ``overrides`` replace rule functions by name."""
-    started = time.monotonic()
-    model = Model(lost_announce, **overrides)
-    initial = model.initial()
-    parents: Dict[State, Optional[Tuple[State, Event]]] = {initial: None}
-    frontier = [initial]
-    counterexamples: Dict[str, List[str]] = {}
-    reached = 0
-
-    def trace(state: State, last: Event) -> List[str]:
-        events = [last]
-        while parents[state] is not None:
-            state, event = parents[state]
-            events.append(event)
-        return [_name(event) for event in reversed(events)]
-
-    for level in range(1, depth + 1):
-        next_frontier = []
-        for state in frontier:
-            for event in model.events(state):
-                child, violations = model.step(state, event)
-                for invariant in violations:
-                    if invariant not in counterexamples:
-                        counterexamples[invariant] = trace(state, event)
-                        if invariant == stop_at:
-                            return Result(len(parents), level, time.monotonic() - started, counterexamples)
-                if child is not None and child not in parents:
-                    parents[child] = (state, event)
-                    next_frontier.append(child)
-        if not next_frontier:
-            break
-        frontier = next_frontier
-        reached = level
-    return Result(len(parents), reached, time.monotonic() - started, counterexamples)
+    """Every state reachable in ``depth`` events (:func:`explorer.explore`);
+    ``overrides`` replace rule functions by name."""
+    return explorer.explore(Model(lost_announce, **overrides), depth, stop_at)
 
 
 def main() -> int:
@@ -344,12 +301,7 @@ def main() -> int:
     parser.add_argument("--depth", type=int, default=DEPTH, help=f"events per trace (default {DEPTH})")
     parser.add_argument("--lost-announce", action="store_true", help="add the elect event")
     args = parser.parse_args()
-    result = explore(args.depth, lost_announce=args.lost_announce)
-    print(f"explored {result.states} states to depth {result.depth} in {result.elapsed:.1f} s")
-    for invariant in ("I1", "I2"):
-        found = result.counterexamples.get(invariant)
-        print(f"{invariant}: " + ("holds" if found is None else "violated by: " + ", ".join(found)))
-    return 1 if result.counterexamples else 0
+    return explorer.report(explore(args.depth, lost_announce=args.lost_announce), ("I1", "I2"))
 
 
 if __name__ == "__main__":

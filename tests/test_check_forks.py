@@ -213,3 +213,24 @@ def test_exchange_gates_match_the_fan_outs_they_retired():
     report = check_forks.check_gate(recv._replace(allowed=0))
     assert len(report) == 2 and "self._channel.recv(timeout=timeout)" in report[1], report
     assert check_forks.re.search(recv.pattern, "            reply = channel.recv(timeout=timeout)")
+
+
+def test_write_round_gates_match_the_commit_copy_they_retired():
+    """The append row allows the round's one append and matches the
+    COMMIT's second one; the accounting row allows nothing and matches
+    the transaction-control copy and the inline replay dedup."""
+    check_forks = _check_forks()
+    (append,) = [gate for gate in check_forks.GATES if gate.message.startswith("one log-append site")]
+    assert append.allowed == 1
+    report = check_forks.check_gate(append._replace(allowed=0))
+    assert len(report) == 2 and report[1].startswith("src/repro/cluster/scheduler.py:"), report
+    assert check_forks.re.search(append.pattern, "            flushed = self._recovery_log.append_batch(")
+    (copy,) = [gate for gate in check_forks.GATES if gate.message.startswith("a second copy of the write round")]
+    assert copy.allowed == 0 and check_forks.check_gate(copy) == []
+    for line in (
+        "                self._account_transaction_control_locked(items[0])",
+        "    def _account_transaction_control_locked(self, item: _BatchItem) -> None:",
+        "    def _seq_applied_locked(self, table: str, seq: int) -> bool:",
+        "                self._seq_applied_locked(table, seq) for table, seq in table_seqs.items()",
+    ):
+        assert check_forks.re.search(copy.pattern, line), line

@@ -656,6 +656,35 @@ class TestFailureDetector:
         _, rows, _ = controller.backend("db1").execute("SELECT COUNT(*) FROM wf_t")
         assert rows == [(1,)]
 
+    def test_detector_revives_the_last_replica_after_a_transaction_died_with_it(self):
+        # The replica's server dies under an open transaction: the
+        # transaction died with it, so the detector's resync must not wait
+        # for it to end — with one replica, nothing else can take writes.
+        from repro.cluster import ClusterDriverRuntime
+        from repro.experiments.environments import build_cluster
+
+        env = build_cluster(replicas=1, controllers=1)
+        try:
+            controller = env.controllers[0]
+            runtime = ClusterDriverRuntime()
+            owner = runtime.connect(env.client_url(), network=env.network)
+            cursor = owner.cursor()
+            cursor.execute("CREATE TABLE dead_tx_t (id INTEGER PRIMARY KEY)")
+            cursor.execute("BEGIN")
+            cursor.execute("INSERT INTO dead_tx_t (id) VALUES (1)")
+            chaos.fail_backend(env, controller, 0)
+            assert controller.heartbeat()["pending"] == ["db1"]
+            assert controller.heartbeat()["disabled"] == ["db1"]
+            chaos.revive_backend(env, 0)
+            assert controller.heartbeat()["resynced"] == ["db1"]
+            other = runtime.connect(env.client_url(), network=env.network)
+            other.cursor().execute("INSERT INTO dead_tx_t (id) VALUES (2)")
+            assert _select_all(env.replica_engines[0], env, "SELECT id FROM dead_tx_t") == [(2,)]
+            other.close()
+            owner.close()
+        finally:
+            env.close()
+
     def test_background_heartbeat_thread_lifecycle(self, cluster_env):
         env = cluster_env
         controller = Controller(

@@ -939,6 +939,44 @@ class TestSchedulerRouting:
         assert log.last_index == 1
         scheduler.close()
 
+    def _assert_transaction_over(self, scheduler, backends, owner):
+        # Nothing is left open, so every replica can rejoin, and the
+        # owner's abort finds nothing to roll back.
+        assert scheduler.open_transactions == 0 and scheduler.transaction_owner is None
+        for backend in backends:
+            backend.test_connection.fail_with = None
+            scheduler.resync_and_enable(backend)
+            assert backend.enabled
+        sent = [list(backend.test_connection.executed) for backend in backends]
+        scheduler.abort(owner)
+        assert [backend.test_connection.executed for backend in backends] == sent
+
+    def test_a_transaction_whose_connections_all_dropped_is_over(self):
+        backends = [_backend("b1"), _backend("b2")]
+        log = RecoveryLog()
+        scheduler = RequestScheduler(backends, log)
+        scheduler.execute("BEGIN", session_id="A")
+        for backend in backends:
+            backend.test_connection.fail_with = DriverError("connection lost")
+        with pytest.raises(SchedulerError):
+            scheduler.execute("INSERT INTO t (id) VALUES (1)", in_transaction=True, session_id="A")
+        # Every server session rolled the transaction back with its
+        # connection: the record ends too, not at some later COMMIT.
+        self._assert_transaction_over(scheduler, backends, "A")
+        assert log.last_index == 0
+        scheduler.close()
+
+    def test_disabling_the_last_replica_in_a_transaction_ends_it(self):
+        backend = _backend("b1")
+        log = RecoveryLog()
+        scheduler = RequestScheduler([backend], log)
+        scheduler.execute("BEGIN", session_id="A")
+        scheduler.execute("INSERT INTO t (id) VALUES (1)", in_transaction=True, session_id="A")
+        scheduler.checkpoint_and_disable(backend)
+        self._assert_transaction_over(scheduler, [backend], "A")
+        assert log.last_index == 0
+        scheduler.close()
+
     def test_backend_failing_mid_transaction_resyncs_committed_writes(self):
         good, flaky = _backend("good"), _backend("flaky")
         log = RecoveryLog()

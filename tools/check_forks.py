@@ -211,6 +211,20 @@ GATES = [
         "a trunk statement reaches a worker through the controller's run queue: one "
         "SimpleQueue of ready sessions, no executor and no Future per statement",
     ),
+    Gate(
+        r"append_batch\(",
+        ("src/repro/cluster/scheduler.py",),
+        "one log-append site: a write round appends every entry its statements carry, a "
+        "COMMIT's buffer included, with one RecoveryLog.append_batch (RequestScheduler._run_round)",
+        allowed=1,
+    ),
+    Gate(
+        r"_account_transaction_control_locked|_seq_applied_locked",
+        ("src/repro/cluster",),
+        "a second copy of the write round's accounting or of replay dedup: a COMMIT is a round "
+        "like any other, the record settles after every round (transaction_step), and whether "
+        "an entry was applied is backend.replay_step's",
+    ),
     Gate(r"threading\.Thread\(", ("src/repro/cluster/recovery",), _ONE_EXCHANGE),
     Gate(r"peer_request", ("src/repro",), _ONE_EXCHANGE),
     Gate(r"\.recv\(", ("src/repro/cluster/recovery/replication.py",), _ONE_EXCHANGE, allowed=1),
