@@ -14,12 +14,12 @@ machine. It substitutes the database driver: the application calls
    server-enforced ``driver_options``),
 4. keeps track of the lease and, when it expires — or immediately, when a
    dedicated notification channel signals an update — asks the server again.
-   Whatever the answer, it is applied by one transition,
-   :meth:`Bootloader._switch_driver`: the lease is adopted, a driver other
-   than the running one is loaded, connections not on the driver now
-   running are handled according to the expiration policy and the old
-   driver is unloaded. A first acquisition is that transition *from* no
-   driver (a renewal with no lease to present); a revocation is that
+   Whatever the answer, ``policies.offer_step`` judges it and one
+   transition, :meth:`Bootloader._switch_driver`, applies the verdict:
+   the lease is adopted, another package is fetched and loaded, and the
+   connections not on the driver now running are handled according to
+   the expiration policy. A first acquisition is that transition *from*
+   no driver (a renewal with no lease to present); a revocation is that
    transition *to* no driver, and the next ``connect`` asks again.
 
 The security posture is what is configured: a ``certificate_authority``
@@ -33,6 +33,7 @@ of the ``connect`` entry point.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 import uuid
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core import messages
-from repro.core.constants import ExpirationPolicy, RenewPolicy
+from repro.core.constants import ExpirationPolicy
 from repro.core.loader import DriverLoader, LoadedDriver
 from repro.core.messages import (
     DrivolutionDiscover,
@@ -49,7 +50,8 @@ from repro.core.messages import (
     DrivolutionRequest,
 )
 from repro.core.package import DriverPackage, DriverSigner
-from repro.core.policies import TransitionReport, apply_expiration_policy
+from repro.core.policies import CLOSE, RAISE, RENEWED, REVOKED, UPGRADED, OfferVerdict, TransitionReport
+from repro.core.policies import apply_expiration_policy, expiry_step, offer_step, unload_step
 from repro.dbapi.api import Cursor
 from repro.dbapi.urls import parse_url
 from repro.errors import DrivolutionError, TransportError
@@ -102,8 +104,7 @@ class BootloaderConfig:
 
 class ManagedCursor(Cursor):
     """A driver cursor handed to the application: everything passes
-    through, and the end of every statement — whatever it was and
-    however it ended — is reported to the :class:`ManagedConnection`."""
+    through, and each statement runs through its connection's hook."""
 
     def __init__(self, managed: "ManagedConnection", inner: Cursor) -> None:
         self._managed = managed
@@ -118,10 +119,7 @@ class ManagedCursor(Cursor):
         return self._inner.rowcount
 
     def execute(self, sql: str, params: Optional[Dict[str, Any]] = None) -> "ManagedCursor":
-        try:
-            self._inner.execute(sql, params)
-        finally:
-            self._managed._statement_finished()
+        self._managed._statement(self._inner.execute, sql, params)
         return self
 
     def fetchone(self):
@@ -140,25 +138,24 @@ class ManagedCursor(Cursor):
 class ManagedConnection:
     """A connection handed to the application, tracked by the bootloader.
 
-    All calls pass through to the underlying driver connection; the wrapper
-    only sees each statement finish, and close, so the bootloader can apply
-    expiration policies. Whether a transaction is open is the driver
-    connection's answer (``in_transaction`` — what the server said on the
-    last reply), never inferred from which of these methods was called.
+    All calls pass through to the underlying driver connection; the
+    wrapper sees each statement start and end, and the close. Whether a
+    transaction is open is the driver connection's answer
+    (``in_transaction``, from the server's last reply).
     """
 
-    _counter = 0
-    _counter_lock = threading.Lock()
+    _ids = itertools.count(1)
 
     def __init__(self, bootloader: "Bootloader", inner, driver_generation: int) -> None:
         self._bootloader = bootloader
         self._inner = inner
         self.driver_generation = driver_generation
-        self._close_after_commit = False
-        self._stale = False
-        with ManagedConnection._counter_lock:
-            ManagedConnection._counter += 1
-            self.connection_id = f"conn-{ManagedConnection._counter}"
+        #: The policy that superseded this connection's driver, if any.
+        self._expiry: Optional[ExpirationPolicy] = None
+        self._in_flight = False
+        #: Orders a statement's start against expire()'s look and close.
+        self._state = threading.Lock()
+        self.connection_id = f"conn-{next(ManagedConnection._ids)}"
 
     # -- passthrough DB-API surface ------------------------------------------
 
@@ -166,26 +163,41 @@ class ManagedConnection:
         return ManagedCursor(self, self._inner.cursor())
 
     def begin(self) -> None:
-        self._inner.begin()
+        self._statement(self._inner.begin)
 
     def commit(self) -> None:
-        try:
-            self._inner.commit()
-        finally:
-            self._statement_finished()
+        self._statement(self._inner.commit)
 
     def rollback(self) -> None:
-        try:
-            self._inner.rollback()
-        finally:
-            self._statement_finished()
+        self._statement(self._inner.rollback)
 
-    def _statement_finished(self) -> None:
-        """AFTER_COMMIT: a connection told to close after its transaction
-        does so after the statement that ended it — a COMMIT or ROLLBACK
-        by method or by text alike."""
-        if self._close_after_commit and not self._inner.in_transaction:
-            self.close()
+    def _statement(self, call: Callable[..., Any], *args: Any) -> None:
+        with self._state:
+            self._in_flight = True
+        try:
+            call(*args)
+        finally:
+            # Cleared before reading _expiry, which expire() sets before reading this.
+            self._in_flight = False
+            if self._expiry is not None:
+                self.expire()
+
+    def expire(self, policy: Optional[ExpirationPolicy] = None) -> Tuple[str, bool]:
+        """The one expiry hook, called by the transition with the policy
+        that superseded this connection's driver and then at every
+        statement boundary: apply ``expiry_step``'s verdict (closing under
+        ``_state``, so no statement starts between look and close).
+        Returns the verdict and whether a transaction was open."""
+        if policy is not None:
+            self._expiry = policy
+        with self._state:
+            in_transaction = self._inner.in_transaction
+            verdict = expiry_step(self._expiry, in_transaction, self._in_flight)
+            if verdict == CLOSE and not self._inner.closed:
+                self._inner.close()
+        if verdict == CLOSE:
+            self._bootloader._on_connection_closed(self)
+        return verdict, in_transaction
 
     def close(self) -> None:
         if not self._inner.closed:
@@ -217,28 +229,13 @@ class ManagedConnection:
 
     @property
     def stale(self) -> bool:
-        """True when this connection uses a driver generation that has been
-        superseded (AFTER_CLOSE policy leaves such connections running)."""
-        return self._stale
+        """True when this connection is open on a superseded driver."""
+        return self._expiry is not None and not self.closed
 
     @property
     def inner(self):
         """The underlying driver connection (for tests/experiments)."""
         return self._inner
-
-    # -- bootloader-facing controls ------------------------------------------------
-
-    def force_close(self) -> None:
-        """IMMEDIATE policy: terminate regardless of in-flight transactions."""
-        self.close()
-
-    def close_after_commit(self) -> None:
-        """AFTER_COMMIT policy: close as soon as the current transaction ends."""
-        self._close_after_commit = True
-
-    def mark_stale(self) -> None:
-        """AFTER_CLOSE policy: keep running but flag as using an old driver."""
-        self._stale = True
 
 
 @dataclass
@@ -354,9 +351,7 @@ class Bootloader:
 
     def lease_expired(self) -> bool:
         with self._lock:
-            if self._recheck_time is None:
-                return False
-            return self.clock() >= self._recheck_time
+            return self._recheck_time is not None and self.clock() >= self._recheck_time
 
     def driver_info(self) -> Dict[str, Any]:
         """Metadata of the currently loaded driver (empty before bootstrap)."""
@@ -367,15 +362,22 @@ class Bootloader:
         with self._lock:
             if managed in self._connections:
                 self._connections.remove(managed)
+            self._unload_unused()
+
+    def _unload_unused(self) -> None:
+        """The one unload site: a superseded driver goes with the last
+        open connection that uses it (policies.unload_step)."""
+        loaded = {driver.generation: driver for driver in self.loader.loaded_drivers()}
+        in_use = {conn.driver_generation for conn in self._connections if not conn.closed}
+        running = self._current.generation if self._current is not None else None
+        for generation in unload_step(running, loaded, in_use):
+            self.loader.unload(loaded[generation])
 
     # ------------------------------------------------------------------ negotiation
 
     def _candidate_servers(self, url: str) -> List[Address]:
         """Where to look for a Drivolution server, in order of preference."""
-        if self.config.drivolution_servers:
-            return list(self.config.drivolution_servers)
-        parsed = parse_url(url)
-        return list(parsed.hosts)
+        return list(self.config.drivolution_servers or parse_url(url).hosts)
 
     def _negotiate(
         self,
@@ -383,12 +385,12 @@ class Bootloader:
         url: str,
         user: Optional[str],
         password: Optional[str],
-    ) -> Tuple[DrivolutionOffer, Optional[DriverPackage], Address]:
+    ) -> Tuple[OfferVerdict, DrivolutionOffer, Optional[DriverPackage], Address]:
         """Run the bootstrap protocol (REQUEST → OFFER → FILE transfer)
         against the first server that answers, presenting the held lease.
 
-        Returns the accepted offer, the downloaded package (None when the
-        offer carries no file) and the server that served it.
+        Returns the offer step's verdict, the accepted offer, the package
+        (None unless the verdict loads one) and the server that served it.
         """
         if self.network is None:
             raise BootloaderError("bootloader has no network configured")
@@ -466,7 +468,7 @@ class Bootloader:
 
     def _negotiate_with(
         self, server: Address, request: DrivolutionRequest
-    ) -> Tuple[DrivolutionOffer, Optional[DriverPackage], Address]:
+    ) -> Tuple[OfferVerdict, DrivolutionOffer, Optional[DriverPackage], Address]:
         channel = self._open_channel(server)
         try:
             channel.send(request.to_wire())
@@ -475,8 +477,9 @@ class Bootloader:
                 error = DrivolutionErrorMessage.from_wire(reply)
                 raise BootloaderError(f"DRIVOLUTION_ERROR [{error.code}]: {error.detail}")
             offer = DrivolutionOffer.from_wire(reply)
+            step = offer_step(self._current, offer, self._revocation_reason is not None)
             package: Optional[DriverPackage] = None
-            if offer.includes_file:
+            if step.load:
                 channel.send(messages.make_file_request(offer.driver_location, offer.lease_id))
                 file_reply = channel.recv(timeout=self.config.request_timeout)
                 if file_reply.get("type") == messages.ERROR:
@@ -489,7 +492,7 @@ class Bootloader:
                 package = DriverPackage.from_wire(file_reply.get("package", {}))
                 self.stats.driver_downloads += 1
                 self.stats.bytes_downloaded += package.size_bytes
-            return offer, package, server
+            return step, offer, package, server
         finally:
             channel.close()
 
@@ -531,7 +534,7 @@ class Bootloader:
                 servers = [self._server_used] + [item for item in servers if item != self._server_used]
             reason = None
             try:
-                offer, package, server = self._negotiate(servers, url, user, password)
+                step, offer, package, server = self._negotiate(servers, url, user, password)
             except DrivolutionServerUnreachable:
                 if self._current is None:
                     raise
@@ -539,42 +542,34 @@ class Bootloader:
             except BootloaderError as exc:
                 # Explicit DRIVOLUTION_ERROR: the transition to no driver.
                 offer, package, server, reason = None, None, None, str(exc)
-            # The answer's expiration policy governs; a refusal carries
-            # none, so the lease being lost does.
-            governing = offer or self._lease
-            policy = ExpirationPolicy.from_value(governing.expiration_policy) if governing else None
-            if offer is not None and RenewPolicy.from_value(offer.renew_policy) == RenewPolicy.REVOKE:
-                offer, reason = None, "server revoked driver"
-            return self._switch_driver(offer, package, server, policy, reason)
+                step = offer_step(self._current, None, self._revocation_reason is not None)
+            return self._switch_driver(step, offer, package, server, reason)
 
     def _switch_driver(
         self,
+        step: OfferVerdict,
         offer: Optional[DrivolutionOffer],
         package: Optional[DriverPackage],
         server: Optional[Address],
-        policy: Optional[ExpirationPolicy],
         reason: Optional[str] = None,
     ) -> str:
-        """Move from the running driver (or none) to the one ``offer`` names.
-
-        ``offer=None`` is the transition to no driver and ``reason`` says
-        why. A driver other than the running one is loaded before anything
-        is mutated, so a failed load leaves driver, lease and connections
-        as they were. Returns the outcome :meth:`check_for_update` reports.
-        """
-        old = new = self._current
-        if offer is None:
-            if old is None and self._revocation_reason is None:
-                raise BootloaderError(reason)  # a first acquisition has nothing to revoke
-            new = None
-        elif package is not None and not (
-            old is not None
-            and old.driver_id == offer.driver_id
-            and tuple(offer.driver_version) == tuple(old.package.driver_version)
-        ):
+        """Apply the offer step's verdict on ``offer`` (None for a refusal,
+        and ``reason`` says why). A package to load is loaded before
+        anything is mutated, so a failed load leaves driver, lease and
+        connections as they were. Returns the outcome
+        :meth:`check_for_update` reports."""
+        if step.outcome == RAISE:
+            raise BootloaderError(reason or "the server's answer leaves no driver to run")
+        old = self._current
+        # The answer's expiration policy governs; a refusal carries none,
+        # so the lease being lost does.
+        governing = offer or self._lease
+        if step.load:
             new = self.loader.load(package, driver_id=offer.driver_id, lease_id=offer.lease_id)
-        elif old is None:
-            raise BootloaderError(f"offer for driver {offer.driver_id} carries no driver file")
+        else:
+            new = old if step.outcome == RENEWED else None
+        if new is None:
+            offer = None
         self._current, self._lease, self._server_used = new, offer, server
         self._recheck_time = self.clock() + offer.lease_time_ms / 1000.0 if offer else None
         if new is not old:
@@ -584,23 +579,20 @@ class Bootloader:
                     for conn in self._connections
                     if not conn.closed and (new is None or conn.driver_generation != new.generation)
                 ],
-                policy,
+                ExpirationPolicy.from_value(governing.expiration_policy),
             )
-            if old is not None:
-                self.loader.unload(old)
+            self._unload_unused()
         if new is None:
             if old is not None:
-                self._revocation_reason = reason
+                self._revocation_reason = reason or "server revoked driver"
                 self.stats.revocations += 1
-            return "revoked"
+            return REVOKED
         self._revocation_reason = None
-        if new is old:
+        if step.outcome == RENEWED:
             self.stats.lease_renewals += 1
-            return "renewed"
-        if old is None:
-            return "installed"
-        self.stats.upgrades += 1
-        return "upgraded"
+        elif step.outcome == UPGRADED:
+            self.stats.upgrades += 1
+        return step.outcome
 
     # ------------------------------------------------------------------ background renewal
 

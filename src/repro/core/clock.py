@@ -35,9 +35,6 @@ class SimulatedClock:
             self._now += seconds
             return self._now
 
-    def advance_ms(self, milliseconds: float) -> float:
-        return self.advance(milliseconds / 1000.0)
-
     def set(self, now: float) -> None:
         with self._lock:
             self._now = float(now)

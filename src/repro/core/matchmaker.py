@@ -19,7 +19,6 @@ defaults), because the OFFER message must carry them.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
@@ -46,17 +45,11 @@ class MatchResult:
 
 
 class Matchmaker:
-    """Implements the server-side driver selection logic.
-
-    ``clock`` is accepted and never read: time-dependent filtering
-    (permission date windows) happens in the registry's SQL.
-    """
+    """Implements the server-side driver selection logic. Time-dependent
+    filtering (permission date windows) happens in the registry's SQL."""
 
     def __init__(
-        self,
-        registry: DriverRegistry,
-        known_databases: Optional[Callable[[], List[str]]] = None,
-        clock: Callable[[], float] = time.time,
+        self, registry: DriverRegistry, known_databases: Optional[Callable[[], List[str]]] = None
     ) -> None:
         self._registry = registry
         self._known_databases = known_databases

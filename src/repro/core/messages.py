@@ -113,10 +113,10 @@ class DrivolutionDiscover(DrivolutionRequest):
 class DrivolutionOffer:
     """``DRIVOLUTION_OFFER`` payload.
 
-    ``driver_location`` identifies the file to request with
-    ``FILE_REQUEST``; ``includes_file`` is True when the offer is a pure
-    lease renewal confirmation with no new driver to download (Table 4:
-    "a DRIVOLUTION_OFFER without data file instructs the bootloader to
+    ``driver_location`` names the offered package by content
+    (``DriverPackage.location()``) and is what ``FILE_REQUEST`` asks for; an
+    offer with ``includes_file`` False ships no file (Table 4: "a
+    DRIVOLUTION_OFFER without data file instructs the bootloader to
     continue to use the same driver").
     """
 

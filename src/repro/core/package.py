@@ -155,6 +155,10 @@ class DriverPackage:
         digest.update(self.binary_code)
         return digest.hexdigest()
 
+    def location(self) -> str:
+        """Where an offer says this package is: its one identity, whatever id each server gave it."""
+        return f"driver:{self.fingerprint()}"
+
 
 class DriverSigner:
     """Signs driver packages and verifies signatures (code signing, Section 3.1).

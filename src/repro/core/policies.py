@@ -1,34 +1,74 @@
-"""Renew and expiration policies applied to live connections (Section 3.3).
+"""The driver lifecycle's rules (Sections 3.1–3.3): pure functions of
+plain values that return a verdict. ``Bootloader`` and its connections
+are the shells that ask them; ``tests/lifecycle_explorer.py`` drives the
+same functions through every short sequence of events (docs/lifecycle.md).
 
-When a driver is upgraded or revoked, existing connections created with
-the old driver must be terminated before the old driver can be unloaded.
-The *expiration policy* decides how aggressively:
-
-- ``AFTER_CLOSE`` — wait for the application to close each connection
-  itself. Nothing is forced; with connection pools this can take
-  arbitrarily long (the paper explicitly warns about this).
-- ``AFTER_COMMIT`` — connections that are idle (no transaction in flight)
-  are closed immediately; connections inside a transaction are closed as
-  soon as that transaction commits or rolls back.
-- ``IMMEDIATE`` — every connection is terminated right away, aborting any
-  in-flight transaction.
-
-The functions here operate on the bootloader's
-:class:`~repro.core.bootloader.ManagedConnection` wrappers and return a
-:class:`TransitionReport` describing what happened, which the experiments
-use to measure aborted transactions and time-to-full-transition per
-policy.
+- :func:`offer_step` — what the server's answer does to the running driver;
+- :func:`expiry_step` — what a connection on a superseded driver does;
+- :func:`unload_step` — which loaded drivers go;
+- :func:`apply_expiration_policy` — the transition's shell over
+  :func:`expiry_step`, whose :class:`TransitionReport` the experiments measure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, Collection, List, NamedTuple, Optional
 
-from repro.core.constants import ExpirationPolicy
+from repro.core.constants import ExpirationPolicy, RenewPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.core.bootloader import ManagedConnection
+    from repro.core.loader import LoadedDriver
+    from repro.core.messages import DrivolutionOffer
+
+#: What an answer does (the outcomes ``check_for_update`` reports; RAISE:
+#: the answer leaves no driver where there was none to revoke).
+INSTALLED, RENEWED, UPGRADED, REVOKED, RAISE = "installed", "renewed", "upgraded", "revoked", "raise"
+#: What a superseded connection does, and the report counter it moves.
+CLOSE, DEFER, STALE = "close", "defer", "stale"
+_COUNTERS = {CLOSE: "closed_immediately", DEFER: "deferred_to_commit", STALE: "deferred_to_close"}
+
+
+#: ``load``: whether the offered package is to be fetched and loaded.
+OfferVerdict = NamedTuple("OfferVerdict", [("outcome", str), ("load", bool)])
+
+
+def offer_step(
+    running: Optional["LoadedDriver"], offer: Optional["DrivolutionOffer"], revoked_before: bool
+) -> OfferVerdict:
+    """The running driver (None for none), the answer (None for a
+    refusal) and whether a driver was revoked before → the outcome. A
+    driver is its package's ``location()``, a fingerprint, whichever server
+    numbered it. An offer under the REVOKE renew policy is a refusal; an
+    offer that ships no file, or names the running package, renews it."""
+    if offer is None or RenewPolicy.from_value(offer.renew_policy) == RenewPolicy.REVOKE:
+        return OfferVerdict(REVOKED if running is not None or revoked_before else RAISE, False)
+    if running is None:
+        return OfferVerdict(INSTALLED, True) if offer.includes_file else OfferVerdict(RAISE, False)
+    if not offer.includes_file or offer.driver_location == running.package.location():
+        return OfferVerdict(RENEWED, False)
+    return OfferVerdict(UPGRADED, True)
+
+
+def expiry_step(policy: ExpirationPolicy, in_transaction: bool, in_flight: bool) -> str:
+    """A superseded connection's fate: CLOSE now (IMMEDIATE aborts any
+    transaction), DEFER to the next statement boundary outside a
+    transaction (AFTER_COMMIT), or STALE until the application closes it
+    (AFTER_CLOSE). Idle means no transaction open *and* no statement in
+    flight: a BEGIN on its way is a transaction about to open."""
+    if policy == ExpirationPolicy.IMMEDIATE:
+        return CLOSE
+    if policy == ExpirationPolicy.AFTER_COMMIT:
+        return DEFER if in_transaction or in_flight else CLOSE
+    return STALE
+
+
+def unload_step(running: Optional[int], loaded: Collection[int], in_use: Collection[int]) -> List[int]:
+    """The loaded driver generations to unload: every one but the running
+    one that no open connection uses, so a superseded driver goes with its
+    last open connection."""
+    return [generation for generation in loaded if generation != running and generation not in in_use]
 
 
 @dataclass
@@ -52,30 +92,20 @@ class TransitionReport:
 def apply_expiration_policy(
     connections: List["ManagedConnection"], policy: ExpirationPolicy
 ) -> TransitionReport:
-    """Transition ``connections`` off their (old) driver according to ``policy``."""
+    """Supersede each connection's driver under ``policy``, counting the
+    verdicts. ``expire`` is the connection's one hook: it asks
+    :func:`expiry_step`, applies the verdict and asks again at every
+    later statement boundary; it returns ``(verdict, in_transaction)``."""
     report = TransitionReport(policy=policy, total_connections=len(connections))
     for managed in connections:
         if managed.closed:
             report.already_closed += 1
             continue
-        if policy == ExpirationPolicy.IMMEDIATE:
-            if managed.in_transaction:
-                report.aborted_transactions += 1
-                report.details.append(f"{managed.connection_id}: aborted in-flight transaction")
-            managed.force_close()
-            report.closed_immediately += 1
-        elif policy == ExpirationPolicy.AFTER_COMMIT:
-            if managed.in_transaction:
-                managed.close_after_commit()
-                report.deferred_to_commit += 1
-                report.details.append(f"{managed.connection_id}: will close after commit")
-            else:
-                managed.force_close()
-                report.closed_immediately += 1
-        elif policy == ExpirationPolicy.AFTER_CLOSE:
-            managed.mark_stale()
-            report.deferred_to_close += 1
-            report.details.append(f"{managed.connection_id}: waiting for application close")
-        else:  # pragma: no cover - exhaustive over the enum
-            raise ValueError(f"unknown expiration policy {policy!r}")
+        verdict, in_transaction = managed.expire(policy)
+        counter = _COUNTERS[verdict]
+        setattr(report, counter, getattr(report, counter) + 1)
+        aborted = verdict == CLOSE and in_transaction
+        report.aborted_transactions += aborted
+        report.details.append(f"{managed.connection_id}: {counter}" + (", transaction aborted" if aborted else ""))
     return report
+

@@ -275,13 +275,6 @@ class DriverRegistry:
             {"now": now, "driver_id": driver_id},
         )
 
-    def delete_permission(self, permission_id: int) -> bool:
-        count = self._backend.execute(
-            f"DELETE FROM {PERMISSIONS_TABLE} WHERE permission_id = $permission_id",
-            {"permission_id": permission_id},
-        )
-        return count > 0
-
     def list_permissions(self) -> List[DriverPermission]:
         rows = self._backend.query(f"SELECT * FROM {PERMISSIONS_TABLE} ORDER BY permission_id")
         return [self._row_to_permission(row) for row in rows]

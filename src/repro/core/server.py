@@ -141,7 +141,6 @@ class ServerStats:
     errors: int = 0
     files_served: int = 0
     bytes_served: int = 0
-    renewals: int = 0
     notifications_sent: int = 0
 
 
@@ -169,9 +168,7 @@ class DrivolutionServer:
         self.certificate_authority = certificate_authority
         self.stats = ServerStats()
         self.leases = LeaseManager(binding.registry, clock=clock)
-        self.matchmaker = Matchmaker(
-            binding.registry, known_databases=binding.known_databases, clock=clock
-        )
+        self.matchmaker = Matchmaker(binding.registry, known_databases=binding.known_databases)
         self._subscribers: List[Dict[str, Any]] = []
         self._channel_server: Optional[ChannelServer] = None
         self._lock = threading.Lock()
@@ -308,9 +305,8 @@ class DrivolutionServer:
         except NoMatchingDriver as exc:
             self.stats.errors += 1
             return _error("no_driver", str(exc))
-        lease_id, includes_file = "", False
+        lease_id = ""
         if not is_discover:
-            previous = self.leases.get(request.current_lease_id) if request.current_lease_id else None
             lease_id = self.leases.renew(
                 previous_lease_id=request.current_lease_id,
                 client_id=request.client_id or f"client-{uuid.uuid4().hex[:8]}",
@@ -321,20 +317,18 @@ class DrivolutionServer:
                 database=request.database,
                 user=request.user,
             ).lease_id
-            includes_file = previous is None or previous.driver_id != result.driver_id
-            if not includes_file:
-                self.stats.renewals += 1
+        # Whether the client already runs this package is policies.offer_step's call.
         offer = DrivolutionOffer(
             lease_id=lease_id,
             lease_time_ms=result.lease_time_ms,
             driver_id=result.driver_id,
-            driver_location=f"driver:{result.driver_id}",
+            driver_location=self.registry.get_driver(result.driver_id).location(),
             binary_format=str(result.driver_row.get("binary_format", "")),
             renew_policy=int(result.renew_policy),
             expiration_policy=int(result.expiration_policy),
             driver_version=DriverRegistry.row_version(result.driver_row),
             driver_options=result.driver_options,
-            includes_file=includes_file,
+            includes_file=not is_discover,
             server_id=self.server_id,
         )
         self.stats.offers += 1
@@ -342,14 +336,11 @@ class DrivolutionServer:
 
     def _handle_file_request(self, channel: Channel, message: Dict[str, Any]) -> Dict[str, Any]:
         location = message["driver_location"]
-        scheme, _, driver_id = location.partition(":")
-        if scheme != "driver" or not driver_id.isdecimal():
-            return _error("bad_location", f"unknown driver location {location!r}")
-        try:
-            package = self.registry.get_driver(int(driver_id))
-        except DrivolutionError as exc:
+        stored = (package for _id, package in self.registry.list_drivers())
+        package = next((p for p in stored if p.location() == location), None)
+        if package is None:
             self.stats.errors += 1
-            return _error("no_driver", str(exc))
+            return _error("bad_location", f"unknown driver location {location!r}")
         if self.signer is not None and package.signature is None:
             package = package.signed_by(self.signer)
         self.stats.files_served += 1

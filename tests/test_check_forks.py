@@ -234,3 +234,27 @@ def test_write_round_gates_match_the_commit_copy_they_retired():
         "                self._seq_applied_locked(table, seq) for table, seq in table_seqs.items()",
     ):
         assert check_forks.re.search(copy.pattern, line), line
+
+
+def test_lifecycle_gates_match_the_decisions_they_retired():
+    """The unload row allows the one unload site and matches the
+    transition's own unload; the decision row allows nothing and matches
+    the driver_id comparison and the three connection controls it
+    retired."""
+    check_forks = _check_forks()
+    (unload,) = [gate for gate in check_forks.GATES if gate.message.startswith("a driver is unloaded in one place")]
+    assert unload.allowed == 1
+    report = check_forks.check_gate(unload._replace(allowed=0))
+    assert len(report) == 2 and report[1].startswith("src/repro/core/bootloader.py:"), report
+    assert check_forks.re.search(unload.pattern, "                self.loader.unload(old)")
+    (decision,) = [gate for gate in check_forks.GATES if gate.message.startswith("a second lifecycle decision")]
+    assert decision.allowed == 0 and check_forks.check_gate(decision) == []
+    for line in (
+        "            and old.driver_id == offer.driver_id",
+        "    def force_close(self) -> None:",
+        "            managed.force_close()",
+        "                managed.close_after_commit()",
+        "        self._close_after_commit = False",
+        "            managed.mark_stale()",
+    ):
+        assert check_forks.re.search(decision.pattern, line), line

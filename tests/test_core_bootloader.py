@@ -745,3 +745,127 @@ class TestMalformedFileRequest:
                 messages.make_file_request(offer["driver_location"], offer["lease_id"]), timeout=2.0
             )
             assert data["type"] == messages.FILE_DATA
+
+
+class TestOneIdentityOneExpiryOneUnload:
+    """The lifecycle rules' shells (core/policies.py): the old driver
+    leaves with its last connection, a BEGIN in flight is a transaction,
+    and one package is one driver on every server."""
+
+    @pytest.mark.parametrize(
+        "policy", [ExpirationPolicy.AFTER_CLOSE, ExpirationPolicy.AFTER_COMMIT], ids=lambda p: p.name
+    )
+    def test_a_superseded_driver_is_unloaded_with_its_last_connection(self, env, policy):
+        record = _install(env, "pydb-A", (1, 0, 0), expiration_policy=policy)
+        bootloader = env.new_bootloader()
+        on_a = bootloader.connect(env.url)
+        on_a.begin()
+        old = bootloader.current_driver
+        env.admin.push_upgrade(
+            build_pydb_driver("pydb-B", driver_version=(2, 0, 0)),
+            old_record=record,
+            database=env.database_name,
+            lease_time_ms=1_000,
+            expiration_policy=policy,
+            notify=False,
+        )
+        env.clock.advance(2.0)
+        assert bootloader.check_for_update() == "upgraded"
+        new = bootloader.current_driver
+        # The connection still runs statements on the old driver.
+        on_a.cursor().execute("SELECT 1")
+        assert not on_a.closed and on_a.driver_info["name"] == "pydb-A"
+        assert bootloader.loader.loaded_drivers() == [old, new]
+        on_a.commit()
+        assert on_a.closed == (policy == ExpirationPolicy.AFTER_COMMIT)
+        on_a.close()
+        assert bootloader.loader.loaded_drivers() == [new]
+
+    def test_b_a_begin_in_flight_is_a_transaction_after_commit_lets_finish(self, env):
+        import threading
+
+        record = _install(env, "pydb-A", (1, 0, 0), expiration_policy=ExpirationPolicy.AFTER_COMMIT)
+        env.open_sql_session().execute("CREATE TABLE lifecycle (id INTEGER PRIMARY KEY)")
+        bootloader = env.new_bootloader()
+        connection = bootloader.connect(env.url)
+        inner, sent, answer = connection.inner, threading.Event(), threading.Event()
+        execute_locked = inner._execute_locked
+
+        def held_begin(sql, params):
+            if sql == "BEGIN":
+                sent.set()
+                answer.wait(2.0)
+            return execute_locked(sql, params)
+
+        inner._execute_locked = held_begin
+        app = threading.Thread(target=connection.begin)
+        app.start()
+        try:
+            assert sent.wait(5.0)
+            env.admin.push_upgrade(
+                build_pydb_driver("pydb-B", driver_version=(2, 0, 0)),
+                old_record=record,
+                database=env.database_name,
+                lease_time_ms=1_000,
+                expiration_policy=ExpirationPolicy.AFTER_COMMIT,
+                notify=False,
+            )
+            env.clock.advance(2.0)
+            assert bootloader.check_for_update() == "upgraded"
+        finally:
+            answer.set()
+            app.join(5.0)
+        # The BEGIN was answered: the transaction runs to its COMMIT...
+        assert connection.in_transaction and not connection.closed
+        connection.cursor().execute("INSERT INTO lifecycle (id) VALUES (1)")
+        connection.commit()
+        # ...and the connection closes after it, aborting nothing.
+        assert connection.closed
+        transition = bootloader.last_transition
+        assert (transition.deferred_to_commit, transition.aborted_transactions) == (1, 0)
+        assert env.open_sql_session().execute("SELECT COUNT(*) FROM lifecycle").scalar() == 1
+
+    def test_c_renewing_at_a_server_that_numbers_the_package_differently_is_a_renewal(self, env):
+        from repro.core import DrivolutionAdmin, DrivolutionServer, StandaloneServerBinding
+
+        addresses = ["drivolution-1:9000", "drivolution-2:9000"]
+        d1, d2 = servers = [
+            DrivolutionServer(
+                StandaloneServerBinding(clock=env.clock),
+                network=env.network,
+                address=address,
+                clock=env.clock,
+                server_id=f"d{n}",
+            ).start()
+            for n, address in enumerate(addresses, start=1)
+        ]
+        try:
+            DrivolutionAdmin([d2]).install_driver(
+                build_pydb_driver("pydb-earlier", driver_version=(0, 9, 0)),
+                database=env.database_name,
+                lease_time_ms=1_000,
+            )
+            record = DrivolutionAdmin(servers).install_driver(
+                build_pydb_driver("pydb-A", driver_version=(1, 0, 0)),
+                database=env.database_name,
+                lease_time_ms=1_000,
+                expiration_policy=ExpirationPolicy.IMMEDIATE,
+            )
+            assert record.driver_ids == {"d1": 1, "d2": 2}
+            bootloader = env.new_bootloader(BootloaderConfig(drivolution_servers=addresses))
+            connection = bootloader.connect(env.url)
+            connection.begin()
+            downloads, transition = bootloader.stats.driver_downloads, bootloader.last_transition
+            d1.stop()
+            env.clock.advance(2.0)
+            assert bootloader.check_for_update() == "renewed"
+            assert bootloader.current_lease.server_id == "d2"
+            assert bootloader.driver_info()["driver_name"] == "pydb-A"
+            assert bootloader.stats.driver_downloads == downloads
+            assert bootloader.last_transition is transition
+            assert connection.in_transaction and not connection.closed and not connection.stale
+            connection.rollback()
+            connection.close()
+        finally:
+            for server in servers:
+                server.stop()

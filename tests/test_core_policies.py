@@ -3,32 +3,36 @@
 import pytest
 
 from repro.core.constants import ExpirationPolicy, RenewPolicy, TransferMethod
-from repro.core.policies import apply_expiration_policy
+from repro.core.policies import CLOSE, apply_expiration_policy, expiry_step
 
 
 class FakeConnection:
-    """Stand-in for a ManagedConnection with controllable transaction state."""
+    """Stand-in for a ManagedConnection with controllable transaction
+    state. It exposes the one hook, ``expire``, and asks the expiry rule
+    as ManagedConnection does: when superseded and at every statement
+    boundary."""
 
     def __init__(self, connection_id: str, in_transaction: bool = False):
         self.connection_id = connection_id
         self.in_transaction = in_transaction
         self.closed = False
-        self._close_after_commit = False
-        self.stale = False
+        self._expiry = None
 
-    def force_close(self):
-        self.closed = True
+    @property
+    def stale(self):
+        return self._expiry is not None and not self.closed
 
-    def close_after_commit(self):
-        self._close_after_commit = True
-
-    def mark_stale(self):
-        self.stale = True
+    def expire(self, policy=None):
+        if policy is not None:
+            self._expiry = policy
+        verdict = expiry_step(self._expiry, self.in_transaction, False)
+        self.closed = self.closed or verdict == CLOSE
+        return verdict, self.in_transaction
 
     def commit(self):
         self.in_transaction = False
-        if self._close_after_commit:
-            self.closed = True
+        if self._expiry is not None:
+            self.expire()
 
 
 class TestConstants:

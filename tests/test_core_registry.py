@@ -127,19 +127,19 @@ class TestMatchmaker:
         new_id = registry.install_driver(build_pydb_driver("new", driver_version=(2, 0, 0)))
         registry.grant_permission(DriverPermission(driver_id=old_id, database="appdb"))
         registry.grant_permission(DriverPermission(driver_id=new_id, database="appdb"))
-        matchmaker = Matchmaker(registry, clock=clock)
+        matchmaker = Matchmaker(registry)
         result = matchmaker.match(DrivolutionRequest(database="appdb", api_name="PYDB-API", client_platform="cpython-any"))
         assert result.driver_id == new_id
 
     def test_no_driver_at_all(self, registry, clock):
-        matchmaker = Matchmaker(registry, clock=clock)
+        matchmaker = Matchmaker(registry)
         with pytest.raises(NoMatchingDriver):
             matchmaker.match(DrivolutionRequest(database="appdb", api_name="PYDB-API", client_platform="x"))
 
     def test_distribution_table_governs_when_present(self, registry, clock):
         driver_id = registry.install_driver(build_pydb_driver("d"))
         registry.grant_permission(DriverPermission(driver_id=driver_id, database="appdb"))
-        matchmaker = Matchmaker(registry, clock=clock)
+        matchmaker = Matchmaker(registry)
         # Another database is not covered by any permission: refused even
         # though the drivers table has a compatible driver.
         with pytest.raises(NoMatchingDriver):
@@ -147,7 +147,7 @@ class TestMatchmaker:
 
     def test_unknown_database_rejected(self, registry, clock):
         registry.install_driver(build_pydb_driver("d"))
-        matchmaker = Matchmaker(registry, known_databases=lambda: ["appdb"], clock=clock)
+        matchmaker = Matchmaker(registry, known_databases=lambda: ["appdb"])
         with pytest.raises(NoMatchingDriver, match="invalid database"):
             matchmaker.match(DrivolutionRequest(database="ghost", api_name="PYDB-API", client_platform="x"))
 
@@ -162,7 +162,7 @@ class TestMatchmaker:
                 expiration_policy=ExpirationPolicy.IMMEDIATE,
             )
         )
-        matchmaker = Matchmaker(registry, clock=clock)
+        matchmaker = Matchmaker(registry)
         result = matchmaker.match(DrivolutionRequest(database="appdb", api_name="PYDB-API", client_platform="x"))
         assert result.lease_time_ms == 12_345
         assert result.renew_policy == RenewPolicy.UPGRADE
@@ -173,7 +173,7 @@ class TestMatchmaker:
 
         registry.install_driver(build_pydb_driver("plain", binary_format=BinaryFormat.PYSRC))
         registry.install_driver(build_pydb_driver("zipped", binary_format=BinaryFormat.PYSRC_ZLIB))
-        matchmaker = Matchmaker(registry, clock=clock)
+        matchmaker = Matchmaker(registry)
         result = matchmaker.match(
             DrivolutionRequest(
                 database="appdb",

@@ -125,6 +125,20 @@ GATES = [
         allowed=1,
     ),
     Gate(
+        r"loader\.unload\(",
+        ("src/repro/core",),
+        "a driver is unloaded in one place, Bootloader._unload_unused: a superseded driver "
+        "goes with its last open connection (policies.unload_step)",
+        allowed=1,
+    ),
+    Gate(
+        r"old\.driver_id|force_close|close_after_commit|mark_stale",
+        ("src/repro/core",),
+        "a second lifecycle decision: whether an offer names the running driver is "
+        "policies.offer_step's (by package fingerprint, never a server-local driver_id), and "
+        "what a superseded connection does is policies.expiry_step's verdict",
+    ),
+    Gate(
         r"workers=|handler_workers",
         ("src/repro/netsim/transport.py", "src/repro/dbserver"),
         "ChannelServer pool mode reintroduced: a handler runs on its connection's own thread",
