@@ -69,9 +69,9 @@ from repro.cluster.wire import (
     make_session_open_ok,
 )
 from repro.obs import NULL_TRACE, MetricsRegistry, SlowQueryLog, Trace, render_json, render_prometheus
+from repro.core.admin import DrivolutionAdmin
 from repro.core.constants import DEFAULT_LEASE_TIME_MS, ExpirationPolicy, RenewPolicy
 from repro.core.package import DriverPackage
-from repro.core.registry import DriverPermission
 from repro.core.server import DrivolutionServer
 from repro.errors import DriverError, ReproError, TransportError
 from repro.netsim.ingress import STOP, Route, Sender, refuse_with, serve
@@ -864,16 +864,20 @@ class Controller:
         renew_policy: RenewPolicy = RenewPolicy.UPGRADE,
         expiration_policy: ExpirationPolicy = ExpirationPolicy.AFTER_COMMIT,
         replicate: bool = True,
-    ) -> int:
+    ) -> DriverPackage:
         """Install a driver in this controller's embedded Drivolution server
         and replicate the installation to every peer controller.
 
-        Returns the local driver_id. Peers apply the same installation to
+        Returns the installed package. Peers apply the same installation to
         their own embedded servers, so clients upgrade regardless of which
         controller they are connected to.
         """
-        driver_id = self._install_driver_locally(
-            package, database, lease_time_ms, int(renew_policy), int(expiration_policy)
+        package = self._drivolution_admin().install_driver(
+            package,
+            database=database,
+            lease_time_ms=lease_time_ms,
+            renew_policy=renew_policy,
+            expiration_policy=expiration_policy,
         )
         if replicate:
             payload = {
@@ -884,31 +888,12 @@ class Controller:
                 "expiration_policy": int(expiration_policy),
             }
             self._broadcast_group("install_driver", payload)
-        return driver_id
+        return package
 
-    def _install_driver_locally(
-        self,
-        package: DriverPackage,
-        database: Optional[str],
-        lease_time_ms: int,
-        renew_policy: int,
-        expiration_policy: int,
-    ) -> int:
+    def _drivolution_admin(self) -> DrivolutionAdmin:
         if self.drivolution is None:
             raise DriverError(f"controller {self.config.controller_id} has no embedded Drivolution server")
-        registry = self.drivolution.registry
-        driver_id = registry.install_driver(package)
-        registry.grant_permission(
-            DriverPermission(
-                driver_id=driver_id,
-                database=database,
-                lease_time_in_ms=lease_time_ms,
-                renew_policy=RenewPolicy.from_value(renew_policy),
-                expiration_policy=ExpirationPolicy.from_value(expiration_policy),
-            )
-        )
-        self.drivolution.notify_update(package.api_name, database)
-        return driver_id
+        return DrivolutionAdmin([self.drivolution])
 
     def _broadcast_group(self, operation: str, payload: Dict[str, Any]) -> "Tuple[int, List[str]]":
         """Send a group operation to every peer in one exchange.
@@ -942,16 +927,18 @@ class Controller:
         try:
             if operation == "install_driver":
                 try:
-                    arguments = (
-                        DriverPackage.from_wire(payload.get("package", {})),
-                        payload.get("database"),
-                        int(payload.get("lease_time_ms", DEFAULT_LEASE_TIME_MS)),
-                        int(payload.get("renew_policy", int(RenewPolicy.UPGRADE))),
-                        int(payload.get("expiration_policy", int(ExpirationPolicy.AFTER_COMMIT))),
+                    package = DriverPackage.from_wire(payload.get("package", {}))
+                    install = dict(
+                        database=payload.get("database"),
+                        lease_time_ms=int(payload.get("lease_time_ms", DEFAULT_LEASE_TIME_MS)),
+                        renew_policy=RenewPolicy(int(payload.get("renew_policy", RenewPolicy.UPGRADE))),
+                        expiration_policy=ExpirationPolicy(
+                            int(payload.get("expiration_policy", ExpirationPolicy.AFTER_COMMIT))
+                        ),
                     )
                 except (AttributeError, TypeError, ValueError) as exc:
                     return make_error("bad_group_operation", f"malformed install_driver: {exc}")
-                self._install_driver_locally(*arguments)
+                self._drivolution_admin().install_driver(package, **install)
             elif operation in ("disable_backend", "enable_backend"):
                 backend = payload.get("backend")
                 if not isinstance(backend, str):

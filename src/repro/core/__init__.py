@@ -11,8 +11,8 @@ The subpackages follow the paper's structure:
   transfer messages (Tables 3 and 4).
 - :mod:`repro.core.matchmaker` — driver match-making with the SQL of
   Sample code 1 and 2.
-- :mod:`repro.core.lease` — leases and renewal bookkeeping.
-- :mod:`repro.core.registry` — DBA-facing management of the driver tables.
+- :mod:`repro.core.registry` — the one reader and writer of the driver,
+  permission and lease tables.
 - :mod:`repro.core.server` — the Drivolution Server in its in-database,
   external and standalone deployments (Section 4).
 - :mod:`repro.core.loader` — dynamic loading of driver code blobs.
@@ -41,7 +41,6 @@ from repro.core.messages import (
     DrivolutionErrorMessage,
     DrivolutionDiscover,
 )
-from repro.core.lease import Lease, LeaseManager
 from repro.core.registry import DriverRegistry, DriverPermission
 from repro.core.matchmaker import Matchmaker
 from repro.core.server import DrivolutionServer, InDatabaseServerBinding, StandaloneServerBinding, ExternalServerBinding
@@ -68,8 +67,6 @@ __all__ = [
     "DrivolutionOffer",
     "DrivolutionErrorMessage",
     "DrivolutionDiscover",
-    "Lease",
-    "LeaseManager",
     "DriverRegistry",
     "DriverPermission",
     "Matchmaker",

@@ -19,7 +19,6 @@ each controller) and triggers notification-channel pushes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.constants import DEFAULT_LEASE_TIME_MS, ExpirationPolicy, RenewPolicy
@@ -29,21 +28,13 @@ from repro.core.server import DrivolutionServer
 from repro.errors import DrivolutionError
 
 
-@dataclass
-class InstallRecord:
-    """Result of installing one driver across one or more servers."""
-
-    driver_name: str
-    driver_ids: Dict[str, int] = field(default_factory=dict)  # server_id -> driver_id
-    permission_ids: Dict[str, int] = field(default_factory=dict)
-    notified_clients: int = 0
-
-    def driver_id_on(self, server: DrivolutionServer) -> int:
-        return self.driver_ids[server.server_id]
-
-
 class DrivolutionAdmin:
-    """Administration console for one or more (replicated) Drivolution servers."""
+    """Administration console for one or more (replicated) Drivolution servers.
+
+    A driver is named by its package: each server numbers its own rows,
+    and every operation acts on the rows whose package has the same
+    ``location()``.
+    """
 
     def __init__(
         self,
@@ -75,8 +66,9 @@ class DrivolutionAdmin:
         start_date: Optional[float] = None,
         end_date: Optional[float] = None,
         notify: bool = True,
-    ) -> InstallRecord:
-        """Install a driver and grant its distribution permission.
+    ) -> DriverPackage:
+        """Install a driver and grant its distribution permission; returns
+        the installed package (signed when this admin has a signer).
 
         This is the paper's single-step client-wide upgrade: one INSERT into
         the drivers table (plus its permission row) on the Drivolution
@@ -84,12 +76,9 @@ class DrivolutionAdmin:
         """
         if self.signer is not None and package.signature is None:
             package = package.signed_by(self.signer)
-        record = InstallRecord(driver_name=package.name)
         for server in self.servers:
-            driver_id = server.registry.install_driver(package)
-            record.driver_ids[server.server_id] = driver_id
             permission = DriverPermission(
-                driver_id=driver_id,
+                driver_id=server.registry.install_driver(package),
                 database=database,
                 user=user,
                 client_ip=client_ip,
@@ -102,37 +91,36 @@ class DrivolutionAdmin:
                 renew_policy=renew_policy,
                 expiration_policy=expiration_policy,
             )
-            record.permission_ids[server.server_id] = server.registry.grant_permission(permission)
+            server.registry.grant_permission(permission)
         self.operation_log.append(f"install_driver:{package.name}")
         if notify:
             for server in self.servers:
-                record.notified_clients += server.notify_update(package.api_name, database)
-        return record
+                server.notify_update(package.api_name, database)
+        return package
 
-    def revoke_driver(self, driver_id_by_server: Dict[str, int], notify: bool = True, api_name: str = "") -> None:
+    def _driver_ids(self, server: DrivolutionServer, package: DriverPackage) -> List[int]:
+        return [driver_id for driver_id, _ in server.registry.find_drivers(package.location())]
+
+    def revoke_driver(self, package: DriverPackage, notify: bool = True) -> None:
         """Disable a driver on every server by expiring its permissions."""
         for server in self.servers:
-            driver_id = driver_id_by_server.get(server.server_id)
-            if driver_id is None:
-                continue
-            server.registry.revoke_permissions_for_driver(driver_id)
-        self.operation_log.append(f"revoke_driver:{sorted(driver_id_by_server.values())}")
-        if notify and api_name:
+            for driver_id in self._driver_ids(server, package):
+                server.registry.revoke_permissions_for_driver(driver_id)
+        self.operation_log.append(f"revoke_driver:{package.name}")
+        if notify:
             for server in self.servers:
-                server.notify_update(api_name)
+                server.notify_update(package.api_name)
 
-    def remove_driver(self, driver_id_by_server: Dict[str, int]) -> None:
+    def remove_driver(self, package: DriverPackage) -> None:
         """Delete a driver entirely (permissions and leases included)."""
         for server in self.servers:
-            driver_id = driver_id_by_server.get(server.server_id)
-            if driver_id is None:
-                continue
-            server.registry.remove_driver(driver_id)
-        self.operation_log.append(f"remove_driver:{sorted(driver_id_by_server.values())}")
+            for driver_id in self._driver_ids(server, package):
+                server.registry.remove_driver(driver_id)
+        self.operation_log.append(f"remove_driver:{package.name}")
 
     def push_upgrade(
-        self, new_package: DriverPackage, old_record: Optional[InstallRecord] = None, **install: Any
-    ) -> InstallRecord:
+        self, new_package: DriverPackage, old_record: Optional[DriverPackage] = None, **install: Any
+    ) -> DriverPackage:
         """Upgrade clients to ``new_package``: expire the old driver's
         permissions and install the new driver (``install`` is passed to
         :meth:`install_driver`) in one administrative step.
@@ -141,18 +129,18 @@ class DrivolutionAdmin:
         pre-configured DBslave driver and ``old_record`` the DBmaster one.
         """
         if old_record is not None:
-            self.revoke_driver(old_record.driver_ids, notify=False)
+            self.revoke_driver(old_record, notify=False)
         return self.install_driver(new_package, **install)
 
     def rollback_upgrade(
-        self, bad_record: InstallRecord, good_package: DriverPackage, **install: Any
-    ) -> InstallRecord:
+        self, bad_record: DriverPackage, good_package: DriverPackage, **install: Any
+    ) -> DriverPackage:
         """Revert a faulty upgrade: expire the bad driver and re-offer the
         known-good package (paper Section 3.2: "the administrator can revert
         the driver in the Drivolution server")."""
-        record = self.push_upgrade(good_package, old_record=bad_record, **install)
+        package = self.push_upgrade(good_package, old_record=bad_record, **install)
         self.operation_log.append(f"rollback_to:{good_package.name}")
-        return record
+        return package
 
     # -- observability --------------------------------------------------------------
 

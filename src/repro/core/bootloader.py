@@ -329,6 +329,7 @@ class Bootloader:
 
     @property
     def current_lease(self) -> Optional[DrivolutionOffer]:
+        """The offer the current driver runs under: the client's one lease record."""
         with self._lock:
             return self._lease
 
@@ -565,7 +566,7 @@ class Bootloader:
         # so the lease being lost does.
         governing = offer or self._lease
         if step.load:
-            new = self.loader.load(package, driver_id=offer.driver_id, lease_id=offer.lease_id)
+            new = self.loader.load(package)
         else:
             new = old if step.outcome == RENEWED else None
         if new is None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import threading
 import types
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.package import DriverPackage, DriverSigner, PackageError
@@ -36,10 +36,7 @@ class LoadedDriver:
 
     package: DriverPackage
     module: types.ModuleType
-    driver_id: Optional[int] = None
-    lease_id: Optional[str] = None
     generation: int = 0
-    metadata: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def name(self) -> str:
@@ -85,12 +82,7 @@ class DriverLoader:
 
     # -- loading ------------------------------------------------------------
 
-    def load(
-        self,
-        package: DriverPackage,
-        driver_id: Optional[int] = None,
-        lease_id: Optional[str] = None,
-    ) -> LoadedDriver:
+    def load(self, package: DriverPackage) -> LoadedDriver:
         """Verify, decode and execute ``package``; returns the loaded driver."""
         self._verify(package)
         source = package.decode_source()
@@ -112,13 +104,7 @@ class DriverLoader:
             raise DriverLoadError(
                 f"driver {package.name!r} does not define a connect() entry point"
             )
-        loaded = LoadedDriver(
-            package=package,
-            module=module,
-            driver_id=driver_id,
-            lease_id=lease_id,
-            generation=generation,
-        )
+        loaded = LoadedDriver(package=package, module=module, generation=generation)
         with self._lock:
             self._loaded.append(loaded)
         return loaded

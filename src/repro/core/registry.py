@@ -204,6 +204,11 @@ class DriverRegistry:
         rows = self._backend.query(f"SELECT * FROM {DRIVERS_TABLE} ORDER BY driver_id")
         return [(int(row["driver_id"]), self._row_to_package(row)) for row in rows]
 
+    def find_drivers(self, location: str) -> List[Tuple[int, DriverPackage]]:
+        """The rows holding the package at ``location`` (its one identity;
+        a package installed twice, as a rollback does, has two rows)."""
+        return [row for row in self.list_drivers() if row[1].location() == location]
+
     @staticmethod
     def row_version(row: Dict[str, Any]) -> Tuple[int, int, int]:
         """The driver version a ``drivers`` row carries."""
@@ -364,15 +369,17 @@ class DriverRegistry:
         self,
         client_id: str,
         driver_id: int,
-        database: Optional[str],
-        user: Optional[str],
-        client_ip: Optional[str],
         lease_time_ms: int,
         renew_policy: RenewPolicy,
         expiration_policy: ExpirationPolicy,
+        database: Optional[str] = None,
+        user: Optional[str] = None,
+        client_ip: Optional[str] = None,
         lease_id: Optional[str] = None,
     ) -> Dict[str, Any]:
         """Insert one lease row; returns the row as a dict."""
+        if lease_time_ms <= 0:
+            raise RegistryError(f"lease time must be positive, got {lease_time_ms}")
         lease_id = lease_id or uuid.uuid4().hex
         granted_at = self._clock()
         expires_at = granted_at + lease_time_ms / 1000.0
@@ -409,12 +416,6 @@ class DriverRegistry:
             {"now": self._clock(), "lease_id": lease_id},
         )
         return count > 0
-
-    def get_lease(self, lease_id: str) -> Optional[Dict[str, Any]]:
-        rows = self._backend.query(
-            f"SELECT * FROM {LEASES_TABLE} WHERE lease_id = $lease_id", {"lease_id": lease_id}
-        )
-        return rows[0] if rows else None
 
     def active_leases(self, driver_id: Optional[int] = None) -> List[Dict[str, Any]]:
         """Leases that have not been released and have not expired."""

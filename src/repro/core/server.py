@@ -34,7 +34,6 @@ from functools import partial
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core import messages
-from repro.core.lease import LeaseManager
 from repro.core.matchmaker import Matchmaker, NoMatchingDriver
 from repro.core.messages import (
     DrivolutionErrorMessage,
@@ -167,7 +166,6 @@ class DrivolutionServer:
         self.certificate = certificate
         self.certificate_authority = certificate_authority
         self.stats = ServerStats()
-        self.leases = LeaseManager(binding.registry, clock=clock)
         self.matchmaker = Matchmaker(binding.registry, known_databases=binding.known_databases)
         self._subscribers: List[Dict[str, Any]] = []
         self._channel_server: Optional[ChannelServer] = None
@@ -239,7 +237,7 @@ class DrivolutionServer:
         protocol's rows join the host's table."""
         database_server.routes.update(self.routes)
 
-    # -- registry passthroughs used by the admin ----------------------------------
+    # -- the one reader and writer of the Drivolution tables -----------------------
 
     @property
     def registry(self) -> DriverRegistry:
@@ -307,8 +305,10 @@ class DrivolutionServer:
             return _error("no_driver", str(exc))
         lease_id = ""
         if not is_discover:
-            lease_id = self.leases.renew(
-                previous_lease_id=request.current_lease_id,
+            # A renewal: the presented lease ends where the new one starts.
+            if request.current_lease_id:
+                self.registry.release_lease(request.current_lease_id)
+            lease_id = self.registry.record_lease(
                 client_id=request.client_id or f"client-{uuid.uuid4().hex[:8]}",
                 driver_id=result.driver_id,
                 lease_time_ms=result.lease_time_ms,
@@ -316,7 +316,7 @@ class DrivolutionServer:
                 expiration_policy=result.expiration_policy,
                 database=request.database,
                 user=request.user,
-            ).lease_id
+            )["lease_id"]
         # Whether the client already runs this package is policies.offer_step's call.
         offer = DrivolutionOffer(
             lease_id=lease_id,
@@ -336,11 +336,11 @@ class DrivolutionServer:
 
     def _handle_file_request(self, channel: Channel, message: Dict[str, Any]) -> Dict[str, Any]:
         location = message["driver_location"]
-        stored = (package for _id, package in self.registry.list_drivers())
-        package = next((p for p in stored if p.location() == location), None)
-        if package is None:
+        found = self.registry.find_drivers(location)
+        if not found:
             self.stats.errors += 1
             return _error("bad_location", f"unknown driver location {location!r}")
+        package = found[0][1]
         if self.signer is not None and package.signature is None:
             package = package.signed_by(self.signer)
         self.stats.files_served += 1
@@ -348,7 +348,7 @@ class DrivolutionServer:
         return messages.make_file_data(package.to_wire())
 
     def _handle_release(self, channel: Channel, message: Dict[str, Any]) -> Dict[str, Any]:
-        released = self.leases.release(message["lease_id"])
+        released = self.registry.release_lease(message["lease_id"])
         return {"type": "drivolution_release_ack", "released": released}
 
     def _handle_subscribe(self, channel: Channel, message: Dict[str, Any]) -> Dict[str, Any]:

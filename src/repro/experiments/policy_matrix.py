@@ -152,7 +152,7 @@ def run_revocation_study(lease_time_ms: int = 1_000) -> ExperimentResult:
         bootloader = env.new_bootloader(BootloaderConfig())
         connection = bootloader.connect(env.url)
         # The administrator disables the driver without providing a new one.
-        env.admin.revoke_driver(record.driver_ids, api_name="PYDB-API")
+        env.admin.revoke_driver(record)
         env.clock.advance(lease_time_ms / 1000.0 + 1.0)
         outcome = bootloader.check_for_update()
         blocked = 0

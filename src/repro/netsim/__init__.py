@@ -28,7 +28,6 @@ from repro.netsim.secure import (
     CertificateAuthority,
     SecureChannel,
     SecureChannelError,
-    secure_wrap,
 )
 
 __all__ = [
@@ -45,5 +44,4 @@ __all__ = [
     "CertificateAuthority",
     "SecureChannel",
     "SecureChannelError",
-    "secure_wrap",
 ]

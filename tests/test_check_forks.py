@@ -258,3 +258,32 @@ def test_lifecycle_gates_match_the_decisions_they_retired():
         "            managed.mark_stale()",
     ):
         assert check_forks.re.search(decision.pattern, line), line
+
+
+def test_drivolution_gates_match_the_second_copies_they_retired():
+    """The names row allows nothing and matches the lease wrapper, the
+    per-server install record and the controller's own install; the two
+    install rows allow the admin's one call each and match the
+    controller's retired copy."""
+    check_forks = _check_forks()
+    (names,) = [gate for gate in check_forks.GATES if gate.message.startswith("a Drivolution fact kept twice")]
+    assert names.allowed == 0 and check_forks.check_gate(names) == []
+    for line in (
+        "class LeaseManager:",
+        "        self.leases = LeaseManager(binding.registry, clock=clock)",
+        "class InstallRecord:",
+        "    def driver_id_on(self, server: DrivolutionServer) -> int:",
+        "    def remove_driver(self, driver_id_by_server: Dict[str, int]) -> None:",
+        "        driver_id = self._install_driver_locally(",
+    ):
+        assert check_forks.re.search(names.pattern, line), line
+    install, grant = [gate for gate in check_forks.GATES if gate.message.startswith("one install site")]
+    retired = {
+        install: "        driver_id = registry.install_driver(package)",
+        grant: "        registry.grant_permission(",
+    }
+    for gate, line in retired.items():
+        assert gate.allowed == 1
+        report = check_forks.check_gate(gate._replace(allowed=0))
+        assert len(report) == 2 and report[1].startswith("src/repro/core/admin.py:"), report
+        assert check_forks.re.search(gate.pattern, line), line

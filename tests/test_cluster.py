@@ -292,6 +292,41 @@ class TestControllerGroupReplication:
             names = [pkg.name for _id, pkg in controller.drivolution.registry.list_drivers()]
             assert "sequoia-9.9" in names
 
+    def test_cluster_wide_install_writes_the_admins_permission_row(self, cluster_env):
+        """On the installing controller and on the peer that gets the
+        install by GROUP, the row is the one DrivolutionAdmin writes."""
+        import dataclasses
+
+        from repro.core import DrivolutionAdmin, DrivolutionServer, StandaloneServerBinding
+        from repro.core.constants import ExpirationPolicy, RenewPolicy
+        from repro.dbapi.driver_factory import build_sequoia_driver
+
+        package = build_sequoia_driver("sequoia-9.9", driver_version=(9, 9, 0))
+        settings = dict(
+            database="vdb",
+            lease_time_ms=1234,
+            renew_policy=RenewPolicy.RENEW,
+            expiration_policy=ExpirationPolicy.IMMEDIATE,
+        )
+        clock = cluster_env.clock
+        reference = DrivolutionServer(StandaloneServerBinding(clock=clock), clock=clock)
+        DrivolutionAdmin([reference]).install_driver(package, **settings)
+        cluster_env.controllers[0].install_driver_cluster_wide(package, **settings)
+
+        def written(server):
+            ((driver_id, _),) = server.registry.find_drivers(package.location())
+            (permission,) = [p for p in server.registry.list_permissions() if p.driver_id == driver_id]
+            return dataclasses.replace(permission, driver_id=0, permission_id=None)
+
+        expected = written(reference)
+        assert (expected.lease_time_in_ms, expected.renew_policy, expected.expiration_policy) == (
+            1234,
+            RenewPolicy.RENEW,
+            ExpirationPolicy.IMMEDIATE,
+        )
+        for controller in cluster_env.controllers:
+            assert written(controller.drivolution) == expected, controller.config.controller_id
+
     def test_cluster_wide_backend_disable_enable(self, cluster_env):
         primary = cluster_env.controllers[0]
         primary.scheduler.execute("CREATE TABLE cw_t (id INTEGER PRIMARY KEY)")

@@ -160,7 +160,7 @@ class TestLeaseRenewalAndUpgrade:
         record = _install(env, "pydb-1.0.0", (1, 0, 0))
         bootloader = env.new_bootloader()
         connection = bootloader.connect(env.url)
-        env.admin.revoke_driver(record.driver_ids, api_name="PYDB-API")
+        env.admin.revoke_driver(record)
         env.clock.advance(2.0)
         assert bootloader.check_for_update() == "revoked"
         assert bootloader.revoked
@@ -369,7 +369,7 @@ class TestRevocationIsNotTerminal:
         record = _install(env, "pydb-1.0.0", (1, 0, 0))
         bootloader = env.new_bootloader()
         bootloader.connect(env.url).close()
-        env.admin.revoke_driver(record.driver_ids, notify=False)
+        env.admin.revoke_driver(record, notify=False)
         env.clock.advance(2.0)
         assert bootloader.check_for_update() == "revoked"
         with pytest.raises(BootloaderError, match="no suitable driver available"):
@@ -394,7 +394,7 @@ class TestRevocationIsNotTerminal:
         bootloader.connect(env.url).close()
         bootloader.subscribe_for_updates(env.db_address, database=env.database_name)
         try:
-            env.admin.revoke_driver(record.driver_ids, notify=False)
+            env.admin.revoke_driver(record, notify=False)
             assert bootloader.check_for_update(force=True) == "revoked"
             # install_driver notifies subscribers; no connect(), no clock advance.
             _install(env, "pydb-1.0.1", (1, 0, 1))
@@ -407,7 +407,7 @@ class TestRevocationIsNotTerminal:
         record = _install(env, "pydb-1.0.0", (1, 0, 0))
         bootloader = env.new_bootloader()
         bootloader.connect(env.url).close()
-        env.admin.revoke_driver(record.driver_ids, notify=False)
+        env.admin.revoke_driver(record, notify=False)
         assert bootloader.check_for_update(force=True) == "revoked"
         for blocked in (1, 2):
             with pytest.raises(BootloaderError, match="revoked"):
@@ -468,7 +468,7 @@ class TestOneTransition:
         if holds_driver:
             connections = _idle_and_in_transaction(bootloader, env)
         if answer == "refused" and record is not None:
-            env.admin.revoke_driver(record.driver_ids, notify=False)
+            env.admin.revoke_driver(record, notify=False)
         elif answer in ("B", "REVOKE-policy offer"):
             env.admin.push_upgrade(
                 build_pydb_driver("pydb-B", driver_version=(2, 0, 0)),
@@ -714,13 +714,13 @@ class TestExternalServerReconnect:
             newcomer.connect(url).close()
             assert newcomer.driver_info()["driver_name"] == "pydb-legacy"
             assert server.registry is registry
-            assert server.matchmaker._registry is registry and server.leases._registry is registry
+            assert server.matchmaker._registry is registry and server.registry is registry
             clock.advance(2.0)
             assert holder.check_for_update() == "renewed"
             # Leases granted after the reconnect are still stamped by the
             # simulated clock, not the wall clock.
-            assert server.leases.client_history("newcomer")[-1].granted_at == clock() - 2.0
-            assert server.leases.client_history("holder")[-1].granted_at == clock()
+            assert server.registry.leases_for_client("newcomer")[-1]["granted_at"] == clock() - 2.0
+            assert server.registry.leases_for_client("holder")[-1]["granted_at"] == clock()
         finally:
             server.stop()
             db_server.stop()
@@ -851,7 +851,8 @@ class TestOneIdentityOneExpiryOneUnload:
                 lease_time_ms=1_000,
                 expiration_policy=ExpirationPolicy.IMMEDIATE,
             )
-            assert record.driver_ids == {"d1": 1, "d2": 2}
+            # One package, numbered 1 on d1 and 2 on d2.
+            assert [d.registry.find_drivers(record.location())[0][0] for d in (d1, d2)] == [1, 2]
             bootloader = env.new_bootloader(BootloaderConfig(drivolution_servers=addresses))
             connection = bootloader.connect(env.url)
             connection.begin()

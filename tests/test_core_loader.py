@@ -25,11 +25,9 @@ class TestLoading:
     def test_load_and_call_connect(self):
         loader = DriverLoader()
         package = DriverPackage.from_source("toy", "TOY-API", SIMPLE_SOURCE)
-        loaded = loader.load(package, driver_id=7, lease_id="lease-1")
+        loaded = loader.load(package)
         result = loaded.connect("pydb://x/db", user="u")
         assert result == {"url": "pydb://x/db", "options": {"user": "u"}}
-        assert loaded.driver_id == 7
-        assert loaded.lease_id == "lease-1"
         info = loaded.info()
         assert info["driver_name"] == "toy"
         assert info["driver_version"] == (1, 2, 3)

@@ -5,14 +5,12 @@ import pytest
 from repro.core import (
     DriverPermission,
     ExpirationPolicy,
-    LeaseManager,
     Matchmaker,
     DrivolutionRequest,
     RenewPolicy,
     install_drivolution_schema,
 )
 from repro.core.clock import SimulatedClock
-from repro.core.lease import LeaseError
 from repro.core.matchmaker import NoMatchingDriver
 from repro.core.registry import DriverRegistry, RegistryError, SessionBackend
 from repro.dbapi.driver_factory import build_pydb_driver
@@ -188,36 +186,38 @@ class TestMatchmaker:
 class TestLeases:
     def test_grant_renew_release(self, registry, clock):
         driver_id = registry.install_driver(build_pydb_driver("d"))
-        leases = LeaseManager(registry, clock=clock)
-        lease = leases.grant(
+        lease = registry.record_lease(
             "client-1", driver_id, 10_000, RenewPolicy.RENEW, ExpirationPolicy.AFTER_COMMIT,
             database="appdb", user="alice",
         )
-        assert lease.is_active(clock())
-        assert leases.active_lease_count(driver_id) == 1
-        renewed = leases.renew(
-            lease.lease_id, "client-1", driver_id, 10_000, RenewPolicy.RENEW, ExpirationPolicy.AFTER_COMMIT
+        assert [row["lease_id"] for row in registry.active_leases()] == [lease["lease_id"]]
+        assert len(registry.active_leases(driver_id)) == 1
+        # A renewal, as the server does it: release the presented lease, record a new one.
+        registry.release_lease(lease["lease_id"])
+        renewed = registry.record_lease(
+            "client-1", driver_id, 10_000, RenewPolicy.RENEW, ExpirationPolicy.AFTER_COMMIT
         )
-        assert renewed.lease_id != lease.lease_id
-        assert leases.active_lease_count(driver_id) == 1  # old one released
-        assert leases.release(renewed.lease_id)
-        assert leases.active_lease_count(driver_id) == 0
-        history = leases.client_history("client-1")
+        assert renewed["lease_id"] != lease["lease_id"]
+        assert len(registry.active_leases(driver_id)) == 1  # old one released
+        assert registry.release_lease(renewed["lease_id"])
+        assert len(registry.active_leases(driver_id)) == 0
+        history = registry.leases_for_client("client-1")
         assert len(history) == 2
 
     def test_expiry_and_failure_detection(self, registry, clock):
         driver_id = registry.install_driver(build_pydb_driver("d"))
-        leases = LeaseManager(registry, clock=clock)
-        lease = leases.grant("client-1", driver_id, 1_000, RenewPolicy.RENEW, ExpirationPolicy.AFTER_CLOSE)
-        assert not lease.is_expired(clock())
-        assert lease.remaining_seconds(clock()) == pytest.approx(1.0)
+        lease = registry.record_lease(
+            "client-1", driver_id, 1_000, RenewPolicy.RENEW, ExpirationPolicy.AFTER_CLOSE
+        )
+        assert clock() < lease["expires_at"]
+        assert lease["expires_at"] - clock() == pytest.approx(1.0)
         clock.advance(2.0)
-        assert leases.get(lease.lease_id).is_expired(clock())
-        expired = leases.expired_unreleased()
-        assert [item.lease_id for item in expired] == [lease.lease_id]
+        (row,) = registry.leases_for_client("client-1")
+        assert clock() >= row["expires_at"]
+        expired = [row for row in registry.unreleased_leases() if clock() >= row["expires_at"]]
+        assert [item["lease_id"] for item in expired] == [lease["lease_id"]]
 
     def test_invalid_lease_time(self, registry, clock):
         driver_id = registry.install_driver(build_pydb_driver("d"))
-        leases = LeaseManager(registry, clock=clock)
-        with pytest.raises(LeaseError):
-            leases.grant("c", driver_id, 0, RenewPolicy.RENEW, ExpirationPolicy.AFTER_CLOSE)
+        with pytest.raises(RegistryError):
+            registry.record_lease("c", driver_id, 0, RenewPolicy.RENEW, ExpirationPolicy.AFTER_CLOSE)

@@ -94,7 +94,7 @@ class TestConcurrentClients:
         new_driver_id = list(
             env.drivolution.registry.query_permissions(env.database_name, None, None)
         )[0].driver_id
-        assert env.drivolution.leases.active_lease_count(new_driver_id) == len(bootloaders)
+        assert len(env.drivolution.registry.active_leases(new_driver_id)) == len(bootloaders)
 
     @pytest.mark.parametrize(
         "old_protocol, new_protocol",

@@ -52,6 +52,11 @@ _ONE_EXCHANGE = (
     "(replication.exchange: PeerLink.send to every peer, then PeerLink.collect, the one recv)"
 )
 
+_ONE_INSTALL = (
+    "one install site: a driver row and its permission row are written by "
+    "DrivolutionAdmin.install_driver, whoever installs (a controller too, locally and by GROUP)"
+)
+
 GATES = [
     Gate(
         r"trace is (not )?None",
@@ -138,6 +143,20 @@ GATES = [
         "policies.offer_step's (by package fingerprint, never a server-local driver_id), and "
         "what a superseded connection does is policies.expiry_step's verdict",
     ),
+    Gate(
+        r"LeaseManager|InstallRecord|driver_id_on|driver_id_by_server|_install_driver_locally",
+        ("src/repro",),
+        "a Drivolution fact kept twice: a lease is its row (DriverRegistry.record_lease / "
+        "release_lease), the admin names a driver by its package, and every install goes "
+        "through DrivolutionAdmin.install_driver",
+    ),
+    Gate(
+        r"registry\.install_driver\(",
+        ("src/repro",),
+        _ONE_INSTALL,
+        allowed=1,
+    ),
+    Gate(r"\.grant_permission\(", ("src/repro",), _ONE_INSTALL, allowed=1),
     Gate(
         r"workers=|handler_workers",
         ("src/repro/netsim/transport.py", "src/repro/dbserver"),
