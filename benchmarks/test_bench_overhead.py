@@ -77,7 +77,7 @@ def test_bench_batch_dispatch(benchmark):
     BATCH = 16
     connection = _CountingConnection()
     backend = Backend("b1", lambda: connection)
-    broadcaster = WriteBroadcaster(parallel=False)
+    broadcaster = WriteBroadcaster()
     statements = [(f"UPDATE t SET v = {i} WHERE id = {i}", None) for i in range(BATCH)]
 
     def dispatch_batch():

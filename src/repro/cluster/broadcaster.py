@@ -10,9 +10,6 @@ cost does not grow with the replica count and no other thread is woken.
 It aggregates the per-backend outcomes; the scheduler then decides what
 a partial failure means (mark the backend failed, keep the first
 success).
-
-``parallel=False`` collects each target before sending to the next —
-the benchmarks compare both modes on latency-injected backends.
 """
 
 from __future__ import annotations
@@ -121,11 +118,9 @@ def _send_order(batch: Any) -> Tuple[str, int]:
 
 class WriteBroadcaster:
     """Executes an ordered batch of statements — a lone statement is a
-    batch of one — on many backends, overlapping them unless
-    ``parallel=False``."""
+    batch of one — on many backends, overlapping them."""
 
-    def __init__(self, parallel: bool = True) -> None:
-        self.parallel = parallel
+    def __init__(self) -> None:
         # Concurrent rounds (disjoint lock scopes) count here at once.
         self._broadcasts = Counter("broadcasts")
         self._statements_dispatched = Counter("statements_dispatched")
@@ -173,21 +168,19 @@ class WriteBroadcaster:
         # every caller can agree on whatever list it passes (placement
         # subsets, a membership change between two snapshots), and it
         # keeps which replica hears a write first reproducible.
-        order = sorted(batches, key=_send_order)
-        waves = [order] if self.parallel else [[batch] for batch in order]
+        pending = sorted(batches, key=_send_order)
         for backend in backends:
             backend.begin_request()
         try:
-            for wave in waves:
-                started = time.monotonic()
-                while wave:
-                    for batch in wave:
-                        batch.send()
-                    for batch in wave:
-                        batch.collect()
-                        if batch.done:
-                            self._record_span(batch, started, trace)
-                    wave = [batch for batch in wave if not batch.done]
+            started = time.monotonic()
+            while pending:
+                for batch in pending:
+                    batch.send()
+                for batch in pending:
+                    batch.collect()
+                    if batch.done:
+                        self._record_span(batch, started, trace)
+                pending = [batch for batch in pending if not batch.done]
         finally:
             for batch in batches:
                 # Only a round aborted part-way has a request left in
@@ -222,7 +215,6 @@ class WriteBroadcaster:
     def stats(self) -> Dict[str, Any]:
         broadcasts = self._broadcasts.value
         return {
-            "parallel": self.parallel,
             "broadcasts": broadcasts,
             "statements_dispatched": self._statements_dispatched.value,
             # Every fan-out is a batch round (of one, for a lone

@@ -347,23 +347,22 @@ class Controller:
             store = MemoryLogStore()
             checkpoints = CheckpointRegistry()
             ha_meta_path = None
-        #: Every controller is an HA node (docs/ha.md); ``ha_peers`` only
-        #: sizes its group, and none makes it the group of one.
+        self.recovery_log = RecoveryLog(
+            store=store,
+            checkpoints=checkpoints,
+            auto_compact_every=config.auto_compact_every,
+        )
+        #: Every controller is an HA node over its log (docs/ha.md);
+        #: ``ha_peers`` only sizes its group, and none makes it the group of one.
         self.ha_store = ReplicatedLogStore(
-            store,
+            self.recovery_log,
             network,
             node_id=config.controller_id,
             self_address=address,
             peer_addresses=list(config.ha_peers),
             meta_path=ha_meta_path,
         )
-        self.recovery_log = RecoveryLog(
-            store=self.ha_store,
-            checkpoints=checkpoints,
-            auto_compact_every=config.auto_compact_every,
-        )
-        self.ha_store.attach(checkpoints, self.recovery_log.observe_replicated)
-        self.group_commit = GroupCommit(self.recovery_log) if group_commit_active else None
+        self.group_commit = GroupCommit(self.ha_store) if group_commit_active else None
         self.scheduler = RequestScheduler(
             backends or [],
             self.recovery_log,
@@ -515,11 +514,12 @@ class Controller:
         # reopens it lazily on the next append.
         if flush:
             try:
-                self.recovery_log.flush()
+                self.ha_store.flush()
             except DriverError:
                 # A dying HA primary may fail its final replication
                 # round (peers gone, quorum lost); shutdown proceeds.
                 pass
+        self.ha_store.close()
         self.recovery_log.close()
 
     def _heartbeat_loop(self) -> None:

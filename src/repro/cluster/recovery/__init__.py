@@ -22,11 +22,12 @@ package is the production-shaped version of that mechanism:
   detector that auto-disables dead backends at a checkpoint and
   auto-resyncs them when they come back,
 - :mod:`repro.cluster.recovery.replication` — controller HA:
-  :class:`ReplicatedLogStore` wraps any store and replicates the log and
-  checkpoint registry to controller peers with a majority-ack rule, an
-  epoch scheme that fences deposed primaries and the election that
-  replaces them, as pure rules under a thin shell; :class:`PeerLink`
-  and :func:`exchange` are how one controller reaches the others.
+  :class:`ReplicatedLogStore` is the HA node over a :class:`RecoveryLog`
+  and replicates the log and checkpoint registry to controller peers
+  with a majority-ack rule, an epoch scheme that fences deposed
+  primaries and the election that replaces them, as pure rules under a
+  thin shell; :class:`PeerLink` and :func:`exchange` are how one
+  controller reaches the others.
 
 See docs/recovery.md and docs/ha.md for the full walkthroughs.
 """

@@ -7,7 +7,7 @@ after that index. Unlike the original in-memory list, this log:
 
 - delegates persistence to a pluggable :class:`LogStore` (a restarted
   controller on a :class:`FileLogStore` resumes with its pre-crash
-  ``last_index``),
+  ``last_index``) and is its store's only writer, on an HA follower too,
 - names checkpoints through a :class:`CheckpointRegistry` instead of a
   bare integer, so several consumers (disabled backends, dumps,
   operator snapshots) can pin positions independently,
@@ -59,10 +59,7 @@ class RecoveryLog:
         #: compacted restarts at 1 — its replayable history is empty, so
         #: no replay can observe the reset.
         self._table_seqs: Dict[str, int] = {}
-        for entry in self._store.entries_after(self._store.truncated_through):
-            for table, seq in entry.table_seqs.items():
-                if seq > self._table_seqs.get(table, 0):
-                    self._table_seqs[table] = seq
+        self._raise_table_seqs_locked(self._store.entries_after(self._store.truncated_through))
 
     @property
     def store(self) -> LogStore:
@@ -135,19 +132,27 @@ class RecoveryLog:
             table_seqs=seqs,
         )
 
-    def observe_replicated(self, entries: Iterable[LogEntry]) -> None:
-        """Advance per-table sequence counters for entries appended to the
-        store *from replication* rather than through :meth:`append`.
-
-        An HA follower's store receives entries directly from REPLICATE
-        frames, bypassing this facade — without this, a promoted follower
-        would assign per-table sequences that collide with ones the old
-        primary already handed out, corrupting replay dedup."""
+    def apply_replicated(self, entries: List[LogEntry], floor: int, install: bool = False) -> None:
+        """Take what an HA primary shipped, already indexed, past this
+        log's head: a snapshot ``install`` first restarts the store at
+        the primary's compaction ``floor``; the floor is mirrored and the
+        store flushed before the follower acks. Table counters rise to
+        the highest sequence seen and never fall, so a promoted follower
+        hands out no sequence twice."""
         with self._lock:
-            for entry in entries:
-                for table, seq in entry.table_seqs.items():
-                    if seq > self._table_seqs.get(table, 0):
-                        self._table_seqs[table] = seq
+            if install:
+                self._store.reset_to_floor(floor)
+            self._store.append_many(entries)
+            self._raise_table_seqs_locked(entries)
+            if floor > self._store.truncated_through:
+                self._store.truncate_through(floor)
+            self._store.flush()
+
+    def _raise_table_seqs_locked(self, entries: Iterable[LogEntry]) -> None:
+        for entry in entries:
+            for table, seq in entry.table_seqs.items():
+                if seq > self._table_seqs.get(table, 0):
+                    self._table_seqs[table] = seq
 
     def _maybe_compact_locked(self) -> None:
         if self.auto_compact_every and self._appends_since_compact >= self.auto_compact_every:
@@ -270,9 +275,13 @@ class GroupCommit:
     flush is the fsync, or HA peers, whose majority-ack replication round
     runs in the flush even over a volatile store. There is no switch. The
     store never fsyncs per append, so the fsync is not paid twice.
+
+    ``log`` is anything with ``last_index`` and ``flush()``: a
+    controller's HA node (the log's fsync, then the majority round) or
+    a bare :class:`RecoveryLog`.
     """
 
-    def __init__(self, log: RecoveryLog) -> None:
+    def __init__(self, log: Any) -> None:
         self._log = log
         self._cond = threading.Condition()
         #: Highest index known durable (covered by a finished fsync).

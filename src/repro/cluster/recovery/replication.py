@@ -2,13 +2,14 @@
 
 The paper replicates the *backends*; each controller's recovery log is
 local, so a dead controller strands the writes only its log knew about.
-:class:`ReplicatedLogStore` wraps any
-:class:`~repro.cluster.recovery.logstore.LogStore` and, when the
-group-commit leader flushes, ships the fsync group's entries to the
-follower peers (REPLICATE/REPLICATE_OK) and requires a **majority of the
-controller cluster** to hold them before ``wait_durable`` resolves — one
-round per fsync group, amortised like the fsync. Entries arrive already
-indexed by the :class:`RecoveryLog` facade, so this is log shipping, not
+:class:`ReplicatedLogStore` is the HA node over a controller's
+:class:`~repro.cluster.recovery.log.RecoveryLog`: when the group-commit
+leader flushes, it ships the fsync group's entries to the follower peers
+(REPLICATE/REPLICATE_OK) and requires a **majority of the controller
+cluster** to hold them before ``wait_durable`` resolves — one round per
+fsync group, amortised like the fsync. Entries are indexed by the
+primary's :class:`RecoveryLog` and a follower's log takes them as they
+are (``RecoveryLog.apply_replicated``), so this is log shipping, not
 consensus; what keeps failover safe is the **epoch rule**: a follower
 refuses an older epoch and adopts a newer one, and promotion bumps the
 epoch past every one the new primary has seen, so a deposed primary
@@ -46,8 +47,8 @@ from repro.cluster.wire import (
     make_replicate,
     make_replicate_ok,
 )
-from repro.cluster.recovery.checkpoints import CheckpointRegistry
-from repro.cluster.recovery.logstore import LogEntry, LogStore, atomic_write_json
+from repro.cluster.recovery.log import RecoveryLog
+from repro.cluster.recovery.logstore import LogEntry, atomic_write_json
 
 ROLE_PRIMARY = "primary"
 ROLE_FOLLOWER = "follower"
@@ -341,30 +342,33 @@ def exchange(
     return {link.address: results[link.address] for link, _ in sends}
 
 
-class ReplicatedLogStore(LogStore):
-    """Wrap an inner :class:`LogStore` with majority-ack peer replication.
+class ReplicatedLogStore:
+    """The HA node over one :class:`RecoveryLog`: majority-ack peer
+    replication of its entries and checkpoint registry.
 
     On the **primary**, ``flush()`` makes the fsync group durable locally,
     then runs one round: each peer gets what it misses in one REPLICATE,
     and acks + self must reach ``required_acks`` (a strict majority) or
     :class:`ReplicationError` rises through ``wait_durable``. On a
-    **follower**, :meth:`apply_replicate` appends idempotently, mirrors
-    the compaction floor and flushes *before* acking, so a majority ack
-    means a majority holds the entries at its own durability level. A
-    standalone controller is the group of one: no links, always primary,
-    its own majority, a ``flush()`` that ships nothing.
+    **follower**, :meth:`apply_replicate` decides what an accepted frame
+    appends (the epoch rule, :func:`place_entries`) and the log writes it
+    (``RecoveryLog.apply_replicated``: append, mirror the compaction
+    floor, flush) *before* the ack, so a majority ack means a majority
+    holds the entries at its own durability level. A standalone
+    controller is the group of one: no links, always primary, its own
+    majority, a ``flush()`` that ships nothing.
     """
 
     def __init__(
         self,
-        inner: LogStore,
+        log: RecoveryLog,
         network: Any,
         node_id: str,
         self_address: str,
         peer_addresses: List[str],
         meta_path: Optional[str] = None,
     ) -> None:
-        self.inner = inner
+        self.log = log
         self._network = network
         self.node_id = node_id
         self.self_address = self_address
@@ -387,8 +391,9 @@ class ReplicatedLogStore(LogStore):
         #: Serialises replication rounds (one group-commit leader at a
         #: time calls flush, but promote()/announce() may race it).
         self._round_lock = threading.Lock()
-        #: Serialises REPLICATE application (two primaries racing a
-        #: failover may both hold an open replication channel here).
+        #: Serialises REPLICATE application — reading where a frame goes
+        #: and writing it is one step (two primaries racing a failover
+        #: may both hold an open replication channel here).
         self._apply_lock = threading.Lock()
         #: Guards epoch/role/hint transitions against concurrent
         #: REPLICATE application and election probes. Deliberately NOT
@@ -399,8 +404,6 @@ class ReplicatedLogStore(LogStore):
         #: Serialises election attempts (non-blocking: a write that finds
         #: an election already running just reports not_primary).
         self._election_lock = threading.Lock()
-        self._checkpoints: Optional[CheckpointRegistry] = None
-        self._on_applied: Callable[[List[LogEntry]], None] = lambda entries: None
         self._replicated_through = 0
         self._announced_floor = 0
         self.rounds = 0
@@ -438,22 +441,7 @@ class ReplicatedLogStore(LogStore):
         if self._meta_path is not None:
             atomic_write_json(self._meta_path, {"epoch": self.epoch})
 
-    # -- wiring --------------------------------------------------------------------
-
-    def attach(
-        self,
-        checkpoints: CheckpointRegistry,
-        on_applied: Callable[[List[LogEntry]], None],
-    ) -> None:
-        """Wire in the two things built on top of the store (which is
-        constructed first): the checkpoint registry, shipped whole with
-        every round and restored from every accepted frame, and the
-        callable told which entries a frame appended here
-        (``RecoveryLog.observe_replicated`` — replicated entries bypass
-        the facade, whose per-table sequence counters must still advance
-        or a later promotion would hand out colliding sequences)."""
-        self._checkpoints = checkpoints
-        self._on_applied = on_applied
+    # -- role and peers --------------------------------------------------------------
 
     @property
     def is_primary(self) -> bool:
@@ -465,47 +453,29 @@ class ReplicatedLogStore(LogStore):
     def peer_link(self, address: str) -> PeerLink:
         return self._peers[address]
 
-    # -- LogStore delegation -------------------------------------------------------
-
-    def append(self, entry: LogEntry) -> None:
-        self.inner.append(entry)
-
-    def append_many(self, entries: List[LogEntry]) -> None:
-        self.inner.append_many(entries)
-
-    def entries_after(self, index: int) -> List[LogEntry]:
-        return self.inner.entries_after(index)
+    # -- the log, as this node reads it -------------------------------------------
+    # Writes go through the RecoveryLog. The node's own reads go to its
+    # store without the log's lock: a probe or an ack must not queue
+    # behind an append, a compaction or a flush, and a round racing a
+    # compaction ships what is retained (the log's entries_after raises).
 
     @property
     def last_index(self) -> int:
-        return self.inner.last_index
+        """The log's head under its lock — what the group-commit leader
+        flushes through, covering an append still in progress."""
+        return self.log.last_index
 
     @property
     def truncated_through(self) -> int:
-        return self.inner.truncated_through
+        return self.log.store.truncated_through
 
-    @property
-    def entry_count(self) -> int:
-        return self.inner.entry_count
-
-    def truncate_through(self, index: int) -> int:
-        return self.inner.truncate_through(index)
-
-    def reset_to_floor(self, index: int) -> None:
-        self.inner.reset_to_floor(index)
-
-    def stats(self) -> Dict[str, Any]:
-        return self.inner.stats()
+    def entries_after(self, index: int) -> List[LogEntry]:
+        return self.log.store.entries_after(index)
 
     def close(self) -> None:
+        """Close the peer channels (the log is closed by its owner)."""
         for peer in self._peers.values():
             peer.close()
-        self.inner.close()
-
-    def __getattr__(self, name: str) -> Any:
-        # Store-specific observables (FileLogStore.fsyncs, .directory,
-        # .recovered_partial_lines, ...) stay reachable through the wrap.
-        return getattr(self.inner, name)
 
     # -- primary side --------------------------------------------------------------
 
@@ -513,7 +483,7 @@ class ReplicatedLogStore(LogStore):
         """Local durability first, then one majority-ack round for
         everything the fsync group made durable. Called once per
         group-commit flush — N batched writes cost one network round."""
-        self.inner.flush()
+        self.log.flush()
         if self._peers and self.is_primary:
             self.replicate()
 
@@ -533,15 +503,12 @@ class ReplicatedLogStore(LogStore):
                         f"{self.node_id} is not the primary (epoch {self.epoch})"
                     )
                 epoch = self.epoch
-            head = self.inner.last_index
-            floor = self.inner.truncated_through
+            head = self.log.store.last_index
+            floor = self.truncated_through
             if not force and head <= self._replicated_through and floor <= self._announced_floor:
                 return True
-            # ``is not None``: an empty registry is falsy but still shipped
-            # (releases propagate as an empty snapshot).
-            checkpoints = (
-                self._checkpoints.snapshot() if self._checkpoints is not None else None
-            )
+            # Shipped even when empty: releases propagate as an empty snapshot.
+            checkpoints = self.log.checkpoints.snapshot()
             outcomes = self._ship_round(epoch, floor, checkpoints)
             with self._state_lock:
                 verdict, acks, new_epoch, new_role = tally_round(
@@ -570,7 +537,7 @@ class ReplicatedLogStore(LogStore):
         self,
         epoch: int,
         floor: int,
-        checkpoints: Optional[List[Dict[str, Any]]],
+        checkpoints: List[Dict[str, Any]],
     ) -> Dict[str, Tuple[str, int]]:
         """Each peer's final :func:`read_reply` for one round.
 
@@ -592,7 +559,7 @@ class ReplicatedLogStore(LogStore):
         peers: List[PeerLink],
         epoch: int,
         floor: int,
-        checkpoints: Optional[List[Dict[str, Any]]],
+        checkpoints: List[Dict[str, Any]],
     ) -> Dict[str, Tuple[str, int]]:
         """At most two passes of :func:`exchange`: every peer gets
         everything past its ack cursor, then each peer that answered
@@ -605,7 +572,7 @@ class ReplicatedLogStore(LogStore):
             frames = {}
             for peer in peers:
                 base = max(peer.acked_index, floor)
-                entries = [e.to_wire() for e in self.inner.entries_after(base)]
+                entries = [e.to_wire() for e in self.entries_after(base)]
                 frames[peer.address] = make_replicate(
                     origin=self.node_id,
                     epoch=epoch,
@@ -628,29 +595,23 @@ class ReplicatedLogStore(LogStore):
 
     def answer(self, frame: Dict[str, Any], sender: str) -> Dict[str, Any]:
         """The reply to one REPLICATE the peer at ``sender`` sent: applied
-        (entries, per-table sequence counters, checkpoint registry) and
-        acked. That the sender is a peer is the listener's to check, from
-        the transport (``Controller.routes``)."""
-        reply, applied = self.apply_replicate(frame, sender)
-        if applied:
-            self._on_applied(applied)
+        (entries, checkpoint registry) and acked. That the sender is a
+        peer is the listener's to check, from the transport
+        (``Controller.routes``)."""
+        reply, _ = self.apply_replicate(frame, sender)
         snapshot = frame.get("checkpoints")
-        if (
-            snapshot is not None
-            and self._checkpoints is not None
-            and reply["type"] == ClusterMessageType.REPLICATE_OK
-        ):
-            self._checkpoints.restore_snapshot(snapshot)
+        if snapshot is not None and reply["type"] == ClusterMessageType.REPLICATE_OK:
+            self.log.checkpoints.restore_snapshot(snapshot)
         return reply
 
     def apply_replicate(
         self, frame: Dict[str, Any], sender: str
     ) -> "tuple[Dict[str, Any], List[LogEntry]]":
         """Apply one REPLICATE frame; returns ``(reply, applied_entries)``,
-        the suffix appended here (:meth:`answer` advances the per-table
-        sequence counters from it). The epoch rule runs under
-        ``_state_lock``; the append+fsync runs outside it (serialised by
-        ``_apply_lock``) so election probes never queue behind a flush.
+        the suffix appended here. The epoch rule runs under
+        ``_state_lock``; the append+fsync runs outside it, in
+        ``RecoveryLog.apply_replicated`` (serialised by ``_apply_lock``),
+        so election probes never queue behind a flush.
         The whole frame is decoded first (its top-level fields arrive
         typed, ``Controller.routes``): one that does not decode is refused
         (``bad_replicate``) with nothing touched — raising would kill the
@@ -678,10 +639,10 @@ class ReplicatedLogStore(LogStore):
                     return reply, []
                 self._settle_locked(epoch, role)
                 self.primary_hint = hint
-            local_last = self.inner.last_index
+            local_last = self.log.store.last_index
             local: Dict[int, LogEntry] = {}
             if entries and entries[0].index <= local_last:
-                local = {e.index: e for e in self.inner.entries_after(entries[0].index - 1)}
+                local = {e.index: e for e in self.entries_after(entries[0].index - 1)}
             placement, index = place_entries(
                 entries, local_last, floor, frame.get("checkpoints") is not None, local
             )
@@ -691,20 +652,16 @@ class ReplicatedLogStore(LogStore):
                     f"{self.node_id} log diverges at index {index}; "
                     "this node needs a reseed before rejoining",
                 ), []
-            if placement == INSTALL:
-                # Our stale prefix is superseded by the snapshot — the
-                # same blind spot compaction already accepts.
-                self.inner.reset_to_floor(floor)
-                self.snapshot_installs += 1
             applied = [] if placement == GAP else [e for e in entries if e.index > local_last]
-            for entry in applied:
-                self.inner.append(entry)
-            if floor > self.inner.truncated_through:
-                self.inner.truncate_through(floor)
-            self.inner.flush()
+            # An install supersedes our stale prefix with the snapshot —
+            # the same blind spot compaction already accepts.
+            install = placement == INSTALL
+            self.log.apply_replicated(applied, floor, install)
+            if install:
+                self.snapshot_installs += 1
             with self._state_lock:
                 reply = make_replicate_ok(
-                    self.node_id, self.epoch, self.inner.last_index, gap=placement == GAP
+                    self.node_id, self.epoch, self.log.store.last_index, gap=placement == GAP
                 )
             return reply, applied
 
@@ -772,7 +729,7 @@ class ReplicatedLogStore(LogStore):
                 "address": self.self_address,
                 "epoch": self.epoch,
                 "role": self.role,
-                "last_index": self.inner.last_index,
+                "last_index": self.log.store.last_index,
             }
 
     # -- stats ---------------------------------------------------------------------

@@ -385,7 +385,7 @@ class RequestScheduler:
         self._recovery_log = recovery_log
         self._policy = read_policy or RoundRobinPolicy()
         self._cache = query_cache
-        self._broadcaster = broadcaster or WriteBroadcaster(parallel=True)
+        self._broadcaster = broadcaster or WriteBroadcaster()
         self._placement = placement or PlacementMap()
         for backend in self._backends:
             self._placement.add_backend(backend.name)
@@ -1209,7 +1209,6 @@ class RequestScheduler:
             "locks": self._locks.stats(),
             **self._scopes.stats(),
             "open_transactions": self.open_transactions,
-            "parallel_writes": self._broadcaster.parallel,
             "broadcaster": self._broadcaster.stats(),
             "group_commit": self._group_commit.stats() if self._group_commit else None,
             "write_batching": self._write_batcher.stats() if self._write_batcher else None,

@@ -19,11 +19,12 @@ each controller) and triggers notification-channel pushes.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.constants import DEFAULT_LEASE_TIME_MS, ExpirationPolicy, RenewPolicy
 from repro.core.package import DriverPackage, DriverSigner
-from repro.core.registry import DriverPermission
+from repro.core.registry import DriverPermission, DriverRegistry
 from repro.core.server import DrivolutionServer
 from repro.errors import DrivolutionError
 
@@ -76,22 +77,25 @@ class DrivolutionAdmin:
         """
         if self.signer is not None and package.signature is None:
             package = package.signed_by(self.signer)
+        permission = DriverPermission(
+            driver_id=0,
+            database=database,
+            user=user,
+            client_ip=client_ip,
+            driver_options=dict(driver_options or {}),
+            start_date=start_date,
+            end_date=end_date,
+            lease_time_in_ms=(
+                lease_time_ms if lease_time_ms is not None else self.default_lease_time_ms
+            ),
+            renew_policy=renew_policy,
+            expiration_policy=expiration_policy,
+        )
+        # Refused before any server holds a driver row for it.
+        DriverRegistry.check_permission(permission)
         for server in self.servers:
-            permission = DriverPermission(
-                driver_id=server.registry.install_driver(package),
-                database=database,
-                user=user,
-                client_ip=client_ip,
-                driver_options=dict(driver_options or {}),
-                start_date=start_date,
-                end_date=end_date,
-                lease_time_in_ms=(
-                    lease_time_ms if lease_time_ms is not None else self.default_lease_time_ms
-                ),
-                renew_policy=renew_policy,
-                expiration_policy=expiration_policy,
-            )
-            server.registry.grant_permission(permission)
+            driver_id = server.registry.install_driver(package)
+            server.registry.grant_permission(replace(permission, driver_id=driver_id))
         self.operation_log.append(f"install_driver:{package.name}")
         if notify:
             for server in self.servers:

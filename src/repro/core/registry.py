@@ -241,7 +241,20 @@ class DriverRegistry:
         max_id = rows[0].get("max_id") if rows else None
         return int(max_id) + 1 if max_id is not None else 1
 
+    @staticmethod
+    def check_permission(permission: DriverPermission) -> None:
+        """Raise :class:`RegistryError` for a row this server could not
+        serve: a lease time that is not positive, or an unknown policy."""
+        if permission.lease_time_in_ms <= 0:
+            raise RegistryError(f"lease time must be positive, got {permission.lease_time_in_ms}")
+        try:
+            RenewPolicy.from_value(permission.renew_policy)
+            ExpirationPolicy.from_value(permission.expiration_policy)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise RegistryError(f"unknown lease policy: {exc}") from exc
+
     def grant_permission(self, permission: DriverPermission) -> int:
+        self.check_permission(permission)
         permission_id = permission.permission_id or self.next_permission_id()
         self._backend.execute(
             f"INSERT INTO {PERMISSIONS_TABLE} (permission_id, user, client_ip, database, "

@@ -41,7 +41,7 @@ from repro.core.messages import (
     DrivolutionRequest,
 )
 from repro.core.package import DriverSigner
-from repro.core.registry import ConnectionBackend, DriverRegistry, SessionBackend
+from repro.core.registry import ConnectionBackend, DriverRegistry, RegistryError, SessionBackend
 from repro.errors import DrivolutionError, TransportError
 from repro.netsim.ingress import STOP, Route, Sender, refuse_with, serve
 from repro.netsim.secure import Certificate, CertificateAuthority, SecureChannel
@@ -288,10 +288,15 @@ class DrivolutionServer:
         serve(secure, self._requests, _refuse)
         return STOP
 
-    def _handle_request(self, channel: Channel, message: Dict[str, Any]) -> Dict[str, Any]:
+    def _handle_request(self, channel: Channel, message: Dict[str, Any]) -> Any:
         """REQUEST and DISCOVER: a DISCOVER is a REQUEST that grants no
         lease and ships no file — it describes what a unicast REQUEST
-        would be offered."""
+        would be offered.
+
+        A stored row it cannot read (a DBA's UPDATE) is this server's
+        fault: a DRIVOLUTION_ERROR would revoke running clients, so the
+        channel ends and bootloaders keep their driver as
+        ``server_unreachable`` (paper §4.1.3)."""
         request = DrivolutionRequest.from_wire(message)
         is_discover = message["type"] == messages.DISCOVER
         if is_discover:
@@ -299,10 +304,18 @@ class DrivolutionServer:
         else:
             self.stats.requests += 1
         try:
-            result = self.matchmaker.match(request)
+            offer = self._offer(request, is_discover)
         except NoMatchingDriver as exc:
             self.stats.errors += 1
             return _error("no_driver", str(exc))
+        except (RegistryError, ValueError):
+            self.stats.errors += 1
+            return STOP
+        self.stats.offers += 1
+        return offer.to_wire()
+
+    def _offer(self, request: DrivolutionRequest, is_discover: bool) -> DrivolutionOffer:
+        result = self.matchmaker.match(request)
         lease_id = ""
         if not is_discover:
             # A renewal: the presented lease ends where the new one starts.
@@ -318,7 +331,7 @@ class DrivolutionServer:
                 user=request.user,
             )["lease_id"]
         # Whether the client already runs this package is policies.offer_step's call.
-        offer = DrivolutionOffer(
+        return DrivolutionOffer(
             lease_id=lease_id,
             lease_time_ms=result.lease_time_ms,
             driver_id=result.driver_id,
@@ -331,8 +344,6 @@ class DrivolutionServer:
             includes_file=not is_discover,
             server_id=self.server_id,
         )
-        self.stats.offers += 1
-        return offer.to_wire()
 
     def _handle_file_request(self, channel: Channel, message: Dict[str, Any]) -> Dict[str, Any]:
         location = message["driver_location"]

@@ -307,7 +307,7 @@ def run_experiment(
                 for index in range(writers)
             ],
             RecoveryLog(),
-            broadcaster=WriteBroadcaster(parallel=True),
+            broadcaster=WriteBroadcaster(),
             placement=create_placement(placement_spec),
             lock_manager=lock_manager(),
         )
@@ -367,7 +367,7 @@ def run_key_experiment(
         scheduler = RequestScheduler(
             [Backend("sim1", lambda: SimConnection(latency_s))],
             RecoveryLog(),
-            broadcaster=WriteBroadcaster(parallel=True),
+            broadcaster=WriteBroadcaster(),
             primary_keys=primary_keys,
         )
         targets = [("hot", index if disjoint else 0) for index in range(writers)]
@@ -762,7 +762,7 @@ def run_write_batching_experiment(
         scheduler = RequestScheduler(
             [Backend("sim1", lambda: SimConnection(latency_s, counters, threadsafety=1))],
             RecoveryLog(),
-            broadcaster=WriteBroadcaster(parallel=True),
+            broadcaster=WriteBroadcaster(),
             write_batching=mode == "batched",
         )
 
@@ -991,7 +991,7 @@ def run_group_commit_experiment(
         scheduler = RequestScheduler(
             [Backend("sim1", lambda: SimConnection(0.0))],
             log,
-            broadcaster=WriteBroadcaster(parallel=False),
+            broadcaster=WriteBroadcaster(),
             group_commit=group_commit,
         )
 

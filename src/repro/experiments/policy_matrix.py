@@ -27,6 +27,7 @@ import time
 from typing import Any, Dict, List, Sequence
 
 from repro.cluster import Backend, ClusterDriverRuntime, RecoveryLog, RequestScheduler, WriteBroadcaster
+from repro.cluster.broadcaster import BatchBroadcastOutcome
 from repro.core import BootloaderConfig
 from repro.core.constants import ExpirationPolicy, RenewPolicy
 from repro.dbapi.driver_factory import build_pydb_driver
@@ -34,6 +35,7 @@ from repro.errors import DrivolutionError
 from repro.experiments.concurrency import SimConnection
 from repro.experiments.environments import build_cluster, build_single_database
 from repro.experiments.harness import ExperimentResult
+from repro.obs import NULL_TRACE
 from repro.workloads import ClientApplication, WorkloadSpec, percentile
 
 
@@ -401,6 +403,17 @@ def run_scheduling_policy_matrix(
     return result
 
 
+class _SequentialBroadcaster(WriteBroadcaster):
+    """E13b's baseline: one round per target, each collected before the
+    next target is sent to."""
+
+    def broadcast_batch(self, backends, statements, trace=NULL_TRACE) -> BatchBroadcastOutcome:
+        outcomes = []
+        for backend in backends:
+            outcomes += super().broadcast_batch([backend], statements, trace).outcomes
+        return BatchBroadcastOutcome(len(statements), outcomes)
+
+
 def run_broadcast_comparison(
     backends: int = 4, writes: int = 25, latency_ms: float = 3.0
 ) -> ExperimentResult:
@@ -418,14 +431,14 @@ def run_broadcast_comparison(
     )
     latency_s = latency_ms / 1000.0
     timings: Dict[str, float] = {}
-    for parallel in (False, True):
+    for mode, broadcaster in (("sequential", _SequentialBroadcaster()), ("parallel", WriteBroadcaster())):
         scheduler = RequestScheduler(
             [
                 Backend(f"sim{index + 1}", lambda: SimConnection(latency_s, threadsafety=1))
                 for index in range(backends)
             ],
             RecoveryLog(),
-            broadcaster=WriteBroadcaster(parallel=parallel),
+            broadcaster=broadcaster,
         )
         try:
             started = time.perf_counter()
@@ -436,7 +449,6 @@ def run_broadcast_comparison(
             wall = time.perf_counter() - started
         finally:
             scheduler.close()
-        mode = "parallel" if parallel else "sequential"
         timings[mode] = wall
         result.add_row(
             mode=mode,

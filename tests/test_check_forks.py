@@ -215,6 +215,39 @@ def test_exchange_gates_match_the_fan_outs_they_retired():
     assert check_forks.re.search(recv.pattern, "            reply = channel.recv(timeout=timeout)")
 
 
+def test_log_writer_gates_match_the_back_wiring_they_retired():
+    """The wiring row allows nothing and matches the callback and the
+    store delegation it retired; the write row allows exactly the calls in
+    recovery/log.py and matches the follower's writes under the log; the
+    broadcast row allows nothing and matches the sequential mode."""
+    check_forks = _check_forks()
+    wiring, writes = [gate for gate in check_forks.GATES if gate.message.startswith("the recovery log has one writer")]
+    assert wiring.allowed == 0 and check_forks.check_gate(wiring) == []
+    for line in (
+        "    def observe_replicated(self, entries: Iterable[LogEntry]) -> None:",
+        "    def attach(",
+        "    def __getattr__(self, name: str) -> Any:",
+    ):
+        assert check_forks.re.search(wiring.pattern, line), line
+    report = check_forks.check_gate(writes._replace(allowed=0))
+    assert len(report) == 1 + writes.allowed, report
+    assert all(hit.startswith("src/repro/cluster/recovery/log.py:") for hit in report[1:]), report
+    for line in (
+        "                self.inner.reset_to_floor(floor)",
+        "                self.inner.truncate_through(floor)",
+        "        self.inner.append_many(entries)",
+    ):
+        assert check_forks.re.search(writes.pattern, line), line
+    (mode,) = [gate for gate in check_forks.GATES if gate.message.startswith("a sequential broadcast mode")]
+    assert mode.allowed == 0 and check_forks.check_gate(mode) == []
+    for line in (
+        "        self._broadcaster = broadcaster or WriteBroadcaster(parallel=True)",
+        "        self.parallel = parallel",
+        "        waves = [order] if self.parallel else [[batch] for batch in order]",
+    ):
+        assert check_forks.re.search(mode.pattern, line), line
+
+
 def test_write_round_gates_match_the_commit_copy_they_retired():
     """The append row allows the round's one append and matches the
     COMMIT's second one; the accounting row allows nothing and matches

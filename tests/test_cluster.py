@@ -197,7 +197,6 @@ class TestControllerSessions:
         assert stats["active_sessions"] == 1
         assert stats["statements_served"] >= 1
         assert stats["scheduler"]["read_policy"] == "round_robin"
-        assert stats["scheduler"]["parallel_writes"] is True
         assert stats["scheduler"]["query_cache"] is None
         assert {b["name"] for b in stats["scheduler"]["backends"]} == {"db1", "db2"}
         connection.begin()

@@ -1,5 +1,7 @@
 """Tests for the DBA admin operations."""
 
+import threading
+
 import pytest
 
 from repro.core import (
@@ -12,6 +14,8 @@ from repro.core import (
     messages,
 )
 from repro.core.constants import ExpirationPolicy, RenewPolicy
+from repro.core.registry import RegistryError
+from repro.core.schema import PERMISSIONS_TABLE
 from repro.dbapi.driver_factory import build_pydb_driver
 from repro.errors import DrivolutionError
 
@@ -130,3 +134,37 @@ class TestThePackageIsTheHandle:
             answer = channel.request(request.to_wire(), timeout=2.0)
             assert answer.get("driver_location") != good.location()
             assert answer["type"] == messages.ERROR and answer["code"] == "no_driver"
+
+
+class TestAPermissionRowTheServerCannotRead:
+    """A row the server could not serve is refused where it is written; one
+    already stored (written around the admin) is a server fault: the
+    channel ends and clients keep their driver."""
+
+    def test_a_non_positive_lease_time_is_refused_before_any_row_is_written(self, clock):
+        servers = [
+            DrivolutionServer(StandaloneServerBinding(clock=clock), clock=clock, server_id=f"d{n}")
+            for n in (1, 2)
+        ]
+        admin = DrivolutionAdmin(servers)
+        with pytest.raises(RegistryError, match="lease time"):
+            admin.install_driver(build_pydb_driver("pydb-A"), database="appdb", lease_time_ms=-1000)
+        with pytest.raises(RegistryError, match="policy"):
+            admin.install_driver(build_pydb_driver("pydb-A"), database="appdb", renew_policy=7)
+        for server in servers:
+            assert server.registry.list_drivers() == []
+            assert server.registry.list_permissions() == []
+
+    def test_an_unreadable_stored_policy_leaves_clients_on_their_driver(self, single_db_env, monkeypatch):
+        env = single_db_env
+        crashes = []
+        monkeypatch.setattr(threading, "excepthook", crashes.append)
+        env.admin.install_driver(build_pydb_driver("pydb-1.0.0"), database=env.database_name)
+        bootloader = env.new_bootloader()
+        bootloader.connect(env.url).close()
+        driver = bootloader.current_driver
+        env.open_sql_session().execute(f"UPDATE {PERMISSIONS_TABLE} SET renew_policy = 7")
+        assert bootloader.check_for_update(force=True) == "server_unreachable"
+        assert bootloader.current_driver is driver and not bootloader.revoked
+        assert env.drivolution.stats.errors == 1
+        assert crashes == []

@@ -20,7 +20,8 @@ import pytest
 import chaos
 from repro.cluster.driver import ClusterDriverRuntime
 from repro.cluster.recovery import replication
-from repro.cluster.recovery.logstore import LogEntry, MemoryLogStore
+from repro.cluster.recovery.log import RecoveryLog
+from repro.cluster.recovery.logstore import LogEntry
 from repro.cluster.recovery.replication import (
     ROLE_FOLLOWER,
     ROLE_PRIMARY,
@@ -89,7 +90,7 @@ def _entry(index, table="t", seq=None, sql=None):
 
 def _store(node="b", peers=("a:1", "c:1"), **kwargs):
     return ReplicatedLogStore(
-        MemoryLogStore(),
+        RecoveryLog(),
         network=None,
         node_id=node,
         self_address=f"{node}:1",
@@ -161,7 +162,7 @@ class TestReplicatedLogStoreUnit:
         # does not hold the entries; acking it would let a "majority"
         # hold fewer copies than promised.
         a = _store(node="a", peers=("b:1",))
-        a.append(_entry(1))
+        a.log.append(_entry(1).sql, write_tables=("t",))
         link = a.peer_link("b:1")
         link.send = lambda frame: None
         link.collect = lambda timeout: make_replicate_ok("b", 1, 0, gap=True)
@@ -505,6 +506,10 @@ class TestControllerHAFailover:
         for controller in survivors:
             assert controller.ha_store.last_index == head
             assert _chain(controller) == _chain(new_primary)
+        # The new primary numbers the table on from the old primary's
+        # last sequence: replay dedup never sees one sequence twice.
+        seqs = [e.table_seqs["fo_t"] for e in new_primary.ha_store.entries_after(0) if "fo_t" in e.table_seqs]
+        assert seqs == [1, 2, 3, 4, 5]
         assert conn.failovers >= 1
         conn.close()
 
@@ -668,7 +673,7 @@ def _hang_until(gate, result):
 class TestPeerExchange:
     def test_a_round_sends_to_every_peer_before_collecting(self, exchange_log):
         a = _store(node="a", peers=("b:1", "c:1"))
-        a.append(_entry(1))
+        a.log.append(_entry(1).sql, write_tables=("t",))
         assert a.replicate(force=True)
         assert exchange_log == [("send", "b:1"), ("send", "c:1"), ("collect", "b:1"), ("collect", "c:1")]
 

@@ -542,7 +542,7 @@ class TestWriteBroadcaster:
     def test_parallel_broadcast_aggregates_failures(self):
         good, bad = _backend("good"), _backend("bad")
         bad.test_connection.fail_with = DriverError("replica down")
-        broadcaster = WriteBroadcaster(parallel=True)
+        broadcaster = WriteBroadcaster()
         try:
             outcome = broadcaster.broadcast([good, bad], "INSERT INTO t VALUES (1)")
         finally:
@@ -560,7 +560,7 @@ class TestWriteBroadcaster:
         # already applied the write.
         good, buggy = _backend("good"), _backend("buggy")
         buggy.test_connection.fail_with = RuntimeError("driver bug mid-execute")
-        broadcaster = WriteBroadcaster(parallel=True)
+        broadcaster = WriteBroadcaster()
         try:
             outcome = broadcaster.broadcast([good, buggy], "INSERT INTO t VALUES (1)")
         finally:
@@ -590,7 +590,7 @@ class TestWriteBroadcaster:
 
     def test_first_backend_result_is_primary(self):
         first, second = _backend("first", read_value=10), _backend("second", read_value=20)
-        broadcaster = WriteBroadcaster(parallel=True)
+        broadcaster = WriteBroadcaster()
         try:
             outcome = broadcaster.broadcast([first, second], "SELECT value FROM t")
         finally:
@@ -1049,7 +1049,6 @@ class TestSchedulerRouting:
         scheduler.execute("SELECT value FROM t")
         stats = scheduler.stats()
         assert stats["read_policy"] == "round_robin"
-        assert stats["parallel_writes"] is True
         assert stats["query_cache"]["misses"] == 1
         assert stats["backends"][0]["name"] == "b1"
         assert stats["backends"][0]["pending"] == 0

@@ -247,7 +247,7 @@ class TestBroadcastBatch:
         bad_connection = _Recorder(fail={"U0": dead, "U1": dead})
         good = Backend("good", lambda: good_connection)
         bad = Backend("bad", lambda: bad_connection)
-        broadcaster = WriteBroadcaster(parallel=False)
+        broadcaster = WriteBroadcaster()
         try:
             batch = broadcaster.broadcast_batch(
                 [good, bad], [("U0", None), ("U1", {"v": 1})]
@@ -509,7 +509,7 @@ class TestSchedulerBatching:
                 assert session.execute(f"SELECT v FROM wbt_rs{index}").rows == [(writes - 1,)]
 
     def test_batching_off_is_one_statement_per_round(self):
-        broadcaster = WriteBroadcaster(parallel=False)
+        broadcaster = WriteBroadcaster()
         connections = [_NativeBatch(), _NativeBatch()]
         backends = [
             Backend("b1", lambda: connections[0]),

@@ -52,6 +52,12 @@ _ONE_EXCHANGE = (
     "(replication.exchange: PeerLink.send to every peer, then PeerLink.collect, the one recv)"
 )
 
+_ONE_LOG_WRITER = (
+    "the recovery log has one writer: RecoveryLog writes its store (a follower's shipped "
+    "entries through RecoveryLog.apply_replicated), and the HA node sits over the log "
+    "(ReplicatedLogStore(recovery_log, ...)), wired in one direction"
+)
+
 _ONE_INSTALL = (
     "one install site: a driver row and its permission row are written by "
     "DrivolutionAdmin.install_driver, whoever installs (a controller too, locally and by GROUP)"
@@ -257,6 +263,24 @@ GATES = [
         "a second copy of the write round's accounting or of replay dedup: a COMMIT is a round "
         "like any other, the record settles after every round (transaction_step), and whether "
         "an entry was applied is backend.replay_step's",
+    ),
+    Gate(
+        r"observe_replicated|def attach\(|def __getattr__",
+        ("src/repro/cluster/recovery",),
+        _ONE_LOG_WRITER,
+    ),
+    Gate(
+        r"\.(append_many|truncate_through|reset_to_floor)\(",
+        ("src/repro/cluster",),
+        _ONE_LOG_WRITER,
+        allowed=5,
+        exclude=("src/repro/cluster/recovery/logstore.py",),
+    ),
+    Gate(
+        r"parallel=|self\.parallel\b",
+        ("src/repro/cluster",),
+        "a sequential broadcast mode reintroduced: a round overlaps every target; the "
+        "sequential baseline is E13b's own WriteBroadcaster subclass",
     ),
     Gate(r"threading\.Thread\(", ("src/repro/cluster/recovery",), _ONE_EXCHANGE),
     Gate(r"peer_request", ("src/repro",), _ONE_EXCHANGE),
