@@ -25,11 +25,7 @@ from repro.obs import Trace
 
 def main() -> None:
     # --- a two-replica cluster with tracing on ---------------------------------
-    env = build_cluster(
-        replicas=2,
-        controllers=1,
-        controller_options={"tracing": True, "slow_query_capacity": 10},
-    )
+    env = build_cluster(replicas=2, controllers=1, controller_options={"tracing": True})
     controller = env.controllers[0]
     runtime = ClusterDriverRuntime(name="obs-example")
 

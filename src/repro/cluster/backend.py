@@ -288,9 +288,7 @@ class Backend:
     factory changes (e.g. after a driver upgrade) or after a failure.
     """
 
-    def __init__(
-        self, name: str, connection_factory: Callable[[], Any], weight: float = 1.0
-    ) -> None:
+    def __init__(self, name: str, connection_factory: Callable[[], Any]) -> None:
         self.name = name
         self._connection_factory = connection_factory
         self._connection: Optional[Any] = None
@@ -302,8 +300,6 @@ class Backend:
         self.disabled_by: Optional[str] = None
         #: Index of the last recovery-log entry applied to this backend.
         self.checkpoint_index = 0
-        #: Relative share of reads under the weighted load-balancing policy.
-        self.weight = weight
         self._lock = threading.RLock()
         #: Which per-table sequences were applied here: a replay wider
         #: than the checkpoint skips them (:func:`replay_step`).

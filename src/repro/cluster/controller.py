@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from queue import SimpleQueue
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple
 
 from repro.cluster.backend import Backend
 from repro.cluster.broadcaster import WriteBroadcaster
@@ -88,19 +88,15 @@ class ControllerConfig:
     controller_id: str = field(default_factory=lambda: f"controller-{uuid.uuid4().hex[:6]}")
     virtual_database: str = "vdb"
     protocol_version: int = CLUSTER_PROTOCOL_VERSION
-    #: Read load-balancing policy (see repro.cluster.loadbalancer).
+    #: Read load-balancing policy as a spec string (see
+    #: repro.cluster.loadbalancer): ``round_robin``, ``least_pending``,
+    #: ``weighted`` or ``weighted:db1=3,db2=1``.
     read_policy: str = "round_robin"
-    #: Extra keyword arguments for the policy (e.g. weighted's ``weights``).
-    policy_options: Dict[str, Any] = field(default_factory=dict)
     #: Statement-execution workers shared by all multiplexed sessions
     #: (a v3 client that asks for a trunk is granted one — docs/wire.md).
     worker_pool_size: int = 16
-    #: Coalesce concurrent auto-commit writers with matching replica
-    #: sets into one broadcast round trip + one batch log append (the
-    #: execution-side mirror of group commit — see WriteBatcher in
-    #: docs/scheduling.md). Off only means "never queue with siblings":
-    #: every write round carries one statement — the E18 baseline.
-    write_batching: bool = True
+    #: Not a field: writes always batch. perfbench reads it; ROADMAP item 4(b) removes that read.
+    write_batching: ClassVar[bool] = True
     #: Admission control: statements a single multiplexed session may
     #: have queued before further EXECUTEs get a retryable
     #: ``server_busy`` ERROR (bounds per-session memory under runaway
@@ -129,8 +125,6 @@ class ControllerConfig:
     #: reply: one fsync per commit group (concurrent writers share it),
     #: never one per append.
     log_fsync: bool = False
-    #: Entries per log segment before rolling a new file.
-    log_segment_entries: int = 256
     #: Compact the log every N appends (0 = only on demand). Compaction
     #: truncates entries older than the oldest live named checkpoint.
     auto_compact_every: int = 0
@@ -149,16 +143,12 @@ class ControllerConfig:
     #: an interval is set. ``Controller.heartbeat()`` can always be
     #: called manually (experiments drive it from a simulated clock).
     heartbeat_interval: Optional[float] = None
-    #: Consecutive missed heartbeats before a backend is auto-disabled.
-    heartbeat_misses: int = 2
     #: Per-statement tracing (see docs/observability.md): every statement
     #: gets a Trace whose stage spans feed the latency histogram and the
     #: slow-query log, and v3 clients that negotiated tracing get the
     #: span list back on their RESULT/ERROR frames. Off (the default)
     #: keeps the statement path free of trace objects entirely.
     tracing: bool = False
-    #: How many slowest-since-startup statements the slow-query log keeps.
-    slow_query_capacity: int = 32
 
 
 #: Queue sentinel ordering a session's close after its pending executes.
@@ -340,7 +330,7 @@ class Controller:
             # rides the group coordinator's flush — durability is
             # preserved (no reply before wait_durable returns) at a
             # fraction of the fsync count.
-            store = FileLogStore(config.log_dir, segment_max_entries=config.log_segment_entries)
+            store = FileLogStore(config.log_dir)
             checkpoints = CheckpointRegistry(os.path.join(config.log_dir, "checkpoints.json"))
             ha_meta_path = os.path.join(config.log_dir, "ha.json")
         else:
@@ -366,19 +356,13 @@ class Controller:
         self.scheduler = RequestScheduler(
             backends or [],
             self.recovery_log,
-            read_policy=create_policy(config.read_policy, **config.policy_options),
+            read_policy=create_policy(config.read_policy),
             query_cache=QueryCache() if config.query_cache_enabled else None,
             broadcaster=WriteBroadcaster(),
             placement=create_placement(config.placement),
             group_commit=self.group_commit,
-            write_batching=config.write_batching,
         )
-        self.failure_detector = FailureDetector(
-            self.scheduler,
-            clock=clock,
-            max_misses=config.heartbeat_misses,
-            dumper_factory=DatabaseDumper,
-        )
+        self.failure_detector = FailureDetector(self.scheduler, clock=clock, dumper_factory=DatabaseDumper)
         self._heartbeat_thread: Optional[threading.Thread] = None
         self._heartbeat_stop = threading.Event()
         #: Background detection rounds that raised (kept alive regardless).
@@ -455,7 +439,7 @@ class Controller:
         # collectors, so their shapes stay untouched). The slow-query
         # log and the latency histogram are only fed when tracing is on.
         self.metrics = MetricsRegistry()
-        self.slow_queries = SlowQueryLog(capacity=config.slow_query_capacity)
+        self.slow_queries = SlowQueryLog()
         self._statement_latency = self.metrics.histogram(
             "statement_latency_seconds", "End-to-end latency of traced statements"
         )
@@ -605,7 +589,6 @@ class Controller:
                 else 0
             ),
             "group_commit": self.group_commit.stats() if self.group_commit else None,
-            "write_batching": self.config.write_batching,
             "max_session_queue_depth": self.config.max_session_queue_depth,
             "max_in_flight_statements": self.config.max_in_flight_statements,
             "in_flight_statements": in_flight,

@@ -12,8 +12,9 @@ an optional *candidate filter* narrowing the enabled list per statement.
 Rotation state (cursors, weighted scores) is keyed so that filtering a
 subset does not reset fairness across the full membership.
 
-Available policies (selected by name via :func:`create_policy`, which is
-how :class:`~repro.cluster.controller.ControllerConfig` configures them):
+Available policies (selected by a spec string via :func:`create_policy`,
+which is how :class:`~repro.cluster.controller.ControllerConfig` configures
+them — ``name`` or ``name:args``, the shape placement specs use):
 
 - ``round_robin`` — rotate over the enabled backends with an unbounded
   cursor, so the rotation stays uniform across membership changes,
@@ -21,13 +22,14 @@ how :class:`~repro.cluster.controller.ControllerConfig` configures them):
   statements (per-backend counters on :class:`~repro.cluster.backend.Backend`),
   breaking ties round-robin,
 - ``weighted`` — smooth weighted round-robin over per-backend weights
-  (either configured by name or taken from ``Backend.weight``).
+  named in the spec (``weighted:db1=3,db2=1``); an unnamed backend
+  weighs 1.0.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.backend import Backend
 from repro.errors import DriverError
@@ -162,8 +164,7 @@ class WeightedPolicy(ReadPolicy):
         self._lock = threading.Lock()
 
     def _weight_of(self, backend: Backend) -> float:
-        weight = self._weights.get(backend.name, getattr(backend, "weight", 1.0))
-        return max(float(weight), 0.0)
+        return max(float(self._weights.get(backend.name, 1.0)), 0.0)
 
     def choose(
         self, backends: List[Backend], candidate_filter: Optional[CandidateFilter] = None
@@ -197,12 +198,32 @@ def available_policies() -> List[str]:
     return sorted(_POLICIES)
 
 
-def create_policy(name: str, **options: Any) -> ReadPolicy:
-    """Instantiate a read policy by name (``ControllerConfig.read_policy``)."""
-    try:
-        factory = _POLICIES[name]
-    except KeyError:
+def _parse_weights(argument: str, spec: str) -> Dict[str, float]:
+    weights: Dict[str, float] = {}
+    for clause in argument.split(","):
+        name, _, value = (part.strip() for part in clause.partition("="))
+        try:
+            weight = float(value)
+        except ValueError:
+            weight = float("nan")
+        if not (name and 0 <= weight < float("inf")):
+            raise DriverError(f"bad weight clause {clause.strip()!r} in read policy {spec!r}")
+        weights[name] = weight
+    return weights
+
+
+def create_policy(spec: str) -> ReadPolicy:
+    """Instantiate a read policy from its spec string
+    (``ControllerConfig.read_policy``): a policy name, or
+    ``weighted:db1=3,db2=1`` to name weights."""
+    head, separator, argument = spec.partition(":")
+    name = head.strip()
+    if name not in _POLICIES:
         raise DriverError(
             f"unknown read policy {name!r} (available: {', '.join(available_policies())})"
-        ) from None
-    return factory(**options)
+        )
+    if not separator:
+        return _POLICIES[name]()
+    if name != WeightedPolicy.name:
+        raise DriverError(f"read policy {name!r} takes no arguments (got {spec!r})")
+    return WeightedPolicy(_parse_weights(argument, spec))

@@ -48,7 +48,7 @@ from repro.cluster.wire import (
     make_replicate_ok,
 )
 from repro.cluster.recovery.log import RecoveryLog
-from repro.cluster.recovery.logstore import LogEntry, atomic_write_json
+from repro.cluster.recovery.logstore import LogEntry, LogStoreError, atomic_write_json
 
 ROLE_PRIMARY = "primary"
 ROLE_FOLLOWER = "follower"
@@ -417,13 +417,17 @@ class ReplicatedLogStore:
     # -- epoch persistence --------------------------------------------------------
 
     def _load_meta(self) -> Optional[int]:
+        # Read as a fresh node's, a corrupt file would restart this node as primary at epoch 1.
         if self._meta_path is None or not os.path.exists(self._meta_path):
             return None
         try:
             with open(self._meta_path, "r", encoding="utf-8") as handle:
-                return int(json.load(handle).get("epoch", 1))
-        except (ValueError, OSError):
-            return None
+                epoch = json.load(handle)["epoch"]
+            if type(epoch) is not int:
+                raise TypeError(f"epoch {epoch!r} is not an integer")
+        except (ValueError, OSError, KeyError, TypeError) as exc:
+            raise LogStoreError(f"corrupt HA metadata {self._meta_path!r}: {exc!r}") from exc
+        return epoch
 
     def _settle_locked(self, epoch: int, role: str) -> None:
         """Take the epoch and role a rule returned: count the transition

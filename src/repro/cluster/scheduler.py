@@ -379,7 +379,6 @@ class RequestScheduler:
         lock_manager: Optional[LockManager] = None,
         primary_keys: Optional[Dict[str, Tuple[str, str]]] = None,
         group_commit: Optional[GroupCommit] = None,
-        write_batching: bool = False,
     ) -> None:
         self._backends = list(backends)
         self._recovery_log = recovery_log
@@ -412,8 +411,7 @@ class RequestScheduler:
         # each writer waits for durability *after* releasing its scope,
         # so one fsync covers every writer in the group.
         self._group_commit = group_commit
-        # None: every round carries one statement (see WriteBatcher).
-        self._write_batcher = WriteBatcher(self) if write_batching else None
+        self._write_batcher = WriteBatcher(self)
         # True while a resync replay or dump restore holds the write lock:
         # writes are answered ``controller_recovering`` meanwhile.
         self._resyncing = False
@@ -1041,7 +1039,7 @@ class RequestScheduler:
         Checked *after* scope acquisition, so no transaction can open
         before the round runs: BEGIN takes the exclusive mode, which
         drains every held scope first."""
-        if self._write_batcher is None or self._transaction is not None:
+        if self._transaction is not None:
             return False
         if statement.command not in DML_COMMANDS:
             return False
@@ -1211,7 +1209,7 @@ class RequestScheduler:
             "open_transactions": self.open_transactions,
             "broadcaster": self._broadcaster.stats(),
             "group_commit": self._group_commit.stats() if self._group_commit else None,
-            "write_batching": self._write_batcher.stats() if self._write_batcher else None,
+            "write_batching": self._write_batcher.stats(),
             "query_cache": cache.stats() if cache is not None else None,
             "recovery_log_entries": self._recovery_log.last_index,
             "recovery_log": self._recovery_log.stats(),
@@ -1224,7 +1222,6 @@ class RequestScheduler:
                     "statements_executed": backend.statements_executed,
                     "pending": backend.pending,
                     "checkpoint_index": backend.checkpoint_index,
-                    "weight": backend.weight,
                     "last_heartbeat_at": backend.last_heartbeat_at,
                 }
                 for backend in self.backends()

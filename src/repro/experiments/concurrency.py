@@ -60,6 +60,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.cluster.backend import Backend
 from repro.cluster.broadcaster import WriteBroadcaster
+from repro.cluster.classifier import ClassifiedStatement
 from repro.cluster.driver import ClusterDriverRuntime
 from repro.cluster.locks import LockManager, LockScope
 from repro.cluster.placement import create_placement
@@ -277,6 +278,17 @@ class _GlobalLock(LockManager):
         return self.exclusive()
 
 
+class UnbatchedScheduler(RequestScheduler):
+    """The per-statement baseline: every write runs a round of one on its
+    own thread, never queueing with siblings in the WriteBatcher. The
+    lock, broadcast and latency experiments (E13b, E15–E17b) measure
+    with it so that batching does not blur what they compare, and E18
+    compares batching against it."""
+
+    def _batch_eligible(self, statement: ClassifiedStatement) -> bool:
+        return False
+
+
 def run_experiment(
     writers: int = 4,
     writes_per_writer: int = 25,
@@ -301,7 +313,7 @@ def run_experiment(
 
     def setup(mode: str, stack: contextlib.ExitStack) -> Tuple[Any, ...]:
         lock_manager, disjoint = modes[mode]
-        scheduler = RequestScheduler(
+        scheduler = UnbatchedScheduler(
             [
                 Backend(f"sim{index + 1}", lambda: SimConnection(latency_s))
                 for index in range(writers)
@@ -364,7 +376,7 @@ def run_key_experiment(
 
     def setup(mode: str, stack: contextlib.ExitStack) -> Tuple[Any, ...]:
         primary_keys, disjoint = modes[mode]
-        scheduler = RequestScheduler(
+        scheduler = UnbatchedScheduler(
             [Backend("sim1", lambda: SimConnection(latency_s))],
             RecoveryLog(),
             broadcaster=WriteBroadcaster(),
@@ -759,11 +771,11 @@ def run_write_batching_experiment(
 
     def setup(mode: str, stack: contextlib.ExitStack) -> Tuple[Any, ...]:
         counters: Dict[str, int] = {}
-        scheduler = RequestScheduler(
+        batched = mode == "batched"
+        scheduler = (RequestScheduler if batched else UnbatchedScheduler)(
             [Backend("sim1", lambda: SimConnection(latency_s, counters, threadsafety=1))],
             RecoveryLog(),
             broadcaster=WriteBroadcaster(),
-            write_batching=mode == "batched",
         )
 
         def cells(timing: Dict[str, Any], wall: float) -> Dict[str, Any]:
@@ -778,8 +790,8 @@ def run_write_batching_experiment(
                 else "n/a",
                 "log_entries": scheduler.stats()["recovery_log_entries"],
             }
-            batch_stats = scheduler.stats()["write_batching"]
-            if batch_stats is not None:
+            if batched:
+                batch_stats = scheduler.stats()["write_batching"]
                 row["batch_rounds"] = batch_stats["rounds"]
                 row["avg_batch_size"] = batch_stats["avg_batch_size"]
                 row["max_batch_size"] = batch_stats["max_batch_size"]
@@ -813,14 +825,14 @@ def run_batched_divergence_experiment(
 ) -> ExperimentResult:
     """E18b — the safety half of :func:`run_write_batching_experiment`:
     batched disjoint writers race disable/resync cycles on a real hash-2
-    cluster (the E15b harness with write batching explicitly on); every
+    cluster (the E15b harness: a controller always batches); every
     write must survive into the log, every replica must converge, and
     per-table log order must stay strictly increasing."""
     with _resync_race(
         "E18b",
         "Replica convergence under batched writers racing a resync",
         backends,
-        {"placement": "hash:2", "write_batching": True},
+        {"placement": "hash:2"},
         [f"batched_w{index}" for index in range(writers)],
         rows_per_table,
         0,
@@ -835,8 +847,8 @@ def run_batched_divergence_experiment(
             wall_s=race.wall_s,
             replicas_converged=race.replicas_converged,
             per_table_order_ok=race.per_table_order_ok,
-            batch_rounds=batch_stats["rounds"] if batch_stats else 0,
-            batched_statements=batch_stats["batched_statements"] if batch_stats else 0,
+            batch_rounds=batch_stats["rounds"],
+            batched_statements=batch_stats["batched_statements"],
         )
     race.result.add_note(
         "every hosting replica holds identical rows after batched disjoint "
@@ -875,7 +887,6 @@ def run_admission_experiment(
             "worker_pool_size": worker_pool_size,
             "max_in_flight_statements": max_in_flight,
             "max_session_queue_depth": 4,
-            "write_batching": True,
         },
     )
     with contextlib.closing(cluster) as env:
@@ -988,7 +999,7 @@ def run_group_commit_experiment(
         log = RecoveryLog(store)
         stack.callback(log.close)
         group_commit = GroupCommit(log) if grouped else None
-        scheduler = RequestScheduler(
+        scheduler = UnbatchedScheduler(
             [Backend("sim1", lambda: SimConnection(0.0))],
             log,
             broadcaster=WriteBroadcaster(),

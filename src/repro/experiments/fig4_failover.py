@@ -208,10 +208,7 @@ def run_experiment(
     return result
 
 
-def run_recovery_experiment(
-    writes_per_phase: int = 20,
-    heartbeat_misses: int = 2,
-) -> ExperimentResult:
+def run_recovery_experiment(writes_per_phase: int = 20) -> ExperimentResult:
     """E6b: a replica dies under write traffic and comes back.
 
     With the recovery subsystem the controller's heartbeat detector
@@ -226,21 +223,18 @@ def run_recovery_experiment(
     from repro.cluster.driver import ClusterDriverRuntime
     from repro.experiments.environments import build_cluster
 
+    env = build_cluster(replicas=2, controllers=1)
+    controller = env.controllers[0]
+    max_misses = controller.failure_detector.max_misses
     result = ExperimentResult(
         experiment_id="E6b",
         title="Backend failover: heartbeat detection + checkpointed resync vs manual",
         parameters={
             "writes_per_phase": writes_per_phase,
-            "heartbeat_misses": heartbeat_misses,
+            "max_misses": max_misses,
         },
     )
-    env = build_cluster(
-        replicas=2,
-        controllers=1,
-        controller_options={"heartbeat_misses": heartbeat_misses},
-    )
     try:
-        controller = env.controllers[0]
         driver = ClusterDriverRuntime(name="recovery-exp")
         connection = driver.connect(env.client_url(), network=env.network)
         cursor = connection.cursor()
@@ -274,7 +268,7 @@ def run_recovery_experiment(
         while controller.backend("db1").enabled:
             controller.heartbeat()
             detection_rounds += 1
-            if detection_rounds > heartbeat_misses + 5:
+            if detection_rounds > max_misses + 5:
                 raise RuntimeError("failure detector never disabled the dead backend")
         checkpoint = controller.backend("db1").checkpoint_index
 

@@ -24,7 +24,7 @@ E11's three sub-studies:
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Sequence
+from typing import Dict, List, Sequence
 
 from repro.cluster import Backend, ClusterDriverRuntime, RecoveryLog, RequestScheduler, WriteBroadcaster
 from repro.cluster.broadcaster import BatchBroadcastOutcome
@@ -32,7 +32,7 @@ from repro.core import BootloaderConfig
 from repro.core.constants import ExpirationPolicy, RenewPolicy
 from repro.dbapi.driver_factory import build_pydb_driver
 from repro.errors import DrivolutionError
-from repro.experiments.concurrency import SimConnection
+from repro.experiments.concurrency import SimConnection, UnbatchedScheduler
 from repro.experiments.environments import build_cluster, build_single_database
 from repro.experiments.harness import ExperimentResult
 from repro.obs import NULL_TRACE
@@ -328,23 +328,20 @@ def run_scheduling_policy_matrix(
     )
     for policy in policies:
         for cache_enabled in cache_modes:
-            controller_options: Dict[str, Any] = {
-                "read_policy": policy,
-                "query_cache_enabled": bool(cache_enabled),
-            }
+            spec = policy
             if policy == "weighted":
                 # Skewed weights (N:...:2:1) so the weighted cell actually
                 # demonstrates weighting instead of degenerating to uniform.
-                controller_options["policy_options"] = {
-                    "weights": {
-                        f"db{index + 1}": float(replicas - index)
-                        for index in range(replicas)
-                    }
-                }
+                spec += ":" + ",".join(
+                    f"db{index + 1}={replicas - index}" for index in range(replicas)
+                )
             env = build_cluster(
                 replicas=replicas,
                 controllers=1,
-                controller_options=controller_options,
+                controller_options={
+                    "read_policy": spec,
+                    "query_cache_enabled": bool(cache_enabled),
+                },
             )
             apps: List[ClientApplication] = []
             try:
@@ -432,7 +429,7 @@ def run_broadcast_comparison(
     latency_s = latency_ms / 1000.0
     timings: Dict[str, float] = {}
     for mode, broadcaster in (("sequential", _SequentialBroadcaster()), ("parallel", WriteBroadcaster())):
-        scheduler = RequestScheduler(
+        scheduler = UnbatchedScheduler(
             [
                 Backend(f"sim{index + 1}", lambda: SimConnection(latency_s, threadsafety=1))
                 for index in range(backends)

@@ -1,9 +1,8 @@
 """Observability: per-statement tracing, unified metrics, slow-query
 capture, and exporters.
 
-See ``docs/observability.md`` for the span taxonomy and the knobs
-(``ControllerConfig.tracing``, ``slow_query_capacity``) that turn this
-machinery on.
+See ``docs/observability.md`` for the span taxonomy and the knob
+(``ControllerConfig.tracing``) that turns this machinery on.
 """
 
 from repro.obs.export import (

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.sqlengine.errors import SqlExecutionError
 from repro.sqlengine.schema import Column, TableSchema
@@ -122,10 +122,6 @@ class Database:
     def drop_table(self, key: str) -> bool:
         with self._lock:
             return self._tables.pop(key.lower(), None) is not None
-
-    def table_names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._tables)
 
     @property
     def lock(self) -> threading.RLock:

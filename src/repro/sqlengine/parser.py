@@ -113,12 +113,6 @@ class _Parser:
             raise SqlParseError(f"expected identifier, got {token.value!r}")
         return str(token.value)
 
-    def _at_end(self) -> bool:
-        token = self._peek()
-        if token is None:
-            return True
-        return token.kind == "OP" and token.value == ";" and self._peek(1) is None
-
     # -- statements --------------------------------------------------------
 
     def parse_statement(self) -> Statement:

@@ -78,13 +78,6 @@ class TableSchema:
         lowered = name.lower()
         return any(column.name.lower() == lowered for column in self.columns)
 
-    def column_index(self, name: str) -> int:
-        lowered = name.lower()
-        for index, column in enumerate(self.columns):
-            if column.name.lower() == lowered:
-                return index
-        raise SchemaError(f"table {self.name!r} has no column {name!r}")
-
     def coerce_row(self, values: Dict[str, Any]) -> Dict[str, Any]:
         """Build a full row dict from a (possibly partial) values mapping.
 

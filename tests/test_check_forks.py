@@ -320,3 +320,41 @@ def test_drivolution_gates_match_the_second_copies_they_retired():
         report = check_forks.check_gate(gate._replace(allowed=0))
         assert len(report) == 2 and report[1].startswith("src/repro/core/admin.py:"), report
         assert check_forks.re.search(gate.pattern, line), line
+
+
+def test_controller_config_gates_match_the_switches_they_retired():
+    """Each of the seven rows allows nothing and matches the lines of the
+    ControllerConfig field, scheduler switch or backend weight it retired."""
+    check_forks = _check_forks()
+    retired = {
+        r"write_batching=": [
+            "            write_batching=config.write_batching,",
+            '            write_batching=mode == "batched",',
+        ],
+        r"_write_batcher is None": [
+            "        if self._write_batcher is None or self._transaction is not None:",
+        ],
+        r"policy_options": [
+            "    policy_options: Dict[str, Any] = field(default_factory=dict)",
+            "            read_policy=create_policy(config.read_policy, **config.policy_options),",
+        ],
+        r"\.weight\b": [
+            "        self.weight = weight",
+            '                    "weight": backend.weight,',
+        ],
+        r"slow_query_capacity": [
+            "        self.slow_queries = SlowQueryLog(capacity=config.slow_query_capacity)",
+        ],
+        r"log_segment_entries": [
+            "            store = FileLogStore(config.log_dir, segment_max_entries=config.log_segment_entries)",
+        ],
+        r"heartbeat_misses": [
+            "            max_misses=config.heartbeat_misses,",
+            '        controller_options={"heartbeat_misses": heartbeat_misses},',
+        ],
+    }
+    for pattern, lines in retired.items():
+        (gate,) = [gate for gate in check_forks.GATES if gate.pattern == pattern]
+        assert gate.allowed == 0 and check_forks.check_gate(gate) == []
+        for line in lines:
+            assert check_forks.re.search(gate.pattern, line), line

@@ -21,7 +21,7 @@ import chaos
 from repro.cluster.driver import ClusterDriverRuntime
 from repro.cluster.recovery import replication
 from repro.cluster.recovery.log import RecoveryLog
-from repro.cluster.recovery.logstore import LogEntry
+from repro.cluster.recovery.logstore import LogEntry, LogStoreError
 from repro.cluster.recovery.replication import (
     ROLE_FOLLOWER,
     ROLE_PRIMARY,
@@ -113,6 +113,20 @@ class TestReplicatedLogStoreUnit:
         assert a.role == ROLE_PRIMARY and a.primary_hint is None
         b = _store(node="b", peers=("a:1", "c:1"))
         assert b.role == ROLE_FOLLOWER and b.primary_hint == "a:1"
+
+    @pytest.mark.parametrize("content", ['{"epoch": "x"}', "{not json", "[]", "{}"])
+    def test_corrupt_epoch_file_refuses_to_open(self, tmp_path, content):
+        # Read as "never started", a 3-peer node with the smallest address
+        # would come back as primary at epoch 1.
+        meta = tmp_path / "ha.json"
+        meta.write_text(content)
+        with pytest.raises(LogStoreError, match="corrupt HA metadata"):
+            _store(node="a", peers=("b:1", "c:1"), meta_path=str(meta))
+        meta.write_text('{"epoch": 4}')
+        node = _store(node="a", peers=("b:1", "c:1"), meta_path=str(meta))
+        assert (node.epoch, node.role) == (4, ROLE_FOLLOWER)
+        missing = _store(node="a", peers=("b:1", "c:1"), meta_path=str(tmp_path / "none.json"))
+        assert (missing.epoch, missing.role) == (1, ROLE_PRIMARY)
 
     def test_apply_replicate_is_idempotent(self):
         b = _store()
@@ -749,7 +763,7 @@ class TestPeerExchange:
 
 _RANKING_BUG = (
     "the election ranks by last_index alone: a deposed primary's unacked suffix "
-    "outranks an acked write (ROADMAP item 6(f): per-entry epochs, Raft's lastLogTerm)"
+    "outranks an acked write (ROADMAP item 1(a): per-entry epochs, Raft's lastLogTerm)"
 )
 
 

@@ -33,7 +33,7 @@ def test_no_two_nodes_are_ever_primary_at_one_epoch(explored):
 @pytest.mark.xfail(
     strict=True,
     reason="the election ranks by last_index alone, so a deposed primary's unacked "
-    "suffix can outrank an acked write (ROADMAP item 6(f); tests/test_ha.py replays "
+    "suffix can outrank an acked write (ROADMAP item 1(a); tests/test_ha.py replays "
     "the trace on a real cluster)",
 )
 def test_an_acked_entry_is_in_every_later_primary(explored):
@@ -45,7 +45,7 @@ def test_an_acked_entry_is_in_every_later_primary(explored):
     strict=True,
     reason="an election probe is not a promise: a candidate whose announce is lost "
     "leaves its responders at the old epoch, and a second candidate promotes to the "
-    "same epoch (ROADMAP item 6(g))",
+    "same epoch (ROADMAP item 1(b))",
 )
 def test_no_two_nodes_are_primary_at_one_epoch_when_an_announce_is_lost():
     result = ha_explorer.explore(stop_at="I1", lost_announce=True)

@@ -686,7 +686,6 @@ class TestReplicaSpanErrors:
                 Backend("db2", _slow_connection_factory(0.0, db2_error)),
             ],
             RecoveryLog(),
-            write_batching=True,
         )
         trace = Trace()
         try:

@@ -482,12 +482,7 @@ class TestOneWayIntoTheRotation:
 class TestDurableControllerRestart:
     def _make_controller(self, env, log_dir, backends=None):
         controller = Controller(
-            ControllerConfig(
-                controller_id="durable-ctrl",
-                virtual_database="vdb",
-                log_dir=log_dir,
-                log_segment_entries=4,
-            ),
+            ControllerConfig(controller_id="durable-ctrl", virtual_database="vdb", log_dir=log_dir),
             env.network,
             "durable-ctrl:25322",
             backends=backends

@@ -13,10 +13,10 @@ from repro.cluster.classifier import (
     is_transaction_control,
     is_write_statement,
 )
+from repro.cluster.controller import Controller, ControllerConfig
 from repro.cluster.loadbalancer import (
     LeastPendingPolicy,
     RoundRobinPolicy,
-    WeightedPolicy,
     available_policies,
     create_policy,
 )
@@ -26,6 +26,7 @@ from repro.cluster.querycache import QueryCache
 from repro.cluster.recovery import RecoveryLog
 from repro.cluster.scheduler import RequestScheduler, SchedulerError
 from repro.errors import DriverError
+from repro.netsim.inmem import InMemoryNetwork
 
 
 class _FakeCursor:
@@ -78,9 +79,9 @@ class _FakeConnection:
         self.in_transaction = False
 
 
-def _backend(name, read_value=1, weight=1.0):
+def _backend(name, read_value=1):
     connection = _FakeConnection(read_value=read_value)
-    backend = Backend(name, lambda: connection, weight=weight)
+    backend = Backend(name, lambda: connection)
     backend.test_connection = connection
     return backend
 
@@ -419,27 +420,43 @@ class TestLoadBalancerPolicies:
         assert chosen == hosts
 
     def test_weighted_respects_weights(self):
-        heavy = _backend("heavy", weight=3.0)
-        light = _backend("light", weight=1.0)
-        policy = WeightedPolicy()
-        counts = {"heavy": 0, "light": 0}
+        heavy, light, idle = _backend("heavy"), _backend("light"), _backend("idle")
+        # light is unnamed, so it weighs 1.0; a zero weight is never chosen.
+        policy = create_policy(" weighted : heavy=3, idle=0 ")
+        counts = {"heavy": 0, "light": 0, "idle": 0}
         for _ in range(40):
-            counts[policy.choose([heavy, light]).name] += 1
-        assert counts["heavy"] == 30
-        assert counts["light"] == 10
-
-    def test_weighted_explicit_weights_override_backend_weight(self):
-        a, b = _backend("a"), _backend("b")
-        policy = WeightedPolicy(weights={"a": 1.0, "b": 0.0})
-        assert all(policy.choose([a, b]).name == "a" for _ in range(5))
+            counts[policy.choose([heavy, light, idle]).name] += 1
+        assert counts == {"heavy": 30, "light": 10, "idle": 0}
 
     def test_create_policy_factory(self):
         assert create_policy("round_robin").name == "round_robin"
         assert create_policy("least_pending").name == "least_pending"
-        assert create_policy("weighted", weights={"x": 2}).name == "weighted"
+        assert create_policy("weighted").name == "weighted"
+        assert create_policy("weighted:db1=3,db2=2.5,db3=0").name == "weighted"
         assert available_policies() == ["least_pending", "round_robin", "weighted"]
         with pytest.raises(DriverError):
             create_policy("no_such_policy")
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("no_such_policy", "unknown read policy"),
+            ("round_robin:a=1", "takes no arguments"),
+            ("least_pending:", "takes no arguments"),
+            ("weighted:", "bad weight clause"),
+            ("weighted:a", "bad weight clause"),
+            ("weighted:=2", "bad weight clause"),
+            ("weighted:a=heavy", "bad weight clause"),
+            ("weighted:a=-1", "bad weight clause"),
+            ("weighted:a=nan", "bad weight clause"),
+            ("weighted:a=2,,b=1", "bad weight clause"),
+        ],
+    )
+    def test_malformed_policy_spec_refuses_to_build_the_controller(self, spec, message):
+        with pytest.raises(DriverError, match=message):
+            create_policy(spec)
+        with pytest.raises(DriverError, match=message):
+            Controller(ControllerConfig(read_policy=spec), InMemoryNetwork(), "ctl:1")
 
 
 class TestQueryCache:

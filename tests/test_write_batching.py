@@ -6,9 +6,9 @@ control under saturation, and pipelining inside transactions.
 The promises under test: a batch costs one per-backend round trip and
 returns one positional outcome per statement (statement faults captured
 in place, connection faults poisoning the remainder); coalesced writers
-get the per-statement accounting of a round of one; with
-``write_batching`` off every round carries one statement and ends in the
-same replica, log and checkpoint state; a saturated
+get the per-statement accounting of a round of one; a fixed script of
+writes, transactions and a replica failure ends in one pinned replica,
+log and checkpoint state; a saturated
 controller refuses new work with a retryable ``server_busy`` error but
 never refuses an open transaction's statements (that would deadlock it
 against its own lock holders); and pipelined statements inside a
@@ -29,7 +29,6 @@ from repro.cluster.locks import LockScope
 from repro.cluster.lockscope import ScopeResolver
 from repro.cluster.recovery import RecoveryLog
 from repro.cluster.scheduler import (
-    RequestScheduler,
     SchedulerError,
     WriteBatcher,
     _BatchItem,
@@ -386,11 +385,7 @@ class TestWriteBatcher:
 
 @pytest.fixture
 def batched_cluster():
-    env = build_cluster(
-        replicas=2,
-        controllers=1,
-        controller_options={"write_batching": True},
-    )
+    env = build_cluster(replicas=2, controllers=1)
     yield env
     env.close()
 
@@ -508,47 +503,11 @@ class TestSchedulerBatching:
             for index in range(writers):
                 assert session.execute(f"SELECT v FROM wbt_rs{index}").rows == [(writes - 1,)]
 
-    def test_batching_off_is_one_statement_per_round(self):
-        broadcaster = WriteBroadcaster()
-        connections = [_NativeBatch(), _NativeBatch()]
-        backends = [
-            Backend("b1", lambda: connections[0]),
-            Backend("b2", lambda: connections[1]),
-        ]
-        scheduler = RequestScheduler(
-            backends, RecoveryLog(), broadcaster=broadcaster
-        )  # write_batching defaults to False at this layer
-        try:
-            assert scheduler.stats()["write_batching"] is None
-            scheduler.execute("INSERT INTO t (id) VALUES (1)")
-            scheduler.execute("UPDATE t SET v = 2 WHERE id = 1")
-            stats = broadcaster.stats()
-            assert stats["broadcasts"] == 2  # one fan-out per statement
-            assert stats["batched_statements"] == 2  # ... carrying one statement
-            # ... and one backend round trip per statement per replica.
-            assert [connection.batch_calls for connection in connections] == [2, 2]
-        finally:
-            broadcaster.close()
 
-    def test_controller_option_off_disables_batching(self):
-        env = build_cluster(
-            replicas=2, controllers=1, controller_options={"write_batching": False}
-        )
-        try:
-            scheduler = env.controllers[0].scheduler
-            scheduler.execute("CREATE TABLE wbt_off (id INTEGER PRIMARY KEY)")
-            scheduler.execute("INSERT INTO wbt_off (id) VALUES (1)")
-            assert scheduler.stats()["write_batching"] is None
-        finally:
-            env.close()
-
-
-def _run_equivalence_script(write_batching, failing_replica):
+def _run_script(failing_replica):
     """Drive one fixed script through a two-replica cluster's scheduler
     and return everything the replication rule is responsible for."""
-    env = build_cluster(
-        replicas=2, controllers=1, controller_options={"write_batching": write_batching}
-    )
+    env = build_cluster(replicas=2, controllers=1)
     try:
         controller = env.controllers[0]
         scheduler = controller.scheduler
@@ -598,39 +557,35 @@ def _run_equivalence_script(write_batching, failing_replica):
                 for backend in controller.backends()
             ],
             "open_transactions": scheduler.open_transactions,
-            "batcher_rounds": (scheduler.stats()["write_batching"] or {}).get("rounds"),
+            "batcher_rounds": scheduler.stats()["write_batching"]["rounds"],
         }
     finally:
         env.close()
 
 
-class TestCrossModeEquivalence:
+class TestScriptEndState:
     @pytest.mark.parametrize("failing_replica", [0, 1])
-    def test_batching_on_and_off_end_in_the_same_state(self, failing_replica):
-        """``write_batching`` only decides whether a statement may queue
-        with siblings: the same script must leave identical replicas,
-        recovery log, backend states and checkpoints either way."""
-        batched = _run_equivalence_script(True, failing_replica)
-        unbatched = _run_equivalence_script(False, failing_replica)
-        # The two runs really took different routes into the round...
-        assert batched.pop("batcher_rounds") > 0
-        assert unbatched.pop("batcher_rounds") is None
-        # ... and ended in the same place.
-        assert batched == unbatched
-        # Not vacuously: the survivor holds the final rows, the failed
-        # replica froze where it died, and its checkpoint keeps every
-        # write it missed inside the replay range.
+    def test_script_ends_in_the_pinned_state(self, failing_replica):
+        """One script of auto-commit writes, a committed and a rolled-back
+        transaction, a rejected write and a replica failure leaves pinned
+        replicas, recovery log, backend states and checkpoints."""
+        end = _run_script(failing_replica)
+        # Its plain writes went through the batcher ...
+        assert end["batcher_rounds"] > 0
+        # ... the survivor holds the final rows, the failed replica froze
+        # where it died, and its checkpoint keeps every write it missed
+        # inside the replay range.
         survivor, failed = 1 - failing_replica, failing_replica
-        assert batched["rows"][survivor] == [(1, 13), (3, 30), (4, 40)]
-        assert batched["rows"][failed] == [(1, 12), (3, 30)]
-        assert [sql.split()[0] for _, sql, _, _, _ in batched["log"]] == [
+        assert end["rows"][survivor] == [(1, 13), (3, 30), (4, 40)]
+        assert end["rows"][failed] == [(1, 12), (3, 30)]
+        assert [sql.split()[0] for _, sql, _, _, _ in end["log"]] == [
             "CREATE", "CREATE", "INSERT", "INSERT", "UPDATE", "DELETE",
             "INSERT", "UPDATE", "UPDATE", "INSERT", "DROP",
         ]
-        states = {name: (state, checkpoint) for name, state, checkpoint in batched["backends"]}
+        states = {name: (state, checkpoint) for name, state, checkpoint in end["backends"]}
         assert states[f"db{survivor + 1}"] == (BackendState.ENABLED, 11)
         assert states[f"db{failed + 1}"] == (BackendState.FAILED, 8)
-        assert batched["open_transactions"] == 0
+        assert end["open_transactions"] == 0
 
 
 class TestBatchedResync:
@@ -734,7 +689,6 @@ def saturated_cluster():
         controller_options={
             "max_in_flight_statements": 1,
             "max_session_queue_depth": 4,
-            "write_batching": True,
         },
     )
     yield env

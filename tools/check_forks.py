@@ -63,6 +63,23 @@ _ONE_INSTALL = (
     "DrivolutionAdmin.install_driver, whoever installs (a controller too, locally and by GROUP)"
 )
 
+_ALWAYS_BATCHED = (
+    "write batching has no off switch: every eligible write goes through the WriteBatcher "
+    "(a lone writer leads a round of one); an experiment's per-statement baseline is its own "
+    "RequestScheduler subclass (experiments.concurrency.UnbatchedScheduler)"
+)
+
+_ONE_POLICY_SPEC = (
+    "a read policy is one spec string (ControllerConfig.read_policy, e.g. "
+    "weighted:db1=3,db2=1, parsed by loadbalancer.create_policy), which also states each weight"
+)
+
+_ONE_VALUE_IN_USE = (
+    "a knob with one value in use is its class's default, not a ControllerConfig field: "
+    "SlowQueryLog(capacity=32), FileLogStore(segment_max_entries=256), "
+    "FailureDetector(max_misses=2)"
+)
+
 GATES = [
     Gate(
         r"trace is (not )?None",
@@ -285,6 +302,13 @@ GATES = [
     Gate(r"threading\.Thread\(", ("src/repro/cluster/recovery",), _ONE_EXCHANGE),
     Gate(r"peer_request", ("src/repro",), _ONE_EXCHANGE),
     Gate(r"\.recv\(", ("src/repro/cluster/recovery/replication.py",), _ONE_EXCHANGE, allowed=1),
+    Gate(r"write_batching=", ("src/repro",), _ALWAYS_BATCHED),
+    Gate(r"_write_batcher is None", ("src/repro/cluster",), _ALWAYS_BATCHED),
+    Gate(r"policy_options", ("src/repro",), _ONE_POLICY_SPEC),
+    Gate(r"\.weight\b", ("src/repro/cluster",), _ONE_POLICY_SPEC),
+    Gate(r"slow_query_capacity", ("src/repro",), _ONE_VALUE_IN_USE),
+    Gate(r"log_segment_entries", ("src/repro",), _ONE_VALUE_IN_USE),
+    Gate(r"heartbeat_misses", ("src/repro",), _ONE_VALUE_IN_USE),
 ]
 
 

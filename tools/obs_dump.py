@@ -29,11 +29,7 @@ def run_workload(statements: int):
     from repro.experiments.environments import build_cluster
     from repro.cluster.driver import ClusterDriverRuntime
 
-    env = build_cluster(
-        replicas=2,
-        controllers=1,
-        controller_options={"tracing": True, "slow_query_capacity": 16},
-    )
+    env = build_cluster(replicas=2, controllers=1, controller_options={"tracing": True})
     runtime = ClusterDriverRuntime(name="obs-dump")
     connection = runtime.connect(env.client_url(), network=env.network, trace="true")
     cursor = connection.cursor()
