@@ -46,8 +46,6 @@ This package implements the pieces those case studies exercise:
 
 from repro.cluster.wire import CLUSTER_PROTOCOL_VERSION, MULTIPLEX_MIN_VERSION
 from repro.cluster.recovery import (
-    Checkpoint,
-    CheckpointRegistry,
     DatabaseDump,
     DatabaseDumper,
     FailureDetector,
@@ -107,8 +105,6 @@ __all__ = [
     "MemoryLogStore",
     "FileLogStore",
     "LogCompactedError",
-    "Checkpoint",
-    "CheckpointRegistry",
     "DatabaseDump",
     "DatabaseDumper",
     "FailureDetector",

@@ -18,7 +18,6 @@ the request scheduler. It supports:
 
 from __future__ import annotations
 
-import os
 import threading
 import traceback
 import uuid
@@ -35,7 +34,6 @@ from repro.cluster.loadbalancer import create_policy
 from repro.cluster.placement import PlacementMap, create_placement
 from repro.cluster.querycache import QueryCache
 from repro.cluster.recovery import (
-    CheckpointRegistry,
     DatabaseDump,
     DatabaseDumper,
     FailureDetector,
@@ -118,8 +116,9 @@ class ControllerConfig:
     #: ``explicit:users=db1+db2,orders=db3``. None keeps full replication.
     placement: Optional[str] = None
     #: Directory for the durable recovery log (segmented JSONL) and the
-    #: persisted checkpoint registry. None keeps the log in memory. Each
-    #: controller needs its own directory: it replays *its* write order.
+    #: controller's state record (floor, epoch, checkpoints). None keeps
+    #: both in memory. Each controller needs its own directory: it
+    #: replays *its* write order.
     log_dir: Optional[str] = None
     #: Make every acknowledged write durable in ``log_dir`` before its
     #: reply: one fsync per commit group (concurrent writers share it),
@@ -324,22 +323,12 @@ class Controller:
         group_commit_active = bool(
             (config.log_dir is not None and config.log_fsync) or config.ha_peers
         )
-        if config.log_dir is not None:
-            os.makedirs(config.log_dir, exist_ok=True)
-            # The store never fsyncs per append (its default): the fsync
-            # rides the group coordinator's flush — durability is
-            # preserved (no reply before wait_durable returns) at a
-            # fraction of the fsync count.
-            store = FileLogStore(config.log_dir)
-            checkpoints = CheckpointRegistry(os.path.join(config.log_dir, "checkpoints.json"))
-            ha_meta_path = os.path.join(config.log_dir, "ha.json")
-        else:
-            store = MemoryLogStore()
-            checkpoints = CheckpointRegistry()
-            ha_meta_path = None
+        # The store never fsyncs per append (its default): the fsync
+        # rides the group coordinator's flush — durability is preserved
+        # (no reply before wait_durable returns) at a fraction of the
+        # fsync count.
         self.recovery_log = RecoveryLog(
-            store=store,
-            checkpoints=checkpoints,
+            store=FileLogStore(config.log_dir) if config.log_dir is not None else MemoryLogStore(),
             auto_compact_every=config.auto_compact_every,
         )
         #: Every controller is an HA node over its log (docs/ha.md);
@@ -350,7 +339,6 @@ class Controller:
             node_id=config.controller_id,
             self_address=address,
             peer_addresses=list(config.ha_peers),
-            meta_path=ha_meta_path,
         )
         self.group_commit = GroupCommit(self.ha_store) if group_commit_active else None
         self.scheduler = RequestScheduler(

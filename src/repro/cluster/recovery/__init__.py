@@ -7,13 +7,12 @@ package is the production-shaped version of that mechanism:
 - :mod:`repro.cluster.recovery.logstore` — the pluggable ``LogStore``
   interface with an in-memory store and a segmented, file-backed JSONL
   store that survives controller restarts (crash recovery on open,
-  optional fsync-on-append),
-- :mod:`repro.cluster.recovery.checkpoints` — named checkpoints
-  (``CheckpointRegistry``) replacing the bare integer checkpoint; live
-  checkpoints pin log entries against compaction,
+  optional fsync-on-append) and keeps the controller's one durable
+  record (floor, epoch, checkpoints) in ``state.json``,
 - :mod:`repro.cluster.recovery.log` — the :class:`RecoveryLog` facade
-  combining a store and a registry, with compaction that truncates
-  segments older than the oldest live checkpoint,
+  over a store, with named checkpoints replacing the bare integer
+  checkpoint and compaction that truncates segments older than the
+  oldest live checkpoint,
 - :mod:`repro.cluster.recovery.dumper` — :class:`DatabaseDumper`, which
   snapshots a healthy backend through plain SQL (via the sqlengine's
   ``information_schema``) so a brand-new backend can cold-start from
@@ -23,7 +22,7 @@ package is the production-shaped version of that mechanism:
   auto-resyncs them when they come back,
 - :mod:`repro.cluster.recovery.replication` — controller HA:
   :class:`ReplicatedLogStore` is the HA node over a :class:`RecoveryLog`
-  and replicates the log and checkpoint registry to controller peers
+  and replicates the log and its checkpoints to controller peers
   with a majority-ack rule, an epoch scheme that fences deposed
   primaries and the election that replaces them, as pure rules under a
   thin shell; :class:`PeerLink` and :func:`exchange` are how one
@@ -38,7 +37,6 @@ from repro.cluster.recovery.logstore import (
     LogStore,
     MemoryLogStore,
 )
-from repro.cluster.recovery.checkpoints import Checkpoint, CheckpointRegistry
 from repro.cluster.recovery.log import GroupCommit, LogCompactedError, RecoveryLog
 from repro.cluster.recovery.replication import (
     PeerLink,
@@ -59,8 +57,6 @@ __all__ = [
     "LogStore",
     "MemoryLogStore",
     "FileLogStore",
-    "Checkpoint",
-    "CheckpointRegistry",
     "RecoveryLog",
     "GroupCommit",
     "LogCompactedError",

@@ -8,7 +8,7 @@ after that index. Unlike the original in-memory list, this log:
 - delegates persistence to a pluggable :class:`LogStore` (a restarted
   controller on a :class:`FileLogStore` resumes with its pre-crash
   ``last_index``) and is its store's only writer, on an HA follower too,
-- names checkpoints through a :class:`CheckpointRegistry` instead of a
+- names checkpoints (name → index, recorded by the store) instead of a
   bare integer, so several consumers (disabled backends, dumps,
   operator snapshots) can pin positions independently,
 - compacts: entries at or below the oldest live checkpoint are
@@ -23,7 +23,6 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.cluster.recovery.checkpoints import Checkpoint, CheckpointRegistry
 from repro.cluster.recovery.logstore import LogEntry, LogStore, MemoryLogStore
 from repro.errors import DriverError
 
@@ -32,25 +31,28 @@ class LogCompactedError(DriverError):
     """The requested replay range was truncated by compaction."""
 
 
+class CheckpointError(DriverError):
+    """Invalid checkpoint operation (duplicate name, negative index)."""
+
+
 class RecoveryLog:
     """Append-only log of write statements with monotonically growing indexes."""
 
     def __init__(
         self,
         store: Optional[LogStore] = None,
-        checkpoints: Optional[CheckpointRegistry] = None,
         auto_compact_every: int = 0,
     ) -> None:
         self._store = store if store is not None else MemoryLogStore()
-        # Explicit None check: an *empty* registry is falsy (len == 0) but
-        # may still be the persisted one the caller wants used.
-        self.checkpoints = checkpoints if checkpoints is not None else CheckpointRegistry()
         #: Compact automatically every N appends (0 disables).
         self.auto_compact_every = auto_compact_every
         self._appends_since_compact = 0
         self.compactions = 0
         self.entries_compacted = 0
         self._lock = threading.Lock()
+        #: Named pinned positions, name → index, changed under ``_lock``
+        #: and recorded by the store; the oldest is the compaction floor.
+        self._checkpoints = self._store.checkpoints
         #: Per-table sequence counters (the per-table ordering model:
         #: conflict-aware locking makes cluster-wide index order
         #: meaningful only per table). Seeded from the store's retained
@@ -193,16 +195,40 @@ class RecoveryLog:
 
     # -- checkpoints ----------------------------------------------------------------
 
-    def checkpoint(
-        self, name: str, index: Optional[int] = None, overwrite: bool = False
-    ) -> Checkpoint:
-        """Pin ``index`` (default: the current head) under ``name``."""
-        if index is None:
-            index = self.last_index
-        return self.checkpoints.create(name, index, overwrite=overwrite)
+    @property
+    def checkpoints(self) -> Dict[str, int]:
+        """A snapshot of the live checkpoints, name → index."""
+        with self._lock:
+            return dict(self._checkpoints)
+
+    def checkpoint(self, name: str, index: Optional[int] = None, overwrite: bool = False) -> int:
+        """Pin ``index`` (default: the current head) under ``name``;
+        returns the pinned index."""
+        if index is not None and index < 0:
+            raise CheckpointError(f"checkpoint index must be >= 0, got {index}")
+        with self._lock:
+            if not overwrite and name in self._checkpoints:
+                raise CheckpointError(f"checkpoint {name!r} already exists")
+            self._checkpoints[name] = self._store.last_index if index is None else index
+            self._store.record_checkpoints(self._checkpoints)
+            return self._checkpoints[name]
 
     def release_checkpoint(self, name: str) -> bool:
-        return self.checkpoints.release(name)
+        """Drop a checkpoint; returns whether it existed."""
+        with self._lock:
+            if self._checkpoints.pop(name, None) is None:
+                return False
+            self._store.record_checkpoints(self._checkpoints)
+            return True
+
+    def restore_checkpoints(self, checkpoints: Dict[str, int]) -> None:
+        """Take a primary's shipped checkpoints as this log's own: a
+        follower's are a pure function of the latest frame. The record is
+        rewritten only when they changed."""
+        with self._lock:
+            if checkpoints != self._checkpoints:
+                self._checkpoints = dict(checkpoints)
+                self._store.record_checkpoints(self._checkpoints)
 
     # -- compaction -------------------------------------------------------------------
 
@@ -215,9 +241,7 @@ class RecoveryLog:
             return self._compact_locked()
 
     def _compact_locked(self) -> int:
-        floor = self.checkpoints.oldest_live_index()
-        if floor is None:
-            floor = self._store.last_index
+        floor = min(self._checkpoints.values(), default=self._store.last_index)
         dropped = self._store.truncate_through(floor)
         self._appends_since_compact = 0
         if dropped:
@@ -242,6 +266,7 @@ class RecoveryLog:
     def stats(self) -> Dict[str, Any]:
         with self._lock:
             store_stats = self._store.stats()
+            checkpoints = dict(self._checkpoints)
         return {
             "last_index": store_stats["last_index"],
             "first_index": store_stats["truncated_through"] + 1,
@@ -251,7 +276,7 @@ class RecoveryLog:
             "entries_compacted": self.entries_compacted,
             "auto_compact_every": self.auto_compact_every,
             "store": store_stats,
-            "checkpoints": self.checkpoints.stats(),
+            "checkpoints": checkpoints,
         }
 
 

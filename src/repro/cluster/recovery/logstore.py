@@ -15,10 +15,14 @@ Two implementations:
   directory recovers from a crash mid-append by truncating a partial
   trailing line, and resumes ``last_index`` where the previous process
   stopped.
+
+Beside its entries, a store keeps the controller's one durable record:
+the compaction floor, the HA epoch and the named checkpoints.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import threading
@@ -100,8 +104,7 @@ def _decode_params(params: Dict[str, Any]) -> Dict[str, Any]:
 def atomic_write_json(path: str, payload: Dict[str, Any]) -> None:
     """Durably replace ``path`` with ``payload`` as JSON: tmp-file write,
     fsync, then atomic rename — a crash leaves either the old file or the
-    new one, never a torn mix. Shared by the log store's metadata and the
-    checkpoint registry."""
+    new one, never a torn mix."""
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as handle:
         json.dump(payload, handle)
@@ -114,6 +117,25 @@ class LogStoreError(DriverError):
     """A log store could not persist or retrieve entries."""
 
 
+def encode_checkpoints(checkpoints: Dict[str, int]) -> List[Dict[str, Any]]:
+    """Checkpoint rows, as the record and a REPLICATE frame carry them."""
+    return [{"name": name, "index": index} for name, index in checkpoints.items()]
+
+
+def decode_checkpoints(rows: Any) -> Dict[str, int]:
+    """Name → index of checkpoint rows; ``ValueError`` unless every row
+    has a ``str`` name and a non-negative ``int`` index."""
+    if not isinstance(rows, list):
+        raise ValueError(f"checkpoints {rows!r} are not a list")
+    checkpoints: Dict[str, int] = {}
+    for row in rows:
+        index = row.get("index") if isinstance(row, dict) else None
+        if type(index) is not int or index < 0 or type(row.get("name")) is not str:
+            raise ValueError(f"bad checkpoint row {row!r}")
+        checkpoints[row["name"]] = index
+    return checkpoints
+
+
 class LogStore:
     """Interface every log store implements.
 
@@ -121,7 +143,18 @@ class LogStore:
     :class:`RecoveryLog` facade serialises appends). ``truncated_through``
     is the highest index dropped by compaction (0 when nothing was ever
     dropped): entries with index > ``truncated_through`` are retrievable.
+
+    The store also keeps the controller's record: that floor, the HA
+    ``epoch`` (None until a group member settles one) and the named
+    ``checkpoints``. Each change rewrites it whole under ``_state_lock``,
+    taken last: the HA node records its epoch under its own state lock.
     """
+
+    def __init__(self) -> None:
+        self._truncated_through = 0
+        self._epoch: Optional[int] = None
+        self._checkpoints: Dict[str, int] = {}
+        self._state_lock = threading.Lock()
 
     def append(self, entry: LogEntry) -> None:
         raise NotImplementedError
@@ -146,12 +179,38 @@ class LogStore:
 
     @property
     def truncated_through(self) -> int:
-        raise NotImplementedError
+        return self._truncated_through
 
     @property
     def entry_count(self) -> int:
         """Entries currently retained (bounded by compaction)."""
         raise NotImplementedError
+
+    @property
+    def epoch(self) -> Optional[int]:
+        return self._epoch
+
+    @property
+    def checkpoints(self) -> Dict[str, int]:
+        return dict(self._checkpoints)
+
+    def record_epoch(self, epoch: int) -> None:
+        with self._state_lock:
+            self._epoch = epoch
+            self._save_state_locked()
+
+    def record_checkpoints(self, checkpoints: Dict[str, int]) -> None:
+        with self._state_lock:
+            self._checkpoints = dict(checkpoints)
+            self._save_state_locked()
+
+    def _record_floor(self, index: int) -> None:
+        with self._state_lock:
+            self._truncated_through = index
+            self._save_state_locked()
+
+    def _save_state_locked(self) -> None:
+        """Persist the whole record (a volatile store keeps it in memory)."""
 
     def truncate_through(self, index: int) -> int:
         """Drop entries with index <= ``index`` where cheap to do so;
@@ -190,8 +249,8 @@ class MemoryLogStore(LogStore):
     """Volatile store: the original in-memory list, plus compaction."""
 
     def __init__(self) -> None:
+        super().__init__()
         self._entries: List[LogEntry] = []
-        self._truncated_through = 0
 
     def append(self, entry: LogEntry) -> None:
         self._entries.append(entry)
@@ -207,10 +266,6 @@ class MemoryLogStore(LogStore):
         return self._truncated_through
 
     @property
-    def truncated_through(self) -> int:
-        return self._truncated_through
-
-    @property
     def entry_count(self) -> int:
         return len(self._entries)
 
@@ -219,7 +274,7 @@ class MemoryLogStore(LogStore):
             return 0
         drop = min(index - self._truncated_through, len(self._entries))
         self._entries = self._entries[drop:]
-        self._truncated_through += drop
+        self._record_floor(self._truncated_through + drop)
         return drop
 
     def reset_to_floor(self, index: int) -> None:
@@ -228,7 +283,7 @@ class MemoryLogStore(LogStore):
                 f"cannot reset to floor {index} below log head {self.last_index}"
             )
         self._entries = []
-        self._truncated_through = index
+        self._record_floor(index)
 
 
 class FileLogStore(LogStore):
@@ -238,18 +293,22 @@ class FileLogStore(LogStore):
 
         segment-00000001.jsonl   entries 1..N, one JSON object per line
         segment-00000N.jsonl     current segment, appended to
-        logmeta.json             {"truncated_through": n}
+        state.json               {"truncated_through": n, "epoch": e or null,
+                                  "checkpoints": [{"name": ..., "index": i}, ...]}
 
     Segment files are named after the index of their first entry. A crash
     mid-append leaves a partial trailing line in the *last* segment only;
-    :meth:`_recover` truncates it so the next append continues cleanly.
-    Compaction removes whole segments (disk and memory), so retained
-    entries round up to the segment boundary above the requested floor.
+    :meth:`_read_segment` truncates it so the next append continues
+    cleanly. Compaction removes whole segments (disk and memory), so
+    retained entries round up to the segment boundary above the requested
+    floor. A ``state.json`` that does not decode refuses to open, and so
+    does a directory of the older three-file layout.
     """
 
     _SEGMENT_PREFIX = "segment-"
     _SEGMENT_SUFFIX = ".jsonl"
-    _META_FILE = "logmeta.json"
+    #: The older layout's files, refused rather than migrated.
+    _RETIRED_FILES = tuple(f"{stem}.json" for stem in ("logmeta", "checkpoints", "ha"))
 
     def __init__(
         self,
@@ -259,14 +318,15 @@ class FileLogStore(LogStore):
     ) -> None:
         if segment_max_entries <= 0:
             raise ValueError("segment_max_entries must be positive")
+        super().__init__()
         self.directory = directory
+        self._state_file = os.path.join(directory, "state.json")
         self.segment_max_entries = segment_max_entries
         self.fsync_on_append = fsync_on_append
         os.makedirs(directory, exist_ok=True)
         #: Retained entries, grouped per segment in index order.
         self._segments: List[List[LogEntry]] = []
         self._segment_paths: List[str] = []
-        self._truncated_through = 0
         self._last_index = 0
         self._handle: Optional[IO[str]] = None
         #: Guards fsync/close of the segment handle. flush() is called by
@@ -291,17 +351,34 @@ class FileLogStore(LogStore):
             self.directory, f"{self._SEGMENT_PREFIX}{first_index:08d}{self._SEGMENT_SUFFIX}"
         )
 
-    def _meta_path(self) -> str:
-        return os.path.join(self.directory, self._META_FILE)
+    def _load_state(self) -> None:
+        for name in self._RETIRED_FILES:
+            path = os.path.join(self.directory, name)
+            if os.path.exists(path):
+                raise LogStoreError(
+                    f"{path!r} belongs to an older log directory layout, which is not "
+                    "migrated: this version keeps its state in state.json"
+                )
+        path = self._state_file
+        if not os.path.exists(path):
+            return
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                record = json.load(handle)
+            if not isinstance(record, dict):
+                raise ValueError("the record is not an object")
+            floor, epoch = record["truncated_through"], record["epoch"]
+            if type(floor) is not int or floor < 0:
+                raise ValueError(f"floor {floor!r} is not a non-negative integer")
+            if epoch is not None and not (type(epoch) is int and epoch > 0):
+                raise ValueError(f"epoch {epoch!r} is neither null nor a positive integer")
+            checkpoints = decode_checkpoints(record["checkpoints"])
+        except (KeyError, ValueError, OSError) as exc:
+            raise LogStoreError(f"corrupt controller state {path!r}: {exc!r}") from exc
+        self._truncated_through, self._epoch, self._checkpoints = floor, epoch, checkpoints
 
     def _load(self) -> None:
-        meta_path = self._meta_path()
-        if os.path.exists(meta_path):
-            try:
-                with open(meta_path, "r", encoding="utf-8") as handle:
-                    self._truncated_through = int(json.load(handle).get("truncated_through", 0))
-            except (ValueError, OSError) as exc:
-                raise LogStoreError(f"corrupt log metadata {meta_path!r}: {exc}") from exc
+        self._load_state()
         names = sorted(
             name
             for name in os.listdir(self.directory)
@@ -317,7 +394,7 @@ class FileLogStore(LogStore):
                 os.remove(path)
                 continue
             if entries[-1].index <= self._truncated_through:
-                # Compaction persisted the floor but crashed before
+                # Compaction recorded the floor but crashed before
                 # removing this segment's file; finish the job now.
                 os.remove(path)
                 continue
@@ -437,23 +514,15 @@ class FileLogStore(LogStore):
         return self._last_index
 
     @property
-    def truncated_through(self) -> int:
-        return self._truncated_through
-
-    @property
     def entry_count(self) -> int:
         return sum(len(segment) for segment in self._segments)
 
     # -- compaction ------------------------------------------------------------------
 
     def truncate_through(self, index: int) -> int:
-        """Delete whole segments whose newest entry is <= ``index``.
-
-        The current (last) segment is never deleted, so appends continue
-        in place. The new floor is persisted *before* any file is
-        removed: a crash between the two leaves stale segments below the
-        floor, which :meth:`_load` recognises and deletes — never a store
-        that cannot be reopened."""
+        """Delete whole segments whose newest entry is <= ``index``. The
+        current (last) segment is never deleted, so appends continue in
+        place."""
         droppable = 0
         while (
             len(self._segments) - droppable > 1
@@ -464,16 +533,7 @@ class FileLogStore(LogStore):
         if not droppable:
             return 0
         dropped = sum(len(segment) for segment in self._segments[:droppable])
-        doomed_paths = self._segment_paths[:droppable]
-        self._truncated_through = self._segments[droppable - 1][-1].index
-        self._segments = self._segments[droppable:]
-        self._segment_paths = self._segment_paths[droppable:]
-        self._write_meta()
-        for path in doomed_paths:
-            try:
-                os.remove(path)
-            except OSError:
-                pass
+        self._drop_segments(self._segments[droppable - 1][-1].index, droppable)
         return dropped
 
     def reset_to_floor(self, index: int) -> None:
@@ -482,23 +542,31 @@ class FileLogStore(LogStore):
                 f"cannot reset to floor {index} below log head {self._last_index}"
             )
         self._close_handle()
-        doomed_paths = list(self._segment_paths)
-        self._segments = []
-        self._segment_paths = []
-        self._truncated_through = index
         self._last_index = index
-        # Same crash rule as truncate_through: persist the floor before
-        # removing any file — a crash in between leaves segments wholly
-        # below the floor, which _load recognises and deletes.
-        self._write_meta()
-        for path in doomed_paths:
-            try:
-                os.remove(path)
-            except OSError:
-                pass
+        self._drop_segments(index, len(self._segments))
 
-    def _write_meta(self) -> None:
-        atomic_write_json(self._meta_path(), {"truncated_through": self._truncated_through})
+    def _drop_segments(self, floor: int, count: int) -> None:
+        """Drop the first ``count`` segments under the new ``floor``. The
+        floor is recorded *before* any file is removed: a crash in between
+        leaves segments wholly below the floor, which :meth:`_load`
+        recognises and deletes — never a store that cannot be reopened."""
+        doomed_paths = self._segment_paths[:count]
+        self._record_floor(floor)
+        self._segments = self._segments[count:]
+        self._segment_paths = self._segment_paths[count:]
+        for path in doomed_paths:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+
+    def _save_state_locked(self) -> None:
+        atomic_write_json(
+            self._state_file,
+            {
+                "truncated_through": self._truncated_through,
+                "epoch": self._epoch,
+                "checkpoints": encode_checkpoints(self._checkpoints),
+            },
+        )
 
     # -- lifecycle --------------------------------------------------------------------
 

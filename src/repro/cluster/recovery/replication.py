@@ -31,8 +31,6 @@ the same network faults. See docs/ha.md.
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -48,7 +46,7 @@ from repro.cluster.wire import (
     make_replicate_ok,
 )
 from repro.cluster.recovery.log import RecoveryLog
-from repro.cluster.recovery.logstore import LogEntry, LogStoreError, atomic_write_json
+from repro.cluster.recovery.logstore import LogEntry, decode_checkpoints, encode_checkpoints
 
 ROLE_PRIMARY = "primary"
 ROLE_FOLLOWER = "follower"
@@ -344,7 +342,7 @@ def exchange(
 
 class ReplicatedLogStore:
     """The HA node over one :class:`RecoveryLog`: majority-ack peer
-    replication of its entries and checkpoint registry.
+    replication of its entries and checkpoints.
 
     On the **primary**, ``flush()`` makes the fsync group durable locally,
     then runs one round: each peer gets what it misses in one REPLICATE,
@@ -366,15 +364,14 @@ class ReplicatedLogStore:
         node_id: str,
         self_address: str,
         peer_addresses: List[str],
-        meta_path: Optional[str] = None,
     ) -> None:
         self.log = log
         self._network = network
         self.node_id = node_id
         self.self_address = self_address
-        #: A group of one has nobody to be deposed by: it persists no
-        #: epoch and always restarts as its own primary.
-        self._meta_path = meta_path if peer_addresses else None
+        #: A group of one has nobody to be deposed by: it neither reads
+        #: nor records an epoch and always restarts as its own primary.
+        self._epoch_store = log.store if peer_addresses else None
         self._peers: Dict[str, PeerLink] = {
             address: PeerLink(address, network, source=self_address)
             for address in peer_addresses
@@ -386,7 +383,7 @@ class ReplicatedLogStore:
         #: followers hand it to bounced drivers so failover goes straight
         #: to the right node.
         self.epoch, self.role, self.primary_hint = start_state(
-            self_address, peer_addresses, self._load_meta()
+            self_address, peer_addresses, self._epoch_store.epoch if self._epoch_store else None
         )
         #: Serialises replication rounds (one group-commit leader at a
         #: time calls flush, but promote()/announce() may race it).
@@ -414,24 +411,9 @@ class ReplicatedLogStore:
         self.depositions = 0
         self.epoch_adoptions = 0
 
-    # -- epoch persistence --------------------------------------------------------
-
-    def _load_meta(self) -> Optional[int]:
-        # Read as a fresh node's, a corrupt file would restart this node as primary at epoch 1.
-        if self._meta_path is None or not os.path.exists(self._meta_path):
-            return None
-        try:
-            with open(self._meta_path, "r", encoding="utf-8") as handle:
-                epoch = json.load(handle)["epoch"]
-            if type(epoch) is not int:
-                raise TypeError(f"epoch {epoch!r} is not an integer")
-        except (ValueError, OSError, KeyError, TypeError) as exc:
-            raise LogStoreError(f"corrupt HA metadata {self._meta_path!r}: {exc!r}") from exc
-        return epoch
-
     def _settle_locked(self, epoch: int, role: str) -> None:
         """Take the epoch and role a rule returned: count the transition
-        and persist the epoch (``ha.json``) when anything changed."""
+        and record the epoch in the log's store when anything changed."""
         if (epoch, role) == (self.epoch, self.role):
             return
         if epoch > self.epoch and role == ROLE_FOLLOWER:
@@ -442,8 +424,8 @@ class ReplicatedLogStore:
             else:
                 self.depositions += 1
         self.epoch, self.role = epoch, role
-        if self._meta_path is not None:
-            atomic_write_json(self._meta_path, {"epoch": self.epoch})
+        if self._epoch_store is not None:
+            self._epoch_store.record_epoch(self.epoch)
 
     # -- role and peers --------------------------------------------------------------
 
@@ -512,7 +494,7 @@ class ReplicatedLogStore:
             if not force and head <= self._replicated_through and floor <= self._announced_floor:
                 return True
             # Shipped even when empty: releases propagate as an empty snapshot.
-            checkpoints = self.log.checkpoints.snapshot()
+            checkpoints = encode_checkpoints(self.log.checkpoints)
             outcomes = self._ship_round(epoch, floor, checkpoints)
             with self._state_lock:
                 verdict, acks, new_epoch, new_role = tally_round(
@@ -598,15 +580,10 @@ class ReplicatedLogStore:
     # -- follower side -------------------------------------------------------------
 
     def answer(self, frame: Dict[str, Any], sender: str) -> Dict[str, Any]:
-        """The reply to one REPLICATE the peer at ``sender`` sent: applied
-        (entries, checkpoint registry) and acked. That the sender is a
-        peer is the listener's to check, from the transport
+        """The reply to one REPLICATE the peer at ``sender`` sent. That the
+        sender is a peer is the listener's to check, from the transport
         (``Controller.routes``)."""
-        reply, _ = self.apply_replicate(frame, sender)
-        snapshot = frame.get("checkpoints")
-        if snapshot is not None and reply["type"] == ClusterMessageType.REPLICATE_OK:
-            self.log.checkpoints.restore_snapshot(snapshot)
-        return reply
+        return self.apply_replicate(frame, sender)[0]
 
     def apply_replicate(
         self, frame: Dict[str, Any], sender: str
@@ -615,16 +592,18 @@ class ReplicatedLogStore:
         the suffix appended here. The epoch rule runs under
         ``_state_lock``; the append+fsync runs outside it, in
         ``RecoveryLog.apply_replicated`` (serialised by ``_apply_lock``),
-        so election probes never queue behind a flush.
+        so election probes never queue behind a flush. The frame's
+        checkpoints are taken only once its entries are flushed.
         The whole frame is decoded first (its top-level fields arrive
-        typed, ``Controller.routes``): one that does not decode is refused
-        (``bad_replicate``) with nothing touched — raising would kill the
-        peer channel's thread, which the sender reads as "peer down"."""
+        typed, ``Controller.routes``; a checkpoint row by the record's
+        own rule): one that does not decode is refused (``bad_replicate``)
+        with nothing touched — raising would kill the peer channel's
+        thread, which the sender reads as "peer down"."""
         frame_epoch, floor = frame["epoch"], frame["truncated_through"]
+        rows = frame.get("checkpoints")
         try:
             entries = [LogEntry.from_wire(e) for e in frame["entries"]]
-            for item in frame.get("checkpoints") or []:
-                str(item["name"]), int(item["index"])
+            checkpoints = None if rows is None else decode_checkpoints(rows)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             return make_error("bad_replicate", f"malformed REPLICATE frame: {exc!r}"), []
         with self._apply_lock:
@@ -647,9 +626,7 @@ class ReplicatedLogStore:
             local: Dict[int, LogEntry] = {}
             if entries and entries[0].index <= local_last:
                 local = {e.index: e for e in self.entries_after(entries[0].index - 1)}
-            placement, index = place_entries(
-                entries, local_last, floor, frame.get("checkpoints") is not None, local
-            )
+            placement, index = place_entries(entries, local_last, floor, checkpoints is not None, local)
             if placement == DIVERGED:
                 return make_error(
                     "diverged_log",
@@ -661,6 +638,8 @@ class ReplicatedLogStore:
             # the same blind spot compaction already accepts.
             install = placement == INSTALL
             self.log.apply_replicated(applied, floor, install)
+            if checkpoints is not None:
+                self.log.restore_checkpoints(checkpoints)
             if install:
                 self.snapshot_installs += 1
             with self._state_lock:

@@ -51,12 +51,6 @@ class DbaConsole:
     def connect(self, url: str):
         return self.bootloader_for(url).connect(url)
 
-    def drivers_in_use(self) -> List[str]:
-        return [
-            bootloader.driver_info().get("driver_name", "")
-            for bootloader in self._bootloaders.values()
-        ]
-
 
 def run_experiment(database_count: int = 4, lease_time_ms: int = 1_000) -> ExperimentResult:
     result = ExperimentResult(

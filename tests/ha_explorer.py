@@ -161,7 +161,7 @@ class Model:
         if kind == "restart":
             node = nodes[n]
             # The shell persists the epoch on every change, and every
-            # change raises it: an epoch above 1 is one ha.json holds.
+            # change raises it: an epoch above 1 is one the log's record holds.
             persisted = node.epoch if node.epoch > 1 else None
             epoch, role, _ = self.rule["start_state"](
                 ADDRESSES[n], [ADDRESSES[m] for m in _others(n)], persisted

@@ -358,3 +358,32 @@ def test_controller_config_gates_match_the_switches_they_retired():
         assert gate.allowed == 0 and check_forks.check_gate(gate) == []
         for line in lines:
             assert check_forks.re.search(gate.pattern, line), line
+
+
+def test_record_gates_match_the_three_files_they_retired():
+    """The one-record gates: the first allows nothing and matches lines of
+    the three writers and loaders it retired; the second allows exactly
+    ``atomic_write_json``'s definition and its one call."""
+    check_forks = _check_forks()
+    names, writes = [
+        gate for gate in check_forks.GATES if gate.message.startswith("a controller's")
+    ]
+    assert names.allowed == 0 and check_forks.check_gate(names) == []
+    for line in [
+        "from repro.cluster.recovery.checkpoints import Checkpoint, CheckpointRegistry",
+        '            checkpoints = CheckpointRegistry(os.path.join(config.log_dir, "checkpoints.json"))',
+        '            ha_meta_path = os.path.join(config.log_dir, "ha.json")',
+        "        self._meta_path = meta_path if peer_addresses else None",
+        "            self_address, peer_addresses, self._load_meta()",
+        "        self._write_meta()",
+        '    _META_FILE = "logmeta.json"',
+    ]:
+        assert check_forks.re.search(names.pattern, line), line
+    assert writes.allowed == 2 and check_forks.check_gate(writes) == []
+    report = check_forks.check_gate(writes._replace(allowed=0))
+    assert len(report) == 3, report
+    for line in [
+        '            atomic_write_json(self._meta_path, {"epoch": self.epoch})',
+        "        atomic_write_json(self._meta_path(), {\"truncated_through\": self._truncated_through})",
+    ]:
+        assert check_forks.re.search(writes.pattern, line), line

@@ -12,16 +12,18 @@ failure prints (and attaches to the report) a ``REPRO_CHAOS_SEED`` to
 replay the exact interleaving.
 """
 
+import os
 import threading
 import time
 
 import pytest
 
 import chaos
+from repro.cluster import Controller, ControllerConfig
 from repro.cluster.driver import ClusterDriverRuntime
 from repro.cluster.recovery import replication
 from repro.cluster.recovery.log import RecoveryLog
-from repro.cluster.recovery.logstore import LogEntry, LogStoreError
+from repro.cluster.recovery.logstore import FileLogStore, LogEntry, LogStoreError
 from repro.cluster.recovery.replication import (
     ROLE_FOLLOWER,
     ROLE_PRIMARY,
@@ -88,14 +90,13 @@ def _entry(index, table="t", seq=None, sql=None):
     )
 
 
-def _store(node="b", peers=("a:1", "c:1"), **kwargs):
+def _store(node="b", peers=("a:1", "c:1"), directory=None):
     return ReplicatedLogStore(
-        RecoveryLog(),
+        RecoveryLog(store=FileLogStore(str(directory)) if directory else None),
         network=None,
         node_id=node,
         self_address=f"{node}:1",
         peer_addresses=list(peers),
-        **kwargs,
     )
 
 
@@ -118,15 +119,38 @@ class TestReplicatedLogStoreUnit:
     def test_corrupt_epoch_file_refuses_to_open(self, tmp_path, content):
         # Read as "never started", a 3-peer node with the smallest address
         # would come back as primary at epoch 1.
-        meta = tmp_path / "ha.json"
-        meta.write_text(content)
-        with pytest.raises(LogStoreError, match="corrupt HA metadata"):
-            _store(node="a", peers=("b:1", "c:1"), meta_path=str(meta))
-        meta.write_text('{"epoch": 4}')
-        node = _store(node="a", peers=("b:1", "c:1"), meta_path=str(meta))
+        state = tmp_path / "state.json"
+        state.write_text(content)
+        with pytest.raises(LogStoreError, match="corrupt controller state"):
+            _store(node="a", peers=("b:1", "c:1"), directory=tmp_path)
+        state.write_text('{"truncated_through": 0, "epoch": 4, "checkpoints": []}')
+        node = _store(node="a", peers=("b:1", "c:1"), directory=tmp_path)
         assert (node.epoch, node.role) == (4, ROLE_FOLLOWER)
-        missing = _store(node="a", peers=("b:1", "c:1"), meta_path=str(tmp_path / "none.json"))
+        missing = _store(node="a", peers=("b:1", "c:1"), directory=tmp_path / "none")
         assert (missing.epoch, missing.role) == (1, ROLE_PRIMARY)
+
+    def test_a_durable_member_restarts_with_its_floor_epoch_and_checkpoints(self, tmp_path):
+        # The three facts share one record beside the segments.
+        config = ControllerConfig(
+            controller_id="c1", virtual_database="vdb", log_dir=str(tmp_path),
+            ha_peers=["c2:1", "c3:1"],
+        )
+        network = InMemoryNetwork()
+        controller = Controller(config, network, "c1:1")
+        assert controller.ha_store.promote() == 2
+        log = controller.recovery_log
+        for i in range(300):
+            log.append(f"INSERT INTO t (id) VALUES ({i})")
+        log.checkpoint("backend:db1", 260)
+        log.checkpoint("dump-280", 280)
+        assert log.compact() == 256
+        log.close()
+        assert sorted(os.listdir(tmp_path)) == ["segment-00000257.jsonl", "state.json"]
+        restarted = Controller(config, network, "c1:1")
+        assert (restarted.ha_store.epoch, restarted.ha_store.role) == (2, ROLE_FOLLOWER)
+        assert restarted.recovery_log.first_index == 257
+        assert restarted.recovery_log.checkpoints == {"backend:db1": 260, "dump-280": 280}
+        restarted.recovery_log.close()
 
     def test_apply_replicate_is_idempotent(self):
         b = _store()
@@ -447,12 +471,14 @@ class TestControllerHAReplication:
                 frame(entries=7),
                 frame(truncated_through=[]),
                 frame(checkpoints=[{"name": "cp"}]),
+                frame(checkpoints=[{"name": "cp", "index": -1}]),
             ):
                 reply = channel.request(malformed, timeout=5.0)
                 assert reply["type"] == ClusterMessageType.ERROR, malformed
                 assert reply["code"] == "bad_replicate", malformed
                 assert (store.last_index, store.epoch) == (head, epoch)
                 assert not store.is_primary and store.epoch_adoptions == 0
+                assert "cp" not in follower.recovery_log.checkpoints
             # Same channel, a well-formed round: still served.
             reply = channel.request(
                 make_replicate("p", epoch, [good], 0), timeout=5.0

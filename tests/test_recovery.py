@@ -9,7 +9,6 @@ import chaos
 
 from repro.cluster import Backend, BackendState, Controller, ControllerConfig
 from repro.cluster.recovery import (
-    CheckpointRegistry,
     DatabaseDumper,
     FileLogStore,
     LogCompactedError,
@@ -17,7 +16,8 @@ from repro.cluster.recovery import (
     MemoryLogStore,
     RecoveryLog,
 )
-from repro.cluster.recovery.checkpoints import CheckpointError
+from repro.cluster.recovery.log import CheckpointError
+from repro.cluster.recovery.logstore import LogStoreError
 from repro.cluster.scheduler import SchedulerError
 from repro.dbapi import legacy_driver
 from repro.errors import DriverError
@@ -113,15 +113,17 @@ class TestLogStores:
         assert len([n for n in os.listdir(directory) if n.endswith(".jsonl")]) == 2
         assert [e.index for e in store.entries_after(4)] == [5, 6, 7]
         store.close()
-        # The floor survives restart through the metadata file.
+        # The floor survives restart through the state record.
+        with open(os.path.join(directory, "state.json"), encoding="utf-8") as handle:
+            assert json.load(handle)["truncated_through"] == 4
         reopened = FileLogStore(directory)
         assert reopened.truncated_through == 4
         assert reopened.last_index == 7
         reopened.close()
 
     def test_reopen_survives_crash_between_meta_write_and_segment_delete(self, tmp_path):
-        # truncate_through persists the floor *before* deleting files; a
-        # crash in between leaves stale segments below the floor that the
+        # truncate_through records the floor (state.json) *before*
+        # deleting files; a crash in between leaves stale segments below the floor that the
         # next open must clean up instead of refusing to load.
         directory = str(tmp_path / "log")
         store = FileLogStore(directory, segment_max_entries=2)
@@ -129,6 +131,8 @@ class TestLogStores:
             store.append(LogEntry(index=index, sql=f"W{index}"))
         store.truncate_through(4)
         store.close()
+        with open(os.path.join(directory, "state.json"), encoding="utf-8") as handle:
+            assert json.load(handle)["truncated_through"] == 4
         # Resurrect a segment below the persisted floor (as if os.remove
         # never ran before the crash).
         stale = os.path.join(directory, "segment-00000001.jsonl")
@@ -169,28 +173,100 @@ class TestLogStores:
         reopened.close()
 
 
-class TestCheckpointRegistry:
+class TestStateRecord:
+    """The controller's one durable record: floor, epoch and checkpoints
+    in ``state.json``, refused whole when any part of it is malformed."""
+
+    VALID = {"truncated_through": 0, "epoch": None, "checkpoints": []}
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            "{not json",
+            [],
+            {"truncated_through": None},
+            {"truncated_through": -3},
+            {"truncated_through": True},
+            {"epoch": 0},
+            {"epoch": "x"},
+            {"checkpoints": 3},
+            {"checkpoints": [{"name": "x"}]},
+            {"checkpoints": [{"name": "x", "index": -5}]},
+            {"checkpoints": [{"name": 7, "index": 1}]},
+            {"checkpoints": ["x"]},
+        ],
+    )
+    def test_malformed_record_refuses_to_open(self, tmp_path, record):
+        if isinstance(record, dict):
+            record = dict(self.VALID, **record)
+        content = record if isinstance(record, str) else json.dumps(record)
+        (tmp_path / "state.json").write_text(content)
+        with pytest.raises(LogStoreError, match="corrupt controller state"):
+            FileLogStore(str(tmp_path))
+
+    def test_a_directory_of_the_older_layout_refuses_to_open(self, tmp_path):
+        # Without its epoch a 3-peer node with the smallest address would
+        # restart as primary at epoch 1: the old files are never ignored.
+        for name in ("logmeta.json", "checkpoints.json", "ha.json"):
+            directory = tmp_path / name.split(".")[0]
+            directory.mkdir()
+            (directory / name).write_text('{"truncated_through": 0}')
+            with pytest.raises(LogStoreError, match=name):
+                FileLogStore(str(directory))
+
+    def test_the_record_holds_floor_epoch_and_checkpoints(self, tmp_path):
+        store = FileLogStore(str(tmp_path), segment_max_entries=2)
+        for index in range(1, 6):
+            store.append(LogEntry(index=index, sql=f"W{index}"))
+        store.truncate_through(3)
+        store.record_epoch(4)
+        store.record_checkpoints({"pin": 3})
+        store.close()
+        with open(tmp_path / "state.json", encoding="utf-8") as handle:
+            assert json.load(handle) == {
+                "truncated_through": 2,
+                "epoch": 4,
+                "checkpoints": [{"name": "pin", "index": 3}],
+            }
+        assert sorted(os.listdir(tmp_path)) == [
+            "segment-00000003.jsonl", "segment-00000005.jsonl", "state.json"
+        ]
+        reopened = FileLogStore(str(tmp_path))
+        assert (reopened.truncated_through, reopened.epoch) == (2, 4)
+        assert reopened.checkpoints == {"pin": 3}
+        reopened.close()
+
+
+class TestRecoveryLogCheckpoints:
     def test_create_release_and_floor(self):
-        registry = CheckpointRegistry()
-        registry.create("alpha", 5)
-        registry.create("beta", 3)
-        assert registry.oldest_live_index() == 3
-        assert "beta" in registry
+        log = RecoveryLog()
+        for i in range(10):
+            log.append(f"W{i}")
+        log.checkpoint("alpha", 5)
+        log.checkpoint("beta", 3)
+        log.compact()
+        assert log.first_index == 4
+        assert "beta" in log.checkpoints
         with pytest.raises(CheckpointError):
-            registry.create("alpha", 9)
-        registry.create("alpha", 9, overwrite=True)
-        assert registry.get("alpha").index == 9
-        assert registry.release("beta") is True
-        assert registry.release("beta") is False
-        assert registry.oldest_live_index() == 9
+            log.checkpoint("alpha", 9)
+        with pytest.raises(CheckpointError):
+            log.checkpoint("gamma", -1)
+        log.checkpoint("alpha", 9, overwrite=True)
+        assert log.checkpoints["alpha"] == 9
+        assert log.release_checkpoint("beta") is True
+        assert log.release_checkpoint("beta") is False
+        log.compact()
+        assert log.first_index == 10
 
     def test_persistence(self, tmp_path):
-        path = str(tmp_path / "checkpoints.json")
-        registry = CheckpointRegistry(path)
-        registry.create("dump-5", 5)
-        reloaded = CheckpointRegistry(path)
-        assert reloaded.get("dump-5").index == 5
-        assert reloaded.names() == ["dump-5"]
+        directory = str(tmp_path / "log")
+        log = RecoveryLog(store=FileLogStore(directory))
+        log.checkpoint("dump-5", 5)
+        log.close()
+        reloaded = RecoveryLog(store=FileLogStore(directory))
+        assert reloaded.checkpoints["dump-5"] == 5
+        assert sorted(reloaded.checkpoints) == ["dump-5"]
+        reloaded.close()
 
 
 class TestRecoveryLogCompaction:
@@ -523,7 +599,7 @@ class TestDurableControllerRestart:
         second = self._make_controller(env, log_dir)
         second_backend = second.backend("db1")
         second_backend.disable(backend.checkpoint_index)
-        assert second.recovery_log.checkpoints.get("backend:db1").index == backend.checkpoint_index
+        assert second.recovery_log.checkpoints["backend:db1"] == backend.checkpoint_index
         replayed = second.enable_backend("db1")
         assert replayed == 1
         second.recovery_log.close()
@@ -630,7 +706,7 @@ class TestFailureDetector:
         scheduler.execute("INSERT INTO ckpt_t (id) VALUES (2)")
         controller.disable_backend("db1")  # must NOT advance to the head
         assert controller.backend("db1").checkpoint_index == original
-        assert controller.recovery_log.checkpoints.get("backend:db1").index == original
+        assert controller.recovery_log.checkpoints["backend:db1"] == original
         chaos.revive_backend(env, 0)
         replayed = controller.enable_backend("db1")
         assert replayed == 2

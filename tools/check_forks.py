@@ -80,6 +80,12 @@ _ONE_VALUE_IN_USE = (
     "FailureDetector(max_misses=2)"
 )
 
+_ONE_RECORD = (
+    "a controller's durable state is one record: floor, epoch and checkpoints in state.json, "
+    "read once when the FileLogStore opens and written whole by its one writer "
+    "(LogStore._save_state_locked); no second file, registry or loader"
+)
+
 GATES = [
     Gate(
         r"trace is (not )?None",
@@ -309,6 +315,13 @@ GATES = [
     Gate(r"slow_query_capacity", ("src/repro",), _ONE_VALUE_IN_USE),
     Gate(r"log_segment_entries", ("src/repro",), _ONE_VALUE_IN_USE),
     Gate(r"heartbeat_misses", ("src/repro",), _ONE_VALUE_IN_USE),
+    Gate(
+        r"CheckpointRegistry|meta_path|_load_meta|_write_meta|logmeta\.json|checkpoints\.json|ha\.json",
+        ("src/repro",),
+        _ONE_RECORD,
+    ),
+    # The definition and the one call.
+    Gate(r"atomic_write_json\(", ("src/repro/cluster",), _ONE_RECORD, allowed=2),
 ]
 
 
