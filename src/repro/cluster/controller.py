@@ -350,6 +350,8 @@ class Controller:
             placement=create_placement(config.placement),
             group_commit=self.group_commit,
         )
+        # A follower's read skips a dead replica; the primary fails it.
+        self.scheduler.owns_replicas = lambda: self.ha_store.is_primary
         self.failure_detector = FailureDetector(self.scheduler, clock=clock, dumper_factory=DatabaseDumper)
         self._heartbeat_thread: Optional[threading.Thread] = None
         self._heartbeat_stop = threading.Event()

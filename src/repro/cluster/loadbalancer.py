@@ -5,12 +5,11 @@ each read. Policies are deliberately stateless about membership: they are
 handed the *current* enabled backend list on every call and must stay
 well-behaved when backends are disabled, re-enabled or added mid-stream.
 
-Policies no longer assume every enabled backend is a valid target: under
-partial replication (see :mod:`repro.cluster.placement`) only the
-backends hosting a statement's tables may serve it, so ``choose`` takes
-an optional *candidate filter* narrowing the enabled list per statement.
-Rotation state (cursors, weighted scores) is keyed so that filtering a
-subset does not reset fairness across the full membership.
+Under partial replication (see :mod:`repro.cluster.placement`) only the
+backends hosting a statement's tables may serve it, so the scheduler
+hands ``choose`` just those. Rotation state (cursors, weighted scores)
+is keyed so that a subset does not reset fairness across the full
+membership.
 
 Available policies (selected by a spec string via :func:`create_policy`,
 which is how :class:`~repro.cluster.controller.ControllerConfig` configures
@@ -35,36 +34,16 @@ from repro.cluster.backend import Backend
 from repro.errors import DriverError
 
 
-#: Per-statement candidate restriction: True ⇒ the backend may serve it.
-CandidateFilter = Callable[[Backend], bool]
-
-
 class ReadPolicy:
-    """Strategy interface: choose one backend from a non-empty list.
-
-    ``candidate_filter`` (when given) narrows the list to the backends
-    allowed to serve this particular statement — placement routing under
-    partial replication. The filtered set must be non-empty; the
-    scheduler raises ``NoHostingBackendError`` before ever calling a
-    policy with an unsatisfiable filter."""
+    """Strategy interface: choose one backend from a non-empty list of
+    the backends allowed to serve this statement (placement has already
+    narrowed it; the scheduler raises ``NoHostingBackendError`` before
+    ever calling a policy with none)."""
 
     name = "abstract"
 
-    def choose(
-        self, backends: List[Backend], candidate_filter: Optional[CandidateFilter] = None
-    ) -> Backend:
+    def choose(self, backends: List[Backend]) -> Backend:
         raise NotImplementedError
-
-    @staticmethod
-    def _candidates(
-        backends: List[Backend], candidate_filter: Optional[CandidateFilter]
-    ) -> List[Backend]:
-        if candidate_filter is None:
-            return backends
-        candidates = [backend for backend in backends if candidate_filter(backend)]
-        if not candidates:
-            raise DriverError("candidate filter excluded every enabled backend")
-        return candidates
 
 
 class RoundRobinPolicy(ReadPolicy):
@@ -94,10 +73,7 @@ class RoundRobinPolicy(ReadPolicy):
         self._ticks = 0
         self._lock = threading.Lock()
 
-    def choose(
-        self, backends: List[Backend], candidate_filter: Optional[CandidateFilter] = None
-    ) -> Backend:
-        candidates = self._candidates(backends, candidate_filter)
+    def choose(self, candidates: List[Backend]) -> Backend:
         key = tuple(sorted(backend.name for backend in candidates))
         with self._lock:
             self._ticks += 1
@@ -126,10 +102,7 @@ class LeastPendingPolicy(ReadPolicy):
         self._ticks = 0
         self._lock = threading.Lock()
 
-    def choose(
-        self, backends: List[Backend], candidate_filter: Optional[CandidateFilter] = None
-    ) -> Backend:
-        eligible = self._candidates(backends, candidate_filter)
+    def choose(self, eligible: List[Backend]) -> Backend:
         with self._lock:
             # Snapshot the counters once: they move concurrently, and a
             # re-read between min() and the filter could leave no candidate.
@@ -166,10 +139,7 @@ class WeightedPolicy(ReadPolicy):
     def _weight_of(self, backend: Backend) -> float:
         return max(float(self._weights.get(backend.name, 1.0)), 0.0)
 
-    def choose(
-        self, backends: List[Backend], candidate_filter: Optional[CandidateFilter] = None
-    ) -> Backend:
-        candidates = self._candidates(backends, candidate_filter)
+    def choose(self, candidates: List[Backend]) -> Backend:
         with self._lock:
             total = 0.0
             best: Optional[Backend] = None

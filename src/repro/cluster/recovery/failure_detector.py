@@ -1,8 +1,10 @@
 """Heartbeat-driven backend failure detection and automatic resync.
 
-The write path demotes a backend that fails a broadcast, but an *idle*
-dead replica — crashed between writes, or partitioned away — fails
-nothing: left alone it would sit ENABLED and silently eat read traffic.
+A write round demotes a backend that fails it, and a read on the HA
+primary demotes the replica it ran on and moves to another, but an
+*idle* dead replica — crashed while no statement reached it, or
+partitioned away — fails nothing: left alone it would sit ENABLED
+until a statement found it.
 The :class:`FailureDetector` pings every backend on each check:
 
 - an ENABLED backend that misses ``max_misses`` consecutive heartbeats

@@ -7,11 +7,12 @@ backends host which tables, RAIDb-0/1/2), :mod:`~repro.cluster.loadbalancer`
 on the hosting backends) and :mod:`~repro.cluster.querycache` (an
 optional SELECT-result cache invalidated by the tables writes touch).
 
-A read goes to one enabled backend hosting all its tables (only a full
-replica serves a cross-partition join). A write, and any statement in a
-transaction, goes to every enabled backend hosting a table it writes;
-transaction control and statements with an unknown table set go to every
-enabled backend. Each write holds the one :class:`LockScope` the
+A read, in a transaction or not, goes to one enabled backend hosting all
+its tables (only a full replica serves a cross-partition join); a
+connection fault fails that backend and the read moves on. A write goes
+to every enabled backend hosting a table it writes; transaction control
+and statements with an unknown table set go to every enabled backend.
+Each write holds the one :class:`LockScope` the
 :class:`~repro.cluster.lockscope.ScopeResolver` gives it — its rows, else
 its tables, else the exclusive mode — so disjoint writes run in parallel
 and conflicting ones serialise; execution and log append happen under
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import nullcontext
 from typing import Any, Callable, Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster.backend import STATEMENT_FAULTS, Backend, QueryResult
@@ -225,10 +227,9 @@ class _BatchItem:
         self.scope = scope
         self.targets = targets
         self.session_id = session_id
-        #: Anything reaching a write round that is not a genuine read is
-        #: replicated; only genuine writes are logged for resync —
-        #: transaction control and in-transaction reads are not.
-        self.logged = not statement.is_read and not statement.is_transaction_control
+        #: Only genuine writes are logged for resync, not transaction
+        #: control.
+        self.logged = not statement.is_transaction_control
         self.done = False
         self.result: Optional[Tuple[List[str], List[Any], int]] = None
         self.outcome: Any = None
@@ -416,6 +417,9 @@ class RequestScheduler:
         # writes are answered ``controller_recovering`` meanwhile.
         self._resyncing = False
         self.cold_starts = 0
+        #: Whether a read fault may fail its replica: an HA follower's controller
+        #: says no, as the primary owns the shared replicas' states.
+        self.owns_replicas: Callable[[], bool] = lambda: True
 
     # -- configuration -----------------------------------------------------------
 
@@ -807,11 +811,13 @@ class RequestScheduler:
         session_id: Optional[str] = None,
         trace: Any = NULL_TRACE,
     ) -> Tuple[List[str], List[Any], int]:
-        """Execute one statement with replication semantics.
+        """Execute one statement with replication semantics: a read, in a
+        transaction or not, runs on one replica (:meth:`_execute_read`);
+        everything else is a write round.
 
-        ``in_transaction`` only routes a read: True sends it through the
-        broadcast path, where it sees the open transaction's uncommitted
-        state, instead of to one replica or the cache. Whether a
+        ``in_transaction`` only routes a read: True holds its lock scope
+        and skips the cache, so it sees the open transaction's uncommitted
+        state on any replica (every enabled one has it open). Whether a
         transaction is open is what the replicas say, never this flag.
 
         ``session_id`` (optional) names the client session: a BEGIN that
@@ -825,46 +831,43 @@ class RequestScheduler:
         statement moves through the pipeline; ``NULL_TRACE`` (the
         default, and the only value on the untraced hot path) times
         nothing."""
+        statement = classify(sql)
+        if statement.is_read:
+            return self._execute_read(sql, params, statement, in_transaction, trace)
+        if not self.enabled_backends():
+            raise SchedulerError("no enabled backend available")
+        return self._execute_broadcast(sql, params, statement, session_id, trace)
+
+    def _read_candidates(self, statement: ClassifiedStatement) -> List[Backend]:
+        """The enabled backends one read may run on, snapshotted now: those
+        hosting *all* of its tables (for a cross-partition join, a full
+        replica), or any for an unknown/empty table set. Raises
+        :class:`NoHostingBackendError` when no enabled backend hosts it."""
         enabled = self.enabled_backends()
         if not enabled:
             raise SchedulerError("no enabled backend available")
-        statement = classify(sql)
-        if statement.is_read and not in_transaction:
-            return self._execute_read(enabled, sql, params, statement, trace)
-        return self._execute_broadcast(sql, params, statement, session_id, trace)
-
-    def _read_candidate_filter(
-        self, enabled: List[Backend], statement: ClassifiedStatement
-    ) -> Optional[Callable[[Backend], bool]]:
-        """Placement restriction for one read, or None when any enabled
-        backend may serve it.
-
-        A read must land on a backend hosting *all* of its tables — for a
-        cross-partition join that is only a full replica. A statement
-        with an unknown/empty table set bypasses placement (any enabled
-        backend), matching the write path's conservative broadcast.
-        Raises :class:`NoHostingBackendError` when no enabled backend
-        qualifies."""
         placement = self._placement
         if placement.is_full or not statement.read_tables:
-            return None
+            return enabled
         candidates = placement.hosting_all(statement.read_tables, enabled)
         if not candidates:
             raise NoHostingBackendError(
                 f"no enabled backend hosts all of {sorted(statement.read_tables)}; "
                 "cross-partition reads need a full replica"
             )
-        names = {candidate.name for candidate in candidates}
-        return lambda backend: backend.name in names
+        return candidates
 
     def _execute_read(
-        self,
-        enabled: List[Backend],
-        sql: str,
-        params: Optional[Dict[str, Any]],
-        statement: ClassifiedStatement,
-        trace: Any = NULL_TRACE,
+        self, sql: str, params: Optional[Dict[str, Any]], statement: ClassifiedStatement,
+        in_transaction: bool, trace: Any,
     ) -> Tuple[List[str], List[Any], int]:
+        if in_transaction:
+            # Under its scope no write is half-way across the replicas.
+            trace.begin("lock")
+            scope, _ = self._scopes.resolve(statement, params)
+            with self._locks.scope(scope):
+                trace.end("lock", kind=scope.kind)
+                return self._read_on_one(sql, params, statement, True, trace)
         cache = self._cache
         use_cache = cache is not None and statement.cacheable
         if use_cache:
@@ -873,33 +876,54 @@ class RequestScheduler:
                 cache_span.set(hit=cached is not None)
             if cached is not None:
                 return cached
-            stamp = cache.stamp()
-            # Re-snapshot *after* taking the stamp: a backend that failed
-            # (and so missed) a concurrent write is excluded here, and one
-            # that fails later implies the write's post-broadcast
+            # The candidates are snapshotted *after* the stamp: a backend
+            # that failed (and so missed) a concurrent write is excluded,
+            # and one that fails later implies the write's post-broadcast
             # invalidation postdates our stamp — either way pre-write data
             # cannot be cached as fresh.
-            enabled = self.enabled_backends()
-            if not enabled:
-                raise SchedulerError("no enabled backend available")
-        backend = self._policy.choose(
-            enabled, candidate_filter=self._read_candidate_filter(enabled, statement)
-        )
-        backend.begin_request()
-        trace.begin("execute", backend=backend.name)
-        try:
-            result = backend.execute(sql, params)
-        finally:
-            backend.finish_request()
-            trace.end("execute")
+            stamp = cache.stamp()
+        result = self._read_on_one(sql, params, statement, False, trace)
         if use_cache:
             cache.put(sql, params, statement.read_tables, result, stamp=stamp)
         return result
 
+    def _read_on_one(
+        self, sql: str, params: Optional[Dict[str, Any]], statement: ClassifiedStatement,
+        scoped: bool, trace: Any,
+    ) -> Tuple[List[str], List[Any], int]:
+        """Run a read on one candidate under the round's fault rule
+        (:func:`round_verdict`): a statement fault is raised; a replica
+        that leaves is skipped, and failed (the record settled) if still
+        ENABLED and :attr:`owns_replicas` — under the caller's scope
+        (``scoped``) or else the exclusive mode, so no transaction control
+        or disable interleaves. With no candidate left the fault is raised."""
+        candidates = self._read_candidates(statement)
+        while True:
+            backend = self._policy.choose(candidates)
+            backend.begin_request()
+            trace.begin("execute", backend=backend.name)
+            try:
+                return backend.execute(sql, params)
+            except Exception as exc:
+                if not round_verdict([BackendOutcome(backend, error=exc)])[1]:
+                    raise
+                if self.owns_replicas():
+                    with nullcontext() if scoped else self._locks.exclusive():
+                        if backend.enabled:
+                            backend.mark_failed()
+                            self._settle()
+                candidates = [c for c in candidates if c is not backend and c.enabled]
+                if not candidates:
+                    raise
+            finally:
+                backend.finish_request()
+                trace.end("execute")
+
     def _write_targets(
         self, enabled: List[Backend], statement: ClassifiedStatement
     ) -> List[Backend]:
-        """Which enabled backends one broadcast statement goes to.
+        """Which enabled backends one write round goes to — never a read,
+        which runs on one replica (:meth:`_read_candidates`).
 
         Everything under full replication, and always everything for
         transaction control (BEGIN/COMMIT/ROLLBACK keep the transaction
@@ -908,24 +932,10 @@ class RequestScheduler:
         (the conservative bypass). A genuine write goes to every backend
         hosting *any* written table — fewer would silently diverge a
         replica of a written table; its read tables must be colocated on
-        those backends or the statement has nowhere it can run correctly.
-        An in-transaction read executes on the backends hosting all of
-        its tables."""
+        those backends or the statement has nowhere it can run correctly."""
         placement = self._placement
         if placement.is_full or statement.is_transaction_control:
             return enabled
-        if statement.is_read:
-            # In-transaction read: routed through the broadcast path so it
-            # observes the transaction's uncommitted state.
-            if not statement.read_tables:
-                return enabled
-            targets = placement.hosting_all(statement.read_tables, enabled)
-            if not targets:
-                raise NoHostingBackendError(
-                    f"no enabled backend hosts all of {sorted(statement.read_tables)}; "
-                    "cross-partition reads need a full replica"
-                )
-            return targets
         if not statement.write_tables:
             return enabled
         if statement.referenced_tables:

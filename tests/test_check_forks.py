@@ -387,3 +387,17 @@ def test_record_gates_match_the_three_files_they_retired():
         "        atomic_write_json(self._meta_path(), {\"truncated_through\": self._truncated_through})",
     ]:
         assert check_forks.re.search(writes.pattern, line), line
+
+
+def test_read_set_gate_matches_the_write_round_branch_it_retired():
+    """``hosting_all(`` is allowed once in the scheduler, where a read's
+    candidates are decided; the in-transaction branch of the write
+    round's targets called it a second time."""
+    check_forks = _check_forks()
+    (gate,) = [gate for gate in check_forks.GATES if gate.message.startswith("a read's replica set")]
+    assert gate.allowed == 1 and check_forks.check_gate(gate) == []
+    report = check_forks.check_gate(gate._replace(allowed=0))
+    assert len(report) == 2 and report[1].startswith("src/repro/cluster/scheduler.py:"), report
+    assert report[1].endswith("candidates = placement.hosting_all(statement.read_tables, enabled)")
+    retired = "            targets = placement.hosting_all(statement.read_tables, enabled)"
+    assert check_forks.re.search(gate.pattern, retired)

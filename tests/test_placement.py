@@ -189,35 +189,42 @@ class TestPlacementPolicies:
         assert stats["tables_per_backend"]["db1"] == 1
 
 
-class TestLoadBalancerCandidateFilter:
-    def test_policies_respect_the_filter(self):
+class TestLoadBalancerCandidates:
+    def test_policies_choose_among_the_candidates(self):
         backends = [_backend(f"b{i}") for i in range(4)]
         allowed = {"b1", "b3"}
+        hosts = [backend for backend in backends if backend.name in allowed]
         for policy in (RoundRobinPolicy(), LeastPendingPolicy(), WeightedPolicy()):
-            chosen = {
-                policy.choose(backends, candidate_filter=lambda b: b.name in allowed).name
-                for _ in range(8)
-            }
+            chosen = {policy.choose(hosts).name for _ in range(8)}
             assert chosen == allowed
 
-    def test_unsatisfiable_filter_raises(self):
-        backends = [_backend("b1")]
-        with pytest.raises(DriverError):
-            RoundRobinPolicy().choose(backends, candidate_filter=lambda b: False)
+    def test_a_read_with_no_enabled_host_raises_before_any_policy_runs(self):
+        backends = [_backend(name) for name in NAMES[:2]]
+        asked = []
 
-    def test_round_robin_fair_under_interleaved_filters(self):
-        # A shared cursor would alias: strict 1:1 interleave of filtered
-        # (2 candidates) and unfiltered (3 candidates) reads left the
-        # filtered stream always on an even cursor — one host starved.
+        class Recording(RoundRobinPolicy):
+            def choose(self, candidates):
+                asked.append(candidates)
+                return super().choose(candidates)
+
+        scheduler = _scheduler(backends, placement="explicit:users=db2", read_policy=Recording())
+        backends[1].mark_failed()
+        with pytest.raises(DriverError):
+            scheduler.execute("SELECT * FROM users")
+        assert asked == []
+        scheduler.close()
+
+    def test_round_robin_fair_under_interleaved_candidate_sets(self):
+        # A shared cursor would alias: strict 1:1 interleave of a
+        # 2-candidate and a 3-candidate read stream left the 2-candidate
+        # stream always on an even cursor — one host starved.
         backends = [_backend(name) for name in ("a", "b", "c")]
         policy = RoundRobinPolicy()
-        filtered_counts = {"a": 0, "b": 0}
+        pair_counts = {"a": 0, "b": 0}
         for _ in range(10):
-            filtered_counts[
-                policy.choose(backends, candidate_filter=lambda x: x.name in ("a", "b")).name
-            ] += 1
+            pair_counts[policy.choose(backends[:2]).name] += 1
             policy.choose(backends)
-        assert filtered_counts == {"a": 5, "b": 5}
+        assert pair_counts == {"a": 5, "b": 5}
 
 
 def _scheduler(backends, placement=None, **kwargs):

@@ -86,6 +86,11 @@ _ONE_RECORD = (
     "(LogStore._save_state_locked); no second file, registry or loader"
 )
 
+_ONE_READ_SET = (
+    "a read's replica set is decided in one place, RequestScheduler._read_candidates: a read, "
+    "in a transaction or not, runs on one replica and never in a write round"
+)
+
 GATES = [
     Gate(
         r"trace is (not )?None",
@@ -322,6 +327,7 @@ GATES = [
     ),
     # The definition and the one call.
     Gate(r"atomic_write_json\(", ("src/repro/cluster",), _ONE_RECORD, allowed=2),
+    Gate(r"hosting_all\(", ("src/repro/cluster/scheduler.py",), _ONE_READ_SET, allowed=1),
 ]
 
 
