@@ -927,9 +927,10 @@ class RequestScheduler:
 
         Everything under full replication, and always everything for
         transaction control (BEGIN/COMMIT/ROLLBACK keep the transaction
-        lifecycle global — non-hosting backends just open and commit an
-        empty transaction) and for statements with an unknown table set
-        (the conservative bypass). A genuine write goes to every backend
+        lifecycle global — a non-hosting backend's connection owes the
+        BEGIN and answers the COMMIT, so it gets no request) and for
+        statements with an unknown table set (the conservative bypass).
+        A genuine write goes to every backend
         hosting *any* written table — fewer would silently diverge a
         replica of a written table; its read tables must be colocated on
         those backends or the statement has nowhere it can run correctly."""

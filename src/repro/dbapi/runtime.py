@@ -44,7 +44,7 @@ from repro.dbapi.exceptions import (
 )
 from repro.dbapi.urls import ConnectionUrl, parse_url
 from repro.dbserver.auth import compute_token
-from repro.dbserver.wire import PROTOCOL_VERSION, MessageType, make_connect, make_execute
+from repro.dbserver.wire import BEGIN_MIN_VERSION, PROTOCOL_VERSION, MessageType, make_connect, make_execute
 from repro.errors import TransportError
 from repro.netsim.registry import DEFAULT_NETWORK_NAME, get_network
 from repro.netsim.transport import Channel, Network
@@ -210,6 +210,10 @@ class WireConnection(Connection):
 class RuntimeConnection(WireConnection):
     """A live connection produced by :class:`RuntimeDriver`."""
 
+    #: Whether both ends said v4 at CONNECT, so an EXECUTE may carry
+    #: ``begin``; and whether the EXECUTE awaiting its reply did.
+    carries_begin = _begin_carried = False
+
     def __init__(self, driver: "RuntimeDriver", channel: Channel, url: ConnectionUrl, session_id: str) -> None:
         super().__init__(driver)
         self._channel = channel
@@ -226,20 +230,23 @@ class RuntimeConnection(WireConnection):
         self._send_execute_locked(sql, params)
         return self._receive_result_locked()
 
-    def _send_execute_locked(self, sql: str, params: Dict[str, Any]) -> None:
+    def _send_execute_locked(self, sql: str, params: Dict[str, Any], begin: bool = False) -> None:
+        self._begin_carried = begin
         try:
-            self._channel.send(make_execute(sql, params=params))
+            self._channel.send(make_execute(sql, params=params, begin=begin))
         except TransportError as exc:
             self._closed = True
             raise OperationalError(f"connection lost: {exc}") from exc
 
     def _receive_result_locked(self) -> Dict[str, Any]:
+        begun, self._begin_carried = self._begin_carried and not self._in_transaction, False
         try:
             reply = self._channel.recv(timeout=30.0)
         except TransportError as exc:
             self._closed = True
             raise OperationalError(f"connection lost: {exc}") from exc
         self._reply_received(reply)
+        self.statements_executed += int(begun and self._in_transaction)  # the carried BEGIN ran
         if reply.get("type") == MessageType.ERROR:
             _raise_for_error(reply)
         if reply.get("type") != MessageType.RESULT:
@@ -247,7 +254,7 @@ class RuntimeConnection(WireConnection):
         self.statements_executed += 1
         return reply
 
-    def send_execute(self, sql: str, params: Optional[Dict[str, Any]] = None):
+    def send_execute(self, sql: str, params: Optional[Dict[str, Any]] = None, begin: bool = False):
         """The split form of one statement, for a caller that sends to
         several connections before it waits on any: the EXECUTE goes on
         the wire now, and the returned zero-argument callable — to be
@@ -255,12 +262,13 @@ class RuntimeConnection(WireConnection):
         ``(columns, rows, rowcount)``, raising as ``cursor.execute``
         would. The exchange lock is held from here until that call
         returns, so a ``close()`` from another thread still waits for
-        the reply in flight."""
+        the reply in flight. ``begin`` (only if :attr:`carries_begin`)
+        runs BEGIN first, and the statement only if BEGIN succeeded."""
         self._lock.acquire()
         try:
             if self._closed:
                 raise InterfaceError("connection is closed")
-            self._send_execute_locked(sql, params or {})
+            self._send_execute_locked(sql, params or {}, begin)
         except BaseException:
             self._lock.release()
             raise
@@ -454,4 +462,7 @@ class RuntimeDriver(DriverRuntime):
         if reply.get("type") != MessageType.CONNECT_OK:
             channel.close()
             raise InterfaceError(f"unexpected handshake reply {reply.get('type')!r}")
-        return RuntimeConnection(self, channel, url, str(reply.get("session_id", "")))
+        connection = RuntimeConnection(self, channel, url, str(reply.get("session_id", "")))
+        spoken = min(self.protocol_version, reply.get("protocol_version", 0))
+        connection.carries_begin = spoken >= BEGIN_MIN_VERSION
+        return connection

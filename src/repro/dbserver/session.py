@@ -63,7 +63,11 @@ class ServerSession:
         return reply
 
     def execute(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        """Run the statement; when the frame says ``begin`` (v4), run BEGIN
+        first and the statement only if BEGIN succeeded."""
         try:
+            if message.get("begin"):
+                self.sql_session.execute("BEGIN")
             result = self.sql_session.execute(
                 message["sql"],
                 params=message.get("params") or {},
@@ -83,7 +87,9 @@ def refuse_statement(session: ServerSession, frame: Dict[str, Any], code: str, d
 
 #: What a CONNECTed channel takes (docs/wire.md "Who may send what").
 STATEMENTS = {
-    MessageType.EXECUTE: Route(ServerSession.execute, {"sql": str}, {"params": dict, "positional": list}),
+    MessageType.EXECUTE: Route(
+        ServerSession.execute, {"sql": str}, {"params": dict, "positional": list, "begin": bool}
+    ),
     MessageType.CLOSE: Route(lambda session, frame: STOP),
     MessageType.PING: Route(lambda session, frame: {"type": MessageType.PONG}),
 }

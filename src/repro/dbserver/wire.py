@@ -12,8 +12,11 @@ from typing import Any, Dict, Optional
 
 #: Current protocol version spoken by the reference server and the
 #: up-to-date driver generation. Older driver generations speak lower
-#: versions; the server accepts a configurable range.
-PROTOCOL_VERSION = 3
+#: versions; the server accepts a configurable range. v4 adds the
+#: EXECUTE's ``begin``: run BEGIN, then the statement if BEGIN succeeded.
+PROTOCOL_VERSION = 4
+#: The first version whose EXECUTE may carry ``begin`` (both ends must speak it).
+BEGIN_MIN_VERSION = 4
 
 
 class MessageType:
@@ -60,13 +63,18 @@ def make_connect_ok(server_name: str, protocol_version: int, session_id: str) ->
     }
 
 
-def make_execute(sql: str, params: Optional[Dict[str, Any]] = None, positional: Optional[list] = None) -> Dict[str, Any]:
-    return {
+def make_execute(
+    sql: str, params: Optional[Dict[str, Any]] = None, positional: Optional[list] = None, begin: bool = False
+) -> Dict[str, Any]:
+    message = {
         "type": MessageType.EXECUTE,
         "sql": sql,
         "params": params or {},
         "positional": positional or [],
     }
+    if begin:
+        message["begin"] = True
+    return message
 
 
 def make_result(columns: list, rows: list, rowcount: int) -> Dict[str, Any]:

@@ -401,3 +401,22 @@ def test_read_set_gate_matches_the_write_round_branch_it_retired():
     assert report[1].endswith("candidates = placement.hosting_all(statement.read_tables, enabled)")
     retired = "            targets = placement.hosting_all(statement.read_tables, enabled)"
     assert check_forks.re.search(gate.pattern, retired)
+
+
+def test_begin_gate_sees_the_one_deferral_and_a_scheduler_twin():
+    """``begin=`` and the BEGIN debt appear under src/repro/cluster only in
+    backend.py, where ReplicaBatch defers and carries a replica
+    connection's BEGIN; a scheduler or controller special case for BEGIN
+    would match."""
+    check_forks = _check_forks()
+    (gate,) = [gate for gate in check_forks.GATES if gate.message.startswith("a second BEGIN path")]
+    assert gate.allowed == 0 and check_forks.check_gate(gate) == []
+    report = check_forks.check_gate(gate._replace(exclude=()))
+    assert len(report) > 1
+    assert {line.split(":", 1)[0] for line in report[1:]} == {"src/repro/cluster/backend.py"}
+    for line in (
+        '            if statement.command == "BEGIN": backend._owed_begin = backend._connection',
+        "        collect = connection.send_execute(sql, params, begin=True)",
+        '        if getattr(connection, "carries_begin", False):',
+    ):
+        assert check_forks.re.search(gate.pattern, line), line

@@ -328,6 +328,14 @@ GATES = [
     # The definition and the one call.
     Gate(r"atomic_write_json\(", ("src/repro/cluster",), _ONE_RECORD, allowed=2),
     Gate(r"hosting_all\(", ("src/repro/cluster/scheduler.py",), _ONE_READ_SET, allowed=1),
+    Gate(
+        r"\bbegin=|owe[sd]_begin|carries_begin",
+        ("src/repro/cluster",),
+        "a second BEGIN path: a replica connection's BEGIN is deferred and carried (begin=) "
+        "in one place, cluster/backend.py's ReplicaBatch; the scheduler and the controller "
+        "send BEGIN like any statement",
+        exclude=("src/repro/cluster/backend.py",),
+    ),
 ]
 
 
