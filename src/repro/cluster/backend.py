@@ -17,7 +17,6 @@ import enum
 import threading
 from typing import Any, Callable, Container, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.cluster.classifier import classify
 from repro.cluster.recovery.dumper import DatabaseDump, DatabaseDumper
 from repro.cluster.recovery.logstore import LogEntry
 from repro.dbapi.exceptions import (
@@ -79,15 +78,14 @@ class ReplicaBatch:
     ``outcomes`` fills positionally: a statement fault is that
     statement's outcome alone; anything else is a connection fault,
     which drops the connection and fails every statement not yet
-    answered, none of which is then sent.
+    answered, none of which is then sent. A BEGIN is sent like any
+    statement: a connection that can carry it with its next request
+    answers it without one (:class:`repro.dbapi.runtime.WireConnection`).
 
-    A lone BEGIN on an open connection that ``carries_begin`` (wire v4)
-    and is in no transaction is answered here (``([], [], 0)``, as the
-    engine would) and owed by that connection (``Backend._owed_begin``):
-    its next request carries it as ``begin``, and a COMMIT or ROLLBACK
-    finding it still owed is answered here too. Such a connection holds
-    the backend's lock from send to collect, so debts are read and paid
-    under it."""
+    A tracked batch counts what the connection says the replica ran
+    (its ``statements_executed`` across the request, a carried BEGIN
+    included), or its statements that succeeded on a connection that
+    does not say."""
 
     def __init__(
         self,
@@ -109,8 +107,8 @@ class ReplicaBatch:
         self._carried = 0
         self._collect: Optional[Callable[[], Any]] = None
         self._locked = False
-        #: Whether the request in flight carries its connection's BEGIN.
-        self._begin = False
+        #: The connection's ``statements_executed`` when the request was issued.
+        self._ran_before: Optional[int] = None
 
     @property
     def done(self) -> bool:
@@ -136,6 +134,7 @@ class ReplicaBatch:
         self._carried = len(self._statements) - position
         self._connection = None
         connection = self._connection = self.backend._ensure_connection()
+        self._ran_before = getattr(connection, "statements_executed", None)
         if getattr(connection, "threadsafety", 1) >= 2:
             # Threads may share this connection: no exclusivity to hold.
             self._release()
@@ -152,20 +151,11 @@ class ReplicaBatch:
             return
         sql, params = self._statements[position]
         self._carried = 1
-        owed = self.backend._owed_begin is connection
-        command = classify(sql).command if getattr(connection, "carries_begin", False) else None
-        if (owed and command in ("COMMIT", "ROLLBACK")) or (
-            command == "BEGIN" and not (owed or connection.in_transaction)
-        ):
-            self.backend._owed_begin = None if owed else connection
-            self.outcomes.append((([], [], 0), None))
-            return
-        self._begin = owed
         split = getattr(connection, "send_execute", None)
         if split is None:
             self._settle(_run_cursor, connection, sql, params)
         else:
-            self._collect = split(sql, params or {}, begin=True) if owed else split(sql, params or {})
+            self._collect = split(sql, params or {})
 
     def collect(self) -> None:
         """Wait for the request in flight, if any, and record its reply."""
@@ -187,12 +177,11 @@ class ReplicaBatch:
             self._fail(exc)
             answered = []
         self.outcomes += answered
-        # A carried BEGIN is paid whatever the reply; it ran if it opened a transaction.
-        begun = self._begin and bool(getattr(self._connection, "in_transaction", False))
-        if self._begin:
-            self._begin, self.backend._owed_begin = False, None
         if self._track:
-            succeeded = sum(error is None for _, error in answered) + begun
+            if self._ran_before is None:
+                succeeded = sum(error is None for _, error in answered)
+            else:
+                succeeded = self._connection.statements_executed - self._ran_before
             if succeeded:
                 with self.backend._lock:
                     self.backend.statements_executed += succeeded
@@ -316,9 +305,6 @@ class Backend:
         self.name = name
         self._connection_factory = connection_factory
         self._connection: Optional[Any] = None
-        #: The connection owing a BEGIN (:class:`ReplicaBatch`); a debt
-        #: counts only while that object is the cached connection.
-        self._owed_begin: Optional[Any] = None
         self.state = BackendState.ENABLED
         #: Who took this backend out of the rotation (``"admin"`` or
         #: ``"detector"``); None while it is in. The failure detector
@@ -331,8 +317,8 @@ class Backend:
         #: Which per-table sequences were applied here: a replay wider
         #: than the checkpoint skips them (:func:`replay_step`).
         self.applied_seqs = AppliedSeqs()
-        #: Statements the replica ran (observability): an owed BEGIN counts
-        #: once a request carried it, a BEGIN or COMMIT answered here never.
+        #: Statements the replica ran (observability): a BEGIN counts once
+        #: a request carried it, a BEGIN or COMMIT its connection answered never.
         self.statements_executed = 0
         #: When the failure detector last saw this backend answer a ping.
         self.last_heartbeat_at: float = 0.0
@@ -394,14 +380,13 @@ class Backend:
 
     @property
     def in_transaction(self) -> bool:
-        """Whether a transaction is open on the replica's connection: it
-        owes a BEGIN, or the replica said so on its last reply (the
-        DB-API contract of ``Connection.in_transaction``); False once
-        the connection is dropped or replaced, since closing it rolls its
-        server session back and a successor owes nothing."""
-        connection = self._connection
-        owed = connection is not None and connection is self._owed_begin
-        return owed or bool(getattr(connection, "in_transaction", False))
+        """Whether a transaction is open on the replica's connection, as
+        the connection says (the DB-API contract of
+        ``Connection.in_transaction``: it owes a BEGIN, or the replica
+        said so on its last reply); False once the connection is dropped
+        or replaced, since closing it rolls its server session back and a
+        successor owes nothing."""
+        return bool(getattr(self._connection, "in_transaction", False))
 
     # -- statement execution ---------------------------------------------------------
 

@@ -395,7 +395,7 @@ class Controller:
         #: What a CONNECTed channel takes; a trunk also opens and closes sessions.
         self._session_routes: Dict[str, Route] = {
             ClusterMessageType.EXECUTE: Route(
-                self._on_execute, {"sql": str}, {"params": dict, "trace_id": str}
+                self._on_execute, {"sql": str}, {"params": dict, "trace_id": str, "begin": bool}
             ),
             ClusterMessageType.CLOSE: Route(lambda state, frame: STOP),
             ClusterMessageType.PING: Route(lambda state, frame: {"type": ClusterMessageType.PONG}),
@@ -1160,7 +1160,8 @@ class Controller:
         """Admit one EXECUTE frame (its fields already typed by the
         session table) on the channel's reader thread: correlate →
         queue-depth bound → in-flight bound → trace, then queue it for
-        the run queue — or, on a dedicated channel, run it right here:
+        the run queue (a ``begin`` it carries goes with it, v4) — or, on
+        a dedicated channel, run it right here:
         EXECUTE/RESULT alternate strictly there, so the reader *is* the
         session's worker and a hop to a worker would buy nothing. Every
         refusal is answered promptly from this thread (an unanswered or
@@ -1212,7 +1213,7 @@ class Controller:
         # Rejected statements never ran, so they are not traced;
         # everything that reaches the scheduler is.
         trace = self._start_trace(message)
-        item = (sql, params, trace, holds_slot, session_id, request_id)
+        item = (sql, params, trace, holds_slot, session_id, request_id, message.get("begin", False))
         if state.implicit is not None:
             self._run_statement(state, session, item)
             return
@@ -1228,10 +1229,15 @@ class Controller:
             self._release_statement()
 
     def _run_statement(self, state: _ChannelState, session: _Session, item: Any) -> None:
-        """Execute one admitted statement and send its reply."""
-        sql, params, trace, holds_slot, session_id, request_id = item
+        """Execute one admitted statement and send its reply. A BEGIN it
+        carries runs first, gated as a BEGIN sent alone is, and a refused
+        one leaves the statement unrun: the scheduler sees the same
+        BEGIN-then-statement sequence either way."""
+        sql, params, trace, holds_slot, session_id, request_id, begin = item
         try:
-            reply = self._execute_for_session(session, sql, params, trace)
+            reply = self._execute_for_session(session, "BEGIN", {}, trace) if begin else None
+            if reply is None or reply["type"] == ClusterMessageType.RESULT:
+                reply = self._execute_for_session(session, sql, params, trace)
         except Exception as exc:  # noqa: BLE001 - a serving thread must never die silently
             reply = make_error("internal_error", str(exc))
         finally:

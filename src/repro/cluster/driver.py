@@ -29,6 +29,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.cluster.classifier import is_transaction_control
 from repro.cluster.wire import (
+    BEGIN_MIN_VERSION,
     CLUSTER_PROTOCOL_VERSION,
     ERROR_NOT_PRIMARY,
     ERROR_SERVER_BUSY,
@@ -115,6 +116,8 @@ class ControllerLink:
         #: Registry key, used by the runtime to release the link.
         self.key = key
         self.controller_id = str(connect_ok.get("controller_id", host))
+        #: The version the controller said it speaks with this driver.
+        self.protocol_version = int(connect_ok.get("protocol_version", 0))
         #: Whether the controller granted tracing on this channel —
         #: sessions that want spans back may then send a ``trace_id``
         #: per EXECUTE.
@@ -197,6 +200,7 @@ class ControllerLink:
         sql: str,
         params: Optional[Dict[str, Any]],
         trace_id: Optional[str] = None,
+        begin: bool = False,
     ) -> _Pending:
         """Fire one statement without waiting — the pipelining primitive."""
         request_id = next(self._request_ids)
@@ -205,7 +209,7 @@ class ControllerLink:
         )
         return self._send(
             (session_id, request_id),
-            make_execute(sql, params, trace_id=trace_id, **correlation),
+            make_execute(sql, params, trace_id=trace_id, begin=begin, **correlation),
         )
 
     def wait(self, pending: _Pending, timeout: float = 30.0) -> Dict[str, Any]:
@@ -393,6 +397,8 @@ class ClusterConnection(WireConnection):
             self._controller_id = link.controller_id
             self._current_host = host
             self._tracing = self._want_trace and link.tracing
+            spoken = min(self._driver.protocol_version, link.protocol_version)
+            self.carries_begin = spoken >= BEGIN_MIN_VERSION
             return
         raise OperationalError(f"no controller reachable among {hosts!r}: {last_error}")
 
@@ -457,7 +463,7 @@ class ClusterConnection(WireConnection):
 
     # -- statement execution ---------------------------------------------------------
 
-    def _execute_locked(self, sql: str, params: Dict[str, Any]) -> Dict[str, Any]:
+    def _execute_locked(self, sql: str, params: Dict[str, Any], begin: bool) -> Dict[str, Any]:
         # One attempt per configured controller: a dead controller and
         # a sibling busy replaying its recovery log (error code
         # ``controller_recovering``) both push the statement to the
@@ -473,7 +479,12 @@ class ClusterConnection(WireConnection):
         attempt = 0
         while attempt < attempts:
             try:
-                return self._execute_once(sql, params)
+                if begin and not self.carries_begin:
+                    # Carried to a controller that cannot take it (a
+                    # failover mid rolling upgrade): BEGIN goes alone first.
+                    self._execute_once("BEGIN", {})
+                    begin = False
+                return self._execute_once(sql, params, begin)
             except _ServerBusy as exc:
                 # Admission-control rejection: the controller refused
                 # the statement *before* any backend saw it, so
@@ -502,9 +513,11 @@ class ClusterConnection(WireConnection):
                 # to roll the transaction back now, not whenever the
                 # application gets round to close(). "Mid-transaction" is
                 # what the controller said on the session's last reply,
-                # so it holds however the transaction was opened. A
-                # connection closed from another thread meanwhile is not
-                # re-attached either.
+                # so it holds however the transaction was opened; a
+                # request that carried a BEGIN and was refused retries
+                # with it. A connection closed from another thread
+                # meanwhile — or by a loss of a request carrying a
+                # BEGIN (:meth:`_request`) — is not re-attached either.
                 if self._in_transaction or self._closed:
                     self._detach()
                     self._closed = True
@@ -520,7 +533,7 @@ class ClusterConnection(WireConnection):
                 self.failovers += 1
         raise OperationalError("unreachable")  # pragma: no cover
 
-    def _execute_once(self, sql: str, params: Dict[str, Any]) -> Dict[str, Any]:
+    def _execute_once(self, sql: str, params: Dict[str, Any], begin: bool = False) -> Dict[str, Any]:
         # On a tracing-granted link every statement carries a fresh
         # trace_id; the reply's span list (plus the round-trip latency
         # observed right here) lands in ``last_trace``. Untraced
@@ -532,7 +545,7 @@ class ClusterConnection(WireConnection):
         else:
             trace_id = None
             started = 0.0
-        (reply,) = self._request([(sql, params)], 30.0, trace_id)
+        (reply,) = self._request([(sql, params)], 30.0, trace_id, begin)
         if trace_id is not None:
             # Captured before interpretation so failed statements are
             # traceable too.
@@ -552,24 +565,31 @@ class ClusterConnection(WireConnection):
         statements: List[Tuple[str, Dict[str, Any]]],
         timeout: float,
         trace_id: Optional[str] = None,
+        begin: bool = False,
     ) -> List[Dict[str, Any]]:
         """Fire ``statements`` on the session and collect their replies in
-        order — one statement is a pipeline of one. Any transport failure
-        (channel lost, reply timed out) detaches: the session is closed
-        and the link released, which closes it if its channel died."""
+        order — one statement is a pipeline of one; with ``begin`` the
+        first carries a BEGIN. Any transport failure (channel lost, reply
+        timed out) detaches: the session is closed and the link released,
+        which closes it if its channel died. A lost request that carried a
+        BEGIN may have opened a transaction, so the connection then ends,
+        as a loss mid-transaction ends it."""
         link, session_id = self._link, self._session_id
         try:
             if link is None:
                 raise TransportError("not attached to a controller")
             pendings = [
-                link.submit(session_id, sql, params, trace_id) for sql, params in statements
+                link.submit(session_id, sql, params, trace_id, begin=begin and index == 0)
+                for index, (sql, params) in enumerate(statements)
             ]
             replies = [link.wait(pending, timeout) for pending in pendings]
         except TransportError as exc:
             self._detach()
+            self._closed = self._closed or (begin and link is not None)
             raise OperationalError(f"controller connection lost: {exc}") from exc
         for reply in replies:
             self._reply_received(reply)
+        self.statements_executed += int(begin and self._in_transaction)  # the carried BEGIN ran
         return replies
 
     def _interpret_reply(self, reply: Dict[str, Any]) -> Dict[str, Any]:
@@ -614,9 +634,10 @@ class ClusterConnection(WireConnection):
         private one — so pipelining inside an open transaction is
         supported: the fired batch lands in order within the
         transaction, and the final COMMIT (issued separately) flushes
-        it. Transaction *control* — what the classifier calls one —
-        cannot be pipelined: a BEGIN/COMMIT in the middle of an
-        already-fired batch could not abort the statements behind it.
+        it; a BEGIN the connection owes rides the first statement.
+        Transaction *control* — what the classifier calls one — cannot
+        be pipelined: a BEGIN/COMMIT in the middle of an already-fired
+        batch could not abort the statements behind it.
         There is no transparent failover for a pipeline — by the time an
         error surfaces, later statements may already have executed, so
         the failure is raised as-is (results before the failing
@@ -634,8 +655,10 @@ class ClusterConnection(WireConnection):
         with self._lock:
             if self._closed:
                 raise InterfaceError("connection is closed")
+            if not prepared:
+                return []  # nothing to carry an owed BEGIN: it stays owed
             results = []
-            for reply in self._request(prepared, timeout):
+            for reply in self._carrying(self._request, prepared, timeout):
                 try:
                     results.append(self._interpret_reply(reply))
                 except _ServerBusy as exc:

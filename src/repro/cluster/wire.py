@@ -36,6 +36,11 @@ Version history:
   ``trace_id``, and the matching RESULT/ERROR carries back ``trace``
   (the server-side span list, see ``repro.obs.trace``). See
   docs/observability.md.
+- **v4** — EXECUTE may carry ``begin: true``: the controller runs BEGIN
+  for the session, then the statement only if BEGIN succeeded, and
+  replies once. A driver sends it only when both ends said v4 at
+  CONNECT: it answers the application's lone BEGIN itself and carries
+  it with the next statement (``repro.dbapi.runtime.WireConnection``).
 
 One rule keeps every version's frames readable by every other: an
 optional field is omitted when unset, so a frame that uses no newer
@@ -49,7 +54,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.errors import DriverError
 
 #: Protocol version spoken by the current controller/driver generation.
-CLUSTER_PROTOCOL_VERSION = 3
+CLUSTER_PROTOCOL_VERSION = 4
 
 #: Oldest driver protocol version a controller still accepts. The
 #: floor is v1 because ``driver_factory.build_sequoia_driver`` packages
@@ -64,6 +69,10 @@ MULTIPLEX_MIN_VERSION = 3
 #: (CONNECT ``trace`` / CONNECT_OK ``tracing`` / EXECUTE ``trace_id`` /
 #: RESULT-ERROR ``trace``).
 TRACE_MIN_VERSION = 3
+
+#: First protocol version whose EXECUTE may carry ``begin`` (both ends
+#: must speak it; an older end keeps the eager BEGIN).
+BEGIN_MIN_VERSION = 4
 
 #: ERROR code for admission-control rejections: the controller's
 #: statement workers are saturated past its configured bounds and the EXECUTE
@@ -178,6 +187,7 @@ def make_execute(
     session_id: Optional[str] = None,
     request_id: Optional[int] = None,
     trace_id: Optional[str] = None,
+    begin: bool = False,
 ) -> Dict[str, Any]:
     message = {"type": ClusterMessageType.EXECUTE, "sql": sql, "params": params or {}}
     if session_id is not None:
@@ -186,6 +196,8 @@ def make_execute(
         message["request_id"] = request_id
     if trace_id is not None:
         message["trace_id"] = trace_id
+    if begin:
+        message["begin"] = True
     return message
 
 

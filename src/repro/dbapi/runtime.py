@@ -11,9 +11,10 @@ The module also holds what every driver runtime in the repro shares —
 the cluster driver (:mod:`repro.cluster.driver`) builds on the same
 three bases: :class:`ResultCursor` (a cursor over one buffered RESULT
 reply), :class:`WireConnection` (the DB-API transaction surface, the
-transaction flag — what the session's owner said on the last reply —
-and the connection lifecycle — ``close()`` from any thread — over a
-subclass's ``_execute_locked`` and ``_detach``) and
+transaction flag — an owed BEGIN, or what the session's owner said on
+the last reply — the deferred BEGIN itself, and the connection
+lifecycle — ``close()`` from any thread — over a subclass's
+``_execute_locked`` and ``_detach``) and
 :class:`DriverRuntime` (identity, option merging, pre-configured URLs,
 connection tracking).
 
@@ -32,8 +33,10 @@ The pydb runtime implements:
 
 from __future__ import annotations
 
+import functools
+import re
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.dbapi.api import Connection, Cursor
 from repro.dbapi.exceptions import (
@@ -128,32 +131,97 @@ class ResultCursor(Cursor):
 #: Name kept for the pydb driver's cursor.
 RuntimeCursor = ResultCursor
 
+#: The texts the engine's parser reads as a BEGIN, COMMIT or ROLLBACK and
+#: nothing else: any case, whitespace around, one optional ``;``.
+_LONE_CONTROL = re.compile(
+    r"\s*(?:(BEGIN(?:\s+TRANSACTION)?|START\s+TRANSACTION)|COMMIT|ROLLBACK)\s*;?\s*", re.IGNORECASE
+)
+
+
+@functools.lru_cache(maxsize=512)
+def _lone_control(sql: str) -> Optional[str]:
+    """``"begin"`` or ``"end"`` (COMMIT or ROLLBACK) when ``sql`` is one of
+    :data:`_LONE_CONTROL`'s texts, else None: any other text — ``BEGIN
+    WORK``, ``COMMIT foo`` — is sent, so its error is the server's."""
+    match = _LONE_CONTROL.fullmatch(sql)
+    if match is None:
+        return None
+    return "begin" if match.group(1) else "end"
+
+
+def _answered_here() -> Tuple[List[str], List[Tuple[Any, ...]], int]:
+    """The collect of a statement answered without a request, as the engine answers."""
+    return [], [], 0
+
 
 class WireConnection(Connection):
     """The DB-API surface of a connection that talks an EXECUTE/RESULT
     wire protocol, and its lifecycle. Subclasses implement
-    ``_execute_locked(sql, params)`` — one statement in, the RESULT
-    message out, errors raised — and ``_detach()``, which releases the
-    server-side session and must tolerate being called twice. Both run
-    under ``_lock``, the exchange lock: one statement at a time, and
-    never concurrently with the detach."""
+    ``_execute_locked(sql, params, begin)`` — one statement in, run
+    after a BEGIN when ``begin`` says the request carries one, the
+    RESULT message out, errors raised — and ``_detach()``, which
+    releases the server-side session and must tolerate being called
+    twice. Both run under ``_lock``, the exchange lock: one statement
+    at a time, and never concurrently with the detach.
+
+    When both ends speak a version whose EXECUTE may carry ``begin``
+    (:attr:`carries_begin`, set at CONNECT), a lone BEGIN on a
+    connection in no transaction is answered here and owed: the next
+    request carries it, and a COMMIT or ROLLBACK that finds it still
+    owed is answered here too. The debt is settled when that request
+    returns or raises to the caller — the BEGIN ran, or failed with its
+    statement — whatever a subclass retried in between."""
+
+    #: Whether both ends of the connection speak a begin-carrying version.
+    carries_begin = False
 
     def __init__(self, driver: "DriverRuntime") -> None:
         self._driver = driver
         self._closed = False
         self._in_transaction = False
+        #: A BEGIN answered here, which the next request carries.
+        self._owed_begin = False
         self._lock = threading.Lock()
         #: Number of statements executed on this connection (observability
-        #: for experiments: proves traffic kept flowing across an upgrade).
+        #: for experiments: proves traffic kept flowing across an upgrade):
+        #: a carried BEGIN counts once the server ran it, one answered here never.
         self.statements_executed = 0
 
     def _execute(self, sql: str, params: Dict[str, Any]) -> Dict[str, Any]:
         with self._lock:
             if self._closed:
                 raise InterfaceError("connection is closed")
-            return self._execute_locked(sql, params)
+            if self._answer_here(sql):
+                return {"columns": [], "rows": [], "rowcount": 0}  # as the engine answers
+            # :meth:`_carrying`, inlined: every statement passes here.
+            try:
+                return self._execute_locked(sql, params, self._owed_begin)
+            finally:
+                self._owed_begin = False
 
-    def _execute_locked(self, sql: str, params: Dict[str, Any]) -> Dict[str, Any]:
+    def _carrying(self, request: Callable[..., Any], *args: Any) -> Any:
+        """``request(*args, begin=...)`` under ``_lock``, ``begin`` saying
+        whether it carries the owed BEGIN: the debt is settled once the
+        request returns or raises."""
+        try:
+            return request(*args, begin=self._owed_begin)
+        finally:
+            self._owed_begin = False
+
+    def _answer_here(self, sql: str) -> bool:
+        """Whether ``sql`` needs no request (under ``_lock``): a lone BEGIN
+        on a connection in no transaction becomes owed, and a lone COMMIT
+        or ROLLBACK finding it still owed settles it."""
+        control = _lone_control(sql) if self.carries_begin else None
+        if control == "begin" and not (self._owed_begin or self._in_transaction):
+            self._owed_begin = True
+            return True
+        if control == "end" and self._owed_begin:
+            self._owed_begin = False
+            return True
+        return False
+
+    def _execute_locked(self, sql: str, params: Dict[str, Any], begin: bool) -> Dict[str, Any]:
         raise NotImplementedError
 
     def _detach(self) -> None:
@@ -167,6 +235,7 @@ class WireConnection(Connection):
         self._closed = True
         with self._lock:
             self._detach()
+            self._owed_begin = False
         self._driver._forget_connection(self)
 
     def cursor(self) -> ResultCursor:
@@ -179,19 +248,19 @@ class WireConnection(Connection):
         it is interpreted. The server that owns the session says on each
         whether a transaction is open on it (``in_transaction``, omitted
         when false): that — not which method the application called or
-        what its SQL looked like — is the flag, and this is its only
-        writer."""
+        what its SQL looked like — is the server's half of the flag, and
+        this is its only writer. The other half is an owed BEGIN."""
         self._in_transaction = bool(reply.get("in_transaction"))
 
     def begin(self) -> None:
         self._execute("BEGIN", {})
 
     def commit(self) -> None:
-        if self._in_transaction:
+        if self.in_transaction:
             self._execute("COMMIT", {})
 
     def rollback(self) -> None:
-        if self._in_transaction:
+        if self.in_transaction:
             self._execute("ROLLBACK", {})
 
     @property
@@ -200,7 +269,8 @@ class WireConnection(Connection):
 
     @property
     def in_transaction(self) -> bool:
-        return self._in_transaction
+        """A BEGIN is owed, or the server said so on its last reply."""
+        return self._owed_begin or self._in_transaction
 
     @property
     def driver_info(self) -> Dict[str, Any]:
@@ -210,9 +280,8 @@ class WireConnection(Connection):
 class RuntimeConnection(WireConnection):
     """A live connection produced by :class:`RuntimeDriver`."""
 
-    #: Whether both ends said v4 at CONNECT, so an EXECUTE may carry
-    #: ``begin``; and whether the EXECUTE awaiting its reply did.
-    carries_begin = _begin_carried = False
+    #: Whether the EXECUTE awaiting its reply carries a BEGIN.
+    _begin_carried = False
 
     def __init__(self, driver: "RuntimeDriver", channel: Channel, url: ConnectionUrl, session_id: str) -> None:
         super().__init__(driver)
@@ -226,11 +295,11 @@ class RuntimeConnection(WireConnection):
         self._channel.send(message)
         return self._channel.recv(timeout=timeout)
 
-    def _execute_locked(self, sql: str, params: Dict[str, Any]) -> Dict[str, Any]:
-        self._send_execute_locked(sql, params)
+    def _execute_locked(self, sql: str, params: Dict[str, Any], begin: bool) -> Dict[str, Any]:
+        self._send_execute_locked(sql, params, begin)
         return self._receive_result_locked()
 
-    def _send_execute_locked(self, sql: str, params: Dict[str, Any], begin: bool = False) -> None:
+    def _send_execute_locked(self, sql: str, params: Dict[str, Any], begin: bool) -> None:
         self._begin_carried = begin
         try:
             self._channel.send(make_execute(sql, params=params, begin=begin))
@@ -254,7 +323,7 @@ class RuntimeConnection(WireConnection):
         self.statements_executed += 1
         return reply
 
-    def send_execute(self, sql: str, params: Optional[Dict[str, Any]] = None, begin: bool = False):
+    def send_execute(self, sql: str, params: Optional[Dict[str, Any]] = None):
         """The split form of one statement, for a caller that sends to
         several connections before it waits on any: the EXECUTE goes on
         the wire now, and the returned zero-argument callable — to be
@@ -262,22 +331,29 @@ class RuntimeConnection(WireConnection):
         ``(columns, rows, rowcount)``, raising as ``cursor.execute``
         would. The exchange lock is held from here until that call
         returns, so a ``close()`` from another thread still waits for
-        the reply in flight. ``begin`` (only if :attr:`carries_begin`)
-        runs BEGIN first, and the statement only if BEGIN succeeded."""
+        the reply in flight. A statement answered here (an owed BEGIN,
+        or its COMMIT or ROLLBACK) sends nothing and holds nothing."""
         self._lock.acquire()
         try:
             if self._closed:
                 raise InterfaceError("connection is closed")
-            self._send_execute_locked(sql, params or {}, begin)
+            answered = self._answer_here(sql)
+            if not answered:
+                self._send_execute_locked(sql, params or {}, self._owed_begin)
         except BaseException:
+            self._owed_begin = False
             self._lock.release()
             raise
+        if answered:
+            self._lock.release()
+            return _answered_here
         return self._collect_result
 
     def _collect_result(self) -> Tuple[List[str], List[Tuple[Any, ...]], int]:
         try:
             reply = self._receive_result_locked()
         finally:
+            self._owed_begin = False
             self._lock.release()
         return (
             list(reply.get("columns", [])),
@@ -289,7 +365,8 @@ class RuntimeConnection(WireConnection):
         try:
             if self._in_transaction:
                 # Answered before the CLOSE goes out, so the transaction
-                # is rolled back by the time close() returns.
+                # is rolled back by the time close() returns. The server's
+                # word only: an owed BEGIN opened nothing there.
                 self._reply_received(self._exchange(make_execute("ROLLBACK"), timeout=30.0))
             self._channel.send({"type": MessageType.CLOSE})
         except TransportError:

@@ -403,20 +403,32 @@ def test_read_set_gate_matches_the_write_round_branch_it_retired():
     assert check_forks.re.search(gate.pattern, retired)
 
 
-def test_begin_gate_sees_the_one_deferral_and_a_scheduler_twin():
-    """``begin=`` and the BEGIN debt appear under src/repro/cluster only in
-    backend.py, where ReplicaBatch defers and carries a replica
-    connection's BEGIN; a scheduler or controller special case for BEGIN
-    would match."""
+def test_begin_gates_see_the_one_deferral_and_a_twin_in_the_cluster():
+    """The owed BEGIN and the lone-control text test appear under src/repro
+    only in dbapi/runtime.py; the replica tier and the cluster driver
+    classify no statement. A frame's ``begin`` field, built where frames
+    are built, matches neither."""
     check_forks = _check_forks()
-    (gate,) = [gate for gate in check_forks.GATES if gate.message.startswith("a second BEGIN path")]
-    assert gate.allowed == 0 and check_forks.check_gate(gate) == []
-    report = check_forks.check_gate(gate._replace(exclude=()))
+    owed, text = [
+        gate for gate in check_forks.GATES if gate.message.startswith("a second BEGIN deferral")
+    ]
+    for gate in (owed, text):
+        assert gate.allowed == 0 and check_forks.check_gate(gate) == []
+    report = check_forks.check_gate(owed._replace(exclude=()))
     assert len(report) > 1
-    assert {line.split(":", 1)[0] for line in report[1:]} == {"src/repro/cluster/backend.py"}
-    for line in (
-        '            if statement.command == "BEGIN": backend._owed_begin = backend._connection',
-        "        collect = connection.send_execute(sql, params, begin=True)",
-        '        if getattr(connection, "carries_begin", False):',
+    assert {line.split(":", 1)[0] for line in report[1:]} == {"src/repro/dbapi/runtime.py"}
+    for gate, line in (
+        (owed, "        owed = self.backend._owed_begin is connection"),
+        (owed, "        if self._answer_here(sql):"),
+        (text, "        command = classify(sql).command if carries else None"),
+        (text, '        if sql.strip().upper() == "BEGIN":'),
+        (text, "        if statement.command in (\"COMMIT\", \"ROLLBACK\"):"),
     ):
         assert check_forks.re.search(gate.pattern, line), line
+    for line in (
+        "            make_execute(sql, params, trace_id=trace_id, begin=begin, **correlation),",
+        "                link.submit(session_id, sql, params, trace_id, begin=begin and index == 0)",
+        "            self.carries_begin = spoken >= BEGIN_MIN_VERSION",
+        '                    self._execute_once("BEGIN", {})',
+    ):
+        assert not any(check_forks.re.search(gate.pattern, line) for gate in (owed, text)), line

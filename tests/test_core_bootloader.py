@@ -791,14 +791,19 @@ class TestOneIdentityOneExpiryOneUnload:
         inner, sent, answer = connection.inner, threading.Event(), threading.Event()
         execute_locked = inner._execute_locked
 
-        def held_begin(sql, params):
-            if sql == "BEGIN":
+        def held_begin(sql, params, begin):
+            # The BEGIN travels with the transaction's first statement.
+            if begin:
                 sent.set()
                 answer.wait(2.0)
-            return execute_locked(sql, params)
+            return execute_locked(sql, params, begin=begin)
+
+        def transaction():
+            connection.begin()
+            connection.cursor().execute("SELECT COUNT(*) FROM lifecycle")
 
         inner._execute_locked = held_begin
-        app = threading.Thread(target=connection.begin)
+        app = threading.Thread(target=transaction)
         app.start()
         try:
             assert sent.wait(5.0)

@@ -467,6 +467,8 @@ class TestOneWayIntoTheRotation:
             join = lambda: controller.provision_backend(newcomer)  # noqa: E731
 
         cursor.execute("BEGIN")
+        # The BEGIN rides the transaction's first statement: that opens it.
+        cursor.execute("SELECT v FROM j_t WHERE id = 1")
         with pytest.raises(SchedulerError, match="retry after it ends"):
             join()
         assert newcomer not in controller.backends()
@@ -545,6 +547,8 @@ class TestOneWayIntoTheRotation:
         cursor.execute("CREATE TABLE rj_t (id INTEGER PRIMARY KEY)")
         controller.disable_backend("db1")
         cursor.execute("BEGIN")
+        # The BEGIN rides the transaction's first statement: that opens it.
+        cursor.execute("SELECT COUNT(*) FROM rj_t")
         with pytest.raises(SchedulerError, match="retry after it ends"):
             controller.enable_backend("db1")
         cursor.execute("COMMIT")

@@ -2,7 +2,9 @@
 
 The server that owns a session says so on every RESULT/ERROR
 (``in_transaction``, omitted when false), and ``connection.in_transaction``
-is whatever the last reply said. For ``pydb://`` the owner is the
+is whatever the last reply said — or True while the connection owes a
+BEGIN it answered itself, which its next statement carries (wire v4 on
+both protocols). For ``pydb://`` the owner is the
 database server's ``ServerSession``. For ``sequoia://`` it is the
 controller, and its answer has two parts: the replicas' connections say
 whether a transaction is open (``Backend.in_transaction``), and the
@@ -10,7 +12,9 @@ scheduler's one record says whose it is (``transaction_owner``). So a
 legacy application cannot tell the middleware from one database by *how
 it spells BEGIN*: by method or by text, the failover guard, the
 ROLLBACK-before-CLOSE and the expiration policies see the same flag —
-and no flag outlives the transaction it names.
+and no flag outlives the transaction it names. An owed BEGIN has
+opened nothing on the owner yet, so another session's COMMIT/ROLLBACK
+leaves it owed.
 
 The oracle: random sequences of transaction control (by text and by
 method), good DML, failing statements and pipelines over the three
@@ -71,8 +75,10 @@ class _Setting:
         return connection
 
     def owner_says(self, connection):
-        """The transaction state of ``connection``'s session as the
-        server that owns it holds it."""
+        """The transaction state of ``connection``'s session: the server
+        that owns it holds one open, or the connection owes a BEGIN."""
+        if connection._owed_begin:
+            return True
         if self.kind == "pydb":
             (session,) = [
                 session
@@ -120,7 +126,9 @@ def setting(request):
 class _Script:
     """Runs steps against a connection and a model of what they mean:
     ``committed`` rows, and ``pending`` — the transaction's view of the
-    table — while one is open. ``other`` is a second session on the same
+    table — while one is open; ``owed`` while its BEGIN was answered by
+    the connection and has reached no server yet (the next statement
+    sent carries it). ``other`` is a second session on the same
     database."""
 
     def __init__(self, setting, connection, table, other):
@@ -131,6 +139,7 @@ class _Script:
         self.table = table
         self.committed = {}
         self.pending = None
+        self.owed = False
         self.next_id = itertools.count(1)
 
     @property
@@ -142,7 +151,9 @@ class _Script:
         return self.pending if self.open else self.committed
 
     def attempt(self, call, *args):
-        """Whether the statement was accepted; a DB-API error is a "no"."""
+        """Whether the statement was accepted; a DB-API error is a "no".
+        A statement that reaches the server carries an owed BEGIN."""
+        self.owed = False
         try:
             call(*args)
         except Error:
@@ -155,17 +166,21 @@ class _Script:
     # -- steps ----------------------------------------------------------------
 
     def begin(self, by_text):
+        opens = not self.open
         accepted = (
             self.attempt(self.cursor.execute, "BEGIN")
             if by_text
             else self.attempt(self.connection.begin)
         )
-        # A nested BEGIN is refused and leaves the open transaction open.
-        assert accepted == (not self.open)
+        # A nested BEGIN is refused and leaves the open transaction open
+        # (an owed one, carried by the refused BEGIN, opened on the server).
+        assert accepted == opens
         if accepted:
-            self.pending = dict(self.committed)
+            # Answered by the connection: owed until a statement carries it.
+            self.pending, self.owed = dict(self.committed), True
 
     def end(self, verb, by_text):
+        # Ending an owed BEGIN sends nothing (attempt() settles it).
         if by_text:
             # By text it reaches the server even with nothing open, and
             # is refused there.
@@ -185,8 +200,9 @@ class _Script:
         docs/scheduling.md names); a database server keeps its sessions
         apart and refuses it, since nothing is open on the second one."""
         shared = self.setting.kind != "pydb"
-        ends_ours = shared and self.open
+        owed, ends_ours = self.owed, shared and self.open and not self.owed
         assert self.attempt(self.other.cursor().execute, verb) == ends_ours
+        self.owed = owed
         assert not self.other.in_transaction
         if ends_ours:
             if verb == "COMMIT":
@@ -232,6 +248,7 @@ class _Script:
             statements.append(self.insert(first, 99))
         assert self.attempt(self.connection.execute_pipeline, statements) == (not with_duplicate)
         self.visible[first] = self.visible[second] = 0
+        # Refused by the driver: nothing is sent.
         assert not self.attempt(self.connection.execute_pipeline, ["BEGIN"])
         assert not self.attempt(self.connection.execute_pipeline, [" commit ;"])
 
@@ -239,6 +256,7 @@ class _Script:
         flag = self.connection.in_transaction
         assert flag == self.setting.owner_says(self.connection), step
         assert flag == self.open, step
+        assert self.connection._owed_begin == self.owed, step
 
 
 STEPS = {
@@ -499,6 +517,9 @@ def test_another_sessions_commit_leaves_no_stale_flag(kind):
         # to open a transaction again.
         a.commit()
         a.begin()
+        # The BEGIN is owed: the transaction opens with its first statement.
+        assert a.in_transaction and scheduler.transaction_owner is None
+        cursor.execute("SELECT 1")
         assert a.in_transaction and scheduler.transaction_owner == a.session_id
         a.rollback()
         assert setting.rows("rogue") == [{1: 0}] * len(setting.engines)
@@ -518,6 +539,7 @@ def test_a_closing_non_owner_never_rolls_back_another_sessions_transaction(kind)
         cursor = c.cursor()
         cursor.execute("CREATE TABLE later (id INTEGER PRIMARY KEY, v INTEGER)")
         a.cursor().execute("BEGIN")
+        a.cursor().execute("SELECT 1")  # carries the BEGIN: A's transaction opens
         b.cursor().execute("COMMIT")  # ends A's transaction
         cursor.execute("BEGIN")
         cursor.execute("INSERT INTO later (id, v) VALUES (1, 0)")

@@ -91,6 +91,13 @@ _ONE_READ_SET = (
     "in a transaction or not, runs on one replica and never in a write round"
 )
 
+_ONE_DEFERRAL = (
+    "a second BEGIN deferral: a connection's owed BEGIN, and the test of which texts are a lone "
+    "BEGIN, COMMIT or ROLLBACK, live in one place, dbapi/runtime.py's WireConnection; the "
+    "replica tier (cluster/backend.py) and the cluster driver (cluster/driver.py) send BEGIN "
+    "like any statement and only pass a frame's begin field through"
+)
+
 GATES = [
     Gate(
         r"trace is (not )?None",
@@ -329,12 +336,15 @@ GATES = [
     Gate(r"atomic_write_json\(", ("src/repro/cluster",), _ONE_RECORD, allowed=2),
     Gate(r"hosting_all\(", ("src/repro/cluster/scheduler.py",), _ONE_READ_SET, allowed=1),
     Gate(
-        r"\bbegin=|owe[sd]_begin|carries_begin",
-        ("src/repro/cluster",),
-        "a second BEGIN path: a replica connection's BEGIN is deferred and carried (begin=) "
-        "in one place, cluster/backend.py's ReplicaBatch; the scheduler and the controller "
-        "send BEGIN like any statement",
-        exclude=("src/repro/cluster/backend.py",),
+        r"owe[sd]_begin|_lone_control|_answer_here",
+        ("src/repro",),
+        _ONE_DEFERRAL,
+        exclude=("src/repro/dbapi/runtime.py",),
+    ),
+    Gate(
+        r"\bclassify\(|\.command\b|[=!]= *[\"'](BEGIN|COMMIT|ROLLBACK)[\"']",
+        ("src/repro/cluster/backend.py", "src/repro/cluster/driver.py"),
+        _ONE_DEFERRAL,
     ),
 ]
 
