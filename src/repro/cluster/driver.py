@@ -634,11 +634,13 @@ class ClusterConnection(WireConnection):
         private one — so pipelining inside an open transaction is
         supported: the fired batch lands in order within the
         transaction, and the final COMMIT (issued separately) flushes
-        it; a BEGIN the connection owes rides the first statement.
+        it. A BEGIN the connection owes rides the first statement, which
+        is sent alone, with a lone statement's retries, and answered
+        before the rest is fired.
         Transaction *control* — what the classifier calls one — cannot
         be pipelined: a BEGIN/COMMIT in the middle of an already-fired
         batch could not abort the statements behind it.
-        There is no transparent failover for a pipeline — by the time an
+        There is no transparent failover for the fired batch — by the time an
         error surfaces, later statements may already have executed, so
         the failure is raised as-is (results before the failing
         statement are lost to the caller but were applied by the
@@ -657,8 +659,8 @@ class ClusterConnection(WireConnection):
                 raise InterfaceError("connection is closed")
             if not prepared:
                 return []  # nothing to carry an owed BEGIN: it stays owed
-            results = []
-            for reply in self._carrying(self._request, prepared, timeout):
+            results, prepared = self._carry_before_batch_locked(prepared)
+            for reply in self._request(prepared, timeout):
                 try:
                     results.append(self._interpret_reply(reply))
                 except _ServerBusy as exc:

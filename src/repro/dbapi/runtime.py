@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import re
 import threading
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.dbapi.api import Connection, Cursor
 from repro.dbapi.exceptions import (
@@ -193,20 +193,30 @@ class WireConnection(Connection):
                 raise InterfaceError("connection is closed")
             if self._answer_here(sql):
                 return {"columns": [], "rows": [], "rowcount": 0}  # as the engine answers
-            # :meth:`_carrying`, inlined: every statement passes here.
-            try:
-                return self._execute_locked(sql, params, self._owed_begin)
-            finally:
-                self._owed_begin = False
+            return self._carry_locked(sql, params)
 
-    def _carrying(self, request: Callable[..., Any], *args: Any) -> Any:
-        """``request(*args, begin=...)`` under ``_lock``, ``begin`` saying
-        whether it carries the owed BEGIN: the debt is settled once the
-        request returns or raises."""
+    def _carry_locked(self, sql: str, params: Dict[str, Any]) -> Dict[str, Any]:
+        """``sql`` through :meth:`_execute_locked` (under ``_lock``),
+        carrying the owed BEGIN if there is one: the debt is settled once
+        it returns or raises."""
         try:
-            return request(*args, begin=self._owed_begin)
+            return self._execute_locked(sql, params, self._owed_begin)
         finally:
             self._owed_begin = False
+
+    def _carry_before_batch_locked(
+        self, statements: List[Tuple[str, Dict[str, Any]]]
+    ) -> Tuple[List[Dict[str, Any]], List[Tuple[str, Dict[str, Any]]]]:
+        """For a subclass about to fire ``statements`` as one batch (under
+        ``_lock``): an owed BEGIN is paid first, by the first statement
+        sent alone as :meth:`_execute` sends it, retries included, so a
+        refused BEGIN leaves nothing behind it running auto-commit.
+        Returns that statement's result, if one ran, and the statements
+        left to fire."""
+        if not (self._owed_begin and statements):
+            return [], statements
+        (sql, params), rest = statements[0], statements[1:]
+        return [self._carry_locked(sql, params)], rest
 
     def _answer_here(self, sql: str) -> bool:
         """Whether ``sql`` needs no request (under ``_lock``): a lone BEGIN

@@ -8,6 +8,9 @@ three kinds of connection the deferral lives under
 (``dbapi/runtime.py``'s ``WireConnection``); the last compares each kind
 with one database behind an eager (v3) driver, text by text."""
 
+import threading
+import time
+
 import pytest
 
 from repro.cluster.driver import ClusterDriverRuntime
@@ -279,6 +282,66 @@ def test_a_pipeline_carries_an_owed_begin_on_its_first_statement(make, kind):
     cursor = connection.cursor()
     cursor.execute("SELECT COUNT(*) FROM t")
     assert cursor.fetchone() == (1,)
+
+
+@pytest.mark.parametrize("kind", CLUSTER_KINDS)
+def test_a_pipeline_refused_at_saturation_with_its_begin_runs_nothing_outside_it(make, kind):
+    env, connection, frames = make(kind, controller_options={"max_in_flight_statements": 1})
+    controller = env.controllers[0]
+    # A writer parked on the scheduler's exclusive lock holds the only slot.
+    exclusive = controller.scheduler._locks.exclusive()
+    exclusive.__enter__()
+    blocked = ClusterDriverRuntime().connect(env.client_url(), network=env.network, busy_retries=0)
+    parked = threading.Thread(
+        target=blocked.cursor().execute, args=("INSERT INTO t (id, v) VALUES (9, 0)",)
+    )
+    parked.start()
+    patient = ClusterDriverRuntime().connect(
+        env.client_url(),
+        network=env.network,
+        multiplexing=kind == "multiplexed",
+        busy_retries=10_000,
+        busy_backoff_ms=1.0,
+        busy_backoff_cap_ms=5.0,
+    )
+    inserts = [f"INSERT INTO t (id, v) VALUES ({n}, 0)" for n in (2, 3)]
+    errors = []
+
+    def pipeline():
+        try:
+            patient.execute_pipeline(inserts)
+        except Error as exc:  # surfaced below
+            errors.append(exc)
+
+    try:
+        assert _wait_for(lambda: controller.stats()["front_end"]["in_flight_statements"] == 1)
+        patient.begin()
+        app = threading.Thread(target=pipeline)
+        app.start()
+        # The statement carrying the BEGIN is refused and retried, alone:
+        # nothing behind it is fired until the BEGIN has run.
+        assert _wait_for(lambda: patient.stats()["server_busy_retries"] >= 1)
+        assert [sql for _, sql, _ in frames.seen if sql == inserts[1]] == []
+    finally:
+        exclusive.__exit__(None, None, None)
+    app.join(10.0)
+    parked.join(10.0)
+    assert errors == [] and patient.in_transaction
+    patient.rollback()
+    cursor = patient.cursor()
+    cursor.execute("SELECT id FROM t ORDER BY id")
+    assert cursor.fetchall() == [(1,), (9,)]
+    for other in (blocked, patient):
+        other.close()
+
+
+def _wait_for(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.005)
+    return predicate()
 
 
 @pytest.mark.parametrize("kind", KINDS)
