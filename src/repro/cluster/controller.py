@@ -369,27 +369,24 @@ class Controller:
             ClusterMessageType.CONNECT: Route(
                 self._serve_client,
                 {"virtual_database": str, "protocol_version": int},
-                {"user": str, "password": str, "options": dict, "multiplex": bool, "trace": bool},
+                {"multiplex": bool, "trace": bool},
                 code="bad_handshake",
             ),
             ClusterMessageType.GROUP: Route(
                 self._apply_group_operation,
                 {"operation": str, "payload": dict},
-                {"origin": str},
-                group_peer,
-                "bad_group_operation",
+                sender=group_peer,
+                code="bad_group_operation",
             ),
             ClusterMessageType.REPLICATE: Route(
                 lambda channel, frame: self.ha_store.answer(frame, channel.remote_address),
                 {"epoch": int, "entries": list, "truncated_through": int},
-                {"origin": str, "checkpoints": list},
+                {"checkpoints": list},
                 ha_peer,
                 "bad_replicate",
             ),
             ClusterMessageType.HA_STATUS: Route(
-                lambda channel, frame: make_ha_status_ok(**self.ha_store.status()),
-                optional={"origin": str},
-                sender=ha_peer,
+                lambda channel, frame: make_ha_status_ok(**self.ha_store.status()), sender=ha_peer
             ),
         }
         #: What a CONNECTed channel takes; a trunk also opens and closes sessions.
@@ -875,7 +872,7 @@ class Controller:
         past the ack timeout) are skipped (best effort), but a reachable
         peer that answered with an error is reported so callers can
         surface it."""
-        frame = make_group(operation, payload, origin=self.config.controller_id)
+        frame = make_group(operation, payload)
         replies = exchange(
             [(PeerLink(peer, self.network, self.address), frame) for peer in self.peers()],
             close=True,

@@ -92,7 +92,7 @@ class ControllerLink:
     of connections — and pipelined statements per connection — have
     requests in flight at once; a waiter blocks on its own request's
     ``answered`` lock. The runtime pools shared links per
-    ``(network, host, database, user)``.
+    ``(network, host, database)``.
 
     A *private* link (no grant) carries the one implicit session the
     CONNECT_OK named and is never pooled. Its frames carry no
@@ -299,16 +299,11 @@ class ClusterConnection(WireConnection):
         driver: "ClusterDriverRuntime",
         network: Network,
         url: ConnectionUrl,
-        user: Optional[str],
-        password: Optional[str],
         options: Dict[str, Any],
     ) -> None:
         super().__init__(driver)
         self._network = network
         self._url = url
-        self._user = user
-        self._password = password
-        self._options = options
         #: The one attachment: a session on a link (None, None when detached).
         self._link: Optional[ControllerLink] = None
         self._session_id: Optional[str] = None
@@ -403,7 +398,7 @@ class ClusterConnection(WireConnection):
         raise OperationalError(f"no controller reachable among {hosts!r}: {last_error}")
 
     def _open_session_on(self, host: str) -> Tuple[ControllerLink, str]:
-        key = (id(self._network), host, self._url.database, self._user)
+        key = (id(self._network), host, self._url.database)
         while self._want_mux:
             # Ride an already-established shared link to this controller
             # before opening a new socket. A None checkout claims a
@@ -438,11 +433,8 @@ class ClusterConnection(WireConnection):
         try:
             channel.send(
                 make_connect(
-                    virtual_database=self._url.database,
-                    user=self._user,
-                    password=self._password,
-                    protocol_version=self._driver.protocol_version,
-                    options={name: str(value) for name, value in self._options.items()},
+                    self._url.database,
+                    self._driver.protocol_version,
                     multiplex=self._want_mux,
                     trace=self._want_trace,
                 )
@@ -725,9 +717,10 @@ class ClusterDriverRuntime(DriverRuntime):
             name, driver_version, protocol_version, None, preconfigured_url, default_options
         )
         self._round_robin = 0
-        #: Shared links, keyed ``(id(network), host, database, user)`` —
-        #: sessions for the same virtual database and credentials share
-        #: a physical channel. Private links are never registered.
+        #: Shared links, keyed ``(id(network), host, database)`` —
+        #: sessions for the same virtual database share a physical
+        #: channel, which carries no identity. Private links are never
+        #: registered.
         self._links: Dict[Tuple[Any, ...], List[ControllerLink]] = {}
         #: Channel establishments in flight per key, counted against the
         #: per-host cap so a burst of concurrent connects does not
@@ -823,7 +816,8 @@ class ClusterDriverRuntime(DriverRuntime):
         password: Optional[str],
         options: Dict[str, Any],
     ) -> ClusterConnection:
-        return ClusterConnection(self, network, url, user, password, options)
+        # The credentials stay here: the controller authenticates nobody.
+        return ClusterConnection(self, network, url, options)
 
 
 #: Module-level conventional Sequoia driver (legacy installation path).

@@ -560,7 +560,6 @@ class ReplicatedLogStore:
                 base = max(peer.acked_index, floor)
                 entries = [e.to_wire() for e in self.entries_after(base)]
                 frames[peer.address] = make_replicate(
-                    origin=self.node_id,
                     epoch=epoch,
                     entries=entries,
                     truncated_through=floor,
@@ -688,7 +687,7 @@ class ReplicatedLogStore:
             status = self.status()
             if status["role"] == ROLE_PRIMARY:
                 return True
-            probe = make_ha_status(self.node_id)
+            probe = make_ha_status()
             replies = exchange(
                 [(PeerLink(a, self._network, self.self_address), probe) for a in self._peers],
                 _PROBE_TIMEOUT_S,

@@ -138,21 +138,15 @@ class ClusterMessageType:
 
 
 def make_connect(
-    virtual_database: str,
-    user: Optional[str],
-    password: Optional[str],
-    protocol_version: int,
-    options: Optional[Dict[str, Any]] = None,
-    multiplex: bool = False,
-    trace: bool = False,
+    virtual_database: str, protocol_version: int, multiplex: bool = False, trace: bool = False
 ) -> Dict[str, Any]:
+    """The driver's CONNECT. It names no one: the controller authenticates
+    nobody, and each replica checks the credentials the controller's own
+    backend connections present (docs/wire.md "Who may send what")."""
     message = {
         "type": ClusterMessageType.CONNECT,
         "virtual_database": virtual_database,
-        "user": user,
-        "password": password,
         "protocol_version": protocol_version,
-        "options": options or {},
     }
     if multiplex:
         message["multiplex"] = True
@@ -287,18 +281,13 @@ def correlate(
     return session_id, request_id
 
 
-def make_group(operation: str, payload: Dict[str, Any], origin: str) -> Dict[str, Any]:
-    """Controller group-communication envelope."""
-    return {
-        "type": ClusterMessageType.GROUP,
-        "operation": operation,
-        "payload": payload,
-        "origin": origin,
-    }
+def make_group(operation: str, payload: Dict[str, Any]) -> Dict[str, Any]:
+    """Controller group-communication envelope. Peer frames name no
+    sender: the receiver reads it off ``Channel.remote_address``."""
+    return {"type": ClusterMessageType.GROUP, "operation": operation, "payload": payload}
 
 
 def make_replicate(
-    origin: str,
     epoch: int,
     entries: List[Dict[str, Any]],
     truncated_through: int,
@@ -316,7 +305,6 @@ def make_replicate(
     function of the latest frame."""
     message = {
         "type": ClusterMessageType.REPLICATE,
-        "origin": origin,
         "epoch": epoch,
         "entries": entries,
         "truncated_through": truncated_through,
@@ -343,9 +331,9 @@ def make_replicate_ok(
     return message
 
 
-def make_ha_status(origin: str) -> Dict[str, Any]:
+def make_ha_status() -> Dict[str, Any]:
     """Election probe: ask a peer for its role/epoch/log head."""
-    return {"type": ClusterMessageType.HA_STATUS, "origin": origin}
+    return {"type": ClusterMessageType.HA_STATUS}
 
 
 def make_ha_status_ok(

@@ -94,7 +94,6 @@ class BootloaderConfig:
     drivolution_servers: List[Address] = field(default_factory=list)
     preferred_binary_format: Optional[str] = None
     preferred_driver_version: Optional[Tuple[int, int, int]] = None
-    requested_extensions: List[str] = field(default_factory=list)
     use_discovery: bool = False
     certificate_authority: Optional[CertificateAuthority] = None
     expected_server_subject: Optional[str] = None
@@ -296,12 +295,13 @@ class Bootloader:
 
         Without a driver (first call, or after a revocation) or with a
         lapsed lease the server is asked first; afterwards the call is
-        forwarded to the loaded driver.
+        forwarded to the loaded driver. The password goes to that driver
+        only: no Drivolution frame carries it.
         """
         self.stats.connect_calls += 1
         with self._lock:
             if self._current is None or self.lease_expired():
-                self.check_for_update(url=url, user=user, password=password, force=True)
+                self.check_for_update(url=url, user=user, force=True)
             if self._current is None:
                 self.stats.blocked_connects += 1
                 raise BootloaderError(
@@ -381,11 +381,7 @@ class Bootloader:
         return list(self.config.drivolution_servers or parse_url(url).hosts)
 
     def _negotiate(
-        self,
-        servers: List[Address],
-        url: str,
-        user: Optional[str],
-        password: Optional[str],
+        self, servers: List[Address], url: str, user: Optional[str]
     ) -> Tuple[OfferVerdict, DrivolutionOffer, Optional[DriverPackage], Address]:
         """Run the bootstrap protocol (REQUEST → OFFER → FILE transfer)
         against the first server that answers, presenting the held lease.
@@ -401,14 +397,12 @@ class Bootloader:
             api_name=self.config.api_name,
             client_platform=self.config.client_platform,
             user=user,
-            password=password,
             api_version=self.config.api_version,
             preferred_binary_format=self.config.preferred_binary_format,
             preferred_driver_version=self.config.preferred_driver_version,
             client_id=self.config.client_id,
             client_ip=self.config.client_ip,
             current_lease_id=self._lease.lease_id if self._lease else None,
-            requested_extensions=list(self.config.requested_extensions),
         )
         if self.config.use_discovery:
             servers = self._discover(request, servers)
@@ -503,7 +497,6 @@ class Bootloader:
         self,
         url: Optional[str] = None,
         user: Optional[str] = None,
-        password: Optional[str] = None,
         force: bool = False,
     ) -> str:
         """Ask the server what to run and apply its answer (the client side
@@ -525,17 +518,16 @@ class Bootloader:
             context = self._last_request_context
             url = url or context.get("url")
             user = user if user is not None else context.get("user")
-            password = password if password is not None else context.get("password")
             if url is None:
                 raise BootloaderError("no connection context available to request a driver")
-            self._last_request_context = {"url": url, "user": user, "password": password}
+            self._last_request_context = {"url": url, "user": user}
             servers = self._candidate_servers(url)
             if self._server_used in servers:
                 # Prefer the server that granted the current lease.
                 servers = [self._server_used] + [item for item in servers if item != self._server_used]
             reason = None
             try:
-                step, offer, package, server = self._negotiate(servers, url, user, password)
+                step, offer, package, server = self._negotiate(servers, url, user)
             except DrivolutionServerUnreachable:
                 if self._current is None:
                     raise

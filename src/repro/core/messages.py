@@ -4,8 +4,8 @@ The protocol is deliberately DHCP-like and has only a handful of message
 types:
 
 - ``DRIVOLUTION_REQUEST`` — sent by the bootloader with the database name,
-  credentials, API name and optional version, client platform and optional
-  preferences,
+  user, API name and optional version, client platform and optional
+  preferences (no secret: it goes only to the database that checks it),
 - ``DRIVOLUTION_OFFER`` — sent back by the server with the lease, the
   policies and the driver location/format (the driver itself travels in a
   ``FILE_DATA`` message after a ``FILE_REQUEST``),
@@ -19,7 +19,7 @@ types:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import DrivolutionError
 
@@ -49,14 +49,12 @@ class DrivolutionRequest:
     api_name: str
     client_platform: str
     user: Optional[str] = None
-    password: Optional[str] = None
     api_version: Optional[Tuple[int, int]] = None
     preferred_binary_format: Optional[str] = None
     preferred_driver_version: Optional[Tuple[int, int, int]] = None
     client_id: str = ""
     client_ip: str = ""
     current_lease_id: Optional[str] = None
-    requested_extensions: List[str] = field(default_factory=list)
 
     def to_wire(self) -> Dict[str, Any]:
         return {
@@ -65,7 +63,6 @@ class DrivolutionRequest:
             "api_name": self.api_name,
             "client_platform": self.client_platform,
             "user": self.user,
-            "password": self.password,
             "api_version": list(self.api_version) if self.api_version else None,
             "preferred_binary_format": self.preferred_binary_format,
             "preferred_driver_version": (
@@ -74,7 +71,6 @@ class DrivolutionRequest:
             "client_id": self.client_id,
             "client_ip": self.client_ip,
             "current_lease_id": self.current_lease_id,
-            "requested_extensions": list(self.requested_extensions),
         }
 
     @staticmethod
@@ -88,14 +84,12 @@ class DrivolutionRequest:
             api_name=str(message.get("api_name", "")),
             client_platform=str(message.get("client_platform", "")),
             user=message.get("user"),
-            password=message.get("password"),
             api_version=tuple(api_version) if api_version else None,
             preferred_binary_format=message.get("preferred_binary_format"),
             preferred_driver_version=tuple(driver_version) if driver_version else None,
             client_id=str(message.get("client_id", "")),
             client_ip=str(message.get("client_ip", "")),
             current_lease_id=message.get("current_lease_id"),
-            requested_extensions=list(message.get("requested_extensions") or []),
         )
 
 

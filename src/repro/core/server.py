@@ -182,14 +182,12 @@ class DrivolutionServer:
             {"database": str, "api_name": str, "client_platform": str},
             {
                 "user": str,
-                "password": str,
                 "api_version": list,
                 "preferred_binary_format": str,
                 "preferred_driver_version": list,
                 "client_id": str,
                 "client_ip": str,
                 "current_lease_id": str,
-                "requested_extensions": list,
             },
         )
         #: The protocol's requests (docs/wire.md "Who may send what").

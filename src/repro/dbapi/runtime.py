@@ -529,13 +529,12 @@ class RuntimeDriver(DriverRuntime):
             auth_method = "token"
             auth_token = compute_token(str(options["realm_secret"]), user)
         connect_message = make_connect(
-            database=url.database,
+            url.database,
+            self.protocol_version,
             user=user,
             password=password,
-            protocol_version=self.protocol_version,
             auth_method=auth_method,
             auth_token=auth_token,
-            options={key: str(value) for key, value in options.items()},
         )
         try:
             channel.send(connect_message)

@@ -60,7 +60,7 @@ class DatabaseServer:
             MessageType.CONNECT: Route(
                 self._open_session,
                 {"database": str, "protocol_version": int},
-                {"user": str, "password": str, "auth_method": str, "auth_token": str, "options": dict},
+                {"user": str, "password": str, "auth_method": str, "auth_token": str},
                 code="bad_handshake",
             ),
         }

@@ -34,24 +34,24 @@ class MessageType:
 
 def make_connect(
     database: str,
-    user: Optional[str],
-    password: Optional[str],
     protocol_version: int,
+    user: Optional[str] = None,
+    password: Optional[str] = None,
     auth_method: str = "password",
     auth_token: Optional[str] = None,
-    options: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """Build a CONNECT message."""
-    return {
+    """Build a CONNECT message: the credentials go to the database that
+    checks them, and an unset one is omitted."""
+    message = {
         "type": MessageType.CONNECT,
         "database": database,
-        "user": user,
-        "password": password,
         "protocol_version": protocol_version,
         "auth_method": auth_method,
-        "auth_token": auth_token,
-        "options": options or {},
     }
+    for name, value in (("user", user), ("password", password), ("auth_token", auth_token)):
+        if value is not None:
+            message[name] = value
+    return message
 
 
 def make_connect_ok(server_name: str, protocol_version: int, session_id: str) -> Dict[str, Any]:
@@ -66,12 +66,9 @@ def make_connect_ok(server_name: str, protocol_version: int, session_id: str) ->
 def make_execute(
     sql: str, params: Optional[Dict[str, Any]] = None, positional: Optional[list] = None, begin: bool = False
 ) -> Dict[str, Any]:
-    message = {
-        "type": MessageType.EXECUTE,
-        "sql": sql,
-        "params": params or {},
-        "positional": positional or [],
-    }
+    message = {"type": MessageType.EXECUTE, "sql": sql, "params": params or {}}
+    if positional:
+        message["positional"] = positional
     if begin:
         message["begin"] = True
     return message

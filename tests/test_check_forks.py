@@ -432,3 +432,33 @@ def test_begin_gates_see_the_one_deferral_and_a_twin_in_the_cluster():
         '                    self._execute_once("BEGIN", {})',
     ):
         assert not any(check_forks.re.search(gate.pattern, line) for gate in (owed, text)), line
+
+
+def test_frame_field_gates_match_the_unread_fields_they_retired():
+    """The three rows allow nothing, and each pattern matches lines that
+    put a field no receiver read on the wire: the password in a cluster
+    CONNECT, its route and a Drivolution REQUEST, a peer frame's
+    self-reported origin, and the requested extensions."""
+    check_forks = _check_forks()
+    retired = {
+        "a password goes only to the database": [
+            '        "password": password,',
+            '                {"user": str, "password": str, "options": dict, "multiplex": bool, "trace": bool},',
+            "    password: Optional[str] = None",
+            '                "password": str,',
+        ],
+        "a peer frame names no sender": [
+            '        "origin": origin,',
+            "                    origin=self.node_id,",
+            "def make_ha_status(origin: str) -> Dict[str, Any]:",
+        ],
+        "a frame carries only what its receiver reads": [
+            "    requested_extensions: List[str] = field(default_factory=list)",
+            "            requested_extensions=list(self.config.requested_extensions),",
+        ],
+    }
+    for prefix, lines in retired.items():
+        (gate,) = [gate for gate in check_forks.GATES if gate.message.startswith(prefix)]
+        assert gate.allowed == 0 and check_forks.check_gate(gate) == []
+        for line in lines:
+            assert check_forks.re.search(gate.pattern, line), line

@@ -361,18 +361,18 @@ class TestControllerGroupReplication:
         try:
             for payload in ({}, {"backend": 5}, {"backend": None}, "db1", 7, ["db1"]):
                 for operation in ("disable_backend", "enable_backend"):
-                    reply = link.request(make_group(operation, payload, origin="c1"), timeout=5.0)
+                    reply = link.request(make_group(operation, payload), timeout=5.0)
                     assert reply["type"] == ClusterMessageType.ERROR, (operation, payload)
                     assert reply["code"] == "bad_group_operation", (operation, payload)
             reply = link.request(
-                make_group("install_driver", {"package": "x", "lease_time_ms": "soon"}, origin="c1"),
+                make_group("install_driver", {"package": "x", "lease_time_ms": "soon"}),
                 timeout=5.0,
             )
             assert reply["code"] == "bad_group_operation"
             assert c2.backend("db1").enabled
             # Same channel, well-formed frame: still served.
             reply = link.request(
-                make_group("disable_backend", {"backend": "db1"}, origin="c1"), timeout=5.0
+                make_group("disable_backend", {"backend": "db1"}), timeout=5.0
             )
             assert reply["type"] == "seq_group_ack"
             assert not c2.backend("db1").enabled

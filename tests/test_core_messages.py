@@ -22,14 +22,12 @@ class TestRequest:
             api_name="PYDB-API",
             client_platform="cpython-any",
             user="alice",
-            password="secret",
             api_version=(3, 0),
             preferred_binary_format="PYSRC",
             preferred_driver_version=(1, 2, 3),
             client_id="client-1",
             client_ip="10.0.0.1",
             current_lease_id="lease-9",
-            requested_extensions=["gis"],
         )
         restored = DrivolutionRequest.from_wire(request.to_wire())
         assert restored == request
@@ -39,7 +37,6 @@ class TestRequest:
         restored = DrivolutionRequest.from_wire(request.to_wire())
         assert restored.api_version is None
         assert restored.current_lease_id is None
-        assert restored.requested_extensions == []
 
     def test_discover_has_its_own_type_tag(self):
         discover = DrivolutionDiscover(database="db", api_name="A", client_platform="p")

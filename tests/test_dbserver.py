@@ -130,7 +130,7 @@ class TestStatementsAndErrors:
         network, _engine, _server = setup
         with network.connect("srv:5432", timeout=5.0) as channel:
             reply = channel.request(
-                make_connect("appdb", None, None, PROTOCOL_VERSION), timeout=5.0
+                make_connect("appdb", PROTOCOL_VERSION), timeout=5.0
             )
             assert reply["type"] == MessageType.CONNECT_OK
             for fields in (
@@ -186,5 +186,5 @@ class TestSharedListener:
             assert reply == {"type": "drivolution_release_ack", "released": False}
             reply = channel.request({"type": "custom_hello", "x": 1}, timeout=5.0)
             assert reply["type"] == MessageType.ERROR and reply["code"] == "bad_message"
-            reply = channel.request(make_connect("appdb", None, None, PROTOCOL_VERSION), timeout=5.0)
+            reply = channel.request(make_connect("appdb", PROTOCOL_VERSION), timeout=5.0)
             assert reply["type"] == MessageType.CONNECT_OK

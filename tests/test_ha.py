@@ -154,7 +154,7 @@ class TestReplicatedLogStoreUnit:
 
     def test_apply_replicate_is_idempotent(self):
         b = _store()
-        frame = make_replicate("a", 1, [_entry(1).to_wire(), _entry(2).to_wire()], 0)
+        frame = make_replicate(1, [_entry(1).to_wire(), _entry(2).to_wire()], 0)
         reply, applied = b.apply_replicate(frame, "a:1")
         assert reply["type"] == ClusterMessageType.REPLICATE_OK
         assert reply["last_index"] == 2
@@ -165,7 +165,7 @@ class TestReplicatedLogStoreUnit:
 
     def test_gap_reported_for_backfill(self):
         b = _store()
-        frame = make_replicate("a", 1, [_entry(5).to_wire()], 0)
+        frame = make_replicate(1, [_entry(5).to_wire()], 0)
         reply, applied = b.apply_replicate(frame, "a:1")
         assert reply["gap"] is True and applied == []
         assert reply["last_index"] == 0  # tells the primary where to resend from
@@ -176,9 +176,7 @@ class TestReplicatedLogStoreUnit:
         # the full post-floor suffix, so the follower adopts the floor
         # instead of gapping forever.
         b = _store()
-        frame = make_replicate(
-            "a", 1, [_entry(6).to_wire(), _entry(7).to_wire()], 5, checkpoints=[]
-        )
+        frame = make_replicate(1, [_entry(6).to_wire(), _entry(7).to_wire()], 5, checkpoints=[])
         reply, applied = b.apply_replicate(frame, "a:1")
         assert reply["type"] == ClusterMessageType.REPLICATE_OK
         assert not reply.get("gap")
@@ -191,7 +189,7 @@ class TestReplicatedLogStoreUnit:
         # entries start past floor+1: a true hole the snapshot does not
         # cover — must stay a gap, never a silent splice.
         b = _store()
-        frame = make_replicate("a", 1, [_entry(7).to_wire()], 5, checkpoints=[])
+        frame = make_replicate(1, [_entry(7).to_wire()], 5, checkpoints=[])
         reply, applied = b.apply_replicate(frame, "a:1")
         assert reply["gap"] is True and applied == []
 
@@ -217,13 +215,13 @@ class TestReplicatedLogStoreUnit:
     def test_stale_epoch_refused_newer_epoch_adopted(self):
         b = _store()
         assert b.epoch == 1
-        reply, applied = b.apply_replicate(make_replicate("c", 3, [_entry(1).to_wire()], 0), "c:1")
+        reply, applied = b.apply_replicate(make_replicate(3, [_entry(1).to_wire()], 0), "c:1")
         assert reply["type"] == ClusterMessageType.REPLICATE_OK
         assert b.epoch == 3 and b.epoch_adoptions == 1
         assert b.primary_hint == "c:1"  # where the accepted frame came from
         # The deposed primary's epoch-1 appends now bounce with our epoch.
         reply, applied = b.apply_replicate(
-            make_replicate("a", 1, [_entry(2).to_wire()], 0), "a:1"
+            make_replicate(1, [_entry(2).to_wire()], 0), "a:1"
         )
         assert reply["type"] == ClusterMessageType.ERROR
         assert reply["code"] == "stale_epoch" and reply["epoch"] == 3
@@ -233,7 +231,7 @@ class TestReplicatedLogStoreUnit:
         a = _store(node="a", peers=("b:1", "c:1"))
         assert a.is_primary
         reply, _ = a.apply_replicate(
-            make_replicate("b", 1, [_entry(1).to_wire()], 0), "b:1"
+            make_replicate(1, [_entry(1).to_wire()], 0), "b:1"
         )
         assert reply["code"] == "stale_epoch"  # same-epoch split-brain guard
 
@@ -255,9 +253,9 @@ class TestReplicatedLogStoreUnit:
 
     def test_divergent_overlap_is_refused_not_spliced(self):
         b = _store()
-        b.apply_replicate(make_replicate("a", 1, [_entry(1).to_wire()], 0), "a:1")
+        b.apply_replicate(make_replicate(1, [_entry(1).to_wire()], 0), "a:1")
         rewritten = _entry(1, sql="INSERT INTO t (id) VALUES (999)")
-        frame = make_replicate("a", 2, [rewritten.to_wire(), _entry(2).to_wire()], 0)
+        frame = make_replicate(2, [rewritten.to_wire(), _entry(2).to_wire()], 0)
         reply, applied = b.apply_replicate(frame, "a:1")
         assert reply["code"] == "diverged_log" and applied == []
         assert b.last_index == 1  # nothing was spliced over local history
@@ -265,8 +263,8 @@ class TestReplicatedLogStoreUnit:
     def test_compaction_floor_mirrors(self):
         b = _store()
         entries = [_entry(i).to_wire() for i in range(1, 5)]
-        b.apply_replicate(make_replicate("a", 1, entries, 0), "a:1")
-        reply, _ = b.apply_replicate(make_replicate("a", 1, [], 3), "a:1")
+        b.apply_replicate(make_replicate(1, entries, 0), "a:1")
+        reply, _ = b.apply_replicate(make_replicate(1, [], 3), "a:1")
         assert reply["type"] == ClusterMessageType.REPLICATE_OK
         assert b.truncated_through == 3
         assert [e.index for e in b.entries_after(0)] == [4]
@@ -284,7 +282,7 @@ class TestReplicatedLogStoreUnit:
         store = primary.ha_store
         peer = store.peer_addresses()[0]
         head = store.last_index
-        frame = make_replicate("x", 100, [_entry(head + 1).to_wire()], 0)
+        frame = make_replicate(100, [_entry(head + 1).to_wire()], 0)
         frame["origin_address"] = peer  # a claim, not an identity
         with ha_env.network.connect(primary.address, source="x:1") as channel:
             reply = channel.request(frame, timeout=5.0)
@@ -302,10 +300,10 @@ class TestReplicatedLogStoreUnit:
         # A peer's probe gets this node's status; anyone else's, nothing.
         c1, c2, _ = ha_env.controllers
         with ha_env.network.connect(c1.address, source=c2.address) as channel:
-            reply = channel.request(make_ha_status("b"), timeout=5.0)
+            reply = channel.request(make_ha_status(), timeout=5.0)
         assert reply == {"type": ClusterMessageType.HA_STATUS_OK, **c1.ha_store.status()}
         with ha_env.network.connect(c1.address) as channel:
-            assert channel.request(make_ha_status("b"), timeout=5.0)["code"] == "not_a_peer"
+            assert channel.request(make_ha_status(), timeout=5.0)["code"] == "not_a_peer"
 
 
 # -- cluster-level replication -------------------------------------------------
@@ -459,7 +457,7 @@ class TestControllerHAReplication:
         good = _entry(head + 1).to_wire()
 
         def frame(**overrides):
-            message = make_replicate("p", epoch + 5, [good], 0)
+            message = make_replicate(epoch + 5, [good], 0)
             message.update(overrides)
             return message
 
@@ -481,7 +479,7 @@ class TestControllerHAReplication:
                 assert "cp" not in follower.recovery_log.checkpoints
             # Same channel, a well-formed round: still served.
             reply = channel.request(
-                make_replicate("p", epoch, [good], 0), timeout=5.0
+                make_replicate(epoch, [good], 0), timeout=5.0
             )
             assert reply["type"] == ClusterMessageType.REPLICATE_OK
             assert store.last_index == head + 1
@@ -507,7 +505,7 @@ class TestGroupOfOne:
             # Nobody is its peer, so nobody may append to its log.
             with env.network.connect(controller.address) as channel:
                 reply = channel.request(
-                    make_replicate("x", 9, [_entry(head + 1).to_wire()], 0),
+                    make_replicate(9, [_entry(head + 1).to_wire()], 0),
                     timeout=5.0,
                 )
             assert reply["type"] == ClusterMessageType.ERROR

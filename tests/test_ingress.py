@@ -2,8 +2,10 @@
 
 Directed cases pin the refusals the tables exist for — an anonymous
 client's group operations, ill-typed Drivolution requests, a ``bool``
-protocol version — and the docs table is compared with the code's. The
-property test sends arbitrary well-framed frames at every listener from
+protocol version — and the docs table is compared with the code's. A
+flow test captures every frame sent: a secret reaches only the database
+that checks it, and no request carries a field its row does not declare.
+The property test sends arbitrary well-framed frames at every listener from
 an anonymous source: frame types drawn from the listener's own table,
 the other tables and junk, fields arbitrary JSON. Every frame must get
 an ERROR, a legal reply or a closed channel; no thread may die; nothing
@@ -61,23 +63,23 @@ class TestGroupOperationsComeFromGroupPeers:
         before = _driver_names(c1)
         payload = {"package": build_pydb_driver("evil").to_wire(), "lease_time_ms": 1_000}
         with group_env.network.connect(c1.address) as channel:
-            reply = channel.request(make_group("install_driver", payload, origin=c2.config.controller_id), 5.0)
+            reply = channel.request(make_group("install_driver", payload), 5.0)
         assert reply["type"] == ClusterMessageType.ERROR and reply["code"] == "not_a_peer"
         assert _driver_names(c1) == before and "evil" not in before
 
     def test_anonymous_disable_backend_is_refused(self, group_env):
         c1, c2 = group_env.controllers
         with group_env.network.connect(c1.address) as channel:
-            reply = channel.request(make_group("disable_backend", {"backend": "db1"}, origin="c2"), 5.0)
+            reply = channel.request(make_group("disable_backend", {"backend": "db1"}), 5.0)
             assert reply["code"] == "not_a_peer"
             # Same frame, same channel: still refused, still served.
-            assert channel.request(make_group("disable_backend", {"backend": "db1"}, origin="c2"), 5.0)[
+            assert channel.request(make_group("disable_backend", {"backend": "db1"}), 5.0)[
                 "code"
             ] == "not_a_peer"
         assert c1.backend("db1").enabled
         # From the group peer's own address the operation is applied.
         with group_env.network.connect(c1.address, source=c2.address) as channel:
-            reply = channel.request(make_group("disable_backend", {"backend": "db1"}, origin="c2"), 5.0)
+            reply = channel.request(make_group("disable_backend", {"backend": "db1"}), 5.0)
         assert reply["type"] == "seq_group_ack" and not c1.backend("db1").enabled
 
 
@@ -114,11 +116,10 @@ class TestIllTypedDrivolutionRequests:
         "overrides",
         [
             {"api_version": 5},
-            {"requested_extensions": 5},
             {"preferred_driver_version": "abc"},
             {"type": messages.DISCOVER, "api_version": 5},
         ],
-        ids=["api_version", "requested_extensions", "driver_version", "discover"],
+        ids=["api_version", "driver_version", "discover"],
     )
     def test_refused_and_the_handler_keeps_serving(self, drivolution_address, overrides):
         env, address = drivolution_address
@@ -131,7 +132,7 @@ class TestIllTypedDrivolutionRequests:
 
 class TestBoolIsNoInt:
     def test_controller_refuses_a_bool_protocol_version(self, group_env):
-        connect = make_seq_connect("vdb", None, None, CLUSTER_PROTOCOL_VERSION)
+        connect = make_seq_connect("vdb", CLUSTER_PROTOCOL_VERSION)
         connect["protocol_version"] = True
         with group_env.network.connect(group_env.controllers[0].address) as channel:
             reply = channel.request(connect, timeout=5.0)
@@ -146,7 +147,7 @@ class TestBoolIsNoInt:
         ).start()
         try:
             with network.connect("boolsrv:5432") as channel:
-                reply = channel.request(make_connect("appdb", None, None, True), timeout=5.0)
+                reply = channel.request(make_connect("appdb", True), timeout=5.0)
             assert reply["type"] == MessageType.ERROR and reply["code"] == "bad_handshake"
         finally:
             server.stop()
@@ -165,7 +166,7 @@ class TestRefusedConnectEndsTheChannel:
         server = DatabaseServer(engine, network, "authsrv:5432").start()
         try:
             with network.connect("authsrv:5432") as channel:
-                reply = channel.request(make_connect("appdb", "alice", "guess", PROTOCOL_VERSION), 5.0)
+                reply = channel.request(make_connect("appdb", PROTOCOL_VERSION, "alice", "guess"), 5.0)
                 assert reply["type"] == MessageType.ERROR and reply["code"] == "auth_failed"
                 with pytest.raises(TransportError, match="closed"):
                     channel.recv(timeout=5.0)
@@ -173,12 +174,105 @@ class TestRefusedConnectEndsTheChannel:
             server.stop()
 
     def test_controller_closes_after_unknown_database(self, group_env):
-        connect = make_seq_connect("no-such-vdb", None, None, CLUSTER_PROTOCOL_VERSION)
+        connect = make_seq_connect("no-such-vdb", CLUSTER_PROTOCOL_VERSION)
         with group_env.network.connect(group_env.controllers[0].address) as channel:
             reply = channel.request(connect, 5.0)
             assert reply["type"] == ClusterMessageType.ERROR and reply["code"] == "unknown_database"
             with pytest.raises(TransportError, match="closed"):
                 channel.recv(timeout=5.0)
+
+
+# -- the flow: a frame carries only what its receiver reads -------------------------
+
+_PASSWORD = "pw-flow-7f3c"
+_REALM_SECRET = "realm-flow-9b1e"
+
+
+def test_credentials_reach_only_the_database_that_checks_them(monkeypatch):
+    """Every frame any channel sends, as it goes on the wire: the password
+    reaches only a database's CONNECT, the realm secret nothing, and each
+    request carries only the fields its row declares."""
+    from repro.cluster import ClusterDriverRuntime
+    from repro.core import DrivolutionServer, StandaloneServerBinding
+    from repro.dbapi.runtime import RuntimeDriver
+    from repro.dbserver.auth import TokenAuthenticator
+    from repro.netsim.framing import decode_message, encode_message
+    from repro.netsim.inmem import InMemoryChannel
+    from test_core_bootloader import _Bystander
+
+    sent = []
+    send = InMemoryChannel.send
+
+    def capture(channel, message):
+        sent.append((channel.remote_address, decode_message(encode_message(message))))
+        send(channel, message)
+
+    monkeypatch.setattr(InMemoryChannel, "send", capture)
+    cluster = build_cluster(replicas=2, controllers=3, ha=True)
+    single = build_single_database()
+    kerberos = DatabaseServer(
+        Engine(name="kerb"), single.network, "kerb:5432",
+        ServerConfig(name="kerb", authenticators={"token": TokenAuthenticator(_REALM_SECRET)}),
+    )
+    kerberos.engine.create_database("appdb")
+    kerberos.start()
+    bystander = _Bystander(single.network, "printer:515")
+    try:
+        for multiplexing in (False, True):  # a dedicated channel, then a trunk
+            connection = ClusterDriverRuntime().connect(
+                cluster.client_url(), user="alice", password=_PASSWORD,
+                network=cluster.network, multiplexing=multiplexing,
+            )
+            assert connection.multiplexed is multiplexing
+            cursor = connection.cursor()
+            cursor.execute(f"CREATE TABLE flow_{int(multiplexing)} (id INTEGER PRIMARY KEY)")
+            cursor.execute(f"INSERT INTO flow_{int(multiplexing)} (id) VALUES (1)")
+            connection.close()
+        primary = next(c for c in cluster.controllers if c.ha_store.is_primary)
+        follower = next(c for c in cluster.controllers if c is not primary)
+        primary.disable_backend_cluster_wide("db1")
+        assert follower.ha_store.ensure_primary(follower.promote) is False
+
+        RuntimeDriver(extensions=["kerberos"]).connect(
+            "pydb://kerb:5432/appdb", network=single.network, user="bob", realm_secret=_REALM_SECRET
+        ).close()
+
+        single.engine.create_user("alice", _PASSWORD)
+        single.admin.install_driver(build_pydb_driver("pydb-1.0.0"), database=single.database_name)
+        bootloader = single.new_bootloader(BootloaderConfig(use_discovery=True))
+        bootloader.connect(single.url, user="alice", password=_PASSWORD).close()
+        assert bootloader.stats.discover_rounds == 1
+    finally:
+        bystander.stop()
+        kerberos.stop()
+        cluster.close()
+        single.close()
+    assert bystander.first_frames, "the discovery reached the bystander"
+
+    databases = {server.address for server in cluster.replica_servers} | {single.db_address, "kerb:5432"}
+    carried = [(to, frame) for to, frame in sent if _PASSWORD in repr(frame)]
+    assert carried, "the database that checks the password received it"
+    for to, frame in carried:
+        assert frame["type"] == MessageType.CONNECT and to in databases, (to, frame)
+    assert not [frame for _, frame in sent if _REALM_SECRET in repr(frame)]
+    routes = {
+        **cluster.controllers[0].routes,
+        **cluster.controllers[0]._trunk_routes,
+        **single.db_server.routes,
+        **STATEMENTS,
+        **DrivolutionServer(StandaloneServerBinding()).routes,
+        **Bootloader._push_routes,
+    }
+    requests = [frame for _, frame in sent if frame.get("type") in routes]
+    assert {frame["type"] for frame in requests} >= {
+        ClusterMessageType.CONNECT, ClusterMessageType.GROUP, ClusterMessageType.REPLICATE,
+        ClusterMessageType.HA_STATUS, MessageType.CONNECT, messages.REQUEST, messages.DISCOVER,
+    }
+    for frame in requests:
+        route = routes[frame["type"]]
+        declared = {"type", "session_id", "request_id", *route.required, *route.optional}
+        assert set(frame) <= declared, (frame["type"], set(frame) - declared)
+        assert route.problem(frame) is None, frame
 
 
 # -- the docs table is the code's table ---------------------------------------------
@@ -338,20 +432,20 @@ _JSON = st.recursive(
 )
 
 _CANNED = [
-    make_seq_connect("vdb", None, None, CLUSTER_PROTOCOL_VERSION, multiplex=True),
-    make_seq_connect("vdb", None, None, 2),
+    make_seq_connect("vdb", CLUSTER_PROTOCOL_VERSION, multiplex=True),
+    make_seq_connect("vdb", 2),
     make_session_open("fuzz", 1),
     make_seq_execute("SELECT 1", session_id="fuzz", request_id=2),
-    make_connect("appdb", None, None, PROTOCOL_VERSION),
+    make_connect("appdb", PROTOCOL_VERSION),
     make_execute("SELECT 1"),
     DrivolutionRequest(database="appdb", api_name="PYDB-API", client_platform="cpython-any").to_wire(),
     messages.make_file_request("driver:1", ""),
     messages.make_update_available("PYDB-API"),
     # What only a peer may send, sent by a client:
-    make_group("disable_backend", {"backend": "db1"}, origin="controller2"),
-    make_group("install_driver", {"package": build_pydb_driver("evil").to_wire()}, origin="controller2"),
-    make_replicate("controller2", 100, [], 0),
-    make_ha_status("controller2"),
+    make_group("disable_backend", {"backend": "db1"}),
+    make_group("install_driver", {"package": build_pydb_driver("evil").to_wire()}),
+    make_replicate(100, [], 0),
+    make_ha_status(),
 ]
 
 
@@ -387,7 +481,7 @@ def _check_reply(frame, reply):
 
 def _trunk_with_sibling(world):
     channel = world.cluster.network.connect(world.controller.address)
-    channel.request(make_seq_connect("vdb", None, None, CLUSTER_PROTOCOL_VERSION, multiplex=True), 5.0)
+    channel.request(make_seq_connect("vdb", CLUSTER_PROTOCOL_VERSION, multiplex=True), 5.0)
     assert channel.request(make_session_open("sibling", 1), 5.0)["type"] == ClusterMessageType.SESSION_OPEN_OK
     return channel
 
@@ -429,7 +523,7 @@ def test_anything_from_anyone_is_answered_and_changes_nothing(world, data):
             frames = [f for f in frames if f.get("type") != ClusterMessageType.CLOSE]
         elif target == "database_session":
             channel = network.connect(world.single.db_address)
-            channel.request(make_connect("appdb", None, None, PROTOCOL_VERSION), 5.0)
+            channel.request(make_connect("appdb", PROTOCOL_VERSION), 5.0)
         else:
             address = {
                 "controller": world.controller.address,

@@ -31,6 +31,7 @@ from repro.cluster.wire import (
     make_execute,
     make_result,
 )
+from repro.dbserver import wire as db_wire
 from repro.netsim import InMemoryNetwork
 from repro.cluster.recovery import RecoveryLog
 from repro.cluster.scheduler import RequestScheduler, SchedulerError
@@ -422,19 +423,20 @@ class TestExporters:
 class TestWireTracingFields:
     def test_untraced_frames_keep_exact_shape(self):
         assert set(make_execute("SELECT 1", {})) == {"type", "sql", "params"}
-        assert set(make_connect("vdb", None, None, 3)) == {
-            "type",
-            "virtual_database",
-            "user",
-            "password",
-            "protocol_version",
-            "options",
-        }
+        assert set(make_connect("vdb", 3)) == {"type", "virtual_database", "protocol_version"}
         assert "tracing" not in make_connect_ok("c1", 3, "s1")
         assert "tracing" not in make_connect_ok("c1", 3, "s1", multiplexing=True)
 
+    def test_pydb_frames_omit_unset_optional_fields(self):
+        # The same rule on the database wire: an unset field is not sent.
+        assert set(db_wire.make_execute("SELECT 1")) == {"type", "sql", "params"}
+        assert set(db_wire.make_connect("appdb", 4)) == {"type", "database", "protocol_version", "auth_method"}
+        assert set(db_wire.make_connect("appdb", 4, "alice", "secret")) == {
+            "type", "database", "protocol_version", "auth_method", "user", "password"
+        }
+
     def test_traced_frames_add_only_the_optional_fields(self):
-        assert make_connect("vdb", None, None, 3, trace=True)["trace"] is True
+        assert make_connect("vdb", 3, trace=True)["trace"] is True
         assert make_execute("SELECT 1", {}, trace_id="t1")["trace_id"] == "t1"
         assert make_connect_ok("c1", 3, "s1", tracing=True)["tracing"] is True
 
@@ -648,9 +650,7 @@ class TestEndToEnd:
     def test_v2_client_gets_no_tracing_grant(self, traced_cluster):
         controller, _ = traced_cluster
         channel = controller.network.connect("obs-ctrl:25322", timeout=5.0)
-        channel.send(
-            make_connect("vdb", None, None, 2, trace=True)
-        )
+        channel.send(make_connect("vdb", 2, trace=True))
         reply = channel.recv(timeout=5.0)
         assert reply["type"] == ClusterMessageType.CONNECT_OK
         assert "tracing" not in reply
@@ -663,7 +663,7 @@ class TestEndToEnd:
         a reply to an EXECUTE with no trace_id carries no span list."""
         controller, _ = traced_cluster
         channel = controller.network.connect("obs-ctrl:25322", timeout=5.0)
-        channel.send(make_connect("vdb", None, None, CLUSTER_PROTOCOL_VERSION))
+        channel.send(make_connect("vdb", CLUSTER_PROTOCOL_VERSION))
         reply = channel.recv(timeout=5.0)
         assert reply["type"] == ClusterMessageType.CONNECT_OK
         channel.send(make_execute("SELECT * FROM events", {}))

@@ -134,7 +134,7 @@ def test_a_pipeline_does_not_starve_a_sibling_session():
     gate = _gate(controller, "SELECT 0")
     try:
         channel = env.network.connect(controller.address, timeout=2.0)
-        channel.send(make_connect("vdb", None, None, CLUSTER_PROTOCOL_VERSION, multiplex=True))
+        channel.send(make_connect("vdb", CLUSTER_PROTOCOL_VERSION, multiplex=True))
         assert channel.recv(timeout=_WAIT_S)["multiplexing"] is True
         for request_id, session_id in enumerate(("pipeline", "sibling"), start=1):
             channel.send(make_session_open(session_id, request_id))

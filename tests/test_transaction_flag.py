@@ -306,7 +306,7 @@ def test_pydb_replies_carry_the_field_only_while_a_transaction_is_open():
     env = build_single_database()
     try:
         with env.network.connect(env.db_address, timeout=5.0) as channel:
-            channel.request(make_connect(env.database_name, None, None, PROTOCOL_VERSION), 5.0)
+            channel.request(make_connect(env.database_name, PROTOCOL_VERSION), 5.0)
 
             def reply_to(sql):
                 return channel.request(make_execute(sql), timeout=5.0)
@@ -331,7 +331,7 @@ def test_controller_replies_and_refusals_carry_the_field_only_while_open():
     try:
         with env.network.connect(env.controllers[0].address, timeout=5.0) as channel:
             # v2: a dedicated channel, the frames an old package exchanges.
-            reply = channel.request(make_seq_connect("vdb", None, None, 2), timeout=5.0)
+            reply = channel.request(make_seq_connect("vdb", 2), timeout=5.0)
             assert reply["type"] == ClusterMessageType.CONNECT_OK
 
             def reply_to(sql, **fields):

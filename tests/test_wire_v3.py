@@ -83,9 +83,9 @@ class TestCorrelation:
             correlate(message)
 
     def test_connect_carries_multiplex_only_when_asked(self):
-        plain = make_connect("vdb", None, None, CLUSTER_PROTOCOL_VERSION)
+        plain = make_connect("vdb", CLUSTER_PROTOCOL_VERSION)
         assert "multiplex" not in plain
-        asked = make_connect("vdb", None, None, CLUSTER_PROTOCOL_VERSION, multiplex=True)
+        asked = make_connect("vdb", CLUSTER_PROTOCOL_VERSION, multiplex=True)
         assert asked["multiplex"] is True
 
     def test_connect_ok_carries_grant_only_when_granted(self):
@@ -149,7 +149,7 @@ def _mux_handshake(env, controller):
     """Raw v3 handshake on a fresh channel; returns the granted channel."""
     channel = env.network.connect(controller.address, timeout=2.0)
     channel.send(
-        make_connect("vdb", None, None, CLUSTER_PROTOCOL_VERSION, multiplex=True)
+        make_connect("vdb", CLUSTER_PROTOCOL_VERSION, multiplex=True)
     )
     reply = channel.recv(timeout=5.0)
     assert reply["type"] == ClusterMessageType.CONNECT_OK
@@ -233,7 +233,7 @@ def _dedicated_handshake(env, controller):
     """Raw handshake that does not ask for multiplexing; returns the
     channel, whose one implicit session is open."""
     channel = env.network.connect(controller.address, timeout=2.0)
-    channel.send(make_connect("vdb", None, None, CLUSTER_PROTOCOL_VERSION))
+    channel.send(make_connect("vdb", CLUSTER_PROTOCOL_VERSION))
     reply = channel.recv(timeout=5.0)
     assert reply["type"] == ClusterMessageType.CONNECT_OK
     assert "multiplexing" not in reply

@@ -98,6 +98,22 @@ _ONE_DEFERRAL = (
     "like any statement and only pass a frame's begin field through"
 )
 
+_CREDENTIALS_STOP = (
+    "a password goes only to the database that authenticates it (dbserver.wire.make_connect): "
+    "the controller authenticates nobody and a Drivolution server checks no secret, so neither "
+    "protocol's frames carry one"
+)
+
+_SENDER_IS_THE_CHANNEL = (
+    "a peer frame names no sender: who sent GROUP, REPLICATE or HA_STATUS is the channel's "
+    "remote_address, never a field of the frame"
+)
+
+_NO_UNREAD_FIELD = (
+    "a frame carries only what its receiver reads: the matchmaker reads no requested "
+    "extensions, so neither BootloaderConfig nor DRIVOLUTION_REQUEST names them"
+)
+
 GATES = [
     Gate(
         r"trace is (not )?None",
@@ -346,6 +362,22 @@ GATES = [
         ("src/repro/cluster/backend.py", "src/repro/cluster/driver.py"),
         _ONE_DEFERRAL,
     ),
+    Gate(
+        r"\bpassword\b",
+        (
+            "src/repro/cluster/wire.py",
+            "src/repro/cluster/controller.py",
+            "src/repro/core/messages.py",
+            "src/repro/core/server.py",
+        ),
+        _CREDENTIALS_STOP,
+    ),
+    Gate(
+        r"\borigin\b",
+        ("src/repro/cluster/wire.py", "src/repro/cluster/recovery/replication.py"),
+        _SENDER_IS_THE_CHANNEL,
+    ),
+    Gate(r"requested_extensions", ("src/repro",), _NO_UNREAD_FIELD),
 ]
 
 
