@@ -23,6 +23,7 @@ from repro.dbapi.exceptions import (
     DataError,
     IntegrityError,
     NotSupportedError,
+    OperationalError,
     ProgrammingError,
 )
 from repro.errors import DriverError
@@ -57,6 +58,61 @@ def _run_cursor(connection: Any, sql: str, params: Optional[Dict[str, Any]]) -> 
     return columns, rows, rowcount
 
 
+class Lease:
+    """One backend's connection for one session's transaction, checked
+    out of the backend's idle set (or opened) by the transaction's first
+    statement there, which sends BEGIN on it first: a connection that
+    can carry a BEGIN with its next request answers it without one
+    (:class:`repro.dbapi.runtime.WireConnection`). Once its connection
+    closed — a fault, or the backend leaving the rotation — the lease is
+    dead: the transaction's share on that replica rolled back, and the
+    lease never opens another."""
+
+    __slots__ = ("backend", "connection", "begun")
+
+    def __init__(self, backend: "Backend") -> None:
+        self.backend = backend
+        self.connection: Any = None
+        self.begun = False
+
+    @property
+    def live(self) -> bool:
+        """Whether the transaction is open on the connection: it is, and
+        says so (``in_transaction``: a BEGIN owed, or the replica's word
+        on its last reply), or says nothing."""
+        connection = self.connection
+        return (
+            connection is not None
+            and not getattr(connection, "closed", False)
+            and getattr(connection, "in_transaction", True)
+        )
+
+    def open(self) -> Any:
+        """The lease's connection, checked out by the first call (under
+        the backend's lock); :meth:`begin` opens the transaction on it."""
+        if self.connection is None:
+            self.connection = self.backend._checkout()
+        elif getattr(self.connection, "closed", False):
+            raise OperationalError(f"the transaction's connection to {self.backend.name} was closed")
+        return self.connection
+
+    def begin(self) -> None:
+        """Send BEGIN on the connection, once: by its ``begin()`` where it
+        has one (every connection of this package's DB-API does)."""
+        if self.begun:
+            return
+        self.begun = True
+        connection = self.connection
+        try:
+            if hasattr(connection, "begin"):
+                connection.begin()
+            else:
+                _run_cursor(connection, "BEGIN", None)
+        except Exception as exc:
+            self.backend._drop_connection(self.connection)
+            raise OperationalError(f"BEGIN failed on {self.backend.name}: {exc}") from exc
+
+
 class ReplicaBatch:
     """One backend's share of a round: an ordered batch of statements,
     put on the wire one request at a time.
@@ -85,7 +141,10 @@ class ReplicaBatch:
     A tracked batch counts what the connection says the replica ran
     (its ``statements_executed`` across the request, a carried BEGIN
     included), or its statements that succeeded on a connection that
-    does not say."""
+    does not say.
+
+    The statements run on the backend's own connection, auto-commit, or
+    on ``lease``'s: a transaction's."""
 
     def __init__(
         self,
@@ -93,8 +152,10 @@ class ReplicaBatch:
         statements: List[Tuple[str, Optional[Dict[str, Any]]]],
         track: bool = True,
         batched: bool = True,
+        lease: Optional[Lease] = None,
     ) -> None:
         self.backend = backend
+        self._lease = lease
         self._statements = statements
         self._track = track
         #: Whether a connection's native batch may carry the statements
@@ -133,8 +194,13 @@ class ReplicaBatch:
         position = len(self.outcomes)
         self._carried = len(self._statements) - position
         self._connection = None
-        connection = self._connection = self.backend._ensure_connection()
+        lease = self._lease
+        connection = self._connection = (
+            self.backend._ensure_connection() if lease is None else lease.open()
+        )
         self._ran_before = getattr(connection, "statements_executed", None)
+        if lease is not None:
+            lease.begin()
         if getattr(connection, "threadsafety", 1) >= 2:
             # Threads may share this connection: no exclusivity to hold.
             self._release()
@@ -218,6 +284,13 @@ class ReplicaBatch:
             self.backend._lock.release()
 
 
+def _close_quietly(connection: Any) -> None:
+    try:
+        connection.close()
+    except Exception:  # noqa: BLE001 - it is going away either way
+        pass
+
+
 # -- the replay rule: plain values in, a verdict out ---------------------------
 
 #: Verdicts of :func:`replay_step`.
@@ -297,14 +370,20 @@ class Backend:
     """One database replica behind a controller.
 
     ``connection_factory`` opens a fresh DB-API connection to the replica;
-    the backend holds one connection at a time and re-opens it when the
-    factory changes (e.g. after a driver upgrade) or after a failure.
+    auto-commit statements share the backend's own connection, re-opened
+    when the factory changes (e.g. after a driver upgrade) or after a
+    failure, and each open transaction runs on one checked out for it
+    (:class:`Lease`).
     """
 
     def __init__(self, name: str, connection_factory: Callable[[], Any]) -> None:
         self.name = name
         self._connection_factory = connection_factory
         self._connection: Optional[Any] = None
+        #: Connections for transactions (:class:`Lease`): idle ones, and
+        #: those checked out now.
+        self._idle: List[Any] = []
+        self._leased: Set[Any] = set()
         self.state = BackendState.ENABLED
         #: Who took this backend out of the rotation (``"admin"`` or
         #: ``"detector"``); None while it is in. The failure detector
@@ -349,6 +428,34 @@ class Backend:
                 self._connection = self._connection_factory()
             return self._connection
 
+    def _checkout(self) -> Any:
+        """A connection for one transaction: an idle one, or a new one."""
+        with self._lock:
+            while self._idle:
+                connection = self._idle.pop()
+                if not getattr(connection, "closed", False):
+                    break
+            else:
+                connection = self._connection_factory()
+            self._leased.add(connection)
+            return connection
+
+    def checkin(self, lease: Lease, clean: bool) -> None:
+        """Take back a transaction's connection once it ended: idle for
+        the next transaction if ``clean`` (its COMMIT or ROLLBACK ran) and
+        the backend is in the rotation, else closed."""
+        connection = lease.connection
+        if connection is None:
+            return
+        with self._lock:
+            self._leased.discard(connection)
+            if clean and self.enabled and not getattr(connection, "closed", False):
+                if connection is not self._connection:
+                    self._idle.append(connection)
+                return
+        if connection is not self._connection:
+            _close_quietly(connection)
+
     def replace_connection_factory(self, factory: Callable[[], Any]) -> None:
         """Swap how this backend connects (e.g. a new database driver).
 
@@ -361,42 +468,46 @@ class Backend:
             self._connection_factory = factory
 
     def close_connection(self) -> None:
+        """Close every connection to the replica: its own, the idle ones
+        and those checked out for transactions, whose shares on the
+        replica roll back with them."""
         with self._lock:
-            if self._connection is not None:
-                try:
-                    self._connection.close()
-                except Exception:
-                    pass
-                self._connection = None
+            connections = {id(c): c for c in [self._connection, *self._idle, *self._leased] if c is not None}
+            self._connection = None
+            self._idle.clear()
+            self._leased.clear()
+        for connection in connections.values():
+            _close_quietly(connection)
 
     def _drop_connection(self, failed: Any) -> None:
-        """Close the cached connection after ``failed`` failed — unless
-        it is no longer the cached one: a failure reported after a
-        reconnect (a shared connection, closed and replaced while the
-        call was in flight) must not close its successor."""
+        """Close ``failed`` after it failed, and forget it if it is the
+        cached one — a failure reported after a reconnect (a shared
+        connection, closed and replaced while the call was in flight)
+        must not close its successor."""
+        if failed is None:
+            return
         with self._lock:
             if self._connection is failed:
-                self.close_connection()
-
-    @property
-    def in_transaction(self) -> bool:
-        """Whether a transaction is open on the replica's connection, as
-        the connection says (the DB-API contract of
-        ``Connection.in_transaction``: it owes a BEGIN, or the replica
-        said so on its last reply); False once the connection is dropped
-        or replaced, since closing it rolls its server session back and a
-        successor owes nothing."""
-        return bool(getattr(self._connection, "in_transaction", False))
+                self._connection = None
+            self._leased.discard(failed)
+        _close_quietly(failed)
 
     # -- statement execution ---------------------------------------------------------
 
-    def execute(self, sql: str, params: Optional[Dict[str, Any]] = None, track: bool = True):
-        """Run one statement on the replica, returning (columns, rows, rowcount).
+    def execute(
+        self,
+        sql: str,
+        params: Optional[Dict[str, Any]] = None,
+        track: bool = True,
+        lease: Optional[Lease] = None,
+    ):
+        """Run one statement on the replica, returning (columns, rows, rowcount),
+        auto-commit or on ``lease``'s connection.
 
         ``track=False`` leaves ``statements_executed`` untouched — for
         controller-internal catalog probes (primary-key resolution) that
         are not client work and would skew the observability counter."""
-        batch = ReplicaBatch(self, [(sql, params)], track, batched=False)
+        batch = ReplicaBatch(self, [(sql, params)], track, batched=False, lease=lease)
         batch.send()
         batch.collect()
         ((result, error),) = batch.outcomes

@@ -21,6 +21,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.cluster.backend import (
     STATEMENT_FAULTS,
     Backend,
+    Lease,
     Outcome,
     QueryResult,
     ReplicaBatch,
@@ -141,6 +142,7 @@ class WriteBroadcaster:
         backends: List[Backend],
         statements: List[Tuple[str, Optional[Dict[str, Any]]]],
         trace=NULL_TRACE,
+        leases: Optional[Dict[Backend, Lease]] = None,
     ) -> BatchBroadcastOutcome:
         """Execute an ordered batch of statements on every target backend
         in one round on the calling thread. Each step sends every
@@ -151,12 +153,14 @@ class WriteBroadcaster:
         one request in flight. Any exception from a target becomes that
         target's outcome. ``trace`` (the round leader's
         :class:`repro.obs.Trace`) receives one ``replica:<name>`` child
-        span per backend under the caller's ``execute`` span."""
+        span per backend under the caller's ``execute`` span. With
+        ``leases`` (a transaction's round) each target runs the batch on
+        its lease's connection instead of its own."""
         self._broadcasts.inc()  # one fan-out round trip, however many statements
         self._statements_dispatched.inc(len(backends) * len(statements))
         self._batched_statements.inc(len(statements))
         batches = [
-            ReplicaBatch(backend, statements)
+            ReplicaBatch(backend, statements, lease=leases[backend] if leases else None)
             if isinstance(backend, Backend)
             else _Synchronous(backend, statements)
             for backend in backends

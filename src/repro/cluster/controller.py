@@ -161,7 +161,7 @@ class _Session:
     statements of one session never run concurrently (per-session order
     is preserved) while different sessions' statements interleave freely
     across the workers. Whether its transaction is open is not kept here:
-    it is ``scheduler.transaction_owner == session_id``."""
+    it is ``scheduler.in_transaction(session_id)``."""
 
     __slots__ = ("session_id", "statements", "failed", "queue", "scheduled", "closed")
 
@@ -195,6 +195,10 @@ class _ChannelState:
         self.implicit: Optional[_Session] = None
 
 
+#: Which run queue the current thread works for, if any.
+_worker = threading.local()
+
+
 class _RunQueue:
     """The trunk sessions that have work, and the threads that run it.
 
@@ -209,7 +213,10 @@ class _RunQueue:
     one, up to ``size``, so an idle controller has no worker threads and
     the ceiling holds however many sessions are open. ``_idle`` counts
     workers with no entry to take; a worker that puts its own session
-    back takes an entry itself and stays counted busy."""
+    back takes an entry itself and stays counted busy. A worker waiting
+    for a transaction between statements (:meth:`park`) does not count
+    toward the ceiling: that transaction's COMMIT may be queued behind
+    it. A worker past the ceiling that finds nothing to do exits."""
 
     def __init__(self, run: Callable[[_ChannelState, _Session, Any], None], size: int, name: str) -> None:
         self._run = run
@@ -220,7 +227,10 @@ class _RunQueue:
         #: stop entries, so nothing is queued behind them.
         self._lock = threading.Lock()
         self._idle = 0
+        #: Workers waiting for a transaction's lock.
+        self._parked = 0
         self._threads: List[threading.Thread] = []
+        self._started = 0
         self.closed = False
 
     def put(self, state: _ChannelState, session: _Session, requeue: bool = False) -> bool:
@@ -236,11 +246,8 @@ class _RunQueue:
                     return True
                 if self._idle:
                     self._idle -= 1
-                elif len(self._threads) < self._size:
-                    worker = threading.Thread(
-                        target=self._work, name=f"{self._name}-mux_{len(self._threads)}", daemon=True
-                    )
-                    self._threads.append(worker)
+                else:
+                    worker = self._spare_worker_locked()
         if closed:
             with state.lock:
                 session.scheduled = False
@@ -249,13 +256,41 @@ class _RunQueue:
             worker.start()
         return True
 
+    def _spare_worker_locked(self) -> Optional[threading.Thread]:
+        """A new worker, unless the unparked ones reach the ceiling."""
+        if len(self._threads) - self._parked >= self._size:
+            return None
+        worker = threading.Thread(target=self._work, name=f"{self._name}-mux_{self._started}", daemon=True)
+        self._started += 1
+        self._threads.append(worker)
+        return worker
+
+    def park(self, waiting: bool) -> None:
+        """The calling thread starts (``waiting``) or stops waiting for a
+        transaction between statements. A worker of this queue that waits
+        lends its slot: queued work nobody is idle to take gets a new
+        worker."""
+        if getattr(_worker, "queue", None) is not self:
+            return
+        worker = None
+        with self._lock:
+            self._parked += 1 if waiting else -1
+            if waiting and not self.closed and not self._idle and not self._ready.empty():
+                worker = self._spare_worker_locked()
+        if worker is not None:
+            worker.start()
+
     def _work(self) -> None:
+        _worker.queue = self
         while True:
             entry = self._ready.get()
             if entry is None:
                 return
             if not self._step(*entry):
                 with self._lock:
+                    if len(self._threads) - self._parked > self._size and self._ready.empty():
+                        self._threads.remove(threading.current_thread())
+                        return
                     self._idle += 1
 
     def _step(self, state: _ChannelState, session: _Session) -> bool:
@@ -406,6 +441,7 @@ class Controller:
         # trunk, and the live client channel states (each owns one
         # reader thread — the ChannelServer handler).
         self._run_queue = _RunQueue(self._run_item, config.worker_pool_size, config.controller_id)
+        self.scheduler.lock_manager.on_wait = lambda waiting: self._run_queue.park(waiting)
         self._channels: set = set()
         self._channel_server: Optional[ChannelServer] = None
         self._peers: List[Address] = []
@@ -1051,10 +1087,9 @@ class Controller:
         with trace.span("classify"):
             statement = classify(sql)
         trace.annotate(command=statement.command, session=session.session_id)
-        in_transaction = self.scheduler.transaction_owner == session.session_id
         # Reads outside the session's transaction are served by any
         # node from one replica; everything else takes the write path.
-        writes = not statement.is_read or in_transaction
+        writes = not statement.is_read or self.scheduler.in_transaction(session.session_id)
         if writes:
             # HA: only the primary accepts writes. The retryable
             # not_primary bounce carries the primary's address, so the
@@ -1076,7 +1111,7 @@ class Controller:
             )
         try:
             columns, rows, rowcount = self.scheduler.execute(
-                sql, params, in_transaction=in_transaction, session_id=session.session_id, trace=trace
+                sql, params, session_id=session.session_id, trace=trace
             )
         except (SchedulerError, DriverError) as exc:
             session.failed += 1
@@ -1201,7 +1236,7 @@ class Controller:
         # blocked statements fill every slot would deadlock the
         # controller against itself. (The depth bound above still
         # applies — it caps per-session memory, not concurrency.)
-        holds_slot = self.scheduler.transaction_owner != session.session_id
+        holds_slot = not self.scheduler.in_transaction(session.session_id)
         if holds_slot and not self._admit_statement():
             refuse(
                 self._busy_reply(f"max_in_flight_statements={self.config.max_in_flight_statements}")
@@ -1257,10 +1292,9 @@ class Controller:
         is where the reply says whether the session's transaction is
         open *now* (``in_transaction``, omitted when false like every
         optional field): the driver's flag is whatever this said last,
-        and this says what the scheduler's record says — open on the
-        replicas, and this session's. ``session`` is None only for an
-        EXECUTE naming no open session."""
-        if session is not None and self.scheduler.transaction_owner == session.session_id:
+        and this says what the scheduler's record of the session says.
+        ``session`` is None only for an EXECUTE naming no open session."""
+        if session is not None and self.scheduler.in_transaction(session.session_id):
             reply["in_transaction"] = True
         self._send(state, _correlated(reply, session_id, request_id))
 
@@ -1300,12 +1334,10 @@ class Controller:
         self._release_statement(abandoned)
         with self._lock:
             self._sessions.pop(session.session_id, None)
-        if self.scheduler.transaction_owner == session.session_id:
-            # The client vanished mid-transaction. Roll it back so the
-            # replicas' shared server sessions are released and the
-            # scheduler's record is not pinned forever — only if it is
-            # still this session's (abort re-checks under the exclusive
-            # mode): another session may have ended it and opened its own.
+        if self.scheduler.in_transaction(session.session_id):
+            # The client vanished mid-transaction. Roll it back so its
+            # replica connections, its locks and the scheduler's record
+            # of it are not pinned forever.
             try:
                 self.scheduler.abort(session.session_id)
             except (SchedulerError, DriverError):

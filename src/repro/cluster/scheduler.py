@@ -7,17 +7,21 @@ backends host which tables, RAIDb-0/1/2), :mod:`~repro.cluster.loadbalancer`
 on the hosting backends) and :mod:`~repro.cluster.querycache` (an
 optional SELECT-result cache invalidated by the tables writes touch).
 
-A read, in a transaction or not, goes to one enabled backend hosting all
-its tables (only a full replica serves a cross-partition join); a
+A read goes to one enabled backend hosting all its tables; a
 connection fault fails that backend and the read moves on. A write goes
-to every enabled backend hosting a table it writes; transaction control
-and statements with an unknown table set go to every enabled backend.
-Each write holds the one :class:`LockScope` the
-:class:`~repro.cluster.lockscope.ScopeResolver` gives it — its rows, else
-its tables, else the exclusive mode — so disjoint writes run in parallel
-and conflicting ones serialise; execution and log append happen under
-the same scope, so per-table log order is execution order, and per-table
-sequence numbers let replay verify it and deduplicate.
+to every enabled backend hosting a table it writes (every one, for an
+unknown table set), under the one :class:`LockScope` the
+:class:`~repro.cluster.lockscope.ScopeResolver` gives it — its rows,
+else its tables, else the exclusive footprint — so disjoint writes run
+in parallel and conflicting ones serialise; per-table log order is
+execution order, and per-table sequence numbers let replay verify it.
+
+A transaction belongs to its session (:class:`_Transaction`): BEGIN
+sends nothing, its first statement on a backend checks a connection out
+for it there (:class:`~repro.cluster.backend.Lease`), its writes hold
+their scopes until it ends (strict two-phase locking), and its COMMIT
+runs on its own connections and then logs its buffer, so log order is
+COMMIT order. Auto-commit statements keep each backend's own connection.
 
 The write round's decisions are the rule functions below, plain values
 in and a verdict out; :class:`RequestScheduler` is their shell, and
@@ -27,12 +31,14 @@ events (docs/scheduling.md §5).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import threading
 import time
 from contextlib import nullcontext
 from typing import Any, Callable, Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.cluster.backend import STATEMENT_FAULTS, Backend, QueryResult
+from repro.cluster.backend import STATEMENT_FAULTS, Backend, Lease, QueryResult
 from repro.cluster.broadcaster import BackendOutcome, WriteBroadcaster
 from repro.cluster.classifier import (
     DML_COMMANDS,
@@ -43,7 +49,7 @@ from repro.cluster.classifier import (
     normalize_table_name,
 )
 from repro.cluster.loadbalancer import ReadPolicy, RoundRobinPolicy
-from repro.cluster.locks import LockManager, LockScope
+from repro.cluster.locks import LockManager, LockScope, Refused
 from repro.cluster.lockscope import ScopeResolver
 from repro.cluster.placement import NoHostingBackendError, PlacementMap, create_placement
 from repro.cluster.querycache import QueryCache
@@ -57,6 +63,9 @@ from repro.cluster.recovery import (
 from repro.cluster.recovery.logstore import LogEntry
 from repro.errors import DriverError
 from repro.obs import NULL_TRACE
+from repro.sqlengine.errors import SqlParseError
+from repro.sqlengine.parser import parse
+from repro.sqlengine.statements import Begin
 
 __all__ = [
     "RequestScheduler",
@@ -71,7 +80,7 @@ __all__ = [
 
 
 class SchedulerError(DriverError):
-    """No backend available to execute the request."""
+    """The cluster cannot run the request as asked."""
 
 
 #: DDL commands: they can change what a table's rows are keyed by, so
@@ -82,7 +91,7 @@ _SCHEMA_COMMANDS = ("CREATE", "DROP", "ALTER")
 # -- the rules: plain values in, a verdict out ----------------------------------
 
 #: Verdicts of :func:`transaction_step`.
-OPEN, FLUSH, DISCARD, KEEP = "open", "flush", "discard", "keep"
+FLUSH, DISCARD, KEEP = "flush", "discard", "keep"
 #: Verdicts of :func:`write_fate`.
 LOG, DEFER, DROP = "log", "defer", "drop"
 #: Kinds of move :func:`checkpoint_moves` returns.
@@ -107,21 +116,24 @@ def round_verdict(replies: Sequence[BackendOutcome]) -> Tuple[Optional[QueryResu
     return accepted, [reply.backend for reply in faulted]
 
 
-def transaction_step(
-    open_before: bool, open_now: bool, command: Optional[str], accepted: bool
-) -> str:
-    """The transaction record's step wherever the replicas' connections
-    may have changed (after every round, in a disable, before a resync):
-    ``OPEN`` when some member replica now reports a transaction and the
-    record is closed; when the record is open and none does, ``FLUSH``
-    it into the log if an accepted COMMIT (``command``, None outside a
-    round) closed it, else ``DISCARD`` it — a ROLLBACK, or connections
-    that dropped and rolled back; else ``KEEP``."""
-    if open_before == open_now:
-        return KEEP
-    if open_now:
-        return OPEN
-    return FLUSH if command == "COMMIT" and accepted else DISCARD
+def transaction_step(alive: bool, command: str, accepted: bool) -> str:
+    """One session's open transaction record's step after one of its
+    statements (``command``) ran on its replica connections: ``FLUSH``
+    it into the log once an accepted COMMIT ended it, ``DISCARD`` it once
+    an accepted ROLLBACK did or its connections all dropped and rolled
+    it back (not ``alive``), else ``KEEP`` it."""
+    if accepted and command in ("COMMIT", "ROLLBACK"):
+        return FLUSH if command == "COMMIT" else DISCARD
+    return KEEP if alive else DISCARD
+
+
+def scope_held(in_transaction: bool, is_read: bool) -> bool:
+    """Whether a statement's lock scope stays held after it ran, until
+    its transaction ends: a write's in a transaction does (strict
+    two-phase locking, so no other session writes what it wrote before
+    it commits or rolls back, and the log orders conflicting writes as
+    they ran); an auto-commit statement's and a read's do not."""
+    return in_transaction and not is_read
 
 
 def write_fate(accepted: bool, ran_in_transaction: bool, still_open: bool) -> str:
@@ -170,45 +182,66 @@ def checkpoint_moves(
 
 # -- the shell ---------------------------------------------------------------------
 
-#: One write as the recovery log takes it: ``(sql, params, write_tables,
-#: lock_keys)``.
-_Row = Tuple[str, Optional[Dict[str, Any]], FrozenSet[str], FrozenSet[Tuple[str, Any]]]
+
+@functools.lru_cache(maxsize=256)
+def _is_begin(sql: str) -> bool:
+    """Whether a transaction-control text is a BEGIN, as one database's
+    grammar reads it; a text it refuses (``BEGIN foo``, ``COMMIT WORK``,
+    ``SAVEPOINT s``) raises :class:`SchedulerError` with its message."""
+    try:
+        return isinstance(parse(sql), Begin)
+    except SqlParseError as exc:
+        raise SchedulerError(str(exc)) from None
+
+
+#: One write as the recovery log takes it: ``(sql, params, write_tables)``.
+_Row = Tuple[str, Optional[Dict[str, Any]], FrozenSet[str]]
 
 
 class _Transaction:
-    """The transaction open on the replicas' connections: whose it is,
-    and the writes deferred from the recovery log until it commits. A
-    buffered write's ``lock_keys`` (its key scope's ``(table, key)``
-    pairs) let the disable/enable refusal name the rows it pinned; its
-    tables leave the query cache when the transaction ends."""
+    """One session's open transaction: whose it is and its age (BEGIN
+    order, which wait-die ranks by), the writes deferred from the
+    recovery log until it commits (their tables leave the query cache
+    when it ends), the lock scopes its writes took (held until it ends;
+    the enable refusal names their rows) and the replica connections
+    checked out for it. ``mutex`` keeps its statements apart from an
+    abort or a settle on another thread. ``over`` once its scopes and
+    connections are given back."""
 
-    __slots__ = ("owner", "buffer")
+    __slots__ = ("owner", "age", "buffer", "scopes", "leases", "mutex", "over")
 
-    def __init__(self, owner: Optional[str]) -> None:
+    def __init__(self, owner: Optional[str], age: int) -> None:
         self.owner = owner
+        self.age = age
         self.buffer: List[_Row] = []
+        self.scopes: List[LockScope] = []
+        self.leases: Dict[Backend, Lease] = {}
+        self.mutex = threading.Lock()
+        self.over = False
+
+    def lease(self, backend: Backend) -> Lease:
+        lease = self.leases.get(backend)
+        if lease is None:
+            lease = self.leases[backend] = Lease(backend)
+        return lease
+
+    @property
+    def alive(self) -> bool:
+        """Whether its connections may still hold it: none checked out
+        yet, or one still open — closing one rolls its share back."""
+        for lease in self.leases.values():
+            if lease.live:
+                return True
+        return not self.leases
 
 
 class _BatchItem:
-    """One statement of a write round: what to run, under which scope,
-    and — once the round ran — what came of it."""
+    """One statement of a write round: what to run, where, and — once
+    the round ran — what came of it."""
 
     __slots__ = (
-        "sql",
-        "params",
-        "statement",
-        "scope",
-        "targets",
-        "session_id",
-        "logged",
-        "done",
-        "result",
-        "outcome",
-        "entries",
-        "durable_index",
-        "error",
-        "trace",
-        "batch_meta",
+        "sql", "params", "statement", "targets", "logged", "done", "result", "outcome",
+        "entries", "durable_index", "error", "trace", "batch_meta",
     )
 
     def __init__(
@@ -216,17 +249,13 @@ class _BatchItem:
         sql: str,
         params: Optional[Dict[str, Any]],
         statement: ClassifiedStatement,
-        scope: LockScope,
         targets: List[Backend],
         trace: Any = NULL_TRACE,
-        session_id: Optional[str] = None,
     ) -> None:
         self.sql = sql
         self.params = params
         self.statement = statement
-        self.scope = scope
         self.targets = targets
-        self.session_id = session_id
         #: Only genuine writes are logged for resync, not transaction
         #: control.
         self.logged = not statement.is_transaction_control
@@ -399,15 +428,12 @@ class RequestScheduler:
         # A round's accounting (settle, log append, checkpoint moves):
         # taken *after* a lock scope and never held across a broadcast.
         self._state_lock = threading.Lock()
-        # The one transaction the replicas' shared connections can hold
-        # (a second BEGIN is rejected): the replicas say whether it is
-        # open, this says whose it is. Settled (_settle_locked) after
-        # every round, in every disable and before every resync. It opens
-        # only under the exclusive mode (BEGIN takes it), so a
-        # table/key-scope holder reads it without _state_lock and can see
-        # it end, never begin. Per-session replica connections would key
-        # it by session (docs/scheduling.md, "Known hole").
-        self._transaction: Optional[_Transaction] = None
+        # Each session's transaction, by session id. A session's record
+        # enters and leaves under _state_lock: its BEGIN opens it, and a
+        # round that ends it (transaction_step), or its first statement
+        # after its connections all dropped, takes it out.
+        self._transactions: Dict[Optional[str], _Transaction] = {}
+        self._ages = itertools.count(1)
         # Group commit (docs/wire.md): appends skip their own fsync and
         # each writer waits for durability *after* releasing its scope,
         # so one fsync covers every writer in the group.
@@ -425,35 +451,33 @@ class RequestScheduler:
 
     @property
     def open_transactions(self) -> int:
-        """Transactions open on the replicas: 0 or 1."""
-        return 0 if self._transaction is None else 1
+        """How many sessions have a transaction open, not counting one
+        whose connections all dropped (:meth:`_settle_dead`)."""
+        return sum(not transaction.over for transaction in list(self._transactions.values()))
 
-    @property
-    def transaction_owner(self) -> Optional[str]:
-        """The session whose transaction is open on the replicas (None
-        when none is, or when its BEGIN named no session)."""
-        transaction = self._transaction
-        return None if transaction is None else transaction.owner
+    def in_transaction(self, session_id: Optional[str]) -> bool:
+        """Whether ``session_id`` is in a transaction: one open, or one
+        whose connections dropped that it has not been told of yet."""
+        return session_id in self._transactions
 
     @property
     def lock_manager(self) -> LockManager:
         return self._locks
 
     def _open_transaction_detail(self) -> str:
-        """Who holds the open transaction and what it wrote so far —
-        the operator-triage detail for disable/enable refusals. Called
-        under the exclusive mode, so the record cannot change."""
-        transaction = self._transaction
-        owner = transaction.owner or "unknown"
-        tables = sorted({table for _, _, write_tables, _ in transaction.buffer for table in write_tables})
-        keys = sorted({pair for _, _, _, lock_keys in transaction.buffer for pair in lock_keys}, key=repr)
-        described = ", ".join(tables) if tables else "none recorded yet"
-        if keys:
-            described += (
-                "; keyed rows: "
-                + ", ".join(f"{table}[{key!r}]" for table, key in keys)
-            )
-        return f"session {owner}, open-transaction tables: {described}"
+        """Whose transactions are open and what each wrote and locked so
+        far — the operator-triage detail for enable refusals."""
+        parts = []
+        for transaction in list(self._transactions.values()):
+            if transaction.over:
+                continue
+            tables = sorted({table for _, _, write_tables in transaction.buffer for table in write_tables})
+            keys = sorted({pair for scope in transaction.scopes for pair in scope.keys}, key=repr)
+            described = ", ".join(tables) if tables else "none recorded yet"
+            if keys:
+                described += "; keyed rows: " + ", ".join(f"{table}[{key!r}]" for table, key in keys)
+            parts.append(f"session {transaction.owner or 'unknown'}, open-transaction tables: {described}")
+        return "; ".join(parts)
 
     @property
     def resync_in_progress(self) -> bool:
@@ -485,9 +509,9 @@ class RequestScheduler:
             self._recovery_log.checkpoint(
                 self._backend_checkpoint_name(backend), checkpoint, overwrite=True
             )
-            # Closing its connection rolled back its share of an open
-            # transaction — all of it, if it was the last replica in it.
-            self._settle()
+            # Closing its connections rolled back its share of each open
+            # transaction — all of one, if it was the last replica in it.
+            self._settle_dead()
             return checkpoint
 
     def resync_and_enable(
@@ -499,24 +523,24 @@ class RequestScheduler:
         (docs/recovery.md, "One way into the rotation").
 
         Under the exclusive mode no write lands between the log snapshot
-        and the ENABLED flip, and no transaction opens mid-resync (a
-        joining replica would apply its writes as autocommit, beyond
-        ROLLBACK's reach); one already open refuses the join.
-
-        A backend this scheduler has never seen is registered here, and
-        un-registered again if this first join fails. ``cold`` — or a
-        log compacted past the checkpoint, which needs a ``dumper`` —
-        restores a dump of the healthy siblings instead of replaying.
-        Returns how many log entries were replayed, or for a ``cold``
-        join how many restore statements ran."""
+        and the ENABLED flip; an open transaction refuses the join (the
+        newcomer holds none of its writes). A backend never seen before
+        is registered here, and un-registered if this first join fails.
+        ``cold`` — or a log compacted past the checkpoint, which needs a
+        ``dumper`` — restores a dump of the healthy siblings instead of
+        replaying. Returns the entries replayed, or for a ``cold`` join
+        the restore statements run."""
         with self._locks.exclusive():
             # A transaction whose connections all dropped is over, even
-            # if no round ran since to notice.
-            self._settle()
-            if self.open_transactions:
+            # if none of its statements ran since to notice.
+            self._settle_dead()
+            count = self.open_transactions
+            if count:
                 raise SchedulerError(
-                    f"cannot enable backend {backend.name!r} while a transaction "
-                    f"is open ({self._open_transaction_detail()}); retry after it ends"
+                    f"cannot enable backend {backend.name!r} while "
+                    + ("a transaction is" if count == 1 else f"{count} transactions are")
+                    + f" open ({self._open_transaction_detail()}); retry after "
+                    + ("it ends" if count == 1 else "they end")
                 )
             newcomer = self._register_locked(backend)
             self._resyncing = True
@@ -811,32 +835,25 @@ class RequestScheduler:
         session_id: Optional[str] = None,
         trace: Any = NULL_TRACE,
     ) -> Tuple[List[str], List[Any], int]:
-        """Execute one statement with replication semantics: a read, in a
-        transaction or not, runs on one replica (:meth:`_execute_read`);
-        everything else is a write round.
-
-        ``in_transaction`` only routes a read: True holds its lock scope
-        and skips the cache, so it sees the open transaction's uncommitted
-        state on any replica (every enabled one has it open). Whether a
-        transaction is open is what the replicas say, never this flag.
-
-        ``session_id`` (optional) names the client session: a BEGIN that
-        opens a transaction records it as the owner
-        (:attr:`transaction_owner`), which the controller reads as that
-        session's flag and a refused disable/enable names for the
-        operator.
-
-        ``trace`` (a :class:`repro.obs.Trace`) receives stage spans —
-        cache/lock/execute/batch_wait/log_append/fsync_wait — as the
-        statement moves through the pipeline; ``NULL_TRACE`` (the
-        default, and the only value on the untraced hot path) times
-        nothing."""
+        """Execute one statement for ``session_id`` with replication
+        semantics: transaction control as one database takes it
+        (:meth:`_control`); in the session's open transaction, on its
+        own connections (:meth:`_execute_in`); else a read runs on one
+        replica (:meth:`_execute_read`) and a write is a round.
+        ``in_transaction`` is unused (the session's record says) and
+        stays for callers that pass it. ``trace`` receives the stage
+        spans; ``NULL_TRACE``, the default, times nothing."""
         statement = classify(sql)
+        if statement.is_transaction_control:
+            return self._control(sql, statement, session_id, trace)
+        transaction = self._transactions.get(session_id)
+        if transaction is not None:
+            return self._execute_in(transaction, sql, params, statement, trace)
         if statement.is_read:
-            return self._execute_read(sql, params, statement, in_transaction, trace)
+            return self._execute_read(sql, params, statement, trace)
         if not self.enabled_backends():
             raise SchedulerError("no enabled backend available")
-        return self._execute_broadcast(sql, params, statement, session_id, trace)
+        return self._execute_broadcast(sql, params, statement, trace)
 
     def _read_candidates(self, statement: ClassifiedStatement) -> List[Backend]:
         """The enabled backends one read may run on, snapshotted now: those
@@ -858,16 +875,9 @@ class RequestScheduler:
         return candidates
 
     def _execute_read(
-        self, sql: str, params: Optional[Dict[str, Any]], statement: ClassifiedStatement,
-        in_transaction: bool, trace: Any,
+        self, sql: str, params: Optional[Dict[str, Any]], statement: ClassifiedStatement, trace: Any
     ) -> Tuple[List[str], List[Any], int]:
-        if in_transaction:
-            # Under its scope no write is half-way across the replicas.
-            trace.begin("lock")
-            scope, _ = self._scopes.resolve(statement, params)
-            with self._locks.scope(scope):
-                trace.end("lock", kind=scope.kind)
-                return self._read_on_one(sql, params, statement, True, trace)
+        """An auto-commit read: from the cache, else from one replica."""
         cache = self._cache
         use_cache = cache is not None and statement.cacheable
         if use_cache:
@@ -882,36 +892,37 @@ class RequestScheduler:
             # invalidation postdates our stamp — either way pre-write data
             # cannot be cached as fresh.
             stamp = cache.stamp()
-        result = self._read_on_one(sql, params, statement, False, trace)
+        result = self._read_on_one(sql, params, statement, None, trace)
         if use_cache:
             cache.put(sql, params, statement.read_tables, result, stamp=stamp)
         return result
 
     def _read_on_one(
         self, sql: str, params: Optional[Dict[str, Any]], statement: ClassifiedStatement,
-        scoped: bool, trace: Any,
+        transaction: Optional[_Transaction], trace: Any,
     ) -> Tuple[List[str], List[Any], int]:
-        """Run a read on one candidate under the round's fault rule
+        """Run a read on one candidate — on ``transaction``'s connection
+        there, if given — under the round's fault rule
         (:func:`round_verdict`): a statement fault is raised; a replica
-        that leaves is skipped, and failed (the record settled) if still
-        ENABLED and :attr:`owns_replicas` — under the caller's scope
-        (``scoped``) or else the exclusive mode, so no transaction control
-        or disable interleaves. With no candidate left the fault is raised."""
+        that leaves is skipped, and failed if still ENABLED and
+        :attr:`owns_replicas` — under the transaction's scope, or else
+        the exclusive mode, so no disable interleaves. With no candidate
+        left the fault is raised."""
         candidates = self._read_candidates(statement)
         while True:
             backend = self._policy.choose(candidates)
             backend.begin_request()
             trace.begin("execute", backend=backend.name)
             try:
-                return backend.execute(sql, params)
+                return backend.execute(sql, params, lease=transaction and transaction.lease(backend))
             except Exception as exc:
                 if not round_verdict([BackendOutcome(backend, error=exc)])[1]:
                     raise
                 if self.owns_replicas():
-                    with nullcontext() if scoped else self._locks.exclusive():
+                    with nullcontext() if transaction else self._locks.exclusive():
                         if backend.enabled:
                             backend.mark_failed()
-                            self._settle()
+                            self._settle_dead(transaction)
                 candidates = [c for c in candidates if c is not backend and c.enabled]
                 if not candidates:
                     raise
@@ -925,19 +936,14 @@ class RequestScheduler:
         """Which enabled backends one write round goes to — never a read,
         which runs on one replica (:meth:`_read_candidates`).
 
-        Everything under full replication, and always everything for
-        transaction control (BEGIN/COMMIT/ROLLBACK keep the transaction
-        lifecycle global — a non-hosting backend's connection owes the
-        BEGIN and answers the COMMIT, so it gets no request) and for
-        statements with an unknown table set (the conservative bypass).
-        A genuine write goes to every backend
-        hosting *any* written table — fewer would silently diverge a
-        replica of a written table; its read tables must be colocated on
-        those backends or the statement has nowhere it can run correctly."""
+        Everything under full replication and for statements with an
+        unknown table set (the conservative bypass). A genuine write goes
+        to every backend hosting *any* written table — fewer would
+        silently diverge a replica of a written table; its read tables
+        must be colocated on those backends or the statement has nowhere
+        it can run correctly."""
         placement = self._placement
-        if placement.is_full or statement.is_transaction_control:
-            return enabled
-        if not statement.write_tables:
+        if placement.is_full or not statement.write_tables:
             return enabled
         if statement.referenced_tables:
             # DDL with foreign keys: every host of the new table must
@@ -979,9 +985,10 @@ class RequestScheduler:
         sql: str,
         params: Optional[Dict[str, Any]],
         statement: ClassifiedStatement,
-        session_id: Optional[str] = None,
         trace: Any = NULL_TRACE,
     ) -> Tuple[List[str], List[Any], int]:
+        """An auto-commit write: a round under its scope, batched with
+        concurrent writers when it may be."""
         while True:
             # The lock span opens *before* scope resolution: resolving a
             # key scope may probe the schema catalog (first statement per
@@ -999,29 +1006,31 @@ class RequestScheduler:
                     # key may no longer stand for the row identity —
                     # release and resolve again.
                     continue
-                # Re-snapshot the membership under the lock: a backend
-                # enabled by a resync that this write waited out must be
-                # included, or it silently misses the write with no
-                # resync left to replay it.
-                enabled = self.enabled_backends()
-                if not enabled:
-                    raise SchedulerError("no enabled backend available")
-                # Placement narrows the fan-out to the hosting backends
-                # (all of them under full replication / transaction
-                # control / unknown table sets).
-                targets = self._write_targets(enabled, statement)
-                item = _BatchItem(sql, params, statement, scope, targets, trace, session_id)
+                item = _BatchItem(sql, params, statement, self._targets_now(statement), trace)
                 if self._batch_eligible(statement):
                     # Safe to decide here: while this scope is held no
-                    # BEGIN/disable/resync/placement swap can run (all
-                    # take the exclusive mode), so the eligibility and
-                    # target snapshot cannot go stale before the round.
+                    # disable/resync/placement swap can run (all take
+                    # the exclusive mode), so the eligibility and target
+                    # snapshot cannot go stale before the round.
                     self._write_batcher.run(item)
                 else:
                     # A round of one, on this thread, under the scope it
                     # already holds: no queue or condition-variable hop.
                     self._run_round([item], trace)
             break
+        return self._answer(item, trace)
+
+    def _targets_now(self, statement: ClassifiedStatement) -> List[Backend]:
+        """A write's targets, snapshotted under its scope: a backend
+        enabled by a resync the write waited out must be included, or it
+        silently misses the write with no resync left to replay it."""
+        enabled = self.enabled_backends()
+        if not enabled:
+            raise SchedulerError("no enabled backend available")
+        return self._write_targets(enabled, statement)
+
+    def _answer(self, item: "_BatchItem", trace: Any) -> Tuple[List[str], List[Any], int]:
+        """A round's statement's result, once what it logged is durable."""
         if item.result is None:
             raise SchedulerError(
                 "statement failed on every backend: "
@@ -1035,53 +1044,186 @@ class RequestScheduler:
                 self._group_commit.wait_durable(item.durable_index)
         return item.result
 
-    def _batch_eligible(self, statement: ClassifiedStatement) -> bool:
-        """Whether this statement may queue with siblings in a
+    @staticmethod
+    def _batch_eligible(statement: ClassifiedStatement) -> bool:
+        """Whether this auto-commit write may queue with siblings in a
         WriteBatcher round (otherwise it runs a round of one directly).
 
-        Only plain logged DML with no transaction open qualifies:
-        transaction control and writes inside a transaction run as a
-        sole item; DDL and
-        referenced-table writes are rare, gain nothing from coalescing,
-        and move placement (pin/colocate/unpin) that a queued sibling
-        may already have resolved its targets against; and an unknown
-        table set means an exclusive scope — which cannot coexist with
-        the sibling scopes a batch implies.
-        Checked *after* scope acquisition, so no transaction can open
-        before the round runs: BEGIN takes the exclusive mode, which
-        drains every held scope first."""
-        if self._transaction is not None:
-            return False
+        Only plain logged DML qualifies: DDL and referenced-table writes
+        are rare, gain nothing from coalescing, and move placement
+        (pin/colocate/unpin) that a queued sibling may already have
+        resolved its targets against; and an unknown table set means an
+        exclusive scope — which cannot coexist with the sibling scopes a
+        batch implies."""
         if statement.command not in DML_COMMANDS:
             return False
         if not statement.write_tables or statement.lock_tables is None:
             return False
         return not statement.referenced_tables
 
-    def _run_round(self, items: List[_BatchItem], leader_trace: Any = NULL_TRACE) -> None:
+    # -- transactions --------------------------------------------------------------
+
+    def _control(
+        self, sql: str, statement: ClassifiedStatement, session_id: Optional[str], trace: Any
+    ) -> Tuple[List[str], List[Any], int]:
+        """BEGIN, COMMIT or ROLLBACK for ``session_id``, refused as one
+        database refuses them: a text its grammar rejects (``BEGIN foo``,
+        ``COMMIT WORK``, ``SAVEPOINT s``), a nested BEGIN, an end with
+        nothing open."""
+        if _is_begin(sql):
+            with self._state_lock:
+                if session_id in self._transactions:
+                    raise SchedulerError("transaction already in progress")
+                self._transactions[session_id] = _Transaction(session_id, next(self._ages))
+            return [], [], 0
+        transaction = self._transactions.get(session_id)
+        if transaction is None:
+            raise SchedulerError(f"{statement.command} without an open transaction")
+        return self._execute_in(transaction, sql, None, statement, trace)
+
+    def _execute_in(
+        self,
+        transaction: _Transaction,
+        sql: str,
+        params: Optional[Dict[str, Any]],
+        statement: ClassifiedStatement,
+        trace: Any,
+    ) -> Tuple[List[str], List[Any], int]:
+        """One statement of ``transaction``, on its own connections, under
+        its scope (kept past a write by :func:`scope_held`): a read skips
+        the cache and runs on one replica, a write is a round of one. A
+        transaction wait-die refuses is rolled back. One whose
+        connections all dropped, before or during the statement, ends:
+        the statement fails, unless it is a ROLLBACK."""
+        with transaction.mutex:
+            if self._transactions.get(transaction.owner) is not transaction:
+                raise SchedulerError("the transaction was rolled back: it ended on another thread")
+            if not transaction.alive:
+                self._discard(transaction)
+                if statement.command == "ROLLBACK":
+                    return [], [], 0
+                raise SchedulerError("the transaction was rolled back: its connections dropped")
+            try:
+                if statement.is_transaction_control:
+                    return self._end(transaction, sql, statement, trace)
+                while True:
+                    trace.begin("lock")
+                    scope, generation = self._scopes.resolve(statement, params)
+                    keep = scope_held(True, statement.is_read)
+                    with self._locks.scope(scope, transaction, transaction.age, keep):
+                        trace.end("lock", kind=scope.kind)
+                        if statement.is_read:
+                            return self._read_on_one(sql, params, statement, transaction, trace)
+                        transaction.scopes.append(scope)
+                        if scope.keys and self._scopes.generation != generation:
+                            continue  # as in _execute_broadcast; the stale key stays held
+                        item = _BatchItem(sql, params, statement, self._targets_now(statement), trace)
+                        self._run_round([item], trace, transaction)
+                    return self._answer(item, trace)
+            except Refused:
+                trace.end("lock")
+                self._roll_back(transaction)
+                raise SchedulerError(
+                    "deadlock: the transaction was rolled back (wait-die: it held locks and "
+                    "waited for an older transaction's)"
+                ) from None
+            except BaseException:
+                # A failed statement may have dropped its last connection.
+                if not transaction.alive:
+                    self._discard(transaction)
+                raise
+
+    def _end(
+        self, transaction: _Transaction, sql: str, statement: ClassifiedStatement, trace: Any
+    ) -> Tuple[List[str], List[Any], int]:
+        """COMMIT or ROLLBACK: one round on the transaction's own open
+        connections (none: nothing to send), in flight but taking no
+        lock. The round puts a COMMIT's buffer in the log, then frees
+        the transaction's scopes and connections."""
+        targets = [lease.backend for lease in transaction.leases.values() if lease.live]
+        if not targets:
+            self._discard(transaction)
+            return [], [], 0
+        with self._locks.scope(None, transaction, transaction.age):
+            item = _BatchItem(sql, None, statement, targets, trace)
+            self._run_round([item], trace, transaction)
+        return self._answer(item, trace)
+
+    def _roll_back(self, transaction: _Transaction) -> None:
+        """End ``transaction`` for good (its statements' mutex held): a
+        ROLLBACK on its open connections, and whatever that leaves is
+        discarded."""
+        if transaction.alive:
+            try:
+                self._end(transaction, "ROLLBACK", classify("ROLLBACK"), NULL_TRACE)
+            except (SchedulerError, DriverError):
+                pass
+        self._discard(transaction)
+
+    def _discard(self, transaction: _Transaction) -> None:
+        """Take ``transaction``'s record out of the map, if it is still
+        there, and close it."""
+        with self._state_lock:
+            ended = self._transactions.get(transaction.owner) is transaction
+            if ended:
+                del self._transactions[transaction.owner]
+        if ended:
+            self._close_transaction(transaction, ())
+
+    def _close_transaction(self, transaction: _Transaction, clean: Collection[Backend]) -> None:
+        """Once ``transaction`` is over: free its scopes, give its
+        connections back — to the idle set those whose COMMIT or ROLLBACK
+        ran (``clean``), closed the rest — and evict what a concurrent
+        auto-commit read may have cached of its writes (everything, for
+        an unknown table set). Only the first call does anything."""
+        if transaction.over:
+            return
+        transaction.over = True
+        self._locks.release(transaction)
+        for backend, lease in transaction.leases.items():
+            backend.checkin(lease, backend in clean)
+        written = [tables for _, _, tables in transaction.buffer]
+        if self._cache is not None and written:
+            self._cache.invalidate_tables(frozenset().union(*written) if all(written) else ())
+
+    def _settle_dead(self, spare: Optional[_Transaction] = None) -> None:
+        """Close every transaction whose connections all dropped (a
+        disable or a failed replica closed the last), ``spare`` and any
+        running a statement aside: its own settle sees it. The record
+        stays until its session's next statement, which it fails (one
+        database tells a session its transaction was rolled back)."""
+        for transaction in list(self._transactions.values()):
+            if (
+                transaction is spare
+                or transaction.over
+                or transaction.alive
+                or not transaction.mutex.acquire(blocking=False)
+            ):
+                continue
+            try:
+                self._close_transaction(transaction, ())
+            finally:
+                transaction.mutex.release()
+
+    def _run_round(
+        self,
+        items: List[_BatchItem],
+        leader_trace: Any = NULL_TRACE,
+        transaction: Optional[_Transaction] = None,
+    ) -> None:
         """Execute one write round — the one replication rule: every
         statement is applied in one order on all hosting replicas and
-        logged once for resync. One broadcast round trip carries every
-        statement and one ``_state_lock`` section accounts them all; it
-        fills each item's ``result``/``outcome``/``durable_index``.
-
-        Called with N items by the WriteBatcher leader, and with one item
-        directly by every statement that may not queue with siblings.
-        Every item's writer holds its own lock scope (pairwise disjoint)
-        and all items resolved the same target replica set. A round of
-        several items holds only plain auto-commit DML (see
-        :meth:`_batch_eligible`); transaction control is always the sole
-        item of an exclusive-scope round. A COMMIT is a round like any
-        other: the entries it carries are the transaction's buffer.
-
-        Trace attribution: the round's ``execute``/``log_append`` spans
-        land on the *leader's* trace (the leading thread genuinely
-        spends that time inside its own statement)."""
+        logged once for resync, in one broadcast and one ``_state_lock``
+        section, filling each item's ``result``/``outcome``/``durable_index``.
+        Every item's writer holds its own scope (pairwise disjoint), all
+        resolved the same targets, and several items are plain auto-commit
+        DML (:meth:`_batch_eligible`). A ``transaction``'s round is one of
+        its statements on its connections: a write is deferred into its
+        buffer, a COMMIT's entries are that buffer, and a round that ends
+        it frees its scopes and connections. The ``execute``/``log_append``
+        spans land on the leader's trace."""
         head, targets = items[0], items[0].targets
         cache = self._cache
-        # What the statements run inside: the record cannot open while
-        # their scopes are held, only end.
-        within = self._transaction
         if cache is not None:
             # Invalidate before execution as well: entries cached against
             # the pre-write state must not survive the write. Safe under
@@ -1090,44 +1232,49 @@ class RequestScheduler:
             for item in items:
                 if item.logged:
                     cache.invalidate_tables(item.statement.write_tables)
+        leases = None if transaction is None else {backend: transaction.lease(backend) for backend in targets}
         # No backend-list attr: the per-replica child spans already name
         # every backend this execute fanned out to.
         with leader_trace.span("execute", batch_size=len(items)):
             batch = self._broadcaster.broadcast_batch(
-                targets, [(item.sql, item.params) for item in items], trace=leader_trace
+                targets, [(item.sql, item.params) for item in items], trace=leader_trace, leases=leases
             )
         for index, item in enumerate(items):
             item.outcome = outcome = batch.per_statement(index)
             item.result, leaving = round_verdict(outcome.outcomes)
             for backend in leaving:
                 backend.mark_failed()
+            if leaving:
+                # Their connections closed: another transaction may have lost its last.
+                self._settle_dead(transaction)
         leader_trace.begin("log_append", batch_size=len(items))
         # Shared accounting serialises under _state_lock: two
         # disjoint-scope rounds run their broadcasts in parallel but
-        # settle, append and move checkpoints one after the other.
+        # append and move checkpoints one after the other.
         with self._state_lock:
-            step, ended = self._settle_locked(
-                head.statement.command, head.result is not None, head.session_id
-            )
+            step = KEEP
+            if transaction is not None:
+                # Its record settles from its own connections; an ended one leaves the map.
+                step = transaction_step(transaction.alive, head.statement.command, head.result is not None)
+                if step != KEEP and self._transactions.get(transaction.owner) is transaction:
+                    del self._transactions[transaction.owner]
+            still_open = transaction is not None and step == KEEP
             rows: List[_Row] = []
             owners: List[_BatchItem] = []
             for item in items:
-                accepted, still_open = item.result is not None, within is self._transaction
-                fate = write_fate(accepted, within is not None, still_open) if item.logged else DROP
+                accepted = item.result is not None
+                fate = write_fate(accepted, transaction is not None, still_open) if item.logged else DROP
                 params = dict(item.params or {}) if fate == DEFER else item.params
-                row = (item.sql, params, item.statement.write_tables, item.scope.keys)
+                row = (item.sql, params, item.statement.write_tables)
                 if fate == DEFER:
-                    # The replicas' connections are shared, so while a
-                    # transaction is open even another session's
-                    # auto-commit write runs — and rolls back — inside it.
-                    within.buffer.append(row)
-                carried = ended.buffer if step == FLUSH and item is head else [row] if fate == LOG else []
+                    transaction.buffer.append(row)
+                carried = transaction.buffer if step == FLUSH else [row] if fate == LOG else []
                 rows += carried
                 owners += [item] * len(carried)
             if rows:
                 # One append for the whole round, a COMMIT's buffer
                 # included: a durable store pays one flush+fsync for it.
-                for item, entry in zip(owners, self._recovery_log.append_batch(row[:3] for row in rows)):
+                for item, entry in zip(owners, self._recovery_log.append_batch(rows)):
                     item.entries.append(entry)
                     item.durable_index = entry.index
             accounts = [(item.outcome.outcomes, item.entries) for item in items]
@@ -1140,6 +1287,9 @@ class RequestScheduler:
                 else:
                     backend.advance_checkpoint(index, table_seqs)
         leader_trace.end("log_append")
+        if step in (FLUSH, DISCARD):
+            clean = [reply.backend for reply in head.outcome.outcomes if reply.error is None]
+            self._close_transaction(transaction, clean if head.statement.is_transaction_control else ())
         for item in items:
             statement = item.statement
             if statement.command == "DROP" and item.result is not None:
@@ -1152,8 +1302,8 @@ class RequestScheduler:
                 # so key writers re-resolve behind us, never alongside us.
                 self._scopes.invalidate(statement.write_tables or None)
             elif item.logged and statement.lock_tables is None:
-                # An unknown-shape write ran under the exclusive mode and
-                # could have changed any schema.
+                # An unknown-shape write ran under the exclusive
+                # footprint and could have changed any schema.
                 self._scopes.invalidate(None)
             if item.logged and cache is not None:
                 # Invalidate again now that every backend applied the write:
@@ -1161,49 +1311,17 @@ class RequestScheduler:
                 # broadcast had not reached yet, and bumps the floor so any
                 # still-in-flight read cannot store a pre-write result.
                 cache.invalidate_tables(statement.write_tables)
-        self._forget_cached(ended)
 
-    def _settle_locked(
-        self, command: Optional[str] = None, accepted: bool = False, session_id: Optional[str] = None
-    ) -> Tuple[str, Optional[_Transaction]]:
-        """Bring the transaction record in step with the replicas, by
-        :func:`transaction_step` on what every member's connection says —
-        not only a round's targets, which under partial placement are a
-        subset. Caller holds ``_state_lock``; returns the step and the
-        record it ended, if any. Membership changes only under the
-        exclusive mode, so a round reads the member list unlocked."""
-        transaction = self._transaction
-        open_now = any([backend.in_transaction for backend in self._backends])
-        step = transaction_step(transaction is not None, open_now, command, accepted)
-        if step == OPEN:
-            self._transaction = _Transaction(session_id)
-        elif step in (FLUSH, DISCARD):
-            self._transaction = None
-            return step, transaction
-        return step, None
-
-    def _settle(self) -> None:
-        """:meth:`_settle_locked` outside a round."""
-        with self._state_lock:
-            _, ended = self._settle_locked()
-        self._forget_cached(ended)
-
-    def _forget_cached(self, ended: Optional[_Transaction]) -> None:
-        """A concurrent auto-commit read may have cached what an ended
-        transaction wrote; a write with an unknown table set flushes
-        everything."""
-        if self._cache is not None and ended is not None and ended.buffer:
-            written = [tables for _, _, tables, _ in ended.buffer]
-            self._cache.invalidate_tables(frozenset().union(*written) if all(written) else ())
-
-    def abort(self, session_id: str) -> None:
-        """Roll back the open transaction if ``session_id`` owns it — for
-        a session that vanished mid-transaction. Owner and ROLLBACK are
-        one step under the exclusive mode, so a transaction another
-        session opened meanwhile is never touched."""
-        with self._locks.exclusive():
-            if self.transaction_owner == session_id:
-                self.execute("ROLLBACK", session_id=session_id)
+    def abort(self, session_id: Optional[str]) -> None:
+        """Roll back ``session_id``'s transaction, if it has one — for a
+        session that vanished mid-transaction. Only its own connections
+        are touched."""
+        transaction = self._transactions.get(session_id)
+        if transaction is None:
+            return
+        with transaction.mutex:
+            if self._transactions.get(session_id) is transaction:
+                self._roll_back(transaction)
 
     # -- lifecycle / observability ------------------------------------------------
 

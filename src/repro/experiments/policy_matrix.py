@@ -404,10 +404,10 @@ class _SequentialBroadcaster(WriteBroadcaster):
     """E13b's baseline: one round per target, each collected before the
     next target is sent to."""
 
-    def broadcast_batch(self, backends, statements, trace=NULL_TRACE) -> BatchBroadcastOutcome:
+    def broadcast_batch(self, backends, statements, trace=NULL_TRACE, leases=None) -> BatchBroadcastOutcome:
         outcomes = []
         for backend in backends:
-            outcomes += super().broadcast_batch([backend], statements, trace).outcomes
+            outcomes += super().broadcast_batch([backend], statements, trace, leases).outcomes
         return BatchBroadcastOutcome(len(statements), outcomes)
 
 

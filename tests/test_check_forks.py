@@ -106,6 +106,36 @@ def test_controller_transaction_gate_matches_the_answers_it_retired():
         assert check_forks.re.search(gate.pattern, line), line
 
 
+def test_session_transaction_gates_match_the_shared_record_they_retired():
+    """The two rows allow nothing, and match the scheduler's one
+    cluster-wide record, its settle's poll of every backend, and the
+    backend flag that poll read."""
+    check_forks = _check_forks()
+    retired = {
+        "one cluster-wide transaction record": [
+            "        self._transaction: Optional[_Transaction] = None",
+            "        transaction = self._transaction",
+            "            self._transaction = _Transaction(session_id)",
+        ],
+        "the scheduler polls every backend for a transaction": [
+            "        open_now = any([backend.in_transaction for backend in self._backends])",
+            "    def in_transaction(self) -> bool:",
+        ],
+    }
+    for prefix, lines in retired.items():
+        (gate,) = [gate for gate in check_forks.GATES if gate.message.startswith(prefix)]
+        assert gate.allowed == 0 and check_forks.check_gate(gate) == []
+        for line in lines:
+            assert check_forks.re.search(gate.pattern, line), line
+    (poll,) = [gate for gate in check_forks.GATES if gate.message.startswith("the scheduler polls")]
+    # The per-session question and the connection flag read per lease are not polls.
+    for line in (
+        "    def in_transaction(self, session_id: Optional[str]) -> bool:",
+        '            and getattr(connection, "in_transaction", True)',
+    ):
+        assert not check_forks.re.search(poll.pattern, line), line
+
+
 def test_ingress_gates_match_the_dispatches_they_retired():
     """The unbounded-wait ratchet now allows the ingress loop, the lock
     manager's two waits and the scheduler's, and matches the per-listener

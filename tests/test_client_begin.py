@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro.cluster.driver import ClusterDriverRuntime
-from repro.cluster.wire import ERROR_NOT_PRIMARY, ClusterMessageType, make_error
+from repro.cluster.wire import ERROR_NOT_PRIMARY, ERROR_SERVER_BUSY, ClusterMessageType, make_error
 from repro.core.constants import ExpirationPolicy
 from repro.core.loader import DriverLoader
 from repro.dbapi import Error, OperationalError, ProgrammingError
@@ -193,7 +193,7 @@ def test_a_bounced_carried_request_keeps_its_debt_and_retries_on_the_primary(mak
     else:
         expected = [(bounced, "BEGIN", False), (primary_id, "BEGIN", False), (primary_id, update, False)]
     assert frames.seen == expected
-    assert connection.in_transaction and primary.scheduler.transaction_owner == connection.session_id
+    assert connection.in_transaction and primary.scheduler.in_transaction(connection.session_id)
     connection.rollback()
     assert _value(connection) == 10
 
@@ -214,7 +214,7 @@ def test_a_debt_carried_onto_an_older_controller_is_paid_there_eagerly(make, kin
         (second.config.controller_id, "BEGIN", False),
         (second.config.controller_id, sql, False),
     ]
-    assert connection.in_transaction and second.scheduler.transaction_owner == connection.session_id
+    assert connection.in_transaction and second.scheduler.in_transaction(connection.session_id)
     connection.commit()
     assert _value(connection) == 30
 
@@ -249,19 +249,22 @@ def test_a_carried_request_lost_in_flight_ends_the_connection(make, monkeypatch,
 @pytest.mark.parametrize("kind", CLUSTER_KINDS)
 def test_a_carried_begin_the_controller_refuses_fails_its_statement_unrun(make, kind):
     env, holder, frames = make(kind)
+    controller = env.controllers[0]
     holder.begin()
     holder.cursor().execute("UPDATE t SET v = 11 WHERE id = 1")
     connection = ClusterDriverRuntime().connect(
-        env.client_url(), network=env.network, multiplexing=kind == "multiplexed"
+        env.client_url(), network=env.network, multiplexing=kind == "multiplexed", busy_retries=0
     )
     connection.begin()
-    # Another session's transaction holds the replicas' shared connections
-    # (ROADMAP item 2): the second BEGIN is refused at its first statement.
-    with pytest.raises(ProgrammingError, match="transaction already in progress"):
+    # The write gate refuses the carried BEGIN, as it would at saturation.
+    controller._ha_gate_write = lambda: make_error(ERROR_SERVER_BUSY, "refused at BEGIN")
+    with pytest.raises(OperationalError, match="refused at BEGIN"):
         connection.cursor().execute("INSERT INTO t (id, v) VALUES (2, 20)")
+    del controller._ha_gate_write
     assert frames.sent()[-1] == ("INSERT INTO t (id, v) VALUES (2, 20)", True)
-    assert not connection.in_transaction
-    assert env.controllers[0].scheduler.transaction_owner == holder.session_id
+    assert not connection.in_transaction and controller.scheduler.open_transactions == 1
+    # Another session's transaction was never in the way, and is whole.
+    assert controller.scheduler.in_transaction(holder.session_id)
     holder.commit()
     cursor = holder.cursor()
     cursor.execute("SELECT id, v FROM t ORDER BY id")
@@ -351,7 +354,7 @@ def test_close_while_owing_a_begin_sends_no_rollback(make, kind):
     connection.close()
     assert frames.sent() == [] and not connection.in_transaction
     if kind != "pydb":
-        assert env.controllers[0].scheduler.transaction_owner is None
+        assert env.controllers[0].scheduler.open_transactions == 0
 
 
 def test_after_commit_defers_a_connection_owing_a_begin_and_closes_it_at_its_commit(

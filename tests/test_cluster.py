@@ -202,9 +202,9 @@ class TestControllerSessions:
         connection.begin()
         cursor.execute("INSERT INTO sess_t (id) VALUES (1)")
         assert list(controller._sessions) == [connection.session_id]
-        assert controller.scheduler.transaction_owner == connection.session_id
+        assert controller.scheduler.in_transaction(connection.session_id)
         connection.commit()
-        assert controller.scheduler.transaction_owner is None
+        assert not controller.scheduler.in_transaction(connection.session_id)
         connection.close()
 
     def test_disconnect_mid_transaction_rolls_back(self, cluster_env):

@@ -99,11 +99,16 @@ def _tx(scheduler, sql):
 
 
 def _executed(env):
-    """The statements the backends counted, and their pydb connections."""
+    """The statements the backends counted, and their pydb connections
+    (each backend's own, and those its transactions returned idle)."""
     backends = env.controllers[0].backends()
     return (
         sum(backend.statements_executed for backend in backends),
-        sum(backend._connection.statements_executed for backend in backends),
+        sum(
+            connection.statements_executed
+            for backend in backends
+            for connection in [backend._connection, *backend._idle]
+        ),
     )
 
 
@@ -120,10 +125,9 @@ def test_a_begin_sends_no_request_and_opens_the_record(make_env):
     before = _executed(env)
     scheduler.execute("BEGIN", session_id=SESSION)
     assert replicas.requests() == 0 and _executed(env) == before
-    # The owed BEGIN counts as open: the record opens as it did when the
-    # BEGIN reached the replicas.
-    assert all(backend.in_transaction for backend in env.controllers[0].backends())
-    assert scheduler.open_transactions == 1 and scheduler.transaction_owner == SESSION
+    # The BEGIN opens the session's record and checks out no connection.
+    assert scheduler.open_transactions == 1 and scheduler.in_transaction(SESSION)
+    assert not any(backend._leased for backend in env.controllers[0].backends())
     assert not any(_open_sessions(env))
 
 
@@ -134,8 +138,7 @@ def test_an_empty_transaction_sends_no_request(make_env, end):
     scheduler.execute("BEGIN", session_id=SESSION)
     _tx(scheduler, end)
     assert replicas.requests() == 0 and _executed(env) == before
-    assert scheduler.open_transactions == 0
-    assert not any(backend.in_transaction for backend in env.controllers[0].backends())
+    assert scheduler.open_transactions == 0 and not scheduler.in_transaction(SESSION)
 
 
 def test_the_four_statement_operation_is_five_requests_and_seven_statements(make_env):
@@ -172,22 +175,26 @@ def test_each_engine_session_sees_begin_right_before_its_first_statement(make_en
 
 @pytest.mark.parametrize("driver_version", [None, BEGIN_MIN_VERSION - 1])
 @pytest.mark.parametrize("how", ["dropped", "replaced"])
-def test_a_connection_lost_while_owing_opens_nothing_on_its_successor(make_env, how, driver_version):
-    # driver_version None is v4 (BEGIN owed); v3 runs it eagerly, as before.
+def test_a_transactions_lost_connections_open_nothing_on_their_successors(make_env, how, driver_version):
+    # driver_version None is v4 (BEGIN carried); v3 runs it eagerly.
     env, scheduler, replicas = make_env(driver_version=driver_version)
     scheduler.execute("BEGIN", session_id=SESSION)
+    _tx(scheduler, "UPDATE t SET v = 15 WHERE id = 1")
     for backend in env.controllers[0].backends():
         if how == "dropped":
             backend.close_connection()
         else:
             backend.replace_connection_factory(backend._connection_factory)
-        assert not backend.in_transaction
+    assert not any(_open_sessions(env))
+    # The transaction's next statement finds its connections gone: it
+    # fails, and the record DISCARDs.
+    with pytest.raises(SchedulerError, match="rolled back"):
+        _tx(scheduler, "UPDATE t SET v = 16 WHERE id = 1")
+    assert scheduler.open_transactions == 0
     before = len(replicas.frames)
     scheduler.execute("UPDATE t SET v = 20 WHERE id = 1")
     assert not any(begin for _, _, begin in replicas.frames[before:])
     assert not any(_open_sessions(env))
-    # The record DISCARDs: the connections that held the transaction are gone.
-    assert scheduler.open_transactions == 0
     assert scheduler.execute("SELECT v FROM t WHERE id = 1")[1] == [(20,)]
 
 
@@ -220,11 +227,16 @@ def test_a_carried_begin_the_replica_refuses_leaves_the_statement_unrun(make_env
 def test_a_v3_end_keeps_the_eager_begin(make_env, versions):
     env, scheduler, replicas = make_env(**versions)
     scheduler.execute("BEGIN", session_id=SESSION)
-    assert [(sql, begin) for _, sql, begin in replicas.frames] == [("BEGIN", False)] * 2
+    assert replicas.requests() == 0
     for sql in OPERATION:
         _tx(scheduler, sql)
     assert replicas.requests() == 7
     assert not any(begin for _, _, begin in replicas.frames)
+    # Each replica's first request is the eager BEGIN of its connection.
+    firsts = {}
+    for name, sql, _ in replicas.frames:
+        firsts.setdefault(name, sql)
+    assert firsts == {"db1": "BEGIN", "db2": "BEGIN"}
     assert scheduler.open_transactions == 0
 
 

@@ -315,19 +315,24 @@ class TestSchedulerPlacementRouting:
         assert backends[2].statements_executed == 0
         scheduler.close()
 
-    def test_transaction_control_still_broadcasts_everywhere(self):
+    def test_transaction_control_reaches_only_the_transactions_replicas(self):
         backends = [_backend(name) for name in NAMES[:3]]
         log = RecoveryLog()
         scheduler = RequestScheduler(
             backends, log, placement=create_placement("explicit:users=db1")
         )
         scheduler.execute("BEGIN")
-        scheduler.execute("INSERT INTO users (id) VALUES (1)", in_transaction=True)
-        scheduler.execute("COMMIT", in_transaction=True)
-        # BEGIN and COMMIT reached all three; the write only db1.
-        assert backends[0].statements_executed == 3
-        assert backends[1].statements_executed == 2
-        assert backends[2].statements_executed == 2
+        scheduler.execute("INSERT INTO users (id) VALUES (1)")
+        scheduler.execute("COMMIT")
+        # The write went to db1 alone, so the transaction's BEGIN and
+        # COMMIT did too: the others hold nothing of it.
+        assert [sql for sql, _ in backends[0].test_connection.executed if "information_schema" not in sql] == [
+            "BEGIN",
+            "INSERT INTO users (id) VALUES (1)",
+            "COMMIT",
+        ]
+        assert backends[1].statements_executed == 0
+        assert backends[2].statements_executed == 0
         # Committed write reached the log.
         assert log.last_index == 1
         scheduler.close()

@@ -126,11 +126,11 @@ class TestInTransactionReadRunsOnOneReplica:
             assert _tx(scheduler, "SELECT v FROM t WHERE id = 1")[1] == [(13,)]
         assert _states(env) == {"db1": BackendState.ENABLED, "db2": BackendState.FAILED}
         # db1 still holds the transaction, so the record stays open.
-        assert scheduler.transaction_owner == SESSION
+        assert scheduler.in_transaction(SESSION)
         log = controller.recovery_log
         last = log.last_index
         _tx(scheduler, "COMMIT")
-        assert scheduler.transaction_owner is None
+        assert not scheduler.in_transaction(SESSION)
         assert [entry.sql for entry in log.entries_after(last)] == [
             "UPDATE t SET v = 13 WHERE id = 1"
         ]
@@ -147,9 +147,9 @@ class TestTheReadFaultRule:
         asked = []
         for backend in env.controllers[0].backends():
 
-            def execute(sql, params=None, track=True, name=backend.name, run=backend.execute):
+            def execute(sql, params=None, track=True, lease=None, name=backend.name, run=backend.execute):
                 asked.append(name)
-                return run(sql, params, track)
+                return run(sql, params, track, lease)
 
             monkeypatch.setattr(backend, "execute", execute)
         for in_transaction in (False, True):
@@ -201,7 +201,7 @@ def _drop_connection(backend, monkeypatch, before=lambda: None):
     """Make ``backend``'s next statements fail as a dropped connection
     does, after running ``before``."""
 
-    def execute(sql, params=None, track=True):
+    def execute(sql, params=None, track=True, lease=None):
         before()
         raise OperationalError(f"connection to {backend.name} lost")
 
@@ -210,8 +210,8 @@ def _drop_connection(backend, monkeypatch, before=lambda: None):
 
 class TestAReadFaultWaitsForTransactionControl:
     """An auto-commit read holds no scope, so the demotion of its
-    faulting replica takes the exclusive mode: it never settles the
-    transaction record between a BEGIN/COMMIT broadcast and that
+    faulting replica takes the exclusive mode: it never settles a
+    transaction's record between that transaction's round and the
     round's own settle."""
 
     def _read_faulting_during(self, env, monkeypatch, command):
@@ -254,12 +254,15 @@ class TestAReadFaultWaitsForTransactionControl:
             "UPDATE t SET v = 15 WHERE id = 1"
         ]
 
-    def test_a_begin_still_names_its_owner(self, make_env, monkeypatch):
+    def test_a_first_statement_still_opens_its_transaction(self, make_env, monkeypatch):
         env = make_env(read_policy="weighted:db1=0,db2=1")
         scheduler = env.controllers[0].scheduler
-        assert self._read_faulting_during(env, monkeypatch, "BEGIN") == [(10,)]
+        scheduler.execute("BEGIN", session_id=SESSION)
+        # The statement that carries the BEGIN to both replicas.
+        first = "UPDATE t SET v = 0 WHERE id = 2"
+        assert self._read_faulting_during(env, monkeypatch, first) == [(10,)]
         # db1 still holds the transaction, and it is the session's.
-        assert scheduler.transaction_owner == SESSION
+        assert scheduler.in_transaction(SESSION)
         _tx(scheduler, "ROLLBACK")
         assert scheduler.open_transactions == 0
 

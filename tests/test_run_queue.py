@@ -1,12 +1,13 @@
 """The controller's run queue (docs/wire.md, "Controller side").
 
-Trunk sessions that have work wait in one queue; at most
-``worker_pool_size`` workers each take a session, run ONE of its queued
-items and put it back at the tail if it has more. The promises under
-test: every session's statements run in the order it sent them; a long
-pipeline does not starve a sibling; ``worker_threads`` counts the live
-workers, which end with the controller; and ``stop()`` lets in-flight
-statements finish while later work is dropped with ``scheduled`` reset.
+Trunk sessions that have work wait in one queue; ``worker_pool_size``
+workers each take a session, run ONE of its queued items and put it back
+at the tail if it has more. The promises under test: every session's
+statements run in the order it sent them; a long pipeline does not
+starve a sibling; ``worker_threads`` counts the live workers, which end
+with the controller; auto-commit writers contending for one row never
+take a worker beyond the pool; and ``stop()`` lets in-flight statements
+finish while later work is dropped with ``scheduled`` reset.
 """
 
 import threading
@@ -126,6 +127,48 @@ def test_worker_threads_counts_live_workers_and_stop_ends_them():
         thread.join(timeout=_WAIT_S)
         assert not thread.is_alive(), thread.name
     assert controller.stats()["front_end"]["worker_threads"] == 0
+
+
+def test_autocommit_writers_on_one_row_never_take_a_worker_beyond_the_pool():
+    # Auto-commit writers of one hot row wait only for statements in
+    # flight, which finish on the threads they hold: a waiting worker
+    # lends its slot only to a transaction between statements.
+    env = _cluster(worker_pool_size=2)
+    controller = env.controllers[0]
+    try:
+        driver = ClusterDriverRuntime(name="hot-row-driver")
+        connections = [driver.connect(env.client_url(), network=env.network) for _ in range(6)]
+        assert driver.mux_channel_count() == 1
+        cursor = connections[0].cursor()
+        cursor.execute("CREATE TABLE hot (id INTEGER PRIMARY KEY, n INTEGER)")
+        cursor.execute("INSERT INTO hot (id, n) VALUES (1, 0)")
+        errors = []
+
+        def run(connection):
+            try:
+                connection.execute_pipeline(
+                    [("UPDATE hot SET n = n + 1 WHERE id = 1", {})] * 10, timeout=_WAIT_S
+                )
+            except Exception as exc:  # noqa: BLE001 - reported on the test's thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(connection,)) for connection in connections]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=3 * _WAIT_S)
+            assert not thread.is_alive(), "a pipeline never finished"
+        assert not errors, errors
+        cursor.execute("SELECT n FROM hot WHERE id = 1")
+        assert cursor.fetchall() == [(60,)]
+        # The writers did contend, and no worker past the pool started.
+        assert controller.scheduler.lock_manager.stats()["key_waits"] > 0
+        assert controller._run_queue._started <= 2
+        assert controller.stats()["front_end"]["worker_threads"] <= 2
+        for connection in connections:
+            connection.close()
+    finally:
+        env.close()
 
 
 def test_a_pipeline_does_not_starve_a_sibling_session():

@@ -61,15 +61,27 @@ class _FakeConnection:
     """In-memory backend connection recording executed statements. Like a
     real one it says whether a transaction is open on it: BEGIN opens one,
     COMMIT/ROLLBACK close it unless ``fail_with`` raises, and closing
-    the connection rolls it back."""
+    the connection rolls it back. The connections one replica opens
+    (:meth:`another`) share its ``executed`` record and ``fail_with``."""
 
-    def __init__(self, read_value=1):
-        self.executed = []
+    def __init__(self, read_value=1, replica=None):
+        self._replica = replica if replica is not None else {"executed": [], "fail_with": None}
+        self.executed = self._replica["executed"]
         self.read_value = read_value
-        self.fail_with = None
         self.closed = False
         self.in_transaction = False
         self.driver_info = {"name": "fake"}
+
+    @property
+    def fail_with(self):
+        return self._replica["fail_with"]
+
+    @fail_with.setter
+    def fail_with(self, error):
+        self._replica["fail_with"] = error
+
+    def another(self):
+        return _FakeConnection(self.read_value, self._replica)
 
     def cursor(self):
         return _FakeCursor(self)
@@ -80,8 +92,10 @@ class _FakeConnection:
 
 
 def _backend(name, read_value=1):
+    """A backend whose first connection is ``backend.test_connection``."""
     connection = _FakeConnection(read_value=read_value)
-    backend = Backend(name, lambda: connection)
+    opened = []
+    backend = Backend(name, lambda: connection.another() if opened else opened.append(1) or connection)
     backend.test_connection = connection
     return backend
 
@@ -630,14 +644,27 @@ class TestSchedulerRouting:
         assert log.last_index == 1
         scheduler.close()
 
-    def test_transaction_control_broadcast_but_not_logged(self):
+    def test_transaction_control_runs_on_the_transactions_connections_unlogged(self):
         backends = [_backend("b1"), _backend("b2")]
         log = RecoveryLog()
         scheduler = RequestScheduler(backends, log)
+        # A transaction that sent nothing has nothing to end.
         scheduler.execute("BEGIN")
         scheduler.execute("COMMIT")
-        assert log.last_index == 0
-        assert all(backend.statements_executed == 2 for backend in backends)
+        assert all(backend.statements_executed == 0 for backend in backends)
+        # BEGIN goes out before the transaction's first statement on each
+        # replica, COMMIT after its last; only the write is logged.
+        scheduler.execute("BEGIN")
+        scheduler.execute("INSERT INTO t (id) VALUES (1)")
+        scheduler.execute("COMMIT")
+        assert [entry.sql for entry in log.entries_after(0)] == ["INSERT INTO t (id) VALUES (1)"]
+        for backend in backends:
+            executed = backend.test_connection.executed
+            assert [sql for sql, _ in executed if "information_schema" not in sql] == [
+                "BEGIN",
+                "INSERT INTO t (id) VALUES (1)",
+                "COMMIT",
+            ]
         scheduler.close()
 
     def test_failed_backends_excluded_from_reads(self):
@@ -682,21 +709,21 @@ class TestSchedulerRouting:
         backend = _backend("b1")
         cache = QueryCache()
         scheduler = self._scheduler([backend], query_cache=cache)
-        scheduler.execute("BEGIN")
-        scheduler.execute("INSERT INTO t (id) VALUES (99)", in_transaction=True)
+        scheduler.execute("BEGIN", session_id="A")
+        scheduler.execute("INSERT INTO t (id) VALUES (99)", session_id="A")
         # A concurrent autocommit read observes (and caches) the
         # uncommitted state — its stamp is fresher than the write's
         # invalidations, so the entry is accepted.
         scheduler.execute("SELECT COUNT(*) FROM t")
         assert cache.get("SELECT COUNT(*) FROM t", {}) is not None
         # ROLLBACK reverts the backends; the dirty entry must go too.
-        scheduler.execute("ROLLBACK", in_transaction=True)
+        scheduler.execute("ROLLBACK", session_id="A")
         assert cache.get("SELECT COUNT(*) FROM t", {}) is None
         # Unrelated cached reads survive the flush.
         scheduler.execute("SELECT COUNT(*) FROM other")
-        scheduler.execute("BEGIN")
-        scheduler.execute("INSERT INTO t (id) VALUES (100)", in_transaction=True)
-        scheduler.execute("COMMIT", in_transaction=True)
+        scheduler.execute("BEGIN", session_id="A")
+        scheduler.execute("INSERT INTO t (id) VALUES (100)", session_id="A")
+        scheduler.execute("COMMIT", session_id="A")
         assert cache.get("SELECT COUNT(*) FROM other", {}) is not None
         scheduler.close()
 
@@ -706,24 +733,23 @@ class TestSchedulerRouting:
         scheduler = self._scheduler([backend], query_cache=cache)
         # Session A opens a transaction and writes t.
         scheduler.execute("BEGIN", session_id="A")
-        scheduler.execute("INSERT INTO t (id) VALUES (1)", in_transaction=True, session_id="A")
-        # Session B's BEGIN changes nothing (the replica has one
-        # transaction open already) and B's write joins A's transaction.
+        scheduler.execute("INSERT INTO t (id) VALUES (1)", session_id="A")
+        # Session B's BEGIN opens B's own transaction, and B's write is
+        # in it alone.
         scheduler.execute("BEGIN", session_id="B")
-        assert scheduler.transaction_owner == "A"
+        assert scheduler.in_transaction("A") and scheduler.in_transaction("B")
         scheduler.execute("INSERT INTO other (id) VALUES (1)", session_id="B")
         # An autocommit read caches t's (still uncommitted) state.
         scheduler.execute("SELECT COUNT(*) FROM t")
         assert cache.get("SELECT COUNT(*) FROM t", {}) is not None
-        # B's COMMIT ends the one transaction, A's write included: every
-        # table it wrote leaves the cache, not only B's.
+        # B's COMMIT ends B's transaction only: A's is still open, and so
+        # is its claim on t's cache entries.
         scheduler.execute("COMMIT", session_id="B")
-        assert scheduler.transaction_owner is None and not backend.in_transaction
-        assert cache.get("SELECT COUNT(*) FROM t", {}) is None
-        # A's ROLLBACK finds nothing open: what is cached now is committed.
-        scheduler.execute("SELECT COUNT(*) FROM t")
-        scheduler.execute("ROLLBACK", in_transaction=True, session_id="A")
+        assert scheduler.in_transaction("A") and not scheduler.in_transaction("B")
         assert cache.get("SELECT COUNT(*) FROM t", {}) is not None
+        # A's ROLLBACK takes its write back: the dirty entry goes.
+        scheduler.execute("ROLLBACK", session_id="A")
+        assert cache.get("SELECT COUNT(*) FROM t", {}) is None
         scheduler.close()
 
     def test_write_failure_on_one_backend_marks_it_failed(self):
@@ -780,39 +806,35 @@ class TestSchedulerRouting:
         assert all(backend.checkpoint_index == 2 for backend in backends)
         scheduler.close()
 
-    def test_autocommit_write_during_open_transaction_is_deferred_too(self):
-        # The engine runs one transaction cluster-wide on the shared
-        # backend connections, so a write from *another* session executes
-        # inside the open transaction and rolls back with it — it must not
-        # reach the recovery log unless that transaction commits.
+    def test_autocommit_write_during_open_transaction_is_logged_at_once(self):
+        # Each transaction runs on connections checked out for it, so a
+        # write from *another* session is auto-commit on the backend's
+        # own connection: it reaches the recovery log at once, and the
+        # transaction's writes only at its COMMIT, after it. (A holds t
+        # until it ends, so B writes another table.)
         backends = [_backend("b1")]
         log = RecoveryLog()
         scheduler = RequestScheduler(backends, log)
-        scheduler.execute("BEGIN")
-        scheduler.execute("INSERT INTO t (id) VALUES (1)", in_transaction=True)
-        scheduler.execute("INSERT INTO t (id) VALUES (99)")  # other session
-        assert log.last_index == 0
-        scheduler.execute("ROLLBACK", in_transaction=True)
-        assert log.last_index == 0
-        scheduler.execute("BEGIN")
-        scheduler.execute("INSERT INTO t (id) VALUES (2)", in_transaction=True)
-        scheduler.execute("INSERT INTO t (id) VALUES (98)")  # other session
-        scheduler.execute("COMMIT", in_transaction=True)
-        assert log.last_index == 2
+        scheduler.execute("BEGIN", session_id="A")
+        scheduler.execute("INSERT INTO t (id) VALUES (1)", session_id="A")
+        scheduler.execute("INSERT INTO other (id) VALUES (99)", session_id="B")
+        assert [entry.sql for entry in log.entries_after(0)] == ["INSERT INTO other (id) VALUES (99)"]
+        scheduler.execute("ROLLBACK", session_id="A")
+        assert log.last_index == 1
+        scheduler.execute("BEGIN", session_id="A")
+        scheduler.execute("INSERT INTO t (id) VALUES (2)", session_id="A")
+        scheduler.execute("INSERT INTO other (id) VALUES (98)", session_id="B")
+        scheduler.execute("COMMIT", session_id="A")
+        assert [entry.sql for entry in log.entries_after(1)] == [
+            "INSERT INTO other (id) VALUES (98)",
+            "INSERT INTO t (id) VALUES (2)",
+        ]
         scheduler.close()
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="known hole (docs/scheduling.md, 'one replica-side session'): every "
-        "Backend shares one connection across all client sessions, so another "
-        "session's acked auto-commit write runs inside the open transaction and is "
-        "lost to its ROLLBACK",
-    )
     def test_acked_autocommit_write_survives_another_sessions_rollback(self):
-        # What *should* hold, on a real cluster: session B's write was
-        # acknowledged, so session A's ROLLBACK must not take it back and
-        # the recovery log must hold it. The test above pins what happens
-        # instead. Strict: remove the marker with the fix.
+        # On a real cluster: session B's write was acknowledged, so
+        # session A's ROLLBACK must not take it back and the recovery log
+        # must hold it — A's transaction runs on connections of its own.
         from repro.cluster import ClusterDriverRuntime
         from repro.experiments.environments import build_cluster
 
@@ -866,19 +888,21 @@ class TestSchedulerRouting:
         assert scheduler.open_transactions == 0
         scheduler.close()
 
-    def test_stale_in_transaction_flag_does_not_trap_writes_in_buffer(self):
-        # Another session's rogue COMMIT closed the transaction; the
-        # owner's in_transaction flag is now stale. Its next write is
-        # autocommitted by the engine, so it must reach the log
-        # immediately — the replicas' answer wins over the flag.
+    def test_another_sessions_commit_is_refused_and_leaves_the_transaction_whole(self):
+        # A session with nothing open gets one database's answer to its
+        # COMMIT, and the flag it passes changes nothing: A's transaction
+        # stays open, and its write waits in the buffer for A's COMMIT.
         backend = _backend("b1")
         log = RecoveryLog()
         scheduler = RequestScheduler([backend], log)
         scheduler.execute("BEGIN", session_id="A")
-        assert scheduler.transaction_owner == "A"
-        scheduler.execute("COMMIT", session_id="rogue")  # no in_transaction flag
-        assert scheduler.open_transactions == 0 and scheduler.transaction_owner is None
-        scheduler.execute("INSERT INTO t (id) VALUES (1)", in_transaction=True, session_id="A")
+        assert scheduler.in_transaction("A")
+        with pytest.raises(SchedulerError, match="COMMIT without an open transaction"):
+            scheduler.execute("COMMIT", in_transaction=True, session_id="rogue")
+        assert scheduler.open_transactions == 1 and scheduler.in_transaction("A")
+        scheduler.execute("INSERT INTO t (id) VALUES (1)", session_id="A")
+        assert log.last_index == 0
+        scheduler.execute("COMMIT", session_id="A")
         assert log.last_index == 1
         scheduler.close()
 
@@ -896,21 +920,24 @@ class TestSchedulerRouting:
         assert log.last_index == 1
         scheduler.close()
 
-    def test_begin_with_stale_flag_still_counted(self):
-        # A rogue COMMIT closed session A's transaction; A's next BEGIN
-        # arrives with a stale in_transaction=True flag but the engine
-        # accepts it — it must be counted, or A's subsequent writes would
-        # be logged immediately and survive A's ROLLBACK in the log.
+    def test_a_nested_begin_is_refused_and_the_flag_counts_for_nothing(self):
+        # A second BEGIN is refused as one database refuses it, and the
+        # transaction stays the first one; a BEGIN with a stale
+        # in_transaction=True flag after it ended is counted all the same,
+        # or A's later writes would be logged at once and survive its
+        # ROLLBACK in the log.
         backend = _backend("b1")
         log = RecoveryLog()
         scheduler = RequestScheduler([backend], log)
         scheduler.execute("BEGIN", session_id="A")
-        scheduler.execute("COMMIT", session_id="rogue")
+        with pytest.raises(SchedulerError, match="transaction already in progress"):
+            scheduler.execute("BEGIN", session_id="A")
+        scheduler.execute("ROLLBACK", session_id="A")
         scheduler.execute("BEGIN", in_transaction=True, session_id="A")  # stale flag
-        assert scheduler.open_transactions == 1 and scheduler.transaction_owner == "A"
-        scheduler.execute("INSERT INTO t (id) VALUES (1)", in_transaction=True)
+        assert scheduler.open_transactions == 1 and scheduler.in_transaction("A")
+        scheduler.execute("INSERT INTO t (id) VALUES (1)", session_id="A")
         assert log.last_index == 0  # buffered, not logged
-        scheduler.execute("ROLLBACK", in_transaction=True)
+        scheduler.execute("ROLLBACK", session_id="A")
         assert log.last_index == 0
         assert scheduler.open_transactions == 0
         scheduler.close()
@@ -946,7 +973,7 @@ class TestSchedulerRouting:
     def _assert_transaction_over(self, scheduler, backends, owner):
         # Nothing is left open, so every replica can rejoin, and the
         # owner's abort finds nothing to roll back.
-        assert scheduler.open_transactions == 0 and scheduler.transaction_owner is None
+        assert scheduler.open_transactions == 0
         for backend in backends:
             backend.test_connection.fail_with = None
             scheduler.resync_and_enable(backend)
@@ -954,6 +981,7 @@ class TestSchedulerRouting:
         sent = [list(backend.test_connection.executed) for backend in backends]
         scheduler.abort(owner)
         assert [backend.test_connection.executed for backend in backends] == sent
+        assert not scheduler.in_transaction(owner)
 
     def test_a_transaction_whose_connections_all_dropped_is_over(self):
         backends = [_backend("b1"), _backend("b2")]
@@ -965,7 +993,9 @@ class TestSchedulerRouting:
         with pytest.raises(SchedulerError):
             scheduler.execute("INSERT INTO t (id) VALUES (1)", in_transaction=True, session_id="A")
         # Every server session rolled the transaction back with its
-        # connection: the record ends too, not at some later COMMIT.
+        # connection: the record ends too, not at some later COMMIT, and
+        # the failed statement tells A so.
+        assert not scheduler.in_transaction("A")
         self._assert_transaction_over(scheduler, backends, "A")
         assert log.last_index == 0
         scheduler.close()
@@ -977,8 +1007,36 @@ class TestSchedulerRouting:
         scheduler.execute("BEGIN", session_id="A")
         scheduler.execute("INSERT INTO t (id) VALUES (1)", in_transaction=True, session_id="A")
         scheduler.checkpoint_and_disable(backend)
+        # Over, but A has not been told yet: it is still in a transaction
+        # until its next statement.
+        assert scheduler.in_transaction("A")
         self._assert_transaction_over(scheduler, [backend], "A")
         assert log.last_index == 0
+        scheduler.close()
+
+    @pytest.mark.parametrize("then", ["INSERT INTO t (id) VALUES (2)", "SELECT id FROM t", "COMMIT", "ROLLBACK"])
+    def test_a_session_whose_transaction_dropped_is_told_at_its_next_statement(self, then):
+        # As one database tells a session its transaction was rolled
+        # back: the next statement fails and runs nowhere, a ROLLBACK
+        # succeeds, and either way the session is out of its transaction.
+        backend = _backend("b1")
+        log = RecoveryLog()
+        scheduler = RequestScheduler([backend], log)
+        scheduler.execute("BEGIN", session_id="A")
+        scheduler.execute("INSERT INTO t (id) VALUES (1)", session_id="A")
+        scheduler.checkpoint_and_disable(backend)
+        scheduler.resync_and_enable(backend)
+        sent = list(backend.test_connection.executed)
+        if then == "ROLLBACK":
+            assert scheduler.execute(then, session_id="A") == ([], [], 0)
+        else:
+            with pytest.raises(SchedulerError, match="the transaction was rolled back"):
+                scheduler.execute(then, session_id="A")
+        assert backend.test_connection.executed == sent and log.last_index == 0
+        assert not scheduler.in_transaction("A") and scheduler.open_transactions == 0
+        # Out of it, A's write is its own again.
+        scheduler.execute("INSERT INTO t (id) VALUES (3)", session_id="A")
+        assert [entry.sql for entry in log.entries_after(0)] == ["INSERT INTO t (id) VALUES (3)"]
         scheduler.close()
 
     def test_backend_failing_mid_transaction_resyncs_committed_writes(self):

@@ -6,15 +6,15 @@ is whatever the last reply said — or True while the connection owes a
 BEGIN it answered itself, which its next statement carries (wire v4 on
 both protocols). For ``pydb://`` the owner is the
 database server's ``ServerSession``. For ``sequoia://`` it is the
-controller, and its answer has two parts: the replicas' connections say
-whether a transaction is open (``Backend.in_transaction``), and the
-scheduler's one record says whose it is (``transaction_owner``). So a
-legacy application cannot tell the middleware from one database by *how
-it spells BEGIN*: by method or by text, the failover guard, the
-ROLLBACK-before-CLOSE and the expiration policies see the same flag —
-and no flag outlives the transaction it names. An owed BEGIN has
-opened nothing on the owner yet, so another session's COMMIT/ROLLBACK
-leaves it owed.
+controller: the scheduler's record of the session's transaction
+(``scheduler.in_transaction(session_id)``), which runs on replica
+connections checked out for it alone. So a legacy application cannot
+tell the middleware from one database by *how it spells BEGIN*: by
+method or by text, the failover guard, the ROLLBACK-before-CLOSE and
+the expiration policies see the same flag — and no flag outlives the
+transaction it names. Nor by what another session sends: a second
+session's COMMIT/ROLLBACK finds nothing open on that session and is
+refused, on either kind of owner, and an owed BEGIN stays owed.
 
 The oracle: random sequences of transaction control (by text and by
 method), good DML, failing statements and pipelines over the three
@@ -23,8 +23,8 @@ text; after every step the driver's flag equals the owner's answer, and
 at the end every database holds exactly what a model that applies only
 committed steps holds. The directed cases are the three ways a
 text-opened transaction used to be invisible to the client side, and
-the two ways a second session's COMMIT used to leave the first one's
-flag stale on the controller.
+the two ways a second session's COMMIT reached the first one's
+transaction on the controller when the replicas shared one connection.
 """
 
 import itertools
@@ -86,13 +86,7 @@ class _Setting:
                 if session.session_id == connection.session_id
             ]
             return session.sql_session.in_transaction
-        # The replicas' connections report a transaction, and it is this
-        # session's.
-        scheduler = self.env.controllers[0].scheduler
-        return (
-            any(backend.in_transaction for backend in scheduler.enabled_backends())
-            and scheduler.transaction_owner == connection.session_id
-        )
+        return self.env.controllers[0].scheduler.in_transaction(connection.session_id)
 
     def settled(self):
         """No session's transaction is still open anywhere (a cluster
@@ -194,20 +188,14 @@ class _Script:
             self.pending = None
 
     def other_ends(self, verb):
-        """The second session sends ``verb`` by text. A cluster's
-        replicas share one connection per replica, so it ends whatever
-        transaction is open there, this session's included (the hole
-        docs/scheduling.md names); a database server keeps its sessions
-        apart and refuses it, since nothing is open on the second one."""
-        shared = self.setting.kind != "pydb"
-        owed, ends_ours = self.owed, shared and self.open and not self.owed
-        assert self.attempt(self.other.cursor().execute, verb) == ends_ours
+        """The second session sends ``verb`` by text. Its owner keeps the
+        sessions apart — a database server, and a controller whose
+        sessions' transactions run on connections of their own — so it
+        is refused: nothing is open on the second one."""
+        owed = self.owed
+        assert not self.attempt(self.other.cursor().execute, verb)
         self.owed = owed
         assert not self.other.in_transaction
-        if ends_ours:
-            if verb == "COMMIT":
-                self.committed = self.pending
-            self.pending = None
         # This session's flag is what its next reply says.
         assert self.attempt(self.cursor.execute, "SELECT 1")
 
@@ -505,22 +493,22 @@ def test_another_sessions_commit_leaves_no_stale_flag(kind):
         cursor.execute("CREATE TABLE rogue (id INTEGER PRIMARY KEY, v INTEGER)")
         cursor.execute("BEGIN")
         cursor.execute("INSERT INTO rogue (id, v) VALUES (1, 0)")
-        # The replicas share one connection each: B's COMMIT ends A's
-        # transaction there, and A's next reply must say so.
-        b.cursor().execute("COMMIT")
+        # B has nothing open: its COMMIT is refused as one database
+        # refuses it, and A's transaction stays whole.
+        with pytest.raises(ProgrammingError, match="COMMIT without an open transaction"):
+            b.cursor().execute("COMMIT")
         cursor.execute("SELECT 1")
-        assert not a.in_transaction and not b.in_transaction
+        assert a.in_transaction and not b.in_transaction
         scheduler = setting.env.controllers[0].scheduler
-        assert scheduler.transaction_owner is None
-        assert not any(backend.in_transaction for backend in scheduler.backends())
-        # Nothing is open, so commit() has nothing to send and A is free
-        # to open a transaction again.
+        assert scheduler.in_transaction(a.session_id) and not scheduler.in_transaction(b.session_id)
+        # A's own COMMIT ends it, and A is free to open a transaction again.
         a.commit()
+        assert not a.in_transaction and not scheduler.in_transaction(a.session_id)
         a.begin()
         # The BEGIN is owed: the transaction opens with its first statement.
-        assert a.in_transaction and scheduler.transaction_owner is None
+        assert a.in_transaction and not scheduler.in_transaction(a.session_id)
         cursor.execute("SELECT 1")
-        assert a.in_transaction and scheduler.transaction_owner == a.session_id
+        assert a.in_transaction and scheduler.in_transaction(a.session_id)
         a.rollback()
         assert setting.rows("rogue") == [{1: 0}] * len(setting.engines)
         a.close()
@@ -540,14 +528,17 @@ def test_a_closing_non_owner_never_rolls_back_another_sessions_transaction(kind)
         cursor.execute("CREATE TABLE later (id INTEGER PRIMARY KEY, v INTEGER)")
         a.cursor().execute("BEGIN")
         a.cursor().execute("SELECT 1")  # carries the BEGIN: A's transaction opens
-        b.cursor().execute("COMMIT")  # ends A's transaction
+        with pytest.raises(ProgrammingError, match="COMMIT without an open transaction"):
+            b.cursor().execute("COMMIT")  # B has nothing open
         cursor.execute("BEGIN")
         cursor.execute("INSERT INTO later (id, v) VALUES (1, 0)")
         session_a = a.session_id
         a.close()
         assert chaos.wait_until(lambda: finished(session_a))
-        # A owned nothing when it left, so its teardown sent no ROLLBACK
-        # and C's transaction is whole.
+        # A's teardown rolled back A's transaction and nothing else: C's
+        # transaction is whole.
+        assert not controller.scheduler.in_transaction(session_a)
+        assert controller.scheduler.in_transaction(c.session_id)
         cursor.execute("COMMIT")
         assert not c.in_transaction
         assert setting.rows("later") == [{1: 0}] * len(setting.engines)

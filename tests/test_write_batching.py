@@ -297,7 +297,7 @@ def _run_batcher_writers(batcher, targets, count, start_gate):
     errors = [None] * count
 
     def writer(index):
-        item = _BatchItem(f"U{index}", None, statement, None, targets)
+        item = _BatchItem(f"U{index}", None, statement, targets)
         try:
             batcher.run(item)
             results[index] = item
@@ -368,7 +368,7 @@ class TestWriteBatcher:
 
         def writer(index):
             try:
-                batcher.run(_BatchItem(f"U{index}", None, statement, None, targets))
+                batcher.run(_BatchItem(f"U{index}", None, statement, targets))
             except DriverError as exc:
                 errors.append(exc)
 

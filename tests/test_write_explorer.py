@@ -1,7 +1,7 @@
 """The write rules, explored: tests/write_explorer.py drives the rule
 functions of repro.cluster.scheduler and repro.cluster.backend through
 every sequence of up to ``write_explorer.DEPTH`` events on two replicas,
-two sessions and two tables, and checks W1-W7. Each counterexample is
+two sessions and two tables, and checks W1-W8. Each counterexample is
 printed as the shortest trace of events that breaks it."""
 
 import pytest
@@ -27,18 +27,12 @@ def test_the_bound_is_covered_in_time(explored):
     assert explored.elapsed < 20.0
 
 
-@pytest.mark.parametrize("invariant", ["W1", "W2", "W3", "W4", "W5", "W6"])
+@pytest.mark.parametrize("invariant", ["W1", "W2", "W3", "W4", "W5", "W6", "W8"])
 def test_the_write_rules_hold(explored, invariant):
     trace = explored.counterexamples.get(invariant)
     assert trace is None, f"{invariant} violated by: " + ", ".join(trace)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the replicas' connections are shared, so another session's acked auto-commit "
-    "write runs inside the open transaction and is undone with it — A BEGIN, B write, "
-    "A ROLLBACK (ROADMAP item 2, session-owned replica transactions)",
-)
 def test_an_acked_autocommit_write_is_never_undone(explored):
     trace = explored.counterexamples.get("W7")
     assert trace is None, "W7 violated by: " + ", ".join(trace)
@@ -53,14 +47,18 @@ def _fail_every_rejecting_target(replies):
     return accepted, [reply.backend for reply in replies if reply.error is not None]
 
 
-def _flush_a_commit_no_replica_accepted(open_before, open_now, command, accepted):
-    return scheduler.transaction_step(open_before, open_now, command, True)
+def _flush_a_commit_no_replica_accepted(alive, command, accepted):
+    return scheduler.transaction_step(alive, command, True)
 
 
-def _settle_only_after_transaction_control(open_before, open_now, command, accepted):
-    if command not in ("BEGIN", "COMMIT", "ROLLBACK"):
+def _settle_only_after_transaction_control(alive, command, accepted):
+    if command not in ("COMMIT", "ROLLBACK"):
         return KEEP
-    return scheduler.transaction_step(open_before, open_now, command, accepted)
+    return scheduler.transaction_step(alive, command, accepted)
+
+
+def _release_at_statement_end(in_transaction, is_read):
+    return False
 
 
 def _advance_every_accepting_target(items, last_index, enabled):
@@ -82,6 +80,7 @@ def _advance_every_accepting_target(items, last_index, enabled):
         pytest.param(
             "W3", "checkpoint_moves", _advance_every_accepting_target, id="e-advance-non-enabled"
         ),
+        pytest.param("W8", "scope_held", _release_at_statement_end, id="g-release-at-statement-end"),
     ],
 )
 def test_the_explorer_kills_a_rule_mutant(invariant, rule, mutant):

@@ -4,41 +4,50 @@ Breadth-first search, with state hashing (``tests/explorer.py``), over
 every sequence of up to ``depth`` events on two replicas, two client
 sessions and two tables. The decisions are the rule functions of
 :mod:`repro.cluster.scheduler` (``round_verdict``, ``transaction_step``,
-``write_fate``, ``checkpoint_moves``) and :mod:`repro.cluster.backend`
-(``replay_step``) — the ones ``RequestScheduler`` and ``Backend`` call,
-imported, never restated. What this module adds is what their shell
-adds around them, and what the replicas do: where a statement goes,
-what a reply does to a replica's rows and connection, and its
-checkpoint and applied sequences.
+``write_fate``, ``scope_held``, ``checkpoint_moves``) and
+:mod:`repro.cluster.backend` (``replay_step``) — the ones
+``RequestScheduler`` and ``Backend`` call, imported, never restated.
+What this module adds is what their shell adds around them, and what
+the replicas do: where a statement goes, what a reply does to a
+replica's rows and connections, and its checkpoint and applied
+sequences.
 
 Placement: r1 hosts tables a and b, r2 only b. So a write to a goes to r1
-alone, a write to b to both, and BEGIN/COMMIT/ROLLBACK to every enabled
-replica.
+alone and a write to b to both.
+
+Each session's transaction is its own: a record (its buffer, the
+replicas it checked a connection out of, the tables it holds) and, on
+each replica, a connection of its own. Auto-commit writes run on each
+replica's own connection.
 
 Events (each outcome list gives every target's answer: ``ok``, ``stmt``
-— a statement fault — or ``conn`` — a connection fault, which drops the
-replica's connection and so rolls back any transaction on it):
+— a statement fault — or ``conn`` — a connection fault, which drops that
+connection and so rolls back the transaction on it):
 
-- ``write s t o..`` — session s writes table t. This is the round's
-  *execute*: the targets apply it and the replicas the round verdict
-  names leave the rotation. A later ``account t`` settles the
-  transaction record, logs or defers the write and moves checkpoints,
-  so two rounds on disjoint tables interleave as their table scopes
-  allow.
-- ``begin s o..``, ``commit s o..``, ``rollback s o..`` — transaction
-  control, under the exclusive scope: only with no round in flight, and
-  accounted by ``account *``. BEGIN only when no transaction is open,
-  COMMIT and ROLLBACK only by its owner.
+- ``write s t o..`` — session s writes table t: auto-commit, or in s's
+  transaction, where the first write to a replica checks a connection
+  out there and BEGIN runs on it first. This is the round's *execute*:
+  the targets apply it and the replicas the round verdict names leave
+  the rotation, closing all their connections. A later ``account s``
+  settles s's record, logs or defers the write and moves checkpoints,
+  so rounds on disjoint tables interleave as their table scopes allow.
+  A table is taken while a round on it is in flight, and while another
+  session's transaction holds it (what :func:`scope_held` keeps).
+- ``begin s`` — opens s's record; it sends nothing.
+- ``next s`` — s's next statement after its connections all dropped
+  outside a round of its own (a disable, another session's round): the
+  record stayed, over, to fail that statement (or take its ROLLBACK),
+  and goes.
+- ``commit s o..``, ``rollback s o..`` — s's transaction ends on its own
+  connections that still hold it, accounted by ``account s``.
 - ``disable r`` — ``checkpoint_and_disable`` of an enabled replica.
 - ``resync r`` — ``resync_and_enable`` of a FAILED or DISABLED one.
-
-The replicas' connections are shared, as they are today: another
-session's auto-commit write runs inside the open transaction.
 
 Invariants (W1, W4 and W6 whenever no round is in flight):
 
 - **W1** — every ENABLED replica holds exactly the logged writes it
-  hosts, plus the open transaction's buffered writes it hosts.
+  hosts, and on each session's connection exactly that session's
+  buffered writes it hosts.
 - **W2** — the log holds no rolled-back write and no write that every
   replica rejected.
 - **W3** — ``resync`` brings a FAILED or DISABLED replica back to W1.
@@ -46,15 +55,17 @@ Invariants (W1, W4 and W6 whenever no round is in flight):
   ENABLED replica recorded as applied for the tables it hosts.
 - **W5** — no replica leaves the rotation for a statement that no
   replica accepted but it rejected.
-- **W6** — the record is open exactly when some replica reports a
-  transaction, and ``resync`` is refused only then.
-- **W7** — an acked auto-commit write is never undone. The shared
-  connection breaks it (ROADMAP item 2).
+- **W6** — a session's record is open (not over) exactly when its
+  connections hold its transaction, or it checked none out yet;
+  ``resync`` is refused only then.
+- **W7** — an acked auto-commit write is never undone.
+- **W8** — per table, the log orders writes as they ran.
 
 Not modelled: the write batcher's rounds of several statements (each is
 accounted as the single-statement rounds are), reads and the query
-cache, key scopes, compaction and dumps, and faults between a round's
-target snapshot and its broadcast — an event runs to completion.
+cache, key scopes, wait-die refusals (a write that would wait is simply
+not enabled), compaction and dumps, and faults between a round's target
+snapshot and its broadcast — an event runs to completion.
 
 Run::
 
@@ -74,7 +85,7 @@ from repro.cluster import backend, scheduler
 from repro.cluster.backend import APPLY, BEHIND, REGRESSED
 from repro.cluster.broadcaster import BackendOutcome
 from repro.cluster.recovery.logstore import LogEntry
-from repro.cluster.scheduler import ADVANCE, DEFER, DISCARD, FLUSH, LOG, OPEN
+from repro.cluster.scheduler import ADVANCE, DEFER, DISCARD, FLUSH, KEEP, LOG
 from repro.dbapi.exceptions import OperationalError, ProgrammingError
 
 REPLICAS = ("r1", "r2")
@@ -85,13 +96,20 @@ HOSTS = {"a": (0,), "b": (0, 1)}
 OK, STMT, CONN = "ok", "stmt", "conn"
 ENABLED, FAILED, DISABLED = "enabled", "failed", "disabled"
 #: The default bound. The longest shortest trace a test needs — a
-#: transaction's write, then a COMMIT whose connections all drop — is
-#: six events long; the seventh is margin.
+#: transaction's write, another session's write to its table, then its
+#: COMMIT, each with its account — is seven events long.
 DEPTH = 7
-INVARIANTS = ("W1", "W2", "W3", "W4", "W5", "W6", "W7")
+INVARIANTS = ("W1", "W2", "W3", "W4", "W5", "W6", "W7", "W8")
 
 #: The rule functions the model calls, by name; a test substitutes one.
-RULES = ("round_verdict", "transaction_step", "write_fate", "checkpoint_moves", "replay_step")
+RULES = (
+    "round_verdict",
+    "transaction_step",
+    "write_fate",
+    "scope_held",
+    "checkpoint_moves",
+    "replay_step",
+)
 
 #: What a target answers: ``(result, error)``.
 _REPLIES = {
@@ -99,6 +117,7 @@ _REPLIES = {
     STMT: (None, ProgrammingError("rejected")),
     CONN: (None, OperationalError("connection lost")),
 }
+_NO_TX = (None,) * len(SESSIONS)
 
 
 def _replies(targets: Tuple[int, ...], outcomes: Tuple[str, ...]) -> List[BackendOutcome]:
@@ -115,33 +134,46 @@ class Replica(NamedTuple):
     applied: FrozenSet[Tuple[str, int]]
     #: Writes committed here.
     committed: FrozenSet[int]
-    #: Writes applied inside the transaction open on its connection;
-    #: None when none is.
-    tx: Optional[Tuple[int, ...]]
+    #: Per session, the writes applied inside the transaction open on its
+    #: connection here; None when that connection holds none.
+    tx: Tuple[Optional[Tuple[int, ...]], ...]
+
+
+class Record(NamedTuple):
+    """The scheduler's record of one session's transaction."""
+
+    buffer: Tuple[int, ...]
+    #: The replicas it checked a connection out of.
+    leased: FrozenSet[int]
+    #: The tables its writes hold until it ends.
+    held: FrozenSet[str]
+    #: Its connections all dropped outside its own round: its scopes and
+    #: buffer are gone, and its session's next statement ends it.
+    over: bool = False
 
 
 class Round(NamedTuple):
     """An executed round waiting for its account."""
 
-    session: str
-    #: The statement's command: INSERT, BEGIN, COMMIT or ROLLBACK.
+    session: int
+    #: The statement's command: INSERT, COMMIT or ROLLBACK.
     command: str
-    #: The written table; "*" for transaction control.
+    #: The written table; "" for transaction control.
     table: str
     targets: Tuple[int, ...]
     outcomes: Tuple[str, ...]
     accepted: bool
     #: The write's value (0 for transaction control).
     write: int
-    #: Serial of the record the statement ran inside (0 for none).
-    within: int
+    #: Whether it ran in its session's transaction (whose record no
+    #: other event ends while the round is in flight).
+    within: bool
 
 
 class Truth(NamedTuple):
-    """The transaction as the replicas ran it — the model's own account,
-    which the rules' record is checked against."""
+    """A session's transaction as the replicas ran it — the model's own
+    account, which the rules' records are checked against."""
 
-    owner: str
     writes: Tuple[int, ...]
     committed: bool
 
@@ -151,13 +183,12 @@ class State(NamedTuple):
     #: ``(write, table, seq)`` per log entry; an entry's index is its
     #: position + 1.
     log: Tuple[Tuple[int, str, int], ...]
-    #: The scheduler's record: ``(serial, owner, buffered writes)``.
-    record: Optional[Tuple[int, Optional[str], Tuple[int, ...]]]
-    serials: int
+    #: Per session, its record (None when it has no transaction open).
+    records: Tuple[Optional[Record], ...]
     pending: Tuple[Round, ...]
-    #: ``(session, table)`` of write n at position n - 1.
-    writes: Tuple[Tuple[str, str], ...]
-    truth: Optional[Truth]
+    #: The table of write n at position n - 1, in the order the writes ran.
+    writes: Tuple[str, ...]
+    truths: Tuple[Optional[Truth], ...]
     rolled_back: FrozenSet[int]
     rejected: FrozenSet[int]
     #: Writes acked to a session that had no transaction of its own open.
@@ -181,8 +212,20 @@ def _outcome_lists(count: int) -> List[Tuple[str, ...]]:
     return list(itertools.product((OK, STMT, CONN), repeat=count))
 
 
-def _in_tx(replicas: Any) -> bool:
-    return any(replica.tx is not None for replica in replicas)
+@functools.lru_cache(maxsize=None)
+def _holding(replicas: Any, s: int) -> Tuple[int, ...]:
+    """The replicas whose connection of session ``s`` holds its transaction."""
+    return tuple(r for r, replica in enumerate(replicas) if replica.tx[s] is not None)
+
+
+def _alive(state: State, s: int) -> bool:
+    """``_Transaction.alive``: no connection checked out yet, or one
+    still holding the transaction."""
+    return not state.records[s].leased or bool(_holding(state.replicas, s))
+
+
+def _with(items: Tuple[Any, ...], index: int, value: Any) -> Tuple[Any, ...]:
+    return items[:index] + (value,) + items[index + 1:]
 
 
 class Model:
@@ -197,40 +240,42 @@ class Model:
         kind, *args = event
         if kind in ("disable", "resync"):
             return f"{kind} {REPLICAS[args[0]]}"
-        if kind == "account":
-            return f"account {args[0]}"
+        if kind in ("account", "begin", "next"):
+            return f"{kind} {SESSIONS[args[0]]}"
         if kind == "write":
-            return " ".join([kind, args[0], args[1], *args[3]])
-        return " ".join([kind, args[0], *args[2]])
+            return " ".join([kind, SESSIONS[args[0]], args[1], *args[3]])
+        return " ".join([kind, SESSIONS[args[0]], *args[2]])
 
     def initial(self) -> State:
-        replica = Replica(ENABLED, 0, frozenset(), frozenset(), None)
+        replica = Replica(ENABLED, 0, frozenset(), frozenset(), _NO_TX)
         none: FrozenSet[int] = frozenset()
-        return State((replica, replica), (), None, 0, (), (), None, none, none, none)
+        return State((replica, replica), (), _NO_TX, (), (), _NO_TX, none, none, none)
 
     def events(self, state: State) -> List[Event]:
-        events: List[Event] = [("account", round.table) for round in state.pending]
+        events: List[Event] = [("account", round.session) for round in state.pending]
         busy = {round.table for round in state.pending}
-        if "*" in busy:
-            return events
-        for table in TABLES:
-            targets = tuple(r for r in HOSTS[table] if state.replicas[r].state == ENABLED)
-            if table in busy or not targets:
+        running = {round.session for round in state.pending}
+        for s, record in enumerate(state.records):
+            if s in running:
                 continue
-            for session in SESSIONS:
-                events += [("write", session, table, targets, o) for o in _outcome_lists(len(targets))]
-        if state.pending:
-            return events
-        enabled = tuple(r for r, replica in enumerate(state.replicas) if replica.state == ENABLED)
-        if enabled:
-            if state.truth is None:
-                commands = [("begin", session) for session in SESSIONS]
-            else:
-                commands = [(kind, state.truth.owner) for kind in ("commit", "rollback")]
-            for kind, session in commands:
-                events += [(kind, session, enabled, o) for o in _outcome_lists(len(enabled))]
-        for r, replica in enumerate(state.replicas):
-            events.append(("disable" if replica.state == ENABLED else "resync", r))
+            if record is not None and record.over:
+                events.append(("next", s))
+                continue
+            held = {t for other, r in enumerate(state.records) if r is not None and other != s for t in r.held}
+            for table in TABLES:
+                targets = tuple(r for r in HOSTS[table] if state.replicas[r].state == ENABLED)
+                if table in busy or table in held or not targets:
+                    continue
+                events += [("write", s, table, targets, o) for o in _outcome_lists(len(targets))]
+            if record is None:
+                events.append(("begin", s))
+                continue
+            live = _holding(state.replicas, s)
+            for kind in ("commit", "rollback"):
+                events += [(kind, s, live, o) for o in _outcome_lists(len(live))]
+        if not state.pending:
+            for r, replica in enumerate(state.replicas):
+                events.append(("disable" if replica.state == ENABLED else "resync", r))
         return events
 
     # -- transitions ---------------------------------------------------------------
@@ -240,7 +285,11 @@ class Model:
         kind, *args = event
         violations: List[str] = []
         if kind == "account":
-            state = self._account(state, next(r for r in state.pending if r.table == args[0]))
+            state = self._account(state, next(r for r in state.pending if r.session == args[0]))
+        elif kind == "begin":
+            state = self._begin(state, args[0])
+        elif kind == "next":
+            state = state._replace(records=_with(state.records, args[0], None))
         elif kind == "disable":
             state = self._disable(state, args[0])
         elif kind == "resync":
@@ -250,13 +299,16 @@ class Model:
             state = self._execute(state, session, "INSERT", table, targets, outcomes, violations)
         else:
             session, targets, outcomes = args
-            state = self._execute(state, session, kind.upper(), "*", targets, outcomes, violations)
-        return state, violations + self._check(state)
+            state = self._execute(state, session, kind.upper(), "", targets, outcomes, violations)
+        return state, violations + list(self._check(state))
+
+    def _begin(self, state: State, s: int) -> State:
+        return state._replace(records=_with(state.records, s, Record((), frozenset(), frozenset())))
 
     def _execute(
         self,
         state: State,
-        session: str,
+        s: int,
         command: str,
         table: str,
         targets: Tuple[int, ...],
@@ -265,60 +317,78 @@ class Model:
     ) -> State:
         """The broadcast and the round verdict, which takes replicas out
         of the rotation before the round's account."""
-        replicas = list(state.replicas)
+        replicas, truths = list(state.replicas), list(state.truths)
+        record = state.records[s]
         writes, write = state.writes, 0
         if command == "INSERT":
-            writes += ((session, table),)
+            writes += (table,)
             write = len(writes)
-        truth, committed = state.truth, False
+        effective = []
         for r, outcome in zip(targets, outcomes):
             replica = replicas[r]
+            if record is not None and r not in record.leased:
+                # Checked out for the transaction: BEGIN runs on it first.
+                replica = replica._replace(tx=_with(replica.tx, s, ()))
+                record = record._replace(leased=record.leased | {r})
+                truths[s] = truths[s] or Truth((), False)
+            elif record is not None and replica.tx[s] is None:
+                outcome = CONN  # the transaction's connection here is gone
             if outcome == CONN:
-                replicas[r] = replica._replace(tx=None)
+                replica = replica._replace(tx=_with(replica.tx, s, None)) if record is not None else replica
             elif outcome == OK:
-                committed = committed or (command == "COMMIT" and replica.tx is not None)
-                replicas[r] = _run(replica, command, write)
+                replica = _run(replica, command, write, s if record is not None else None)
+            replicas[r] = replica
+            effective.append(outcome)
+        outcomes = tuple(effective)
+        committed = command == "COMMIT" and OK in outcomes
         accepted, leaving = self.rule["round_verdict"](_replies(targets, outcomes))
         if OK not in outcomes and any(outcomes[targets.index(r)] == STMT for r in leaving):
             violations.append("W5")
         for r in leaving:
-            replicas[r] = replicas[r]._replace(state=FAILED, tx=None)
+            replicas[r] = replicas[r]._replace(state=FAILED, tx=_NO_TX)
         rejected, acked = state.rejected, state.acked_autocommit
         if write and OK not in outcomes:
             rejected |= {write}
+        elif write and record is None:
+            acked |= {write}
         elif write:
-            if truth is None or truth.owner != session:
-                acked |= {write}
-            if truth is not None:
-                truth = truth._replace(writes=truth.writes + (write,))
+            truths[s] = truths[s]._replace(writes=truths[s].writes + (write,))
         if committed:
-            truth = truth._replace(committed=True)
-        within = state.record[0] if state.record is not None else 0
-        round = Round(session, command, table, targets, outcomes, accepted is not None, write, within)
-        state = state._replace(
-            replicas=tuple(replicas),
-            writes=writes,
-            truth=truth,
-            rejected=rejected,
-            acked_autocommit=acked,
-            pending=state.pending + (round,),
+            truths[s] = truths[s]._replace(committed=True)
+        within = record is not None
+        if within:
+            if command == "INSERT" and self.rule["scope_held"](True, False):
+                record = record._replace(held=record.held | {table})
+        round = Round(s, command, table, targets, outcomes, accepted is not None, write, within)
+        state = _track(
+            state._replace(
+                replicas=tuple(replicas),
+                records=_with(state.records, s, record),
+                writes=writes,
+                truths=tuple(truths),
+                rejected=rejected,
+                acked_autocommit=acked,
+                pending=state.pending + (round,),
+            )
         )
-        return _track(state, session)
+        # A replica that left closed every session's connection there.
+        return self._settle_dead(state) if leaving else state
 
     def _account(self, state: State, round: Round) -> State:
         """``RequestScheduler._run_round``'s ``_state_lock`` section."""
-        state, step, ended = self._settle(state, round.command, round.accepted, round.session)
-        record = state.record
+        s = round.session
+        record, step = state.records[s], KEEP
+        if round.within:
+            step = self.rule["transaction_step"](_alive(state, s), round.command, round.accepted)
         fate = None
         if round.command == "INSERT":
-            still_open = record is not None and record[0] == round.within
-            fate = self.rule["write_fate"](round.accepted, round.within != 0, still_open)
-        if fate == DEFER and record is not None and record[0] == round.within:
-            record = record[:2] + (record[2] + (round.write,),)
-        rows = ended[2] if step == FLUSH else (round.write,) if fate == LOG else ()
+            fate = self.rule["write_fate"](round.accepted, round.within, step == KEEP)
+        if fate == DEFER:
+            record = record._replace(buffer=record.buffer + (round.write,))
+        rows = record.buffer if step == FLUSH else (round.write,) if fate == LOG else ()
         log = state.log
         for write in rows:
-            table = state.writes[write - 1][1]
+            table = state.writes[write - 1]
             log += ((write, table, 1 + sum(t == table for _, t, _ in log)),)
         entries = [_entry(index, *log[index - 1]) for index in range(len(state.log) + 1, len(log) + 1)]
         replicas = list(state.replicas)
@@ -333,39 +403,33 @@ class Model:
                 replicas[r] = replica._replace(applied=applied, checkpoint=checkpoint)
             else:
                 replicas[r] = replica._replace(checkpoint=min(replica.checkpoint, index))
-        pending = tuple(other for other in state.pending if other is not round)
-        return state._replace(replicas=tuple(replicas), log=log, record=record, pending=pending)
-
-    def _settle(
-        self,
-        state: State,
-        command: Optional[str] = None,
-        accepted: bool = False,
-        session: Optional[str] = None,
-    ) -> Tuple[State, str, Any]:
-        """``RequestScheduler._settle_locked``: the step and the record it ended."""
-        record = state.record
-        step = self.rule["transaction_step"](record is not None, _in_tx(state.replicas), command, accepted)
-        if step == OPEN:
-            serial = state.serials + 1
-            return state._replace(record=(serial, session, ()), serials=serial), step, None
         if step in (FLUSH, DISCARD):
-            return state._replace(record=None), step, record
-        return state, step, None
+            record = None
+        pending = tuple(other for other in state.pending if other is not round)
+        records = _with(state.records, s, record)
+        return state._replace(replicas=tuple(replicas), log=log, records=records, pending=pending)
+
+    def _settle_dead(self, state: State) -> State:
+        """``RequestScheduler._settle_dead``: records whose connections
+        all dropped, but for those with a round in flight — its own
+        account settles each — are over, their scopes released."""
+        records = list(state.records)
+        running = {round.session for round in state.pending}
+        for s, record in enumerate(records):
+            if record is not None and not record.over and s not in running and not _alive(state, s):
+                records[s] = Record((), record.leased, frozenset(), True)
+        return state._replace(records=tuple(records))
 
     def _disable(self, state: State, r: int) -> State:
         replicas = list(state.replicas)
         replica = replicas[r]
         checkpoint = len(state.log) if replica.state == ENABLED else replica.checkpoint
-        replicas[r] = replica._replace(state=DISABLED, checkpoint=checkpoint, tx=None)
-        state = _track(state._replace(replicas=tuple(replicas)), None)
-        return self._settle(state)[0]
+        replicas[r] = replica._replace(state=DISABLED, checkpoint=checkpoint, tx=_NO_TX)
+        return self._settle_dead(_track(state._replace(replicas=tuple(replicas))))
 
     def _resync(self, state: State, r: int, violations: List[str]) -> State:
-        state = self._settle(state)[0]
-        if state.record is not None:
-            if not _in_tx(state.replicas):
-                violations.append("W6")
+        state = self._settle_dead(state)
+        if any(record is not None and not record.over for record in state.records):
             return state
         replica = state.replicas[r]
         checkpoint, applied, committed = replica.checkpoint, replica.applied, replica.committed
@@ -382,8 +446,8 @@ class Model:
                 applied |= set(entry.table_seqs.items())
             if verdict != BEHIND:
                 checkpoint = index
-        replica = Replica(ENABLED, checkpoint, applied, committed, None)
-        state = state._replace(replicas=state.replicas[:r] + (replica,) + state.replicas[r + 1:])
+        replica = Replica(ENABLED, checkpoint, applied, committed, _NO_TX)
+        state = state._replace(replicas=_with(state.replicas, r, replica))
         if not _holds_w1(state, r):
             violations.append("W3")
         return state
@@ -391,6 +455,7 @@ class Model:
     # -- invariants -----------------------------------------------------------------
 
     @staticmethod
+    @functools.lru_cache(maxsize=None)
     def _check(state: State) -> List[str]:
         violations = []
         logged = {write for write, _, _ in state.log}
@@ -398,6 +463,11 @@ class Model:
             violations.append("W2")
         if state.acked_autocommit & state.rolled_back:
             violations.append("W7")
+        for table in TABLES:
+            order = [write for write, t, _ in state.log if t == table]
+            if order != sorted(order):
+                violations.append("W8")
+                break
         if state.pending:
             return violations
         enabled = [r for r, replica in enumerate(state.replicas) if replica.state == ENABLED]
@@ -412,43 +482,47 @@ class Model:
             ):
                 violations.append("W4")
                 break
-        if (state.record is not None) != _in_tx(state.replicas):
-            violations.append("W6")
+        for s, record in enumerate(state.records):
+            holding = bool(_holding(state.replicas, s))
+            if holding if record is None or record.over else not (holding or not record.leased):
+                violations.append("W6")
+                break
         return violations
 
 
-def _run(replica: Replica, command: str, write: int) -> Replica:
-    """What one replica does with a statement it accepts."""
-    if command == "INSERT":
-        if replica.tx is not None:
-            return replica._replace(tx=replica.tx + (write,))
+def _run(replica: Replica, command: str, write: int, s: Optional[int]) -> Replica:
+    """What one replica does with a statement it accepts, on session
+    ``s``'s connection (None: its own, auto-commit)."""
+    if s is None:
         return replica._replace(committed=replica.committed | {write})
-    if command == "BEGIN":
-        return replica._replace(tx=replica.tx or ())
-    if command == "COMMIT":
-        return replica._replace(committed=replica.committed | set(replica.tx or ()), tx=None)
-    return replica._replace(tx=None)
+    tx = replica.tx[s]
+    if command == "INSERT":
+        return replica._replace(tx=_with(replica.tx, s, tx + (write,)))
+    committed = replica.committed | set(tx) if command == "COMMIT" else replica.committed
+    return replica._replace(committed=committed, tx=_with(replica.tx, s, None))
 
 
-def _track(state: State, session: Optional[str]) -> State:
-    """Open or close the model's own account of the transaction from what
-    the replicas' connections now hold."""
-    truth, open_now = state.truth, _in_tx(state.replicas)
-    if truth is None and open_now:
-        return state._replace(truth=Truth(session, (), False))
-    if truth is not None and not open_now:
-        rolled_back = state.rolled_back if truth.committed else state.rolled_back | set(truth.writes)
-        return state._replace(truth=None, rolled_back=rolled_back)
-    return state
+def _track(state: State) -> State:
+    """Open or close the model's own account of each session's
+    transaction from what its connections now hold."""
+    truths, rolled_back = list(state.truths), state.rolled_back
+    for s, truth in enumerate(truths):
+        open_now = bool(_holding(state.replicas, s))
+        if truth is None and open_now:
+            truths[s] = Truth((), False)
+        elif truth is not None and not open_now:
+            if not truth.committed:
+                rolled_back |= set(truth.writes)
+            truths[s] = None
+    return state._replace(truths=tuple(truths), rolled_back=rolled_back)
 
 
 def _holds_w1(state: State, r: int) -> bool:
     replica = state.replicas[r]
-    hosted = {write for write, (_, table) in enumerate(state.writes, start=1) if r in HOSTS[table]}
-    buffered = set(state.record[2]) if state.record is not None else set()
-    return (
-        replica.committed == {write for write, _, _ in state.log} & hosted
-        and set(replica.tx or ()) == buffered & hosted
+    hosted = {write for write, table in enumerate(state.writes, start=1) if r in HOSTS[table]}
+    return replica.committed == {write for write, _, _ in state.log} & hosted and all(
+        set(tx or ()) == (set(record.buffer) if record is not None else set()) & hosted
+        for tx, record in zip(replica.tx, state.records)
     )
 
 

@@ -254,9 +254,21 @@ GATES = [
     Gate(
         r"_open_transactions|_tx_owner|_tx_dirty|SessionContext|def observe\(",
         ("src/repro/cluster",),
-        "a second answer to \"is a transaction open?\" on the controller: the replicas' "
-        "connections say whether one is (Backend.in_transaction), the scheduler's one "
-        "_Transaction record says whose it is (RequestScheduler.transaction_owner)",
+        "a second answer to \"is a transaction open?\" on the controller: the scheduler's "
+        "record of each session's transaction says so (RequestScheduler.in_transaction, one "
+        "lookup in its map from session to _Transaction)",
+    ),
+    Gate(
+        r"self\._transaction\b",
+        ("src/repro/cluster/scheduler.py",),
+        "one cluster-wide transaction record: a transaction is its session's "
+        "(RequestScheduler._transactions maps each session to its _Transaction)",
+    ),
+    Gate(
+        r"\.in_transaction for \w+ in|def in_transaction\(self\) -> bool",
+        ("src/repro/cluster/scheduler.py", "src/repro/cluster/backend.py"),
+        "the scheduler polls every backend for a transaction: a session's record settles from "
+        "its own connections (Lease.live), and a backend keeps no transaction flag",
     ),
     Gate(
         r"split\(None, 1\)\[0\]\.upper\(\)",
