@@ -35,8 +35,6 @@ class _CountingConnection:
     """Fake DB-API connection counting how it is driven: ``calls`` is
     per-statement executes, ``batch_calls`` native batch round trips."""
 
-    threadsafety = 1
-
     def __init__(self):
         self.calls = 0
         self.batch_calls = 0

@@ -36,8 +36,9 @@ from repro.errors import DriverError
 STATEMENT_FAULTS = (ProgrammingError, IntegrityError, DataError, NotSupportedError)
 
 #: Resync replays the log tail through execute_batch in chunks of this
-#: many entries: bounded memory per round trip, still ~100× fewer round
-#: trips than statement-at-a-time replay on a long tail.
+#: many entries, bounding what one flush holds. A chunk is one request
+#: only on a connection with a native batch; the pydb wire has no batch
+#: request, so there the replay still costs one round trip per entry.
 _RESYNC_BATCH_SIZE = 128
 
 QueryResult = Tuple[List[str], List[Any], int]
@@ -88,8 +89,9 @@ class Lease:
         )
 
     def open(self) -> Any:
-        """The lease's connection, checked out by the first call (under
-        the backend's lock); :meth:`begin` opens the transaction on it."""
+        """The lease's connection, checked out by the first call — all a
+        lease's request takes the backend's lock for; :meth:`begin` opens
+        the transaction on it, outside that lock."""
         if self.connection is None:
             self.connection = self.backend._checkout()
         elif getattr(self.connection, "closed", False):
@@ -127,10 +129,15 @@ class ReplicaBatch:
     zero-argument callable that waits for the reply and returns what
     ``cursor.execute`` + ``fetchall`` (or ``execute_batch``) would. A
     connection without one runs the request inside :meth:`send`, which
-    then completes at once and leaves :meth:`collect` nothing to do.
+    then completes at once and leaves :meth:`collect` nothing to do. The
+    pydb wire has no batch request: a round of N statements is N requests.
 
-    A connection declaring ``threadsafety`` below 2 is held exclusively
-    — the backend's lock — from a request's send to its collect.
+    A connection keeps itself exclusive from a request's send to its
+    reply (the pydb connection's exchange lock). The backend's lock
+    covers choosing the shared connection and putting the request on it
+    (on a connection without a split form, the whole request); a lease's
+    request takes it only to check its connection out.
+
     ``outcomes`` fills positionally: a statement fault is that
     statement's outcome alone; anything else is a connection fault,
     which drops the connection and fails every statement not yet
@@ -138,10 +145,10 @@ class ReplicaBatch:
     statement: a connection that can carry it with its next request
     answers it without one (:class:`repro.dbapi.runtime.WireConnection`).
 
-    A tracked batch counts what the connection says the replica ran
-    (its ``statements_executed`` across the request, a carried BEGIN
-    included), or its statements that succeeded on a connection that
-    does not say.
+    A tracked batch counts what a lease's connection says the replica
+    ran (``statements_executed`` across the request, its BEGIN included),
+    else the statements that succeeded: the shared connection carries no
+    BEGIN, and other requests use it meanwhile.
 
     The statements run on the backend's own connection, auto-commit, or
     on ``lease``'s: a transaction's."""
@@ -167,8 +174,7 @@ class ReplicaBatch:
         #: How many statements the request being sent or awaited carries.
         self._carried = 0
         self._collect: Optional[Callable[[], Any]] = None
-        self._locked = False
-        #: The connection's ``statements_executed`` when the request was issued.
+        #: A lease's connection's ``statements_executed`` before the request.
         self._ran_before: Optional[int] = None
 
     @property
@@ -180,30 +186,26 @@ class ReplicaBatch:
         outcome). Call :meth:`collect` before the next send."""
         if self.done:
             return
-        self.backend._lock.acquire()
-        self._locked = True
+        self._carried = len(self._statements) - len(self.outcomes)
+        self._connection = None
         try:
-            self._issue()
+            lease = self._lease
+            if lease is None:
+                # One step under the backend's lock, so a driver swap or
+                # a disable never closes the connection in between.
+                with self.backend._lock:
+                    self._request(self.backend._ensure_connection())
+                return
+            connection = lease.open()
+            self._ran_before = getattr(connection, "statements_executed", None)
+            lease.begin()
+            self._request(connection)
         except Exception as exc:  # noqa: BLE001 - the statements' outcome
             self._fail(exc)
-        finally:
-            if self._collect is None:
-                self._release()
 
-    def _issue(self) -> None:
+    def _request(self, connection: Any) -> None:
+        self._connection = connection
         position = len(self.outcomes)
-        self._carried = len(self._statements) - position
-        self._connection = None
-        lease = self._lease
-        connection = self._connection = (
-            self.backend._ensure_connection() if lease is None else lease.open()
-        )
-        self._ran_before = getattr(connection, "statements_executed", None)
-        if lease is not None:
-            lease.begin()
-        if getattr(connection, "threadsafety", 1) >= 2:
-            # Threads may share this connection: no exclusivity to hold.
-            self._release()
         self._native = self._batched and (
             hasattr(connection, "send_batch") or hasattr(connection, "execute_batch")
         )
@@ -226,12 +228,8 @@ class ReplicaBatch:
     def collect(self) -> None:
         """Wait for the request in flight, if any, and record its reply."""
         collect, self._collect = self._collect, None
-        if collect is None:
-            return
-        try:
+        if collect is not None:
             self._settle(collect)
-        finally:
-            self._release()
 
     def _settle(self, reply: Callable[..., Any], *args: Any) -> None:
         """Record what ``reply(*args)`` returns — or raises — for the
@@ -249,7 +247,9 @@ class ReplicaBatch:
             else:
                 succeeded = self._connection.statements_executed - self._ran_before
             if succeeded:
-                with self.backend._lock:
+                # Not the backend's lock: the next request to this connection
+                # may hold it, waiting for the connection lock this reply freed.
+                with self.backend._pending_lock:
                     self.backend.statements_executed += succeeded
 
     def _native_outcomes(self, value: Any) -> List[Outcome]:
@@ -277,11 +277,6 @@ class ReplicaBatch:
             self.backend._drop_connection(self._connection)
             count = len(self._statements) - len(self.outcomes)
         self.outcomes.extend([(None, exc)] * count)
-
-    def _release(self) -> None:
-        if self._locked:
-            self._locked = False
-            self.backend._lock.release()
 
 
 def _close_quietly(connection: Any) -> None:
@@ -396,8 +391,9 @@ class Backend:
         #: Which per-table sequences were applied here: a replay wider
         #: than the checkpoint skips them (:func:`replay_step`).
         self.applied_seqs = AppliedSeqs()
-        #: Statements the replica ran (observability): a BEGIN counts once
-        #: a request carried it, a BEGIN or COMMIT its connection answered never.
+        #: Statements the replica ran (observability; under ``_pending_lock``):
+        #: a BEGIN counts once a request carried it, a BEGIN or COMMIT its
+        #: connection answered never.
         self.statements_executed = 0
         #: When the failure detector last saw this backend answer a ping.
         self.last_heartbeat_at: float = 0.0
@@ -463,14 +459,15 @@ class Backend:
         factory — the per-backend "renew all connections" step of the
         paper's database driver upgrade procedure.
         """
-        with self._lock:
-            self.close_connection()
-            self._connection_factory = factory
+        self._connection_factory = factory
+        self.close_connection()
 
     def close_connection(self) -> None:
         """Close every connection to the replica: its own, the idle ones
         and those checked out for transactions, whose shares on the
-        replica roll back with them."""
+        replica roll back with them. A connection waits for a reply in
+        flight on it before it closes, so the closing happens outside
+        the backend's lock."""
         with self._lock:
             connections = {id(c): c for c in [self._connection, *self._idle, *self._leased] if c is not None}
             self._connection = None
@@ -526,9 +523,10 @@ class Backend:
         connection fault fails the statement *and everything after it*.
         A connection with a native ``execute_batch(pairs)`` gets the whole
         list as one request and must return one ``(columns, rows,
-        rowcount)`` triple or Exception per statement. Requests serialise
-        on the backend's lock unless the connection declares
-        ``threadsafety >= 2``, so key scopes can overlap on one replica."""
+        rowcount)`` triple or Exception per statement (the pydb wire has
+        none: there each statement is its own request). Requests on one
+        connection serialise on its own lock, from send to reply; the
+        backend's lock covers only putting one on the shared connection."""
         batch = ReplicaBatch(self, statements, track)
         while not batch.done:
             batch.send()
@@ -594,12 +592,12 @@ class Backend:
             self.state = BackendState.DISABLED
             self.checkpoint_index = checkpoint_index
             self.disabled_by = by
-            self.close_connection()
+        self.close_connection()
 
     def mark_failed(self) -> None:
         with self._lock:
             self.state = BackendState.FAILED
-            self.close_connection()
+        self.close_connection()
 
     def initialize_from_dump(
         self,

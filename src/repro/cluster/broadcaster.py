@@ -166,9 +166,9 @@ class WriteBroadcaster:
             for backend in backends
         ]
         # Every round sends in one fixed order, by backend name: a round
-        # holds the lock of each single-threaded connection it sent to
-        # until it collects, so two rounds taking those locks in
-        # different orders could deadlock. The name is the one order
+        # holds each connection's own lock (the pydb exchange lock) from
+        # its send until it collects, so two rounds taking those locks
+        # in different orders could deadlock. The name is the one order
         # every caller can agree on whatever list it passes (placement
         # subsets, a membership change between two snapshots), and it
         # keeps which replica hears a write first reproducible.

@@ -21,8 +21,8 @@ The token scan answers only what can safely be *over*-approximated from
 any dialect: a spurious table name costs a wider lock or an extra
 invalidation, never a missed one. It reads names, never values. Which
 *rows* a write touches is a question about the grammar, and one module
-answers it — :func:`repro.sqlengine.parser.parse`: an INSERT / UPDATE /
-DELETE text the parser accepts whole carries its AST as
+answers it — :func:`repro.sqlengine.parser.parse`: a SELECT / INSERT /
+UPDATE / DELETE text the parser accepts whole carries its AST as
 :attr:`ClassifiedStatement.dml` for :mod:`repro.cluster.lockscope` to
 prove a key scope from; a text it rejects carries ``None`` and locks its
 tables.
@@ -44,7 +44,7 @@ from typing import FrozenSet, List, Optional, Tuple, Union
 
 from repro.sqlengine.errors import SqlParseError
 from repro.sqlengine.parser import parse
-from repro.sqlengine.statements import Delete, Insert, Update
+from repro.sqlengine.statements import Delete, Insert, Select, Update
 from repro.sqlengine.tokenizer import Token, tokenize
 
 
@@ -64,8 +64,9 @@ _WRITE_COMMANDS = {
 }
 #: Transaction-control commands: broadcast but never logged for resync.
 _TRANSACTION_COMMANDS = {"BEGIN", "COMMIT", "ROLLBACK", "START", "SAVEPOINT"}
-#: Row-level writes: the statements the parser is asked to read (see
-#: :attr:`ClassifiedStatement.dml`) and the write batcher may coalesce.
+#: Row-level writes: the statements the write batcher may coalesce, and
+#: with SELECT those the parser is asked to read (see
+#: :attr:`ClassifiedStatement.dml`).
 DML_COMMANDS = ("INSERT", "UPDATE", "DELETE")
 #: Functions whose result changes between calls, so their SELECTs must
 #: not be served from the query cache. Called forms require a following
@@ -91,12 +92,12 @@ class ClassifiedStatement:
     referenced_tables: FrozenSet[str] = frozenset()
     #: Whether the result may be stored in the query cache.
     cacheable: bool = False
-    #: The parser's AST of an INSERT / UPDATE / DELETE text, or ``None``
-    #: when the parser does not accept the whole statement (``RETURNING``,
-    #: a subquery, ``CASE``, ``USING``, ``ON CONFLICT``…) — and always
-    #: ``None`` for reads, DDL and transaction control, which are never
-    #: parsed here. Shared with the engine's statement cache: read-only.
-    dml: Union[Insert, Update, Delete, None] = None
+    #: The parser's AST of a SELECT / INSERT / UPDATE / DELETE text, or
+    #: ``None`` when the parser does not accept the whole statement
+    #: (``RETURNING``, a subquery, ``CASE``, ``USING``, a join, ``WITH``…)
+    #: — and always ``None`` for DDL and transaction control, which are
+    #: never parsed here. Shared with the engine's statement cache: read-only.
+    dml: Union[Select, Insert, Update, Delete, None] = None
 
     @property
     def is_read(self) -> bool:
@@ -184,10 +185,10 @@ def _classify_cached(sql: str) -> ClassifiedStatement:
     return _classify_tokens(tokens, sql)
 
 
-def _parse_dml(sql: str) -> Union[Insert, Update, Delete, None]:
-    """The parser's reading of one INSERT / UPDATE / DELETE text, or
-    ``None`` when it has none: what it cannot parse whole it says nothing
-    about, and the statement locks its tables."""
+def _parse_dml(sql: str) -> Union[Select, Insert, Update, Delete, None]:
+    """The parser's reading of one SELECT / INSERT / UPDATE / DELETE
+    text, or ``None`` when it has none: what it cannot parse whole it
+    says nothing about, and the statement locks its tables."""
     try:
         return parse(sql)
     except (SqlParseError, RecursionError):
@@ -394,12 +395,8 @@ def _classify_tokens(tokens: List[Token], sql: str) -> ClassifiedStatement:
         # odd statements stay on the read side.
         read_tables |= write_tables
         write_tables = set()
-    cacheable = (
-        kind is StatementKind.READ
-        and not nondeterministic
-        and not explain
-        and command == "SELECT"
-    )
+    select = kind is StatementKind.READ and command == "SELECT"
+    cacheable = select and not nondeterministic and not explain
     return ClassifiedStatement(
         kind=kind,
         command=command,
@@ -407,7 +404,9 @@ def _classify_tokens(tokens: List[Token], sql: str) -> ClassifiedStatement:
         write_tables=frozenset(write_tables),
         referenced_tables=frozenset(referenced_tables),
         cacheable=cacheable,
-        dml=_parse_dml(sql) if kind is StatementKind.WRITE and command in DML_COMMANDS else None,
+        dml=_parse_dml(sql)
+        if select or (kind is StatementKind.WRITE and command in DML_COMMANDS)
+        else None,
     )
 
 

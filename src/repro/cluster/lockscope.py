@@ -1,10 +1,11 @@
-"""Lock-scope resolution: the one place that decides what a write locks.
+"""Lock-scope resolution: the one place that decides what a statement locks.
 
 :class:`ScopeResolver` turns a classified statement and its parameters
-into the :class:`~repro.cluster.locks.LockScope` its broadcast must
-hold: the rows it provably touches (a single-row INSERT/UPDATE/DELETE or
-a ``pk IN (...)`` UPDATE/DELETE whose primary-key values fully resolve),
-else the tables it touches, else ``EXCLUSIVE``. A table's primary key
+into the :class:`~repro.cluster.locks.LockScope` it must hold — a
+write's broadcast, or a transaction's read: the rows it provably
+touches (a single-row INSERT/UPDATE/DELETE/SELECT or a ``pk IN (...)``
+UPDATE/DELETE/SELECT whose primary-key values fully resolve), else the
+tables it touches, else ``EXCLUSIVE``. A table's primary key
 comes from the ``primary_keys`` seed or, lazily, from an enabled
 backend's ``information_schema.columns`` catalog; any failure to resolve
 one yields the table scope, which is always safe.
@@ -24,11 +25,11 @@ scans when in doubt.
 taken, so :meth:`ScopeResolver.resolve` returns the resolver's
 *generation* with the scope, and :meth:`ScopeResolver.invalidate` —
 called by a DDL while it still holds its own lock scope, which conflicts
-with every key on the tables it changes — bumps it. A key writer
-compares the generation after acquiring: unchanged means no DDL
-completed since it resolved (one still running holds a conflicting
-scope, so the writer could not have acquired); changed means release
-and resolve again. A catalog probe is cached only if the generation did
+with every key on the tables it changes — bumps it. A key writer (or
+a transaction's key reader) compares the generation after acquiring:
+unchanged means no DDL completed since it resolved (one still running
+holds a conflicting scope, so the writer could not have acquired);
+changed means release and resolve again. A catalog probe is cached only if the generation did
 not move while it ran, so an answer read before a DDL is never stored
 after it.
 """
@@ -42,7 +43,7 @@ from repro.cluster.backend import Backend
 from repro.cluster.classifier import ClassifiedStatement, normalize_table_name
 from repro.cluster.locks import EXCLUSIVE, LockScope
 from repro.sqlengine.expressions import Expression, Literal, Parameter
-from repro.sqlengine.statements import Delete, Insert, Update
+from repro.sqlengine.statements import Delete, Insert, Select, Update
 
 #: Sentinel for "no usable canonical key" (fall back to a table lock).
 _NO_KEY = object()
@@ -111,16 +112,16 @@ def _lock_key(constant: Expression, params: Optional[Dict[str, Any]], data_type:
 
 
 def _key_constants(
-    dml: Union[Insert, Update, Delete], pk_column: str, pk_ordinal: Optional[int]
+    dml: Union[Select, Insert, Update, Delete], pk_column: str, pk_ordinal: Optional[int]
 ) -> Sequence[Expression]:
     """The expressions bounding the primary keys ``dml`` touches — every
-    row it inserts, changes or deletes has its key among their values —
-    or nothing when the AST proves no such bound.
+    row it reads, inserts, changes or deletes has its key among their
+    values — or nothing when the AST proves no such bound.
 
-    For UPDATE/DELETE that is what ``key_terms`` says the WHERE pins the
-    key to (an AND-conjunct only shrinks the matched rows, so the other
-    conjuncts do not matter), unless the UPDATE assigns the key: the row
-    then moves to a second key no listed constant covers. For INSERT it
+    For SELECT/UPDATE/DELETE that is what ``key_terms`` says the WHERE
+    pins the key to (an AND-conjunct only shrinks the matched rows, so
+    the other conjuncts do not matter), unless the UPDATE assigns the
+    key: the row then moves to a second key no listed constant covers. For INSERT it
     is the key's element of the one VALUES row, found by name or, without
     a column list, by catalog ordinal; several rows are several keys."""
     if isinstance(dml, Insert):
@@ -173,18 +174,17 @@ class ScopeResolver:
     def resolve(
         self, statement: ClassifiedStatement, params: Optional[Dict[str, Any]]
     ) -> Tuple[LockScope, int]:
-        """``(scope, generation)``: what a broadcast of ``statement``
-        must lock, and the generation its key resolution (if any) is
-        valid for."""
+        """``(scope, generation)``: what ``statement`` must lock, and
+        the generation its key resolution (if any) is valid for."""
         tables = statement.lock_tables
         if tables is None:
             return EXCLUSIVE, self.generation
         table_scope = LockScope(tables=tables)
         dml = statement.dml
-        if dml is None or len(statement.write_tables) != 1 or tables != statement.write_tables:
+        if dml is None or len(tables) != 1:
             # No reading of the text to prove a key from, or reads /
-            # REFERENCES alongside the write: the key only covers the
-            # written row, not the observed tables.
+            # REFERENCES alongside a write: the key only covers the
+            # statement's own table's rows, not the other tables.
             return table_scope, self.generation
         table = next(iter(tables))
         primary_key, generation = self._primary_key(table)

@@ -1112,11 +1112,12 @@ class RequestScheduler:
                     keep = scope_held(True, statement.is_read)
                     with self._locks.scope(scope, transaction, transaction.age, keep):
                         trace.end("lock", kind=scope.kind)
+                        if keep:
+                            transaction.scopes.append(scope)
+                        if scope.keys and self._scopes.generation != generation:
+                            continue  # as in _execute_broadcast; a stale key kept stays held
                         if statement.is_read:
                             return self._read_on_one(sql, params, statement, transaction, trace)
-                        transaction.scopes.append(scope)
-                        if scope.keys and self._scopes.generation != generation:
-                            continue  # as in _execute_broadcast; the stale key stays held
                         item = _BatchItem(sql, params, statement, self._targets_now(statement), trace)
                         self._run_round([item], trace, transaction)
                     return self._answer(item, trace)

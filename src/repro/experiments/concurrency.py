@@ -84,12 +84,13 @@ class SimConnection:
     pays the latency once, as it would over a real network. The due time
     lives in the returned collect, never on the connection.
 
-    ``threadsafety`` is the DB-API level it declares. 2 (threads may
-    share the connection) models a real DBMS replica, which processes
-    disjoint-row statements concurrently — without it the per-backend
-    connection lock would re-serialise everything the scheduler's lock
-    scopes just parallelised. 1 makes that lock serialise concurrent
-    round trips, as it would against a real single connection.
+    ``threadsafety`` is the DB-API level it keeps. 2 (threads may share
+    the connection) models a real DBMS replica, which processes
+    disjoint-row statements concurrently, so the round trips the
+    scheduler's lock scopes parallelise overlap. 1 holds the connection
+    exclusively from a request's send until its collect returns, as the
+    pydb connection's exchange lock does, so concurrent round trips
+    serialise as they would on a real single connection.
     ``counters``, when given, is shared with the experiment so round
     trips survive reconnects."""
 
@@ -98,26 +99,29 @@ class SimConnection:
     ) -> None:
         self._latency_s = latency_s
         self._counters = counters if counters is not None else {}
-        self.threadsafety = threadsafety
+        self._exclusive = threading.Lock() if threadsafety < 2 else None
         self.closed = False
         self.driver_info = {"name": "latency-sim"}
 
-    def _charge(self, statements: int) -> float:
-        """Count one round trip carrying ``statements``; returns when its
-        reply is due."""
+    def _send(self, statements: int, reply: Any) -> Any:
+        """Count one round trip carrying ``statements`` and return its
+        collect, which returns ``reply`` once it is due."""
+        if self._exclusive is not None:
+            self._exclusive.acquire()
         self._counters["round_trips"] = self._counters.get("round_trips", 0) + 1
         self._counters["statements"] = self._counters.get("statements", 0) + statements
-        return time.monotonic() + self._latency_s
+        return functools.partial(
+            _reply_when_due, time.monotonic() + self._latency_s, reply, self._exclusive
+        )
 
     def cursor(self) -> "_SimCursor":
         return _SimCursor(self)
 
     def send_execute(self, sql: str, params: Optional[Dict[str, Any]] = None) -> Any:
-        return functools.partial(_reply_when_due, self._charge(1), (["ok"], [(1,)], 1))
+        return self._send(1, (["ok"], [(1,)], 1))
 
     def send_batch(self, pairs: List[Tuple[str, Dict[str, Any]]]) -> Any:
-        outcomes = [(["ok"], [[1]], 1) for _ in pairs]
-        return functools.partial(_reply_when_due, self._charge(len(pairs)), outcomes)
+        return self._send(len(pairs), [(["ok"], [[1]], 1) for _ in pairs])
 
     def execute_batch(
         self, pairs: List[Tuple[str, Dict[str, Any]]]
@@ -128,11 +132,15 @@ class SimConnection:
         self.closed = True
 
 
-def _reply_when_due(due: float, reply: Any) -> Any:
-    remaining = due - time.monotonic()
-    if remaining > 0:
-        time.sleep(remaining)
-    return reply
+def _reply_when_due(due: float, reply: Any, held: Optional[threading.Lock]) -> Any:
+    try:
+        remaining = due - time.monotonic()
+        if remaining > 0:
+            time.sleep(remaining)
+        return reply
+    finally:
+        if held is not None:
+            held.release()
 
 
 class _SimCursor:

@@ -30,8 +30,6 @@ class _SplitConnection:
     to the exception its reply raises, ``send_fault`` to the exception
     its send raises."""
 
-    threadsafety = 1
-
     def __init__(self, name, log, fail=None, send_fault=None):
         self.name = name
         self.log = log

@@ -492,3 +492,26 @@ def test_frame_field_gates_match_the_unread_fields_they_retired():
         assert gate.allowed == 0 and check_forks.check_gate(gate) == []
         for line in lines:
             assert check_forks.re.search(gate.pattern, line), line
+
+
+def test_connection_lock_gates_match_the_backend_hold_they_retired():
+    """Both rows allow nothing and match the threadsafety branch and the
+    backend lock a replica batch held from send to collect."""
+    check_forks = _check_forks()
+    level, hold = [
+        gate for gate in check_forks.GATES if gate.message.startswith("one lock keeps a replica connection")
+    ]
+    for gate in (level, hold):
+        assert gate.allowed == 0 and check_forks.check_gate(gate) == []
+    assert check_forks.re.search(
+        level.pattern, '        if getattr(connection, "threadsafety", 1) >= 2:'
+    )
+    for line in (
+        "        self._locked = False",
+        "        self._locked = True",
+        "            if self._locked:",
+        "    def _release(self) -> None:",
+    ):
+        assert check_forks.re.search(hold.pattern, line), line
+    for line in ("    def _save_state_locked(self) -> None:", "            self._drop_connection(failed)"):
+        assert not check_forks.re.search(hold.pattern, line), line

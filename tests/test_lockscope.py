@@ -314,10 +314,12 @@ class TestGenerationRule:
 # -- soundness oracle: a key scope covers every row the statement touched ----------------------
 #
 # Two writers under disjoint key scopes are applied in different orders on
-# different replicas, so a key scope is a claim: this statement inserts,
-# changes and deletes no row whose key is outside ``scope.keys``. Random
-# INSERT / UPDATE / DELETE texts run on a real engine; the rows they touched
-# are observed by diffing the table, not derived from the text. (The engine
+# different replicas, so a key scope is a claim: this statement reads,
+# inserts, changes and deletes no row whose key is outside ``scope.keys``
+# (a transaction's read under a key scope runs beside writes to other rows).
+# Random SELECT / INSERT / UPDATE / DELETE texts run on a real engine; the
+# rows a write touched are observed by diffing the table, those a SELECT
+# read are the rows it returns, not derived from the text. (The engine
 # finds its rows through the same ``key_terms`` the resolver reads, so a wrong
 # ``key_terms`` would fool both alike: that one is held to a full scan by
 # tests/test_sql_property.py. This oracle holds the resolver to the engine.)
@@ -350,9 +352,9 @@ _pins = st.one_of(
 
 
 @st.composite
-def _writes(draw, shape):
-    """One write as a tuple ``_render_write`` turns into SQL."""
-    kind = draw(st.sampled_from(["insert", "insert", "update", "update", "delete", "move_key"]))
+def _statements(draw, shape):
+    """One statement as a tuple ``_render_statement`` turns into SQL."""
+    kind = draw(st.sampled_from(["insert", "insert", "update", "update", "delete", "move_key", "select"]))
     if kind == "insert":
         columns = draw(st.sampled_from(_INSERT_COLUMNS))
         # Any constant for the key; the other columns get their own type,
@@ -380,10 +382,10 @@ def _writes(draw, shape):
     return kind, where
 
 
-def _render_write(write, rendering):
-    kind = write[0]
+def _render_statement(drawn, rendering):
+    kind = drawn[0]
     if kind == "insert":
-        _, columns, rows = write
+        _, columns, rows = drawn
         names = f" ({', '.join(columns)})" if columns else ""
         values = ", ".join(
             "(" + ", ".join(rendering.constant(constant) for constant in row) + ")" for row in rows
@@ -391,14 +393,16 @@ def _render_write(write, rendering):
         return f"INSERT INTO t{names} VALUES {values}"
     if kind == "update":
         assignments = ", ".join(
-            f"{column} = {rendering.constant(constant)}" for column, constant in write[1]
+            f"{column} = {rendering.constant(constant)}" for column, constant in drawn[1]
         )
         head = f"UPDATE t SET {assignments}"
     elif kind == "move_key":
         head = "UPDATE t SET id = id + 100"
+    elif kind == "select":
+        head = "SELECT * FROM t"
     else:
         head = "DELETE FROM t"
-    where = write[-1]
+    where = drawn[-1]
     return head if where is None else f"{head} WHERE {rendering.predicate(where)}"
 
 
@@ -411,11 +415,11 @@ class _SpelledRendering(_Rendering):
 
 
 @st.composite
-def _write_scenarios(draw):
+def _scenarios(draw):
     keyed = _tables().filter(lambda table: table[0] in _SCENARIO_KEYS)
     shape, rows = draw(st.one_of(_tables(), keyed, keyed))
-    # Each write with how it is spelled: constants in parentheses, a trailing ';'.
-    spelled = st.tuples(_writes(shape), st.booleans(), st.booleans())
+    # Each statement with how it is spelled: constants in parentheses, a trailing ';'.
+    spelled = st.tuples(_statements(shape), st.booleans(), st.booleans())
     return shape, rows, draw(st.lists(spelled, min_size=1, max_size=4))
 
 
@@ -433,16 +437,16 @@ def _engine_table(shape):
 
 
 @settings(max_examples=600, deadline=None)
-@given(_write_scenarios())
+@given(_scenarios())
 def test_key_scope_covers_every_row_the_statement_touched(scenario):
-    shape, rows, writes = scenario
+    shape, rows, statements = scenario
     session, table, resolver = _engine_table(shape)
     for row in rows:
         session.execute("INSERT INTO t VALUES (?, ?, ?)", positional=list(row))
 
-    for write, parenthesised, terminated in writes:
+    for drawn, parenthesised, terminated in statements:
         rendering = _SpelledRendering() if parenthesised else _Rendering()
-        sql = _render_write(write, rendering)
+        sql = _render_statement(drawn, rendering)
         statement = sql + ";" if terminated else sql
         scope, _ = resolver.resolve(classify(statement), rendering.params)
         if shape not in _SCENARIO_KEYS:
@@ -450,8 +454,9 @@ def test_key_scope_covers_every_row_the_statement_touched(scenario):
             assert scope == _TABLE_T, sql
 
         before = {slot: dict(row) for slot, row in table.enumerate_rows()}
+        read = []
         try:
-            session.execute(statement, params=rendering.params, positional=rendering.positional)
+            read = session.execute(statement, params=rendering.params, positional=rendering.positional).rows
         except (SqlEngineError, TypeError):
             # Refused ('a' into an INTEGER, a duplicate key, '5' + 100):
             # whatever it did before failing is still in the diff.
@@ -464,6 +469,7 @@ def test_key_scope_covers_every_row_the_statement_touched(scenario):
             for image in (before.get(slot), after.get(slot))
             if image is not None
         }
+        touched |= {row[0] for row in read or ()}  # a SELECT * lists the id first
         if scope.keys:
             data_type = _SCENARIO_KEYS[shape]
             uncovered = {
@@ -472,6 +478,8 @@ def test_key_scope_covers_every_row_the_statement_touched(scenario):
             assert not uncovered, (sql, rendering.params, scope)
 
         for suffix in _UNREAD_SUFFIXES:
+            if drawn[0] == "select" and suffix.startswith(" ORDER BY"):
+                continue  # a SELECT's grammar has ORDER BY and LIMIT: that text is read
             unread = classify(sql + suffix)
             assert unread.dml is None, sql + suffix
             assert not resolver.resolve(unread, rendering.params)[0].keys, sql + suffix
@@ -486,6 +494,7 @@ def test_the_oracle_sees_key_scopes_and_touched_rows():
         ("INSERT INTO t (name, id) VALUES ('b', 6.0)", None, {6}, {5, 6}),
         ("UPDATE t SET score = 2 WHERE id IN (5, '6', 7) AND name LIKE '%'", None, {5, 6, 7}, {5, 6}),
         ("DELETE FROM t WHERE 5 = id", None, {5}, {6}),
+        ("SELECT * FROM t WHERE id IN (6, 8)", None, {6, 8}, {6}),
     ]:
         scope, _ = resolver.resolve(classify(sql), params)
         assert scope == LockScope(keys=frozenset(("t", key) for key in keys)), sql

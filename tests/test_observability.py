@@ -481,7 +481,6 @@ def _slow_connection_factory(delay_s: float, update_error=None):
             pass
 
     class _Connection:
-        threadsafety = 2
         closed = False
         driver_info = {"name": "slow-fake"}
 

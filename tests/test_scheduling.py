@@ -331,15 +331,17 @@ class TestClassifier:
         # JOIN ... USING (column) names a column list, not a table.
         assert classify("SELECT * FROM a JOIN b USING (id)").read_tables == {"a", "b"}
 
-    def test_only_row_level_writes_are_parsed(self):
-        # Reads, DDL and transaction control never reach the parser here;
-        # a text it rejects is a None, never an exception.
-        for sql in ("SELECT * FROM t WHERE id = 1", "CREATE TABLE t (id INTEGER)", "BEGIN",
-                    "EXPLAIN DELETE FROM t WHERE id = 1",
+    def test_only_row_level_statements_are_parsed(self):
+        # DDL and transaction control never reach the parser here; a text
+        # it rejects is a None, never an exception.
+        for sql in ("CREATE TABLE t (id INTEGER)", "BEGIN",
+                    "EXPLAIN DELETE FROM t WHERE id = 1", "EXPLAIN SELECT * FROM t WHERE id = 1",
                     "WITH c AS (SELECT 1) DELETE FROM t WHERE id = 1",
+                    "SELECT * FROM t JOIN u ON t.id = u.id WHERE t.id = 1",
                     "DELETE FROM t WHERE " + "(" * 3000 + "id = 1" + ")" * 3000):
             assert classify(sql).dml is None, sql
         assert type(classify("DELETE FROM t WHERE id = 1").dml).__name__ == "Delete"
+        assert type(classify("SELECT * FROM t WHERE id = 1").dml).__name__ == "Select"
 
 
 def _keys(table, *keys):

@@ -43,8 +43,6 @@ class _Recorder:
     drives Backend's per-statement fallback loop. ``fail`` maps SQL text
     to the exception its execution raises."""
 
-    threadsafety = 1
-
     def __init__(self, fail=None):
         self.executed = []
         self.closed = False
@@ -139,10 +137,11 @@ class TestBackendBatchFallback:
         assert [sql for sql, _ in connection.executed] == ["U1"]
 
     def test_late_failure_does_not_close_the_replacement_connection(self):
-        """A shared connection (threadsafety 2) runs outside the backend
-        lock, so it can be closed and replaced while a statement is still
-        in flight on it; when that statement then fails, only the
-        connection it ran on may be dropped — not its successor."""
+        """A shared connection's reply is awaited outside the backend
+        lock, so the connection can be closed and replaced while a
+        statement is still in flight on it; when that statement then
+        fails, only the connection it ran on may be dropped — not its
+        successor."""
         first, second = _Stalling(), _Stalling()
         opened = iter([first, second])
         backend = Backend("b1", lambda: next(opened))
@@ -168,29 +167,27 @@ class TestBackendBatchFallback:
 
 
 class _Stalling(_Recorder):
-    """A shared connection whose ``STALL`` statement signals ``entered``,
-    waits for ``release`` and then fails as a dead connection would."""
-
-    threadsafety = 2
+    """A connection with the split form, as the pydb connection has:
+    once its ``STALL`` statement is on the wire it signals ``entered``,
+    and its reply waits for ``release`` and then fails as a dead
+    connection's would."""
 
     def __init__(self):
         super().__init__()
         self.entered = threading.Event()
         self.release = threading.Event()
 
-    def cursor(self):
-        cursor = super().cursor()
-        run = cursor.execute
+    def send_execute(self, sql, params=None):
+        if sql != "STALL":
+            self.cursor().execute(sql, params)
+            return lambda: (["v"], [[1]], 1)
+        self.entered.set()
 
-        def execute(sql, params=None):
-            if sql == "STALL":
-                self.entered.set()
-                assert self.release.wait(timeout=5.0)
-                raise OperationalError("connection reset")
-            run(sql, params)
+        def collect():
+            assert self.release.wait(timeout=5.0)
+            raise OperationalError("connection reset")
 
-        cursor.execute = execute
-        return cursor
+        return collect
 
 
 class TestBackendBatchNative:

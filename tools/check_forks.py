@@ -114,6 +114,13 @@ _NO_UNREAD_FIELD = (
     "extensions, so neither BootloaderConfig nor DRIVOLUTION_REQUEST names them"
 )
 
+_ONE_CONNECTION_LOCK = (
+    "one lock keeps a replica connection exclusive, the connection's own (the pydb exchange "
+    "lock): the backend's lock covers only choosing the shared connection and putting a "
+    "request on it, no request holds it until its reply, and no DB-API threadsafety level "
+    "decides which lock applies"
+)
+
 GATES = [
     Gate(
         r"trace is (not )?None",
@@ -390,6 +397,8 @@ GATES = [
         _SENDER_IS_THE_CHANNEL,
     ),
     Gate(r"requested_extensions", ("src/repro",), _NO_UNREAD_FIELD),
+    Gate(r"threadsafety", ("src/repro/cluster",), _ONE_CONNECTION_LOCK),
+    Gate(r"\b_locked\b|def _release\b", ("src/repro/cluster/backend.py",), _ONE_CONNECTION_LOCK),
 ]
 
 
