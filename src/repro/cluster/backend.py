@@ -41,6 +41,14 @@ STATEMENT_FAULTS = (ProgrammingError, IntegrityError, DataError, NotSupportedErr
 #: request, so there the replay still costs one round trip per entry.
 _RESYNC_BATCH_SIZE = 128
 
+
+class ReplicaLeft(OperationalError):
+    """A request found its replica out of the rotation (a disable) after
+    choosing the shared connection and before sending on it: a connection
+    fault that fails no replica, which left on purpose and may be back by
+    the time the fault is handled."""
+
+
 QueryResult = Tuple[List[str], List[Any], int]
 #: One statement's outcome on one replica, positionally: its result, or
 #: the exception it raised.
@@ -134,9 +142,11 @@ class ReplicaBatch:
 
     A connection keeps itself exclusive from a request's send to its
     reply (the pydb connection's exchange lock). The backend's lock
-    covers choosing the shared connection and putting the request on it
-    (on a connection without a split form, the whole request); a lease's
-    request takes it only to check its connection out.
+    covers choosing the shared connection, and the request goes on the
+    wire after it is let go, so no request waits for a connection with
+    it held (on a connection without a split form the whole request runs
+    under it); a lease's request takes it only to check its connection
+    out.
 
     ``outcomes`` fills positionally: a statement fault is that
     statement's outcome alone; anything else is a connection fault,
@@ -191,19 +201,51 @@ class ReplicaBatch:
         try:
             lease = self._lease
             if lease is None:
-                # One step under the backend's lock, so a driver swap or
-                # a disable never closes the connection in between.
-                with self.backend._lock:
-                    self._request(self.backend._ensure_connection())
+                self._send_shared()
                 return
             connection = lease.open()
             self._ran_before = getattr(connection, "statements_executed", None)
             lease.begin()
-            self._request(connection)
+            call, args, split = self._prepare(connection)
+            if split:
+                self._collect = call(*args)
+            else:
+                self._settle(call, *args)
         except Exception as exc:  # noqa: BLE001 - the statements' outcome
             self._fail(exc)
 
-    def _request(self, connection: Any) -> None:
+    def _send_shared(self) -> None:
+        """Put the request on the backend's shared connection, chosen
+        under the backend's lock and sent after it is let go. A driver
+        swap or a disable may close that connection in between: then the
+        request, which never went out, goes on the backend's current
+        connection while the backend is ENABLED, and is otherwise
+        :class:`ReplicaLeft` (no connection is opened to a replica that
+        left the rotation)."""
+        backend = self.backend
+        while True:
+            with backend._lock:
+                connection = backend._ensure_connection()
+                call, args, split = self._prepare(connection)
+                if not split:
+                    self._settle(call, *args)
+                    return
+            try:
+                self._collect = call(*args)
+                return
+            except Exception as exc:
+                with backend._lock:
+                    if not getattr(connection, "closed", False) or connection is backend._connection:
+                        raise
+                    if not backend.enabled:
+                        raise ReplicaLeft(
+                            f"{backend.name} left the rotation before the request was sent"
+                        ) from exc
+
+    def _prepare(self, connection: Any) -> Tuple[Callable[..., Any], Tuple[Any, ...], bool]:
+        """The next request on ``connection``: what to call, with which
+        arguments, and whether the call is a split form (it puts the
+        request on the wire and returns its collect) or runs it whole."""
         self._connection = connection
         position = len(self.outcomes)
         self._native = self._batched and (
@@ -213,17 +255,14 @@ class ReplicaBatch:
             pairs = [(sql, dict(params or {})) for sql, params in self._statements[position:]]
             split = getattr(connection, "send_batch", None)
             if split is None:
-                self._settle(connection.execute_batch, pairs)
-            else:
-                self._collect = split(pairs)
-            return
+                return connection.execute_batch, (pairs,), False
+            return split, (pairs,), True
         sql, params = self._statements[position]
         self._carried = 1
         split = getattr(connection, "send_execute", None)
         if split is None:
-            self._settle(_run_cursor, connection, sql, params)
-        else:
-            self._collect = split(sql, params or {})
+            return _run_cursor, (connection, sql, params), False
+        return split, (sql, params or {}), True
 
     def collect(self) -> None:
         """Wait for the request in flight, if any, and record its reply."""
@@ -526,7 +565,7 @@ class Backend:
         rowcount)`` triple or Exception per statement (the pydb wire has
         none: there each statement is its own request). Requests on one
         connection serialise on its own lock, from send to reply; the
-        backend's lock covers only putting one on the shared connection."""
+        backend's lock covers only choosing the shared connection."""
         batch = ReplicaBatch(self, statements, track)
         while not batch.done:
             batch.send()

@@ -101,16 +101,29 @@ def _decode_params(params: Dict[str, Any]) -> Dict[str, Any]:
     return decoded
 
 
+def fsync_directory(directory: str) -> None:
+    """Make a rename or a file creation in ``directory`` durable: the
+    new name is on disk only once the directory itself is fsynced
+    (Pillai et al., "All File Systems Are Not Created Equal", OSDI 2014)."""
+    descriptor = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(descriptor)
+    finally:
+        os.close(descriptor)
+
+
 def atomic_write_json(path: str, payload: Dict[str, Any]) -> None:
     """Durably replace ``path`` with ``payload`` as JSON: tmp-file write,
-    fsync, then atomic rename — a crash leaves either the old file or the
-    new one, never a torn mix."""
+    fsync, atomic rename, then a directory fsync — a crash leaves either
+    the old file or the new one, never a torn mix, and once this returns
+    the new one."""
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as handle:
         json.dump(payload, handle)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
+    fsync_directory(os.path.dirname(path) or ".")
 
 
 class LogStoreError(DriverError):
@@ -488,7 +501,13 @@ class FileLogStore(LogStore):
 
     def _ensure_handle(self) -> IO[str]:
         if self._handle is None or self._handle.closed:
-            self._handle = open(self._segment_paths[-1], "a", encoding="utf-8")
+            path = self._segment_paths[-1]
+            created = not os.path.exists(path)
+            self._handle = open(path, "a", encoding="utf-8")
+            if created:
+                # The new segment's name must be durable before an entry
+                # in it is acked (one directory fsync per segment).
+                fsync_directory(self.directory)
         return self._handle
 
     def _close_handle(self) -> None:

@@ -38,7 +38,7 @@ import time
 from contextlib import nullcontext
 from typing import Any, Callable, Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.cluster.backend import STATEMENT_FAULTS, Backend, Lease, QueryResult
+from repro.cluster.backend import STATEMENT_FAULTS, Backend, Lease, QueryResult, ReplicaLeft
 from repro.cluster.broadcaster import BackendOutcome, WriteBroadcaster
 from repro.cluster.classifier import (
     DML_COMMANDS,
@@ -906,8 +906,10 @@ class RequestScheduler:
         (:func:`round_verdict`): a statement fault is raised; a replica
         that leaves is skipped, and failed if still ENABLED and
         :attr:`owns_replicas` — under the transaction's scope, or else
-        the exclusive mode, so no disable interleaves. With no candidate
-        left the fault is raised."""
+        the exclusive mode, so no disable interleaves — unless the fault
+        says it was disabled before the request went out
+        (:class:`~repro.cluster.backend.ReplicaLeft`: it may be back by
+        now). With no candidate left the fault is raised."""
         candidates = self._read_candidates(statement)
         while True:
             backend = self._policy.choose(candidates)
@@ -920,7 +922,7 @@ class RequestScheduler:
                     raise
                 if self.owns_replicas():
                     with nullcontext() if transaction else self._locks.exclusive():
-                        if backend.enabled:
+                        if backend.enabled and not isinstance(exc, ReplicaLeft):
                             backend.mark_failed()
                             self._settle_dead(transaction)
                 candidates = [c for c in candidates if c is not backend and c.enabled]

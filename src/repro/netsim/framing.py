@@ -7,7 +7,9 @@ needed because driver packages travel as binary blobs
 (``FILE_DATA(binary_code)`` in the paper's Table 3).
 
 The codec encodes a message to a compact ``bytes`` representation and
-back in one C ``json`` pass each way. Bytes values are tagged and base64
+back in one C ``json`` call each way: an encoder built once at import,
+and one call of the decoder's C scanner, which must consume the whole
+body (so whitespace around the JSON document is refused). Bytes values are tagged and base64
 encoded so the envelope stays JSON; a magic prefix catches framing bugs.
 """
 
@@ -16,6 +18,7 @@ from __future__ import annotations
 import base64
 import json
 import struct
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Dict
 
 from repro.errors import TransportError
@@ -48,8 +51,24 @@ def _untag_bytes(obj: Dict[str, Any]) -> Any:
         raise MessageCodecError(f"malformed bytes value: {exc}") from exc
 
 
-_ENCODER = json.JSONEncoder(separators=(",", ":"), default=_tag_bytes)
-_DECODER = json.JSONDecoder(object_hook=_untag_bytes)
+def _make_iterencode():
+    """The frame encoder, built once: ``iterencode(message, 0)`` gives the
+    JSON text's chunks. It is ``JSONEncoder.encode``'s own C encoder with
+    no circular-reference ``markers`` dict (a cyclic message ends in
+    ``RecursionError``); ``JSONEncoder`` itself only where ``_json`` is
+    missing."""
+    if c_make_encoder is None:
+        encoder = json.JSONEncoder(separators=(",", ":"), default=_tag_bytes)
+        return lambda message, _level: (encoder.encode(message),)
+    # markers, default, encoder, indent, key_separator, item_separator,
+    # sort_keys, skipkeys, allow_nan
+    return c_make_encoder(None, _tag_bytes, encode_basestring_ascii, None, ":", ",", False, False, True)
+
+
+_iterencode = _make_iterencode()
+#: The decoder's C scanner: ``scan_once(text, index)`` is ``(value, end)``,
+#: or StopIteration when no JSON value starts at ``index``.
+_scan_once = json.JSONDecoder(object_hook=_untag_bytes).scan_once
 
 
 def encode_message(message: Dict[str, Any]) -> bytes:
@@ -61,7 +80,7 @@ def encode_message(message: Dict[str, Any]) -> bytes:
     if not isinstance(message, dict):
         raise MessageCodecError(f"message must be a dict, got {type(message)!r}")
     try:
-        payload = _ENCODER.encode(message)
+        payload = "".join(_iterencode(message, 0))
     except (TypeError, ValueError, RecursionError) as exc:
         raise MessageCodecError(f"cannot encode message: {exc}") from exc
     return _MAGIC + payload.encode("utf-8")
@@ -69,15 +88,22 @@ def encode_message(message: Dict[str, Any]) -> bytes:
 
 def decode_message(data: bytes) -> Dict[str, Any]:
     """Deserialize bytes produced by :func:`encode_message`; anything else,
-    a frame nested too deeply included, raises :class:`MessageCodecError`."""
+    a frame nested too deeply or with anything (whitespace too) after or
+    before its one JSON document included, raises :class:`MessageCodecError`."""
     if not isinstance(data, (bytes, bytearray)):
         raise MessageCodecError(f"expected bytes, got {type(data)!r}")
     if not data.startswith(_MAGIC):
         raise MessageCodecError("bad magic prefix (corrupted or foreign frame)")
     try:
-        decoded = _DECODER.decode(data[len(_MAGIC):].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        text = data.decode("utf-8")
+        decoded, end = _scan_once(text, len(_MAGIC))
+    except StopIteration as exc:
+        raise MessageCodecError(f"cannot decode message: no JSON value at character {exc.value}") from None
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad UTF-8, bad JSON, or an integer too long to convert.
         raise MessageCodecError(f"cannot decode message: {exc}") from exc
+    if end != len(text):
+        raise MessageCodecError(f"cannot decode message: extra data at character {end}")
     if not isinstance(decoded, dict):
         raise MessageCodecError("decoded message is not a dict")
     return decoded

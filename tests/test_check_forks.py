@@ -186,6 +186,24 @@ def test_frame_path_gate_matches_the_walks_and_queues_it_retired():
         assert check_forks.re.search(gate.pattern, line), line
 
 
+def test_codec_gate_sees_only_framings_two_prebuilt_codecs():
+    """The per-call codec gate allows exactly framing's module-level decoder
+    and fallback encoder, and matches the per-frame codecs it retired."""
+    check_forks = _check_forks()
+    (gate,) = [gate for gate in check_forks.GATES if gate.message.startswith("a codec built per call")]
+    assert gate.allowed == 2 and check_forks.check_gate(gate) == []
+    report = check_forks.check_gate(gate._replace(allowed=0))
+    assert len(report) == 3, report
+    assert all(hit.startswith("src/repro/netsim/framing.py:") for hit in report[1:]), report
+    for line in (
+        '        payload = json.dumps(message, separators=(",", ":"), default=_tag_bytes)',
+        '        decoded = json.loads(data[4:], object_hook=_untag_bytes)',
+        '        encoder = json.JSONEncoder(separators=(",", ":"), default=_tag_bytes)',
+        "    return JSONDecoder(object_hook=_untag_bytes).decode(text)",
+    ):
+        assert check_forks.re.search(gate.pattern, line), line
+
+
 def test_broadcast_gates_match_the_pool_they_retired():
     """Both rows allow nothing and match the broadcaster's thread pool,
     its auto-sizing and the experiments that sized it."""

@@ -1,11 +1,12 @@
 """One lock per replica connection (docs/scheduling.md, "Holds and
 deadlock"): a connection keeps itself exclusive from a request's send to
 its reply, and the backend's lock covers only choosing the backend's
-shared connection and putting a request on it. So a reply in flight on
-one connection holds up no request on another connection to the same
-replica, no checkpoint move and no lease checkout; and a driver swap or
-a disable closes no shared connection between choosing it and sending on
-it, so concurrent auto-commit reads never see the replica fail.
+shared connection. So a reply in flight on one connection, or a request
+queued behind it, holds up no request on another connection to the same
+replica, no checkpoint move and no lease checkout; and a request whose
+shared connection a driver swap or a disable closed before it was sent
+goes on the current one, or skips a replica that left the rotation, so
+concurrent auto-commit reads never see the replica fail.
 
 The stub connections have the split form and the pydb connection's
 exclusivity; the last tests run a real cluster (pydb replicas on the
@@ -16,7 +17,7 @@ import threading
 import pytest
 
 import chaos
-from repro.cluster.backend import Backend, BackendState, Lease
+from repro.cluster.backend import Backend, BackendState, Lease, ReplicaLeft
 from repro.cluster.recovery import RecoveryLog
 from repro.cluster.scheduler import RequestScheduler
 from repro.dbapi import InterfaceError
@@ -33,6 +34,8 @@ class _Replica:
         self.stalled = set(stalled)
         self.sent = threading.Event()
         self.release = threading.Event()
+        #: Requests that reached a connection's ``send_execute``.
+        self.requests = 0
 
     def connect(self):
         return _Connection(self)
@@ -52,6 +55,7 @@ class _Connection:
         pass  # carried by the next request, as a v4 connection's is
 
     def send_execute(self, sql, params=None):
+        self._replica.requests += 1
         self._lock.acquire()
         if self.closed:
             self._lock.release()
@@ -129,6 +133,57 @@ def test_a_reply_in_flight_holds_up_no_checkpoint_move_and_no_checkout(on):
     replica.release.set()
     first.join(timeout=5.0)
     assert not first.is_alive()
+
+
+def test_a_request_queued_on_the_shared_connection_holds_up_no_checkpoint_move_and_no_checkout():
+    """A second auto-commit request waits for the shared connection, whose
+    reply is in flight, without the backend's lock: the checkpoint moves
+    and a lease checks out meanwhile."""
+    replica = _Replica("STALL")
+    backend = Backend("db1", replica.connect)
+    first = _in_flight(lambda: backend.execute("STALL"), replica)
+    results = []
+    second = threading.Thread(target=lambda: results.append(backend.execute("SELECT 2")), daemon=True)
+    second.start()
+    assert chaos.wait_until(lambda: replica.requests == 2)
+    assert _finishes(lambda: backend.advance_checkpoint(3), timeout=1.0)
+    assert _finishes(Lease(backend).open, timeout=1.0)
+    assert backend.checkpoint_index == 3 and second.is_alive()
+    replica.release.set()
+    for thread in (first, second):
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+    assert results == [(["v"], [(1,)], 1)]
+
+
+@pytest.mark.parametrize("change", ["swap", "disable"])
+def test_a_shared_connection_closed_before_the_send_is_replaced_or_the_replica_left(change, monkeypatch):
+    """A driver swap or a disable between choosing the shared connection
+    and sending on it: after a swap the request goes on the backend's new
+    connection; after a disable it fails as ReplicaLeft, and no
+    connection is opened to the disabled replica."""
+    replica = _Replica()
+    opened = []
+    backend = Backend("db1", lambda: opened.append(replica.connect()) or opened[-1])
+    choose = backend._ensure_connection
+
+    def choose_then_change():
+        connection = choose()
+        if len(opened) == 1:
+            if change == "swap":
+                backend.replace_connection_factory(backend._connection_factory)
+            else:
+                backend.disable(0)
+        return connection
+
+    monkeypatch.setattr(backend, "_ensure_connection", choose_then_change)
+    if change == "swap":
+        assert backend.execute("SELECT 1") == (["v"], [(1,)], 1)
+        assert len(opened) == 2 and opened[0].closed and not opened[1].closed
+    else:
+        with pytest.raises(ReplicaLeft):
+            backend.execute("SELECT 1")
+        assert len(opened) == 1 and opened[0].closed
 
 
 def test_a_transactions_point_read_runs_beside_a_write_to_another_row():

@@ -137,6 +137,48 @@ class TestEncodeDecode:
         with pytest.raises(MessageCodecError):
             decode_message(b'RPRO{"__bytes_b64__":"AA=="}')
 
+    @pytest.mark.parametrize("body", [b' {"a":1}', b'{"a":1}\n', b'\r\n{"a":1}\t '])
+    def test_whitespace_around_the_document_is_refused(self, body):
+        # A frame is RPRO and one JSON document, nothing around it: no
+        # encoder in the tree writes whitespace, and the decoder's one
+        # scanner call must consume the whole body. (The codec before it
+        # was one scanner call accepted this.)
+        assert reference_decode(b"RPRO" + body) == {"a": 1}
+        with pytest.raises(MessageCodecError):
+            decode_message(b"RPRO" + body)
+
+    def test_a_cyclic_message_is_a_codec_error(self):
+        # The prebuilt encoder keeps no circular-reference markers: a cycle
+        # recurses until RecursionError, which the codec maps. (The
+        # reference's Python walk cannot state this case: it recurses.)
+        message = {"type": "x"}
+        message["self"] = message
+        with pytest.raises(MessageCodecError):
+            encode_message(message)
+        rows = []
+        rows.append(rows)
+        with pytest.raises(MessageCodecError):
+            encode_message({"type": "x", "rows": rows})
+
+    def test_the_fallback_encoder_writes_the_same_bytes(self, monkeypatch):
+        # Where the interpreter has no C encoder, JSONEncoder.encode stands in.
+        import repro.netsim.framing as framing
+
+        message = {"type": "x", "blob": b"\x00\xff", "f": [1.5, float("inf")], "s": "\u00e9"}
+        expected = encode_message(message)
+        monkeypatch.setattr(framing, "c_make_encoder", None)
+        monkeypatch.setattr(framing, "_iterencode", framing._make_iterencode())
+        assert encode_message(message) == expected
+        with pytest.raises(MessageCodecError):
+            encode_message({"bad": object()})
+
+    def test_an_integer_too_long_to_convert_is_a_codec_error(self):
+        # The interpreter refuses int() of more than 4300 digits with a
+        # ValueError, which is no TransportError: it would escape every
+        # listener's recv handling, as RecursionError would.
+        with pytest.raises(MessageCodecError):
+            decode_message(b'RPRO{"type":' + b"1" * 5000 + b"}")
+
     def test_nesting_too_deep_for_the_codec_is_a_codec_error(self):
         # How deep a frame nests is the sender's choice; RecursionError is no
         # TransportError, so it would escape every listener's recv handling.
@@ -244,11 +286,18 @@ _any_messages = st.one_of(
 )
 
 
+_JSON_WHITESPACE = b" \t\n\r"
+
+
 def _reference_decode_outcome(data):
-    """The reference's decode, less the one intended difference: a body
-    that is nothing but the tag decodes to bytes there, to no message here
-    (test_a_frame_that_is_one_bytes_value_is_no_message)."""
+    """The reference's decode, less the two intended differences: a body
+    with whitespace around its JSON document, and a body that is nothing
+    but the tag, decode there and are no message here
+    (test_whitespace_around_the_document_is_refused,
+    test_a_frame_that_is_one_bytes_value_is_no_message)."""
     expected = _outcome(reference_decode, data)
+    if expected[0] == "ok" and data[4:] != data[4:].strip(_JSON_WHITESPACE):
+        return ("MessageCodecError", None)
     if expected[0] == "ok" and not expected[1].startswith("{"):
         assert set(json.loads(data[4:])) == {_TAG}
         return ("MessageCodecError", None)
@@ -298,4 +347,46 @@ def test_one_pass_codec_decodes_adversarial_text_as_the_two_walk_codec(document,
     if escape_tag:
         text = text.replace('"' + _TAG, '"\\u005f' + _TAG[1:])
     data = b"RPRO" + text.encode("utf-8")
+    assert _outcome(decode_message, data) == _reference_decode_outcome(data)
+
+
+_whitespace = st.text(alphabet=" \t\n\r", min_size=1, max_size=3).map(str.encode)
+_garbage = st.one_of(
+    st.sampled_from([b"x", b"}", b"]", b",", b"null", b"0", b'"', b"\x00", b"/* */"]),
+    st.binary(min_size=1, max_size=6),
+)
+
+
+def _body_edits(text):
+    """Frame bodies a peer could send around one JSON text ``text``."""
+    body = text.encode("utf-8")
+    nonfinite = st.sampled_from([b"NaN", b"Infinity", b"-Infinity"])
+    return st.one_of(
+        st.builds(lambda ws: ws + body, _whitespace),
+        st.builds(lambda ws: body + ws, _whitespace),
+        st.builds(lambda junk: body + junk, _garbage),
+        st.just(body + body),
+        st.builds(lambda ws: body + ws + body, _whitespace),
+        st.builds(lambda literal: b'{"type":' + literal + b',"v":' + body + b"}", nonfinite),
+        st.builds(lambda literal: b'{"v":[' + literal + b"]}", nonfinite),
+        st.builds(
+            lambda cut, bad: body[:cut] + bad + body[cut:],
+            st.integers(min_value=0, max_value=len(body)),
+            st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x80\x80", b"\xf4\x90\x80\x80"]),
+        ),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(max_size=4), _json, max_size=4).map(
+    lambda document: json.dumps(document, separators=(",", ":"))).flatmap(_body_edits))
+@example(b' {"a":1}')
+@example(b'{"a":1}{"a":1}')
+@example(b'{"a":NaN}')
+@example(b'{"a":"\xff"}')
+def test_one_pass_codec_decodes_adversarial_bodies_as_the_two_walk_codec(body):
+    """Over bodies that are not one bare JSON document — whitespace around
+    it, trailing garbage, two documents back to back, non-finite literals,
+    invalid UTF-8 — the same outcome as the reference, whitespace aside."""
+    data = b"RPRO" + body
     assert _outcome(decode_message, data) == _reference_decode_outcome(data)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 
 import pytest
 
@@ -163,6 +164,51 @@ class TestLogStores:
         store.append(LogEntry(index=1, sql="W1"))
         assert store.stats()["fsync_on_append"] is True
         store.close()
+
+    @staticmethod
+    def _spy_fsyncs(monkeypatch):
+        """Record each ``os.fsync`` as "dir" or "file" (by what the fd
+        is) and each ``os.replace`` as "replace", in call order."""
+        calls = []
+        fsync, replace = os.fsync, os.replace
+
+        def spy_fsync(fd):
+            calls.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+            fsync(fd)
+
+        def spy_replace(src, dst):
+            calls.append("replace")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", spy_fsync)
+        monkeypatch.setattr(os, "replace", spy_replace)
+        return calls
+
+    def test_the_state_record_is_durable_once_written(self, tmp_path, monkeypatch):
+        # A rename is durable only once its directory is fsynced: without
+        # it the epoch could go back after a crash.
+        store = FileLogStore(str(tmp_path / "log"))
+        calls = self._spy_fsyncs(monkeypatch)
+        store.record_epoch(3)
+        assert calls == ["file", "replace", "dir"]
+        assert FileLogStore(str(tmp_path / "log")).epoch == 3
+
+    def test_a_new_segment_file_is_durable_before_its_entries(self, tmp_path, monkeypatch):
+        # One directory fsync per segment file created (entries 1, 3 and
+        # 5 open one each), none for appends to a segment that exists.
+        directory = str(tmp_path / "log")
+        store = FileLogStore(directory, segment_max_entries=2, fsync_on_append=True)
+        calls = self._spy_fsyncs(monkeypatch)
+        for index in range(1, 6):
+            store.append(LogEntry(index=index, sql=f"W{index}"))
+        assert calls.count("dir") == 3 == len(os.listdir(directory))
+        assert calls[0] == "dir"  # before the first entry's own fsync
+        store.close()
+        reopened = FileLogStore(directory, segment_max_entries=2, fsync_on_append=True)
+        calls.clear()
+        reopened.append(LogEntry(index=6, sql="W6"))
+        assert calls == ["file"]
+        reopened.close()
 
     def test_blob_params_roundtrip(self, tmp_path):
         store = FileLogStore(str(tmp_path / "log"))

@@ -116,9 +116,9 @@ _NO_UNREAD_FIELD = (
 
 _ONE_CONNECTION_LOCK = (
     "one lock keeps a replica connection exclusive, the connection's own (the pydb exchange "
-    "lock): the backend's lock covers only choosing the shared connection and putting a "
-    "request on it, no request holds it until its reply, and no DB-API threadsafety level "
-    "decides which lock applies"
+    "lock): the backend's lock covers only choosing the shared connection (a split-form "
+    "request goes on it outside the lock, so none waits for a connection under it), and no "
+    "DB-API threadsafety level decides which lock applies"
 )
 
 GATES = [
@@ -305,8 +305,16 @@ GATES = [
     Gate(
         r"_encode_value|_decode_value|queue\.Queue\(",
         ("src/repro/netsim",),
-        "a frame is one C json pass each way; a hop is one SimpleQueue (framing's JSONEncoder "
-        "default and JSONDecoder object_hook carry bytes, with no Python walk around json)",
+        "a frame is one C json pass each way; a hop is one SimpleQueue (framing's encoder "
+        "default and decoder object_hook carry bytes, with no Python walk around json)",
+    ),
+    # framing's decoder and its fallback encoder, each built once at import.
+    Gate(
+        r"JSONEncoder\(|JSONDecoder\(|json\.(dumps|loads)\(",
+        ("src/repro/netsim",),
+        "a codec built per call: a frame is one call of the encoder framing builds at import "
+        "and one scanner call of its one decoder (netsim/framing.py)",
+        allowed=2,
     ),
     Gate(
         r"ThreadPoolExecutor|_get_executor|max_workers|threading\.Thread\(",
