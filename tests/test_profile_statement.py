@@ -13,13 +13,17 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 pytestmark = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux's /proc")
 
+#: ``--cprofile`` gives each thread its own profiler, which Python 3.12's
+#: interpreter-wide ``sys.monitoring`` profiling does not allow.
+CPROFILE = sys.version_info < (3, 12)
+
 
 def test_profile_statement_prints_each_roles_cpu_and_switches_per_operation():
     result = subprocess.run(
         [
             sys.executable, os.path.join(ROOT, "tools", "profile_statement.py"),
-            "--workload", "point_read", "--seconds", "0.5", "--cprofile", "--top", "5",
-        ],
+            "--workload", "point_read", "--seconds", "0.5",
+        ] + (["--cprofile"] if CPROFILE else []),
         capture_output=True, text=True, timeout=120, cwd=ROOT,
     )
     assert result.returncode == 0, result.stdout + result.stderr
@@ -33,5 +37,6 @@ def test_profile_statement_prints_each_roles_cpu_and_switches_per_operation():
     # Every operation crosses threads, so it costs CPU and context switches.
     user_us, _, switches = rows["total"]
     assert user_us > 0 and switches > 0
-    assert "merged profile of every thread" in result.stdout
-    assert re.search(r"\d+ function calls", result.stdout), result.stdout
+    if CPROFILE:
+        assert "merged profile of every thread over the timed load (top 30" in result.stdout
+        assert re.search(r"\d+ function calls", result.stdout), result.stdout

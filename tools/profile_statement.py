@@ -4,10 +4,11 @@
 Usage::
 
     python tools/profile_statement.py --workload point_read [--seconds 5]
-        [--seed 201] [--cprofile] [--top 30]
+        [--cprofile]
 
 Runs one perfbench workload in this process, pinned to one CPU as the
-benchmark is: the workload's own cluster, warm-up and closed-loop load,
+benchmark is, at the benchmark's seed (201): the workload's own cluster,
+warm-up and closed-loop load,
 imported from ``perfbench.workloads`` (nothing under ``perfbench/`` is
 changed). Around the timed load it reads every thread's counters from
 ``/proc/self/task/<tid>/stat`` (user and system CPU) and ``.../status``
@@ -32,8 +33,12 @@ counts.
 ``--cprofile`` adds one profile merged over every thread started after
 the tool began (all of the cluster's), taken over the timed load only
 and timed by each thread's own CPU clock, so a blocked call costs what
-blocking costs, not the wait. It inflates the CPU figures by the
-profiler's own cost.
+blocking costs, not the wait; it prints the 30 functions with the most
+own CPU time. It inflates the CPU figures by the profiler's own cost.
+It needs Python 3.11 or older: it gives each thread its own profiler,
+and from 3.12 cProfile runs on ``sys.monitoring``, where only one
+profiler can be active in the whole interpreter, so the tool refuses
+``--cprofile`` there.
 
 Why it does not sample stacks (``sys._current_frames()``): on one pinned
 CPU a sampling thread runs only when the running thread releases the GIL,
@@ -74,6 +79,10 @@ ROLES: Tuple[Tuple[str, str], ...] = (
     ("perfbench-session*", "perfbench-session*"),
 )
 _TICK_S = 1.0 / os.sysconf("SC_CLK_TCK")
+#: perfbench's contract seed.
+SEED = 201
+#: Functions the merged profile prints.
+TOP = 30
 
 #: (user seconds, system seconds, voluntary switches, involuntary switches)
 Counters = Tuple[float, float, int, int]
@@ -181,21 +190,21 @@ class _StatsHolder:
         pass
 
 
-def profile_workload(name: str, seconds: float, seed: int, cprofile: bool, top: int) -> None:
+def profile_workload(name: str, seconds: float, cprofile: bool) -> None:
     """Run ``name`` for ``seconds`` and print its per-role table (and,
-    with ``cprofile``, the ``top`` functions of the merged profile)."""
+    with ``cprofile``, the top functions of the merged profile)."""
     spec = WORKLOADS_BY_NAME[name]
     pin_to_one_cpu()
     profiles = ThreadProfiles() if cprofile else None
     if profiles is not None:
         profiles.install()
-    cluster, _, warm = build_and_warm(spec, seed, spec.warmup_ops, phase="profile-warmup")
+    cluster, _, warm = build_and_warm(spec, SEED, spec.warmup_ops, phase="profile-warmup")
     problems: List[str] = []
     try:
         if warm.failed:
             raise RuntimeError(f"{name}: warm-up failed: {warm.errors[:3]}")
         count = max(1, int(spec.generated_ops_per_second * seconds))
-        ops = session_ops(spec, seed, "profile", cluster.sessions, count)
+        ops = session_ops(spec, SEED, "profile", cluster.sessions, count)
         sessions: Dict[int, Tuple[str, Counters]] = {}
         session_loop = cluster._session_loop
 
@@ -248,22 +257,24 @@ def profile_workload(name: str, seconds: float, seed: int, cprofile: bool, top: 
             figures = per_op[role]
             print(f"  {role:20s} {figures['user_us']:9.1f} {figures['sys_us']:9.1f} {figures['cs']:7.2f}")
     if merged is not None:
-        print(f"\nmerged profile of every thread over the timed load (top {top} by own CPU time):")
-        merged.sort_stats("tottime").print_stats(top)
+        print(f"\nmerged profile of every thread over the timed load (top {TOP} by own CPU time):")
+        merged.sort_stats("tottime").print_stats(TOP)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS_BY_NAME))
     parser.add_argument("--seconds", type=float, default=5.0, help="timed load (default 5)")
-    parser.add_argument("--seed", type=int, default=201)
     parser.add_argument("--cprofile", action="store_true", help="add a merged profile of all threads")
-    parser.add_argument("--top", type=int, default=30, help="--cprofile: functions to print")
     args = parser.parse_args(argv)
     if not os.path.isdir("/proc/self/task"):
         sys.stderr.write("profile_statement: needs Linux's /proc\n")
         return 2
-    profile_workload(args.workload, args.seconds, args.seed, args.cprofile, args.top)
+    if args.cprofile and sys.version_info >= (3, 12):
+        sys.stderr.write("profile_statement: --cprofile needs Python 3.11 or older "
+                         "(one profiler per thread)\n")
+        return 2
+    profile_workload(args.workload, args.seconds, args.cprofile)
     return 0
 
 
