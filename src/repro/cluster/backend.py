@@ -576,26 +576,28 @@ class Backend:
         """Liveness probe: can the replica still answer?
 
         Uses the connection's own PING exchange when the driver offers
-        one, otherwise a trivial SELECT. A failed probe drops the cached
-        connection so the next probe (or statement) reconnects fresh."""
-        with self._lock:
-            try:
-                connection = self._ensure_connection()
-            except Exception:
-                self.close_connection()
-                return False
-            probe = getattr(connection, "ping", None)
-            try:
-                if callable(probe):
-                    alive = bool(probe())
-                else:
-                    connection.cursor().execute("SELECT 1")
-                    alive = True
-            except Exception:
-                alive = False
-            if not alive:
-                self.close_connection()
-            return alive
+        one, otherwise a trivial SELECT. The shared connection is chosen
+        under the backend's lock and probed after it is let go, so a probe
+        waiting behind a reply in flight holds up nothing else on the
+        backend. A failed probe closes the probed connection (never a
+        successor) so the next probe (or statement) reconnects fresh."""
+        try:
+            connection = self._ensure_connection()
+        except Exception:
+            self.close_connection()
+            return False
+        probe = getattr(connection, "ping", None)
+        try:
+            if callable(probe):
+                alive = bool(probe())
+            else:
+                connection.cursor().execute("SELECT 1")
+                alive = True
+        except Exception:
+            alive = False
+        if not alive:
+            self._drop_connection(connection)
+        return alive
 
     # -- lifecycle ---------------------------------------------------------------------
 

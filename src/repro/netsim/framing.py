@@ -51,21 +51,13 @@ def _untag_bytes(obj: Dict[str, Any]) -> Any:
         raise MessageCodecError(f"malformed bytes value: {exc}") from exc
 
 
-def _make_iterencode():
-    """The frame encoder, built once: ``iterencode(message, 0)`` gives the
-    JSON text's chunks. It is ``JSONEncoder.encode``'s own C encoder with
-    no circular-reference ``markers`` dict (a cyclic message ends in
-    ``RecursionError``); ``JSONEncoder`` itself only where ``_json`` is
-    missing."""
-    if c_make_encoder is None:
-        encoder = json.JSONEncoder(separators=(",", ":"), default=_tag_bytes)
-        return lambda message, _level: (encoder.encode(message),)
-    # markers, default, encoder, indent, key_separator, item_separator,
-    # sort_keys, skipkeys, allow_nan
-    return c_make_encoder(None, _tag_bytes, encode_basestring_ascii, None, ":", ",", False, False, True)
-
-
-_iterencode = _make_iterencode()
+#: The frame encoder, built once: ``_iterencode(message, 0)`` gives the
+#: JSON text's chunks. It is ``JSONEncoder.encode``'s own C encoder with no
+#: circular-reference ``markers`` dict (a cyclic message ends in
+#: ``RecursionError``). An interpreter without ``_json`` fails here, at
+#: import. Arguments: markers, default, encoder, indent, key_separator,
+#: item_separator, sort_keys, skipkeys, allow_nan.
+_iterencode = c_make_encoder(None, _tag_bytes, encode_basestring_ascii, None, ":", ",", False, False, True)
 #: The decoder's C scanner: ``scan_once(text, index)`` is ``(value, end)``,
 #: or StopIteration when no JSON value starts at ``index``.
 _scan_once = json.JSONDecoder(object_hook=_untag_bytes).scan_once

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from typing import Callable, Dict, Optional
 
 from repro.sqlengine.errors import SqlExecutionError
+from repro.sqlengine.executor import Plan, Planner
+from repro.sqlengine.parser import STATEMENT_CACHE_SIZE
 from repro.sqlengine.schema import Column, TableSchema
+from repro.sqlengine.statements import Statement
 from repro.sqlengine.storage import Table
 from repro.sqlengine.types import SqlType
 
@@ -20,6 +24,12 @@ class Database:
     resolve directly. The catalog also exposes a built-in
     ``information_schema.tables`` view-like table that is refreshed on
     demand so clients can introspect the catalog through plain SQL.
+
+    The database also keeps the plans of the last
+    :data:`~repro.sqlengine.parser.STATEMENT_CACHE_SIZE` distinct SQL texts
+    it ran (least recently used goes first), read and run under
+    :attr:`lock`. A plan holds its table, so creating or dropping a table
+    forgets every plan; a plan on a refreshed catalog is never kept.
     """
 
     def __init__(self, name: str, clock: Callable[[], float] = time.time) -> None:
@@ -27,6 +37,14 @@ class Database:
         self.clock = clock
         self._tables: Dict[str, Table] = {}
         self._lock = threading.RLock()
+        self._plans: "OrderedDict[str, Plan]" = OrderedDict()
+        self._planner = Planner(
+            self.lookup_table,
+            self.create_table,
+            self.drop_table,
+            clock=clock,
+            uncached=frozenset(self._BUILTIN_CATALOGS),
+        )
         self._create_tables_catalog()
 
     # -- catalog -------------------------------------------------------------
@@ -118,10 +136,37 @@ class Database:
             if lowered in self._tables:
                 raise SqlExecutionError(f"table {key!r} already exists in database {self.name!r}")
             self._tables[lowered] = table
+            self.clear_plans()
 
     def drop_table(self, key: str) -> bool:
         with self._lock:
+            self.clear_plans()
             return self._tables.pop(key.lower(), None) is not None
+
+    # -- plans ---------------------------------------------------------------
+
+    def cached_plan(self, sql: str) -> Optional[Plan]:
+        """The plan kept for ``sql``, or None. The caller holds :attr:`lock`."""
+        plan = self._plans.get(sql)
+        if plan is not None:
+            self._plans.move_to_end(sql)
+        return plan
+
+    def plan(self, sql: str, statement: Statement) -> Plan:
+        """Plan ``statement``, parsed from ``sql``, and keep the plan for
+        that text if it may be kept. The caller holds :attr:`lock`."""
+        plan, cacheable = self._planner.plan(statement)
+        if cacheable:
+            self._plans[sql] = plan
+            self._plans.move_to_end(sql)
+            if len(self._plans) > STATEMENT_CACHE_SIZE:
+                self._plans.popitem(last=False)
+        return plan
+
+    def clear_plans(self) -> None:
+        """Forget every kept plan (the catalog changed)."""
+        with self._lock:
+            self._plans.clear()
 
     @property
     def lock(self) -> threading.RLock:

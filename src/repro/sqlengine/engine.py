@@ -11,40 +11,13 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.sqlengine.database import Database
 from repro.sqlengine.errors import SqlExecutionError, TransactionError
-from repro.sqlengine.executor import ExecutionResult, Executor
+from repro.sqlengine.executor import ResultSet
 from repro.sqlengine.parser import parse
 from repro.sqlengine.transactions import TransactionManager
-
-
-@dataclass
-class ResultSet:
-    """Result of one SQL statement execution."""
-
-    columns: List[str] = field(default_factory=list)
-    rows: List[Tuple[Any, ...]] = field(default_factory=list)
-    rowcount: int = 0
-
-    def first(self) -> Optional[Tuple[Any, ...]]:
-        """The first row, or None if the result is empty."""
-        return self.rows[0] if self.rows else None
-
-    def scalar(self) -> Any:
-        """The single value of a single-row, single-column result."""
-        row = self.first()
-        return row[0] if row else None
-
-    def as_dicts(self) -> List[Dict[str, Any]]:
-        """Rows as dictionaries keyed by column name."""
-        return [dict(zip(self.columns, row)) for row in self.rows]
-
-    @staticmethod
-    def from_execution(result: ExecutionResult) -> "ResultSet":
-        return ResultSet(columns=result.columns, rows=result.rows, rowcount=result.rowcount)
 
 
 class Session:
@@ -59,13 +32,6 @@ class Session:
         self._database = database
         self.user = user
         self._transactions = TransactionManager()
-        self._executor = Executor(
-            lookup_table=database.lookup_table,
-            create_table=database.create_table,
-            drop_table=database.drop_table,
-            transactions=self._transactions,
-            clock=database.clock,
-        )
         self._closed = False
 
     @property
@@ -87,13 +53,19 @@ class Session:
         params: Optional[Dict[str, Any]] = None,
         positional: Sequence[Any] = (),
     ) -> ResultSet:
-        """Parse and execute one SQL statement."""
+        """Run one SQL statement: the database's plan for a text it has
+        run before, otherwise parse the text, plan it and run the plan."""
         if self._closed:
             raise SqlExecutionError("session is closed")
+        params = params or {}
+        database = self._database
+        with database.lock:
+            plan = database.cached_plan(sql)
+            if plan is not None:
+                return plan(self._transactions, params, positional)
         statement = parse(sql)
-        with self._database.lock:
-            result = self._executor.execute(statement, params=params, positional=positional)
-        return ResultSet.from_execution(result)
+        with database.lock:
+            return database.plan(sql, statement)(self._transactions, params, positional)
 
     def begin(self) -> None:
         self.execute("BEGIN")

@@ -1,14 +1,26 @@
-"""Statement execution against a :class:`~repro.sqlengine.database.Database`."""
+"""Statement plans for a :class:`~repro.sqlengine.database.Database`.
+
+A statement runs as a *plan*: closures built once per statement and table
+by :class:`Planner`, with every column name resolved to the key its rows
+store it under, the key-probe decision's static half (which columns are the
+key, what type they store) worked out, and each expression compiled
+(:meth:`Expression.compile`). The database keeps the plans of recent texts
+(``Database.cached_plan``), so a repeated statement is neither parsed nor
+planned again. A plan reads the catalog only when it is built; what it
+reads at run time is the rows, the parameters and the running session's
+transaction.
+"""
 
 from __future__ import annotations
 
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.sqlengine.errors import SqlExecutionError, TableNotFound
-from repro.sqlengine.expressions import ColumnRef, EvalContext, KeyTerms
+from repro.sqlengine.expressions import ColumnRef, Compiled, Expression, KeyTerms, Literal, failing
+from repro.sqlengine.schema import TableSchema
 from repro.sqlengine.statements import (
     Begin,
     Commit,
@@ -20,10 +32,11 @@ from repro.sqlengine.statements import (
     Select,
     SelectItem,
     Statement,
+    TableName,
     Update,
 )
 from repro.sqlengine.storage import Row, Table
-from repro.sqlengine.transactions import Transaction, TransactionManager
+from repro.sqlengine.transactions import TransactionManager
 from repro.sqlengine.types import SqlType
 
 #: The Python type a key column of each SQL type stores. A key constant of
@@ -32,10 +45,18 @@ from repro.sqlengine.types import SqlType
 #: ``id = 5.0``) goes through ``_compare``'s coercions, so it scans.
 _PROBE_TYPES = {SqlType.INTEGER: int, SqlType.BIGINT: int, SqlType.VARCHAR: str}
 
+#: The row a table-less expression (a key constant, an INSERT value, a
+#: SELECT without FROM) is evaluated on: it has no columns.
+_NO_ROW: Row = {}
+
+
+def _no_column(name: str) -> Optional[str]:
+    return None
+
 
 @dataclass
-class ExecutionResult:
-    """Result of executing one statement.
+class ResultSet:
+    """Result of one SQL statement execution.
 
     ``rows`` is the list of result tuples (SELECT only), ``columns`` the
     projected column names, ``rowcount`` the number of affected/matched
@@ -46,14 +67,93 @@ class ExecutionResult:
     rows: List[Tuple[Any, ...]] = field(default_factory=list)
     rowcount: int = 0
 
+    def first(self) -> Optional[Tuple[Any, ...]]:
+        """The first row, or None if the result is empty."""
+        return self.rows[0] if self.rows else None
 
-class Executor:
-    """Executes parsed statements for one session.
+    def scalar(self) -> Any:
+        """The single value of a single-row, single-column result."""
+        row = self.first()
+        return row[0] if row else None
 
-    ``lookup_table`` resolves (possibly schema-qualified) table names to
-    :class:`Table` objects; ``create_table`` / ``drop_table`` mutate the
-    catalog. The executor is deliberately session-scoped because DML
-    participates in the session's transaction.
+    def as_dicts(self) -> List[Dict[str, Any]]:
+        """Rows as dictionaries keyed by column name."""
+        return [dict(zip(self.columns, row)) for row in self.rows]
+
+
+#: A plan: ``plan(transactions, params, positional)`` runs the statement
+#: for the session whose transactions are given (its undo log records the
+#: plan's writes) and returns its result.
+Plan = Callable[[TransactionManager, Dict[str, Any], Sequence[Any]], ResultSet]
+#: The key-probe decision's run-time half: the primary keys a matching row
+#: must have one of, or None to scan.
+Probe = Callable[[Dict[str, Any], Sequence[Any]], Optional[List[Tuple[Any, ...]]]]
+#: A compiled projection: one result tuple from one stored row.
+Projection = Callable[[Row, Dict[str, Any], Sequence[Any]], Tuple[Any, ...]]
+
+
+def _matching_rows(
+    table: Table,
+    probe: Optional[Probe],
+    where: Optional[Compiled],
+    params: Dict[str, Any],
+    positional: Sequence[Any],
+) -> List[Tuple[int, Row]]:
+    """The rows ``where`` selects, in row order.
+
+    The one access-path decision: when the predicate pins the whole
+    primary key to constants the candidates come from the key index,
+    otherwise every row is one. Either way the *whole* predicate is
+    evaluated on each candidate, so the index only has to return a
+    superset of the matches and can never change a result.
+    """
+    keys = None if probe is None else probe(params, positional)
+    candidates = table.enumerate_rows() if keys is None else table.rows_with_keys(keys)
+    if where is None:
+        return list(candidates)
+    return [(index, row) for index, row in candidates if where(row, params, positional)]
+
+
+def _begin(transactions: TransactionManager, params, positional) -> ResultSet:
+    transactions.begin()
+    return ResultSet()
+
+
+def _commit(transactions: TransactionManager, params, positional) -> ResultSet:
+    transactions.commit()
+    return ResultSet()
+
+
+def _rollback(transactions: TransactionManager, params, positional) -> ResultSet:
+    transactions.rollback()
+    return ResultSet()
+
+
+def _order_key(value: Any) -> Tuple[bool, Any]:
+    return (value is None, value if value is not None else 0)
+
+
+def _aggregate(kind: str, samples: List[Any]) -> Any:
+    if kind == "COUNT":
+        return len(samples)
+    if kind == "MAX":
+        return max(samples) if samples else None
+    if kind == "MIN":
+        return min(samples) if samples else None
+    if kind == "SUM":
+        return sum(samples) if samples else None
+    if kind == "AVG":
+        return sum(samples) / len(samples) if samples else None
+    raise SqlExecutionError(f"unsupported aggregate {kind!r}")  # pragma: no cover - parser restricts aggregates
+
+
+class Planner:
+    """Builds the plan of a parsed statement against one database's catalog.
+
+    ``lookup_table`` resolves (possibly schema-qualified) table keys to
+    :class:`Table` objects and ``create_table`` / ``drop_table`` change the
+    catalog; ``uncached`` names the tables whose plans must not outlive
+    one execution (the catalogs ``lookup_table`` refreshes).
     """
 
     def __init__(
@@ -61,153 +161,62 @@ class Executor:
         lookup_table: Callable[[str], Optional[Table]],
         create_table: Callable[[str, Table], None],
         drop_table: Callable[[str], bool],
-        transactions: TransactionManager,
         clock: Callable[[], float] = time.time,
+        uncached: FrozenSet[str] = frozenset(),
     ) -> None:
         self._lookup_table = lookup_table
         self._create_table = create_table
         self._drop_table = drop_table
-        self._transactions = transactions
         self._clock = clock
+        self._uncached = uncached
 
-    # -- public ---------------------------------------------------------------
-
-    def execute(
-        self,
-        statement: Statement,
-        params: Optional[Dict[str, Any]] = None,
-        positional: Sequence[Any] = (),
-    ) -> ExecutionResult:
-        params = params or {}
-        if isinstance(statement, CreateTable):
-            return self._execute_create(statement)
-        if isinstance(statement, DropTable):
-            return self._execute_drop(statement)
-        if isinstance(statement, Insert):
-            return self._execute_insert(statement, params, positional)
+    def plan(self, statement: Statement) -> Tuple[Plan, bool]:
+        """The plan of ``statement``, and whether it may be cached for its
+        text. Raises only what the statement would raise before visiting a
+        row (a missing table); every other error stays in the plan."""
         if isinstance(statement, Select):
-            return self._execute_select(statement, params, positional)
+            return self._plan_select(statement)
         if isinstance(statement, Update):
-            return self._execute_update(statement, params, positional)
+            return self._plan_update(statement)
+        if isinstance(statement, Insert):
+            return self._plan_insert(statement)
         if isinstance(statement, Delete):
-            return self._execute_delete(statement, params, positional)
+            return self._plan_delete(statement)
         if isinstance(statement, Begin):
-            self._transactions.begin()
-            return ExecutionResult()
+            return _begin, True
         if isinstance(statement, Commit):
-            self._transactions.commit()
-            return ExecutionResult()
+            return _commit, True
         if isinstance(statement, Rollback):
-            self._transactions.rollback()
-            return ExecutionResult()
+            return _rollback, True
+        if isinstance(statement, CreateTable):
+            return self._plan_create(statement), False
+        if isinstance(statement, DropTable):
+            return self._plan_drop(statement), False
         raise SqlExecutionError(f"unsupported statement type {type(statement).__name__}")
 
     # -- helpers ----------------------------------------------------------------
 
-    def _require_table(self, key: str) -> Table:
+    def _require_table(self, name: TableName) -> Tuple[Table, bool]:
+        key = name.key()
         table = self._lookup_table(key)
         if table is None:
             raise TableNotFound(f"table {key!r} does not exist")
-        return table
+        return table, key not in self._uncached
 
-    def _context(
-        self, row: Dict[str, Any], params: Dict[str, Any], positional: Sequence[Any]
-    ) -> EvalContext:
-        return EvalContext(
-            row={key.lower(): value for key, value in row.items()},
-            params=params,
-            positional=positional,
-            clock=self._clock,
-        )
+    def _compile(self, expression: Expression, schema: Optional[TableSchema]) -> Compiled:
+        return expression.compile(_no_column if schema is None else schema.stored_name, self._clock)
 
-    def _transaction(self) -> Optional[Transaction]:
-        return self._transactions.current
+    def _compile_where(self, statement, table: Table) -> Tuple[Optional[Probe], Optional[Compiled]]:
+        where = None if statement.where is None else self._compile(statement.where, table.schema)
+        return self._compile_probe(table, statement.key_terms), where
 
-    # -- DDL ---------------------------------------------------------------------
-
-    def _execute_create(self, statement: CreateTable) -> ExecutionResult:
-        key = statement.table.key()
-        existing = self._lookup_table(key)
-        if existing is not None:
-            if statement.if_not_exists:
-                return ExecutionResult()
-            raise SqlExecutionError(f"table {statement.table.qualified!r} already exists")
-        table = Table(statement.schema, resolve_table=lambda name: self._lookup_table(name.lower()))
-        self._create_table(key, table)
-        return ExecutionResult()
-
-    def _execute_drop(self, statement: DropTable) -> ExecutionResult:
-        key = statement.table.key()
-        dropped = self._drop_table(key)
-        if not dropped and not statement.if_exists:
-            raise TableNotFound(f"table {statement.table.qualified!r} does not exist")
-        return ExecutionResult()
-
-    # -- DML ---------------------------------------------------------------------
-
-    def _execute_insert(
-        self, statement: Insert, params: Dict[str, Any], positional: Sequence[Any]
-    ) -> ExecutionResult:
-        table = self._require_table(statement.table.key())
-        columns = statement.columns or table.schema.column_names
-        inserted = 0
-        context_row: Dict[str, Any] = {}
-        shared_context = self._context(context_row, params, positional)
-        for row_exprs in statement.rows:
-            if len(row_exprs) != len(columns):
-                raise SqlExecutionError(
-                    f"INSERT column/value count mismatch: {len(columns)} columns, "
-                    f"{len(row_exprs)} values"
-                )
-            values = {
-                column: expression.evaluate(shared_context)
-                for column, expression in zip(columns, row_exprs)
-            }
-            index = table.insert(values)
-            transaction = self._transaction()
-            if transaction is not None:
-                transaction.record_insert(table, index)
-            inserted += 1
-        return ExecutionResult(rowcount=inserted)
-
-    def _matching_rows(
-        self,
-        table: Table,
-        statement: Union[Select, Update, Delete],
-        params: Dict[str, Any],
-        positional: Sequence[Any],
-    ) -> List[Tuple[int, Row]]:
-        """The rows ``statement.where`` selects, in row order.
-
-        The one access-path decision: when the predicate pins the whole
-        primary key to constants the candidates come from the key index,
-        otherwise every row is one. Either way the *whole* predicate is
-        evaluated on each candidate, so the index only has to return a
-        superset of the matches and can never change a result.
-        """
-        where = statement.where
-        keys = self._probe_keys(table, statement.key_terms, params, positional)
-        candidates = table.enumerate_rows() if keys is None else table.rows_with_keys(keys)
-        if where is None:
-            return list(candidates)
-        return [
-            (index, row)
-            for index, row in candidates
-            if where.evaluate(self._context(row, params, positional))
-        ]
-
-    def _probe_keys(
-        self,
-        table: Table,
-        terms: KeyTerms,
-        params: Dict[str, Any],
-        positional: Sequence[Any],
-    ) -> Optional[List[Tuple[Any, ...]]]:
-        """The primary keys a matching row must have one of, or None to scan.
+    def _compile_probe(self, table: Table, terms: KeyTerms) -> Optional[Probe]:
+        """The probe for the keys ``terms`` pins, or None where the plan
+        always scans.
 
         ``terms`` says which columns the predicate pins; whether those are
-        the key is asked of the table as it is now. When in doubt, scan: a
-        key column left unpinned, a constant that is not of the column's
+        the key is asked of the table the plan is for. When in doubt, scan:
+        a key column left unpinned, a constant that is not of the column's
         stored type or cannot be evaluated, an ``IN`` list on a composite
         key. A NULL constant equals nothing, so it contributes no key.
         """
@@ -216,8 +225,7 @@ class Executor:
         key_columns = [column for column in table.schema.columns if column.primary_key]
         if not key_columns:
             return None
-        context = self._context({}, params, positional)
-        choices: List[List[Any]] = []
+        pinned: List[Tuple[type, List[Compiled]]] = []
         for column in key_columns:
             constants = terms.get(column.name.lower())
             stored_type = _PROBE_TYPES.get(column.sql_type)
@@ -225,169 +233,249 @@ class Executor:
                 return None
             if len(constants) > 1 and len(key_columns) > 1:
                 return None
-            values = []
-            for constant in constants:
+            pinned.append((stored_type, [self._compile(constant, None) for constant in constants]))
+
+        if len(pinned) == 1 and len(pinned[0][1]) == 1:
+            ((stored_type, (constant,)),) = pinned
+
+            def one_key(params, positional):
                 try:
-                    value = constant.evaluate(context)
+                    value = constant(_NO_ROW, params, positional)
                 except SqlExecutionError:
                     return None  # a missing parameter: let the scan report it, if it gets that far
                 if value is None:
-                    continue
-                if type(value) is not stored_type:
-                    return None
-                values.append(value)
-            choices.append(values)
-        return list(itertools.product(*choices))
+                    return []
+                return [(value,)] if type(value) is stored_type else None
 
-    def _execute_select(
-        self, statement: Select, params: Dict[str, Any], positional: Sequence[Any]
-    ) -> ExecutionResult:
+            return one_key
+
+        def keys(params, positional):
+            choices: List[List[Any]] = []
+            for stored_type, constants in pinned:
+                values = []
+                for constant in constants:
+                    try:
+                        value = constant(_NO_ROW, params, positional)
+                    except SqlExecutionError:
+                        return None
+                    if value is None:
+                        continue
+                    if type(value) is not stored_type:
+                        return None
+                    values.append(value)
+                choices.append(values)
+            return list(itertools.product(*choices))
+
+        return keys
+
+    # -- DDL ---------------------------------------------------------------------
+
+    def _plan_create(self, statement: CreateTable) -> Plan:
+        def create(transactions, params, positional):
+            key = statement.table.key()
+            existing = self._lookup_table(key)
+            if existing is not None:
+                if statement.if_not_exists:
+                    return ResultSet()
+                raise SqlExecutionError(f"table {statement.table.qualified!r} already exists")
+            table = Table(statement.schema, resolve_table=lambda name: self._lookup_table(name.lower()))
+            self._create_table(key, table)
+            return ResultSet()
+
+        return create
+
+    def _plan_drop(self, statement: DropTable) -> Plan:
+        def drop(transactions, params, positional):
+            dropped = self._drop_table(statement.table.key())
+            if not dropped and not statement.if_exists:
+                raise TableNotFound(f"table {statement.table.qualified!r} does not exist")
+            return ResultSet()
+
+        return drop
+
+    # -- DML ---------------------------------------------------------------------
+
+    def _plan_insert(self, statement: Insert) -> Tuple[Plan, bool]:
+        table, cacheable = self._require_table(statement.table)
+        columns = statement.columns or table.schema.column_names
+        row_values = [self._compile_values(columns, expressions) for expressions in statement.rows]
+
+        def insert(transactions, params, positional):
+            transaction = transactions.current
+            for values in row_values:
+                index = table.insert(values(params, positional))
+                if transaction is not None:
+                    transaction.record_insert(table, index)
+            return ResultSet(rowcount=len(row_values))
+
+        return insert, cacheable
+
+    def _compile_values(
+        self, columns: List[str], expressions: List[Expression]
+    ) -> Callable[[Dict[str, Any], Sequence[Any]], Dict[str, Any]]:
+        """One VALUES row as ``values(params, positional) -> {column: value}``."""
+        if len(expressions) != len(columns):
+            fail = failing(
+                SqlExecutionError,
+                f"INSERT column/value count mismatch: {len(columns)} columns, {len(expressions)} values",
+            )
+            return lambda params, positional: fail(_NO_ROW, params, positional)
+        if all(type(expression) is Literal for expression in expressions):
+            # Table.insert only reads the mapping, so one serves every run.
+            constant = {column: expression.value for column, expression in zip(columns, expressions)}
+            return lambda params, positional: constant
+        pairs = [(column, self._compile(expression, None)) for column, expression in zip(columns, expressions)]
+        return lambda params, positional: {
+            column: value(_NO_ROW, params, positional) for column, value in pairs
+        }
+
+    def _plan_select(self, statement: Select) -> Tuple[Plan, bool]:
         if statement.table is None:
-            # SELECT without FROM: evaluate expressions against an empty row.
-            context = self._context({}, params, positional)
-            columns = []
-            values = []
-            for position, item in enumerate(statement.items):
-                if item.star or item.expression is None:
-                    raise SqlExecutionError("SELECT * requires a FROM clause")
-                columns.append(item.alias or f"col{position}")
-                values.append(item.expression.evaluate(context))
-            return ExecutionResult(columns=columns, rows=[tuple(values)], rowcount=1)
+            return self._plan_constant_select(statement.items), True
+        table, cacheable = self._require_table(statement.table)
+        probe, where = self._compile_where(statement, table)
+        items = statement.items
 
-        table = self._require_table(statement.table.key())
-        matches = self._matching_rows(table, statement, params, positional)
-
-        aggregates = [item for item in statement.items if item.aggregate]
+        aggregates = [item for item in items if item.aggregate]
         if aggregates:
-            if len(aggregates) != len(statement.items):
-                raise SqlExecutionError("cannot mix aggregate and non-aggregate select items")
-            return self._execute_aggregates(statement.items, table, matches, params, positional)
+            if len(aggregates) != len(items):
 
-        if statement.order_by:
-            matches = self._apply_order(matches, statement, params, positional)
-        if statement.limit is not None:
-            matches = matches[: statement.limit]
+                def mixed(transactions, params, positional):
+                    _matching_rows(table, probe, where, params, positional)
+                    raise SqlExecutionError("cannot mix aggregate and non-aggregate select items")
 
-        columns = self._projection_columns(statement.items, table)
-        rows: List[Tuple[Any, ...]] = []
-        for _index, row in matches:
-            context = self._context(row, params, positional)
-            projected: List[Any] = []
-            for item in statement.items:
-                if item.star:
-                    projected.extend(row[name] for name in table.schema.column_names)
-                else:
-                    assert item.expression is not None
-                    projected.append(item.expression.evaluate(context))
-            rows.append(tuple(projected))
-        return ExecutionResult(columns=columns, rows=rows, rowcount=len(rows))
+                return mixed, cacheable
+            return self._plan_aggregates(items, table, probe, where), cacheable
 
-    def _apply_order(
-        self,
-        matches: List[Tuple[int, Row]],
-        statement: Select,
-        params: Dict[str, Any],
-        positional: Sequence[Any],
-    ) -> List[Tuple[int, Row]]:
-        ordered = matches
-        # Stable sort per ORDER BY item, applied right-to-left so the
-        # leftmost item has the highest priority and DESC flags apply per item.
-        for position in range(len(statement.order_by) - 1, -1, -1):
-            order_item = statement.order_by[position]
+        order = [
+            (self._compile(item.expression, table.schema), item.descending) for item in statement.order_by
+        ]
+        limit = statement.limit
+        columns = _projection_columns(items, table.schema)
+        project = self._compile_projection(items, table.schema)
 
-            def item_key(entry: Tuple[int, Row], _item=order_item):
-                _index, row = entry
-                context = self._context(row, params, positional)
-                value = _item.expression.evaluate(context)
-                return (value is None, value if value is not None else 0)
+        def select(transactions, params, positional):
+            matches = _matching_rows(table, probe, where, params, positional)
+            for value, descending in reversed(order):
+                # Stable sorts, rightmost item first: the leftmost has the highest priority.
+                matches = sorted(
+                    matches,
+                    key=lambda entry: _order_key(value(entry[1], params, positional)),
+                    reverse=descending,
+                )
+            if limit is not None:
+                matches = matches[:limit]
+            rows = [project(row, params, positional) for _index, row in matches]
+            return ResultSet(columns=list(columns), rows=rows, rowcount=len(rows))
 
-            ordered = sorted(ordered, key=item_key, reverse=order_item.descending)
-        return ordered
+        return select, cacheable
 
-    def _execute_aggregates(
-        self,
-        items: List[SelectItem],
-        table: Table,
-        matches: List[Tuple[int, Row]],
-        params: Dict[str, Any],
-        positional: Sequence[Any],
-    ) -> ExecutionResult:
-        columns: List[str] = []
-        values: List[Any] = []
-        for position, item in enumerate(items):
-            name = item.alias or f"{item.aggregate.lower()}{position}"
-            columns.append(name)
-            aggregate = item.aggregate
-            if aggregate == "COUNT" and item.expression is None:
-                values.append(len(matches))
-                continue
-            samples: List[Any] = []
-            for _index, row in matches:
-                context = self._context(row, params, positional)
-                if item.expression is None:
-                    samples.append(1)
-                else:
-                    value = item.expression.evaluate(context)
-                    if value is not None:
-                        samples.append(value)
-            if aggregate == "COUNT":
-                values.append(len(samples))
-            elif aggregate == "MAX":
-                values.append(max(samples) if samples else None)
-            elif aggregate == "MIN":
-                values.append(min(samples) if samples else None)
-            elif aggregate == "SUM":
-                values.append(sum(samples) if samples else None)
-            elif aggregate == "AVG":
-                values.append(sum(samples) / len(samples) if samples else None)
-            else:  # pragma: no cover - parser restricts aggregates
-                raise SqlExecutionError(f"unsupported aggregate {aggregate!r}")
-        return ExecutionResult(columns=columns, rows=[tuple(values)], rowcount=1)
-
-    def _projection_columns(self, items: List[SelectItem], table: Table) -> List[str]:
-        columns: List[str] = []
-        for position, item in enumerate(items):
+    def _compile_projection(self, items: List[SelectItem], schema: TableSchema) -> Projection:
+        values: List[Compiled] = []
+        for item in items:
             if item.star:
-                columns.extend(table.schema.column_names)
-            elif item.alias:
-                columns.append(item.alias)
+                values.extend(_stored_column(name) for name in schema.column_names)
             else:
-                expression = item.expression
-                if isinstance(expression, ColumnRef):
-                    columns.append(expression.name)
+                assert item.expression is not None
+                values.append(self._compile(item.expression, schema))
+        if len(values) == 1:
+            (only,) = values
+            return lambda row, params, positional: (only(row, params, positional),)
+        return lambda row, params, positional: tuple([value(row, params, positional) for value in values])
+
+    def _plan_constant_select(self, items: List[SelectItem]) -> Plan:
+        """SELECT without FROM: the items evaluated on a row with no columns."""
+        columns: List[str] = []
+        values: List[Compiled] = []
+        for position, item in enumerate(items):
+            if item.star or item.expression is None:
+                values.append(failing(SqlExecutionError, "SELECT * requires a FROM clause"))
+                break
+            columns.append(item.alias or f"col{position}")
+            values.append(self._compile(item.expression, None))
+
+        def constant(transactions, params, positional):
+            row = tuple([value(_NO_ROW, params, positional) for value in values])
+            return ResultSet(columns=list(columns), rows=[row], rowcount=1)
+
+        return constant
+
+    def _plan_aggregates(
+        self, items: List[SelectItem], table: Table, probe: Optional[Probe], where: Optional[Compiled]
+    ) -> Plan:
+        columns: List[str] = []
+        aggregates: List[Tuple[str, Optional[Compiled]]] = []
+        for position, item in enumerate(items):
+            assert item.aggregate is not None
+            columns.append(item.alias or f"{item.aggregate.lower()}{position}")
+            value = None if item.expression is None else self._compile(item.expression, table.schema)
+            aggregates.append((item.aggregate, value))
+
+        def aggregate(transactions, params, positional):
+            matches = _matching_rows(table, probe, where, params, positional)
+            results: List[Any] = []
+            for kind, value in aggregates:
+                if value is None:
+                    samples: List[Any] = [1] * len(matches)
                 else:
-                    columns.append(f"col{position}")
-        return columns
+                    evaluated = (value(row, params, positional) for _index, row in matches)
+                    samples = [sample for sample in evaluated if sample is not None]
+                results.append(_aggregate(kind, samples))
+            return ResultSet(columns=list(columns), rows=[tuple(results)], rowcount=1)
 
-    def _execute_update(
-        self, statement: Update, params: Dict[str, Any], positional: Sequence[Any]
-    ) -> ExecutionResult:
-        table = self._require_table(statement.table.key())
-        matches = self._matching_rows(table, statement, params, positional)
-        updated = 0
-        for index, row in matches:
-            context = self._context(row, params, positional)
-            new_values = {
-                column: expression.evaluate(context)
-                for column, expression in statement.assignments
-            }
-            before, _after = table.update_at(index, new_values)
-            transaction = self._transaction()
-            if transaction is not None:
-                transaction.record_update(table, index, before)
-            updated += 1
-        return ExecutionResult(rowcount=updated)
+        return aggregate
 
-    def _execute_delete(
-        self, statement: Delete, params: Dict[str, Any], positional: Sequence[Any]
-    ) -> ExecutionResult:
-        table = self._require_table(statement.table.key())
-        matches = self._matching_rows(table, statement, params, positional)
-        deleted = 0
-        for index, _row in matches:
-            before = table.delete_at(index)
-            transaction = self._transaction()
-            if transaction is not None:
-                transaction.record_delete(table, index, before)
-            deleted += 1
-        return ExecutionResult(rowcount=deleted)
+    def _plan_update(self, statement: Update) -> Tuple[Plan, bool]:
+        table, cacheable = self._require_table(statement.table)
+        probe, where = self._compile_where(statement, table)
+        # A SET column is looked up by Table.update_at on each row it
+        # changes, so an unknown one fails only there.
+        assignments = [
+            (column, self._compile(expression, table.schema)) for column, expression in statement.assignments
+        ]
+
+        def update(transactions, params, positional):
+            matches = _matching_rows(table, probe, where, params, positional)
+            transaction = transactions.current
+            for index, row in matches:
+                before = table.update_at(
+                    index, {column: value(row, params, positional) for column, value in assignments}
+                )
+                if transaction is not None:
+                    transaction.record_update(table, index, before)
+            return ResultSet(rowcount=len(matches))
+
+        return update, cacheable
+
+    def _plan_delete(self, statement: Delete) -> Tuple[Plan, bool]:
+        table, cacheable = self._require_table(statement.table)
+        probe, where = self._compile_where(statement, table)
+
+        def delete(transactions, params, positional):
+            matches = _matching_rows(table, probe, where, params, positional)
+            transaction = transactions.current
+            for index, _row in matches:
+                before = table.delete_at(index)
+                if transaction is not None:
+                    transaction.record_delete(table, index, before)
+            return ResultSet(rowcount=len(matches))
+
+        return delete, cacheable
+
+
+def _stored_column(name: str) -> Compiled:
+    return lambda row, params, positional: row[name]
+
+
+def _projection_columns(items: List[SelectItem], schema: TableSchema) -> List[str]:
+    columns: List[str] = []
+    for position, item in enumerate(items):
+        if item.star:
+            columns.extend(schema.column_names)
+        elif item.alias:
+            columns.append(item.alias)
+        elif isinstance(item.expression, ColumnRef):
+            columns.append(item.expression.name)
+        else:
+            columns.append(f"col{position}")
+    return columns

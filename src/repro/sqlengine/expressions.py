@@ -1,7 +1,14 @@
-"""Expression AST and evaluation.
+"""Expression AST, its compiled form and its reference evaluation.
 
 Expressions appear in WHERE clauses, UPDATE SET clauses and INSERT value
-lists. Evaluation follows SQL three-valued-ish semantics in the places the
+lists. The executor runs each one as the closure :meth:`Expression.compile`
+returns, ``fn(row, params, positional)``, built once per statement and
+table; :meth:`Expression.evaluate` walks the tree instead and is kept as the
+reference the compiled form is tested against (tests/test_sql_property.py).
+The two agree on every value and on every error, which is raised only when
+a row is evaluated, never when compiling.
+
+Evaluation follows SQL three-valued-ish semantics in the places the
 paper's queries depend on: any comparison with NULL is false (not
 unknown-propagating — sufficient for the driver match-making queries,
 which guard NULLs explicitly with ``IS NULL`` as in Sample code 1/2),
@@ -12,12 +19,20 @@ experiments can use a simulated clock.
 
 from __future__ import annotations
 
+import operator
 import re
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.sqlengine.errors import ColumnNotFound, SqlExecutionError
+
+#: A compiled expression: ``fn(row, params, positional)``. ``row`` is a
+#: stored row, keyed by the column names its table's schema spells.
+Compiled = Callable[[Dict[str, Any], Dict[str, Any], Sequence[Any]], Any]
+#: What compiling asks of the table: the key a row stores a column under,
+#: given the name a statement spells it with, or None if there is none.
+Resolve = Callable[[str], Optional[str]]
 
 
 @dataclass
@@ -42,6 +57,13 @@ class Expression:
     def evaluate(self, context: EvalContext) -> Any:
         raise NotImplementedError
 
+    def compile(self, resolve: Resolve, clock: Callable[[], float]) -> Compiled:
+        """This expression as a closure over stored rows: column names
+        resolved once by ``resolve``, ``now()`` read from ``clock``. It
+        returns what :meth:`evaluate` returns and raises what it raises,
+        on the same rows; compiling itself never raises."""
+        raise NotImplementedError
+
     def columns_referenced(self) -> List[str]:
         """Names of all columns this expression reads (for validation)."""
         return []
@@ -53,6 +75,10 @@ class Literal(Expression):
 
     def evaluate(self, context: EvalContext) -> Any:
         return self.value
+
+    def compile(self, resolve: Resolve, clock: Callable[[], float]) -> Compiled:
+        value = self.value
+        return lambda row, params, positional: value
 
 
 @dataclass
@@ -67,6 +93,12 @@ class ColumnRef(Expression):
         if key not in context.row:
             raise ColumnNotFound(f"unknown column {self.name!r}")
         return context.row[key]
+
+    def compile(self, resolve: Resolve, clock: Callable[[], float]) -> Compiled:
+        key = resolve(self.name)
+        if key is None:
+            return failing(ColumnNotFound, f"unknown column {self.name!r}")
+        return lambda row, params, positional: row[key]
 
     def columns_referenced(self) -> List[str]:
         return [self.name.lower()]
@@ -93,6 +125,27 @@ class Parameter(Expression):
             raise SqlExecutionError(f"missing statement parameter ${self.name}")
         return context.params[self.name]
 
+    def compile(self, resolve: Resolve, clock: Callable[[], float]) -> Compiled:
+        if self.name == "?":
+            ordinal = self.ordinal
+            if ordinal is None:
+                return failing(SqlExecutionError, "not enough positional parameters supplied")
+
+            def positional_parameter(row, params, positional):
+                if ordinal >= len(positional):
+                    raise SqlExecutionError("not enough positional parameters supplied")
+                return positional[ordinal]
+
+            return positional_parameter
+        name = self.name
+
+        def named_parameter(row, params, positional):
+            if name not in params:
+                raise SqlExecutionError(f"missing statement parameter ${name}")
+            return params[name]
+
+        return named_parameter
+
 
 @dataclass
 class FunctionCall(Expression):
@@ -113,6 +166,20 @@ class FunctionCall(Expression):
         if func == "length":
             return None if values[0] is None else len(values[0])
         raise SqlExecutionError(f"unknown function {self.name!r}")
+
+    def compile(self, resolve: Resolve, clock: Callable[[], float]) -> Compiled:
+        func = self.name.lower()
+        if func in ("now", "current_timestamp", "current_date"):
+            return lambda row, params, positional: clock()
+        args = [arg.compile(resolve, clock) for arg in self.args]
+        apply = _FUNCTIONS.get(func)
+        if apply is None:
+            return failing(SqlExecutionError, f"unknown function {self.name!r}", args)
+
+        def call(row, params, positional):
+            return apply([arg(row, params, positional) for arg in args])
+
+        return call
 
     def columns_referenced(self) -> List[str]:
         refs: List[str] = []
@@ -135,6 +202,19 @@ class UnaryOp(Expression):
         if self.op == "-":
             return None if value is None else -value
         raise SqlExecutionError(f"unknown unary operator {self.op!r}")
+
+    def compile(self, resolve: Resolve, clock: Callable[[], float]) -> Compiled:
+        operand = self.operand.compile(resolve, clock)
+        if self.op == "NOT":
+            return lambda row, params, positional: not _truthy(operand(row, params, positional))
+        if self.op == "-":
+
+            def negate(row, params, positional):
+                value = operand(row, params, positional)
+                return None if value is None else -value
+
+            return negate
+        return failing(SqlExecutionError, f"unknown unary operator {self.op!r}", [operand])
 
     def columns_referenced(self) -> List[str]:
         return self.operand.columns_referenced()
@@ -164,6 +244,44 @@ class BinaryOp(Expression):
             return left + right if op == "+" else left - right
         raise SqlExecutionError(f"unknown binary operator {op!r}")
 
+    def compile(self, resolve: Resolve, clock: Callable[[], float]) -> Compiled:
+        op = self.op
+        left = self.left.compile(resolve, clock)
+        right = self.right.compile(resolve, clock)
+        if op == "AND":
+            return lambda row, params, positional: _truthy(left(row, params, positional)) and _truthy(
+                right(row, params, positional)
+            )
+        if op == "OR":
+            return lambda row, params, positional: _truthy(left(row, params, positional)) or _truthy(
+                right(row, params, positional)
+            )
+        compare = _COMPARISONS.get(op)
+        if compare is not None:
+
+            def comparison(row, params, positional):
+                a = left(row, params, positional)
+                b = right(row, params, positional)
+                if a is None or b is None:
+                    return False
+                if type(a) is type(b):  # _compare coerces nothing for a same-typed pair
+                    return compare(a, b)
+                return _compare(op, a, b)
+
+            return comparison
+        if op in ("+", "-"):
+            combine = operator.add if op == "+" else operator.sub
+
+            def arithmetic(row, params, positional):
+                a = left(row, params, positional)
+                b = right(row, params, positional)
+                if a is None or b is None:
+                    return None
+                return combine(a, b)
+
+            return arithmetic
+        return failing(SqlExecutionError, f"unknown binary operator {op!r}", [left, right])
+
     def columns_referenced(self) -> List[str]:
         return self.left.columns_referenced() + self.right.columns_referenced()
 
@@ -184,6 +302,21 @@ class LikeOp(Expression):
         matched = like_match(str(value), str(pattern))
         return not matched if self.negated else matched
 
+    def compile(self, resolve: Resolve, clock: Callable[[], float]) -> Compiled:
+        operand = self.operand.compile(resolve, clock)
+        pattern = self.pattern.compile(resolve, clock)
+        negated = self.negated
+
+        def like(row, params, positional):
+            value = operand(row, params, positional)
+            text = pattern(row, params, positional)
+            if value is None or text is None:
+                return False
+            matched = like_match(str(value), str(text))
+            return not matched if negated else matched
+
+        return like
+
     def columns_referenced(self) -> List[str]:
         return self.operand.columns_referenced() + self.pattern.columns_referenced()
 
@@ -198,6 +331,12 @@ class IsNullOp(Expression):
     def evaluate(self, context: EvalContext) -> Any:
         is_null = self.operand.evaluate(context) is None
         return not is_null if self.negated else is_null
+
+    def compile(self, resolve: Resolve, clock: Callable[[], float]) -> Compiled:
+        operand = self.operand.compile(resolve, clock)
+        if self.negated:
+            return lambda row, params, positional: operand(row, params, positional) is not None
+        return lambda row, params, positional: operand(row, params, positional) is None
 
     def columns_referenced(self) -> List[str]:
         return self.operand.columns_referenced()
@@ -220,6 +359,23 @@ class BetweenOp(Expression):
             return False
         result = low <= value <= high
         return not result if self.negated else result
+
+    def compile(self, resolve: Resolve, clock: Callable[[], float]) -> Compiled:
+        operand = self.operand.compile(resolve, clock)
+        low = self.low.compile(resolve, clock)
+        high = self.high.compile(resolve, clock)
+        negated = self.negated
+
+        def between(row, params, positional):
+            value = operand(row, params, positional)
+            lowest = low(row, params, positional)
+            highest = high(row, params, positional)
+            if value is None or lowest is None or highest is None:
+                return False
+            result = lowest <= value <= highest
+            return not result if negated else result
+
+        return between
 
     def columns_referenced(self) -> List[str]:
         return (
@@ -244,6 +400,21 @@ class InOp(Expression):
         values = [choice.evaluate(context) for choice in self.choices]
         result = any(_compare("=", value, candidate) for candidate in values)
         return not result if self.negated else result
+
+    def compile(self, resolve: Resolve, clock: Callable[[], float]) -> Compiled:
+        operand = self.operand.compile(resolve, clock)
+        choices = [choice.compile(resolve, clock) for choice in self.choices]
+        negated = self.negated
+
+        def member(row, params, positional):
+            value = operand(row, params, positional)
+            if value is None:
+                return False
+            values = [choice(row, params, positional) for choice in choices]
+            result = any(_compare("=", value, candidate) for candidate in values)
+            return not result if negated else result
+
+        return member
 
     def columns_referenced(self) -> List[str]:
         refs = self.operand.columns_referenced()
@@ -308,6 +479,43 @@ def like_match(value: str, pattern: str) -> bool:
             regex_parts.append(re.escape(char))
     regex = "^" + "".join(regex_parts) + "$"
     return re.match(regex, value, flags=re.IGNORECASE | re.DOTALL) is not None
+
+
+def failing(error: type, message: str, operands: Sequence[Compiled] = ()) -> Compiled:
+    """A compiled expression that raises ``error(message)`` on every row it
+    is evaluated on, after evaluating ``operands`` in order (as the tree
+    walk evaluates a node's operands before finding it cannot apply it)."""
+
+    def fail(row, params, positional):
+        for operand in operands:
+            operand(row, params, positional)
+        raise error(message)
+
+    return fail
+
+
+def _function_of_first(convert: Callable[[Any], Any]) -> Callable[[List[Any]], Any]:
+    return lambda values: None if values[0] is None else convert(values[0])
+
+
+#: ``lower`` / ``upper`` / ``length`` over their evaluated arguments.
+_FUNCTIONS = {
+    "lower": _function_of_first(lambda value: str(value).lower()),
+    "upper": _function_of_first(lambda value: str(value).upper()),
+    "length": _function_of_first(len),
+}
+
+#: The comparison operators, as applied once ``_compare`` has made the
+#: operands comparable.
+_COMPARISONS = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
 
 def _truthy(value: Any) -> bool:

@@ -43,7 +43,13 @@ class Column:
 
 @dataclass
 class TableSchema:
-    """Ordered collection of columns defining one table."""
+    """Ordered collection of columns defining one table.
+
+    A schema is never mutated after creation (a table adopts it for its
+    lifetime), so the facts every row operation asks of it — a column by
+    name, the key columns, the NOT NULL and REFERENCES columns — are worked
+    out once, in ``__post_init__``.
+    """
 
     name: str
     columns: List[Column] = field(default_factory=list)
@@ -51,12 +57,18 @@ class TableSchema:
     def __post_init__(self) -> None:
         if not self.columns:
             raise SchemaError(f"table {self.name!r} must have at least one column")
-        seen = set()
+        self._by_name: Dict[str, Column] = {}
         for column in self.columns:
             lowered = column.name.lower()
-            if lowered in seen:
+            if lowered in self._by_name:
                 raise SchemaError(f"duplicate column {column.name!r} in table {self.name!r}")
-            seen.add(lowered)
+            self._by_name[lowered] = column
+        self._key_names = tuple(column.name for column in self.columns if column.primary_key)
+        #: The columns a stored row must not hold NULL in.
+        self.not_null_columns = tuple(column for column in self.columns if column.not_null)
+        self._foreign_keys = tuple(
+            (column, column.references) for column in self.columns if column.references
+        )
 
     @property
     def column_names(self) -> List[str]:
@@ -64,19 +76,22 @@ class TableSchema:
 
     @property
     def primary_key_columns(self) -> List[str]:
-        return [column.name for column in self.columns if column.primary_key]
+        return list(self._key_names)
+
+    def stored_name(self, name: str) -> Optional[str]:
+        """The key a row stores column ``name`` under (case-insensitive), or None."""
+        column = self._by_name.get(name.lower())
+        return None if column is None else column.name
 
     def column(self, name: str) -> Column:
         """Look up a column by case-insensitive name."""
-        lowered = name.lower()
-        for column in self.columns:
-            if column.name.lower() == lowered:
-                return column
-        raise SchemaError(f"table {self.name!r} has no column {name!r}")
+        column = self._by_name.get(name.lower())
+        if column is None:
+            raise SchemaError(f"table {self.name!r} has no column {name!r}")
+        return column
 
     def has_column(self, name: str) -> bool:
-        lowered = name.lower()
-        return any(column.name.lower() == lowered for column in self.columns)
+        return name.lower() in self._by_name
 
     def coerce_row(self, values: Dict[str, Any]) -> Dict[str, Any]:
         """Build a full row dict from a (possibly partial) values mapping.
@@ -84,22 +99,19 @@ class TableSchema:
         Missing columns default to NULL; unknown columns raise.
         """
         lowered_values = {key.lower(): value for key, value in values.items()}
-        known = {column.name.lower() for column in self.columns}
         for key in lowered_values:
-            if key not in known:
+            if key not in self._by_name:
                 raise SchemaError(f"table {self.name!r} has no column {key!r}")
-        row: Dict[str, Any] = {}
-        for column in self.columns:
-            raw = lowered_values.get(column.name.lower())
-            row[column.name] = column.coerce(raw)
-        return row
+        return {
+            column.name: column.coerce(lowered_values.get(lowered))
+            for lowered, column in self._by_name.items()
+        }
 
     def primary_key_of(self, row: Dict[str, Any]) -> Optional[Tuple[Any, ...]]:
         """Extract the primary key tuple of ``row`` (None if no PK)."""
-        pk_columns = self.primary_key_columns
-        if not pk_columns:
+        if not self._key_names:
             return None
-        return tuple(row[name] for name in pk_columns)
+        return tuple([row[name] for name in self._key_names])
 
     def foreign_keys(self) -> Sequence[Tuple[Column, ForeignKey]]:
-        return [(column, column.references) for column in self.columns if column.references]
+        return self._foreign_keys

@@ -48,8 +48,8 @@ class Table:
     # -- constraint checks ---------------------------------------------------
 
     def _check_not_null(self, row: Row) -> None:
-        for column in self.schema.columns:
-            if column.not_null and row.get(column.name) is None:
+        for column in self.schema.not_null_columns:
+            if row.get(column.name) is None:
                 raise ConstraintViolation(
                     f"column {column.name!r} of table {self.name!r} is NOT NULL"
                 )
@@ -91,10 +91,14 @@ class Table:
             return bool(self.rows_with_keys([(value,)]))
         return any(row[key] == value for row in self.rows())
 
-    def rows_with_keys(self, keys: Iterable[Tuple[Any, ...]]) -> List[Tuple[int, Row]]:
+    def rows_with_keys(self, keys: List[Tuple[Any, ...]]) -> List[Tuple[int, Row]]:
         """The live rows whose primary key is (``==``) one of ``keys``, as
-        :meth:`enumerate_rows` would yield them: ascending index, each once."""
+        :meth:`enumerate_rows` would yield them: ascending index, each once.
+        One key is one dict lookup."""
         index = self._pk_index
+        if len(keys) == 1:
+            slot = index.get(keys[0])
+            return [] if slot is None else [(slot, self._rows[slot])]
         slots = sorted({index[key] for key in keys if key in index})
         return [(slot, self._rows[slot]) for slot in slots]
 
@@ -130,8 +134,10 @@ class Table:
             self._pk_index[pk] = index
         return index
 
-    def update_at(self, index: int, new_values: Dict[str, Any]) -> Tuple[Row, Row]:
-        """Apply ``new_values`` to the row at ``index``; returns (old, new)."""
+    def update_at(self, index: int, new_values: Dict[str, Any]) -> Row:
+        """Apply ``new_values`` to the row at ``index``; returns the row it
+        replaced. A stored row is never changed in place, so the old one is
+        the undo record as it is."""
         old = self._rows[index]
         if old is None:
             raise ConstraintViolation(f"row {index} of table {self.name!r} was deleted")
@@ -150,16 +156,16 @@ class Table:
             if new_pk is not None:
                 self._pk_index[new_pk] = index
         self._rows[index] = updated
-        return dict(old), dict(updated)
+        return old
 
     def delete_at(self, index: int) -> Row:
-        """Delete the row at ``index``; returns the removed row."""
+        """Delete the row at ``index``; returns the removed row (never changed in place)."""
         old = self._rows[index]
         if old is None:
             raise ConstraintViolation(f"row {index} of table {self.name!r} already deleted")
         self._unindex(index)
         self._rows[index] = None  # type: ignore[call-overload]
-        return dict(old)
+        return old
 
     def clear(self) -> None:
         """Remove every row and release the slots (no undo: catalog refresh)."""

@@ -43,6 +43,20 @@ def test_engine_gates_see_the_one_scan_site_and_the_one_parse_site():
         assert len(report) == 2 and report[1].startswith(location + ":"), report
 
 
+def test_plan_gate_matches_the_interpreter_it_retired():
+    """The executor runs compiled plans only: the gate allows nothing and
+    matches the per-row tree walk it retired."""
+    check_forks = _check_forks()
+    (gate,) = [gate for gate in check_forks.GATES if gate.message.startswith("the executor interprets")]
+    assert gate.allowed == 0 and check_forks.check_gate(gate) == []
+    for line in (
+        "            if where.evaluate(self._context(row, params, positional))",
+        "        shared_context = self._context(context_row, params, positional)",
+        "        return EvalContext(",
+    ):
+        assert check_forks.re.search(gate.pattern, line), line
+
+
 def test_key_shape_gates_match_the_token_matcher_they_retired():
     """The two lock-scope gates allow nothing, so what shows they are not
     vacuous is that each pattern matches lines of the code it retired."""
@@ -186,15 +200,16 @@ def test_frame_path_gate_matches_the_walks_and_queues_it_retired():
         assert check_forks.re.search(gate.pattern, line), line
 
 
-def test_codec_gate_sees_only_framings_two_prebuilt_codecs():
+def test_codec_gate_sees_only_framings_one_prebuilt_decoder():
     """The per-call codec gate allows exactly framing's module-level decoder
-    and fallback encoder, and matches the per-frame codecs it retired."""
+    (its encoder is c_make_encoder's, with no fallback), and matches the
+    per-frame codecs it retired."""
     check_forks = _check_forks()
     (gate,) = [gate for gate in check_forks.GATES if gate.message.startswith("a codec built per call")]
-    assert gate.allowed == 2 and check_forks.check_gate(gate) == []
+    assert gate.allowed == 1 and check_forks.check_gate(gate) == []
     report = check_forks.check_gate(gate._replace(allowed=0))
-    assert len(report) == 3, report
-    assert all(hit.startswith("src/repro/netsim/framing.py:") for hit in report[1:]), report
+    assert len(report) == 2, report
+    assert report[1].startswith("src/repro/netsim/framing.py:"), report
     for line in (
         '        payload = json.dumps(message, separators=(",", ":"), default=_tag_bytes)',
         '        decoded = json.loads(data[4:], object_hook=_untag_bytes)',

@@ -36,6 +36,8 @@ class _Replica:
         self.release = threading.Event()
         #: Requests that reached a connection's ``send_execute``.
         self.requests = 0
+        #: Probes that reached a connection's ``ping``.
+        self.pings = 0
 
     def connect(self):
         return _Connection(self)
@@ -73,6 +75,12 @@ class _Connection:
                 self._lock.release()
 
         return collect
+
+    def ping(self):
+        """A PING exchange: it waits for a reply in flight, as any request does."""
+        self._replica.pings += 1
+        with self._lock:
+            return not self.closed
 
     def close(self):
         self.closed = True
@@ -154,6 +162,41 @@ def test_a_request_queued_on_the_shared_connection_holds_up_no_checkpoint_move_a
         thread.join(timeout=5.0)
         assert not thread.is_alive()
     assert results == [(["v"], [(1,)], 1)]
+
+
+def test_a_heartbeat_behind_a_reply_in_flight_holds_up_no_checkpoint_move_and_no_checkout():
+    """A ping of the shared connection, whose reply is in flight, waits
+    for that reply without the backend's lock: the checkpoint moves and a
+    lease checks out meanwhile, and the probe then finds the replica alive."""
+    replica = _Replica("STALL")
+    backend = Backend("db1", replica.connect)
+    first = _in_flight(lambda: backend.execute("STALL"), replica)
+    pinged = []
+    heartbeat = threading.Thread(target=lambda: pinged.append(backend.ping()), daemon=True)
+    heartbeat.start()
+    assert chaos.wait_until(lambda: replica.pings == 1)
+    assert _finishes(lambda: backend.advance_checkpoint(3), timeout=1.0)
+    assert _finishes(Lease(backend).open, timeout=1.0)
+    assert backend.checkpoint_index == 3 and heartbeat.is_alive()
+    replica.release.set()
+    for thread in (first, heartbeat):
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+    assert pinged == [True]
+
+
+def test_a_failed_probe_closes_only_the_probed_connection():
+    """A probe that fails closes the connection it probed; a lease checked
+    out meanwhile keeps its own."""
+    replica = _Replica()
+    backend = Backend("db1", replica.connect)
+    lease = Lease(backend)
+    lease.open()
+    probed = backend._ensure_connection()
+    probed.ping = lambda: False
+    assert backend.ping() is False
+    assert probed.closed and not lease.connection.closed
+    assert backend._ensure_connection() is not probed
 
 
 @pytest.mark.parametrize("change", ["swap", "disable"])

@@ -160,18 +160,6 @@ class TestEncodeDecode:
         with pytest.raises(MessageCodecError):
             encode_message({"type": "x", "rows": rows})
 
-    def test_the_fallback_encoder_writes_the_same_bytes(self, monkeypatch):
-        # Where the interpreter has no C encoder, JSONEncoder.encode stands in.
-        import repro.netsim.framing as framing
-
-        message = {"type": "x", "blob": b"\x00\xff", "f": [1.5, float("inf")], "s": "\u00e9"}
-        expected = encode_message(message)
-        monkeypatch.setattr(framing, "c_make_encoder", None)
-        monkeypatch.setattr(framing, "_iterencode", framing._make_iterencode())
-        assert encode_message(message) == expected
-        with pytest.raises(MessageCodecError):
-            encode_message({"bad": object()})
-
     def test_an_integer_too_long_to_convert_is_a_codec_error(self):
         # The interpreter refuses int() of more than 4300 digits with a
         # ValueError, which is no TransportError: it would escape every

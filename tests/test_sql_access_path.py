@@ -11,7 +11,8 @@ import threading
 
 import pytest
 
-from repro.sqlengine import Engine, expressions, parser
+from repro.sqlengine import Engine, TableNotFound, expressions, parser
+from repro.sqlengine import engine as engine_module
 
 ROWS = 2000
 
@@ -34,19 +35,32 @@ def accounts():
 
 
 @pytest.fixture
-def visited(monkeypatch):
+def visited(monkeypatch, accounts):
     """Counts the rows a predicate on ``id`` / ``balance`` is evaluated on:
-    each of the predicates below reads its column once per row it sees."""
+    each of the predicates below reads its column once per row it sees.
+
+    The count is kept by the compiled column read, so the plans compiled
+    before the count began (kept by the database, one per text) are
+    forgotten first, and those compiled with the count after it ends."""
     counts = {"id": 0, "balance": 0}
-    evaluate = expressions.ColumnRef.evaluate
+    compile_column = expressions.ColumnRef.compile
 
-    def counting(self, context):
-        if self.name in counts:
+    def counting(self, resolve, clock):
+        read = compile_column(self, resolve, clock)
+        if self.name not in counts:
+            return read
+
+        def counted(row, params, positional):
             counts[self.name] += 1
-        return evaluate(self, context)
+            return read(row, params, positional)
 
-    monkeypatch.setattr(expressions.ColumnRef, "evaluate", counting)
-    return counts
+        return counted
+
+    database = accounts._engine.database("db")
+    database.clear_plans()
+    monkeypatch.setattr(expressions.ColumnRef, "compile", counting)
+    yield counts
+    database.clear_plans()
 
 
 class TestRowsVisited:
@@ -182,7 +196,8 @@ class TestStatementCache:
     def test_sessions_share_the_cache_while_it_churns(self):
         """Eight sessions repeat one text while a ninth pushes more distinct
         texts through the cache than it holds: every answer is the right
-        row, nothing raises, the cache stays within its bound."""
+        row, nothing raises, the statement cache and the database's plan
+        cache stay within their bound."""
         engine = Engine()
         _session(engine).execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
         setup = engine.open_session("db")
@@ -225,3 +240,111 @@ class TestStatementCache:
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
         assert len(parser._cache) <= parser.STATEMENT_CACHE_SIZE
+        assert len(engine.database("db")._plans) <= parser.STATEMENT_CACHE_SIZE
+
+
+class TestPlanCache:
+    """The database keeps a plan per SQL text (docs/architecture.md, "Engine
+    access path"): a repeated text is not parsed again, and no plan outlives
+    the catalog it was built against."""
+
+    @staticmethod
+    def _parses(monkeypatch):
+        calls = []
+        parse = engine_module.parse
+        monkeypatch.setattr(engine_module, "parse", lambda sql: calls.append(sql) or parse(sql))
+        return calls
+
+    def test_a_repeated_text_is_parsed_once(self, monkeypatch):
+        session = _session()
+        session.execute("CREATE TABLE once (id INTEGER PRIMARY KEY, v INTEGER)")
+        parses = self._parses(monkeypatch)
+        for row_id in range(3):
+            session.execute("INSERT INTO once VALUES (?, ?)", positional=[row_id, row_id * 2])
+            assert session.execute("SELECT v FROM once WHERE id = ?", positional=[row_id]).rows == [(row_id * 2,)]
+        assert parses == ["INSERT INTO once VALUES (?, ?)", "SELECT v FROM once WHERE id = ?"]
+
+    @pytest.mark.parametrize(
+        "second",
+        [
+            "CREATE TABLE moved (a INTEGER, b INTEGER PRIMARY KEY)",  # another key
+            "CREATE TABLE moved (A INTEGER PRIMARY KEY, B INTEGER)",  # another column case
+        ],
+    )
+    def test_drop_and_create_under_the_same_text_replans(self, second, monkeypatch):
+        session = _session()
+        select = "SELECT a, b FROM moved WHERE a = 1"
+        session.execute("CREATE TABLE moved (a INTEGER PRIMARY KEY, b INTEGER)")
+        session.execute("INSERT INTO moved VALUES (1, 2), (2, 1)")
+        assert session.execute(select).rows == [(1, 2)]
+        session.execute("DROP TABLE moved")
+        session.execute(second)
+        session.execute("INSERT INTO moved VALUES (1, 3), (2, 1)")
+        parses = self._parses(monkeypatch)
+        assert session.execute(select).rows == [(1, 3)]
+        assert session.execute("UPDATE moved SET b = 4 WHERE a = 1").rowcount == 1
+        assert session.execute(select).rows == [(1, 4)]
+        assert parses == [select, "UPDATE moved SET b = 4 WHERE a = 1"]
+
+    def test_a_catalog_read_after_a_create_sees_the_new_table(self):
+        session = _session()
+        read = "SELECT column_name FROM information_schema.columns WHERE table_name = 'fresh'"
+        assert session.execute(read).rows == []
+        session.execute("CREATE TABLE fresh (id INTEGER PRIMARY KEY, note VARCHAR)")
+        assert session.execute(read).rows == [("id",), ("note",)]
+        tables = "SELECT table_name FROM information_schema.tables"
+        assert session.execute(tables).rows == [("fresh",)]
+        session.execute("CREATE TABLE later (id INTEGER)")
+        assert session.execute(tables).rows == [("fresh",), ("later",)]
+
+    def test_a_plan_built_by_one_session_is_undone_in_anothers_transaction(self):
+        engine = Engine()
+        first = _session(engine)
+        first.execute("CREATE TABLE shared (id INTEGER PRIMARY KEY, v INTEGER)")
+        first.execute("INSERT INTO shared VALUES (1, 10)")
+        update, insert, delete = (
+            "UPDATE shared SET v = v + 1 WHERE id = 1",
+            "INSERT INTO shared VALUES (?, 0)",
+            "DELETE FROM shared WHERE id = 1",
+        )
+        first.execute(update)
+        first.execute(insert, positional=[2])
+        first.execute(delete)
+        first.execute("INSERT INTO shared VALUES (1, 11)")
+        before = first.execute("SELECT id, v FROM shared").rows
+        second = engine.open_session("db")
+        second.execute("BEGIN")
+        assert second.execute(update).rowcount == 1
+        assert second.execute(insert, positional=[3]).rowcount == 1
+        assert second.execute(delete).rowcount == 1
+        second.execute("ROLLBACK")
+        assert first.execute("SELECT id, v FROM shared").rows == before == [(2, 0), (1, 11)]
+
+    def test_one_text_more_than_the_cache_holds_evicts_the_oldest_plan(self, monkeypatch):
+        session = _session()
+        session.execute("CREATE TABLE lru (id INTEGER PRIMARY KEY)")
+        texts = [f"SELECT id FROM lru WHERE id = {n}" for n in range(parser.STATEMENT_CACHE_SIZE + 1)]
+        parses = self._parses(monkeypatch)
+        for text in texts:
+            session.execute(text)
+        session.execute(texts[-1])
+        session.execute(texts[1])
+        assert parses == texts
+        session.execute(texts[0])
+        assert parses == texts + [texts[0]]
+
+    def test_an_unknown_set_column_fails_only_on_a_row(self, accounts):
+        for _run in range(2):
+            assert accounts.execute("UPDATE accounts SET nosuch = 1 WHERE id = 999999").rowcount == 0
+        with pytest.raises(Exception, match="has no column"):
+            accounts.execute("UPDATE accounts SET nosuch = 1 WHERE id = 5")
+
+    def test_no_plan_is_kept_for_a_missing_table(self, monkeypatch):
+        session = _session()
+        parses = self._parses(monkeypatch)
+        for _run in range(2):
+            with pytest.raises(TableNotFound):
+                session.execute("SELECT id FROM later")
+        session.execute("CREATE TABLE later (id INTEGER)")
+        assert session.execute("SELECT id FROM later").rows == []
+        assert parses == ["SELECT id FROM later"] * 2 + ["CREATE TABLE later (id INTEGER)", "SELECT id FROM later"]

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sqlengine import Engine
+from repro.sqlengine.expressions import EvalContext
+from repro.sqlengine.parser import parse
 
 _ids = st.lists(st.integers(min_value=1, max_value=10_000), unique=True, min_size=1, max_size=25)
 _names = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=8)
@@ -97,13 +99,18 @@ def test_order_by_matches_python_sort(names):
     assert [row[0] for row in rows] == sorted(names)
 
 
-# -- differential oracle: the index path returns exactly what the scan returns -----------------
+# -- differential oracles: compiled plan == reference interpreter, index path == full scan ----
 #
 # Random tables, rows and predicates; the engine's answer to SELECT, UPDATE
-# and DELETE must equal a reference that evaluates the same parsed WHERE on
-# every row of ``enumerate_rows()`` — what the executor did before it had an
-# index to ask. Constants cross types on purpose (``id = TRUE``, ``id = '05'``,
-# ``id = 5.0``): those are where a probe could disagree with ``_compare``.
+# and DELETE must equal a reference that evaluates the same parsed statement
+# with ``Expression.evaluate`` — its WHERE on every row of ``enumerate_rows()``
+# (what the executor did before it had an index to ask), then its projection
+# or its SET on each match. Constants cross types on purpose (``id = TRUE``,
+# ``id = '05'``, ``id = 5.0``): those are where a probe could disagree with
+# ``_compare``. Projections and SETs hold expressions, a missing parameter
+# and an unknown column, so the error a statement raises (its class), and
+# the rows an UPDATE changed before it, must be the reference's too. Each
+# text runs twice: the second run is served by the plan the first one left.
 
 _SHAPES = {
     "int_key": "CREATE TABLE t (id INTEGER PRIMARY KEY, name VARCHAR, score INTEGER)",
@@ -203,32 +210,86 @@ class _Rendering:
         return f"{column} {'NOT ' if node[4] else ''}BETWEEN {low} AND {high}"
 
 
-def _scan(table, sql, params, positional):
-    """The reference: the statement's own WHERE, evaluated on every live row."""
-    from repro.sqlengine.expressions import EvalContext
-    from repro.sqlengine.parser import parse
+#: SELECT lists and SET lists; ``?`` is the step's drawn constant.
+_PROJECTIONS = ["id, name, score", "*", "score + ?", "lower(name)", "id, nosuch", "$missing"]
+_ASSIGNMENTS = ["score = ?", "score = score + 1", "score = score + ?", "score = $missing", "nosuch = 1"]
 
-    where = parse(sql).where
-    return [
-        (index, dict(row))
-        for index, row in table.enumerate_rows()
-        if where.evaluate(
-            EvalContext(row={k.lower(): v for k, v in row.items()}, params=params, positional=positional)
-        )
+
+def _row_context(row, params, positional):
+    return EvalContext(row={k.lower(): v for k, v in row.items()}, params=params, positional=positional)
+
+
+def _reference(table, kind, sql, params, positional):
+    """What the reference interpreter makes of ``sql`` on ``table`` as it is
+    now: (the error class it raises or None, the result rows or rowcount,
+    the table's rows afterwards). Every kind but SELECT and DELETE is an
+    UPDATE."""
+    statement = parse(sql)
+    before = [(index, dict(row)) for index, row in table.enumerate_rows()]
+    where = statement.where
+    matches = [
+        (index, row)
+        for index, row in before
+        if where is None or where.evaluate(_row_context(row, params, positional))
     ]
+    after = dict(before)
+    try:
+        if kind == "select":
+            rows = []
+            for _index, row in matches:
+                context = _row_context(row, params, positional)
+                values = []
+                for item in statement.items:
+                    if item.star:
+                        values.extend(row.values())
+                    else:
+                        values.append(item.expression.evaluate(context))
+                rows.append(tuple(values))
+            return None, rows, before
+        for index, row in matches:
+            if kind == "delete":
+                del after[index]
+                continue
+            context = _row_context(row, params, positional)
+            new_values = {column: expression.evaluate(context) for column, expression in statement.assignments}
+            changed = dict(row)
+            for column, value in new_values.items():
+                target = table.schema.column(column)
+                changed[target.name] = target.coerce(value)
+            after[index] = changed
+    except Exception as error:  # noqa: BLE001 - the class is what is compared
+        return type(error), None, list(after.items())
+    return None, len(matches), list(after.items())
+
+
+def _run_and_compare(session, table, kind, sql, params, positional):
+    error, expected, after = _reference(table, kind, sql, params, positional)
+    try:
+        result = session.execute(sql, params=params, positional=positional)
+    except Exception as raised:  # noqa: BLE001 - compared with the reference's
+        assert type(raised) is error, (sql, raised)
+    else:
+        assert error is None, (sql, error)
+        if kind == "select":
+            assert (result.rows, result.rowcount) == (expected, len(expected)), sql
+        else:
+            assert result.rowcount == expected, sql
+    assert list(table.enumerate_rows()) == after, sql
+    assert table.pk_index_consistent(), sql
 
 
 @st.composite
 def _scenarios(draw):
     shape, rows = draw(_tables())
     kinds = ["select", "update", "delete"] + ["move_key"] * (shape in ("int_key", "two_column_key"))
-    steps = draw(
-        st.lists(
-            st.tuples(st.sampled_from(kinds), _predicates(shape), st.booleans(), st.one_of(_small_ints, st.none())),
-            min_size=1,
-            max_size=4,
-        )
-    )
+    variants = {"select": st.sampled_from(_PROJECTIONS), "update": st.sampled_from(_ASSIGNMENTS)}
+    steps = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        kind = draw(st.sampled_from(kinds))
+        variant = draw(variants[kind]) if kind in variants else None
+        # One step in four has no WHERE, so projections and SETs meet rows more often.
+        predicate = draw(st.one_of(st.none(), _predicates(shape), _predicates(shape), _predicates(shape)))
+        steps.append((kind, variant, predicate, draw(st.booleans()), draw(_constants)))
     return shape, rows, steps
 
 
@@ -244,38 +305,24 @@ def test_index_path_equals_full_scan(scenario):
         session.execute("INSERT INTO t VALUES (?, ?, ?)", positional=[row_id, name, score])
     table = engine.database("db").lookup_table("t")
 
-    for kind, predicate, rolled_back, new_score in steps:
+    for kind, variant, predicate, rolled_back, constant in steps:
         rendering = _Rendering()
         if kind == "select":
-            head = "SELECT id, name, score FROM t"
+            head = f"SELECT {variant.replace('?', rendering.constant((constant, 'positional')))} FROM t"
         elif kind == "update":
-            head = f"UPDATE t SET score = {rendering.constant((new_score, 'positional'))}"
+            head = f"UPDATE t SET {variant.replace('?', rendering.constant((constant, 'positional')))}"
         elif kind == "move_key":
             head = "UPDATE t SET id = id + 100"
         else:
             head = "DELETE FROM t"
-        sql = f"{head} WHERE {rendering.predicate(predicate)}"
+        sql = head if predicate is None else f"{head} WHERE {rendering.predicate(predicate)}"
         params, positional = rendering.params, rendering.positional
 
-        before = [(index, dict(row)) for index, row in table.enumerate_rows()]
-        matches = _scan(table, sql, params, positional)
-        matched = {index for index, _row in matches}
+        before = list(table.enumerate_rows())
         if rolled_back:
             session.execute("BEGIN")
-        result = session.execute(sql, params=params, positional=positional)
-        assert result.rowcount == len(matches), sql
-        if kind == "select":
-            assert result.rows == [tuple(row.values()) for _index, row in matches], sql
-            expected = before
-        elif kind == "delete":
-            expected = [(index, row) for index, row in before if index not in matched]
-        else:
-            change = (lambda row: {"score": new_score}) if kind == "update" else (lambda row: {"id": row["id"] + 100})
-            expected = [
-                (index, dict(row, **change(row)) if index in matched else row) for index, row in before
-            ]
-        assert list(table.enumerate_rows()) == expected, sql
-        assert table.pk_index_consistent(), sql
+        for _run in range(2):
+            _run_and_compare(session, table, kind, sql, params, positional)
         if rolled_back:
             session.execute("ROLLBACK")
             assert list(table.enumerate_rows()) == before, sql
