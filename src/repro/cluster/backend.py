@@ -325,6 +325,19 @@ def _close_quietly(connection: Any) -> None:
         pass
 
 
+def _probe(connection: Any) -> bool:
+    """Whether ``connection`` answers its PING, or a trivial SELECT when
+    it has no PING exchange."""
+    probe = getattr(connection, "ping", None)
+    try:
+        if callable(probe):
+            return bool(probe())
+        connection.cursor().execute("SELECT 1")
+        return True
+    except Exception:  # noqa: BLE001 - any failure means the replica did not answer
+        return False
+
+
 # -- the replay rule: plain values in, a verdict out ---------------------------
 
 #: Verdicts of :func:`replay_step`.
@@ -577,24 +590,23 @@ class Backend:
 
         Uses the connection's own PING exchange when the driver offers
         one, otherwise a trivial SELECT. The shared connection is chosen
-        under the backend's lock and probed after it is let go, so a probe
-        waiting behind a reply in flight holds up nothing else on the
-        backend. A failed probe closes the probed connection (never a
-        successor) so the next probe (or statement) reconnects fresh."""
+        under the backend's lock. One with a split form (``send_execute``)
+        guards its own exchange, so it is probed after the lock is let go
+        and a probe waiting behind a reply in flight holds up nothing else
+        on the backend; one without may rely on the backend's lock to
+        serialise its use, as a request on it does (``_send_shared``), so
+        it is probed under that lock. A failed probe closes the probed
+        connection (never a successor) so the next probe (or statement)
+        reconnects fresh."""
         try:
-            connection = self._ensure_connection()
+            with self._lock:
+                connection = self._ensure_connection()
+                alive = None if hasattr(connection, "send_execute") else _probe(connection)
         except Exception:
             self.close_connection()
             return False
-        probe = getattr(connection, "ping", None)
-        try:
-            if callable(probe):
-                alive = bool(probe())
-            else:
-                connection.cursor().execute("SELECT 1")
-                alive = True
-        except Exception:
-            alive = False
+        if alive is None:
+            alive = _probe(connection)
         if not alive:
             self._drop_connection(connection)
         return alive

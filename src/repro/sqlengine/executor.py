@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.sqlengine.errors import SqlExecutionError, TableNotFound
-from repro.sqlengine.expressions import ColumnRef, Compiled, Expression, KeyTerms, Literal, failing
+from repro.sqlengine.expressions import ColumnRef, Compiled, Expression, KeyTerms, failing
 from repro.sqlengine.schema import TableSchema
 from repro.sqlengine.statements import (
     Begin,
@@ -235,20 +235,6 @@ class Planner:
                 return None
             pinned.append((stored_type, [self._compile(constant, None) for constant in constants]))
 
-        if len(pinned) == 1 and len(pinned[0][1]) == 1:
-            ((stored_type, (constant,)),) = pinned
-
-            def one_key(params, positional):
-                try:
-                    value = constant(_NO_ROW, params, positional)
-                except SqlExecutionError:
-                    return None  # a missing parameter: let the scan report it, if it gets that far
-                if value is None:
-                    return []
-                return [(value,)] if type(value) is stored_type else None
-
-            return one_key
-
         def keys(params, positional):
             choices: List[List[Any]] = []
             for stored_type, constants in pinned:
@@ -320,10 +306,6 @@ class Planner:
                 f"INSERT column/value count mismatch: {len(columns)} columns, {len(expressions)} values",
             )
             return lambda params, positional: fail(_NO_ROW, params, positional)
-        if all(type(expression) is Literal for expression in expressions):
-            # Table.insert only reads the mapping, so one serves every run.
-            constant = {column: expression.value for column, expression in zip(columns, expressions)}
-            return lambda params, positional: constant
         pairs = [(column, self._compile(expression, None)) for column, expression in zip(columns, expressions)]
         return lambda params, positional: {
             column: value(_NO_ROW, params, positional) for column, value in pairs
@@ -378,9 +360,6 @@ class Planner:
             else:
                 assert item.expression is not None
                 values.append(self._compile(item.expression, schema))
-        if len(values) == 1:
-            (only,) = values
-            return lambda row, params, positional: (only(row, params, positional),)
         return lambda row, params, positional: tuple([value(row, params, positional) for value in values])
 
     def _plan_constant_select(self, items: List[SelectItem]) -> Plan:

@@ -256,19 +256,10 @@ class BinaryOp(Expression):
             return lambda row, params, positional: _truthy(left(row, params, positional)) or _truthy(
                 right(row, params, positional)
             )
-        compare = _COMPARISONS.get(op)
-        if compare is not None:
-
-            def comparison(row, params, positional):
-                a = left(row, params, positional)
-                b = right(row, params, positional)
-                if a is None or b is None:
-                    return False
-                if type(a) is type(b):  # _compare coerces nothing for a same-typed pair
-                    return compare(a, b)
-                return _compare(op, a, b)
-
-            return comparison
+        if op in _COMPARISONS:
+            return lambda row, params, positional: _compare(
+                op, left(row, params, positional), right(row, params, positional)
+            )
         if op in ("+", "-"):
             combine = operator.add if op == "+" else operator.sub
 
@@ -527,13 +518,14 @@ def _truthy(value: Any) -> bool:
 def _compare(op: str, left: Any, right: Any) -> bool:
     if left is None or right is None:
         return False
-    # Allow numeric cross-type comparison but avoid comparing str to int.
-    if isinstance(left, bool) or isinstance(right, bool):
-        left, right = bool(left), bool(right)
-    elif isinstance(left, (int, float)) and isinstance(right, (int, float)):
-        pass
-    elif type(left) is not type(right):
-        if isinstance(left, str) and isinstance(right, (int, float)):
+    # A same-typed pair compares as it is. Otherwise allow numeric
+    # cross-type comparison but avoid comparing str to int.
+    if type(left) is not type(right):
+        if isinstance(left, bool) or isinstance(right, bool):
+            left, right = bool(left), bool(right)
+        elif isinstance(left, (int, float)) and isinstance(right, (int, float)):
+            pass
+        elif isinstance(left, str) and isinstance(right, (int, float)):
             right = str(right)
         elif isinstance(right, str) and isinstance(left, (int, float)):
             left = str(left)
@@ -541,16 +533,7 @@ def _compare(op: str, left: Any, right: Any) -> bool:
             right = right.encode("utf-8")
         elif isinstance(right, bytes) and isinstance(left, str):
             left = left.encode("utf-8")
-    if op == "=":
-        return left == right
-    if op in ("<>", "!="):
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == ">=":
-        return left >= right
-    raise SqlExecutionError(f"unknown comparison operator {op!r}")  # pragma: no cover
+    compare = _COMPARISONS.get(op)
+    if compare is None:  # pragma: no cover
+        raise SqlExecutionError(f"unknown comparison operator {op!r}")
+    return compare(left, right)

@@ -9,8 +9,9 @@ goes on the current one, or skips a replica that left the rotation, so
 concurrent auto-commit reads never see the replica fail.
 
 The stub connections have the split form and the pydb connection's
-exclusivity; the last tests run a real cluster (pydb replicas on the
-in-memory network)."""
+exclusivity, except one plain DB-API stub that leans on the backend's
+lock; the last tests run a real cluster (pydb replicas on the in-memory
+network)."""
 
 import threading
 
@@ -183,6 +184,79 @@ def test_a_heartbeat_behind_a_reply_in_flight_holds_up_no_checkpoint_move_and_no
         thread.join(timeout=5.0)
         assert not thread.is_alive()
     assert pinged == [True]
+
+
+class _PlainConnection:
+    """A DB-API connection with no split form and no lock of its own: it
+    relies on the backend's lock to serialise its use. ``overlapped``
+    records a call made while another was running on it."""
+
+    def __init__(self, replica):
+        self._replica = replica
+        self.running = 0
+        self.overlapped = False
+        self.closed = False
+
+    def _run(self, stall):
+        self.running += 1
+        self.overlapped |= self.running > 1
+        try:
+            if stall:
+                self._replica.sent.set()
+                assert self._replica.release.wait(timeout=10.0)
+        finally:
+            self.running -= 1
+
+    def cursor(self):
+        connection = self
+
+        class Cursor:
+            description, rowcount = [("v",)], 1
+
+            def execute(self, sql, params=None):
+                connection._run(sql in connection._replica.stalled)
+
+            def fetchall(self):
+                return [(1,)]
+
+            def close(self):
+                pass
+
+        return Cursor()
+
+    def ping(self):
+        self._replica.pings += 1
+        self._run(False)
+        return True
+
+    def close(self):
+        self.closed = True
+
+
+def test_a_connection_without_the_split_form_is_probed_under_the_backends_lock(monkeypatch):
+    """A request that reaches the shared connection while a ping has
+    chosen it waits for the probe, when the connection has no split
+    form: the two never run on it at the same time."""
+    replica = _Replica("STALL")
+    connection = _PlainConnection(replica)
+    backend = Backend("db1", lambda: connection)
+    choose = backend._ensure_connection
+    requests = []
+
+    def choose_then_request():
+        chosen = choose()
+        if not requests:
+            requests.append(threading.Thread(target=backend.execute, args=("STALL",), daemon=True))
+            requests[0].start()
+            replica.sent.wait(timeout=0.3)  # it cannot start while the probe holds the lock
+        return chosen
+
+    monkeypatch.setattr(backend, "_ensure_connection", choose_then_request)
+    assert backend.ping() is True
+    replica.release.set()
+    requests[0].join(timeout=5.0)
+    assert not requests[0].is_alive()
+    assert replica.pings == 1 and not connection.overlapped
 
 
 def test_a_failed_probe_closes_only_the_probed_connection():

@@ -307,10 +307,13 @@ def test_index_path_equals_full_scan(scenario):
 
     for kind, variant, predicate, rolled_back, constant in steps:
         rendering = _Rendering()
+        if variant is not None and "?" in variant:
+            # Bound first, so the predicate's own ``?`` values follow it.
+            variant = variant.replace("?", rendering.constant((constant, "positional")))
         if kind == "select":
-            head = f"SELECT {variant.replace('?', rendering.constant((constant, 'positional')))} FROM t"
+            head = f"SELECT {variant} FROM t"
         elif kind == "update":
-            head = f"UPDATE t SET {variant.replace('?', rendering.constant((constant, 'positional')))}"
+            head = f"UPDATE t SET {variant}"
         elif kind == "move_key":
             head = "UPDATE t SET id = id + 100"
         else:
