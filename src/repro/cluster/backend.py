@@ -702,11 +702,12 @@ class Backend:
             replayed = 0
             floor: Dict[str, int] = {}
             # Replayable entries accumulate and are applied through
-            # execute_batch in chunks: a long tail replay costs one
-            # round trip per chunk instead of one per entry. A chunk is
-            # flushed before any *skipped* entry advances the checkpoint,
-            # so the checkpoint never claims an index whose predecessors
-            # are still unapplied.
+            # execute_batch in chunks: on a connection with a native
+            # batch a long tail replay costs one round trip per chunk
+            # (on pydb still one per entry; see _RESYNC_BATCH_SIZE). A
+            # chunk is flushed before any *skipped* entry advances the
+            # checkpoint, so the checkpoint never claims an index whose
+            # predecessors are still unapplied.
             pending: List[LogEntry] = []
 
             def flush() -> None:

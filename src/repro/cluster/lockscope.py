@@ -5,8 +5,11 @@ into the :class:`~repro.cluster.locks.LockScope` it must hold — a
 write's broadcast, or a transaction's read: the rows it provably
 touches (a single-row INSERT/UPDATE/DELETE/SELECT or a ``pk IN (...)``
 UPDATE/DELETE/SELECT whose primary-key values fully resolve), else the
-tables it touches, else ``EXCLUSIVE``. A table's primary key
-comes from the ``primary_keys`` seed or, lazily, from an enabled
+tables it touches, else ``EXCLUSIVE``. A write on a table that a
+``REFERENCES`` links to another (either way) gets the table scope over
+both, since the engine checks the rows of each when it writes the
+other. A table's primary key and links
+come from the ``primary_keys`` seed or, lazily, from an enabled
 backend's ``information_schema.columns`` catalog; any failure to resolve
 one yields the table scope, which is always safe.
 
@@ -37,7 +40,7 @@ after it.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.cluster.backend import Backend
 from repro.cluster.classifier import ClassifiedStatement, normalize_table_name
@@ -51,6 +54,12 @@ _NO_KEY = object()
 #: ``(column, declared data_type, 1-based ordinal or None)`` of a table's
 #: single-column primary key.
 PrimaryKey = Tuple[str, str, Optional[int]]
+
+#: What the catalog says of a table: its primary key (None when it has no
+#: single-column one) and the tables a REFERENCES links it to, either way
+#: (itself, if it references itself).
+TableFacts = Tuple[Optional[PrimaryKey], FrozenSet[str]]
+_UNKNOWN: TableFacts = (None, frozenset())
 
 
 def _canonical_key(value: Any, data_type: str) -> Any:
@@ -160,14 +169,14 @@ class ScopeResolver:
         primary_keys: Optional[Dict[str, Tuple[str, str]]] = None,
     ) -> None:
         self._enabled_backends = enabled_backends
-        self._seed: Dict[str, PrimaryKey] = {
-            normalize_table_name(table): (column.lower(), data_type, None)
+        self._seed: Dict[str, TableFacts] = {
+            normalize_table_name(table): ((column.lower(), data_type, None), frozenset())
             for table, (column, data_type) in (primary_keys or {}).items()
         }
         self._lock = threading.Lock()
-        #: table → its primary key, or None when the table has no
-        #: single-column PK (or is unknown).
-        self._cache: Dict[str, Optional[PrimaryKey]] = {}
+        #: table → what the catalog said of it (:data:`_UNKNOWN` for an
+        #: unknown table).
+        self._cache: Dict[str, TableFacts] = {}
         #: Bumped by every :meth:`invalidate`; see the generation rule.
         self.generation = 0
 
@@ -179,17 +188,27 @@ class ScopeResolver:
         tables = statement.lock_tables
         if tables is None:
             return EXCLUSIVE, self.generation
-        table_scope = LockScope(tables=tables)
         dml = statement.dml
-        if dml is None or len(tables) != 1:
-            # No reading of the text to prove a key from, or reads /
-            # REFERENCES alongside a write: the key only covers the
-            # statement's own table's rows, not the other tables.
-            return table_scope, self.generation
-        table = next(iter(tables))
-        primary_key, generation = self._primary_key(table)
-        if primary_key is None:
+        writes = statement.write_tables
+        generation = self.generation
+        primary_key = None
+        linked: FrozenSet[str] = frozenset()
+        for table in writes or (tables if dml is not None and len(tables) == 1 else ()):
+            (primary_key, links), generation = self._facts(table)
+            linked |= links
+        if linked and writes:
+            # A write checks the rows REFERENCES links its rows to — a
+            # child's parent, a parent's referrers — on every replica, so
+            # it must not run alongside any writer of those tables.
+            return LockScope(tables=tables | linked), generation
+        table_scope = LockScope(tables=tables)
+        if dml is None or len(tables) != 1 or primary_key is None:
+            # No reading of the text to prove a key from, reads /
+            # REFERENCES alongside a write (the key only covers the
+            # statement's own table's rows, not the other tables), or
+            # no single-column key.
             return table_scope, generation
+        table = next(iter(tables))
         pk_column, data_type, ordinal = primary_key
         keys = set()
         for constant in _key_constants(dml, pk_column, ordinal):
@@ -204,15 +223,18 @@ class ScopeResolver:
         return LockScope(keys=frozenset(keys)), generation
 
     def invalidate(self, tables: Optional[Iterable[str]]) -> None:
-        """Forget cached keys for ``tables`` (everything when the DDL's
-        table set is unknown) and bump the generation. Must be called
-        while the DDL still holds its lock scope — that is what lets a
-        key writer's post-acquire generation compare stand for "no DDL
-        touched my table since I resolved"."""
+        """Forget what is cached of ``tables`` and of the tables
+        REFERENCES links to them (everything when the DDL's table set is
+        unknown) and bump the generation. Must be called while the DDL
+        still holds its lock scope — that is what lets a key writer's
+        post-acquire generation compare stand for "no DDL touched my
+        table since I resolved"."""
         with self._lock:
             if tables:
-                for table in tables:
-                    self._cache.pop(table, None)
+                gone = frozenset(tables)
+                for table, (_, links) in list(self._cache.items()):
+                    if table in gone or links & gone:
+                        del self._cache[table]
             else:
                 self._cache.clear()
             self.generation += 1
@@ -221,9 +243,9 @@ class ScopeResolver:
         with self._lock:
             return {"primary_keys_cached": len(self._cache)}
 
-    def _primary_key(self, table: str) -> Tuple[Optional[PrimaryKey], int]:
-        """``table``'s primary key (None when it has no usable one) and
-        the generation the answer was read at."""
+    def _facts(self, table: str) -> Tuple[TableFacts, int]:
+        """What the catalog says of ``table``, and the generation the
+        answer was read at."""
         seeded = self._seed.get(table)
         if seeded is not None:
             return seeded, self.generation
@@ -240,33 +262,38 @@ class ScopeResolver:
         # resolves again; it is not cached.
         return probed, generation
 
-    def _probe(self, table: str) -> Optional[PrimaryKey]:
-        """Ask the schema catalog for ``table``'s primary key."""
+    def _probe(self, table: str) -> TableFacts:
+        """Ask the schema catalog for ``table``'s primary key and links."""
         backend = next(iter(self._enabled_backends()), None)
         if backend is None:
-            return None
+            return _UNKNOWN
         try:
             _, rows, _ = backend.execute(
                 "SELECT table_name, table_schema, column_name, ordinal_position, "
-                "data_type, is_primary_key FROM information_schema.columns",
+                "data_type, is_primary_key, references_table FROM information_schema.columns",
                 None,
                 track=False,
             )
             pk_columns = []
-            for table_name, table_schema, column_name, ordinal, data_type, is_pk in rows:
+            links = set()
+            for table_name, table_schema, column_name, ordinal, data_type, is_pk, target in rows:
                 qualified = (
                     f"{table_schema}.{table_name}" if table_schema else str(table_name)
                 )
-                if normalize_table_name(qualified) != table:
+                owner = normalize_table_name(qualified)
+                target = normalize_table_name(target) if target else None
+                if target == table:
+                    links.add(owner)
+                if owner != table:
                     continue
+                if target:
+                    links.add(target)
                 if bool(is_pk):
                     pk_columns.append(
                         (str(column_name).lower(), str(data_type), int(ordinal))
                     )
         except Exception:
-            return None
-        if len(pk_columns) != 1:
-            # No PK or a composite PK: one lock key cannot stand for the
-            # row identity the engine enforces.
-            return None
-        return pk_columns[0]
+            return _UNKNOWN
+        # No PK or a composite PK: one lock key cannot stand for the row
+        # identity the engine enforces.
+        return (pk_columns[0] if len(pk_columns) == 1 else None), frozenset(links)

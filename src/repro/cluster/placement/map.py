@@ -160,55 +160,44 @@ class PlacementMap:
                 self._pinned.pop(normalize_table_name(table), None)
 
     def ensure_colocated(self, table: str, referenced: Iterable[str]) -> None:
-        """Enforce that every host of ``table`` also hosts its
-        ``REFERENCES`` targets — a replica holding the referencing table
-        without the referenced one fails every insert's foreign-key
-        check, which the scheduler's divergence logic would read as a
-        dead replica.
+        """Enforce that ``table`` has exactly the hosts of each of its
+        ``REFERENCES`` targets. A host of the referencing table without a
+        target fails every insert's foreign-key check; a host of a target
+        without the referencing table accepts the DELETE of a referenced
+        row that the other hosts refuse. The scheduler's divergence logic
+        reads either as a dead replica.
 
         Policies whose host choice is arbitrary (hash spreads) are
-        re-pointed: the new table is pinned onto the targets' common
-        hosts. Operator-chosen assignments are never silently overridden
-        — a conflict raises :class:`NoHostingBackendError` so the spec
-        gets fixed instead."""
-        common: Optional[FrozenSet[str]] = None
-        for ref in referenced:
-            ref_hosts = self.hosts(ref, pin=True)
-            common = ref_hosts if common is None else common & ref_hosts
-        if common is None:
-            return
+        re-pointed: the new table is pinned onto the targets' hosts.
+        Operator-chosen assignments are never silently overridden, and
+        targets on different host sets cannot be followed — either
+        raises :class:`NoHostingBackendError` so the spec gets fixed."""
         key = normalize_table_name(table)
-        with self._lock:
-            if key.startswith(_SYSTEM_PREFIXES):
-                return
-            pinned = self._pinned.get(key)
-            if pinned is not None:
-                if pinned <= common:
-                    return
-                raise NoHostingBackendError(
-                    f"table {key!r} is hosted by {sorted(pinned)} but its REFERENCES "
-                    f"targets are only on {sorted(common)}; colocate them"
-                )
-            placed = self._policy.place(key, tuple(self._universe))
-            if placed is None:
-                # Hosted everywhere: every backend needs the targets.
-                if common >= frozenset(self._universe):
-                    return
-                raise NoHostingBackendError(
-                    f"table {key!r} would be fully replicated but its REFERENCES "
-                    f"targets are only on {sorted(common)}; colocate them or "
-                    "fully replicate the targets"
-                )
-            if placed <= common:
-                self._pinned[key] = placed
-                return
-            if getattr(self._policy, "colocatable", False) and common:
-                self._pinned[key] = frozenset(common)
-                return
+        if key.startswith(_SYSTEM_PREFIXES):
+            return
+        targets = {self.hosts(ref, pin=True) for ref in referenced if normalize_table_name(ref) != key}
+        if not targets:
+            return
+        if len(targets) > 1:
             raise NoHostingBackendError(
-                f"placement puts table {key!r} on {sorted(placed)} but its REFERENCES "
-                f"targets are only on {sorted(common)}; colocate them"
+                f"the REFERENCES targets of table {key!r} are hosted by different backend "
+                f"sets {sorted(sorted(hosts) for hosts in targets)}; colocate them"
             )
+        (hosts,) = targets
+        with self._lock:
+            current = self._pinned.get(key)
+            if current is None:
+                placed = self._policy.place(key, tuple(self._universe))
+                # Unpinned ⇒ hosted everywhere.
+                current = frozenset(self._universe) if placed is None else placed
+                if current != hosts and getattr(self._policy, "colocatable", False):
+                    self._pinned[key] = hosts
+                    return
+            if current != hosts:
+                raise NoHostingBackendError(
+                    f"placement puts table {key!r} on {sorted(current)} but its REFERENCES "
+                    f"targets on {sorted(hosts)}; colocate them"
+                )
 
     def backend_hosts(self, backend_name: str, table: str, pin: bool = False) -> bool:
         return backend_name in self.hosts(table, pin=pin)

@@ -1301,9 +1301,10 @@ class RequestScheduler:
                 self._placement.unpin(statement.write_tables)
             if statement.command in _SCHEMA_COMMANDS:
                 # The DDL may have changed (or removed) a table's primary
-                # key; invalidate while still holding the DDL's lock scope
-                # so key writers re-resolve behind us, never alongside us.
-                self._scopes.invalidate(statement.write_tables or None)
+                # key or its REFERENCES links; invalidate while still
+                # holding the DDL's lock scope so key writers re-resolve
+                # behind us, never alongside us.
+                self._scopes.invalidate((statement.write_tables | statement.referenced_tables) or None)
             elif item.logged and statement.lock_tables is None:
                 # An unknown-shape write ran under the exclusive
                 # footprint and could have changed any schema.

@@ -130,18 +130,32 @@ class Database:
                 self._refresh_columns_catalog()
             return self._tables.get(key.lower())
 
-    def create_table(self, key: str, table: Table) -> None:
+    def create_table(self, key: str, schema: TableSchema) -> Table:
         with self._lock:
             lowered = key.lower()
             if lowered in self._tables:
                 raise SqlExecutionError(f"table {key!r} already exists in database {self.name!r}")
-            self._tables[lowered] = table
-            self.clear_plans()
+            table = self._tables[lowered] = Table(schema, catalog=self)
+            self._catalog_changed()
+            return table
 
     def drop_table(self, key: str) -> bool:
         with self._lock:
-            self.clear_plans()
-            return self._tables.pop(key.lower(), None) is not None
+            dropped = self._tables.pop(key.lower(), None) is not None
+            self._catalog_changed()
+            return dropped
+
+    def _catalog_changed(self) -> None:
+        """Forget every plan (a plan holds its table) and give each table
+        the REFERENCES to it from the tables there are now."""
+        self.clear_plans()
+        for table in self._tables.values():
+            table.referrers = []
+        for table in self._tables.values():
+            for column, foreign_key in table.schema.foreign_keys():
+                target = self._tables.get(foreign_key.table.lower())
+                if target is not None:
+                    target.referrers.append((table, column.name, foreign_key.column))
 
     # -- plans ---------------------------------------------------------------
 

@@ -159,7 +159,7 @@ class Planner:
     def __init__(
         self,
         lookup_table: Callable[[str], Optional[Table]],
-        create_table: Callable[[str, Table], None],
+        create_table: Callable[[str, TableSchema], Table],
         drop_table: Callable[[str], bool],
         clock: Callable[[], float] = time.time,
         uncached: FrozenSet[str] = frozenset(),
@@ -264,8 +264,7 @@ class Planner:
                 if statement.if_not_exists:
                     return ResultSet()
                 raise SqlExecutionError(f"table {statement.table.qualified!r} already exists")
-            table = Table(statement.schema, resolve_table=lambda name: self._lookup_table(name.lower()))
-            self._create_table(key, table)
+            self._create_table(key, statement.schema)
             return ResultSet()
 
         return create
@@ -294,7 +293,7 @@ class Planner:
                     transaction.record_insert(table, index)
             return ResultSet(rowcount=len(row_values))
 
-        return insert, cacheable
+        return insert, cacheable and statement.parameterized
 
     def _compile_values(
         self, columns: List[str], expressions: List[Expression]

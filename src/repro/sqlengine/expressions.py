@@ -1,27 +1,25 @@
-"""Expression AST, its compiled form and its reference evaluation.
+"""Expression AST and its compiled form.
 
 Expressions appear in WHERE clauses, UPDATE SET clauses and INSERT value
-lists. The executor runs each one as the closure :meth:`Expression.compile`
+lists. An expression runs only as the closure :meth:`Expression.compile`
 returns, ``fn(row, params, positional)``, built once per statement and
-table; :meth:`Expression.evaluate` walks the tree instead and is kept as the
-reference the compiled form is tested against (tests/test_sql_property.py).
-The two agree on every value and on every error, which is raised only when
-a row is evaluated, never when compiling.
+table. Its errors (an unknown column, a missing parameter, an unknown
+function) are raised when a row is evaluated, never when compiling.
 
-Evaluation follows SQL three-valued-ish semantics in the places the
-paper's queries depend on: any comparison with NULL is false (not
-unknown-propagating — sufficient for the driver match-making queries,
-which guard NULLs explicitly with ``IS NULL`` as in Sample code 1/2),
-``LIKE`` supports ``%`` and ``_`` wildcards case-insensitively, and the
-``now()`` function returns the clock supplied by the evaluation context so
-experiments can use a simulated clock.
+The semantics are the engine's SQL dialect, which ``sqlite3`` checks
+(tests/test_sql_sqlite_oracle.py) except where docs/architecture.md's
+dialect table lists a difference. Any comparison with NULL is false, not
+unknown — sufficient for the driver match-making queries, which guard
+NULLs explicitly with ``IS NULL`` as in Sample code 1/2. ``LIKE`` supports
+``%`` and ``_`` wildcards case-insensitively, and ``now()`` reads the
+clock the expression is compiled with, so experiments can use a simulated
+clock.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -35,46 +33,20 @@ Compiled = Callable[[Dict[str, Any], Dict[str, Any], Sequence[Any]], Any]
 Resolve = Callable[[str], Optional[str]]
 
 
-@dataclass
-class EvalContext:
-    """Everything an expression needs to evaluate against one row.
-
-    ``row`` maps lowercase column names to values. ``params`` holds the
-    named statement parameters, ``positional`` the values of the ``?``
-    placeholders in statement order. ``clock`` supplies ``now()`` /
-    ``current_date``.
-    """
-
-    row: Dict[str, Any]
-    params: Dict[str, Any]
-    positional: Sequence[Any] = ()
-    clock: Callable[[], float] = time.time
-
-
 class Expression:
     """Base class for all expression AST nodes."""
 
-    def evaluate(self, context: EvalContext) -> Any:
-        raise NotImplementedError
-
     def compile(self, resolve: Resolve, clock: Callable[[], float]) -> Compiled:
         """This expression as a closure over stored rows: column names
-        resolved once by ``resolve``, ``now()`` read from ``clock``. It
-        returns what :meth:`evaluate` returns and raises what it raises,
-        on the same rows; compiling itself never raises."""
+        resolved once by ``resolve``, ``now()`` read from ``clock``.
+        Compiling never raises: an error is raised by the closure, on
+        each row it is evaluated on."""
         raise NotImplementedError
-
-    def columns_referenced(self) -> List[str]:
-        """Names of all columns this expression reads (for validation)."""
-        return []
 
 
 @dataclass
 class Literal(Expression):
     value: Any
-
-    def evaluate(self, context: EvalContext) -> Any:
-        return self.value
 
     def compile(self, resolve: Resolve, clock: Callable[[], float]) -> Compiled:
         value = self.value
@@ -88,20 +60,11 @@ class ColumnRef(Expression):
     name: str
     table: Optional[str] = None
 
-    def evaluate(self, context: EvalContext) -> Any:
-        key = self.name.lower()
-        if key not in context.row:
-            raise ColumnNotFound(f"unknown column {self.name!r}")
-        return context.row[key]
-
     def compile(self, resolve: Resolve, clock: Callable[[], float]) -> Compiled:
         key = resolve(self.name)
         if key is None:
             return failing(ColumnNotFound, f"unknown column {self.name!r}")
         return lambda row, params, positional: row[key]
-
-    def columns_referenced(self) -> List[str]:
-        return [self.name.lower()]
 
 
 @dataclass
@@ -115,15 +78,6 @@ class Parameter(Expression):
 
     name: str  # "?" means positional
     ordinal: Optional[int] = None
-
-    def evaluate(self, context: EvalContext) -> Any:
-        if self.name == "?":
-            if self.ordinal is None or self.ordinal >= len(context.positional):
-                raise SqlExecutionError("not enough positional parameters supplied")
-            return context.positional[self.ordinal]
-        if self.name not in context.params:
-            raise SqlExecutionError(f"missing statement parameter ${self.name}")
-        return context.params[self.name]
 
     def compile(self, resolve: Resolve, clock: Callable[[], float]) -> Compiled:
         if self.name == "?":
@@ -154,19 +108,6 @@ class FunctionCall(Expression):
     name: str
     args: List[Expression]
 
-    def evaluate(self, context: EvalContext) -> Any:
-        func = self.name.lower()
-        if func in ("now", "current_timestamp", "current_date"):
-            return context.clock()
-        values = [arg.evaluate(context) for arg in self.args]
-        if func == "lower":
-            return None if values[0] is None else str(values[0]).lower()
-        if func == "upper":
-            return None if values[0] is None else str(values[0]).upper()
-        if func == "length":
-            return None if values[0] is None else len(values[0])
-        raise SqlExecutionError(f"unknown function {self.name!r}")
-
     def compile(self, resolve: Resolve, clock: Callable[[], float]) -> Compiled:
         func = self.name.lower()
         if func in ("now", "current_timestamp", "current_date"):
@@ -181,12 +122,6 @@ class FunctionCall(Expression):
 
         return call
 
-    def columns_referenced(self) -> List[str]:
-        refs: List[str] = []
-        for arg in self.args:
-            refs.extend(arg.columns_referenced())
-        return refs
-
 
 @dataclass
 class UnaryOp(Expression):
@@ -194,14 +129,6 @@ class UnaryOp(Expression):
 
     op: str
     operand: Expression
-
-    def evaluate(self, context: EvalContext) -> Any:
-        value = self.operand.evaluate(context)
-        if self.op == "NOT":
-            return not _truthy(value)
-        if self.op == "-":
-            return None if value is None else -value
-        raise SqlExecutionError(f"unknown unary operator {self.op!r}")
 
     def compile(self, resolve: Resolve, clock: Callable[[], float]) -> Compiled:
         operand = self.operand.compile(resolve, clock)
@@ -216,9 +143,6 @@ class UnaryOp(Expression):
             return negate
         return failing(SqlExecutionError, f"unknown unary operator {self.op!r}", [operand])
 
-    def columns_referenced(self) -> List[str]:
-        return self.operand.columns_referenced()
-
 
 @dataclass
 class BinaryOp(Expression):
@@ -227,22 +151,6 @@ class BinaryOp(Expression):
     op: str
     left: Expression
     right: Expression
-
-    def evaluate(self, context: EvalContext) -> Any:
-        op = self.op
-        if op == "AND":
-            return _truthy(self.left.evaluate(context)) and _truthy(self.right.evaluate(context))
-        if op == "OR":
-            return _truthy(self.left.evaluate(context)) or _truthy(self.right.evaluate(context))
-        left = self.left.evaluate(context)
-        right = self.right.evaluate(context)
-        if op in ("=", "<>", "!=", "<", "<=", ">", ">="):
-            return _compare(op, left, right)
-        if op in ("+", "-"):
-            if left is None or right is None:
-                return None
-            return left + right if op == "+" else left - right
-        raise SqlExecutionError(f"unknown binary operator {op!r}")
 
     def compile(self, resolve: Resolve, clock: Callable[[], float]) -> Compiled:
         op = self.op
@@ -273,9 +181,6 @@ class BinaryOp(Expression):
             return arithmetic
         return failing(SqlExecutionError, f"unknown binary operator {op!r}", [left, right])
 
-    def columns_referenced(self) -> List[str]:
-        return self.left.columns_referenced() + self.right.columns_referenced()
-
 
 @dataclass
 class LikeOp(Expression):
@@ -284,14 +189,6 @@ class LikeOp(Expression):
     operand: Expression
     pattern: Expression
     negated: bool = False
-
-    def evaluate(self, context: EvalContext) -> Any:
-        value = self.operand.evaluate(context)
-        pattern = self.pattern.evaluate(context)
-        if value is None or pattern is None:
-            return False
-        matched = like_match(str(value), str(pattern))
-        return not matched if self.negated else matched
 
     def compile(self, resolve: Resolve, clock: Callable[[], float]) -> Compiled:
         operand = self.operand.compile(resolve, clock)
@@ -308,9 +205,6 @@ class LikeOp(Expression):
 
         return like
 
-    def columns_referenced(self) -> List[str]:
-        return self.operand.columns_referenced() + self.pattern.columns_referenced()
-
 
 @dataclass
 class IsNullOp(Expression):
@@ -319,18 +213,11 @@ class IsNullOp(Expression):
     operand: Expression
     negated: bool = False
 
-    def evaluate(self, context: EvalContext) -> Any:
-        is_null = self.operand.evaluate(context) is None
-        return not is_null if self.negated else is_null
-
     def compile(self, resolve: Resolve, clock: Callable[[], float]) -> Compiled:
         operand = self.operand.compile(resolve, clock)
         if self.negated:
             return lambda row, params, positional: operand(row, params, positional) is not None
         return lambda row, params, positional: operand(row, params, positional) is None
-
-    def columns_referenced(self) -> List[str]:
-        return self.operand.columns_referenced()
 
 
 @dataclass
@@ -341,15 +228,6 @@ class BetweenOp(Expression):
     low: Expression
     high: Expression
     negated: bool = False
-
-    def evaluate(self, context: EvalContext) -> Any:
-        value = self.operand.evaluate(context)
-        low = self.low.evaluate(context)
-        high = self.high.evaluate(context)
-        if value is None or low is None or high is None:
-            return False
-        result = low <= value <= high
-        return not result if self.negated else result
 
     def compile(self, resolve: Resolve, clock: Callable[[], float]) -> Compiled:
         operand = self.operand.compile(resolve, clock)
@@ -368,13 +246,6 @@ class BetweenOp(Expression):
 
         return between
 
-    def columns_referenced(self) -> List[str]:
-        return (
-            self.operand.columns_referenced()
-            + self.low.columns_referenced()
-            + self.high.columns_referenced()
-        )
-
 
 @dataclass
 class InOp(Expression):
@@ -383,14 +254,6 @@ class InOp(Expression):
     operand: Expression
     choices: List[Expression]
     negated: bool = False
-
-    def evaluate(self, context: EvalContext) -> Any:
-        value = self.operand.evaluate(context)
-        if value is None:
-            return False
-        values = [choice.evaluate(context) for choice in self.choices]
-        result = any(_compare("=", value, candidate) for candidate in values)
-        return not result if self.negated else result
 
     def compile(self, resolve: Resolve, clock: Callable[[], float]) -> Compiled:
         operand = self.operand.compile(resolve, clock)
@@ -406,12 +269,6 @@ class InOp(Expression):
             return not result if negated else result
 
         return member
-
-    def columns_referenced(self) -> List[str]:
-        refs = self.operand.columns_referenced()
-        for choice in self.choices:
-            refs.extend(choice.columns_referenced())
-        return refs
 
 
 #: Lowercase column name -> the constant expressions a WHERE clause pins it
@@ -474,8 +331,8 @@ def like_match(value: str, pattern: str) -> bool:
 
 def failing(error: type, message: str, operands: Sequence[Compiled] = ()) -> Compiled:
     """A compiled expression that raises ``error(message)`` on every row it
-    is evaluated on, after evaluating ``operands`` in order (as the tree
-    walk evaluates a node's operands before finding it cannot apply it)."""
+    is evaluated on, after evaluating ``operands`` in order (so an error
+    among them is the one raised)."""
 
     def fail(row, params, positional):
         for operand in operands:

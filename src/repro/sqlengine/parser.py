@@ -256,7 +256,8 @@ class _Parser:
                 continue
             break
         self._finish()
-        return Insert(table=table, columns=columns, rows=rows)
+        parameterized = any(token.kind == "PARAM" for token in self._tokens)
+        return Insert(table=table, columns=columns, rows=rows, parameterized=parameterized)
 
     def _parse_select(self) -> Select:
         self._expect_keyword("SELECT")

@@ -54,6 +54,9 @@ class Insert(Statement):
     table: TableName
     columns: List[str]
     rows: List[List[Expression]]
+    #: Whether a VALUES row holds a parameter. A text without one is not
+    #: repeated with other values, so its plan is not kept.
+    parameterized: bool
 
 
 @dataclass

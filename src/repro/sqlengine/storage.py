@@ -2,17 +2,22 @@
 
 A :class:`Table` stores rows as dictionaries keyed by column name and
 maintains a primary-key index. Constraint checks (NOT NULL, PRIMARY KEY
-uniqueness, REFERENCES existence) happen on every insert/update so the
-Drivolution registry can rely on them, e.g. ``driver_permission`` rows
-cannot reference a driver that was never installed.
+uniqueness, REFERENCES) happen on every insert/update/delete so the
+Drivolution registry can rely on them: a ``driver_permission`` row cannot
+reference a driver that was never installed, and a driver cannot be
+deleted while a permission row still references it (SQLite's default
+``NO ACTION``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Collection, Dict, Iterable, List, Optional, Tuple
 
 from repro.sqlengine.errors import ConstraintViolation
 from repro.sqlengine.schema import TableSchema
+
+if TYPE_CHECKING:
+    from repro.sqlengine.database import Database
 
 Row = Dict[str, Any]
 
@@ -20,12 +25,15 @@ Row = Dict[str, Any]
 class Table:
     """One table: a schema plus its rows."""
 
-    def __init__(self, schema: TableSchema, resolve_table: Optional[Callable[[str], Optional["Table"]]] = None) -> None:
+    def __init__(self, schema: TableSchema, catalog: Optional["Database"] = None) -> None:
         self.schema = schema
         self._rows: List[Row] = []
         self._pk_index: Dict[Tuple[Any, ...], int] = {}
-        # Callback used to resolve foreign-key target tables by name.
-        self._resolve_table = resolve_table
+        #: The database asked for REFERENCES targets.
+        self._catalog = catalog
+        #: ``(table, column, referenced column)`` for each REFERENCES to
+        #: this table; the database sets it whenever its catalog changes.
+        self.referrers: List[Tuple["Table", str, str]] = []
 
     # -- introspection -------------------------------------------------------
 
@@ -64,14 +72,16 @@ class Table:
                 f"duplicate primary key {pk!r} in table {self.name!r}"
             )
 
-    def _check_foreign_keys(self, row: Row) -> None:
-        if self._resolve_table is None:
+    def _check_foreign_keys(self, row: Row, columns: Optional[Collection[str]] = None) -> None:
+        """The REFERENCES values of ``row`` (of ``columns`` only, if given)
+        each match a row of the referenced table."""
+        if self._catalog is None:
             return
         for column, foreign_key in self.schema.foreign_keys():
-            value = row.get(column.name)
-            if value is None:
+            value = row[column.name]
+            if value is None or (columns is not None and column.name not in columns):
                 continue
-            target = self._resolve_table(foreign_key.table)
+            target = self._catalog.lookup_table(foreign_key.table.lower())
             if target is None:
                 raise ConstraintViolation(
                     f"foreign key on {self.name}.{column.name} references missing table "
@@ -83,13 +93,34 @@ class Table:
                     f"{foreign_key.table}.{foreign_key.column}"
                 )
 
-    def has_value(self, column_name: str, value: Any) -> bool:
-        """Whether any live row has ``column_name == value``."""
+    def _check_referrers(self, index: int, columns: Optional[Collection[str]] = None) -> None:
+        """The row at ``index`` may give up its value of each of ``columns``
+        (every column, if not given: the row is deleted): no REFERENCES row
+        holds one that no other row of this table holds."""
+        row = self._rows[index]
+        for referrer, column, referenced in self.referrers:
+            name = self.schema.stored_name(referenced)
+            if name is None or (columns is not None and name not in columns):
+                continue
+            value = row[name]
+            if value is None or self.has_value(name, value, index):
+                continue
+            # A deleted row no longer references anything, itself included.
+            leaving = index if columns is None and referrer is self else None
+            if referrer.has_value(column, value, leaving):
+                raise ConstraintViolation(
+                    f"foreign key violation: {referrer.name}.{column}={value!r} still references "
+                    f"{self.name}.{name}"
+                )
+
+    def has_value(self, column_name: str, value: Any, excluding: Optional[int] = None) -> bool:
+        """Whether a live row other than the one at ``excluding`` has
+        ``column_name == value``."""
         key = self.schema.column(column_name).name
         if self.schema.primary_key_columns == [key]:
             # A dict probe is the same ``==`` test the scan below makes.
-            return bool(self.rows_with_keys([(value,)]))
-        return any(row[key] == value for row in self.rows())
+            return any(slot != excluding for slot, _row in self.rows_with_keys([(value,)]))
+        return any(row[key] == value for slot, row in self.enumerate_rows() if slot != excluding)
 
     def rows_with_keys(self, keys: List[Tuple[Any, ...]]) -> List[Tuple[int, Row]]:
         """The live rows whose primary key is (``==``) one of ``keys``, as
@@ -150,7 +181,11 @@ class Table:
         new_pk = self.schema.primary_key_of(updated)
         if new_pk != old_pk:
             self._check_primary_key(updated, ignore_index=index)
-        self._check_foreign_keys(updated)
+        if self.referrers or self.schema.foreign_keys():
+            # REFERENCES are checked, either way, only for the columns whose value changes.
+            changed = {name for name, value in updated.items() if value != old[name]}
+            self._check_foreign_keys(updated, changed)
+            self._check_referrers(index, changed)
         if new_pk != old_pk:
             self._unindex(index)
             if new_pk is not None:
@@ -163,6 +198,7 @@ class Table:
         old = self._rows[index]
         if old is None:
             raise ConstraintViolation(f"row {index} of table {self.name!r} already deleted")
+        self._check_referrers(index)
         self._unindex(index)
         self._rows[index] = None  # type: ignore[call-overload]
         return old

@@ -44,15 +44,19 @@ def test_engine_gates_see_the_one_scan_site_and_the_one_parse_site():
 
 
 def test_plan_gate_matches_the_interpreter_it_retired():
-    """The executor runs compiled plans only: the gate allows nothing and
-    matches the per-row tree walk it retired."""
+    """An expression runs only compiled: the gate allows nothing in src/
+    and matches the per-row tree walk it retired — the executor's calls,
+    the node methods and the context they took."""
     check_forks = _check_forks()
-    (gate,) = [gate for gate in check_forks.GATES if gate.message.startswith("the executor interprets")]
-    assert gate.allowed == 0 and check_forks.check_gate(gate) == []
+    (gate,) = [gate for gate in check_forks.GATES if gate.message.startswith("an expression interpreter")]
+    assert gate.allowed == 0 and gate.paths == ("src",) and check_forks.check_gate(gate) == []
     for line in (
         "            if where.evaluate(self._context(row, params, positional))",
-        "        shared_context = self._context(context_row, params, positional)",
         "        return EvalContext(",
+        "    def evaluate(self, context: EvalContext) -> Any:",
+        "        value = self.operand.evaluate(context)",
+        "    def columns_referenced(self) -> List[str]:",
+        "class EvalContext:",
     ):
         assert check_forks.re.search(gate.pattern, line), line
 

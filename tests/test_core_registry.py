@@ -65,6 +65,25 @@ class TestDriverCrud:
         second = registry.install_driver(build_pydb_driver("b"))
         assert second == first + 1
 
+    def test_remove_driver_removes_its_permissions_and_leases_first(self, registry):
+        """A driver with permission and lease rows is removed with them; a
+        bare DELETE of it is refused while they reference it."""
+        from repro.core.schema import DRIVERS_TABLE
+        from repro.sqlengine import ConstraintViolation
+
+        driver_id = registry.install_driver(build_pydb_driver("held"))
+        registry.grant_permission(DriverPermission(driver_id=driver_id))
+        registry.record_lease("client-1", driver_id, 1000, RenewPolicy.RENEW, ExpirationPolicy.AFTER_COMMIT)
+        with pytest.raises(ConstraintViolation):
+            registry._backend.execute(
+                f"DELETE FROM {DRIVERS_TABLE} WHERE driver_id = $driver_id", {"driver_id": driver_id}
+            )
+        assert registry.get_driver(driver_id).name == "held"
+        assert registry.remove_driver(driver_id)
+        assert registry.list_permissions() == [] and registry.leases_for_client("client-1") == []
+        with pytest.raises(RegistryError):
+            registry.get_driver(driver_id)
+
     def test_permission_requires_existing_driver(self, registry):
         from repro.sqlengine import ConstraintViolation
 

@@ -71,8 +71,8 @@ class _CatalogCursor:
         self._rows = []
         for table, (column, data_type) in connection.primary_keys.items():
             # Two columns per table, the keyed one second.
-            self._rows.append((table, "", "pad", 1, "INTEGER", False))
-            self._rows.append((table, "", column, 2, data_type, True))
+            self._rows.append((table, "", "pad", 1, "INTEGER", False, None))
+            self._rows.append((table, "", column, 2, data_type, True, None))
         time.sleep(0)  # the answer is read; the round trip back takes a while
         if connection.gate is not None:
             connection.probing.set()
@@ -157,6 +157,46 @@ class TestResolve:
         # generation compare, not a second resolve.
         assert len(resolves) == 5
         assert scheduler.stats()["locks"]["key_acquisitions"] == 5
+
+    def test_a_write_on_a_referenced_or_referencing_table_locks_both_tables(self):
+        """A parent's DELETE looks for referrers and a child's INSERT for
+        its parent, on every replica: under disjoint key scopes a replica
+        that ran the INSERT first would refuse the DELETE and one that ran
+        the DELETE first would refuse the INSERT."""
+        engine = Engine()
+        engine.create_database("db")
+        session = engine.open_session("db")
+        for ddl in [
+            "CREATE TABLE users (id INTEGER PRIMARY KEY)",
+            "CREATE TABLE orders (id INTEGER PRIMARY KEY, uid INTEGER REFERENCES users(id))",
+            "CREATE TABLE tree (id INTEGER PRIMARY KEY, up INTEGER REFERENCES tree(id))",
+            "CREATE TABLE t (id INTEGER PRIMARY KEY)",
+        ]:
+            session.execute(ddl)
+        catalog = SimpleNamespace(
+            execute=lambda sql, params, track: ([], session.execute(sql, params=params).rows, 0)
+        )
+        resolver = ScopeResolver(lambda: [catalog])
+        both = LockScope(tables=frozenset({"users", "orders"}))
+        for sql in [
+            "DELETE FROM users WHERE id = 1",
+            "UPDATE users SET id = 2 WHERE id = 1",
+            "INSERT INTO orders VALUES (7, 1)",
+            "UPDATE orders SET uid = 1 WHERE id = 7",
+        ]:
+            assert resolver.resolve(classify(sql), None)[0] == both, sql
+        tree = resolver.resolve(classify("DELETE FROM tree WHERE id = 1"), None)[0]
+        assert tree == LockScope(tables=frozenset({"tree"}))
+        # A read keeps its key; a table no REFERENCES touches too.
+        assert resolver.resolve(classify("SELECT * FROM users WHERE id = 1"), None)[0].kind == "key"
+        assert resolver.resolve(classify("DELETE FROM t WHERE id = 1"), None)[0].kind == "key"
+        # A DDL that adds or drops a link is seen through invalidation.
+        session.execute("CREATE TABLE audit (id INTEGER PRIMARY KEY, tid INTEGER REFERENCES t(id))")
+        resolver.invalidate({"audit", "t"})
+        assert resolver.resolve(classify("DELETE FROM t WHERE id = 1"), None)[0].kind == "table"
+        session.execute("DROP TABLE audit")
+        resolver.invalidate({"audit"})
+        assert resolver.resolve(classify("DELETE FROM t WHERE id = 1"), None)[0].kind == "key"
 
 
 @pytest.mark.parametrize(

@@ -171,10 +171,25 @@ class TestPlacementPolicies:
         )
         with pytest.raises(NoHostingBackendError):
             explicit.ensure_colocated("orders", ["users"])
+        # A subset is refused too: db2 would accept the DELETE of a
+        # referenced user that db1 refuses.
+        subset = create_placement("explicit:users=db1+db2,orders=db1", backend_names=NAMES)
+        with pytest.raises(NoHostingBackendError):
+            subset.ensure_colocated("orders", ["users"])
         # A consistent explicit assignment passes.
-        ok = create_placement("explicit:users=db1+db2,orders=db1", backend_names=NAMES)
+        ok = create_placement("explicit:users=db1+db2,orders=db1+db2", backend_names=NAMES)
         ok.ensure_colocated("orders", ["users"])
-        assert ok.hosts("orders") == frozenset({"db1"})
+        assert ok.hosts("orders") == frozenset({"db1", "db2"})
+
+    def test_ensure_colocated_refuses_targets_on_different_hosts(self):
+        # No host set of the new table equals both targets' hosts.
+        placement = create_placement("explicit:users=db1,items=db2", backend_names=NAMES)
+        with pytest.raises(NoHostingBackendError):
+            placement.ensure_colocated("orders", ["users", "items"])
+        # A self-reference is no constraint.
+        hashed = create_placement("raidb0", backend_names=NAMES)
+        hashed.ensure_colocated("tree", ["tree"])
+        assert hashed.stats()["pinned_tables"] == 0
 
     def test_assign_pins_and_unpins_fullness(self):
         placement = PlacementMap(backend_names=NAMES)
@@ -422,6 +437,22 @@ class TestSchedulerPlacementRouting:
                 "uid INTEGER REFERENCES users(id))"
             )
         assert "colocate" in str(excinfo.value)
+        scheduler.close()
+
+    def test_create_with_references_refuses_a_subset_of_the_targets_hosts(self):
+        backends = [_backend(name) for name in NAMES[:3]]
+        scheduler = _scheduler(
+            backends, placement="explicit:users=db1+db2,orders=db1"
+        )
+        scheduler.execute("CREATE TABLE users (id INTEGER PRIMARY KEY)")
+        # db1 would refuse `DELETE FROM users WHERE id = 1` while an
+        # order references user 1, and db2, without orders, would accept
+        # it: a healthy replica would read as divergent.
+        with pytest.raises(NoHostingBackendError):
+            scheduler.execute(
+                "CREATE TABLE orders (id INTEGER PRIMARY KEY, "
+                "uid INTEGER REFERENCES users(id))"
+            )
         scheduler.close()
 
     def test_full_default_keeps_existing_semantics_and_stats(self):

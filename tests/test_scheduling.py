@@ -361,7 +361,7 @@ def _scope(sql, params=None, pk="id", data_type="INTEGER", ordinal=None):
     if ordinal is None:
         resolver = ScopeResolver(lambda: [], {table: (pk, data_type)})
     else:
-        rows = [(table, "", pk, ordinal, data_type, True)]
+        rows = [(table, "", pk, ordinal, data_type, True, None)]
         catalog = SimpleNamespace(execute=lambda sql, params, track: ([], rows, 1))
         resolver = ScopeResolver(lambda: [catalog])
     return resolver.resolve(statement, params)[0]

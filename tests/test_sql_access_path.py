@@ -333,6 +333,22 @@ class TestPlanCache:
         session.execute(texts[0])
         assert parses == texts + [texts[0]]
 
+    def test_no_plan_is_kept_for_an_insert_without_parameters(self):
+        """A literal INSERT is not run again with other values, and its plan
+        would hold a closure per value: it keeps none. A parameterized one
+        keeps its plan."""
+        session = _session()
+        session.execute("CREATE TABLE bulk (id INTEGER PRIMARY KEY, v INTEGER)")
+        plans = session._engine.database("db")._plans
+        literal = "INSERT INTO bulk VALUES " + ", ".join(f"({n}, -{n})" for n in range(64))
+        session.execute(literal)
+        assert literal not in plans
+        for row_id in (100, 101):
+            session.execute("INSERT INTO bulk VALUES ($id, -1)", params={"id": row_id})
+            session.execute("INSERT INTO bulk VALUES (?, ?)", positional=[row_id + 100, 1])
+        assert {"INSERT INTO bulk VALUES ($id, -1)", "INSERT INTO bulk VALUES (?, ?)"} <= set(plans)
+        assert session.execute("SELECT COUNT(*) FROM bulk").scalar() == 68
+
     def test_an_unknown_set_column_fails_only_on_a_row(self, accounts):
         for _run in range(2):
             assert accounts.execute("UPDATE accounts SET nosuch = 1 WHERE id = 999999").rowcount == 0

@@ -163,6 +163,64 @@ class TestConstraints:
         db_session.execute("INSERT INTO drivers (driver_id, api_name) VALUES (99, 'A')")
         db_session.execute("INSERT INTO permissions (pid, driver_id) VALUES (1, 99)")
 
+    def test_a_referenced_row_is_not_deleted_nor_its_key_changed(self, db_session):
+        """REFERENCES holds on the parent side too (SQLite's NO ACTION): the
+        child row stays, and stays updatable."""
+        db_session.execute(
+            "CREATE TABLE permissions (pid INTEGER PRIMARY KEY, "
+            "driver_id INTEGER REFERENCES drivers(driver_id), note VARCHAR)"
+        )
+        db_session.execute("INSERT INTO drivers (driver_id, api_name) VALUES (1, 'A'), (2, 'B')")
+        db_session.execute("INSERT INTO permissions VALUES (1, 1, 'a')")
+        for refused in ("DELETE FROM drivers WHERE driver_id = 1", "UPDATE drivers SET driver_id = 3 WHERE driver_id = 1"):
+            with pytest.raises(ConstraintViolation):
+                db_session.execute(refused)
+        assert db_session.execute("UPDATE drivers SET driver_id = 1, api_name = 'C' WHERE driver_id = 1").rowcount == 1
+        assert db_session.execute("UPDATE permissions SET note = 'b' WHERE pid = 1").rowcount == 1
+        assert db_session.execute("DELETE FROM drivers WHERE driver_id = 2").rowcount == 1
+        db_session.execute("UPDATE permissions SET driver_id = NULL")
+        assert db_session.execute("DELETE FROM drivers").rowcount == 1
+
+    def test_a_row_that_references_only_itself_may_be_deleted(self, db_session):
+        db_session.execute("CREATE TABLE tree (id INTEGER PRIMARY KEY, up INTEGER REFERENCES tree(id))")
+        db_session.execute("INSERT INTO tree VALUES (1, NULL), (2, 1)")
+        db_session.execute("UPDATE tree SET up = 1 WHERE id = 1")
+        with pytest.raises(ConstraintViolation):
+            db_session.execute("DELETE FROM tree WHERE id = 1")
+        assert db_session.execute("DELETE FROM tree WHERE id = 2").rowcount == 1
+        assert db_session.execute("DELETE FROM tree WHERE id = 1").rowcount == 1
+
+    def test_a_referenced_value_another_parent_row_holds_may_go(self, db_session):
+        """A REFERENCES to a column that is not a key: while another parent
+        row holds the value, there is nothing to refuse."""
+        db_session.execute("CREATE TABLE apis (name VARCHAR REFERENCES drivers(api_name))")
+        db_session.execute("INSERT INTO drivers (driver_id, api_name) VALUES (1, 'JDBC'), (2, 'JDBC')")
+        db_session.execute("INSERT INTO apis VALUES ('JDBC')")
+        assert db_session.execute("UPDATE drivers SET api_name = 'ODBC' WHERE driver_id = 1").rowcount == 1
+        with pytest.raises(ConstraintViolation):
+            db_session.execute("DELETE FROM drivers WHERE driver_id = 2")
+        assert db_session.execute("SELECT COUNT(*) FROM drivers").scalar() == 2
+
+    def test_an_update_checks_only_the_references_it_changes(self, db_session, monkeypatch):
+        from repro.sqlengine.storage import Table
+
+        db_session.execute(
+            "CREATE TABLE permissions (pid INTEGER PRIMARY KEY, "
+            "driver_id INTEGER REFERENCES drivers(driver_id), note VARCHAR)"
+        )
+        db_session.execute("INSERT INTO drivers (driver_id, api_name) VALUES (1, 'A'), (2, 'B')")
+        db_session.execute("INSERT INTO permissions VALUES (1, 1, 'a')")
+        probes = []
+        original = Table.has_value
+        monkeypatch.setattr(
+            Table, "has_value", lambda table, *args, **kwargs: probes.append(table.name) or original(table, *args, **kwargs)
+        )
+        db_session.execute("UPDATE permissions SET note = 'b', driver_id = 1")
+        db_session.execute("UPDATE drivers SET api_name = 'C'")
+        assert probes == []
+        db_session.execute("UPDATE permissions SET driver_id = 2")
+        assert probes == ["drivers"]
+
     def test_duplicate_table(self, db_session):
         with pytest.raises(SqlExecutionError):
             db_session.execute("CREATE TABLE drivers (x INTEGER)")

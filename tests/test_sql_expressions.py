@@ -5,19 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sqlengine.errors import ColumnNotFound, SqlExecutionError
-from repro.sqlengine.expressions import EvalContext, like_match
+from repro.sqlengine.expressions import like_match
 from repro.sqlengine.parser import parse
 
 
 def evaluate(expression_sql: str, row=None, params=None, clock=lambda: 1000.0):
-    """Helper: evaluate the WHERE expression of a SELECT against one row."""
+    """Helper: the compiled WHERE expression of a SELECT, run on one row."""
     statement = parse(f"SELECT * FROM t WHERE {expression_sql}")
-    context = EvalContext(
-        row={key.lower(): value for key, value in (row or {}).items()},
-        params=params or {},
-        clock=clock,
-    )
-    return statement.where.evaluate(context)
+    row = {key.lower(): value for key, value in (row or {}).items()}
+    compiled = statement.where.compile(lambda name: name.lower() if name.lower() in row else None, clock)
+    return compiled(row, params or {}, ())
 
 
 class TestComparisons:

@@ -652,7 +652,7 @@ class TestInListKeyScopes:
 
     @staticmethod
     def _resolver(table):
-        rows = [(table, "", "id", 1, "INTEGER", True), (table, "", "v", 2, "INTEGER", False)]
+        rows = [(table, "", "id", 1, "INTEGER", True, None), (table, "", "v", 2, "INTEGER", False, None)]
         catalog = SimpleNamespace(execute=lambda sql, params, track: ([], rows, len(rows)))
         return ScopeResolver(lambda: [catalog])
 

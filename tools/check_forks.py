@@ -241,11 +241,11 @@ GATES = [
         allowed=1,
     ),
     Gate(
-        r"\.evaluate\(|EvalContext\(|_context\(",
-        ("src/repro/sqlengine/executor.py", "src/repro/sqlengine/engine.py"),
-        "the executor interprets an expression tree: a statement runs as its compiled plan "
-        "(executor.Planner, Expression.compile); Expression.evaluate is only the reference "
-        "the compiled form is tested against",
+        r"\.evaluate\(|def evaluate|EvalContext|columns_referenced",
+        ("src",),
+        "an expression interpreter: a statement runs as its compiled plan "
+        "(executor.Planner), and an expression node has one method, Expression.compile; "
+        "the engine's reference is sqlite3 (tests/test_sql_sqlite_oracle.py)",
     ),
     Gate(
         r"where_equalities|where_in_lists|insert_values|KeyExpr|_match_equality|_match_in_list",
