@@ -155,10 +155,10 @@ class ReplicaBatch:
     statement: a connection that can carry it with its next request
     answers it without one (:class:`repro.dbapi.runtime.WireConnection`).
 
-    A tracked batch counts what a lease's connection says the replica
-    ran (``statements_executed`` across the request, its BEGIN included),
-    else the statements that succeeded: the shared connection carries no
-    BEGIN, and other requests use it meanwhile.
+    The batch is in flight (``Backend.pending``) until :meth:`finish`,
+    which counts what a lease's connection says the replica ran (its
+    BEGIN included), else the statements that succeeded: the shared
+    connection carries no BEGIN, and other requests use it meanwhile.
 
     The statements run on the backend's own connection, auto-commit, or
     on ``lease``'s: a transaction's."""
@@ -179,6 +179,12 @@ class ReplicaBatch:
         #: (``Backend.execute`` keeps a lone statement on the statement form).
         self._batched = batched
         self.outcomes: List[Outcome] = []
+        self._total = len(statements)
+        self.done = not statements
+        #: Whether a connection fault answered any statement.
+        self.faulted = False
+        self.executed = 0
+        backend.begin_request()
         self._connection: Any = None
         self._native = False
         #: How many statements the request being sent or awaited carries.
@@ -187,16 +193,12 @@ class ReplicaBatch:
         #: A lease's connection's ``statements_executed`` before the request.
         self._ran_before: Optional[int] = None
 
-    @property
-    def done(self) -> bool:
-        return len(self.outcomes) == len(self._statements)
-
     def send(self) -> None:
         """Issue the next request (a no-op once every statement has its
         outcome). Call :meth:`collect` before the next send."""
         if self.done:
             return
-        self._carried = len(self._statements) - len(self.outcomes)
+        self._carried = self._total - len(self.outcomes)
         self._connection = None
         try:
             lease = self._lease
@@ -278,18 +280,21 @@ class ReplicaBatch:
             answered = self._native_outcomes(value) if self._native else [(value, None)]
         except Exception as exc:  # noqa: BLE001 - the statements' outcome
             self._fail(exc)
-            answered = []
-        self.outcomes += answered
-        if self._track:
+        else:
+            self.outcomes += answered
+            self.done = len(self.outcomes) == self._total
             if self._ran_before is None:
-                succeeded = sum(error is None for _, error in answered)
-            else:
-                succeeded = self._connection.statements_executed - self._ran_before
-            if succeeded:
-                # Not the backend's lock: the next request to this connection
-                # may hold it, waiting for the connection lock this reply freed.
-                with self.backend._pending_lock:
-                    self.backend.statements_executed += succeeded
+                self.executed += sum(error is None for _, error in answered) if self._native else 1
+        if self._ran_before is not None:
+            self.executed += self._connection.statements_executed - self._ran_before
+
+    def finish(self) -> None:
+        """Leave flight: take a reply still awaited (a round aborted
+        part-way), so the next request on the connection gets its own,
+        then settle the backend's counts in one pass of its pending lock."""
+        if self._collect is not None:
+            self.collect()
+        self.backend.finish_request(self.executed if self._track else 0)
 
     def _native_outcomes(self, value: Any) -> List[Outcome]:
         if not isinstance(value, list) or len(value) != self._carried:
@@ -301,6 +306,7 @@ class ReplicaBatch:
         answered: List[Outcome] = []
         for item in value:
             if isinstance(item, Exception):
+                self.faulted = self.faulted or not isinstance(item, STATEMENT_FAULTS)
                 answered.append((None, item))
             else:
                 columns, rows, rowcount = item
@@ -314,8 +320,10 @@ class ReplicaBatch:
             # call reconnects, and send nothing more on it — order means
             # later statements must not run past a dead connection.
             self.backend._drop_connection(self._connection)
-            count = len(self._statements) - len(self.outcomes)
+            self.faulted = True
+            count = self._total - len(self.outcomes)
         self.outcomes.extend([(None, exc)] * count)
+        self.done = len(self.outcomes) == self._total
 
 
 def _close_quietly(connection: Any) -> None:
@@ -361,6 +369,9 @@ class AppliedSeqs:
         for table, seq in table_seqs.items():
             floor = self._floor.get(table, 0)
             if seq <= floor:
+                continue
+            if seq == floor + 1 and table not in self._sparse:  # no gap to close
+                self._floor[table] = seq
                 continue
             sparse = self._sparse.setdefault(table, set())
             sparse.add(seq)
@@ -450,6 +461,8 @@ class Backend:
         #: When the failure detector last saw this backend answer a ping.
         self.last_heartbeat_at: float = 0.0
         self._pending = 0
+        #: Guards ``_pending`` and ``statements_executed``; not ``_lock``, which
+        #: the next request on a connection may hold while it waits for it.
         self._pending_lock = threading.Lock()
 
     # -- in-flight accounting ----------------------------------------------------
@@ -457,24 +470,25 @@ class Backend:
     @property
     def pending(self) -> int:
         """Statements currently in flight (drives the least-pending policy)."""
-        with self._pending_lock:
-            return self._pending
+        return self._pending
 
     def begin_request(self) -> None:
         with self._pending_lock:
             self._pending += 1
 
-    def finish_request(self) -> None:
+    def finish_request(self, executed: int = 0) -> None:
+        """A request left flight; the replica ran ``executed`` statements."""
         with self._pending_lock:
-            self._pending = max(0, self._pending - 1)
+            self._pending -= 1
+            self.statements_executed += executed
 
     # -- connection management -------------------------------------------------
 
     def _ensure_connection(self) -> Any:
-        with self._lock:
-            if self._connection is None or getattr(self._connection, "closed", False):
-                self._connection = self._connection_factory()
-            return self._connection
+        """The shared connection, (re)opened if need be; caller holds ``_lock``."""
+        if self._connection is None or getattr(self._connection, "closed", False):
+            self._connection = self._connection_factory()
+        return self._connection
 
     def _checkout(self) -> Any:
         """A connection for one transaction: an idle one, or a new one."""
@@ -556,10 +570,7 @@ class Backend:
         ``track=False`` leaves ``statements_executed`` untouched — for
         controller-internal catalog probes (primary-key resolution) that
         are not client work and would skew the observability counter."""
-        batch = ReplicaBatch(self, [(sql, params)], track, batched=False, lease=lease)
-        batch.send()
-        batch.collect()
-        ((result, error),) = batch.outcomes
+        ((result, error),) = self._run(ReplicaBatch(self, [(sql, params)], track, batched=False, lease=lease))
         if error is not None:
             raise error
         return result
@@ -579,10 +590,16 @@ class Backend:
         none: there each statement is its own request). Requests on one
         connection serialise on its own lock, from send to reply; the
         backend's lock covers only choosing the shared connection."""
-        batch = ReplicaBatch(self, statements, track)
-        while not batch.done:
-            batch.send()
-            batch.collect()
+        return self._run(ReplicaBatch(self, statements, track))
+
+    def _run(self, batch: ReplicaBatch) -> List[Outcome]:
+        """A round with this backend as its one target."""
+        try:
+            while not batch.done:
+                batch.send()
+                batch.collect()
+        finally:
+            batch.finish()
         return batch.outcomes
 
     def ping(self) -> bool:

@@ -14,6 +14,7 @@ success).
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -26,10 +27,10 @@ from repro.cluster.backend import (
     QueryResult,
     ReplicaBatch,
 )
-from repro.obs import NULL_TRACE, Counter
+from repro.obs import NULL_TRACE
 
 
-@dataclass
+@dataclass(slots=True)
 class BackendOutcome:
     """Result of one statement on one backend. ``error`` is usually a
     :class:`DriverError`, but any exception the backend raised is
@@ -101,6 +102,7 @@ class _Synchronous:
         self._statements = statements
         self.outcomes: List[Outcome] = []
         self.done = not statements
+        self.faulted = False
 
     def send(self) -> None:
         try:
@@ -108,9 +110,14 @@ class _Synchronous:
         except Exception as exc:  # noqa: BLE001 - the target's outcome
             self.outcomes = [(None, exc)] * len(self._statements)
         self.done = True
+        self.faulted = any(
+            error is not None and not isinstance(error, STATEMENT_FAULTS) for _, error in self.outcomes
+        )
 
     def collect(self) -> None:
         pass
+
+    finish = collect
 
 
 def _send_order(batch: Any) -> Tuple[str, int]:
@@ -123,9 +130,10 @@ class WriteBroadcaster:
 
     def __init__(self) -> None:
         # Concurrent rounds (disjoint lock scopes) count here at once.
-        self._broadcasts = Counter("broadcasts")
-        self._statements_dispatched = Counter("statements_dispatched")
-        self._batched_statements = Counter("batched_statements")
+        self._counts_lock = threading.Lock()
+        self._broadcasts = 0
+        self._statements_dispatched = 0
+        self._batched_statements = 0
 
     def broadcast(
         self,
@@ -156,9 +164,11 @@ class WriteBroadcaster:
         span per backend under the caller's ``execute`` span. With
         ``leases`` (a transaction's round) each target runs the batch on
         its lease's connection instead of its own."""
-        self._broadcasts.inc()  # one fan-out round trip, however many statements
-        self._statements_dispatched.inc(len(backends) * len(statements))
-        self._batched_statements.inc(len(statements))
+        count = len(statements)
+        with self._counts_lock:
+            self._broadcasts += 1  # one fan-out round trip, however many statements
+            self._statements_dispatched += len(backends) * count
+            self._batched_statements += count
         batches = [
             ReplicaBatch(backend, statements, lease=leases[backend] if leases else None)
             if isinstance(backend, Backend)
@@ -173,8 +183,6 @@ class WriteBroadcaster:
         # subsets, a membership change between two snapshots), and it
         # keeps which replica hears a write first reproducible.
         pending = sorted(batches, key=_send_order)
-        for backend in backends:
-            backend.begin_request()
         try:
             started = time.monotonic()
             while pending:
@@ -183,48 +191,32 @@ class WriteBroadcaster:
                 for batch in pending:
                     batch.collect()
                     if batch.done:
-                        self._record_span(batch, started, trace)
+                        # An error attr only when the replica itself failed (a
+                        # connection fault), so the common record stays bare.
+                        trace.record(
+                            f"replica:{batch.backend.name}", started, time.monotonic(),
+                            parent="execute", **({"error": True} if batch.faulted else {}),
+                        )
                 pending = [batch for batch in pending if not batch.done]
         finally:
             for batch in batches:
-                # Only a round aborted part-way has a request left in
-                # flight: its reply is taken so the next statement on that
-                # connection gets its own.
-                batch.collect()
-                batch.backend.finish_request()
+                batch.finish()
         return BatchBroadcastOutcome(
-            statement_count=len(statements),
+            statement_count=count,
             outcomes=[
                 [BackendOutcome(batch.backend, result, error) for result, error in batch.outcomes]
                 for batch in batches
             ],
         )
 
-    @staticmethod
-    def _record_span(batch: Any, started: float, trace: Any) -> None:
-        # The span name carries the backend; the error attr only appears
-        # when the replica itself failed (it raised, or some position
-        # failed with a non-statement fault), so the common-case record
-        # stays a bare [name, start, duration] on the wire.
-        attrs: Dict[str, Any] = {}
-        if any(
-            error is not None and not isinstance(error, STATEMENT_FAULTS)
-            for _, error in batch.outcomes
-        ):
-            attrs = {"error": True}
-        trace.record(
-            f"replica:{batch.backend.name}", started, time.monotonic(), parent="execute", **attrs
-        )
-
     def stats(self) -> Dict[str, Any]:
-        broadcasts = self._broadcasts.value
         return {
-            "broadcasts": broadcasts,
-            "statements_dispatched": self._statements_dispatched.value,
+            "broadcasts": self._broadcasts,
+            "statements_dispatched": self._statements_dispatched,
             # Every fan-out is a batch round (of one, for a lone
             # statement): same count, key kept for dashboards.
-            "batch_broadcasts": broadcasts,
-            "batched_statements": self._batched_statements.value,
+            "batch_broadcasts": self._broadcasts,
+            "batched_statements": self._batched_statements,
         }
 
     def close(self) -> None:

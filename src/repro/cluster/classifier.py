@@ -99,15 +99,16 @@ class ClassifiedStatement:
     #: never parsed here. Shared with the engine's statement cache: read-only.
     dml: Union[Select, Insert, Update, Delete, None] = None
 
-    @property
+    # Read on every statement: computed once per (memoised) statement object.
+    @functools.cached_property
     def is_read(self) -> bool:
         return self.kind is StatementKind.READ
 
-    @property
+    @functools.cached_property
     def is_write(self) -> bool:
         return self.kind is StatementKind.WRITE
 
-    @property
+    @functools.cached_property
     def is_transaction_control(self) -> bool:
         return self.kind is StatementKind.TRANSACTION
 

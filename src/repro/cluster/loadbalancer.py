@@ -85,38 +85,23 @@ class RoundRobinPolicy(ReadPolicy):
             return choice
 
 
-class LeastPendingPolicy(ReadPolicy):
+class LeastPendingPolicy(RoundRobinPolicy):
     """Pick the backend with the fewest in-flight statements.
 
-    Tie-break cursors are kept **per tied candidate set**, seeded from a
-    shared monotonic tick, exactly as :class:`RoundRobinPolicy` keeps
-    its rotation cursors: one cursor shared across differently-sized tie
-    sets aliases — a strict interleave of 2-way and 3-way ties leaves
+    Ties rotate as :class:`RoundRobinPolicy` rotates, with a cursor
+    **per tied candidate set**: one cursor shared across differently-sized
+    tie sets aliases — a strict interleave of 2-way and 3-way ties leaves
     the 2-way ties always seeing the same cursor parity, starving one of
     those backends despite it hosting the table."""
 
     name = "least_pending"
 
-    def __init__(self) -> None:
-        self._cursors: Dict[Tuple[str, ...], int] = {}
-        self._ticks = 0
-        self._lock = threading.Lock()
-
     def choose(self, eligible: List[Backend]) -> Backend:
-        with self._lock:
-            # Snapshot the counters once: they move concurrently, and a
-            # re-read between min() and the filter could leave no candidate.
-            pairs = [(backend.pending, backend) for backend in eligible]
-            least = min(pending for pending, _ in pairs)
-            candidates = [backend for pending, backend in pairs if pending == least]
-            key = tuple(sorted(backend.name for backend in candidates))
-            self._ticks += 1
-            cursor = self._cursors.get(key)
-            if cursor is None:
-                cursor = self._ticks
-            choice = candidates[cursor % len(candidates)]
-            self._cursors[key] = cursor + 1
-            return choice
+        # Snapshot the counters once: they move concurrently, and a
+        # re-read between min() and the filter could leave no candidate.
+        pairs = [(backend.pending, backend) for backend in eligible]
+        least = min(pending for pending, _ in pairs)
+        return super().choose([backend for pending, backend in pairs if pending == least])
 
 
 class WeightedPolicy(ReadPolicy):

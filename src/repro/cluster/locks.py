@@ -93,6 +93,23 @@ _COVERED = object()
 _STATEMENT = object()
 
 
+class _InFlight:
+    """:meth:`LockManager.scope`'s block: in ``_enter(scope, holder, age,
+    keep)``, out ``_leave`` (nothing, if the caller's exclusive hold covered it)."""
+
+    __slots__ = ("_manager", "_args", "_taken")
+
+    def __init__(self, manager: "LockManager", *args: Any) -> None:
+        self._manager, self._args = manager, args
+
+    def __enter__(self) -> None:
+        self._taken = self._manager._enter(*self._args)
+
+    def __exit__(self, *exc_info: Any) -> None:
+        if self._taken is not _COVERED:
+            self._manager._leave(self._taken, self._args[1])
+
+
 class Refused(Exception):
     """Wait-die refused a transaction's acquisition: it holds scopes and
     would wait for an older transaction. Nothing new was taken."""
@@ -103,7 +120,9 @@ class LockManager:
     transaction, with an exclusive global mode."""
 
     def __init__(self) -> None:
-        self._cond = threading.Condition()
+        #: Guards everything below (never reentrantly); ``_cond`` waits on it.
+        self._mutex = threading.Lock()
+        self._cond = threading.Condition(self._mutex)
         #: Tables locked whole, and by whom.
         self._held_tables: Dict[str, Any] = {}
         #: Keys locked, per table (table → key → holder).
@@ -146,7 +165,7 @@ class LockManager:
         #: Told ``True`` when a scope caller starts to wait for a
         #: transaction between statements — one that holds what it needs
         #: and has no statement in flight — and ``False`` when it stops
-        #: (under ``_cond``): a pool whose threads wait so lends their
+        #: (under ``_mutex``): a pool whose threads wait so lends their
         #: slots meanwhile, or that transaction's own COMMIT could find no
         #: thread to run on. A wait for statements in flight is not told:
         #: they finish on the threads they hold.
@@ -156,9 +175,7 @@ class LockManager:
 
     def _blockers_locked(self, scope: LockScope, holder: Any) -> List[Any]:
         """Who holds what ``scope`` needs, ``holder`` (None: a statement,
-        which holds nothing yet) aside. Caller holds ``_cond``."""
-        if not (self._held_tables or self._held_keys or self._everything is not None):
-            return []
+        which holds nothing yet) aside. Caller holds ``_mutex``."""
         everything = self._everything
         blockers = [] if everything is None or everything is holder else [everything]
         if scope.empty:
@@ -213,7 +230,7 @@ class LockManager:
         ``keep`` it — a transaction's read — waits only for conflicting
         statements in flight and takes nothing. Raises :class:`Refused`
         under wait-die."""
-        with self._cond:
+        with self._mutex:
             if self._exclusive_owner is not None and self._exclusive_owner == threading.get_ident():
                 self.covered_by_exclusive += 1
                 return _COVERED
@@ -235,7 +252,8 @@ class LockManager:
                         or everything
                         or not (self._exclusive_waiters or self._everything_waiters)
                     ):
-                        blockers = [] if wanted is None else self._blockers_locked(wanted, holder)
+                        held = self._held_tables or self._held_keys or self._everything is not None
+                        blockers = self._blockers_locked(wanted, holder) if held and wanted is not None else []
                         if read:
                             blockers = [h for h in blockers if h in self._busy or h not in self._holdings]
                         if not blockers:
@@ -274,7 +292,7 @@ class LockManager:
             return None
 
     def _take_locked(self, scope: LockScope, holder: Any, waited: bool) -> None:
-        if scope.empty:
+        if not (scope.tables or scope.keys):
             self._everything = holder
             self.exclusive_acquisitions += 1
             self.exclusive_waits += waited
@@ -292,7 +310,7 @@ class LockManager:
 
     def _drop_locked(self, scope: LockScope, holder: Any) -> None:
         """Stop holding ``scope`` for ``holder`` (None: a statement's own)."""
-        if scope.empty:
+        if not (scope.tables or scope.keys):
             if holder is None or self._everything is holder:
                 self._everything = None
             return
@@ -309,13 +327,14 @@ class LockManager:
     def _leave(self, taken: Optional[LockScope], holder: Any) -> None:
         """A statement of ``holder`` (None: a statement of its own) leaves
         flight, releasing ``taken`` (None: nothing)."""
-        with self._cond:
+        with self._mutex:
             if taken is not None:
                 self._drop_locked(taken, None)
             if holder is not None:
                 self._busy.discard(holder)
             self._active_scope_ops -= 1
-            self._cond.notify_all()
+            if self._scope_waiters or self._exclusive_waiters:
+                self._cond.notify_all()
 
     def acquire_scope(self, scope: LockScope) -> LockScope:
         """Block until every table and key in ``scope`` is free, then
@@ -343,11 +362,12 @@ class LockManager:
 
     def release(self, holder: Any) -> None:
         """Release everything ``holder`` (a transaction) holds."""
-        with self._cond:
+        with self._mutex:
             for scope in self._holdings.pop(holder, ()):
                 self._drop_locked(scope, holder)
             self._ages.pop(holder, None)
-            self._cond.notify_all()
+            if self._scope_waiters or self._exclusive_waiters:
+                self._cond.notify_all()
 
     # -- exclusive mode ------------------------------------------------------------
 
@@ -355,7 +375,7 @@ class LockManager:
         """Block until no statement is in flight, then hold the whole
         write path. Reentrant per thread."""
         me = threading.get_ident()
-        with self._cond:
+        with self._mutex:
             if self._exclusive_owner == me:
                 self._exclusive_depth += 1
                 return
@@ -378,7 +398,7 @@ class LockManager:
             self.exclusive_acquisitions += 1
 
     def release_exclusive(self) -> None:
-        with self._cond:
+        with self._mutex:
             if self._exclusive_owner != threading.get_ident():
                 raise RuntimeError("exclusive lock released by a non-owner thread")
             self._exclusive_depth -= 1
@@ -396,10 +416,9 @@ class LockManager:
         finally:
             self.release_exclusive()
 
-    @contextmanager
     def scope(
         self, scope: Optional[LockScope], holder: Any = None, age: Optional[int] = None, keep: bool = True
-    ) -> Iterator[None]:
+    ) -> "_InFlight":
         """The scheduler's one entry point: run the block in flight,
         holding ``scope`` — the exclusive footprint when it is empty.
         Without a ``holder`` the block is one auto-commit statement and
@@ -411,19 +430,12 @@ class LockManager:
         one database does not stop a read of an uncommitted row, only
         statements in flight, so it reads no write half-way across the
         replicas. Raises :class:`Refused` under wait-die."""
-        taken = self._enter(scope, holder, age, keep)
-        if taken is _COVERED:
-            yield
-            return
-        try:
-            yield
-        finally:
-            self._leave(taken, holder)
+        return _InFlight(self, scope, holder, age, keep)
 
     # -- observability -----------------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
-        with self._cond:
+        with self._mutex:
             return {
                 "tables_held": len(self._held_tables),
                 "keys_held": sum(len(keys) for keys in self._held_keys.values()),

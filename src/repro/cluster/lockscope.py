@@ -148,10 +148,10 @@ def _key_constants(
         else:
             return ()
         return dml.rows[0][position : position + 1]
-    if isinstance(dml, Update) and any(
-        column.lower() == pk_column for column, _ in dml.assignments
-    ):
-        return ()
+    if isinstance(dml, Update):
+        for column, _ in dml.assignments:
+            if column.lower() == pk_column:
+                return ()
     return dml.key_terms.get(pk_column, ())
 
 
@@ -201,13 +201,12 @@ class ScopeResolver:
             # child's parent, a parent's referrers — on every replica, so
             # it must not run alongside any writer of those tables.
             return LockScope(tables=tables | linked), generation
-        table_scope = LockScope(tables=tables)
         if dml is None or len(tables) != 1 or primary_key is None:
             # No reading of the text to prove a key from, reads /
             # REFERENCES alongside a write (the key only covers the
             # statement's own table's rows, not the other tables), or
             # no single-column key.
-            return table_scope, generation
+            return LockScope(tables=tables), generation
         table = next(iter(tables))
         pk_column, data_type, ordinal = primary_key
         keys = set()
@@ -216,10 +215,10 @@ class ScopeResolver:
             if key is _NO_KEY:
                 # One unresolvable element poisons the whole list: the
                 # statement may touch a row no listed key covers.
-                return table_scope, generation
+                return LockScope(tables=tables), generation
             keys.add((table, key))
         if not keys:
-            return table_scope, generation
+            return LockScope(tables=tables), generation
         return LockScope(keys=frozenset(keys)), generation
 
     def invalidate(self, tables: Optional[Iterable[str]]) -> None:
@@ -254,6 +253,8 @@ class ScopeResolver:
             if table in self._cache:
                 return self._cache[table], generation
         probed = self._probe(table)
+        if probed is None:  # no enabled backend to ask: ask again next time
+            return _UNKNOWN, generation
         with self._lock:
             if self.generation == generation:
                 self._cache[table] = probed
@@ -262,11 +263,11 @@ class ScopeResolver:
         # resolves again; it is not cached.
         return probed, generation
 
-    def _probe(self, table: str) -> TableFacts:
-        """Ask the schema catalog for ``table``'s primary key and links."""
+    def _probe(self, table: str) -> Optional[TableFacts]:
+        """Ask the catalog for ``table``'s primary key and links (None: no one to ask)."""
         backend = next(iter(self._enabled_backends()), None)
         if backend is None:
-            return _UNKNOWN
+            return None
         try:
             _, rows, _ = backend.execute(
                 "SELECT table_name, table_schema, column_name, ordinal_position, "

@@ -82,14 +82,7 @@ class RecoveryLog:
         hold the table locks (or the exclusive lock) covering these
         tables across execute+append, which is what makes index order
         equal execution order *per table*."""
-        with self._lock:
-            entry = self._build_entry_locked(
-                self._store.last_index + 1, sql, params, write_tables
-            )
-            self._store.append(entry)
-            self._appends_since_compact += 1
-            self._maybe_compact_locked()
-            return entry
+        return self.append_batch([(sql, params, write_tables)])[0]
 
     def append_batch(
         self,
@@ -111,7 +104,8 @@ class RecoveryLog:
                 next_index += 1
             self._store.append_many(entries)
             self._appends_since_compact += len(entries)
-            self._maybe_compact_locked()
+            if self.auto_compact_every and self._appends_since_compact >= self.auto_compact_every:
+                self._compact_locked()
             return entries
 
     def _build_entry_locked(
@@ -155,10 +149,6 @@ class RecoveryLog:
             for table, seq in entry.table_seqs.items():
                 if seq > self._table_seqs.get(table, 0):
                     self._table_seqs[table] = seq
-
-    def _maybe_compact_locked(self) -> None:
-        if self.auto_compact_every and self._appends_since_compact >= self.auto_compact_every:
-            self._compact_locked()
 
     # -- reads -------------------------------------------------------------------
 

@@ -27,6 +27,7 @@ import json
 import os
 import threading
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Dict, IO, List, Optional, Tuple
 
 from repro.errors import DriverError
@@ -78,6 +79,13 @@ class LogEntry:
                 for table, seq in (payload.get("table_seqs") or {}).items()
             },
         )
+
+
+#: ``"".join(_encode_line(payload, 0))`` is ``json.dumps(payload,
+#: separators=(",", ":"))`` from a C encoder built once, as in netsim.framing.
+_encode_line = c_make_encoder(
+    None, json.JSONEncoder().default, encode_basestring_ascii, None, ":", ",", False, False, True
+)
 
 
 def _encode_params(params: Dict[str, Any]) -> Dict[str, Any]:
@@ -170,14 +178,12 @@ class LogStore:
         self._state_lock = threading.Lock()
 
     def append(self, entry: LogEntry) -> None:
-        raise NotImplementedError
+        self.append_many([entry])
 
     def append_many(self, entries: List[LogEntry]) -> None:
-        """Append a batch of consecutive entries. Durable stores override
-        this to pay one flush+fsync for the whole batch (group commit);
-        the default just loops."""
-        for entry in entries:
-            self.append(entry)
+        """Append a batch of consecutive entries: a durable store pays one
+        flush+fsync for the whole batch (group commit)."""
+        raise NotImplementedError
 
     def entries_after(self, index: int) -> List[LogEntry]:
         """Entries with index strictly greater than ``index``.
@@ -265,8 +271,8 @@ class MemoryLogStore(LogStore):
         super().__init__()
         self._entries: List[LogEntry] = []
 
-    def append(self, entry: LogEntry) -> None:
-        self._entries.append(entry)
+    def append_many(self, entries: List[LogEntry]) -> None:
+        self._entries += entries
 
     def entries_after(self, index: int) -> List[LogEntry]:
         offset = max(index, self._truncated_through) - self._truncated_through
@@ -460,11 +466,6 @@ class FileLogStore(LogStore):
 
     # -- appends -------------------------------------------------------------------
 
-    def append(self, entry: LogEntry) -> None:
-        self._write_entry(entry)
-        if self.fsync_on_append:
-            self._fsync_handle()
-
     def append_many(self, entries: List[LogEntry]) -> None:
         """Write the whole batch, then flush+fsync once at its tail —
         the group-commit fast path: N durable appends cost one fsync."""
@@ -477,7 +478,7 @@ class FileLogStore(LogStore):
         if not self._segments or len(self._segments[-1]) >= self.segment_max_entries:
             self._roll_segment(entry.index)
         handle = self._ensure_handle()
-        handle.write(json.dumps(entry.to_wire(), separators=(",", ":")) + "\n")
+        handle.write("".join(_encode_line(entry.to_wire(), 0)) + "\n")
         handle.flush()
         self._segments[-1].append(entry)
         self._last_index = entry.index

@@ -283,7 +283,7 @@ class WriteBatcher:
     trip — the execution-side mirror of :class:`GroupCommit`.
 
     Writers whose placement-resolved replica sets match queue under one
-    *group key* (the sorted target names); the first to find the group
+    *group key* (the set of target backends); the first to find the group
     leaderless leads: it drains the queue and runs the batch as one
     round — one fan-out, one log append and (under group commit) one
     fsync for every writer. Writers arriving meanwhile queue for the
@@ -299,47 +299,55 @@ class WriteBatcher:
     def __init__(self, scheduler: "RequestScheduler", max_batch: int = 64) -> None:
         self._scheduler = scheduler
         self._max_batch = max(1, max_batch)
-        self._cond = threading.Condition()
-        self._queues: Dict[Tuple[str, ...], List[_BatchItem]] = {}
-        self._leading: Set[Tuple[str, ...]] = set()
-        # Counters guarded by _cond.
+        self._mutex = threading.Lock()
+        self._cond = threading.Condition(self._mutex)
+        self._queues: Dict[FrozenSet[Backend], List[_BatchItem]] = {}
+        self._leading: Set[FrozenSet[Backend]] = set()
+        #: Writers waiting on ``_cond``: an ending round wakes only those.
+        self._waiting = 0
+        # Counters guarded by _mutex.
         self.rounds = 0
         self.batched_statements = 0
         self.max_batch_size = 0
 
     def run(self, item: _BatchItem) -> None:
-        """Queue one statement and return once a round executed it —
-        either by leading a round or by riding a sibling leader's —
-        with its ``result``/``outcome``/``durable_index`` filled in;
-        raises the round's error if it failed.
-
-        Loops until this item's round actually ran: when more than
-        ``max_batch`` writers queue behind one leader, the overflow —
-        possibly including the next elected leader's own item — stays
-        queued for a follow-up round, so election must retry rather than
-        assume one round covered the electing writer.
+        """Queue one statement and return once a round executed it — one
+        it led, or a sibling leader's — with its ``result``/``outcome``/
+        ``durable_index`` filled in; raises the round's error if it failed.
+        A leader whose own item overflowed ``max_batch`` leads again.
 
         A writer that rode a sibling's round records a ``batch_wait``
-        span on its trace attributed to the leader's trace id and the
-        round's batch size; a writer that led gets the round's
-        ``execute``/``log_append`` spans instead (recorded by the round
-        itself)."""
-        key = tuple(sorted(backend.name for backend in item.targets))
+        span attributed to the leader's trace id and the round's batch
+        size; a leader's trace gets the round's ``execute``/``log_append``
+        spans instead."""
+        key = frozenset(item.targets)
         queued_at = time.monotonic()
         led = False
-        with self._cond:
+        with self._mutex:
             self._queues.setdefault(key, []).append(item)
-        while True:
-            with self._cond:
-                while not item.done and key in self._leading:
-                    self._cond.wait()
-                if item.done:
-                    break
-                self._leading.add(key)
+            batch = self._turn_locked(key, item)
+        while batch is not None:
             led = True
-            self._lead(key, item)
+            try:
+                for queued in batch:
+                    queued.batch_meta = (item.trace.trace_id, len(batch))
+                try:
+                    self._scheduler._run_round(batch, item.trace)
+                except Exception as exc:  # noqa: BLE001 - delivered per writer
+                    for queued in batch:
+                        if queued.error is None:
+                            queued.error = exc
+            finally:
+                with self._mutex:
+                    for queued in batch:
+                        queued.done = True
+                    self._leading.discard(key)
+                    if self._waiting:
+                        self._cond.notify_all()
             if item.done:
                 break
+            with self._mutex:
+                batch = self._turn_locked(key, item)
         if not led:
             leader_trace_id, batch_size = item.batch_meta
             item.trace.record(
@@ -352,37 +360,29 @@ class WriteBatcher:
         if item.error is not None:
             raise item.error
 
-    def _lead(self, key: Tuple[str, ...], leader: _BatchItem) -> None:
-        batch: List[_BatchItem] = []
-        try:
-            # The batch is whatever queued while the previous round was
-            # in flight.
-            with self._cond:
-                queued = self._queues.pop(key, [])
-                if len(queued) > self._max_batch:
-                    self._queues[key] = queued[self._max_batch :]
-                    queued = queued[: self._max_batch]
-                batch = queued
-                self.rounds += 1
-                self.batched_statements += len(batch)
-                self.max_batch_size = max(self.max_batch_size, len(batch))
-            for item in batch:
-                item.batch_meta = (leader.trace.trace_id, len(batch))
-            try:
-                self._scheduler._run_round(batch, leader.trace)
-            except Exception as exc:  # noqa: BLE001 - delivered per writer
-                for item in batch:
-                    if item.error is None:
-                        item.error = exc
-        finally:
-            with self._cond:
-                for item in batch:
-                    item.done = True
-                self._leading.discard(key)
-                self._cond.notify_all()
+    def _turn_locked(self, key: FrozenSet[Backend], item: _BatchItem) -> Optional[List[_BatchItem]]:
+        """None once ``item`` ran; else, once its group has no leader, the
+        batch the caller leads: what queued meanwhile, ``max_batch`` at most."""
+        while not item.done and key in self._leading:
+            self._waiting += 1
+            self._cond.wait()
+            self._waiting -= 1
+        if item.done:
+            return None
+        self._leading.add(key)
+        queued = self._queues.pop(key)
+        batch, rest = queued[: self._max_batch], queued[self._max_batch :]
+        if rest:
+            self._queues[key] = rest
+        size = len(batch)
+        self.rounds += 1
+        self.batched_statements += size
+        if size > self.max_batch_size:
+            self.max_batch_size = size
+        return batch
 
     def stats(self) -> Dict[str, Any]:
-        with self._cond:
+        with self._mutex:
             rounds = self.rounds
             batched = self.batched_statements
             return {
@@ -823,7 +823,8 @@ class RequestScheduler:
             return list(self._backends)
 
     def enabled_backends(self) -> List[Backend]:
-        return [backend for backend in self.backends() if backend.enabled]
+        with self._lock:
+            return [backend for backend in self._backends if backend.enabled]
 
     # -- routing -----------------------------------------------------------------
 
@@ -851,8 +852,6 @@ class RequestScheduler:
             return self._execute_in(transaction, sql, params, statement, trace)
         if statement.is_read:
             return self._execute_read(sql, params, statement, trace)
-        if not self.enabled_backends():
-            raise SchedulerError("no enabled backend available")
         return self._execute_broadcast(sql, params, statement, trace)
 
     def _read_candidates(self, statement: ClassifiedStatement) -> List[Backend]:
@@ -913,7 +912,6 @@ class RequestScheduler:
         candidates = self._read_candidates(statement)
         while True:
             backend = self._policy.choose(candidates)
-            backend.begin_request()
             trace.begin("execute", backend=backend.name)
             try:
                 return backend.execute(sql, params, lease=transaction and transaction.lease(backend))
@@ -929,14 +927,14 @@ class RequestScheduler:
                 if not candidates:
                     raise
             finally:
-                backend.finish_request()
                 trace.end("execute")
 
-    def _write_targets(
-        self, enabled: List[Backend], statement: ClassifiedStatement
-    ) -> List[Backend]:
+    def _write_targets(self, statement: ClassifiedStatement) -> List[Backend]:
         """Which enabled backends one write round goes to — never a read,
-        which runs on one replica (:meth:`_read_candidates`).
+        which runs on one replica (:meth:`_read_candidates`) — snapshotted
+        under the write's scope: a backend enabled by a resync the write
+        waited out must be included, or it silently misses the write with
+        no resync left to replay it.
 
         Everything under full replication and for statements with an
         unknown table set (the conservative bypass). A genuine write goes
@@ -944,6 +942,10 @@ class RequestScheduler:
         silently diverge a replica of a written table; its read tables
         must be colocated on those backends or the statement has nowhere
         it can run correctly."""
+        with self._lock:
+            enabled = [backend for backend in self._backends if backend.enabled]
+        if not enabled:
+            raise SchedulerError("no enabled backend available")
         placement = self._placement
         if placement.is_full or not statement.write_tables:
             return enabled
@@ -1008,7 +1010,7 @@ class RequestScheduler:
                     # key may no longer stand for the row identity —
                     # release and resolve again.
                     continue
-                item = _BatchItem(sql, params, statement, self._targets_now(statement), trace)
+                item = _BatchItem(sql, params, statement, self._write_targets(statement), trace)
                 if self._batch_eligible(statement):
                     # Safe to decide here: while this scope is held no
                     # disable/resync/placement swap can run (all take
@@ -1021,15 +1023,6 @@ class RequestScheduler:
                     self._run_round([item], trace)
             break
         return self._answer(item, trace)
-
-    def _targets_now(self, statement: ClassifiedStatement) -> List[Backend]:
-        """A write's targets, snapshotted under its scope: a backend
-        enabled by a resync the write waited out must be included, or it
-        silently misses the write with no resync left to replay it."""
-        enabled = self.enabled_backends()
-        if not enabled:
-            raise SchedulerError("no enabled backend available")
-        return self._write_targets(enabled, statement)
 
     def _answer(self, item: "_BatchItem", trace: Any) -> Tuple[List[str], List[Any], int]:
         """A round's statement's result, once what it logged is durable."""
@@ -1120,7 +1113,7 @@ class RequestScheduler:
                             continue  # as in _execute_broadcast; a stale key kept stays held
                         if statement.is_read:
                             return self._read_on_one(sql, params, statement, transaction, trace)
-                        item = _BatchItem(sql, params, statement, self._targets_now(statement), trace)
+                        item = _BatchItem(sql, params, statement, self._write_targets(statement), trace)
                         self._run_round([item], trace, transaction)
                     return self._answer(item, trace)
             except Refused:
@@ -1225,7 +1218,7 @@ class RequestScheduler:
         buffer, a COMMIT's entries are that buffer, and a round that ends
         it frees its scopes and connections. The ``execute``/``log_append``
         spans land on the leader's trace."""
-        head, targets = items[0], items[0].targets
+        head, targets, size = items[0], items[0].targets, len(items)
         cache = self._cache
         if cache is not None:
             # Invalidate before execution as well: entries cached against
@@ -1238,19 +1231,19 @@ class RequestScheduler:
         leases = None if transaction is None else {backend: transaction.lease(backend) for backend in targets}
         # No backend-list attr: the per-replica child spans already name
         # every backend this execute fanned out to.
-        with leader_trace.span("execute", batch_size=len(items)):
+        with leader_trace.span("execute", batch_size=size):
             batch = self._broadcaster.broadcast_batch(
                 targets, [(item.sql, item.params) for item in items], trace=leader_trace, leases=leases
             )
         for index, item in enumerate(items):
             item.outcome = outcome = batch.per_statement(index)
             item.result, leaving = round_verdict(outcome.outcomes)
-            for backend in leaving:
-                backend.mark_failed()
             if leaving:
+                for backend in leaving:
+                    backend.mark_failed()
                 # Their connections closed: another transaction may have lost its last.
                 self._settle_dead(transaction)
-        leader_trace.begin("log_append", batch_size=len(items))
+        leader_trace.begin("log_append", batch_size=size)
         # Shared accounting serialises under _state_lock: two
         # disjoint-scope rounds run their broadcasts in parallel but
         # append and move checkpoints one after the other.
@@ -1265,15 +1258,15 @@ class RequestScheduler:
             rows: List[_Row] = []
             owners: List[_BatchItem] = []
             for item in items:
-                accepted = item.result is not None
-                fate = write_fate(accepted, transaction is not None, still_open) if item.logged else DROP
-                params = dict(item.params or {}) if fate == DEFER else item.params
-                row = (item.sql, params, item.statement.write_tables)
+                fate = write_fate(item.result is not None, transaction is not None, still_open) if item.logged else DROP
                 if fate == DEFER:
-                    transaction.buffer.append(row)
-                carried = transaction.buffer if step == FLUSH else [row] if fate == LOG else []
-                rows += carried
-                owners += [item] * len(carried)
+                    transaction.buffer.append((item.sql, dict(item.params or {}), item.statement.write_tables))
+                if step == FLUSH:
+                    rows += transaction.buffer
+                    owners += [item] * len(transaction.buffer)
+                elif fate == LOG:
+                    rows += [(item.sql, item.params, item.statement.write_tables)]
+                    owners += [item]
             if rows:
                 # One append for the whole round, a COMMIT's buffer
                 # included: a durable store pays one flush+fsync for it.

@@ -138,6 +138,8 @@ class UnaryOp(Expression):
 
             def negate(row, params, positional):
                 value = operand(row, params, positional)
+                if value is not None and not isinstance(value, (int, float)):
+                    raise SqlExecutionError(f"cannot negate a {type(value).__name__} value")
                 return None if value is None else -value
 
             return negate
@@ -176,6 +178,8 @@ class BinaryOp(Expression):
                 b = right(row, params, positional)
                 if a is None or b is None:
                     return None
+                if not (isinstance(a, (int, float)) and isinstance(b, (int, float))):
+                    raise SqlExecutionError(f"cannot apply {op} to {type(a).__name__} and {type(b).__name__}")
                 return combine(a, b)
 
             return arithmetic

@@ -87,6 +87,9 @@ class Table:
                     f"foreign key on {self.name}.{column.name} references missing table "
                     f"{foreign_key.table!r}"
                 )
+            if target is self and row.get(self.schema.stored_name(foreign_key.column)) == value:
+                # The row written is its own parent (SQLite checks after storing it).
+                continue
             if not target.has_value(foreign_key.column, value):
                 raise ConstraintViolation(
                     f"foreign key violation: {self.name}.{column.name}={value!r} has no match in "

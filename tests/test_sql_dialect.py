@@ -12,7 +12,7 @@ import sqlite3
 import pytest
 
 from repro.sqlengine import Engine
-from repro.sqlengine.errors import ColumnNotFound, ConstraintViolation, SqlParseError
+from repro.sqlengine.errors import ColumnNotFound, ConstraintViolation, SqlExecutionError, SqlParseError
 
 _ROWS = [(0, None), (1, 1), (2, 2)]
 
@@ -85,6 +85,16 @@ def test_division_is_not_in_the_grammar_and_now_reads_the_engine_clock(sides):
     assert session.execute("SELECT now()").rows == [(1000.0,)]
     with pytest.raises(sqlite3.OperationalError):
         connection.execute("SELECT now()")
+
+
+def test_arithmetic_on_a_text_operand_is_the_statements_error(sides):
+    """``v + '5'`` raises; SQLite reads the text as a number and answers 6."""
+    session, connection = sides
+    for text in ("SELECT v + '5' FROM t WHERE id = 1", "SELECT -'5' FROM t WHERE id = 1"):
+        with pytest.raises(SqlExecutionError):
+            session.execute(text)
+    assert connection.execute("SELECT v + '5' FROM t WHERE id = 1").fetchall() == [(6,)]
+    assert connection.execute("SELECT -'5' FROM t WHERE id = 1").fetchall() == [(-5,)]
 
 
 def test_a_failing_statement_keeps_the_rows_it_changed_before_the_error(sides):

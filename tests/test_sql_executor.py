@@ -1,5 +1,7 @@
 """Integration-level tests of SQL execution through the engine session API."""
 
+import sqlite3
+
 import pytest
 
 from repro.sqlengine import ConstraintViolation, Engine, SqlExecutionError, TableNotFound
@@ -189,6 +191,21 @@ class TestConstraints:
             db_session.execute("DELETE FROM tree WHERE id = 1")
         assert db_session.execute("DELETE FROM tree WHERE id = 2").rowcount == 1
         assert db_session.execute("DELETE FROM tree WHERE id = 1").rowcount == 1
+
+    def test_a_row_may_reference_itself(self, db_session):
+        """The row being inserted is its own parent, as on sqlite3 with
+        foreign keys on; a reference to a row that is not there still fails."""
+        oracle = sqlite3.connect(":memory:", isolation_level=None)
+        oracle.execute("PRAGMA foreign_keys = ON")
+        for side, refused in ((db_session.execute, ConstraintViolation), (oracle.execute, sqlite3.IntegrityError)):
+            side("CREATE TABLE tree (id INTEGER PRIMARY KEY, up INTEGER REFERENCES tree(id))")
+            side("INSERT INTO tree VALUES (1, 1)")
+            side("INSERT INTO tree VALUES (2, 1)")
+            with pytest.raises(refused):
+                side("INSERT INTO tree VALUES (3, 4)")
+        ours = db_session.execute("SELECT id, up FROM tree ORDER BY id").rows
+        assert ours == oracle.execute("SELECT id, up FROM tree ORDER BY id").fetchall() == [(1, 1), (2, 1)]
+        oracle.close()
 
     def test_a_referenced_value_another_parent_row_holds_may_go(self, db_session):
         """A REFERENCES to a column that is not a key: while another parent

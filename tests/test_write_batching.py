@@ -449,6 +449,25 @@ class TestSchedulerBatching:
             session = engine.open_session(env.database_name)
             assert session.execute("SELECT v FROM wbt_dup").rows == [(7,)]
 
+    def test_arithmetic_on_a_text_parameter_fails_the_statement_not_the_replicas(self, batched_cluster):
+        """``v + $x`` with a text ``x`` is every replica's statement error:
+        the client gets a ProgrammingError, both backends stay ENABLED
+        and the next read is served."""
+        env = batched_cluster
+        connection = ClusterDriverRuntime().connect(env.client_url(), network=env.network)
+        try:
+            cursor = connection.cursor()
+            cursor.execute("CREATE TABLE wbt_text (id INTEGER PRIMARY KEY, v INTEGER)")
+            cursor.execute("INSERT INTO wbt_text (id, v) VALUES (1, 1)")
+            with pytest.raises(ProgrammingError, match="cannot apply"):
+                cursor.execute("UPDATE wbt_text SET v = v + $x WHERE id = 1", {"x": "5"})
+            scheduler = env.controllers[0].scheduler
+            assert [backend.state for backend in scheduler.backends()] == [BackendState.ENABLED] * 2
+            cursor.execute("SELECT v FROM wbt_text WHERE id = 1")
+            assert cursor.fetchall() == [(1,)]
+        finally:
+            connection.close()
+
     def test_batched_writes_racing_resync_converge(self, batched_cluster):
         env = batched_cluster
         controller = env.controllers[0]
