@@ -60,6 +60,9 @@ class PlacementMap:
         #: Pinned table → hosts. Tables the policy leaves unpinned
         #: (full replication) are deliberately absent.
         self._pinned: Dict[str, FrozenSet[str]] = {}
+        #: Unpinned table → the table whose hosts it takes, pinning when
+        #: that one pins (a colocation made before its targets pinned).
+        self._follows: Dict[str, str] = {}
         for name in backend_names:
             if name not in self._universe:
                 self._universe.append(name)
@@ -143,6 +146,12 @@ class PlacementMap:
         pinned = self._pinned.get(key)
         if pinned is not None:
             return pinned
+        leader = self._follows.get(key)
+        if leader is not None:
+            hosts = self._hosts_locked(leader, pin)
+            if pin and leader in self._pinned:
+                self._pinned[key] = hosts
+            return hosts
         placed = self._policy.place(key, tuple(self._universe))
         if placed is None:
             # Unpinned ⇒ everyone, resolved fresh each call so later
@@ -158,6 +167,7 @@ class PlacementMap:
         with self._lock:
             for table in tables:
                 self._pinned.pop(normalize_table_name(table), None)
+                self._follows.pop(normalize_table_name(table), None)
 
     def ensure_colocated(self, table: str, referenced: Iterable[str]) -> None:
         """Enforce that ``table`` has exactly the hosts of each of its
@@ -168,14 +178,16 @@ class PlacementMap:
         reads either as a dead replica.
 
         Policies whose host choice is arbitrary (hash spreads) are
-        re-pointed: the new table is pinned onto the targets' hosts.
-        Operator-chosen assignments are never silently overridden, and
-        targets on different host sets cannot be followed — either
-        raises :class:`NoHostingBackendError` so the spec gets fixed."""
+        re-pointed: the new table and its unpinned targets follow one
+        target (a pinned one, if any) and pin where it pins. Operator-chosen
+        assignments are never silently overridden, and targets on
+        different host sets cannot be followed — either raises
+        :class:`NoHostingBackendError` so the spec gets fixed."""
         key = normalize_table_name(table)
         if key.startswith(_SYSTEM_PREFIXES):
             return
-        targets = {self.hosts(ref, pin=True) for ref in referenced if normalize_table_name(ref) != key}
+        names = {normalize_table_name(ref) for ref in referenced} - {key}
+        targets = {self.hosts(name, pin=True) for name in names}
         if not targets:
             return
         if len(targets) > 1:
@@ -186,13 +198,21 @@ class PlacementMap:
         (hosts,) = targets
         with self._lock:
             current = self._pinned.get(key)
+            if current is None and self._policy.colocatable:
+                roots = set()
+                for name in names:
+                    while name not in self._pinned and name in self._follows:
+                        name = self._follows[name]
+                    roots.add(name)
+                leader = min(roots, key=lambda root: (root not in self._pinned, root))
+                for name in roots | {key}:
+                    if name != leader and name not in self._pinned:
+                        self._follows[name] = leader
+                return
             if current is None:
                 placed = self._policy.place(key, tuple(self._universe))
                 # Unpinned ⇒ hosted everywhere.
                 current = frozenset(self._universe) if placed is None else placed
-                if current != hosts and getattr(self._policy, "colocatable", False):
-                    self._pinned[key] = hosts
-                    return
             if current != hosts:
                 raise NoHostingBackendError(
                     f"placement puts table {key!r} on {sorted(current)} but its REFERENCES "

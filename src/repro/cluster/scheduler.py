@@ -138,8 +138,9 @@ def scope_held(in_transaction: bool, is_read: bool) -> bool:
 
 def write_fate(accepted: bool, ran_in_transaction: bool, still_open: bool) -> str:
     """Where a write goes once its round settled: ``DROP`` one no replica
-    accepted (it would poison every later resync), ``LOG`` an auto-commit
-    one, ``DEFER`` one that ran in a transaction into its buffer while it
+    accepted (the engine undid it whole, so it changed nothing, and a
+    replay would poison every later resync), ``LOG`` an auto-commit one,
+    ``DEFER`` one that ran in a transaction into its buffer while it
     is open — a rolled-back write must never be replayed — and ``DROP``
     it once that transaction ended without it."""
     if not accepted:
@@ -951,7 +952,7 @@ class RequestScheduler:
             return enabled
         if statement.referenced_tables:
             # DDL with foreign keys: every host of the new table must
-            # host the REFERENCES targets, or per-row FK checks fail on
+            # host the REFERENCES targets, or FK checks fail on
             # some replicas and read as divergence. Hash placements are
             # re-pointed onto the targets' hosts; operator-chosen
             # assignments that conflict raise instead.

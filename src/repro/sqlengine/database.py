@@ -60,7 +60,7 @@ class Database:
                 Column("table_schema", SqlType.VARCHAR),
             ],
         )
-        self._tables["information_schema.tables"] = Table(schema)
+        self._tables["information_schema.tables"] = Table(schema, self)
         columns_schema = TableSchema(
             name="information_schema.columns",
             columns=[
@@ -75,7 +75,7 @@ class Database:
                 Column("references_column", SqlType.VARCHAR),
             ],
         )
-        self._tables["information_schema.columns"] = Table(columns_schema)
+        self._tables["information_schema.columns"] = Table(columns_schema, self)
 
     @staticmethod
     def _split_key(key: str):
@@ -135,7 +135,7 @@ class Database:
             lowered = key.lower()
             if lowered in self._tables:
                 raise SqlExecutionError(f"table {key!r} already exists in database {self.name!r}")
-            table = self._tables[lowered] = Table(schema, catalog=self)
+            table = self._tables[lowered] = Table(schema, self)
             self._catalog_changed()
             return table
 
@@ -154,8 +154,9 @@ class Database:
         for table in self._tables.values():
             for column, foreign_key in table.schema.foreign_keys():
                 target = self._tables.get(foreign_key.table.lower())
-                if target is not None:
-                    target.referrers.append((table, column.name, foreign_key.column))
+                name = None if target is None else target.schema.stored_name(foreign_key.column)
+                if name is not None:
+                    target.referrers.append((table, column.name, name))
 
     # -- plans ---------------------------------------------------------------
 

@@ -36,7 +36,7 @@ from repro.sqlengine.statements import (
     Update,
 )
 from repro.sqlengine.storage import Row, Table
-from repro.sqlengine.transactions import TransactionManager
+from repro.sqlengine.transactions import TransactionManager, Undo, undo
 from repro.sqlengine.types import SqlType
 
 #: The Python type a key column of each SQL type stores. A key constant of
@@ -85,6 +85,9 @@ class ResultSet:
 #: for the session whose transactions are given (its undo log records the
 #: plan's writes) and returns its result.
 Plan = Callable[[TransactionManager, Dict[str, Any], Sequence[Any]], ResultSet]
+#: An INSERT, UPDATE or DELETE: ``write(log, params, positional)`` applies
+#: the statement, appending each row's undo record to ``log``.
+Write = Callable[[List[Undo], Dict[str, Any], Sequence[Any]], ResultSet]
 #: The key-probe decision's run-time half: the primary keys a matching row
 #: must have one of, or None to scan.
 Probe = Callable[[Dict[str, Any], Sequence[Any]], Optional[List[Tuple[Any, ...]]]]
@@ -112,6 +115,27 @@ def _matching_rows(
     if where is None:
         return list(candidates)
     return [(index, row) for index, row in candidates if where(row, params, positional)]
+
+
+def _statement(write: Write) -> Plan:
+    """The plan of a write, run as one statement: ``write`` records into
+    the session's statement log, REFERENCES are checked over the rows it
+    recorded once it returns, and if either raises those rows are restored
+    before the error propagates: a failing statement changes nothing."""
+
+    def plan(transactions: TransactionManager, params, positional) -> ResultSet:
+        log = transactions.statement_log()
+        mark = len(log)
+        try:
+            result = write(log, params, positional)
+            for table, index, before in log[mark:]:
+                table.check_references(index, before)
+        except BaseException:
+            undo(log, mark)
+            raise
+        return result
+
+    return plan
 
 
 def _begin(transactions: TransactionManager, params, positional) -> ResultSet:
@@ -285,15 +309,12 @@ class Planner:
         columns = statement.columns or table.schema.column_names
         row_values = [self._compile_values(columns, expressions) for expressions in statement.rows]
 
-        def insert(transactions, params, positional):
-            transaction = transactions.current
+        def insert(log, params, positional):
             for values in row_values:
-                index = table.insert(values(params, positional))
-                if transaction is not None:
-                    transaction.record_insert(table, index)
+                log.append((table, table.insert(values(params, positional)), None))
             return ResultSet(rowcount=len(row_values))
 
-        return insert, cacheable and statement.parameterized
+        return _statement(insert), cacheable and statement.parameterized
 
     def _compile_values(
         self, columns: List[str], expressions: List[Expression]
@@ -412,33 +433,26 @@ class Planner:
             (column, self._compile(expression, table.schema)) for column, expression in statement.assignments
         ]
 
-        def update(transactions, params, positional):
+        def update(log, params, positional):
             matches = _matching_rows(table, probe, where, params, positional)
-            transaction = transactions.current
             for index, row in matches:
-                before = table.update_at(
-                    index, {column: value(row, params, positional) for column, value in assignments}
-                )
-                if transaction is not None:
-                    transaction.record_update(table, index, before)
+                values = {column: value(row, params, positional) for column, value in assignments}
+                log.append((table, index, table.update_at(index, values)))
             return ResultSet(rowcount=len(matches))
 
-        return update, cacheable
+        return _statement(update), cacheable
 
     def _plan_delete(self, statement: Delete) -> Tuple[Plan, bool]:
         table, cacheable = self._require_table(statement.table)
         probe, where = self._compile_where(statement, table)
 
-        def delete(transactions, params, positional):
+        def delete(log, params, positional):
             matches = _matching_rows(table, probe, where, params, positional)
-            transaction = transactions.current
             for index, _row in matches:
-                before = table.delete_at(index)
-                if transaction is not None:
-                    transaction.record_delete(table, index, before)
+                log.append((table, index, table.delete_at(index)))
             return ResultSet(rowcount=len(matches))
 
-        return delete, cacheable
+        return _statement(delete), cacheable
 
 
 def _stored_column(name: str) -> Compiled:

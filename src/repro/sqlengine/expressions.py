@@ -116,6 +116,8 @@ class FunctionCall(Expression):
         apply = _FUNCTIONS.get(func)
         if apply is None:
             return failing(SqlExecutionError, f"unknown function {self.name!r}", args)
+        if len(args) != 1:
+            return failing(SqlExecutionError, f"{func}() takes one argument, not {len(args)}", args)
 
         def call(row, params, positional):
             return apply([arg(row, params, positional) for arg in args])
@@ -350,11 +352,17 @@ def _function_of_first(convert: Callable[[Any], Any]) -> Callable[[List[Any]], A
     return lambda values: None if values[0] is None else convert(values[0])
 
 
-#: ``lower`` / ``upper`` / ``length`` over their evaluated arguments.
+def _length(value: Any) -> int:
+    if not isinstance(value, (str, bytes)):
+        raise SqlExecutionError(f"length() takes a text or a BLOB, not {type(value).__name__}")
+    return len(value)
+
+
+#: ``lower`` / ``upper`` / ``length`` over their one evaluated argument.
 _FUNCTIONS = {
     "lower": _function_of_first(lambda value: str(value).lower()),
     "upper": _function_of_first(lambda value: str(value).upper()),
-    "length": _function_of_first(len),
+    "length": _function_of_first(_length),
 }
 
 #: The comparison operators, as applied once ``_compare`` has made the

@@ -1,8 +1,9 @@
 """Row storage with constraint enforcement.
 
 A :class:`Table` stores rows as dictionaries keyed by column name and
-maintains a primary-key index. Constraint checks (NOT NULL, PRIMARY KEY
-uniqueness, REFERENCES) happen on every insert/update/delete so the
+maintains a primary-key index. NOT NULL and PRIMARY KEY uniqueness are
+checked on each row a statement writes, REFERENCES at the statement's end
+(:meth:`Table.check_references`), as SQLite checks them, so the
 Drivolution registry can rely on them: a ``driver_permission`` row cannot
 reference a driver that was never installed, and a driver cannot be
 deleted while a permission row still references it (SQLite's default
@@ -11,7 +12,7 @@ deleted while a permission row still references it (SQLite's default
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Collection, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.sqlengine.errors import ConstraintViolation
 from repro.sqlengine.schema import TableSchema
@@ -25,14 +26,15 @@ Row = Dict[str, Any]
 class Table:
     """One table: a schema plus its rows."""
 
-    def __init__(self, schema: TableSchema, catalog: Optional["Database"] = None) -> None:
+    def __init__(self, schema: TableSchema, catalog: "Database") -> None:
         self.schema = schema
         self._rows: List[Row] = []
         self._pk_index: Dict[Tuple[Any, ...], int] = {}
         #: The database asked for REFERENCES targets.
         self._catalog = catalog
         #: ``(table, column, referenced column)`` for each REFERENCES to
-        #: this table; the database sets it whenever its catalog changes.
+        #: this table, as their rows store them; the database sets it
+        #: whenever its catalog changes.
         self.referrers: List[Tuple["Table", str, str]] = []
 
     # -- introspection -------------------------------------------------------
@@ -49,10 +51,6 @@ class Table:
         """Iterate over live rows (deleted slots are skipped)."""
         return (row for row in self._rows if row is not None)
 
-    def snapshot(self) -> List[Row]:
-        """A deep-enough copy of all rows (rows copied, values shared)."""
-        return [dict(row) for row in self._rows if row is not None]
-
     # -- constraint checks ---------------------------------------------------
 
     def _check_not_null(self, row: Row) -> None:
@@ -62,68 +60,53 @@ class Table:
                     f"column {column.name!r} of table {self.name!r} is NOT NULL"
                 )
 
-    def _check_primary_key(self, row: Row, ignore_index: Optional[int] = None) -> None:
+    def _check_primary_key(self, row: Row) -> None:
         pk = self.schema.primary_key_of(row)
-        if pk is None:
-            return
-        existing = self._pk_index.get(pk)
-        if existing is not None and existing != ignore_index:
-            raise ConstraintViolation(
-                f"duplicate primary key {pk!r} in table {self.name!r}"
-            )
+        if pk is not None and pk in self._pk_index:
+            raise ConstraintViolation(f"duplicate primary key {pk!r} in table {self.name!r}")
 
-    def _check_foreign_keys(self, row: Row, columns: Optional[Collection[str]] = None) -> None:
-        """The REFERENCES values of ``row`` (of ``columns`` only, if given)
-        each match a row of the referenced table."""
-        if self._catalog is None:
-            return
-        for column, foreign_key in self.schema.foreign_keys():
-            value = row[column.name]
-            if value is None or (columns is not None and column.name not in columns):
-                continue
-            target = self._catalog.lookup_table(foreign_key.table.lower())
-            if target is None:
-                raise ConstraintViolation(
-                    f"foreign key on {self.name}.{column.name} references missing table "
-                    f"{foreign_key.table!r}"
-                )
-            if target is self and row.get(self.schema.stored_name(foreign_key.column)) == value:
-                # The row written is its own parent (SQLite checks after storing it).
-                continue
-            if not target.has_value(foreign_key.column, value):
-                raise ConstraintViolation(
-                    f"foreign key violation: {self.name}.{column.name}={value!r} has no match in "
-                    f"{foreign_key.table}.{foreign_key.column}"
-                )
-
-    def _check_referrers(self, index: int, columns: Optional[Collection[str]] = None) -> None:
-        """The row at ``index`` may give up its value of each of ``columns``
-        (every column, if not given: the row is deleted): no REFERENCES row
-        holds one that no other row of this table holds."""
+    def check_references(self, index: int, before: Optional[Row]) -> None:
+        """REFERENCES hold, at the end of the statement that wrote the slot
+        at ``index`` (``before``: what it held then, None for an INSERT),
+        both ways, as SQLite's default ``NO ACTION`` checks them: each
+        REFERENCES value the row now holds and did not hold before matches
+        a row of the referenced table, and each referenced value it gave up
+        is held by no referrer, unless another row of this table holds it."""
         row = self._rows[index]
-        for referrer, column, referenced in self.referrers:
-            name = self.schema.stored_name(referenced)
-            if name is None or (columns is not None and name not in columns):
-                continue
-            value = row[name]
-            if value is None or self.has_value(name, value, index):
-                continue
-            # A deleted row no longer references anything, itself included.
-            leaving = index if columns is None and referrer is self else None
-            if referrer.has_value(column, value, leaving):
-                raise ConstraintViolation(
-                    f"foreign key violation: {referrer.name}.{column}={value!r} still references "
-                    f"{self.name}.{name}"
-                )
+        if row is not None:
+            for column, foreign_key in self.schema.foreign_keys():
+                value = row[column.name]
+                if value is None or (before is not None and before[column.name] == value):
+                    continue
+                target = self._catalog.lookup_table(foreign_key.table.lower())
+                if target is None:
+                    raise ConstraintViolation(
+                        f"foreign key on {self.name}.{column.name} references missing table "
+                        f"{foreign_key.table!r}"
+                    )
+                if not target.has_value(foreign_key.column, value):
+                    raise ConstraintViolation(
+                        f"foreign key violation: {self.name}.{column.name}={value!r} has no match in "
+                        f"{foreign_key.table}.{foreign_key.column}"
+                    )
+        if before is not None:
+            for referrer, column, name in self.referrers:
+                value = before[name]
+                if value is None or (row is not None and row[name] == value) or self.has_value(name, value):
+                    continue
+                if referrer.has_value(column, value):
+                    raise ConstraintViolation(
+                        f"foreign key violation: {referrer.name}.{column}={value!r} still references "
+                        f"{self.name}.{name}"
+                    )
 
-    def has_value(self, column_name: str, value: Any, excluding: Optional[int] = None) -> bool:
-        """Whether a live row other than the one at ``excluding`` has
-        ``column_name == value``."""
+    def has_value(self, column_name: str, value: Any) -> bool:
+        """Whether a live row has ``column_name == value``."""
         key = self.schema.column(column_name).name
         if self.schema.primary_key_columns == [key]:
             # A dict probe is the same ``==`` test the scan below makes.
-            return any(slot != excluding for slot, _row in self.rows_with_keys([(value,)]))
-        return any(row[key] == value for slot, row in self.enumerate_rows() if slot != excluding)
+            return (value,) in self._pk_index
+        return any(row[key] == value for row in self.rows())
 
     def rows_with_keys(self, keys: List[Tuple[Any, ...]]) -> List[Tuple[int, Row]]:
         """The live rows whose primary key is (``==``) one of ``keys``, as
@@ -160,7 +143,6 @@ class Table:
         row = self.schema.coerce_row(values)
         self._check_not_null(row)
         self._check_primary_key(row)
-        self._check_foreign_keys(row)
         index = len(self._rows)
         self._rows.append(row)
         pk = self.schema.primary_key_of(row)
@@ -173,8 +155,6 @@ class Table:
         replaced. A stored row is never changed in place, so the old one is
         the undo record as it is."""
         old = self._rows[index]
-        if old is None:
-            raise ConstraintViolation(f"row {index} of table {self.name!r} was deleted")
         updated = dict(old)
         for key, value in new_values.items():
             column = self.schema.column(key)
@@ -183,13 +163,7 @@ class Table:
         old_pk = self.schema.primary_key_of(old)
         new_pk = self.schema.primary_key_of(updated)
         if new_pk != old_pk:
-            self._check_primary_key(updated, ignore_index=index)
-        if self.referrers or self.schema.foreign_keys():
-            # REFERENCES are checked, either way, only for the columns whose value changes.
-            changed = {name for name, value in updated.items() if value != old[name]}
-            self._check_foreign_keys(updated, changed)
-            self._check_referrers(index, changed)
-        if new_pk != old_pk:
+            self._check_primary_key(updated)
             self._unindex(index)
             if new_pk is not None:
                 self._pk_index[new_pk] = index
@@ -201,7 +175,6 @@ class Table:
         old = self._rows[index]
         if old is None:
             raise ConstraintViolation(f"row {index} of table {self.name!r} already deleted")
-        self._check_referrers(index)
         self._unindex(index)
         self._rows[index] = None  # type: ignore[call-overload]
         return old
@@ -223,10 +196,14 @@ class Table:
             self._pk_index[pk] = index
 
     def remove_at(self, index: int) -> None:
-        """Undo helper: remove the row at ``index`` without constraint checks."""
+        """Undo helper: remove the row an INSERT stored at ``index``, and
+        the slot too while it is the last one (nothing was stored after it)."""
         if index < len(self._rows):
             self._unindex(index)
-            self._rows[index] = None  # type: ignore[call-overload]
+            if index == len(self._rows) - 1:
+                self._rows.pop()
+            else:
+                self._rows[index] = None  # type: ignore[call-overload]
 
     def enumerate_rows(self) -> Iterable[Tuple[int, Row]]:
         """Yield (index, row) pairs for live rows."""

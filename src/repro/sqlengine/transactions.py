@@ -1,9 +1,10 @@
-"""Transactions: per-session undo logs.
+"""Transactions: a statement is a transaction of one.
 
-Each session may run at most one transaction at a time. DML statements
-executed inside a transaction record undo entries; ROLLBACK replays them
-in reverse, COMMIT discards them. Statements outside an explicit
-transaction auto-commit.
+Every INSERT, UPDATE and DELETE records the undo of each row it writes
+into one log: the session's open transaction's, else the statement's
+own. A statement that raises is undone whole (inside a transaction its
+earlier statements stay, as in SQLite); ROLLBACK undoes the
+transaction's log and COMMIT forgets it.
 
 The engine serializes statement execution with a single lock, so the undo
 log does not need to handle concurrent writers to the same row; what the
@@ -15,86 +16,60 @@ knowing whether a connection has an in-flight transaction (the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import List, Optional, Tuple
 
 from repro.sqlengine.errors import TransactionError
-from repro.sqlengine.storage import Table
+from repro.sqlengine.storage import Row, Table
+
+#: One undo record: the table, the slot written, and the row the slot held
+#: before the write (None: the write stored a new row there).
+Undo = Tuple[Table, int, Optional[Row]]
 
 
-@dataclass
-class UndoEntry:
-    """One reversible mutation."""
-
-    kind: str  # "insert" | "update" | "delete"
-    table: Table
-    index: int
-    before: Optional[Dict[str, Any]] = None
-
-
-@dataclass
-class Transaction:
-    """An open transaction accumulating undo entries."""
-
-    undo_log: List[UndoEntry] = field(default_factory=list)
-    statements: int = 0
-
-    def record_insert(self, table: Table, index: int) -> None:
-        self.undo_log.append(UndoEntry(kind="insert", table=table, index=index))
-
-    def record_update(self, table: Table, index: int, before: Dict[str, Any]) -> None:
-        self.undo_log.append(UndoEntry(kind="update", table=table, index=index, before=before))
-
-    def record_delete(self, table: Table, index: int, before: Dict[str, Any]) -> None:
-        self.undo_log.append(UndoEntry(kind="delete", table=table, index=index, before=before))
-
-    def rollback(self) -> None:
-        """Undo every recorded mutation, newest first."""
-        for entry in reversed(self.undo_log):
-            if entry.kind == "insert":
-                entry.table.remove_at(entry.index)
-            elif entry.kind in ("update", "delete"):
-                assert entry.before is not None
-                entry.table.restore_at(entry.index, entry.before)
-        self.undo_log.clear()
+def undo(log: List[Undo], mark: int = 0) -> None:
+    """Restore the rows recorded in ``log[mark:]``, newest first, and
+    forget those records."""
+    for table, index, before in reversed(log[mark:]):
+        if before is None:
+            table.remove_at(index)
+        else:
+            table.restore_at(index, before)
+    del log[mark:]
 
 
 class TransactionManager:
     """Tracks the open transaction of one session."""
 
     def __init__(self) -> None:
-        self._current: Optional[Transaction] = None
+        self.active = False
+        self._log: List[Undo] = []
 
-    @property
-    def active(self) -> bool:
-        return self._current is not None
+    def statement_log(self) -> List[Undo]:
+        """Where a write statement records its undo: the open transaction's
+        log, else a new one of the statement's own."""
+        return self._log if self.active else []
 
-    @property
-    def current(self) -> Optional[Transaction]:
-        return self._current
-
-    def begin(self) -> Transaction:
-        if self._current is not None:
+    def begin(self) -> None:
+        if self.active:
             raise TransactionError("transaction already in progress")
-        self._current = Transaction()
-        return self._current
+        self.active = True
 
     def commit(self) -> None:
-        if self._current is None:
+        if not self.active:
             raise TransactionError("COMMIT without an open transaction")
-        self._current = None
+        self.active = False
+        self._log = []
 
     def rollback(self) -> None:
-        if self._current is None:
+        if not self.active:
             raise TransactionError("ROLLBACK without an open transaction")
-        self._current.rollback()
-        self._current = None
+        self.abort_if_active()
 
     def abort_if_active(self) -> bool:
         """Roll back the open transaction if there is one (used by forced
         connection termination under the IMMEDIATE policy)."""
-        if self._current is None:
+        if not self.active:
             return False
-        self._current.rollback()
-        self._current = None
+        undo(self._log)
+        self.active = False
         return True

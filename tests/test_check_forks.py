@@ -61,6 +61,23 @@ def test_plan_gate_matches_the_interpreter_it_retired():
         assert check_forks.re.search(gate.pattern, line), line
 
 
+def test_write_path_gate_matches_the_transaction_forks_it_retired():
+    """A write records its undo whether or not a transaction is open: the
+    gate allows nothing in sqlengine/ and matches the per-plan forks and
+    the kind-tagged undo entries it retired."""
+    check_forks = _check_forks()
+    (gate,) = [gate for gate in check_forks.GATES if gate.message.startswith("one engine write path")]
+    assert gate.allowed == 0 and check_forks.check_gate(gate) == []
+    for line in (
+        "            transaction = transactions.current",
+        "                    transaction.record_insert(table, index)",
+        "                    transaction.record_update(table, index, before)",
+        "                    transaction.record_delete(table, index, before)",
+        '        self.undo_log.append(UndoEntry(kind="insert", table=table, index=index))',
+    ):
+        assert check_forks.re.search(gate.pattern, line), line
+
+
 def test_key_shape_gates_match_the_token_matcher_they_retired():
     """The two lock-scope gates allow nothing, so what shows they are not
     vacuous is that each pattern matches lines of the code it retired."""

@@ -191,6 +191,19 @@ class TestPlacementPolicies:
         hashed.ensure_colocated("tree", ["tree"])
         assert hashed.stats()["pinned_tables"] == 0
 
+    def test_a_colocation_made_before_its_targets_pin_holds_after_they_pin(self):
+        """Under hash:2 with one backend nothing pins; once the ring is big
+        enough, ``orders`` pins where ``users`` pins, whichever is asked first."""
+        for first in ("users", "orders"):
+            placement = create_placement("hash:2", backend_names=["db1"])
+            placement.ensure_colocated("orders", ["users"])
+            assert placement.hosts("orders") == placement.hosts("users") == frozenset({"db1"})
+            for name in ("db2", "db3", "db4"):
+                placement.add_backend(name)
+            placement.hosts(first)
+            assert placement.hosts("orders") == placement.hosts("users")
+            assert placement.stats()["pinned_tables"] == 2
+
     def test_assign_pins_and_unpins_fullness(self):
         placement = PlacementMap(backend_names=NAMES)
         assert placement.is_full

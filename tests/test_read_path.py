@@ -159,6 +159,22 @@ class TestTheReadFaultRule:
         # One replica was asked each time, never a second.
         assert len(asked) == 2
 
+    def test_length_of_a_number_is_the_statements_fault_not_the_replicas(self, make_env):
+        """``length(v)`` over an INTEGER is refused by the engine: the client
+        gets a ProgrammingError, both backends stay ENABLED and the next
+        read is served."""
+        env = make_env()
+        connection = ClusterDriverRuntime().connect(env.client_url(), network=env.network)
+        try:
+            cursor = connection.cursor()
+            with pytest.raises(ProgrammingError, match="length"):
+                cursor.execute("SELECT length(v) FROM t WHERE id = 1")
+            assert all(state is BackendState.ENABLED for state in _states(env).values())
+            cursor.execute("SELECT v FROM t WHERE id = 1")
+            assert cursor.fetchall() == [(10,)]
+        finally:
+            connection.close()
+
     def test_with_no_candidate_left_the_last_fault_is_raised(self, make_env):
         env = make_env()
         scheduler = env.controllers[0].scheduler

@@ -207,6 +207,53 @@ class TestConstraints:
         assert ours == oracle.execute("SELECT id, up FROM tree ORDER BY id").fetchall() == [(1, 1), (2, 1)]
         oracle.close()
 
+    @pytest.mark.parametrize(
+        "setup, statement, fails, rows",
+        [
+            # A PRIMARY KEY is checked per row, and the statement is undone whole.
+            (["INSERT INTO tree VALUES (2, NULL)"], "INSERT INTO tree VALUES (3, NULL), (2, NULL)", True, [(2, None)]),
+            # REFERENCES are checked at the statement's end.
+            ([], "INSERT INTO tree VALUES (1, 2), (2, 1)", False, [(1, 2), (2, 1)]),
+            (["INSERT INTO tree VALUES (1, NULL), (2, 1)"], "DELETE FROM tree", False, []),
+            (["INSERT INTO tree VALUES (1, NULL), (2, 1)"], "DELETE FROM tree WHERE id = 1", True, [(1, None), (2, 1)]),
+            (["INSERT INTO tree VALUES (1, NULL), (2, NULL)"], "UPDATE tree SET id = id + 1", True, [(1, None), (2, None)]),
+        ],
+        ids=["key_per_row", "mutual_references", "parent_with_child", "referenced_parent", "key_shift"],
+    )
+    def test_a_statement_is_checked_and_undone_whole_as_on_sqlite(self, db_session, setup, statement, fails, rows):
+        oracle = sqlite3.connect(":memory:", isolation_level=None)
+        oracle.execute("PRAGMA foreign_keys = ON")
+        for side, refused in ((db_session.execute, ConstraintViolation), (oracle.execute, sqlite3.IntegrityError)):
+            side("CREATE TABLE tree (id INTEGER PRIMARY KEY, up INTEGER REFERENCES tree(id))")
+            for text in setup:
+                side(text)
+            if fails:
+                with pytest.raises(refused):
+                    side(statement)
+            else:
+                side(statement)
+        ours = db_session.execute("SELECT id, up FROM tree ORDER BY id").rows
+        assert ours == oracle.execute("SELECT id, up FROM tree ORDER BY id").fetchall() == rows
+        oracle.close()
+
+    def test_a_failing_statement_inside_a_transaction_keeps_the_earlier_ones(self, db_session):
+        oracle = sqlite3.connect(":memory:", isolation_level=None)
+        oracle.execute("PRAGMA foreign_keys = ON")
+        for side, refused in ((db_session.execute, ConstraintViolation), (oracle.execute, sqlite3.IntegrityError)):
+            side("CREATE TABLE tree (id INTEGER PRIMARY KEY, up INTEGER REFERENCES tree(id))")
+            side("BEGIN")
+            side("INSERT INTO tree VALUES (1, NULL)")
+            with pytest.raises(refused):
+                side("INSERT INTO tree VALUES (2, 1), (1, NULL)")
+        assert db_session.in_transaction and oracle.in_transaction
+        ours = db_session.execute("SELECT id, up FROM tree ORDER BY id").rows
+        assert ours == oracle.execute("SELECT id, up FROM tree ORDER BY id").fetchall() == [(1, None)]
+        for side in (db_session.execute, oracle.execute):
+            side("ROLLBACK")
+        assert db_session.execute("SELECT COUNT(*) FROM tree").scalar() == 0
+        assert not (db_session.in_transaction or oracle.in_transaction)
+        oracle.close()
+
     def test_a_referenced_value_another_parent_row_holds_may_go(self, db_session):
         """A REFERENCES to a column that is not a key: while another parent
         row holds the value, there is nothing to refuse."""

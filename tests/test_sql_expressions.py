@@ -123,6 +123,12 @@ class TestFunctionsAndParams:
         with pytest.raises(SqlExecutionError):
             evaluate("frobnicate(a) = 1", {"a": 1})
 
+    def test_a_function_takes_one_argument(self):
+        for text in ("length() = 0", "lower() = 'a'", "upper(a, a) = 'A'"):
+            with pytest.raises(SqlExecutionError):
+                evaluate(text, {"a": "a"})
+        assert evaluate("length(a) = 2", {"a": b"\x00\x01"})
+
     def test_arithmetic(self):
         assert evaluate("a + 1 = 3", {"a": 2})
         assert evaluate("a - 1 = 1", {"a": 2})

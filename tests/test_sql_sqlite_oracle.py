@@ -20,10 +20,7 @@ tests/test_sql_dialect.py, is one rule here:
 - TRUE is not 1: no boolean is drawn;
 - errors raised per row: no unknown column, every parameter supplied;
 - a SELECT's rowcount is not compared;
-- no ``/`` and no ``now()``;
-- a failing statement keeps what it changed: a statement that can fail
-  changes one row at most (one-row INSERTs; a key UPDATE and a parent
-  DELETE pin the key);
+- no ``/`` and no ``now()``, and no ``length()`` (it takes text only);
 - a number and a text compare as text: a comparison's constants have
   the column's type (a stored value may be ill-typed: both coerce it);
 - a NULL INTEGER key is refused: every INSERT gives a key.
@@ -145,25 +142,26 @@ def _insert(text, table, columns):
     draw = text.draw
     others = st.one_of(st.just(columns[1:]), st.lists(st.sampled_from(columns[1:]), unique=True))
     names = columns[:1] + draw(others)
-    values = [text.constant(*columns[0][:2], null=False)]
-    for name, is_int, nullable in names[1:]:
-        # One value in five has the other type: both sides coerce it, or both refuse it.
-        mistyped = draw(st.integers(0, 4)) == 0
-        values.append(text.constant(name, is_int != mistyped, null=nullable or draw(st.booleans())))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        values = [text.constant(*columns[0][:2], null=False)]
+        for name, is_int, nullable in names[1:]:
+            # One value in five has the other type: both sides coerce it, or both refuse it.
+            mistyped = draw(st.integers(0, 4)) == 0
+            values.append(text.constant(name, is_int != mistyped, null=nullable or draw(st.booleans())))
+        rows.append(f"({', '.join(values)})")
     listed = "" if names == columns else f" ({', '.join(name for name, _, _ in names)})"
-    return f"INSERT INTO {table}{listed} VALUES ({', '.join(values)})"
+    return f"INSERT INTO {table}{listed} VALUES {', '.join(rows)}"
 
 
 def _update(text, table, columns):
     draw = text.draw
     key, key_is_int, _ = columns[0]
     if draw(st.integers(0, 3)) == 0:
-        # A key UPDATE can fail, so it pins one row.
-        new, old = text.constant(key, key_is_int, False), text.constant(key, key_is_int, False)
-        return f"UPDATE {table} SET {key} = {new} WHERE {key} = {old}"
+        # A new key is a constant: a per-row one would be checked in each side's own row order.
+        return f"UPDATE {table} SET {key} = {text.constant(key, key_is_int, False)}{text.where(columns)}"
     name, is_int, nullable = draw(st.sampled_from(columns[1:]))
-    if name != "pid" and draw(st.booleans()):
-        # Not on a REFERENCES column: a value that differs per row could fail on a later row.
+    if draw(st.booleans()):
         value = f"{name} + {text.constant(name, True, False)}" if is_int else f"lower({name})"
     else:
         value = text.constant(name, is_int, null=nullable or draw(st.booleans()))
@@ -171,9 +169,6 @@ def _update(text, table, columns):
 
 
 def _delete(text, table, columns):
-    if table == "p":
-        # A parent row may still be referenced, so a DELETE of one pins its key.
-        return f"DELETE FROM p WHERE id = {text.constant('id', columns[0][1], False)}"
     return f"DELETE FROM {table}{text.where(columns)}"
 
 

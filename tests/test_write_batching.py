@@ -449,6 +449,24 @@ class TestSchedulerBatching:
             session = engine.open_session(env.database_name)
             assert session.execute("SELECT v FROM wbt_dup").rows == [(7,)]
 
+    def test_a_statement_every_replica_refused_changed_nothing_on_any(self, batched_cluster):
+        """``UPDATE wbt_key SET id = 5`` moves row 0, then collides on row 1:
+        the engine undoes it whole, so the replica that missed it while
+        disabled (its resync leaves the refused statement out) holds what
+        the other holds."""
+        env = batched_cluster
+        controller = env.controllers[0]
+        scheduler = controller.scheduler
+        scheduler.execute("CREATE TABLE wbt_key (id INTEGER PRIMARY KEY, v INTEGER)")
+        scheduler.execute("INSERT INTO wbt_key (id, v) VALUES (0, 0), (1, 1), (2, 2)")
+        controller.disable_backend("db2")
+        with pytest.raises(SchedulerError, match="duplicate primary key"):
+            scheduler.execute("UPDATE wbt_key SET id = 5")
+        controller.enable_backend("db2")
+        for backend in scheduler.backends():
+            assert backend.state is BackendState.ENABLED
+            assert backend.execute("SELECT id FROM wbt_key ORDER BY id", track=False)[1] == [(0,), (1,), (2,)]
+
     def test_arithmetic_on_a_text_parameter_fails_the_statement_not_the_replicas(self, batched_cluster):
         """``v + $x`` with a text ``x`` is every replica's statement error:
         the client gets a ProgrammingError, both backends stay ENABLED

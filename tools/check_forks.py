@@ -241,6 +241,13 @@ GATES = [
         allowed=1,
     ),
     Gate(
+        r"transactions\.current|record_(insert|update|delete)|UndoEntry",
+        ("src/repro/sqlengine",),
+        "one engine write path: every INSERT/UPDATE/DELETE plan records its undo into the "
+        "session's statement log (TransactionManager.statement_log) and runs bracketed by "
+        "executor._statement, in auto-commit and in a transaction alike",
+    ),
+    Gate(
         r"\.evaluate\(|def evaluate|EvalContext|columns_referenced",
         ("src",),
         "an expression interpreter: a statement runs as its compiled plan "
